@@ -3,9 +3,16 @@
 //! it, and the dispatch seam that routes a kernel variant to one of the
 //! two substrates.
 //!
-//! The [`MeteredBackend`] runs CPE "lanes" sequentially on one host
-//! thread under the cycle meter, so its determinism is free. The
-//! [`NativeBackend`] (real threads, real SIMD) forfeits that freedom:
+//! The [`MeteredBackend`] runs its CPE "lanes" under the cycle meter
+//! through `CoreGroup::spawn`. The lanes do run on host threads (dealt
+//! round-robin, lane `l` on thread `l % threads`), but no lane can see
+//! another: each meters into a private per-lane context, the kernel
+//! closures are `Fn + Sync` over plain shared data (no locks, no
+//! atomics), and results, counters and forces are merged in lane order
+//! after the join. Cycles and physics are therefore the same at any host thread
+//! count, which is what [`Concurrency::Sequential`] declares. The
+//! [`NativeBackend`] (persistent pool, real SIMD) gets no such
+//! guarantee from a model and has to pin every ordering in its kernels:
 //! the 64 lanes genuinely interleave, and any hidden ordering
 //! assumption becomes a heisenbug. This module is the gate between the
 //! two worlds. A backend earns the right to carry physics by producing
@@ -36,7 +43,9 @@ use crate::package::PackedSystem;
 /// certificate guards the *execution*.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Concurrency {
-    /// Lanes run one after another on the calling thread (the simulator).
+    /// Lanes cannot observe one another within a region, so the outcome
+    /// is that of running them one after another (the simulator: private
+    /// per-lane contexts, merge in lane order — see the module doc).
     Sequential,
     /// Lanes run on real OS threads and genuinely interleave.
     Threads,
@@ -151,7 +160,7 @@ pub fn assert_certified<B: CertifiedBackend>(backend: &B) {
     }
 }
 
-/// The in-tree simulated backend: sequential lanes on the host thread,
+/// The in-tree simulated backend: isolated lanes merged in lane order,
 /// every instruction charged to the cycle meter. This is the substrate
 /// all the paper-figure experiments run on.
 #[derive(Debug, Clone, Copy, Default)]
@@ -256,7 +265,7 @@ impl KernelBackend for NativeBackend {
 /// flags, certify options) that must stay `Copy`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendSel {
-    /// The cycle-metered sequential simulator ([`MeteredBackend`]).
+    /// The cycle-metered simulator ([`MeteredBackend`]).
     Metered,
     /// The thread-pool + real-SIMD backend ([`NativeBackend`]).
     Native,

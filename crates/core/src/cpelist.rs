@@ -9,7 +9,7 @@
 //! the minimum-image convention into the list so the inner kernel is
 //! branch-free: `d = pos_a - (pos_b + shift)`.
 
-use mdsim::cluster::{CLUSTER_SIZE, FILLER};
+use mdsim::cluster::{Clustering, CLUSTER_SIZE, FILLER};
 use mdsim::pairlist::{ListKind, PairList};
 use mdsim::system::System;
 
@@ -36,53 +36,41 @@ pub struct CpePairList {
 impl CpePairList {
     /// Lower a geometric [`PairList`] into kernel form, computing masks
     /// from `sys`'s exclusions and shifts from cluster centers.
+    ///
+    /// The lowering has two halves with different lifetimes. The CSR and
+    /// the masks are a function of the clustering, the exclusions and the
+    /// list kind only, so they hold for as long as the list does; the
+    /// shifts follow the positions and go stale every step
+    /// ([`CpePairList::update_shifts`] brings them up to date in place).
     pub fn build(sys: &System, list: &PairList) -> Self {
-        let nc = list.n_clusters();
-        let centers: Vec<mdsim::Vec3> = (0..nc)
-            .map(|c| list.clustering.center(&sys.pbc, &sys.pos, c))
+        let mut lowered = Self {
+            offsets: list.offsets.clone(),
+            neighbors: list.neighbors.clone(),
+            masks: interaction_masks(sys, list),
+            shifts: vec![[0.0; 3]; list.n_pairs()],
+            kind: list.kind,
+            rlist: list.rlist,
+        };
+        lowered.update_shifts(sys, &list.clustering);
+        lowered
+    }
+
+    /// Recompute every entry's shift from `sys`'s current positions:
+    /// translate the inner cluster's center to its minimum image
+    /// relative to the outer cluster's center. `clustering` must be the
+    /// one the list was built over.
+    pub fn update_shifts(&mut self, sys: &System, clustering: &Clustering) {
+        let centers: Vec<mdsim::Vec3> = (0..self.n_clusters())
+            .map(|c| clustering.center(&sys.pbc, &sys.pos, c))
             .collect();
-        let mut masks = Vec::with_capacity(list.n_pairs());
-        let mut shifts = Vec::with_capacity(list.n_pairs());
-        for ci in 0..nc {
-            let mi = list.clustering.members(ci);
-            for &cj in list.neighbors_of(ci) {
-                let cj = cj as usize;
-                let mj = list.clustering.members(cj);
-                let same = cj == ci;
-                let mut mask = 0u16;
-                for (ai, &a) in mi.iter().enumerate() {
-                    if a == FILLER {
-                        continue;
-                    }
-                    for (bj, &b) in mj.iter().enumerate() {
-                        if b == FILLER || a == b {
-                            continue;
-                        }
-                        if list.kind == ListKind::Half && same && bj <= ai {
-                            continue;
-                        }
-                        if sys.is_excluded(a as usize, b as usize) {
-                            continue;
-                        }
-                        mask |= 1 << (ai * CLUSTER_SIZE + bj);
-                    }
-                }
-                masks.push(mask);
-                // Shift: translate cj's center to its minimum image
-                // relative to ci's center.
+        for ci in 0..self.n_clusters() {
+            for e in self.entries_of(ci) {
+                let cj = self.neighbors[e] as usize;
                 let d = sys.pbc.min_image(centers[ci], centers[cj]);
                 let imaged = centers[ci] - d; // cj center seen from ci
                 let s = imaged - centers[cj];
-                shifts.push([s.x, s.y, s.z]);
+                self.shifts[e] = [s.x, s.y, s.z];
             }
-        }
-        Self {
-            offsets: list.offsets.clone(),
-            neighbors: list.neighbors.clone(),
-            masks,
-            shifts,
-            kind: list.kind,
-            rlist: list.rlist,
         }
     }
 
@@ -106,6 +94,41 @@ impl CpePairList {
     pub fn stream_bytes(&self, ci: usize) -> usize {
         self.entries_of(ci).len() * LIST_ENTRY_BYTES
     }
+}
+
+/// One interaction mask per list entry, in entry order: bit `ai*4 + bj`
+/// is set unless either slot is a filler, the two are one particle, the
+/// pair is excluded, or a half list already counts it as `(bj, ai)`.
+fn interaction_masks(sys: &System, list: &PairList) -> Vec<u16> {
+    let mut masks = Vec::with_capacity(list.n_pairs());
+    for ci in 0..list.n_clusters() {
+        let mi = list.clustering.members(ci);
+        for &cj in list.neighbors_of(ci) {
+            let cj = cj as usize;
+            let mj = list.clustering.members(cj);
+            let same = cj == ci;
+            let mut mask = 0u16;
+            for (ai, &a) in mi.iter().enumerate() {
+                if a == FILLER {
+                    continue;
+                }
+                for (bj, &b) in mj.iter().enumerate() {
+                    if b == FILLER || a == b {
+                        continue;
+                    }
+                    if list.kind == ListKind::Half && same && bj <= ai {
+                        continue;
+                    }
+                    if sys.is_excluded(a as usize, b as usize) {
+                        continue;
+                    }
+                    mask |= 1 << (ai * CLUSTER_SIZE + bj);
+                }
+            }
+            masks.push(mask);
+        }
+    }
+    masks
 }
 
 #[cfg(test)]

@@ -146,14 +146,46 @@ const MPE_UPDATE_CYCLES_PER_PARTICLE: u64 = 30;
 /// measures.
 const MPE_SETTLE_CYCLES_PER_MOL: u64 = 220;
 
+/// What the engine derives from one pair list and keeps for as long as
+/// the list holds: the lowered list (CSR + masks) and the packed system
+/// (slot order, types, charges, LJ tables). Their position-dependent
+/// parts (shifts, packed coordinates) are brought up to date in place
+/// every step. [`Engine::rebuild_list`] creates it;
+/// [`Engine::resume_at`] drops it with the list.
+struct ListState {
+    cpelist: CpePairList,
+    psys: PackedSystem,
+}
+
+impl ListState {
+    /// Lower and pack `list` at `sys`'s current positions. The geometric
+    /// list ends here: `CpePairList::build` copies its CSR and its
+    /// clustering moves into the packed system.
+    fn new(sys: &System, list: PairList, layout: PackageLayout) -> Self {
+        Self {
+            cpelist: CpePairList::build(sys, &list),
+            psys: PackedSystem::build(sys, list.clustering, layout),
+        }
+    }
+
+    /// Follow `sys`'s positions on a step that keeps the list.
+    fn refresh(&mut self, sys: &System) {
+        self.psys.repack(sys);
+        self.cpelist.update_shifts(sys, &self.psys.clustering);
+    }
+}
+
 /// One simulated core group running real dynamics with cost accounting.
 pub struct Engine {
-    /// The live system.
+    /// The live system. Positions are read every step; types, charges
+    /// and exclusions when the pair list is rebuilt.
     pub sys: System,
     config: EngineConfig,
     backend: AnyBackend,
     cg: CoreGroup,
-    list: Option<PairList>,
+    lists: Option<ListState>,
+    /// Pre-update positions SHAKE constrains against (reused buffer).
+    old_pos: Vec<mdsim::Vec3>,
     constraints: Option<ConstraintSet>,
     step_idx: usize,
     pme: Option<mdsim::pme::Pme>,
@@ -207,7 +239,8 @@ impl Engine {
             backend: AnyBackend::of(config.backend),
             config,
             cg: CoreGroup::new(),
-            list: None,
+            lists: None,
+            old_pos: Vec::new(),
             constraints,
             step_idx: 0,
             pme,
@@ -236,7 +269,7 @@ impl Engine {
     /// built from pre-checkpoint positions cannot be reconstructed.
     pub fn resume_at(&mut self, step: usize) {
         self.step_idx = step;
-        self.list = None; // force a rebuild from the restored positions
+        self.lists = None; // force a rebuild from the restored positions
     }
 
     /// Whether repeated kernel faults have permanently degraded this
@@ -251,8 +284,11 @@ impl Engine {
     }
 
     fn rebuild_list(&mut self) {
+        // The outgoing list's state goes first, so the search and the
+        // lowering below reuse its memory instead of adding to it.
+        self.lists = None;
         let v = self.config.version;
-        if matches!(v, Version::List | Version::Other) {
+        let list = if matches!(v, Version::List | Version::Other) {
             // Span opens before the CPE spawn so the per-CPE pairgen
             // spans nest under it on the timeline; ticking the region
             // cycles keeps the MPE span equal to the Breakdown row.
@@ -268,7 +304,7 @@ impl Engine {
             drop(span);
             swtel::flight::record("stage", "Neighbor search", gen.perf.cycles, 0);
             self.breakdown.add("Neighbor search", gen.perf);
-            self.list = Some(gen.list);
+            gen.list
         } else {
             // Serial MPE generation: same list, modeled cost per candidate
             // examined (~27 cells x cell occupancy per cluster).
@@ -279,26 +315,29 @@ impl Engine {
                 ..Default::default()
             };
             charge(&mut self.breakdown, "Neighbor search", perf);
-            self.list = Some(list);
-        }
+            list
+        };
+        let layout = if v == Version::Ori {
+            PackageLayout::Interleaved
+        } else {
+            PackageLayout::Transposed
+        };
+        self.lists = Some(ListState::new(&self.sys, list, layout));
     }
 
     /// Advance one step. Returns the short-range kernel result.
     pub fn step(&mut self) -> NbEnergies {
         let _step = swprof::span("step");
-        if self.step_idx.is_multiple_of(self.config.nstlist) || self.list.is_none() {
-            self.rebuild_list();
+        // --- buffer ops: (re)package positions (Table 1 "NB X/F buffer
+        // ops"). A rebuild lowers and packs the new list at the current
+        // positions; any other step only follows the positions.
+        match &mut self.lists {
+            Some(lists) if !self.step_idx.is_multiple_of(self.config.nstlist) => {
+                lists.refresh(&self.sys)
+            }
+            _ => self.rebuild_list(),
         }
-        let list = self.list.as_ref().unwrap();
-
-        // --- buffer ops: (re)package positions (Table 1 "NB X/F buffer ops").
-        let layout = if self.config.version == Version::Ori {
-            PackageLayout::Interleaved
-        } else {
-            PackageLayout::Transposed
-        };
-        let psys = PackedSystem::build(&self.sys, list.clustering.clone(), layout);
-        let cpelist = CpePairList::build(&self.sys, list);
+        let lists = self.lists.as_ref().expect("rebuilt or refreshed above");
         let pack_perf = PerfCounters {
             // One streaming pass over the particle data on CPEs.
             cycles: (self.sys.n() as u64 * 20) / self.cg.n_cpes as u64 + 2_000,
@@ -375,8 +414,8 @@ impl Engine {
         let result: KernelResult = self.backend.run(
             variant,
             KernelInput {
-                psys: &psys,
-                list: &cpelist,
+                psys: &lists.psys,
+                list: &lists.cpelist,
                 params: &self.config.params,
             },
         );
@@ -389,9 +428,7 @@ impl Engine {
         }
         self.breakdown.add("Force", result.total);
         self.energies = result.energies;
-        for (i, f) in result.forces.iter().enumerate() {
-            self.sys.force[i] = *f;
-        }
+        self.sys.force.copy_from_slice(&result.forces);
         if let Some(pme) = &self.pme {
             // Long-range mesh part: spread -> 3-D FFT -> solve -> gather,
             // executed functionally; cost modeled for the 64-CPE pipeline
@@ -449,7 +486,7 @@ impl Engine {
         }
 
         // --- update + constraints (MPE in all versions; cheap rows).
-        let old_pos = self.sys.pos.clone();
+        self.old_pos.clone_from(&self.sys.pos);
         integrate::leapfrog_step(&mut self.sys, self.config.dt);
         charge(
             &mut self.breakdown,
@@ -460,7 +497,7 @@ impl Engine {
             },
         );
         if let Some(cs) = &self.constraints {
-            cs.apply(&mut self.sys, &old_pos, self.config.dt);
+            cs.apply(&mut self.sys, &self.old_pos, self.config.dt);
             let n_mol = cs.constraints.len() as u64 / 3;
             charge(
                 &mut self.breakdown,
@@ -634,7 +671,7 @@ impl MultiCgModel {
             // neighbor exchange of about two halo volumes.
             let dd_per_rebuild =
                 4.0 * swnet::halo_exchange_ns(&self.net, &topo, transport, 6, halo_bytes);
-            let n_rebuilds = n_steps.div_ceil(10) as f64;
+            let n_rebuilds = n_steps.div_ceil(engine.config().nstlist) as f64;
             charge(
                 &mut breakdown,
                 "Wait + comm. F",
@@ -706,6 +743,126 @@ mod tests {
         let cs = ConstraintSet::rigid_water(&e.sys, D_OH, theta_hoh());
         assert!(cs.max_violation(&e.sys) < 1e-2);
         assert!(e.total_ms() > 0.0);
+    }
+
+    /// A lattice box pushed 0.1 nm along the diagonal without wrapping:
+    /// particles past the upper faces bin into the first cells beside
+    /// particles a box length below them, so clusters straddle the
+    /// boundary from the first list on.
+    fn straddling_box() -> System {
+        let mut sys = water_box(120, 300.0, 107);
+        for p in &mut sys.pos {
+            *p += mdsim::vec3(0.1, 0.1, 0.1);
+        }
+        sys
+    }
+
+    fn short_list_config(backend: BackendSel) -> EngineConfig {
+        EngineConfig {
+            nstlist: 4,
+            nstxout: 0,
+            backend,
+            ..EngineConfig::paper(Version::Other)
+        }
+    }
+
+    fn f32_bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn vec3_bits(v: &[mdsim::Vec3]) -> Vec<[u32; 3]> {
+        v.iter()
+            .map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
+            .collect()
+    }
+
+    #[test]
+    fn list_state_equals_a_fresh_lowering_on_every_step() {
+        let cg = CoreGroup::new();
+        for backend in [BackendSel::Metered, BackendSel::Native] {
+            let mut e = Engine::new(straddling_box(), short_list_config(backend));
+            let (nstlist, rlist) = (e.config().nstlist, e.config().rlist);
+            let mut list = None;
+            for step in 0..3 * nstlist + 2 {
+                // The positions the step lowers, and the list it holds.
+                let before = e.sys.clone();
+                if step % nstlist == 0 {
+                    list = Some(
+                        pairgen::generate_pairlist(&before, rlist, ListKind::Half, &cg, 2).list,
+                    );
+                }
+                let list = list.as_ref().expect("generated on step 0");
+                e.step();
+
+                let held = e.lists.as_ref().expect("held between steps");
+                let cpelist = CpePairList::build(&before, list);
+                let psys = PackedSystem::build(
+                    &before,
+                    list.clustering.clone(),
+                    PackageLayout::Transposed,
+                );
+                let at = format!("{backend:?} step {step}");
+                assert_eq!(held.cpelist.offsets, cpelist.offsets, "{at}");
+                assert_eq!(held.cpelist.neighbors, cpelist.neighbors, "{at}");
+                assert_eq!(held.cpelist.masks, cpelist.masks, "{at}");
+                assert_eq!(
+                    f32_bits(held.cpelist.shifts.as_flattened()),
+                    f32_bits(cpelist.shifts.as_flattened()),
+                    "{at}"
+                );
+                assert_eq!(held.psys.clustering, psys.clustering, "{at}");
+                assert_eq!(f32_bits(&held.psys.pos), f32_bits(&psys.pos), "{at}");
+
+                if step == 0 {
+                    let edge = before.pbc.lengths().x;
+                    let straddling = (0..psys.n_packages()).any(|c| {
+                        let members = psys.clustering.members(c).iter();
+                        let xs: Vec<f32> = members
+                            .filter(|&&m| m != mdsim::FILLER)
+                            .map(|&m| before.pos[m as usize].x)
+                            .collect();
+                        xs.iter().any(|a| xs.iter().any(|b| a - b > 0.5 * edge))
+                    });
+                    assert!(straddling, "no cluster straddles the boundary");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rollback_in_mid_cycle_drops_the_list_state() {
+        use mdsim::checkpoint::Checkpoint;
+        for backend in [BackendSel::Metered, BackendSel::Native] {
+            let cfg = short_list_config(backend);
+            // Roll back from step 9 (one rebuild later) to step 6, two
+            // steps into a list's life.
+            let mut rolled = Engine::new(straddling_box(), cfg);
+            rolled.run(6);
+            let cp = Checkpoint::capture(&rolled.sys, 6);
+            rolled.run(3);
+            cp.restore(&mut rolled.sys).unwrap();
+            rolled.resume_at(6);
+            rolled.run(7);
+
+            // The same 7 steps on an engine that never held another list.
+            let mut sys = straddling_box();
+            cp.restore(&mut sys).unwrap();
+            let mut straight = Engine::new(sys, cfg);
+            straight.resume_at(6);
+            straight.run(7);
+
+            assert_eq!(rolled.step_index(), straight.step_index());
+            assert_eq!(
+                vec3_bits(&rolled.sys.pos),
+                vec3_bits(&straight.sys.pos),
+                "{backend:?}"
+            );
+            assert_eq!(
+                vec3_bits(&rolled.sys.vel),
+                vec3_bits(&straight.sys.vel),
+                "{backend:?}"
+            );
+        }
     }
 
     #[test]

@@ -549,6 +549,31 @@ mod tests {
     }
 
     #[test]
+    fn simulated_cost_is_pinned_across_host_schedules() {
+        // Counters of this box at the commit before `CoreGroup::spawn`
+        // dealt lanes round-robin: the host schedule moves no cycle.
+        let (_, psys, cpe, params) = setup(300, 71);
+        let out = run_rma(&psys, &cpe, &params, &CoreGroup::new(), RmaConfig::MARK);
+        assert_eq!(
+            out.total,
+            PerfCounters {
+                cycles: 157424,
+                dma_cycles: 66611,
+                dma_bw_cycles: 88417,
+                gld_cycles: 0,
+                compute_cycles: 80373,
+                dma_transactions: 3639,
+                dma_bytes: 1774160,
+                gld_ops: 0,
+                gld_bytes: 0,
+                scalar_flops: 309288,
+                simd_ops: 1605867,
+                shuffle_ops: 72720,
+            }
+        );
+    }
+
+    #[test]
     fn pkg_matches_reference() {
         check_against_reference(RmaConfig::PKG);
     }

@@ -74,11 +74,27 @@ impl PackedSystem {
     /// center (finite distances) with type 0 and charge 0; their mask
     /// bits are off in the pair list, so they never contribute.
     pub fn build(sys: &System, clustering: Clustering, layout: PackageLayout) -> Self {
-        let n_pkg = clustering.n_clusters;
-        let mut pos = vec![0.0f32; n_pkg * PKG_WORDS];
-        for c in 0..n_pkg {
-            let members = clustering.members(c);
-            let center = clustering.center(&sys.pbc, &sys.pos, c);
+        let mut packed = Self {
+            n_particles: sys.n(),
+            pos: vec![0.0f32; clustering.n_clusters * PKG_WORDS],
+            clustering,
+            layout,
+            n_types: sys.topology.n_types(),
+            c6: sys.topology.c6_table().to_vec(),
+            c12: sys.topology.c12_table().to_vec(),
+        };
+        packed.repack(sys);
+        packed
+    }
+
+    /// Rewrite `pos` in place from `sys`'s current positions, as
+    /// [`PackedSystem::build`] fills it. The clustering, the layout and
+    /// the LJ tables live as long as the pair list; only the positions
+    /// go stale between rebuilds.
+    pub fn repack(&mut self, sys: &System) {
+        for c in 0..self.clustering.n_clusters {
+            let members = self.clustering.members(c);
+            let center = self.clustering.center(&sys.pbc, &sys.pos, c);
             for (lane, &m) in members.iter().enumerate() {
                 let (p, t, q) = if m == FILLER {
                     (center, 0usize, 0.0f32)
@@ -90,24 +106,15 @@ impl PackedSystem {
                 };
                 let vals = [p.x, p.y, p.z, t as f32, q];
                 for (comp, &v) in vals.iter().enumerate() {
-                    let idx = match layout {
+                    let idx = match self.layout {
                         PackageLayout::Interleaved => {
                             c * PKG_WORDS + lane * WORDS_PER_PARTICLE + comp
                         }
                         PackageLayout::Transposed => c * PKG_WORDS + comp * CLUSTER_SIZE + lane,
                     };
-                    pos[idx] = v;
+                    self.pos[idx] = v;
                 }
             }
-        }
-        Self {
-            n_particles: sys.n(),
-            clustering,
-            layout,
-            pos,
-            n_types: sys.topology.n_types(),
-            c6: sys.topology.c6_table().to_vec(),
-            c12: sys.topology.c12_table().to_vec(),
         }
     }
 

@@ -254,6 +254,31 @@ mod tests {
     }
 
     #[test]
+    fn simulated_cost_is_pinned_across_host_schedules() {
+        // Counters of this box at the commit before `CoreGroup::spawn`
+        // dealt lanes round-robin: the host schedule moves no cycle.
+        let sys = water_box(150, 300.0, 31);
+        let gen = generate_pairlist(&sys, 1.0, ListKind::Half, &CoreGroup::new(), 2);
+        assert_eq!(
+            gen.perf,
+            PerfCounters {
+                cycles: 91932,
+                dma_cycles: 11320,
+                dma_bw_cycles: 14671,
+                gld_cycles: 0,
+                compute_cycles: 75612,
+                dma_transactions: 874,
+                dma_bytes: 248820,
+                gld_ops: 0,
+                gld_bytes: 0,
+                scalar_flops: 1733280,
+                simd_ops: 0,
+                shuffle_ops: 0,
+            }
+        );
+    }
+
+    #[test]
     fn generated_list_covers_cutoff() {
         let sys = water_box(80, 300.0, 32);
         let cg = CoreGroup::new();

@@ -2,12 +2,22 @@
 //!
 //! The athread programming model spawns one kernel instance on each of the
 //! 64 CPEs and joins them. [`CoreGroup::spawn`] reproduces that shape: the
-//! closure runs once per CPE (in real parallel threads via crossbeam, so
-//! host wall-clock also benefits), each instance metering its own
-//! simulated cycles into a [`CpeCtx`]. The region's simulated wall time is
-//! the *maximum* over CPEs plus the spawn/join overhead — load imbalance
+//! closure runs once per CPE, each instance metering its own simulated
+//! cycles into a [`CpeCtx`]. The region's simulated wall time is the
+//! *maximum* over CPEs plus the spawn/join overhead — load imbalance
 //! between CPEs is therefore visible in the model, exactly the effect the
 //! paper's USTC-pipeline discussion (§2.2/§4.3) hinges on.
+//!
+//! The 64 instances run on real host threads (as many as the host
+//! offers), so host wall-clock benefits too. Lanes are dealt to the
+//! threads round-robin, lane `l` to thread `l % threads`, because work
+//! per lane tends to fall with the lane index and contiguous blocks
+//! would give one thread all the heavy lanes. Nothing simulated depends
+//! on the deal or on the thread count: each lane builds a private
+//! [`CpeCtx`], the closure is `Fn + Sync` (a kernel that shares state
+//! between lanes has to synchronise it itself; none in this repository
+//! does), and `results`, `per_cpe` and the region counters are merged in
+//! lane order after the join.
 
 use crate::ldm::Ldm;
 use crate::params::{
@@ -89,6 +99,14 @@ impl<R> SpawnResult<R> {
     }
 }
 
+/// The lanes host thread `t` of `threads` runs, in the order it runs
+/// them: every `threads`-th lane from `t`. (A CPE's block of a half pair
+/// list holds only neighbours at or above it, so the low lanes are the
+/// long ones; a contiguous deal would hand them all to thread 0.)
+fn lanes_of(t: usize, threads: usize, n: usize) -> impl Iterator<Item = usize> {
+    (t..n).step_by(threads)
+}
+
 /// One core group: spawns CPE kernels and runs MPE-serial sections.
 #[derive(Debug, Default)]
 pub struct CoreGroup {
@@ -118,7 +136,22 @@ impl CoreGroup {
         R: Send,
         F: Fn(&mut CpeCtx) -> R + Sync,
     {
+        let threads = std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(4);
+        self.spawn_on(threads, kernel)
+    }
+
+    /// [`CoreGroup::spawn`] on at most `threads` host threads. The
+    /// result does not depend on `threads`: a lane sees only its own
+    /// context and the merge below is in lane order.
+    fn spawn_on<R, F>(&self, threads: usize, kernel: F) -> SpawnResult<R>
+    where
+        R: Send,
+        F: Fn(&mut CpeCtx) -> R + Sync,
+    {
         let n = self.n_cpes;
+        let threads = threads.clamp(1, n);
         let epoch = crate::trace::begin_region(n);
         // Profiling: per-CPE spans labeled by the kernel layer (via
         // `swprof::next_region_label`), aligned to the MPE clock at spawn
@@ -127,93 +160,82 @@ impl CoreGroup {
         let profiling = swprof::enabled();
         let region_label = swprof::take_region_label().unwrap_or("spawn");
         let prof_base = swprof::track_cursor(None);
-        let mut slots: Vec<Option<(R, PerfCounters)>> = (0..n).map(|_| None).collect();
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-            .min(n);
-        let chunk = n.div_ceil(threads);
-        crossbeam::thread::scope(|s| {
-            let mut start = 0usize;
-            let mut handles = Vec::new();
-            for slice in slots.chunks_mut(chunk) {
-                let base = start;
-                start += slice.len();
-                let kernel = &kernel;
-                handles.push(s.spawn(move |_| {
-                    for (off, slot) in slice.iter_mut().enumerate() {
-                        let id = base + off;
-                        crate::trace::set_current_cpe(Some(id));
-                        let faults = swfault::enabled();
-                        let mut ctx = CpeCtx::new(id);
-                        if faults {
-                            swfault::set_lane(Some(id));
-                            // Straggler recovery: a hung instance is
-                            // decided *before* the kernel body runs, so
-                            // the aborted attempt has zero side effects
-                            // (SWC105 holds trivially) and the respawned
-                            // closure replays bit-identically. Each
-                            // respawn charges the MPE's straggler
-                            // timeout plus backoff to this CPE's
-                            // timeline — only simulated time moves.
-                            let mut attempt = 0u32;
-                            while attempt < 4 {
-                                let Some(payload) = swfault::decide(swfault::Site::CpeHang) else {
-                                    break;
-                                };
-                                ctx.perf.cycles += STRAGGLER_TIMEOUT_CYCLES
-                                    + swfault::retry::backoff_cycles(
-                                        attempt,
-                                        SPAWN_JOIN_CYCLES,
-                                        payload,
-                                    );
-                                crate::trace::emit_abort("cpe-hang");
-                                if profiling {
-                                    swprof::metrics::counter_add("fault.respawns", 1);
-                                }
-                                attempt += 1;
-                            }
-                        }
-                        let r = if profiling {
-                            swprof::set_track(Some(id));
-                            swprof::align_track(Some(id), prof_base);
-                            let t0 = swprof::track_cursor(Some(id));
-                            let span = swprof::span(region_label);
-                            let r = kernel(&mut ctx);
-                            // Charge this instance's metered cycles to
-                            // its timeline, net of anything the kernel
-                            // already ticked itself.
-                            let ticked = swprof::track_cursor(Some(id)).saturating_sub(t0);
-                            swprof::tick(ctx.perf.cycles.saturating_sub(ticked));
-                            drop(span);
-                            swprof::set_track(None);
-                            r
-                        } else {
-                            kernel(&mut ctx)
-                        };
-                        if faults {
-                            // Fold injected LDM-contention stalls into
-                            // this instance's timeline (zero without a
-                            // plan installed).
-                            ctx.perf.cycles += ctx.ldm.stall_cycles();
-                            swfault::set_lane(None);
-                        }
-                        crate::trace::set_current_cpe(None);
-                        *slot = Some((r, ctx.perf));
+        let run_lane = |id: usize| {
+            crate::trace::set_current_cpe(Some(id));
+            let faults = swfault::enabled();
+            let mut ctx = CpeCtx::new(id);
+            if faults {
+                swfault::set_lane(Some(id));
+                // Straggler recovery: a hung instance is decided *before*
+                // the kernel body runs, so the aborted attempt has zero
+                // side effects (SWC105 holds trivially) and the respawned
+                // closure replays bit-identically. Each respawn charges
+                // the MPE's straggler timeout plus backoff to this CPE's
+                // timeline — only simulated time moves.
+                let mut attempt = 0u32;
+                while attempt < 4 {
+                    let Some(payload) = swfault::decide(swfault::Site::CpeHang) else {
+                        break;
+                    };
+                    ctx.perf.cycles += STRAGGLER_TIMEOUT_CYCLES
+                        + swfault::retry::backoff_cycles(attempt, SPAWN_JOIN_CYCLES, payload);
+                    crate::trace::emit_abort("cpe-hang");
+                    if profiling {
+                        swprof::metrics::counter_add("fault.respawns", 1);
                     }
-                }));
+                    attempt += 1;
+                }
             }
-            for h in handles {
-                h.join().expect("CPE kernel panicked");
+            let r = if profiling {
+                swprof::set_track(Some(id));
+                swprof::align_track(Some(id), prof_base);
+                let t0 = swprof::track_cursor(Some(id));
+                let span = swprof::span(region_label);
+                let r = kernel(&mut ctx);
+                // Charge this instance's metered cycles to its timeline,
+                // net of anything the kernel already ticked itself.
+                let ticked = swprof::track_cursor(Some(id)).saturating_sub(t0);
+                swprof::tick(ctx.perf.cycles.saturating_sub(ticked));
+                drop(span);
+                swprof::set_track(None);
+                r
+            } else {
+                kernel(&mut ctx)
+            };
+            if faults {
+                // Fold injected LDM-contention stalls into this
+                // instance's timeline (zero without a plan installed).
+                ctx.perf.cycles += ctx.ldm.stall_cycles();
+                swfault::set_lane(None);
             }
+            crate::trace::set_current_cpe(None);
+            (r, ctx.perf)
+        };
+        let mut dealt: Vec<_> = crossbeam::thread::scope(|s| {
+            let run_lane = &run_lane;
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    s.spawn(move |_| {
+                        lanes_of(t, threads, n)
+                            .map(run_lane)
+                            .collect::<Vec<(R, PerfCounters)>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("CPE kernel panicked").into_iter())
+                .collect()
         })
         .expect("crossbeam scope failed");
         crate::trace::end_region(epoch);
 
         let mut results = Vec::with_capacity(n);
         let mut per_cpe = Vec::with_capacity(n);
-        for slot in slots {
-            let (r, p) = slot.expect("CPE slot unfilled");
+        for lane in 0..n {
+            let (r, p) = dealt[lane % threads]
+                .next()
+                .expect("lane dealt to its thread");
             results.push(r);
             per_cpe.push(p);
         }
@@ -322,6 +344,49 @@ mod tests {
         });
         assert_eq!(v, 7);
         assert_eq!(perf.cycles, 42);
+    }
+
+    #[test]
+    fn lane_deal_visits_each_lane_once() {
+        for n in [1, 3, 64] {
+            for threads in 1..=n {
+                let mut seen = vec![0u8; n];
+                for t in 0..threads {
+                    for lane in lanes_of(t, threads, n) {
+                        assert_eq!(lane % threads, t);
+                        seen[lane] += 1;
+                    }
+                }
+                assert!(seen.iter().all(|&c| c == 1), "n {n} threads {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn spawn_result_is_independent_of_host_thread_count() {
+        // Uneven work and traffic per lane, so a wrong merge order or a
+        // lost lane shows in `per_cpe` and in the region maximum.
+        let kernel = |ctx: &mut CpeCtx| {
+            crate::simd::meter::scalar_flops(&mut ctx.perf, (ctx.id as u64 * 37) % 11 * 100 + 5);
+            ctx.perf.dma_bytes += 64 * (ctx.id as u64 + 1);
+            ctx.reg_comm(ctx.col() as u64);
+            (ctx.id, ctx.row())
+        };
+        for n in [1, 3, 64] {
+            let cg = CoreGroup::with_cpes(n);
+            let one = cg.spawn_on(1, kernel);
+            assert_eq!(one.results.len(), n);
+            for threads in [2, 3, 5, 64, 200] {
+                let many = cg.spawn_on(threads, kernel);
+                assert_eq!(many.results, one.results, "n {n} threads {threads}");
+                assert_eq!(many.per_cpe, one.per_cpe, "n {n} threads {threads}");
+                assert_eq!(many.region, one.region, "n {n} threads {threads}");
+            }
+            let host = cg.spawn(kernel);
+            assert_eq!(host.results, one.results);
+            assert_eq!(host.per_cpe, one.per_cpe);
+            assert_eq!(host.region, one.region);
+        }
     }
 
     #[test]

@@ -50,8 +50,10 @@ pub fn direction_for(metric: &str) -> Direction {
     let lower = metric.to_ascii_lowercase();
     // Whole-name rules first: `ns_per_day` and `steps_per_s` are rates
     // (higher is better) even though their tokens contain the
-    // lower-better time units `ns`/`s`.
-    if lower == "ns_per_day" || lower == "steps_per_s" {
+    // lower-better time units `ns`/`s`. A dotted label after the name
+    // (`steps_per_s.metered`) does not change what is measured.
+    let name = lower.split('.').next().unwrap_or(&lower);
+    if name == "ns_per_day" || name == "steps_per_s" {
         return Direction::HigherBetter;
     }
     for token in lower.split(['.', '_', '/', '-']) {
@@ -543,6 +545,11 @@ mod tests {
         assert_eq!(direction_for("speedup.mark.3000"), Direction::HigherBetter);
         assert_eq!(direction_for("wall_cycles"), Direction::LowerBetter);
         assert_eq!(direction_for("halo.ns"), Direction::LowerBetter);
+        assert_eq!(direction_for("steps_per_s"), Direction::HigherBetter);
+        assert_eq!(
+            direction_for("steps_per_s.metered"),
+            Direction::HigherBetter
+        );
         assert_eq!(
             direction_for("case2.pct.comm__energies"),
             Direction::TwoSided
