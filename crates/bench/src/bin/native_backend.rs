@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use bench::{header, water_workload, BenchJson};
-use swgmx::backend::{AnyBackend, BackendSel, KernelBackend, KernelInput};
+use swgmx::backend::{AnyBackend, BackendSel, KernelBackend, KernelInput, NativeBackend};
 use swgmx::check::Variant;
 use swgmx::kernels::KernelResult;
 
@@ -90,6 +90,10 @@ fn main() {
         "particles", "metered s/call", "native s/call", "speedup"
     );
     println!("{particles:>10} {t_metered:>14.4} {t_native:>14.4} {speedup:>8.1}x");
+    println!(
+        "  native path: {threads} threads, {} lanes",
+        NativeBackend::lanes()
+    );
     println!(
         "  pairs: metered {} native {}   energy: metered {:.3} native {:.3}",
         r_metered.energies.pairs_within_cutoff,

@@ -30,6 +30,7 @@ use sw26010::{CoreGroup, NativePool};
 
 use crate::check::Variant;
 use crate::cpelist::CpePairList;
+use crate::kernels::native_simd::LaneImpl;
 use crate::kernels::{
     run_gld_naive, run_ori, run_rca, run_rca_native, run_rma, run_rma_native, run_ustc,
     run_ustc_native, KernelResult, RmaConfig,
@@ -203,7 +204,8 @@ impl KernelBackend for MeteredBackend {
 
 /// The native backend: the cluster kernels' 64 lanes run on a
 /// persistent OS-thread pool with the 8-wide SIMD inner loop
-/// (`kernels::native`), unmetered. The `Ori`/`GldNaive` baselines have
+/// (`kernels::native`, instantiated on the widest lane implementation
+/// the host offers — see [`NativeBackend::lanes`]), unmetered. The `Ori`/`GldNaive` baselines have
 /// no lane parallelism worth owning natively and delegate to the
 /// metered path (bit-identical to [`MeteredBackend`] for those
 /// variants).
@@ -230,6 +232,14 @@ impl NativeBackend {
     /// The lane pool (for diagnostics).
     pub fn pool(&self) -> &NativePool {
         &self.pool
+    }
+
+    /// The SIMD lane implementation the cluster kernels run on on this
+    /// host: `"avx2"`, `"sse2"` or `"portable"` (for diagnostics — a
+    /// wall-clock number should name the path that produced it; the
+    /// physics is bit-identical on all three).
+    pub fn lanes() -> &'static str {
+        LaneImpl::detect().name()
     }
 }
 
@@ -460,5 +470,6 @@ mod tests {
         let b = NativeBackend::with_threads(2);
         assert_eq!(b.name(), "native-threads");
         assert_eq!(b.concurrency(), Concurrency::Threads);
+        assert!(["avx2", "sse2", "portable"].contains(&NativeBackend::lanes()));
     }
 }

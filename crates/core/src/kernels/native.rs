@@ -4,6 +4,14 @@
 //! [`super::native_simd`], instead of sequentially under the cycle
 //! meter.
 //!
+//! **Lane implementations.** Each runner's per-lane body is generic
+//! over [`Lanes8`] and `#[inline(always)]` down to the lane operations;
+//! [`LaneImpl::detect`] picks the instantiation once per call. The
+//! AVX2 instantiation is entered through a
+//! `#[target_feature(enable = "avx2")]` twin of the body, so the whole
+//! inlined chain compiles to `ymm` code in a binary built for the
+//! baseline target. All instantiations produce the same bits.
+//!
 //! **Determinism contract.** The pool schedule is nondeterministic, so
 //! every source of ordering is pinned in the kernels themselves:
 //!
@@ -42,7 +50,11 @@ use sw26010::{trace, BitMap};
 use crate::check::{REGION_COPIES, REGION_FORCES, REGION_POS};
 use crate::cpelist::CpePairList;
 use crate::kernels::common::{add_energy, KernelResult};
-use crate::kernels::native_simd::{cluster_pair_wide4, cluster_pair_wide8, EntryJ, WideFi};
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+use crate::kernels::native_simd::f32x8_sse2;
+use crate::kernels::native_simd::{
+    cluster_pair_wide4, cluster_pair_wide8, f32x8, EntryJ, LaneImpl, Lanes8, WideFi,
+};
 use crate::package::{PackageLayout, PackedSystem, FORCE_WORDS};
 
 /// The outer-cluster slice logical lane `lane` owns: the same split as
@@ -79,7 +91,9 @@ trait ReactionSink {
 /// flow through `sink` like any other entry (the RCA convention).
 /// Returns `(e_lj, e_coul, n_pairs)`.
 #[allow(clippy::too_many_arguments)]
-fn process_cluster(
+#[inline(always)]
+fn process_cluster<L: Lanes8>(
+    isa: L::Isa,
     psys: &PackedSystem,
     list: &CpePairList,
     ci: usize,
@@ -115,7 +129,7 @@ fn process_cluster(
             scratch.push(e);
         }
     }
-    let mut wfi = WideFi::ZERO;
+    let mut wfi = WideFi::<L>::zero(isa);
     let n_wide = scratch.len() / 2;
     for i in 0..n_wide {
         let pair = [scratch[2 * i], scratch[2 * i + 1]];
@@ -124,6 +138,7 @@ fn process_cluster(
         if cj0 != cj1 {
             let (fj0, fj1) = sink.slot2(cj0, cj1);
             let (el, ec, m) = cluster_pair_wide8(
+                isa,
                 pkg_i,
                 entry_of(pair[0]),
                 entry_of(pair[1]),
@@ -329,6 +344,35 @@ impl ReactionSink for RecordSink {
     }
 }
 
+/// What every lane of one native kernel call reads.
+#[derive(Clone, Copy)]
+struct LaneInput<'a> {
+    psys: &'a PackedSystem,
+    list: &'a CpePairList,
+    params: &'a NbParams,
+    tracing: bool,
+}
+
+/// Run the lane body `$body::<L>(isa, $args...)` on the implementation
+/// `$lanes` names — the AVX2 one through `$avx2`, the body's
+/// `#[target_feature]` twin.
+macro_rules! on_lanes {
+    ($lanes:expr, $body:ident, $avx2:path, $($arg:expr),*) => {
+        match $lanes {
+            LaneImpl::Portable => $body::<f32x8>((), $($arg),*),
+            #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+            LaneImpl::Sse2 => $body::<f32x8_sse2>((), $($arg),*),
+            #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+            LaneImpl::Avx2(isa) => {
+                // SAFETY: the callee needs AVX2, and `isa` exists only
+                // because `is_x86_feature_detected!("avx2")` returned
+                // true (`Avx2::detect` is its sole constructor).
+                unsafe { $avx2(isa, $($arg),*) }
+            }
+        }
+    };
+}
+
 /// Per-lane calc output of the native RMA kernel.
 struct RmaLaneOut {
     copy: Vec<f32>,
@@ -339,9 +383,106 @@ struct RmaLaneOut {
     n_pairs: u64,
 }
 
+/// The redundant force copies' shape: words per copy and the cache-line
+/// grid the Bit-Map marks.
+#[derive(Clone, Copy)]
+struct CopyShape {
+    copy_words: usize,
+    n_lines: usize,
+    line_elems: usize,
+    line_words: usize,
+}
+
+/// Calc phase of one RMA lane: its clusters' forces and reactions into
+/// a private, line-marked force copy.
+#[inline(always)]
+fn rma_lane<L: Lanes8>(
+    isa: L::Isa,
+    input: LaneInput<'_>,
+    shape: CopyShape,
+    lane: usize,
+) -> RmaLaneOut {
+    let LaneInput {
+        psys,
+        list,
+        params,
+        tracing,
+    } = input;
+    let range = lane_range(psys.n_packages(), lane);
+    let cache_id = trace::next_cache_id();
+    let mut copy = if range.is_empty() {
+        Vec::new()
+    } else {
+        copy_buffer(shape.copy_words)
+    };
+    let mut marks = BitMap::new(shape.n_lines);
+    let mut e_lj = 0.0f64;
+    let mut e_coul = 0.0f64;
+    let mut n_pairs = 0u64;
+    let mut scratch = Vec::new();
+    let mut sink = CopySink {
+        copy: &mut copy,
+        marks: &mut marks,
+        line_elems: shape.line_elems,
+        line_words: shape.line_words,
+    };
+    for ci in range.clone() {
+        let mut fi = [0.0f32; FORCE_WORDS];
+        let (el, ec, n) = process_cluster::<L>(
+            isa,
+            psys,
+            list,
+            ci,
+            params,
+            true,
+            &mut fi,
+            &mut sink,
+            &mut scratch,
+        );
+        for (d, v) in sink.slot(ci).iter_mut().zip(&fi) {
+            *d += v;
+        }
+        e_lj += el;
+        e_coul += ec;
+        n_pairs += n;
+    }
+    if tracing && !range.is_empty() {
+        trace::shared_read(REGION_POS, 0, psys.pos.len());
+        trace::shared_write(
+            REGION_COPIES,
+            lane * shape.copy_words,
+            (lane + 1) * shape.copy_words,
+        );
+        for line in 0..shape.n_lines {
+            if marks.get(line) {
+                trace::emit_mark_set(cache_id, line);
+            }
+        }
+    }
+    RmaLaneOut {
+        copy,
+        marks,
+        cache_id,
+        e_lj,
+        e_coul,
+        n_pairs,
+    }
+}
+
 /// Native twin of [`super::rma::run_rma`] at the `Mark` rung: per-lane
 /// redundant force copies with Bit-Map marks, reduced in lane order.
 pub fn run_rma_native(
+    psys: &PackedSystem,
+    list: &CpePairList,
+    params: &NbParams,
+    pool: &NativePool,
+) -> KernelResult {
+    run_rma_native_on(LaneImpl::detect(), psys, list, params, pool)
+}
+
+/// [`run_rma_native`] on a chosen lane implementation.
+pub(crate) fn run_rma_native_on(
+    lanes: LaneImpl,
     psys: &PackedSystem,
     list: &CpePairList,
     params: &NbParams,
@@ -355,71 +496,33 @@ pub fn run_rma_native(
     );
     let n_pkg = psys.n_packages();
     let geo = CacheGeometry::paper_default(FORCE_WORDS);
-    let line_elems = geo.line_elems;
-    let n_lines = n_pkg.div_ceil(line_elems);
-    let line_words = geo.line_words();
-    let copy_words = n_pkg * FORCE_WORDS;
+    let shape = CopyShape {
+        copy_words: n_pkg * FORCE_WORDS,
+        n_lines: n_pkg.div_ceil(geo.line_elems),
+        line_elems: geo.line_elems,
+        line_words: geo.line_words(),
+    };
+    let CopyShape {
+        copy_words,
+        n_lines,
+        line_words,
+        ..
+    } = shape;
     let tracing = trace::enabled();
+    let input = LaneInput {
+        psys,
+        list,
+        params,
+        tracing,
+    };
 
     // ---- calculation phase ----
     let slots = lane_slots::<RmaLaneOut>();
     swprof::next_region_label("rma_native.calc");
     let epoch = trace::begin_region(N_LANES);
     pool.run(N_LANES, |lane| {
-        let range = lane_range(n_pkg, lane);
-        let cache_id = trace::next_cache_id();
-        let mut copy = if range.is_empty() {
-            Vec::new()
-        } else {
-            copy_buffer(copy_words)
-        };
-        let mut marks = BitMap::new(n_lines);
-        let mut e_lj = 0.0f64;
-        let mut e_coul = 0.0f64;
-        let mut n_pairs = 0u64;
-        let mut scratch = Vec::new();
-        let mut sink = CopySink {
-            copy: &mut copy,
-            marks: &mut marks,
-            line_elems,
-            line_words,
-        };
-        for ci in range.clone() {
-            let mut fi = [0.0f32; FORCE_WORDS];
-            let (el, ec, n) = process_cluster(
-                psys,
-                list,
-                ci,
-                params,
-                true,
-                &mut fi,
-                &mut sink,
-                &mut scratch,
-            );
-            for (d, v) in sink.slot(ci).iter_mut().zip(&fi) {
-                *d += v;
-            }
-            e_lj += el;
-            e_coul += ec;
-            n_pairs += n;
-        }
-        if tracing && !range.is_empty() {
-            trace::shared_read(REGION_POS, 0, psys.pos.len());
-            trace::shared_write(REGION_COPIES, lane * copy_words, (lane + 1) * copy_words);
-            for line in 0..n_lines {
-                if marks.get(line) {
-                    trace::emit_mark_set(cache_id, line);
-                }
-            }
-        }
-        *slots[lane].lock().unwrap() = Some(RmaLaneOut {
-            copy,
-            marks,
-            cache_id,
-            e_lj,
-            e_coul,
-            n_pairs,
-        });
+        let out = on_lanes!(lanes, rma_lane, avx2::rma_lane_avx2, input, shape, lane);
+        *slots[lane].lock().unwrap() = Some(out);
     });
     trace::end_region(epoch);
     let outs = take_slots(slots);
@@ -483,9 +586,74 @@ pub fn run_rma_native(
     native_result(psys, &slot_forces, energies)
 }
 
+/// Per-lane output of the native RCA kernel: the lane's cluster range,
+/// its force block, `e_lj`, `e_coul` and the pair count.
+type RcaLaneOut = (Range<usize>, Vec<f32>, f64, f64, u64);
+
+/// One RCA lane: its clusters against the full list, outer forces only.
+#[inline(always)]
+fn rca_lane<L: Lanes8>(isa: L::Isa, input: LaneInput<'_>, lane: usize) -> RcaLaneOut {
+    let LaneInput {
+        psys,
+        list,
+        params,
+        tracing,
+    } = input;
+    let range = lane_range(psys.n_packages(), lane);
+    let mut block = vec![0.0f32; range.len() * FORCE_WORDS];
+    let mut e_lj = 0.0f64;
+    let mut e_coul = 0.0f64;
+    let mut n_pairs = 0u64;
+    let mut scratch = Vec::new();
+    let mut sink = DiscardSink {
+        a: [0.0f32; FORCE_WORDS],
+        b: [0.0f32; FORCE_WORDS],
+    };
+    for (i, ci) in range.clone().enumerate() {
+        let mut fi = [0.0f32; FORCE_WORDS];
+        // Algorithm 2 updates only the outer cluster: reactions are
+        // computed and discarded, self entries included.
+        let (el, ec, n) = process_cluster::<L>(
+            isa,
+            psys,
+            list,
+            ci,
+            params,
+            false,
+            &mut fi,
+            &mut sink,
+            &mut scratch,
+        );
+        block[i * FORCE_WORDS..(i + 1) * FORCE_WORDS].copy_from_slice(&fi);
+        e_lj += el;
+        e_coul += ec;
+        n_pairs += n;
+    }
+    if tracing && !range.is_empty() {
+        trace::shared_read(REGION_POS, 0, psys.pos.len());
+        trace::shared_write(
+            REGION_FORCES,
+            range.start * FORCE_WORDS,
+            range.end * FORCE_WORDS,
+        );
+    }
+    (range, block, e_lj, e_coul, n_pairs)
+}
+
 /// Native twin of [`super::rca::run_rca`]: full list, redundant
 /// compute, conflict-free per-lane force writes (no reduction).
 pub fn run_rca_native(
+    psys: &PackedSystem,
+    list: &CpePairList,
+    params: &NbParams,
+    pool: &NativePool,
+) -> KernelResult {
+    run_rca_native_on(LaneImpl::detect(), psys, list, params, pool)
+}
+
+/// [`run_rca_native`] on a chosen lane implementation.
+pub(crate) fn run_rca_native_on(
+    lanes: LaneImpl,
     psys: &PackedSystem,
     list: &CpePairList,
     params: &NbParams,
@@ -497,55 +665,23 @@ pub fn run_rca_native(
         PackageLayout::Transposed,
         "the native RCA kernel is SIMD-only and needs the transposed layout"
     );
-    let n_pkg = psys.n_packages();
-    let tracing = trace::enabled();
+    let input = LaneInput {
+        psys,
+        list,
+        params,
+        tracing: trace::enabled(),
+    };
 
-    let slots = lane_slots::<(Range<usize>, Vec<f32>, f64, f64, u64)>();
+    let slots = lane_slots::<RcaLaneOut>();
     swprof::next_region_label("rca_native.calc");
     let epoch = trace::begin_region(N_LANES);
     pool.run(N_LANES, |lane| {
-        let range = lane_range(n_pkg, lane);
-        let mut block = vec![0.0f32; range.len() * FORCE_WORDS];
-        let mut e_lj = 0.0f64;
-        let mut e_coul = 0.0f64;
-        let mut n_pairs = 0u64;
-        let mut scratch = Vec::new();
-        let mut sink = DiscardSink {
-            a: [0.0f32; FORCE_WORDS],
-            b: [0.0f32; FORCE_WORDS],
-        };
-        for (i, ci) in range.clone().enumerate() {
-            let mut fi = [0.0f32; FORCE_WORDS];
-            // Algorithm 2 updates only the outer cluster: reactions are
-            // computed and discarded, self entries included.
-            let (el, ec, n) = process_cluster(
-                psys,
-                list,
-                ci,
-                params,
-                false,
-                &mut fi,
-                &mut sink,
-                &mut scratch,
-            );
-            block[i * FORCE_WORDS..(i + 1) * FORCE_WORDS].copy_from_slice(&fi);
-            e_lj += el;
-            e_coul += ec;
-            n_pairs += n;
-        }
-        if tracing && !range.is_empty() {
-            trace::shared_read(REGION_POS, 0, psys.pos.len());
-            trace::shared_write(
-                REGION_FORCES,
-                range.start * FORCE_WORDS,
-                range.end * FORCE_WORDS,
-            );
-        }
-        *slots[lane].lock().unwrap() = Some((range, block, e_lj, e_coul, n_pairs));
+        let out = on_lanes!(lanes, rca_lane, avx2::rca_lane_avx2, input, lane);
+        *slots[lane].lock().unwrap() = Some(out);
     });
     trace::end_region(epoch);
 
-    let mut slot_forces = vec![0.0f32; n_pkg * FORCE_WORDS];
+    let mut slot_forces = vec![0.0f32; psys.n_packages() * FORCE_WORDS];
     let mut energies = NbEnergies::default();
     for (range, block, e_lj, e_coul, n_pairs) in take_slots(slots) {
         slot_forces[range.start * FORCE_WORDS..range.end * FORCE_WORDS].copy_from_slice(&block);
@@ -557,10 +693,67 @@ pub fn run_rca_native(
     native_result(psys, &slot_forces, energies)
 }
 
+/// Per-lane output of the native USTC kernel: the `(cluster, forces)`
+/// records for the MPE, `e_lj`, `e_coul` and the pair count.
+type UstcLaneOut = (Vec<(u32, [f32; FORCE_WORDS])>, f64, f64, u64);
+
+/// One USTC lane: its clusters against the half list, every force
+/// update recorded instead of applied.
+#[inline(always)]
+fn ustc_lane<L: Lanes8>(isa: L::Isa, input: LaneInput<'_>, lane: usize) -> UstcLaneOut {
+    let LaneInput {
+        psys,
+        list,
+        params,
+        tracing,
+    } = input;
+    let range = lane_range(psys.n_packages(), lane);
+    let mut sink = RecordSink {
+        records: Vec::new(),
+    };
+    let mut e_lj = 0.0f64;
+    let mut e_coul = 0.0f64;
+    let mut n_pairs = 0u64;
+    let mut scratch = Vec::new();
+    for ci in range.clone() {
+        let mut fi = [0.0f32; FORCE_WORDS];
+        let (el, ec, n) = process_cluster::<L>(
+            isa,
+            psys,
+            list,
+            ci,
+            params,
+            true,
+            &mut fi,
+            &mut sink,
+            &mut scratch,
+        );
+        sink.records.push((ci as u32, fi));
+        e_lj += el;
+        e_coul += ec;
+        n_pairs += n;
+    }
+    if tracing && !range.is_empty() {
+        trace::shared_read(REGION_POS, 0, psys.pos.len());
+    }
+    (sink.records, e_lj, e_coul, n_pairs)
+}
+
 /// Native twin of [`super::ustc::run_ustc`]: lanes record reaction
 /// updates, the MPE (the calling thread, after the join) applies every
 /// record serially in lane order.
 pub fn run_ustc_native(
+    psys: &PackedSystem,
+    list: &CpePairList,
+    params: &NbParams,
+    pool: &NativePool,
+) -> KernelResult {
+    run_ustc_native_on(LaneImpl::detect(), psys, list, params, pool)
+}
+
+/// [`run_ustc_native`] on a chosen lane implementation.
+pub(crate) fn run_ustc_native_on(
+    lanes: LaneImpl,
     psys: &PackedSystem,
     list: &CpePairList,
     params: &NbParams,
@@ -572,48 +765,24 @@ pub fn run_ustc_native(
         PackageLayout::Transposed,
         "the native USTC kernel is SIMD-only and needs the transposed layout"
     );
-    let n_pkg = psys.n_packages();
-    let tracing = trace::enabled();
+    let input = LaneInput {
+        psys,
+        list,
+        params,
+        tracing: trace::enabled(),
+    };
 
-    type UstcOut = (Vec<(u32, [f32; FORCE_WORDS])>, f64, f64, u64);
-    let slots = lane_slots::<UstcOut>();
+    let slots = lane_slots::<UstcLaneOut>();
     swprof::next_region_label("ustc_native.calc");
     let epoch = trace::begin_region(N_LANES);
     pool.run(N_LANES, |lane| {
-        let range = lane_range(n_pkg, lane);
-        let mut sink = RecordSink {
-            records: Vec::new(),
-        };
-        let mut e_lj = 0.0f64;
-        let mut e_coul = 0.0f64;
-        let mut n_pairs = 0u64;
-        let mut scratch = Vec::new();
-        for ci in range.clone() {
-            let mut fi = [0.0f32; FORCE_WORDS];
-            let (el, ec, n) = process_cluster(
-                psys,
-                list,
-                ci,
-                params,
-                true,
-                &mut fi,
-                &mut sink,
-                &mut scratch,
-            );
-            sink.records.push((ci as u32, fi));
-            e_lj += el;
-            e_coul += ec;
-            n_pairs += n;
-        }
-        if tracing && !range.is_empty() {
-            trace::shared_read(REGION_POS, 0, psys.pos.len());
-        }
-        *slots[lane].lock().unwrap() = Some((sink.records, e_lj, e_coul, n_pairs));
+        let out = on_lanes!(lanes, ustc_lane, avx2::ustc_lane_avx2, input, lane);
+        *slots[lane].lock().unwrap() = Some(out);
     });
     trace::end_region(epoch);
 
     // MPE side: only this thread writes forces, in lane order.
-    let mut slot_forces = vec![0.0f32; n_pkg * FORCE_WORDS];
+    let mut slot_forces = vec![0.0f32; psys.n_packages() * FORCE_WORDS];
     let mut energies = NbEnergies::default();
     for (records, e_lj, e_coul, n_pairs) in take_slots(slots) {
         for (pkg, f) in &records {
@@ -627,6 +796,38 @@ pub fn run_ustc_native(
         energies.pairs_within_cutoff += n_pairs;
     }
     native_result(psys, &slot_forces, energies)
+}
+
+/// The lane bodies compiled with AVX2 enabled: each is its generic
+/// twin instantiated on [`f32x8_avx2`] inside a `#[target_feature]`
+/// function, so the whole `#[inline(always)]` chain becomes `ymm` code.
+/// Calling one is `unsafe` from ordinary code (the compiler cannot see
+/// that the CPU has AVX2); the `Avx2` argument is what proves it.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+mod avx2 {
+    use super::{rca_lane, rma_lane, ustc_lane};
+    use super::{CopyShape, LaneInput, RcaLaneOut, RmaLaneOut, UstcLaneOut};
+    use crate::kernels::native_simd::{f32x8_avx2, Avx2};
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn rma_lane_avx2(
+        isa: Avx2,
+        input: LaneInput<'_>,
+        shape: CopyShape,
+        lane: usize,
+    ) -> RmaLaneOut {
+        rma_lane::<f32x8_avx2>(isa, input, shape, lane)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn rca_lane_avx2(isa: Avx2, input: LaneInput<'_>, lane: usize) -> RcaLaneOut {
+        rca_lane::<f32x8_avx2>(isa, input, lane)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) fn ustc_lane_avx2(isa: Avx2, input: LaneInput<'_>, lane: usize) -> UstcLaneOut {
+        ustc_lane::<f32x8_avx2>(isa, input, lane)
+    }
 }
 
 #[cfg(test)]
@@ -714,5 +915,62 @@ mod tests {
         assert!(rel < 1e-5, "energy {} vs {e_ref}", out.energies.total());
         let fmax = f_ref.iter().map(|f| f.norm()).fold(0.0f32, f32::max);
         assert!(max_force_diff(&out.forces, &f_ref) / fmax < 1e-3);
+    }
+
+    /// `(physics_checksum, lj bits, coulomb bits, pairs_within_cutoff)`.
+    type Pinned = (u64, u64, u64, u64);
+
+    /// The three kernels on `water_box(800, 300.0, 71)` at `rlist` 0.7,
+    /// recorded from the commit before the lane types became registers
+    /// (array lanes, one instantiation).
+    const PARENT_RMA: Pinned = (
+        0x9354c5b36f933a50,
+        0x40caeaf7568d8400,
+        0xc0551246d9d80000,
+        192_369,
+    );
+    const PARENT_RCA: Pinned = (
+        0x3d9c89499c466199,
+        0x40caeaf752d92600,
+        0xc05512556efc0000,
+        384_738,
+    );
+    const PARENT_USTC: Pinned = (
+        0xda99d85e4e5d7eb0,
+        0x40caeaf7568d8400,
+        0xc0551246d9d80000,
+        192_369,
+    );
+
+    type RunOn = fn(LaneImpl, &PackedSystem, &CpePairList, &NbParams, &NativePool) -> KernelResult;
+
+    #[test]
+    fn every_lane_implementation_reproduces_the_parent_commit_bits() {
+        let kernels: [(&str, ListKind, RunOn, Pinned); 3] = [
+            ("rma", ListKind::Half, run_rma_native_on, PARENT_RMA),
+            ("rca", ListKind::Full, run_rca_native_on, PARENT_RCA),
+            ("ustc", ListKind::Half, run_ustc_native_on, PARENT_USTC),
+        ];
+        for (name, kind, run_on, want) in kernels {
+            let (_sys, psys, cpe, params) = setup(800, 71, kind);
+            for lanes in LaneImpl::available() {
+                for threads in [1, 2, 4] {
+                    let pool = NativePool::with_threads(threads);
+                    let out = run_on(lanes, &psys, &cpe, &params, &pool);
+                    let got = (
+                        crate::check::physics_checksum(&out.forces, &out.energies),
+                        out.energies.lj.to_bits(),
+                        out.energies.coulomb.to_bits(),
+                        out.energies.pairs_within_cutoff,
+                    );
+                    assert_eq!(
+                        got,
+                        want,
+                        "{name} on {} lanes, {threads} threads",
+                        lanes.name()
+                    );
+                }
+            }
+        }
     }
 }

@@ -1,6 +1,15 @@
 //! The native backend's vectorized cluster-pair inner loop: real
-//! `f32x8` arithmetic (via the `wide` types) instead of the metered
-//! [`FloatV4`] emulation.
+//! 8-lane `f32` arithmetic instead of the metered [`FloatV4`]
+//! emulation.
+//!
+//! The loop is written once, generic over [`Lanes8`], and instantiated
+//! per instruction set — portable array lanes, two SSE2 registers, one
+//! AVX2 register (see the `wide` crate docs). Every function down to
+//! the lane operations is `#[inline(always)]`, so each instantiation is
+//! one straight-line body that keeps its vectors in registers;
+//! `kernels::native` picks the instantiation ([`LaneImpl::detect`]).
+//! Every lane operation is the same IEEE 754 operation on every
+//! implementation, so the results do not depend on the choice.
 //!
 //! Layout follows the AVX2 LJ-kernel structure of Watanabe & Nakagawa
 //! (arXiv:1806.05713) mapped onto the paper's 4-particle packages: the
@@ -23,12 +32,68 @@ use mdsim::cluster::CLUSTER_SIZE;
 use mdsim::nonbonded::{pair_interaction, Coulomb, NbParams};
 use mdsim::topology::KE;
 use sw26010::FloatV4;
-use wide::f32x8;
+
+pub use wide::{f32x8, for_each_lanes8, Lanes8};
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+pub use wide::{f32x8_avx2, f32x8_sse2, Avx2};
 
 use crate::package::{FORCE_WORDS, PKG_WORDS};
 
 /// Lanes of the wide path (two 4-particle packages per iteration).
 pub const WIDE_LANES: usize = 8;
+
+/// Which [`Lanes8`] implementation the native kernels run on. A value
+/// is proof that this host can run it: the AVX2 variant carries the
+/// detection token.
+#[derive(Debug, Clone, Copy)]
+pub enum LaneImpl {
+    /// [`f32x8`]: array lanes, any target.
+    Portable,
+    /// [`f32x8_sse2`]: the `x86_64` baseline.
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    Sse2,
+    /// [`f32x8_avx2`]: the CPU reported AVX2.
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    Avx2(Avx2),
+}
+
+impl LaneImpl {
+    /// Every implementation this host can run, the preferred one last.
+    pub fn available() -> Vec<Self> {
+        let mut all = vec![LaneImpl::Portable];
+        #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+        {
+            all.push(LaneImpl::Sse2);
+            all.extend(Avx2::detect().map(LaneImpl::Avx2));
+        }
+        all
+    }
+
+    /// The widest implementation this host can run: AVX2 when the CPU
+    /// reports it, else SSE2 on `x86_64`, else portable. No allocation
+    /// and no lock (feature detection is a cached atomic load).
+    pub fn detect() -> Self {
+        #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+        {
+            Avx2::detect().map_or(LaneImpl::Sse2, LaneImpl::Avx2)
+        }
+        #[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
+        {
+            LaneImpl::Portable
+        }
+    }
+
+    /// `"portable"`, `"sse2"` or `"avx2"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            LaneImpl::Portable => f32x8::NAME,
+            #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+            LaneImpl::Sse2 => f32x8_sse2::NAME,
+            #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+            LaneImpl::Avx2(_) => f32x8_avx2::NAME,
+        }
+    }
+}
 
 /// One inner-cluster (j-side) list entry: its transposed package, the
 /// minimum-image shift, and the interaction mask (`bit ai*4+bj`).
@@ -42,17 +107,18 @@ pub struct EntryJ<'a> {
     pub mask: u16,
 }
 
-/// Per-nibble lane masks: entry `m` holds, for each of 4 lanes, all-ones
-/// when bit `b` of `m` is set. Turning a mask row into a lane mask is
-/// then two 16-byte loads instead of eight shift/negate round-trips.
-const NIBBLE_MASK: [[u32; 4]; 16] = {
-    let mut t = [[0u32; 4]; 16];
+/// Per-nibble lane masks: entry `m` holds, for each of 4 lanes, the
+/// all-ones bit pattern when bit `b` of `m` is set. Turning two mask
+/// rows into a lane mask is then two 16-byte loads
+/// ([`Lanes8::from_halves`]).
+const NIBBLE_MASK: [[f32; 4]; 16] = {
+    let mut t = [[0.0f32; 4]; 16];
     let mut m = 0;
     while m < 16 {
         let mut b = 0;
         while b < 4 {
             if (m >> b) & 1 == 1 {
-                t[m][b] = !0;
+                t[m][b] = f32::from_bits(!0);
             }
             b += 1;
         }
@@ -61,15 +127,6 @@ const NIBBLE_MASK: [[u32; 4]; 16] = {
     t
 };
 
-#[inline(always)]
-fn lane_mask(bits: [u32; 8]) -> f32x8 {
-    let mut m = [0.0f32; 8];
-    for k in 0..8 {
-        m[k] = f32::from_bits(bits[k]);
-    }
-    f32x8::from(m)
-}
-
 /// View a transposed package slice as its fixed-size array, eliding the
 /// per-word bounds checks in the inner loop.
 #[inline(always)]
@@ -77,7 +134,18 @@ fn pkg_words(pkg: &[f32]) -> &[f32; PKG_WORDS] {
     pkg[..PKG_WORDS].try_into().expect("transposed package")
 }
 
-/// Vectorized `exp(x)` for `x <= 0` (the Ewald `exp(-(βr)²)` range).
+/// Words `4·row .. 4·row + 4` of a transposed package: one field
+/// (x, y, z, type, charge) of its four particles.
+#[inline(always)]
+fn pkg_row(pkg: &[f32; PKG_WORDS], row: usize) -> &[f32; CLUSTER_SIZE] {
+    pkg[row * CLUSTER_SIZE..(row + 1) * CLUSTER_SIZE]
+        .try_into()
+        .expect("package row")
+}
+
+/// Vectorized `exp(x)` for `x <= 0` (the Ewald `exp(-(βr)²)` range);
+/// `x` is clamped to `[-87, 0]` first, which also maps a NaN lane to
+/// `-87` ([`Lanes8::max`] returns its right operand on NaN).
 ///
 /// Standard range reduction `x = n·ln2 + r`, degree-6 polynomial on
 /// `r ∈ [-ln2/2, ln2/2]`, scale by `2^n` through exponent bits.
@@ -86,107 +154,84 @@ fn pkg_words(pkg: &[f32]) -> &[f32; PKG_WORDS] {
 /// Rounding uses the `1.5·2²³` magic-constant trick: adding it forces
 /// the integer part of `x·log₂e` into the low mantissa bits, so both
 /// the rounded float `n` and its integer value fall out of plain
-/// adds/subtracts. On baseline x86-64 (no SSE4.1 `roundps`) a
-/// `f32::round` here would be a **libm call per lane** — this loop is
-/// the innermost transcendental of the native backend and must stay
-/// straight-line so LLVM vectorizes it.
-#[inline]
-pub fn exp8(x: f32x8) -> f32x8 {
-    exp8_unchecked(x.max(f32x8::splat(-87.0)).min(f32x8::ZERO))
-}
-
-/// [`exp8`] without the domain clamp: callers must either bound `x` to
-/// `[-87, 0]` themselves or blend away lanes where it escapes (the
-/// result bits are garbage there, never UB). The Ewald inner loop
-/// qualifies — every listed cluster pair is geometrically close, and
-/// inactive lanes are masked after the fact — and saves the clamp at
-/// the head of the dependency chain.
-#[inline]
-pub fn exp8_unchecked(x: f32x8) -> f32x8 {
-    const LOG2E: f32 = std::f32::consts::LOG2_E;
+/// adds/subtracts — no `roundps` (SSE4.1) and no libm call.
+#[inline(always)]
+pub fn exp8<L: Lanes8>(isa: L::Isa, x: L) -> L {
     const LN2_HI: f32 = 0.693_359_4; // ln2 split: hi has few mantissa bits
     const LN2_LO: f32 = -2.121_944_4e-4;
     const MAGIC: f32 = 12_582_912.0; // 1.5 * 2^23
-    let xa = x.to_array();
-    let mut out = [0.0f32; 8];
-    for i in 0..8 {
-        let x = xa[i];
-        // n ∈ [-126, 0] for in-domain x, so MAGIC + n keeps exponent 23
-        // and the mantissa ulp is exactly 1: the bit pattern differs
-        // from MAGIC's by the two's-complement integer n.
-        let nf = x * LOG2E + MAGIC;
-        let n = nf - MAGIC;
-        let n_bits = nf.to_bits().wrapping_sub(MAGIC.to_bits());
-        let r = x - n * LN2_HI;
-        let r = r - n * LN2_LO;
-        // exp(r) ≈ 1 + r + r²/2! + … + r⁶/6! (Horner).
-        let p = 1.0
-            + r * (1.0
-                + r * (0.5
-                    + r * (1.0 / 6.0 + r * (1.0 / 24.0 + r * (1.0 / 120.0 + r * (1.0 / 720.0))))));
-        out[i] = p * f32::from_bits(n_bits.wrapping_add(127) << 23);
-    }
-    f32x8::from(out)
+    let c = |v: f32| L::splat(isa, v);
+    let x = x.max(c(-87.0)).min(c(0.0));
+    // n ∈ [-126, 0] for in-domain x, so MAGIC + n keeps exponent 23
+    // and the mantissa ulp is exactly 1: the bit pattern differs
+    // from MAGIC's by the two's-complement integer n.
+    let nf = x * c(std::f32::consts::LOG2_E) + c(MAGIC);
+    let n = nf - c(MAGIC);
+    // 2^n: (n + 127) << 23, with n = bits(nf) - bits(MAGIC).
+    let bias = f32::from_bits(127u32.wrapping_sub(MAGIC.to_bits()));
+    let two_n = nf.add_bits(c(bias)).shl_bits::<23>();
+    let r = x - n * c(LN2_HI);
+    let r = r - n * c(LN2_LO);
+    // exp(r) ≈ 1 + r + r²/2! + … + r⁶/6! (Horner).
+    let p = c(1.0)
+        + r * (c(1.0)
+            + r * (c(0.5)
+                + r * (c(1.0 / 6.0)
+                    + r * (c(1.0 / 24.0) + r * (c(1.0 / 120.0) + r * c(1.0 / 720.0))))));
+    p * two_n
 }
 
-/// Vectorized `erfc(x)` for `x >= 0`: Abramowitz & Stegun 7.1.26 (the
-/// same polynomial as the scalar `mdsim::math::erfc_f32` reference,
-/// evaluated in f32), sharing a precomputed `exp(-x²)`.
 /// The A&S rational variable's `P` constant, shared with callers that
 /// precompute `t = 1/(1 + Px)` themselves (see [`pair_interaction8`]).
 const ERFC_P: f32 = 0.327_591_1;
 
-/// The polynomial part of A&S 7.1.26 with the rational variable
-/// `t = 1/(1 + Px)` supplied by the caller.
-#[inline]
-fn erfc8_poly_t(t: f32x8, exp_neg_x2: f32x8) -> f32x8 {
+/// The polynomial part of Abramowitz & Stegun 7.1.26 (the same
+/// polynomial as the scalar `mdsim::math::erfc_f32` reference,
+/// evaluated in f32) with the rational variable `t = 1/(1 + Px)` and
+/// `exp(-x²)` supplied by the caller.
+#[inline(always)]
+fn erfc8_poly_t<L: Lanes8>(isa: L::Isa, t: L, exp_neg_x2: L) -> L {
     const A1: f32 = 0.254_829_6;
     const A2: f32 = -0.284_496_72;
     const A3: f32 = 1.421_413_8;
     const A4: f32 = -1.453_152_1;
     const A5: f32 = 1.061_405_4;
-    let poly = ((((f32x8::splat(A5) * t + f32x8::splat(A4)) * t + f32x8::splat(A3)) * t
-        + f32x8::splat(A2))
-        * t
-        + f32x8::splat(A1))
-        * t;
+    let c = |v: f32| L::splat(isa, v);
+    let poly = ((((c(A5) * t + c(A4)) * t + c(A3)) * t + c(A2)) * t + c(A1)) * t;
     poly * exp_neg_x2
 }
 
-#[inline]
-pub fn erfc8_with_exp(x: f32x8, exp_neg_x2: f32x8) -> f32x8 {
-    let one = f32x8::ONE;
-    let t = one / (one + f32x8::splat(ERFC_P) * x);
-    erfc8_poly_t(t, exp_neg_x2)
-}
-
 /// Vectorized `erfc(x)` for `x >= 0`.
-#[inline]
-pub fn erfc8(x: f32x8) -> f32x8 {
-    erfc8_with_exp(x, exp8(-(x * x)))
+#[inline(always)]
+pub fn erfc8<L: Lanes8>(isa: L::Isa, x: L) -> L {
+    let one = L::splat(isa, 1.0);
+    let t = one / (one + L::splat(isa, ERFC_P) * x);
+    erfc8_poly_t(isa, t, exp8(isa, -(x * x)))
 }
 
 /// Eight pair interactions at once: the vector form of
 /// [`mdsim::nonbonded::pair_interaction`]. Returns `(f_over_r, e_lj,
 /// e_coul)` per lane. Lanes with garbage inputs (`r2 = 0` filler)
-/// produce garbage outputs — callers blend them away afterwards.
+/// produce garbage outputs — callers mask them away afterwards.
 ///
 /// `lj_active` is a caller hint that some `c6`/`c12` lane is nonzero.
 /// Passing `false` skips the Lennard-Jones chain (the result is the
 /// exact zero those parameters would produce anyway) — on water
 /// workloads two thirds of the outer rows are hydrogens with no LJ
 /// site, so the skip is worth real time.
-#[inline]
-pub fn pair_interaction8(
-    r2: f32x8,
-    c6: f32x8,
-    c12: f32x8,
-    qq: f32x8,
+#[inline(always)]
+pub fn pair_interaction8<L: Lanes8>(
+    isa: L::Isa,
+    r2: L,
+    c6: L,
+    c12: L,
+    qq: L,
     lj_active: bool,
     params: &NbParams,
-) -> (f32x8, f32x8, f32x8) {
-    let one = f32x8::ONE;
-    let ke = f32x8::splat(KE as f32);
+) -> (L, L, L) {
+    let c = |v: f32| L::splat(isa, v);
+    let one = c(1.0);
+    let ke = c(KE as f32);
     if let Coulomb::EwaldShort { beta } = params.coulomb {
         // The hot path. Divider-unit pressure dominates this branch, so
         // one division serves both `1/r` and the erfc rational variable:
@@ -196,34 +241,33 @@ pub fn pair_interaction8(
         // `exp(-(βr)²)` evaluated as `exp(-β²·r²)` so the transcendental
         // starts straight from r² — in parallel with the square root
         // instead of serialized behind it.
-        let ex = exp8_unchecked(-(f32x8::splat(beta * beta) * r2));
+        let ex = exp8(isa, -(c(beta * beta) * r2));
         let r = r2.sqrt();
-        let b = one + f32x8::splat(ERFC_P * beta) * r;
+        let b = one + c(ERFC_P * beta) * r;
         let inv = one / (r * b);
         let rinv = b * inv;
         let t = r * inv;
         let rinv2 = rinv * rinv;
-        let erfc_br = erfc8_poly_t(t, ex);
+        let erfc_br = erfc8_poly_t(isa, t, ex);
         let kqq = ke * qq;
         let e_coul = kqq * erfc_br * rinv;
         let tbsp = 2.0 * beta / std::f32::consts::PI.sqrt();
-        let mut fsum = e_coul + kqq * (f32x8::splat(tbsp) * ex);
-        let mut e_lj = f32x8::ZERO;
+        let mut fsum = e_coul + kqq * (c(tbsp) * ex);
+        let mut e_lj = c(0.0);
         if lj_active {
             let rinv6 = rinv2 * rinv2 * rinv2;
             let a = c12 * rinv6 * rinv6;
             let bb = c6 * rinv6;
             e_lj = a - bb;
-            fsum = fsum + f32x8::splat(12.0) * a - f32x8::splat(6.0) * bb;
+            fsum = fsum + c(12.0) * a - c(6.0) * bb;
         }
         return (fsum * rinv2, e_lj, e_coul);
     }
     let rinv2 = one / r2;
     let rinv6 = rinv2 * rinv2 * rinv2;
     let e_lj = c12 * rinv6 * rinv6 - c6 * rinv6;
-    let mut f_over_r =
-        (f32x8::splat(12.0) * c12 * rinv6 * rinv6 - f32x8::splat(6.0) * c6 * rinv6) * rinv2;
-    let mut e_coul = f32x8::ZERO;
+    let mut f_over_r = (c(12.0) * c12 * rinv6 * rinv6 - c(6.0) * c6 * rinv6) * rinv2;
+    let mut e_coul = c(0.0);
     match params.coulomb {
         Coulomb::None | Coulomb::EwaldShort { .. } => {}
         Coulomb::Cutoff => {
@@ -236,8 +280,8 @@ pub fn pair_interaction8(
             let k_rf = (eps_rf - 1.0) / (2.0 * eps_rf + 1.0) / (rc * rc * rc);
             let c_rf = 1.0 / rc + k_rf * rc * rc;
             let rinv = rinv2.sqrt();
-            e_coul = ke * qq * (rinv + f32x8::splat(k_rf) * r2 - f32x8::splat(c_rf));
-            f_over_r = f_over_r + ke * qq * (rinv * rinv2 - f32x8::splat(2.0 * k_rf));
+            e_coul = ke * qq * (rinv + c(k_rf) * r2 - c(c_rf));
+            f_over_r = f_over_r + ke * qq * (rinv * rinv2 - c(2.0 * k_rf));
         }
     }
     (f_over_r, e_lj, e_coul)
@@ -255,29 +299,33 @@ fn read_lane(pkg: &[f32], lane: usize) -> (f32, f32, f32, usize, f32) {
 }
 
 /// Outer-cluster force accumulators in lane-slot (vector) form: one
-/// `f32x8` per outer particle and axis, summed across every wide8 call
-/// of a cluster and horizontally reduced **once** at the end
+/// 8-lane vector per outer particle and axis, summed across every wide8
+/// call of a cluster and horizontally reduced **once** at the end
 /// ([`WideFi::fold_into`]). Folding per entry pair would cost 12
 /// shuffle-tree reductions per call — a measurable slice of the inner
 /// loop on a list with ~50 entries per cluster.
 #[derive(Clone, Copy)]
-pub struct WideFi {
-    pub x: [f32x8; CLUSTER_SIZE],
-    pub y: [f32x8; CLUSTER_SIZE],
-    pub z: [f32x8; CLUSTER_SIZE],
+pub struct WideFi<L> {
+    pub x: [L; CLUSTER_SIZE],
+    pub y: [L; CLUSTER_SIZE],
+    pub z: [L; CLUSTER_SIZE],
 }
 
-impl WideFi {
+impl<L: Lanes8> WideFi<L> {
     /// All slots zero.
-    pub const ZERO: Self = Self {
-        x: [f32x8::ZERO; CLUSTER_SIZE],
-        y: [f32x8::ZERO; CLUSTER_SIZE],
-        z: [f32x8::ZERO; CLUSTER_SIZE],
-    };
+    #[inline(always)]
+    pub fn zero(isa: L::Isa) -> Self {
+        let zero = [L::splat(isa, 0.0); CLUSTER_SIZE];
+        Self {
+            x: zero,
+            y: zero,
+            z: zero,
+        }
+    }
 
     /// Reduce every lane slot into the scalar force words (the pairwise
     /// tree of `reduce_add`, so the result is deterministic).
-    #[inline]
+    #[inline(always)]
     pub fn fold_into(&self, fi: &mut [f32; FORCE_WORDS]) {
         for ai in 0..CLUSTER_SIZE {
             fi[3 * ai] += self.x[ai].reduce_add();
@@ -287,6 +335,28 @@ impl WideFi {
     }
 }
 
+/// The `(c6, c12)` lanes of outer type `ti` against the eight j-types
+/// `tj`, and whether any of them is nonzero (a NaN parameter counts as
+/// nonzero). Filler slots carry type 0, so every lookup is in range.
+#[inline(always)]
+fn gather_lj<L: Lanes8>(
+    isa: L::Isa,
+    ti: usize,
+    tj: &[usize; 8],
+    lj: &impl Fn(usize, usize) -> (f32, f32),
+) -> (bool, L, L) {
+    let mut c6 = [0.0f32; 8];
+    let mut c12 = [0.0f32; 8];
+    for k in 0..8 {
+        (c6[k], c12[k]) = lj(ti, tj[k]);
+    }
+    let c6 = L::from_array(isa, c6);
+    let c12 = L::from_array(isa, c12);
+    let zero = L::splat(isa, 0.0);
+    let both_zero = c6.cmp_eq(zero) & c12.cmp_eq(zero);
+    (both_zero.movemask() != 0xFF, c6, c12)
+}
+
 /// Interactions of one outer cluster against **two** inner-cluster
 /// entries, 8 j-lanes wide. `lj` maps a type pair to `(c6, c12)`.
 /// Accumulates the outer forces into the `fi` lane slots (fold them
@@ -294,13 +364,15 @@ impl WideFi {
 /// reactions into `fj0`/`fj1` — which may point straight into a
 /// caller-side accumulation buffer; returns `(e_lj, e_coul, n_pairs)`.
 #[allow(clippy::too_many_arguments)]
-pub fn cluster_pair_wide8(
+#[inline(always)]
+pub fn cluster_pair_wide8<L: Lanes8>(
+    isa: L::Isa,
     pkg_i: &[f32],
     e0: EntryJ<'_>,
     e1: EntryJ<'_>,
     params: &NbParams,
     lj: &impl Fn(usize, usize) -> (f32, f32),
-    fi: &mut WideFi,
+    fi: &mut WideFi<L>,
     fj0: &mut [f32; FORCE_WORDS],
     fj1: &mut [f32; FORCE_WORDS],
 ) -> (f64, f64, u32) {
@@ -308,44 +380,38 @@ pub fn cluster_pair_wide8(
     let pi = pkg_words(pkg_i);
     let p0 = pkg_words(e0.pkg);
     let p1 = pkg_words(e1.pkg);
-    // Build the 8-lane j-vector: lanes 0..4 from e0, 4..8 from e1,
-    // pre-shifted into the outer cluster's minimum image.
-    let mut xj = [0.0f32; 8];
-    let mut yj = [0.0f32; 8];
-    let mut zj = [0.0f32; 8];
-    let mut qj = [0.0f32; 8];
+    // The 8-lane j-vector: lanes 0..4 from e0, 4..8 from e1, shifted
+    // into the outer cluster's minimum image — two 16-byte loads plus
+    // one add per axis.
+    let shifted = |axis: usize| {
+        L::from_halves(isa, pkg_row(p0, axis), pkg_row(p1, axis))
+            + L::from_halves(isa, &[e0.shift[axis]; 4], &[e1.shift[axis]; 4])
+    };
+    let xj8 = shifted(0);
+    let yj8 = shifted(1);
+    let zj8 = shifted(2);
+    let qj8 = L::from_halves(isa, pkg_row(p0, 4), pkg_row(p1, 4));
     let mut tj = [0usize; 8];
     for k in 0..CLUSTER_SIZE {
-        xj[k] = p0[k] + e0.shift[0];
-        yj[k] = p0[CLUSTER_SIZE + k] + e0.shift[1];
-        zj[k] = p0[2 * CLUSTER_SIZE + k] + e0.shift[2];
         tj[k] = p0[3 * CLUSTER_SIZE + k] as usize;
-        qj[k] = p0[4 * CLUSTER_SIZE + k];
-        xj[4 + k] = p1[k] + e1.shift[0];
-        yj[4 + k] = p1[CLUSTER_SIZE + k] + e1.shift[1];
-        zj[4 + k] = p1[2 * CLUSTER_SIZE + k] + e1.shift[2];
         tj[4 + k] = p1[3 * CLUSTER_SIZE + k] as usize;
-        qj[4 + k] = p1[4 * CLUSTER_SIZE + k];
     }
-    let xj8 = f32x8::from(xj);
-    let yj8 = f32x8::from(yj);
-    let zj8 = f32x8::from(zj);
-    let qj8 = f32x8::from(qj);
 
-    let mut rjx = f32x8::ZERO; // j-side reactions, accumulated per lane
-    let mut rjy = f32x8::ZERO;
-    let mut rjz = f32x8::ZERO;
-    let mut elj8 = f32x8::ZERO; // energies, folded to f64 once at the end
-    let mut ecoul8 = f32x8::ZERO;
+    let zero = L::splat(isa, 0.0);
+    let mut rjx = zero; // j-side reactions, accumulated per lane
+    let mut rjy = zero;
+    let mut rjz = zero;
+    let mut elj8 = zero; // energies, folded to f64 once at the end
+    let mut ecoul8 = zero;
     let mut n = 0u32;
-    let rc2v = f32x8::splat(rc2);
+    let rc2v = L::splat(isa, rc2);
     // LJ parameters depend only on (ti, tj) and the j-types are fixed
-    // for the whole call, so the 8-slot gather is memoized on ti —
-    // consecutive outer particles frequently share a type.
-    let mut lj_ti = usize::MAX;
-    let mut lj_on = false;
-    let mut c6v = f32x8::ZERO;
-    let mut c12v = f32x8::ZERO;
+    // for the whole call, so each outer type gathers its 8 slots once:
+    // `lj_memo[..n_memo]` holds the types seen so far, keyed by the
+    // type word's bits (the float-to-index cast happens per gather,
+    // not per row).
+    let mut lj_memo = [(0u32, false, zero, zero); CLUSTER_SIZE];
+    let mut n_memo = 0;
 
     for ai in 0..CLUSTER_SIZE {
         let row0 = ((e0.mask >> (ai * CLUSTER_SIZE)) & 0xF) as usize;
@@ -353,56 +419,46 @@ pub fn cluster_pair_wide8(
         if row0 | row1 == 0 {
             continue;
         }
-        let ti = pi[3 * CLUSTER_SIZE + ai] as usize;
-        let qi = pi[4 * CLUSTER_SIZE + ai];
-        let dx = f32x8::splat(pi[ai]) - xj8;
-        let dy = f32x8::splat(pi[CLUSTER_SIZE + ai]) - yj8;
-        let dz = f32x8::splat(pi[2 * CLUSTER_SIZE + ai]) - zj8;
+        let dx = L::splat(isa, pi[ai]) - xj8;
+        let dy = L::splat(isa, pi[CLUSTER_SIZE + ai]) - yj8;
+        let dz = L::splat(isa, pi[2 * CLUSTER_SIZE + ai]) - zj8;
         // Same association as the scalar kernel ((dx²+dy²)+dz²): the
         // cutoff decision is bit-identical across backends.
         let r2 = dx * dx + dy * dy + dz * dz;
 
         // Lane activity, all in vector form with the scalar kernel's
         // exact conditions: mask-row bit AND r2 < rc² AND r2 != 0.
-        let m0 = NIBBLE_MASK[row0];
-        let m1 = NIBBLE_MASK[row1];
-        let rowm = lane_mask([m0[0], m0[1], m0[2], m0[3], m1[0], m1[1], m1[2], m1[3]]);
         // `r2 > 0` ≡ the scalar kernel's `r2 != 0` (a sum of squares is
         // never negative).
-        let m = rowm & f32x8::ZERO.cmp_lt(r2) & r2.cmp_lt(rc2v);
-        // Exact pair count: each active lane contributes 1.0 (small
-        // integers are exact in f32, so the cast is lossless).
-        let cnt = m.blend(f32x8::ONE, f32x8::ZERO).reduce_add();
-        if cnt == 0.0 {
+        let rowm = L::from_halves(isa, &NIBBLE_MASK[row0], &NIBBLE_MASK[row1]);
+        let m = rowm & zero.cmp_lt(r2) & r2.cmp_lt(rc2v);
+        let cnt = m.movemask().count_ones();
+        if cnt == 0 {
             continue;
         }
-        n += cnt as u32;
+        n += cnt;
 
-        // Unconditional LJ gather: filler slots carry type 0, so every
-        // lookup is in range, and the post-blend kills whatever
-        // inactive lanes computed.
-        if ti != lj_ti {
-            lj_ti = ti;
-            let mut c6 = [0.0f32; 8];
-            let mut c12 = [0.0f32; 8];
-            let mut any = 0.0f32;
-            for k in 0..8 {
-                let (a, b) = lj(ti, tj[k]);
-                c6[k] = a;
-                c12[k] = b;
-                any += a.abs() + b.abs();
+        let ti = pi[3 * CLUSTER_SIZE + ai];
+        let slot = match lj_memo[..n_memo]
+            .iter()
+            .position(|row| row.0 == ti.to_bits())
+        {
+            Some(slot) => slot,
+            None => {
+                let (on, c6, c12) = gather_lj(isa, ti as usize, &tj, lj);
+                lj_memo[n_memo] = (ti.to_bits(), on, c6, c12);
+                n_memo += 1;
+                n_memo - 1
             }
-            lj_on = any != 0.0;
-            c6v = f32x8::from(c6);
-            c12v = f32x8::from(c12);
-        }
-        let qq8 = f32x8::splat(qi) * qj8;
-        let (f, elj, ecoul) = pair_interaction8(r2, c6v, c12v, qq8, lj_on, params);
-        // Blend *after* the computation: filler lanes (r2 = 0) produced
-        // infinities/NaNs and are replaced bitwise with zero.
-        let f = m.blend(f, f32x8::ZERO);
-        elj8 = elj8 + m.blend(elj, f32x8::ZERO);
-        ecoul8 = ecoul8 + m.blend(ecoul, f32x8::ZERO);
+        };
+        let (_, lj_on, c6v, c12v) = lj_memo[slot];
+        let qq8 = L::splat(isa, pi[4 * CLUSTER_SIZE + ai]) * qj8;
+        let (f, elj, ecoul) = pair_interaction8(isa, r2, c6v, c12v, qq8, lj_on, params);
+        // Mask *after* the computation: filler lanes (r2 = 0) produced
+        // infinities/NaNs, and `& m` replaces them bitwise with zero.
+        let f = f & m;
+        elj8 = elj8 + (elj & m);
+        ecoul8 = ecoul8 + (ecoul & m);
 
         let fx = dx * f;
         let fy = dy * f;
@@ -514,11 +570,10 @@ pub fn cluster_pair_wide4(
 mod tests {
     use super::*;
 
-    #[test]
-    fn exp8_matches_f64_reference() {
+    fn exp8_matches_f64_reference<L: Lanes8>(isa: L::Isa) {
         let mut x = -9.8f32;
         while x <= 0.0 {
-            let got = exp8(f32x8::splat(x)).to_array()[0];
+            let got = exp8(isa, L::splat(isa, x)).to_array()[0];
             let want = (x as f64).exp();
             let rel = ((got as f64 - want) / want).abs();
             assert!(rel < 1e-6, "exp({x}) = {got}, want {want}, rel {rel}");
@@ -526,11 +581,30 @@ mod tests {
         }
     }
 
-    #[test]
-    fn erfc8_matches_scalar_reference() {
+    fn exp8_clamps_its_domain<L: Lanes8>(isa: L::Isa) {
+        let x = [
+            f32::NAN,
+            f32::NEG_INFINITY,
+            -1e30,
+            -87.0,
+            0.0,
+            1.0,
+            1e30,
+            f32::INFINITY,
+        ];
+        let got = exp8(isa, L::from_array(isa, x)).to_array();
+        let floor = exp8(isa, L::splat(isa, -87.0)).to_array()[0];
+        assert!(floor > 0.0 && floor < 1e-37);
+        for (k, got) in got.iter().enumerate() {
+            let want = if k < 4 { floor } else { 1.0 };
+            assert_eq!(got.to_bits(), want.to_bits(), "lane {k}");
+        }
+    }
+
+    fn erfc8_matches_scalar_reference<L: Lanes8>(isa: L::Isa) {
         let mut x = 0.0f32;
         while x <= 4.0 {
-            let got = erfc8(f32x8::splat(x)).to_array()[0];
+            let got = erfc8(isa, L::splat(isa, x)).to_array()[0];
             let want = mdsim::math::erfc(x as f64);
             // A&S 7.1.26 carries |ε| ≤ 1.5e-7 absolute; f32 evaluation
             // adds a few ulps.
@@ -542,17 +616,17 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pair_interaction8_lane_matches_scalar_within_bounds() {
+    fn pair_interaction8_lane_matches_scalar_within_bounds<L: Lanes8>(isa: L::Isa) {
         let params = NbParams::paper_default();
         for i in 1..60 {
             let r2 = 0.02 + 0.016 * i as f32;
             let (c6, c12, qq) = (2.6e-3, 2.6e-6, -0.2);
             let (f8, e8, c8) = pair_interaction8(
-                f32x8::splat(r2),
-                f32x8::splat(c6),
-                f32x8::splat(c12),
-                f32x8::splat(qq),
+                isa,
+                L::splat(isa, r2),
+                L::splat(isa, c6),
+                L::splat(isa, c12),
+                L::splat(isa, qq),
                 true,
                 &params,
             );
@@ -578,5 +652,20 @@ mod tests {
             );
             assert!(rel(c8.to_array()[0], c) < 1e-4, "e_coul at r2={r2}");
         }
+    }
+
+    #[test]
+    fn transcendentals_and_pair_math_hold_on_every_lane_implementation() {
+        for_each_lanes8!(exp8_matches_f64_reference);
+        for_each_lanes8!(exp8_clamps_its_domain);
+        for_each_lanes8!(erfc8_matches_scalar_reference);
+        for_each_lanes8!(pair_interaction8_lane_matches_scalar_within_bounds);
+    }
+
+    #[test]
+    fn detected_lanes_are_the_last_available() {
+        let all = LaneImpl::available();
+        assert_eq!(all[0].name(), "portable");
+        assert_eq!(all.last().unwrap().name(), LaneImpl::detect().name());
     }
 }

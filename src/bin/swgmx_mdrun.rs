@@ -13,7 +13,7 @@ use std::fs::File;
 use sw_gromacs::mdsim::water::water_box_equilibrated;
 use sw_gromacs::swgmx::engine::{Engine, EngineConfig, MultiCgModel, Version};
 use sw_gromacs::swgmx::fastio::{write_frame, BufferedWriter};
-use sw_gromacs::swgmx::BackendSel;
+use sw_gromacs::swgmx::{BackendSel, NativeBackend};
 
 struct Args {
     particles: usize,
@@ -144,8 +144,13 @@ fn main() {
         ..args
     };
     let mut engine = Engine::new(sys, config);
+    // A wall-clock number names the path that produced it.
+    let lanes = match args.backend {
+        BackendSel::Metered => String::new(),
+        BackendSel::Native => format!(", {} lanes", NativeBackend::lanes()),
+    };
     println!(
-        "running {} steps of {} ps (cutoff {:.2} nm, version {}, backend {})",
+        "running {} steps of {} ps (cutoff {:.2} nm, version {}, backend {}{lanes})",
         args.steps,
         engine.config().dt,
         engine.config().params.r_cut,

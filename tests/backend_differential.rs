@@ -19,14 +19,27 @@
 //!   merging happens after the join in lane order, so the OS schedule
 //!   cannot reach the FP order.
 //!
+//! - The native inner loop exists once, generic over the lane type, and
+//!   is instantiated per instruction set (portable / SSE2 / AVX2). The
+//!   instantiations must agree with **each other** bit for bit, so a
+//!   result never depends on which one the host selected.
+//!
 //! Finally, the native backend must actually pass the swcheck
 //! happens-before certification gate (`Certified::admit`) that the
 //! engine demands of a `Concurrency::Threads` substrate.
 
+use sw_gromacs::mdsim::nonbonded::NbParams;
+use sw_gromacs::mdsim::pairlist::{ListKind, PairList};
+use sw_gromacs::mdsim::water::water_box;
 use sw_gromacs::swgmx::backend::{
     AnyBackend, BackendSel, Certified, Concurrency, KernelBackend, NativeBackend,
 };
 use sw_gromacs::swgmx::check::{physics_checksum, run_variant_with, Variant};
+use sw_gromacs::swgmx::cpelist::CpePairList;
+use sw_gromacs::swgmx::kernels::native_simd::{
+    cluster_pair_wide8, for_each_lanes8, EntryJ, Lanes8, WideFi,
+};
+use sw_gromacs::swgmx::package::{PackageLayout, PackedSystem, FORCE_WORDS};
 
 const SEEDS: [u64; 3] = [1, 2, 3];
 const SIZES: [usize; 3] = [40, 90, 160];
@@ -86,8 +99,82 @@ fn cluster_kernels_match_metered_within_resummation_bounds() {
     }
 }
 
+/// Every output bit of the 8-wide kernel over a whole pair list: each
+/// cluster's entries two at a time (self entries included, so `r² = 0`
+/// lanes occur), reactions, energies, pair counts and the folded outer
+/// forces, on lane implementation `L`.
+fn wide8_walk<L: Lanes8>(
+    isa: L::Isa,
+    walks: &mut Vec<(&'static str, Vec<u64>)>,
+    psys: &PackedSystem,
+    list: &CpePairList,
+    params: &NbParams,
+) {
+    let lj = |ta: usize, tb: usize| psys.lj(ta, tb);
+    let entry = |e: usize| EntryJ {
+        pkg: psys.package(list.neighbors[e] as usize),
+        shift: list.shifts[e],
+        mask: list.masks[e],
+    };
+    let mut bits = Vec::new();
+    for ci in 0..psys.n_packages() {
+        let entries: Vec<usize> = list.entries_of(ci).collect();
+        let mut wfi = WideFi::<L>::zero(isa);
+        for pair in entries.chunks_exact(2) {
+            let mut fj0 = [0.0f32; FORCE_WORDS];
+            let mut fj1 = [0.0f32; FORCE_WORDS];
+            let (e_lj, e_coul, n) = cluster_pair_wide8(
+                isa,
+                psys.package(ci),
+                entry(pair[0]),
+                entry(pair[1]),
+                params,
+                &lj,
+                &mut wfi,
+                &mut fj0,
+                &mut fj1,
+            );
+            bits.extend(fj0.iter().chain(&fj1).map(|w| w.to_bits() as u64));
+            bits.extend([e_lj.to_bits(), e_coul.to_bits(), n as u64]);
+        }
+        let mut fi = [0.0f32; FORCE_WORDS];
+        wfi.fold_into(&mut fi);
+        bits.extend(fi.iter().map(|w| w.to_bits() as u64));
+    }
+    walks.push((L::NAME, bits));
+}
+
+#[test]
+fn lane_implementations_are_bitwise_identical_to_each_other() {
+    for (n_mol, seed) in [(90, 2), (160, 3)] {
+        let sys = water_box(n_mol, 300.0, seed);
+        let params = NbParams {
+            r_cut: 0.7,
+            ..NbParams::paper_default()
+        };
+        for kind in [ListKind::Half, ListKind::Full] {
+            let list = PairList::build(&sys, params.r_cut, kind);
+            let cpe = CpePairList::build(&sys, &list);
+            let psys = PackedSystem::build(&sys, list.clustering, PackageLayout::Transposed);
+            let mut walks = Vec::new();
+            for_each_lanes8!(wide8_walk, &mut walks, &psys, &cpe, &params);
+            #[cfg(target_arch = "x86_64")]
+            assert!(walks.len() >= 2, "x86_64 always offers portable and sse2");
+            let (reference, want) = &walks[0];
+            assert!(want.len() > 1000, "the walk covered a real list");
+            for (name, got) in &walks[1..] {
+                assert!(
+                    got == want,
+                    "{name} lanes differ from {reference} lanes (n_mol={n_mol} seed={seed} {kind:?})"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn native_backend_is_deterministic_at_every_thread_count() {
+    println!("native lanes on this host: {}", NativeBackend::lanes());
     let host = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
