@@ -13,21 +13,29 @@ fn bench_pairlist(c: &mut Criterion) {
         100.0 * grid_walk_miss_study(1),
         100.0 * grid_walk_miss_study(2)
     );
-    let sys = mdsim::water::water_box(2000, 300.0, 9);
     let cg = CoreGroup::new();
-    let mut g = c.benchmark_group("pairlist_6k_particles");
-    g.sample_size(10);
-    g.bench_function("host_builder", |b| {
-        b.iter(|| PairList::build(&sys, 1.0, ListKind::Half).n_pairs())
-    });
-    g.bench_function("cpe_generation_2way", |b| {
-        b.iter(|| {
-            generate_pairlist(&sys, 1.0, ListKind::Half, &cg, 2)
-                .list
-                .n_pairs()
-        })
-    });
-    g.finish();
+    // 6 K particles, then the sizes swbench runs the search at: the
+    // `md_*_4k` box (1334 molecules) and the `kernel_48k` one.
+    for (name, n_mol) in [
+        ("pairlist_6k_particles", 2000),
+        ("pairlist_4k_particles", 1334),
+        ("pairlist_48k_particles", 16000),
+    ] {
+        let sys = mdsim::water::water_box(n_mol, 300.0, 9);
+        let mut g = c.benchmark_group(name);
+        g.sample_size(10);
+        g.bench_function("host_builder", |b| {
+            b.iter(|| PairList::build(&sys, 1.0, ListKind::Half).n_pairs())
+        });
+        g.bench_function("cpe_generation_2way", |b| {
+            b.iter(|| {
+                generate_pairlist(&sys, 1.0, ListKind::Half, &cg, 2)
+                    .list
+                    .n_pairs()
+            })
+        });
+        g.finish();
+    }
 }
 
 criterion_group!(benches, bench_pairlist);

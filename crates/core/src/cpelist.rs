@@ -11,7 +11,13 @@
 
 use mdsim::cluster::{Clustering, CLUSTER_SIZE, FILLER};
 use mdsim::pairlist::{ListKind, PairList};
+use mdsim::pbc::PbcBox;
 use mdsim::system::System;
+use mdsim::Vec3;
+
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+use crate::kernels::native_simd::f32x8_sse2;
+use crate::kernels::native_simd::{f32x8, on_lanes, LaneImpl, Lanes8};
 
 /// Bytes of list data streamed per neighbor entry (index + mask + shift).
 pub const LIST_ENTRY_BYTES: usize = 4 + 2 + 12;
@@ -31,6 +37,9 @@ pub struct CpePairList {
     pub kind: ListKind,
     /// Build radius.
     pub rlist: f32,
+    /// Cluster centers the shifts were last computed from, one column
+    /// per axis; kept so that a refresh allocates nothing.
+    centers: [Vec<f32>; 3],
 }
 
 impl CpePairList {
@@ -50,6 +59,7 @@ impl CpePairList {
             shifts: vec![[0.0; 3]; list.n_pairs()],
             kind: list.kind,
             rlist: list.rlist,
+            centers: [const { Vec::new() }; 3],
         };
         lowered.update_shifts(sys, &list.clustering);
         lowered
@@ -60,18 +70,23 @@ impl CpePairList {
     /// relative to the outer cluster's center. `clustering` must be the
     /// one the list was built over.
     pub fn update_shifts(&mut self, sys: &System, clustering: &Clustering) {
-        let centers: Vec<mdsim::Vec3> = (0..self.n_clusters())
-            .map(|c| clustering.center(&sys.pbc, &sys.pos, c))
-            .collect();
-        for ci in 0..self.n_clusters() {
-            for e in self.entries_of(ci) {
-                let cj = self.neighbors[e] as usize;
-                let d = sys.pbc.min_image(centers[ci], centers[cj]);
-                let imaged = centers[ci] - d; // cj center seen from ci
-                let s = imaged - centers[cj];
-                self.shifts[e] = [s.x, s.y, s.z];
-            }
+        let nc = self.n_clusters();
+        for column in &mut self.centers {
+            column.resize(nc, 0.0);
         }
+        for c in 0..nc {
+            let center = clustering.center(&sys.pbc, &sys.pos, c);
+            self.centers[0][c] = center.x;
+            self.centers[1][c] = center.y;
+            self.centers[2][c] = center.z;
+        }
+        on_lanes!(
+            LaneImpl::detect(),
+            shifts_from_centers,
+            shifts_from_centers_avx2,
+            self,
+            &sys.pbc
+        );
     }
 
     /// Number of outer clusters.
@@ -96,39 +111,143 @@ impl CpePairList {
     }
 }
 
-/// One interaction mask per list entry, in entry order: bit `ai*4 + bj`
-/// is set unless either slot is a filler, the two are one particle, the
-/// pair is excluded, or a half list already counts it as `(bj, ai)`.
-fn interaction_masks(sys: &System, list: &PairList) -> Vec<u16> {
-    let mut masks = Vec::with_capacity(list.n_pairs());
-    for ci in 0..list.n_clusters() {
-        let mi = list.clustering.members(ci);
-        for &cj in list.neighbors_of(ci) {
-            let cj = cj as usize;
-            let mj = list.clustering.members(cj);
-            let same = cj == ci;
-            let mut mask = 0u16;
-            for (ai, &a) in mi.iter().enumerate() {
-                if a == FILLER {
-                    continue;
-                }
-                for (bj, &b) in mj.iter().enumerate() {
-                    if b == FILLER || a == b {
-                        continue;
-                    }
-                    if list.kind == ListKind::Half && same && bj <= ai {
-                        continue;
-                    }
-                    if sys.is_excluded(a as usize, b as usize) {
-                        continue;
-                    }
-                    mask |= 1 << (ai * CLUSTER_SIZE + bj);
-                }
+/// The shift of inner center `cj` seen from outer center `ci`.
+fn shift_of(pbc: &PbcBox, ci: Vec3, cj: Vec3) -> [f32; 3] {
+    let d = pbc.min_image(ci, cj);
+    let imaged = ci - d; // cj center seen from ci
+    let s = imaged - cj;
+    [s.x, s.y, s.z]
+}
+
+/// Every entry's [`shift_of`] from `list.centers`, eight entries of a
+/// row per operation; a lane the lane form of the minimum image does not
+/// cover is redone with the scalar one.
+#[inline(always)]
+fn shifts_from_centers<L: Lanes8>(isa: L::Isa, list: &mut CpePairList, pbc: &PbcBox) {
+    const LANES: usize = 8;
+    let [cx, cy, cz] = &list.centers;
+    for ci in 0..list.offsets.len() - 1 {
+        let own = [
+            L::splat(isa, cx[ci]),
+            L::splat(isa, cy[ci]),
+            L::splat(isa, cz[ci]),
+        ];
+        let row = list.offsets[ci] as usize..list.offsets[ci + 1] as usize;
+        for start in row.clone().step_by(LANES) {
+            let ids = &list.neighbors[start..row.end.min(start + LANES)];
+            let other = [
+                gather8::<L>(isa, cx, ids),
+                gather8::<L>(isa, cy, ids),
+                gather8::<L>(isa, cz, ids),
+            ];
+            let (d, inexact) = pbc.min_image8(
+                isa,
+                [own[0] - other[0], own[1] - other[1], own[2] - other[2]],
+            );
+            let [sx, sy, sz] = [
+                ((own[0] - d[0]) - other[0]).to_array(),
+                ((own[1] - d[1]) - other[1]).to_array(),
+                ((own[2] - d[2]) - other[2]).to_array(),
+            ];
+            for (lane, shift) in list.shifts[start..start + ids.len()].iter_mut().enumerate() {
+                *shift = [sx[lane], sy[lane], sz[lane]];
             }
-            masks.push(mask);
+            let mut redo = inexact.movemask() & ((1 << ids.len()) - 1);
+            while redo != 0 {
+                let lane = redo.trailing_zeros() as usize;
+                redo &= redo - 1;
+                let cj = ids[lane] as usize;
+                let own = mdsim::vec3(cx[ci], cy[ci], cz[ci]);
+                list.shifts[start + lane] = shift_of(pbc, own, mdsim::vec3(cx[cj], cy[cj], cz[cj]));
+            }
+        }
+    }
+}
+
+/// `column[id]` for up to eight ids; zero in the lanes past them.
+#[inline(always)]
+fn gather8<L: Lanes8>(isa: L::Isa, column: &[f32], ids: &[u32]) -> L {
+    let mut lanes = [0.0f32; 8];
+    for (lane, &id) in lanes.iter_mut().zip(ids) {
+        *lane = column[id as usize];
+    }
+    L::from_array(isa, lanes)
+}
+
+/// [`shifts_from_centers`] compiled with AVX2 enabled.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+#[target_feature(enable = "avx2")]
+fn shifts_from_centers_avx2(
+    isa: crate::kernels::native_simd::Avx2,
+    list: &mut CpePairList,
+    pbc: &PbcBox,
+) {
+    shifts_from_centers::<crate::kernels::native_simd::f32x8_avx2>(isa, list, pbc)
+}
+
+/// One interaction mask per list entry, in entry order ([`pair_mask`]).
+///
+/// Almost no cluster pair shares a molecule, and a mask without
+/// exclusions is an outer product of the two clusters' occupied slots;
+/// only self pairs and pairs that do hold exclusion partners take the
+/// per-member test.
+fn interaction_masks(sys: &System, list: &PairList) -> Vec<u16> {
+    let clustering = &list.clustering;
+    // Bit `k` set: slot `k` of the cluster holds a particle.
+    let occupied: Vec<u16> = (0..list.n_clusters())
+        .map(|c| {
+            let slots = clustering.members(c).iter().enumerate();
+            slots.map(|(k, &p)| ((p != FILLER) as u16) << k).sum()
+        })
+        .collect();
+    let mut masks = Vec::with_capacity(list.n_pairs());
+    // Clusters holding an exclusion partner of a member of `ci`.
+    let mut partners: Vec<u32> = Vec::new();
+    for ci in 0..list.n_clusters() {
+        partners.clear();
+        for &a in clustering.members(ci).iter().filter(|&&a| a != FILLER) {
+            let excluded = sys.exclusions[a as usize].iter();
+            partners.extend(excluded.map(|&b| clustering.cluster_of[b as usize]));
+        }
+        // Bit `4 * ai` set for every occupied outer slot `ai`.
+        let rows = (0..CLUSTER_SIZE)
+            .map(|ai| (occupied[ci] >> ai & 1) << (ai * CLUSTER_SIZE))
+            .sum::<u16>();
+        for &cj in list.neighbors_of(ci) {
+            masks.push(if cj as usize == ci || partners.contains(&cj) {
+                pair_mask(sys, list, ci, cj as usize)
+            } else {
+                rows * occupied[cj as usize]
+            });
         }
     }
     masks
+}
+
+/// The interaction mask of cluster pair `(ci, cj)`: bit `ai*4 + bj` is
+/// set unless either slot is a filler, the two are one particle, the
+/// pair is excluded, or a half list already counts it as `(bj, ai)`.
+fn pair_mask(sys: &System, list: &PairList, ci: usize, cj: usize) -> u16 {
+    let same = cj == ci;
+    let mut mask = 0u16;
+    for (ai, &a) in list.clustering.members(ci).iter().enumerate() {
+        if a == FILLER {
+            continue;
+        }
+        for (bj, &b) in list.clustering.members(cj).iter().enumerate() {
+            if b == FILLER || a == b {
+                continue;
+            }
+            if list.kind == ListKind::Half && same && bj <= ai {
+                continue;
+            }
+            if sys.is_excluded(a as usize, b as usize) {
+                continue;
+            }
+            mask |= 1 << (ai * CLUSTER_SIZE + bj);
+        }
+    }
+    mask
 }
 
 #[cfg(test)]
@@ -236,6 +355,103 @@ mod tests {
             }
         }
         assert!(checked > 1000, "only {checked} pairs checked");
+    }
+
+    /// The per-entry expression `update_shifts` evaluated one entry at a
+    /// time before it moved onto lanes.
+    fn scalar_shifts(sys: &System, clustering: &Clustering, cpe: &CpePairList) -> Vec<[u32; 3]> {
+        let centers: Vec<Vec3> = (0..cpe.n_clusters())
+            .map(|c| clustering.center(&sys.pbc, &sys.pos, c))
+            .collect();
+        let mut shifts = Vec::with_capacity(cpe.n_entries());
+        for ci in 0..cpe.n_clusters() {
+            for e in cpe.entries_of(ci) {
+                let cj = cpe.neighbors[e] as usize;
+                let d = sys.pbc.min_image(centers[ci], centers[cj]);
+                let imaged = centers[ci] - d;
+                let s = imaged - centers[cj];
+                shifts.push([s.x.to_bits(), s.y.to_bits(), s.z.to_bits()]);
+            }
+        }
+        shifts
+    }
+
+    fn shift_bits(cpe: &CpePairList) -> Vec<[u32; 3]> {
+        cpe.shifts.iter().map(|s| s.map(f32::to_bits)).collect()
+    }
+
+    /// `cpe.shifts` recomputed on lanes `L` from the centers it holds.
+    fn lanes_reproduce<L: Lanes8>(isa: L::Isa, cpe: &mut CpePairList, pbc: &PbcBox) {
+        let want = shift_bits(cpe);
+        cpe.shifts.fill([f32::NAN; 3]);
+        shifts_from_centers::<L>(isa, cpe, pbc);
+        assert_eq!(shift_bits(cpe), want, "{} lanes", L::NAME);
+    }
+
+    #[test]
+    fn shifts_equal_the_scalar_expression_through_ten_steps_of_drift() {
+        use crate::kernels::native_simd::for_each_lanes8;
+        // A box three list radii wide, where most cluster pairs sit
+        // across a face from each other, left to drift unwrapped.
+        let mut sys = water_box(200, 300.0, 52);
+        let list = PairList::build(&sys, 0.5, ListKind::Full);
+        let mut cpe = CpePairList::build(&sys, &list);
+        let edge = sys.pbc.lengths().x;
+        for step in 0..10 {
+            for (p, v) in sys.pos.iter_mut().zip(&sys.vel) {
+                *p += *v * 0.05;
+            }
+            // Whole molecules carried boxes away: centers the lane form
+            // of the minimum image hands back to the scalar one.
+            for atom in 3 * step..3 * step + 3 {
+                sys.pos[atom].x += 2.0 * edge;
+                sys.pos[atom + 30].z -= 3.0 * edge;
+            }
+            cpe.update_shifts(&sys, &list.clustering);
+            assert_eq!(
+                shift_bits(&cpe),
+                scalar_shifts(&sys, &list.clustering, &cpe),
+                "step {step}"
+            );
+            for_each_lanes8!(lanes_reproduce, &mut cpe, &sys.pbc);
+        }
+        let outside = sys.pos.iter().filter(|p| p.x < 0.0 || p.x >= edge).count();
+        assert!(outside > 20, "only {outside} particles left the box");
+    }
+
+    #[test]
+    fn a_shift_at_half_the_box_keeps_the_sign_of_the_scalar_rounding() {
+        // Two clusters of coincident members exactly half an edge apart:
+        // `d / L` is ±0.5, which `round` takes away from zero.
+        let mut sys = water_box(3, 300.0, 53);
+        sys.pbc = PbcBox::cubic(2.0);
+        sys.pos.truncate(8);
+        for (i, p) in sys.pos.iter_mut().enumerate() {
+            *p = mdsim::vec3(if i < 4 { 0.25 } else { 1.25 }, 0.5, 0.5);
+        }
+        let list = PairList {
+            clustering: Clustering::identity(8),
+            offsets: vec![0, 2, 4],
+            neighbors: vec![0, 1, 0, 1],
+            rlist: 0.9,
+            kind: ListKind::Full,
+        };
+        let mut cpe = CpePairList {
+            offsets: list.offsets.clone(),
+            neighbors: list.neighbors.clone(),
+            masks: vec![0; 4],
+            shifts: vec![[0.0; 3]; 4],
+            kind: list.kind,
+            rlist: list.rlist,
+            centers: [const { Vec::new() }; 3],
+        };
+        cpe.update_shifts(&sys, &list.clustering);
+        assert_eq!(
+            shift_bits(&cpe),
+            scalar_shifts(&sys, &list.clustering, &cpe)
+        );
+        assert_eq!(cpe.shifts[1], [-2.0, 0.0, 0.0]);
+        assert_eq!(cpe.shifts[2], [2.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -53,7 +53,7 @@ use crate::kernels::common::{add_energy, KernelResult};
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 use crate::kernels::native_simd::f32x8_sse2;
 use crate::kernels::native_simd::{
-    cluster_pair_wide4, cluster_pair_wide8, f32x8, EntryJ, LaneImpl, Lanes8, WideFi,
+    cluster_pair_wide4, cluster_pair_wide8, f32x8, on_lanes, EntryJ, LaneImpl, Lanes8, WideFi,
 };
 use crate::package::{PackageLayout, PackedSystem, FORCE_WORDS};
 
@@ -351,26 +351,6 @@ struct LaneInput<'a> {
     list: &'a CpePairList,
     params: &'a NbParams,
     tracing: bool,
-}
-
-/// Run the lane body `$body::<L>(isa, $args...)` on the implementation
-/// `$lanes` names — the AVX2 one through `$avx2`, the body's
-/// `#[target_feature]` twin.
-macro_rules! on_lanes {
-    ($lanes:expr, $body:ident, $avx2:path, $($arg:expr),*) => {
-        match $lanes {
-            LaneImpl::Portable => $body::<f32x8>((), $($arg),*),
-            #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-            LaneImpl::Sse2 => $body::<f32x8_sse2>((), $($arg),*),
-            #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-            LaneImpl::Avx2(isa) => {
-                // SAFETY: the callee needs AVX2, and `isa` exists only
-                // because `is_x86_feature_detected!("avx2")` returned
-                // true (`Avx2::detect` is its sole constructor).
-                unsafe { $avx2(isa, $($arg),*) }
-            }
-        }
-    };
 }
 
 /// Per-lane calc output of the native RMA kernel.

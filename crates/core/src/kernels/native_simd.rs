@@ -95,6 +95,28 @@ impl LaneImpl {
     }
 }
 
+/// Run the lane body `$body::<L>(isa, $args...)` on the implementation
+/// `$lanes` names — the AVX2 one through `$avx2`, the body's
+/// `#[target_feature]` twin.
+macro_rules! on_lanes {
+    ($lanes:expr, $body:ident, $avx2:path, $($arg:expr),*) => {
+        match $lanes {
+            LaneImpl::Portable => $body::<f32x8>((), $($arg),*),
+            #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+            LaneImpl::Sse2 => $body::<f32x8_sse2>((), $($arg),*),
+            #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+            LaneImpl::Avx2(isa) => {
+                // SAFETY: the callee needs AVX2, and `isa` exists only
+                // because `is_x86_feature_detected!("avx2")` returned
+                // true (`Avx2::detect` is its sole constructor).
+                unsafe { $avx2(isa, $($arg),*) }
+            }
+        }
+    };
+}
+
+pub(crate) use on_lanes;
+
 /// One inner-cluster (j-side) list entry: its transposed package, the
 /// minimum-image shift, and the interaction mask (`bit ai*4+bj`).
 #[derive(Clone, Copy)]

@@ -15,8 +15,8 @@
 //! 85% -> 10%).
 
 use mdsim::cluster::Clustering;
-use mdsim::grid::CellGrid;
-use mdsim::pairlist::{clusters_in_range, ListKind, PairList};
+use mdsim::pairlist::{ListKind, PairList};
+use mdsim::pairsearch::PairSearch;
 use mdsim::system::System;
 use sw26010::cache::{CacheGeometry, ReadCache};
 use sw26010::cg::CoreGroup;
@@ -26,6 +26,9 @@ use sw26010::perf::PerfCounters;
 /// f32 words per center element in the packed centers array
 /// (x, y, z, radius).
 pub const CENTER_WORDS: usize = 4;
+
+/// f32 words per element of the packed member positions (4 x 3).
+const MEMBER_WORDS: usize = 12;
 
 /// Result of a CPE pair-list generation run.
 #[derive(Debug)]
@@ -42,6 +45,10 @@ pub struct PairGenResult {
 ///
 /// `ways` selects the center-cache associativity: 1 reproduces the
 /// thrashing configuration, 2 the paper's fix.
+///
+/// The geometry is [`PairSearch`]'s, the same search the host builder
+/// runs; what is metered is the access stream a CPE issues while doing
+/// it, replayed over each cluster's candidates in walk order.
 pub fn generate_pairlist(
     sys: &System,
     rlist: f32,
@@ -51,43 +58,16 @@ pub fn generate_pairlist(
 ) -> PairGenResult {
     let clustering = Clustering::build(&sys.pbc, &sys.pos, rlist.max(0.3));
     let nc = clustering.n_clusters;
-    // Packed centers array: the "main memory" data the CPEs chase.
-    let mut centers_packed = vec![0.0f32; nc * CENTER_WORDS];
-    let mut centers = Vec::with_capacity(nc);
-    let mut max_radius = 0.0f32;
-    for c in 0..nc {
-        let ctr = clustering.center(&sys.pbc, &sys.pos, c);
-        let r = clustering.radius(&sys.pbc, &sys.pos, c, ctr);
-        centers_packed[c * CENTER_WORDS] = ctr.x;
-        centers_packed[c * CENTER_WORDS + 1] = ctr.y;
-        centers_packed[c * CENTER_WORDS + 2] = ctr.z;
-        centers_packed[c * CENTER_WORDS + 3] = r;
-        centers.push(ctr);
-        max_radius = max_radius.max(r);
-    }
-    let reach_max = rlist + 2.0 * max_radius;
-    let grid = CellGrid::build(&sys.pbc, &centers, (reach_max / 2.0).max(0.4));
-
-    // Pack member positions (12 words per cluster) for the exact
-    // refinement stage; cached separately from centers.
-    let mut members_packed = vec![0.0f32; nc * 12];
-    for c in 0..nc {
-        for (lane, &m) in clustering.members(c).iter().enumerate() {
-            if m == mdsim::FILLER {
-                continue;
-            }
-            let p = sys.pos[m as usize];
-            members_packed[c * 12 + 3 * lane] = p.x;
-            members_packed[c * 12 + 3 * lane + 1] = p.y;
-            members_packed[c * 12 + 3 * lane + 2] = p.z;
-        }
-    }
+    let search = PairSearch::new(&sys.pbc, &sys.pos, &clustering, rlist, kind);
+    // The "main memory" data the CPEs chase: packed centers, and the
+    // member positions of the exact refinement stage, cached separately.
+    let (centers_packed, members_packed) = (search.center_words(), search.member_words());
 
     // 16 sets to keep the center working set tight enough that the
     // conflict behaviour of §3.5 is visible; 2-way doubles the capacity
     // at the colliding sets, which is the point.
     let geo = CacheGeometry::new(16, ways, 8, CENTER_WORDS);
-    let member_geo = CacheGeometry::new(16, ways, 8, 12);
+    let member_geo = CacheGeometry::new(16, ways, 8, MEMBER_WORDS);
 
     swprof::next_region_label("pairgen.search");
     let run = cg.spawn(|ctx| {
@@ -103,71 +83,64 @@ pub fn generate_pairlist(
         let mut cache = ReadCache::new(geo);
         let mut member_cache = ReadCache::new(member_geo);
         // Per-CPE temporary neighbor storage ("every CPE keeps a
-        // temporary memory in the main memory").
-        let mut local: Vec<(u32, Vec<u32>)> = Vec::new();
+        // temporary memory in the main memory"): this block's rows back
+        // to back, and where each ends.
+        let mut neighbors: Vec<u32> = Vec::new();
+        let mut row_ends: Vec<u32> = Vec::new();
+        let mut candidates = Vec::new();
         let mut staged_bytes = 0usize;
         for ci in cg.block_range(nc, ctx.id) {
+            search.scan(ci, &mut candidates);
             // Own center through the cache.
-            let own = {
-                let e = cache.get(&mut ctx.perf, &centers_packed, ci);
-                [e[0], e[1], e[2], e[3]]
-            };
-            let own_center = mdsim::vec3(own[0], own[1], own[2]);
-            let mut neigh: Vec<u32> = Vec::new();
-            grid.for_range(&sys.pbc, own_center, reach_max, |cj| {
-                let cj = cj as usize;
-                if kind == ListKind::Half && cj < ci {
-                    return;
-                }
-                let e = cache.get(&mut ctx.perf, &centers_packed, cj);
-                let other = mdsim::vec3(e[0], e[1], e[2]);
-                let reach = rlist + own[3] + e[3];
-                // Coarse center check: ~12 flops.
-                sw26010::simd::meter::scalar_flops(&mut ctx.perf, 12);
-                if sys.pbc.dist2(own_center, other) <= reach * reach {
-                    // Exact member-pair refinement (same predicate as the
-                    // host builder): candidate member positions come
-                    // through a cached line, then up to 16 checks.
-                    member_cache.get(&mut ctx.perf, &members_packed, cj);
-                    sw26010::simd::meter::scalar_flops(&mut ctx.perf, 16 * 11);
-                    if clusters_in_range(&sys.pbc, &sys.pos, &clustering, ci, cj, rlist) {
-                        neigh.push(cj as u32);
+            cache.get(&mut ctx.perf, centers_packed, ci);
+            let row = neighbors.len();
+            let mut coarse_passes = 0u64;
+            for cand in &candidates {
+                let cj = cand.cluster();
+                cache.get(&mut ctx.perf, centers_packed, cj);
+                if cand.passed_coarse() {
+                    // Exact member-pair refinement: candidate member
+                    // positions come through a cached line.
+                    member_cache.get(&mut ctx.perf, members_packed, cj);
+                    coarse_passes += 1;
+                    if cand.in_range() {
+                        neighbors.push(cj as u32);
                     }
                 }
-            });
-            neigh.sort_unstable();
+            }
+            // Coarse center check: ~12 flops a candidate; refinement: up
+            // to 16 member checks of 11.
+            let flops = 12 * candidates.len() as u64 + 16 * 11 * coarse_passes;
+            sw26010::simd::meter::scalar_flops(&mut ctx.perf, flops);
+            neighbors[row..].sort_unstable();
             // Stage the finished neighbor run to main memory in chunks.
-            staged_bytes += neigh.len() * 4 + 8;
+            staged_bytes += (neighbors.len() - row) * 4 + 8;
             while staged_bytes >= 2048 {
                 DmaEngine::transfer_shared(&mut ctx.perf, Dir::Put, 2048, true);
                 staged_bytes -= 2048;
             }
-            local.push((ci as u32, neigh));
+            row_ends.push(neighbors.len() as u32);
         }
         if staged_bytes > 0 {
             DmaEngine::transfer_shared(&mut ctx.perf, Dir::Put, staged_bytes, true);
         }
-        (local, cache.stats().clone())
+        (neighbors, row_ends, cache.stats().clone())
     });
 
-    // Gather phase: concatenate per-CPE lists in cluster order and build
+    // Gather phase: the CPEs' blocks are contiguous in cluster order, so
+    // concatenating them is the list; rebase each block's row ends into
     // the CSR offsets (the "start and end index" computation).
-    let mut per_cluster: Vec<Vec<u32>> = vec![Vec::new(); nc];
-    let mut hits = 0u64;
-    let mut misses = 0u64;
-    for (local, stats) in calc_results(&run) {
-        for (ci, neigh) in local {
-            per_cluster[*ci as usize] = neigh.clone();
-        }
+    let perf = run.region;
+    let mut offsets = Vec::with_capacity(nc + 1);
+    let mut neighbors = Vec::with_capacity(run.results.iter().map(|r| r.0.len()).sum());
+    offsets.push(0u32);
+    let (mut hits, mut misses) = (0u64, 0u64);
+    for (block, row_ends, stats) in run.results {
+        let base = neighbors.len() as u32;
+        offsets.extend(row_ends.iter().map(|end| base + end));
+        neighbors.extend(block);
         hits += stats.hits;
         misses += stats.misses;
-    }
-    let mut offsets = Vec::with_capacity(nc + 1);
-    let mut neighbors = Vec::new();
-    offsets.push(0u32);
-    for n in &per_cluster {
-        neighbors.extend_from_slice(n);
-        offsets.push(neighbors.len() as u32);
     }
 
     let list = PairList {
@@ -179,7 +152,7 @@ pub fn generate_pairlist(
     };
     PairGenResult {
         list,
-        perf: run.region,
+        perf,
         miss_ratio: if hits + misses == 0 {
             0.0
         } else {
@@ -232,12 +205,6 @@ pub fn grid_walk_miss_study(ways: usize) -> f64 {
     cache.stats().miss_ratio().unwrap_or(0.0)
 }
 
-type CpeLocal = (Vec<(u32, Vec<u32>)>, sw26010::CacheStats);
-
-fn calc_results(run: &sw26010::SpawnResult<CpeLocal>) -> impl Iterator<Item = &CpeLocal> {
-    run.results.iter()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -275,6 +242,95 @@ mod tests {
                 simd_ops: 0,
                 shuffle_ops: 0,
             }
+        );
+    }
+
+    /// Counters and miss ratios at the commit before the search moved
+    /// onto lanes and out from under the meter: the replay over the
+    /// core's candidates charges what the metered walk charged.
+    #[test]
+    fn simulated_cost_is_pinned_across_the_search_rewrite() {
+        let pinned = |sys: &System, rlist, kind, ways, perf: PerfCounters, miss_ratio: f64| {
+            let gen = generate_pairlist(sys, rlist, kind, &CoreGroup::new(), ways);
+            assert_eq!(gen.perf, perf, "{kind:?}, {ways}-way");
+            assert_eq!(gen.miss_ratio, miss_ratio, "{kind:?}, {ways}-way");
+        };
+        let sys = water_box(150, 300.0, 31);
+        // The thrashing direct-mapped center cache.
+        pinned(
+            &sys,
+            1.0,
+            ListKind::Half,
+            1,
+            PerfCounters {
+                cycles: 94757,
+                dma_cycles: 14145,
+                dma_bw_cycles: 15048,
+                gld_cycles: 0,
+                compute_cycles: 75612,
+                dma_transactions: 899,
+                dma_bytes: 254836,
+                gld_ops: 0,
+                gld_bytes: 0,
+                scalar_flops: 1733280,
+                simd_ops: 0,
+                shuffle_ops: 0,
+            },
+            0.0452814219212865,
+        );
+        // No half filter: every candidate of the walk is replayed.
+        pinned(
+            &sys,
+            1.0,
+            ListKind::Full,
+            2,
+            PerfCounters {
+                cycles: 93033,
+                dma_cycles: 11329,
+                dma_bw_cycles: 27704,
+                gld_cycles: 0,
+                compute_cycles: 76704,
+                dma_transactions: 1610,
+                dma_bytes: 472456,
+                gld_ops: 0,
+                gld_bytes: 0,
+                scalar_flops: 3440992,
+                simd_ops: 0,
+                shuffle_ops: 0,
+            },
+            0.041970802919708027,
+        );
+        // Five cells an axis at this radius: the walk culls cells, so
+        // candidate order depends on which survive.
+        let sys = water_box(600, 300.0, 37);
+        let clustering = Clustering::build(&sys.pbc, &sys.pos, 0.5);
+        let search = PairSearch::new(&sys.pbc, &sys.pos, &clustering, 0.5, ListKind::Full);
+        let mut candidates = Vec::new();
+        search.scan(0, &mut candidates);
+        assert!(
+            candidates.len() < clustering.n_clusters,
+            "no cell was culled"
+        );
+        pinned(
+            &sys,
+            0.5,
+            ListKind::Half,
+            2,
+            PerfCounters {
+                cycles: 581118,
+                dma_cycles: 385214,
+                dma_bw_cycles: 302751,
+                gld_cycles: 0,
+                compute_cycles: 190904,
+                dma_transactions: 23890,
+                dma_bytes: 3627832,
+                gld_ops: 0,
+                gld_bytes: 0,
+                scalar_flops: 5568696,
+                simd_ops: 0,
+                shuffle_ops: 0,
+            },
+            0.15460671282146055,
         );
     }
 

@@ -75,9 +75,7 @@ impl CellGrid {
 
     /// Point indices stored in cell `c`.
     pub fn cell_items(&self, c: usize) -> &[u32] {
-        let lo = self.heads[c] as usize;
-        let hi = self.heads[c + 1] as usize;
-        &self.items[lo..hi]
+        &self.items[self.cell_range(c)]
     }
 
     /// Linear cell index from 3-D cell coordinates (wrapped periodically).
@@ -130,8 +128,14 @@ impl CellGrid {
 
     /// A spatial sort permutation: point indices ordered by cell, then by
     /// original index within the cell.
-    pub fn spatial_order(&self) -> Vec<u32> {
-        self.items.clone()
+    pub fn spatial_order(&self) -> &[u32] {
+        &self.items
+    }
+
+    /// Index range of cell `c` in [`CellGrid::spatial_order`]; ascending
+    /// point indices within a cell.
+    pub fn cell_range(&self, c: usize) -> std::ops::Range<usize> {
+        self.heads[c] as usize..self.heads[c + 1] as usize
     }
 
     /// Visit every point in cells whose minimum distance to `p` is at
@@ -140,6 +144,16 @@ impl CellGrid {
     /// whose nearest face is beyond `range`, so the candidate volume
     /// tracks the search sphere instead of 27 oversized cells.
     pub fn for_range(&self, pbc: &PbcBox, p: Vec3, range: f32, mut f: impl FnMut(u32)) {
+        for c in self.cells_in_range(pbc, p, range) {
+            for &it in self.cell_items(c) {
+                f(it);
+            }
+        }
+    }
+
+    /// The cell walk of [`CellGrid::for_range`]: each visited cell's
+    /// linear index, once, in visit order.
+    pub fn cells_in_range(&self, pbc: &PbcBox, p: Vec3, range: f32) -> Vec<usize> {
         let c = self.cell_coords(pbc, p);
         let w = pbc.wrap(p);
         let l = pbc.lengths();
@@ -163,34 +177,40 @@ impl CellGrid {
             let d2 = (lo - x).rem_euclid(lx);
             d1.min(d2)
         };
-        let mut seen = Vec::with_capacity(((2 * rx + 1) * (2 * ry + 1) * (2 * rz + 1)) as usize);
-        for dx in -rx..=rx {
-            let gx = axis_gap(w.x, c[0] as isize + dx, self.dims[0], l.x);
+        // A gap and a wrapped cell coordinate depend on their own axis
+        // only: one of each per ring offset.
+        let ring = |x: f32, c: usize, d: usize, lx: f32, r: isize| -> Vec<(f32, usize)> {
+            (-r..=r)
+                .map(|o| {
+                    let ci = c as isize + o;
+                    (axis_gap(x, ci, d, lx), ci.rem_euclid(d as isize) as usize)
+                })
+                .collect()
+        };
+        let ring_x = ring(w.x, c[0], self.dims[0], l.x, rx);
+        let ring_y = ring(w.y, c[1], self.dims[1], l.y, ry);
+        let ring_z = ring(w.z, c[2], self.dims[2], l.z, rz);
+        let mut cells = Vec::with_capacity(ring_x.len() * ring_y.len() * ring_z.len());
+        for &(gx, cx) in &ring_x {
             if gx > range {
                 continue;
             }
-            for dy in -ry..=ry {
-                let gy = axis_gap(w.y, c[1] as isize + dy, self.dims[1], l.y);
+            for &(gy, cy) in &ring_y {
                 if gx * gx + gy * gy > range * range {
                     continue;
                 }
-                for dz in -rz..=rz {
-                    let gz = axis_gap(w.z, c[2] as isize + dz, self.dims[2], l.z);
+                for &(gz, cz) in &ring_z {
                     if gx * gx + gy * gy + gz * gz > range * range {
                         continue;
                     }
-                    let idx =
-                        self.cell_index(c[0] as isize + dx, c[1] as isize + dy, c[2] as isize + dz);
-                    if seen.contains(&idx) {
-                        continue;
-                    }
-                    seen.push(idx);
-                    for &it in self.cell_items(idx) {
-                        f(it);
+                    let idx = (cx * self.dims[1] + cy) * self.dims[2] + cz;
+                    if !cells.contains(&idx) {
+                        cells.push(idx);
                     }
                 }
             }
         }
+        cells
     }
 }
 
@@ -330,7 +350,7 @@ mod tests {
             .map(|i| vec3((i as f32 * 0.7) % 3.0, (i as f32 * 0.9) % 3.0, 0.5))
             .collect();
         let g = CellGrid::build(&pbc, &pts, 1.0);
-        let mut order = g.spatial_order();
+        let mut order = g.spatial_order().to_vec();
         order.sort_unstable();
         let expect: Vec<u32> = (0..50).collect();
         assert_eq!(order, expect);

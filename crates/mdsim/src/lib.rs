@@ -51,6 +51,7 @@ pub mod math;
 pub mod minimize;
 pub mod nonbonded;
 pub mod pairlist;
+pub mod pairsearch;
 pub mod pbc;
 pub mod pme;
 pub mod system;

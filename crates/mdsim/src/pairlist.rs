@@ -19,7 +19,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::{Clustering, CLUSTER_SIZE, FILLER};
-use crate::grid::CellGrid;
+use crate::pairsearch::PairSearch;
 use crate::pbc::PbcBox;
 use crate::system::System;
 use crate::vec3::Vec3;
@@ -57,13 +57,8 @@ impl PairList {
     }
 
     /// Build over an existing clustering (used when the caller controls
-    /// particle ordering).
-    ///
-    /// Candidates come from a coarse center-distance test
-    /// (`d <= rlist + r_i + r_j`) over a cell grid, then are pruned with
-    /// the exact member-pair criterion of [`clusters_in_range`] — the
-    /// same two-stage search GROMACS performs, without which the list
-    /// carries several times more cluster pairs than the kernel needs.
+    /// particle ordering): the clusters [`PairSearch`] finds in range of
+    /// each outer cluster, in ascending order.
     pub fn build_with_clustering(
         pbc: &PbcBox,
         pos: &[Vec3],
@@ -71,37 +66,22 @@ impl PairList {
         rlist: f32,
         kind: ListKind,
     ) -> Self {
+        let search = PairSearch::new(pbc, pos, &clustering, rlist, kind);
         let nc = clustering.n_clusters;
-        let centers: Vec<Vec3> = (0..nc).map(|c| clustering.center(pbc, pos, c)).collect();
-        let radii: Vec<f32> = (0..nc)
-            .map(|c| clustering.radius(pbc, pos, c, centers[c]))
-            .collect();
-        let max_radius = radii.iter().cloned().fold(0.0f32, f32::max);
-        let reach_max = rlist + 2.0 * max_radius;
-        // Fine grid + ranged search: candidate volume tracks the search
-        // sphere instead of 27 coarse cells.
-        let grid = CellGrid::build(pbc, &centers, (reach_max / 2.0).max(0.4));
-
         let mut offsets = Vec::with_capacity(nc + 1);
         let mut neighbors = Vec::new();
         offsets.push(0u32);
-        let mut scratch: Vec<u32> = Vec::new();
+        let mut candidates = Vec::new();
         for ci in 0..nc {
-            scratch.clear();
-            grid.for_range(pbc, centers[ci], reach_max, |cj| {
-                let cj = cj as usize;
-                if kind == ListKind::Half && cj < ci {
-                    return;
-                }
-                let reach = rlist + radii[ci] + radii[cj];
-                if pbc.dist2(centers[ci], centers[cj]) <= reach * reach
-                    && clusters_in_range(pbc, pos, &clustering, ci, cj, rlist)
-                {
-                    scratch.push(cj as u32);
-                }
-            });
-            scratch.sort_unstable();
-            neighbors.extend_from_slice(&scratch);
+            search.scan(ci, &mut candidates);
+            let row = neighbors.len();
+            neighbors.extend(
+                candidates
+                    .iter()
+                    .filter(|c| c.in_range())
+                    .map(|c| c.cluster() as u32),
+            );
+            neighbors[row..].sort_unstable();
             offsets.push(neighbors.len() as u32);
         }
         Self {
@@ -182,9 +162,9 @@ impl PairList {
 }
 
 /// Exact cluster-pair inclusion test: true iff any member pair of the
-/// two clusters is within `rlist` (minimum image). Shared between the
-/// host list builder and the simulated CPE generation so both produce
-/// identical lists.
+/// two clusters is within `rlist` (minimum image). The scalar statement
+/// of what [`PairSearch`] computes on lanes, kept as the oracle its
+/// tests compare against.
 pub fn clusters_in_range(
     pbc: &PbcBox,
     pos: &[Vec3],

@@ -1,6 +1,7 @@
 //! Periodic boundary conditions for a rectangular simulation box.
 
 use serde::{Deserialize, Serialize};
+use wide::Lanes8;
 
 use crate::vec3::{vec3, Vec3};
 
@@ -47,6 +48,24 @@ impl PbcBox {
         d
     }
 
+    /// [`PbcBox::min_image`] of eight raw displacements `a - b` at once.
+    ///
+    /// Returns the imaged components and an `inexact` lane mask. A lane
+    /// whose mask is clear holds exactly the scalar result: the quotient
+    /// is the same lane division, and for `|q| < 1.5` the product
+    /// `len * q.round()` is `±len` from `±0.5` outwards (ties round away
+    /// from zero) and otherwise a zero of `q`'s sign — which is `d`'s,
+    /// edges being positive. A set lane (`|q| >= 1.5` on some axis) must
+    /// be recomputed with the scalar form. Lanes that are NaN on an axis
+    /// come out NaN on it and may report either way.
+    #[inline(always)]
+    pub fn min_image8<L: Lanes8>(&self, isa: L::Isa, d: [L; 3]) -> ([L; 3], L) {
+        let (x, qx) = min_image_axis8(isa, d[0], self.lengths.x);
+        let (y, qy) = min_image_axis8(isa, d[1], self.lengths.y);
+        let (z, qz) = min_image_axis8(isa, d[2], self.lengths.z);
+        ([x, y, z], le8(L::splat(isa, 1.5), qx.max(qy).max(qz)))
+    }
+
     /// Squared minimum-image distance between `a` and `b`.
     #[inline]
     pub fn dist2(&self, a: Vec3, b: Vec3) -> f32 {
@@ -78,6 +97,24 @@ impl PbcBox {
     }
 }
 
+/// `a <= b` as a lane mask; false on NaN.
+#[inline(always)]
+pub(crate) fn le8<L: Lanes8>(a: L, b: L) -> L {
+    a.cmp_lt(b) | a.cmp_eq(b)
+}
+
+/// One axis of [`PbcBox::min_image8`]: the imaged component and `|q|`.
+#[inline(always)]
+fn min_image_axis8<L: Lanes8>(isa: L::Isa, d: L, len: f32) -> (L, L) {
+    let (len, half) = (L::splat(isa, len), L::splat(isa, 0.5));
+    let q = d / len;
+    let zero = d & L::splat(isa, -0.0);
+    let step = q
+        .cmp_lt(half)
+        .blend((-half).cmp_lt(q).blend(zero, -len), len);
+    (d - step, q.max(-q))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,6 +126,60 @@ mod tests {
         assert!((d.x - (-1.0)).abs() < 1e-6);
         let d2 = b.min_image(vec3(3.0, 0.0, 0.0), vec3(1.0, 0.0, 0.0));
         assert!((d2.x - 2.0).abs() < 1e-6);
+    }
+
+    fn min_image8_matches_scalar<L: Lanes8>(isa: L::Isa) {
+        let b = PbcBox::new(3.0, 2.5, 1.7);
+        // Around every threshold of the select, zeros of both signs, and
+        // far enough out that the lanes must report `inexact`.
+        let probes = [
+            0.0,
+            -0.0,
+            1e-30,
+            0.3,
+            -0.7,
+            0.5,
+            -0.5,
+            0.49999997,
+            -0.50000006,
+            1.0,
+            -1.0,
+            1.4999999,
+            -1.4999999,
+            1.5,
+            -1.5,
+            2.75,
+            -40.0,
+        ];
+        let origin = vec3(0.0, 0.0, 0.0);
+        for (i, &qx) in probes.iter().enumerate() {
+            let lanes: [Vec3; 8] = std::array::from_fn(|k| {
+                let at = |j: usize| probes[(i + j * (k + 1)) % probes.len()];
+                vec3(qx * 3.0, at(1) * 2.5, at(2) * 1.7)
+            });
+            let column = |f: fn(Vec3) -> f32| L::from_array(isa, lanes.map(f));
+            let (d, inexact) =
+                b.min_image8(isa, [column(|v| v.x), column(|v| v.y), column(|v| v.z)]);
+            let [x, y, z] = d.map(L::to_array);
+            for (k, &raw) in lanes.iter().enumerate() {
+                let want = b.min_image(raw, origin);
+                let q_max = (raw.x / 3.0)
+                    .abs()
+                    .max((raw.y / 2.5).abs())
+                    .max((raw.z / 1.7).abs());
+                assert_eq!(inexact.movemask() >> k & 1 == 1, q_max >= 1.5, "{raw:?}");
+                if q_max < 1.5 {
+                    let got = [x[k], y[k], z[k]].map(f32::to_bits);
+                    let want = [want.x, want.y, want.z].map(f32::to_bits);
+                    assert_eq!(got, want, "{} lanes, {raw:?}", L::NAME);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn min_image8_is_the_scalar_min_image_wherever_it_says_so() {
+        wide::for_each_lanes8!(min_image8_matches_scalar);
     }
 
     #[test]

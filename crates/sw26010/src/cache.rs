@@ -16,7 +16,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::bitmap::BitMap;
-use crate::dma::{Dir, DmaEngine};
+use crate::dma::{Dir, DmaEngine, SharedPrice};
 use crate::perf::PerfCounters;
 
 /// Hit/miss statistics for one cache instance.
@@ -246,6 +246,13 @@ pub struct ReadCache {
     /// Per-set LRU bit for 2-way: index of the way to evict next.
     lru: Vec<u8>,
     data: Vec<f32>,
+    /// Price of one line fill, misaligned and aligned, once a miss has
+    /// asked for it.
+    fill_price: [Option<SharedPrice>; 2],
+    /// Backing-line number of the latest access and the first word of the
+    /// slot it sits in. That line is always resident, and in a 2-way set
+    /// it is already the one to keep.
+    latest: (usize, usize),
     stats: CacheStats,
     trace_id: u64,
     binding: Option<crate::trace::Binding>,
@@ -259,6 +266,8 @@ impl ReadCache {
             tags: vec![INVALID; geo.n_sets * geo.ways],
             lru: vec![0; geo.n_sets],
             data: vec![0.0; geo.n_sets * geo.ways * geo.line_words()],
+            fill_price: [None; 2],
+            latest: (usize::MAX, 0),
             stats: CacheStats::for_sets(geo.n_sets),
             trace_id: crate::trace::next_cache_id(),
             binding: None,
@@ -309,10 +318,18 @@ impl ReadCache {
         idx: usize,
     ) -> &'a [f32] {
         let (tag, set, offset) = self.geo.decompose(idx);
-        let way = self.lookup_or_fill(perf, backing, tag, set, idx);
-        let lw = self.geo.line_words();
         let ew = self.geo.elem_words;
-        let base = (set * self.geo.ways + way) * lw + offset * ew;
+        let line = self.geo.line_number(idx);
+        // A run of accesses to one line (neighbors have nearby indices)
+        // hits without probing: nothing about the set changes.
+        if line == self.latest.0 {
+            self.stats.hits += 1;
+        } else {
+            let way = self.lookup_or_fill(perf, backing, tag, set, idx);
+            let slot = (set * self.geo.ways + way) * self.geo.line_words();
+            self.latest = (line, slot);
+        }
+        let base = self.latest.1 + offset * ew;
         &self.data[base..base + ew]
     }
 
@@ -350,16 +367,14 @@ impl ReadCache {
         let line_base_elem = self.geo.line_base(idx);
         let word_base = line_base_elem * self.geo.elem_words;
         let lw = self.geo.line_words();
-        match self.binding {
-            Some(b) => DmaEngine::transfer_shared_at(
-                perf,
-                Dir::Get,
-                b.region,
-                (b.base_words + word_base) * 4,
-                self.geo.line_bytes(),
-            ),
-            None => DmaEngine::transfer_shared(perf, Dir::Get, self.geo.line_bytes(), true),
-        }
+        let at = self
+            .binding
+            .map(|b| (b.region, (b.base_words + word_base) * 4));
+        let aligned = at.is_none_or(|(_, byte_off)| DmaEngine::is_aligned(byte_off));
+        let line_bytes = self.geo.line_bytes();
+        let price = *self.fill_price[aligned as usize]
+            .get_or_insert_with(|| DmaEngine::price_shared(line_bytes, aligned));
+        DmaEngine::transfer_shared_priced(perf, Dir::Get, at, price);
         let range = self.slot_range(set, victim);
         let src_end = (word_base + lw).min(backing.len());
         let n = src_end.saturating_sub(word_base);

@@ -19,6 +19,18 @@ pub enum Dir {
     Put,
 }
 
+/// What one shared transfer of `size` bytes costs its issuer
+/// ([`DmaEngine::price_shared`]).
+#[derive(Debug, Clone, Copy)]
+pub struct SharedPrice {
+    size: usize,
+    aligned: bool,
+    /// Latency plus streaming at the single-CPE bandwidth cap.
+    cycles: u64,
+    /// The transfer's share of the core group's memory system.
+    bw_cycles: u64,
+}
+
 /// Stateless DMA engine; all state lives in the caller's counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DmaEngine;
@@ -121,12 +133,7 @@ impl DmaEngine {
     ///   (see `CoreGroup::spawn`), which is what "achieving peak DMA
     ///   bandwidth" means in the paper.
     pub fn transfer_shared(perf: &mut PerfCounters, dir: Dir, size: usize, aligned: bool) {
-        if size == 0 {
-            return;
-        }
-        Self::shared_cost(perf, size, aligned);
-        Self::meter(dir, size, aligned);
-        crate::trace::emit_dma(dir, None, 0, size, aligned, true);
+        Self::transfer_shared_priced(perf, dir, None, Self::price_shared(size, aligned));
     }
 
     /// Address-aware variant of [`Self::transfer_shared`]: the transfer
@@ -143,14 +150,30 @@ impl DmaEngine {
         byte_off: usize,
         size: usize,
     ) {
+        let price = Self::price_shared(size, Self::is_aligned(byte_off));
+        Self::transfer_shared_priced(perf, dir, Some((region, byte_off)), price);
+    }
+
+    /// [`Self::transfer_shared`] (`at` absent) or
+    /// [`Self::transfer_shared_at`] (`at` = region and byte offset) at a
+    /// price worked out beforehand: a caller that repeats one transfer
+    /// shape — a cache filling lines — prices it once.
+    pub fn transfer_shared_priced(
+        perf: &mut PerfCounters,
+        dir: Dir,
+        at: Option<(crate::trace::RegionId, usize)>,
+        price: SharedPrice,
+    ) {
+        let SharedPrice { size, aligned, .. } = price;
         if size == 0 {
             return;
         }
-        let aligned = Self::is_aligned(byte_off);
-        Self::shared_cost(perf, size, aligned);
+        Self::charge_shared(perf, price);
         Self::meter(dir, size, aligned);
-        crate::trace::emit_dma(dir, Some(region), byte_off, size, aligned, true);
-        if dir == Dir::Put {
+        let (region, byte_off) = at.unzip();
+        let byte_off = byte_off.unwrap_or(0);
+        crate::trace::emit_dma(dir, region, byte_off, size, aligned, true);
+        if let (Dir::Put, Some(region)) = (dir, region) {
             crate::trace::shared_write(region, byte_off / 4, (byte_off + size).div_ceil(4));
         }
     }
@@ -177,7 +200,7 @@ impl DmaEngine {
             return DmaHandle { id: 0 };
         }
         let aligned = Self::is_aligned(byte_off);
-        Self::shared_cost(perf, size, aligned);
+        Self::charge_shared(perf, Self::price_shared(size, aligned));
         Self::meter(dir, size, aligned);
         let id = crate::trace::emit_dma(dir, Some(region), byte_off, size, aligned, false);
         if dir == Dir::Put {
@@ -225,22 +248,31 @@ impl DmaEngine {
         }
     }
 
-    /// Roofline composition shared by `transfer_shared{,_at}`.
-    fn shared_cost(perf: &mut PerfCounters, size: usize, aligned: bool) {
+    /// Roofline composition of one shared transfer: a function of its
+    /// size and alignment only.
+    pub fn price_shared(size: usize, aligned: bool) -> SharedPrice {
         use crate::params::{DMA_LATENCY_CYCLES, SINGLE_CPE_DMA_GBS};
         let mut gbs = dma_bandwidth_gbs(size).min(SINGLE_CPE_DMA_GBS);
         if !aligned {
             gbs /= MISALIGN_PENALTY;
         }
-        let cycles = DMA_LATENCY_CYCLES + params::ns_to_cycles(size as f64 / gbs);
-        if swfault::enabled() {
-            Self::inject_faults(perf, cycles);
+        SharedPrice {
+            size,
+            aligned,
+            cycles: DMA_LATENCY_CYCLES + params::ns_to_cycles(size as f64 / gbs),
+            bw_cycles: Self::transfer_cycles_aligned(size, aligned),
         }
-        perf.cycles += cycles;
-        perf.dma_cycles += cycles;
+    }
+
+    fn charge_shared(perf: &mut PerfCounters, price: SharedPrice) {
+        if swfault::enabled() {
+            Self::inject_faults(perf, price.cycles);
+        }
+        perf.cycles += price.cycles;
+        perf.dma_cycles += price.cycles;
         perf.dma_transactions += 1;
-        perf.dma_bytes += size as u64;
-        perf.dma_bw_cycles += Self::transfer_cycles_aligned(size, aligned);
+        perf.dma_bytes += price.size as u64;
+        perf.dma_bw_cycles += price.bw_cycles;
     }
 
     /// Whether a byte offset satisfies the 128-bit alignment rule of §3.7.

@@ -162,8 +162,21 @@ fn main() {
         BufferedWriter::new(File::create(path).unwrap_or_else(|e| die(&format!("{path}: {e}"))))
     });
     let report_every = (args.steps / 10).max(1);
+    // Host time of the steps that rebuild the pair list, and of the rest.
+    let nstlist = engine.config().nstlist;
+    let (mut rebuild_steps, mut rebuild_ms, mut other_ms) = (0usize, 0.0f64, 0.0f64);
     for step in 0..args.steps {
+        // swrace: allow(SWC006) host wall clock for the closing report;
+        // never reaches physics or the simulated breakdown.
+        let t0 = std::time::Instant::now();
         let en = engine.step();
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        if step.is_multiple_of(nstlist) {
+            rebuild_steps += 1;
+            rebuild_ms += ms;
+        } else {
+            other_ms += ms;
+        }
         if step % report_every == 0 {
             println!(
                 "  step {step:>7}: T = {:>6.1} K, E_pot = {:>12.1} kJ/mol",
@@ -182,6 +195,21 @@ fn main() {
         println!("trajectory written to {}", args.traj.as_deref().unwrap());
     }
     print_breakdown(&engine.breakdown, engine.total_ms(), args.steps);
+    if args.backend == BackendSel::Native {
+        // What a rebuild costs is what its step takes beyond a step
+        // that keeps the list.
+        let other_steps = args.steps - rebuild_steps;
+        let per_other = other_ms / other_steps.max(1) as f64;
+        let in_rebuilds = (rebuild_ms - rebuild_steps as f64 * per_other).max(0.0);
+        let host_ms = rebuild_ms + other_ms;
+        println!(
+            "\nnative host time: {host_ms:.1} ms, of which {in_rebuilds:.1} ms ({:.1}%) in {rebuild_steps} \
+             list rebuilds ({:.2} ms each) and {:.1} ms in the rest ({per_other:.2} ms a step)",
+            100.0 * in_rebuilds / host_ms.max(f64::MIN_POSITIVE),
+            in_rebuilds / rebuild_steps.max(1) as f64,
+            host_ms - in_rebuilds,
+        );
+    }
 
     // gmx-style closing line: simulated ns/day.
     let ps_simulated = args.steps as f64 * engine.config().dt as f64;

@@ -98,3 +98,43 @@ fn ions_feel_strong_coulomb_forces() {
         .iter()
         .all(|f| f.norm().is_finite()));
 }
+
+/// The lowering takes a shortcut for cluster pairs that share no
+/// molecule; on a system whose molecules straddle clusters, with ions
+/// between them and fillers padding every cell, each mask must still be
+/// the per-member-pair conditions.
+#[test]
+fn masks_equal_the_per_pair_reference_across_cluster_boundaries() {
+    use sw_gromacs::mdsim::FILLER;
+    let sys = saline_box(700, 24, 300.0, 5);
+    for kind in [ListKind::Half, ListKind::Full] {
+        let list = PairList::build(&sys, 0.7, kind);
+        let cpe = CpePairList::build(&sys, &list);
+        let (mut crossing, mut fillers) = (0, 0);
+        for ci in 0..list.n_clusters() {
+            let mi = list.clustering.members(ci);
+            for (e, &cj) in cpe.entries_of(ci).zip(list.neighbors_of(ci)) {
+                let mj = list.clustering.members(cj as usize);
+                let mut want = 0u16;
+                for (ai, &a) in mi.iter().enumerate() {
+                    for (bj, &b) in mj.iter().enumerate() {
+                        if a == FILLER || b == FILLER {
+                            fillers += 1;
+                            continue;
+                        }
+                        let excluded = sys.is_excluded(a as usize, b as usize);
+                        crossing += (excluded && cj as usize != ci) as usize;
+                        let counted_as_mirror =
+                            kind == ListKind::Half && cj as usize == ci && bj <= ai;
+                        if a != b && !excluded && !counted_as_mirror {
+                            want |= 1 << (ai * 4 + bj);
+                        }
+                    }
+                }
+                assert_eq!(cpe.masks[e], want, "{kind:?} entry {e} ({ci}, {cj})");
+            }
+        }
+        assert!(crossing > 100, "{crossing} exclusions cross clusters");
+        assert!(fillers > 100, "{fillers} filler slots");
+    }
+}
