@@ -3,16 +3,19 @@
 //! it, and the dispatch seam that routes a kernel variant to one of the
 //! two substrates.
 //!
-//! The [`MeteredBackend`] runs its CPE "lanes" under the cycle meter
-//! through `CoreGroup::spawn`. The lanes do run on host threads (dealt
-//! round-robin, lane `l` on thread `l % threads`), but no lane can see
-//! another: each meters into a private per-lane context, the kernel
-//! closures are `Fn + Sync` over plain shared data (no locks, no
-//! atomics), and results, counters and forces are merged in lane order
-//! after the join. Cycles and physics are therefore the same at any host thread
-//! count, which is what [`Concurrency::Sequential`] declares. The
-//! [`NativeBackend`] (persistent pool, real SIMD) gets no such
-//! guarantee from a model and has to pin every ordering in its kernels:
+//! Both substrates run their 64 lanes on one executor, the
+//! [`LanePool`] of the [`CoreGroup`] a backend holds: the thread that
+//! calls [`KernelBackend::run`] plus the pool's parked workers, each
+//! claiming lanes from one counter. The [`MeteredBackend`] runs them
+//! under the cycle meter through `CoreGroup::spawn`. Its lanes do run
+//! on host threads, but no lane can see another: each meters into a
+//! private per-lane context, the kernel closures are `Fn + Sync` over
+//! plain shared data (no locks, no atomics), and results, counters and
+//! forces are merged in lane order after the join. Cycles and physics
+//! are therefore the same at any host thread count, which is what
+//! [`Concurrency::Sequential`] declares. The [`NativeBackend`] (the same
+//! pool, real SIMD, no meter) gets no such guarantee from a model and
+//! has to pin every ordering in its kernels:
 //! the 64 lanes genuinely interleave, and any hidden ordering
 //! assumption becomes a heisenbug. This module is the gate between the
 //! two worlds. A backend earns the right to carry physics by producing
@@ -26,7 +29,7 @@
 //! certificate without a dependency cycle.
 
 use mdsim::nonbonded::NbParams;
-use sw26010::{CoreGroup, NativePool};
+use sw26010::{CoreGroup, LanePool};
 
 use crate::check::Variant;
 use crate::cpelist::CpePairList;
@@ -164,18 +167,17 @@ pub fn assert_certified<B: CertifiedBackend>(backend: &B) {
 /// The in-tree simulated backend: isolated lanes merged in lane order,
 /// every instruction charged to the cycle meter. This is the substrate
 /// all the paper-figure experiments run on.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MeteredBackend;
-
-/// Former name of [`MeteredBackend`], kept for downstream code.
-pub type SimulatedBackend = MeteredBackend;
+#[derive(Debug, Default)]
+pub struct MeteredBackend {
+    cg: CoreGroup,
+}
 
 impl MeteredBackend {
     /// The backend as shipped (no certificate attached yet — tests and
     /// the `swcheck certify` CLI mint one and wrap it in
     /// [`Certified`]).
     pub fn new() -> Self {
-        Self
+        Self::default()
     }
 }
 
@@ -189,49 +191,47 @@ impl KernelBackend for MeteredBackend {
     }
 
     fn run(&self, variant: Variant, input: KernelInput<'_>) -> KernelResult {
-        // A fresh CoreGroup is stateless ({n_cpes}), so per-call
-        // construction keeps the output bit-identical to a shared one.
-        let cg = CoreGroup::new();
+        let cg = &self.cg;
         match variant {
-            Variant::Ori => run_ori(input.psys, input.list, input.params, &cg),
-            Variant::GldNaive => run_gld_naive(input.psys, input.list, input.params, &cg),
-            Variant::Rma => run_rma(input.psys, input.list, input.params, &cg, RmaConfig::MARK),
-            Variant::Rca => run_rca(input.psys, input.list, input.params, &cg),
-            Variant::Ustc => run_ustc(input.psys, input.list, input.params, &cg),
+            Variant::Ori => run_ori(input.psys, input.list, input.params, cg),
+            Variant::GldNaive => run_gld_naive(input.psys, input.list, input.params, cg),
+            Variant::Rma => run_rma(input.psys, input.list, input.params, cg, RmaConfig::MARK),
+            Variant::Rca => run_rca(input.psys, input.list, input.params, cg),
+            Variant::Ustc => run_ustc(input.psys, input.list, input.params, cg),
         }
     }
 }
 
-/// The native backend: the cluster kernels' 64 lanes run on a
-/// persistent OS-thread pool with the 8-wide SIMD inner loop
+/// The native backend: the cluster kernels' 64 lanes run on the core
+/// group's host threads with the 8-wide SIMD inner loop
 /// (`kernels::native`, instantiated on the widest lane implementation
 /// the host offers — see [`NativeBackend::lanes`]), unmetered. The `Ori`/`GldNaive` baselines have
 /// no lane parallelism worth owning natively and delegate to the
 /// metered path (bit-identical to [`MeteredBackend`] for those
 /// variants).
+#[derive(Debug, Default)]
 pub struct NativeBackend {
-    pool: NativePool,
+    cg: CoreGroup,
 }
 
 impl NativeBackend {
     /// Pool sized to the host.
     pub fn new() -> Self {
-        Self {
-            pool: NativePool::new(),
-        }
+        Self::default()
     }
 
-    /// Pool with exactly `n_threads` workers; the physics is identical
-    /// at every thread count (see `kernels::native`).
+    /// Pool of exactly `n_threads` host threads, the one that calls
+    /// [`KernelBackend::run`] counted; the physics is identical at every
+    /// thread count (see `kernels::native`).
     pub fn with_threads(n_threads: usize) -> Self {
         Self {
-            pool: NativePool::with_threads(n_threads),
+            cg: CoreGroup::with_threads(n_threads),
         }
     }
 
     /// The lane pool (for diagnostics).
-    pub fn pool(&self) -> &NativePool {
-        &self.pool
+    pub fn pool(&self) -> &LanePool {
+        self.cg.pool()
     }
 
     /// The SIMD lane implementation the cluster kernels run on on this
@@ -240,12 +240,6 @@ impl NativeBackend {
     /// physics is bit-identical on all three).
     pub fn lanes() -> &'static str {
         LaneImpl::detect().name()
-    }
-}
-
-impl Default for NativeBackend {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -259,14 +253,13 @@ impl KernelBackend for NativeBackend {
     }
 
     fn run(&self, variant: Variant, input: KernelInput<'_>) -> KernelResult {
+        let pool = self.cg.pool();
         match variant {
-            Variant::Ori => run_ori(input.psys, input.list, input.params, &CoreGroup::new()),
-            Variant::GldNaive => {
-                run_gld_naive(input.psys, input.list, input.params, &CoreGroup::new())
-            }
-            Variant::Rma => run_rma_native(input.psys, input.list, input.params, &self.pool),
-            Variant::Rca => run_rca_native(input.psys, input.list, input.params, &self.pool),
-            Variant::Ustc => run_ustc_native(input.psys, input.list, input.params, &self.pool),
+            Variant::Ori => run_ori(input.psys, input.list, input.params, &self.cg),
+            Variant::GldNaive => run_gld_naive(input.psys, input.list, input.params, &self.cg),
+            Variant::Rma => run_rma_native(input.psys, input.list, input.params, pool),
+            Variant::Rca => run_rca_native(input.psys, input.list, input.params, pool),
+            Variant::Ustc => run_ustc_native(input.psys, input.list, input.params, pool),
         }
     }
 }
@@ -326,6 +319,16 @@ impl AnyBackend {
         match sel {
             BackendSel::Metered => AnyBackend::Metered(MeteredBackend::new()),
             BackendSel::Native => AnyBackend::Native(NativeBackend::new()),
+        }
+    }
+
+    /// The core group the backend's lanes run on. Whatever else its
+    /// owner spawns belongs on it too (the engine's pair search and
+    /// bonded kernel do), so that one set of host threads serves it all.
+    pub fn core_group(&self) -> &CoreGroup {
+        match self {
+            AnyBackend::Metered(b) => &b.cg,
+            AnyBackend::Native(b) => &b.cg,
         }
     }
 

@@ -23,8 +23,6 @@ use mdsim::nonbonded::{NbEnergies, NbParams};
 use mdsim::pairlist::{ListKind, PairList};
 use mdsim::system::System;
 use mdsim::water::{theta_hoh, D_OH};
-use serde::Serialize;
-use sw26010::cg::CoreGroup;
 use sw26010::perf::{Breakdown, PerfCounters};
 use swnet::{NetParams, Topology, Transport};
 
@@ -37,7 +35,7 @@ use crate::package::{PackageLayout, PackedSystem};
 use crate::pairgen;
 
 /// Fig. 10 optimization versions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Version {
     /// Unoptimized MPE-only port.
     Ori,
@@ -181,8 +179,9 @@ pub struct Engine {
     /// and exclusions when the pair list is rebuilt.
     pub sys: System,
     config: EngineConfig,
+    /// The force kernels' substrate; the list and bonded kernels spawn
+    /// on its core group, so one engine has one set of host threads.
     backend: AnyBackend,
-    cg: CoreGroup,
     lists: Option<ListState>,
     /// Pre-update positions SHAKE constrains against (reused buffer).
     old_pos: Vec<mdsim::Vec3>,
@@ -238,7 +237,6 @@ impl Engine {
             sys,
             backend: AnyBackend::of(config.backend),
             config,
-            cg: CoreGroup::new(),
             lists: None,
             old_pos: Vec::new(),
             constraints,
@@ -297,7 +295,7 @@ impl Engine {
                 &self.sys,
                 self.config.rlist,
                 ListKind::Half,
-                &self.cg,
+                self.backend.core_group(),
                 2,
             );
             swprof::tick(gen.perf.cycles);
@@ -340,7 +338,7 @@ impl Engine {
         let lists = self.lists.as_ref().expect("rebuilt or refreshed above");
         let pack_perf = PerfCounters {
             // One streaming pass over the particle data on CPEs.
-            cycles: (self.sys.n() as u64 * 20) / self.cg.n_cpes as u64 + 2_000,
+            cycles: (self.sys.n() as u64 * 20) / self.backend.core_group().n_cpes as u64 + 2_000,
             ..Default::default()
         };
         charge(&mut self.breakdown, "NB X/F buffer ops", pack_perf);
@@ -440,7 +438,7 @@ impl Engine {
             let fft_flops = 10 * k * k * k * (3 * k.ilog2() as u64);
             let spread_gather = 2 * n * 64 * 6;
             let pme_perf = PerfCounters {
-                cycles: (fft_flops + spread_gather) / self.cg.n_cpes as u64,
+                cycles: (fft_flops + spread_gather) / self.backend.core_group().n_cpes as u64,
                 ..Default::default()
             };
             swprof::tick(pme_perf.cycles);
@@ -475,7 +473,7 @@ impl Engine {
                 );
             } else {
                 let span = swprof::span("Bonded");
-                let out = crate::kernels::run_bonded_cpe(&self.sys, &self.cg);
+                let out = crate::kernels::run_bonded_cpe(&self.sys, self.backend.core_group());
                 swprof::tick(out.total.cycles);
                 drop(span);
                 for (i, f) in out.forces.iter().enumerate() {
@@ -778,7 +776,7 @@ mod tests {
 
     #[test]
     fn list_state_equals_a_fresh_lowering_on_every_step() {
-        let cg = CoreGroup::new();
+        let cg = sw26010::CoreGroup::new();
         for backend in [BackendSel::Metered, BackendSel::Native] {
             let mut e = Engine::new(straddling_box(), short_list_config(backend));
             let (nstlist, rlist) = (e.config().nstlist, e.config().rlist);

@@ -18,8 +18,6 @@
 
 use std::io::{self, Write};
 
-use bytes::{BufMut, BytesMut};
-
 /// Default buffer size: the paper's 20 MB.
 pub const DEFAULT_BUF_BYTES: usize = 20 * 1024 * 1024;
 
@@ -27,7 +25,7 @@ pub const DEFAULT_BUF_BYTES: usize = 20 * 1024 * 1024;
 #[derive(Debug)]
 pub struct BufferedWriter<W: Write> {
     inner: W,
-    buf: BytesMut,
+    buf: Vec<u8>,
     cap: usize,
     /// Number of flushes issued (for tests and cost models).
     pub flushes: u64,
@@ -47,7 +45,7 @@ impl<W: Write> BufferedWriter<W> {
         assert!(cap > 0);
         Self {
             inner,
-            buf: BytesMut::with_capacity(cap.min(1 << 20)),
+            buf: Vec::with_capacity(cap.min(1 << 20)),
             cap,
             flushes: 0,
             io_retries: 0,
@@ -56,7 +54,7 @@ impl<W: Write> BufferedWriter<W> {
 
     /// Append raw bytes.
     pub fn write_bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.buf.put_slice(bytes);
+        self.buf.extend_from_slice(bytes);
         if self.buf.len() >= self.cap {
             self.flush()?;
         }
@@ -67,8 +65,8 @@ impl<W: Write> BufferedWriter<W> {
     pub fn write_f32(&mut self, v: f32, decimals: u32, sep: u8) -> io::Result<()> {
         let mut scratch = [0u8; 32];
         let n = format_f32_fixed(v, decimals, &mut scratch);
-        self.buf.put_slice(&scratch[..n]);
-        self.buf.put_u8(sep);
+        self.buf.extend_from_slice(&scratch[..n]);
+        self.buf.push(sep);
         if self.buf.len() >= self.cap {
             self.flush()?;
         }

@@ -13,6 +13,7 @@ use mdsim::Vec3;
 use sw26010::cg::CoreGroup;
 use sw26010::dma::{Dir, DmaEngine};
 use sw26010::perf::PerfCounters;
+use sw26010::pool::block_range;
 use sw26010::simd::meter;
 
 /// Molecules fetched per DMA batch (3-site water: 8 x 36 B = 288 B in,
@@ -60,7 +61,7 @@ pub fn run_bonded_cpe(sys: &System, cg: &CoreGroup) -> BondedCpeResult {
         let mut local = sys.clone();
         local.clear_forces();
         let mut en = BondedEnergies::default();
-        let range = cg.block_range(molecules.len(), ctx.id);
+        let range = block_range(molecules.len(), cg.n_cpes, ctx.id);
         let mut in_batch = 0usize;
         for &(kind_idx, mol_base) in &molecules[range.clone()] {
             let kind = &sys.topology.kinds[kind_idx];

@@ -9,7 +9,6 @@
 use mdsim::cluster::CLUSTER_SIZE;
 use mdsim::nonbonded::{pair_interaction, NbEnergies, NbParams};
 use mdsim::Vec3;
-use serde::Serialize;
 use sw26010::perf::{Breakdown, PerfCounters};
 use sw26010::simd::{meter, transpose3_to_interleaved, FloatV4, TRANSPOSE3_SHUFFLES};
 
@@ -40,7 +39,7 @@ impl KernelResult {
 }
 
 /// Which arithmetic path a variant uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Arith {
     /// One particle pair at a time.
     Scalar,

@@ -14,6 +14,7 @@ use mdsim::pairlist::ListKind;
 use sw26010::cg::CoreGroup;
 use sw26010::gld;
 use sw26010::perf::{Breakdown, PerfCounters};
+use sw26010::pool::block_range;
 
 use crate::cpelist::CpePairList;
 use crate::kernels::common::{cluster_pair_scalar, KernelResult};
@@ -40,7 +41,7 @@ pub fn run_gld_naive(
         let mut e_lj = 0.0f64;
         let mut e_coul = 0.0f64;
         let mut n_pairs = 0u64;
-        for ci in cg.block_range(n_pkg, ctx.id) {
+        for ci in block_range(n_pkg, cg.n_cpes, ctx.id) {
             // Own package: 20 words, pipelined gld (independent loads).
             gld::gld_pipelined(&mut ctx.perf, PKG_WORDS as u64);
             let pkg_i = psys.package(ci).to_vec();

@@ -1,8 +1,7 @@
 //! Native-backend runners for the cluster kernels: the 64 CPE lanes of
-//! `rma`/`rca`/`ustc` execute on a persistent OS-thread pool
-//! ([`sw26010::NativePool`]) with the 8-wide SIMD inner loop of
-//! [`super::native_simd`], instead of sequentially under the cycle
-//! meter.
+//! `rma`/`rca`/`ustc` execute on the lane executor the metered kernels
+//! run on ([`sw26010::LanePool`]) with the 8-wide SIMD inner loop of
+//! [`super::native_simd`], and without the cycle meter.
 //!
 //! **Lane implementations.** Each runner's per-lane body is generic
 //! over [`Lanes8`] and `#[inline(always)]` down to the lane operations;
@@ -15,14 +14,15 @@
 //! **Determinism contract.** The pool schedule is nondeterministic, so
 //! every source of ordering is pinned in the kernels themselves:
 //!
-//! 1. work partition — each logical lane owns the same [`lane_range`]
-//!    slice of the outer clusters (the metered `block_range` split) at
-//!    every thread count;
+//! 1. work partition — each logical lane owns the same [`block_range`]
+//!    slice of the outer clusters (the metered kernels' split) at every
+//!    thread count;
 //! 2. per-lane iteration — clusters in index order, list entries in
 //!    list order (self entry first, then pairs of two, then the tail);
 //! 3. merging — all cross-lane accumulation (force copies, energies,
-//!    MPE record application) happens after the pool join, in
-//!    lane-index order, exactly like the metered reduce.
+//!    MPE record application) happens after the pool join, over the
+//!    per-lane outputs [`LanePool::run`] returns in lane-index order,
+//!    exactly like the metered reduce.
 //!
 //! Together these make the physics bit-identical run to run and across
 //! thread counts 1..=64 — the property `tests/backend_differential.rs`
@@ -38,13 +38,12 @@
 //! conflicting access).
 
 use std::ops::Range;
-use std::sync::Mutex;
 
 use mdsim::nonbonded::{NbEnergies, NbParams};
 use mdsim::pairlist::ListKind;
 use sw26010::cache::CacheGeometry;
 use sw26010::perf::{Breakdown, PerfCounters};
-use sw26010::pool::{NativePool, N_LANES};
+use sw26010::pool::{block_range, LanePool, N_LANES};
 use sw26010::{trace, BitMap};
 
 use crate::check::{REGION_COPIES, REGION_FORCES, REGION_POS};
@@ -56,14 +55,6 @@ use crate::kernels::native_simd::{
     cluster_pair_wide4, cluster_pair_wide8, f32x8, on_lanes, EntryJ, LaneImpl, Lanes8, WideFi,
 };
 use crate::package::{PackageLayout, PackedSystem, FORCE_WORDS};
-
-/// The outer-cluster slice logical lane `lane` owns: the same split as
-/// the metered `CoreGroup::block_range`, fixed at 64 lanes regardless
-/// of how many OS threads serve them.
-pub fn lane_range(n: usize, lane: usize) -> Range<usize> {
-    let per = n.div_ceil(N_LANES);
-    (lane * per).min(n)..((lane + 1) * per).min(n)
-}
 
 /// Destination for inner-cluster reaction packages: the kernels
 /// accumulate straight into the slot a sink hands out, so per-entry
@@ -177,21 +168,6 @@ fn process_cluster<L: Lanes8>(
     (e_lj, e_coul, n)
 }
 
-fn lane_slots<T>() -> Vec<Mutex<Option<T>>> {
-    (0..N_LANES).map(|_| Mutex::new(None)).collect()
-}
-
-fn take_slots<T>(slots: Vec<Mutex<Option<T>>>) -> Vec<T> {
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .unwrap()
-                .expect("every lane stores its output")
-        })
-        .collect()
-}
-
 /// Zero-cycle result shell: the native backend reports wall time (the
 /// bench sidecar measures it), not simulated cycles, so counters and
 /// phase breakdowns are empty.
@@ -206,37 +182,11 @@ fn native_result(psys: &PackedSystem, slot_forces: &[f32], energies: NbEnergies)
     }
 }
 
-/// Recycled per-lane force-copy buffers. A fresh `vec![0.0; ..]` per
-/// lane per call hands back brand-new zero pages from the allocator, so
-/// every kernel invocation re-faults ~`N_LANES × copy_words × 4` bytes
-/// of memory (tens of MB on the paper workloads) before doing any work.
-/// Reused buffers carry stale data instead, which is safe because the
-/// calc phase zeroes each cache line's words on first touch (guarded by
-/// the same Bit-Map the reduce phase consults — an unmarked line is
-/// never read).
-static COPY_POOL: Mutex<Vec<Vec<f32>>> = Mutex::new(Vec::new());
-
-fn copy_buffer(copy_words: usize) -> Vec<f32> {
-    let mut buf = COPY_POOL.lock().unwrap().pop().unwrap_or_default();
-    // Growing appends zeros (fine); shrinking truncates. Existing
-    // elements keep their stale values — first-touch zeroing owns them.
-    buf.resize(copy_words, 0.0);
-    buf
-}
-
-fn recycle_copies(outs: impl IntoIterator<Item = Vec<f32>>) {
-    let mut pool = COPY_POOL.lock().unwrap();
-    pool.extend(outs.into_iter().filter(|b| !b.is_empty()));
-    // Bound what the pool retains across differently-sized workloads.
-    let keep = N_LANES;
-    if pool.len() > keep {
-        pool.drain(keep..);
-    }
-}
-
 /// RMA sink: slots point into the lane's redundant force copy. First
 /// touch of a cache line marks it in the Bit-Map and zeroes its words
-/// (the copy buffer is recycled, see [`COPY_POOL`]).
+/// (the copy buffer is recycled and holds stale data, see
+/// [`LanePool::take_buffer`]; the reduce phase consults the same Bit-Map,
+/// so an unmarked line is never read).
 struct CopySink<'a> {
     copy: &'a mut [f32],
     marks: &'a mut BitMap,
@@ -350,6 +300,8 @@ struct LaneInput<'a> {
     psys: &'a PackedSystem,
     list: &'a CpePairList,
     params: &'a NbParams,
+    /// The pool the lanes run on, for its recycled buffers.
+    pool: &'a LanePool,
     tracing: bool,
 }
 
@@ -386,14 +338,15 @@ fn rma_lane<L: Lanes8>(
         psys,
         list,
         params,
+        pool,
         tracing,
     } = input;
-    let range = lane_range(psys.n_packages(), lane);
+    let range = block_range(psys.n_packages(), N_LANES, lane);
     let cache_id = trace::next_cache_id();
     let mut copy = if range.is_empty() {
         Vec::new()
     } else {
-        copy_buffer(shape.copy_words)
+        pool.take_buffer(shape.copy_words)
     };
     let mut marks = BitMap::new(shape.n_lines);
     let mut e_lj = 0.0f64;
@@ -455,7 +408,7 @@ pub fn run_rma_native(
     psys: &PackedSystem,
     list: &CpePairList,
     params: &NbParams,
-    pool: &NativePool,
+    pool: &LanePool,
 ) -> KernelResult {
     run_rma_native_on(LaneImpl::detect(), psys, list, params, pool)
 }
@@ -466,7 +419,7 @@ pub(crate) fn run_rma_native_on(
     psys: &PackedSystem,
     list: &CpePairList,
     params: &NbParams,
-    pool: &NativePool,
+    pool: &LanePool,
 ) -> KernelResult {
     assert_eq!(list.kind, ListKind::Half, "RMA kernels walk a half list");
     assert_eq!(
@@ -493,27 +446,21 @@ pub(crate) fn run_rma_native_on(
         psys,
         list,
         params,
+        pool,
         tracing,
     };
 
     // ---- calculation phase ----
-    let slots = lane_slots::<RmaLaneOut>();
     swprof::next_region_label("rma_native.calc");
-    let epoch = trace::begin_region(N_LANES);
-    pool.run(N_LANES, |lane| {
-        let out = on_lanes!(lanes, rma_lane, avx2::rma_lane_avx2, input, shape, lane);
-        *slots[lane].lock().unwrap() = Some(out);
+    let outs: Vec<RmaLaneOut> = pool.run(N_LANES, |lane| {
+        on_lanes!(lanes, rma_lane, avx2::rma_lane_avx2, input, shape, lane)
     });
-    trace::end_region(epoch);
-    let outs = take_slots(slots);
 
     // ---- reduction phase: lanes own line ranges, sum marked copies in
     // lane order (the Bit-Map reduce, Alg. 4) ----
-    let partials = lane_slots::<(Range<usize>, Vec<f32>)>();
     swprof::next_region_label("rma_native.reduce");
-    let epoch = trace::begin_region(N_LANES);
-    pool.run(N_LANES, |lane| {
-        let line_range = lane_range(n_lines, lane);
+    let partials: Vec<(Range<usize>, Vec<f32>)> = pool.run(N_LANES, |lane| {
+        let line_range = block_range(n_lines, N_LANES, lane);
         let mut partial = vec![0.0f32; line_range.len() * line_words];
         let mut consumed = false;
         for (li, line) in line_range.clone().enumerate() {
@@ -543,12 +490,11 @@ pub(crate) fn run_rma_native_on(
                 trace::shared_write(REGION_FORCES, word_lo, word_hi);
             }
         }
-        *partials[lane].lock().unwrap() = Some((line_range, partial));
+        (line_range, partial)
     });
-    trace::end_region(epoch);
 
     let mut slot_forces = vec![0.0f32; copy_words];
-    for (line_range, partial) in take_slots(partials) {
+    for (line_range, partial) in partials {
         if line_range.is_empty() {
             continue;
         }
@@ -562,7 +508,7 @@ pub(crate) fn run_rma_native_on(
         add_energy(&mut energies, o.e_lj, o.e_coul, o.n_pairs as u32, false);
     }
     energies.pairs_within_cutoff = outs.iter().map(|o| o.n_pairs).sum();
-    recycle_copies(outs.into_iter().map(|o| o.copy));
+    pool.recycle(outs.into_iter().map(|o| o.copy));
     native_result(psys, &slot_forces, energies)
 }
 
@@ -578,8 +524,9 @@ fn rca_lane<L: Lanes8>(isa: L::Isa, input: LaneInput<'_>, lane: usize) -> RcaLan
         list,
         params,
         tracing,
+        ..
     } = input;
-    let range = lane_range(psys.n_packages(), lane);
+    let range = block_range(psys.n_packages(), N_LANES, lane);
     let mut block = vec![0.0f32; range.len() * FORCE_WORDS];
     let mut e_lj = 0.0f64;
     let mut e_coul = 0.0f64;
@@ -626,7 +573,7 @@ pub fn run_rca_native(
     psys: &PackedSystem,
     list: &CpePairList,
     params: &NbParams,
-    pool: &NativePool,
+    pool: &LanePool,
 ) -> KernelResult {
     run_rca_native_on(LaneImpl::detect(), psys, list, params, pool)
 }
@@ -637,7 +584,7 @@ pub(crate) fn run_rca_native_on(
     psys: &PackedSystem,
     list: &CpePairList,
     params: &NbParams,
-    pool: &NativePool,
+    pool: &LanePool,
 ) -> KernelResult {
     assert_eq!(list.kind, ListKind::Full, "RCA walks a full list");
     assert_eq!(
@@ -649,21 +596,18 @@ pub(crate) fn run_rca_native_on(
         psys,
         list,
         params,
+        pool,
         tracing: trace::enabled(),
     };
 
-    let slots = lane_slots::<RcaLaneOut>();
     swprof::next_region_label("rca_native.calc");
-    let epoch = trace::begin_region(N_LANES);
-    pool.run(N_LANES, |lane| {
-        let out = on_lanes!(lanes, rca_lane, avx2::rca_lane_avx2, input, lane);
-        *slots[lane].lock().unwrap() = Some(out);
+    let outs: Vec<RcaLaneOut> = pool.run(N_LANES, |lane| {
+        on_lanes!(lanes, rca_lane, avx2::rca_lane_avx2, input, lane)
     });
-    trace::end_region(epoch);
 
     let mut slot_forces = vec![0.0f32; psys.n_packages() * FORCE_WORDS];
     let mut energies = NbEnergies::default();
-    for (range, block, e_lj, e_coul, n_pairs) in take_slots(slots) {
+    for (range, block, e_lj, e_coul, n_pairs) in outs {
         slot_forces[range.start * FORCE_WORDS..range.end * FORCE_WORDS].copy_from_slice(&block);
         // Full list counts every interaction twice; halve energies.
         energies.lj += 0.5 * e_lj;
@@ -686,8 +630,9 @@ fn ustc_lane<L: Lanes8>(isa: L::Isa, input: LaneInput<'_>, lane: usize) -> UstcL
         list,
         params,
         tracing,
+        ..
     } = input;
-    let range = lane_range(psys.n_packages(), lane);
+    let range = block_range(psys.n_packages(), N_LANES, lane);
     let mut sink = RecordSink {
         records: Vec::new(),
     };
@@ -726,7 +671,7 @@ pub fn run_ustc_native(
     psys: &PackedSystem,
     list: &CpePairList,
     params: &NbParams,
-    pool: &NativePool,
+    pool: &LanePool,
 ) -> KernelResult {
     run_ustc_native_on(LaneImpl::detect(), psys, list, params, pool)
 }
@@ -737,7 +682,7 @@ pub(crate) fn run_ustc_native_on(
     psys: &PackedSystem,
     list: &CpePairList,
     params: &NbParams,
-    pool: &NativePool,
+    pool: &LanePool,
 ) -> KernelResult {
     assert_eq!(list.kind, ListKind::Half);
     assert_eq!(
@@ -749,22 +694,19 @@ pub(crate) fn run_ustc_native_on(
         psys,
         list,
         params,
+        pool,
         tracing: trace::enabled(),
     };
 
-    let slots = lane_slots::<UstcLaneOut>();
     swprof::next_region_label("ustc_native.calc");
-    let epoch = trace::begin_region(N_LANES);
-    pool.run(N_LANES, |lane| {
-        let out = on_lanes!(lanes, ustc_lane, avx2::ustc_lane_avx2, input, lane);
-        *slots[lane].lock().unwrap() = Some(out);
+    let outs: Vec<UstcLaneOut> = pool.run(N_LANES, |lane| {
+        on_lanes!(lanes, ustc_lane, avx2::ustc_lane_avx2, input, lane)
     });
-    trace::end_region(epoch);
 
     // MPE side: only this thread writes forces, in lane order.
     let mut slot_forces = vec![0.0f32; psys.n_packages() * FORCE_WORDS];
     let mut energies = NbEnergies::default();
-    for (records, e_lj, e_coul, n_pairs) in take_slots(slots) {
+    for (records, e_lj, e_coul, n_pairs) in outs {
         for (pkg, f) in &records {
             let base = *pkg as usize * FORCE_WORDS;
             for (d, v) in slot_forces[base..base + FORCE_WORDS].iter_mut().zip(f) {
@@ -843,23 +785,9 @@ mod tests {
     }
 
     #[test]
-    fn lane_range_partitions_like_block_range() {
-        let cg = sw26010::CoreGroup::new();
-        for n in [0, 1, 63, 64, 65, 800, 6001] {
-            for lane in 0..N_LANES {
-                assert_eq!(
-                    lane_range(n, lane),
-                    cg.block_range(n, lane),
-                    "n={n} lane={lane}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn native_rma_matches_reference() {
         let (sys, psys, cpe, params) = setup(800, 71, ListKind::Half);
-        let pool = NativePool::with_threads(4);
+        let pool = LanePool::with_threads(4);
         let out = run_rma_native(&psys, &cpe, &params, &pool);
         let (f_ref, e_ref, pairs_ref) = reference(&sys, &params);
         assert_eq!(out.energies.pairs_within_cutoff, pairs_ref);
@@ -873,7 +801,7 @@ mod tests {
     #[test]
     fn native_rca_matches_reference() {
         let (sys, psys, cpe, params) = setup(800, 91, ListKind::Full);
-        let pool = NativePool::with_threads(4);
+        let pool = LanePool::with_threads(4);
         let out = run_rca_native(&psys, &cpe, &params, &pool);
         let (f_ref, e_ref, pairs_ref) = reference(&sys, &params);
         // RCA evaluates each pair twice.
@@ -887,7 +815,7 @@ mod tests {
     #[test]
     fn native_ustc_matches_reference() {
         let (sys, psys, cpe, params) = setup(800, 95, ListKind::Half);
-        let pool = NativePool::with_threads(4);
+        let pool = LanePool::with_threads(4);
         let out = run_ustc_native(&psys, &cpe, &params, &pool);
         let (f_ref, e_ref, pairs_ref) = reference(&sys, &params);
         assert_eq!(out.energies.pairs_within_cutoff, pairs_ref);
@@ -922,7 +850,7 @@ mod tests {
         192_369,
     );
 
-    type RunOn = fn(LaneImpl, &PackedSystem, &CpePairList, &NbParams, &NativePool) -> KernelResult;
+    type RunOn = fn(LaneImpl, &PackedSystem, &CpePairList, &NbParams, &LanePool) -> KernelResult;
 
     #[test]
     fn every_lane_implementation_reproduces_the_parent_commit_bits() {
@@ -935,7 +863,7 @@ mod tests {
             let (_sys, psys, cpe, params) = setup(800, 71, kind);
             for lanes in LaneImpl::available() {
                 for threads in [1, 2, 4] {
-                    let pool = NativePool::with_threads(threads);
+                    let pool = LanePool::with_threads(threads);
                     let out = run_on(lanes, &psys, &cpe, &params, &pool);
                     let got = (
                         crate::check::physics_checksum(&out.forces, &out.energies),

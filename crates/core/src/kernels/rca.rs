@@ -15,6 +15,7 @@ use sw26010::cache::ReadCache;
 use sw26010::cg::CoreGroup;
 use sw26010::dma::{Dir, DmaEngine};
 use sw26010::perf::{Breakdown, PerfCounters};
+use sw26010::pool::block_range;
 
 use crate::check::{REGION_FORCES, REGION_POS};
 use crate::cpelist::CpePairList;
@@ -46,7 +47,7 @@ pub fn run_rca(
         let mut e_lj = 0.0f64;
         let mut e_coul = 0.0f64;
         let mut n_pairs = 0u64;
-        for ci in cg.block_range(n_pkg, ctx.id) {
+        for ci in block_range(n_pkg, cg.n_cpes, ctx.id) {
             let pkg_i = read_cache.get(&mut ctx.perf, &psys.pos, ci).to_vec();
             DmaEngine::transfer_shared(&mut ctx.perf, Dir::Get, list.stream_bytes(ci), true);
             let mut fi = [0.0f32; FORCE_WORDS];

@@ -16,11 +16,11 @@
 
 use mdsim::nonbonded::{NbEnergies, NbParams};
 use mdsim::pairlist::ListKind;
-use serde::Serialize;
 use sw26010::cache::{CacheGeometry, ReadCache, WriteCache};
 use sw26010::cg::CoreGroup;
 use sw26010::dma::{Dir, DmaEngine};
 use sw26010::perf::{Breakdown, PerfCounters};
+use sw26010::pool::block_range;
 use sw26010::BitMap;
 
 use crate::check::{REGION_COPIES, REGION_FORCES, REGION_POS};
@@ -29,7 +29,7 @@ use crate::kernels::common::{add_energy, cluster_pair_scalar, cluster_pair_simd,
 use crate::package::{PackedSystem, FORCE_WORDS, PKG_BYTES, PKG_WORDS};
 
 /// Configuration selecting a ladder rung (or any ablation combination).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RmaConfig {
     /// Use the §3.1 read cache for inner-cluster packages.
     pub read_cache: bool,
@@ -176,7 +176,7 @@ pub fn run_rma(
         let mut e_coul = 0.0f64;
         let mut n_pairs = 0u64;
 
-        let range = cg.block_range(n_pkg, ctx.id);
+        let range = block_range(n_pkg, cg.n_cpes, ctx.id);
         for ci in range {
             // Fetch own package: through the read cache if present, else
             // one DMA per outer cluster.
@@ -440,7 +440,7 @@ pub fn reduce_copies(
         ctx.ldm
             .reserve("reduce buffers", 2 * geo.line_bytes())
             .expect("reduce buffers fit LDM");
-        let line_range = cg.block_range(n_lines, ctx.id);
+        let line_range = block_range(n_lines, cg.n_cpes, ctx.id);
         let mut partial = vec![0.0f32; line_range.len() * line_words];
         for (li, line) in line_range.clone().enumerate() {
             let word_lo = line * line_words;

@@ -61,7 +61,7 @@ pub mod recovery;
 
 pub use backend::{
     assert_certified, AnyBackend, BackendSel, Certificate, Certified, CertifiedBackend,
-    Concurrency, KernelBackend, KernelInput, MeteredBackend, NativeBackend, SimulatedBackend,
+    Concurrency, KernelBackend, KernelInput, MeteredBackend, NativeBackend,
 };
 pub use check::{
     physics_checksum, run_traced, run_traced_with, run_variant_with, KernelContract, TracedRun,

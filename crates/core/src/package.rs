@@ -17,7 +17,6 @@
 
 use mdsim::cluster::{Clustering, CLUSTER_SIZE, FILLER};
 use mdsim::system::System;
-use serde::Serialize;
 
 /// f32 words per particle in a package (x, y, z, type, charge).
 pub const WORDS_PER_PARTICLE: usize = 5;
@@ -35,7 +34,7 @@ pub const FORCE_WORDS: usize = CLUSTER_SIZE * 3;
 pub const FORCE_BYTES: usize = FORCE_WORDS * 4;
 
 /// In-package data layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PackageLayout {
     /// Fig. 2: particle-major (`x y z t c` per particle).
     Interleaved,

@@ -22,6 +22,7 @@ use sw26010::cache::{CacheGeometry, ReadCache};
 use sw26010::cg::CoreGroup;
 use sw26010::dma::{Dir, DmaEngine};
 use sw26010::perf::PerfCounters;
+use sw26010::pool::block_range;
 
 /// f32 words per center element in the packed centers array
 /// (x, y, z, radius).
@@ -89,7 +90,7 @@ pub fn generate_pairlist(
         let mut row_ends: Vec<u32> = Vec::new();
         let mut candidates = Vec::new();
         let mut staged_bytes = 0usize;
-        for ci in cg.block_range(nc, ctx.id) {
+        for ci in block_range(nc, cg.n_cpes, ctx.id) {
             search.scan(ci, &mut candidates);
             // Own center through the cache.
             cache.get(&mut ctx.perf, centers_packed, ci);

@@ -12,10 +12,8 @@
 //! DESIGN.md as a substitution), while the MPE and CPE bars come from
 //! this crate's simulation.
 
-use serde::Serialize;
-
 /// One platform's Table 4 row plus its cache miss ratio.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Platform {
     /// Name ("SW26010", "KNL", "P100").
     pub name: &'static str,
@@ -81,7 +79,7 @@ pub fn ttf_ratio_measured(sw_miss_ratio: f64, other: &Platform) -> f64 {
 }
 
 /// One bar group of Fig. 11.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig11Group {
     /// Label, e.g. "150x SW26010 vs 1x KNL".
     pub label: String,

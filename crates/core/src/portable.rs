@@ -7,7 +7,8 @@
 //! different platforms."
 //!
 //! This module takes the claim literally: it runs the *same* cluster
-//! kernel over the *same* pair list on real host threads (crossbeam) and
+//! kernel over the *same* pair list on real host threads (a
+//! `std::thread::scope` per phase, the thread count being the variable) and
 //! resolves the write conflict with each of the strategies the paper
 //! discusses — and these are genuine wall-clock implementations, not
 //! simulations, so `benches/strategies.rs` can measure the claim on any
@@ -26,6 +27,7 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use mdsim::nonbonded::{pair_interaction, NbEnergies, NbParams};
 use mdsim::pairlist::ListKind;
 use mdsim::Vec3;
+use sw26010::pool::block_range;
 
 use crate::cpelist::CpePairList;
 use crate::package::{PackedSystem, FORCE_WORDS};
@@ -106,12 +108,6 @@ pub fn run_host_parallel(
     }
 }
 
-/// Per-thread slice of outer clusters.
-fn thread_range(n_pkg: usize, n_threads: usize, t: usize) -> std::ops::Range<usize> {
-    let per = n_pkg.div_ceil(n_threads);
-    (t * per).min(n_pkg)..((t + 1) * per).min(n_pkg)
-}
-
 /// The shared inner loop: compute one thread's cluster pairs, routing
 /// force-package updates through `update`.
 fn compute_thread(
@@ -182,16 +178,16 @@ fn run_atomics(
 ) -> (Vec<f32>, NbEnergies) {
     let shared: Vec<AtomicU32> = (0..copy_words).map(|_| AtomicU32::new(0)).collect();
     let n_pkg = psys.n_packages();
-    let energies = crossbeam::thread::scope(|s| {
+    let energies = std::thread::scope(|s| {
         let mut handles = Vec::new();
         for t in 0..n_threads {
             let shared = &shared;
-            handles.push(s.spawn(move |_| {
+            handles.push(s.spawn(move || {
                 compute_thread(
                     psys,
                     list,
                     params,
-                    thread_range(n_pkg, n_threads, t),
+                    block_range(n_pkg, n_threads, t),
                     |pkg, delta| {
                         let base = pkg * FORCE_WORDS;
                         for (k, &d) in delta.iter().enumerate() {
@@ -229,8 +225,7 @@ fn run_atomics(
             en.pairs_within_cutoff += part.pairs_within_cutoff;
         }
         en
-    })
-    .unwrap();
+    });
     let forces = shared
         .iter()
         .map(|a| f32::from_bits(a.load(Ordering::Relaxed)))
@@ -248,10 +243,10 @@ fn run_copies(
 ) -> (Vec<f32>, NbEnergies) {
     let n_pkg = psys.n_packages();
     let n_lines = n_pkg.div_ceil(MARK_LINE_PKGS);
-    let outputs = crossbeam::thread::scope(|s| {
+    let outputs = std::thread::scope(|s| {
         let mut handles = Vec::new();
         for t in 0..n_threads {
-            handles.push(s.spawn(move |_| {
+            handles.push(s.spawn(move || {
                 // Copies are zero-allocated either way (Rust), but the
                 // mark variant also *skips the reduction* of untouched
                 // lines, which is where the measurable win is.
@@ -261,7 +256,7 @@ fn run_copies(
                     psys,
                     list,
                     params,
-                    thread_range(n_pkg, n_threads, t),
+                    block_range(n_pkg, n_threads, t),
                     |pkg, delta| {
                         let base = pkg * FORCE_WORDS;
                         for (k, &d) in delta.iter().enumerate() {
@@ -277,8 +272,7 @@ fn run_copies(
             .into_iter()
             .map(|h| h.join().unwrap())
             .collect::<Vec<_>>()
-    })
-    .unwrap();
+    });
 
     let mut energies = NbEnergies::default();
     for (_, _, en) in &outputs {
@@ -288,7 +282,7 @@ fn run_copies(
     }
     // Reduction (parallel over lines, like the simulated Alg. 4).
     let mut out = vec![0.0f32; copy_words];
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let outputs = &outputs;
         let mut handles = Vec::new();
         for (t, chunk) in out
@@ -296,7 +290,7 @@ fn run_copies(
             .enumerate()
         {
             let line_base = t * n_lines.div_ceil(n_threads);
-            handles.push(s.spawn(move |_| {
+            handles.push(s.spawn(move || {
                 for (copy, marks, _) in outputs {
                     for (li, line) in chunk.chunks_mut(MARK_LINE_PKGS * FORCE_WORDS).enumerate() {
                         let gline = line_base + li;
@@ -316,8 +310,7 @@ fn run_copies(
         for h in handles {
             h.join().unwrap();
         }
-    })
-    .unwrap();
+    });
     (out, energies)
 }
 

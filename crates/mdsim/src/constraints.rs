@@ -10,13 +10,11 @@
 //! DESIGN.md; the paper's "Constraints" row (Table 1) only needs *a*
 //! constraint solver with the right cost shape.
 
-use serde::{Deserialize, Serialize};
-
 use crate::system::System;
 use crate::vec3::Vec3;
 
 /// One distance constraint between global atoms `i` and `j`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Constraint {
     /// First atom.
     pub i: usize,
@@ -27,7 +25,7 @@ pub struct Constraint {
 }
 
 /// A set of constraints with solver parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConstraintSet {
     /// The constraints.
     pub constraints: Vec<Constraint>,

@@ -7,13 +7,11 @@
 //! decomposition, the owner assignment, and halo membership — the inputs
 //! the `swnet` communication model and the Fig. 12 scaling study need.
 
-use serde::{Deserialize, Serialize};
-
 use crate::pbc::PbcBox;
 use crate::vec3::Vec3;
 
 /// A 3-D grid decomposition of a periodic box into `nx*ny*nz` domains.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Decomposition {
     /// Domains per axis.
     pub dims: [usize; 3],

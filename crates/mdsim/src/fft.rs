@@ -4,10 +4,8 @@
 //! GROMACS build used fftpack; §2.1 notes PME's FFT causes the heavy
 //! communication the scaling experiments observe).
 
-use serde::{Deserialize, Serialize};
-
 /// A complex number; minimal, only what the FFT and PME need.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex {
     /// Real part.
     pub re: f64,

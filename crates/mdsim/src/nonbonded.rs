@@ -6,8 +6,6 @@
 //! particle only — the RCA baseline). Every optimized kernel in `swgmx`
 //! is validated against these functions.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cluster::FILLER;
 use crate::math::erfc_f32;
 use crate::pairlist::{ListKind, PairList};
@@ -16,7 +14,7 @@ use crate::topology::KE;
 use crate::vec3::Vec3;
 
 /// Coulomb treatment for the short-range kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Coulomb {
     /// No electrostatics (pure LJ fluid).
     None,
@@ -36,7 +34,7 @@ pub enum Coulomb {
 }
 
 /// Kernel parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NbParams {
     /// Interaction cutoff `R_cut-off`, nm.
     pub r_cut: f32,
@@ -56,7 +54,7 @@ impl NbParams {
 }
 
 /// Energies accumulated by a kernel invocation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NbEnergies {
     /// Lennard-Jones energy, kJ/mol.
     pub lj: f64,

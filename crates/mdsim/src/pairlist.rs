@@ -16,8 +16,6 @@
 //!   directions; the kernel only updates the outer particle, doubling
 //!   compute but avoiding conflicts.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cluster::{Clustering, CLUSTER_SIZE, FILLER};
 use crate::pairsearch::PairSearch;
 use crate::pbc::PbcBox;
@@ -25,7 +23,7 @@ use crate::system::System;
 use crate::vec3::Vec3;
 
 /// Which pair-list convention to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ListKind {
     /// Each unordered pair once (`cj >= ci`).
     Half,

@@ -1,12 +1,11 @@
 //! Periodic boundary conditions for a rectangular simulation box.
 
-use serde::{Deserialize, Serialize};
 use wide::Lanes8;
 
 use crate::vec3::{vec3, Vec3};
 
 /// A rectangular periodic box with edges along the coordinate axes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PbcBox {
     lengths: Vec3,
 }

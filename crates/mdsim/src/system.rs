@@ -1,14 +1,12 @@
 //! Particle system state: positions, velocities, forces, and per-particle
 //! metadata, plus the global exclusion list derived from the topology.
 
-use serde::Serialize;
-
 use crate::pbc::PbcBox;
 use crate::topology::{Topology, KB};
 use crate::vec3::Vec3;
 
 /// Full mutable state of one MD system (or one domain of it).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct System {
     /// Simulation box.
     pub pbc: PbcBox,

@@ -6,8 +6,6 @@
 //! indexed by the two particles' type ids, which is exactly the layout the
 //! particle package carries the type id for (Fig. 2).
 
-use serde::Serialize;
-
 /// Coulomb conversion factor in kJ mol^-1 nm e^-2 (GROMACS `ONE_4PI_EPS0`).
 pub const KE: f64 = 138.935_458;
 
@@ -15,7 +13,7 @@ pub const KE: f64 = 138.935_458;
 pub const KB: f64 = 0.008_314_462_6;
 
 /// One atom type: mass, charge, and LJ parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AtomType {
     /// Display name ("OW", "HW", ...).
     pub name: &'static str,
@@ -30,7 +28,7 @@ pub struct AtomType {
 }
 
 /// Harmonic bond between two atoms (indices are intra-molecule).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bond {
     /// First atom (index within molecule).
     pub i: usize,
@@ -43,7 +41,7 @@ pub struct Bond {
 }
 
 /// Harmonic angle i-j-k (j is the vertex).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Angle {
     /// First flanking atom.
     pub i: usize,
@@ -58,7 +56,7 @@ pub struct Angle {
 }
 
 /// Periodic proper dihedral i-j-k-l around the j-k axis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Dihedral {
     /// First atom.
     pub i: usize,
@@ -77,7 +75,7 @@ pub struct Dihedral {
 }
 
 /// A molecule template: atom types plus bonded terms and exclusions.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MoleculeKind {
     /// Name of the molecule ("SPC water").
     pub name: String,
@@ -101,7 +99,7 @@ impl MoleculeKind {
 }
 
 /// Whole-system topology: the type table plus the molecule composition.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     /// Atom types, indexed by type id.
     pub types: Vec<AtomType>,

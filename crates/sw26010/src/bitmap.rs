@@ -6,10 +6,8 @@
 //! whole bookkeeping for a large copy fits in a handful of LDM words, and
 //! all operations are single bit-ops (Alg. 3 line 11/16, Alg. 4 line 4).
 
-use serde::{Deserialize, Serialize};
-
 /// A compact bit vector indexed by cache-line number.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitMap {
     words: Vec<u64>,
     len: usize,

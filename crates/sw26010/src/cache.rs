@@ -13,14 +13,12 @@
 //! `offset = idx & (2^m - 1)`, `set = (idx >> m) & (2^n - 1)`,
 //! `tag = idx >> (m + n)`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bitmap::BitMap;
 use crate::dma::{Dir, DmaEngine, SharedPrice};
 use crate::perf::PerfCounters;
 
 /// Hit/miss statistics for one cache instance.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Accesses that found their line resident.
     pub hits: u64,
@@ -133,7 +131,7 @@ impl std::fmt::Display for CacheConfigError {
 impl std::error::Error for CacheConfigError {}
 
 /// Geometry shared by both cache kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
     /// Number of sets (power of two).
     pub n_sets: usize,

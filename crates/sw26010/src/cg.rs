@@ -8,22 +8,21 @@
 //! between CPEs is therefore visible in the model, exactly the effect the
 //! paper's USTC-pipeline discussion (§2.2/§4.3) hinges on.
 //!
-//! The 64 instances run on real host threads (as many as the host
-//! offers), so host wall-clock benefits too. Lanes are dealt to the
-//! threads round-robin, lane `l` to thread `l % threads`, because work
-//! per lane tends to fall with the lane index and contiguous blocks
-//! would give one thread all the heavy lanes. Nothing simulated depends
-//! on the deal or on the thread count: each lane builds a private
-//! [`CpeCtx`], the closure is `Fn + Sync` (a kernel that shares state
+//! The 64 instances run on the core group's [`LanePool`] — the calling
+//! thread plus as many parked workers as the host offers beyond it — so
+//! host wall-clock benefits too. `spawn` is the pool's lane prologue
+//! plus what makes a lane a *metered* CPE: a private [`CpeCtx`], the
+//! cycle meter and a profile span. Nothing simulated depends on which
+//! thread ran which lane or on the thread count: a lane sees only its
+//! own context, the closure is `Fn + Sync` (a kernel that shares state
 //! between lanes has to synchronise it itself; none in this repository
 //! does), and `results`, `per_cpe` and the region counters are merged in
 //! lane order after the join.
 
 use crate::ldm::Ldm;
-use crate::params::{
-    CPES_PER_CG, CPE_MESH_DIM, REG_COMM_CYCLES, SPAWN_JOIN_CYCLES, STRAGGLER_TIMEOUT_CYCLES,
-};
+use crate::params::{CPES_PER_CG, CPE_MESH_DIM, REG_COMM_CYCLES, SPAWN_JOIN_CYCLES};
 use crate::perf::PerfCounters;
+use crate::pool::LanePool;
 
 /// Execution context of one CPE kernel instance.
 #[derive(Debug)]
@@ -99,34 +98,50 @@ impl<R> SpawnResult<R> {
     }
 }
 
-/// The lanes host thread `t` of `threads` runs, in the order it runs
-/// them: every `threads`-th lane from `t`. (A CPE's block of a half pair
-/// list holds only neighbours at or above it, so the low lanes are the
-/// long ones; a contiguous deal would hand them all to thread 0.)
-fn lanes_of(t: usize, threads: usize, n: usize) -> impl Iterator<Item = usize> {
-    (t..n).step_by(threads)
-}
-
 /// One core group: spawns CPE kernels and runs MPE-serial sections.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct CoreGroup {
     /// Number of CPEs used by spawn (always 64 on real hardware; smaller
     /// values support ablation experiments).
     pub n_cpes: usize,
+    pool: LanePool,
+}
+
+impl Default for CoreGroup {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl CoreGroup {
-    /// A full 64-CPE core group.
+    /// A full 64-CPE core group on as many host threads as the host
+    /// offers.
     pub fn new() -> Self {
-        Self {
-            n_cpes: CPES_PER_CG,
-        }
+        Self::with_cpes(CPES_PER_CG)
     }
 
     /// A core group restricted to `n` CPEs (ablation).
     pub fn with_cpes(n: usize) -> Self {
         assert!((1..=CPES_PER_CG).contains(&n));
-        Self { n_cpes: n }
+        Self {
+            n_cpes: n,
+            pool: LanePool::for_lanes(n),
+        }
+    }
+
+    /// A full core group on exactly `n_threads` host threads, the
+    /// calling one counted. Nothing simulated depends on the number.
+    pub fn with_threads(n_threads: usize) -> Self {
+        Self {
+            n_cpes: CPES_PER_CG,
+            pool: LanePool::with_threads(n_threads),
+        }
+    }
+
+    /// The host threads this core group's lanes run on. Native kernels
+    /// run their lanes on it directly, unmetered.
+    pub fn pool(&self) -> &LanePool {
+        &self.pool
     }
 
     /// Run `kernel` once per CPE in parallel. The closure receives the
@@ -136,23 +151,6 @@ impl CoreGroup {
         R: Send,
         F: Fn(&mut CpeCtx) -> R + Sync,
     {
-        let threads = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4);
-        self.spawn_on(threads, kernel)
-    }
-
-    /// [`CoreGroup::spawn`] on at most `threads` host threads. The
-    /// result does not depend on `threads`: a lane sees only its own
-    /// context and the merge below is in lane order.
-    fn spawn_on<R, F>(&self, threads: usize, kernel: F) -> SpawnResult<R>
-    where
-        R: Send,
-        F: Fn(&mut CpeCtx) -> R + Sync,
-    {
-        let n = self.n_cpes;
-        let threads = threads.clamp(1, n);
-        let epoch = crate::trace::begin_region(n);
         // Profiling: per-CPE spans labeled by the kernel layer (via
         // `swprof::next_region_label`), aligned to the MPE clock at spawn
         // time so kernel spans sit under the engine stage that issued
@@ -160,85 +158,32 @@ impl CoreGroup {
         let profiling = swprof::enabled();
         let region_label = swprof::take_region_label().unwrap_or("spawn");
         let prof_base = swprof::track_cursor(None);
-        let run_lane = |id: usize| {
-            crate::trace::set_current_cpe(Some(id));
-            let faults = swfault::enabled();
+        let lanes = self.pool.region(self.n_cpes, |id, respawn_cycles| {
             let mut ctx = CpeCtx::new(id);
-            if faults {
-                swfault::set_lane(Some(id));
-                // Straggler recovery: a hung instance is decided *before*
-                // the kernel body runs, so the aborted attempt has zero
-                // side effects (SWC105 holds trivially) and the respawned
-                // closure replays bit-identically. Each respawn charges
-                // the MPE's straggler timeout plus backoff to this CPE's
-                // timeline — only simulated time moves.
-                let mut attempt = 0u32;
-                while attempt < 4 {
-                    let Some(payload) = swfault::decide(swfault::Site::CpeHang) else {
-                        break;
-                    };
-                    ctx.perf.cycles += STRAGGLER_TIMEOUT_CYCLES
-                        + swfault::retry::backoff_cycles(attempt, SPAWN_JOIN_CYCLES, payload);
-                    crate::trace::emit_abort("cpe-hang");
-                    if profiling {
-                        swprof::metrics::counter_add("fault.respawns", 1);
-                    }
-                    attempt += 1;
-                }
-            }
+            // Respawns of a hung instance move only simulated time, on
+            // this CPE's timeline.
+            ctx.perf.cycles += respawn_cycles;
             let r = if profiling {
                 swprof::set_track(Some(id));
                 swprof::align_track(Some(id), prof_base);
                 let t0 = swprof::track_cursor(Some(id));
-                let span = swprof::span(region_label);
+                let _span = swprof::span(region_label);
                 let r = kernel(&mut ctx);
                 // Charge this instance's metered cycles to its timeline,
                 // net of anything the kernel already ticked itself.
                 let ticked = swprof::track_cursor(Some(id)).saturating_sub(t0);
                 swprof::tick(ctx.perf.cycles.saturating_sub(ticked));
-                drop(span);
-                swprof::set_track(None);
                 r
             } else {
                 kernel(&mut ctx)
             };
-            if faults {
-                // Fold injected LDM-contention stalls into this
-                // instance's timeline (zero without a plan installed).
-                ctx.perf.cycles += ctx.ldm.stall_cycles();
-                swfault::set_lane(None);
-            }
-            crate::trace::set_current_cpe(None);
+            // Fold injected LDM-contention stalls into this instance's
+            // timeline (zero without a fault plan installed).
+            ctx.perf.cycles += ctx.ldm.stall_cycles();
             (r, ctx.perf)
-        };
-        let mut dealt: Vec<_> = crossbeam::thread::scope(|s| {
-            let run_lane = &run_lane;
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    s.spawn(move |_| {
-                        lanes_of(t, threads, n)
-                            .map(run_lane)
-                            .collect::<Vec<(R, PerfCounters)>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("CPE kernel panicked").into_iter())
-                .collect()
-        })
-        .expect("crossbeam scope failed");
-        crate::trace::end_region(epoch);
+        });
 
-        let mut results = Vec::with_capacity(n);
-        let mut per_cpe = Vec::with_capacity(n);
-        for lane in 0..n {
-            let (r, p) = dealt[lane % threads]
-                .next()
-                .expect("lane dealt to its thread");
-            results.push(r);
-            per_cpe.push(p);
-        }
+        let (results, per_cpe): (Vec<R>, Vec<PerfCounters>) = lanes.into_iter().unzip();
         let mut region = PerfCounters::new();
         for p in &per_cpe {
             region.merge_par(p);
@@ -259,15 +204,6 @@ impl CoreGroup {
         let mut ctx = MpeCtx::new();
         let r = f(&mut ctx);
         (r, ctx.perf)
-    }
-
-    /// Static round-robin partition of `n_items` across CPEs: the item
-    /// range owned by `cpe_id` under blocked distribution.
-    pub fn block_range(&self, n_items: usize, cpe_id: usize) -> std::ops::Range<usize> {
-        let per = n_items.div_ceil(self.n_cpes);
-        let start = (cpe_id * per).min(n_items);
-        let end = ((cpe_id + 1) * per).min(n_items);
-        start..end
     }
 }
 
@@ -323,19 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn block_range_covers_everything_once() {
-        let cg = CoreGroup::new();
-        let n = 1000;
-        let mut seen = vec![0u8; n];
-        for cpe in 0..64 {
-            for i in cg.block_range(n, cpe) {
-                seen[i] += 1;
-            }
-        }
-        assert!(seen.iter().all(|&c| c == 1));
-    }
-
-    #[test]
     fn mpe_section_meters_separately() {
         let cg = CoreGroup::new();
         let (v, perf) = cg.mpe_section(|mpe| {
@@ -344,22 +267,6 @@ mod tests {
         });
         assert_eq!(v, 7);
         assert_eq!(perf.cycles, 42);
-    }
-
-    #[test]
-    fn lane_deal_visits_each_lane_once() {
-        for n in [1, 3, 64] {
-            for threads in 1..=n {
-                let mut seen = vec![0u8; n];
-                for t in 0..threads {
-                    for lane in lanes_of(t, threads, n) {
-                        assert_eq!(lane % threads, t);
-                        seen[lane] += 1;
-                    }
-                }
-                assert!(seen.iter().all(|&c| c == 1), "n {n} threads {threads}");
-            }
-        }
     }
 
     #[test]
@@ -372,17 +279,20 @@ mod tests {
             ctx.reg_comm(ctx.col() as u64);
             (ctx.id, ctx.row())
         };
+        let on = |n_cpes: usize, threads: usize| CoreGroup {
+            n_cpes,
+            pool: LanePool::with_threads(threads),
+        };
         for n in [1, 3, 64] {
-            let cg = CoreGroup::with_cpes(n);
-            let one = cg.spawn_on(1, kernel);
+            let one = on(n, 1).spawn(kernel);
             assert_eq!(one.results.len(), n);
-            for threads in [2, 3, 5, 64, 200] {
-                let many = cg.spawn_on(threads, kernel);
+            for threads in [2, 3, 5, 64] {
+                let many = on(n, threads).spawn(kernel);
                 assert_eq!(many.results, one.results, "n {n} threads {threads}");
                 assert_eq!(many.per_cpe, one.per_cpe, "n {n} threads {threads}");
                 assert_eq!(many.region, one.region, "n {n} threads {threads}");
             }
-            let host = cg.spawn(kernel);
+            let host = CoreGroup::with_cpes(n).spawn(kernel);
             assert_eq!(host.results, one.results);
             assert_eq!(host.per_cpe, one.per_cpe);
             assert_eq!(host.region, one.region);

@@ -66,5 +66,5 @@ pub use cg::{CoreGroup, CpeCtx, MpeCtx, SpawnResult};
 pub use dma::{Dir, DmaEngine, DmaHandle};
 pub use ldm::{Ldm, LdmOverflow};
 pub use perf::{Breakdown, PerfCounters};
-pub use pool::NativePool;
+pub use pool::LanePool;
 pub use simd::{transpose3_to_interleaved, FloatV4};

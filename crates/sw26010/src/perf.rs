@@ -5,12 +5,10 @@
 //! Counters are plain data so per-CPE counters can be merged after a
 //! parallel region (parallel wall time = max over CPEs, traffic = sum).
 
-use serde::{Deserialize, Serialize};
-
 use crate::params;
 
 /// Cycle and traffic counters for one simulated core (CPE or MPE).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PerfCounters {
     /// Total simulated cycles spent on this core.
     pub cycles: u64,
@@ -140,7 +138,7 @@ impl PerfCounters {
 /// A named timing breakdown: ordered list of `(label, counters)` pairs.
 ///
 /// Used by the full-step engine to reproduce Table 1's per-kernel ratios.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Breakdown {
     entries: Vec<(String, PerfCounters)>,
 }

@@ -1,327 +1,477 @@
-//! A persistent worker pool that runs the 64 CPE lanes of a kernel on
-//! real OS threads — the execution substrate of the *native* backend.
+//! The lane executor: the one thing in this workspace that runs the
+//! lanes of a kernel region on host threads.
 //!
-//! The metered [`CoreGroup`](crate::cg::CoreGroup) spawns scoped threads
-//! per region and charges simulated cycles; this pool is its wall-clock
-//! counterpart: workers are spawned once and parked on a condvar, a
-//! region submits one closure that every logical lane index is fed
-//! through, and lanes are handed to whichever worker wakes first.
+//! The athread model has exactly one way to run a kernel — an instance
+//! on each of the 64 CPEs, join, merge — and so does this crate:
+//! [`LanePool::run`] invokes a closure once per lane index and returns
+//! the per-lane results in lane order. The metered
+//! [`CoreGroup::spawn`](crate::cg::CoreGroup::spawn) is this plus a
+//! [`CpeCtx`](crate::cg::CpeCtx), the cycle meter and a profile span;
+//! the native kernels call it directly.
+//!
+//! **The submitter is one of the threads.** A pool of `n` host threads
+//! is the thread that submits a region plus `n − 1` workers parked on a
+//! condvar, and every one of them — submitter included — claims lane
+//! indices from one counter until none are left. Parked workers alone
+//! would not make a small region cheap: waking a thread through a
+//! condvar costs about what starting one does, so a 64-lane region of a
+//! 48-particle system spent its time waiting for help it did not need.
+//! With the submitter working, such a region is usually over before a
+//! worker has woken, and a large one is shared as soon as one has; no
+//! size threshold decides between the two. Workers start with the
+//! pool's first region and are joined when it drops.
+//!
 //! Determinism therefore cannot come from the schedule — it comes from
 //! the kernels: each lane owns a fixed slice of the work (the same
-//! `block_range` partition at all thread counts) and all cross-lane
-//! merging happens after the join, in lane-index order.
+//! [`block_range`] partition at every thread count), sees only its own
+//! state, and all cross-lane merging happens after the join, in
+//! lane-index order.
 //!
-//! Per-lane bookkeeping mirrors the metered path so the rest of the
-//! stack cannot tell the backends apart: the trace layer sees the lane
-//! as its CPE id ([`trace::set_current_cpe`](crate::trace::set_current_cpe)),
-//! fault injection addresses it by lane, and an injected CPE hang walks
-//! the same bounded respawn loop as the metered spawn — decided *before*
-//! the lane body runs, so a hang never perturbs the physics.
+//! **One lane prologue.** Around each lane body the executor makes the
+//! calling thread *be* that lane for the three planes that address
+//! lanes: the trace layer sees the lane as its CPE id, inheriting the
+//! submitter's capture flag and the region's epoch (so a session
+//! records the regions its own thread runs and no others), fault
+//! injection addresses it by lane, and the profiler's track is put back
+//! when the lane ends — on the submitter too, which goes on as the MPE.
+//! An injected CPE hang walks the bounded respawn loop *before* the
+//! body runs, so a hang never perturbs the physics.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
-/// Number of logical lanes a kernel region is divided into (one per CPE
-/// of a core group), independent of how many OS threads execute them.
+use crate::params::{SPAWN_JOIN_CYCLES, STRAGGLER_TIMEOUT_CYCLES};
+use crate::trace::{self, LaneTag};
+
+/// Number of logical lanes a native kernel region is divided into (one
+/// per CPE of a core group), independent of how many OS threads execute
+/// them.
 pub const N_LANES: usize = 64;
 
-/// A type-erased pointer to the lane closure of the active region. The
-/// pointee lives on [`NativePool::run`]'s stack; it stays valid for the
-/// whole region because `run` does not return until every lane has
-/// completed (`remaining == 0`), and workers only dereference the
-/// pointer between claiming a lane and reporting it done.
-struct Job(*const (dyn Fn(usize) + Sync));
+/// The block partition every kernel uses: the items lane `lane` of
+/// `n_lanes` owns out of `n_items`, contiguous and in lane order.
+pub fn block_range(n_items: usize, n_lanes: usize, lane: usize) -> Range<usize> {
+    let per = n_items.div_ceil(n_lanes);
+    (lane * per).min(n_items)..((lane + 1) * per).min(n_items)
+}
 
-// SAFETY: the pointee is `Sync` (shared-reference calls from many
-// threads are allowed) and outlives every dereference (see above).
-unsafe impl Send for Job {}
+/// Panic message of a region in which a lane body panicked. The serving
+/// layer recognises injected lane panics by this text.
+const POISONED: &str = "native pool: a kernel lane panicked";
+
+const STATE_LOCK: &str = "no thread panics while holding the pool state";
+
+/// The lane closure of the open region, lifetime-erased (see
+/// [`LanePool::execute`] for why no copy outlives the region).
+type Job = &'static (dyn Fn(usize) + Sync);
 
 struct State {
+    /// `Some` while the open region still has lanes to hand out.
     job: Option<Job>,
     n_lanes: usize,
-    next_lane: usize,
-    remaining: usize,
+    /// Lanes of the open region not yet reported complete.
+    pending: usize,
+    /// Workers currently holding a copy of `job`.
+    inside: usize,
     panicked: bool,
     shutdown: bool,
 }
 
 struct Shared {
     state: Mutex<State>,
-    /// Signaled when a new region is submitted (or on shutdown).
+    /// Next unclaimed lane of the open region. Publishes nothing: the
+    /// closure reaches a worker through `state`, and what a lane wrote
+    /// reaches the submitter through its result slot and `state`.
+    next_lane: AtomicUsize,
+    /// Signaled when a region opens (or on shutdown).
     work: Condvar,
-    /// Signaled when the last lane of a region completes.
+    /// Signaled when the open region has no lane pending and no worker
+    /// inside.
     done: Condvar,
 }
 
-/// A kernel region was poisoned: at least one lane body panicked.
-///
-/// The pool itself survives — every lane of the region was drained
-/// before this was reported, so the next region starts clean. Callers
-/// that can roll back (the fault-tolerant runner restores the last
-/// checkpoint and replays) treat this exactly like a step abort;
-/// callers that cannot propagate it as a panic via [`NativePool::run`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LanePanic;
-
-impl std::fmt::Display for LanePanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "native pool: a kernel lane panicked")
-    }
-}
-
-impl std::error::Error for LanePanic {}
-
-/// Persistent thread pool executing kernel lanes for the native backend.
-pub struct NativePool {
-    shared: Arc<Shared>,
-    workers: Vec<JoinHandle<()>>,
-    n_threads: usize,
-}
-
-impl NativePool {
-    /// Pool sized to the host (`available_parallelism`, capped at
-    /// [`N_LANES`] — more threads than lanes can never help).
-    pub fn new() -> Self {
-        let n = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Self::with_threads(n.min(N_LANES))
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect(STATE_LOCK)
     }
 
-    /// Pool with exactly `n_threads` workers (≥ 1). The physics output
-    /// is identical at every thread count; only wall time changes.
-    pub fn with_threads(n_threads: usize) -> Self {
-        let n_threads = n_threads.max(1);
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                job: None,
-                n_lanes: 0,
-                next_lane: 0,
-                remaining: 0,
-                panicked: false,
-                shutdown: false,
-            }),
-            work: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let workers = (0..n_threads)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("cpe-pool-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        Self {
-            shared,
-            workers,
-            n_threads,
+    /// Claim and run lanes until none are left. Returns how many this
+    /// thread ran and whether one of them panicked.
+    fn drain(&self, f: &(dyn Fn(usize) + Sync), n_lanes: usize) -> (usize, bool) {
+        let mut ran = 0;
+        let mut panicked = false;
+        loop {
+            let lane = self.next_lane.fetch_add(1, Ordering::Relaxed);
+            if lane >= n_lanes {
+                return (ran, panicked);
+            }
+            panicked |= std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(lane))).is_err();
+            ran += 1;
         }
     }
 
-    /// Number of OS threads serving lanes.
+    /// Book a finished [`Shared::drain`]. Its caller saw the counter run
+    /// past the last lane, so the region closes to newcomers here.
+    fn report(&self, st: &mut State, ran: usize, panicked: bool) {
+        st.job = None;
+        st.pending -= ran;
+        st.panicked |= panicked;
+        if st.pending == 0 && st.inside == 0 {
+            self.done.notify_all();
+        }
+    }
+}
+
+/// Persistent host-thread team executing kernel lanes: the submitting
+/// thread plus `n_threads − 1` parked workers.
+pub struct LanePool {
+    shared: Arc<Shared>,
+    /// Started by the first region.
+    workers: OnceLock<Vec<JoinHandle<()>>>,
+    n_threads: usize,
+    /// Held by a submitter from opening its region to joining it: one
+    /// region at a time.
+    submit: Mutex<()>,
+    /// Recycled lane buffers, see [`LanePool::take_buffer`].
+    buffers: Mutex<Vec<Vec<f32>>>,
+}
+
+impl LanePool {
+    /// Pool sized to the host (`available_parallelism`) for regions of at
+    /// most `n_lanes` lanes — more threads than lanes can never help.
+    pub(crate) fn for_lanes(n_lanes: usize) -> Self {
+        let host = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        Self::with_threads(host.min(n_lanes))
+    }
+
+    /// Pool of exactly `n_threads` host threads (≥ 1), the submitter
+    /// counted: `with_threads(1)` has no workers and runs every lane on
+    /// the caller. The output of a region is identical at every thread
+    /// count; only wall time changes.
+    pub fn with_threads(n_threads: usize) -> Self {
+        Self {
+            shared: Arc::new(Shared {
+                state: Mutex::new(State {
+                    job: None,
+                    n_lanes: 0,
+                    pending: 0,
+                    inside: 0,
+                    panicked: false,
+                    shutdown: false,
+                }),
+                next_lane: AtomicUsize::new(0),
+                work: Condvar::new(),
+                done: Condvar::new(),
+            }),
+            workers: OnceLock::new(),
+            n_threads: n_threads.max(1),
+            submit: Mutex::new(()),
+            buffers: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Number of OS threads serving lanes, the submitting one included.
     pub fn n_threads(&self) -> usize {
         self.n_threads
     }
 
-    /// Run one region: `f` is invoked once per lane in `0..n_lanes`,
-    /// from pool worker threads, and `run` returns after every lane has
-    /// completed. Panics (after draining the region) if any lane body
-    /// panicked.
-    pub fn run<F: Fn(usize) + Sync>(&self, n_lanes: usize, f: F) {
-        assert!(
-            self.try_run(n_lanes, f).is_ok(),
-            "native pool: a kernel lane panicked"
-        );
+    /// Run one region: `f` is invoked once per lane in `0..n_lanes`, on
+    /// the calling thread and the pool's workers, and the per-lane
+    /// results come back in lane order after every lane has completed.
+    /// Panics (after draining the region) if any lane body panicked; the
+    /// pool stays usable, and whatever lanes of the poisoned region
+    /// wrote must be discarded by the caller (the fault-tolerant runner
+    /// restores its checkpoint).
+    pub fn run<T: Send>(&self, n_lanes: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        self.region(n_lanes, |lane, _respawn_cycles| {
+            // An injected worker-thread panic, decided *before* the lane
+            // body runs so a poisoned region leaves no partial physics
+            // from this lane. The metered spawn never consults the site.
+            if swfault::should(swfault::Site::LanePanic) {
+                trace::emit_abort("lane-panic");
+                panic!("injected pool worker panic (lane {lane})");
+            }
+            f(lane)
+        })
     }
 
-    /// Like [`NativePool::run`], but a panicked lane is surfaced as
-    /// [`LanePanic`] after the region drains instead of re-panicking on
-    /// the submitter thread. The pool stays usable either way; partial
-    /// lane output from a poisoned region must be discarded by the
-    /// caller (the fault-tolerant runner restores its checkpoint).
-    pub fn try_run<F: Fn(usize) + Sync>(&self, n_lanes: usize, f: F) -> Result<(), LanePanic> {
+    /// What [`LanePool::run`] and the metered spawn share: the region's
+    /// epoch, the lane prologue and the result slots. `f` also receives
+    /// the simulated cycles injected CPE hangs cost its lane — the
+    /// metered spawn charges them, a native region has no clock to
+    /// charge.
+    pub(crate) fn region<T: Send>(
+        &self,
+        n_lanes: usize,
+        f: impl Fn(usize, u64) -> T + Sync,
+    ) -> Vec<T> {
         if n_lanes == 0 {
-            return Ok(());
+            return Vec::new();
         }
-        let erased: &(dyn Fn(usize) + Sync) = &f;
-        // SAFETY: erases the closure's lifetime to park it in the shared
-        // state. The pointee outlives all uses: this function blocks
-        // below until `remaining == 0`, after which no worker touches
-        // the pointer again.
-        let erased: &'static (dyn Fn(usize) + Sync) =
-            unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(erased) };
-        let job = Job(erased as *const _);
-
-        let mut st = self.shared.state.lock().unwrap();
-        // One region at a time: a second submitter waits for the pool to
-        // drain (the engine is single-threaded; this guards tests).
-        while st.job.is_some() || st.remaining > 0 {
-            st = self.shared.done.wait(st).unwrap();
-        }
-        st.job = Some(job);
-        st.n_lanes = n_lanes;
-        st.next_lane = 0;
-        st.remaining = n_lanes;
-        st.panicked = false;
-        self.shared.work.notify_all();
-        while st.remaining > 0 {
-            st = self.shared.done.wait(st).unwrap();
-        }
-        let poisoned = st.panicked;
-        st.panicked = false;
-        drop(st);
-        if poisoned {
-            Err(LanePanic)
-        } else {
-            Ok(())
-        }
+        let epoch = trace::begin_region(n_lanes);
+        let submitter = LaneTag::current();
+        let slots: Vec<Mutex<Option<T>>> = (0..n_lanes).map(|_| Mutex::new(None)).collect();
+        let poisoned = self.execute(n_lanes, &|lane| {
+            let _scope = LaneScope::enter(submitter, lane);
+            let out = f(lane, respawn_hung_lane());
+            *slots[lane].lock().expect("a lane's slot is locked once") = Some(out);
+        });
+        assert!(!poisoned, "{POISONED}");
+        trace::end_region(epoch);
+        slots
+            .into_iter()
+            .map(|slot| {
+                slot.into_inner()
+                    .expect("a lane's slot is locked once")
+                    .expect("every lane stores its output")
+            })
+            .collect()
     }
-}
 
-impl Default for NativePool {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Drop for NativePool {
-    fn drop(&mut self) {
+    /// Hand `body` to every thread of the pool, run lanes on the calling
+    /// thread too, and return once all `n_lanes` have completed: whether
+    /// any of them panicked.
+    fn execute(&self, n_lanes: usize, body: &(dyn Fn(usize) + Sync)) -> bool {
+        // A poisoned `submit` only says a worker could not be started.
+        let _one_region = self.submit.lock().unwrap_or_else(|e| e.into_inner());
+        let shared = &*self.shared;
+        self.workers.get_or_init(|| {
+            (1..self.n_threads)
+                .map(|i| {
+                    let shared = Arc::clone(&self.shared);
+                    std::thread::Builder::new()
+                        .name(format!("cpe-pool-{i}"))
+                        .spawn(move || worker_loop(&shared))
+                        .expect("spawn pool worker")
+                })
+                .collect()
+        });
+        // SAFETY: erases the closure's lifetime so that parked workers
+        // can be handed it. No copy outlives this call: `State::job` is
+        // cleared by the first thread to find the lanes exhausted, a
+        // worker that copied it out is counted in `State::inside` until
+        // it has let go of the copy, and the loop below does not return
+        // before `pending == 0 && inside == 0`. Nothing between here and
+        // that loop unwinds: `drain` catches lane panics, and no code
+        // that holds the state lock can panic, so `lock` cannot either.
+        let job: Job = unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), Job>(body) };
         {
-            let mut st = self.shared.state.lock().unwrap();
-            st.shutdown = true;
+            let mut st = shared.lock();
+            shared.next_lane.store(0, Ordering::Relaxed);
+            st.job = Some(job);
+            st.n_lanes = n_lanes;
+            st.pending = n_lanes;
+        }
+        shared.work.notify_all();
+        let (ran, panicked) = shared.drain(body, n_lanes);
+        let mut st = shared.lock();
+        shared.report(&mut st, ran, panicked);
+        while st.pending > 0 || st.inside > 0 {
+            st = shared.done.wait(st).expect(STATE_LOCK);
+        }
+        std::mem::take(&mut st.panicked)
+    }
+
+    /// A `words`-long buffer for one lane of one region, recycled from
+    /// an earlier region when there is one. A fresh `vec![0.0; ..]` per
+    /// lane per call hands back brand-new zero pages from the allocator,
+    /// so every kernel invocation would re-fault `lanes × words × 4`
+    /// bytes (tens of MB on the paper workloads) before doing any work.
+    /// A recycled buffer carries **stale data** instead: only for
+    /// callers that initialise what they later read.
+    pub fn take_buffer(&self, words: usize) -> Vec<f32> {
+        let mut buf = self.buffers().pop().unwrap_or_default();
+        // Growing appends zeros; shrinking truncates. Existing elements
+        // keep their stale values.
+        buf.resize(words, 0.0);
+        buf
+    }
+
+    /// Give buffers back for [`LanePool::take_buffer`] to hand out again.
+    pub fn recycle(&self, buffers: impl IntoIterator<Item = Vec<f32>>) {
+        let mut kept = self.buffers();
+        kept.extend(buffers.into_iter().filter(|b| !b.is_empty()));
+        // Bound what is retained across differently-sized workloads.
+        kept.truncate(N_LANES);
+    }
+
+    fn buffers(&self) -> MutexGuard<'_, Vec<Vec<f32>>> {
+        // A panic under this lock is a failed allocation at worst; the
+        // list of buffers is valid at every step.
+        self.buffers.lock().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
+impl std::fmt::Debug for LanePool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LanePool")
+            .field("n_threads", &self.n_threads)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Drop for LanePool {
+    fn drop(&mut self) {
+        let Some(workers) = self.workers.take() else {
+            return;
+        };
+        match self.shared.state.lock() {
+            Ok(mut st) => st.shutdown = true,
+            Err(poisoned) => poisoned.into_inner().shutdown = true,
         }
         self.shared.work.notify_all();
-        for w in self.workers.drain(..) {
+        for w in workers {
             let _ = w.join();
         }
     }
 }
 
 fn worker_loop(shared: &Shared) {
+    let mut st = shared.lock();
     loop {
-        let lane;
-        let f;
-        {
-            let mut st = shared.state.lock().unwrap();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if let Some(job) = &st.job {
-                    if st.next_lane < st.n_lanes {
-                        f = job.0;
-                        break;
-                    }
-                }
-                st = shared.work.wait(st).unwrap();
-            }
-            lane = st.next_lane;
-            st.next_lane += 1;
+        if st.shutdown {
+            return;
         }
-        // SAFETY: `f` stays valid until this lane is reported done (see
-        // `Job`); the call happens strictly before the decrement below.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_lane(unsafe { &*f }, lane)
-        }));
-        let mut st = shared.state.lock().unwrap();
-        if outcome.is_err() {
-            st.panicked = true;
-        }
-        st.remaining -= 1;
-        if st.remaining == 0 {
-            st.job = None;
-            shared.done.notify_all();
-        }
+        let Some(job) = st.job else {
+            st = shared.work.wait(st).expect(STATE_LOCK);
+            continue;
+        };
+        let n_lanes = st.n_lanes;
+        st.inside += 1;
+        drop(st);
+        let (ran, panicked) = shared.drain(job, n_lanes);
+        st = shared.lock();
+        st.inside -= 1;
+        shared.report(&mut st, ran, panicked);
     }
 }
 
-/// Execute one lane body with the same per-lane bookkeeping the metered
-/// spawn does: the trace layer addresses the thread as CPE `lane`, fault
-/// injection addresses it by lane, and an injected CPE hang replays the
-/// bounded respawn protocol *before* the body runs (zero side effects on
-/// the physics, so fault-on and fault-off runs stay bit-identical).
-fn run_lane(f: &(dyn Fn(usize) + Sync), lane: usize) {
-    crate::trace::set_current_cpe(Some(lane));
-    let faults = swfault::enabled();
-    if faults {
+/// Makes the calling thread lane `lane` of a region for the trace, fault
+/// and profile planes, and puts back what it was when dropped — also
+/// when the lane body unwinds, so a submitter that catches a poisoned
+/// region carries on as the MPE thread it was.
+struct LaneScope {
+    trace: LaneTag,
+    fault_lane: swfault::Lane,
+    track: swprof::Track,
+}
+
+impl LaneScope {
+    fn enter(submitter: LaneTag, lane: usize) -> Self {
+        let found = Self {
+            trace: LaneTag::current(),
+            fault_lane: swfault::current_lane(),
+            track: swprof::current_track(),
+        };
+        submitter.on_lane(lane).install();
         swfault::set_lane(Some(lane));
-        let mut attempt = 0u32;
-        while attempt < 4 {
-            let Some(_payload) = swfault::decide(swfault::Site::CpeHang) else {
-                break;
-            };
-            // A hung lane is killed and respawned; the native pool has
-            // no simulated clock to charge, so the penalty is the
-            // wall-clock respawn itself.
-            crate::trace::emit_abort("cpe-hang");
-            if swprof::enabled() {
-                swprof::metrics::counter_add("fault.respawns", 1);
-            }
-            attempt += 1;
-        }
-        // An injected worker-thread panic, decided *before* the lane
-        // body runs so a poisoned region leaves no partial physics from
-        // this lane. The worker's catch_unwind absorbs it; the region
-        // is reported poisoned after the drain.
-        if swfault::should(swfault::Site::LanePanic) {
-            crate::trace::emit_abort("lane-panic");
-            swfault::set_lane(None);
-            crate::trace::set_current_cpe(None);
-            panic!("injected pool worker panic (lane {lane})");
-        }
+        found
     }
-    f(lane);
-    if faults {
-        swfault::set_lane(None);
+}
+
+impl Drop for LaneScope {
+    fn drop(&mut self) {
+        self.trace.install();
+        swfault::set_lane(self.fault_lane);
+        swprof::set_track(self.track);
     }
-    crate::trace::set_current_cpe(None);
+}
+
+/// Straggler recovery: a hung instance is decided *before* the lane body
+/// runs, so the aborted attempt has zero side effects (SWC105 holds
+/// trivially) and the respawned closure replays bit-identically. Returns
+/// what the respawns cost in simulated time — the MPE's straggler
+/// timeout plus backoff, each time.
+fn respawn_hung_lane() -> u64 {
+    let mut cycles = 0;
+    let mut attempt = 0u32;
+    while attempt < 4 {
+        let Some(payload) = swfault::decide(swfault::Site::CpeHang) else {
+            break;
+        };
+        cycles += STRAGGLER_TIMEOUT_CYCLES
+            + swfault::retry::backoff_cycles(attempt, SPAWN_JOIN_CYCLES, payload);
+        trace::emit_abort("cpe-hang");
+        if swprof::enabled() {
+            swprof::metrics::counter_add("fault.respawns", 1);
+        }
+        attempt += 1;
+    }
+    cycles
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// The fault plane is process-wide and [`LanePool::run`] consults it:
+    /// a test that runs such regions holds the plane with an empty plan,
+    /// so that it is neither handed the fault another test scripted nor
+    /// uses up that test's decision.
+    fn no_faults() -> swfault::FaultScope {
+        swfault::install(swfault::FaultPlan::default())
+    }
 
     #[test]
-    fn pool_runs_every_lane_exactly_once() {
-        let pool = NativePool::with_threads(4);
-        let hits: Vec<AtomicUsize> = (0..N_LANES).map(|_| AtomicUsize::new(0)).collect();
-        pool.run(N_LANES, |lane| {
-            hits[lane].fetch_add(1, Ordering::Relaxed);
-        });
-        for (lane, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::Relaxed), 1, "lane {lane}");
+    fn block_range_covers_everything_once() {
+        for n in [0, 1, 63, 64, 65, 1000] {
+            for n_lanes in [1, 3, 64] {
+                let mut next = 0;
+                for lane in 0..n_lanes {
+                    let r = block_range(n, n_lanes, lane);
+                    assert_eq!(r.start, next.min(n), "n {n} lanes {n_lanes} lane {lane}");
+                    next = r.end.max(next);
+                }
+                assert_eq!(next, n, "n {n} lanes {n_lanes}");
+            }
         }
     }
 
     #[test]
-    fn pool_merge_is_deterministic_across_thread_counts() {
-        // The merge contract the native kernels rely on: per-lane
-        // buffers + lane-order merge gives one answer at any width.
-        let merge = |n_threads: usize| -> Vec<u64> {
-            let pool = NativePool::with_threads(n_threads);
-            let out: Vec<Mutex<u64>> = (0..N_LANES).map(|_| Mutex::new(0)).collect();
-            pool.run(N_LANES, |lane| {
+    fn pool_runs_every_lane_exactly_once_in_lane_order() {
+        let _plane = no_faults();
+        let pool = LanePool::with_threads(4);
+        let hits: Vec<AtomicUsize> = (0..N_LANES).map(|_| AtomicUsize::new(0)).collect();
+        let out = pool.run(N_LANES, |lane| {
+            hits[lane].fetch_add(1, Ordering::Relaxed);
+            lane * 3
+        });
+        for (lane, h) in hits.iter().enumerate() {
+            assert_eq!(h.load(Ordering::Relaxed), 1, "lane {lane}");
+        }
+        assert_eq!(out, (0..N_LANES).map(|l| l * 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn pool_result_is_deterministic_across_thread_counts() {
+        // The contract the kernels rely on: per-lane outputs in lane
+        // order give one answer at any width.
+        let _plane = no_faults();
+        let run = |n_threads: usize| -> Vec<u64> {
+            LanePool::with_threads(n_threads).run(N_LANES, |lane| {
                 let mut acc = 0u64;
                 for i in 0..1000u64 {
                     acc = acc
                         .wrapping_mul(6364136223846793005)
                         .wrapping_add(i + lane as u64);
                 }
-                *out[lane].lock().unwrap() = acc;
-            });
-            out.into_iter().map(|m| m.into_inner().unwrap()).collect()
+                acc
+            })
         };
-        let a = merge(1);
-        let b = merge(4);
-        assert_eq!(a, b);
+        let one = run(1);
+        for n_threads in [2, 4, 64] {
+            assert_eq!(run(n_threads), one, "{n_threads} threads");
+        }
     }
 
     #[test]
     fn pool_is_reusable_across_regions() {
-        let pool = NativePool::with_threads(2);
+        let _plane = no_faults();
+        let pool = LanePool::with_threads(2);
         let sum = AtomicUsize::new(0);
         for _ in 0..3 {
             pool.run(16, |lane| {
@@ -332,40 +482,102 @@ mod tests {
     }
 
     #[test]
-    fn pool_lane_panic_is_reported_after_drain() {
-        let pool = NativePool::with_threads(2);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pool.run(8, |lane| {
-                if lane == 3 {
-                    panic!("lane 3 exploded");
-                }
-            });
-        }));
-        assert!(r.is_err());
-        // The pool must still be usable after a poisoned region.
-        let count = AtomicUsize::new(0);
-        pool.run(8, |_| {
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
     fn pool_zero_lanes_is_a_noop() {
-        let pool = NativePool::with_threads(1);
-        pool.run(0, |_| panic!("must not run"));
+        let pool = LanePool::with_threads(1);
+        assert!(pool.run(0, |_| panic!("must not run")).is_empty());
     }
 
     #[test]
-    fn try_run_reports_a_poisoned_region_without_panicking() {
-        let pool = NativePool::with_threads(2);
-        let r = pool.try_run(8, |lane| {
-            if lane == 3 {
-                panic!("lane 3 exploded");
-            }
+    fn no_thread_starts_before_the_first_region() {
+        let _plane = no_faults();
+        let pool = LanePool::with_threads(3);
+        assert_eq!(pool.n_threads(), 3);
+        assert!(pool.workers.get().is_none());
+        pool.run(4, |_| ());
+        assert_eq!(pool.workers.get().map(Vec::len), Some(2));
+        let solo = LanePool::with_threads(1);
+        solo.run(4, |_| ());
+        assert_eq!(
+            solo.workers.get().map(Vec::len),
+            Some(0),
+            "the submitter is the team"
+        );
+    }
+
+    #[test]
+    fn dropping_the_pool_joins_its_workers() {
+        // A worker holds a clone of the shared state for as long as it
+        // lives; after the drop nobody does.
+        let _plane = no_faults();
+        let pool = LanePool::with_threads(3);
+        let shared = Arc::downgrade(&pool.shared);
+        pool.run(4, |_| ());
+        assert_eq!(shared.strong_count(), 3);
+        drop(pool);
+        assert_eq!(shared.strong_count(), 0);
+    }
+
+    /// The thread-locals the lane prologue touches (the epoch apart: a
+    /// submitter keeps that of the last region it opened).
+    fn lane_identity() -> (Option<usize>, bool, swfault::Lane, swprof::Track) {
+        (
+            trace::current_cpe(),
+            trace::enabled(),
+            swfault::current_lane(),
+            swprof::current_track(),
+        )
+    }
+
+    #[test]
+    fn zero_worker_pool_runs_on_the_caller_and_restores_its_identity() {
+        let _plane = no_faults();
+        let pool = LanePool::with_threads(1);
+        let caller = std::thread::current().id();
+        let before = lane_identity();
+        let ran_on = pool.run(N_LANES, |lane| {
+            assert_eq!(
+                lane_identity(),
+                (Some(lane), before.1, Some(lane), before.3),
+                "a lane is its CPE and keeps the submitter's capture flag"
+            );
+            (std::thread::current().id(), trace::current_epoch())
         });
-        assert_eq!(r, Err(LanePanic));
-        assert_eq!(pool.try_run(8, |_| {}), Ok(()));
+        assert!(ran_on.iter().all(|&(thread, _)| thread == caller));
+        assert_eq!(lane_identity(), before);
+        // The submitter goes on in the region it ran, like any MPE.
+        assert!(ran_on
+            .iter()
+            .all(|&(_, epoch)| epoch == trace::current_epoch()));
+    }
+
+    #[test]
+    fn pool_lane_panic_is_reported_after_drain() {
+        // With a worker, and with the submitter alone: a panic in a lane
+        // the submitter ran is drained and reported exactly like a
+        // worker's, and leaves the submitter the thread it was.
+        let _plane = no_faults();
+        for n_threads in [2, 1] {
+            let pool = LanePool::with_threads(n_threads);
+            let done = AtomicUsize::new(0);
+            let before = lane_identity();
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.run(8, |lane| {
+                    if lane == 3 {
+                        panic!("lane 3 exploded");
+                    }
+                    done.fetch_add(1, Ordering::Relaxed);
+                })
+            }));
+            let msg = r.expect_err("a poisoned region panics on the submitter");
+            assert_eq!(
+                msg.downcast_ref::<String>().map(String::as_str),
+                Some(POISONED)
+            );
+            assert_eq!(done.load(Ordering::Relaxed), 7, "every other lane ran");
+            assert_eq!(lane_identity(), before, "{n_threads} threads");
+            // The pool must still be usable after a poisoned region.
+            assert_eq!(pool.run(8, |lane| lane), (0..8).collect::<Vec<_>>());
+        }
     }
 
     #[test]
@@ -373,33 +585,54 @@ mod tests {
         // A scripted worker panic on lane 5: the panicking lane never
         // runs its body, every other lane completes, and the pool is
         // reusable — the exact contract rollback recovery relies on.
-        let scope = swfault::install(swfault::FaultPlan::with_seed(3).one_shot(
-            swfault::Site::LanePanic,
-            Some(5),
-            0,
-        ));
-        let pool = NativePool::with_threads(2);
-        let hits: Vec<AtomicUsize> = (0..8).map(|_| AtomicUsize::new(0)).collect();
-        let r = pool.try_run(8, |lane| {
-            hits[lane].fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(r, Err(LanePanic));
-        for (lane, h) in hits.iter().enumerate() {
-            let expect = if lane == 5 { 0 } else { 1 };
-            assert_eq!(h.load(Ordering::Relaxed), expect, "lane {lane}");
+        let plan =
+            || swfault::FaultPlan::with_seed(3).one_shot(swfault::Site::LanePanic, Some(5), 0);
+        let poisoned = |pool: &LanePool, hits: &[AtomicUsize]| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.run(8, |lane| {
+                    hits[lane].fetch_add(1, Ordering::Relaxed);
+                })
+            }))
+            .is_err()
+        };
+        for n_threads in [2, 1] {
+            let pool = LanePool::with_threads(n_threads);
+            let hits: Vec<AtomicUsize> = (0..8).map(|_| AtomicUsize::new(0)).collect();
+            let scope = swfault::install(plan());
+            assert!(poisoned(&pool, &hits));
+            for (lane, h) in hits.iter().enumerate() {
+                let expect = if lane == 5 { 0 } else { 1 };
+                assert_eq!(h.load(Ordering::Relaxed), expect, "lane {lane}");
+            }
+            assert_eq!(swfault::current_lane(), None);
+            let log = scope.finish();
+            assert_eq!(log.count(swfault::Site::LanePanic), 1);
+            // The one-shot is consumed by its decision index: the
+            // replayed region (seq 1 on lane 5) is clean, guaranteeing a
+            // rollback that retries the region makes forward progress.
+            let scope2 = swfault::install(plan());
+            assert!(poisoned(&pool, &hits));
+            assert!(!poisoned(&pool, &hits));
+            drop(scope2);
         }
-        let log = scope.finish();
-        assert_eq!(log.count(swfault::Site::LanePanic), 1);
-        // The one-shot is consumed by its decision index: the replayed
-        // region (seq 1 on lane 5) is clean, guaranteeing a rollback
-        // that retries the region makes forward progress.
-        let scope2 = swfault::install(swfault::FaultPlan::with_seed(3).one_shot(
-            swfault::Site::LanePanic,
-            Some(5),
-            0,
-        ));
-        assert_eq!(pool.try_run(8, |_| {}), Err(LanePanic));
-        assert_eq!(pool.try_run(8, |_| {}), Ok(()));
-        drop(scope2);
+        // The metered face of the executor never consults the site.
+        let always = swfault::install(swfault::FaultPlan {
+            lane_panic: 1.0,
+            ..swfault::FaultPlan::with_seed(3)
+        });
+        let pool = LanePool::with_threads(2);
+        assert_eq!(pool.region(8, |lane, _| lane).len(), 8);
+        assert_eq!(always.finish().count(swfault::Site::LanePanic), 0);
+    }
+
+    #[test]
+    fn recycled_buffers_are_resized_and_bounded() {
+        let pool = LanePool::with_threads(1);
+        assert_eq!(pool.take_buffer(4), vec![0.0; 4]);
+        pool.recycle([vec![1.0; 8], Vec::new()]);
+        assert_eq!(pool.take_buffer(2), vec![1.0; 2], "stale, truncated");
+        assert_eq!(pool.take_buffer(2), vec![0.0; 2], "empty ones are not kept");
+        pool.recycle((0..2 * N_LANES).map(|_| vec![0.0; 1]));
+        assert_eq!(pool.buffers().len(), N_LANES);
     }
 }

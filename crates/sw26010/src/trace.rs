@@ -2,23 +2,28 @@
 //!
 //! Every metered architectural interaction — DMA transfers, gld/gst
 //! bursts, LDM reservations, write-cache line state, Bit-Map marks —
-//! can emit an [`Event`] into a process-global sink. The sink is off by
-//! default and each emit site guards on one relaxed atomic load, so
-//! kernels pay nothing when no checker is attached.
+//! can emit an [`Event`] into the sink. Capture is off by default and
+//! each emit site guards on one thread-local flag, so kernels pay
+//! nothing when no checker is attached.
 //!
-//! A [`Session`] turns the sink on, drains it on [`Session::finish`],
-//! and holds a global lock for its lifetime: capture is process-global,
-//! so concurrent sessions (e.g. parallel `cargo test` threads) are
-//! serialized rather than interleaved.
+//! A [`Session`] turns capture on **for the thread that opened it**,
+//! drains the sink on [`Session::finish`], and holds a global lock for
+//! its lifetime (one sink, so concurrent sessions are serialized rather
+//! than interleaved). The lanes of a region inherit the capture flag of
+//! the thread that submitted it — the lane executor
+//! ([`LanePool`](crate::pool::LanePool)) installs it in its lane
+//! prologue — so a session records its own thread and the regions that
+//! thread runs, and nothing another thread of the process is doing.
 //!
 //! Spawn regions are numbered by a monotonically increasing **epoch**
-//! ([`CoreGroup::spawn`](crate::cg::CoreGroup::spawn) opens one per
-//! parallel region). Events carry the epoch they occurred in plus the
-//! issuing CPE id (`None` for MPE/host code), which is what lets the
-//! dynamic race detector scope "concurrent" to "same spawn region".
+//! (the lane executor opens one per parallel region). Events carry the
+//! epoch of the region the emitting thread is in — a lane's own region,
+//! or the last one the emitting host thread opened — plus the issuing
+//! CPE id (`None` for MPE/host code), which is what lets the dynamic
+//! race detector scope "concurrent" to "same spawn region".
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use crate::dma::Dir;
@@ -265,7 +270,6 @@ pub struct Binding {
     pub base_words: usize,
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
 static EVENTS: Mutex<Vec<Event>> = Mutex::new(Vec::new());
 static EPOCH: AtomicU64 = AtomicU64::new(0);
 static NEXT_CACHE_ID: AtomicU64 = AtomicU64::new(1);
@@ -277,12 +281,54 @@ static SESSION: Mutex<()> = Mutex::new(());
 
 thread_local! {
     static CURRENT_CPE: Cell<Option<usize>> = const { Cell::new(None) };
+    /// Whether this thread records into the sink: it holds the open
+    /// [`Session`], or is running a lane of a region that thread
+    /// submitted.
+    static CAPTURING: Cell<bool> = const { Cell::new(false) };
+    /// Epoch of the region this thread is a lane of, else of the last
+    /// region it opened.
+    static REGION_EPOCH: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Whether a session is currently capturing events.
+/// Whether the calling thread is capturing events for a session.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    CAPTURING.with(|c| c.get())
+}
+
+/// The calling thread's trace identity: which CPE it acts as, whether
+/// it captures, and the region epoch its events carry.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LaneTag {
+    cpe: Option<usize>,
+    capturing: bool,
+    epoch: u64,
+}
+
+impl LaneTag {
+    /// The calling thread's current tag.
+    pub(crate) fn current() -> Self {
+        Self {
+            cpe: current_cpe(),
+            capturing: enabled(),
+            epoch: current_epoch(),
+        }
+    }
+
+    /// This tag's capture flag and epoch, acting as CPE `lane`.
+    pub(crate) fn on_lane(self, lane: usize) -> Self {
+        Self {
+            cpe: Some(lane),
+            ..self
+        }
+    }
+
+    /// Make this the calling thread's tag.
+    pub(crate) fn install(self) {
+        set_current_cpe(self.cpe);
+        CAPTURING.with(|c| c.set(self.capturing));
+        REGION_EPOCH.with(|e| e.set(self.epoch));
+    }
 }
 
 fn events() -> MutexGuard<'static, Vec<Event>> {
@@ -299,14 +345,15 @@ pub fn current_cpe() -> Option<usize> {
 }
 
 /// Tag the calling thread as executing CPE `id` (or untag with `None`).
-/// Called by `CoreGroup::spawn` around each kernel instance.
+/// The lane executor does this around each lane.
 pub fn set_current_cpe(id: Option<usize>) {
     CURRENT_CPE.with(|c| c.set(id));
 }
 
-/// The epoch of the most recently opened spawn region.
+/// The epoch the calling thread's events carry: the region it is a
+/// lane of, else the last region it opened.
 pub fn current_epoch() -> u64 {
-    EPOCH.load(Ordering::Relaxed)
+    REGION_EPOCH.with(|e| e.get())
 }
 
 /// Allocate a process-unique trace id for a software cache instance.
@@ -334,6 +381,7 @@ pub fn next_barrier_id() -> u64 {
 /// region numbering the race detector uses.
 pub fn begin_region(n_cpes: usize) -> u64 {
     let epoch = EPOCH.fetch_add(1, Ordering::Relaxed) + 1;
+    REGION_EPOCH.with(|e| e.set(epoch));
     swprof::set_epoch(epoch);
     if enabled() {
         push(Event::SpawnBegin { epoch, n_cpes });
@@ -576,35 +624,37 @@ pub fn emit_phase(label: &str, cycles: u64) {
     });
 }
 
-/// An active capture session. Holds the global session lock; dropping it
-/// (or calling [`Session::finish`]) stops capture.
+/// An active capture session of the thread that opened it. Holds the
+/// global session lock; dropping it (or calling [`Session::finish`])
+/// stops capture.
 #[derive(Debug)]
 pub struct Session {
     _guard: Option<MutexGuard<'static, ()>>,
 }
 
 impl Session {
-    /// Start capturing. Blocks until any other session has finished,
-    /// then clears the sink.
+    /// Start capturing on the calling thread. Blocks until any other
+    /// session has finished, then clears the sink.
     pub fn begin() -> Self {
         let guard = SESSION.lock().unwrap_or_else(|e| e.into_inner());
         events().clear();
-        ENABLED.store(true, Ordering::SeqCst);
+        CAPTURING.with(|c| c.set(true));
         Self {
             _guard: Some(guard),
         }
     }
 
-    /// Stop capturing and return every event recorded since `begin`.
+    /// Stop capturing (the drop does) and return every event recorded
+    /// since `begin`.
     pub fn finish(self) -> Vec<Event> {
-        ENABLED.store(false, Ordering::SeqCst);
         std::mem::take(&mut *events())
     }
 }
 
 impl Drop for Session {
     fn drop(&mut self) {
-        ENABLED.store(false, Ordering::SeqCst);
+        // The guard is `!Send`, so this is the thread `begin` ran on.
+        CAPTURING.with(|c| c.set(false));
     }
 }
 
@@ -675,20 +725,47 @@ mod tests {
     }
 
     #[test]
-    fn cpe_tagging_is_thread_local() {
+    fn cpe_tagging_and_capture_are_thread_local() {
         let s = Session::begin();
+        let e = begin_region(1);
+        let submitter = LaneTag::current();
         set_current_cpe(Some(5));
         emit_gld(1);
         set_current_cpe(None);
-        std::thread::spawn(|| {
-            // Fresh thread: untagged.
+        std::thread::spawn(move || {
+            // A thread that is none of this session's business: untagged
+            // and not capturing.
+            assert_eq!(current_cpe(), None);
+            assert!(!enabled());
             emit_gld(2);
+            // As a lane of the session thread's region it records, under
+            // that region's epoch, and stops when the lane ends.
+            let outside = LaneTag::current();
+            submitter.on_lane(3).install();
+            emit_gld(3);
+            outside.install();
+            emit_gld(4);
         })
         .join()
         .unwrap();
         let ev = s.finish();
-        assert!(matches!(ev[0], Event::Gld { cpe: Some(5), .. }));
-        assert!(matches!(ev[1], Event::Gld { cpe: None, .. }));
+        assert_eq!(ev.len(), 3, "{ev:?}");
+        assert!(matches!(
+            ev[1],
+            Event::Gld {
+                cpe: Some(5),
+                ops: 1,
+                ..
+            }
+        ));
+        assert_eq!(
+            ev[2],
+            Event::Gld {
+                cpe: Some(3),
+                epoch: e,
+                ops: 3
+            }
+        );
     }
 
     #[test]

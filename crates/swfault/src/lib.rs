@@ -92,7 +92,7 @@ pub enum Site {
     /// registry-vs-queue reconciliation sweep, which re-enqueues it.
     SchedJobDrop,
     /// A pool worker thread panics mid-lane (real `panic!`, not a
-    /// simulated hang). Surfaced by `NativePool` as a poisoned region
+    /// simulated hang). Surfaced by `LanePool::run` as a poisoned region
     /// and rolled back by the fault-tolerant runner like a step abort.
     LanePanic,
 }

@@ -1,9 +1,7 @@
 //! Network model parameters.
 
-use serde::Serialize;
-
 /// Distance class between two ranks on the machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RankDistance {
     /// Same CG: no network involved.
     SameRank,
@@ -16,7 +14,7 @@ pub enum RankDistance {
 }
 
 /// Tunable parameters of the interconnect model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetParams {
     /// Wire latency to a CG on the same chip, ns.
     pub lat_chip_ns: f64,

@@ -1,7 +1,7 @@
 //! Minimal JSON emit + parse.
 //!
-//! The workspace's `serde` is an offline no-op shim (no format crate
-//! ever walks the derives), so the exporters build their JSON by hand.
+//! The workspace builds offline, without a serialization framework, so
+//! the exporters build their JSON by hand.
 //! This module centralizes the two halves: string escaping / number
 //! formatting for emitters, and a small recursive-descent parser used
 //! by tests and the `swprof` binary to validate everything they emit

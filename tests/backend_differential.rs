@@ -26,7 +26,9 @@
 //!
 //! Finally, the native backend must actually pass the swcheck
 //! happens-before certification gate (`Certified::admit`) that the
-//! engine demands of a `Concurrency::Threads` substrate.
+//! engine demands of a `Concurrency::Threads` substrate — also while
+//! another thread of the process is running kernels of its own, whose
+//! events are none of the certification's business.
 
 use sw_gromacs::mdsim::nonbonded::NbParams;
 use sw_gromacs::mdsim::pairlist::{ListKind, PairList};
@@ -220,4 +222,63 @@ fn native_backend_is_admitted_by_the_certification_gate() {
     // this certificate (panics on any shortfall).
     let admitted = Certified::admit(NativeBackend::new(), cert);
     assert_eq!(admitted.concurrency(), Concurrency::Threads);
+}
+
+#[test]
+fn certification_does_not_see_kernels_another_thread_runs() {
+    let opts = swcheck::schedule::CertifyOptions {
+        n_mol: 60,
+        seeds: vec![1],
+        schedules: 20,
+        backend: BackendSel::Native,
+    };
+    let shape = |report: &swcheck::schedule::CertifyReport| -> Vec<(u64, usize)> {
+        report
+            .outcomes
+            .iter()
+            .map(|o| (o.checksum, o.trace_len))
+            .collect()
+    };
+    let quiet = swcheck::schedule::certify(&opts);
+    assert!(quiet.certificate.is_some());
+
+    let stop = std::sync::atomic::AtomicBool::new(false);
+    let (running, is_running) = std::sync::mpsc::channel();
+    let noisy = std::thread::scope(|s| {
+        s.spawn(|| {
+            // Unrelated work on this thread's own backends: marks, DMA
+            // and shared writes that would fail the certified traces'
+            // contracts if a single one were recorded into them.
+            let native = AnyBackend::of(BackendSel::Native);
+            let metered = AnyBackend::of(BackendSel::Metered);
+            let mut announced = false;
+            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                for variant in [Variant::Rma, Variant::Ustc] {
+                    run_variant_with(&native, variant, 40, 9);
+                    run_variant_with(&metered, variant, 40, 9);
+                }
+                if !std::mem::replace(&mut announced, true) {
+                    running.send(()).expect("the certifying thread waits");
+                }
+            }
+        });
+        is_running.recv().expect("the other thread got going");
+        let report = swcheck::schedule::certify(&opts);
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        report
+    });
+    for o in &noisy.outcomes {
+        assert!(
+            o.problems.is_empty(),
+            "{}: {:?}",
+            o.variant.name(),
+            o.problems
+        );
+    }
+    assert!(noisy.certificate.is_some());
+    assert_eq!(
+        shape(&noisy),
+        shape(&quiet),
+        "the same checksums from the same number of events"
+    );
 }

@@ -263,7 +263,7 @@ fn lane_bits() -> impl Strategy<Value = Vec<u32>> {
     )
 }
 
-fn lanes_of(bits: &[u32]) -> [f32; 8] {
+fn lanes_from_bits(bits: &[u32]) -> [f32; 8] {
     std::array::from_fn(|k| f32::from_bits(bits[k]))
 }
 
@@ -375,7 +375,7 @@ proptest! {
         b in lane_bits(),
         c in lane_bits(),
     ) {
-        for_each_lanes8!(lane_ops_match_scalar, lanes_of(&a), lanes_of(&b), lanes_of(&c));
+        for_each_lanes8!(lane_ops_match_scalar, lanes_from_bits(&a), lanes_from_bits(&b), lanes_from_bits(&c));
     }
 
     /// The 8-wide kernel selects exactly the scalar pair set and agrees
