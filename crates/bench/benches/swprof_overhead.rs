@@ -1,6 +1,6 @@
 //! Disabled-overhead guard for the swprof instrumentation (ISSUE 2 S5).
 //!
-//! Every emit site in the stack guards on one relaxed atomic load, so
+//! Every emit site in the stack guards on one thread-local flag read, so
 //! with no session active an instrumented kernel must run at the same
 //! speed as before the profiler existed. This bench times the Mark
 //! kernel and a DMA stream with profiling off, times the pure guard

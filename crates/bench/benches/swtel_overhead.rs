@@ -3,7 +3,7 @@
 //! Two budgets, enforced as assertions rather than numbers to eyeball:
 //!
 //! - **Disabled tracing**: every span/send site in `swnet`/`mdsim`/
-//!   `swgmx` guards on one relaxed atomic load, so with no session
+//!   `swgmx` guards on one thread-local flag read, so with no session
 //!   active the instrumentation must cost nanoseconds, like swprof's.
 //! - **Always-on flight recorder**: `flight::record` has no off
 //!   switch — it runs inside production paths (fault decisions, store

@@ -122,7 +122,7 @@ impl EngineConfig {
 /// Book a stage into both the cost breakdown and the profiler: the
 /// swprof span carries exactly the cycles charged to the `Breakdown`
 /// row, so the Chrome-trace per-stage totals agree with Table 1 by
-/// construction. One relaxed atomic load when no profiling session is
+/// construction. One thread-local read when no profiling session is
 /// active.
 fn charge(breakdown: &mut Breakdown, label: &'static str, perf: PerfCounters) {
     swprof::stage(label, perf.cycles);

@@ -75,10 +75,7 @@ impl FaultTolerantRunner {
             "cp_every ({cp_every}) must be a positive multiple of nstlist ({nstlist})"
         );
         let mut report = RecoveryReport::default();
-        let cp_bytes = Self::serialize(
-            &Checkpoint::capture(&engine.sys, engine.step_index() as u64),
-            &mut report,
-        )?;
+        let cp_bytes = Self::serialize(&engine, &mut report)?;
         let high_water = engine.step_index();
         Ok(Self {
             engine,
@@ -158,51 +155,36 @@ impl FaultTolerantRunner {
         &self.report
     }
 
-    /// Serialize with bounded retry against injected I/O faults; a
-    /// retried write starts over with a fresh buffer, so the bytes are
-    /// identical to a first-try success.
-    fn serialize(cp: &Checkpoint, report: &mut RecoveryReport) -> io::Result<Vec<u8>> {
-        let mut attempt = 0u32;
-        loop {
-            let mut buf = Vec::new();
-            match cp.write_to(&mut buf) {
-                Ok(()) => {
-                    report.checkpoints_written += 1;
-                    return Ok(buf);
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::Interrupted
-                        && attempt < swfault::retry::MAX_ATTEMPTS =>
-                {
-                    report.checkpoint_io_retries += 1;
-                    if swprof::enabled() {
-                        swprof::metrics::counter_add("fault.retries.checkpoint", 1);
-                    }
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+    /// Checkpoint the engine's current state, retrying injected I/O faults.
+    fn serialize(engine: &Engine, report: &mut RecoveryReport) -> io::Result<Vec<u8>> {
+        let cp = Checkpoint::capture(&engine.sys, engine.step_index() as u64);
+        let (bytes, retries) = cp.encode_with_retry()?;
+        report.checkpoint_io_retries += retries;
+        report.checkpoints_written += 1;
+        Ok(bytes)
     }
 
     fn deserialize(bytes: &[u8], report: &mut RecoveryReport) -> io::Result<Checkpoint> {
-        let mut attempt = 0u32;
-        loop {
-            match Checkpoint::read_from(&mut &bytes[..]) {
-                Ok(cp) => return Ok(cp),
-                Err(e)
-                    if e.kind() == io::ErrorKind::Interrupted
-                        && attempt < swfault::retry::MAX_ATTEMPTS =>
-                {
-                    report.checkpoint_io_retries += 1;
-                    if swprof::enabled() {
-                        swprof::metrics::counter_add("fault.retries.checkpoint", 1);
-                    }
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
-            }
+        let (cp, retries) = Checkpoint::decode_with_retry(bytes)?;
+        report.checkpoint_io_retries += retries;
+        Ok(cp)
+    }
+
+    /// Discard everything since the last checkpoint: black-box the abort
+    /// before state is rewound — the last N flight events explain *why*
+    /// this rollback happened, and the dump lives next to the generation
+    /// chain a restart would read — then restore and resume there.
+    fn roll_back(&mut self, cause: &'static str, at_step: usize) -> io::Result<()> {
+        self.report.rollbacks += 1;
+        swprof::metrics::counter_add("fault.rollbacks", 1);
+        let cp = Self::deserialize(&self.cp_bytes, &mut self.report)?;
+        swtel::flight::record("abort", cause, at_step as u64, cp.step);
+        if let Some(store) = &self.store {
+            let _ = swtel::flight::dump_to(&store.dir().join("blackbox-rollback.json"));
         }
+        cp.restore(&mut self.engine.sys)?;
+        self.engine.resume_at(cp.step as usize);
+        Ok(())
     }
 
     /// Run until the engine's step index reaches `until_step`. Steps at
@@ -217,10 +199,7 @@ impl FaultTolerantRunner {
             // during a replay (step < high_water) the stored checkpoint
             // already holds this exact state.
             if step > 0 && step.is_multiple_of(self.cp_every) && step >= self.high_water {
-                self.cp_bytes = Self::serialize(
-                    &Checkpoint::capture(&self.engine.sys, step as u64),
-                    &mut self.report,
-                )?;
+                self.cp_bytes = Self::serialize(&self.engine, &mut self.report)?;
                 self.persist(step as u64)?;
             }
             // A worker-thread panic mid-step (a poisoned native-pool
@@ -234,24 +213,14 @@ impl FaultTolerantRunner {
             self.report.step_executions += 1;
             if stepped.is_err() {
                 self.report.lane_panics += 1;
-                self.report.rollbacks += 1;
                 consecutive_panics += 1;
                 if consecutive_panics > swfault::retry::MAX_ATTEMPTS {
                     return Err(io::Error::other(
                         "kernel lane panicked on every replay of one step; giving up",
                     ));
                 }
-                if swprof::enabled() {
-                    swprof::metrics::counter_add("fault.rollbacks", 1);
-                    swprof::metrics::counter_add("fault.lane_panics", 1);
-                }
-                let cp = Self::deserialize(&self.cp_bytes, &mut self.report)?;
-                swtel::flight::record("abort", "lane_panic", step as u64, cp.step);
-                if let Some(store) = &self.store {
-                    let _ = swtel::flight::dump_to(&store.dir().join("blackbox-rollback.json"));
-                }
-                cp.restore(&mut self.engine.sys)?;
-                self.engine.resume_at(cp.step as usize);
+                swprof::metrics::counter_add("fault.lane_panics", 1);
+                self.roll_back("lane_panic", step)?;
                 continue;
             }
             consecutive_panics = 0;
@@ -259,21 +228,7 @@ impl FaultTolerantRunner {
             if now > self.high_water {
                 self.high_water = now;
                 if swfault::should(swfault::Site::StepAbort) {
-                    self.report.rollbacks += 1;
-                    if swprof::enabled() {
-                        swprof::metrics::counter_add("fault.rollbacks", 1);
-                    }
-                    let cp = Self::deserialize(&self.cp_bytes, &mut self.report)?;
-                    // Black-box the abort before state is rewound: the
-                    // last N flight events explain *why* this rollback
-                    // happened, and the dump lives next to the
-                    // generation chain a restart would read.
-                    swtel::flight::record("abort", "step_rollback", now as u64, cp.step);
-                    if let Some(store) = &self.store {
-                        let _ = swtel::flight::dump_to(&store.dir().join("blackbox-rollback.json"));
-                    }
-                    cp.restore(&mut self.engine.sys)?;
-                    self.engine.resume_at(cp.step as usize);
+                    self.roll_back("step_rollback", now)?;
                 }
             }
         }

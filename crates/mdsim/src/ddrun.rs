@@ -83,9 +83,9 @@ pub fn compute_forces_dd(
         let _rank_span = swprof::span("dd.rank");
         // Cross-rank tracing: bind this iteration to its rank's
         // virtual timeline and wrap the whole force pass in a per-rank
-        // "step" span. Everything is gated on one atomic load, so the
-        // untraced path (all existing chaos/differential tests) is a
-        // handful of no-ops.
+        // "step" span. Everything is gated on one thread-local read, so
+        // the untraced path (all existing chaos/differential tests) is
+        // a handful of no-ops.
         let tracing = swtel::enabled();
         if tracing {
             swtel::set_rank(Some(rank));
@@ -218,52 +218,13 @@ pub struct DdRunReport {
     pub energies: NbEnergies,
 }
 
-/// Serialize `cp` with bounded retry against injected I/O faults. Each
-/// failed attempt starts over with a fresh buffer, so a retried
-/// checkpoint is byte-identical to a first-try one.
-fn write_checkpoint(cp: &Checkpoint, report: &mut DdRunReport) -> io::Result<Vec<u8>> {
-    let mut attempt = 0u32;
-    loop {
-        let mut buf = Vec::new();
-        match cp.write_to(&mut buf) {
-            Ok(()) => {
-                report.checkpoints_written += 1;
-                return Ok(buf);
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::Interrupted
-                    && attempt < swfault::retry::MAX_ATTEMPTS =>
-            {
-                report.checkpoint_io_retries += 1;
-                if swprof::enabled() {
-                    swprof::metrics::counter_add("fault.retries.checkpoint", 1);
-                }
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Deserialize a checkpoint with bounded retry against injected I/O
-/// faults (re-reads start from the beginning of the buffer).
-fn read_checkpoint(bytes: &[u8], report: &mut DdRunReport) -> io::Result<Checkpoint> {
-    let mut attempt = 0u32;
-    loop {
-        match Checkpoint::read_from(&mut &bytes[..]) {
-            Ok(cp) => return Ok(cp),
-            Err(e)
-                if e.kind() == io::ErrorKind::Interrupted
-                    && attempt < swfault::retry::MAX_ATTEMPTS =>
-            {
-                report.checkpoint_io_retries += 1;
-                if swprof::enabled() {
-                    swprof::metrics::counter_add("fault.retries.checkpoint", 1);
-                }
-                attempt += 1;
-            }
-            Err(e) => return Err(e),
-        }
+impl DdRunReport {
+    /// Checkpoint `sys` at `step`, retrying injected I/O faults.
+    fn checkpoint(&mut self, sys: &System, step: u64) -> io::Result<Vec<u8>> {
+        let (bytes, retries) = Checkpoint::capture(sys, step).encode_with_retry()?;
+        self.checkpoint_io_retries += retries;
+        self.checkpoints_written += 1;
+        Ok(bytes)
     }
 }
 
@@ -296,10 +257,10 @@ pub fn run_dd_md(
     let mut high_water = 0u64;
     // Checkpoint of step 0: a rollback before the first interval lands
     // here.
-    let mut cp_bytes = write_checkpoint(&Checkpoint::capture(sys, 0), &mut report)?;
+    let mut cp_bytes = report.checkpoint(sys, 0)?;
     while step < n_steps {
         if step > 0 && step.is_multiple_of(cp_interval) {
-            cp_bytes = write_checkpoint(&Checkpoint::capture(sys, step), &mut report)?;
+            cp_bytes = report.checkpoint(sys, step)?;
         }
         sys.clear_forces();
         let (en, _stats) = compute_forces_dd(sys, n_ranks, params);
@@ -314,7 +275,8 @@ pub fn run_dd_md(
                 if swprof::enabled() {
                     swprof::metrics::counter_add("fault.rollbacks", 1);
                 }
-                let cp = read_checkpoint(&cp_bytes, &mut report)?;
+                let (cp, retries) = Checkpoint::decode_with_retry(&cp_bytes)?;
+                report.checkpoint_io_retries += retries;
                 swtel::flight::record("abort", "step_rollback", step, cp.step);
                 cp.restore(sys)?;
                 step = cp.step;

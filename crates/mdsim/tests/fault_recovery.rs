@@ -2,7 +2,10 @@
 //! driver: injected step aborts and I/O faults must be survived with
 //! *bit-identical* final state vs. a fault-free run.
 //!
-//! Separate test binary: fault scopes are process-global.
+//! A fault scope belongs to the thread that installed it: the clean
+//! reference runs here draw no decision from a neighbouring test's plan,
+//! so scripted decision indices mean what they say at any test
+//! parallelism.
 
 use mdsim::constraints::ConstraintSet;
 use mdsim::ddrun::run_dd_md;

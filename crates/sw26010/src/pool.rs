@@ -28,14 +28,18 @@
 //! lane-index order.
 //!
 //! **One lane prologue.** Around each lane body the executor makes the
-//! calling thread *be* that lane for the three planes that address
-//! lanes: the trace layer sees the lane as its CPE id, inheriting the
-//! submitter's capture flag and the region's epoch (so a session
-//! records the regions its own thread runs and no others), fault
-//! injection addresses it by lane, and the profiler's track is put back
-//! when the lane ends — on the submitter too, which goes on as the MPE.
-//! An injected CPE hang walks the bounded respawn loop *before* the
-//! body runs, so a hang never perturbs the physics.
+//! calling thread *be* that lane of *that submitter* for the three
+//! planes lanes touch. It enters the submitter's trace, fault and
+//! profile sessions (`swprof::scope` handles — the only way a session
+//! crosses threads; three flag reads when the submitter has none), so a
+//! lane records into and is injected by what the thread that submitted
+//! its region opened, and a worker is nobody's between lanes. And it
+//! sets the lane ids: the lane's CPE id and the region's epoch for the
+//! trace layer, the lane fault injection addresses, the profiler's
+//! track. All of it is put back when the lane ends or unwinds — on the
+//! submitter too, which goes on as the MPE. An injected CPE hang walks
+//! the bounded respawn loop *before* the body runs, so a hang never
+//! perturbs the physics.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -43,7 +47,8 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
 use crate::params::{SPAWN_JOIN_CYCLES, STRAGGLER_TIMEOUT_CYCLES};
-use crate::trace::{self, LaneTag};
+use crate::trace;
+use swprof::scope::{Entered, Handle};
 
 /// Number of logical lanes a native kernel region is divided into (one
 /// per CPE of a core group), independent of how many OS threads execute
@@ -213,10 +218,15 @@ impl LanePool {
             return Vec::new();
         }
         let epoch = trace::begin_region(n_lanes);
-        let submitter = LaneTag::current();
+        let submitter = Submitter {
+            trace: trace::handle(),
+            faults: swfault::handle(),
+            profile: swprof::handle(),
+            epoch,
+        };
         let slots: Vec<Mutex<Option<T>>> = (0..n_lanes).map(|_| Mutex::new(None)).collect();
         let poisoned = self.execute(n_lanes, &|lane| {
-            let _scope = LaneScope::enter(submitter, lane);
+            let _scope = LaneScope::enter(&submitter, lane);
             let out = f(lane, respawn_hung_lane());
             *slots[lane].lock().expect("a lane's slot is locked once") = Some(out);
         });
@@ -350,24 +360,42 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Makes the calling thread lane `lane` of a region for the trace, fault
-/// and profile planes, and puts back what it was when dropped — also
-/// when the lane body unwinds, so a submitter that catches a poisoned
-/// region carries on as the MPE thread it was.
+/// What the lanes of a region take from the thread that submitted it:
+/// the sessions it works for and the epoch it opened.
+struct Submitter {
+    trace: Handle<trace::Sink>,
+    faults: Handle<swfault::Injector>,
+    profile: Handle<swprof::Recording>,
+    epoch: u64,
+}
+
+/// Makes the calling thread lane `lane` of a submitter's region for the
+/// trace, fault and profile planes, and puts back what it was when
+/// dropped — also when the lane body unwinds, so a submitter that
+/// catches a poisoned region carries on as the MPE thread it was.
 struct LaneScope {
-    trace: LaneTag,
+    _trace: Entered<trace::Sink>,
+    _faults: Entered<swfault::Injector>,
+    _profile: Entered<swprof::Recording>,
+    cpe: Option<usize>,
+    epoch: u64,
     fault_lane: swfault::Lane,
     track: swprof::Track,
 }
 
 impl LaneScope {
-    fn enter(submitter: LaneTag, lane: usize) -> Self {
+    fn enter(submitter: &Submitter, lane: usize) -> Self {
         let found = Self {
-            trace: LaneTag::current(),
+            _trace: submitter.trace.enter(),
+            _faults: submitter.faults.enter(),
+            _profile: submitter.profile.enter(),
+            cpe: trace::current_cpe(),
+            epoch: trace::current_epoch(),
             fault_lane: swfault::current_lane(),
             track: swprof::current_track(),
         };
-        submitter.on_lane(lane).install();
+        trace::set_current_cpe(Some(lane));
+        trace::set_current_epoch(submitter.epoch);
         swfault::set_lane(Some(lane));
         found
     }
@@ -375,7 +403,8 @@ impl LaneScope {
 
 impl Drop for LaneScope {
     fn drop(&mut self) {
-        self.trace.install();
+        trace::set_current_cpe(self.cpe);
+        trace::set_current_epoch(self.epoch);
         swfault::set_lane(self.fault_lane);
         swprof::set_track(self.track);
     }
@@ -408,14 +437,6 @@ fn respawn_hung_lane() -> u64 {
 mod tests {
     use super::*;
 
-    /// The fault plane is process-wide and [`LanePool::run`] consults it:
-    /// a test that runs such regions holds the plane with an empty plan,
-    /// so that it is neither handed the fault another test scripted nor
-    /// uses up that test's decision.
-    fn no_faults() -> swfault::FaultScope {
-        swfault::install(swfault::FaultPlan::default())
-    }
-
     #[test]
     fn block_range_covers_everything_once() {
         for n in [0, 1, 63, 64, 65, 1000] {
@@ -433,7 +454,6 @@ mod tests {
 
     #[test]
     fn pool_runs_every_lane_exactly_once_in_lane_order() {
-        let _plane = no_faults();
         let pool = LanePool::with_threads(4);
         let hits: Vec<AtomicUsize> = (0..N_LANES).map(|_| AtomicUsize::new(0)).collect();
         let out = pool.run(N_LANES, |lane| {
@@ -450,7 +470,6 @@ mod tests {
     fn pool_result_is_deterministic_across_thread_counts() {
         // The contract the kernels rely on: per-lane outputs in lane
         // order give one answer at any width.
-        let _plane = no_faults();
         let run = |n_threads: usize| -> Vec<u64> {
             LanePool::with_threads(n_threads).run(N_LANES, |lane| {
                 let mut acc = 0u64;
@@ -470,7 +489,6 @@ mod tests {
 
     #[test]
     fn pool_is_reusable_across_regions() {
-        let _plane = no_faults();
         let pool = LanePool::with_threads(2);
         let sum = AtomicUsize::new(0);
         for _ in 0..3 {
@@ -489,7 +507,6 @@ mod tests {
 
     #[test]
     fn no_thread_starts_before_the_first_region() {
-        let _plane = no_faults();
         let pool = LanePool::with_threads(3);
         assert_eq!(pool.n_threads(), 3);
         assert!(pool.workers.get().is_none());
@@ -508,7 +525,6 @@ mod tests {
     fn dropping_the_pool_joins_its_workers() {
         // A worker holds a clone of the shared state for as long as it
         // lives; after the drop nobody does.
-        let _plane = no_faults();
         let pool = LanePool::with_threads(3);
         let shared = Arc::downgrade(&pool.shared);
         pool.run(4, |_| ());
@@ -530,7 +546,6 @@ mod tests {
 
     #[test]
     fn zero_worker_pool_runs_on_the_caller_and_restores_its_identity() {
-        let _plane = no_faults();
         let pool = LanePool::with_threads(1);
         let caller = std::thread::current().id();
         let before = lane_identity();
@@ -555,7 +570,6 @@ mod tests {
         // With a worker, and with the submitter alone: a panic in a lane
         // the submitter ran is drained and reported exactly like a
         // worker's, and leaves the submitter the thread it was.
-        let _plane = no_faults();
         for n_threads in [2, 1] {
             let pool = LanePool::with_threads(n_threads);
             let done = AtomicUsize::new(0);
@@ -623,6 +637,94 @@ mod tests {
         let pool = LanePool::with_threads(2);
         assert_eq!(pool.region(8, |lane, _| lane).len(), 8);
         assert_eq!(always.finish().count(swfault::Site::LanePanic), 0);
+    }
+
+    #[test]
+    fn a_worker_is_nobodys_between_lanes() {
+        // Thread A, with every kind of session open, and thread B, with
+        // none, submit regions to the same pool in turns. Lanes — on the
+        // shared worker as on the submitters — work for their region's
+        // submitter only, also right after a lane of A's has panicked.
+        let pool = LanePool::with_threads(2);
+        let sessions_seen = |pool: &LanePool| {
+            pool.run(8, |_| {
+                swprof::stage("lane", 1);
+                swprof::metrics::counter_add("lanes", 1);
+                trace::emit_gld(1);
+                (trace::enabled(), swfault::enabled(), swprof::enabled())
+            })
+        };
+        // Turns pass over channels: a side that fails hangs up, which
+        // fails the other instead of leaving it waiting.
+        let (to_b, from_a) = std::sync::mpsc::channel::<()>();
+        let (to_a, from_b) = std::sync::mpsc::channel::<()>();
+        let pool = &pool;
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let capture = trace::Session::begin();
+                let profile = swprof::Session::begin();
+                let faults = swfault::install(swfault::FaultPlan::with_seed(1).one_shot(
+                    swfault::Site::LanePanic,
+                    Some(2),
+                    1,
+                ));
+                for round in 0..3 {
+                    let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        sessions_seen(pool)
+                    }));
+                    match ran {
+                        Ok(seen) => assert_eq!(seen, [(true, true, true); 8]),
+                        Err(_) => assert_eq!(round, 1, "the scripted lane panic"),
+                    }
+                    to_b.send(()).expect("B is there");
+                    from_b.recv().expect("B took its turn");
+                }
+                assert_eq!(faults.finish().count(swfault::Site::LanePanic), 1);
+                // 8 + 7 + 8 lanes of A's regions, not one of B's.
+                let metrics = profile.finish().metrics;
+                assert_eq!(metrics.get("lanes").map(|m| m.value()), Some(23));
+                let glds = capture.finish();
+                let glds = glds
+                    .iter()
+                    .filter(|e| matches!(e, trace::Event::Gld { .. }));
+                assert_eq!(glds.count(), 23);
+            });
+            s.spawn(move || {
+                for _ in 0..3 {
+                    from_a.recv().expect("A took its turn");
+                    assert_eq!(sessions_seen(pool), [(false, false, false); 8]);
+                    to_a.send(()).expect("A is there");
+                }
+            });
+        });
+    }
+
+    #[test]
+    fn a_region_label_belongs_to_the_session_that_set_it() {
+        use crate::cg::CoreGroup;
+        // A labels its next region; B, with a session of its own, spawns
+        // first. The label waits for A.
+        let (to_b, labelled) = std::sync::mpsc::channel::<()>();
+        let (to_a, spawned) = std::sync::mpsc::channel::<()>();
+        let region_spans =
+            |profile: swprof::Profile| profile.span_totals().into_keys().collect::<Vec<_>>();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let profile = swprof::Session::begin();
+                swprof::next_region_label("a.kernel");
+                to_b.send(()).expect("B is there");
+                spawned.recv().expect("B spawned");
+                CoreGroup::with_threads(1).spawn(|_| ());
+                assert_eq!(region_spans(profile.finish()), ["a.kernel"]);
+            });
+            s.spawn(move || {
+                let profile = swprof::Session::begin();
+                labelled.recv().expect("A labelled its region");
+                CoreGroup::with_threads(1).spawn(|_| ());
+                to_a.send(()).expect("A is there");
+                assert_eq!(region_spans(profile.finish()), ["spawn"]);
+            });
+        });
     }
 
     #[test]

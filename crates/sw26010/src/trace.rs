@@ -2,18 +2,18 @@
 //!
 //! Every metered architectural interaction — DMA transfers, gld/gst
 //! bursts, LDM reservations, write-cache line state, Bit-Map marks —
-//! can emit an [`Event`] into the sink. Capture is off by default and
-//! each emit site guards on one thread-local flag, so kernels pay
-//! nothing when no checker is attached.
+//! can emit an [`Event`] into the sink of a capture session. Capture is
+//! off by default and each emit site guards on one thread-local read, so
+//! kernels pay nothing when no checker is attached.
 //!
-//! A [`Session`] turns capture on **for the thread that opened it**,
-//! drains the sink on [`Session::finish`], and holds a global lock for
-//! its lifetime (one sink, so concurrent sessions are serialized rather
-//! than interleaved). The lanes of a region inherit the capture flag of
-//! the thread that submitted it — the lane executor
-//! ([`LanePool`](crate::pool::LanePool)) installs it in its lane
-//! prologue — so a session records its own thread and the regions that
-//! thread runs, and nothing another thread of the process is doing.
+//! A [`Session`] owns its sink and turns capture on **for the thread
+//! that opened it** (`swprof::scope`, the mechanism every plane shares):
+//! sessions on different threads are independent, neither waits for the
+//! other. The lanes of a region work for the session of the thread that
+//! submitted it — the lane executor ([`LanePool`](crate::pool::LanePool))
+//! hands them its handle in the lane prologue — so a session records its
+//! own thread and the regions that thread runs, and nothing another
+//! thread of the process is doing.
 //!
 //! Spawn regions are numbered by a monotonically increasing **epoch**
 //! (the lane executor opens one per parallel region). Events carry the
@@ -21,10 +21,15 @@
 //! or the last one the emitting host thread opened — plus the issuing
 //! CPE id (`None` for MPE/host code), which is what lets the dynamic
 //! race detector scope "concurrent" to "same spawn region".
+//! The epoch and the cache/LDM/channel/DMA/barrier ids are the one
+//! process-wide part: bare `fetch_add` allocators of unique numbers,
+//! never reset and never read back as state, so they couple no sessions.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::Mutex;
+
+use swprof::scope;
 
 use crate::dma::Dir;
 
@@ -270,73 +275,51 @@ pub struct Binding {
     pub base_words: usize,
 }
 
-static EVENTS: Mutex<Vec<Event>> = Mutex::new(Vec::new());
+// swrace: allow(SWC010) region-epoch allocator: fetch_add only, never reset or read back as state
 static EPOCH: AtomicU64 = AtomicU64::new(0);
+// swrace: allow(SWC010) the five id allocators: fetch_add only, never reset or read back as state
 static NEXT_CACHE_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_LDM_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_CHAN_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_DMA_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_BARRIER_ID: AtomicU64 = AtomicU64::new(1);
-static SESSION: Mutex<()> = Mutex::new(());
+
+/// The event sink of one capture session. Opaque: owned by its
+/// [`Session`], reached by the threads working for it through [`scope`].
+pub struct Sink(Mutex<Vec<Event>>);
 
 thread_local! {
+    static SINK_ACTIVE: Cell<bool> = const { Cell::new(false) };
+    static SINK_SLOT: scope::Slot<Sink> = const { RefCell::new(None) };
     static CURRENT_CPE: Cell<Option<usize>> = const { Cell::new(None) };
-    /// Whether this thread records into the sink: it holds the open
-    /// [`Session`], or is running a lane of a region that thread
-    /// submitted.
-    static CAPTURING: Cell<bool> = const { Cell::new(false) };
     /// Epoch of the region this thread is a lane of, else of the last
     /// region it opened.
     static REGION_EPOCH: Cell<u64> = const { Cell::new(0) };
 }
 
+const SINK: scope::Plane<Sink> = scope::Plane::new(&SINK_ACTIVE, &SINK_SLOT);
+
+/// The calling thread's handle on the session it records into: what a
+/// thread started by hand enters ([`scope::Handle::enter`]) to record
+/// there too, as the lane executor's lanes do.
+pub fn handle() -> scope::Handle<Sink> {
+    SINK.handle()
+}
+
 /// Whether the calling thread is capturing events for a session.
 #[inline]
 pub fn enabled() -> bool {
-    CAPTURING.with(|c| c.get())
+    SINK.active()
 }
 
-/// The calling thread's trace identity: which CPE it acts as, whether
-/// it captures, and the region epoch its events carry.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LaneTag {
-    cpe: Option<usize>,
-    capturing: bool,
-    epoch: u64,
-}
-
-impl LaneTag {
-    /// The calling thread's current tag.
-    pub(crate) fn current() -> Self {
-        Self {
-            cpe: current_cpe(),
-            capturing: enabled(),
-            epoch: current_epoch(),
-        }
-    }
-
-    /// This tag's capture flag and epoch, acting as CPE `lane`.
-    pub(crate) fn on_lane(self, lane: usize) -> Self {
-        Self {
-            cpe: Some(lane),
-            ..self
-        }
-    }
-
-    /// Make this the calling thread's tag.
-    pub(crate) fn install(self) {
-        set_current_cpe(self.cpe);
-        CAPTURING.with(|c| c.set(self.capturing));
-        REGION_EPOCH.with(|e| e.set(self.epoch));
-    }
-}
-
-fn events() -> MutexGuard<'static, Vec<Event>> {
-    EVENTS.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn push(ev: Event) {
-    events().push(ev);
+/// Record `event()` if the calling thread captures; it is not evaluated
+/// otherwise.
+#[inline]
+fn emit(event: impl FnOnce() -> Event) {
+    SINK.with(|sink| {
+        let event = event();
+        scope::lock(&sink.0).push(event)
+    });
 }
 
 /// CPE id of the calling thread (`None` on MPE/host threads).
@@ -354,6 +337,12 @@ pub fn set_current_cpe(id: Option<usize>) {
 /// lane of, else the last region it opened.
 pub fn current_epoch() -> u64 {
     REGION_EPOCH.with(|e| e.get())
+}
+
+/// Put the calling thread in region `epoch` (the lane executor, around
+/// each lane).
+pub(crate) fn set_current_epoch(epoch: u64) {
+    REGION_EPOCH.with(|e| e.set(epoch));
 }
 
 /// Allocate a process-unique trace id for a software cache instance.
@@ -376,24 +365,20 @@ pub fn next_barrier_id() -> u64 {
     NEXT_BARRIER_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Open a new spawn epoch, returning its number. The epoch is mirrored
-/// into the `swprof` profiler so span timelines stay keyed to the same
-/// region numbering the race detector uses.
+/// Open a new spawn epoch, returning its number. A profiling session of
+/// the calling thread counts the region too, so span timelines number
+/// regions in the order the race detector sees them.
 pub fn begin_region(n_cpes: usize) -> u64 {
     let epoch = EPOCH.fetch_add(1, Ordering::Relaxed) + 1;
-    REGION_EPOCH.with(|e| e.set(epoch));
-    swprof::set_epoch(epoch);
-    if enabled() {
-        push(Event::SpawnBegin { epoch, n_cpes });
-    }
+    set_current_epoch(epoch);
+    swprof::next_epoch();
+    emit(|| Event::SpawnBegin { epoch, n_cpes });
     epoch
 }
 
 /// Close the spawn epoch opened by [`begin_region`].
 pub fn end_region(epoch: u64) {
-    if enabled() {
-        push(Event::SpawnEnd { epoch });
-    }
+    emit(|| Event::SpawnEnd { epoch });
 }
 
 /// Record a DMA transfer (called by the DMA engine). Returns the
@@ -407,20 +392,20 @@ pub fn emit_dma(
     aligned: bool,
     completed: bool,
 ) -> u64 {
-    if !enabled() {
-        return 0;
-    }
-    let id = NEXT_DMA_ID.fetch_add(1, Ordering::Relaxed);
-    push(Event::Dma {
-        cpe: current_cpe(),
-        epoch: current_epoch(),
-        id,
-        dir,
-        region,
-        byte_off,
-        bytes,
-        aligned,
-        completed,
+    let mut id = 0;
+    emit(|| {
+        id = NEXT_DMA_ID.fetch_add(1, Ordering::Relaxed);
+        Event::Dma {
+            cpe: current_cpe(),
+            epoch: current_epoch(),
+            id,
+            dir,
+            region,
+            byte_off,
+            bytes,
+            aligned,
+            completed,
+        }
     });
     id
 }
@@ -428,24 +413,20 @@ pub fn emit_dma(
 /// Record the completion of the asynchronous DMA transfer `id` (called
 /// when its handle is awaited).
 pub fn emit_dma_done(id: u64) {
-    if !enabled() || id == 0 {
-        return;
+    if id != 0 {
+        emit(|| Event::DmaDone {
+            cpe: current_cpe(),
+            epoch: current_epoch(),
+            id,
+        });
     }
-    push(Event::DmaDone {
-        cpe: current_cpe(),
-        epoch: current_epoch(),
-        id,
-    });
 }
 
 /// Record a direct read of `[word_lo, word_hi)` from `region` by the
 /// calling core. Kernels annotate non-DMA shared-memory reads with this
 /// so the happens-before race check sees read/write conflicts too.
 pub fn shared_read(region: RegionId, word_lo: usize, word_hi: usize) {
-    if !enabled() {
-        return;
-    }
-    push(Event::SharedRead {
+    emit(|| Event::SharedRead {
         cpe: current_cpe(),
         epoch: current_epoch(),
         region,
@@ -456,10 +437,7 @@ pub fn shared_read(region: RegionId, word_lo: usize, word_hi: usize) {
 
 /// Record a gld/gst burst (called by the gld cost model).
 pub fn emit_gld(ops: u64) {
-    if !enabled() {
-        return;
-    }
-    push(Event::Gld {
+    emit(|| Event::Gld {
         cpe: current_cpe(),
         epoch: current_epoch(),
         ops,
@@ -475,10 +453,7 @@ pub fn emit_ldm(
     capacity: usize,
     ok: bool,
 ) {
-    if !enabled() {
-        return;
-    }
-    push(Event::LdmReserve {
+    emit(|| Event::LdmReserve {
         cpe: current_cpe(),
         epoch: current_epoch(),
         ldm,
@@ -492,10 +467,7 @@ pub fn emit_ldm(
 
 /// Record an LDM reservation release (called by the LDM ledger).
 pub fn emit_ldm_release(ldm: u64, label: &'static str, bytes: usize) {
-    if !enabled() {
-        return;
-    }
-    push(Event::LdmRelease {
+    emit(|| Event::LdmRelease {
         cpe: current_cpe(),
         epoch: current_epoch(),
         ldm,
@@ -507,10 +479,7 @@ pub fn emit_ldm_release(ldm: u64, label: &'static str, bytes: usize) {
 /// Record the calling lane's arrival at barrier round `id` (called by
 /// the `swnet` collectives).
 pub fn emit_barrier(id: u64) {
-    if !enabled() {
-        return;
-    }
-    push(Event::Barrier {
+    emit(|| Event::Barrier {
         cpe: current_cpe(),
         epoch: current_epoch(),
         id,
@@ -520,10 +489,7 @@ pub fn emit_barrier(id: u64) {
 /// Record a sequence-numbered channel send (called by
 /// `swnet::seqno::SeqChannel::transmit`).
 pub fn emit_chan_send(chan: u64, seq: u64) {
-    if !enabled() {
-        return;
-    }
-    push(Event::ChanSend {
+    emit(|| Event::ChanSend {
         cpe: current_cpe(),
         epoch: current_epoch(),
         chan,
@@ -533,10 +499,7 @@ pub fn emit_chan_send(chan: u64, seq: u64) {
 
 /// Record the first (applied) delivery of a sequence-numbered message.
 pub fn emit_chan_recv(chan: u64, seq: u64) {
-    if !enabled() {
-        return;
-    }
-    push(Event::ChanRecv {
+    emit(|| Event::ChanRecv {
         cpe: current_cpe(),
         epoch: current_epoch(),
         chan,
@@ -548,10 +511,7 @@ pub fn emit_chan_recv(chan: u64, seq: u64) {
 /// calling core. Kernels annotate non-DMA shared-memory writes with this
 /// so the race detector sees them.
 pub fn shared_write(region: RegionId, word_lo: usize, word_hi: usize) {
-    if !enabled() {
-        return;
-    }
-    push(Event::SharedWrite {
+    emit(|| Event::SharedWrite {
         cpe: current_cpe(),
         epoch: current_epoch(),
         region,
@@ -562,10 +522,7 @@ pub fn shared_write(region: RegionId, word_lo: usize, word_hi: usize) {
 
 /// Record a Bit-Map mark transition (called by `BitMap::set_owned`).
 pub fn emit_mark_set(cache: u64, line: usize) {
-    if !enabled() {
-        return;
-    }
-    push(Event::MarkSet {
+    emit(|| Event::MarkSet {
         cpe: current_cpe(),
         epoch: current_epoch(),
         cache,
@@ -576,10 +533,7 @@ pub fn emit_mark_set(cache: u64, line: usize) {
 /// Record that the reduction consumed `line` of the copy produced by
 /// write cache `cache`. Kernels annotate their reduce phase with this.
 pub fn reduce_line(cache: u64, line: usize) {
-    if !enabled() {
-        return;
-    }
-    push(Event::ReduceLine {
+    emit(|| Event::ReduceLine {
         cpe: current_cpe(),
         epoch: current_epoch(),
         cache,
@@ -589,10 +543,7 @@ pub fn reduce_line(cache: u64, line: usize) {
 
 /// Record a write cache dropped with dirty lines (called from its `Drop`).
 pub fn emit_wc_drop_dirty(cache: u64, lines: Vec<usize>) {
-    if !enabled() {
-        return;
-    }
-    push(Event::WcDropDirty {
+    emit(|| Event::WcDropDirty {
         cpe: current_cpe(),
         epoch: current_epoch(),
         cache,
@@ -603,10 +554,7 @@ pub fn emit_wc_drop_dirty(cache: u64, lines: Vec<usize>) {
 /// Record an aborted execution attempt on the calling core (called by
 /// the fault-recovery paths before a retry/respawn).
 pub fn emit_abort(reason: &'static str) {
-    if !enabled() {
-        return;
-    }
-    push(Event::Abort {
+    emit(|| Event::Abort {
         cpe: current_cpe(),
         epoch: current_epoch(),
         reason,
@@ -615,46 +563,31 @@ pub fn emit_abort(reason: &'static str) {
 
 /// Record a completed kernel phase (called by `Breakdown::add`).
 pub fn emit_phase(label: &str, cycles: u64) {
-    if !enabled() {
-        return;
-    }
-    push(Event::Phase {
+    emit(|| Event::Phase {
         label: label.to_string(),
         cycles,
     });
 }
 
-/// An active capture session of the thread that opened it. Holds the
-/// global session lock; dropping it (or calling [`Session::finish`])
-/// stops capture.
-#[derive(Debug)]
+/// An active capture session of the thread that opened it, owning its
+/// [`Sink`]; dropping it (or calling [`Session::finish`]) stops capture.
 pub struct Session {
-    _guard: Option<MutexGuard<'static, ()>>,
+    scope: scope::Scope<Sink>,
 }
 
 impl Session {
-    /// Start capturing on the calling thread. Blocks until any other
-    /// session has finished, then clears the sink.
+    /// Start capturing on the calling thread, into an empty sink. Never
+    /// blocks: sessions on other threads are independent.
     pub fn begin() -> Self {
-        let guard = SESSION.lock().unwrap_or_else(|e| e.into_inner());
-        events().clear();
-        CAPTURING.with(|c| c.set(true));
         Self {
-            _guard: Some(guard),
+            scope: SINK.open(Sink(Mutex::default())),
         }
     }
 
     /// Stop capturing (the drop does) and return every event recorded
     /// since `begin`.
     pub fn finish(self) -> Vec<Event> {
-        std::mem::take(&mut *events())
-    }
-}
-
-impl Drop for Session {
-    fn drop(&mut self) {
-        // The guard is `!Send`, so this is the thread `begin` ran on.
-        CAPTURING.with(|c| c.set(false));
+        std::mem::take(&mut *scope::lock(&self.scope.state().0))
     }
 }
 
@@ -728,7 +661,7 @@ mod tests {
     fn cpe_tagging_and_capture_are_thread_local() {
         let s = Session::begin();
         let e = begin_region(1);
-        let submitter = LaneTag::current();
+        let submitter = handle();
         set_current_cpe(Some(5));
         emit_gld(1);
         set_current_cpe(None);
@@ -740,10 +673,12 @@ mod tests {
             emit_gld(2);
             // As a lane of the session thread's region it records, under
             // that region's epoch, and stops when the lane ends.
-            let outside = LaneTag::current();
-            submitter.on_lane(3).install();
-            emit_gld(3);
-            outside.install();
+            {
+                let _lane = submitter.enter();
+                set_current_cpe(Some(3));
+                set_current_epoch(e);
+                emit_gld(3);
+            }
             emit_gld(4);
         })
         .join()

@@ -1,10 +1,10 @@
 //! Fault-recovery wiring tests for the substrate: DMA retry, CPE
 //! straggler respawn, and LDM reservation stalls.
 //!
-//! All tests here install a [`swfault::FaultScope`], which holds a
-//! process-global lock — they serialize against each other, and living
-//! in their own test binary keeps the scopes from perturbing the
-//! cost-model unit tests that assert exact cycle counts.
+//! All tests here install a [`swfault::FaultScope`], which reaches the
+//! installing thread and the lanes of the regions it runs — the tests
+//! run side by side, and beside cost-model tests that assert exact
+//! fault-free cycle counts.
 
 use sw26010::cg::CoreGroup;
 use sw26010::dma::{Dir, DmaEngine};

@@ -1,4 +1,4 @@
-//! Determinism lints over the workspace *source* (SWC006–SWC009).
+//! Determinism lints over the workspace *source* (SWC006–SWC010).
 //!
 //! The trace-replay passes certify what a run *did*; these lints
 //! certify what the code *could* do. A native backend's certificate is
@@ -13,6 +13,11 @@
 //! | SWC007 | `thread_rng` / `from_entropy` / `rand::random` | unseeded RNG |
 //! | SWC008 | `HashMap` / `HashSet`                    | iteration order |
 //! | SWC009 | `compare_exchange*` in a float-bits file | racy float reduction |
+//! | SWC010 | `static` holding a `Mutex`/`Atomic*`/lock/cell, `static mut` | process-wide mutable state |
+//!
+//! SWC010 keeps state owned (a session guard, reached through
+//! `swprof::scope`), so two runs in one process cannot see each other;
+//! `thread_local!` statics are per-thread and exempt.
 //!
 //! Intentional uses are suppressed in place with a justification:
 //! `// swrace: allow(SWC006) <reason>` on the flagged line or within
@@ -31,7 +36,7 @@ pub const ALLOW_WINDOW: usize = 5;
 /// One source-level determinism finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SrcFinding {
-    /// Rule id (`SWC006`–`SWC009`).
+    /// Rule id (`SWC006`–`SWC010`).
     pub rule: &'static str,
     /// Path of the offending file, relative to the workspace root.
     pub file: String,
@@ -131,9 +136,14 @@ pub fn lint_source(file: &str, text: &str) -> Vec<SrcFinding> {
             .any(|l| l.contains("swrace: allow(") && l.contains(rule))
     };
     let mut out = Vec::new();
+    // Inside `thread_local! { .. }` (closed by a brace in column 0) a
+    // `static` is per-thread.
+    let mut in_thread_local = false;
     for (idx, &line) in lines[..test_start].iter().enumerate() {
         // The directive itself (and doc/comment mentions) don't count.
         let code = line.split("//").next().unwrap_or("");
+        in_thread_local =
+            (in_thread_local && !line.starts_with('}')) || code.contains("thread_local!");
         let mut hit = |rule: &'static str, message: &str| {
             if !allowed(rule, idx) {
                 out.push(SrcFinding {
@@ -168,6 +178,28 @@ pub fn lint_source(file: &str, text: &str) -> Vec<SrcFinding> {
                 "SWC008",
                 "hash iteration order is unstable; use BTreeMap/BTreeSet where \
                  order can reach output",
+            );
+        }
+        let is_static = code
+            .trim_start()
+            .trim_start_matches("pub(crate) ")
+            .trim_start_matches("pub ")
+            .starts_with("static ");
+        let mutable = [
+            "static mut ",
+            "Mutex<",
+            "RwLock<",
+            "Atomic",
+            "Once",
+            "Lazy",
+            "Cell<",
+        ];
+        let shared_static = is_static && mutable.iter().any(|m| code.contains(m));
+        if shared_static && !in_thread_local {
+            hit(
+                "SWC010",
+                "process-wide mutable static; give the state to a session \
+                 guard and reach it through swprof::scope",
             );
         }
         let cas = code.contains("compare_exchange"); // swrace: allow(SWC009) detector
@@ -223,6 +255,26 @@ mod tests {
         assert_eq!(rules(&lint_source("x.rs", with)), ["SWC009"]);
         let without = "fn g() { a.compare_exchange(0, 1); }\n";
         assert!(lint_source("x.rs", without).is_empty());
+    }
+
+    #[test]
+    fn process_wide_mutable_statics_are_flagged() {
+        let src = "static ENABLED: AtomicBool = AtomicBool::new(false);\n\
+                   pub(crate) static SINK: Mutex<Vec<u8>> = Mutex::new(Vec::new());\n\
+                   fn f() {\n    static mut N: u32 = 0;\n}\n\
+                   static NAMES: [&str; 2] = [\"a\", \"b\"];\n\
+                   static RING: Mutex<u8> = Mutex::new(0);\n\
+                   thread_local! {\n    static SLOT: Cell<bool> = const { Cell::new(false) };\n}\n\
+                   // swrace: allow(SWC010) id allocator\n\
+                   static NEXT_ID: AtomicU64 = AtomicU64::new(1);\n";
+        let found = lint_source("x.rs", src);
+        assert_eq!(rules(&found), ["SWC010"; 4]);
+        let lines: Vec<usize> = found.iter().map(|f| f.line).collect();
+        assert_eq!(
+            lines,
+            [1, 2, 4, 7],
+            "not data, thread-locals or the excused"
+        );
     }
 
     #[test]

@@ -9,9 +9,14 @@
 //! - A [`FaultPlan`] is the single configuration object: a seed,
 //!   per-site probabilities, and scripted one-shot events.
 //!   `FaultPlan::default()` is all-off, and every query site guards on
-//!   one relaxed atomic load ([`enabled`]) — an uninstrumented run pays
+//!   one thread-local read ([`enabled`]) — an uninstrumented run pays
 //!   exactly one predictable branch per site and its simulated cycle
 //!   accounting is bit-identical to a build without this crate.
+//! - An installed plan, its decision counters and its log belong to the
+//!   [`FaultScope`] that [`install`] returned, and reach only the
+//!   installing thread and the lanes of the regions it runs
+//!   (`swprof::scope`): a thread that installed nothing is never
+//!   injected into and never uses up another thread's decisions.
 //! - Injection decisions are **seed-reproducible and interleaving
 //!   independent**: each decision is a pure function of
 //!   `(seed, site, lane, seq)` where the *lane* is the simulated core
@@ -45,9 +50,11 @@
 
 pub mod retry;
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::cell::{Cell, RefCell};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
+
+use swprof::scope;
 
 /// An injection site: one class of architectural operation that can be
 /// made to fail.
@@ -358,22 +365,35 @@ impl FaultLog {
     }
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static PLAN: Mutex<Option<FaultPlan>> = Mutex::new(None);
-static LOG: Mutex<Vec<FaultEvent>> = Mutex::new(Vec::new());
-static SCOPE: Mutex<()> = Mutex::new(());
-#[allow(clippy::declare_interior_mutable_const)]
-static COUNTERS: [AtomicU64; N_SITES * N_LANES] = [const { AtomicU64::new(0) }; N_SITES * N_LANES];
-
-thread_local! {
-    static CURRENT_LANE: Cell<Lane> = const { Cell::new(None) };
+/// An installed plan with everything it accumulates. Opaque: owned by
+/// its [`FaultScope`], reached by the threads working for it through
+/// [`scope`].
+pub struct Injector {
+    plan: FaultPlan,
+    log: Mutex<Vec<FaultEvent>>,
+    /// Next decision index of each `(site, lane)`.
+    counters: [AtomicU64; N_SITES * N_LANES],
 }
 
-/// Whether a fault plan is installed. One relaxed atomic load — the
-/// whole disabled-path cost of every injection site.
+thread_local! {
+    static INJECTOR_ACTIVE: Cell<bool> = const { Cell::new(false) };
+    static INJECTOR_SLOT: scope::Slot<Injector> = const { RefCell::new(None) };
+    static CURRENT_LANE: Cell<Lane> = const { Cell::new(None) };
+}
+const INJECTOR: scope::Plane<Injector> = scope::Plane::new(&INJECTOR_ACTIVE, &INJECTOR_SLOT);
+
+/// The calling thread's handle on the plan it runs under: what a thread
+/// started by hand enters ([`scope::Handle::enter`]) to run under it
+/// too, as the lane executor's lanes do.
+pub fn handle() -> scope::Handle<Injector> {
+    INJECTOR.handle()
+}
+
+/// Whether the calling thread runs under a fault plan. One thread-local
+/// read — the whole disabled-path cost of every injection site.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    INJECTOR.active()
 }
 
 /// Tag the calling thread as deciding on behalf of `lane`.
@@ -417,19 +437,15 @@ pub fn unit(payload: u64) -> f64 {
 /// DMA issued by CPE 12 sees the same verdict in every run.
 #[inline]
 pub fn decide(site: Site) -> Option<u64> {
-    if !enabled() {
-        return None;
-    }
-    decide_slow(site)
+    INJECTOR.with(|injector| decide_slow(injector, site))?
 }
 
 #[cold]
-fn decide_slow(site: Site) -> Option<u64> {
+fn decide_slow(injector: &Injector, site: Site) -> Option<u64> {
     let lane = current_lane();
     let li = lane_index(lane);
-    let seq = COUNTERS[site as usize * N_LANES + li].fetch_add(1, Ordering::Relaxed);
-    let guard = PLAN.lock().unwrap_or_else(|e| e.into_inner());
-    let plan = guard.as_ref()?;
+    let seq = injector.counters[site as usize * N_LANES + li].fetch_add(1, Ordering::Relaxed);
+    let plan = &injector.plan;
     let h = mix(plan
         .seed
         .wrapping_add(mix((site as u64 + 1) << 32 | (li as u64 + 1)))
@@ -443,19 +459,14 @@ fn decide_slow(site: Site) -> Option<u64> {
         return None;
     }
     let payload = mix(h ^ 0xD6E8FEB86659FD93);
-    drop(guard);
-    LOG.lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .push(FaultEvent {
-            site,
-            lane,
-            seq,
-            payload,
-        });
-    if swprof::enabled() {
-        swprof::metrics::counter_add("fault.injected", 1);
-        swprof::metrics::counter_add(site.metric(), 1);
-    }
+    scope::lock(&injector.log).push(FaultEvent {
+        site,
+        lane,
+        seq,
+        payload,
+    });
+    swprof::metrics::counter_add("fault.injected", 1);
+    swprof::metrics::counter_add(site.metric(), 1);
     // Black box: every fired decision lands in the flight recorder
     // (always on), so a post-mortem sees the faults leading up to an
     // abort. Lane is offset by one: 0 = MPE/none, n = CPE n-1.
@@ -474,48 +485,33 @@ pub fn should(site: Site) -> bool {
     decide(site).is_some()
 }
 
-/// An installed fault plan. Holds a global lock for its lifetime
-/// (concurrent scopes serialize, like `trace::Session`); dropping it
+/// An installed fault plan, owning its [`Injector`]. It reaches the
+/// thread that installed it and the lanes of the regions that thread
+/// runs; plans installed on other threads are independent. Dropping it
 /// uninstalls the plan.
-#[derive(Debug)]
 pub struct FaultScope {
-    _guard: Option<MutexGuard<'static, ()>>,
+    scope: scope::Scope<Injector>,
 }
 
-/// Install `plan`: clears the decision counters and the injected-event
-/// log, then enables injection until the returned scope is dropped or
-/// [`FaultScope::finish`]ed.
+/// Install `plan` on the calling thread — fresh decision counters, an
+/// empty injected-event log — until the returned scope is dropped or
+/// [`FaultScope::finish`]ed. Never blocks.
 pub fn install(plan: FaultPlan) -> FaultScope {
-    let guard = SCOPE.lock().unwrap_or_else(|e| e.into_inner());
-    for c in &COUNTERS {
-        c.store(0, Ordering::Relaxed);
-    }
-    LOG.lock().unwrap_or_else(|e| e.into_inner()).clear();
-    *PLAN.lock().unwrap_or_else(|e| e.into_inner()) = Some(plan);
-    ENABLED.store(true, Ordering::SeqCst);
     FaultScope {
-        _guard: Some(guard),
+        scope: INJECTOR.open(Injector {
+            plan,
+            log: Mutex::default(),
+            counters: [const { AtomicU64::new(0) }; N_SITES * N_LANES],
+        }),
     }
-}
-
-fn disarm() {
-    ENABLED.store(false, Ordering::SeqCst);
-    *PLAN.lock().unwrap_or_else(|e| e.into_inner()) = None;
 }
 
 impl FaultScope {
     /// Uninstall the plan and return the canonical injected-event log.
     pub fn finish(self) -> FaultLog {
-        disarm();
-        let mut events = std::mem::take(&mut *LOG.lock().unwrap_or_else(|e| e.into_inner()));
+        let mut events = std::mem::take(&mut *scope::lock(&self.scope.state().log));
         events.sort_by_key(|e| (lane_index(e.lane), e.site, e.seq));
         FaultLog { events }
-    }
-}
-
-impl Drop for FaultScope {
-    fn drop(&mut self) {
-        disarm();
     }
 }
 
@@ -525,9 +521,7 @@ mod tests {
 
     #[test]
     fn disabled_never_fires_and_costs_one_branch() {
-        // No scope installed on entry (scopes in other tests hold the
-        // global lock only while installed; a stray enabled state here
-        // would mean a scope leaked).
+        assert!(!enabled(), "no scope is installed on this thread");
         let plan = FaultPlan::default();
         assert!(plan.is_noop());
         let scope = install(plan);

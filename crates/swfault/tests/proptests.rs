@@ -2,10 +2,10 @@
 //! schedule is a pure function of (seed, site, lane, seq) — identical
 //! across repeated runs and across host-thread interleavings.
 //!
-//! These tests install process-global fault scopes, so this file keeps
-//! everything inside ONE `proptest!` block per property; the global
-//! scope mutex serializes the bodies even if the harness runs them on
-//! multiple threads.
+//! A fault scope belongs to the thread that installed it, so the
+//! properties run side by side on the harness's threads without seeing
+//! one another; the lane threads a case starts are handed the scope's
+//! handle, as the lane executor hands it to its lanes.
 
 use proptest::prelude::*;
 use swfault::{FaultLog, FaultPlan, Site};
@@ -46,9 +46,12 @@ fn drive(plan: FaultPlan, draws: usize, shuffle: u64) -> FaultLog {
     // spawn order below varies with `shuffle`, the schedule must not.
     let mut lanes: Vec<usize> = vec![1, 5, 9, 13];
     lanes.rotate_left((shuffle % 4) as usize);
+    let plane = swfault::handle();
     std::thread::scope(|s| {
         for lane in lanes {
+            let plane = &plane;
             s.spawn(move || {
+                let _plan = plane.enter();
                 swfault::set_lane(Some(lane));
                 for site in Site::ALL {
                     for _ in 0..draws {

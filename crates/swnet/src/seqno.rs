@@ -210,8 +210,7 @@ mod tests {
         // Every transmit is delayed => every message arrives twice and
         // the second copy is discarded. The trace must still pair each
         // send with exactly one receive: one flow per *logical*
-        // message, none per duplicate copy. (swtel session first, then
-        // the fault scope — consistent lock order across tests.)
+        // message, none per duplicate copy.
         let session = swtel::Session::begin(0x5e9);
         let plan = FaultPlan {
             net_delay: 1.0,

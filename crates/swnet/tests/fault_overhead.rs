@@ -2,8 +2,8 @@
 //! delay only add deterministic simulated time; they never change
 //! anything but the cost model.
 //!
-//! Separate test binary: fault scopes are process-global, and the cost
-//! unit tests in the crate assert exact fault-free timings.
+//! A fault scope reaches only the thread that installed it, so these
+//! run beside tests that assert exact fault-free timings.
 
 use swfault::{FaultPlan, Site};
 use swnet::params::{NetParams, RankDistance};

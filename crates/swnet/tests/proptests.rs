@@ -112,8 +112,6 @@ proptest! {
         delay_percent in 0u64..101,
         n_messages in 1u64..40,
     ) {
-        // swtel session before the fault scope: the same lock order
-        // every other test in the workspace uses.
         let session = swtel::Session::begin(seed ^ 0xF10);
         let plan = swfault::FaultPlan {
             net_delay: delay_percent as f64 / 100.0,

@@ -17,17 +17,23 @@
 //!    JSON-lines metrics dump, and a human report table reproducing the
 //!    paper's Table 1 breakdown from live spans.
 //!
-//! Like `sw26010::trace`, every emit site guards on one relaxed atomic
-//! load ([`enabled`]), so an instrumented binary with no active
+//! Everything a session records — spans, metrics, track clocks, the
+//! region epoch and label — is one [`Recording`] owned by its
+//! [`Session`] and reached through the session scope ([`scope`], which
+//! `swfault`, `swtel` and `sw26010::trace` are built on too): the thread
+//! that opened the session and the lanes of the regions it runs record
+//! into it, no other thread does, and every emit site guards on one
+//! thread-local read ([`enabled`]) — an instrumented binary with no
 //! [`Session`] pays a single predictable branch per site.
 //!
 //! This crate sits *below* the hardware substrate in the dependency
 //! graph (it depends on nothing; `sw26010`, `swnet`, `mdsim`, and
 //! `swgmx` all emit into it). Core identity therefore uses plain
 //! numbers: a **track** is `None` for the MPE or `Some(cpe_id)` for a
-//! CPE, and the spawn-**epoch** counter is mirrored in by
-//! `sw26010::trace::begin_region` so span streams stay keyed to the
-//! same parallel-region numbering the race detector uses.
+//! CPE, and the **epoch** counts the parallel regions the session has
+//! opened (`sw26010::trace::begin_region` calls [`next_epoch`]), so two
+//! identical runs number their regions identically whatever else the
+//! process is doing.
 //!
 //! ```
 //! let session = swprof::Session::begin();
@@ -49,10 +55,15 @@
 pub mod export;
 pub mod json;
 pub mod metrics;
+pub mod scope;
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+
+use scope::lock;
 
 /// A timeline: `None` is the MPE, `Some(i)` is CPE `i` (0..64).
 pub type Track = Option<usize>;
@@ -108,32 +119,50 @@ impl ClosedSpan {
     }
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static EVENTS: Mutex<Vec<SpanEvent>> = Mutex::new(Vec::new());
-static SESSION: Mutex<()> = Mutex::new(());
-static EPOCH: AtomicU64 = AtomicU64::new(0);
-/// Absolute epoch of the first region seen this session, minus one
-/// (`u64::MAX` = none yet). The substrate's spawn-epoch counter is
-/// process-global and monotonic; rebasing keeps profiles from two
-/// identical runs bit-identical.
-static EPOCH_BASE: AtomicU64 = AtomicU64::new(u64::MAX);
-static REGION_LABEL: Mutex<Option<&'static str>> = Mutex::new(None);
-#[allow(clippy::declare_interior_mutable_const)]
-static CURSORS: [AtomicU64; MAX_TRACKS] = [const { AtomicU64::new(0) }; MAX_TRACKS];
+/// Everything one profiling session records. Opaque: owned by its
+/// [`Session`], reached by the threads working for it through
+/// [`scope`].
+pub struct Recording {
+    events: Mutex<Vec<SpanEvent>>,
+    metrics: Mutex<BTreeMap<&'static str, metrics::Metric>>,
+    cursors: [AtomicU64; MAX_TRACKS],
+    /// Parallel regions opened so far (see [`next_epoch`]).
+    epoch: AtomicU64,
+    region_label: Mutex<Option<&'static str>>,
+}
+
+impl Recording {
+    fn push(&self, track: Track, label: Cow<'static, str>, phase: Phase) {
+        lock(&self.events).push(SpanEvent {
+            track,
+            label,
+            phase,
+            ts: self.cursors[track_index(track)].load(Ordering::Relaxed),
+            epoch: self.epoch.load(Ordering::Relaxed),
+        });
+    }
+}
 
 thread_local! {
-    static CURRENT_TRACK: std::cell::Cell<Track> = const { std::cell::Cell::new(None) };
+    static RECORDING_ACTIVE: Cell<bool> = const { Cell::new(false) };
+    static RECORDING_SLOT: scope::Slot<Recording> = const { RefCell::new(None) };
+    static CURRENT_TRACK: Cell<Track> = const { Cell::new(None) };
+}
+const RECORDING: scope::Plane<Recording> = scope::Plane::new(&RECORDING_ACTIVE, &RECORDING_SLOT);
+
+/// The calling thread's handle on the session it works for: what a
+/// thread started by hand enters ([`scope::Handle::enter`]) to record
+/// there too, as the lane executor's lanes do.
+pub fn handle() -> scope::Handle<Recording> {
+    RECORDING.handle()
 }
 
-/// Whether a profiling session is active. One relaxed atomic load — this
-/// is the whole disabled-path cost of every emit site.
+/// Whether the calling thread works for a profiling session. One
+/// thread-local read — this is the whole disabled-path cost of every
+/// emit site.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-fn events() -> MutexGuard<'static, Vec<SpanEvent>> {
-    EVENTS.lock().unwrap_or_else(|e| e.into_inner())
+    RECORDING.active()
 }
 
 fn track_index(track: Track) -> usize {
@@ -155,138 +184,86 @@ pub fn set_track(track: Track) {
     CURRENT_TRACK.with(|t| t.set(track));
 }
 
-/// Mirror the spawn-epoch counter from `sw26010::trace` so span events
-/// carry the same region numbering as the race detector's events. The
-/// numbering is rebased so the session's first region is epoch 1, since
-/// the substrate counter is process-global and never resets.
-pub fn set_epoch(epoch: u64) {
-    if enabled() {
-        let _ = EPOCH_BASE.compare_exchange(
-            u64::MAX,
-            epoch.saturating_sub(1),
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-        );
-        EPOCH.store(
-            epoch.saturating_sub(EPOCH_BASE.load(Ordering::Relaxed)),
-            Ordering::Relaxed,
-        );
-    }
+/// Open the session's next parallel-region epoch, so span events carry
+/// a region numbering that starts at 1 with the session's first region.
+/// Called by `sw26010::trace::begin_region`.
+pub fn next_epoch() {
+    RECORDING.with(|r| r.epoch.fetch_add(1, Ordering::Relaxed));
 }
 
 /// Current virtual time of `track`, in cycles.
 pub fn track_cursor(track: Track) -> u64 {
-    CURSORS[track_index(track)].load(Ordering::Relaxed)
+    RECORDING
+        .with(|r| r.cursors[track_index(track)].load(Ordering::Relaxed))
+        .unwrap_or(0)
 }
 
 /// Advance `track`'s virtual clock to at least `ts` (used to align CPE
 /// timelines with the MPE stage that spawned them).
 pub fn align_track(track: Track, ts: u64) {
-    if enabled() {
-        CURSORS[track_index(track)].fetch_max(ts, Ordering::Relaxed);
-    }
+    RECORDING.with(|r| r.cursors[track_index(track)].fetch_max(ts, Ordering::Relaxed));
 }
 
 /// Advance the calling thread's track by `cycles` of simulated time,
 /// attributing them to every span currently open on that track.
 #[inline]
 pub fn tick(cycles: u64) {
-    if !enabled() {
-        return;
-    }
-    CURSORS[track_index(current_track())].fetch_add(cycles, Ordering::Relaxed);
+    RECORDING
+        .with(|r| r.cursors[track_index(current_track())].fetch_add(cycles, Ordering::Relaxed));
 }
 
-/// Label the next `CoreGroup::spawn` region so its per-CPE spans carry a
-/// meaningful name (e.g. `"rma.calc"`). Consumed by [`take_region_label`].
+/// Label the next `CoreGroup::spawn` region of this session so its
+/// per-CPE spans carry a meaningful name (e.g. `"rma.calc"`). Consumed
+/// by [`take_region_label`].
 pub fn next_region_label(label: &'static str) {
-    if enabled() {
-        *REGION_LABEL.lock().unwrap_or_else(|e| e.into_inner()) = Some(label);
-    }
+    RECORDING.with(|r| *lock(&r.region_label) = Some(label));
 }
 
 /// Consume the label set by [`next_region_label`] (spawn-side).
 pub fn take_region_label() -> Option<&'static str> {
-    if !enabled() {
-        return None;
-    }
-    REGION_LABEL
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .take()
+    RECORDING.with(|r| lock(&r.region_label).take()).flatten()
 }
 
 /// RAII span guard: emits a Begin event on creation and the matching End
 /// on drop — including during panic unwinding, so span streams stay
-/// strictly nested even when a kernel dies mid-flight.
-#[derive(Debug)]
+/// strictly nested even when a kernel dies mid-flight. Both land in the
+/// session the span was opened in, whatever the dropping thread works
+/// for by then; a span opened with no session records nothing.
 #[must_use = "a span closes when dropped; binding it to _ closes it immediately"]
 pub struct Span {
     track: Track,
-    label: Option<Cow<'static, str>>,
-}
-
-impl Span {
-    fn disarmed() -> Self {
-        Self {
-            track: None,
-            label: None,
-        }
-    }
+    /// `Some` while a Begin awaits its End: where it went, and its label.
+    open: Option<(Arc<Recording>, Cow<'static, str>)>,
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if let Some(label) = self.label.take() {
-            // The session may have finished while the span was open;
-            // emitting the End unconditionally keeps streams from a
-            // still-draining thread balanced rather than truncated.
-            events().push(SpanEvent {
-                track: self.track,
-                label,
-                phase: Phase::End,
-                ts: track_cursor(self.track),
-                epoch: EPOCH.load(Ordering::Relaxed),
-            });
+        if let Some((recording, label)) = self.open.take() {
+            recording.push(self.track, label, Phase::End);
         }
     }
 }
 
 /// Open a span on the calling thread's current track.
 pub fn span(label: impl Into<Cow<'static, str>>) -> Span {
-    if !enabled() {
-        return Span::disarmed();
-    }
     span_on(current_track(), label)
 }
 
 /// Open a span on an explicit track (used when the issuing thread is not
 /// tagged, e.g. emitting a CPE-attributed span from the MPE).
 pub fn span_on(track: Track, label: impl Into<Cow<'static, str>>) -> Span {
-    if !enabled() {
-        return Span::disarmed();
-    }
-    let label = label.into();
-    events().push(SpanEvent {
-        track,
-        label: label.clone(),
-        phase: Phase::Begin,
-        ts: track_cursor(track),
-        epoch: EPOCH.load(Ordering::Relaxed),
+    let open = handle().into_state().map(|recording| {
+        let label = label.into();
+        recording.push(track, label.clone(), Phase::Begin);
+        (recording, label)
     });
-    Span {
-        track,
-        label: Some(label),
-    }
+    Span { track, open }
 }
 
 /// Record a completed stage of known simulated cost: a span of exactly
 /// `cycles` at the current track cursor. This is the engine's idiom for
 /// stages whose cost is known only after they ran.
 pub fn stage(label: impl Into<Cow<'static, str>>, cycles: u64) {
-    if !enabled() {
-        return;
-    }
     let s = span(label);
     tick(cycles);
     drop(s);
@@ -402,46 +379,36 @@ impl Profile {
     }
 }
 
-/// An active profiling session. Holds a global lock for its lifetime
-/// (concurrent sessions serialize, like `trace::Session`); dropping it
+/// An active profiling session, owning its [`Recording`]. Capture is
+/// scoped to the thread that opened it and the lanes of the regions that
+/// thread runs; sessions on other threads are independent. Dropping it
 /// stops capture.
-#[derive(Debug)]
 pub struct Session {
-    _guard: Option<MutexGuard<'static, ()>>,
+    scope: scope::Scope<Recording>,
 }
 
 impl Session {
-    /// Start profiling: clears the span sink, the metrics registry, and
-    /// every track clock, then enables capture.
+    /// Start profiling on the calling thread: an empty span sink and
+    /// metrics registry, every track clock at zero.
     pub fn begin() -> Self {
-        let guard = SESSION.lock().unwrap_or_else(|e| e.into_inner());
-        events().clear();
-        metrics::reset();
-        for c in &CURSORS {
-            c.store(0, Ordering::Relaxed);
-        }
-        EPOCH.store(0, Ordering::Relaxed);
-        EPOCH_BASE.store(u64::MAX, Ordering::Relaxed);
-        *REGION_LABEL.lock().unwrap_or_else(|e| e.into_inner()) = None;
-        ENABLED.store(true, Ordering::SeqCst);
         Self {
-            _guard: Some(guard),
+            scope: RECORDING.open(Recording {
+                events: Mutex::default(),
+                metrics: Mutex::default(),
+                cursors: [const { AtomicU64::new(0) }; MAX_TRACKS],
+                epoch: AtomicU64::new(0),
+                region_label: Mutex::default(),
+            }),
         }
     }
 
     /// Stop profiling and return everything captured since `begin`.
     pub fn finish(self) -> Profile {
-        ENABLED.store(false, Ordering::SeqCst);
+        let recording = self.scope.state();
         Profile {
-            spans: std::mem::take(&mut *events()),
-            metrics: metrics::snapshot(),
+            spans: std::mem::take(&mut *lock(&recording.events)),
+            metrics: metrics::snapshot_of(&lock(&recording.metrics)),
         }
-    }
-}
-
-impl Drop for Session {
-    fn drop(&mut self) {
-        ENABLED.store(false, Ordering::SeqCst);
     }
 }
 
@@ -511,8 +478,7 @@ mod tests {
         let session = Session::begin();
         {
             let _s = span!("kernel", 7);
-            align_track(Some(7), 0);
-            CURSORS[track_index(Some(7))].fetch_add(99, Ordering::Relaxed);
+            align_track(Some(7), 99);
         }
         let p = session.finish();
         assert_eq!(p.tracks(), vec![Some(7)]);
@@ -556,10 +522,18 @@ mod tests {
     fn threads_have_independent_tracks() {
         let session = Session::begin();
         set_track(None);
-        let h = std::thread::spawn(|| {
-            set_track(Some(2));
-            let _s = span!("cpe_work");
-            tick(64);
+        let lane = handle();
+        let h = std::thread::spawn(move || {
+            // A thread started by hand works for no session until it is
+            // handed one, and for none again afterwards.
+            stage("nobodys", 1);
+            {
+                let _lane = lane.enter();
+                set_track(Some(2));
+                let _s = span!("cpe_work");
+                tick(64);
+            }
+            stage("nobodys", 1);
         });
         h.join().unwrap();
         {
@@ -569,5 +543,63 @@ mod tests {
         let p = session.finish();
         assert_eq!(p.span_totals_on(Some(2))["cpe_work"], 64);
         assert_eq!(p.span_totals_on(None)["mpe_work"], 8);
+        assert_eq!(p.spans.len(), 4);
+    }
+
+    #[test]
+    fn a_span_records_into_the_session_it_was_opened_in_or_nowhere() {
+        let a = Session::begin();
+        let outlives_a = span!("opened_in_a");
+        let unsessioned = {
+            drop(a.finish());
+            span!("opened_in_none")
+        };
+        let b = Session::begin();
+        drop(outlives_a);
+        drop(unsessioned);
+        stage("in_b", 3);
+        let p = b.finish();
+        let labels: Vec<&str> = p.spans.iter().map(|e| &*e.label).collect();
+        assert_eq!(labels, ["in_b", "in_b"]);
+    }
+
+    /// What one thread's session captures of a fixed little workload.
+    fn capture(salt: u64) -> Profile {
+        let session = Session::begin();
+        for i in 0..200 {
+            next_region_label("kernel");
+            next_epoch();
+            let _s = span(take_region_label().expect("this session's label"));
+            tick(salt + i);
+            metrics::counter_add("work", salt);
+            metrics::histogram_record("sizes", i);
+        }
+        session.finish()
+    }
+
+    #[test]
+    fn concurrent_sessions_equal_their_solo_captures() {
+        // Two sessions at once, each with a bystander thread that has no
+        // session and must leave no trace in either.
+        let solo = [capture(1), capture(1000)];
+        let start = std::sync::Barrier::new(3);
+        let together = std::thread::scope(|s| {
+            let a = s.spawn(|| (start.wait(), capture(1)).1);
+            let b = s.spawn(|| (start.wait(), capture(1000)).1);
+            start.wait();
+            for _ in 0..200 {
+                assert!(!enabled());
+                next_region_label("bystander");
+                stage("bystander", 7);
+                metrics::counter_add("work", 7);
+                assert_eq!(take_region_label(), None);
+            }
+            [a.join().unwrap(), b.join().unwrap()]
+        });
+        for (alone, beside) in solo.iter().zip(&together) {
+            assert_eq!(alone.spans, beside.spans);
+            assert_eq!(alone.metrics, beside.metrics);
+        }
+        assert_eq!(solo[0].spans.last().unwrap().epoch, 200);
     }
 }

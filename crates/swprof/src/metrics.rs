@@ -1,20 +1,21 @@
-//! Process-global metrics registry: counters, gauges, and fixed
+//! The session's metrics registry: counters, gauges, and fixed
 //! log2-bucket histograms behind one snapshot API.
 //!
 //! The registry absorbs the stats that used to be scattered across the
 //! substrate — DMA bytes/transactions/alignment, cache hits/misses/
 //! evictions, LDM high-water occupancy, Bit-Map touched-line ratios,
-//! RDMA message sizes — into uniformly named series. Every mutator
-//! guards on [`crate::enabled`] (one relaxed atomic load when idle),
-//! and all updates are plain integer merges under one mutex, so a
-//! snapshot taken after two identical runs is bit-identical regardless
-//! of thread interleaving.
+//! RDMA message sizes — into uniformly named series. It is part of the
+//! session's [`Recording`](crate::Recording): a mutator on a thread that
+//! works for no session is one thread-local read, and all updates are
+//! plain integer merges under one mutex, so a snapshot taken after two
+//! identical runs is bit-identical regardless of thread interleaving.
 //!
 //! Naming convention: dotted lowercase paths, most-significant system
 //! first (`dma.bytes`, `cache.read.misses`, `net.msg_bytes`).
 
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard};
+
+use crate::scope::lock;
 
 /// Number of histogram buckets: bucket 0 holds zeros, bucket `i >= 1`
 /// holds values `v` with `floor(log2(v)) == i - 1`, the last bucket
@@ -154,69 +155,61 @@ impl<'a> IntoIterator for &'a Snapshot {
     }
 }
 
-static REGISTRY: Mutex<BTreeMap<&'static str, Metric>> = Mutex::new(BTreeMap::new());
-
-fn registry() -> MutexGuard<'static, BTreeMap<&'static str, Metric>> {
-    REGISTRY.lock().unwrap_or_else(|e| e.into_inner())
+/// Run `f` on the registry entry `name` of the calling thread's session,
+/// created as `fresh()`.
+fn update(name: &'static str, fresh: impl FnOnce() -> Metric, f: impl FnOnce(&mut Metric)) {
+    crate::RECORDING.with(|r| f(lock(&r.metrics).entry(name).or_insert_with(fresh)));
 }
 
 /// Add `v` to counter `name`, creating it at zero.
 #[inline]
 pub fn counter_add(name: &'static str, v: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    match registry().entry(name).or_insert(Metric::Counter(0)) {
-        Metric::Counter(c) => *c += v,
-        other => debug_assert!(false, "{name} is a {}", other.kind()),
-    }
+    update(
+        name,
+        || Metric::Counter(0),
+        |m| match m {
+            Metric::Counter(c) => *c += v,
+            other => debug_assert!(false, "{name} is a {}", other.kind()),
+        },
+    );
 }
 
 /// Set gauge `name` to `v` (last write wins).
 #[inline]
 pub fn gauge_set(name: &'static str, v: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    *registry().entry(name).or_insert(Metric::Gauge(0)) = Metric::Gauge(v);
+    update(name, || Metric::Gauge(0), |m| *m = Metric::Gauge(v));
 }
 
 /// Raise gauge `name` to `v` if larger (high-water marks).
 #[inline]
 pub fn gauge_max(name: &'static str, v: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    match registry().entry(name).or_insert(Metric::Gauge(0)) {
-        Metric::Gauge(g) => *g = (*g).max(v),
-        other => debug_assert!(false, "{name} is a {}", other.kind()),
-    }
+    update(
+        name,
+        || Metric::Gauge(0),
+        |m| match m {
+            Metric::Gauge(g) => *g = (*g).max(v),
+            other => debug_assert!(false, "{name} is a {}", other.kind()),
+        },
+    );
 }
 
 /// Record `v` into histogram `name`.
 #[inline]
 pub fn histogram_record(name: &'static str, v: u64) {
-    if !crate::enabled() {
-        return;
-    }
-    match registry()
-        .entry(name)
-        .or_insert_with(|| Metric::Histogram(Box::default()))
-    {
-        Metric::Histogram(h) => h.record(v),
-        other => debug_assert!(false, "{name} is a {}", other.kind()),
-    }
+    update(
+        name,
+        || Metric::Histogram(Box::default()),
+        |m| match m {
+            Metric::Histogram(h) => h.record(v),
+            other => debug_assert!(false, "{name} is a {}", other.kind()),
+        },
+    );
 }
 
-/// Clear every metric (called by `Session::begin`).
-pub fn reset() {
-    registry().clear();
-}
-
-/// Sorted copy of the current registry contents.
-pub fn snapshot() -> Snapshot {
+/// Sorted copy of a registry (what `Session::finish` returns).
+pub(crate) fn snapshot_of(registry: &BTreeMap<&'static str, Metric>) -> Snapshot {
     Snapshot::from_entries(
-        registry()
+        registry
             .iter()
             .map(|(k, v)| (k.to_string(), v.clone()))
             .collect(),

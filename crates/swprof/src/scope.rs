@@ -1,0 +1,216 @@
+//! The one session scope every instrumentation plane is built on.
+//!
+//! `swprof`, `swfault`, `swtel` and `sw26010::trace` each keep their
+//! whole state in one struct owned by the guard `Session::begin` /
+//! `swfault::install` returns ([`Scope`]); nothing about a session is
+//! process-wide. A thread reaches the state of the session it works for
+//! through the plane's thread-local slot ([`Plane`]; `enabled()` is "my
+//! slot is occupied", one thread-local flag read), and a slot changes in
+//! one way only: [`Handle::enter`] puts a handle in and returns a guard
+//! that puts back what it found when dropped, unwinding included.
+//! Opening a session does that on the opening thread; the lane prologue
+//! of `sw26010::pool::LanePool` does it on a lane, with the handles of
+//! the thread that submitted the region. So a session sees its own
+//! thread and the lanes of the regions that thread runs, sessions on two
+//! threads never meet, and a thread with none — a pool worker between
+//! regions, another test — records and injects nothing. Guards nest: a
+//! second session of a plane on one thread shadows the first until it
+//! drops, and guards drop in the reverse order they were made.
+
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::LocalKey;
+
+/// The state of the session a thread is working for, or nothing.
+pub type Slot<S> = RefCell<Option<Arc<S>>>;
+
+/// One plane's per-thread slot. A plane declares two thread-locals, a
+/// `Cell<bool>` and a [`Slot`], and names them once in a `const` (as
+/// `thread_local!`'s own keys are, so that code inlined into another
+/// crate still sees which ones it names). The flag says whether the slot
+/// is occupied: it is what instrumented sites read on a thread with no
+/// session, and a `Cell<bool>` has no destructor and no borrow count, so
+/// that read is a single load.
+pub struct Plane<S: 'static> {
+    active: &'static LocalKey<Cell<bool>>,
+    slot: &'static LocalKey<Slot<S>>,
+}
+
+impl<S> Plane<S> {
+    /// Name a plane's two thread-locals.
+    pub const fn new(
+        active: &'static LocalKey<Cell<bool>>,
+        slot: &'static LocalKey<Slot<S>>,
+    ) -> Self {
+        Self { active, slot }
+    }
+
+    /// Whether the calling thread works for a session of this plane —
+    /// the whole disabled-path cost of every instrumented site.
+    #[inline]
+    pub fn active(&self) -> bool {
+        self.active.with(Cell::get)
+    }
+
+    /// Run `f` on the state of the calling thread's session, if it has
+    /// one. `f` must not open or enter a session of the same plane.
+    #[inline]
+    pub fn with<R>(&self, f: impl FnOnce(&S) -> R) -> Option<R> {
+        if !self.active() {
+            return None;
+        }
+        self.slot.with(|slot| slot.borrow().as_deref().map(f))
+    }
+
+    /// The calling thread's handle on this plane.
+    pub fn handle(&'static self) -> Handle<S> {
+        Handle {
+            plane: self,
+            state: self.slot.with(|slot| slot.borrow().clone()),
+        }
+    }
+
+    /// Open a session over `state` on the calling thread. Never blocks.
+    pub fn open(&'static self, state: S) -> Scope<S> {
+        let state = Arc::new(state);
+        let _entered = Handle {
+            plane: self,
+            state: Some(Arc::clone(&state)),
+        }
+        .enter();
+        Scope { state, _entered }
+    }
+
+    /// Make `state` the content of the calling thread's slot and return
+    /// what it held.
+    fn replace(&self, state: Option<Arc<S>>) -> Option<Arc<S>> {
+        if state.is_none() && !self.active() {
+            return None; // nothing in, nothing out: one flag read
+        }
+        self.active.with(|active| active.set(state.is_some()));
+        // A guard dropped during thread teardown finds the slot gone.
+        self.slot
+            .try_with(|slot| slot.replace(state))
+            .unwrap_or(None)
+    }
+}
+
+/// What a thread hands to another so that it works for the same
+/// session: a copy of its slot, possibly empty.
+pub struct Handle<S: 'static> {
+    plane: &'static Plane<S>,
+    state: Option<Arc<S>>,
+}
+
+impl<S> Handle<S> {
+    /// The session state itself: what a span keeps so that its end lands
+    /// where its beginning did.
+    pub fn into_state(self) -> Option<Arc<S>> {
+        self.state
+    }
+
+    /// Make the calling thread work for this handle's session (for none
+    /// if it is empty, touching no reference count) until the guard drops.
+    pub fn enter(&self) -> Entered<S> {
+        Entered {
+            plane: self.plane,
+            found: self.plane.replace(self.state.clone()),
+            _not_send: PhantomData,
+        }
+    }
+}
+
+/// Guard of [`Handle::enter`]: puts back what the thread's slot held.
+#[must_use = "the thread leaves the session when this drops"]
+pub struct Entered<S: 'static> {
+    plane: &'static Plane<S>,
+    found: Option<Arc<S>>,
+    /// A slot belongs to a thread; so does the guard that restores it.
+    _not_send: PhantomData<*const ()>,
+}
+
+impl<S> Drop for Entered<S> {
+    fn drop(&mut self) {
+        self.plane.replace(self.found.take());
+    }
+}
+
+/// An open session: owns the plane's state and keeps the opening thread
+/// entered into it.
+pub struct Scope<S: 'static> {
+    state: Arc<S>,
+    _entered: Entered<S>,
+}
+
+impl<S> Scope<S> {
+    /// The session's state.
+    pub fn state(&self) -> &S {
+        &self.state
+    }
+}
+
+/// Lock a piece of session state. Every update made under these locks is
+/// a push, a take or an integer merge, valid at every step, so a lock
+/// poisoned by a panicking lane is recovered.
+pub fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    thread_local! {
+        static ACTIVE: Cell<bool> = const { Cell::new(false) };
+        static SLOT: Slot<AtomicU64> = const { RefCell::new(None) };
+    }
+    const PLANE: Plane<AtomicU64> = Plane::new(&ACTIVE, &SLOT);
+
+    fn bump() -> bool {
+        PLANE.with(|n| n.fetch_add(1, Ordering::Relaxed)).is_some()
+    }
+
+    #[test]
+    fn a_scope_is_seen_by_its_thread_and_by_whoever_enters_its_handle() {
+        assert!(!PLANE.active() && !bump());
+        let scope = PLANE.open(AtomicU64::new(0));
+        assert!(PLANE.active() && bump());
+        let handle = PLANE.handle();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(!bump(), "a thread nobody handed a handle");
+                {
+                    let _lane = handle.enter();
+                    assert!(bump());
+                }
+                assert!(!bump(), "restored when the guard drops");
+            });
+        });
+        assert_eq!(scope.state().load(Ordering::Relaxed), 2);
+        drop(scope);
+        assert!(!PLANE.active());
+    }
+
+    #[test]
+    fn guards_nest_and_restore_through_a_panic() {
+        let nobody = PLANE.handle();
+        let outer = PLANE.open(AtomicU64::new(0));
+        {
+            let inner = PLANE.open(AtomicU64::new(10));
+            assert!(bump());
+            assert_eq!(inner.state().load(Ordering::Relaxed), 11);
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _off = nobody.enter();
+                assert!(!PLANE.active());
+                panic!("lane died");
+            }));
+            assert!(unwound.is_err());
+            assert!(bump(), "the inner session again");
+            assert_eq!(inner.state().load(Ordering::Relaxed), 12);
+        }
+        assert!(bump());
+        assert_eq!(outer.state().load(Ordering::Relaxed), 1);
+    }
+}

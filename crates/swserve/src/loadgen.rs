@@ -374,7 +374,7 @@ fn percentile(sorted: &[u64], q: u64) -> u64 {
 
 /// Drive `plan` against a fresh service rooted at `store_root`,
 /// installing the plan's chaos (or a no-op fault scope for
-/// reference runs — the scope also serializes concurrent harnesses).
+/// reference runs) on the calling thread.
 pub fn run(plan: &LoadPlan, store_root: &Path) -> io::Result<RunResult> {
     run_with_scope(plan, store_root, None).map(|(r, _)| r)
 }

@@ -951,7 +951,6 @@ mod tests {
 
     #[test]
     fn two_runs_of_the_same_load_are_bit_identical() {
-        let _scope = swfault::install(FaultPlan::default());
         let a = run_small("det-a");
         let b = run_small("det-b");
         assert_eq!(a.0, b.0, "stats diverged between identical runs");
@@ -964,7 +963,6 @@ mod tests {
     fn scripted_worker_kill_readmits_and_resumes_bit_identically() {
         // Reference: the same single job with no chaos.
         let reference = {
-            let _scope = swfault::install(FaultPlan::default());
             let dir = tmp("kill-ref");
             let mut svc = Service::new(ServiceConfig::new(1, &dir)).unwrap();
             svc.submit_at(0, spec(77, 30, Priority::Normal, 0));
@@ -1026,7 +1024,6 @@ mod tests {
 
     #[test]
     fn unmeetable_deadline_is_counted_not_enforced() {
-        let _scope = swfault::install(FaultPlan::default());
         let dir = tmp("deadline");
         let mut svc = Service::new(ServiceConfig::new(1, &dir)).unwrap();
         let mut s = spec(9, 20, Priority::Normal, 0);
@@ -1040,7 +1037,6 @@ mod tests {
 
     #[test]
     fn zero_capacity_queue_rejects_after_bounded_retries() {
-        let _scope = swfault::install(FaultPlan::default());
         let dir = tmp("reject");
         let mut cfg = ServiceConfig::new(1, &dir);
         cfg.admission.queue_capacity = 0;
@@ -1060,7 +1056,6 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_strictly_lower_priority_work() {
-        let _scope = swfault::install(FaultPlan::default());
         let dir = tmp("shed");
         let mut cfg = ServiceConfig::new(1, &dir);
         cfg.admission.queue_capacity = 1;

@@ -3,8 +3,9 @@
 //! `Store::open`, and the chain must always land on exactly the set of
 //! generations left fully valid — recovery resumes from the newest one.
 //!
-//! Separate test binary: fault scopes elsewhere are process-global, and
-//! these tests hit the real filesystem.
+//! These tests hit the real filesystem, each case under a directory of
+//! its own, and install no fault scope: no other thread's plan can
+//! reach them.
 
 use std::fs;
 use std::path::PathBuf;

@@ -1,11 +1,15 @@
 //! Always-on flight recorder: a fixed-capacity, allocation-free ring
 //! of recent events, dumped as a black-box file on aborts.
 //!
-//! Unlike the tracing session, the recorder has no enable switch — a
-//! black box that has to be armed is useless. Cost per record is one
-//! mutex lock and a few word stores into a const-initialized array of
-//! `Copy` structs (`&'static str` labels, no allocation ever); the
-//! criterion guard in `bench/benches/swtel_overhead.rs` bounds it.
+//! Unlike the tracing session, the recorder has no enable switch and no
+//! owner — a black box that has to be armed, or that only the thread
+//! that armed it writes to, is useless. The ring is the one piece of
+//! telemetry state that stays process-wide: it gates no behaviour and
+//! nothing simulated reads it (per-owner rings belong to the roadmap's
+//! telemetry-pipeline item). Cost per record is one mutex lock and a
+//! few word stores into a const-initialized array of `Copy` structs
+//! (`&'static str` labels, no allocation ever); the criterion guard in
+//! `bench/benches/swtel_overhead.rs` bounds it.
 //!
 //! Producers:
 //! - `swfault::decide` — every fired fault decision (`kind: "fault"`)
@@ -58,6 +62,7 @@ struct Ring {
     recorded: u64,
 }
 
+// swrace: allow(SWC010) the always-on black box: no session to own it, gates no behaviour
 static RING: Mutex<Ring> = Mutex::new(Ring {
     events: [EMPTY; CAPACITY],
     recorded: 0,

@@ -24,15 +24,20 @@
 //! - **Regression gate** ([`gate`]): compares fresh `BENCH_*.json`
 //!   sidecars against committed baselines with per-metric tolerances.
 //!
-//! Everything is gated on one relaxed atomic load ([`enabled`]); with
-//! no session active the instrumentation in `swnet`/`mdsim`/`swgmx` is
-//! a handful of no-op calls, guarded by the same criterion budget as
-//! `swprof` (see `bench/benches/swtel_overhead.rs`).
+//! A tracing session owns its telemetry state and is scoped to the
+//! thread that opened it (`swprof::scope`, the mechanism every plane
+//! shares); everything is gated on one thread-local read ([`enabled`]).
+//! On a thread with no session the instrumentation in
+//! `swnet`/`mdsim`/`swgmx` is a handful of no-op calls, guarded by the
+//! same criterion budget as `swprof` (see
+//! `bench/benches/swtel_overhead.rs`). The flight recorder is the one
+//! part with no session — see [`flight`].
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
+
+use swprof::scope::{lock, Plane, Scope, Slot};
 
 pub mod explain;
 pub mod flight;
@@ -86,26 +91,23 @@ pub mod scope {
     pub const ALERT_CLEAR: &str = "swscope.alert.clear";
 }
 
-/// Fast check: is a tracing session active? One relaxed atomic load.
+/// Fast check: does the calling thread work for a tracing session? One
+/// thread-local read.
 #[inline(always)]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    STATE.active()
 }
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-/// Serializes sessions: telemetry state is global, so only one session
-/// may be active at a time (mirrors `swprof::Session`).
-static SESSION: Mutex<()> = Mutex::new(());
-
-static STATE: Mutex<TelState> = Mutex::new(TelState::new(0));
 
 thread_local! {
+    static STATE_ACTIVE: Cell<bool> = const { Cell::new(false) };
+    static STATE_SLOT: Slot<Mutex<TelState>> = const { RefCell::new(None) };
     static CURRENT_RANK: Cell<Option<usize>> = const { Cell::new(None) };
 }
+const STATE: Plane<Mutex<TelState>> = Plane::new(&STATE_ACTIVE, &STATE_SLOT);
 
-fn lock_state() -> MutexGuard<'static, TelState> {
-    STATE.lock().unwrap_or_else(|e| e.into_inner())
+/// Run `f` on the state of the session the calling thread works for.
+fn with_state<R>(f: impl FnOnce(&mut TelState) -> R) -> Option<R> {
+    STATE.with(|state| f(&mut lock(state)))
 }
 
 /// Bind the calling thread to `rank` (or unbind with `None`). Spans,
@@ -215,7 +217,7 @@ struct TelState {
 }
 
 impl TelState {
-    const fn new(trace_id: u64) -> Self {
+    fn new(trace_id: u64) -> Self {
         Self {
             trace_id,
             next_span_id: 1,
@@ -241,52 +243,88 @@ impl TelState {
         self.next_ord += 1;
         o
     }
+
+    /// Record one endpoint of `ctx`'s flow, at the current time of the
+    /// rank it sits on.
+    fn flow_event(&mut self, phase: FlowPhase, ctx: &TraceContext) {
+        let (rank, peer) = match phase {
+            FlowPhase::Send => (ctx.src, ctx.dst),
+            FlowPhase::Recv => (ctx.dst, ctx.src),
+        };
+        let (ns, ord) = (self.clocks[rank], self.ord());
+        self.flows.push(FlowEvent {
+            phase,
+            flow_id: ctx.flow_id,
+            trace_id: ctx.trace_id,
+            parent_span_id: ctx.parent_span_id,
+            seqno: ctx.seqno,
+            rank,
+            peer,
+            ns,
+            label: ctx.label,
+            ord,
+        });
+    }
+
+    /// Record one half of span `span_id` at `rank`'s current time.
+    fn span_event(&mut self, rank: usize, label: &'static str, phase: SpanPhase, span_id: u64) {
+        let (ns, ord) = (self.clocks[rank], self.ord());
+        self.spans.push(SpanEvent {
+            rank,
+            label,
+            phase,
+            ns,
+            span_id,
+            ord,
+        });
+    }
 }
 
-/// An exclusive telemetry session. Begin one, run the traced workload,
-/// then [`finish`](Session::finish) it into a [`Telemetry`].
+/// A telemetry session, owning its state and scoped to the thread that
+/// opened it. Begin one, run the traced workload, then
+/// [`finish`](Session::finish) it into a [`Telemetry`].
 pub struct Session {
-    _guard: MutexGuard<'static, ()>,
+    scope: Scope<Mutex<TelState>>,
 }
 
 impl Session {
-    /// Start a session with the given trace id, clearing all state and
-    /// enabling the instrumentation hooks. Blocks while another
-    /// session is active.
+    /// Start a session with the given trace id on the calling thread,
+    /// enabling the instrumentation hooks for it. Never blocks: sessions
+    /// on other threads are independent.
     pub fn begin(trace_id: u64) -> Self {
-        let guard = SESSION.lock().unwrap_or_else(|e| e.into_inner());
-        *lock_state() = TelState::new(trace_id);
-        ENABLED.store(true, Ordering::SeqCst);
-        Session { _guard: guard }
+        Session {
+            scope: STATE.open(Mutex::new(TelState::new(trace_id))),
+        }
     }
 
     /// Stop the session and return the captured telemetry.
     pub fn finish(self) -> Telemetry {
-        ENABLED.store(false, Ordering::SeqCst);
-        let state = std::mem::replace(&mut *lock_state(), TelState::new(0));
+        let mut state = lock(self.scope.state());
         Telemetry {
             trace_id: state.trace_id,
             n_ranks: state.clocks.len(),
-            spans: state.spans,
-            flows: state.flows,
+            spans: std::mem::take(&mut state.spans),
+            flows: std::mem::take(&mut state.flows),
         }
     }
 }
 
 /// RAII span on a rank's virtual timeline. Created by [`span`] /
-/// [`span_on`]; records its End event on drop.
+/// [`span_on`]; records its End event, into the session it was opened
+/// in, on drop.
 pub struct Span {
-    armed: bool,
+    /// `None`: a span that records nothing.
+    session: Option<Arc<Mutex<TelState>>>,
     rank: usize,
     span_id: u64,
     label: &'static str,
 }
 
 impl Span {
-    /// A span that records nothing (tracing disabled / no rank bound).
+    /// A span that records nothing (no session / no rank bound).
     pub fn disarmed() -> Self {
         Span {
-            armed: false,
+            session: None,
             rank: 0,
             span_id: 0,
             label: "",
@@ -295,16 +333,16 @@ impl Span {
 
     /// Whether this span is actually recording.
     pub fn is_armed(&self) -> bool {
-        self.armed
+        self.session.is_some()
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        if !self.armed {
+        let Some(session) = self.session.take() else {
             return;
-        }
-        let mut st = lock_state();
+        };
+        let mut st = lock(&session);
         st.ensure_rank(self.rank);
         // Pop the matching stack entry; tolerate (but record) an
         // out-of-order close so check_causal can report it.
@@ -314,50 +352,33 @@ impl Drop for Span {
         {
             st.stacks[self.rank].truncate(pos);
         }
-        let ns = st.clocks[self.rank];
-        let ord = st.ord();
-        st.spans.push(SpanEvent {
-            rank: self.rank,
-            label: self.label,
-            phase: SpanPhase::End,
-            ns,
-            span_id: self.span_id,
-            ord,
-        });
+        st.span_event(self.rank, self.label, SpanPhase::End, self.span_id);
     }
 }
 
-/// Open a span on the calling thread's bound rank. Disarmed when
-/// tracing is disabled or no rank is bound.
+/// Open a span on the calling thread's bound rank. Disarmed when the
+/// thread has no session or no rank is bound.
 pub fn span(label: &'static str) -> Span {
-    match (enabled(), current_rank()) {
-        (true, Some(rank)) => span_on(rank, label),
-        _ => Span::disarmed(),
+    match current_rank() {
+        Some(rank) => span_on(rank, label),
+        None => Span::disarmed(),
     }
 }
 
 /// Open a span on an explicit rank's timeline.
 pub fn span_on(rank: usize, label: &'static str) -> Span {
-    if !enabled() {
+    let Some(session) = STATE.handle().into_state() else {
         return Span::disarmed();
-    }
-    let mut st = lock_state();
+    };
+    let mut st = lock(&session);
     st.ensure_rank(rank);
     let span_id = st.next_span_id;
     st.next_span_id += 1;
     st.stacks[rank].push((span_id, label));
-    let ns = st.clocks[rank];
-    let ord = st.ord();
-    st.spans.push(SpanEvent {
-        rank,
-        label,
-        phase: SpanPhase::Begin,
-        ns,
-        span_id,
-        ord,
-    });
+    st.span_event(rank, label, SpanPhase::Begin, span_id);
+    drop(st);
     Span {
-        armed: true,
+        session: Some(session),
         rank,
         span_id,
         label,
@@ -366,41 +387,34 @@ pub fn span_on(rank: usize, label: &'static str) -> Span {
 
 /// Advance the bound rank's virtual clock by `ns` nanoseconds.
 pub fn tick(ns: u64) {
-    if let (true, Some(rank)) = (enabled(), current_rank()) {
+    if let Some(rank) = current_rank() {
         tick_on(rank, ns);
     }
 }
 
 /// Advance `rank`'s virtual clock by `ns` nanoseconds.
 pub fn tick_on(rank: usize, ns: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut st = lock_state();
-    st.ensure_rank(rank);
-    st.clocks[rank] += ns;
+    with_state(|st| {
+        st.ensure_rank(rank);
+        st.clocks[rank] += ns;
+    });
 }
 
 /// Current virtual-ns position of `rank`'s clock.
 pub fn cursor(rank: usize) -> u64 {
-    if !enabled() {
-        return 0;
-    }
-    let mut st = lock_state();
-    st.ensure_rank(rank);
-    st.clocks[rank]
+    with_state(|st| {
+        st.ensure_rank(rank);
+        st.clocks[rank]
+    })
+    .unwrap_or(0)
 }
 
 /// Advance `rank`'s clock to at least `ns` (clocks never move back).
 pub fn align(rank: usize, ns: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut st = lock_state();
-    st.ensure_rank(rank);
-    if st.clocks[rank] < ns {
-        st.clocks[rank] = ns;
-    }
+    with_state(|st| {
+        st.ensure_rank(rank);
+        st.clocks[rank] = st.clocks[rank].max(ns);
+    });
 }
 
 /// Inject a send context from the calling thread's bound rank to
@@ -413,53 +427,34 @@ pub fn send(label: &'static str, dst: usize) -> Option<TraceContext> {
 /// Inject a send context from an explicit `src` rank, with an
 /// auto-assigned per-`(src, dst, label)` seqno.
 pub fn send_from(label: &'static str, src: usize, dst: usize) -> Option<TraceContext> {
-    if !enabled() {
-        return None;
-    }
-    let mut st = lock_state();
-    let seq = st.auto_seq.entry((src, dst, label)).or_insert(0);
-    let seqno = *seq;
-    *seq += 1;
-    drop(st);
+    let seqno = with_state(|st| {
+        let seq = st.auto_seq.entry((src, dst, label)).or_insert(0);
+        *seq += 1;
+        *seq - 1
+    })?;
     send_seq(label, src, dst, seqno)
 }
 
 /// Inject a send context carrying an explicit channel seqno (used by
 /// `swnet::SeqChannel`, whose high-water marks own the numbering).
 pub fn send_seq(label: &'static str, src: usize, dst: usize, seqno: u64) -> Option<TraceContext> {
-    if !enabled() {
-        return None;
-    }
-    let mut st = lock_state();
-    st.ensure_rank(src);
-    st.ensure_rank(dst);
-    let flow_id = st.next_flow_id;
-    st.next_flow_id += 1;
-    let parent_span_id = st.stacks[src].last().map(|&(id, _)| id).unwrap_or(0);
-    let trace_id = st.trace_id;
-    let send_ns = st.clocks[src];
-    let ord = st.ord();
-    st.flows.push(FlowEvent {
-        phase: FlowPhase::Send,
-        flow_id,
-        trace_id,
-        parent_span_id,
-        seqno,
-        rank: src,
-        peer: dst,
-        ns: send_ns,
-        label,
-        ord,
-    });
-    Some(TraceContext {
-        trace_id,
-        parent_span_id,
-        seqno,
-        flow_id,
-        src,
-        dst,
-        send_ns,
-        label,
+    with_state(|st| {
+        st.ensure_rank(src);
+        st.ensure_rank(dst);
+        let flow_id = st.next_flow_id;
+        st.next_flow_id += 1;
+        let ctx = TraceContext {
+            trace_id: st.trace_id,
+            parent_span_id: st.stacks[src].last().map(|&(id, _)| id).unwrap_or(0),
+            seqno,
+            flow_id,
+            src,
+            dst,
+            send_ns: st.clocks[src],
+            label,
+        };
+        st.flow_event(FlowPhase::Send, &ctx);
+        ctx
     })
 }
 
@@ -468,31 +463,14 @@ pub fn send_seq(label: &'static str, src: usize, dst: usize, seqno: u64) -> Opti
 /// receive endpoint. This is what makes the merged timeline causal —
 /// a receive can never be stamped before its send.
 pub fn deliver(ctx: &TraceContext, wire_ns: u64) {
-    if !enabled() {
-        return;
-    }
-    let mut st = lock_state();
-    if st.trace_id != ctx.trace_id {
-        return; // context escaped from a previous session
-    }
-    st.ensure_rank(ctx.dst);
-    let arrive = ctx.send_ns.saturating_add(wire_ns);
-    if st.clocks[ctx.dst] < arrive {
-        st.clocks[ctx.dst] = arrive;
-    }
-    let ns = st.clocks[ctx.dst];
-    let ord = st.ord();
-    st.flows.push(FlowEvent {
-        phase: FlowPhase::Recv,
-        flow_id: ctx.flow_id,
-        trace_id: ctx.trace_id,
-        parent_span_id: ctx.parent_span_id,
-        seqno: ctx.seqno,
-        rank: ctx.dst,
-        peer: ctx.src,
-        ns,
-        label: ctx.label,
-        ord,
+    with_state(|st| {
+        if st.trace_id != ctx.trace_id {
+            return; // context escaped from another session
+        }
+        st.ensure_rank(ctx.dst);
+        let arrive = ctx.send_ns.saturating_add(wire_ns);
+        st.clocks[ctx.dst] = st.clocks[ctx.dst].max(arrive);
+        st.flow_event(FlowPhase::Recv, ctx);
     });
 }
 
@@ -706,9 +684,6 @@ mod tests {
 
     #[test]
     fn disabled_hooks_are_inert() {
-        // Hold the session mutex so no sibling test can enable tracing
-        // while this one asserts the disabled fast paths.
-        let _guard = SESSION.lock().unwrap_or_else(|e| e.into_inner());
         assert!(!enabled());
         assert!(send_from("m", 0, 1).is_none());
         let s = span_on(0, "x");
@@ -739,5 +714,55 @@ mod tests {
         deliver(&b, 1);
         deliver(&c, 1);
         session.finish().check_causal().unwrap();
+    }
+
+    /// What one thread's session captures of a fixed little exchange.
+    fn capture(trace_id: u64) -> Telemetry {
+        let session = Session::begin(trace_id);
+        set_rank(Some(0));
+        for i in 0..200 {
+            let _step = span("step");
+            tick(trace_id + i);
+            let ctx = send("halo.f", 1).expect("this thread's session");
+            deliver(&ctx, 50);
+            align(2, cursor(1));
+        }
+        set_rank(None);
+        session.finish()
+    }
+
+    #[test]
+    fn concurrent_sessions_equal_their_solo_captures() {
+        let key = |t: &Telemetry| (t.n_ranks, format!("{:?}{:?}", t.spans, t.flows));
+        let solo = [capture(1), capture(1000)];
+        let start = std::sync::Barrier::new(3);
+        let together = std::thread::scope(|s| {
+            let a = s.spawn(|| (start.wait(), capture(1)).1);
+            let b = s.spawn(|| (start.wait(), capture(1000)).1);
+            start.wait();
+            // A bystander with no session of its own touches neither.
+            for _ in 0..200 {
+                assert!(!enabled());
+                tick_on(0, 5);
+                assert!(send_from("halo.f", 0, 1).is_none());
+                assert!(!span_on(0, "step").is_armed());
+            }
+            [a.join().unwrap(), b.join().unwrap()]
+        });
+        for (alone, beside) in solo.iter().zip(&together) {
+            alone.check_causal().unwrap();
+            assert_eq!(key(alone), key(beside));
+        }
+    }
+
+    #[test]
+    fn a_span_ends_in_the_session_it_was_opened_in() {
+        let a = Session::begin(1);
+        let outlives_a = span_on(0, "opened_in_a");
+        drop(a.finish());
+        let b = Session::begin(2);
+        drop(outlives_a);
+        let tel = b.finish();
+        assert!(tel.spans.is_empty(), "{:?}", tel.spans);
     }
 }

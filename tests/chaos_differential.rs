@@ -9,10 +9,10 @@
 //! changes floating-point summation order, which is graceful
 //! degradation, not silent corruption — the soak test covers it.
 //!
-//! Separate test binary: fault scopes are process-global, so the tests
-//! here serialize on [`FAULT_LOCK`].
-
-use std::sync::Mutex;
+//! A fault scope belongs to the thread that installed it and the lanes
+//! of the regions that thread runs, so the two tests here run side by
+//! side: each one's clean reference run is clean, and each one's log
+//! holds its own injections only.
 
 use sw_gromacs::mdsim::nonbonded::NbEnergies;
 use sw_gromacs::mdsim::water::water_box_equilibrated;
@@ -21,8 +21,6 @@ use sw_gromacs::swgmx::engine::{Engine, EngineConfig, Version};
 use sw_gromacs::swgmx::recovery::{FaultTolerantRunner, RecoveryReport};
 use sw_gromacs::swgmx::BackendSel;
 use swfault::{FaultPlan, Site};
-
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
 const STEPS: usize = 60;
 
@@ -61,7 +59,6 @@ fn run_on(
 
 #[test]
 fn faulted_runs_converge_bit_identically_for_every_version() {
-    let _serial = FAULT_LOCK.lock().unwrap();
     let seed = chaos_seed();
     // Every site except KernelFault, at rates well above moderate so
     // each version's run sees real recovery work.
@@ -148,7 +145,6 @@ fn faulted_runs_converge_bit_identically_for_every_version() {
 
 #[test]
 fn native_backend_faulted_runs_converge_bit_identically() {
-    let _serial = FAULT_LOCK.lock().unwrap();
     // On the native backend a CPE hang targets a *real* pool thread:
     // the lane walks the bounded respawn loop before its body runs, so
     // even an aggressive hang rate must leave the physics untouched.

@@ -3,9 +3,9 @@
 //! errors, step aborts with rollback, and (for the CPE versions) forced
 //! kernel faults driving graceful degradation to the `Ori` kernel.
 //!
-//! Separate test binary with a single test: fault scopes are
-//! process-global, so chaos runs must not share a process with tests
-//! that expect a fault-free substrate.
+//! The fault scope of a chaos run reaches only the thread that installed
+//! it and the lanes of its regions; nothing else in the process is
+//! injected into.
 //!
 //! The seed is overridable with `SWFAULT_CHAOS_SEED` (CI sweeps a small
 //! set of fixed seeds); every assertion here is seed-independent.

@@ -15,9 +15,9 @@
 //! - `SWSTORE_CRASH_DIR`: where store directories are created (kept as
 //!   a CI artifact on failure).
 //!
-//! Fault scopes are process-global; every in-process durable run here
-//! installs one (a no-op plan where no faults are wanted) so the scope
-//! lock serializes the tests against each other.
+//! A fault scope belongs to the thread that installed it, so the runs
+//! here that want no faults install nothing, and the rank-kill test's
+//! plan reaches no other test.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -110,7 +110,6 @@ fn crash_child() {
         return;
     }
     let dir = store_dir("kill");
-    let _scope = swfault::install(FaultPlan::default());
     durable_run(&dir, CRASH_AT);
     // No destructors, no flushes: the process is simply gone.
     std::process::abort();
@@ -136,7 +135,6 @@ fn process_kill_then_restart_is_bit_identical() {
     // Phase 2: restart from disk with a fresh system; the run resumes
     // from the newest committed generation (epoch 8 — step 10's state
     // died with the process) and completes.
-    let _scope = swfault::install(FaultPlan::default());
     let (resumed_sys, resumed_report) = durable_run(&dir, N_STEPS);
     assert_eq!(
         resumed_report.resumed_from,
@@ -173,7 +171,6 @@ fn restart_under_a_renamed_store_dir_is_bit_identical() {
     // Phase 1: run to step 10 in place (in-process "crash": the run
     // stops mid-campaign and the partial chain stays on disk).
     {
-        let _scope = swfault::install(FaultPlan::default());
         durable_run(&dir, CRASH_AT);
     }
 
@@ -181,7 +178,6 @@ fn restart_under_a_renamed_store_dir_is_bit_identical() {
     std::fs::rename(&dir, &moved).expect("rename store dir");
 
     // Phase 2: resume from the new location and complete the campaign.
-    let _scope = swfault::install(FaultPlan::default());
     let (resumed_sys, resumed_report) = durable_run(&moved, N_STEPS);
     assert_eq!(
         resumed_report.resumed_from,

@@ -3,8 +3,8 @@
 //! per-track spans well nested, every flow pairing exactly one send
 //! with one receive, and the receive never before the send.
 //!
-//! swtel sessions hold a global lock, so the tests here serialize on
-//! `Session::begin` when the harness runs them in parallel.
+//! A swtel session belongs to the thread that opened it, so the tests
+//! here trace side by side.
 
 use sw_gromacs::mdsim::constraints::ConstraintSet;
 use sw_gromacs::mdsim::ddrun::run_dd_md;

@@ -3,10 +3,9 @@
 //! across identical runs, and compatibility with the swcheck invariant
 //! checker.
 //!
-//! swprof sessions hold a global lock, so each test runs its captures
-//! back to back inside its own `Session::begin()` scope; the tests
-//! themselves serialize on that lock when the harness runs them in
-//! parallel.
+//! A swprof session records the thread that opened it and the lanes of
+//! the regions it runs, so the tests here profile side by side and each
+//! profile — epochs included — is that of its own run.
 
 use sw_gromacs::mdsim::water::water_box_equilibrated;
 use sw_gromacs::sw26010::params::cycles_to_ns;

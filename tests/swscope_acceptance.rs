@@ -2,8 +2,8 @@
 //! the fixed chaos fixture (seed 11, 240 jobs, 4 workers — the same
 //! fixture `swscope replay --chaos` and EXPERIMENTS.md record).
 //!
-//! One sequential test (the swtel session and flight recorder are
-//! process-global) asserting the ISSUE's acceptance criteria:
+//! One sequential test (the flight recorder it reads back is
+//! process-wide) asserting the ISSUE's acceptance criteria:
 //!
 //! 1. a fast-burn alert fires deterministically **mid-run** — after
 //!    the first window closes, before the makespan;
