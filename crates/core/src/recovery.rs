@@ -96,6 +96,12 @@ impl FaultTolerantRunner {
     /// state, so a campaign survives process death, not just step
     /// aborts. Torn or corrupted generations on disk are skipped by the
     /// store's fallback walk.
+    ///
+    /// The starting generation this writes into an empty store is
+    /// durable once the first [`FaultTolerantRunner::run_until`] has
+    /// returned or the runner is dropped, whichever is first: a crash
+    /// before that restarts from the engine the caller passed in, as a
+    /// crash just before this call would.
     pub fn new_durable(mut engine: Engine, cp_every: usize, dir: &Path) -> io::Result<Self> {
         let (mut store, _open) = Store::open(dir, StoreOptions::default())?;
         let mut report = RecoveryReport::default();
@@ -129,6 +135,9 @@ impl FaultTolerantRunner {
 
     /// Commit the current in-memory checkpoint bytes as generation
     /// `epoch` (no-op without a store or if `epoch` is already on disk).
+    /// The commit's barrier is left in flight ([`Store::begin`]), so the
+    /// steps that follow run while the disk flushes;
+    /// [`FaultTolerantRunner::run_until`] waits for it.
     fn persist(&mut self, epoch: u64) -> io::Result<()> {
         let Some(store) = self.store.as_mut() else {
             return Ok(());
@@ -137,7 +146,7 @@ impl FaultTolerantRunner {
             return Ok(());
         }
         let frames = [self.cp_bytes.clone()];
-        self.report.store_fsync_retries += store.commit_with_retry(epoch, &frames)? as u64;
+        self.report.store_fsync_retries += store.begin(epoch, &frames)? as u64;
         self.report.generations_persisted += 1;
         self.last_persisted = Some(epoch);
         Ok(())
@@ -190,7 +199,8 @@ impl FaultTolerantRunner {
     /// Run until the engine's step index reaches `until_step`. Steps at
     /// or below the previous high-water mark (replays after rollback)
     /// are shielded from further abort decisions, guaranteeing forward
-    /// progress and deterministic termination.
+    /// progress and deterministic termination. In durable mode every
+    /// generation counted in the report is durable when this returns.
     pub fn run_until(&mut self, until_step: usize) -> io::Result<&RecoveryReport> {
         let mut consecutive_panics = 0u32;
         while self.engine.step_index() < until_step {
@@ -231,6 +241,9 @@ impl FaultTolerantRunner {
                     self.roll_back("step_rollback", now)?;
                 }
             }
+        }
+        if let Some(store) = self.store.as_mut() {
+            store.settle()?;
         }
         self.report.degraded = self.engine.degraded();
         self.report.kernel_faults = self.engine.kernel_faults();
@@ -295,6 +308,24 @@ mod tests {
             assert_eq!(x.y.to_bits(), y.y.to_bits());
             assert_eq!(x.z.to_bits(), y.z.to_bits());
         }
+    }
+
+    #[test]
+    fn every_generation_counted_when_run_until_returns_is_on_disk() {
+        let dir = std::env::temp_dir().join(format!("swgmx-settled-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut runner = FaultTolerantRunner::new_durable(engine(), 10, &dir).unwrap();
+        // Each call returns one step after a commit was begun.
+        for (until, epochs) in [(1, vec![0]), (11, vec![0, 10]), (21, vec![0, 10, 20])] {
+            let persisted = runner.run_until(until).unwrap().generations_persisted;
+            assert_eq!(persisted, epochs.len() as u64);
+            // With the runner alive, a second look at its directory
+            // finds every generation whole and no commit half done.
+            let (_, found) = Store::open(&dir, StoreOptions::default()).unwrap();
+            assert_eq!(found.valid, epochs, "after run_until({until})");
+            assert!(found.rejected.is_empty() && found.temps_swept == 0);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

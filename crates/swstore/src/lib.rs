@@ -10,21 +10,45 @@
 //! ## Commit protocol
 //!
 //! A generation (one coordinated snapshot: one opaque payload frame per
-//! rank, every frame tagged with the same epoch) is committed by
+//! rank, every frame tagged with the same epoch) is committed in two
+//! halves.
 //!
-//! 1. serializing the whole file — header, per-rank CRC32 frames,
-//!    trailer with a whole-file CRC32 — into memory,
-//! 2. writing it to `tmp-<epoch>.swst` and `fsync`ing the file,
-//! 3. `rename`ing it to `gen-<epoch>.swst` and `fsync`ing the
-//!    directory,
-//! 4. rewriting the manifest (same temp/fsync/rename dance) and pruning
-//!    generations beyond the retention bound.
+//! **The calling-thread half** makes every fault draw and does
+//! everything that needs the caller's data: serialize the whole file —
+//! header, per-rank CRC32 frames, trailer with a whole-file CRC32 —
+//! into memory, create `tmp-<epoch>.swst` and write it, add the epoch to
+//! the in-memory chain and pick the generations beyond the retention
+//! bound. What is left is the **barrier**, which owns all it touches
+//! (the open temp file, its paths, the manifest bytes):
 //!
-//! The rename is the commit point: a crash before it leaves only a
-//! `tmp-*` file (deleted on the next [`Store::open`]); a crash after it
-//! leaves a fully valid generation even if the manifest update was
-//! lost, because `open` unions the manifest with a directory scan and
-//! *validates every candidate*.
+//! 1. `fsync` the temp file — the data is on disk *before* the name, so
+//!    a `gen-*` file never has unflushed contents behind it,
+//! 2. `rename` it to `gen-<epoch>.swst`,
+//! 3. write the manifest to a temp file and `rename` it into place,
+//!    with no `fsync` of its own,
+//! 4. `fsync` the directory **once** — the commit point: both renames
+//!    are durable from here,
+//! 5. unlink the pruned generations — only now, so the chain on disk
+//!    never shrinks before the generation that replaces them is durable.
+//!
+//! A crash before step 4 leaves a `tmp-*` file (deleted on the next
+//! [`Store::open`]) or a `gen-*` file that is valid whenever it is
+//! visible; a crash after it leaves the generation for good. The
+//! manifest needs no flush because nothing trusts it: `open` unions it
+//! with a directory scan and *validates every candidate*, so a manifest
+//! that a power cut left stale, torn or missing only costs a rebuild
+//! ([`OpenReport::manifest_rebuilt`]) — its job is to name a generation
+//! whose file has vanished, and its CRC says when it cannot.
+//!
+//! [`Store::commit`] runs the barrier on the calling thread and returns
+//! when the generation is durable. [`Store::begin`] hands it to a thread
+//! and returns at once; the store then has **one barrier in flight**,
+//! and every later call on it — [`Store::settle`], `begin`, `commit`,
+//! `load*` — and its drop wait for that barrier first and report its
+//! error. The interval between `begin` and that next call is the only
+//! one in which `Ok` precedes durability: a crash inside it restarts
+//! from the generation before, exactly what a crash just before the
+//! call would have left.
 //!
 //! ## Corruption model
 //!
@@ -52,9 +76,11 @@
 
 pub mod crc32;
 
+use std::cell::Cell;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::thread::JoinHandle;
 
 use crc32::crc32;
 
@@ -116,11 +142,40 @@ pub struct OpenReport {
 }
 
 /// A crash-consistent checkpoint store rooted at one directory.
-#[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
     retain: usize,
     chain: Vec<u64>,
+    /// The barrier [`Store::begin`] left running, until the next call
+    /// waits for it. A `Cell` because [`Store::load`] waits with `&self`.
+    in_flight: Cell<Option<InFlight>>,
+}
+
+/// The barrier of one commit (module docs, "Commit protocol"): what is
+/// left to do once the temp file is written, owning all it touches so
+/// that the committing thread or one beside it can run it.
+struct Barrier {
+    tmp: File,
+    tmp_path: PathBuf,
+    gen_path: PathBuf,
+    dir: PathBuf,
+    chain: Vec<u64>,
+    pruned: Vec<PathBuf>,
+}
+
+/// A commit whose barrier the caller has not waited for yet.
+struct InFlight {
+    /// The chain as it was before the commit: a barrier that fails
+    /// unlinked nothing, so this is what the store still holds.
+    undo: Vec<u64>,
+    barrier: Verdict,
+}
+
+enum Verdict {
+    Pending(JoinHandle<io::Result<()>>),
+    /// The barrier failed under [`Store::load`], which could report
+    /// the error but, with `&self`, not undo the chain.
+    Failed(io::Error),
 }
 
 fn gen_name(epoch: u64) -> String {
@@ -277,43 +332,69 @@ fn read_with_bitflip(path: &Path) -> io::Result<Vec<u8>> {
     Ok(bytes)
 }
 
-/// Write `bytes` to `dir/final_name` atomically: temp file, fsync,
-/// rename, directory fsync. Subject to the `store.fsync_fail` and
-/// `store.torn_write` sites.
-fn atomic_write(dir: &Path, tmp: &str, final_name: &str, bytes: &[u8]) -> io::Result<()> {
-    let tmp_path = dir.join(tmp);
-    let final_path = dir.join(final_name);
-    // A torn write models a lying disk: only a prefix of the data is
-    // durable, yet the rename is observed after the "crash". The commit
-    // itself reports success — exactly why open() must validate.
-    let torn_len = swfault::decide(swfault::Site::StoreTornWrite)
-        .map(|payload| payload as usize % bytes.len().max(1));
-    let written: &[u8] = match torn_len {
-        Some(n) => &bytes[..n],
-        None => bytes,
-    };
-    let mut f = OpenOptions::new()
-        .write(true)
-        .create(true)
-        .truncate(true)
-        .open(&tmp_path)?;
-    f.write_all(written)?;
-    if swfault::should(swfault::Site::StoreFsyncFail) {
-        // The temp file stays behind, as it would after a real fsync
-        // error + crash; open() sweeps it.
-        return Err(io::Error::new(
-            io::ErrorKind::Interrupted,
-            "injected fsync failure",
-        ));
+/// Replace `dir`'s manifest with one listing `chain`, by way of a temp
+/// file so that a reader finds the old manifest or the new one. No
+/// flush: the manifest is advisory, and a power cut that tears it is
+/// healed by the next [`Store::open`].
+fn write_manifest(dir: &Path, chain: &[u64]) -> io::Result<()> {
+    let tmp = dir.join("tmp-manifest.swst");
+    fs::write(&tmp, encode_manifest(chain))?;
+    fs::rename(&tmp, dir.join(MANIFEST))
+}
+
+/// Flush `dir`'s entries: what makes a rename inside it durable.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    match File::open(dir).and_then(|d| d.sync_all()) {
+        Err(e) if !dir_sync_unsupported(&e) => Err(e),
+        _ => Ok(()),
     }
-    f.sync_all()?;
-    drop(f);
-    fs::rename(&tmp_path, &final_path)?;
-    // Persist the rename itself.
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
+}
+
+/// True when `e` says that directories cannot be flushed here at all
+/// (`EINVAL`/`ENOTSUP` from the filesystem, any target that cannot open
+/// one) rather than that this flush failed: the first is tolerated, the
+/// second fails the commit like any other `fsync` error.
+fn dir_sync_unsupported(e: &io::Error) -> bool {
+    cfg!(not(unix))
+        || matches!(
+            e.kind(),
+            io::ErrorKind::InvalidInput | io::ErrorKind::Unsupported
+        )
+}
+
+impl Barrier {
+    fn run(self) -> io::Result<()> {
+        self.tmp.sync_all()?;
+        drop(self.tmp);
+        fs::rename(&self.tmp_path, &self.gen_path)?;
+        write_manifest(&self.dir, &self.chain)?;
+        sync_dir(&self.dir)?;
+        for old in &self.pruned {
+            let _ = fs::remove_file(old);
+        }
+        Ok(())
     }
-    Ok(())
+}
+
+impl Verdict {
+    fn wait(self) -> io::Result<()> {
+        match self {
+            Verdict::Pending(barrier) => barrier
+                .join()
+                .unwrap_or_else(|_| Err(io::Error::other("the barrier thread panicked"))),
+            Verdict::Failed(e) => Err(e),
+        }
+    }
+}
+
+impl std::fmt::Debug for Store {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Store")
+            .field("dir", &self.dir)
+            .field("retain", &self.retain)
+            .field("chain", &self.chain)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Store {
@@ -355,19 +436,19 @@ impl Store {
         // The manifest is advisory: it can only *add* candidates (a
         // listed generation whose file vanished is reported), never
         // bless one — every candidate is validated below regardless.
-        let manifest_path = dir.join(MANIFEST);
-        match fs::read(&manifest_path) {
+        // A missing manifest reads as an empty one.
+        let listed = match fs::read(dir.join(MANIFEST)) {
             Ok(bytes) => match decode_manifest(&bytes) {
                 Ok(listed) => {
-                    for epoch in listed {
-                        let name = gen_name(epoch);
+                    for &epoch in &listed {
                         if !candidates.iter().any(|(e, _)| *e == epoch) {
                             report.rejected.push(Rejected {
-                                file: name,
+                                file: gen_name(epoch),
                                 reason: "listed in manifest but missing on disk".into(),
                             });
                         }
                     }
+                    Some(listed)
                 }
                 Err(reason) => {
                     report.manifest_rebuilt = true;
@@ -375,13 +456,15 @@ impl Store {
                         file: MANIFEST.into(),
                         reason,
                     });
+                    None
                 }
             },
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 report.manifest_rebuilt = true;
+                Some(Vec::new())
             }
             Err(e) => return Err(e),
-        }
+        };
 
         candidates.sort_unstable();
         let mut chain = Vec::new();
@@ -408,13 +491,18 @@ impl Store {
             );
         }
 
+        // Re-persist the validated chain where the manifest says
+        // something else, so a rejected one heals; opening a clean or a
+        // brand-new store writes nothing.
+        if listed.as_deref() != Some(&chain[..]) {
+            write_manifest(&dir, &chain)?;
+        }
         let store = Self {
             dir,
             retain: opts.retain,
             chain,
+            in_flight: Cell::new(None),
         };
-        // Re-persist the validated chain so a rejected manifest heals.
-        store.write_manifest()?;
         Ok((store, report))
     }
 
@@ -436,62 +524,146 @@ impl Store {
     }
 
     /// Atomically commit one coordinated generation (one payload frame
-    /// per rank, all tagged `epoch`), then update the manifest and
-    /// prune the chain to the retention bound. Errors (including
-    /// injected fsync failures) leave the previous chain intact;
-    /// callers retry under [`swfault::retry::MAX_ATTEMPTS`].
+    /// per rank, all tagged `epoch`), update the manifest and prune the
+    /// chain to the retention bound; returns when the generation is
+    /// durable. Errors (including injected fsync failures) leave the
+    /// previous chain intact; callers retry under
+    /// [`swfault::retry::MAX_ATTEMPTS`].
     pub fn commit(&mut self, epoch: u64, frames: &[Vec<u8>]) -> io::Result<()> {
         let _span = swprof::span("store.commit");
-        assert!(!frames.is_empty(), "a generation needs at least one rank");
-        let bytes = encode_generation(epoch, frames);
-        atomic_write(&self.dir, &tmp_name(epoch), &gen_name(epoch), &bytes)?;
-        // Black box: successful commits anchor a post-mortem — the
-        // flight dump's last "store" event names the generation the
-        // chain ends at.
-        swtel::flight::record("store", "commit", epoch, frames.len() as u64);
-        if swprof::enabled() {
-            swprof::metrics::counter_add("store.generations_written", 1);
-            swprof::metrics::counter_add("store.bytes_written", bytes.len() as u64);
-        }
-        if !self.chain.contains(&epoch) {
-            self.chain.push(epoch);
-            self.chain.sort_unstable();
-        }
-        while self.chain.len() > self.retain {
-            let old = self.chain.remove(0);
-            let _ = fs::remove_file(self.dir.join(gen_name(old)));
-            if swprof::enabled() {
-                swprof::metrics::counter_add("store.generations_pruned", 1);
-            }
-        }
-        self.write_manifest()
+        let (barrier, undo) = self.stage(epoch, frames)?;
+        self.conclude(barrier.run(), undo)
     }
 
     /// [`Store::commit`] with bounded deterministic retry against
     /// injected fsync failures. Returns the number of retries burned.
     pub fn commit_with_retry(&mut self, epoch: u64, frames: &[Vec<u8>]) -> io::Result<u32> {
-        let mut attempt = 0u32;
-        loop {
-            match self.commit(epoch, frames) {
-                Ok(()) => return Ok(attempt),
-                Err(e)
-                    if e.kind() == io::ErrorKind::Interrupted
-                        && attempt < swfault::retry::MAX_ATTEMPTS =>
-                {
-                    attempt += 1;
-                    swtel::flight::record("store", "fsync_retry", epoch, attempt as u64);
-                    if swprof::enabled() {
-                        swprof::metrics::counter_add("store.fsync_retries", 1);
-                    }
+        retrying(epoch, || self.commit(epoch, frames))
+    }
+
+    /// [`Store::commit_with_retry`] that returns at the barrier instead
+    /// of behind it: the generation is durable once the next call on
+    /// this store — [`Store::settle`] to ask for exactly that — or its
+    /// drop has returned, and an error of the barrier is reported there.
+    pub fn begin(&mut self, epoch: u64, frames: &[Vec<u8>]) -> io::Result<u32> {
+        retrying(epoch, || {
+            let _span = swprof::span("store.commit");
+            let (barrier, undo) = self.stage(epoch, frames)?;
+            // The third place non-test code starts a thread, and the one
+            // that enters no `swprof::scope`: a barrier makes no fault
+            // draw, opens no span and touches no plane.
+            let spawned = std::thread::Builder::new()
+                .name("swstore-barrier".into())
+                .spawn(move || barrier.run());
+            match spawned.map(Verdict::Pending) {
+                Ok(barrier) => {
+                    self.in_flight.set(Some(InFlight { undo, barrier }));
+                    Ok(())
                 }
-                Err(e) => return Err(e),
+                Err(e) => self.conclude(Err(e), undo),
+            }
+        })
+    }
+
+    /// Wait for the barrier in flight, if there is one. `Ok` means every
+    /// generation in [`Store::chain`] is durable; an error is the
+    /// barrier's, and its epoch has left the chain.
+    pub fn settle(&mut self) -> io::Result<()> {
+        match self.in_flight.take() {
+            Some(InFlight { undo, barrier }) => self.conclude(barrier.wait(), undo),
+            None => Ok(()),
+        }
+    }
+
+    /// [`Store::settle`] for `&self`: a failed barrier is reported here
+    /// and kept for the next `&mut` call, which takes its epoch back out.
+    fn wait(&self) -> io::Result<()> {
+        let Some(InFlight { undo, barrier }) = self.in_flight.take() else {
+            return Ok(());
+        };
+        barrier.wait().map_err(|e| {
+            let report = io::Error::new(e.kind(), e.to_string());
+            let barrier = Verdict::Failed(e);
+            self.in_flight.set(Some(InFlight { undo, barrier }));
+            report
+        })
+    }
+
+    /// The calling-thread half of a commit: every fault draw, the temp
+    /// file's contents, the flight record, the counters and the chain.
+    /// Returns the barrier still to run and the chain to put back
+    /// should it fail.
+    fn stage(&mut self, epoch: u64, frames: &[Vec<u8>]) -> io::Result<(Barrier, Vec<u64>)> {
+        assert!(!frames.is_empty(), "a generation needs at least one rank");
+        self.settle()?;
+        let bytes = encode_generation(epoch, frames);
+        // A torn write models a lying disk: only a prefix of the data is
+        // durable, yet the rename is observed after the "crash". The commit
+        // itself reports success — exactly why open() must validate.
+        let torn_len = swfault::decide(swfault::Site::StoreTornWrite)
+            .map(|payload| payload as usize % bytes.len().max(1));
+        let written: &[u8] = match torn_len {
+            Some(n) => &bytes[..n],
+            None => &bytes,
+        };
+        let tmp_path = self.dir.join(tmp_name(epoch));
+        let mut tmp = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp_path)?;
+        tmp.write_all(written)?;
+        if swfault::should(swfault::Site::StoreFsyncFail) {
+            // The temp file stays behind, as it would after a real fsync
+            // error + crash; open() sweeps it.
+            return Err(io::Error::new(
+                io::ErrorKind::Interrupted,
+                "injected fsync failure",
+            ));
+        }
+        // Black box: commits anchor a post-mortem — the flight dump's
+        // last "store" event names the generation the chain ends at.
+        swtel::flight::record("store", "commit", epoch, frames.len() as u64);
+        if swprof::enabled() {
+            swprof::metrics::counter_add("store.generations_written", 1);
+            swprof::metrics::counter_add("store.bytes_written", bytes.len() as u64);
+        }
+        let undo = self.chain.clone();
+        if !self.chain.contains(&epoch) {
+            self.chain.push(epoch);
+            self.chain.sort_unstable();
+        }
+        let mut pruned = Vec::new();
+        while self.chain.len() > self.retain {
+            pruned.push(self.dir.join(gen_name(self.chain.remove(0))));
+            if swprof::enabled() {
+                swprof::metrics::counter_add("store.generations_pruned", 1);
             }
         }
+        let barrier = Barrier {
+            tmp,
+            tmp_path,
+            gen_path: self.dir.join(gen_name(epoch)),
+            dir: self.dir.clone(),
+            chain: self.chain.clone(),
+            pruned,
+        };
+        Ok((barrier, undo))
+    }
+
+    /// A barrier's verdict is its commit's: a failed one puts the chain
+    /// back as it was.
+    fn conclude(&mut self, verdict: io::Result<()>, undo: Vec<u64>) -> io::Result<()> {
+        if verdict.is_err() {
+            self.chain = undo;
+        }
+        verdict
     }
 
     /// Load and fully validate one committed generation.
     pub fn load(&self, epoch: u64) -> io::Result<Generation> {
         let _span = swprof::span("store.load");
+        self.wait()?;
         let path = self.dir.join(gen_name(epoch));
         let bytes = read_with_bitflip(&path)?;
         decode_generation(&bytes)
@@ -502,6 +674,7 @@ impl Store {
     /// backwards past torn/corrupt entries (each skip is a recorded
     /// fallback). `Ok(None)` means the store holds no valid generation.
     pub fn load_newest_valid(&mut self) -> io::Result<Option<Generation>> {
+        self.settle()?;
         let mut idx = self.chain.len();
         while idx > 0 {
             idx -= 1;
@@ -513,7 +686,7 @@ impl Store {
                     // advertising them.
                     if idx + 1 < self.chain.len() {
                         self.chain.truncate(idx + 1);
-                        self.write_manifest()?;
+                        write_manifest(&self.dir, &self.chain)?;
                     }
                     return Ok(Some(g));
                 }
@@ -526,24 +699,34 @@ impl Store {
         }
         Ok(None)
     }
+}
 
-    fn write_manifest(&self) -> io::Result<()> {
-        let bytes = encode_manifest(&self.chain);
-        let tmp_path = self.dir.join("tmp-manifest.swst");
-        let final_path = self.dir.join(MANIFEST);
-        let mut f = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp_path)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-        drop(f);
-        fs::rename(&tmp_path, &final_path)?;
-        if let Ok(d) = File::open(&self.dir) {
-            let _ = d.sync_all();
+impl Drop for Store {
+    /// A barrier does not outlive its store: whoever opens the directory
+    /// next finds the commit finished (or failed), never half done.
+    fn drop(&mut self) {
+        let _ = self.settle();
+    }
+}
+
+/// Run `attempt` until it succeeds, retrying injected fsync failures up
+/// to [`swfault::retry::MAX_ATTEMPTS`] times. Returns the retries burned.
+fn retrying(epoch: u64, mut attempt: impl FnMut() -> io::Result<()>) -> io::Result<u32> {
+    let mut retries = 0u32;
+    loop {
+        match attempt() {
+            Err(e)
+                if e.kind() == io::ErrorKind::Interrupted
+                    && retries < swfault::retry::MAX_ATTEMPTS =>
+            {
+                retries += 1;
+                swtel::flight::record("store", "fsync_retry", epoch, retries as u64);
+                if swprof::enabled() {
+                    swprof::metrics::counter_add("store.fsync_retries", 1);
+                }
+            }
+            done => return done.map(|()| retries),
         }
-        Ok(())
     }
 }
 
@@ -690,6 +873,197 @@ mod tests {
         let (_, report) = Store::open(&dir, StoreOptions::default()).unwrap();
         assert!(!report.manifest_rebuilt);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Name, length and mtime of everything in `dir`, sorted: what a
+    /// write of any kind would change.
+    fn snapshot(dir: &Path) -> Vec<(String, u64, std::time::SystemTime)> {
+        let mut files: Vec<_> = fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let entry = entry.unwrap();
+                let meta = entry.metadata().unwrap();
+                let name = entry.file_name().to_string_lossy().into_owned();
+                (name, meta.len(), meta.modified().unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    fn manifest_on_disk(dir: &Path) -> Vec<u64> {
+        decode_manifest(&fs::read(dir.join(MANIFEST)).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn opening_a_clean_or_a_new_store_writes_nothing() {
+        let dir = tmpdir("open-clean");
+        let (store, _) = Store::open(&dir, StoreOptions::default()).unwrap();
+        assert!(snapshot(&dir).is_empty(), "a new store has no manifest");
+        drop(store);
+        assert!(snapshot(&dir).is_empty());
+
+        let (mut store, _) = Store::open(&dir, StoreOptions::default()).unwrap();
+        for e in [10, 20, 30] {
+            store.commit(e, &frames(e, 2)).unwrap();
+        }
+        drop(store);
+        let before = snapshot(&dir);
+        let dir_mtime = fs::metadata(&dir).unwrap().modified().unwrap();
+        let (store, report) = Store::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!(report.valid, vec![10, 20, 30]);
+        drop(store);
+        assert_eq!(snapshot(&dir), before);
+        assert_eq!(fs::metadata(&dir).unwrap().modified().unwrap(), dir_mtime);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_manifest_on_disk_is_the_chain_after_pruning() {
+        let dir = tmpdir("manifest-chain");
+        let (mut store, _) = Store::open(&dir, StoreOptions { retain: 3 }).unwrap();
+        for e in (0..8).map(|i| i * 5) {
+            store.commit(e, &frames(e, 2)).unwrap();
+            assert_eq!(manifest_on_disk(&dir), store.chain());
+        }
+        assert_eq!(store.chain(), &[25, 30, 35]);
+        drop(store);
+        let (store, report) = Store::open(&dir, StoreOptions { retain: 3 }).unwrap();
+        assert_eq!(store.chain(), &[25, 30, 35]);
+        assert!(report.rejected.is_empty(), "{report:?}");
+        assert!(!report.manifest_rebuilt);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_manifest_lost_to_a_power_cut_heals_to_the_scanned_chain() {
+        // The manifest is written with no fsync of its own, so after a
+        // power cut it can hold a prefix, nothing, an older chain, or
+        // not exist. Every one of them opens on the scanned chain.
+        type Damage = (&'static str, fn(&Path));
+        let damage: [Damage; 4] = [
+            ("torn", |m| {
+                let bytes = fs::read(m).unwrap();
+                fs::write(m, &bytes[..bytes.len() / 2]).unwrap();
+            }),
+            ("empty", |m| fs::write(m, b"").unwrap()),
+            ("deleted", |m| fs::remove_file(m).unwrap()),
+            ("stale", |m| fs::write(m, encode_manifest(&[10])).unwrap()),
+        ];
+        for (tag, hurt) in damage {
+            let dir = tmpdir(&format!("manifest-{tag}"));
+            let (mut store, _) = Store::open(&dir, StoreOptions::default()).unwrap();
+            for e in [10, 20, 30] {
+                store.commit(e, &frames(e, 2)).unwrap();
+            }
+            drop(store);
+            hurt(&dir.join(MANIFEST));
+            let (mut store, report) = Store::open(&dir, StoreOptions::default()).unwrap();
+            assert_eq!(store.chain(), &[10, 20, 30], "{tag}");
+            assert_eq!(report.manifest_rebuilt, tag != "stale", "{tag}");
+            assert_eq!(manifest_on_disk(&dir), store.chain(), "{tag}: healed");
+            assert_eq!(store.load_newest_valid().unwrap().unwrap().epoch, 30);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn every_call_after_begin_finds_the_commit_settled() {
+        // Whatever comes after `begin` — and a drop — waits for the
+        // barrier first: the generation is under its final name, its
+        // temp file is gone and the manifest lists it.
+        let settled = |dir: &Path, epoch: u64| {
+            assert!(dir.join(gen_name(epoch)).exists(), "gen-{epoch}");
+            assert!(!dir.join(tmp_name(epoch)).exists(), "tmp-{epoch}");
+            assert_eq!(manifest_on_disk(dir).last(), Some(&epoch));
+        };
+        let dir = tmpdir("begin");
+        let (mut store, _) = Store::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!(store.begin(10, &frames(10, 2)).unwrap(), 0);
+        assert_eq!(store.newest(), Some(10));
+        assert_eq!(store.load(10).unwrap().frames, frames(10, 2));
+        settled(&dir, 10);
+        store.begin(20, &frames(20, 2)).unwrap();
+        assert_eq!(store.load_newest_valid().unwrap().unwrap().epoch, 20);
+        settled(&dir, 20);
+        store.begin(30, &frames(30, 2)).unwrap();
+        store.begin(40, &frames(40, 2)).unwrap();
+        settled(&dir, 30);
+        store.settle().unwrap();
+        settled(&dir, 40);
+        store.begin(50, &frames(50, 2)).unwrap();
+        store.commit(60, &frames(60, 2)).unwrap();
+        settled(&dir, 60);
+        store.begin(70, &frames(70, 2)).unwrap();
+        drop(store);
+        settled(&dir, 70);
+        let (store, report) = Store::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!(store.chain(), &[40, 50, 60, 70]);
+        assert!(report.rejected.is_empty() && report.temps_swept == 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_barrier_surfaces_at_the_next_call_and_takes_its_epoch_back() {
+        // A non-empty directory where generation 30 belongs: the
+        // calling-thread half succeeds, the barrier's rename cannot.
+        let blocked = || {
+            let dir = tmpdir("barrier-fails");
+            let (mut store, _) = Store::open(&dir, StoreOptions { retain: 2 }).unwrap();
+            store.commit(10, &frames(10, 2)).unwrap();
+            store.commit(20, &frames(20, 2)).unwrap();
+            fs::create_dir_all(dir.join(gen_name(30)).join("in the way")).unwrap();
+            (dir, store)
+        };
+        // The previous chain is intact, pruned generation included.
+        let intact = |dir: &Path, store: &mut Store| {
+            assert_eq!(store.chain(), &[10, 20]);
+            assert_eq!(store.load(10).unwrap().frames, frames(10, 2));
+            assert_eq!(store.load_newest_valid().unwrap().unwrap().epoch, 20);
+            store.commit(40, &frames(40, 2)).unwrap();
+            assert_eq!(store.chain(), &[20, 40]);
+            let _ = fs::remove_dir_all(dir);
+        };
+
+        let (dir, mut store) = blocked();
+        store.commit(30, &frames(30, 2)).unwrap_err();
+        intact(&dir, &mut store);
+
+        let (dir, mut store) = blocked();
+        store.begin(30, &frames(30, 2)).unwrap();
+        assert_eq!(store.chain(), &[20, 30], "listed while in flight");
+        store.settle().unwrap_err();
+        store.settle().unwrap();
+        intact(&dir, &mut store);
+
+        // `load` has only `&self`: it reports the failure, and the next
+        // `&mut` call reports it again and undoes the chain.
+        let (dir, mut store) = blocked();
+        store.begin(30, &frames(30, 2)).unwrap();
+        let seen = store.load(20).unwrap_err();
+        let kept = store.load_newest_valid().unwrap_err();
+        assert_eq!(seen.kind(), kept.kind());
+        intact(&dir, &mut store);
+    }
+
+    #[test]
+    fn only_a_filesystem_that_cannot_sync_directories_is_excused() {
+        use io::ErrorKind::*;
+        for kind in [InvalidInput, Unsupported] {
+            assert!(dir_sync_unsupported(&kind.into()), "{kind:?}");
+        }
+        for kind in [NotFound, PermissionDenied, StorageFull, Other] {
+            assert_eq!(dir_sync_unsupported(&kind.into()), cfg!(not(unix)));
+        }
+        #[cfg(target_os = "linux")]
+        for (errno, excused) in [(22, true), (95, true), (5, false), (28, false)] {
+            // EINVAL, ENOTSUP; EIO, ENOSPC.
+            let e = io::Error::from_raw_os_error(errno);
+            assert_eq!(dir_sync_unsupported(&e), excused, "{e}");
+        }
+        // The directory's own errors reach the caller.
+        #[cfg(unix)]
+        assert_eq!(sync_dir(&tmpdir("sync-gone")).unwrap_err().kind(), NotFound);
     }
 
     #[test]

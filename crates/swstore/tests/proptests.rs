@@ -17,9 +17,11 @@ fn tmpdir(tag: u64) -> PathBuf {
     std::env::temp_dir().join(format!("swstore-prop-{tag}-{}", std::process::id()))
 }
 
-/// Build a store with `n_gens` committed generations and return the
-/// directory plus the generation file names, oldest first.
-fn seeded_store(dir: &PathBuf, n_gens: usize, n_ranks: usize) -> Vec<PathBuf> {
+/// Build a store with `n_gens` committed generations — each through
+/// `commit`, or through `begin` and left for the next call or the drop
+/// to settle when `behind` — and return the generation file names,
+/// oldest first.
+fn seeded_store(dir: &PathBuf, n_gens: usize, n_ranks: usize, behind: bool) -> Vec<PathBuf> {
     let _ = fs::remove_dir_all(dir);
     let (mut store, _) = Store::open(
         dir,
@@ -37,7 +39,11 @@ fn seeded_store(dir: &PathBuf, n_gens: usize, n_ranks: usize) -> Vec<PathBuf> {
                 vec![(epoch as u8).wrapping_add(r as u8); 64 + 13 * r]
             })
             .collect();
-        store.commit(epoch, &frames).unwrap();
+        if behind {
+            store.begin(epoch, &frames).unwrap();
+        } else {
+            store.commit(epoch, &frames).unwrap();
+        }
         files.push(dir.join(format!("gen-{epoch:016x}.swst")));
     }
     files
@@ -51,10 +57,11 @@ proptest! {
     fn truncation_never_panics_and_falls_back(
         victim in 0usize..3,
         keep_frac in 0.0f64..1.0,
+        behind in any::<bool>(),
         case in 0u64..1_000_000,
     ) {
         let dir = tmpdir(case);
-        let files = seeded_store(&dir, 3, 2);
+        let files = seeded_store(&dir, 3, 2, behind);
         let bytes = fs::read(&files[victim]).unwrap();
         let keep = (((bytes.len() as f64) * keep_frac) as usize).min(bytes.len() - 1);
         fs::write(&files[victim], &bytes[..keep]).unwrap();
@@ -76,10 +83,11 @@ proptest! {
     fn bit_flip_never_panics_and_lands_on_newest_valid(
         victim in 0usize..3,
         bit_pick in any::<u64>(),
+        behind in any::<bool>(),
         case in 1_000_000u64..2_000_000,
     ) {
         let dir = tmpdir(case);
-        let files = seeded_store(&dir, 3, 2);
+        let files = seeded_store(&dir, 3, 2, behind);
         let mut bytes = fs::read(&files[victim]).unwrap();
         let bit = bit_pick as usize % (bytes.len() * 8);
         bytes[bit / 8] ^= 1 << (bit % 8);
@@ -104,10 +112,11 @@ proptest! {
     #[test]
     fn total_corruption_degrades_to_empty_not_panic(
         keep in 0usize..20,
+        behind in any::<bool>(),
         case in 2_000_000u64..3_000_000,
     ) {
         let dir = tmpdir(case);
-        let files = seeded_store(&dir, 2, 2);
+        let files = seeded_store(&dir, 2, 2, behind);
         for f in &files {
             let bytes = fs::read(f).unwrap();
             fs::write(f, &bytes[..keep.min(bytes.len().saturating_sub(1))]).unwrap();

@@ -9,6 +9,12 @@
 //! was not durably committed is gone, and recovery may rely only on
 //! what `Store::commit`'s temp-fsync-rename protocol put on disk.
 //!
+//! The runner tests do the same to a `FaultTolerantRunner`, which leaves
+//! each commit's barrier in flight behind its steps
+//! (`SWSTORE_CRASH_CHILD=new_durable|mid_quantum` picks where the child
+//! dies): once while the starting generation may still be on its way to
+//! disk, once after `run_until` has returned and it may not be.
+//!
 //! Knobs (all optional, used by the CI crash-recovery job):
 //! - `SWSTORE_CRASH_SEED`: water-box seed, so the matrix covers
 //!   distinct trajectories and store contents.
@@ -27,6 +33,8 @@ use sw_gromacs::mdsim::durable::{run_dd_md_durable, DurableConfig, DurableRunRep
 use sw_gromacs::mdsim::nonbonded::{Coulomb, NbParams};
 use sw_gromacs::mdsim::water::{theta_hoh, water_box, D_OH};
 use sw_gromacs::mdsim::System;
+use sw_gromacs::swgmx::engine::{Engine, EngineConfig, Version};
+use sw_gromacs::swgmx::recovery::FaultTolerantRunner;
 use swcheck::recovery::{audit, RecoveryAudit};
 use swfault::{FaultPlan, Site};
 
@@ -153,6 +161,97 @@ fn process_kill_then_restart_is_bit_identical() {
     assert_clean_audit(&resumed_report, "process-kill-restart");
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&dir_ref);
+}
+
+const RUNNER_CP_EVERY: usize = 10;
+const RUNNER_CRASH_AT: usize = 15; // mid-quantum, past the step-10 boundary
+const RUNNER_STEPS: usize = 30;
+
+fn runner_engine() -> Engine {
+    let config = EngineConfig {
+        nstxout: 0,
+        ..EngineConfig::paper(Version::Other)
+    };
+    Engine::new(water_box(16, 300.0, seed()), config)
+}
+
+/// Child role: die (i) as soon as `new_durable` has returned, its
+/// starting generation begun but never waited for, or (ii) in the
+/// middle of the quantum after the step-10 boundary, `run_until` having
+/// returned. A passing no-op when run normally.
+#[test]
+fn runner_crash_child() {
+    let Ok(role) = std::env::var("SWSTORE_CRASH_CHILD") else {
+        return;
+    };
+    let dir = store_dir(&format!("runner-{role}"));
+    let mut runner =
+        FaultTolerantRunner::new_durable(runner_engine(), RUNNER_CP_EVERY, &dir).unwrap();
+    if role == "mid_quantum" {
+        runner.run_until(RUNNER_CRASH_AT).unwrap();
+    }
+    std::process::abort();
+}
+
+#[test]
+fn runner_killed_at_either_end_of_the_commit_window_restarts_bit_identically() {
+    std::fs::create_dir_all(store_root()).unwrap();
+    let mut reference = FaultTolerantRunner::new(runner_engine(), RUNNER_CP_EVERY).unwrap();
+    reference.run_until(RUNNER_STEPS).unwrap();
+    let (reference, _) = reference.into_parts();
+
+    for role in ["new_durable", "mid_quantum"] {
+        let dir = store_dir(&format!("runner-{role}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let status = Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "runner_crash_child", "--nocapture"])
+            .env("SWSTORE_CRASH_CHILD", role)
+            .env("SWSTORE_CRASH_SEED", seed().to_string())
+            .env("SWSTORE_CRASH_DIR", store_root())
+            .status()
+            .expect("spawn child");
+        assert!(!status.success(), "child must die by abort, got {status}");
+
+        let left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        let has = |epoch: u64| left.contains(&format!("gen-{epoch:016x}.swst"));
+        let temps = left.iter().filter(|n| n.starts_with("tmp-")).count();
+        let resumable = if role == "new_durable" {
+            // (i) Inside the window: generation 0 or the temp file it
+            // was to be, and both restart from the state the caller's
+            // engine is in.
+            assert!(!has(10) && temps <= 1, "{left:?}");
+            has(0).then_some(0)
+        } else {
+            // (ii) Behind it: `run_until` returned, so every generation
+            // it counted is under its name and no commit is half done.
+            assert!(has(0) && has(10) && temps == 0, "{left:?}");
+            Some(10)
+        };
+
+        let mut resumed =
+            FaultTolerantRunner::new_durable(runner_engine(), RUNNER_CP_EVERY, &dir).unwrap();
+        assert_eq!(resumed.report().resumed_from.map(|s| s as usize), resumable);
+        resumed.run_until(RUNNER_STEPS).unwrap();
+        let (resumed, report) = resumed.into_parts();
+        assert_eq!(
+            report.step_executions as usize,
+            RUNNER_STEPS - resumable.unwrap_or(0)
+        );
+        assert_bits_equal(&resumed.sys, &reference.sys, role);
+        assert_finite(&resumed.sys);
+        // The restart swept what the child left half done and its own
+        // chain is whole.
+        let (_, found) = swstore::Store::open(&dir, swstore::StoreOptions::default()).unwrap();
+        assert_eq!(found.valid, [0, 10, 20], "{role}");
+        assert!(
+            found.rejected.is_empty() && found.temps_swept == 0,
+            "{role}: {found:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

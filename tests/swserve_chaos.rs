@@ -116,10 +116,32 @@ fn chaos_run_replays_bit_identically() {
     let dir_b = store("rep-b");
     let b = loadgen::run(&plan, &dir_b).expect("run b");
     assert_eq!(a.slo.stats, b.slo.stats);
-    assert_eq!(a.slo.p50_ns, b.slo.p50_ns);
-    assert_eq!(a.slo.p99_ns, b.slo.p99_ns);
-    assert_eq!(a.slo.makespan_ns, b.slo.makespan_ns);
+    assert_eq!(a.slo.to_json(), b.slo.to_json());
     assert_eq!(a.checksums, b.checksums);
+
+    // And of nothing else: where the durable commit waits for the disk
+    // is host time, which no draw and no virtual timestamp may see.
+    // Recorded at b64be3b (every commit synchronous, four fsyncs each)
+    // for the CI load seeds:
+    // (injected faults, kills, readmissions, resumes, rollbacks, p99 ns).
+    let recorded = match seed() {
+        11 => Some((32, 2, 2, 2, 13, 2_467_680)),
+        4242 => Some((31, 2, 2, 2, 13, 741_002)),
+        987654321 => Some((36, 3, 3, 3, 14, 2_726_162)),
+        _ => None,
+    };
+    let s = &a.slo.stats;
+    let got = (
+        a.slo.injected_faults,
+        s.worker_kills,
+        s.readmissions,
+        s.resumes,
+        s.rollbacks,
+        a.slo.p99_ns,
+    );
+    if let Some(recorded) = recorded {
+        assert_eq!(got, recorded, "seed {}", seed());
+    }
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
 }
