@@ -36,7 +36,7 @@ use crate::cpelist::CpePairList;
 use crate::kernels::native_simd::LaneImpl;
 use crate::kernels::{
     run_gld_naive, run_ori, run_rca, run_rca_native, run_rma, run_rma_native, run_ustc,
-    run_ustc_native, KernelResult, RmaConfig,
+    run_ustc_native, KernelResult, RmaConfig, WriteStrategy,
 };
 use crate::package::PackedSystem;
 
@@ -257,7 +257,13 @@ impl KernelBackend for NativeBackend {
         match variant {
             Variant::Ori => run_ori(input.psys, input.list, input.params, &self.cg),
             Variant::GldNaive => run_gld_naive(input.psys, input.list, input.params, &self.cg),
-            Variant::Rma => run_rma_native(input.psys, input.list, input.params, pool),
+            Variant::Rma => run_rma_native(
+                input.psys,
+                input.list,
+                input.params,
+                pool,
+                WriteStrategy::CopiesWithMarks,
+            ),
             Variant::Rca => run_rca_native(input.psys, input.list, input.params, pool),
             Variant::Ustc => run_ustc_native(input.psys, input.list, input.params, pool),
         }

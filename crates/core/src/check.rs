@@ -9,6 +9,7 @@
 //! gld-naive baseline is gld-bound by design, so gld on a hot path is
 //! not a defect *there*), and runs any variant under a capture session.
 
+use mdsim::math::{fnv1a, FNV1A_OFFSET};
 use mdsim::nonbonded::NbParams;
 use mdsim::pairlist::{ListKind, PairList};
 use mdsim::water::water_box;
@@ -136,24 +137,11 @@ pub struct TracedRun {
 /// runs that agree here produced bit-identical physics — the currency
 /// the schedule-exploration certificate (`swcheck::schedule`) trades in.
 pub fn physics_checksum(forces: &[mdsim::Vec3], energies: &mdsim::nonbonded::NbEnergies) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-    const FNV_PRIME: u64 = 0x100000001b3;
-    let mut h = FNV_OFFSET;
-    let mut mix = |w: u64| {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    };
-    for f in forces {
-        mix(f.x.to_bits() as u64);
-        mix(f.y.to_bits() as u64);
-        mix(f.z.to_bits() as u64);
-    }
-    mix(energies.lj.to_bits());
-    mix(energies.coulomb.to_bits());
-    mix(energies.virial.to_bits());
-    h
+    let words = forces
+        .iter()
+        .flat_map(|f| [f.x, f.y, f.z].map(|c| c.to_bits() as u64))
+        .chain([energies.lj, energies.coulomb, energies.virial].map(f64::to_bits));
+    words.fold(FNV1A_OFFSET, |h, w| fnv1a(h, &w.to_le_bytes()))
 }
 
 /// Run `variant` on `backend` over a seeded water box of `n_mol`

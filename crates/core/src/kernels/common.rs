@@ -1,6 +1,7 @@
 //! Shared machinery of the force-kernel variants: the cluster-pair
-//! interaction in scalar and `floatv4` form, instruction metering, and
-//! the common result type.
+//! interaction in scalar and `floatv4` form (pure bodies, shared by the
+//! metered and the native kernels), the instruction charge the metered
+//! kernels book after each body, and the common result type.
 //!
 //! Both forms share [`mdsim::nonbonded::pair_interaction`] as the single
 //! definition of the physics, so every variant is comparable bit-for-bit
@@ -10,9 +11,10 @@ use mdsim::cluster::CLUSTER_SIZE;
 use mdsim::nonbonded::{pair_interaction, NbEnergies, NbParams};
 use mdsim::Vec3;
 use sw26010::perf::{Breakdown, PerfCounters};
-use sw26010::simd::{meter, transpose3_to_interleaved, FloatV4, TRANSPOSE3_SHUFFLES};
+use sw26010::simd::{meter, FloatV4, TRANSPOSE3_SHUFFLES};
 
-use crate::package::{PackedSystem, FORCE_WORDS};
+use crate::cpelist::CpePairList;
+use crate::package::{read_transposed, PackedSystem, FORCE_WORDS};
 
 /// Result of one force-kernel invocation.
 #[derive(Debug, Clone)]
@@ -47,49 +49,63 @@ pub enum Arith {
     Simd,
 }
 
-/// Compute all interactions of one cluster pair (scalar path).
+/// One inner-cluster (j-side) list entry: its package, the
+/// minimum-image shift, and the interaction mask (`bit ai*4+bj`).
+#[derive(Clone, Copy)]
+pub struct EntryJ<'a> {
+    /// Package words of the inner cluster.
+    pub pkg: &'a [f32],
+    /// Minimum-image shift applied to the j particles.
+    pub shift: [f32; 3],
+    /// Interaction mask, bit `ai * CLUSTER_SIZE + bj`.
+    pub mask: u16,
+}
+
+impl<'a> EntryJ<'a> {
+    /// List entry `e` against the inner package `pkg`.
+    #[inline(always)]
+    pub fn of(list: &CpePairList, e: usize, pkg: &'a [f32]) -> Self {
+        Self {
+            pkg,
+            shift: list.shifts[e],
+            mask: list.masks[e],
+        }
+    }
+}
+
+/// Compute all interactions of one cluster pair, one particle pair at a
+/// time, in either package layout.
 ///
 /// `fi`/`fj` are 12-word force-package accumulators (interleaved xyz per
 /// lane) for the outer/inner cluster. Returns `(e_lj, e_coul, n_pairs)`.
-/// Instruction costs are metered into `perf`.
-#[allow(clippy::too_many_arguments)]
 pub fn cluster_pair_scalar(
     psys: &PackedSystem,
     pkg_i: &[f32],
-    pkg_j: &[f32],
-    shift: [f32; 3],
-    mask: u16,
+    e: EntryJ<'_>,
     params: &NbParams,
     fi: &mut [f32; FORCE_WORDS],
     fj: &mut [f32; FORCE_WORDS],
-    perf: &mut PerfCounters,
 ) -> (f64, f64, u32) {
     let rc2 = params.r_cut * params.r_cut;
     let mut e_lj = 0.0f64;
     let mut e_coul = 0.0f64;
     let mut n = 0u32;
-    let mut flops = 0u64;
-    let mut divsqrt = 0u64;
     for ai in 0..CLUSTER_SIZE {
         let (xa, ya, za, ta, qa) = psys.read_particle(pkg_i, ai);
         for bj in 0..CLUSTER_SIZE {
-            if mask >> (ai * CLUSTER_SIZE + bj) & 1 == 0 {
+            if e.mask >> (ai * CLUSTER_SIZE + bj) & 1 == 0 {
                 continue;
             }
-            let (xb, yb, zb, tb, qb) = psys.read_particle(pkg_j, bj);
-            let dx = xa - (xb + shift[0]);
-            let dy = ya - (yb + shift[1]);
-            let dz = za - (zb + shift[2]);
+            let (xb, yb, zb, tb, qb) = psys.read_particle(e.pkg, bj);
+            let dx = xa - (xb + e.shift[0]);
+            let dy = ya - (yb + e.shift[1]);
+            let dz = za - (zb + e.shift[2]);
             let r2 = dx * dx + dy * dy + dz * dz;
-            flops += 11; // 6 add/sub + 3 mul + 2 add for r2
             if r2 >= rc2 || r2 == 0.0 {
                 continue;
             }
             let (c6, c12) = psys.lj(ta, tb);
             let (f_over_r, elj, ecoul) = pair_interaction(r2, c6, c12, qa * qb, params);
-            // LJ: ~12 flops; Ewald erfc Coulomb: ~14; force scatter: 9.
-            flops += 36;
-            divsqrt += 1;
             let (fx, fy, fz) = (dx * f_over_r, dy * f_over_r, dz * f_over_r);
             fi[3 * ai] += fx;
             fi[3 * ai + 1] += fy;
@@ -102,146 +118,156 @@ pub fn cluster_pair_scalar(
             n += 1;
         }
     }
-    meter::scalar_flops(perf, flops);
-    meter::scalar_divsqrt(perf, divsqrt);
     (e_lj, e_coul, n)
 }
 
 /// Compute all interactions of one cluster pair with `floatv4` lanes over
-/// the outer cluster (§3.4, Fig. 6/7).
+/// the outer cluster (§3.4, Fig. 6/7): vector geometry, per-lane scalar
+/// [`pair_interaction`], so it is exactly the vector *schedule* of
+/// [`cluster_pair_scalar`]'s math. Both packages must be transposed (the
+/// Fig. 6 precondition: the component vectors load directly). `lj` maps
+/// a type pair to `(c6, c12)`.
 ///
-/// Functionally identical to [`cluster_pair_scalar`] (same
-/// `pair_interaction` per lane); what changes is the instruction mix
-/// metered: ~4x fewer arithmetic issues, plus pre-treatment splats, LJ
-/// parameter gathers, and the six-shuffle post-treatment.
-#[allow(clippy::too_many_arguments)]
+/// The Vec/Mark rungs of the metered ladder and the native kernels' self
+/// and odd-tail entries all run this one body.
 pub fn cluster_pair_simd(
-    psys: &PackedSystem,
     pkg_i: &[f32],
-    pkg_j: &[f32],
-    shift: [f32; 3],
-    mask: u16,
+    e: EntryJ<'_>,
     params: &NbParams,
+    lj: &impl Fn(usize, usize) -> (f32, f32),
     fi: &mut [f32; FORCE_WORDS],
     fj: &mut [f32; FORCE_WORDS],
-    perf: &mut PerfCounters,
 ) -> (f64, f64, u32) {
     let rc2 = params.r_cut * params.r_cut;
-    // Pre-treatment: with the transposed layout the component vectors of
-    // the outer cluster load directly (3 vector loads, ~free); with the
-    // interleaved layout this costs a transpose. We require the
-    // transposed layout for SIMD kernels.
-    let xi = FloatV4([
-        psys.read_particle(pkg_i, 0).0,
-        psys.read_particle(pkg_i, 1).0,
-        psys.read_particle(pkg_i, 2).0,
-        psys.read_particle(pkg_i, 3).0,
-    ]);
-    let yi = FloatV4([
-        psys.read_particle(pkg_i, 0).1,
-        psys.read_particle(pkg_i, 1).1,
-        psys.read_particle(pkg_i, 2).1,
-        psys.read_particle(pkg_i, 3).1,
-    ]);
-    let zi = FloatV4([
-        psys.read_particle(pkg_i, 0).2,
-        psys.read_particle(pkg_i, 1).2,
-        psys.read_particle(pkg_i, 2).2,
-        psys.read_particle(pkg_i, 3).2,
-    ]);
-    meter::simd_ops(perf, 3); // vector loads of x/y/z components
-
+    let xi = FloatV4::load(&pkg_i[0..CLUSTER_SIZE]);
+    let yi = FloatV4::load(&pkg_i[CLUSTER_SIZE..2 * CLUSTER_SIZE]);
+    let zi = FloatV4::load(&pkg_i[2 * CLUSTER_SIZE..3 * CLUSTER_SIZE]);
     let mut fx_acc = FloatV4::ZERO;
     let mut fy_acc = FloatV4::ZERO;
     let mut fz_acc = FloatV4::ZERO;
     let mut e_lj = 0.0f64;
     let mut e_coul = 0.0f64;
     let mut n = 0u32;
-    let mut simd_ops = 0u64;
-    let mut simd_divsqrt = 0u64;
-    let mut scalar_flops = 0u64;
 
     for bj in 0..CLUSTER_SIZE {
-        let lane_mask = [
-            (mask >> bj) & 1,
-            (mask >> (CLUSTER_SIZE + bj)) & 1,
-            (mask >> (2 * CLUSTER_SIZE + bj)) & 1,
-            (mask >> (3 * CLUSTER_SIZE + bj)) & 1,
+        let col = [
+            (e.mask >> bj) & 1,
+            (e.mask >> (CLUSTER_SIZE + bj)) & 1,
+            (e.mask >> (2 * CLUSTER_SIZE + bj)) & 1,
+            (e.mask >> (3 * CLUSTER_SIZE + bj)) & 1,
         ];
-        if lane_mask == [0, 0, 0, 0] {
+        if col == [0, 0, 0, 0] {
             continue;
         }
-        let (xb, yb, zb, tb, qb) = psys.read_particle(pkg_j, bj);
-        // Splat the inner particle into vectors: 3 ops.
-        let dx = xi - FloatV4::splat(xb + shift[0]);
-        let dy = yi - FloatV4::splat(yb + shift[1]);
-        let dz = zi - FloatV4::splat(zb + shift[2]);
+        let (xb, yb, zb, tb, qb) = read_transposed(e.pkg, bj);
+        let dx = xi - FloatV4::splat(xb + e.shift[0]);
+        let dy = yi - FloatV4::splat(yb + e.shift[1]);
+        let dz = zi - FloatV4::splat(zb + e.shift[2]);
         // Same association as the scalar kernel ((dx2+dy2)+dz2) so the
         // cutoff decision is bit-identical across paths.
         let r2 = dx * dx + dy * dy + dz * dz;
-        simd_ops += 3 + 3 + 5; // splats + subs + 3 mul 2 add
 
-        // Per-lane cutoff + mask + interaction. The physics per lane is
-        // delegated to the shared scalar definition so the SIMD kernel is
-        // exactly the vector *schedule* of the same math. LJ parameter
-        // gathers (per-lane type lookups) are scalar work on SW26010.
         let mut f_over_r = [0.0f32; 4];
         for lane in 0..CLUSTER_SIZE {
-            if lane_mask[lane] == 0 {
+            if col[lane] == 0 {
                 continue;
             }
             let r2l = r2.0[lane];
             if r2l >= rc2 || r2l == 0.0 {
                 continue;
             }
-            let (_, _, _, ta, qa) = psys.read_particle(pkg_i, lane);
-            let (c6, c12) = psys.lj(ta, tb);
+            let (_, _, _, ta, qa) = read_transposed(pkg_i, lane);
+            let (c6, c12) = lj(ta, tb);
             let (f, elj, ecoul) = pair_interaction(r2l, c6, c12, qa * qb, params);
             f_over_r[lane] = f;
             e_lj += elj as f64;
             e_coul += ecoul as f64;
             n += 1;
         }
-        // Vector instruction mix for the interaction: cmp+select (2),
-        // rsqrt (1 long), LJ polynomial (~7), Ewald erfc via table (~6),
-        // force assembly (3 muls + 3 fma accumulate).
-        simd_ops += 2 + 7 + 6 + 6;
-        simd_divsqrt += 1;
-        scalar_flops += 8; // LJ parameter gathers for 4 lanes
-
         let fv = FloatV4(f_over_r);
         fx_acc = dx.mul_add(fv, fx_acc);
         fy_acc = dy.mul_add(fv, fy_acc);
         fz_acc = dz.mul_add(fv, fz_acc);
-        // Inner particle reaction: horizontal sums (3 x ~2 ops).
         fj[3 * bj] -= (dx * fv).hsum();
         fj[3 * bj + 1] -= (dy * fv).hsum();
         fj[3 * bj + 2] -= (dz * fv).hsum();
-        simd_ops += 6;
     }
-
-    // Post-treatment (Fig. 7): six shuffles turn the three component
-    // accumulators into the interleaved layout of the force package, then
-    // three vector adds apply them.
-    let t = transpose3_to_interleaved(fx_acc, fy_acc, fz_acc);
-    for (k, v) in t.iter().enumerate() {
-        for lane in 0..4 {
-            fi[4 * k + lane] += v.0[lane];
-        }
+    for lane in 0..CLUSTER_SIZE {
+        fi[3 * lane] += fx_acc.0[lane];
+        fi[3 * lane + 1] += fy_acc.0[lane];
+        fi[3 * lane + 2] += fz_acc.0[lane];
     }
-    meter::shuffle_ops(perf, TRANSPOSE3_SHUFFLES);
-    meter::simd_ops(perf, simd_ops + 3);
-    meter::simd_divsqrt(perf, simd_divsqrt);
-    meter::scalar_flops(perf, scalar_flops);
     (e_lj, e_coul, n)
 }
 
+/// One cluster pair under the cycle meter: the `arith` body, then its
+/// instruction charge. The charge is a function of the entry's mask and
+/// its in-cutoff pair count alone, so the bodies stay pure.
+#[allow(clippy::too_many_arguments)]
+pub fn cluster_pair_metered(
+    arith: Arith,
+    psys: &PackedSystem,
+    pkg_i: &[f32],
+    e: EntryJ<'_>,
+    params: &NbParams,
+    fi: &mut [f32; FORCE_WORDS],
+    fj: &mut [f32; FORCE_WORDS],
+    perf: &mut PerfCounters,
+) -> (f64, f64, u32) {
+    match arith {
+        Arith::Scalar => {
+            let out = cluster_pair_scalar(psys, pkg_i, e, params, fi, fj);
+            let (tested, n) = (e.mask.count_ones() as u64, out.2 as u64);
+            // Per tested pair: 6 add/sub + 3 mul + 2 add for r2. Per pair
+            // in cutoff: LJ ~12 flops, Ewald erfc Coulomb ~14, force
+            // scatter 9, and one long divide/sqrt.
+            meter::scalar_flops(perf, 11 * tested + 36 * n);
+            meter::scalar_divsqrt(perf, n);
+            out
+        }
+        Arith::Simd => {
+            let out = cluster_pair_simd(pkg_i, e, params, &|ta, tb| psys.lj(ta, tb), fi, fj);
+            let m = e.mask;
+            let cols = ((m | m >> 4 | m >> 8 | m >> 12) & 0xF).count_ones() as u64;
+            // Pre-treatment: 3 vector loads of the x/y/z components.
+            // Per non-empty mask column: splats + subs + r2 (3 + 3 + 5),
+            // cmp+select (2), LJ polynomial (~7), Ewald erfc via table
+            // (~6), force assembly (3 mul + 3 fma), reaction horizontal
+            // sums (3 x ~2); one long rsqrt; the LJ parameter gathers of
+            // 4 lanes are scalar work on SW26010. Post-treatment (Fig. 7):
+            // six shuffles to the interleaved layout, three vector adds.
+            meter::shuffle_ops(perf, TRANSPOSE3_SHUFFLES);
+            meter::simd_ops(perf, 3 + 38 * cols + 3);
+            meter::simd_divsqrt(perf, cols);
+            meter::scalar_flops(perf, 8 * cols);
+            out
+        }
+    }
+}
+
+/// Add force package `f` into slot `pkg` of a slot-ordered force array.
+#[inline]
+pub fn add_package(slot_forces: &mut [f32], pkg: usize, f: &[f32; FORCE_WORDS]) {
+    let base = pkg * FORCE_WORDS;
+    for (d, v) in slot_forces[base..base + FORCE_WORDS].iter_mut().zip(f) {
+        *d += v;
+    }
+}
+
+/// Miss ratio of a software cache (0 when it was never consulted).
+pub fn miss_ratio(misses: u64, hits: u64) -> f64 {
+    if misses + hits == 0 {
+        0.0
+    } else {
+        misses as f64 / (misses + hits) as f64
+    }
+}
+
 /// Merge a per-CPE energy pair into an [`NbEnergies`].
-pub fn add_energy(en: &mut NbEnergies, e_lj: f64, e_coul: f64, n: u32, half_weight: bool) {
-    let w = if half_weight { 0.5 } else { 1.0 };
-    en.lj += w * e_lj;
-    en.coulomb += w * e_coul;
-    en.pairs_within_cutoff += n as u64;
+pub fn add_energy(en: &mut NbEnergies, e_lj: f64, e_coul: f64, n: u64) {
+    en.lj += e_lj;
+    en.coulomb += e_coul;
+    en.pairs_within_cutoff += n;
 }
 
 #[cfg(test)]
@@ -261,38 +287,29 @@ mod tests {
         let params = NbParams::paper_default();
         let mut perf_s = PerfCounters::new();
         let mut perf_v = PerfCounters::new();
-        let mut entry = 0;
         let mut checked = 0;
         for ci in 0..cpe.n_clusters() {
             for e in cpe.entries_of(ci) {
-                let cj = cpe.neighbors[e] as usize;
+                let entry = EntryJ::of(&cpe, e, psys.package(cpe.neighbors[e] as usize));
                 let mut fi_s = [0.0f32; FORCE_WORDS];
                 let mut fj_s = [0.0f32; FORCE_WORDS];
                 let mut fi_v = [0.0f32; FORCE_WORDS];
                 let mut fj_v = [0.0f32; FORCE_WORDS];
-                let (el_s, ec_s, n_s) = cluster_pair_scalar(
-                    &psys,
-                    psys.package(ci),
-                    psys.package(cj),
-                    cpe.shifts[entry],
-                    cpe.masks[entry],
-                    &params,
-                    &mut fi_s,
-                    &mut fj_s,
-                    &mut perf_s,
-                );
-                let (el_v, ec_v, n_v) = cluster_pair_simd(
-                    &psys,
-                    psys.package(ci),
-                    psys.package(cj),
-                    cpe.shifts[entry],
-                    cpe.masks[entry],
-                    &params,
-                    &mut fi_v,
-                    &mut fj_v,
-                    &mut perf_v,
-                );
-                assert_eq!(n_s, n_v, "entry {entry}");
+                let run = |arith, fi: &mut _, fj: &mut _, perf: &mut _| {
+                    cluster_pair_metered(
+                        arith,
+                        &psys,
+                        psys.package(ci),
+                        entry,
+                        &params,
+                        fi,
+                        fj,
+                        perf,
+                    )
+                };
+                let (el_s, ec_s, n_s) = run(Arith::Scalar, &mut fi_s, &mut fj_s, &mut perf_s);
+                let (el_v, ec_v, n_v) = run(Arith::Simd, &mut fi_v, &mut fj_v, &mut perf_v);
+                assert_eq!(n_s, n_v, "entry {e}");
                 assert!((el_s - el_v).abs() < 1e-6);
                 assert!((ec_s - ec_v).abs() < 1e-6);
                 for k in 0..FORCE_WORDS {
@@ -305,7 +322,6 @@ mod tests {
                     assert!((fj_s[k] - fj_v[k]).abs() < 2e-2_f32.max(fj_s[k].abs() * 1e-4));
                 }
                 checked += n_s;
-                entry += 1;
             }
         }
         assert!(checked > 1000, "too few interactions checked: {checked}");
@@ -319,26 +335,39 @@ mod tests {
     }
 
     #[test]
-    fn simd_metering_counts_shuffles() {
+    fn the_charge_is_a_function_of_mask_and_pair_count() {
         let sys = water_box(10, 300.0, 3);
         let list = PairList::build(&sys, 1.0, ListKind::Half);
         let cpe = CpePairList::build(&sys, &list);
         let psys = PackedSystem::build(&sys, list.clustering.clone(), PackageLayout::Transposed);
         let params = NbParams::paper_default();
-        let mut perf = PerfCounters::new();
-        let mut fi = [0.0f32; FORCE_WORDS];
-        let mut fj = [0.0f32; FORCE_WORDS];
-        cluster_pair_simd(
-            &psys,
-            psys.package(0),
-            psys.package(0),
-            [0.0; 3],
-            cpe.masks[cpe.entries_of(0).start],
-            &params,
-            &mut fi,
-            &mut fj,
-            &mut perf,
+        let e = cpe.entries_of(0).start;
+        // Rows 0 and 2 against columns 0 and 3: four tested pairs in two
+        // non-empty columns.
+        let entry = EntryJ {
+            mask: 0b0000_1001_0000_1001,
+            ..EntryJ::of(&cpe, e, psys.package(cpe.neighbors[e] as usize))
+        };
+        let charge = |arith| {
+            let mut perf = PerfCounters::new();
+            let mut fi = [0.0f32; FORCE_WORDS];
+            let mut fj = [0.0f32; FORCE_WORDS];
+            let pkg_i = psys.package(0);
+            let (_, _, n) = cluster_pair_metered(
+                arith, &psys, pkg_i, entry, &params, &mut fi, &mut fj, &mut perf,
+            );
+            (n as u64, perf)
+        };
+        let (n, s) = charge(Arith::Scalar);
+        assert_eq!(s.scalar_flops, 11 * 4 + 36 * n + n);
+        assert_eq!(s.cycles, 11 * 4 + 36 * n + meter::DIV_SQRT_CYCLES * n);
+        let (_, v) = charge(Arith::Simd);
+        assert_eq!(v.shuffle_ops, TRANSPOSE3_SHUFFLES);
+        assert_eq!(v.simd_ops, 6 + 38 * 2 + 2);
+        assert_eq!(v.scalar_flops, 8 * 2);
+        assert_eq!(
+            v.cycles,
+            TRANSPOSE3_SHUFFLES + 6 + 38 * 2 + meter::DIV_SQRT_CYCLES * 2 + 8 * 2
         );
-        assert_eq!(perf.shuffle_ops, TRANSPOSE3_SHUFFLES);
     }
 }

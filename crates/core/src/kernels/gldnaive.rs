@@ -17,7 +17,7 @@ use sw26010::perf::{Breakdown, PerfCounters};
 use sw26010::pool::block_range;
 
 use crate::cpelist::CpePairList;
-use crate::kernels::common::{cluster_pair_scalar, KernelResult};
+use crate::kernels::common::{add_package, cluster_pair_metered, Arith, EntryJ, KernelResult};
 use crate::package::{PackedSystem, FORCE_WORDS, PKG_WORDS};
 
 /// Run Algorithm 1 on all CPEs with per-element gld/gst accesses.
@@ -53,12 +53,11 @@ pub fn run_gld_naive(
                 gld::gld_pipelined(&mut ctx.perf, PKG_WORDS as u64);
                 let pkg_j = psys.package(cj).to_vec();
                 let mut fj = [0.0f32; FORCE_WORDS];
-                let (el, ec, n) = cluster_pair_scalar(
+                let (el, ec, n) = cluster_pair_metered(
+                    Arith::Scalar,
                     psys,
                     &pkg_i,
-                    &pkg_j,
-                    list.shifts[e],
-                    list.masks[e],
+                    EntryJ::of(list, e, &pkg_j),
                     params,
                     &mut fi,
                     &mut fj,
@@ -90,10 +89,7 @@ pub fn run_gld_naive(
     let mut energies = NbEnergies::default();
     for (updates, e_lj, e_coul, n_pairs) in &calc.results {
         for (pkg, f) in updates {
-            let base = *pkg as usize * FORCE_WORDS;
-            for (d, v) in slot_forces[base..base + FORCE_WORDS].iter_mut().zip(f) {
-                *d += v;
-            }
+            add_package(&mut slot_forces, *pkg as usize, f);
         }
         energies.lj += e_lj;
         energies.coulomb += e_coul;

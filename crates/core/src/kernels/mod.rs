@@ -31,7 +31,7 @@ pub mod ustc;
 pub use bonded_cpe::run_bonded_cpe;
 pub use common::{Arith, KernelResult};
 pub use gldnaive::run_gld_naive;
-pub use native::{run_rca_native, run_rma_native, run_ustc_native};
+pub use native::{run_rca_native, run_rma_native, run_ustc_native, WriteStrategy};
 pub use ori::run_ori;
 pub use rca::run_rca;
 pub use rma::{run_rma, RmaConfig};

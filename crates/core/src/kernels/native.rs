@@ -28,6 +28,15 @@
 //! thread counts 1..=64 — the property `tests/backend_differential.rs`
 //! pins and schedule certification (swcheck SWC110–113) admits.
 //!
+//! **Write strategies (§3.8).** The contract above is a property of how
+//! the RMA lanes' conflicting writes are resolved, and that is a
+//! parameter: [`WriteStrategy`] picks the `ReactionSink` the one RMA
+//! lane body writes through. `CopiesWithMarks` is the backend's path;
+//! `Copies` is the same copies with every Bit-Map line pre-set and
+//! zero-filled (bit-identical results, the init and full reduce paid);
+//! `Atomics` CAS-adds into one shared array and is the one strategy
+//! outside the contract. `examples/portability.rs` times the three.
+//!
 //! **Trace shape.** When a capture session is active each runner emits
 //! the same region/annotation vocabulary as its metered twin: a spawn
 //! epoch per phase, per-lane `SharedRead`s of the positions, disjoint
@@ -38,6 +47,7 @@
 //! conflicting access).
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use mdsim::nonbonded::{NbEnergies, NbParams};
 use mdsim::pairlist::ListKind;
@@ -48,12 +58,10 @@ use sw26010::{trace, BitMap};
 
 use crate::check::{REGION_COPIES, REGION_FORCES, REGION_POS};
 use crate::cpelist::CpePairList;
-use crate::kernels::common::{add_energy, KernelResult};
+use crate::kernels::common::{add_energy, add_package, cluster_pair_simd, EntryJ, KernelResult};
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 use crate::kernels::native_simd::f32x8_sse2;
-use crate::kernels::native_simd::{
-    cluster_pair_wide4, cluster_pair_wide8, f32x8, on_lanes, EntryJ, LaneImpl, Lanes8, WideFi,
-};
+use crate::kernels::native_simd::{cluster_pair_wide8, f32x8, on_lanes, LaneImpl, Lanes8, WideFi};
 use crate::package::{PackageLayout, PackedSystem, FORCE_WORDS};
 
 /// Destination for inner-cluster reaction packages: the kernels
@@ -81,25 +89,21 @@ trait ReactionSink {
 /// into `fi`, mirroring the metered half-list kernels; without it they
 /// flow through `sink` like any other entry (the RCA convention).
 /// Returns `(e_lj, e_coul, n_pairs)`.
-#[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn process_cluster<L: Lanes8>(
     isa: L::Isa,
-    psys: &PackedSystem,
-    list: &CpePairList,
+    input: LaneInput<'_>,
     ci: usize,
-    params: &NbParams,
     fold_self: bool,
     fi: &mut [f32; FORCE_WORDS],
     sink: &mut impl ReactionSink,
     scratch: &mut Vec<usize>,
 ) -> (f64, f64, u64) {
+    let LaneInput {
+        psys, list, params, ..
+    } = input;
     let lj = |ta: usize, tb: usize| psys.lj(ta, tb);
-    let entry_of = |e: usize| EntryJ {
-        pkg: psys.package(list.neighbors[e] as usize),
-        shift: list.shifts[e],
-        mask: list.masks[e],
-    };
+    let entry_of = |e: usize| EntryJ::of(list, e, psys.package(list.neighbors[e] as usize));
     let pkg_i = psys.package(ci);
     let mut e_lj = 0.0f64;
     let mut e_coul = 0.0f64;
@@ -109,7 +113,7 @@ fn process_cluster<L: Lanes8>(
     for e in list.entries_of(ci) {
         if fold_self && list.neighbors[e] as usize == ci {
             let mut fj = [0.0f32; FORCE_WORDS];
-            let (el, ec, m) = cluster_pair_wide4(pkg_i, entry_of(e), params, &lj, fi, &mut fj);
+            let (el, ec, m) = cluster_pair_simd(pkg_i, entry_of(e), params, &lj, fi, &mut fj);
             e_lj += el;
             e_coul += ec;
             n += m as u64;
@@ -148,7 +152,7 @@ fn process_cluster<L: Lanes8>(
             // would alias, so take them one at a time.
             for e in pair {
                 let (el, ec, m) =
-                    cluster_pair_wide4(pkg_i, entry_of(e), params, &lj, fi, sink.slot(cj0));
+                    cluster_pair_simd(pkg_i, entry_of(e), params, &lj, fi, sink.slot(cj0));
                 e_lj += el;
                 e_coul += ec;
                 n += m as u64;
@@ -160,7 +164,7 @@ fn process_cluster<L: Lanes8>(
     wfi.fold_into(fi);
     for &e in &scratch[2 * n_wide..] {
         let cj = list.neighbors[e] as usize;
-        let (el, ec, m) = cluster_pair_wide4(pkg_i, entry_of(e), params, &lj, fi, sink.slot(cj));
+        let (el, ec, m) = cluster_pair_simd(pkg_i, entry_of(e), params, &lj, fi, sink.slot(cj));
         e_lj += el;
         e_coul += ec;
         n += m as u64;
@@ -294,6 +298,101 @@ impl ReactionSink for RecordSink {
     }
 }
 
+/// How the RMA lanes' conflicting force writes are resolved — the three
+/// strategies §3.8 compares, on the same lanes, list and inner loop, so
+/// the claim that update marks "could be widely used in many different
+/// platforms" is timed on this host (`examples/portability.rs`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WriteStrategy {
+    /// CAS-loop atomic adds straight into one shared force array (the
+    /// "GPU style" resolution). Forces depend on the interleaving.
+    Atomics,
+    /// Per-lane copies, zero-filled up front and reduced in full: the
+    /// init and the reduction §3.3 eliminates.
+    Copies,
+    /// Per-lane copies with Bit-Map update marks: a line is zeroed at
+    /// first touch and reduced only if marked (the paper's §3.3, and
+    /// what the native backend runs).
+    CopiesWithMarks,
+}
+
+impl WriteStrategy {
+    /// All strategies, for sweeps.
+    pub const ALL: [WriteStrategy; 3] = [
+        WriteStrategy::Atomics,
+        WriteStrategy::Copies,
+        WriteStrategy::CopiesWithMarks,
+    ];
+
+    /// Display name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            WriteStrategy::Atomics => "atomics",
+            WriteStrategy::Copies => "copies",
+            WriteStrategy::CopiesWithMarks => "copies+marks",
+        }
+    }
+}
+
+/// [`WriteStrategy::Atomics`] sink: slots are two pads, CAS-added into
+/// the shared force array when the next slot is asked for (and by the
+/// lane's last [`AtomicSink::flush`]).
+struct AtomicSink<'a> {
+    shared: &'a [AtomicU32],
+    pads: [[f32; FORCE_WORDS]; 2],
+    /// The cluster each pad is accumulating for.
+    pending: [Option<usize>; 2],
+}
+
+impl AtomicSink<'_> {
+    fn flush(&mut self) {
+        for (pad, cj) in self.pads.iter_mut().zip(&mut self.pending) {
+            let Some(cj) = cj.take() else { continue };
+            let cells = &self.shared[cj * FORCE_WORDS..(cj + 1) * FORCE_WORDS];
+            for (cell, d) in cells.iter().zip(pad) {
+                let delta = std::mem::take(d);
+                if delta == 0.0 {
+                    continue;
+                }
+                // CAS-add of an f32 stored as bits.
+                let mut cur = cell.load(Ordering::Relaxed);
+                // swrace: allow(SWC009) the Atomics strategy exists to
+                // show this order dependence; the copy strategies are
+                // the fixed-order path
+                while let Err(seen) = cell.compare_exchange_weak(
+                    cur,
+                    (f32::from_bits(cur) + delta).to_bits(),
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                ) {
+                    cur = seen;
+                }
+            }
+        }
+    }
+}
+
+impl ReactionSink for AtomicSink<'_> {
+    #[inline]
+    fn slot(&mut self, cj: usize) -> &mut [f32; FORCE_WORDS] {
+        self.flush();
+        self.pending[0] = Some(cj);
+        &mut self.pads[0]
+    }
+
+    #[inline]
+    fn slot2(
+        &mut self,
+        cj0: usize,
+        cj1: usize,
+    ) -> (&mut [f32; FORCE_WORDS], &mut [f32; FORCE_WORDS]) {
+        self.flush();
+        self.pending = [Some(cj0), Some(cj1)];
+        let [a, b] = &mut self.pads;
+        (a, b)
+    }
+}
+
 /// What every lane of one native kernel call reads.
 #[derive(Clone, Copy)]
 struct LaneInput<'a> {
@@ -303,6 +402,32 @@ struct LaneInput<'a> {
     /// The pool the lanes run on, for its recycled buffers.
     pool: &'a LanePool,
     tracing: bool,
+}
+
+impl<'a> LaneInput<'a> {
+    /// The inputs of one call over a `kind` list. The kernels are
+    /// SIMD-only: their loads need the transposed layout.
+    fn new(
+        psys: &'a PackedSystem,
+        list: &'a CpePairList,
+        params: &'a NbParams,
+        pool: &'a LanePool,
+        kind: ListKind,
+    ) -> Self {
+        assert_eq!(list.kind, kind, "the kernel walks a {kind:?} list");
+        assert_eq!(
+            psys.layout,
+            PackageLayout::Transposed,
+            "the native kernels are SIMD-only and need the transposed layout"
+        );
+        Self {
+            psys,
+            list,
+            params,
+            pool,
+            tracing: trace::enabled(),
+        }
+    }
 }
 
 /// Per-lane calc output of the native RMA kernel.
@@ -315,72 +440,98 @@ struct RmaLaneOut {
     n_pairs: u64,
 }
 
-/// The redundant force copies' shape: words per copy and the cache-line
-/// grid the Bit-Map marks.
+/// Where the RMA lanes' force writes land: the strategy, the redundant
+/// copies' shape (words per copy and the cache-line grid the Bit-Map
+/// marks), and the one shared array of [`WriteStrategy::Atomics`]
+/// (empty otherwise).
 #[derive(Clone, Copy)]
-struct CopyShape {
+struct CopyShape<'a> {
+    strategy: WriteStrategy,
     copy_words: usize,
     n_lines: usize,
     line_elems: usize,
     line_words: usize,
+    shared: &'a [AtomicU32],
+}
+
+/// The half-list walk of one lane's clusters: self entries folded, every
+/// reaction and then the outer forces themselves landing in `sink`.
+/// Returns `(e_lj, e_coul, n_pairs)`.
+#[inline(always)]
+fn walk_half_list<L: Lanes8>(
+    isa: L::Isa,
+    input: LaneInput<'_>,
+    range: Range<usize>,
+    sink: &mut impl ReactionSink,
+) -> (f64, f64, u64) {
+    let mut sums = (0.0f64, 0.0f64, 0u64);
+    let mut scratch = Vec::new();
+    for ci in range {
+        let mut fi = [0.0f32; FORCE_WORDS];
+        let (el, ec, n) = process_cluster::<L>(isa, input, ci, true, &mut fi, sink, &mut scratch);
+        for (d, v) in sink.slot(ci).iter_mut().zip(&fi) {
+            *d += v;
+        }
+        sums.0 += el;
+        sums.1 += ec;
+        sums.2 += n;
+    }
+    sums
 }
 
 /// Calc phase of one RMA lane: its clusters' forces and reactions into
-/// a private, line-marked force copy.
+/// a private, line-marked force copy — or, under
+/// [`WriteStrategy::Atomics`], straight into the shared array.
 #[inline(always)]
 fn rma_lane<L: Lanes8>(
     isa: L::Isa,
     input: LaneInput<'_>,
-    shape: CopyShape,
+    shape: CopyShape<'_>,
     lane: usize,
 ) -> RmaLaneOut {
     let LaneInput {
         psys,
-        list,
-        params,
         pool,
         tracing,
+        ..
     } = input;
     let range = block_range(psys.n_packages(), N_LANES, lane);
     let cache_id = trace::next_cache_id();
-    let mut copy = if range.is_empty() {
-        Vec::new()
-    } else {
-        pool.take_buffer(shape.copy_words)
-    };
+    let mut copy = Vec::new();
     let mut marks = BitMap::new(shape.n_lines);
-    let mut e_lj = 0.0f64;
-    let mut e_coul = 0.0f64;
-    let mut n_pairs = 0u64;
-    let mut scratch = Vec::new();
-    let mut sink = CopySink {
-        copy: &mut copy,
-        marks: &mut marks,
-        line_elems: shape.line_elems,
-        line_words: shape.line_words,
-    };
-    for ci in range.clone() {
-        let mut fi = [0.0f32; FORCE_WORDS];
-        let (el, ec, n) = process_cluster::<L>(
-            isa,
-            psys,
-            list,
-            ci,
-            params,
-            true,
-            &mut fi,
-            &mut sink,
-            &mut scratch,
-        );
-        for (d, v) in sink.slot(ci).iter_mut().zip(&fi) {
-            *d += v;
+    let (e_lj, e_coul, n_pairs) = if shape.strategy == WriteStrategy::Atomics {
+        let mut sink = AtomicSink {
+            shared: shape.shared,
+            pads: [[0.0f32; FORCE_WORDS]; 2],
+            pending: [None; 2],
+        };
+        let sums = walk_half_list::<L>(isa, input, range.clone(), &mut sink);
+        sink.flush();
+        sums
+    } else {
+        if shape.strategy == WriteStrategy::Copies {
+            // What the marks spare: every lane zeroes a whole copy and
+            // every line of it is reduced.
+            copy = pool.take_buffer(shape.copy_words);
+            copy.fill(0.0);
+            for line in 0..shape.n_lines {
+                marks.set(line);
+            }
+        } else if !range.is_empty() {
+            copy = pool.take_buffer(shape.copy_words);
         }
-        e_lj += el;
-        e_coul += ec;
-        n_pairs += n;
-    }
+        let mut sink = CopySink {
+            copy: &mut copy,
+            marks: &mut marks,
+            line_elems: shape.line_elems,
+            line_words: shape.line_words,
+        };
+        walk_half_list::<L>(isa, input, range.clone(), &mut sink)
+    };
     if tracing && !range.is_empty() {
         trace::shared_read(REGION_POS, 0, psys.pos.len());
+    }
+    if tracing && !copy.is_empty() {
         trace::shared_write(
             REGION_COPIES,
             lane * shape.copy_words,
@@ -402,15 +553,19 @@ fn rma_lane<L: Lanes8>(
     }
 }
 
-/// Native twin of [`super::rma::run_rma`] at the `Mark` rung: per-lane
-/// redundant force copies with Bit-Map marks, reduced in lane order.
+/// Native twin of [`super::rma::run_rma`]: the RMA lanes with their
+/// write conflict resolved by `strategy` —
+/// [`WriteStrategy::CopiesWithMarks`] is the `Mark` rung (per-lane
+/// redundant force copies with Bit-Map marks, reduced in lane order) and
+/// what the native backend runs.
 pub fn run_rma_native(
     psys: &PackedSystem,
     list: &CpePairList,
     params: &NbParams,
     pool: &LanePool,
+    strategy: WriteStrategy,
 ) -> KernelResult {
-    run_rma_native_on(LaneImpl::detect(), psys, list, params, pool)
+    run_rma_native_on(LaneImpl::detect(), psys, list, params, pool, strategy)
 }
 
 /// [`run_rma_native`] on a chosen lane implementation.
@@ -420,34 +575,23 @@ pub(crate) fn run_rma_native_on(
     list: &CpePairList,
     params: &NbParams,
     pool: &LanePool,
+    strategy: WriteStrategy,
 ) -> KernelResult {
-    assert_eq!(list.kind, ListKind::Half, "RMA kernels walk a half list");
-    assert_eq!(
-        psys.layout,
-        PackageLayout::Transposed,
-        "the native RMA kernel is SIMD-only and needs the transposed layout"
-    );
+    let input = LaneInput::new(psys, list, params, pool, ListKind::Half);
     let n_pkg = psys.n_packages();
     let geo = CacheGeometry::paper_default(FORCE_WORDS);
+    let copy_words = n_pkg * FORCE_WORDS;
+    let shared: Vec<AtomicU32> = match strategy {
+        WriteStrategy::Atomics => (0..copy_words).map(|_| AtomicU32::new(0)).collect(),
+        _ => Vec::new(),
+    };
     let shape = CopyShape {
-        copy_words: n_pkg * FORCE_WORDS,
+        strategy,
+        copy_words,
         n_lines: n_pkg.div_ceil(geo.line_elems),
         line_elems: geo.line_elems,
         line_words: geo.line_words(),
-    };
-    let CopyShape {
-        copy_words,
-        n_lines,
-        line_words,
-        ..
-    } = shape;
-    let tracing = trace::enabled();
-    let input = LaneInput {
-        psys,
-        list,
-        params,
-        pool,
-        tracing,
+        shared: &shared,
     };
 
     // ---- calculation phase ----
@@ -456,10 +600,37 @@ pub(crate) fn run_rma_native_on(
         on_lanes!(lanes, rma_lane, avx2::rma_lane_avx2, input, shape, lane)
     });
 
-    // ---- reduction phase: lanes own line ranges, sum marked copies in
-    // lane order (the Bit-Map reduce, Alg. 4) ----
+    let slot_forces = match strategy {
+        WriteStrategy::Atomics => shared
+            .iter()
+            .map(|w| f32::from_bits(w.load(Ordering::Relaxed)))
+            .collect(),
+        _ => reduce_marked_copies(input, shape, &outs),
+    };
+    let mut energies = NbEnergies::default();
+    for o in &outs {
+        add_energy(&mut energies, o.e_lj, o.e_coul, o.n_pairs);
+    }
+    pool.recycle(outs.into_iter().map(|o| o.copy));
+    native_result(psys, &slot_forces, energies)
+}
+
+/// Reduction phase of the copy strategies: lanes own line ranges and sum
+/// the marked copies in lane order (the Bit-Map reduce, Alg. 4).
+fn reduce_marked_copies(
+    input: LaneInput<'_>,
+    shape: CopyShape<'_>,
+    outs: &[RmaLaneOut],
+) -> Vec<f32> {
+    let CopyShape {
+        copy_words,
+        n_lines,
+        line_words,
+        ..
+    } = shape;
+    let tracing = input.tracing;
     swprof::next_region_label("rma_native.reduce");
-    let partials: Vec<(Range<usize>, Vec<f32>)> = pool.run(N_LANES, |lane| {
+    let partials: Vec<(Range<usize>, Vec<f32>)> = input.pool.run(N_LANES, |lane| {
         let line_range = block_range(n_lines, N_LANES, lane);
         let mut partial = vec![0.0f32; line_range.len() * line_words];
         let mut consumed = false;
@@ -467,7 +638,7 @@ pub(crate) fn run_rma_native_on(
             let word_lo = line * line_words;
             let word_hi = (word_lo + line_words).min(copy_words);
             let acc_base = li * line_words;
-            for o in &outs {
+            for o in outs {
                 if !o.marks.get(line) {
                     continue; // unmarked -> skip, exactly like Alg. 4
                 }
@@ -502,14 +673,7 @@ pub(crate) fn run_rma_native_on(
         let n = partial.len().min(copy_words.saturating_sub(word_lo));
         slot_forces[word_lo..word_lo + n].copy_from_slice(&partial[..n]);
     }
-
-    let mut energies = NbEnergies::default();
-    for o in &outs {
-        add_energy(&mut energies, o.e_lj, o.e_coul, o.n_pairs as u32, false);
-    }
-    energies.pairs_within_cutoff = outs.iter().map(|o| o.n_pairs).sum();
-    pool.recycle(outs.into_iter().map(|o| o.copy));
-    native_result(psys, &slot_forces, energies)
+    slot_forces
 }
 
 /// Per-lane output of the native RCA kernel: the lane's cluster range,
@@ -519,13 +683,7 @@ type RcaLaneOut = (Range<usize>, Vec<f32>, f64, f64, u64);
 /// One RCA lane: its clusters against the full list, outer forces only.
 #[inline(always)]
 fn rca_lane<L: Lanes8>(isa: L::Isa, input: LaneInput<'_>, lane: usize) -> RcaLaneOut {
-    let LaneInput {
-        psys,
-        list,
-        params,
-        tracing,
-        ..
-    } = input;
+    let LaneInput { psys, tracing, .. } = input;
     let range = block_range(psys.n_packages(), N_LANES, lane);
     let mut block = vec![0.0f32; range.len() * FORCE_WORDS];
     let mut e_lj = 0.0f64;
@@ -540,17 +698,8 @@ fn rca_lane<L: Lanes8>(isa: L::Isa, input: LaneInput<'_>, lane: usize) -> RcaLan
         let mut fi = [0.0f32; FORCE_WORDS];
         // Algorithm 2 updates only the outer cluster: reactions are
         // computed and discarded, self entries included.
-        let (el, ec, n) = process_cluster::<L>(
-            isa,
-            psys,
-            list,
-            ci,
-            params,
-            false,
-            &mut fi,
-            &mut sink,
-            &mut scratch,
-        );
+        let (el, ec, n) =
+            process_cluster::<L>(isa, input, ci, false, &mut fi, &mut sink, &mut scratch);
         block[i * FORCE_WORDS..(i + 1) * FORCE_WORDS].copy_from_slice(&fi);
         e_lj += el;
         e_coul += ec;
@@ -586,19 +735,7 @@ pub(crate) fn run_rca_native_on(
     params: &NbParams,
     pool: &LanePool,
 ) -> KernelResult {
-    assert_eq!(list.kind, ListKind::Full, "RCA walks a full list");
-    assert_eq!(
-        psys.layout,
-        PackageLayout::Transposed,
-        "the native RCA kernel is SIMD-only and needs the transposed layout"
-    );
-    let input = LaneInput {
-        psys,
-        list,
-        params,
-        pool,
-        tracing: trace::enabled(),
-    };
+    let input = LaneInput::new(psys, list, params, pool, ListKind::Full);
 
     swprof::next_region_label("rca_native.calc");
     let outs: Vec<RcaLaneOut> = pool.run(N_LANES, |lane| {
@@ -625,41 +762,13 @@ type UstcLaneOut = (Vec<(u32, [f32; FORCE_WORDS])>, f64, f64, u64);
 /// update recorded instead of applied.
 #[inline(always)]
 fn ustc_lane<L: Lanes8>(isa: L::Isa, input: LaneInput<'_>, lane: usize) -> UstcLaneOut {
-    let LaneInput {
-        psys,
-        list,
-        params,
-        tracing,
-        ..
-    } = input;
-    let range = block_range(psys.n_packages(), N_LANES, lane);
+    let range = block_range(input.psys.n_packages(), N_LANES, lane);
     let mut sink = RecordSink {
         records: Vec::new(),
     };
-    let mut e_lj = 0.0f64;
-    let mut e_coul = 0.0f64;
-    let mut n_pairs = 0u64;
-    let mut scratch = Vec::new();
-    for ci in range.clone() {
-        let mut fi = [0.0f32; FORCE_WORDS];
-        let (el, ec, n) = process_cluster::<L>(
-            isa,
-            psys,
-            list,
-            ci,
-            params,
-            true,
-            &mut fi,
-            &mut sink,
-            &mut scratch,
-        );
-        sink.records.push((ci as u32, fi));
-        e_lj += el;
-        e_coul += ec;
-        n_pairs += n;
-    }
-    if tracing && !range.is_empty() {
-        trace::shared_read(REGION_POS, 0, psys.pos.len());
+    let (e_lj, e_coul, n_pairs) = walk_half_list::<L>(isa, input, range.clone(), &mut sink);
+    if input.tracing && !range.is_empty() {
+        trace::shared_read(REGION_POS, 0, input.psys.pos.len());
     }
     (sink.records, e_lj, e_coul, n_pairs)
 }
@@ -684,19 +793,7 @@ pub(crate) fn run_ustc_native_on(
     params: &NbParams,
     pool: &LanePool,
 ) -> KernelResult {
-    assert_eq!(list.kind, ListKind::Half);
-    assert_eq!(
-        psys.layout,
-        PackageLayout::Transposed,
-        "the native USTC kernel is SIMD-only and needs the transposed layout"
-    );
-    let input = LaneInput {
-        psys,
-        list,
-        params,
-        pool,
-        tracing: trace::enabled(),
-    };
+    let input = LaneInput::new(psys, list, params, pool, ListKind::Half);
 
     swprof::next_region_label("ustc_native.calc");
     let outs: Vec<UstcLaneOut> = pool.run(N_LANES, |lane| {
@@ -708,10 +805,7 @@ pub(crate) fn run_ustc_native_on(
     let mut energies = NbEnergies::default();
     for (records, e_lj, e_coul, n_pairs) in outs {
         for (pkg, f) in &records {
-            let base = *pkg as usize * FORCE_WORDS;
-            for (d, v) in slot_forces[base..base + FORCE_WORDS].iter_mut().zip(f) {
-                *d += v;
-            }
+            add_package(&mut slot_forces, *pkg as usize, f);
         }
         energies.lj += e_lj;
         energies.coulomb += e_coul;
@@ -735,7 +829,7 @@ mod avx2 {
     pub(super) fn rma_lane_avx2(
         isa: Avx2,
         input: LaneInput<'_>,
-        shape: CopyShape,
+        shape: CopyShape<'_>,
         lane: usize,
     ) -> RmaLaneOut {
         rma_lane::<f32x8_avx2>(isa, input, shape, lane)
@@ -788,7 +882,7 @@ mod tests {
     fn native_rma_matches_reference() {
         let (sys, psys, cpe, params) = setup(800, 71, ListKind::Half);
         let pool = LanePool::with_threads(4);
-        let out = run_rma_native(&psys, &cpe, &params, &pool);
+        let out = run_rma_native(&psys, &cpe, &params, &pool, WriteStrategy::CopiesWithMarks);
         let (f_ref, e_ref, pairs_ref) = reference(&sys, &params);
         assert_eq!(out.energies.pairs_within_cutoff, pairs_ref);
         let rel = (out.energies.total() - e_ref).abs() / e_ref.abs();
@@ -825,6 +919,58 @@ mod tests {
         assert!(max_force_diff(&out.forces, &f_ref) / fmax < 1e-3);
     }
 
+    fn force_bits(out: &KernelResult) -> Vec<[u32; 3]> {
+        let bits = |f: &mdsim::Vec3| [f.x.to_bits(), f.y.to_bits(), f.z.to_bits()];
+        out.forces.iter().map(bits).collect()
+    }
+
+    #[test]
+    fn copies_equal_marked_copies_bit_for_bit() {
+        // A line no lane touched adds +0.0 to a sum that started at
+        // +0.0: the full reduce changes no bit at any thread count.
+        let (_sys, psys, cpe, params) = setup(800, 71, ListKind::Half);
+        for threads in [1, 2, 4] {
+            let pool = LanePool::with_threads(threads);
+            let run = |strategy| run_rma_native(&psys, &cpe, &params, &pool, strategy);
+            let marks = run(WriteStrategy::CopiesWithMarks);
+            let copies = run(WriteStrategy::Copies);
+            assert_eq!(force_bits(&copies), force_bits(&marks), "{threads} threads");
+            assert_eq!(
+                copies.energies.lj.to_bits(),
+                marks.energies.lj.to_bits(),
+                "{threads} threads"
+            );
+            assert_eq!(
+                copies.energies.coulomb.to_bits(),
+                marks.energies.coulomb.to_bits(),
+                "{threads} threads"
+            );
+            assert_eq!(
+                copies.energies.pairs_within_cutoff,
+                marks.energies.pairs_within_cutoff
+            );
+        }
+    }
+
+    #[test]
+    fn atomics_match_the_reference_and_repeat_on_one_thread() {
+        let (sys, psys, cpe, params) = setup(800, 71, ListKind::Half);
+        let (f_ref, _, pairs_ref) = reference(&sys, &params);
+        let fmax = f_ref.iter().map(|f| f.norm()).fold(0.0f32, f32::max);
+        for threads in [1, 4] {
+            let pool = LanePool::with_threads(threads);
+            let out = run_rma_native(&psys, &cpe, &params, &pool, WriteStrategy::Atomics);
+            assert_eq!(out.energies.pairs_within_cutoff, pairs_ref);
+            let diff = max_force_diff(&out.forces, &f_ref);
+            assert!(diff / fmax < 1e-3, "{threads} threads: force diff {diff}");
+        }
+        // One thread claims the lanes in index order, so even the CAS
+        // adds land in one order.
+        let pool = LanePool::with_threads(1);
+        let run = || run_rma_native(&psys, &cpe, &params, &pool, WriteStrategy::Atomics);
+        assert_eq!(force_bits(&run()), force_bits(&run()));
+    }
+
     /// `(physics_checksum, lj bits, coulomb bits, pairs_within_cutoff)`.
     type Pinned = (u64, u64, u64, u64);
 
@@ -855,7 +1001,14 @@ mod tests {
     #[test]
     fn every_lane_implementation_reproduces_the_parent_commit_bits() {
         let kernels: [(&str, ListKind, RunOn, Pinned); 3] = [
-            ("rma", ListKind::Half, run_rma_native_on, PARENT_RMA),
+            (
+                "rma",
+                ListKind::Half,
+                |l, p, c, q, pool| {
+                    run_rma_native_on(l, p, c, q, pool, WriteStrategy::CopiesWithMarks)
+                },
+                PARENT_RMA,
+            ),
             ("rca", ListKind::Full, run_rca_native_on, PARENT_RCA),
             ("ustc", ListKind::Half, run_ustc_native_on, PARENT_USTC),
         ];

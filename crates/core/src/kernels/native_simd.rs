@@ -1,5 +1,5 @@
 //! The native backend's vectorized cluster-pair inner loop: real
-//! 8-lane `f32` arithmetic instead of the metered [`FloatV4`]
+//! 8-lane `f32` arithmetic instead of the metered [`FloatV4`](sw26010::FloatV4)
 //! emulation.
 //!
 //! The loop is written once, generic over [`Lanes8`], and instantiated
@@ -17,9 +17,9 @@
 //! processed per iteration, their 2 × 4 particles forming one 8-lane
 //! j-vector; each of the four outer-cluster particles is broadcast
 //! against it. An odd trailing entry falls back to
-//! [`cluster_pair_wide4`], which keeps the exact FloatV4 semantics of
-//! the metered SIMD kernel (per-lane scalar `pair_interaction`) — so
-//! tail entries are bit-identical to the metered path.
+//! [`cluster_pair_simd`](super::common::cluster_pair_simd), the FloatV4
+//! body the metered SIMD rungs run (per-lane scalar `pair_interaction`)
+//! — so tail entries are bit-identical to the metered path.
 //!
 //! All transcendental math (`exp`, `erfc` for the short-range Ewald
 //! term) is vectorized in f32. The cutoff decision is computed with the
@@ -29,14 +29,14 @@
 //! `tests/backend_differential.rs`).
 
 use mdsim::cluster::CLUSTER_SIZE;
-use mdsim::nonbonded::{pair_interaction, Coulomb, NbParams};
+use mdsim::nonbonded::{Coulomb, NbParams};
 use mdsim::topology::KE;
-use sw26010::FloatV4;
 
 pub use wide::{f32x8, for_each_lanes8, Lanes8};
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 pub use wide::{f32x8_avx2, f32x8_sse2, Avx2};
 
+use crate::kernels::common::EntryJ;
 use crate::package::{FORCE_WORDS, PKG_WORDS};
 
 /// Lanes of the wide path (two 4-particle packages per iteration).
@@ -116,18 +116,6 @@ macro_rules! on_lanes {
 }
 
 pub(crate) use on_lanes;
-
-/// One inner-cluster (j-side) list entry: its transposed package, the
-/// minimum-image shift, and the interaction mask (`bit ai*4+bj`).
-#[derive(Clone, Copy)]
-pub struct EntryJ<'a> {
-    /// Transposed package words (`x1..x4 y1..y4 z1..z4 t1..t4 q1..q4`).
-    pub pkg: &'a [f32],
-    /// Minimum-image shift applied to the j particles.
-    pub shift: [f32; 3],
-    /// Interaction mask, bit `ai * CLUSTER_SIZE + bj`.
-    pub mask: u16,
-}
 
 /// Per-nibble lane masks: entry `m` holds, for each of 4 lanes, the
 /// all-ones bit pattern when bit `b` of `m` is set. Turning two mask
@@ -307,17 +295,6 @@ pub fn pair_interaction8<L: Lanes8>(
         }
     }
     (f_over_r, e_lj, e_coul)
-}
-
-#[inline(always)]
-fn read_lane(pkg: &[f32], lane: usize) -> (f32, f32, f32, usize, f32) {
-    (
-        pkg[lane],
-        pkg[CLUSTER_SIZE + lane],
-        pkg[2 * CLUSTER_SIZE + lane],
-        pkg[3 * CLUSTER_SIZE + lane] as usize,
-        pkg[4 * CLUSTER_SIZE + lane],
-    )
 }
 
 /// Outer-cluster force accumulators in lane-slot (vector) form: one
@@ -516,81 +493,10 @@ pub fn cluster_pair_wide8<L: Lanes8>(
     (e_lj_acc, e_coul_acc, n)
 }
 
-/// Tail fallback: one inner entry with the **exact FloatV4 semantics**
-/// of the metered SIMD kernel — vector geometry, per-lane scalar
-/// [`pair_interaction`] — so an odd trailing entry is bit-identical to
-/// the metered path. Returns `(e_lj, e_coul, n_pairs)`.
-pub fn cluster_pair_wide4(
-    pkg_i: &[f32],
-    e: EntryJ<'_>,
-    params: &NbParams,
-    lj: &impl Fn(usize, usize) -> (f32, f32),
-    fi: &mut [f32; FORCE_WORDS],
-    fj: &mut [f32; FORCE_WORDS],
-) -> (f64, f64, u32) {
-    let rc2 = params.r_cut * params.r_cut;
-    let xi = FloatV4::load(&pkg_i[0..CLUSTER_SIZE]);
-    let yi = FloatV4::load(&pkg_i[CLUSTER_SIZE..2 * CLUSTER_SIZE]);
-    let zi = FloatV4::load(&pkg_i[2 * CLUSTER_SIZE..3 * CLUSTER_SIZE]);
-    let mut fx_acc = FloatV4::ZERO;
-    let mut fy_acc = FloatV4::ZERO;
-    let mut fz_acc = FloatV4::ZERO;
-    let mut e_lj = 0.0f64;
-    let mut e_coul = 0.0f64;
-    let mut n = 0u32;
-
-    for bj in 0..CLUSTER_SIZE {
-        let col = [
-            (e.mask >> bj) & 1,
-            (e.mask >> (CLUSTER_SIZE + bj)) & 1,
-            (e.mask >> (2 * CLUSTER_SIZE + bj)) & 1,
-            (e.mask >> (3 * CLUSTER_SIZE + bj)) & 1,
-        ];
-        if col == [0, 0, 0, 0] {
-            continue;
-        }
-        let (xb, yb, zb, tb, qb) = read_lane(e.pkg, bj);
-        let dx = xi - FloatV4::splat(xb + e.shift[0]);
-        let dy = yi - FloatV4::splat(yb + e.shift[1]);
-        let dz = zi - FloatV4::splat(zb + e.shift[2]);
-        let r2 = dx * dx + dy * dy + dz * dz;
-
-        let mut f_over_r = [0.0f32; 4];
-        for lane in 0..CLUSTER_SIZE {
-            if col[lane] == 0 {
-                continue;
-            }
-            let r2l = r2.0[lane];
-            if r2l >= rc2 || r2l == 0.0 {
-                continue;
-            }
-            let (_, _, _, ta, qa) = read_lane(pkg_i, lane);
-            let (c6, c12) = lj(ta, tb);
-            let (f, elj, ecoul) = pair_interaction(r2l, c6, c12, qa * qb, params);
-            f_over_r[lane] = f;
-            e_lj += elj as f64;
-            e_coul += ecoul as f64;
-            n += 1;
-        }
-        let fv = FloatV4(f_over_r);
-        fx_acc = dx.mul_add(fv, fx_acc);
-        fy_acc = dy.mul_add(fv, fy_acc);
-        fz_acc = dz.mul_add(fv, fz_acc);
-        fj[3 * bj] -= (dx * fv).hsum();
-        fj[3 * bj + 1] -= (dy * fv).hsum();
-        fj[3 * bj + 2] -= (dz * fv).hsum();
-    }
-    for lane in 0..CLUSTER_SIZE {
-        fi[3 * lane] += fx_acc.0[lane];
-        fi[3 * lane + 1] += fy_acc.0[lane];
-        fi[3 * lane + 2] += fz_acc.0[lane];
-    }
-    (e_lj, e_coul, n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdsim::nonbonded::pair_interaction;
 
     fn exp8_matches_f64_reference<L: Lanes8>(isa: L::Isa) {
         let mut x = -9.8f32;

@@ -13,7 +13,7 @@ use sw26010::cg::CoreGroup;
 use sw26010::perf::{Breakdown, PerfCounters};
 
 use crate::cpelist::CpePairList;
-use crate::kernels::common::{cluster_pair_scalar, KernelResult};
+use crate::kernels::common::{add_package, cluster_pair_metered, Arith, EntryJ, KernelResult};
 use crate::package::{PackedSystem, FORCE_WORDS};
 
 /// Average cycles per scattered-array access on the MPE. The original
@@ -58,12 +58,11 @@ pub fn run_ori(
                 let pkg_j = psys.package(cj).to_vec();
                 let mut fj = [0.0f32; FORCE_WORDS];
                 let before = mpe.perf.cycles;
-                let (el, ec, n) = cluster_pair_scalar(
+                let (el, ec, n) = cluster_pair_metered(
+                    Arith::Scalar,
                     psys,
                     &pkg_i,
-                    &pkg_j,
-                    list.shifts[e],
-                    list.masks[e],
+                    EntryJ::of(list, e, &pkg_j),
                     params,
                     &mut fi,
                     &mut fj,
@@ -83,17 +82,11 @@ pub fn run_ori(
                     // Per-pair reaction update, read-modify-write of the
                     // scattered force array (Algorithm 1 line 9).
                     mpe.perf.cycles += 2 * n as u64 * MPE_LOAD_CYCLES;
-                    let base = cj * FORCE_WORDS;
-                    for (d, v) in slot_forces[base..base + FORCE_WORDS].iter_mut().zip(&fj) {
-                        *d += v;
-                    }
+                    add_package(&mut slot_forces, cj, &fj);
                 }
             }
             mpe.perf.cycles += 4 * 2 * MPE_LOAD_CYCLES;
-            let base = ci * FORCE_WORDS;
-            for (d, v) in slot_forces[base..base + FORCE_WORDS].iter_mut().zip(&fi) {
-                *d += v;
-            }
+            add_package(&mut slot_forces, ci, &fi);
         }
     });
 

@@ -19,7 +19,9 @@ use sw26010::pool::block_range;
 
 use crate::check::{REGION_FORCES, REGION_POS};
 use crate::cpelist::CpePairList;
-use crate::kernels::common::{cluster_pair_scalar, KernelResult};
+use crate::kernels::common::{
+    add_package, cluster_pair_metered, miss_ratio, Arith, EntryJ, KernelResult,
+};
 use crate::package::{PackedSystem, FORCE_BYTES, FORCE_WORDS, PKG_WORDS};
 
 /// Run the RCA kernel over a full list. Uses the read cache (SW_LAMMPS
@@ -57,12 +59,11 @@ pub fn run_rca(
                 // fj is computed but discarded: Algorithm 2 only updates
                 // the outer particles (line 10).
                 let mut fj_discard = [0.0f32; FORCE_WORDS];
-                let (el, ec, n) = cluster_pair_scalar(
+                let (el, ec, n) = cluster_pair_metered(
+                    Arith::Scalar,
                     psys,
                     &pkg_i,
-                    &pkg_j,
-                    list.shifts[e],
-                    list.masks[e],
+                    EntryJ::of(list, e, &pkg_j),
                     params,
                     &mut fi,
                     &mut fj_discard,
@@ -91,10 +92,7 @@ pub fn run_rca(
     let mut misses = 0u64;
     for (forces, e_lj, e_coul, n_pairs, stats) in &calc.results {
         for (ci, fi) in forces {
-            let base = ci * FORCE_WORDS;
-            for (d, v) in slot_forces[base..base + FORCE_WORDS].iter_mut().zip(fi) {
-                *d += v;
-            }
+            add_package(&mut slot_forces, *ci, fi);
         }
         // Full list counts every interaction twice; halve energies.
         energies.lj += 0.5 * e_lj;
@@ -113,11 +111,7 @@ pub fn run_rca(
         energies,
         total,
         phases,
-        read_miss_ratio: if hits + misses == 0 {
-            0.0
-        } else {
-            misses as f64 / (hits + misses) as f64
-        },
+        read_miss_ratio: miss_ratio(misses, hits),
         write_miss_ratio: 0.0,
     }
 }

@@ -25,8 +25,10 @@ use sw26010::BitMap;
 
 use crate::check::{REGION_COPIES, REGION_FORCES, REGION_POS};
 use crate::cpelist::CpePairList;
-use crate::kernels::common::{add_energy, cluster_pair_scalar, cluster_pair_simd, KernelResult};
-use crate::package::{PackedSystem, FORCE_WORDS, PKG_BYTES, PKG_WORDS};
+use crate::kernels::common::{
+    add_energy, add_package, cluster_pair_metered, miss_ratio, Arith, EntryJ, KernelResult,
+};
+use crate::package::{PackageLayout, PackedSystem, FORCE_WORDS, PKG_BYTES, PKG_WORDS};
 
 /// Configuration selecting a ladder rung (or any ablation combination).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,6 +108,16 @@ pub fn run_rma(
     cfg: RmaConfig,
 ) -> KernelResult {
     assert_eq!(list.kind, ListKind::Half, "RMA kernels walk a half list");
+    let arith = if cfg.simd {
+        assert_eq!(
+            psys.layout,
+            PackageLayout::Transposed,
+            "the floatv4 rungs load component vectors: transposed packages only"
+        );
+        Arith::Simd
+    } else {
+        Arith::Scalar
+    };
     let n_pkg = psys.n_packages();
     let force_geo = CacheGeometry::paper_default(FORCE_WORDS);
     // Each per-CPE copy is padded to a whole number of write-cache lines:
@@ -201,31 +213,16 @@ pub fn run_rma(
                     }
                 };
                 let mut fj = [0.0f32; FORCE_WORDS];
-                let (el, ec, n) = if cfg.simd {
-                    cluster_pair_simd(
-                        psys,
-                        &pkg_i,
-                        &pkg_j,
-                        list.shifts[e],
-                        list.masks[e],
-                        params,
-                        &mut fi,
-                        &mut fj,
-                        &mut ctx.perf,
-                    )
-                } else {
-                    cluster_pair_scalar(
-                        psys,
-                        &pkg_i,
-                        &pkg_j,
-                        list.shifts[e],
-                        list.masks[e],
-                        params,
-                        &mut fi,
-                        &mut fj,
-                        &mut ctx.perf,
-                    )
-                };
+                let (el, ec, n) = cluster_pair_metered(
+                    arith,
+                    psys,
+                    &pkg_i,
+                    EntryJ::of(list, e, &pkg_j),
+                    params,
+                    &mut fi,
+                    &mut fj,
+                    &mut ctx.perf,
+                );
                 e_lj += el;
                 e_coul += ec;
                 n_pairs += n as u64;
@@ -337,14 +334,12 @@ pub fn run_rma(
     let mut write_hits = 0u64;
     let mut write_misses = 0u64;
     for o in &calc.results {
-        add_energy(&mut energies, o.e_lj, o.e_coul, o.n_pairs as u32, false);
+        add_energy(&mut energies, o.e_lj, o.e_coul, o.n_pairs);
         read_hits += o.read_stats.hits;
         read_misses += o.read_stats.misses;
         write_hits += o.write_stats.hits;
         write_misses += o.write_stats.misses;
     }
-    // add_energy saturates n at u32; recompute the exact pair count.
-    energies.pairs_within_cutoff = calc.results.iter().map(|o| o.n_pairs).sum();
 
     let mut total = PerfCounters::new();
     for (_, c) in phases.iter() {
@@ -355,16 +350,8 @@ pub fn run_rma(
         energies,
         total,
         phases,
-        read_miss_ratio: ratio(read_misses, read_hits),
-        write_miss_ratio: ratio(write_misses, write_hits),
-    }
-}
-
-fn ratio(misses: u64, hits: u64) -> f64 {
-    if misses + hits == 0 {
-        0.0
-    } else {
-        misses as f64 / (misses + hits) as f64
+        read_miss_ratio: miss_ratio(read_misses, read_hits),
+        write_miss_ratio: miss_ratio(write_misses, write_hits),
     }
 }
 
@@ -396,10 +383,8 @@ fn update_force(
                 DmaEngine::transfer_shared(perf, Dir::Get, PARTICLE_FORCE_BYTES, true);
                 DmaEngine::transfer_shared(perf, Dir::Put, PARTICLE_FORCE_BYTES, true);
             }
+            add_package(copy, pkg, delta);
             let base = pkg * FORCE_WORDS;
-            for (d, v) in copy[base..base + FORCE_WORDS].iter_mut().zip(delta) {
-                *d += v;
-            }
             sw26010::trace::shared_write(
                 REGION_COPIES,
                 copy_base_words + base,
@@ -494,7 +479,6 @@ pub fn reduce_copies(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::package::PackageLayout;
     use mdsim::nonbonded::{compute_forces_half, max_force_diff};
     use mdsim::pairlist::PairList;
     use mdsim::water::water_box;
@@ -548,29 +532,61 @@ mod tests {
         );
     }
 
+    /// `PerfCounters` from its twelve fields in declaration order.
+    fn counters(v: [u64; 12]) -> PerfCounters {
+        PerfCounters {
+            cycles: v[0],
+            dma_cycles: v[1],
+            dma_bw_cycles: v[2],
+            gld_cycles: v[3],
+            compute_cycles: v[4],
+            dma_transactions: v[5],
+            dma_bytes: v[6],
+            gld_ops: v[7],
+            gld_bytes: v[8],
+            scalar_flops: v[9],
+            simd_ops: v[10],
+            shuffle_ops: v[11],
+        }
+    }
+
     #[test]
     fn simulated_cost_is_pinned_across_host_schedules() {
-        // Counters of this box at the commit before `CoreGroup::spawn`
-        // dealt lanes round-robin: the host schedule moves no cycle.
-        let (_, psys, cpe, params) = setup(300, 71);
-        let out = run_rma(&psys, &cpe, &params, &CoreGroup::new(), RmaConfig::MARK);
-        assert_eq!(
-            out.total,
-            PerfCounters {
-                cycles: 157424,
-                dma_cycles: 66611,
-                dma_bw_cycles: 88417,
-                gld_cycles: 0,
-                compute_cycles: 80373,
-                dma_transactions: 3639,
-                dma_bytes: 1774160,
-                gld_ops: 0,
-                gld_bytes: 0,
-                scalar_flops: 309288,
-                simd_ops: 1605867,
-                shuffle_ops: 72720,
-            }
-        );
+        // Counters of this box: `Mark` from the commit before
+        // `CoreGroup::spawn` dealt lanes round-robin (the host schedule
+        // moves no cycle), the other seven from the commit before the
+        // instruction charges left the cluster-pair bodies (a charge is a
+        // function of an entry's mask and in-cutoff count, nothing else).
+        let (sys, psys, cpe, params) = setup(300, 71);
+        let full = PairList::build(&sys, RLIST, ListKind::Full);
+        let cpe_full = CpePairList::build(&sys, &full);
+        let psys_full =
+            PackedSystem::build(&sys, full.clustering.clone(), PackageLayout::Transposed);
+        let cg = CoreGroup::new();
+        use crate::kernels::{run_gld_naive, run_ori, run_rca, run_ustc};
+        let rma = |cfg| run_rma(&psys, &cpe, &params, &cg, cfg).total;
+        #[rustfmt::skip]
+        let pinned = [
+            ("Mark", rma(RmaConfig::MARK),
+             [157424, 66611, 88417, 0, 80373, 3639, 1774160, 0, 0, 309288, 1605867, 72720]),
+            ("Pkg", rma(RmaConfig::PKG),
+             [1870292, 1405918, 1855292, 0, 170446, 151251, 4633584, 0, 0, 3819403, 56832, 0]),
+            ("Cache", rma(RmaConfig::CACHE),
+             [329601, 93708, 178296, 0, 166877, 8375, 3589184, 0, 0, 3819403, 56832, 0]),
+            ("Vec", rma(RmaConfig::VEC),
+             [244460, 94831, 178296, 0, 80613, 8375, 3589184, 0, 0, 309288, 1637331, 72720]),
+            ("rca", run_rca(&psys_full, &cpe_full, &params, &cg).total,
+             [245815, 23152, 108653, 0, 217663, 3220, 2133370, 0, 0, 7638806, 0, 0]),
+            ("ustc", run_ustc(&psys, &cpe, &params, &cg).total,
+             [545400, 0, 191552, 0, 0, 13514, 1554320, 0, 0, 3819403, 0, 0]),
+            ("ori", run_ori(&psys, &cpe, &params, &cg).total,
+             [8088528, 0, 0, 0, 4881979, 0, 0, 0, 0, 3819403, 0, 0]),
+            ("gldnaive", run_gld_naive(&psys, &cpe, &params, &cg).total,
+             [3055530, 0, 0, 2881620, 168910, 0, 0, 661668, 5293344, 3819403, 0, 0]),
+        ];
+        for (name, got, want) in pinned {
+            assert_eq!(got, counters(want), "{name}");
+        }
     }
 
     #[test]

@@ -18,7 +18,9 @@ use sw26010::pool::block_range;
 
 use crate::check::REGION_POS;
 use crate::cpelist::CpePairList;
-use crate::kernels::common::{cluster_pair_scalar, KernelResult};
+use crate::kernels::common::{
+    add_package, cluster_pair_metered, miss_ratio, Arith, EntryJ, KernelResult,
+};
 use crate::package::{PackedSystem, FORCE_WORDS, PKG_WORDS};
 
 /// MPE cycles to pop one update record and apply 12 floats to the force
@@ -61,12 +63,11 @@ pub fn run_ustc(
                 let cj = list.neighbors[e] as usize;
                 let pkg_j = read_cache.get(&mut ctx.perf, &psys.pos, cj).to_vec();
                 let mut fj = [0.0f32; FORCE_WORDS];
-                let (el, ec, n) = cluster_pair_scalar(
+                let (el, ec, n) = cluster_pair_metered(
+                    Arith::Scalar,
                     psys,
                     &pkg_i,
-                    &pkg_j,
-                    list.shifts[e],
-                    list.masks[e],
+                    EntryJ::of(list, e, &pkg_j),
                     params,
                     &mut fi,
                     &mut fj,
@@ -100,10 +101,7 @@ pub fn run_ustc(
     let mut misses = 0u64;
     for (records, e_lj, e_coul, n_pairs, stats) in &calc.results {
         for (pkg, f) in records {
-            let base = *pkg as usize * FORCE_WORDS;
-            for (d, v) in slot_forces[base..base + FORCE_WORDS].iter_mut().zip(f) {
-                *d += v;
-            }
+            add_package(&mut slot_forces, *pkg as usize, f);
         }
         n_records += records.len() as u64;
         energies.lj += e_lj;
@@ -130,11 +128,7 @@ pub fn run_ustc(
         energies,
         total,
         phases,
-        read_miss_ratio: if hits + misses == 0 {
-            0.0
-        } else {
-            misses as f64 / (hits + misses) as f64
-        },
+        read_miss_ratio: miss_ratio(misses, hits),
         write_miss_ratio: 0.0,
     }
 }

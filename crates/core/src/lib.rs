@@ -56,7 +56,6 @@ pub mod mdp;
 pub mod package;
 pub mod pairgen;
 pub mod platforms;
-pub mod portable;
 pub mod recovery;
 
 pub use backend::{

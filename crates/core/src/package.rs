@@ -64,6 +64,18 @@ pub struct PackedSystem {
     pub c12: Vec<f32>,
 }
 
+/// `(x, y, z, type, charge)` of `lane` in a transposed package.
+#[inline(always)]
+pub fn read_transposed(pkg: &[f32], lane: usize) -> (f32, f32, f32, usize, f32) {
+    (
+        pkg[lane],
+        pkg[CLUSTER_SIZE + lane],
+        pkg[2 * CLUSTER_SIZE + lane],
+        pkg[3 * CLUSTER_SIZE + lane] as usize,
+        pkg[4 * CLUSTER_SIZE + lane],
+    )
+}
+
 impl PackedSystem {
     /// Package `sys` according to `clustering`. Positions are stored
     /// *unwrapped to the cluster center's periodic image*: every member
@@ -143,13 +155,7 @@ impl PackedSystem {
                     pkg[b + 4],
                 )
             }
-            PackageLayout::Transposed => (
-                pkg[lane],
-                pkg[CLUSTER_SIZE + lane],
-                pkg[2 * CLUSTER_SIZE + lane],
-                pkg[3 * CLUSTER_SIZE + lane] as usize,
-                pkg[4 * CLUSTER_SIZE + lane],
-            ),
+            PackageLayout::Transposed => read_transposed(pkg, lane),
         }
     }
 

@@ -55,19 +55,121 @@ impl std::fmt::Display for UnsupportedVersion {
 
 impl std::error::Error for UnsupportedVersion {}
 
-fn check_version<R: Read>(r: &mut R) -> io::Result<()> {
-    let mut v = [0u8; 1];
-    r.read_exact(&mut v)?;
-    if v[0] != FORMAT_VERSION {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            UnsupportedVersion {
-                found: v[0],
-                supported: FORMAT_VERSION,
-            },
-        ));
+fn invalid(msg: &'static str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// Largest element count a header may claim.
+const MAX_ELEMENTS: usize = 100_000_000;
+
+/// Elements reserved ahead of the bytes that prove them: a header's
+/// count is a claim, so an array grows as its payload actually arrives.
+const RESERVE_AHEAD: usize = 1 << 16;
+
+/// Little-endian field writer of both codecs. A frame is built in memory
+/// and handed to the writer whole.
+struct Enc(Vec<u8>);
+
+impl Enc {
+    /// A frame of `n` elements (ids, positions, velocities).
+    fn new(magic: &[u8; 8], n: usize) -> Self {
+        let mut frame = Vec::with_capacity(64 + 28 * n);
+        frame.extend_from_slice(magic);
+        frame.push(FORMAT_VERSION);
+        Self(frame)
     }
-    Ok(())
+
+    fn u32(&mut self, v: u32) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn vec3(&mut self, v: Vec3) {
+        for c in [v.x, v.y, v.z] {
+            self.0.extend_from_slice(&c.to_le_bytes());
+        }
+    }
+}
+
+/// Little-endian field reader of both codecs.
+struct Dec<'r, R>(&'r mut R);
+
+impl<'r, R: Read> Dec<'r, R> {
+    /// Check the magic and the format-version byte.
+    fn open(r: &'r mut R, magic: &[u8; 8], bad_magic: &'static str) -> io::Result<Self> {
+        let mut dec = Self(r);
+        if &dec.bytes::<8>()? != magic {
+            return Err(invalid(bad_magic));
+        }
+        let [found] = dec.bytes::<1>()?;
+        if found != FORMAT_VERSION {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                UnsupportedVersion {
+                    found,
+                    supported: FORMAT_VERSION,
+                },
+            ));
+        }
+        Ok(dec)
+    }
+
+    fn bytes<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+        let mut b = [0u8; N];
+        self.0.read_exact(&mut b)?;
+        Ok(b)
+    }
+
+    fn u32(&mut self) -> io::Result<u32> {
+        self.bytes().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> io::Result<u64> {
+        self.bytes().map(u64::from_le_bytes)
+    }
+
+    fn vec3(&mut self) -> io::Result<Vec3> {
+        let mut c = [0f32; 3];
+        for v in &mut c {
+            *v = f32::from_le_bytes(self.bytes()?);
+        }
+        Ok(vec3(c[0], c[1], c[2]))
+    }
+
+    fn pbc(&mut self) -> io::Result<PbcBox> {
+        let l = self.vec3()?;
+        if !(l.x > 0.0 && l.y > 0.0 && l.z > 0.0) {
+            return Err(invalid("bad box"));
+        }
+        Ok(PbcBox::new(l.x, l.y, l.z))
+    }
+
+    /// An element count, bounded before anything is sized from it.
+    fn count(&mut self) -> io::Result<usize> {
+        match usize::try_from(self.u64()?) {
+            Ok(n) if n <= MAX_ELEMENTS => Ok(n),
+            _ => Err(invalid("absurd size")),
+        }
+    }
+
+    /// `n` elements. A stream that ends inside them lied about `n`.
+    fn array<T>(
+        &mut self,
+        n: usize,
+        item: impl Fn(&mut Self) -> io::Result<T>,
+    ) -> io::Result<Vec<T>> {
+        let mut out = Vec::with_capacity(n.min(RESERVE_AHEAD));
+        for _ in 0..n {
+            out.push(item(self).map_err(|e| match e.kind() {
+                io::ErrorKind::UnexpectedEof => invalid("element count exceeds the payload"),
+                _ => e,
+            })?);
+        }
+        Ok(out)
+    }
 }
 
 /// Dynamic state captured by a checkpoint.
@@ -147,23 +249,15 @@ impl Checkpoint {
                 "injected checkpoint write fault",
             ));
         }
-        w.write_all(MAGIC)?;
-        w.write_all(&[FORMAT_VERSION])?;
-        w.write_all(&self.step.to_le_bytes())?;
-        w.write_all(&self.fingerprint.to_le_bytes())?;
-        let l = self.pbc.lengths();
-        for v in [l.x, l.y, l.z] {
-            w.write_all(&v.to_le_bytes())?;
+        let mut enc = Enc::new(MAGIC, self.pos.len());
+        enc.u64(self.step);
+        enc.u64(self.fingerprint);
+        enc.vec3(self.pbc.lengths());
+        enc.u64(self.pos.len() as u64);
+        for &v in self.pos.iter().chain(&self.vel) {
+            enc.vec3(v);
         }
-        w.write_all(&(self.pos.len() as u64).to_le_bytes())?;
-        for arr in [&self.pos, &self.vel] {
-            for p in arr.iter() {
-                for v in [p.x, p.y, p.z] {
-                    w.write_all(&v.to_le_bytes())?;
-                }
-            }
-        }
-        Ok(())
+        w.write_all(&enc.0)
     }
 
     /// [`Checkpoint::write_to`] a fresh buffer per attempt, so a retried
@@ -192,54 +286,16 @@ impl Checkpoint {
                 "injected checkpoint read fault",
             ));
         }
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
-        }
-        check_version(r)?;
-        let mut u64buf = [0u8; 8];
-        let mut read_u64 = |r: &mut R| -> io::Result<u64> {
-            r.read_exact(&mut u64buf)?;
-            Ok(u64::from_le_bytes(u64buf))
-        };
-        let step = read_u64(r)?;
-        let fingerprint = read_u64(r)?;
-        let mut f32buf = [0u8; 4];
-        let mut read_f32 = |r: &mut R| -> io::Result<f32> {
-            r.read_exact(&mut f32buf)?;
-            Ok(f32::from_le_bytes(f32buf))
-        };
-        let (lx, ly, lz) = (read_f32(r)?, read_f32(r)?, read_f32(r)?);
-        if !(lx > 0.0 && ly > 0.0 && lz > 0.0) {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "bad box"));
-        }
-        let mut nbuf = [0u8; 8];
-        r.read_exact(&mut nbuf)?;
-        let n = u64::from_le_bytes(nbuf) as usize;
-        if n > 100_000_000 {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "absurd size"));
-        }
-        let read_arr = |r: &mut R| -> io::Result<Vec<crate::vec3::Vec3>> {
-            let mut out = Vec::with_capacity(n);
-            let mut buf = [0u8; 4];
-            for _ in 0..n {
-                let mut c = [0f32; 3];
-                for v in &mut c {
-                    r.read_exact(&mut buf)?;
-                    *v = f32::from_le_bytes(buf);
-                }
-                out.push(vec3(c[0], c[1], c[2]));
-            }
-            Ok(out)
-        };
-        let pos = read_arr(r)?;
-        let vel = read_arr(r)?;
+        let mut dec = Dec::open(r, MAGIC, "bad magic")?;
+        let step = dec.u64()?;
+        let fingerprint = dec.u64()?;
+        let pbc = dec.pbc()?;
+        let n = dec.count()?;
         Ok(Self {
             step,
-            pbc: PbcBox::new(lx, ly, lz),
-            pos,
-            vel,
+            pbc,
+            pos: dec.array(n, Dec::vec3)?,
+            vel: dec.array(n, Dec::vec3)?,
             fingerprint,
         })
     }
@@ -309,108 +365,46 @@ impl RankShard {
 
     /// Serialize (versioned, same discipline as [`Checkpoint::write_to`]).
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        w.write_all(SHARD_MAGIC)?;
-        w.write_all(&[FORMAT_VERSION])?;
-        w.write_all(&self.epoch.to_le_bytes())?;
-        w.write_all(&self.rank.to_le_bytes())?;
-        w.write_all(&self.n_ranks.to_le_bytes())?;
-        w.write_all(&self.fingerprint.to_le_bytes())?;
-        let l = self.pbc.lengths();
-        for v in [l.x, l.y, l.z] {
-            w.write_all(&v.to_le_bytes())?;
+        let mut enc = Enc::new(SHARD_MAGIC, self.ids.len());
+        enc.u64(self.epoch);
+        enc.u32(self.rank);
+        enc.u32(self.n_ranks);
+        enc.u64(self.fingerprint);
+        enc.vec3(self.pbc.lengths());
+        enc.u64(self.ids.len() as u64);
+        for &id in &self.ids {
+            enc.u32(id);
         }
-        w.write_all(&(self.ids.len() as u64).to_le_bytes())?;
-        for id in &self.ids {
-            w.write_all(&id.to_le_bytes())?;
+        for &v in self.pos.iter().chain(&self.vel) {
+            enc.vec3(v);
         }
-        for arr in [&self.pos, &self.vel] {
-            for p in arr.iter() {
-                for v in [p.x, p.y, p.z] {
-                    w.write_all(&v.to_le_bytes())?;
-                }
-            }
-        }
-        Ok(())
+        w.write_all(&enc.0)
     }
 
     /// Deserialize and structurally validate one shard.
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<Self> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != SHARD_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "bad shard magic",
-            ));
-        }
-        check_version(r)?;
-        let mut u64buf = [0u8; 8];
-        let mut read_u64 = |r: &mut R| -> io::Result<u64> {
-            r.read_exact(&mut u64buf)?;
-            Ok(u64::from_le_bytes(u64buf))
-        };
-        let epoch = read_u64(r)?;
-        let mut u32buf = [0u8; 4];
-        let mut read_u32 = |r: &mut R| -> io::Result<u32> {
-            r.read_exact(&mut u32buf)?;
-            Ok(u32::from_le_bytes(u32buf))
-        };
-        let rank = read_u32(r)?;
-        let n_ranks = read_u32(r)?;
+        let mut dec = Dec::open(r, SHARD_MAGIC, "bad shard magic")?;
+        let epoch = dec.u64()?;
+        let rank = dec.u32()?;
+        let n_ranks = dec.u32()?;
         if n_ranks == 0 || rank >= n_ranks {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("shard rank {rank} outside decomposition of {n_ranks}"),
             ));
         }
-        let mut u64buf2 = [0u8; 8];
-        r.read_exact(&mut u64buf2)?;
-        let fingerprint = u64::from_le_bytes(u64buf2);
-        let mut f32buf = [0u8; 4];
-        let mut read_f32 = |r: &mut R| -> io::Result<f32> {
-            r.read_exact(&mut f32buf)?;
-            Ok(f32::from_le_bytes(f32buf))
-        };
-        let (lx, ly, lz) = (read_f32(r)?, read_f32(r)?, read_f32(r)?);
-        if !(lx > 0.0 && ly > 0.0 && lz > 0.0) {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "bad box"));
-        }
-        let mut nbuf = [0u8; 8];
-        r.read_exact(&mut nbuf)?;
-        let n = u64::from_le_bytes(nbuf) as usize;
-        if n > 100_000_000 {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "absurd size"));
-        }
-        let mut ids = Vec::with_capacity(n);
-        let mut buf4 = [0u8; 4];
-        for _ in 0..n {
-            r.read_exact(&mut buf4)?;
-            ids.push(u32::from_le_bytes(buf4));
-        }
-        let read_arr = |r: &mut R| -> io::Result<Vec<Vec3>> {
-            let mut out = Vec::with_capacity(n);
-            let mut buf = [0u8; 4];
-            for _ in 0..n {
-                let mut c = [0f32; 3];
-                for v in &mut c {
-                    r.read_exact(&mut buf)?;
-                    *v = f32::from_le_bytes(buf);
-                }
-                out.push(vec3(c[0], c[1], c[2]));
-            }
-            Ok(out)
-        };
-        let pos = read_arr(r)?;
-        let vel = read_arr(r)?;
+        let fingerprint = dec.u64()?;
+        let pbc = dec.pbc()?;
+        let n = dec.count()?;
         Ok(Self {
             epoch,
             rank,
             n_ranks,
-            pbc: PbcBox::new(lx, ly, lz),
+            pbc,
             fingerprint,
-            ids,
-            pos,
-            vel,
+            ids: dec.array(n, Dec::u32)?,
+            pos: dec.array(n, Dec::vec3)?,
+            vel: dec.array(n, Dec::vec3)?,
         })
     }
 }
@@ -637,6 +631,86 @@ mod tests {
         shards[1].epoch = 60;
         let err = assemble_shards(&shards, sys.n()).unwrap_err();
         assert!(err.to_string().contains("not coordinated"), "{err}");
+    }
+
+    fn golden_pair() -> (Checkpoint, RankShard) {
+        let pos = vec![vec3(0.25, -1.5, 3.0), vec3(1.0e-3, 2.0, -0.0)];
+        let vel = vec![vec3(-0.125, 0.5, 7.0), vec3(f32::MIN_POSITIVE, 1.0, -2.5)];
+        let cp = Checkpoint {
+            step: 0x0102_0304_0506_0708,
+            pbc: PbcBox::new(1.5, 2.5, 3.5),
+            pos: pos.clone(),
+            vel: vel.clone(),
+            fingerprint: 0xfeed_face_cafe_beef,
+        };
+        let shard = RankShard {
+            epoch: 40,
+            rank: 1,
+            n_ranks: 3,
+            pbc: cp.pbc,
+            fingerprint: cp.fingerprint,
+            ids: vec![7, 0x0a0b_0c0d],
+            pos,
+            vel,
+        };
+        (cp, shard)
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn on_disk_bytes_are_golden() {
+        // Recorded from the commit before the two codecs shared their
+        // field readers and writers.
+        let (cp, shard) = golden_pair();
+        let cp_gold = unhex(
+            "5357474d58435054020807060504030201efbefecacefaedfe0000c03f00002040000060\
+             4002000000000000000000803e0000c0bf000040406f12833a0000004000000080000000\
+             be0000003f0000e040000080000000803f000020c0",
+        );
+        let shard_gold = unhex(
+            "5357474d585348440228000000000000000100000003000000efbefecacefaedfe0000c0\
+             3f00002040000060400200000000000000070000000d0c0b0a0000803e0000c0bf000040\
+             406f12833a0000004000000080000000be0000003f0000e040000080000000803f000020\
+             c0",
+        );
+        let mut bytes = Vec::new();
+        cp.write_to(&mut bytes).unwrap();
+        assert_eq!(bytes, cp_gold);
+        assert_eq!(Checkpoint::read_from(&mut &cp_gold[..]).unwrap(), cp);
+        let mut bytes = Vec::new();
+        shard.write_to(&mut bytes).unwrap();
+        assert_eq!(bytes, shard_gold);
+        assert_eq!(RankShard::read_from(&mut &shard_gold[..]).unwrap(), shard);
+    }
+
+    #[test]
+    fn a_hostile_length_cannot_size_an_allocation() {
+        // 45 bytes of valid header claiming the largest admitted count
+        // (2.4 GB of arrays), then nothing: the decoders must fail on
+        // the missing payload, not reserve for the claim.
+        let (cp, shard) = golden_pair();
+        let mut frame = Vec::new();
+        cp.write_to(&mut frame).unwrap();
+        frame.truncate(45);
+        frame[37..45].copy_from_slice(&(MAX_ELEMENTS as u64).to_le_bytes());
+        let err = Checkpoint::read_from(&mut &frame[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let mut frame = Vec::new();
+        shard.write_to(&mut frame).unwrap();
+        frame.truncate(53);
+        frame[45..53].copy_from_slice(&(MAX_ELEMENTS as u64).to_le_bytes());
+        let err = RankShard::read_from(&mut &frame[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        // One past the bound is refused outright.
+        frame[45..53].copy_from_slice(&(MAX_ELEMENTS as u64 + 1).to_le_bytes());
+        let err = RankShard::read_from(&mut &frame[..]).unwrap_err();
+        assert_eq!(err.to_string(), "absurd size");
     }
 
     #[test]

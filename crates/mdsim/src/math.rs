@@ -1,4 +1,5 @@
-//! Small numerical helpers: complementary error function and friends.
+//! Small numerical helpers: complementary error function and friends,
+//! and the byte-wise FNV-1a behind the bit-exact checksums.
 
 /// Complementary error function, Abramowitz & Stegun 7.1.26
 /// (max absolute error ~1.5e-7, ample for mixed-precision MD).
@@ -28,9 +29,32 @@ pub fn erfc_f32(x: f32) -> f32 {
     erfc(x as f64) as f32
 }
 
+/// FNV-1a offset basis: the hash of no bytes.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into the 64-bit FNV-1a state `h`, one byte at a time.
+#[inline]
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a(FNV1A_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV1A_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV1A_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        // Folding is incremental.
+        assert_eq!(
+            fnv1a(fnv1a(FNV1A_OFFSET, b"foo"), b"bar"),
+            fnv1a(FNV1A_OFFSET, b"foobar")
+        );
+    }
 
     #[test]
     fn erfc_known_values() {

@@ -253,6 +253,8 @@ impl LanePool {
             (1..self.n_threads)
                 .map(|i| {
                     let shared = Arc::clone(&self.shared);
+                    // swrace: allow(SWC011) the lane executor: every lane
+                    // of every backend runs on these workers
                     std::thread::Builder::new()
                         .name(format!("cpe-pool-{i}"))
                         .spawn(move || worker_loop(&shared))

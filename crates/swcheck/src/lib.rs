@@ -59,6 +59,7 @@
 //! | SWC008 | srclint | HashMap/HashSet where iteration order can leak |
 //! | SWC009 | srclint | CAS float reduction without a documented order |
 //! | SWC010 | srclint | process-wide mutable `static` (state with no owner) |
+//! | SWC011 | srclint | thread started outside the lane executor       |
 //! | SWC110 | hb      | conflicting accesses with no happens-before edge |
 //! | SWC111 | hb      | Bit-Map reduce not ordered after its mark      |
 //! | SWC112 | hb      | access inside an async DMA window, no completion edge |

@@ -6,7 +6,7 @@
 //! swcheck certify [--n-mol N] [--seeds a,b,c] [--schedules K]
 //!                 [--backend metered|native] [--json]
 //!                                        happens-before certification
-//! swcheck srclint [--json]               SWC006–010 determinism lints
+//! swcheck srclint [--json]               SWC006–011 determinism lints
 //! ```
 //!
 //! With no variant arguments all five ladder variants (`ori`,
@@ -18,7 +18,7 @@
 //! |------|----------------------------------------------------|
 //! | 0    | clean (warnings allowed)                           |
 //! | 2    | usage error                                        |
-//! | 3    | static findings (SWC001–005 lint / SWC006–010 src) |
+//! | 3    | static findings (SWC001–005 lint / SWC006–011 src) |
 //! | 4    | dynamic findings (SWC101–107)                      |
 //! | 5    | happens-before findings (SWC110–113) or a failed   |
 //! |      | certification                                      |
@@ -366,7 +366,7 @@ fn cmd_srclint(json: bool) -> ExitCode {
             println!("{f}");
         }
         if findings.is_empty() {
-            println!("srclint clean: no SWC006-SWC010 findings");
+            println!("srclint clean: no SWC006-SWC011 findings");
         } else {
             eprintln!("swcheck: {} determinism finding(s)", findings.len());
         }

@@ -1,4 +1,4 @@
-//! Determinism lints over the workspace *source* (SWC006–SWC010).
+//! Determinism lints over the workspace *source* (SWC006–SWC011).
 //!
 //! The trace-replay passes certify what a run *did*; these lints
 //! certify what the code *could* do. A native backend's certificate is
@@ -14,10 +14,15 @@
 //! | SWC008 | `HashMap` / `HashSet`                    | iteration order |
 //! | SWC009 | `compare_exchange*` in a float-bits file | racy float reduction |
 //! | SWC010 | `static` holding a `Mutex`/`Atomic*`/lock/cell, `static mut` | process-wide mutable state |
+//! | SWC011 | `thread::spawn` / `thread::scope` / `thread::Builder` | a thread outside the lane executor |
 //!
 //! SWC010 keeps state owned (a session guard, reached through
 //! `swprof::scope`), so two runs in one process cannot see each other;
-//! `thread_local!` statics are per-thread and exempt.
+//! `thread_local!` statics are per-thread and exempt. SWC011 keeps the
+//! places that start threads at the two excused ones (`LanePool`'s
+//! workers, the `swstore` barrier): a thread started anywhere else runs
+//! without the lane prologue, so no session, fault plan or capture
+//! reaches it.
 //!
 //! Intentional uses are suppressed in place with a justification:
 //! `// swrace: allow(SWC006) <reason>` on the flagged line or within
@@ -36,7 +41,7 @@ pub const ALLOW_WINDOW: usize = 5;
 /// One source-level determinism finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SrcFinding {
-    /// Rule id (`SWC006`–`SWC010`).
+    /// Rule id (`SWC006`–`SWC011`).
     pub rule: &'static str,
     /// Path of the offending file, relative to the workspace root.
     pub file: String,
@@ -202,6 +207,16 @@ pub fn lint_source(file: &str, text: &str) -> Vec<SrcFinding> {
                  guard and reach it through swprof::scope",
             );
         }
+        let starts_thread = code.contains("thread::spawn") // swrace: allow(SWC011) detector
+            || code.contains("thread::scope") // swrace: allow(SWC011) detector
+            || code.contains("thread::Builder"); // swrace: allow(SWC011) detector
+        if starts_thread {
+            hit(
+                "SWC011",
+                "thread started outside the lane executor; run the work as \
+                 lanes of a LanePool",
+            );
+        }
         let cas = code.contains("compare_exchange"); // swrace: allow(SWC009) detector
         if cas && file_has_float_bits {
             hit(
@@ -275,6 +290,18 @@ mod tests {
             [1, 2, 4, 7],
             "not data, thread-locals or the excused"
         );
+    }
+
+    #[test]
+    fn thread_starts_are_flagged_unless_excused() {
+        let src = "fn f() {\n    std::thread::spawn(|| ());\n    thread::scope(|s| ());\n    \
+                   let b = std::thread::Builder::new();\n    \
+                   // swrace: allow(SWC011) the executor\n    std::thread::Builder::new();\n    \
+                   let id = std::thread::current().id();\n}\n";
+        let found = lint_source("x.rs", src);
+        assert_eq!(rules(&found), ["SWC011"; 3]);
+        let lines: Vec<usize> = found.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [2, 3, 4], "not the excused start or `current()`");
     }
 
     #[test]

@@ -40,6 +40,7 @@
 //! [`Site::RankKill`]: swfault::Site::RankKill
 //! [`Site::SchedJobDrop`]: swfault::Site::SchedJobDrop
 
+use mdsim::math::{fnv1a, FNV1A_OFFSET};
 use mdsim::System;
 use swgmx::engine::Version;
 use swgmx::BackendSel;
@@ -128,17 +129,8 @@ pub fn mix64(mut x: u64) -> u64 {
 /// trajectory fingerprint delivered with a completed job. Two runs
 /// agree on this iff they agree on every position bit.
 pub fn trajectory_checksum(sys: &System) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for p in &sys.pos {
-        for bits in [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()] {
-            for b in bits.to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(PRIME);
-            }
-        }
-    }
-    h
+    let components = sys.pos.iter().flat_map(|p| [p.x, p.y, p.z]);
+    components.fold(FNV1A_OFFSET, |h, c| fnv1a(h, &c.to_bits().to_le_bytes()))
 }
 
 #[cfg(test)]

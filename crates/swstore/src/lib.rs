@@ -549,9 +549,10 @@ impl Store {
         retrying(epoch, || {
             let _span = swprof::span("store.commit");
             let (barrier, undo) = self.stage(epoch, frames)?;
-            // The third place non-test code starts a thread, and the one
-            // that enters no `swprof::scope`: a barrier makes no fault
-            // draw, opens no span and touches no plane.
+            // swrace: allow(SWC011) the other place non-test code starts
+            // a thread, and the one that enters no `swprof::scope`: a
+            // barrier makes no fault draw, opens no span and touches no
+            // plane.
             let spawned = std::thread::Builder::new()
                 .name("swstore-barrier".into())
                 .spawn(move || barrier.run());

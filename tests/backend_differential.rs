@@ -38,8 +38,9 @@ use sw_gromacs::swgmx::backend::{
 };
 use sw_gromacs::swgmx::check::{physics_checksum, run_variant_with, Variant};
 use sw_gromacs::swgmx::cpelist::CpePairList;
+use sw_gromacs::swgmx::kernels::common::EntryJ;
 use sw_gromacs::swgmx::kernels::native_simd::{
-    cluster_pair_wide8, for_each_lanes8, EntryJ, Lanes8, WideFi,
+    cluster_pair_wide8, for_each_lanes8, Lanes8, WideFi,
 };
 use sw_gromacs::swgmx::package::{PackageLayout, PackedSystem, FORCE_WORDS};
 

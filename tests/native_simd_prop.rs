@@ -13,7 +13,8 @@
 //! - the cutoff decision is **exactly** the scalar one (same pair set),
 //! - forces and energies agree within the f32 bound of a reordered
 //!   8-term reduction,
-//! - a tail entry (`cluster_pair_wide4`) matches the same reference,
+//! - a tail entry (`common::cluster_pair_simd`, the one FloatV4 body the
+//!   metered Vec/Mark rungs run too) matches the same reference,
 //! - masked-out / all-beyond-cutoff inputs produce exactly zero,
 //! - hostile geometries (contacts, coincident fillers, pairs an ulp
 //!   from the cutoff, box-sized shifts) stay finite and inactive lanes
@@ -24,8 +25,9 @@
 use proptest::prelude::*;
 use sw_gromacs::mdsim::cluster::CLUSTER_SIZE;
 use sw_gromacs::mdsim::nonbonded::{pair_interaction, NbParams};
+use sw_gromacs::swgmx::kernels::common::{cluster_pair_simd, EntryJ};
 use sw_gromacs::swgmx::kernels::native_simd::{
-    cluster_pair_wide4, cluster_pair_wide8, for_each_lanes8, EntryJ, Lanes8, WideFi,
+    cluster_pair_wide8, for_each_lanes8, Lanes8, WideFi,
 };
 
 const PKG_WORDS: usize = 5 * CLUSTER_SIZE;
@@ -406,7 +408,7 @@ proptest! {
     }
 
     /// The 4-wide tail fallback agrees with the same scalar reference
-    /// (it *is* the metered FloatV4 arithmetic, so the bound is tight).
+    /// (it *is* the metered FloatV4 body, so the bound is tight).
     #[test]
     fn wide4_tail_matches_scalar_reference(
         ri in prop::collection::vec(0.05f32..1.1, 12),
@@ -423,7 +425,7 @@ proptest! {
 
         let mut fi = [0.0f32; FORCE_WORDS];
         let mut fj = [0.0f32; FORCE_WORDS];
-        let (e_lj, e_coul, n) = cluster_pair_wide4(&pkg_i, e, &params, &lj_table, &mut fi, &mut fj);
+        let (e_lj, e_coul, n) = cluster_pair_simd(&pkg_i, e, &params, &lj_table, &mut fi, &mut fj);
         let got = Out { fi, fjs: vec![fj], e_lj, e_coul, n };
 
         prop_assert_eq!(got.n, want.n);
@@ -462,7 +464,7 @@ proptest! {
         let mut fi4 = [0.0f32; FORCE_WORDS];
         let mut fj4 = [0.0f32; FORCE_WORDS];
         let (elj4, ecoul4, n4) =
-            cluster_pair_wide4(&pkg_i, e1, &params, &lj_table, &mut fi4, &mut fj4);
+            cluster_pair_simd(&pkg_i, e1, &params, &lj_table, &mut fi4, &mut fj4);
         prop_assert_eq!(n4, 0);
         prop_assert_eq!(elj4, 0.0);
         prop_assert_eq!(ecoul4, 0.0);
