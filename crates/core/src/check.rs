@@ -27,6 +27,17 @@ pub const REGION_COPIES: RegionId = 2;
 /// Region: the final slot-ordered force array.
 pub const REGION_FORCES: RegionId = 3;
 
+/// Region: the system's positions (`System::pos`), three words an atom.
+pub const REGION_SYS_POS: RegionId = 4;
+/// Region: the system's velocities, laid out like [`REGION_SYS_POS`].
+pub const REGION_SYS_VEL: RegionId = 5;
+/// Region: the cluster centers a shift refresh reads, one column of
+/// `n_clusters` words per axis.
+pub const REGION_CENTERS: RegionId = 6;
+/// Region: the list's shifts (`CpePairList::shifts`), three words an
+/// entry.
+pub const REGION_SHIFTS: RegionId = 7;
+
 /// What a kernel variant is allowed to do, consumed by the `swcheck`
 /// lint pass. Everything not explicitly allowed is a violation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,6 +220,37 @@ pub fn run_traced_with(
         events,
         cycles: result.total.cycles,
         checksum: physics_checksum(&result.forces, &result.energies),
+    }
+}
+
+/// Smallest box [`run_traced_step`] is worth capturing on: the update
+/// and the shift refresh both split into lane blocks from here up.
+pub const STEP_MIN_MOL: usize = 400;
+
+/// Two steps of a native [`Engine`](crate::engine::Engine) over a seeded
+/// water box under a capture session: one that builds the list and one
+/// that keeps it, so the stream holds the force kernel's regions and —
+/// from [`STEP_MIN_MOL`] molecules up — the engine's own two,
+/// `update.lanes` and `cpelist.shifts`.
+pub fn run_traced_step(n_mol: usize, seed: u64) -> TracedRun {
+    use crate::engine::{Engine, EngineConfig, Version};
+    let config = EngineConfig {
+        backend: BackendSel::Native,
+        nstxout: 0,
+        ..EngineConfig::paper(Version::Other)
+    };
+    let mut engine = Engine::new(water_box(n_mol, 300.0, seed), config);
+    let session = trace::Session::begin();
+    engine.run(2);
+    let events = session.finish();
+    TracedRun {
+        contract: KernelContract {
+            expects_marks: true,
+            ..KernelContract::strict("step")
+        },
+        events,
+        cycles: engine.breakdown.iter().map(|(_, c)| c.cycles).sum(),
+        checksum: physics_checksum(&engine.sys.pos, &engine.energies),
     }
 }
 

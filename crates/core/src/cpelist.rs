@@ -14,6 +14,10 @@ use mdsim::pairlist::{ListKind, PairList};
 use mdsim::pbc::PbcBox;
 use mdsim::system::System;
 use mdsim::Vec3;
+use sw26010::pool::{block_range, LanePool};
+use sw26010::trace;
+
+use crate::check::{REGION_CENTERS, REGION_SHIFTS};
 
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 use crate::kernels::native_simd::f32x8_sse2;
@@ -61,15 +65,24 @@ impl CpePairList {
             rlist: list.rlist,
             centers: [const { Vec::new() }; 3],
         };
-        lowered.update_shifts(sys, &list.clustering);
+        // One block: filled here, the pool is never asked.
+        lowered.update_shifts(sys, &list.clustering, &LanePool::with_threads(1), 1);
         lowered
     }
 
     /// Recompute every entry's shift from `sys`'s current positions:
     /// translate the inner cluster's center to its minimum image
     /// relative to the outer cluster's center. `clustering` must be the
-    /// one the list was built over.
-    pub fn update_shifts(&mut self, sys: &System, clustering: &Clustering) {
+    /// one the list was built over. Rows are independent: they are
+    /// filled as `n_blocks` runs of rows, on `pool`'s lanes when that is
+    /// two or more, and the shifts are the same bits at every split.
+    pub fn update_shifts(
+        &mut self,
+        sys: &System,
+        clustering: &Clustering,
+        pool: &LanePool,
+        n_blocks: usize,
+    ) {
         let nc = self.n_clusters();
         for column in &mut self.centers {
             column.resize(nc, 0.0);
@@ -80,13 +93,37 @@ impl CpePairList {
             self.centers[1][c] = center.y;
             self.centers[2][c] = center.z;
         }
-        on_lanes!(
-            LaneImpl::detect(),
-            shifts_from_centers,
-            shifts_from_centers_avx2,
-            self,
-            &sys.pbc
-        );
+        // Only a refresh that goes to lanes has accesses to order.
+        let tracing = n_blocks >= 2 && trace::enabled();
+        if tracing {
+            trace::shared_write(REGION_CENTERS, 0, 3 * nc);
+        }
+        let n_blocks = n_blocks.max(1);
+        let (offsets, neighbors) = (&self.offsets[..], &self.neighbors[..]);
+        let mut rest = &mut self.shifts[..];
+        let blocks = (0..n_blocks).map(|b| {
+            let rows = block_range(nc, n_blocks, b);
+            let entries = (offsets[rows.end] - offsets[rows.start]) as usize;
+            let (shifts, after) = std::mem::take(&mut rest).split_at_mut(entries);
+            rest = after;
+            RowBlock {
+                rows,
+                shifts,
+                offsets,
+                neighbors,
+                centers: &self.centers,
+                pbc: &sys.pbc,
+            }
+        });
+        let lanes = LaneImpl::detect();
+        pool.run_blocks("cpelist.shifts", blocks.collect(), |_, block| {
+            if tracing {
+                let first = 3 * offsets[block.rows.start] as usize;
+                trace::shared_read(REGION_CENTERS, 0, 3 * nc);
+                trace::shared_write(REGION_SHIFTS, first, first + 3 * block.shifts.len());
+            }
+            on_lanes!(lanes, shift_rows, shift_rows_avx2, block);
+        });
     }
 
     /// Number of outer clusters.
@@ -119,22 +156,41 @@ fn shift_of(pbc: &PbcBox, ci: Vec3, cj: Vec3) -> [f32; 3] {
     [s.x, s.y, s.z]
 }
 
-/// Every entry's [`shift_of`] from `list.centers`, eight entries of a
-/// row per operation; a lane the lane form of the minimum image does not
-/// cover is redone with the scalar one.
+/// A run of the list's rows with their shifts — `shifts[0]` is the
+/// first entry of row `rows.start` — which is what one lane of a refresh
+/// owns, and what it reads.
+struct RowBlock<'a> {
+    rows: std::ops::Range<usize>,
+    shifts: &'a mut [[f32; 3]],
+    offsets: &'a [u32],
+    neighbors: &'a [u32],
+    centers: &'a [Vec<f32>; 3],
+    pbc: &'a PbcBox,
+}
+
+/// Every entry's [`shift_of`] in `block`'s rows from the cluster
+/// centers, eight entries of a row per operation; a lane the lane form
+/// of the minimum image does not cover is redone with the scalar one.
 #[inline(always)]
-fn shifts_from_centers<L: Lanes8>(isa: L::Isa, list: &mut CpePairList, pbc: &PbcBox) {
+fn shift_rows<L: Lanes8>(isa: L::Isa, block: &mut RowBlock<'_>) {
+    let RowBlock {
+        offsets,
+        neighbors,
+        centers: [cx, cy, cz],
+        pbc,
+        ..
+    } = *block;
     const LANES: usize = 8;
-    let [cx, cy, cz] = &list.centers;
-    for ci in 0..list.offsets.len() - 1 {
+    let first = offsets[block.rows.start] as usize;
+    for ci in block.rows.clone() {
         let own = [
             L::splat(isa, cx[ci]),
             L::splat(isa, cy[ci]),
             L::splat(isa, cz[ci]),
         ];
-        let row = list.offsets[ci] as usize..list.offsets[ci + 1] as usize;
+        let row = offsets[ci] as usize..offsets[ci + 1] as usize;
         for start in row.clone().step_by(LANES) {
-            let ids = &list.neighbors[start..row.end.min(start + LANES)];
+            let ids = &neighbors[start..row.end.min(start + LANES)];
             let other = [
                 gather8::<L>(isa, cx, ids),
                 gather8::<L>(isa, cy, ids),
@@ -149,7 +205,8 @@ fn shifts_from_centers<L: Lanes8>(isa: L::Isa, list: &mut CpePairList, pbc: &Pbc
                 ((own[1] - d[1]) - other[1]).to_array(),
                 ((own[2] - d[2]) - other[2]).to_array(),
             ];
-            for (lane, shift) in list.shifts[start..start + ids.len()].iter_mut().enumerate() {
+            let shifts = &mut block.shifts[start - first..start - first + ids.len()];
+            for (lane, shift) in shifts.iter_mut().enumerate() {
                 *shift = [sx[lane], sy[lane], sz[lane]];
             }
             let mut redo = inexact.movemask() & ((1 << ids.len()) - 1);
@@ -158,7 +215,7 @@ fn shifts_from_centers<L: Lanes8>(isa: L::Isa, list: &mut CpePairList, pbc: &Pbc
                 redo &= redo - 1;
                 let cj = ids[lane] as usize;
                 let own = mdsim::vec3(cx[ci], cy[ci], cz[ci]);
-                list.shifts[start + lane] = shift_of(pbc, own, mdsim::vec3(cx[cj], cy[cj], cz[cj]));
+                shifts[lane] = shift_of(pbc, own, mdsim::vec3(cx[cj], cy[cj], cz[cj]));
             }
         }
     }
@@ -174,15 +231,11 @@ fn gather8<L: Lanes8>(isa: L::Isa, column: &[f32], ids: &[u32]) -> L {
     L::from_array(isa, lanes)
 }
 
-/// [`shifts_from_centers`] compiled with AVX2 enabled.
+/// [`shift_rows`] compiled with AVX2 enabled.
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 #[target_feature(enable = "avx2")]
-fn shifts_from_centers_avx2(
-    isa: crate::kernels::native_simd::Avx2,
-    list: &mut CpePairList,
-    pbc: &PbcBox,
-) {
-    shifts_from_centers::<crate::kernels::native_simd::f32x8_avx2>(isa, list, pbc)
+fn shift_rows_avx2(isa: crate::kernels::native_simd::Avx2, block: &mut RowBlock<'_>) {
+    shift_rows::<crate::kernels::native_simd::f32x8_avx2>(isa, block)
 }
 
 /// One interaction mask per list entry, in entry order ([`pair_mask`]).
@@ -384,7 +437,15 @@ mod tests {
     fn lanes_reproduce<L: Lanes8>(isa: L::Isa, cpe: &mut CpePairList, pbc: &PbcBox) {
         let want = shift_bits(cpe);
         cpe.shifts.fill([f32::NAN; 3]);
-        shifts_from_centers::<L>(isa, cpe, pbc);
+        let mut every_row = RowBlock {
+            rows: 0..cpe.offsets.len() - 1,
+            shifts: &mut cpe.shifts,
+            offsets: &cpe.offsets,
+            neighbors: &cpe.neighbors,
+            centers: &cpe.centers,
+            pbc,
+        };
+        shift_rows::<L>(isa, &mut every_row);
         assert_eq!(shift_bits(cpe), want, "{} lanes", L::NAME);
     }
 
@@ -396,6 +457,7 @@ mod tests {
         let mut sys = water_box(200, 300.0, 52);
         let list = PairList::build(&sys, 0.5, ListKind::Full);
         let mut cpe = CpePairList::build(&sys, &list);
+        let pools = [1, 2, 4].map(LanePool::with_threads);
         let edge = sys.pbc.lengths().x;
         for step in 0..10 {
             for (p, v) in sys.pos.iter_mut().zip(&sys.vel) {
@@ -407,11 +469,22 @@ mod tests {
                 sys.pos[atom].x += 2.0 * edge;
                 sys.pos[atom + 30].z -= 3.0 * edge;
             }
-            cpe.update_shifts(&sys, &list.clustering);
+            let want = scalar_shifts(&sys, &list.clustering, &cpe);
+            for pool in &pools {
+                for n_blocks in [1, 2, 64] {
+                    cpe.shifts.fill([f32::NAN; 3]);
+                    cpe.update_shifts(&sys, &list.clustering, pool, n_blocks);
+                    assert_eq!(
+                        shift_bits(&cpe),
+                        want,
+                        "step {step}, {n_blocks} on {pool:?}"
+                    );
+                }
+            }
             assert_eq!(
-                shift_bits(&cpe),
-                scalar_shifts(&sys, &list.clustering, &cpe),
-                "step {step}"
+                shift_bits(&CpePairList::build(&sys, &list)),
+                want,
+                "step {step}, one block"
             );
             for_each_lanes8!(lanes_reproduce, &mut cpe, &sys.pbc);
         }
@@ -445,7 +518,7 @@ mod tests {
             rlist: list.rlist,
             centers: [const { Vec::new() }; 3],
         };
-        cpe.update_shifts(&sys, &list.clustering);
+        cpe.update_shifts(&sys, &list.clustering, &LanePool::with_threads(1), 1);
         assert_eq!(
             shift_bits(&cpe),
             scalar_shifts(&sys, &list.clustering, &cpe)

@@ -17,17 +17,19 @@
 //! | `List`  | Mark (CPE)  | CPE 2-way | MPI  | std |
 //! | `Other` | Mark (CPE)  | CPE 2-way | RDMA | fast|
 
-use mdsim::constraints::ConstraintSet;
+use mdsim::constraints::{most_sweeps, ConstraintSet};
 use mdsim::integrate;
 use mdsim::nonbonded::{NbEnergies, NbParams};
 use mdsim::pairlist::{ListKind, PairList};
 use mdsim::system::System;
 use mdsim::water::{theta_hoh, D_OH};
 use sw26010::perf::{Breakdown, PerfCounters};
+use sw26010::pool::{LanePool, N_LANES};
+use sw26010::trace;
 use swnet::{NetParams, Topology, Transport};
 
 use crate::backend::{AnyBackend, BackendSel, KernelBackend, KernelInput};
-use crate::check::Variant;
+use crate::check::{Variant, REGION_SYS_POS, REGION_SYS_VEL};
 use crate::cpelist::CpePairList;
 use crate::fastio;
 use crate::kernels::KernelResult;
@@ -87,8 +89,12 @@ pub struct EngineConfig {
     pub pme_grid: Option<usize>,
     /// Which execution substrate carries the force kernels: the
     /// cycle-metered simulator (paper-figure runs) or the native
-    /// thread-pool backend (wall-clock runs). Everything outside the
-    /// force stage is backend-independent.
+    /// thread-pool backend (wall-clock runs). Outside the force stage
+    /// the arithmetic and the modelled costs are backend-independent —
+    /// update and constraints are charged as the MPE's rows in every
+    /// version — but a native engine also deals its update + SHAKE pass
+    /// and its shift refresh to the pool's lanes once they split into
+    /// blocks worth a region (`lane_blocks`), to the same bits.
     pub backend: BackendSel,
 }
 
@@ -144,6 +150,57 @@ const MPE_UPDATE_CYCLES_PER_PARTICLE: u64 = 30;
 /// measures.
 const MPE_SETTLE_CYCLES_PER_MOL: u64 = 220;
 
+/// Molecules per lane block of the update: ≈0.3 µs of leapfrog + SHAKE
+/// each, against the ≈12 µs of an empty region.
+const UPDATE_GRAIN_MOLS: usize = 128;
+
+/// List entries per lane block of the shift refresh: eight of them are
+/// ≈35 ns of gather and scatter.
+const SHIFT_GRAIN_ENTRIES: usize = 4096;
+
+/// How many lane blocks `n_items` of the engine's own work — the update,
+/// the shift refresh — go to the pool as: one per `grain` items, at most
+/// one a lane. Under two, no region is opened (`LanePool::run_blocks`):
+/// an empty one costs ≈12 µs, so a box under two grains (every swserve
+/// job) is done where it stands. So is every metered run, whose model
+/// has both on the MPE and whose traces and fault draws stay the serial
+/// step's.
+fn lane_blocks(backend: BackendSel, n_items: usize, grain: usize) -> usize {
+    match backend {
+        BackendSel::Native => (n_items / grain).min(N_LANES),
+        BackendSel::Metered => 1,
+    }
+}
+
+/// One constrained leapfrog step of `sys`, as `n_blocks` runs of whole
+/// molecules dealt to `pool`'s lanes: the bits of
+/// [`integrate::leapfrog_step_constrained`] at every `n_blocks` and
+/// thread count. Returns the sweeps SHAKE took, `None` if a molecule
+/// did not converge.
+fn update_constrained(
+    sys: &mut System,
+    cs: &ConstraintSet,
+    dt: f32,
+    pool: &LanePool,
+    n_blocks: usize,
+) -> Option<usize> {
+    // Atoms per block: `block_range`'s partition of the molecules.
+    let per = match n_blocks {
+        0 | 1 => usize::MAX,
+        _ => 3 * cs.n_mol().div_ceil(n_blocks),
+    };
+    let tracing = n_blocks >= 2 && trace::enabled();
+    let sweeps = pool.run_blocks("update.lanes", sys.atom_runs(per), |_, atoms| {
+        if tracing {
+            let words = 3 * atoms.first..3 * (atoms.first + atoms.pos.len());
+            trace::shared_write(REGION_SYS_POS, words.start, words.end);
+            trace::shared_write(REGION_SYS_VEL, words.start, words.end);
+        }
+        integrate::leapfrog_constrained_block(atoms, dt, cs)
+    });
+    sweeps.into_iter().fold(Some(1), most_sweeps)
+}
+
 /// What the engine derives from one pair list and keeps for as long as
 /// the list holds: the lowered list (CSR + masks) and the packed system
 /// (slot order, types, charges, LJ tables). Their position-dependent
@@ -166,10 +223,14 @@ impl ListState {
         }
     }
 
-    /// Follow `sys`'s positions on a step that keeps the list.
-    fn refresh(&mut self, sys: &System) {
+    /// Follow `sys`'s positions on a step that keeps the list, the
+    /// shifts on `backend`'s lanes where it and their number say so.
+    fn refresh(&mut self, sys: &System, backend: &AnyBackend) {
         self.psys.repack(sys);
-        self.cpelist.update_shifts(sys, &self.psys.clustering);
+        let n_blocks = lane_blocks(backend.sel(), self.cpelist.n_entries(), SHIFT_GRAIN_ENTRIES);
+        let pool = backend.core_group().pool();
+        self.cpelist
+            .update_shifts(sys, &self.psys.clustering, pool, n_blocks);
     }
 }
 
@@ -183,9 +244,8 @@ pub struct Engine {
     /// on its core group, so one engine has one set of host threads.
     backend: AnyBackend,
     lists: Option<ListState>,
-    /// Pre-update positions SHAKE constrains against (reused buffer).
-    old_pos: Vec<mdsim::Vec3>,
     constraints: Option<ConstraintSet>,
+    constraint_failures: u64,
     step_idx: usize,
     pme: Option<mdsim::pme::Pme>,
     /// Cumulative per-kernel costs.
@@ -238,8 +298,8 @@ impl Engine {
             backend: AnyBackend::of(config.backend),
             config,
             lists: None,
-            old_pos: Vec::new(),
             constraints,
+            constraint_failures: 0,
             step_idx: 0,
             pme,
             breakdown: Breakdown::new(),
@@ -279,6 +339,12 @@ impl Engine {
     /// Total injected kernel faults absorbed so far.
     pub fn kernel_faults(&self) -> u64 {
         self.kernel_faults
+    }
+
+    /// Steps whose SHAKE ran out of iterations: they were integrated
+    /// with the bonds as far as the solver got them.
+    pub fn constraint_failures(&self) -> u64 {
+        self.constraint_failures
     }
 
     fn rebuild_list(&mut self) {
@@ -331,7 +397,7 @@ impl Engine {
         // positions; any other step only follows the positions.
         match &mut self.lists {
             Some(lists) if !self.step_idx.is_multiple_of(self.config.nstlist) => {
-                lists.refresh(&self.sys)
+                lists.refresh(&self.sys, &self.backend)
             }
             _ => self.rebuild_list(),
         }
@@ -483,9 +549,20 @@ impl Engine {
             }
         }
 
-        // --- update + constraints (MPE in all versions; cheap rows).
-        self.old_pos.clone_from(&self.sys.pos);
-        integrate::leapfrog_step(&mut self.sys, self.config.dt);
+        // --- update + constraints. The modelled rows are the MPE's in
+        // every version (cheap rows); the host runs them as one pass per
+        // molecule, on lanes when the box is large and the run native.
+        let converged = match &self.constraints {
+            Some(cs) => {
+                let n_blocks = lane_blocks(self.config.backend, cs.n_mol(), UPDATE_GRAIN_MOLS);
+                let pool = self.backend.core_group().pool();
+                update_constrained(&mut self.sys, cs, self.config.dt, pool, n_blocks).is_some()
+            }
+            None => {
+                integrate::leapfrog_step(&mut self.sys, self.config.dt);
+                true
+            }
+        };
         charge(
             &mut self.breakdown,
             "Update",
@@ -495,16 +572,21 @@ impl Engine {
             },
         );
         if let Some(cs) = &self.constraints {
-            cs.apply(&mut self.sys, &self.old_pos, self.config.dt);
-            let n_mol = cs.constraints.len() as u64 / 3;
             charge(
                 &mut self.breakdown,
                 "Constraints",
                 PerfCounters {
-                    cycles: n_mol * MPE_SETTLE_CYCLES_PER_MOL,
+                    cycles: cs.n_mol() as u64 * MPE_SETTLE_CYCLES_PER_MOL,
                     ..Default::default()
                 },
             );
+        }
+        if !converged {
+            self.constraint_failures += 1;
+            swtel::flight::record("abort", "shake_unconverged", self.step_idx as u64, 0);
+            if swprof::enabled() {
+                swprof::metrics::counter_add("constraints.unconverged", 1);
+            }
         }
         if let Some(t_ref) = self.config.t_ref {
             let dof = if self.config.constraints {
@@ -748,7 +830,7 @@ mod tests {
     /// particles a box length below them, so clusters straddle the
     /// boundary from the first list on.
     fn straddling_box() -> System {
-        let mut sys = water_box(120, 300.0, 107);
+        let mut sys = water_box(300, 300.0, 107);
         for p in &mut sys.pos {
             *p += mdsim::vec3(0.1, 0.1, 0.1);
         }
@@ -776,9 +858,14 @@ mod tests {
 
     #[test]
     fn list_state_equals_a_fresh_lowering_on_every_step() {
+        use crate::backend::NativeBackend;
         let cg = sw26010::CoreGroup::new();
         for backend in [BackendSel::Metered, BackendSel::Native] {
             let mut e = Engine::new(straddling_box(), short_list_config(backend));
+            if backend == BackendSel::Native {
+                // More threads than the refresh has row blocks to give.
+                e.backend = AnyBackend::Native(NativeBackend::with_threads(4));
+            }
             let (nstlist, rlist) = (e.config().nstlist, e.config().rlist);
             let mut list = None;
             for step in 0..3 * nstlist + 2 {
@@ -812,6 +899,8 @@ mod tests {
                 assert_eq!(f32_bits(&held.psys.pos), f32_bits(&psys.pos), "{at}");
 
                 if step == 0 {
+                    // Long enough for the refresh to go to lanes.
+                    assert!(held.cpelist.n_entries() >= 2 * SHIFT_GRAIN_ENTRIES, "{at}");
                     let edge = before.pbc.lengths().x;
                     let straddling = (0..psys.n_packages()).any(|c| {
                         let members = psys.clustering.members(c).iter();
@@ -825,6 +914,72 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn update_on_lanes_is_the_serial_constrained_step_at_every_split() {
+        // One box under the grain and one over it, forces as a step
+        // leaves them, every block count from inline to one molecule
+        // pair a lane.
+        for n_mol in [40, 300] {
+            let mut sys = water_box(n_mol, 300.0, 108);
+            for (k, f) in sys.force.iter_mut().enumerate() {
+                *f = mdsim::vec3(900.0, -700.0, 400.0) * ((k % 7) as f32 - 3.0);
+            }
+            let cs = ConstraintSet::rigid_water(&sys, D_OH, theta_hoh());
+            let mut want = sys.clone();
+            let old = want.pos.clone();
+            integrate::leapfrog_step(&mut want, 0.002);
+            let sweeps = cs.apply(&mut want, &old, 0.002);
+            assert!(sweeps.is_some_and(|n| n > 1), "{sweeps:?}");
+            let by_grain = lane_blocks(BackendSel::Native, n_mol, UPDATE_GRAIN_MOLS);
+            assert_eq!(by_grain >= 2, n_mol == 300);
+            assert_eq!(
+                lane_blocks(BackendSel::Metered, n_mol, UPDATE_GRAIN_MOLS),
+                1
+            );
+            for threads in [1, 2, 4] {
+                let pool = LanePool::with_threads(threads);
+                for n_blocks in [by_grain, 1, 2, 64] {
+                    let mut got = sys.clone();
+                    let at = format!("{n_mol} molecules, {threads} threads, {n_blocks} blocks");
+                    assert_eq!(
+                        update_constrained(&mut got, &cs, 0.002, &pool, n_blocks),
+                        sweeps,
+                        "{at}"
+                    );
+                    assert_eq!(vec3_bits(&got.pos), vec3_bits(&want.pos), "{at}");
+                    assert_eq!(vec3_bits(&got.vel), vec3_bits(&want.vel), "{at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_shake_that_runs_out_of_iterations_is_counted() {
+        let session = swprof::Session::begin();
+        let mut e = Engine::new(
+            water_box(30, 300.0, 109),
+            short_list_config(BackendSel::Metered),
+        );
+        e.run(2);
+        assert_eq!(e.constraint_failures(), 0);
+        let mut converging = Engine::new(e.sys.clone(), *e.config());
+        converging.resume_at(2);
+        // One sweep is never enough to move a bond and then find it held.
+        e.constraints.as_mut().expect("rigid water").max_iter = 1;
+        let mut runner = crate::recovery::FaultTolerantRunner::new(e, 4).unwrap();
+        assert_eq!(runner.run_until(5).unwrap().constraint_failures, 3);
+        let (e, _) = runner.into_parts();
+        converging.run(3);
+        assert_eq!(e.constraint_failures(), 3);
+        assert_eq!(converging.constraint_failures(), 0);
+        // The steps went on, on what one sweep made of the bonds.
+        assert_eq!(e.step_index(), 5);
+        assert_ne!(vec3_bits(&e.sys.pos), vec3_bits(&converging.sys.pos));
+        let metrics = session.finish().metrics;
+        let counted = swprof::metrics::get(&metrics, "constraints.unconverged");
+        assert_eq!(counted.map(|m| m.value()), Some(3));
     }
 
     #[test]

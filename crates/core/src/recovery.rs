@@ -42,6 +42,9 @@ pub struct RecoveryReport {
     pub degraded: bool,
     /// Kernel faults absorbed by the engine during the run.
     pub kernel_faults: u64,
+    /// Step executions whose SHAKE ran out of iterations
+    /// ([`Engine::constraint_failures`]); replays count again.
+    pub constraint_failures: u64,
     /// Checkpoint generations persisted to the durable store (durable
     /// mode only; 0 for the in-memory runner).
     pub generations_persisted: u64,
@@ -247,6 +250,7 @@ impl FaultTolerantRunner {
         }
         self.report.degraded = self.engine.degraded();
         self.report.kernel_faults = self.engine.kernel_faults();
+        self.report.constraint_failures = self.engine.constraint_failures();
         Ok(&self.report)
     }
 

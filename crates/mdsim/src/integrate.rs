@@ -2,8 +2,8 @@
 //! configuration" stage of the MD workflow (paper Fig. 1, Table 1 rows
 //! "Update" and "Constraints").
 
-use crate::constraints::ConstraintSet;
-use crate::system::System;
+use crate::constraints::{most_sweeps, ConstraintSet};
+use crate::system::{Atoms, System};
 use crate::vec3::Vec3;
 
 /// One leapfrog step without constraints:
@@ -16,14 +16,51 @@ pub fn leapfrog_step(sys: &mut System, dt: f32) {
     }
 }
 
+/// [`leapfrog_step`] of the atoms at `range` of `atoms`.
+fn leapfrog(atoms: &mut Atoms<'_>, range: std::ops::Range<usize>, dt: f32) {
+    for i in range {
+        let a = atoms.force[i] / atoms.mass[i];
+        atoms.vel[i] += a * dt;
+        atoms.pos[i] += atoms.vel[i] * dt;
+    }
+}
+
+/// One constrained leapfrog step of `atoms`, a run of whole molecules:
+/// each is updated and then SHAKEn against the positions it had on
+/// entry, which never leave the stack; atoms past the last constrained
+/// molecule are only updated. Rigid-water constraints stay inside a
+/// molecule, so a system updated run by run — in any order, or all at
+/// once on different threads — ends on the bits of [`leapfrog_step`]
+/// followed by [`ConstraintSet::apply`].
+///
+/// Returns the most sweeps a molecule took, or `None` if one of them
+/// did not converge within `max_iter`.
+pub fn leapfrog_constrained_block(
+    atoms: &mut Atoms<'_>,
+    dt: f32,
+    constraints: &ConstraintSet,
+) -> Option<usize> {
+    let n = atoms.pos.len();
+    let mols = atoms.first / 3..constraints.n_mol().min((atoms.first + n) / 3);
+    let mut sweeps = Some(1);
+    for m in mols.clone() {
+        let at = 3 * m - atoms.first;
+        let old = [atoms.pos[at], atoms.pos[at + 1], atoms.pos[at + 2]];
+        leapfrog(atoms, at..at + 3, dt);
+        sweeps = most_sweeps(sweeps, constraints.solve_molecule(m, atoms, &old, dt));
+    }
+    leapfrog(atoms, 3 * mols.len()..n, dt);
+    sweeps
+}
+
 /// One constrained leapfrog step: unconstrained update followed by SHAKE
 /// position correction against the pre-step positions.
 ///
 /// Returns `false` if the constraint solver failed to converge.
 pub fn leapfrog_step_constrained(sys: &mut System, dt: f32, constraints: &ConstraintSet) -> bool {
-    let old_pos = sys.pos.clone();
-    leapfrog_step(sys, dt);
-    constraints.apply(sys, &old_pos, dt).is_some()
+    let mut all = sys.atom_runs(usize::MAX);
+    let converged = |atoms| leapfrog_constrained_block(atoms, dt, constraints).is_some();
+    all.iter_mut().all(converged)
 }
 
 /// Velocity-Verlet integration, split into its two half-kick stages so a

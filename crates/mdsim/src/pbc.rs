@@ -37,14 +37,27 @@ impl PbcBox {
         self.lengths.x as f64 * self.lengths.y as f64 * self.lengths.z as f64
     }
 
-    /// Minimum-image displacement `a - b`.
+    /// Minimum-image displacement `a - b`: per axis,
+    /// `d - len * (d / len).round()`.
+    ///
+    /// Bonded partners, cluster members and anything else closer than
+    /// `0.49 * len` take neither the division nor the `round` (a libm
+    /// call on baseline x86-64), and get the same bits — sign of zero
+    /// included. Below `0.49 * len` the rounded quotient is under 0.5 in
+    /// magnitude, so `round` returns a zero of `d`'s sign (edges are
+    /// positive), `len * ±0` is `±0`, and `d - (±0)` is `d` for every
+    /// `d` but `-0.0`, which it turns into `+0.0`: exactly `d + 0.0`,
+    /// an addition the compiler may not fold away. NaN, the infinities
+    /// and everything from `0.49 * len` outwards fail the comparison and
+    /// take the full expression.
     #[inline]
     pub fn min_image(&self, a: Vec3, b: Vec3) -> Vec3 {
-        let mut d = a - b;
-        d.x -= self.lengths.x * (d.x / self.lengths.x).round();
-        d.y -= self.lengths.y * (d.y / self.lengths.y).round();
-        d.z -= self.lengths.z * (d.z / self.lengths.z).round();
-        d
+        let d = a - b;
+        vec3(
+            min_image_axis(d.x, self.lengths.x),
+            min_image_axis(d.y, self.lengths.y),
+            min_image_axis(d.z, self.lengths.z),
+        )
     }
 
     /// [`PbcBox::min_image`] of eight raw displacements `a - b` at once.
@@ -96,6 +109,16 @@ impl PbcBox {
     }
 }
 
+/// One axis of [`PbcBox::min_image`].
+#[inline(always)]
+fn min_image_axis(d: f32, len: f32) -> f32 {
+    if d.abs() < 0.49 * len {
+        d + 0.0
+    } else {
+        d - len * (d / len).round()
+    }
+}
+
 /// `a <= b` as a lane mask; false on NaN.
 #[inline(always)]
 pub(crate) fn le8<L: Lanes8>(a: L, b: L) -> L {
@@ -125,6 +148,82 @@ mod tests {
         assert!((d.x - (-1.0)).abs() < 1e-6);
         let d2 = b.min_image(vec3(3.0, 0.0, 0.0), vec3(1.0, 0.0, 0.0));
         assert!((d2.x - 2.0).abs() < 1e-6);
+    }
+
+    /// What `min_image` evaluated on every call before the near case
+    /// skipped its division and its `round`.
+    fn min_image_reference(b: &PbcBox, a: Vec3, c: Vec3) -> Vec3 {
+        let mut d = a - c;
+        d.x -= b.lengths.x * (d.x / b.lengths.x).round();
+        d.y -= b.lengths.y * (d.y / b.lengths.y).round();
+        d.z -= b.lengths.z * (d.z / b.lengths.z).round();
+        d
+    }
+
+    fn bits(v: Vec3) -> [u32; 3] {
+        [v.x, v.y, v.z].map(f32::to_bits)
+    }
+
+    /// Both zeros, subnormals, one ulp either side of the near-case
+    /// threshold and of the rounding tie, whole images, NaN and the
+    /// infinities, for an edge `len`.
+    fn axis_probes(len: f32) -> Vec<f32> {
+        let mut probes = vec![
+            0.0,
+            f32::from_bits(1),
+            1e-40,
+            0.3 * len,
+            1.5 * len,
+            2.5 * len,
+        ];
+        for edge in [0.49 * len, 0.5 * len] {
+            probes
+                .extend([-1i32, 0, 1].map(|k| f32::from_bits((edge.to_bits() as i32 + k) as u32)));
+        }
+        probes.push(f32::INFINITY);
+        let negated: Vec<f32> = probes.iter().map(|p| -p).collect();
+        probes.extend(negated);
+        probes.push(f32::NAN);
+        probes
+    }
+
+    #[test]
+    fn min_image_is_the_rounding_expression_bit_for_bit() {
+        let b = PbcBox::new(3.0, 2.5, 1.7);
+        let origin = vec3(0.0, 0.0, 0.0);
+        for &x in &axis_probes(3.0) {
+            for &y in &axis_probes(2.5) {
+                for &z in &axis_probes(1.7) {
+                    let a = vec3(x, y, z);
+                    let (got, want) = (b.min_image(a, origin), min_image_reference(&b, a, origin));
+                    assert_eq!(bits(got), bits(want), "{a:?}: {got:?} vs {want:?}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn min_image_equals_the_rounding_expression_on_random_boxes(
+            edges in (0.5f32..8.0, 0.5f32..8.0, 0.5f32..8.0),
+            a in (-20.0f32..20.0, -20.0f32..20.0, -20.0f32..20.0),
+            offset in (-1.0f32..1.0, -1.0f32..1.0, -1.0f32..1.0),
+            far in proptest::prelude::any::<bool>(),
+        ) {
+            // Half the cases a displacement of at most one edge, where
+            // the near case and the images next to it meet.
+            let b = PbcBox::new(edges.0, edges.1, edges.2);
+            let a = vec3(a.0, a.1, a.2);
+            let c = if far {
+                vec3(offset.0 * 20.0, offset.1 * 20.0, offset.2 * 20.0)
+            } else {
+                a - vec3(offset.0 * edges.0, offset.1 * edges.1, offset.2 * edges.2)
+            };
+            proptest::prop_assert_eq!(
+                bits(b.min_image(a, c)),
+                bits(min_image_reference(&b, a, c))
+            );
+        }
     }
 
     fn min_image8_matches_scalar<L: Lanes8>(isa: L::Isa) {

@@ -30,7 +30,43 @@ pub struct System {
     pub topology: Topology,
 }
 
+/// A run of consecutive atoms as the update sees them, `first` being
+/// the system index of the one at `[0]`: what one caller of the update
+/// owns while it runs.
+pub struct Atoms<'a> {
+    /// System index of the first atom.
+    pub first: usize,
+    /// Positions, updated in place.
+    pub pos: &'a mut [Vec3],
+    /// Velocities, updated in place.
+    pub vel: &'a mut [Vec3],
+    /// Forces on the same atoms.
+    pub force: &'a [Vec3],
+    /// Their masses.
+    pub mass: &'a [f32],
+    /// The box they live in.
+    pub pbc: PbcBox,
+}
+
 impl System {
+    /// The atoms in consecutive runs of `per`, for the update; all of
+    /// them in one when `per` is `usize::MAX`.
+    pub fn atom_runs(&mut self, per: usize) -> Vec<Atoms<'_>> {
+        let pbc = self.pbc;
+        let runs = self.pos.chunks_mut(per).zip(self.vel.chunks_mut(per));
+        let runs = runs.zip(self.force.chunks(per).zip(self.mass.chunks(per)));
+        let runs = runs.enumerate();
+        runs.map(|(b, ((pos, vel), (force, mass)))| Atoms {
+            first: b * per,
+            pos,
+            vel,
+            force,
+            mass,
+            pbc,
+        })
+        .collect()
+    }
+
     /// Assemble a system from a topology and positions. Velocities start at
     /// zero; metadata (type/charge/mass/mol/exclusions) is expanded from
     /// the topology's molecule blocks, in block order.

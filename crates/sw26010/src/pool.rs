@@ -204,6 +204,29 @@ impl LanePool {
         })
     }
 
+    /// Run `body` once per block, each call with exclusive access to
+    /// its own: as a region named `label` with one lane per block when
+    /// there are at least two, on the calling thread otherwise — which
+    /// then opens no region, wakes nobody and draws no fault. The
+    /// results come back in block order either way.
+    pub fn run_blocks<B: Send, T: Send>(
+        &self,
+        label: &'static str,
+        blocks: Vec<B>,
+        body: impl Fn(usize, &mut B) -> T + Sync,
+    ) -> Vec<T> {
+        if blocks.len() < 2 {
+            let inline = blocks.into_iter().enumerate();
+            return inline.map(|(i, mut block)| body(i, &mut block)).collect();
+        }
+        let blocks: Vec<Mutex<B>> = blocks.into_iter().map(Mutex::new).collect();
+        swprof::next_region_label(label);
+        self.run(blocks.len(), |lane| {
+            let mut own = blocks[lane].lock().expect("only its lane locks a block");
+            body(lane, &mut own)
+        })
+    }
+
     /// What [`LanePool::run`] and the metered spawn share: the region's
     /// epoch, the lane prologue and the result slots. `f` also receives
     /// the simulated cycles injected CPE hangs cost its lane — the

@@ -10,8 +10,10 @@
 //! ```
 //!
 //! With no variant arguments all five ladder variants (`ori`,
-//! `gldnaive`, `rma`, `rca`, `ustc`) are traced and checked under all
-//! three passes (static lint, dynamic, happens-before). Exit codes
+//! `gldnaive`, `rma`, `rca`, `ustc`) and `step` — two steps of a native
+//! engine, whose update and shift refresh run on lanes of their own —
+//! are traced and checked under all three passes (static lint, dynamic,
+//! happens-before). Exit codes
 //! separate the failure classes so CI can triage without parsing:
 //!
 //! | code | meaning                                            |
@@ -33,7 +35,7 @@ use swcheck::schedule::{certify, CertifyOptions};
 use swcheck::srclint::{lint_workspace, workspace_root};
 use swcheck::{check_events, error_count, fixtures, DualAccess, Severity, Violation};
 use swgmx::backend::BackendSel;
-use swgmx::check::{run_traced, Variant};
+use swgmx::check::{run_traced, run_traced_step, Variant, STEP_MIN_MOL};
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -62,7 +64,8 @@ usage: swcheck [--n-mol N] [--seed S] [--json] [variant ...]
        swcheck certify [--n-mol N] [--seeds a,b,c] [--schedules K] [--backend metered|native] [--json]
        swcheck srclint [--json]
 
-variants: ori gldnaive rma rca ustc (default: all five)
+variants: ori gldnaive rma rca ustc step (default: all six; `step` is two
+          steps of a native engine on at least 400 molecules)
 ";
 
 fn usage(err: &str) -> ExitCode {
@@ -93,7 +96,8 @@ fn exit_for(violations: &[Violation]) -> u8 {
 fn cmd_check(args: &[String], json: bool) -> ExitCode {
     let mut n_mol = 200usize;
     let mut seed = 1u64;
-    let mut variants: Vec<Variant> = Vec::new();
+    // `None` is `step`: the engine's own regions, not a kernel variant.
+    let mut variants: Vec<Option<Variant>> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -109,21 +113,25 @@ fn cmd_check(args: &[String], json: bool) -> ExitCode {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
+            "step" => variants.push(None),
             name => match Variant::from_name(name) {
-                Some(v) => variants.push(v),
+                Some(v) => variants.push(Some(v)),
                 None => return usage(&format!("unknown variant `{name}`")),
             },
         }
     }
     if variants.is_empty() {
-        variants = Variant::ALL.to_vec();
+        variants = Variant::ALL.into_iter().map(Some).chain([None]).collect();
     }
 
     let mut worst = 0u8;
     let mut total_errors = 0usize;
     let mut run_objs = Vec::new();
     for &variant in &variants {
-        let run = run_traced(variant, n_mol, seed);
+        let run = match variant {
+            Some(variant) => run_traced(variant, n_mol, seed),
+            None => run_traced_step(n_mol.max(STEP_MIN_MOL), seed),
+        };
         let violations = check_events(&run.contract, &run.events);
         let errors = error_count(&violations);
         total_errors += errors;
@@ -132,7 +140,7 @@ fn cmd_check(args: &[String], json: bool) -> ExitCode {
         if json {
             run_objs.push(format!(
                 "{{\"variant\":{},\"events\":{},\"cycles\":{},\"checksum\":\"{:#018x}\",\"violations\":{}}}",
-                json_str(variant.name()),
+                json_str(run.contract.name),
                 run.events.len(),
                 run.cycles,
                 run.checksum,
@@ -149,7 +157,7 @@ fn cmd_check(args: &[String], json: bool) -> ExitCode {
         };
         println!(
             "{:<9} {:>7} events {:>12} cycles  checksum {:#018x}  {}",
-            variant.name(),
+            run.contract.name,
             run.events.len(),
             run.cycles,
             run.checksum,

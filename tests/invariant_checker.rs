@@ -4,8 +4,10 @@
 //! Bit-Map/reduction contract (Alg. 3/4); this suite keeps those
 //! properties machine-checked on every test run.
 
+use sw26010::trace::Event;
 use swcheck::{check_events, error_count, fixtures};
-use swgmx::check::{run_traced, Variant};
+use swgmx::check::{run_traced, run_traced_step, Variant};
+use swgmx::check::{REGION_SHIFTS, REGION_SYS_POS, STEP_MIN_MOL};
 
 #[test]
 fn optimized_kernel_passes_the_checker() {
@@ -16,6 +18,21 @@ fn optimized_kernel_passes_the_checker() {
         0,
         "rma (Mark) must check clean: {violations:?}"
     );
+}
+
+#[test]
+fn engine_step_regions_pass_the_checker() {
+    // The update and the shift refresh are lane regions like the
+    // kernels': each lane writes the word range of its own block.
+    let run = run_traced_step(STEP_MIN_MOL, 11);
+    for region in [REGION_SYS_POS, REGION_SHIFTS] {
+        let lanes = run.events.iter().filter(
+            |e| matches!(e, Event::SharedWrite { cpe: Some(_), region: r, .. } if *r == region),
+        );
+        assert!(lanes.count() >= 2, "region {region} never went to lanes");
+    }
+    let violations = check_events(&run.contract, &run.events);
+    assert!(violations.is_empty(), "{violations:?}");
 }
 
 #[test]

@@ -104,3 +104,47 @@ fn trajectory_roundtrip_through_fast_io() {
     }
     assert_eq!(parsed, sys.n());
 }
+
+#[test]
+fn thirty_steps_of_the_4k_box_end_on_the_recorded_trajectory_bits() {
+    // The `md_*_4k` benchmark input (seed 2026): 1334 lattice waters, 30
+    // constrained steepest-descent steps, re-thermalised. The literals
+    // are FNV-1a over every position and velocity bit after 30 steps, as
+    // the commit before the update and the shift refresh went to lanes
+    // (8fa7d53) produced them; the box is above both grains, so the
+    // native engine updates on lanes every step and refreshes its shifts
+    // on lanes on the 27 that keep the list.
+    use rand::SeedableRng;
+    use sw_gromacs::mdsim::math::{fnv1a, FNV1A_OFFSET};
+    use sw_gromacs::mdsim::nonbonded::{Coulomb, NbParams};
+    use sw_gromacs::swgmx::backend::BackendSel;
+    let mut sys = sw_gromacs::mdsim::water::water_box(1334, 300.0, 2026);
+    let cs = ConstraintSet::rigid_water(&sys, D_OH, theta_hoh());
+    let params = NbParams {
+        r_cut: 0.9f32.min(0.3 * sys.pbc.lengths().x),
+        coulomb: Coulomb::ReactionField { eps_rf: 78.0 },
+    };
+    sw_gromacs::mdsim::minimize::steepest_descent(&mut sys, &params, Some(&cs), 30, 1_000.0, 0.01);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(2026 ^ 0x5eed);
+    sys.thermalize(300.0, &mut rng);
+    cs.project_velocities(&mut sys);
+    for (backend, recorded) in [
+        (BackendSel::Metered, 0xaf15651842d2cdf1u64),
+        (BackendSel::Native, 0xc16a0bd0f40ffe0e),
+    ] {
+        let mut engine = Engine::new(
+            sys.clone(),
+            EngineConfig {
+                nstxout: 0,
+                backend,
+                ..EngineConfig::paper(Version::Other)
+            },
+        );
+        engine.run(30);
+        assert_eq!(engine.constraint_failures(), 0);
+        let words = engine.sys.pos.iter().chain(&engine.sys.vel);
+        let words = words.flat_map(|p| [p.x, p.y, p.z]);
+        let sum = words.fold(FNV1A_OFFSET, |h, c| fnv1a(h, &c.to_bits().to_le_bytes()));
+        assert_eq!(sum, recorded, "{backend:?}: {sum:#018x}");
+    }
+}
