@@ -111,11 +111,5 @@ fn main() {
     }
     println!("\npaper claim: ladder ~1 / 3 / 23 / 40 / 61, stable across sizes");
     println!("(*gld: our extra ablation rung — CPEs with per-element gld/gst, not in the paper)");
-    // 6 kernel evaluations per size (Ori, gld, 4 RMA rungs).
-    json.wall_cycles(total_cycles)
-        .work(
-            6.0 * sizes.len() as f64,
-            sw26010::params::cycles_to_ns(total_cycles),
-        )
-        .write();
+    json.wall_cycles(total_cycles).write();
 }

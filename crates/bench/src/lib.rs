@@ -58,17 +58,15 @@ pub fn water_workload(n_particles: usize, seed: u64) -> Workload {
 
 /// Machine-readable sidecar emitted by every regenerator binary: one
 /// `BENCH_<name>.json` per run with the schema
-/// `{name, config, metrics, wall_cycles, wall_ns[, steps_per_s,
-/// ns_per_day]}`, so CI and plotting scripts can consume the measured
-/// numbers without scraping stdout.
+/// `{name, config, metrics, wall_cycles}`, so CI and plotting scripts
+/// can consume the measured numbers without scraping stdout.
 ///
-/// `wall_cycles` is the *simulated* total (bit-deterministic);
-/// `wall_ns` is the *host* monotonic wall time since [`BenchJson::new`]
-/// — the real-speed observable the gate checks with loose tolerances.
-/// When [`BenchJson::work`] records the run's step and simulated-time
-/// totals, the derived throughput rates `steps_per_s` and `ns_per_day`
-/// (simulated nanoseconds per wall-clock day, the MD community's
-/// headline rate) are emitted beside it.
+/// The document is a pure function of what the run computed:
+/// `wall_cycles` is the *simulated* total, and no field reads the host
+/// clock, so two runs of a deterministic regenerator write the same
+/// bytes. Host time is swbench's to measure (`benchmark/`); a
+/// regenerator whose measurand *is* host time (`native_backend`) records
+/// it as ordinary metrics.
 ///
 /// The output directory is `$BENCH_OUT_DIR` when set, `results/`
 /// otherwise (created on demand).
@@ -78,8 +76,6 @@ pub struct BenchJson {
     config: Vec<(String, String)>,
     metrics: Vec<(String, f64)>,
     wall_cycles: u64,
-    started: std::time::Instant,
-    work: Option<(f64, f64)>,
 }
 
 impl BenchJson {
@@ -90,12 +86,6 @@ impl BenchJson {
             config: Vec::new(),
             metrics: Vec::new(),
             wall_cycles: 0,
-            // Host wall-clock observability only: wall_ns never feeds
-            // back into physics or simulated time, and the gate holds
-            // it to order-of-magnitude tolerances.
-            // swrace: allow(SWC006) host-side perf observability, never reaches physics
-            started: std::time::Instant::now(),
-            work: None,
         }
     }
 
@@ -125,23 +115,8 @@ impl BenchJson {
         self
     }
 
-    /// Record the work the run performed — `steps` MD steps covering
-    /// `sim_ns` simulated nanoseconds — enabling the `steps_per_s` and
-    /// `ns_per_day` throughput fields.
-    pub fn work(&mut self, steps: f64, sim_ns: f64) -> &mut Self {
-        self.work = Some((steps, sim_ns));
-        self
-    }
-
-    /// Serialize to the sidecar schema, measuring host wall time since
-    /// [`BenchJson::new`].
+    /// Serialize to the sidecar schema.
     pub fn to_json(&self) -> String {
-        self.render(self.started.elapsed().as_nanos() as u64)
-    }
-
-    /// Serialize with an explicit `wall_ns` (tests pin this for
-    /// bit-deterministic output).
-    pub fn render(&self, wall_ns: u64) -> String {
         let mut out = String::with_capacity(256);
         out.push_str("{\n  \"name\": ");
         out.push_str(&swprof::json::escaped(&self.name));
@@ -167,15 +142,6 @@ impl BenchJson {
         }
         out.push_str("\n  },\n  \"wall_cycles\": ");
         out.push_str(&self.wall_cycles.to_string());
-        out.push_str(",\n  \"wall_ns\": ");
-        out.push_str(&wall_ns.to_string());
-        if let Some((steps, sim_ns)) = self.work {
-            let wall_s = wall_ns.max(1) as f64 / 1e9;
-            out.push_str(",\n  \"steps_per_s\": ");
-            out.push_str(&swprof::json::number(steps / wall_s));
-            out.push_str(",\n  \"ns_per_day\": ");
-            out.push_str(&swprof::json::number(sim_ns * 86_400.0 / wall_s));
-        }
         out.push_str("\n}\n");
         out
     }
@@ -243,26 +209,19 @@ mod tests {
         );
         let m = v.get("metrics").unwrap();
         assert_eq!(m.get("speedup.mark").unwrap().as_num().unwrap(), 61.5);
-        // Wall time is always present; rates only once work() is set.
-        assert!(v.get("wall_ns").unwrap().as_num().unwrap() >= 0.0);
-        assert!(v.get("steps_per_s").is_none());
     }
 
     #[test]
-    fn wall_rates_derive_from_work() {
-        let mut b = BenchJson::new("fig0_rates");
-        b.wall_cycles(1000).work(50.0, 2000.0);
-        // Pin wall_ns so the doc is reproducible: 50 steps in 2s.
-        let v = swprof::json::parse(&b.render(2_000_000_000)).expect("valid JSON");
-        assert_eq!(v.get("wall_ns").unwrap().as_num().unwrap(), 2e9);
-        assert_eq!(v.get("steps_per_s").unwrap().as_num().unwrap(), 25.0);
-        // 2000 simulated ns in 2 s of wall time = 86.4M sim-ns per day.
-        assert_eq!(
-            v.get("ns_per_day").unwrap().as_num().unwrap(),
-            2000.0 * 86_400.0 / 2.0
-        );
-        // render() with a pinned clock is bit-deterministic.
-        assert_eq!(b.render(2_000_000_000), b.render(2_000_000_000));
+    fn bench_json_is_byte_deterministic() {
+        let mut b = BenchJson::new("fig0_bytes");
+        b.config_num("particles", 3000.0)
+            .metric("speedup.mark", 61.5)
+            .wall_cycles(1000);
+        let first = b.to_json();
+        assert_eq!(first, b.to_json());
+        for host_field in ["wall_ns", "steps_per_s", "ns_per_day"] {
+            assert!(!first.contains(host_field), "{host_field} in {first}");
+        }
     }
 
     #[test]

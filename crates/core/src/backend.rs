@@ -1,7 +1,6 @@
-//! Backend certification and dispatch: the contract a kernel execution
-//! substrate must satisfy before the engine will schedule physics on
-//! it, and the dispatch seam that routes a kernel variant to one of the
-//! two substrates.
+//! Backend dispatch and the certificate format: the seam that routes a
+//! kernel variant to one of the two execution substrates, and the
+//! evidence `swcheck certify` mints about each of them.
 //!
 //! Both substrates run their 64 lanes on one executor, the
 //! [`LanePool`] of the [`CoreGroup`] a backend holds: the thread that
@@ -12,21 +11,22 @@
 //! private per-lane context, the kernel closures are `Fn + Sync` over
 //! plain shared data (no locks, no atomics), and results, counters and
 //! forces are merged in lane order after the join. Cycles and physics
-//! are therefore the same at any host thread count, which is what
-//! [`Concurrency::Sequential`] declares. The [`NativeBackend`] (the same
-//! pool, real SIMD, no meter) gets no such guarantee from a model and
-//! has to pin every ordering in its kernels:
+//! are therefore the same at any host thread count. The
+//! [`NativeBackend`] (the same pool, real SIMD, no meter) gets no such
+//! guarantee from a model and has to pin every ordering in its kernels:
 //! the 64 lanes genuinely interleave, and any hidden ordering
-//! assumption becomes a heisenbug. This module is the gate between the
-//! two worlds. A backend earns the right to carry physics by producing
-//! a [`Certificate`]: proof that the `swcheck` happens-before engine
-//! found no races (SWC110–SWC113) on its traces and that schedule
-//! exploration replayed those traces under many legal interleavings
-//! without the verdicts or the physics checksum moving.
+//! assumption becomes a heisenbug. What stands between the two worlds
+//! is a [`Certificate`]: evidence that the `swcheck` happens-before
+//! engine found no races (SWC110–SWC113) on a backend's traces and that
+//! schedule exploration replayed those traces under many legal
+//! interleavings without the verdicts or the physics checksum moving.
 //!
-//! The certifying authority lives in the `swcheck` crate (which depends
-//! on this one); the *contract* lives here so the engine can demand a
-//! certificate without a dependency cycle.
+//! Nothing in this crate demands one: [`AnyBackend::of`] hands the
+//! engine whichever backend was selected. The bar is enforced where
+//! certificates are minted — `swcheck certify` exits 5 unless the
+//! certificate [`covers_all_variants`](Certificate::covers_all_variants)
+//! at [`MIN_SCHEDULES`], and CI runs it for both backends. The types
+//! live here because `swcheck` depends on this crate.
 
 use mdsim::nonbonded::NbParams;
 use sw26010::{CoreGroup, LanePool};
@@ -39,21 +39,6 @@ use crate::kernels::{
     run_ustc_native, KernelResult, RmaConfig, WriteStrategy,
 };
 use crate::package::PackedSystem;
-
-/// How a backend executes kernel lanes, as declared by the backend
-/// itself. Certification requirements scale with the honesty of this
-/// answer: a sequential backend's traces cannot exhibit real races, so
-/// its certificate mostly guards the *model*; a concurrent backend's
-/// certificate guards the *execution*.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Concurrency {
-    /// Lanes cannot observe one another within a region, so the outcome
-    /// is that of running them one after another (the simulator: private
-    /// per-lane contexts, merge in lane order — see the module doc).
-    Sequential,
-    /// Lanes run on real OS threads and genuinely interleave.
-    Threads,
-}
 
 /// Evidence that one kernel variant passed certification on a backend.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,8 +54,7 @@ pub struct VariantCertificate {
 }
 
 /// A backend's clean bill of health: every variant raced-checked and
-/// schedule-stable. Issued by `swcheck::schedule::certify`; consumed by
-/// [`assert_certified`].
+/// schedule-stable. Issued by `swcheck::schedule::certify`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Certificate {
     /// Name of the backend the certificate covers.
@@ -105,64 +89,20 @@ pub struct KernelInput<'a> {
 }
 
 /// The execution-substrate contract. A backend is the thing that runs a
-/// spawn region's 64 lanes; the engine only talks to certified ones.
+/// spawn region's 64 lanes.
 pub trait KernelBackend {
     /// Diagnostic name ("simulated", "native-threads", ...).
     fn name(&self) -> &'static str;
-
-    /// How this backend's lanes actually execute.
-    fn concurrency(&self) -> Concurrency;
 
     /// Execute one kernel variant on this substrate.
     fn run(&self, variant: Variant, input: KernelInput<'_>) -> KernelResult;
 }
 
-/// A backend that has been through certification. The supertrait bound
-/// is the whole point: you cannot implement this without also deciding
-/// what your concurrency story is, and you should not implement it
-/// without a [`Certificate`] to back the claim — `assert_certified` is
-/// the runtime teeth.
-pub trait CertifiedBackend: KernelBackend {
-    /// The certificate this backend was admitted under.
-    fn certificate(&self) -> &Certificate;
-}
-
-/// Minimum interleavings per variant a concurrent backend must have
-/// survived. Sequential backends (the simulator) get the same bar —
-/// exploration runs on their traces' happens-before DAG, so the count
-/// is about model coverage, not thread luck.
+/// Minimum interleavings per variant a certificate must cover. The
+/// simulator gets the same bar as the thread pool — exploration runs on
+/// the traces' happens-before DAG, so the count is about model coverage,
+/// not thread luck.
 pub const MIN_SCHEDULES: usize = 200;
-
-/// Gate a backend at registration time: panics with a diagnosable
-/// message if its certificate does not cover every kernel variant with
-/// [`MIN_SCHEDULES`] explored interleavings.
-pub fn assert_certified<B: CertifiedBackend>(backend: &B) {
-    let cert = backend.certificate();
-    assert_eq!(
-        cert.backend,
-        backend.name(),
-        "certificate for `{}` presented by backend `{}`",
-        cert.backend,
-        backend.name()
-    );
-    for v in Variant::ALL {
-        let Some(c) = cert.variants.iter().find(|c| c.variant == v) else {
-            panic!(
-                "backend `{}` has no certificate for variant `{}`",
-                backend.name(),
-                v.name()
-            );
-        };
-        assert!(
-            c.schedules_explored >= MIN_SCHEDULES,
-            "backend `{}` explored only {} schedules for `{}` (need {})",
-            backend.name(),
-            c.schedules_explored,
-            v.name(),
-            MIN_SCHEDULES
-        );
-    }
-}
 
 /// The in-tree simulated backend: isolated lanes merged in lane order,
 /// every instruction charged to the cycle meter. This is the substrate
@@ -173,9 +113,7 @@ pub struct MeteredBackend {
 }
 
 impl MeteredBackend {
-    /// The backend as shipped (no certificate attached yet — tests and
-    /// the `swcheck certify` CLI mint one and wrap it in
-    /// [`Certified`]).
+    /// The backend as shipped.
     pub fn new() -> Self {
         Self::default()
     }
@@ -184,10 +122,6 @@ impl MeteredBackend {
 impl KernelBackend for MeteredBackend {
     fn name(&self) -> &'static str {
         "simulated"
-    }
-
-    fn concurrency(&self) -> Concurrency {
-        Concurrency::Sequential
     }
 
     fn run(&self, variant: Variant, input: KernelInput<'_>) -> KernelResult {
@@ -246,10 +180,6 @@ impl NativeBackend {
 impl KernelBackend for NativeBackend {
     fn name(&self) -> &'static str {
         "native-threads"
-    }
-
-    fn concurrency(&self) -> Concurrency {
-        Concurrency::Threads
     }
 
     fn run(&self, variant: Variant, input: KernelInput<'_>) -> KernelResult {
@@ -355,65 +285,11 @@ impl KernelBackend for AnyBackend {
         }
     }
 
-    fn concurrency(&self) -> Concurrency {
-        match self {
-            AnyBackend::Metered(b) => b.concurrency(),
-            AnyBackend::Native(b) => b.concurrency(),
-        }
-    }
-
     fn run(&self, variant: Variant, input: KernelInput<'_>) -> KernelResult {
         match self {
             AnyBackend::Metered(b) => b.run(variant, input),
             AnyBackend::Native(b) => b.run(variant, input),
         }
-    }
-}
-
-/// Wrapper admitting any [`KernelBackend`] with a minted certificate.
-/// Construction runs [`assert_certified`], so holding a `Certified<B>`
-/// is proof the gate was passed.
-#[derive(Debug, Clone)]
-pub struct Certified<B: KernelBackend> {
-    backend: B,
-    certificate: Certificate,
-}
-
-impl<B: KernelBackend> Certified<B> {
-    /// Admit `backend` under `certificate`, panicking if the
-    /// certificate falls short of the bar.
-    pub fn admit(backend: B, certificate: Certificate) -> Self {
-        let admitted = Self {
-            backend,
-            certificate,
-        };
-        assert_certified(&admitted);
-        admitted
-    }
-
-    /// The wrapped backend.
-    pub fn backend(&self) -> &B {
-        &self.backend
-    }
-}
-
-impl<B: KernelBackend> KernelBackend for Certified<B> {
-    fn name(&self) -> &'static str {
-        self.backend.name()
-    }
-
-    fn concurrency(&self) -> Concurrency {
-        self.backend.concurrency()
-    }
-
-    fn run(&self, variant: Variant, input: KernelInput<'_>) -> KernelResult {
-        self.backend.run(variant, input)
-    }
-}
-
-impl<B: KernelBackend> CertifiedBackend for Certified<B> {
-    fn certificate(&self) -> &Certificate {
-        &self.certificate
     }
 }
 
@@ -437,31 +313,12 @@ mod tests {
     }
 
     #[test]
-    fn full_certificate_admits_the_backend() {
-        let c = Certified::admit(MeteredBackend::new(), full_cert("simulated", 200));
-        assert_eq!(c.name(), "simulated");
-        assert_eq!(c.concurrency(), Concurrency::Sequential);
-        assert!(c.certificate().covers_all_variants(200));
-    }
-
-    #[test]
-    #[should_panic(expected = "no certificate for variant")]
-    fn missing_variant_is_rejected() {
+    fn coverage_needs_every_variant_at_the_bar() {
+        assert!(full_cert("simulated", 200).covers_all_variants(MIN_SCHEDULES));
+        assert!(!full_cert("simulated", 10).covers_all_variants(MIN_SCHEDULES));
         let mut cert = full_cert("simulated", 200);
         cert.variants.retain(|c| c.variant != Variant::Rma);
-        Certified::admit(MeteredBackend::new(), cert);
-    }
-
-    #[test]
-    #[should_panic(expected = "explored only 10 schedules")]
-    fn underexplored_certificate_is_rejected() {
-        Certified::admit(MeteredBackend::new(), full_cert("simulated", 10));
-    }
-
-    #[test]
-    #[should_panic(expected = "presented by backend")]
-    fn certificate_for_another_backend_is_rejected() {
-        Certified::admit(MeteredBackend::new(), full_cert("native-threads", 200));
+        assert!(!cert.covers_all_variants(MIN_SCHEDULES));
     }
 
     #[test]
@@ -475,10 +332,8 @@ mod tests {
     }
 
     #[test]
-    fn native_backend_declares_thread_concurrency() {
-        let b = NativeBackend::with_threads(2);
-        assert_eq!(b.name(), "native-threads");
-        assert_eq!(b.concurrency(), Concurrency::Threads);
+    fn native_backend_names_itself_and_its_lanes() {
+        assert_eq!(NativeBackend::with_threads(2).name(), "native-threads");
         assert!(["avx2", "sse2", "portable"].contains(&NativeBackend::lanes()));
     }
 }

@@ -114,15 +114,6 @@ impl EngineConfig {
             backend: BackendSel::Metered,
         }
     }
-
-    /// The paper configuration with the PME mesh enabled (grid chosen for
-    /// ~0.1 nm spacing unless overridden).
-    pub fn paper_with_pme(version: Version, grid: usize) -> Self {
-        Self {
-            pme_grid: Some(grid),
-            ..Self::paper(version)
-        }
-    }
 }
 
 /// Book a stage into both the cost breakdown and the profiler: the
@@ -677,13 +668,6 @@ impl MultiCgModel {
         }
     }
 
-    /// Enable the PME mesh (adds the FFT all-to-all communication row
-    /// and the per-rank mesh compute to the model).
-    pub fn with_pme(mut self, grid: usize) -> Self {
-        self.pme_grid = Some(grid);
-        self
-    }
-
     /// Simulate `n_steps` steps: run a representative CG functionally and
     /// add modeled communication. `seed` controls the water box.
     ///
@@ -1105,7 +1089,8 @@ mod tests {
             sys,
             EngineConfig {
                 nstxout: 0,
-                ..EngineConfig::paper_with_pme(Version::Other, 32)
+                pme_grid: Some(32),
+                ..EngineConfig::paper(Version::Other)
             },
         );
         let e_plain = plain.step();
@@ -1135,9 +1120,9 @@ mod tests {
     #[test]
     fn pme_adds_fft_comm_row_in_multi_cg() {
         let plain = MultiCgModel::new(24_000, 16, Version::Other).run(2, 7);
-        let with_pme = MultiCgModel::new(24_000, 16, Version::Other)
-            .with_pme(64)
-            .run(2, 7);
+        let mut model = MultiCgModel::new(24_000, 16, Version::Other);
+        model.pme_grid = Some(64);
+        let with_pme = model.run(2, 7);
         assert_eq!(plain.breakdown.cycles("PME comm."), 0);
         assert!(with_pme.breakdown.cycles("PME comm.") > 0);
         assert!(with_pme.total_ms > plain.total_ms);

@@ -52,17 +52,8 @@ impl<W: Write> BufferedWriter<W> {
         }
     }
 
-    /// Append raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
-        self.buf.extend_from_slice(bytes);
-        if self.buf.len() >= self.cap {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
     /// Append one fixed-precision float and a separator.
-    pub fn write_f32(&mut self, v: f32, decimals: u32, sep: u8) -> io::Result<()> {
+    fn write_f32(&mut self, v: f32, decimals: u32, sep: u8) -> io::Result<()> {
         let mut scratch = [0u8; 32];
         let n = format_f32_fixed(v, decimals, &mut scratch);
         self.buf.extend_from_slice(&scratch[..n]);

@@ -39,9 +39,6 @@ pub use wide::{f32x8_avx2, f32x8_sse2, Avx2};
 use crate::kernels::common::EntryJ;
 use crate::package::{FORCE_WORDS, PKG_WORDS};
 
-/// Lanes of the wide path (two 4-particle packages per iteration).
-pub const WIDE_LANES: usize = 8;
-
 /// Which [`Lanes8`] implementation the native kernels run on. A value
 /// is proof that this host can run it: the AVX2 variant carries the
 /// detection token.
@@ -209,14 +206,6 @@ fn erfc8_poly_t<L: Lanes8>(isa: L::Isa, t: L, exp_neg_x2: L) -> L {
     let c = |v: f32| L::splat(isa, v);
     let poly = ((((c(A5) * t + c(A4)) * t + c(A3)) * t + c(A2)) * t + c(A1)) * t;
     poly * exp_neg_x2
-}
-
-/// Vectorized `erfc(x)` for `x >= 0`.
-#[inline(always)]
-pub fn erfc8<L: Lanes8>(isa: L::Isa, x: L) -> L {
-    let one = L::splat(isa, 1.0);
-    let t = one / (one + L::splat(isa, ERFC_P) * x);
-    erfc8_poly_t(isa, t, exp8(isa, -(x * x)))
 }
 
 /// Eight pair interactions at once: the vector form of
@@ -532,7 +521,10 @@ mod tests {
     fn erfc8_matches_scalar_reference<L: Lanes8>(isa: L::Isa) {
         let mut x = 0.0f32;
         while x <= 4.0 {
-            let got = erfc8(isa, L::splat(isa, x)).to_array()[0];
+            // erfc as `pair_interaction8` composes it.
+            let (one, xs) = (L::splat(isa, 1.0), L::splat(isa, x));
+            let t = one / (one + L::splat(isa, ERFC_P) * xs);
+            let got = erfc8_poly_t(isa, t, exp8(isa, -(xs * xs))).to_array()[0];
             let want = mdsim::math::erfc(x as f64);
             // A&S 7.1.26 carries |ε| ≤ 1.5e-7 absolute; f32 evaluation
             // adds a few ulps.

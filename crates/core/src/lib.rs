@@ -41,9 +41,9 @@
 //!   (Fig. 11)
 //! - [`check`] — traced kernel runs + per-variant invariant contracts
 //!   for the `swcheck` checker
-//! - [`backend`] — the [`CertifiedBackend`](backend::CertifiedBackend)
-//!   contract: execution substrates carry physics only with a
-//!   race-freedom + schedule-stability certificate
+//! - [`backend`] — the two execution substrates behind one
+//!   [`KernelBackend`] seam, and the race-freedom + schedule-stability
+//!   [`Certificate`] that `swcheck certify` mints about each
 
 pub mod backend;
 pub mod check;
@@ -59,8 +59,7 @@ pub mod platforms;
 pub mod recovery;
 
 pub use backend::{
-    assert_certified, AnyBackend, BackendSel, Certificate, Certified, CertifiedBackend,
-    Concurrency, KernelBackend, KernelInput, MeteredBackend, NativeBackend,
+    AnyBackend, BackendSel, Certificate, KernelBackend, KernelInput, MeteredBackend, NativeBackend,
 };
 pub use check::{
     physics_checksum, run_traced, run_traced_with, run_variant_with, KernelContract, TracedRun,

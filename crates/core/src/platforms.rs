@@ -64,7 +64,7 @@ pub fn ttf_ratio(a: &Platform, b: &Platform) -> f64 {
 /// The "fair" number of SW26010 chips equivalent to one unit of the
 /// other platform under the TTF model (paper: ~150 for KNL, ~24 for
 /// P100).
-pub fn fair_chip_count(other: &Platform) -> usize {
+fn fair_chip_count(other: &Platform) -> usize {
     ttf_ratio(&SW26010, other).round() as usize
 }
 

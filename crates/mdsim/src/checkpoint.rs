@@ -413,7 +413,7 @@ impl RankShard {
 /// how many shards claim global particle `i`. A coordinated generation
 /// covers every particle exactly once — this is the raw material of the
 /// `swcheck` SWC106 "no orphaned domain cells" rule.
-pub fn shard_coverage(shards: &[RankShard], n_particles: usize) -> Vec<u32> {
+fn shard_coverage(shards: &[RankShard], n_particles: usize) -> Vec<u32> {
     let mut coverage = vec![0u32; n_particles];
     for s in shards {
         for &id in &s.ids {

@@ -56,7 +56,7 @@ impl Decomposition {
     }
 
     /// 3-D coordinates of a rank.
-    pub fn coords(&self, rank: usize) -> [usize; 3] {
+    fn coords(&self, rank: usize) -> [usize; 3] {
         let iz = rank % self.dims[2];
         let iy = (rank / self.dims[2]) % self.dims[1];
         let ix = rank / (self.dims[1] * self.dims[2]);
@@ -91,7 +91,7 @@ impl Decomposition {
 
     /// Minimum-image distance from point `p` to the *boundary surface* of
     /// rank `r`'s domain (0 if inside).
-    pub fn distance_to_domain(&self, rank: usize, p: Vec3) -> f32 {
+    fn distance_to_domain(&self, rank: usize, p: Vec3) -> f32 {
         let (lo, hi) = self.bounds(rank);
         let l = self.pbc.lengths();
         let w = self.pbc.wrap(p);
@@ -144,7 +144,7 @@ impl Decomposition {
 }
 
 /// Factor `n` into three factors as close to `n^(1/3)` as possible.
-pub fn factor3(n: usize) -> [usize; 3] {
+fn factor3(n: usize) -> [usize; 3] {
     let mut best = [n, 1, 1];
     let mut best_score = usize::MAX;
     let mut a = 1;

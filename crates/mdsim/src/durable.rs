@@ -38,7 +38,7 @@ use swnet::{
 };
 use swstore::{Store, StoreOptions};
 
-use crate::checkpoint::{assemble_shards, Checkpoint, RankShard};
+use crate::checkpoint::{assemble_shards, RankShard};
 use crate::constraints::ConstraintSet;
 use crate::ddrun::compute_forces_dd;
 use crate::domain::Decomposition;
@@ -316,20 +316,6 @@ fn decode_shards(frames: &[Vec<u8>]) -> io::Result<Vec<RankShard>> {
         .collect()
 }
 
-/// Load the newest fully-valid generation of `dir` as a reassembled
-/// [`Checkpoint`] — the "what would a restart see" primitive used by
-/// restart tooling and the bit-identity tests.
-pub fn newest_state(dir: &Path, n_particles: usize) -> io::Result<Option<Checkpoint>> {
-    let (mut store, _) = Store::open(dir, StoreOptions::default())?;
-    match store.load_newest_valid()? {
-        None => Ok(None),
-        Some(generation) => {
-            let shards = decode_shards(&generation.frames)?;
-            Ok(Some(assemble_shards(&shards, n_particles)?))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,10 +418,10 @@ mod tests {
 
         // Reference: restore the same epoch-8 generation into a fresh
         // system and run steps 8..14 with the survivor decomposition.
-        let cp = newest_state(&dir, a.n()).unwrap().unwrap();
-        assert_eq!(cp.step, 12, "post-death epochs commit under 3 ranks");
         let dir_ref = tmpdir("kill-ref");
-        let (store_ref, _) = Store::open(&dir, StoreOptions::default()).unwrap();
+        let (mut store_ref, _) = Store::open(&dir, StoreOptions::default()).unwrap();
+        let newest = store_ref.load_newest_valid().unwrap().unwrap();
+        assert_eq!(newest.epoch, 12, "post-death epochs commit under 3 ranks");
         let gen8 = store_ref.load(8).unwrap();
         let shards = decode_shards(&gen8.frames).unwrap();
         let mut b = water_box(60, 300.0, 33);

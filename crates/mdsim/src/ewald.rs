@@ -66,7 +66,7 @@ pub fn ewald_full(sys: &mut System, params: &EwaldParams) -> EwaldEnergies {
 }
 
 /// Real-space sum over non-excluded pairs within the cutoff.
-pub fn real_space(sys: &mut System, params: &EwaldParams) -> f64 {
+fn real_space(sys: &mut System, params: &EwaldParams) -> f64 {
     let rc2 = params.r_cut * params.r_cut;
     let beta = params.beta;
     let mut e = 0.0f64;

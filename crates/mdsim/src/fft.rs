@@ -32,15 +32,6 @@ impl Complex {
         }
     }
 
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Self {
-            re: self.re,
-            im: -self.im,
-        }
-    }
-
     /// Squared magnitude.
     #[inline]
     pub fn norm2(self) -> f64 {

@@ -78,52 +78,14 @@ impl CellGrid {
         &self.items[self.cell_range(c)]
     }
 
-    /// Linear cell index from 3-D cell coordinates (wrapped periodically).
-    pub fn cell_index(&self, cx: isize, cy: isize, cz: isize) -> usize {
-        let w = |v: isize, d: usize| -> usize { v.rem_euclid(d as isize) as usize };
-        (w(cx, self.dims[0]) * self.dims[1] + w(cy, self.dims[1])) * self.dims[2]
-            + w(cz, self.dims[2])
-    }
-
     /// 3-D cell coordinates containing point `p`.
-    pub fn cell_coords(&self, pbc: &PbcBox, p: Vec3) -> [usize; 3] {
+    fn cell_coords(&self, pbc: &PbcBox, p: Vec3) -> [usize; 3] {
         let w = pbc.wrap(p);
         [
             ((w.x / self.cell_len.x) as usize).min(self.dims[0] - 1),
             ((w.y / self.cell_len.y) as usize).min(self.dims[1] - 1),
             ((w.z / self.cell_len.z) as usize).min(self.dims[2] - 1),
         ]
-    }
-
-    /// Visit every point in the 27-cell neighborhood of the cell holding
-    /// `p` (fewer when an axis has <3 cells, to avoid double visits).
-    pub fn for_neighborhood(&self, pbc: &PbcBox, p: Vec3, mut f: impl FnMut(u32)) {
-        let c = self.cell_coords(pbc, p);
-        let range = |d: usize| -> std::ops::RangeInclusive<isize> {
-            if d >= 3 {
-                -1..=1
-            } else if d == 2 {
-                0..=1
-            } else {
-                0..=0
-            }
-        };
-        let mut seen_cells = Vec::with_capacity(27);
-        for dx in range(self.dims[0]) {
-            for dy in range(self.dims[1]) {
-                for dz in range(self.dims[2]) {
-                    let idx =
-                        self.cell_index(c[0] as isize + dx, c[1] as isize + dy, c[2] as isize + dz);
-                    if seen_cells.contains(&idx) {
-                        continue;
-                    }
-                    seen_cells.push(idx);
-                    for &it in self.cell_items(idx) {
-                        f(it);
-                    }
-                }
-            }
-        }
     }
 
     /// A spatial sort permutation: point indices ordered by cell, then by
@@ -139,10 +101,10 @@ impl CellGrid {
     }
 
     /// Visit every point in cells whose minimum distance to `p` is at
-    /// most `range` (periodic). Unlike [`CellGrid::for_neighborhood`]
-    /// this spans as many cell rings as `range` requires and culls cells
-    /// whose nearest face is beyond `range`, so the candidate volume
-    /// tracks the search sphere instead of 27 oversized cells.
+    /// most `range` (periodic): as many cell rings as `range` requires,
+    /// minus the cells whose nearest face is beyond `range`, so the
+    /// candidate volume tracks the search sphere instead of 27 oversized
+    /// cells.
     pub fn for_range(&self, pbc: &PbcBox, p: Vec3, range: f32, mut f: impl FnMut(u32)) {
         for c in self.cells_in_range(pbc, p, range) {
             for &it in self.cell_items(c) {
@@ -243,42 +205,13 @@ mod tests {
     }
 
     #[test]
-    fn neighborhood_finds_all_close_points() {
-        let pbc = PbcBox::cubic(5.0);
-        let pts: Vec<Vec3> = (0..200)
-            .map(|i| {
-                vec3(
-                    (i as f32 * 1.37) % 5.0,
-                    (i as f32 * 2.61) % 5.0,
-                    (i as f32 * 0.53) % 5.0,
-                )
-            })
-            .collect();
-        let cut = 1.0f32;
-        let g = CellGrid::build(&pbc, &pts, cut);
-        for (qi, q) in pts.iter().enumerate() {
-            let mut found = Vec::new();
-            g.for_neighborhood(&pbc, *q, |i| {
-                if pbc.dist2(pts[i as usize], *q) <= cut * cut {
-                    found.push(i as usize);
-                }
-            });
-            found.sort_unstable();
-            let brute: Vec<usize> = (0..pts.len())
-                .filter(|&i| pbc.dist2(pts[i], *q) <= cut * cut)
-                .collect();
-            assert_eq!(found, brute, "query point {qi}");
-        }
-    }
-
-    #[test]
     fn small_box_degenerates_to_single_cell() {
         let pbc = PbcBox::cubic(0.8);
         let pts = vec![vec3(0.1, 0.1, 0.1), vec3(0.7, 0.7, 0.7)];
         let g = CellGrid::build(&pbc, &pts, 1.0);
         assert_eq!(g.n_cells(), 1);
         let mut count = 0;
-        g.for_neighborhood(&pbc, pts[0], |_| count += 1);
+        g.for_range(&pbc, pts[0], 1.0, |_| count += 1);
         assert_eq!(count, 2);
     }
 
@@ -319,7 +252,8 @@ mod tests {
     #[test]
     fn for_range_visits_fewer_points_than_full_neighborhood() {
         // The point of the ranged search: with cells much smaller than
-        // the range it visits ~sphere volume, not 27 oversized cells.
+        // the range it visits ~sphere volume, not the 27 range-sized
+        // cells a one-ring walk of a coarse grid does.
         let pbc = PbcBox::cubic(8.0);
         let pts: Vec<Vec3> = (0..4000)
             .map(|i| {
@@ -336,7 +270,7 @@ mod tests {
         let mut fine_count = 0usize;
         let mut coarse_count = 0usize;
         fine.for_range(&pbc, pts[0], range, |_| fine_count += 1);
-        coarse.for_neighborhood(&pbc, pts[0], |_| coarse_count += 1);
+        coarse.for_range(&pbc, pts[0], range, |_| coarse_count += 1);
         assert!(
             fine_count * 2 < coarse_count,
             "ranged {fine_count} vs 27-cell {coarse_count}"

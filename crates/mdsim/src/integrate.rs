@@ -4,7 +4,6 @@
 
 use crate::constraints::{most_sweeps, ConstraintSet};
 use crate::system::{Atoms, System};
-use crate::vec3::Vec3;
 
 /// One leapfrog step without constraints:
 /// `v(t+dt/2) = v(t-dt/2) + a(t) dt`, `x(t+dt) = x(t) + v(t+dt/2) dt`.
@@ -63,27 +62,6 @@ pub fn leapfrog_step_constrained(sys: &mut System, dt: f32, constraints: &Constr
     all.iter_mut().all(converged)
 }
 
-/// Velocity-Verlet integration, split into its two half-kick stages so a
-/// force evaluation can sit between them:
-/// `v += a dt/2; x += v dt` — then compute forces — then `v += a dt/2`.
-///
-/// First stage: half-kick with the *current* forces, then drift.
-pub fn velocity_verlet_stage1(sys: &mut System, dt: f32) {
-    for i in 0..sys.n() {
-        let a = sys.force[i] / sys.mass[i];
-        sys.vel[i] += a * (0.5 * dt);
-        sys.pos[i] += sys.vel[i] * dt;
-    }
-}
-
-/// Second stage: half-kick with the *new* forces.
-pub fn velocity_verlet_stage2(sys: &mut System, dt: f32) {
-    for i in 0..sys.n() {
-        let a = sys.force[i] / sys.mass[i];
-        sys.vel[i] += a * (0.5 * dt);
-    }
-}
-
 /// Berendsen weak-coupling thermostat: rescale velocities toward `t_ref`
 /// with time constant `tau` (ps). `t_now` is the current instantaneous
 /// temperature; no-op when it is zero.
@@ -95,23 +73,6 @@ pub fn berendsen_scale(sys: &mut System, dt: f32, tau: f32, t_ref: f64, t_now: f
     for v in &mut sys.vel {
         *v = *v * lambda;
     }
-}
-
-/// Wrap all positions back into the primary box image.
-pub fn wrap_positions(sys: &mut System) {
-    for p in &mut sys.pos {
-        *p = sys.pbc.wrap(*p);
-    }
-}
-
-/// Maximum displacement of any particle relative to `reference`; used to
-/// decide when the pair list must be rebuilt before `nstlist` expires.
-pub fn max_displacement(sys: &System, reference: &[Vec3]) -> f32 {
-    sys.pos
-        .iter()
-        .zip(reference)
-        .map(|(p, r)| sys.pbc.min_image(*p, *r).norm())
-        .fold(0.0, f32::max)
 }
 
 #[cfg(test)]
@@ -168,64 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn velocity_verlet_matches_leapfrog_on_constant_force() {
-        // Under a constant force both schemes produce the same positions
-        // (velocities are offset by half a step in leapfrog).
-        let top = Topology::lj_fluid(1);
-        let mk =
-            || System::from_topology(top.clone(), PbcBox::cubic(100.0), vec![vec3(5.0, 5.0, 5.0)]);
-        let dt = 0.002f32;
-        let f = vec3(7.0, -3.0, 1.0);
-        let mut vv = mk();
-        for _ in 0..200 {
-            vv.force[0] = f;
-            velocity_verlet_stage1(&mut vv, dt);
-            vv.force[0] = f;
-            velocity_verlet_stage2(&mut vv, dt);
-        }
-        // Analytic: x = 0.5 a t^2.
-        let t = 200.0 * dt;
-        let a = f / vv.mass[0];
-        let expect = vec3(5.0, 5.0, 5.0) + a * (0.5 * t * t);
-        assert!(
-            (vv.pos[0] - expect).norm() < 1e-3,
-            "{:?} vs {expect:?}",
-            vv.pos[0]
-        );
-    }
-
-    #[test]
-    fn velocity_verlet_conserves_energy_in_harmonic_well() {
-        // A single particle on a spring: VV is symplectic, energy drift
-        // over many periods stays tiny.
-        let top = Topology::lj_fluid(1);
-        let mut s = System::from_topology(top, PbcBox::cubic(100.0), vec![vec3(51.0, 50.0, 50.0)]);
-        let k = 1000.0f32;
-        let center = vec3(50.0, 50.0, 50.0);
-        let dt = 0.001f32;
-        let energy = |s: &System| {
-            let x = s.pos[0] - center;
-            0.5 * k as f64 * x.norm2() as f64 + s.kinetic_energy()
-        };
-        let spring = |s: &mut System| {
-            let x = s.pos[0] - center;
-            s.force[0] = -x * k;
-        };
-        spring(&mut s);
-        let e0 = energy(&s);
-        for _ in 0..5000 {
-            velocity_verlet_stage1(&mut s, dt);
-            spring(&mut s);
-            velocity_verlet_stage2(&mut s, dt);
-        }
-        let e1 = energy(&s);
-        assert!(
-            (e1 - e0).abs() / e0.abs() < 1e-3,
-            "energy drift {e0} -> {e1}"
-        );
-    }
-
-    #[test]
     fn berendsen_moves_temperature_toward_target() {
         let mut s = water_box(50, 600.0, 10);
         let dof = s.dof_unconstrained();
@@ -239,18 +142,5 @@ mod tests {
             (t1 - 300.0).abs() < (t0 - 300.0).abs() * 0.1,
             "T {t0} -> {t1}"
         );
-    }
-
-    #[test]
-    fn max_displacement_tracks_motion() {
-        let top = Topology::lj_fluid(2);
-        let mut s = System::from_topology(
-            top,
-            PbcBox::cubic(10.0),
-            vec![vec3(1.0, 1.0, 1.0), vec3(2.0, 2.0, 2.0)],
-        );
-        let reference = s.pos.clone();
-        s.pos[1].x += 0.5;
-        assert!((max_displacement(&s, &reference) - 0.5).abs() < 1e-6);
     }
 }

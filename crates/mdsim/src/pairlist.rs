@@ -112,7 +112,7 @@ impl PairList {
     /// All particle-level pairs `(i, j)` with `i < j` implied by this
     /// list, *before* any distance or exclusion filtering. Used by tests
     /// to verify completeness against brute force.
-    pub fn implied_particle_pairs(&self) -> Vec<(u32, u32)> {
+    fn implied_particle_pairs(&self) -> Vec<(u32, u32)> {
         let mut out = Vec::new();
         for ci in 0..self.n_clusters() {
             for &cj in self.neighbors_of(ci) {
@@ -189,14 +189,6 @@ pub fn clusters_in_range(
     false
 }
 
-/// Average neighbors per cluster; a load-balance indicator.
-pub fn mean_neighbors(list: &PairList) -> f64 {
-    if list.n_clusters() == 0 {
-        return 0.0;
-    }
-    list.n_pairs() as f64 / list.n_clusters() as f64
-}
-
 /// Check that `CLUSTER_SIZE` matches the paper's particle-package width.
 pub const _ASSERT_CLUSTER4: () = assert!(CLUSTER_SIZE == 4);
 
@@ -266,7 +258,8 @@ mod tests {
         // systems must be well above the cutoff for this to hold.
         let a = PairList::build(&water_box(400, 300.0, 1), 0.9, ListKind::Half);
         let b = PairList::build(&water_box(1600, 300.0, 1), 0.9, ListKind::Half);
-        let (ma, mb) = (mean_neighbors(&a), mean_neighbors(&b));
+        let mean = |l: &PairList| l.n_pairs() as f64 / l.n_clusters() as f64;
+        let (ma, mb) = (mean(&a), mean(&b));
         assert!((ma - mb).abs() / mb < 0.5, "ma={ma:.1} mb={mb:.1}");
     }
 }

@@ -71,7 +71,7 @@ impl Pme {
     }
 
     /// Reciprocal-space energy; forces accumulate into `sys.force`.
-    pub fn recip_energy(&self, sys: &mut System) -> f64 {
+    fn recip_energy(&self, sys: &mut System) -> f64 {
         let dims = self.params.grid;
         let l = sys.pbc.lengths();
         let volume = sys.pbc.volume();

@@ -170,7 +170,7 @@ impl System {
     }
 
     /// Remove center-of-mass velocity.
-    pub fn remove_com_velocity(&mut self) {
+    fn remove_com_velocity(&mut self) {
         let p = self.momentum();
         let m_total: f32 = self.mass.iter().sum();
         if m_total == 0.0 {

@@ -17,11 +17,6 @@ pub fn pressure(sys: &System, en: &NbEnergies) -> f64 {
     (2.0 * sys.kinetic_energy() + en.virial) / (3.0 * sys.pbc.volume())
 }
 
-/// Instantaneous pressure in bar.
-pub fn pressure_bar(sys: &System, en: &NbEnergies) -> f64 {
-    pressure(sys, en) * PRESSURE_TO_BAR
-}
-
 /// Ideal-gas pressure `rho k_B T` at the system's current kinetic
 /// temperature, in kJ mol^-1 nm^-3 — the no-interaction reference.
 pub fn ideal_gas_pressure(sys: &System, dof: usize) -> f64 {
@@ -84,7 +79,7 @@ mod tests {
         };
         let en = compute_forces_brute(&mut sys, &params);
         assert!(en.virial > 0.0, "virial {}", en.virial);
-        assert!(pressure_bar(&sys, &en) > 100.0);
+        assert!(pressure(&sys, &en) * PRESSURE_TO_BAR > 100.0);
     }
 
     #[test]

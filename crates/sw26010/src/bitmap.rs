@@ -73,11 +73,6 @@ impl BitMap {
         self.words[i >> 6] &= !(1u64 << (i & 63));
     }
 
-    /// Clear all bits.
-    pub fn clear_all(&mut self) {
-        self.words.fill(0);
-    }
-
     /// Number of set bits.
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -134,17 +129,6 @@ mod tests {
         }
         let ones: Vec<_> = b.iter_ones().collect();
         assert_eq!(ones, vec![3, 64, 65, 199]);
-    }
-
-    #[test]
-    fn clear_all_resets() {
-        let mut b = BitMap::new(100);
-        for i in 0..100 {
-            b.set(i);
-        }
-        assert_eq!(b.count_ones(), 100);
-        b.clear_all();
-        assert_eq!(b.count_ones(), 0);
     }
 
     #[test]

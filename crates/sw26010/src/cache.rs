@@ -56,20 +56,6 @@ impl CacheStats {
             Some(self.misses as f64 / total as f64)
         }
     }
-
-    /// Set index with the most evictions, if any eviction happened.
-    pub fn hottest_set(&self) -> Option<usize> {
-        let (set, &n) = self
-            .per_set_evictions
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &n)| n)?;
-        if n == 0 {
-            None
-        } else {
-            Some(set)
-        }
-    }
 }
 
 /// Why a cache geometry (or a cache built from one) was rejected.
@@ -208,13 +194,13 @@ impl CacheGeometry {
     /// First element index of the backing line containing `idx`
     /// (Alg. 3 `Cache_Begin = I >> m` in element terms).
     #[inline]
-    pub fn line_base(&self, idx: usize) -> usize {
+    fn line_base(&self, idx: usize) -> usize {
         (idx >> self.m()) << self.m()
     }
 
     /// Backing-line number containing element `idx`.
     #[inline]
-    pub fn line_number(&self, idx: usize) -> usize {
+    fn line_number(&self, idx: usize) -> usize {
         idx >> self.m()
     }
 
@@ -875,7 +861,6 @@ mod tests {
         assert_eq!(s.evictions, 9, "all fills but the first evict");
         assert_eq!(s.per_set_evictions[0], 9);
         assert!(s.per_set_evictions[1..].iter().all(|&n| n == 0));
-        assert_eq!(s.hottest_set(), Some(0));
 
         // Write-cache conflicts: each eviction is also a writeback, and
         // the final flush writes back without evicting.

@@ -20,7 +20,7 @@
 //! lane order after the join.
 
 use crate::ldm::Ldm;
-use crate::params::{CPES_PER_CG, CPE_MESH_DIM, REG_COMM_CYCLES, SPAWN_JOIN_CYCLES};
+use crate::params::{CPES_PER_CG, CPE_MESH_DIM, SPAWN_JOIN_CYCLES};
 use crate::perf::PerfCounters;
 use crate::pool::LanePool;
 
@@ -52,11 +52,6 @@ impl CpeCtx {
     /// Column index of this CPE in the 8x8 mesh.
     pub fn col(&self) -> usize {
         self.id % CPE_MESH_DIM
-    }
-
-    /// Account one hop of register communication to a row/column neighbor.
-    pub fn reg_comm(&mut self, hops: u64) {
-        self.perf.cycles += hops * REG_COMM_CYCLES;
     }
 }
 
@@ -276,7 +271,7 @@ mod tests {
         let kernel = |ctx: &mut CpeCtx| {
             crate::simd::meter::scalar_flops(&mut ctx.perf, (ctx.id as u64 * 37) % 11 * 100 + 5);
             ctx.perf.dma_bytes += 64 * (ctx.id as u64 + 1);
-            ctx.reg_comm(ctx.col() as u64);
+            ctx.perf.cycles += 11 * ctx.col() as u64;
             (ctx.id, ctx.row())
         };
         let on = |n_cpes: usize, threads: usize| CoreGroup {

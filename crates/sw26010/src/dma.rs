@@ -69,7 +69,7 @@ impl DmaEngine {
 
     /// Cycles for a single transfer, with explicit alignment. Misaligned
     /// transfers pay [`MISALIGN_PENALTY`] on the streaming portion (§3.7).
-    pub fn transfer_cycles_aligned(size: usize, aligned: bool) -> u64 {
+    fn transfer_cycles_aligned(size: usize, aligned: bool) -> u64 {
         if size == 0 {
             return 0;
         }

@@ -16,7 +16,7 @@ use crate::perf::PerfCounters;
 /// the access pattern of pointer-chasing through non-contiguous particle
 /// arrays (paper Algorithm 1 commentary).
 pub fn gld_dependent(perf: &mut PerfCounters, n: u64) {
-    gld_bytes_at(perf, n, n * GLD_WORD_BYTES, n * GLD_GST_LATENCY_CYCLES);
+    gld_at(perf, n, n * GLD_GST_LATENCY_CYCLES);
 }
 
 /// Issue `n` independent global loads/stores that the hardware can
@@ -25,19 +25,14 @@ pub fn gld_dependent(perf: &mut PerfCounters, n: u64) {
 pub fn gld_pipelined(perf: &mut PerfCounters, n: u64) {
     const OVERLAP: u64 = 4;
     let cycles = n.div_ceil(OVERLAP) * GLD_GST_LATENCY_CYCLES;
-    gld_bytes_at(perf, n, n * GLD_WORD_BYTES, cycles);
-}
-
-/// Cost of loading `bytes` of non-contiguous data one word at a time.
-pub fn gld_bytes_dependent(perf: &mut PerfCounters, bytes: u64) {
-    let n = bytes.div_ceil(GLD_WORD_BYTES);
-    gld_bytes_at(perf, n, bytes, n * GLD_GST_LATENCY_CYCLES);
+    gld_at(perf, n, cycles);
 }
 
 /// Bytes one gld/gst word access moves.
 pub const GLD_WORD_BYTES: u64 = 8;
 
-fn gld_bytes_at(perf: &mut PerfCounters, n: u64, bytes: u64, cycles: u64) {
+fn gld_at(perf: &mut PerfCounters, n: u64, cycles: u64) {
+    let bytes = n * GLD_WORD_BYTES;
     perf.cycles += cycles;
     perf.gld_cycles += cycles;
     perf.gld_ops += n;
@@ -69,12 +64,5 @@ mod tests {
         gld_pipelined(&mut b, 16);
         assert!(b.cycles < a.cycles);
         assert_eq!(a.gld_ops, b.gld_ops);
-    }
-
-    #[test]
-    fn bytes_rounds_up_to_words() {
-        let mut p = PerfCounters::new();
-        gld_bytes_dependent(&mut p, 9);
-        assert_eq!(p.gld_ops, 2);
     }
 }

@@ -30,11 +30,6 @@ pub fn transfer(perf: &mut PerfCounters, bytes: usize) {
     perf.dma_transactions += 1;
 }
 
-/// True if two CG ranks live on the same chip (4 CGs per chip).
-pub fn same_chip(cg_a: usize, cg_b: usize) -> bool {
-    cg_a / params::CGS_PER_CHIP == cg_b / params::CGS_PER_CHIP
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,12 +47,5 @@ mod tests {
         let c = transfer_cycles(mb);
         let expected_ns = mb as f64 / NOC_BANDWIDTH_GBS;
         assert!((params::cycles_to_ns(c) - expected_ns) / expected_ns < 0.01);
-    }
-
-    #[test]
-    fn chip_locality() {
-        assert!(same_chip(0, 3));
-        assert!(!same_chip(3, 4));
-        assert!(same_chip(8, 11));
     }
 }

@@ -34,7 +34,7 @@ use swcheck::lint::ldm_report;
 use swcheck::schedule::{certify, CertifyOptions};
 use swcheck::srclint::{lint_workspace, workspace_root};
 use swcheck::{check_events, error_count, fixtures, DualAccess, Severity, Violation};
-use swgmx::backend::BackendSel;
+use swgmx::backend::{BackendSel, MIN_SCHEDULES};
 use swgmx::check::{run_traced, run_traced_step, Variant, STEP_MIN_MOL};
 
 fn main() -> ExitCode {
@@ -279,7 +279,12 @@ fn cmd_certify(args: &[String], json: bool) -> ExitCode {
     }
 
     let report = certify(&opts);
-    let certified = report.certificate.is_some();
+    // The bar is enforced here, where certificates are minted: a clean
+    // report over too few schedules certifies nothing.
+    let certified = report
+        .certificate
+        .as_ref()
+        .is_some_and(|c| c.covers_all_variants(MIN_SCHEDULES));
     if json {
         let objs: Vec<String> = report
             .outcomes
@@ -305,10 +310,12 @@ fn cmd_certify(args: &[String], json: bool) -> ExitCode {
         );
     } else {
         for o in &report.outcomes {
-            let verdict = if o.problems.is_empty() {
+            let verdict = if !o.problems.is_empty() {
+                "FAIL"
+            } else if o.replayed >= MIN_SCHEDULES {
                 "CERTIFIED"
             } else {
-                "FAIL"
+                "UNDER-EXPLORED"
             };
             println!(
                 "{:<9} checksum {:#018x}  {:>4} schedules ({} unique) over {} events  {}",
@@ -329,6 +336,11 @@ fn cmd_certify(args: &[String], json: bool) -> ExitCode {
                 opts.backend.backend_name(),
                 report.outcomes.len(),
                 opts.seeds.len(),
+                opts.schedules
+            );
+        } else if report.certificate.is_some() {
+            eprintln!(
+                "swcheck: certification FAILED: {} schedules per variant, the bar is {MIN_SCHEDULES}",
                 opts.schedules
             );
         } else {

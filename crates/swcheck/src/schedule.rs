@@ -14,13 +14,12 @@
 //! persistent-set pruning of classic DPOR, approximated by seeded
 //! sampling instead of exhaustive search.
 //!
-//! [`certify`] packages the loop into the gate the future native
-//! backend must pass: for every kernel variant × seed, the run is
-//! re-executed for bit-equal physics checksums, checked clean, and its
-//! trace replayed under at least
-//! [`MIN_SCHEDULES`](swgmx::backend::MIN_SCHEDULES) interleavings. An
-//! all-clean report mints the [`Certificate`](swgmx::backend::Certificate)
-//! that [`Certified::admit`](swgmx::backend::Certified::admit) demands.
+//! [`certify`] packages the loop into the gate both backends pass in
+//! CI: for every kernel variant × seed, the run is re-executed for
+//! bit-equal physics checksums, checked clean, and its trace replayed
+//! under [`CertifyOptions::schedules`] interleavings. An all-clean
+//! report mints a [`Certificate`]; the `swcheck certify` CLI accepts it
+//! only if it covers every variant with at least [`MIN_SCHEDULES`].
 
 use std::collections::BTreeMap;
 

@@ -123,7 +123,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// Lint one file's text. Exposed so tests can feed synthetic sources.
-pub fn lint_source(file: &str, text: &str) -> Vec<SrcFinding> {
+fn lint_source(file: &str, text: &str) -> Vec<SrcFinding> {
     let lines: Vec<&str> = text.lines().collect();
     // Everything from the first `#[cfg(test)]` on is test code: the
     // workspace convention keeps test modules at the end of the file.

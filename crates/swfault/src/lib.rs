@@ -324,11 +324,6 @@ impl FaultPlan {
         self.scripted.push(OneShot { site, lane, seq });
         self
     }
-
-    /// Whether the plan can never inject anything.
-    pub fn is_noop(&self) -> bool {
-        self.scripted.is_empty() && Site::ALL.iter().all(|&s| self.rate(s) <= 0.0)
-    }
 }
 
 /// One injected fault, as recorded in the log.
@@ -523,7 +518,6 @@ mod tests {
     fn disabled_never_fires_and_costs_one_branch() {
         assert!(!enabled(), "no scope is installed on this thread");
         let plan = FaultPlan::default();
-        assert!(plan.is_noop());
         let scope = install(plan);
         for site in Site::ALL {
             assert_eq!(decide(site), None);

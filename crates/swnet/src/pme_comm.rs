@@ -13,7 +13,7 @@ use crate::{alltoall_ns, Topology};
 
 /// Bytes of complex grid data owned by each rank (`K^3 / R` points of
 /// 16 B).
-pub fn grid_bytes_per_rank(grid: usize, n_ranks: usize) -> usize {
+fn grid_bytes_per_rank(grid: usize, n_ranks: usize) -> usize {
     (grid * grid * grid * 16).div_ceil(n_ranks.max(1))
 }
 
@@ -69,30 +69,6 @@ pub fn traced_pme_fft_comm_ns(
     ns
 }
 
-/// The rank count at which PME communication exceeds a given per-rank
-/// mesh compute time (ns) — the classic "separate PME ranks" crossover
-/// GROMACS tunes around. Returns `None` if it never crosses within
-/// `max_ranks`.
-pub fn comm_bound_crossover(
-    params: &NetParams,
-    transport: Transport,
-    grid: usize,
-    mesh_compute_ns_at_4: f64,
-    max_ranks: usize,
-) -> Option<usize> {
-    let mut ranks = 4usize;
-    while ranks <= max_ranks {
-        let topo = Topology::new(ranks);
-        // Compute shrinks ~linearly with ranks; communication grows.
-        let compute = mesh_compute_ns_at_4 * 4.0 / ranks as f64;
-        if pme_fft_comm_ns(params, &topo, transport, grid) > compute {
-            return Some(ranks);
-        }
-        ranks *= 2;
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,16 +109,5 @@ mod tests {
         let mpi = pme_fft_comm_ns(&p, &topo, Transport::Mpi, 64);
         let rdma = pme_fft_comm_ns(&p, &topo, Transport::Rdma, 64);
         assert!(rdma * 2.0 < mpi, "mpi {mpi} vs rdma {rdma}");
-    }
-
-    #[test]
-    fn crossover_exists_for_small_grids() {
-        // A 64^3 mesh: compute per rank falls fast, the all-to-all grows;
-        // the crossover should appear well before 4096 ranks.
-        let p = NetParams::taihulight();
-        let crossover = comm_bound_crossover(&p, Transport::Rdma, 64, 5_000_000.0, 4096).expect(
-            "no comm-bound crossover for 64^3 grid, 5e6 ns compute, RDMA, up to 4096 ranks",
-        );
-        assert!(crossover <= 4096, "crossover at {crossover}");
     }
 }

@@ -68,11 +68,6 @@ impl SeqChannel {
         }
     }
 
-    /// Trace id of this channel in the `sw26010::trace` stream.
-    pub fn chan_id(&self) -> u64 {
-        self.chan_id
-    }
-
     /// Receiver-side check for one arriving copy. Fresh numbers advance
     /// the high-water mark; older numbers are duplicates.
     pub fn accept(&mut self, seq: u64) -> Delivery {
@@ -274,7 +269,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        let expect: Vec<_> = (0..4).map(|s| (ch.chan_id(), s)).collect();
+        let expect: Vec<_> = (0..4).map(|s| (ch.chan_id, s)).collect();
         assert_eq!(sends, expect);
         assert_eq!(recvs, expect, "one recv per logical message, not per copy");
     }

@@ -125,12 +125,6 @@ pub fn traced_message_ns(
     ns
 }
 
-/// Speedup of RDMA over MPI for a given message size/distance.
-pub fn rdma_speedup(params: &NetParams, dist: RankDistance, bytes: usize) -> f64 {
-    message_ns(params, Transport::Mpi, dist, bytes)
-        / message_ns(params, Transport::Rdma, dist, bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,8 +151,11 @@ mod tests {
         // §3.6 motivation: high-frequency small messages suffer most from
         // per-message software overhead.
         let p = NetParams::taihulight();
-        let small = rdma_speedup(&p, RankDistance::SameSupernode, 64);
-        let large = rdma_speedup(&p, RankDistance::SameSupernode, 16 << 20);
+        let speedup = |bytes| {
+            let ns = |transport| message_ns(&p, transport, RankDistance::SameSupernode, bytes);
+            ns(Transport::Mpi) / ns(Transport::Rdma)
+        };
+        let (small, large) = (speedup(64), speedup(16 << 20));
         assert!(small > large, "small {small:.2}x vs large {large:.2}x");
         assert!(small > 1.5);
     }

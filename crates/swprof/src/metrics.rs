@@ -46,20 +46,10 @@ impl Default for Histogram {
 
 impl Histogram {
     /// Bucket index for a value.
-    pub fn bucket_of(v: u64) -> usize {
+    fn bucket_of(v: u64) -> usize {
         match v {
             0 => 0,
             v => ((v.ilog2() as usize) + 1).min(HIST_BUCKETS - 1),
-        }
-    }
-
-    /// Inclusive-exclusive value range `[lo, hi)` of bucket `i`
-    /// (`hi = u64::MAX` for the overflow bucket).
-    pub fn bucket_range(i: usize) -> (u64, u64) {
-        match i {
-            0 => (0, 1),
-            i if i < HIST_BUCKETS - 1 => (1 << (i - 1), 1 << i),
-            _ => (1 << (HIST_BUCKETS - 2), u64::MAX),
         }
     }
 
@@ -84,7 +74,7 @@ impl Histogram {
 pub enum Metric {
     /// Monotonically accumulating sum.
     Counter(u64),
-    /// Last-set / maximum value (see [`gauge_set`] / [`gauge_max`]).
+    /// High-water mark (see [`gauge_max`]).
     Gauge(u64),
     /// Log2-bucketed distribution (boxed: the bucket array dwarfs the
     /// scalar variants).
@@ -174,12 +164,6 @@ pub fn counter_add(name: &'static str, v: u64) {
     );
 }
 
-/// Set gauge `name` to `v` (last write wins).
-#[inline]
-pub fn gauge_set(name: &'static str, v: u64) {
-    update(name, || Metric::Gauge(0), |m| *m = Metric::Gauge(v));
-}
-
 /// Raise gauge `name` to `v` if larger (high-water marks).
 #[inline]
 pub fn gauge_max(name: &'static str, v: u64) {
@@ -242,15 +226,12 @@ mod tests {
         counter_add("dma.bytes", 28);
         gauge_max("ldm.high_water", 10);
         gauge_max("ldm.high_water", 4);
-        gauge_set("last", 1);
-        gauge_set("last", 7);
         for v in [0u64, 1, 2, 3, 4, 1000] {
             histogram_record("sizes", v);
         }
         let snap = s.finish().metrics;
         assert_eq!(get(&snap, "dma.bytes").unwrap().value(), 128);
         assert_eq!(get(&snap, "ldm.high_water").unwrap().value(), 10);
-        assert_eq!(get(&snap, "last").unwrap().value(), 7);
         let Metric::Histogram(h) = get(&snap, "sizes").unwrap() else {
             panic!("not a histogram");
         };
@@ -261,15 +242,6 @@ mod tests {
         assert_eq!(h.buckets[2], 2); // 2, 3
         assert_eq!(h.buckets[3], 1); // 4
         assert_eq!(h.buckets[Histogram::bucket_of(1000)], 1);
-    }
-
-    #[test]
-    fn bucket_ranges_partition_the_axis() {
-        for v in [0u64, 1, 2, 7, 8, 255, 1 << 20, u64::MAX] {
-            let b = Histogram::bucket_of(v);
-            let (lo, hi) = Histogram::bucket_range(b);
-            assert!(v >= lo && (v < hi || hi == u64::MAX), "v={v} bucket={b}");
-        }
     }
 
     #[test]

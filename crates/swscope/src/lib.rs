@@ -142,8 +142,6 @@ pub struct Scope {
     alerts: Vec<Alert>,
     /// Burn-rate engine: active-alert hysteresis + cumulative budgets.
     engine: Engine,
-    /// Total events consumed.
-    events: u64,
     /// Rank for zero-length alert spans when tracing is active.
     alert_rank: Option<usize>,
     sealed: bool,
@@ -163,7 +161,6 @@ impl Scope {
             next_close_ns: cfg.window_ns,
             alerts: Vec::new(),
             engine: Engine::default(),
-            events: 0,
             alert_rank: None,
             sealed: false,
         }
@@ -196,7 +193,6 @@ impl Scope {
     pub fn on_event(&mut self, ev: Event) {
         assert!(!self.sealed, "scope already sealed");
         self.advance(ev.at_ns);
-        self.events += 1;
         let (start, end) = self.window_of(ev.at_ns);
         let threshold = self.cfg.slo.latency_threshold_ns;
         let ex = Exemplar {
@@ -283,11 +279,6 @@ impl Scope {
     /// window has closed for it.
     pub fn budget(&self, scope: AlertScope, sli: SliKind) -> Option<slo::Budget> {
         self.engine.budget(scope, sli, &self.cfg.slo)
-    }
-
-    /// Total events consumed.
-    pub fn events_seen(&self) -> u64 {
-        self.events
     }
 
     fn window_of(&self, at_ns: u64) -> (u64, u64) {

@@ -165,11 +165,6 @@ impl QSketch {
         }
         self.max
     }
-
-    /// Number of occupied buckets (memory footprint proxy).
-    pub fn n_buckets(&self) -> usize {
-        self.buckets.len()
-    }
 }
 
 #[cfg(test)]

@@ -34,15 +34,6 @@ impl Default for AdmissionConfig {
     }
 }
 
-/// Why a submission was not admitted outright.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backpressure {
-    /// The tenant is at its in-flight quota.
-    OverQuota,
-    /// The queue is full and nothing lower-priority could be shed.
-    QueueFull,
-}
-
 /// Tracks per-tenant in-flight counts against the configured quotas.
 #[derive(Debug)]
 pub struct AdmissionController {

@@ -17,9 +17,9 @@
 //!
 //! `--bench` writes `BENCH_swscope.json` (into `$BENCH_OUT_DIR` or
 //! `results/`) with alert counts, remaining error budgets, and
-//! sketch-vs-exact percentile deltas. Its `wall_ns` is pinned to 0 —
-//! every field is a pure function of the seed, so the sidecar itself
-//! is byte-deterministic and the committed baseline holds exactly.
+//! sketch-vs-exact percentile deltas. Every field is a pure function
+//! of the seed, so the sidecar itself is byte-deterministic and the
+//! committed baseline holds exactly.
 //!
 //! `--trace` wraps the run in a swtel session and writes the merged
 //! Chrome timeline; alert spans (`swscope.alert.*`) land on the
@@ -122,22 +122,6 @@ fn quiet_injected_panics() {
     }));
 }
 
-/// Write the gateable sidecar built by [`loadgen::scope_bench`].
-/// `wall_ns` is pinned to 0 so the file is byte-deterministic.
-fn write_bench(
-    scope: &swscope::Scope,
-    slo: &loadgen::SloReport,
-    chaos: bool,
-) -> std::io::Result<PathBuf> {
-    let b = loadgen::scope_bench(scope, slo, chaos);
-    let dir = std::env::var("BENCH_OUT_DIR").unwrap_or_else(|_| "results".to_string());
-    let dir = std::path::Path::new(&dir);
-    std::fs::create_dir_all(dir)?;
-    let path = dir.join("BENCH_swscope.json");
-    std::fs::write(&path, b.render(0))?;
-    Ok(path)
-}
-
 fn main() -> ExitCode {
     let args = match parse(std::env::args()) {
         Ok(a) => a,
@@ -202,13 +186,7 @@ fn main() -> ExitCode {
         println!("[dash] wrote {}", path.display());
     }
     if args.bench {
-        match write_bench(&scope, &result.slo, args.chaos) {
-            Ok(path) => println!("[bench-json] wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("bench sidecar write failed: {e}");
-                return ExitCode::from(1);
-            }
-        }
+        loadgen::scope_bench(&scope, &result.slo, args.chaos).write();
     }
     ExitCode::SUCCESS
 }

@@ -4,8 +4,7 @@
 //! Every quantity in the [`SloReport`] — latency percentiles included
 //! — is derived from virtual time, so the report is a pure function of
 //! `(plan, chaos seed)` and can be committed as a `BENCH_swserve.json`
-//! baseline and held exactly by `swtel gate`. Host wall time appears
-//! only in the sidecar's `wall_ns` observability field.
+//! baseline and held exactly by `swtel gate`.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -65,8 +64,8 @@ impl LoadPlan {
 /// checkpoint I/O faults, step aborts, and (rarely) kernel-lane
 /// panics. `kernel_fault` stays 0 — degradation to the `Ori` kernel
 /// changes FP summation order, which would break the bit-identity
-/// acceptance criterion by design rather than by bug.
-pub fn chaos_plan(seed: u64) -> FaultPlan {
+/// acceptance test by design rather than by bug.
+fn chaos_plan(seed: u64) -> FaultPlan {
     FaultPlan {
         rank_kill: 0.02,
         sched_job_drop: 0.05,
@@ -274,10 +273,8 @@ impl SloReport {
         )
     }
 
-    /// Fill the gateable sidecar: every metric except `wall_ns` is a
-    /// pure function of the plan, so the committed baseline holds
-    /// exactly. `b` should be created *before* the load run so its
-    /// wall clock covers the work, not just this bookkeeping.
+    /// Fill the gateable sidecar: every metric is a pure function of
+    /// the plan, so the committed baseline holds exactly.
     pub fn fill_bench(&self, b: &mut bench::BenchJson, chaos: bool) {
         let s = &self.stats;
         b.config_num("jobs", self.n_jobs as f64)
@@ -305,10 +302,9 @@ impl SloReport {
 /// Build the gateable `swscope` sidecar: alert counts, remaining
 /// fleet error budgets, and the sketch-vs-exact percentile deltas
 /// that prove the error bound held on this run. Every field is a
-/// pure function of the seed, so rendering with a pinned `wall_ns`
-/// (`b.render(0)`) is byte-deterministic — the CLI (`swscope replay
-/// --bench`) and the acceptance test share this builder so their
-/// sidecars agree byte-for-byte.
+/// pure function of the seed; the CLI (`swscope replay --bench`) and
+/// the acceptance test share this builder so their sidecars agree
+/// byte-for-byte.
 pub fn scope_bench(scope: &swscope::Scope, slo: &SloReport, chaos: bool) -> bench::BenchJson {
     use swscope::slo::{AlertKind, AlertScope, SliKind};
     let mut b = bench::BenchJson::new("swscope");

@@ -141,8 +141,6 @@ fn main() -> ExitCode {
 
     let run_dir = args.store.join(format!("run-{}", args.seed));
     let _ = std::fs::remove_dir_all(&run_dir);
-    // Created before the run so the sidecar's wall clock covers it.
-    let mut sidecar = bench::BenchJson::new("swserve");
     let session = args
         .trace
         .as_ref()
@@ -190,6 +188,7 @@ fn main() -> ExitCode {
         }
         println!("[slo] wrote {}", path.display());
     }
+    let mut sidecar = bench::BenchJson::new("swserve");
     result.slo.fill_bench(&mut sidecar, args.chaos);
     sidecar.write();
 

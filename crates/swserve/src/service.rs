@@ -422,13 +422,6 @@ impl Service {
         self.now
     }
 
-    /// Whether every registered job reached a terminal phase.
-    pub fn all_terminal(&self) -> bool {
-        self.jobs
-            .values()
-            .all(|j| matches!(j.phase, JobPhase::Done(_) | JobPhase::Shed))
-    }
-
     fn schedule(&mut self, ns: u64, ev: Ev) {
         let seq = self.next_event_seq;
         self.next_event_seq += 1;
@@ -918,6 +911,13 @@ mod tests {
         dir
     }
 
+    /// Whether every registered job reached a terminal phase.
+    fn all_terminal(svc: &Service) -> bool {
+        svc.jobs()
+            .values()
+            .all(|j| matches!(j.phase, JobPhase::Done(_) | JobPhase::Shed))
+    }
+
     fn latencies(svc: &Service) -> Vec<(u64, u64)> {
         let mut out: Vec<(u64, u64)> = svc
             .jobs()
@@ -943,7 +943,7 @@ mod tests {
             svc.submit_at(i * 30_000, spec(1000 + i, 20, p, (i % 2) as u32));
         }
         svc.run_to_completion().unwrap();
-        assert!(svc.all_terminal());
+        assert!(all_terminal(&svc));
         let out = (svc.stats().clone(), latencies(&svc));
         let _ = std::fs::remove_dir_all(&dir);
         out
@@ -1018,7 +1018,7 @@ mod tests {
         assert_eq!(stats.job_drops, 1);
         assert_eq!(stats.requeues, 1, "reconcile restored the lost job");
         assert_eq!(stats.completed, 1);
-        assert!(svc.all_terminal());
+        assert!(all_terminal(&svc));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1069,7 +1069,7 @@ mod tests {
         assert_eq!(stats.completed, 2);
         assert!(matches!(svc.jobs()[&1].phase, JobPhase::Shed));
         assert!(matches!(svc.jobs()[&2].phase, JobPhase::Done(_)));
-        assert!(svc.all_terminal());
+        assert!(all_terminal(&svc));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

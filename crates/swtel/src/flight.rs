@@ -8,8 +8,8 @@
 //! nothing simulated reads it (per-owner rings belong to the roadmap's
 //! telemetry-pipeline item). Cost per record is one mutex lock and a
 //! few word stores into a const-initialized array of `Copy` structs
-//! (`&'static str` labels, no allocation ever); the criterion guard in
-//! `bench/benches/swtel_overhead.rs` bounds it.
+//! (`&'static str` labels, no allocation ever); `tests/overhead.rs`
+//! bounds it at a microsecond.
 //!
 //! Producers:
 //! - `swfault::decide` — every fired fault decision (`kind: "fault"`)
@@ -89,6 +89,13 @@ pub fn recorded() -> u64 {
 
 /// The surviving events, oldest first.
 pub fn snapshot() -> Vec<FlightEvent> {
+    snapshot_with_count().0
+}
+
+/// The surviving events and the total ever recorded, read under one
+/// lock so the count is the last event's `seq + 1` whoever else is
+/// recording.
+fn snapshot_with_count() -> (Vec<FlightEvent>, u64) {
     let ring = RING.lock().unwrap_or_else(|e| e.into_inner());
     let n = ring.recorded.min(CAPACITY as u64);
     let mut out = Vec::with_capacity(n as usize);
@@ -96,7 +103,7 @@ pub fn snapshot() -> Vec<FlightEvent> {
         let seq = ring.recorded - n + i;
         out.push(ring.events[(seq % CAPACITY as u64) as usize]);
     }
-    out
+    (out, ring.recorded)
 }
 
 /// Clear the ring (tests only — a real black box never forgets).
@@ -107,13 +114,13 @@ pub fn reset() {
 }
 
 /// Serialize the current ring as a self-contained JSON document.
-pub fn dump_json() -> String {
-    let events = snapshot();
+fn dump_json() -> String {
+    let (events, recorded) = snapshot_with_count();
     let mut out = String::with_capacity(64 + events.len() * 80);
     out.push_str("{\"capacity\":");
     out.push_str(&CAPACITY.to_string());
     out.push_str(",\"recorded\":");
-    out.push_str(&recorded().to_string());
+    out.push_str(&recorded.to_string());
     out.push_str(",\"events\":[");
     for (i, ev) in events.iter().enumerate() {
         if i > 0 {
@@ -186,5 +193,39 @@ mod tests {
             events[1].get("kind").and_then(|v| v.as_str()),
             Some("store")
         );
+    }
+
+    #[test]
+    fn a_dump_taken_while_others_record_is_not_torn() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
+
+        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let stop = AtomicBool::new(false);
+        let started = Barrier::new(3);
+        // Dumps are judged after the recorders are told to stop: a
+        // panic inside the scope would wait for them forever.
+        let dumps: Vec<String> = std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    record("stage", "force", 0, 0);
+                    started.wait();
+                    while !stop.load(Ordering::Relaxed) {
+                        record("stage", "force", 0, 0);
+                    }
+                });
+            }
+            started.wait();
+            let dumps = (0..500).map(|_| dump_json()).collect();
+            stop.store(true, Ordering::Relaxed);
+            dumps
+        });
+        for dump in dumps {
+            let parsed = json::parse(&dump).expect("dump parses");
+            let recorded = parsed.get("recorded").and_then(|v| v.as_num()).unwrap();
+            let events = parsed.get("events").and_then(|v| v.as_arr()).unwrap();
+            let last = events.last().unwrap().get("seq").unwrap();
+            assert_eq!(recorded, last.as_num().unwrap() + 1.0);
+        }
     }
 }

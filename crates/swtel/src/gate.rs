@@ -46,14 +46,12 @@ impl Direction {
 }
 
 /// Classify a metric name by its dotted/underscored tokens.
-pub fn direction_for(metric: &str) -> Direction {
+fn direction_for(metric: &str) -> Direction {
     let lower = metric.to_ascii_lowercase();
-    // Whole-name rules first: `ns_per_day` and `steps_per_s` are rates
-    // (higher is better) even though their tokens contain the
-    // lower-better time units `ns`/`s`. A dotted label after the name
+    // One whole-name rule: `steps_per_s` is a rate (higher is better)
+    // though none of its tokens says so. A dotted label after the name
     // (`steps_per_s.metered`) does not change what is measured.
-    let name = lower.split('.').next().unwrap_or(&lower);
-    if name == "ns_per_day" || name == "steps_per_s" {
+    if lower.split('.').next() == Some("steps_per_s") {
         return Direction::HigherBetter;
     }
     for token in lower.split(['.', '_', '/', '-']) {
@@ -90,7 +88,7 @@ impl Default for Tolerances {
 
 impl Tolerances {
     /// The tolerance applying to `metric`.
-    pub fn for_metric(&self, metric: &str) -> f64 {
+    fn for_metric(&self, metric: &str) -> f64 {
         self.rules
             .iter()
             .filter(|(sub, _)| metric.contains(sub.as_str()))
@@ -170,7 +168,7 @@ impl GateReport {
 
     /// Count of failing checks (missing sidecars, either side, count
     /// once each).
-    pub fn regressions(&self) -> usize {
+    fn regressions(&self) -> usize {
         self.files
             .iter()
             .map(|f| {
@@ -276,11 +274,9 @@ impl GateReport {
     }
 }
 
-/// Sidecar fields that live beside `metrics` at the top level yet gate
-/// like ordinary metrics. `wall_cycles` is the simulated total; the
-/// other three are the host wall-clock observables.
-pub(crate) const TOP_LEVEL_METRICS: [&str; 4] =
-    ["wall_cycles", "wall_ns", "steps_per_s", "ns_per_day"];
+/// The one sidecar field that lives beside `metrics` at the top level
+/// yet gates like an ordinary metric: the simulated total.
+const WALL_CYCLES: &str = "wall_cycles";
 
 pub(crate) fn metrics_of(doc: &Value) -> Vec<(String, f64)> {
     let mut out = Vec::new();
@@ -291,16 +287,14 @@ pub(crate) fn metrics_of(doc: &Value) -> Vec<(String, f64)> {
             }
         }
     }
-    for name in TOP_LEVEL_METRICS {
-        if let Some(n) = doc.get(name).and_then(|v| v.as_num()) {
-            out.push((name.to_string(), n));
-        }
+    if let Some(n) = doc.get(WALL_CYCLES).and_then(|v| v.as_num()) {
+        out.push((WALL_CYCLES.to_string(), n));
     }
     out
 }
 
 pub(crate) fn lookup(doc: &Value, metric: &str) -> Option<f64> {
-    if TOP_LEVEL_METRICS.contains(&metric) {
+    if metric == WALL_CYCLES {
         doc.get(metric).and_then(|v| v.as_num())
     } else {
         doc.get("metrics")
@@ -438,6 +432,25 @@ mod tests {
     }
 
     #[test]
+    fn wall_cycles_is_the_only_top_level_field_gated() {
+        // Host time is not the sidecar's to report: a document written
+        // before the wall fields left the schema pairs with one written
+        // after, whichever side is the baseline, and nothing is checked
+        // but `metrics` and `wall_cycles`.
+        let tol = Tolerances::default();
+        let with_wall = BASE.replace(
+            "\"wall_cycles\":1000000",
+            "\"wall_cycles\":1000000,\"wall_ns\":5,\"steps_per_s\":2.0,\"ns_per_day\":9.0",
+        );
+        for (base, fresh) in [(BASE, with_wall.as_str()), (with_wall.as_str(), BASE)] {
+            let rep = compare_docs("BENCH_demo.json", base, fresh, &tol).unwrap();
+            assert!(rep.checks.iter().all(|c| !c.regression));
+            assert_eq!(rep.checks.len(), 4);
+            assert_eq!(rep.checks[3].metric, "wall_cycles");
+        }
+    }
+
+    #[test]
     fn direction_rules_cut_both_ways() {
         let tol = Tolerances::default();
         // Slower wall clock + lower speedup: both must fail.
@@ -545,7 +558,6 @@ mod tests {
         assert_eq!(direction_for("speedup.mark.3000"), Direction::HigherBetter);
         assert_eq!(direction_for("wall_cycles"), Direction::LowerBetter);
         assert_eq!(direction_for("halo.ns"), Direction::LowerBetter);
-        assert_eq!(direction_for("steps_per_s"), Direction::HigherBetter);
         assert_eq!(
             direction_for("steps_per_s.metered"),
             Direction::HigherBetter

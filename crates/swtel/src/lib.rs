@@ -28,10 +28,9 @@
 //! thread that opened it (`swprof::scope`, the mechanism every plane
 //! shares); everything is gated on one thread-local read ([`enabled`]).
 //! On a thread with no session the instrumentation in
-//! `swnet`/`mdsim`/`swgmx` is a handful of no-op calls, guarded by the
-//! same criterion budget as `swprof` (see
-//! `bench/benches/swtel_overhead.rs`). The flight recorder is the one
-//! part with no session — see [`flight`].
+//! `swnet`/`mdsim`/`swgmx` is a handful of no-op calls, held to the
+//! same microsecond budget as `swprof`'s (`tests/overhead.rs`). The
+//! flight recorder is the one part with no session — see [`flight`].
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
@@ -117,7 +116,7 @@ pub fn set_rank(rank: Option<usize>) {
 }
 
 /// The calling thread's rank binding, if any.
-pub fn current_rank() -> Option<usize> {
+fn current_rank() -> Option<usize> {
     CURRENT_RANK.with(|r| r.get())
 }
 
@@ -329,11 +328,6 @@ impl Span {
             span_id: 0,
             label: "",
         }
-    }
-
-    /// Whether this span is actually recording.
-    pub fn is_armed(&self) -> bool {
-        self.session.is_some()
     }
 }
 
@@ -687,7 +681,7 @@ mod tests {
         assert!(!enabled());
         assert!(send_from("m", 0, 1).is_none());
         let s = span_on(0, "x");
-        assert!(!s.is_armed());
+        assert!(s.session.is_none());
         tick_on(0, 5);
         assert_eq!(cursor(0), 0);
     }
@@ -696,7 +690,7 @@ mod tests {
     fn unclosed_span_is_reported() {
         let session = Session::begin(1);
         let s = span_on(0, "leak");
-        assert!(s.is_armed());
+        assert!(s.session.is_some());
         std::mem::forget(s);
         let tel = session.finish();
         let err = tel.check_causal().unwrap_err();
@@ -745,7 +739,7 @@ mod tests {
                 assert!(!enabled());
                 tick_on(0, 5);
                 assert!(send_from("halo.f", 0, 1).is_none());
-                assert!(!span_on(0, "step").is_armed());
+                assert!(span_on(0, "step").session.is_none());
             }
             [a.join().unwrap(), b.join().unwrap()]
         });

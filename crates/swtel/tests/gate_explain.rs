@@ -17,7 +17,7 @@ fn sidecar(force: u64, update: u64, comm: u64) -> String {
             "wall_cycles.case1.update":{update},
             "wall_cycles.case1.comm":{comm},
             "case1.pct.force":{pct}
-        }},"wall_cycles":{total},"wall_ns":1000000}}"#,
+        }},"wall_cycles":{total}}}"#,
         pct = 100.0 * force as f64 / (force + update + comm) as f64,
         total = force + update + comm,
     )

@@ -1,5 +1,5 @@
 //! Offline stand-in for the `wide` crate (the build environment has no
-//! registry access). Implements exactly the `f32x8`/`f32x4` surface the
+//! registry access). Implements exactly the `f32x8` surface the
 //! workspace uses: lanewise arithmetic, multiply-add, square root,
 //! comparisons returning all-ones/all-zeros lane masks, and bitwise
 //! blends.
@@ -39,8 +39,6 @@ macro_rules! lanewise_type {
         impl $name {
             /// All lanes zero.
             pub const ZERO: Self = Self([0.0; $n]);
-            /// All lanes one.
-            pub const ONE: Self = Self([1.0; $n]);
             /// Number of lanes.
             pub const LANES: usize = $n;
 
@@ -54,12 +52,6 @@ macro_rules! lanewise_type {
             #[inline(always)]
             pub fn to_array(self) -> [f32; $n] {
                 self.0
-            }
-
-            /// Borrow the lanes.
-            #[inline(always)]
-            pub fn as_array_ref(&self) -> &[f32; $n] {
-                &self.0
             }
 
             /// Lanewise `self * m + a`, rounded twice (a multiply, then
@@ -263,7 +255,6 @@ macro_rules! lanewise_type {
 }
 
 lanewise_type!(f32x8, 8, 32);
-lanewise_type!(f32x4, 4, 16);
 
 /// Eight `f32` lanes with one implementation per instruction set (see
 /// the crate docs). Every method is `#[inline(always)]` in every
@@ -487,16 +478,6 @@ mod tests {
         let mask = x.cmp_lt(f32x8::splat(0.5)); // true where x == 0
         let safe = mask.blend(f32x8::ZERO, bad).to_array();
         assert_eq!(safe, [1.0, 0.0, 0.5, 0.0, 1.0 / 3.0, 0.0, 0.25, 0.0]);
-    }
-
-    #[test]
-    fn reduce_add_is_pairwise() {
-        let v = f32x4::from([1e8, 1.0, -1e8, 1.0]);
-        // (1e8 + -1e8) + (1 + 1) = 2 exactly under the pairwise tree
-        // (left-to-right would lose both ones to rounding).
-        assert_eq!(v.reduce_add(), 2.0);
-        let w = f32x8::from([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
-        assert_eq!(w.reduce_add(), 36.0);
     }
 
     /// Values whose handling differs between careless implementations:

@@ -26,7 +26,7 @@ fn profiled_run(
     (session.finish(), breakdown)
 }
 
-/// The acceptance criterion of the profiler: per-stage cycle totals on
+/// The acceptance test of the profiler: per-stage cycle totals on
 /// the MPE timeline agree with the `Breakdown` (Table 1) within 1% for
 /// every engine version. By construction they agree exactly — `charge`
 /// books the same cycles into both sinks — so any drift means a span

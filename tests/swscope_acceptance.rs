@@ -85,7 +85,7 @@ fn replay(tag: &str) -> Replay {
         .collect();
     Replay {
         dash: swscope::dash::snapshot_json(&scope, u64::MAX),
-        bench: loadgen::scope_bench(&scope, &result.slo, true).render(0),
+        bench: loadgen::scope_bench(&scope, &result.slo, true).to_json(),
         chrome,
         n_alerts: scope.alerts().len(),
         fast_burns,
@@ -194,8 +194,8 @@ fn chaos_fixture_alerts_exemplars_and_replay_determinism() {
         "fast-burn alert span on the merged timeline"
     );
 
-    // (3) Byte-identical replays: dashboard JSON and the pinned
-    // BENCH_swscope.json render.
+    // (3) Byte-identical replays: dashboard JSON and the
+    // BENCH_swscope.json sidecar.
     assert_eq!(first.dash, second.dash, "dashboard JSON not byte-identical");
     assert_eq!(
         first.bench, second.bench,

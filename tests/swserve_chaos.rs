@@ -3,7 +3,7 @@
 //! drops, and store faults completes **100% of admitted jobs** with
 //! trajectories bit-identical to a fault-free reference run.
 //!
-//! This is the robustness criterion of the serving plane in one test:
+//! This is the robustness bar of the serving plane in one test:
 //! liveness (nothing wedges, nothing is lost), durability (every
 //! resume comes off the swstore chain), and determinism (recovery is
 //! bit-exact, so the SLO numbers are assertable facts).
