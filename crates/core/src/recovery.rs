@@ -325,8 +325,8 @@ mod tests {
             assert_eq!(persisted, epochs.len() as u64);
             // With the runner alive, a second look at its directory
             // finds every generation whole and no commit half done.
-            let (_, found) = Store::open(&dir, StoreOptions::default()).unwrap();
-            assert_eq!(found.valid, epochs, "after run_until({until})");
+            let (store, found) = Store::open(&dir, StoreOptions::default()).unwrap();
+            assert_eq!(store.chain(), epochs, "after run_until({until})");
             assert!(found.rejected.is_empty() && found.temps_swept == 0);
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,6 +1,7 @@
 //! Property-based tests for the SW_GROMACS core: the fast formatter
-//! against the standard library, package roundtrips, mask semantics, and
-//! kernel/reference equivalence on random configurations.
+//! against the standard library, package roundtrips, mask semantics,
+//! kernel/reference equivalence on random configurations, and the `.mdp`
+//! parser under hostile text.
 
 use mdsim::cluster::{Clustering, FILLER};
 use mdsim::nonbonded::{compute_forces_half, NbParams};
@@ -10,6 +11,7 @@ use sw26010::cg::CoreGroup;
 use swgmx::cpelist::CpePairList;
 use swgmx::fastio::format_f32_fixed;
 use swgmx::kernels::{run_rma, RmaConfig};
+use swgmx::mdp::{parse_mdp, PAPER_MDP};
 use swgmx::package::{PackageLayout, PackedSystem};
 
 proptest! {
@@ -118,5 +120,53 @@ proptest! {
             .map(|(a, b)| (*a - *b).norm())
             .fold(0.0f32, f32::max);
         prop_assert!(diff / fmax < 1e-3, "force diff {} of {}", diff, fmax);
+    }
+
+    /// Arbitrary text, arbitrary values behind every key the parser
+    /// knows, and any flipped bit of the paper's `.mdp`: the parser
+    /// returns options or an error, never panics.
+    #[test]
+    fn hostile_mdp_text_never_panics_the_parser(
+        noise in prop::collection::vec(any::<u8>(), 0..200),
+        lines in prop::collection::vec((0usize..MDP_KEYS.len(), prop::collection::vec(any::<u8>(), 0..12)), 0..8),
+        bit_pick in any::<u64>(),
+    ) {
+        let _ = parse_mdp(&String::from_utf8_lossy(&noise));
+        let keyed: String = lines
+            .iter()
+            .map(|(k, v)| format!("{} = {}\n", MDP_KEYS[*k], String::from_utf8_lossy(v)))
+            .collect();
+        let _ = parse_mdp(&keyed);
+        let mut flipped = PAPER_MDP.as_bytes().to_vec();
+        let bit = bit_pick as usize % (flipped.len() * 8);
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        let _ = parse_mdp(&String::from_utf8_lossy(&flipped));
+    }
+}
+
+/// Every key [`parse_mdp`] treats specially, and one it does not.
+const MDP_KEYS: &[&str] = &[
+    "nsteps",
+    "dt",
+    "nstlist",
+    "nstxout",
+    "rlist",
+    "rcoulomb",
+    "rvdw",
+    "coulombtype",
+    "fourier-spacing",
+    "fourier_nx",
+    "ref-t",
+    "tcoupl",
+    "constraints",
+    "integrator",
+    "emtol",
+];
+
+#[test]
+fn every_truncation_of_the_paper_mdp_parses_or_errs() {
+    assert!(parse_mdp(PAPER_MDP).is_ok());
+    for cut in 0..PAPER_MDP.len() {
+        let _ = parse_mdp(&PAPER_MDP[..cut]);
     }
 }

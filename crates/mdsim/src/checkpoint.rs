@@ -262,9 +262,9 @@ impl Checkpoint {
 
     /// [`Checkpoint::write_to`] a fresh buffer per attempt, so a retried
     /// write is byte-identical to a first-try one: the bytes and how many
-    /// attempts were retried (see [`retry_interrupted`]).
+    /// attempts were retried (see [`retrying`]).
     pub fn encode_with_retry(&self) -> io::Result<(Vec<u8>, u64)> {
-        retry_interrupted(|| {
+        retrying(|| {
             let mut buf = Vec::new();
             self.write_to(&mut buf).map(|()| buf)
         })
@@ -273,7 +273,7 @@ impl Checkpoint {
     /// [`Checkpoint::read_from`] the start of `bytes`, retried likewise:
     /// the checkpoint and how many attempts were retried.
     pub fn decode_with_retry(bytes: &[u8]) -> io::Result<(Self, u64)> {
-        retry_interrupted(|| Self::read_from(&mut &bytes[..]))
+        retrying(|| Self::read_from(&mut &bytes[..]))
     }
 
     /// Deserialize from a reader. Under an active fault plan the read
@@ -301,24 +301,11 @@ impl Checkpoint {
     }
 }
 
-/// Run `attempt` until it stops failing with
-/// [`io::ErrorKind::Interrupted`] (an injected checkpoint I/O fault), at
-/// most [`swfault::retry::MAX_ATTEMPTS`] retries: the value and the
-/// retries it took, each counted in `fault.retries.checkpoint`.
-fn retry_interrupted<T>(mut attempt: impl FnMut() -> io::Result<T>) -> io::Result<(T, u64)> {
-    let mut retries = 0;
-    loop {
-        match attempt() {
-            Err(e)
-                if e.kind() == io::ErrorKind::Interrupted
-                    && retries < u64::from(swfault::retry::MAX_ATTEMPTS) =>
-            {
-                retries += 1;
-                swprof::metrics::counter_add("fault.retries.checkpoint", 1);
-            }
-            done => return done.map(|value| (value, retries)),
-        }
-    }
+/// [`swfault::retry::interrupted`] over injected checkpoint I/O faults,
+/// each retry counted in `fault.retries.checkpoint`.
+fn retrying<T>(attempt: impl FnMut() -> io::Result<T>) -> io::Result<(T, u64)> {
+    let counted = |_| swprof::metrics::counter_add("fault.retries.checkpoint", 1);
+    swfault::retry::interrupted(attempt, counted).map(|(value, retries)| (value, retries.into()))
 }
 
 /// One rank's slice of a coordinated global snapshot: the dynamic state

@@ -1,7 +1,8 @@
 //! Property-based tests for the MD substrate: periodic geometry, FFT
-//! algebra, pair-list coverage, constraint restoration, and numerics.
+//! algebra, pair-list coverage, constraint restoration, numerics, and
+//! both checkpoint decoders under hostile bytes.
 
-use mdsim::checkpoint::Checkpoint;
+use mdsim::checkpoint::{Checkpoint, RankShard};
 use mdsim::cluster::{hilbert3, morton3, Clustering};
 use mdsim::constraints::ConstraintSet;
 use mdsim::fft::{dft_reference, fft, ifft, Complex};
@@ -17,6 +18,49 @@ fn arb_box() -> impl Strategy<Value = PbcBox> {
 
 fn arb_point() -> impl Strategy<Value = Vec3> {
     (-20.0f32..20.0, -20.0f32..20.0, -20.0f32..20.0).prop_map(|(x, y, z)| vec3(x, y, z))
+}
+
+/// A valid checkpoint frame and a valid shard frame of one water box.
+fn valid_frames(n_mol: usize, seed: u64) -> [Vec<u8>; 2] {
+    let sys = mdsim::water::water_box(n_mol, 300.0, seed);
+    let owned: Vec<u32> = (0..sys.n() as u32).step_by(2).collect();
+    let mut cp = Vec::new();
+    Checkpoint::capture(&sys, seed).write_to(&mut cp).unwrap();
+    let mut shard = Vec::new();
+    RankShard::capture(&sys, seed, 1, 2, &owned)
+        .write_to(&mut shard)
+        .unwrap();
+    [cp, shard]
+}
+
+/// Every decoder over `bytes`: each returns a value or an error, never
+/// panics, and a value re-encodes to the prefix it was read from.
+fn decode_everywhere(bytes: &[u8]) -> Result<(), String> {
+    let read_back = |encoded: Vec<u8>, what: &str| {
+        prop_assert!(
+            bytes.starts_with(&encoded),
+            "{} decoded to other bytes",
+            what
+        );
+        Ok(())
+    };
+    if let Ok(cp) = Checkpoint::read_from(&mut &bytes[..]) {
+        let mut again = Vec::new();
+        cp.write_to(&mut again).unwrap();
+        read_back(again, "checkpoint")?;
+    }
+    if let Ok((cp, retries)) = Checkpoint::decode_with_retry(bytes) {
+        prop_assert_eq!(retries, 0);
+        let mut again = Vec::new();
+        cp.write_to(&mut again).unwrap();
+        read_back(again, "retried checkpoint")?;
+    }
+    if let Ok(shard) = RankShard::read_from(&mut &bytes[..]) {
+        let mut again = Vec::new();
+        shard.write_to(&mut again).unwrap();
+        read_back(again, "shard")?;
+    }
+    Ok(())
 }
 
 proptest! {
@@ -214,6 +258,52 @@ proptest! {
         let cut = cut.min(bytes.len().saturating_sub(1));
         let short = &bytes[..cut];
         prop_assert!(Checkpoint::read_from(&mut &short[..]).is_err());
+    }
+
+    /// Arbitrary bytes — bare, or behind a valid checkpoint or shard
+    /// header so the fields past it are reached — never panic a decoder.
+    #[test]
+    fn arbitrary_bytes_never_panic_a_decoder(
+        body in prop::collection::vec(any::<u8>(), 0..300),
+        header in 0usize..3,
+    ) {
+        let frames = valid_frames(1, 1);
+        let mut bytes = match header {
+            0 => Vec::new(),
+            h => frames[h - 1][..9].to_vec(),
+        };
+        bytes.extend_from_slice(&body);
+        decode_everywhere(&bytes)?;
+    }
+
+    /// Every truncation of a valid frame is an error for its decoder,
+    /// and no decoder panics on it.
+    #[test]
+    fn every_truncation_of_a_valid_frame_is_an_error(n_mol in 1usize..4, seed in 0u64..100) {
+        let [cp, shard] = valid_frames(n_mol, seed);
+        for cut in 0..cp.len() {
+            prop_assert!(Checkpoint::read_from(&mut &cp[..cut]).is_err(), "cut {}", cut);
+            prop_assert!(Checkpoint::decode_with_retry(&cp[..cut]).is_err(), "cut {}", cut);
+            decode_everywhere(&cp[..cut])?;
+        }
+        for cut in 0..shard.len() {
+            prop_assert!(RankShard::read_from(&mut &shard[..cut]).is_err(), "cut {}", cut);
+            decode_everywhere(&shard[..cut])?;
+        }
+    }
+
+    /// Any single flipped bit of a valid frame never panics a decoder.
+    #[test]
+    fn a_flipped_bit_never_panics_a_decoder(
+        n_mol in 1usize..4,
+        seed in 0u64..100,
+        bit_pick in any::<u64>(),
+    ) {
+        for mut bytes in valid_frames(n_mol, seed) {
+            let bit = bit_pick as usize % (bytes.len() * 8);
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            decode_everywhere(&bytes)?;
+        }
     }
 
     /// Space-filling-curve codes are bijective over their grid.

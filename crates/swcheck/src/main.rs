@@ -36,6 +36,7 @@ use swcheck::srclint::{lint_workspace, workspace_root};
 use swcheck::{check_events, error_count, fixtures, DualAccess, Severity, Violation};
 use swgmx::backend::{BackendSel, MIN_SCHEDULES};
 use swgmx::check::{run_traced, run_traced_step, Variant, STEP_MIN_MOL};
+use swprof::json;
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
@@ -140,7 +141,7 @@ fn cmd_check(args: &[String], json: bool) -> ExitCode {
         if json {
             run_objs.push(format!(
                 "{{\"variant\":{},\"events\":{},\"cycles\":{},\"checksum\":\"{:#018x}\",\"violations\":{}}}",
-                json_str(run.contract.name),
+                json::escaped(run.contract.name),
                 run.events.len(),
                 run.cycles,
                 run.checksum,
@@ -207,8 +208,8 @@ fn cmd_fixtures(json: bool) -> ExitCode {
         if json {
             objs.push(format!(
                 "{{\"name\":{},\"expected\":{},\"detected\":{},\"violations\":{}}}",
-                json_str(f.name),
-                json_str(f.expected),
+                json::escaped(f.name),
+                json::escaped(f.expected),
                 detected,
                 json_violations(&violations)
             ));
@@ -291,10 +292,10 @@ fn cmd_certify(args: &[String], json: bool) -> ExitCode {
             .iter()
             .map(|o| {
                 let problems: Vec<String> =
-                    o.problems.iter().map(|p| json_str(p)).collect();
+                    o.problems.iter().map(|p| json::escaped(p)).collect();
                 format!(
                     "{{\"variant\":{},\"checksum\":\"{:#018x}\",\"schedules\":{},\"unique_orders\":{},\"trace_len\":{},\"problems\":[{}]}}",
-                    json_str(o.variant.name()),
+                    json::escaped(o.variant.name()),
                     o.checksum,
                     o.replayed,
                     o.unique_orders,
@@ -305,7 +306,7 @@ fn cmd_certify(args: &[String], json: bool) -> ExitCode {
             .collect();
         println!(
             "{{\"certified\":{certified},\"backend\":{},\"variants\":[{}]}}",
-            json_str(opts.backend.backend_name()),
+            json::escaped(opts.backend.backend_name()),
             objs.join(",")
         );
     } else {
@@ -368,11 +369,11 @@ fn cmd_srclint(json: bool) -> ExitCode {
             .map(|f| {
                 format!(
                     "{{\"rule\":{},\"file\":{},\"line\":{},\"excerpt\":{},\"message\":{}}}",
-                    json_str(f.rule),
-                    json_str(&f.file),
+                    json::escaped(f.rule),
+                    json::escaped(&f.file),
                     f.line,
-                    json_str(&f.excerpt),
-                    json_str(&f.message)
+                    json::escaped(&f.excerpt),
+                    json::escaped(&f.message)
                 )
             })
             .collect();
@@ -398,31 +399,13 @@ fn cmd_srclint(json: bool) -> ExitCode {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn json_site(s: &swcheck::AccessSite) -> String {
     format!(
         "{{\"lane\":{},\"epoch\":{},\"index\":{},\"what\":{}}}",
-        json_str(&s.lane_name()),
+        json::escaped(&s.lane_name()),
         s.epoch,
         s.index,
-        json_str(&s.what)
+        json::escaped(&s.what)
     )
 }
 
@@ -449,17 +432,17 @@ fn json_violations(violations: &[Violation]) -> String {
                 .map(|d| {
                     format!(
                         "[{},{}]",
-                        json_str(&d.first.lane_name()),
-                        json_str(&d.second.lane_name())
+                        json::escaped(&d.first.lane_name()),
+                        json::escaped(&d.second.lane_name())
                     )
                 })
                 .unwrap_or_else(|| "[]".to_string());
             format!(
                 "{{\"rule\":{},\"severity\":{},\"kernel\":{},\"message\":{},\"lanes\":{},\"evidence\":{}}}",
-                json_str(v.id),
-                json_str(&v.severity.to_string()),
-                json_str(&v.kernel),
-                json_str(&v.message),
+                json::escaped(v.id),
+                json::escaped(&v.severity.to_string()),
+                json::escaped(&v.kernel),
+                json::escaped(&v.message),
                 lanes,
                 evidence
             )

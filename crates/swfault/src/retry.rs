@@ -8,11 +8,34 @@
 //!
 //! [`FaultPlan`]: crate::FaultPlan
 
+use std::io;
+
 /// Default attempt cap shared by the bounded-retry loops. After this
 /// many consecutive failures a site gives up, emits an
 /// `fault.retries.exhausted` metric, and falls through to its
 /// degraded path (proceed-anyway for DMA, error for I/O).
 pub const MAX_ATTEMPTS: u32 = 8;
+
+/// Run `attempt` until it stops failing with
+/// [`io::ErrorKind::Interrupted`] — what an injected I/O fault returns —
+/// at most [`MAX_ATTEMPTS`] retries, calling `on_retry` with each
+/// retry's number (from 1): the value and the retries it took. Any
+/// other error, or the last `Interrupted` one, is returned as is.
+pub fn interrupted<T>(
+    mut attempt: impl FnMut() -> io::Result<T>,
+    mut on_retry: impl FnMut(u32),
+) -> io::Result<(T, u32)> {
+    let mut retries = 0;
+    loop {
+        match attempt() {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted && retries < MAX_ATTEMPTS => {
+                retries += 1;
+                on_retry(retries);
+            }
+            done => return done.map(|value| (value, retries)),
+        }
+    }
+}
 
 /// Simulated cycles to wait before retry number `attempt` (zero-based),
 /// with a base penalty of `base` cycles: exponential backoff capped at
@@ -50,6 +73,37 @@ mod tests {
         let huge = backoff_cycles(u32::MAX, u64::MAX / 2, 1);
         assert_eq!(huge, u64::MAX);
         assert_eq!(backoff_cycles(0, 0, 5), 0);
+    }
+
+    #[test]
+    fn interrupted_retries_only_interruptions_and_only_so_often() {
+        let fails = |n: u32, kind: io::ErrorKind| {
+            let mut calls = 0;
+            let mut seen = Vec::new();
+            let out = interrupted(
+                || {
+                    calls += 1;
+                    if calls <= n {
+                        Err(io::Error::from(kind))
+                    } else {
+                        Ok(calls)
+                    }
+                },
+                |retry| seen.push(retry),
+            );
+            (out.map_err(|e| e.kind()), seen)
+        };
+        use io::ErrorKind::{Interrupted, Other};
+        assert_eq!(fails(0, Interrupted), (Ok((1, 0)), vec![]));
+        assert_eq!(fails(3, Interrupted), (Ok((4, 3)), vec![1, 2, 3]));
+        let all: Vec<u32> = (1..=MAX_ATTEMPTS).collect();
+        let last = (Ok((MAX_ATTEMPTS + 1, MAX_ATTEMPTS)), all.clone());
+        assert_eq!(fails(MAX_ATTEMPTS, Interrupted), last);
+        assert_eq!(
+            fails(MAX_ATTEMPTS + 1, Interrupted),
+            (Err(Interrupted), all)
+        );
+        assert_eq!(fails(2, Other), (Err(Other), vec![]));
     }
 
     #[test]

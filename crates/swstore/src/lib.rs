@@ -4,8 +4,9 @@
 //! rollback restores an in-memory buffer. Nothing survived the process.
 //! This crate is the on-disk half of the recovery story: a directory of
 //! framed, CRC32-protected, versioned **checkpoint generations** with a
-//! bounded chain and a manifest, written so that a crash at any
-//! instruction boundary leaves the store openable and consistent.
+//! bounded chain, written so that a crash at any instruction boundary
+//! leaves the store openable and consistent. The directory is the
+//! chain: the `gen-*` files that validate, in epoch order.
 //!
 //! ## Commit protocol
 //!
@@ -19,36 +20,29 @@
 //! into memory, create `tmp-<epoch>.swst` and write it, add the epoch to
 //! the in-memory chain and pick the generations beyond the retention
 //! bound. What is left is the **barrier**, which owns all it touches
-//! (the open temp file, its paths, the manifest bytes):
+//! (the open temp file and its paths):
 //!
 //! 1. `fsync` the temp file — the data is on disk *before* the name, so
 //!    a `gen-*` file never has unflushed contents behind it,
 //! 2. `rename` it to `gen-<epoch>.swst`,
-//! 3. write the manifest to a temp file and `rename` it into place,
-//!    with no `fsync` of its own,
-//! 4. `fsync` the directory **once** — the commit point: both renames
-//!    are durable from here,
-//! 5. unlink the pruned generations — only now, so the chain on disk
+//! 3. `fsync` the directory — the commit point: the rename is durable
+//!    from here,
+//! 4. unlink the pruned generations — only now, so the chain on disk
 //!    never shrinks before the generation that replaces them is durable.
 //!
-//! A crash before step 4 leaves a `tmp-*` file (deleted on the next
+//! A crash before step 3 leaves a `tmp-*` file (deleted on the next
 //! [`Store::open`]) or a `gen-*` file that is valid whenever it is
-//! visible; a crash after it leaves the generation for good. The
-//! manifest needs no flush because nothing trusts it: `open` unions it
-//! with a directory scan and *validates every candidate*, so a manifest
-//! that a power cut left stale, torn or missing only costs a rebuild
-//! ([`OpenReport::manifest_rebuilt`]) — its job is to name a generation
-//! whose file has vanished, and its CRC says when it cannot.
+//! visible; a crash after it leaves the generation for good.
 //!
 //! [`Store::commit`] runs the barrier on the calling thread and returns
 //! when the generation is durable. [`Store::begin`] hands it to a thread
 //! and returns at once; the store then has **one barrier in flight**,
 //! and every later call on it — [`Store::settle`], `begin`, `commit`,
-//! `load*` — and its drop wait for that barrier first and report its
-//! error. The interval between `begin` and that next call is the only
-//! one in which `Ok` precedes durability: a crash inside it restarts
-//! from the generation before, exactly what a crash just before the
-//! call would have left.
+//! `load*` — and its drop wait for that barrier first, report its error
+//! and take its epoch back out of the chain. The interval between
+//! `begin` and that next call is the only one in which `Ok` precedes
+//! durability: a crash inside it restarts from the generation before,
+//! exactly what a crash just before the call would have left.
 //!
 //! ## Corruption model
 //!
@@ -76,7 +70,6 @@
 
 pub mod crc32;
 
-use std::cell::Cell;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -84,14 +77,12 @@ use std::thread::JoinHandle;
 
 use crc32::crc32;
 
-/// On-disk format version of generation files (and the manifest).
+/// On-disk format version of generation files.
 pub const FORMAT_VERSION: u8 = 1;
 
 const GEN_MAGIC: &[u8; 8] = b"SWSTGEN1";
 const END_MAGIC: &[u8; 8] = b"SWSTEND1";
-const MAN_MAGIC: &[u8; 8] = b"SWSTMAN1";
 const FRAME_MAGIC: &[u8; 2] = b"FR";
-const MANIFEST: &str = "MANIFEST.swst";
 
 /// Options for [`Store::open`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,19 +117,14 @@ pub struct Rejected {
     pub reason: String,
 }
 
-/// What [`Store::open`] found.
+/// What [`Store::open`] found; the chain itself is [`Store::chain`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpenReport {
-    /// Epochs of fully valid generations, ascending.
-    pub valid: Vec<u64>,
     /// Generation files that failed validation (kept on disk for
     /// forensics; never part of the chain).
     pub rejected: Vec<Rejected>,
     /// Orphaned temp files swept away.
     pub temps_swept: usize,
-    /// True when the manifest was missing/corrupt and the chain was
-    /// rebuilt from a directory scan.
-    pub manifest_rebuilt: bool,
 }
 
 /// A crash-consistent checkpoint store rooted at one directory.
@@ -147,8 +133,8 @@ pub struct Store {
     retain: usize,
     chain: Vec<u64>,
     /// The barrier [`Store::begin`] left running, until the next call
-    /// waits for it. A `Cell` because [`Store::load`] waits with `&self`.
-    in_flight: Cell<Option<InFlight>>,
+    /// waits for it.
+    in_flight: Option<InFlight>,
 }
 
 /// The barrier of one commit (module docs, "Commit protocol"): what is
@@ -159,7 +145,6 @@ struct Barrier {
     tmp_path: PathBuf,
     gen_path: PathBuf,
     dir: PathBuf,
-    chain: Vec<u64>,
     pruned: Vec<PathBuf>,
 }
 
@@ -168,14 +153,7 @@ struct InFlight {
     /// The chain as it was before the commit: a barrier that fails
     /// unlinked nothing, so this is what the store still holds.
     undo: Vec<u64>,
-    barrier: Verdict,
-}
-
-enum Verdict {
-    Pending(JoinHandle<io::Result<()>>),
-    /// The barrier failed under [`Store::load`], which could report
-    /// the error but, with `&self`, not undo the chain.
-    Failed(io::Error),
+    barrier: JoinHandle<io::Result<()>>,
 }
 
 fn gen_name(epoch: u64) -> String {
@@ -282,40 +260,6 @@ fn decode_generation(bytes: &[u8]) -> Result<Generation, String> {
     Ok(Generation { epoch, frames })
 }
 
-fn encode_manifest(chain: &[u64]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAN_MAGIC);
-    out.push(FORMAT_VERSION);
-    out.extend_from_slice(&(chain.len() as u32).to_le_bytes());
-    for &e in chain {
-        out.extend_from_slice(&e.to_le_bytes());
-    }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
-}
-
-fn decode_manifest(bytes: &[u8]) -> Result<Vec<u64>, String> {
-    if bytes.len() < 17 || &bytes[..8] != MAN_MAGIC {
-        return Err("bad manifest header".into());
-    }
-    if bytes[8] != FORMAT_VERSION {
-        return Err(format!("unsupported manifest version {}", bytes[8]));
-    }
-    let count = u32::from_le_bytes(bytes[9..13].try_into().unwrap()) as usize;
-    let expect = 13 + count * 8 + 4;
-    if bytes.len() != expect {
-        return Err(format!("manifest length {} != {expect}", bytes.len()));
-    }
-    let crc = u32::from_le_bytes(bytes[expect - 4..].try_into().unwrap());
-    if crc32(&bytes[..expect - 4]) != crc {
-        return Err("manifest CRC mismatch".into());
-    }
-    Ok((0..count)
-        .map(|i| u64::from_le_bytes(bytes[13 + i * 8..21 + i * 8].try_into().unwrap()))
-        .collect())
-}
-
 /// Read a file, applying the `store.bit_flip` corruption site: a flipped
 /// bit is payload-addressed, so a scripted one-shot lands on a
 /// reproducible position.
@@ -330,16 +274,6 @@ fn read_with_bitflip(path: &Path) -> io::Result<Vec<u8>> {
         }
     }
     Ok(bytes)
-}
-
-/// Replace `dir`'s manifest with one listing `chain`, by way of a temp
-/// file so that a reader finds the old manifest or the new one. No
-/// flush: the manifest is advisory, and a power cut that tears it is
-/// healed by the next [`Store::open`].
-fn write_manifest(dir: &Path, chain: &[u64]) -> io::Result<()> {
-    let tmp = dir.join("tmp-manifest.swst");
-    fs::write(&tmp, encode_manifest(chain))?;
-    fs::rename(&tmp, dir.join(MANIFEST))
 }
 
 /// Flush `dir`'s entries: what makes a rename inside it durable.
@@ -367,23 +301,11 @@ impl Barrier {
         self.tmp.sync_all()?;
         drop(self.tmp);
         fs::rename(&self.tmp_path, &self.gen_path)?;
-        write_manifest(&self.dir, &self.chain)?;
         sync_dir(&self.dir)?;
         for old in &self.pruned {
             let _ = fs::remove_file(old);
         }
         Ok(())
-    }
-}
-
-impl Verdict {
-    fn wait(self) -> io::Result<()> {
-        match self {
-            Verdict::Pending(barrier) => barrier
-                .join()
-                .unwrap_or_else(|_| Err(io::Error::other("the barrier thread panicked"))),
-            Verdict::Failed(e) => Err(e),
-        }
     }
 }
 
@@ -399,11 +321,11 @@ impl std::fmt::Debug for Store {
 
 impl Store {
     /// Open (creating if necessary) the store at `dir`: sweep temp
-    /// files, union the manifest with a directory scan, validate every
-    /// candidate generation, and keep the valid ones as the chain. The
-    /// newest fully-valid generation is what recovery resumes from —
-    /// torn, bit-flipped, truncated, or version-skewed files are
-    /// reported and skipped, never trusted and never fatal.
+    /// files, validate every `gen-*` file, and keep the valid ones as
+    /// the chain; nothing else is written. The newest fully-valid
+    /// generation is what recovery resumes from — torn, bit-flipped,
+    /// truncated, or version-skewed files are reported and skipped,
+    /// never trusted and never fatal.
     pub fn open(dir: impl AsRef<Path>, opts: StoreOptions) -> io::Result<(Self, OpenReport)> {
         let _span = swprof::span("store.open");
         assert!(opts.retain >= 2, "retain must be >= 2 for a safe fallback");
@@ -433,39 +355,6 @@ impl Store {
             }
         }
 
-        // The manifest is advisory: it can only *add* candidates (a
-        // listed generation whose file vanished is reported), never
-        // bless one — every candidate is validated below regardless.
-        // A missing manifest reads as an empty one.
-        let listed = match fs::read(dir.join(MANIFEST)) {
-            Ok(bytes) => match decode_manifest(&bytes) {
-                Ok(listed) => {
-                    for &epoch in &listed {
-                        if !candidates.iter().any(|(e, _)| *e == epoch) {
-                            report.rejected.push(Rejected {
-                                file: gen_name(epoch),
-                                reason: "listed in manifest but missing on disk".into(),
-                            });
-                        }
-                    }
-                    Some(listed)
-                }
-                Err(reason) => {
-                    report.manifest_rebuilt = true;
-                    report.rejected.push(Rejected {
-                        file: MANIFEST.into(),
-                        reason,
-                    });
-                    None
-                }
-            },
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                report.manifest_rebuilt = true;
-                Some(Vec::new())
-            }
-            Err(e) => return Err(e),
-        };
-
         candidates.sort_unstable();
         let mut chain = Vec::new();
         for (epoch, name) in candidates {
@@ -482,7 +371,6 @@ impl Store {
                 }),
             }
         }
-        report.valid = chain.clone();
         if swprof::enabled() {
             swprof::metrics::counter_add("store.opens", 1);
             swprof::metrics::counter_add(
@@ -490,18 +378,11 @@ impl Store {
                 report.rejected.len() as u64,
             );
         }
-
-        // Re-persist the validated chain where the manifest says
-        // something else, so a rejected one heals; opening a clean or a
-        // brand-new store writes nothing.
-        if listed.as_deref() != Some(&chain[..]) {
-            write_manifest(&dir, &chain)?;
-        }
         let store = Self {
             dir,
             retain: opts.retain,
             chain,
-            in_flight: Cell::new(None),
+            in_flight: None,
         };
         Ok((store, report))
     }
@@ -524,11 +405,10 @@ impl Store {
     }
 
     /// Atomically commit one coordinated generation (one payload frame
-    /// per rank, all tagged `epoch`), update the manifest and prune the
-    /// chain to the retention bound; returns when the generation is
-    /// durable. Errors (including injected fsync failures) leave the
-    /// previous chain intact; callers retry under
-    /// [`swfault::retry::MAX_ATTEMPTS`].
+    /// per rank, all tagged `epoch`) and prune the chain to the
+    /// retention bound; returns when the generation is durable. Errors
+    /// (including injected fsync failures) leave the previous chain
+    /// intact; callers retry under [`swfault::retry::MAX_ATTEMPTS`].
     pub fn commit(&mut self, epoch: u64, frames: &[Vec<u8>]) -> io::Result<()> {
         let _span = swprof::span("store.commit");
         let (barrier, undo) = self.stage(epoch, frames)?;
@@ -556,9 +436,9 @@ impl Store {
             let spawned = std::thread::Builder::new()
                 .name("swstore-barrier".into())
                 .spawn(move || barrier.run());
-            match spawned.map(Verdict::Pending) {
+            match spawned {
                 Ok(barrier) => {
-                    self.in_flight.set(Some(InFlight { undo, barrier }));
+                    self.in_flight = Some(InFlight { undo, barrier });
                     Ok(())
                 }
                 Err(e) => self.conclude(Err(e), undo),
@@ -570,24 +450,13 @@ impl Store {
     /// generation in [`Store::chain`] is durable; an error is the
     /// barrier's, and its epoch has left the chain.
     pub fn settle(&mut self) -> io::Result<()> {
-        match self.in_flight.take() {
-            Some(InFlight { undo, barrier }) => self.conclude(barrier.wait(), undo),
-            None => Ok(()),
-        }
-    }
-
-    /// [`Store::settle`] for `&self`: a failed barrier is reported here
-    /// and kept for the next `&mut` call, which takes its epoch back out.
-    fn wait(&self) -> io::Result<()> {
         let Some(InFlight { undo, barrier }) = self.in_flight.take() else {
             return Ok(());
         };
-        barrier.wait().map_err(|e| {
-            let report = io::Error::new(e.kind(), e.to_string());
-            let barrier = Verdict::Failed(e);
-            self.in_flight.set(Some(InFlight { undo, barrier }));
-            report
-        })
+        let verdict = barrier
+            .join()
+            .unwrap_or_else(|_| Err(io::Error::other("the barrier thread panicked")));
+        self.conclude(verdict, undo)
     }
 
     /// The calling-thread half of a commit: every fault draw, the temp
@@ -646,7 +515,6 @@ impl Store {
             tmp_path,
             gen_path: self.dir.join(gen_name(epoch)),
             dir: self.dir.clone(),
-            chain: self.chain.clone(),
             pruned,
         };
         Ok((barrier, undo))
@@ -662,11 +530,10 @@ impl Store {
     }
 
     /// Load and fully validate one committed generation.
-    pub fn load(&self, epoch: u64) -> io::Result<Generation> {
+    pub fn load(&mut self, epoch: u64) -> io::Result<Generation> {
         let _span = swprof::span("store.load");
-        self.wait()?;
-        let path = self.dir.join(gen_name(epoch));
-        let bytes = read_with_bitflip(&path)?;
+        self.settle()?;
+        let bytes = read_with_bitflip(&self.dir.join(gen_name(epoch)))?;
         decode_generation(&bytes)
             .map_err(|reason| io::Error::new(io::ErrorKind::InvalidData, reason))
     }
@@ -682,13 +549,8 @@ impl Store {
             let epoch = self.chain[idx];
             match self.load(epoch) {
                 Ok(g) => {
-                    // Entries newer than the survivor were corrupt:
-                    // drop them from the chain so the manifest stops
-                    // advertising them.
-                    if idx + 1 < self.chain.len() {
-                        self.chain.truncate(idx + 1);
-                        write_manifest(&self.dir, &self.chain)?;
-                    }
+                    // Entries newer than the survivor were corrupt.
+                    self.chain.truncate(idx + 1);
                     return Ok(Some(g));
                 }
                 Err(_) => {
@@ -710,25 +572,16 @@ impl Drop for Store {
     }
 }
 
-/// Run `attempt` until it succeeds, retrying injected fsync failures up
-/// to [`swfault::retry::MAX_ATTEMPTS`] times. Returns the retries burned.
-fn retrying(epoch: u64, mut attempt: impl FnMut() -> io::Result<()>) -> io::Result<u32> {
-    let mut retries = 0u32;
-    loop {
-        match attempt() {
-            Err(e)
-                if e.kind() == io::ErrorKind::Interrupted
-                    && retries < swfault::retry::MAX_ATTEMPTS =>
-            {
-                retries += 1;
-                swtel::flight::record("store", "fsync_retry", epoch, retries as u64);
-                if swprof::enabled() {
-                    swprof::metrics::counter_add("store.fsync_retries", 1);
-                }
-            }
-            done => return done.map(|()| retries),
+/// [`swfault::retry::interrupted`] over injected fsync failures, each
+/// retry recorded. Returns the retries burned.
+fn retrying(epoch: u64, attempt: impl FnMut() -> io::Result<()>) -> io::Result<u32> {
+    let recorded = |retries: u32| {
+        swtel::flight::record("store", "fsync_retry", epoch, retries as u64);
+        if swprof::enabled() {
+            swprof::metrics::counter_add("store.fsync_retries", 1);
         }
-    }
+    };
+    swfault::retry::interrupted(attempt, recorded).map(|((), retries)| retries)
 }
 
 #[cfg(test)]
@@ -751,13 +604,13 @@ mod tests {
     #[test]
     fn commit_then_reopen_roundtrips() {
         let dir = tmpdir("roundtrip");
-        let (mut store, report) = Store::open(&dir, StoreOptions::default()).unwrap();
-        assert!(report.valid.is_empty());
+        let (mut store, _) = Store::open(&dir, StoreOptions::default()).unwrap();
+        assert!(store.chain().is_empty());
         store.commit(10, &frames(10, 3)).unwrap();
         store.commit(20, &frames(20, 3)).unwrap();
         drop(store);
         let (mut store, report) = Store::open(&dir, StoreOptions::default()).unwrap();
-        assert_eq!(report.valid, vec![10, 20]);
+        assert_eq!(store.chain(), &[10, 20]);
         assert!(report.rejected.is_empty());
         let g = store.load_newest_valid().unwrap().unwrap();
         assert_eq!(g.epoch, 20);
@@ -767,8 +620,8 @@ mod tests {
 
     #[test]
     fn reopen_under_a_renamed_directory_preserves_the_chain() {
-        // Everything in the store (manifest entries, generation names)
-        // is epoch-derived and dir-relative, so a campaign's store can
+        // Everything in the store (generation names, frame tags) is
+        // epoch-derived and dir-relative, so a campaign's store can
         // be renamed or moved between restarts — e.g. staged to a
         // different filesystem — and resume exactly where it left off.
         let dir = tmpdir("moveme");
@@ -779,7 +632,7 @@ mod tests {
         let moved = tmpdir("moved-dest");
         fs::rename(&dir, &moved).unwrap();
         let (mut store, report) = Store::open(&moved, StoreOptions::default()).unwrap();
-        assert_eq!(report.valid, vec![10, 20]);
+        assert_eq!(store.chain(), &[10, 20]);
         assert!(report.rejected.is_empty());
         let g = store.load_newest_valid().unwrap().unwrap();
         assert_eq!(g.epoch, 20);
@@ -799,9 +652,13 @@ mod tests {
             store.commit(e, &frames(e, 2)).unwrap();
         }
         assert_eq!(store.chain(), &[25, 30, 35]);
-        // Pruned files really are gone.
+        // Pruned files really are gone, so a reopen finds the same chain.
         assert!(!dir.join(gen_name(0)).exists());
         assert!(dir.join(gen_name(35)).exists());
+        drop(store);
+        let (store, report) = Store::open(&dir, StoreOptions { retain: 3 }).unwrap();
+        assert_eq!(store.chain(), &[25, 30, 35]);
+        assert!(report.rejected.is_empty(), "{report:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -825,8 +682,8 @@ mod tests {
         // Across a restart: open() rejects the torn file up front.
         drop(store);
         let (store, report) = Store::open(&dir, StoreOptions::default()).unwrap();
-        assert_eq!(report.valid, vec![10]);
-        assert_eq!(store.newest(), Some(10));
+        assert_eq!(report.rejected.len(), 1);
+        assert_eq!(store.chain(), &[10]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -859,23 +716,6 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn corrupt_manifest_is_rebuilt_from_the_directory() {
-        let dir = tmpdir("manifest");
-        let (mut store, _) = Store::open(&dir, StoreOptions::default()).unwrap();
-        store.commit(10, &frames(10, 2)).unwrap();
-        drop(store);
-        fs::write(dir.join(MANIFEST), b"garbage").unwrap();
-        let (store, report) = Store::open(&dir, StoreOptions::default()).unwrap();
-        assert!(report.manifest_rebuilt);
-        assert_eq!(store.chain(), &[10]);
-        // And the heal persisted: a fresh open sees a clean manifest.
-        drop(store);
-        let (_, report) = Store::open(&dir, StoreOptions::default()).unwrap();
-        assert!(!report.manifest_rebuilt);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
     /// Name, length and mtime of everything in `dir`, sorted: what a
     /// write of any kind would change.
     fn snapshot(dir: &Path) -> Vec<(String, u64, std::time::SystemTime)> {
@@ -892,15 +732,11 @@ mod tests {
         files
     }
 
-    fn manifest_on_disk(dir: &Path) -> Vec<u64> {
-        decode_manifest(&fs::read(dir.join(MANIFEST)).unwrap()).unwrap()
-    }
-
     #[test]
     fn opening_a_clean_or_a_new_store_writes_nothing() {
         let dir = tmpdir("open-clean");
         let (store, _) = Store::open(&dir, StoreOptions::default()).unwrap();
-        assert!(snapshot(&dir).is_empty(), "a new store has no manifest");
+        assert!(snapshot(&dir).is_empty(), "a new store holds no file");
         drop(store);
         assert!(snapshot(&dir).is_empty());
 
@@ -909,74 +745,34 @@ mod tests {
             store.commit(e, &frames(e, 2)).unwrap();
         }
         drop(store);
-        let before = snapshot(&dir);
-        let dir_mtime = fs::metadata(&dir).unwrap().modified().unwrap();
-        let (store, report) = Store::open(&dir, StoreOptions::default()).unwrap();
-        assert_eq!(report.valid, vec![10, 20, 30]);
-        drop(store);
-        assert_eq!(snapshot(&dir), before);
-        assert_eq!(fs::metadata(&dir).unwrap().modified().unwrap(), dir_mtime);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn the_manifest_on_disk_is_the_chain_after_pruning() {
-        let dir = tmpdir("manifest-chain");
-        let (mut store, _) = Store::open(&dir, StoreOptions { retain: 3 }).unwrap();
-        for e in (0..8).map(|i| i * 5) {
-            store.commit(e, &frames(e, 2)).unwrap();
-            assert_eq!(manifest_on_disk(&dir), store.chain());
-        }
-        assert_eq!(store.chain(), &[25, 30, 35]);
-        drop(store);
-        let (store, report) = Store::open(&dir, StoreOptions { retain: 3 }).unwrap();
-        assert_eq!(store.chain(), &[25, 30, 35]);
-        assert!(report.rejected.is_empty(), "{report:?}");
-        assert!(!report.manifest_rebuilt);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_manifest_lost_to_a_power_cut_heals_to_the_scanned_chain() {
-        // The manifest is written with no fsync of its own, so after a
-        // power cut it can hold a prefix, nothing, an older chain, or
-        // not exist. Every one of them opens on the scanned chain.
-        type Damage = (&'static str, fn(&Path));
-        let damage: [Damage; 4] = [
-            ("torn", |m| {
-                let bytes = fs::read(m).unwrap();
-                fs::write(m, &bytes[..bytes.len() / 2]).unwrap();
-            }),
-            ("empty", |m| fs::write(m, b"").unwrap()),
-            ("deleted", |m| fs::remove_file(m).unwrap()),
-            ("stale", |m| fs::write(m, encode_manifest(&[10])).unwrap()),
-        ];
-        for (tag, hurt) in damage {
-            let dir = tmpdir(&format!("manifest-{tag}"));
-            let (mut store, _) = Store::open(&dir, StoreOptions::default()).unwrap();
-            for e in [10, 20, 30] {
-                store.commit(e, &frames(e, 2)).unwrap();
-            }
+        let opens_untouched = |chain: &[u64], rejected: usize| {
+            let before = snapshot(&dir);
+            let dir_mtime = fs::metadata(&dir).unwrap().modified().unwrap();
+            let (store, report) = Store::open(&dir, StoreOptions::default()).unwrap();
+            assert_eq!(store.chain(), chain);
+            assert_eq!(report.rejected.len(), rejected, "{report:?}");
             drop(store);
-            hurt(&dir.join(MANIFEST));
-            let (mut store, report) = Store::open(&dir, StoreOptions::default()).unwrap();
-            assert_eq!(store.chain(), &[10, 20, 30], "{tag}");
-            assert_eq!(report.manifest_rebuilt, tag != "stale", "{tag}");
-            assert_eq!(manifest_on_disk(&dir), store.chain(), "{tag}: healed");
-            assert_eq!(store.load_newest_valid().unwrap().unwrap().epoch, 30);
-            let _ = fs::remove_dir_all(&dir);
-        }
+            assert_eq!(snapshot(&dir), before);
+            assert_eq!(fs::metadata(&dir).unwrap().modified().unwrap(), dir_mtime);
+        };
+        opens_untouched(&[10, 20, 30], 0);
+        // A corrupt generation is reported, and left as it is.
+        let path = dir.join(gen_name(20));
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[30] ^= 0x10;
+        fs::write(&path, &bytes).unwrap();
+        opens_untouched(&[10, 30], 1);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn every_call_after_begin_finds_the_commit_settled() {
         // Whatever comes after `begin` — and a drop — waits for the
-        // barrier first: the generation is under its final name, its
-        // temp file is gone and the manifest lists it.
+        // barrier first: the generation is under its final name and its
+        // temp file is gone.
         let settled = |dir: &Path, epoch: u64| {
             assert!(dir.join(gen_name(epoch)).exists(), "gen-{epoch}");
             assert!(!dir.join(tmp_name(epoch)).exists(), "tmp-{epoch}");
-            assert_eq!(manifest_on_disk(dir).last(), Some(&epoch));
         };
         let dir = tmpdir("begin");
         let (mut store, _) = Store::open(&dir, StoreOptions::default()).unwrap();
@@ -1037,13 +833,13 @@ mod tests {
         store.settle().unwrap();
         intact(&dir, &mut store);
 
-        // `load` has only `&self`: it reports the failure, and the next
-        // `&mut` call reports it again and undoes the chain.
+        // `load` settles like every other call: it reports the failure
+        // once, and the epoch is out of the chain when it returns.
         let (dir, mut store) = blocked();
         store.begin(30, &frames(30, 2)).unwrap();
-        let seen = store.load(20).unwrap_err();
-        let kept = store.load_newest_valid().unwrap_err();
-        assert_eq!(seen.kind(), kept.kind());
+        store.load(20).unwrap_err();
+        assert_eq!(store.chain(), &[10, 20]);
+        assert_eq!(store.load(20).unwrap().frames, frames(20, 2));
         intact(&dir, &mut store);
     }
 

@@ -20,7 +20,7 @@
 //!
 //! The dump is a self-contained JSON file written next to the swstore
 //! generation chain so a post-mortem can line the last ~[`CAPACITY`]
-//! events up against the store manifest.
+//! events up against the generations on disk.
 
 use std::io;
 use std::path::Path;

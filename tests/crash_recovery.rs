@@ -15,7 +15,7 @@
 //! dies): once while the starting generation may still be on its way to
 //! disk, once after `run_until` has returned and it may not be.
 //!
-//! Knobs (all optional, used by the CI crash-recovery job):
+//! Knobs (all optional, used by the CI recovery job):
 //! - `SWSTORE_CRASH_SEED`: water-box seed, so the matrix covers
 //!   distinct trajectories and store contents.
 //! - `SWSTORE_CRASH_DIR`: where store directories are created (kept as
@@ -244,8 +244,8 @@ fn runner_killed_at_either_end_of_the_commit_window_restarts_bit_identically() {
         assert_finite(&resumed.sys);
         // The restart swept what the child left half done and its own
         // chain is whole.
-        let (_, found) = swstore::Store::open(&dir, swstore::StoreOptions::default()).unwrap();
-        assert_eq!(found.valid, [0, 10, 20], "{role}");
+        let (store, found) = swstore::Store::open(&dir, swstore::StoreOptions::default()).unwrap();
+        assert_eq!(store.chain(), [0, 10, 20], "{role}");
         assert!(
             found.rejected.is_empty() && found.temps_swept == 0,
             "{role}: {found:?}"
@@ -258,7 +258,7 @@ fn runner_killed_at_either_end_of_the_commit_window_restarts_bit_identically() {
 fn restart_under_a_renamed_store_dir_is_bit_identical() {
     // A campaign's store directory can be renamed or moved between the
     // crash and the restart (staging to another filesystem, an operator
-    // reorganizing scratch space): everything in the manifest is
+    // reorganizing scratch space): every generation's name is
     // epoch-derived and dir-relative, so recovery must not care where
     // the chain now lives.
     let dir = store_dir("move");
@@ -322,7 +322,7 @@ fn rank_death_survivors_finish_with_clean_audit() {
 
     // Bit-identity: an unfailed run of the *shrunken* decomposition,
     // started from the same epoch-8 generation, lands on the same bits.
-    let (store, _) = swstore::Store::open(&dir, swstore::StoreOptions::default()).unwrap();
+    let (mut store, _) = swstore::Store::open(&dir, swstore::StoreOptions::default()).unwrap();
     let generation = store.load(8).expect("epoch-8 generation still valid");
     let shards: Vec<_> = generation
         .frames
