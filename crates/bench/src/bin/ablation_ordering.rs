@@ -14,7 +14,7 @@ use swgmx::cpelist::CpePairList;
 use swgmx::kernels::{run_rma, RmaConfig};
 use swgmx::package::{PackageLayout, PackedSystem};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     header(
         "Ablation — cluster ordering vs cache behaviour",
         "Mark kernel read/write miss ratios and cycles per ordering",
@@ -73,10 +73,11 @@ fn main() {
             .metric(&format!("write_miss.{name}"), wm)
             .metric(&format!("cycles.{name}"), cycles as f64);
     }
-    json.wall_cycles(total_cycles).write();
+    json.wall_cycles(total_cycles).write()?;
     println!(
         "\ninterpretation: the §4.2 'miss ratio under 15%' claim depends on a \
          locality-preserving cluster order; row-major ids thrash the \
          direct-mapped caches, the space-filling curves keep them resident"
     );
+    Ok(())
 }

@@ -7,7 +7,7 @@
 use bench::{header, BenchJson};
 use swgmx::engine::{MultiCgModel, Version};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     header(
         "Figure 10 — overall speedup per optimization version",
         "whole-step time relative to the unoptimized port",
@@ -50,10 +50,11 @@ fn main() {
             );
         }
     }
-    json.wall_cycles(total_cycles).write();
+    json.wall_cycles(total_cycles).write()?;
     println!(
         "\npaper claim: calculation optimization dominates case 1; \
          communication/IO optimizations matter at 512 CGs (case 2's \
          List->Other jump)"
     );
+    Ok(())
 }

@@ -13,7 +13,7 @@ use swgmx::engine::{MultiCgModel, Version};
 use swgmx::kernels::{run_rma, RmaConfig};
 use swgmx::platforms::{self, KNL, P100, SW26010};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     header(
         "Table 4 / Figure 11 — platform comparison (TTF model)",
         "TTF_a/TTF_b = (MR_a x BW_b) / (MR_b x BW_a), Table 4 data",
@@ -110,5 +110,5 @@ fn main() {
             + sw26010::params::ns_to_cycles(cpe * 1e6)
             + sw26010::params::ns_to_cycles(mpe * 1e6),
     )
-    .write();
+    .write()
 }

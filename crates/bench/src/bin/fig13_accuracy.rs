@@ -22,7 +22,7 @@ struct Trace {
     temperature: Vec<f64>,
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     header(
         "Figure 13 — accuracy: energy & temperature traces",
         "optimized (simulated SW26010) vs scalar reference dynamics",
@@ -138,5 +138,5 @@ fn main() {
         .metric("temperature.opt", t_opt)
         .metric("temperature.ref", t_ref_m)
         .metric("temperature.dev_k", t_opt - t_ref_m);
-    json.wall_cycles(opt.breakdown.total_cycles()).write();
+    json.wall_cycles(opt.breakdown.total_cycles()).write()
 }

@@ -9,7 +9,7 @@ use bench::{header, water_workload, BenchJson};
 use sw26010::cg::CoreGroup;
 use swgmx::kernels::{run_gld_naive, run_ori, run_rma, RmaConfig};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     header(
         "Figure 8 — short-range kernel speedup ladder",
         "speedup over the MPE-only original, per optimization stage",
@@ -49,8 +49,8 @@ fn main() {
             &format!("speedup.gld.{n}"),
             t_ori / naive.total.cycles as f64,
         );
-        // Per-rung children of wall_cycles: the explainer attributes a
-        // total regression to the rung(s) that moved.
+        // Per-rung children of wall_cycles: a diff of the regenerated
+        // baseline names the rung(s) that moved.
         json.metric(&format!("wall_cycles.ori.{n}"), ori.total.cycles as f64);
         json.metric(&format!("wall_cycles.gld.{n}"), naive.total.cycles as f64);
         for cfg in [
@@ -111,5 +111,5 @@ fn main() {
     }
     println!("\npaper claim: ladder ~1 / 3 / 23 / 40 / 61, stable across sizes");
     println!("(*gld: our extra ablation rung — CPEs with per-element gld/gst, not in the paper)");
-    json.wall_cycles(total_cycles).write();
+    json.wall_cycles(total_cycles).write()
 }

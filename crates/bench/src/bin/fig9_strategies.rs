@@ -14,7 +14,7 @@ use bench::{bar, header, water_workload, BenchJson};
 use sw26010::cg::CoreGroup;
 use swgmx::kernels::{run_ori, run_rca, run_rma, run_ustc, RmaConfig};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     header(
         "Figure 9 — write-conflict strategies, Case 1 (48 K particles)",
         "speedup of the short-range kernel over the MPE original",
@@ -118,5 +118,5 @@ fn main() {
             + rma.total.cycles
             + mark.total.cycles,
     )
-    .write();
+    .write()
 }

@@ -5,7 +5,7 @@ use bench::{header, BenchJson};
 use swgmx::kernels::RmaConfig;
 use swgmx::ldm_budget::{format_budget, pairgen_budget, rma_budget};
 
-fn main() {
+fn main() -> std::io::Result<()> {
     header(
         "LDM budgets — fitting the kernels into 64 KB per CPE",
         "every reservation the kernels make, against the architectural cap",
@@ -37,5 +37,5 @@ fn main() {
         println!("  ({}-way associative)\n", ways);
         json.metric(&format!("bytes.pairgen_{ways}way"), b.total() as f64);
     }
-    json.write();
+    json.write()
 }

@@ -5,10 +5,12 @@
 //! the paper reproduction, but it pays real host time for the metering
 //! bookkeeping (per-entry copies, LRU cache simulation, scalar f64
 //! erfc). The native backend runs the same Mark kernel on the host
-//! thread pool with the 8-wide SIMD loop. This regenerator measures
-//! both in host wall time and reports the speedup; `--check` exits
-//! nonzero unless the native path is at least 3x faster and
-//! physics-equivalent (the PR 8 acceptance bar).
+//! thread pool with the 8-wide SIMD loop. This bin measures both in
+//! host wall time and prints the speedup; `--check` exits nonzero
+//! unless the native path is at least 3x faster and
+//! physics-equivalent (the native backend's acceptance bar). It writes no sidecar:
+//! host time varies run to run, and `results/baselines/` holds only
+//! bytes a run reproduces.
 //!
 //! ```text
 //! native_backend [particles] [--check]
@@ -16,7 +18,7 @@
 
 use std::time::Instant;
 
-use bench::{header, water_workload, BenchJson};
+use bench::{header, water_workload};
 use swgmx::backend::{AnyBackend, BackendSel, KernelBackend, KernelInput, NativeBackend};
 use swgmx::check::Variant;
 use swgmx::kernels::KernelResult;
@@ -75,12 +77,6 @@ fn main() {
     let (t_metered, r_metered) = time_reps(&metered, input, METERED_REPS);
     let (t_native, r_native) = time_reps(&native, input, NATIVE_REPS);
 
-    let mut json = BenchJson::new("native_backend");
-    json.config_num("particles", particles as f64);
-    json.config_num("threads", threads as f64);
-    json.config_num("metered_reps", METERED_REPS as f64);
-    json.config_num("native_reps", NATIVE_REPS as f64);
-
     let speedup = t_metered / t_native;
     println!(
         "{:>10} {:>14} {:>14} {:>9}",
@@ -98,12 +94,6 @@ fn main() {
         r_metered.energies.total(),
         r_native.energies.total()
     );
-
-    json.metric("wall_s.metered_per_call", t_metered);
-    json.metric("wall_s.native_per_call", t_native);
-    json.metric("speedup.native_vs_metered", speedup);
-    json.metric("steps_per_s.metered", 1.0 / t_metered);
-    json.write();
 
     if check {
         let pairs_ok =

@@ -17,10 +17,10 @@ use bench::{header, BenchJson};
 use swgmx::engine::{Engine, EngineConfig, MultiCgModel, Version};
 
 /// Record every breakdown row as `caseN.pct.<label>` (share) and
-/// `wall_cycles.caseN.<label>` (absolute cycles) in the sidecar. The
-/// absolute rows are the dotted children the regression explainer
-/// attributes a `wall_cycles` delta to; over both cases they sum to the
-/// sidecar's `wall_cycles` exactly.
+/// `wall_cycles.caseN.<label>` (absolute cycles) in the sidecar, one
+/// per line, so a `git diff` of the regenerated baseline names the stage
+/// that moved; over both cases they sum to the sidecar's `wall_cycles`
+/// exactly.
 fn record(json: &mut BenchJson, case: usize, breakdown: &sw26010::Breakdown) {
     let total = breakdown.total_cycles() as f64;
     for (label, perf) in breakdown.iter() {
@@ -51,7 +51,7 @@ fn print_breakdown(title: &str, rows: &[(&str, f64)], breakdown: &sw26010::Break
     );
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     header(
         "Table 1 — per-kernel time ratio of the MD workflow",
         "case 1: 48 K particles / 1 CG; case 2: 3 M particles / 512 CGs",
@@ -106,9 +106,10 @@ fn main() {
     );
     record(&mut json, 2, &out.breakdown);
     let total = engine.breakdown.total_cycles() + out.breakdown.total_cycles();
-    json.wall_cycles(total).write();
+    json.wall_cycles(total).write()?;
     println!(
         "\npaper claim: Force dominates both cases; Comm. energies becomes \
          the second-largest cost at 512 CGs"
     );
+    Ok(())
 }

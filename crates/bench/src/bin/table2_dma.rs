@@ -23,7 +23,7 @@ fn achieved_gbs(size: usize) -> f64 {
     perf.effective_dma_gbs()
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     header(
         "Table 2 — DMA bandwidth vs access size",
         "simulated bandwidth of back-to-back transfers at each size",
@@ -66,5 +66,5 @@ fn main() {
     }
     json.metric("package_speedup_vs_8b", pkg)
         .wall_cycles(perf.cycles)
-        .write();
+        .write()
 }

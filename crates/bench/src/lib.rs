@@ -6,12 +6,18 @@
 //! side with the paper's published values. Absolute numbers come from a
 //! simulator, not the authors' machine — the claim being reproduced is
 //! the *shape* (who wins, by what factor, where crossovers fall).
+//! [`roofline`] places the same kernels on the SW26010 roofline (the
+//! `swlens` bin).
+
+use std::io;
 
 use mdsim::nonbonded::NbParams;
 use mdsim::pairlist::{ListKind, PairList};
 use mdsim::system::System;
 use swgmx::cpelist::CpePairList;
 use swgmx::package::{PackageLayout, PackedSystem};
+
+pub mod roofline;
 
 /// A fully prepared single-CG kernel workload.
 pub struct Workload {
@@ -63,10 +69,9 @@ pub fn water_workload(n_particles: usize, seed: u64) -> Workload {
 ///
 /// The document is a pure function of what the run computed:
 /// `wall_cycles` is the *simulated* total, and no field reads the host
-/// clock, so two runs of a deterministic regenerator write the same
-/// bytes. Host time is swbench's to measure (`benchmark/`); a
-/// regenerator whose measurand *is* host time (`native_backend`) records
-/// it as ordinary metrics.
+/// clock, so two runs of a regenerator write the same bytes and a
+/// committed baseline is checked by its exact bytes. Host time is
+/// swbench's to measure (`benchmark/`).
 ///
 /// The output directory is `$BENCH_OUT_DIR` when set, `results/`
 /// otherwise (created on demand).
@@ -147,18 +152,18 @@ impl BenchJson {
     }
 
     /// Write `BENCH_<name>.json` into `$BENCH_OUT_DIR` (or `results/`)
-    /// and report where it went. Regenerators print tables for humans;
-    /// failing the run over a sidecar write would be backwards, so IO
-    /// errors only warn.
-    pub fn write(&self) {
+    /// and report where it went. A sidecar that cannot be written is an
+    /// error naming its path: a regenerator that carried on would leave
+    /// the previous bytes in place for the baseline check to pass on.
+    pub fn write(&self) -> io::Result<()> {
         let dir = std::env::var("BENCH_OUT_DIR").unwrap_or_else(|_| "results".to_string());
         let dir = std::path::Path::new(&dir);
         let path = dir.join(format!("BENCH_{}.json", self.name));
-        let res = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, self.to_json()));
-        match res {
-            Ok(()) => println!("[bench-json] wrote {}", path.display()),
-            Err(e) => eprintln!("[bench-json] {}: {e}", path.display()),
-        }
+        std::fs::create_dir_all(dir)
+            .and_then(|()| std::fs::write(&path, self.to_json()))
+            .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
+        println!("[bench-json] wrote {}", path.display());
+        Ok(())
     }
 }
 

@@ -1,16 +1,31 @@
-//! Roofline accounting: per-(version, region) arithmetic intensity
-//! against the SW26010 core-group envelope.
+//! Roofline attribution: every kernel variant of the ladder placed on
+//! the SW26010 core-group roofline —
 //!
-//! Every kernel variant of the ladder is run on the same seeded
-//! workload; its [`sw26010::PerfCounters`] — total and per-phase
+//! ```text
+//! attainable GFLOP/s = min(CG_PEAK_GFLOPS, AI * DMA_PEAK_GBS)
+//! ```
+//!
+//! where `AI` (arithmetic intensity) is flops per main-memory byte
+//! moved (DMA + gld/gst). A kernel left of the ridge point is
+//! **bandwidth-bound** — more SIMD lanes won't help, fewer bytes will;
+//! right of it, **compute-bound**. That classification is the paper's
+//! optimization story in one number: the gld-naive port drowns in
+//! latency-priced bytes, and each ladder rung (packages, LDM cache,
+//! vectorization, Bit-Map reduction) either removes traffic or raises
+//! useful flops until the kernel climbs the roof.
+//!
+//! Every variant runs on the same seeded workload; its
+//! [`sw26010::PerfCounters`] — total and per-phase
 //! (`init`/`calc`/`reduce`) — yield flops, moved bytes, and achieved
-//! GFLOP/s, which the envelope classifies bandwidth- vs compute-bound.
-//! All numbers are simulated, so the report is bit-deterministic.
+//! GFLOP/s. All numbers are simulated, so the report ([`collect`] +
+//! [`render_json`] / [`render_ascii`], the `swlens` bin) is a pure
+//! function of the workload: `results/baselines/roofline.json` is
+//! checked by its exact bytes.
 
 use sw26010::params;
 use sw26010::perf::PerfCounters;
 use swgmx::check::{run_variant, Variant};
-use swprof::json::{self, Value};
+use swprof::json;
 
 /// The machine envelope the rows are placed against.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,7 +66,7 @@ pub enum Bound {
 }
 
 impl Bound {
-    /// Stable name used in the JSON report and the drift check.
+    /// Stable name used in the JSON report.
     pub fn name(self) -> &'static str {
         match self {
             Bound::Bandwidth => "bandwidth",
@@ -209,40 +224,6 @@ pub fn render_ascii(rows: &[Row], env: &Envelope) -> String {
     out
 }
 
-/// Compare a fresh set of rows against a committed baseline report and
-/// return every (version, region) whose bound classification changed —
-/// the signal CI turns into a failure unless the baseline moves with
-/// the code.
-pub fn classification_drift(baseline_doc: &str, rows: &[Row]) -> Result<Vec<String>, String> {
-    let doc = json::parse(baseline_doc).map_err(|e| e.to_string())?;
-    let base_rows = doc
-        .get("rows")
-        .and_then(Value::as_arr)
-        .ok_or("baseline roofline report has no `rows` array")?;
-    let mut drifts = Vec::new();
-    for br in base_rows {
-        let (Some(version), Some(region), Some(bound)) = (
-            br.get("version").and_then(Value::as_str),
-            br.get("region").and_then(Value::as_str),
-            br.get("bound").and_then(Value::as_str),
-        ) else {
-            return Err("baseline row missing version/region/bound".to_string());
-        };
-        match rows
-            .iter()
-            .find(|r| r.version == version && r.region == region)
-        {
-            Some(fresh) if fresh.bound.name() != bound => drifts.push(format!(
-                "{version}/{region}: {bound} -> {}",
-                fresh.bound.name()
-            )),
-            Some(_) => {}
-            None => drifts.push(format!("{version}/{region}: row disappeared")),
-        }
-    }
-    Ok(drifts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,30 +264,6 @@ mod tests {
         assert_eq!(pure.bound, Bound::Compute);
         assert_eq!(pure.ai, None);
         assert_eq!(pure.attainable_gflops, None);
-    }
-
-    #[test]
-    fn drift_check_reports_side_changes_only() {
-        let env = Envelope::sw26010_cg();
-        let rows = vec![
-            classify("a", "total", &perf(1000, 1000, 0, 10), &env),
-            classify("b", "total", &perf(100_000, 1000, 0, 10), &env),
-        ];
-        let baseline = render_json(&rows, &env, 100, 7);
-        assert_eq!(
-            classification_drift(&baseline, &rows).unwrap(),
-            Vec::<String>::new()
-        );
-        // Flip a's bound in the fresh rows.
-        let flipped = vec![
-            classify("a", "total", &perf(100_000, 1000, 0, 10), &env),
-            rows[1].clone(),
-        ];
-        let drifts = classification_drift(&baseline, &flipped).unwrap();
-        assert_eq!(drifts, vec!["a/total: bandwidth -> compute"]);
-        // A vanished row is drift too.
-        let drifts = classification_drift(&baseline, &rows[..1]).unwrap();
-        assert_eq!(drifts, vec!["b/total: row disappeared"]);
     }
 
     #[test]

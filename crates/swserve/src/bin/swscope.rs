@@ -186,7 +186,10 @@ fn main() -> ExitCode {
         println!("[dash] wrote {}", path.display());
     }
     if args.bench {
-        loadgen::scope_bench(&scope, &result.slo, args.chaos).write();
+        if let Err(e) = loadgen::scope_bench(&scope, &result.slo, args.chaos).write() {
+            eprintln!("sidecar write failed: {e}");
+            return ExitCode::from(1);
+        }
     }
     ExitCode::SUCCESS
 }

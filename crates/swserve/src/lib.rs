@@ -30,7 +30,8 @@
 //! - **SLO load harness** ([`loadgen`]): a deterministic open-loop
 //!   client population driving hundreds of jobs, reporting p50/p99
 //!   virtual latency, throughput, and recovery counts as a
-//!   `BENCH_swserve.json` sidecar gated by `swtel gate`.
+//!   `BENCH_swserve.json` sidecar whose committed baseline CI checks
+//!   byte for byte.
 //!
 //! Because the event loop, the cost model, and every fault decision
 //! are pure functions of the plan seed, the whole service — latency

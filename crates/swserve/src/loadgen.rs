@@ -4,7 +4,7 @@
 //! Every quantity in the [`SloReport`] — latency percentiles included
 //! — is derived from virtual time, so the report is a pure function of
 //! `(plan, chaos seed)` and can be committed as a `BENCH_swserve.json`
-//! baseline and held exactly by `swtel gate`.
+//! baseline that a regenerated sidecar must equal byte for byte.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -273,7 +273,7 @@ impl SloReport {
         )
     }
 
-    /// Fill the gateable sidecar: every metric is a pure function of
+    /// Fill the sidecar: every metric is a pure function of
     /// the plan, so the committed baseline holds exactly.
     pub fn fill_bench(&self, b: &mut bench::BenchJson, chaos: bool) {
         let s = &self.stats;
@@ -299,7 +299,7 @@ impl SloReport {
     }
 }
 
-/// Build the gateable `swscope` sidecar: alert counts, remaining
+/// Build the `swscope` sidecar: alert counts, remaining
 /// fleet error budgets, and the sketch-vs-exact percentile deltas
 /// that prove the error bound held on this run. Every field is a
 /// pure function of the seed; the CLI (`swscope replay --bench`) and

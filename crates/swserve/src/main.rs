@@ -8,7 +8,8 @@
 //!
 //! Drives a deterministic client population against the service,
 //! prints the SLO table, and writes the `BENCH_swserve.json` sidecar
-//! (into `$BENCH_OUT_DIR` or `results/`) for `swtel gate`.
+//! (into `$BENCH_OUT_DIR` or `results/`), which CI regenerates and
+//! compares byte for byte with the committed baseline.
 //!
 //! `--chaos` installs the standard chaos mix (worker kills, queue
 //! drops, store faults). `--check` first runs a fault-free reference
@@ -190,7 +191,10 @@ fn main() -> ExitCode {
     }
     let mut sidecar = bench::BenchJson::new("swserve");
     result.slo.fill_bench(&mut sidecar, args.chaos);
-    sidecar.write();
+    if let Err(e) = sidecar.write() {
+        eprintln!("sidecar write failed: {e}");
+        return ExitCode::from(1);
+    }
 
     if let Some(reference) = reference {
         let stats = &result.slo.stats;

@@ -1,5 +1,5 @@
-//! swtel — cross-rank causal tracing, flight recording, and the
-//! perf-regression gate for the simulated Sunway substrate.
+//! swtel — cross-rank causal tracing and flight recording for the
+//! simulated Sunway substrate.
 //!
 //! `swprof` (PR 2) sees one rank at a time: every span and metric lands
 //! on a per-process timeline and there is no way to express "rank 2's
@@ -21,8 +21,6 @@
 //! - **Trace merge** ([`merge`], [`Telemetry::to_chrome_trace`]):
 //!   per-rank Chrome traces combined into one global timeline with
 //!   flow events (`ph: "s"` / `"f"`) linking each send to its receive.
-//! - **Regression gate** ([`gate`]): compares fresh `BENCH_*.json`
-//!   sidecars against committed baselines with per-metric tolerances.
 //!
 //! A tracing session owns its telemetry state and is scoped to the
 //! thread that opened it (`swprof::scope`, the mechanism every plane
@@ -38,9 +36,7 @@ use std::sync::{Arc, Mutex};
 
 use swprof::scope::{lock, Plane, Scope, Slot};
 
-pub mod explain;
 pub mod flight;
-pub mod gate;
 pub mod merge;
 pub mod straggler;
 

@@ -1,18 +1,9 @@
-//! `swtel` — trace merge + perf-regression gate CLI.
+//! `swtel` — trace merge CLI.
 //!
 //! ```text
 //! swtel merge --out FILE IN1.json IN2.json ...
 //!     Combine per-rank Chrome traces into one global timeline
 //!     (input i becomes process i; flow ids pass through).
-//!
-//! swtel gate --baselines DIR --fresh DIR [--out FILE]
-//!            [--explain] [--explain-out FILE] [--top K]
-//!     Compare fresh BENCH_*.json sidecars against committed
-//!     baselines. Exit 0 on parity, 1 on regression, 2 on usage/IO
-//!     errors. --out writes the machine-readable verdict JSON.
-//!     --explain attributes every failing metric to its top-K dotted
-//!     sub-metrics (conservation-checked); --explain-out writes the
-//!     attribution as JSON.
 //! ```
 
 use std::path::PathBuf;
@@ -22,15 +13,12 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-const USAGE: &str = "swtel merge --out FILE IN1 IN2 ...\n\
-                     swtel gate --baselines DIR --fresh DIR [--out FILE]\n\
-                     \x20          [--explain] [--explain-out FILE] [--top K]";
+const USAGE: &str = "swtel merge --out FILE IN1 IN2 ...";
 
 fn main() {
     let mut it = std::env::args().skip(1);
     match it.next().as_deref() {
         Some("merge") => merge(it),
-        Some("gate") => gate(it),
         Some("--help") | Some("-h") => println!("{USAGE}"),
         Some(other) => die(&format!("unknown command `{other}`")),
         None => die("missing command"),
@@ -73,54 +61,4 @@ fn merge(mut it: impl Iterator<Item = String>) {
         out.display(),
         merged.len()
     );
-}
-
-fn gate(mut it: impl Iterator<Item = String>) {
-    let mut baselines: Option<PathBuf> = None;
-    let mut fresh: Option<PathBuf> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut explain = false;
-    let mut explain_out: Option<PathBuf> = None;
-    let mut top_k: usize = 5;
-    while let Some(arg) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{flag} needs a value")))
-        };
-        match arg.as_str() {
-            "--baselines" => baselines = Some(PathBuf::from(value("--baselines"))),
-            "--fresh" => fresh = Some(PathBuf::from(value("--fresh"))),
-            "--out" => out = Some(PathBuf::from(value("--out"))),
-            "--explain" => explain = true,
-            "--explain-out" => explain_out = Some(PathBuf::from(value("--explain-out"))),
-            "--top" => {
-                top_k = value("--top")
-                    .parse()
-                    .unwrap_or_else(|_| die("--top needs an integer"));
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
-            other => die(&format!("unknown flag {other}")),
-        }
-    }
-    let baselines = baselines.unwrap_or_else(|| die("gate requires --baselines DIR"));
-    let fresh = fresh.unwrap_or_else(|| die("gate requires --fresh DIR"));
-    let report = swtel::gate::compare_dirs(&baselines, &fresh).unwrap_or_else(|e| die(&e));
-    if let Some(out) = out {
-        std::fs::write(&out, report.to_json())
-            .unwrap_or_else(|e| die(&format!("{}: {e}", out.display())));
-    }
-    print!("{}", report.summary());
-    if (explain || explain_out.is_some()) && !report.passed() {
-        let explanations =
-            swtel::explain::explain_report(&report, &baselines, &fresh).unwrap_or_else(|e| die(&e));
-        print!("{}", swtel::explain::render_text(&explanations, top_k));
-        if let Some(path) = explain_out {
-            std::fs::write(&path, swtel::explain::render_json(&explanations))
-                .unwrap_or_else(|e| die(&format!("{}: {e}", path.display())));
-        }
-    }
-    std::process::exit(if report.passed() { 0 } else { 1 });
 }

@@ -1,8 +1,8 @@
 //! End-to-end properties of the swlens roofline report: coverage of
-//! the full kernel ladder, bit-determinism, and physically sensible
-//! classifications.
+//! the full kernel ladder, bit-determinism, physically sensible
+//! classifications, and the committed baseline's exact bytes.
 
-use swlens::roofline::{collect, render_ascii, render_json, Bound, Envelope};
+use bench::roofline::{collect, render_ascii, render_json, Bound, Envelope};
 
 const N_MOL: usize = 200;
 const SEED: u64 = 7;
@@ -74,4 +74,27 @@ fn classifications_match_the_kernel_models() {
             );
         }
     }
+}
+
+/// `results/baselines/roofline.json` is what `swlens report` writes at
+/// its defaults (400 molecules, seed 7), byte for byte: a cost-model
+/// change that moves any counter must regenerate the baseline with it.
+#[test]
+fn the_committed_report_is_what_a_fresh_run_writes() {
+    let (n_mol, seed) = (400, 7);
+    let env = Envelope::sw26010_cg();
+    let fresh = render_json(&collect(n_mol, seed, &env), &env, n_mol, seed);
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results/baselines/roofline.json");
+    let committed = std::fs::read_to_string(&path).unwrap();
+    for (i, (f, c)) in fresh.lines().zip(committed.lines()).enumerate() {
+        assert_eq!(
+            f,
+            c,
+            "{} line {}; regenerate with `swlens report --out results/baselines`",
+            path.display(),
+            i + 1
+        );
+    }
+    assert_eq!(fresh, committed);
 }
