@@ -44,20 +44,20 @@ pub fn run_gld_naive(
         for ci in block_range(n_pkg, cg.n_cpes, ctx.id) {
             // Own package: 20 words, pipelined gld (independent loads).
             gld::gld_pipelined(&mut ctx.perf, PKG_WORDS as u64);
-            let pkg_i = psys.package(ci).to_vec();
+            let pkg_i = psys.package(ci);
             // Neighbor-list entries arrive by gld too (index + mask).
             gld::gld_dependent(&mut ctx.perf, list.entries_of(ci).len() as u64);
             let mut fi = [0.0f32; FORCE_WORDS];
             for e in list.entries_of(ci) {
                 let cj = list.neighbors[e] as usize;
                 gld::gld_pipelined(&mut ctx.perf, PKG_WORDS as u64);
-                let pkg_j = psys.package(cj).to_vec();
+                let pkg_j = psys.package(cj);
                 let mut fj = [0.0f32; FORCE_WORDS];
                 let (el, ec, n) = cluster_pair_metered(
                     Arith::Scalar,
                     psys,
-                    &pkg_i,
-                    EntryJ::of(list, e, &pkg_j),
+                    pkg_i,
+                    EntryJ::of(list, e, pkg_j),
                     params,
                     &mut fi,
                     &mut fj,

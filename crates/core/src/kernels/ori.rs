@@ -48,21 +48,21 @@ pub fn run_ori(
 
     let (_, mut perf) = cg.mpe_section(|mpe| {
         for ci in 0..n_pkg {
-            let pkg_i = psys.package(ci).to_vec();
+            let pkg_i = psys.package(ci);
             mpe.perf.cycles += 4 * LOADS_PER_PARTICLE * MPE_LOAD_CYCLES;
             let mut fi = [0.0f32; FORCE_WORDS];
             for e in list.entries_of(ci) {
                 let cj = list.neighbors[e] as usize;
                 // Gather the four inner particles from scattered arrays.
                 mpe.perf.cycles += 4 * LOADS_PER_PARTICLE * MPE_LOAD_CYCLES;
-                let pkg_j = psys.package(cj).to_vec();
+                let pkg_j = psys.package(cj);
                 let mut fj = [0.0f32; FORCE_WORDS];
                 let before = mpe.perf.cycles;
                 let (el, ec, n) = cluster_pair_metered(
                     Arith::Scalar,
                     psys,
-                    &pkg_i,
-                    EntryJ::of(list, e, &pkg_j),
+                    pkg_i,
+                    EntryJ::of(list, e, pkg_j),
                     params,
                     &mut fi,
                     &mut fj,

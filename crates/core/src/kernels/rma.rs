@@ -182,36 +182,40 @@ pub fn run_rma(
             .reserve_array::<f32>("accumulators", 2 * FORCE_WORDS)
             .expect("accumulators");
 
-        let mut copy = vec![0.0f32; copy_stride];
+        let range = block_range(n_pkg, cg.n_cpes, ctx.id);
+        // The reduction reads only marked lines (Alg. 4), so with marks a
+        // CPE that owns no cluster needs no copy at all.
+        let mut copy = if cfg.marks && range.is_empty() {
+            Vec::new()
+        } else {
+            vec![0.0f32; copy_stride]
+        };
         let mut direct_marks = cfg.marks.then(|| BitMap::new(n_pkg.div_ceil(8)));
         let mut e_lj = 0.0f64;
         let mut e_coul = 0.0f64;
         let mut n_pairs = 0u64;
 
-        let range = block_range(n_pkg, cg.n_cpes, ctx.id);
-        for ci in range {
-            // Fetch own package: through the read cache if present, else
-            // one DMA per outer cluster.
-            let pkg_i: Vec<f32> = match read_cache.as_mut() {
-                Some(rc) => rc.get(&mut ctx.perf, &psys.pos, ci).to_vec(),
+        // A package is copied onto the stack: through the read cache if
+        // present, else one DMA per package.
+        let mut fetch = |perf: &mut PerfCounters, c: usize| -> [f32; PKG_WORDS] {
+            let words = match read_cache.as_mut() {
+                Some(rc) => rc.get(perf, &psys.pos, c),
                 None => {
-                    DmaEngine::transfer_shared(&mut ctx.perf, Dir::Get, PKG_BYTES, true);
-                    psys.package(ci).to_vec()
+                    DmaEngine::transfer_shared(perf, Dir::Get, PKG_BYTES, true);
+                    psys.package(c)
                 }
             };
+            words.try_into().expect("a package is PKG_WORDS long")
+        };
+        for ci in range {
+            let pkg_i = fetch(&mut ctx.perf, ci);
             // Stream this cluster's slice of the pair list.
             DmaEngine::transfer_shared(&mut ctx.perf, Dir::Get, list.stream_bytes(ci), true);
 
             let mut fi = [0.0f32; FORCE_WORDS];
             for e in list.entries_of(ci) {
                 let cj = list.neighbors[e] as usize;
-                let pkg_j: Vec<f32> = match read_cache.as_mut() {
-                    Some(rc) => rc.get(&mut ctx.perf, &psys.pos, cj).to_vec(),
-                    None => {
-                        DmaEngine::transfer_shared(&mut ctx.perf, Dir::Get, PKG_BYTES, true);
-                        psys.package(cj).to_vec()
-                    }
-                };
+                let pkg_j = fetch(&mut ctx.perf, cj);
                 let mut fj = [0.0f32; FORCE_WORDS];
                 let (el, ec, n) = cluster_pair_metered(
                     arith,
@@ -260,34 +264,27 @@ pub fn run_rma(
         }
 
         // Flush the write cache so the copy is complete.
-        let (read_stats, write_stats) = {
-            let rs = read_cache
-                .as_ref()
-                .map(|c| c.stats().clone())
-                .unwrap_or_default();
-            let ws = match write_cache.as_mut() {
-                Some(wc) => {
-                    wc.flush(&mut ctx.perf, &mut copy);
-                    wc.stats().clone()
-                }
-                None => Default::default(),
-            };
-            (rs, ws)
-        };
-        let wc_id = write_cache.as_ref().map(|wc| wc.trace_id());
-        let marks = match write_cache {
-            Some(wc) => wc.marks().cloned(),
-            None => direct_marks,
-        };
+        if let Some(wc) = write_cache.as_mut() {
+            wc.flush(&mut ctx.perf, &mut copy);
+        }
         CpeOut {
             copy,
-            marks,
-            wc_id,
+            marks: match write_cache.as_mut() {
+                Some(wc) => wc.take_marks(),
+                None => direct_marks,
+            },
+            wc_id: write_cache.as_ref().map(WriteCache::trace_id),
             e_lj,
             e_coul,
             n_pairs,
-            read_stats,
-            write_stats,
+            read_stats: read_cache
+                .as_ref()
+                .map(ReadCache::stats)
+                .unwrap_or_default(),
+            write_stats: write_cache
+                .as_ref()
+                .map(WriteCache::stats)
+                .unwrap_or_default(),
         }
     });
     phases.add("calc", calc.region);
@@ -586,6 +583,72 @@ mod tests {
         ];
         for (name, got, want) in pinned {
             assert_eq!(got, counters(want), "{name}");
+        }
+    }
+
+    #[test]
+    fn simulated_cost_is_pinned_on_boxes_with_idle_lanes() {
+        // Served-job boxes, at the cutoff the engine clamps them to: 8
+        // and 15 clusters for 64 CPEs, so most lanes of every region own
+        // nothing. Counters and checksums from the commit before idle
+        // lanes stopped building their caches, copies and Bit-Maps.
+        use crate::check::physics_checksum;
+        use crate::kernels::{run_gld_naive, run_ori, run_rca, run_ustc};
+        #[rustfmt::skip]
+        let pinned = [
+            (8, [
+                ("Mark", [14672, 4066, 675, 0, 606, 33, 11918, 0, 0, 168, 1101, 90], 0xa3f90f68ce81a017),
+                ("Pkg", [44888, 27172, 3783, 0, 1840, 240, 52606, 0, 0, 989, 1536, 0], 0xa3f90f68ce81a017),
+                ("Cache", [41502, 23786, 3107, 0, 1840, 161, 61070, 0, 0, 989, 1536, 0], 0xa3f90f68ce81a017),
+                ("Vec", [41612, 23786, 3107, 0, 1950, 161, 61070, 0, 0, 168, 2445, 90], 0xa3f90f68ce81a017),
+                ("rca", [6302, 945, 448, 0, 357, 24, 5900, 0, 0, 1978, 0, 0], 0xcaaaab81991b1f1f),
+                ("ustc", [6807, 1503, 532, 0, 304, 31, 6170, 0, 0, 989, 0, 0], 0xa3f90f68ce81a017),
+                ("ori", [8174, 0, 0, 0, 1117, 0, 0, 0, 0, 989, 0, 0], 0xa3f90f68ce81a017),
+                ("gldnaive", [15924, 0, 0, 10620, 304, 0, 0, 715, 5720, 989, 0, 0], 0xa3f90f68ce81a017),
+            ]),
+            (16, [
+                ("Mark", [19060, 7041, 1796, 0, 2019, 86, 33482, 0, 0, 1384, 7665, 366], 0x5deba52891bcfd75),
+                ("Pkg", [57815, 37497, 8648, 0, 3566, 581, 105914, 0, 0, 8594, 3072, 0], 0x947d184d12dd2ccb),
+                ("Cache", [45523, 25205, 6562, 0, 3566, 342, 129434, 0, 0, 8594, 3072, 0], 0x947d184d12dd2ccb),
+                ("Vec", [45152, 25205, 6562, 0, 3195, 342, 129434, 0, 0, 1384, 10185, 366], 0x5deba52891bcfd75),
+                ("rca", [8645, 1354, 1320, 0, 2291, 60, 21846, 0, 0, 17188, 0, 0], 0xf68b2e64b7842be0),
+                ("ustc", [10048, 3018, 1648, 0, 2030, 99, 18990, 0, 0, 8594, 0, 0], 0x947d184d12dd2ccb),
+                ("ori", [29412, 0, 0, 0, 9618, 0, 0, 0, 0, 8594, 0, 0], 0x947d184d12dd2ccb),
+                ("gldnaive", [39250, 0, 0, 32220, 2030, 0, 0, 2277, 18216, 8594, 0, 0], 0x947d184d12dd2ccb),
+            ]),
+        ];
+        let cg = CoreGroup::new();
+        for (n_mol, rows) in pinned {
+            let sys = water_box(n_mol, 300.0, 71);
+            let l = sys.pbc.lengths();
+            let rlist = 0.3 * l.x.min(l.y).min(l.z);
+            let params = NbParams {
+                r_cut: rlist,
+                ..NbParams::paper_default()
+            };
+            let half = PairList::build(&sys, rlist, ListKind::Half);
+            let full = PairList::build(&sys, rlist, ListKind::Full);
+            let cpe = CpePairList::build(&sys, &half);
+            let cpe_full = CpePairList::build(&sys, &full);
+            let psys =
+                PackedSystem::build(&sys, half.clustering.clone(), PackageLayout::Transposed);
+            let psys_full =
+                PackedSystem::build(&sys, full.clustering.clone(), PackageLayout::Transposed);
+            let runs = [
+                run_rma(&psys, &cpe, &params, &cg, RmaConfig::MARK),
+                run_rma(&psys, &cpe, &params, &cg, RmaConfig::PKG),
+                run_rma(&psys, &cpe, &params, &cg, RmaConfig::CACHE),
+                run_rma(&psys, &cpe, &params, &cg, RmaConfig::VEC),
+                run_rca(&psys_full, &cpe_full, &params, &cg),
+                run_ustc(&psys, &cpe, &params, &cg),
+                run_ori(&psys, &cpe, &params, &cg),
+                run_gld_naive(&psys, &cpe, &params, &cg),
+            ];
+            for ((name, want, checksum), out) in rows.into_iter().zip(runs) {
+                assert_eq!(out.total, counters(want), "{name}, {n_mol} waters");
+                let got = physics_checksum(&out.forces, &out.energies);
+                assert_eq!(got, checksum, "{name}, {n_mol} waters");
+            }
         }
     }
 

@@ -56,18 +56,22 @@ pub fn run_ustc(
         let mut e_coul = 0.0f64;
         let mut n_pairs = 0u64;
         for ci in block_range(n_pkg, cg.n_cpes, ctx.id) {
-            let pkg_i = read_cache.get(&mut ctx.perf, &psys.pos, ci).to_vec();
+            // A copy: the cache is read again for every inner package.
+            let pkg_i: [f32; PKG_WORDS] = read_cache
+                .get(&mut ctx.perf, &psys.pos, ci)
+                .try_into()
+                .expect("a package is PKG_WORDS long");
             DmaEngine::transfer_shared(&mut ctx.perf, Dir::Get, list.stream_bytes(ci), true);
             let mut fi = [0.0f32; FORCE_WORDS];
             for e in list.entries_of(ci) {
                 let cj = list.neighbors[e] as usize;
-                let pkg_j = read_cache.get(&mut ctx.perf, &psys.pos, cj).to_vec();
+                let pkg_j = read_cache.get(&mut ctx.perf, &psys.pos, cj);
                 let mut fj = [0.0f32; FORCE_WORDS];
                 let (el, ec, n) = cluster_pair_metered(
                     Arith::Scalar,
                     psys,
                     &pkg_i,
-                    EntryJ::of(list, e, &pkg_j),
+                    EntryJ::of(list, e, pkg_j),
                     params,
                     &mut fi,
                     &mut fj,
@@ -89,7 +93,7 @@ pub fn run_ustc(
             DmaEngine::transfer_shared(&mut ctx.perf, Dir::Put, RECORD_BYTES, true);
             records.push((ci as u32, fi));
         }
-        (records, e_lj, e_coul, n_pairs, read_cache.stats().clone())
+        (records, e_lj, e_coul, n_pairs, read_cache.stats())
     });
 
     // MPE side: apply every record serially. The pipeline overlaps with

@@ -133,16 +133,6 @@ impl PairSearch {
         }
     }
 
-    /// The centre array as flat words, `[x, y, z, radius]` per cluster.
-    pub fn center_words(&self) -> &[f32] {
-        self.centers.as_flattened()
-    }
-
-    /// The member-position array as flat words, 12 per cluster.
-    pub fn member_words(&self) -> &[f32] {
-        self.members.as_flattened().as_flattened()
-    }
-
     /// Fill `out` with every candidate of outer cluster `ci`, in
     /// [`CellGrid::for_range`] order (a half list skips clusters below
     /// `ci`), on the widest lanes this host runs.

@@ -7,8 +7,13 @@
 //! all operations are single bit-ops (Alg. 3 line 11/16, Alg. 4 line 4).
 
 /// A compact bit vector indexed by cache-line number.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The words are allocated at the first [`BitMap::set`]: until then every
+/// bit reads clear, so a CPE that never updates a line pays nothing for
+/// its marks on the host either.
+#[derive(Debug, Clone)]
 pub struct BitMap {
+    /// Empty until the first `set`, then `len.div_ceil(64)` words.
     words: Vec<u64>,
     len: usize,
 }
@@ -17,7 +22,7 @@ impl BitMap {
     /// A bitmap of `len` bits, all clear.
     pub fn new(len: usize) -> Self {
         Self {
-            words: vec![0; len.div_ceil(64)],
+            words: Vec::new(),
             len,
         }
     }
@@ -36,13 +41,18 @@ impl BitMap {
     #[inline]
     pub fn get(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
-        (self.words[i >> 6] >> (i & 63)) & 1 == 1
+        self.words
+            .get(i >> 6)
+            .is_some_and(|w| (w >> (i & 63)) & 1 == 1)
     }
 
     /// Set bit `i` to 1. Returns the previous value.
     #[inline]
     pub fn set(&mut self, i: usize) -> bool {
         debug_assert!(i < self.len);
+        if self.words.is_empty() {
+            self.words = vec![0; self.len.div_ceil(64)];
+        }
         let w = &mut self.words[i >> 6];
         let mask = 1u64 << (i & 63);
         let prev = *w & mask != 0;
@@ -70,7 +80,9 @@ impl BitMap {
     #[inline]
     pub fn clear(&mut self, i: usize) {
         debug_assert!(i < self.len);
-        self.words[i >> 6] &= !(1u64 << (i & 63));
+        if let Some(w) = self.words.get_mut(i >> 6) {
+            *w &= !(1u64 << (i & 63));
+        }
     }
 
     /// Number of set bits.
@@ -97,9 +109,10 @@ impl BitMap {
             .take_while(move |&i| i < self.len)
     }
 
-    /// LDM bytes consumed by this bitmap.
+    /// LDM bytes consumed by this bitmap: a function of `len` alone,
+    /// whatever the host has allocated.
     pub fn ldm_bytes(&self) -> usize {
-        self.words.len() * 8
+        self.len.div_ceil(64) * 8
     }
 }
 
@@ -137,6 +150,22 @@ mod tests {
         let particles_per_line = 8 * 4;
         let b = BitMap::new(8);
         assert_eq!(b.len() * particles_per_line, 256);
+    }
+
+    #[test]
+    fn never_set_reads_like_set_then_cleared() {
+        let untouched = BitMap::new(130);
+        let mut cleared = BitMap::new(130);
+        for i in [0, 64, 129] {
+            cleared.set(i);
+            cleared.clear(i);
+        }
+        for b in [&untouched, &cleared] {
+            assert!((0..130).all(|i| !b.get(i)));
+            assert_eq!(b.count_ones(), 0);
+            assert_eq!(b.iter_ones().next(), None);
+            assert_eq!(b.ldm_bytes(), 3 * 8);
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::dma::{Dir, DmaEngine, SharedPrice};
 use crate::perf::PerfCounters;
 
 /// Hit/miss statistics for one cache instance.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Accesses that found their line resident.
     pub hits: u64,
@@ -30,21 +30,9 @@ pub struct CacheStats {
     pub writebacks: u64,
     /// Line fills skipped because the Bit-Map proved the line all-zero.
     pub init_skips: u64,
-    /// Evictions broken down by set index, for conflict diagnostics.
-    pub per_set_evictions: Vec<u64>,
-    /// Writebacks broken down by set index (write cache only).
-    pub per_set_writebacks: Vec<u64>,
 }
 
 impl CacheStats {
-    fn for_sets(n_sets: usize) -> Self {
-        Self {
-            per_set_evictions: vec![0; n_sets],
-            per_set_writebacks: vec![0; n_sets],
-            ..Self::default()
-        }
-    }
-
     /// Miss ratio in [0, 1], or `None` for an untouched cache — a cold
     /// cache has no meaningful ratio, and reporting `0.0` would read as a
     /// perfect hit rate.
@@ -223,12 +211,19 @@ impl CacheGeometry {
 const INVALID: i64 = -1;
 
 /// Read-only software cache over a backing f32 slice (§3.1, Fig. 3).
+///
+/// The host storage is built at first use: the tags and LRU bits at the
+/// first miss, the line words at the first fill by [`ReadCache::get`].
+/// A simulated CPE that never reads through its cache allocates nothing.
 #[derive(Debug, Clone)]
 pub struct ReadCache {
     geo: CacheGeometry,
+    /// Empty until the first miss: every way invalid.
     tags: Vec<i64>,
     /// Per-set LRU bit for 2-way: index of the way to evict next.
     lru: Vec<u8>,
+    /// Empty until the first fill by `get`; a cache only ever touched
+    /// holds no words.
     data: Vec<f32>,
     /// Price of one line fill, misaligned and aligned, once a miss has
     /// asked for it.
@@ -247,12 +242,12 @@ impl ReadCache {
     pub fn new(geo: CacheGeometry) -> Self {
         Self {
             geo,
-            tags: vec![INVALID; geo.n_sets * geo.ways],
-            lru: vec![0; geo.n_sets],
-            data: vec![0.0; geo.n_sets * geo.ways * geo.line_words()],
+            tags: Vec::new(),
+            lru: Vec::new(),
+            data: Vec::new(),
             fill_price: [None; 2],
             latest: (usize::MAX, 0),
-            stats: CacheStats::for_sets(geo.n_sets),
+            stats: CacheStats::default(),
             trace_id: crate::trace::next_cache_id(),
             binding: None,
         }
@@ -277,19 +272,13 @@ impl ReadCache {
     }
 
     /// Statistics so far.
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
+    pub fn stats(&self) -> CacheStats {
+        self.stats
     }
 
     /// LDM footprint of this cache.
     pub fn ldm_bytes(&self) -> usize {
         self.geo.ldm_bytes()
-    }
-
-    fn slot_range(&self, set: usize, way: usize) -> std::ops::Range<usize> {
-        let lw = self.geo.line_words();
-        let base = (set * self.geo.ways + way) * lw;
-        base..base + lw
     }
 
     /// Fetch element `idx`, filling the line by DMA on a miss. Returns the
@@ -301,30 +290,64 @@ impl ReadCache {
         backing: &[f32],
         idx: usize,
     ) -> &'a [f32] {
-        let (tag, set, offset) = self.geo.decompose(idx);
-        let ew = self.geo.elem_words;
+        let (slot, filled) = self.access(perf, idx);
+        let lw = self.geo.line_words();
+        if filled {
+            if self.data.is_empty() {
+                let first_access = self.stats.hits + self.stats.misses == 1;
+                debug_assert!(first_access, "a touched cache holds no words to get");
+                self.data = vec![0.0; self.geo.n_sets * self.geo.ways * lw];
+            }
+            let word_base = self.geo.line_base(idx) * self.geo.elem_words;
+            let src_end = (word_base + lw).min(backing.len());
+            let n = src_end.saturating_sub(word_base);
+            let line = &mut self.data[slot..slot + lw];
+            line[..n].copy_from_slice(&backing[word_base..src_end]);
+            // A line straddling the end of the backing array is zero-filled.
+            line[n..].fill(0.0);
+        }
+        let base = slot + self.geo.decompose(idx).2 * self.geo.elem_words;
+        &self.data[base..base + self.geo.elem_words]
+    }
+
+    /// Charge an access to element `idx` — the lookup, LRU update,
+    /// statistics and line-fill DMA of [`ReadCache::get`] — without
+    /// copying any words. A cache is read either through `touch` (the
+    /// cost of a walk whose data the caller has already) or through
+    /// `get`, never both.
+    pub fn touch(&mut self, perf: &mut PerfCounters, idx: usize) {
+        debug_assert!(self.data.is_empty(), "a touch would leave got words stale");
+        self.access(perf, idx);
+    }
+
+    /// The one lookup path: returns the first word of the slot holding
+    /// `idx`'s line and whether this access filled it.
+    fn access(&mut self, perf: &mut PerfCounters, idx: usize) -> (usize, bool) {
         let line = self.geo.line_number(idx);
         // A run of accesses to one line (neighbors have nearby indices)
         // hits without probing: nothing about the set changes.
         if line == self.latest.0 {
             self.stats.hits += 1;
-        } else {
-            let way = self.lookup_or_fill(perf, backing, tag, set, idx);
-            let slot = (set * self.geo.ways + way) * self.geo.line_words();
-            self.latest = (line, slot);
+            return (self.latest.1, false);
         }
-        let base = self.latest.1 + offset * ew;
-        &self.data[base..base + ew]
+        let (tag, set, _) = self.geo.decompose(idx);
+        let (way, filled) = self.lookup_or_fill(perf, tag, set, idx);
+        let slot = (set * self.geo.ways + way) * self.geo.line_words();
+        self.latest = (line, slot);
+        (slot, filled)
     }
 
     fn lookup_or_fill(
         &mut self,
         perf: &mut PerfCounters,
-        backing: &[f32],
         tag: usize,
         set: usize,
         idx: usize,
-    ) -> usize {
+    ) -> (usize, bool) {
+        if self.tags.is_empty() {
+            self.tags = vec![INVALID; self.geo.n_sets * self.geo.ways];
+            self.lru = vec![0; self.geo.n_sets];
+        }
         // Probe all ways.
         for way in 0..self.geo.ways {
             if self.tags[set * self.geo.ways + way] == tag as i64 {
@@ -332,7 +355,7 @@ impl ReadCache {
                 if self.geo.ways == 2 {
                     self.lru[set] = (way ^ 1) as u8; // other way is next victim
                 }
-                return way;
+                return (way, false);
             }
         }
         // Miss: pick victim, DMA the line in.
@@ -346,11 +369,8 @@ impl ReadCache {
         };
         if self.tags[set * self.geo.ways + victim] != INVALID {
             self.stats.evictions += 1;
-            self.stats.per_set_evictions[set] += 1;
         }
-        let line_base_elem = self.geo.line_base(idx);
-        let word_base = line_base_elem * self.geo.elem_words;
-        let lw = self.geo.line_words();
+        let word_base = self.geo.line_base(idx) * self.geo.elem_words;
         let at = self
             .binding
             .map(|b| (b.region, (b.base_words + word_base) * 4));
@@ -359,16 +379,8 @@ impl ReadCache {
         let price = *self.fill_price[aligned as usize]
             .get_or_insert_with(|| DmaEngine::price_shared(line_bytes, aligned));
         DmaEngine::transfer_shared_priced(perf, Dir::Get, at, price);
-        let range = self.slot_range(set, victim);
-        let src_end = (word_base + lw).min(backing.len());
-        let n = src_end.saturating_sub(word_base);
-        self.data[range.clone()][..n].copy_from_slice(&backing[word_base..src_end]);
-        if n < lw {
-            // Line straddles the end of the backing array; zero-fill tail.
-            self.data[range][n..].fill(0.0);
-        }
         self.tags[set * self.geo.ways + victim] = tag as i64;
-        victim
+        (victim, true)
     }
 }
 
@@ -395,9 +407,13 @@ impl Drop for ReadCache {
 /// a line whose mark bit is clear is known to be all-zero in the copy, so
 /// a miss on it installs a zero line instead of a DMA fetch (Alg. 3 line
 /// 14-16), and the reduction can skip it entirely (Alg. 4).
+///
+/// Like the read cache, its tags and line words are built at the first
+/// miss; until then every set is invalid and a flush moves nothing.
 #[derive(Debug, Clone)]
 pub struct WriteCache {
     geo: CacheGeometry,
+    /// Empty until the first miss: every set invalid.
     tags: Vec<i64>,
     data: Vec<f32>,
     marks: Option<BitMap>,
@@ -416,10 +432,10 @@ impl WriteCache {
         }
         Ok(Self {
             geo,
-            tags: vec![INVALID; geo.n_sets],
-            data: vec![0.0; geo.n_sets * geo.line_words()],
+            tags: Vec::new(),
+            data: Vec::new(),
             marks: None,
-            stats: CacheStats::for_sets(geo.n_sets),
+            stats: CacheStats::default(),
             trace_id: crate::trace::next_cache_id(),
             binding: None,
         })
@@ -461,13 +477,19 @@ impl WriteCache {
     }
 
     /// Statistics so far.
-    pub fn stats(&self) -> &CacheStats {
-        &self.stats
+    pub fn stats(&self) -> CacheStats {
+        self.stats
     }
 
     /// The mark bitmap, if marks are enabled.
     pub fn marks(&self) -> Option<&BitMap> {
         self.marks.as_ref()
+    }
+
+    /// Move the mark bitmap out (the reduction's input, Alg. 4); the
+    /// cache keeps none afterwards.
+    pub fn take_marks(&mut self) -> Option<BitMap> {
+        self.marks.take()
     }
 
     /// Process-unique trace id of this cache instance.
@@ -487,9 +509,11 @@ impl WriteCache {
     /// Every resident line is dirty by construction — the cache only
     /// holds unflushed accumulations.
     pub fn dirty_lines(&self) -> Vec<usize> {
-        (0..self.geo.n_sets)
-            .filter(|&set| self.tags[set] >= 0)
-            .map(|set| ((self.tags[set] as usize) << self.geo.n()) | set)
+        self.tags
+            .iter()
+            .enumerate()
+            .filter(|&(_, &tag)| tag >= 0)
+            .map(|(set, &tag)| ((tag as usize) << self.geo.n()) | set)
             .collect()
     }
 
@@ -509,7 +533,7 @@ impl WriteCache {
     ) {
         debug_assert_eq!(delta.len(), self.geo.elem_words);
         let (tag, set, offset) = self.geo.decompose(idx);
-        if self.tags[set] != tag as i64 {
+        if self.tags.get(set) != Some(&(tag as i64)) {
             self.miss(perf, backing, tag, set, idx);
         } else {
             self.stats.hits += 1;
@@ -529,10 +553,13 @@ impl WriteCache {
         idx: usize,
     ) {
         self.stats.misses += 1;
+        if self.tags.is_empty() {
+            self.tags = vec![INVALID; self.geo.n_sets];
+            self.data = vec![0.0; self.geo.n_sets * self.geo.line_words()];
+        }
         // Evict current occupant if valid (Alg. 3 line 8-10).
         if self.tags[set] >= 0 {
             self.stats.evictions += 1;
-            self.stats.per_set_evictions[set] += 1;
             self.writeback_set(perf, backing, set);
         }
         let line_no = self.geo.line_number(idx);
@@ -577,7 +604,6 @@ impl WriteCache {
         let tag = self.tags[set];
         debug_assert!(tag >= 0);
         self.stats.writebacks += 1;
-        self.stats.per_set_writebacks[set] += 1;
         // Reconstruct the backing element index: idx = ((tag << n) | set) << m.
         let line_elem_base = (((tag as usize) << self.geo.n()) | set) << self.geo.m();
         let word_base = line_elem_base * self.geo.elem_words;
@@ -600,7 +626,7 @@ impl WriteCache {
 
     /// Write all valid lines back to the backing copy and invalidate.
     pub fn flush(&mut self, perf: &mut PerfCounters, backing: &mut [f32]) {
-        for set in 0..self.geo.n_sets {
+        for set in 0..self.tags.len() {
             if self.tags[set] >= 0 {
                 self.writeback_set(perf, backing, set);
                 self.tags[set] = INVALID;
@@ -845,7 +871,7 @@ mod tests {
     }
 
     #[test]
-    fn evictions_are_counted_per_set() {
+    fn evictions_are_counted() {
         // Elements 0 and 16 conflict in set 0 of the 4x4 geometry; the
         // second and every later fill displaces a valid line.
         let g = geo();
@@ -859,8 +885,6 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.misses, 10);
         assert_eq!(s.evictions, 9, "all fills but the first evict");
-        assert_eq!(s.per_set_evictions[0], 9);
-        assert!(s.per_set_evictions[1..].iter().all(|&n| n == 0));
 
         // Write-cache conflicts: each eviction is also a writeback, and
         // the final flush writes back without evicting.
@@ -874,9 +898,32 @@ mod tests {
         wc.flush(&mut p, &mut copy);
         let s = wc.stats();
         assert_eq!(s.evictions, 5);
-        assert_eq!(s.per_set_evictions[0], 5);
         assert_eq!(s.writebacks, 6, "5 eviction writebacks + 1 flush");
-        assert_eq!(s.per_set_writebacks[0], 6);
+    }
+
+    #[test]
+    fn touch_charges_what_get_charges() {
+        let g = CacheGeometry::new(4, 2, 4, 2);
+        let mem = backing(64);
+        let (mut read, mut touched) = (ReadCache::new(g), ReadCache::new(g));
+        let (mut pr, mut pt) = (PerfCounters::new(), PerfCounters::new());
+        for idx in [0, 1, 16, 32, 0, 48, 17, 63, 2] {
+            read.get(&mut pr, &mem, idx);
+            touched.touch(&mut pt, idx);
+        }
+        assert_eq!(read.stats(), touched.stats());
+        assert_eq!(pr, pt);
+    }
+
+    #[test]
+    fn untouched_write_cache_has_nothing_to_flush() {
+        let mut c = WriteCache::with_marks(geo(), 64);
+        assert!(c.dirty_lines().is_empty());
+        let mut p = PerfCounters::new();
+        c.flush(&mut p, &mut []);
+        assert_eq!(p, PerfCounters::new());
+        assert_eq!(c.stats(), CacheStats::default());
+        assert_eq!(c.take_marks().map(|m| m.count_ones()), Some(0));
     }
 
     #[test]
