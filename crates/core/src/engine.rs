@@ -123,7 +123,7 @@ impl EngineConfig {
 /// active.
 fn charge(breakdown: &mut Breakdown, label: &'static str, perf: PerfCounters) {
     swprof::stage(label, perf.cycles);
-    swtel::flight::record("stage", label, perf.cycles, 0);
+    swprof::tel::flight::record("stage", label, perf.cycles, 0);
     breakdown.add(label, perf);
 }
 
@@ -357,7 +357,7 @@ impl Engine {
             );
             swprof::tick(gen.perf.cycles);
             drop(span);
-            swtel::flight::record("stage", "Neighbor search", gen.perf.cycles, 0);
+            swprof::tel::flight::record("stage", "Neighbor search", gen.perf.cycles, 0);
             self.breakdown.add("Neighbor search", gen.perf);
             gen.list
         } else {
@@ -435,7 +435,7 @@ impl Engine {
                 if swprof::enabled() {
                     swprof::metrics::counter_add("fault.kernel_faults", 1);
                 }
-                swtel::flight::record(
+                swprof::tel::flight::record(
                     "abort",
                     "kernel_fault",
                     penalty,
@@ -443,7 +443,7 @@ impl Engine {
                 );
                 if self.consecutive_kernel_faults >= 3 {
                     self.degraded = true;
-                    swtel::flight::record(
+                    swprof::tel::flight::record(
                         "abort",
                         "kernel_degraded",
                         self.kernel_faults,
@@ -475,7 +475,7 @@ impl Engine {
             },
         );
         swprof::tick(result.total.cycles);
-        swtel::flight::record("stage", "Force", result.total.cycles, 0);
+        swprof::tel::flight::record("stage", "Force", result.total.cycles, 0);
         if swprof::enabled() {
             swprof::metrics::counter_add("kernel.flops", result.total.flops());
             swprof::metrics::counter_add("kernel.dma.bytes", result.total.dma_bytes);
@@ -574,7 +574,7 @@ impl Engine {
         }
         if !converged {
             self.constraint_failures += 1;
-            swtel::flight::record("abort", "shake_unconverged", self.step_idx as u64, 0);
+            swprof::tel::flight::record("abort", "shake_unconverged", self.step_idx as u64, 0);
             if swprof::enabled() {
                 swprof::metrics::counter_add("constraints.unconverged", 1);
             }

@@ -190,9 +190,9 @@ impl FaultTolerantRunner {
         self.report.rollbacks += 1;
         swprof::metrics::counter_add("fault.rollbacks", 1);
         let cp = Self::deserialize(&self.cp_bytes, &mut self.report)?;
-        swtel::flight::record("abort", cause, at_step as u64, cp.step);
+        swprof::tel::flight::record("abort", cause, at_step as u64, cp.step);
         if let Some(store) = &self.store {
-            let _ = swtel::flight::dump_to(&store.dir().join("blackbox-rollback.json"));
+            let _ = swprof::tel::flight::dump_to(&store.dir().join("blackbox-rollback.json"));
         }
         cp.restore(&mut self.engine.sys)?;
         self.engine.resume_at(cp.step as usize);

@@ -73,14 +73,14 @@ pub fn compute_forces_dd(
         // "step" span. Everything is gated on one thread-local read, so
         // the untraced path (all existing chaos/differential tests) is
         // a handful of no-ops.
-        let tracing = swtel::enabled();
+        let tracing = swprof::tel::enabled();
         if tracing {
-            swtel::set_rank(Some(rank));
+            swprof::tel::set_rank(Some(rank));
         }
         let _tel_span = if tracing {
-            swtel::span("step")
+            swprof::tel::span("step")
         } else {
-            swtel::Span::disarmed()
+            swprof::tel::Span::disarmed()
         };
         let pairs_before = en.pairs_within_cutoff;
         let halo = decomposition.halo_of(rank, &all_pos, params.r_cut);
@@ -155,7 +155,7 @@ pub fn compute_forces_dd(
             // merged trace draws the "comm. F" arrows of the paper's
             // Wait+comm.F stage.
             let rank_pairs = en.pairs_within_cutoff - pairs_before;
-            swtel::tick(rank_pairs * 6 + local.len() as u64);
+            swprof::tel::tick(rank_pairs * 6 + local.len() as u64);
             if n_ranks > 1 {
                 let np = swnet::NetParams::taihulight();
                 let topo = swnet::Topology::new(n_ranks);
@@ -185,7 +185,7 @@ pub fn compute_forces_dd(
             }
         }
     }
-    swtel::set_rank(None);
+    swprof::tel::set_rank(None);
     (en, stats)
 }
 
@@ -264,7 +264,7 @@ pub fn run_dd_md(
                 }
                 let (cp, retries) = Checkpoint::decode_with_retry(&cp_bytes)?;
                 report.checkpoint_io_retries += retries;
-                swtel::flight::record("abort", "step_rollback", step, cp.step);
+                swprof::tel::flight::record("abort", "step_rollback", step, cp.step);
                 cp.restore(sys)?;
                 step = cp.step;
             }

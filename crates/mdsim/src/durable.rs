@@ -209,9 +209,9 @@ pub fn run_dd_md_durable(
                 // Black box first: the post-mortem needs the tail of
                 // events even (especially) when nobody survives.
                 for &p in &dead_positions {
-                    swtel::flight::record("abort", "rank_kill", members[p] as u64, step);
+                    swprof::tel::flight::record("abort", "rank_kill", members[p] as u64, step);
                 }
-                let _ = swtel::flight::dump_to(&dir.join("blackbox-alldead.json"));
+                let _ = swprof::tel::flight::dump_to(&dir.join("blackbox-alldead.json"));
                 return Err(io::Error::other(
                     "all ranks died; nothing left to recover onto",
                 ));
@@ -231,9 +231,11 @@ pub fn run_dd_md_durable(
             // Flight-recorder black box: who died, at which step, dumped
             // next to the generation chain the survivors recover from.
             for &p in &dead_positions {
-                swtel::flight::record("abort", "rank_kill", members[p] as u64, step);
+                swprof::tel::flight::record("abort", "rank_kill", members[p] as u64, step);
             }
-            let _ = swtel::flight::dump_to(&dir.join(format!("blackbox-rankkill-step{step}.json")));
+            let _ = swprof::tel::flight::dump_to(
+                &dir.join(format!("blackbox-rankkill-step{step}.json")),
+            );
             for &p in dead_positions.iter().rev() {
                 members.remove(p);
             }
@@ -288,7 +290,7 @@ pub fn run_dd_md_durable(
             let halo_ns = halo_exchange_ns(&cfg.net, &topo, cfg.transport, 6, halo_bytes);
             report.comm_ns += halo_ns;
             if let Some(ctx) = ctx {
-                swtel::deliver(&ctx, halo_ns.max(0.0) as u64);
+                swprof::tel::deliver(&ctx, halo_ns.max(0.0) as u64);
             }
         }
         swfault::set_lane(None);

@@ -465,7 +465,7 @@ fn decide_slow(injector: &Injector, site: Site) -> Option<u64> {
     // Black box: every fired decision lands in the flight recorder
     // (always on), so a post-mortem sees the faults leading up to an
     // abort. Lane is offset by one: 0 = MPE/none, n = CPE n-1.
-    swtel::flight::record(
+    swprof::tel::flight::record(
         "fault",
         site.name(),
         lane.map(|l| l as u64 + 1).unwrap_or(0),

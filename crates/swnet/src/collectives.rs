@@ -98,8 +98,8 @@ pub fn halo_exchange_ns(
 
 /// Emit one traced flow `src -> dst` delivered after `wire_ns`.
 pub(crate) fn flow(label: &'static str, src: usize, dst: usize, wire_ns: u64) {
-    if let Some(ctx) = swtel::send_from(label, src, dst) {
-        swtel::deliver(&ctx, wire_ns);
+    if let Some(ctx) = swprof::tel::send_from(label, src, dst) {
+        swprof::tel::deliver(&ctx, wire_ns);
     }
 }
 
@@ -117,7 +117,7 @@ pub fn traced_allreduce_ns(
     label: &'static str,
 ) -> f64 {
     let ns = allreduce_ns(params, topo, transport, bytes);
-    if swtel::enabled() && ranks.len() > 1 {
+    if swprof::tel::enabled() && ranks.len() > 1 {
         let wire = (ns / 2.0).max(0.0) as u64;
         let root = ranks[0];
         for &r in &ranks[1..] {
@@ -144,7 +144,7 @@ pub fn traced_halo_exchange_ns(
     label: &'static str,
 ) -> f64 {
     let ns = halo_exchange_ns(params, topo, transport, n_neighbors, halo_bytes);
-    if swtel::enabled() && ranks.len() > 1 {
+    if swprof::tel::enabled() && ranks.len() > 1 {
         let wire = (ns / n_neighbors.max(1) as f64).max(0.0) as u64;
         let n = ranks.len();
         for i in 0..n {

@@ -82,7 +82,7 @@ pub fn epoch_barrier_traced(
     ranks: &[usize],
 ) -> BarrierOutcome {
     let outcome = epoch_barrier(params, transport, live);
-    if swtel::enabled() {
+    if swprof::tel::enabled() {
         let seats: Vec<usize> = live
             .iter()
             .zip(ranks)

@@ -48,7 +48,7 @@ pub fn traced_pme_fft_comm_ns(
 ) -> f64 {
     let ns = pme_fft_comm_ns(params, topo, transport, grid);
     let n = ranks.len();
-    if swtel::enabled() && n > 1 {
+    if swprof::tel::enabled() && n > 1 {
         let label = "pme.crossover";
         if n <= 64 {
             let wire = (ns / (n * (n - 1)) as f64).max(0.0) as u64;

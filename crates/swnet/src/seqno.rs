@@ -119,7 +119,7 @@ impl SeqChannel {
     /// [`transmit`](SeqChannel::transmit) plus causal-trace context
     /// injection: the context is stamped with the sequence number this
     /// transmit will use and returned for the caller to
-    /// [`swtel::deliver`] once it knows the wire time. One context per
+    /// [`swprof::tel::deliver`] once it knows the wire time. One context per
     /// *logical* message — a delayed-then-retransmitted duplicate
     /// reuses the original's, so discarded copies can never leave an
     /// orphan flow event in the merged trace.
@@ -133,8 +133,8 @@ impl SeqChannel {
         label: &'static str,
         from: usize,
         to: usize,
-    ) -> (TransmitReport, Option<swtel::TraceContext>) {
-        let ctx = swtel::send_seq(label, from, to, self.next_send);
+    ) -> (TransmitReport, Option<swprof::tel::TraceContext>) {
+        let ctx = swprof::tel::send_seq(label, from, to, self.next_send);
         (self.transmit(), ctx)
     }
 
@@ -206,7 +206,7 @@ mod tests {
         // the second copy is discarded. The trace must still pair each
         // send with exactly one receive: one flow per *logical*
         // message, none per duplicate copy.
-        let session = swtel::Session::begin(0x5e9);
+        let session = swprof::tel::Session::begin(0x5e9);
         let plan = FaultPlan {
             net_delay: 1.0,
             ..FaultPlan::with_seed(7)
@@ -218,7 +218,7 @@ mod tests {
             assert_eq!(report.duplicates_discarded, 1);
             let ctx = ctx.expect("session active");
             assert_eq!(ctx.seqno, i, "context carries the channel seqno");
-            swtel::deliver(&ctx, 100);
+            swprof::tel::deliver(&ctx, 100);
         }
         drop(scope.finish());
         let tel = session.finish();

@@ -102,8 +102,8 @@ fn inject_faults(lat: f64, stream: f64) -> f64 {
     ns
 }
 
-/// [`message_ns`] plus causal-trace propagation: when a `swtel`
-/// session is active, injects a [`swtel::TraceContext`] at `from` and
+/// [`message_ns`] plus causal-trace propagation: when a tracing
+/// session is active, injects a [`swprof::tel::TraceContext`] at `from` and
 /// delivers it at `to` with the modeled wire time, so the merged
 /// global trace shows this message as a flow arrow. Cost is identical
 /// to the untraced call (same fault decisions, same ns).
@@ -117,9 +117,9 @@ pub fn traced_message_ns(
     label: &'static str,
 ) -> f64 {
     let ns = message_ns(params, transport, topo.distance(from, to), bytes);
-    if swtel::enabled() && from != to {
-        if let Some(ctx) = swtel::send_from(label, from, to) {
-            swtel::deliver(&ctx, ns.max(0.0) as u64);
+    if swprof::tel::enabled() && from != to {
+        if let Some(ctx) = swprof::tel::send_from(label, from, to) {
+            swprof::tel::deliver(&ctx, ns.max(0.0) as u64);
         }
     }
     ns

@@ -112,7 +112,7 @@ proptest! {
         delay_percent in 0u64..101,
         n_messages in 1u64..40,
     ) {
-        let session = swtel::Session::begin(seed ^ 0xF10);
+        let session = swprof::tel::Session::begin(seed ^ 0xF10);
         let plan = swfault::FaultPlan {
             net_delay: delay_percent as f64 / 100.0,
             ..swfault::FaultPlan::with_seed(seed)
@@ -125,7 +125,7 @@ proptest! {
             prop_assert_eq!(report.seq, i);
             let ctx = ctx.expect("session active");
             prop_assert_eq!(ctx.seqno, i, "context carries the channel seqno");
-            swtel::deliver(&ctx, 50 + (i % 7) * 10);
+            swprof::tel::deliver(&ctx, 50 + (i % 7) * 10);
             delivered += 1;
         }
         drop(scope.finish());

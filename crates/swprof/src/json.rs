@@ -2,10 +2,13 @@
 //!
 //! The workspace builds offline, without a serialization framework, so
 //! the exporters build their JSON by hand.
-//! This module centralizes the two halves: string escaping / number
-//! formatting for emitters, and a small recursive-descent parser used
-//! by tests and the `swprof` binary to validate everything they emit
-//! round-trips as well-formed JSON.
+//! This module centralizes both directions: string escaping / number
+//! formatting for emitters, a writer for a parsed [`Value`]
+//! ([`write_value`], which trace merge re-emits documents through), and
+//! a small recursive-descent parser ([`parse`], its inverse) used by
+//! tests, trace merge and the `swprof` binary. The parser reads files
+//! from disk, so its recursion is bounded: nesting deeper than
+//! [`MAX_DEPTH`] is a [`ParseError`], not a stack overflow.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -109,6 +112,44 @@ pub fn number(v: f64) -> String {
     }
 }
 
+/// Append `v` to `out` as compact JSON. Object members come out in
+/// key order (a [`Value::Obj`] keeps no other); [`parse`] reads the
+/// output back to an equal value whenever every number is finite.
+pub fn write_value(out: &mut String, v: &Value) {
+    match v {
+        Value::Null => out.push_str("null"),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Num(n) => out.push_str(&number(*n)),
+        Value::Str(s) => write_escaped(out, s),
+        Value::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_value(out, item);
+            }
+            out.push(']');
+        }
+        Value::Obj(map) => {
+            out.push('{');
+            for (i, (k, item)) in map.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_escaped(out, k);
+                out.push(':');
+                write_value(out, item);
+            }
+            out.push('}');
+        }
+    }
+}
+
+/// Deepest array/object nesting [`parse`] accepts. Every document this
+/// workspace emits nests at most 6 deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse error: byte offset and message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -131,6 +172,7 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -144,6 +186,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -184,8 +228,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -193,6 +237,20 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.num(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// One level of nesting, refused past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
@@ -427,6 +485,23 @@ mod tests {
         for bad in ["{", "[1,", "{\"a\" 1}", "tru", "\"unterminated", "1 2"] {
             assert!(parse(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        for (open, n) in [("[", 1_000_000), ("{\"a\":", 200_000)] {
+            let err = parse(&open.repeat(n)).unwrap_err();
+            assert_eq!(err.msg, "nesting too deep");
+            assert_eq!(
+                err.at,
+                MAX_DEPTH * open.len(),
+                "refused at the first level past the cap"
+            );
+        }
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let past_cap = format!("[{at_cap}]");
+        assert_eq!(parse(&past_cap).unwrap_err().msg, "nesting too deep");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! # swprof — observability for the whole simulated stack
 //!
-//! A zero-cost-when-disabled profiling layer with three parts:
+//! One accounting of where simulated time goes, zero-cost when disabled,
+//! in five parts:
 //!
 //! 1. **Hierarchical span profiler** — [`span!`] opens an RAII guard on
 //!    the calling core's timeline (MPE or one of the 64 CPEs); nested
@@ -16,11 +17,17 @@
 //!    per-CPE tracks, loadable in `chrome://tracing` / Perfetto), a flat
 //!    JSON-lines metrics dump, and a human report table reproducing the
 //!    paper's Table 1 breakdown from live spans.
+//! 4. **Cross-rank causal tracing** ([`tel`]) — per-rank virtual-ns
+//!    clocks, message flows from each send to its receive, trace merge,
+//!    straggler detection and the always-on flight recorder.
+//! 5. **Serving telemetry plane** ([`slo`]) — windowed quantile
+//!    sketches, SLIs, error budgets, burn-rate alerts with trace
+//!    exemplars, and the `swscope.dashboard.v1` dashboard.
 //!
 //! Everything a session records — spans, metrics, track clocks, the
 //! region epoch and label — is one [`Recording`] owned by its
 //! [`Session`] and reached through the session scope ([`scope`], which
-//! `swfault`, `swtel` and `sw26010::trace` are built on too): the thread
+//! `swfault`, [`tel`] and `sw26010::trace` are built on too): the thread
 //! that opened the session and the lanes of the regions it runs record
 //! into it, no other thread does, and every emit site guards on one
 //! thread-local read ([`enabled`]) — an instrumented binary with no
@@ -56,6 +63,8 @@ pub mod export;
 pub mod json;
 pub mod metrics;
 pub mod scope;
+pub mod slo;
+pub mod tel;
 
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};

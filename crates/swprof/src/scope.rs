@@ -1,7 +1,7 @@
 //! The one session scope every instrumentation plane is built on.
 //!
-//! `swprof`, `swfault`, `swtel` and `sw26010::trace` each keep their
-//! whole state in one struct owned by the guard `Session::begin` /
+//! The profiler, `swfault`, [`crate::tel`] and `sw26010::trace` each
+//! keep their whole state in one struct owned by the guard `Session::begin` /
 //! `swfault::install` returns ([`Scope`]); nothing about a session is
 //! process-wide. A thread reaches the state of the session it works for
 //! through the plane's thread-local slot ([`Plane`]; `enabled()` is "my

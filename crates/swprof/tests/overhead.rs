@@ -1,28 +1,59 @@
-//! Disabled-overhead budget for the swprof instrumentation.
+//! Overhead budgets for the instrumentation, as assertions rather than
+//! numbers to eyeball:
 //!
-//! Every emit site in the stack guards on one thread-local flag read, so
-//! with no session active an instrumented kernel must run at the speed
-//! it had before the profiler existed. A mutex or an allocation on the
-//! disabled path costs 20–100 ns a call in a release build and more in
-//! a debug one; the budget is a hard microsecond, so it holds in both
-//! and on a loaded box, and fails by orders of magnitude on the day the
-//! path grows either.
+//! - **Disabled profiling and tracing**: every emit, span and send site
+//!   in the stack guards on one thread-local flag read, so with no
+//!   session active an instrumented kernel must run at the speed it had
+//!   before the instrumentation existed.
+//! - **Always-on flight recorder**: `tel::flight::record` has no off
+//!   switch — it runs inside production paths (fault decisions, store
+//!   commits, stage charges) unconditionally. Its mutex + array-store
+//!   cost is bounded here so it can never quietly grow an allocation
+//!   or O(n) walk.
+//!
+//! A mutex or an allocation on a disabled path costs 20–100 ns a call
+//! in a release build and more in a debug one; the budget is a hard
+//! microsecond, so it holds in both and on a loaded box, and fails by
+//! orders of magnitude on the day a path grows either.
 
 use std::hint::black_box;
 use std::time::Instant;
 
+use swprof::tel;
+
+/// Time a million rounds of `calls` calls each and hold the mean to
+/// the budget, printing it for `--nocapture` readers.
+fn hold_under_a_microsecond(what: &str, calls: u64, mut round: impl FnMut(u64)) {
+    let t0 = Instant::now();
+    for i in 0..1_000_000u64 {
+        round(i);
+    }
+    let per_call = t0.elapsed().as_nanos() as f64 / (calls * 1_000_000) as f64;
+    println!("# {what}: {per_call:.2} ns/call");
+    assert!(per_call < 1_000.0, "{what} costs {per_call:.0} ns/call");
+}
+
 #[test]
 fn a_disabled_emit_call_stays_under_a_microsecond() {
     assert!(!swprof::enabled(), "no session on this thread");
-    let t0 = Instant::now();
-    for i in 0..1_000_000u64 {
+    hold_under_a_microsecond("disabled emit path", 2, |i| {
         swprof::metrics::counter_add("bench.noop", black_box(i));
         swprof::tick(black_box(1));
-    }
-    let per_call = t0.elapsed().as_nanos() as f64 / 2_000_000.0;
-    println!("# disabled emit path: {per_call:.2} ns/call");
-    assert!(
-        per_call < 1_000.0,
-        "disabled instrumentation costs {per_call:.0} ns/call"
-    );
+    });
+}
+
+#[test]
+fn a_disabled_tracing_call_stays_under_a_microsecond() {
+    assert!(!tel::enabled(), "no session on this thread");
+    hold_under_a_microsecond("disabled tracing path", 2, |i| {
+        drop(tel::span(black_box("step")));
+        tel::tick(black_box(i & 7));
+    });
+}
+
+#[test]
+fn a_flight_record_stays_under_a_microsecond() {
+    hold_under_a_microsecond("flight recorder", 1, |i| {
+        tel::flight::record("stage", "force", black_box(i), 0);
+    });
 }

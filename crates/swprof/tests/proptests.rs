@@ -2,9 +2,13 @@
 //! of opens, closes, and clock ticks a workload produces — across any
 //! mix of MPE and CPE tracks — the profile must close cleanly and the
 //! Chrome-trace export must be valid JSON whose B/E events are strictly
-//! nested with monotone timestamps on every track.
+//! nested with monotone timestamps on every track. And over the JSON
+//! module itself: the writer and the parser are inverses, and hostile
+//! input is an error, never a panic.
 
 use proptest::prelude::*;
+use swprof::json::{parse, write_value, Value};
+use swprof::tel::{self, merge::merge_documents};
 
 /// One random operation against the profiler.
 #[derive(Debug, Clone, Copy)]
@@ -166,28 +170,82 @@ proptest! {
     }
 }
 
-/// Arbitrary label strings biased toward the classes the escaper has
-/// to handle: C0 controls, printable ASCII, DEL/C1/Latin-1, the whole
-/// BMP (including the surrogate gap, mapped to U+FFFD), and astral
-/// scalars that need surrogate pairs. (The shim's `any` has no String
-/// impl, so the strategy is built from raw words.)
+/// One character from a random word, biased toward the classes the
+/// escaper has to handle: C0 controls, printable ASCII, DEL/C1/Latin-1,
+/// the whole BMP (including the surrogate gap, mapped to U+FFFD), and
+/// astral scalars that need surrogate pairs.
+fn char_of(w: u64) -> char {
+    let payload = (w >> 3) as u32;
+    let cp = match w % 5 {
+        0 => payload % 0x20,
+        1 => 0x20 + payload % 0x5f,
+        2 => 0x7f + payload % 0x81,
+        3 => payload % 0x1_0000,
+        _ => 0x1_0000 + payload % 0x10_0000,
+    };
+    char::from_u32(cp).unwrap_or('\u{fffd}')
+}
+
+/// Arbitrary label strings. (The shim's `any` has no String impl, so
+/// the strategy is built from raw words.)
 fn label_strategy() -> impl Strategy<Value = String> {
-    prop::collection::vec(any::<u64>(), 0..24).prop_map(|words| {
-        words
-            .iter()
-            .map(|&w| {
-                let payload = (w >> 3) as u32;
-                let cp = match w % 5 {
-                    0 => payload % 0x20,
-                    1 => 0x20 + payload % 0x5f,
-                    2 => 0x7f + payload % 0x81,
-                    3 => payload % 0x1_0000,
-                    _ => 0x1_0000 + payload % 0x10_0000,
-                };
-                char::from_u32(cp).unwrap_or('\u{fffd}')
-            })
+    prop::collection::vec(any::<u64>(), 0..24)
+        .prop_map(|words| words.iter().map(|&w| char_of(w)).collect())
+}
+
+/// A JSON value decoded from random words, front to back: each word
+/// picks a variant and its payload, and a container takes its length
+/// from its word and decodes its members from the words after it, at
+/// most `depth` levels down. Numbers are any finite bit pattern.
+fn value_from(words: &mut std::slice::Iter<'_, u64>, depth: u32) -> Value {
+    let Some(&w) = words.next() else {
+        return Value::Null;
+    };
+    let text = |w: u64| {
+        (0..w % 4)
+            .map(|i| char_of(w.rotate_left(16 * i as u32)))
             .collect()
-    })
+    };
+    let len = (w >> 8) % 5;
+    match w % if depth == 0 { 4 } else { 6 } {
+        0 => Value::Null,
+        1 => Value::Bool(w & 8 != 0),
+        2 => {
+            let x = f64::from_bits(w.rotate_left(13));
+            Value::Num(if x.is_finite() { x } else { (w >> 40) as f64 })
+        }
+        3 => Value::Str(text(w >> 3)),
+        4 => Value::Arr((0..len).map(|_| value_from(words, depth - 1)).collect()),
+        _ => Value::Obj(
+            (0..len)
+                .map(|i| {
+                    (
+                        text(w.rotate_left(7 * i as u32)),
+                        value_from(words, depth - 1),
+                    )
+                })
+                .collect(),
+        ),
+    }
+}
+
+/// A small but real Chrome trace: two ranks, nested spans, one flow.
+fn sample_trace() -> String {
+    let session = tel::Session::begin(0x7e1);
+    {
+        let _step = tel::span_on(0, "step");
+        tel::tick_on(0, 1_500);
+        let ctx = tel::send_from("halo.f", 0, 1).expect("session is open");
+        let _recv = tel::span_on(1, "recv \"quoted\" \u{1F680}");
+        tel::deliver(&ctx, 250);
+    }
+    session.finish().to_chrome_trace()
+}
+
+/// Neither the parser nor trace merge may panic on `doc`.
+fn survives(doc: &str) {
+    let _ = parse(doc);
+    let _ = merge_documents(&[doc.to_string()]);
 }
 
 proptest! {
@@ -206,5 +264,38 @@ proptest! {
         let obj = format!("{{{}:{}}}", swprof::json::escaped(&s), doc);
         let v = swprof::json::parse(&obj).expect("object parses");
         prop_assert_eq!(v.get(&s).and_then(|x| x.as_str()), Some(s.as_str()));
+    }
+
+    /// The writer and the parser are inverses: any value of finite
+    /// numbers reads back equal to itself.
+    #[test]
+    fn written_values_parse_back_equal(
+        words in prop::collection::vec(any::<u64>(), 0..80),
+    ) {
+        let v = value_from(&mut words.iter(), 5);
+        let mut doc = String::new();
+        write_value(&mut doc, &v);
+        prop_assert!(doc.is_ascii(), "non-ASCII leaked into {doc:?}");
+        prop_assert_eq!(parse(&doc), Ok(v));
+    }
+
+    /// Arbitrary bytes, a trace cut short, or a trace with one flipped
+    /// bit: trace files come from disk, so none may panic the parser or
+    /// trace merge, and a cut-short trace is an error for both.
+    #[test]
+    fn hostile_trace_files_never_panic_parse_or_merge(
+        body in prop::collection::vec(any::<u8>(), 0..300),
+        cut_pick in any::<u64>(),
+        bit_pick in any::<u64>(),
+    ) {
+        survives(&String::from_utf8_lossy(&body));
+        let trace = sample_trace();
+        let short = &trace[..cut_pick as usize % trace.len()];
+        prop_assert!(parse(short).is_err());
+        prop_assert!(merge_documents(&[trace.clone(), short.to_string()]).is_err());
+        let mut flipped = trace.into_bytes();
+        let bit = bit_pick as usize % (flipped.len() * 8);
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        survives(&String::from_utf8_lossy(&flipped));
     }
 }

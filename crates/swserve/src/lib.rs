@@ -30,8 +30,9 @@
 //! - **SLO load harness** ([`loadgen`]): a deterministic open-loop
 //!   client population driving hundreds of jobs, reporting p50/p99
 //!   virtual latency, throughput, and recovery counts as a
-//!   `BENCH_swserve.json` sidecar whose committed baseline CI checks
-//!   byte for byte.
+//!   `BENCH_swserve.json` sidecar, with the live telemetry plane
+//!   (`swprof::slo`) attached for its `BENCH_swscope.json` sidecar and
+//!   dashboard; CI checks both committed baselines byte for byte.
 //!
 //! Because the event loop, the cost model, and every fault decision
 //! are pure functions of the plan seed, the whole service — latency
@@ -124,6 +125,27 @@ pub fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// Silence the default panic hook for the lane panics chaos injects:
+/// they are expected events the runner recovers from, and their
+/// backtraces would swamp the SLO output. Every other panic is
+/// forwarded to the hook that was installed before.
+pub fn quiet_injected_panics() {
+    let prev = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info
+            .payload()
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| info.payload().downcast_ref::<String>().map(|s| s.as_str()));
+        if msg.is_some_and(|m| {
+            m.contains("injected pool worker panic") || m.contains("kernel lane panicked")
+        }) {
+            return;
+        }
+        prev(info);
+    }));
 }
 
 /// FNV-1a over the bit patterns of every position component: the

@@ -299,14 +299,14 @@ impl SloReport {
     }
 }
 
-/// Build the `swscope` sidecar: alert counts, remaining
+/// Build the `BENCH_swscope.json` sidecar: alert counts, remaining
 /// fleet error budgets, and the sketch-vs-exact percentile deltas
 /// that prove the error bound held on this run. Every field is a
-/// pure function of the seed; the CLI (`swscope replay --bench`) and
-/// the acceptance test share this builder so their sidecars agree
+/// pure function of the seed; the CLI (`swserve loadgen`) and the
+/// acceptance test share this builder so their sidecars agree
 /// byte-for-byte.
-pub fn scope_bench(scope: &swscope::Scope, slo: &SloReport, chaos: bool) -> bench::BenchJson {
-    use swscope::slo::{AlertKind, AlertScope, SliKind};
+pub fn scope_bench(scope: &swprof::slo::Scope, slo: &SloReport, chaos: bool) -> bench::BenchJson {
+    use swprof::slo::burn::{AlertKind, AlertScope, SliKind};
     let mut b = bench::BenchJson::new("swscope");
     let count = |k: AlertKind| scope.alerts().iter().filter(|a| a.kind == k).count() as f64;
     let budget = |sli| {
@@ -316,7 +316,7 @@ pub fn scope_bench(scope: &swscope::Scope, slo: &SloReport, chaos: bool) -> benc
     };
     // Fleet latency percentiles out of the merged per-window sketches,
     // against the exact sorted-order percentiles the SLO report holds.
-    let mut merged = swscope::sketch::QSketch::new();
+    let mut merged = swprof::slo::sketch::QSketch::new();
     for w in scope.fleet().closed() {
         merged.merge(&w.sketch);
     }
@@ -375,16 +375,16 @@ pub fn run(plan: &LoadPlan, store_root: &Path) -> io::Result<RunResult> {
     run_with_scope(plan, store_root, None).map(|(r, _)| r)
 }
 
-/// Like [`run`], but with a live [`swscope`] telemetry plane attached
-/// for the whole run. The returned scope is sealed: its windows,
-/// alerts, and exemplars cover first submit through last delivery.
-/// This is what `swscope replay` uses to re-derive the telemetry
-/// stream from a seed.
+/// Like [`run`], but with a live [`swprof::slo`] telemetry plane
+/// attached for the whole run. The returned scope is sealed: its
+/// windows, alerts, and exemplars cover first submit through last
+/// delivery. The plane only watches: the report and the checksums equal
+/// [`run`]'s. This is what `swserve loadgen` runs.
 pub fn run_scoped(
     plan: &LoadPlan,
     store_root: &Path,
-    scope_cfg: swscope::ScopeConfig,
-) -> io::Result<(RunResult, swscope::Scope)> {
+    scope_cfg: swprof::slo::ScopeConfig,
+) -> io::Result<(RunResult, swprof::slo::Scope)> {
     let (result, scope) = run_with_scope(plan, store_root, Some(scope_cfg))?;
     Ok((result, scope.expect("scope attached for the whole run")))
 }
@@ -392,8 +392,8 @@ pub fn run_scoped(
 fn run_with_scope(
     plan: &LoadPlan,
     store_root: &Path,
-    scope_cfg: Option<swscope::ScopeConfig>,
-) -> io::Result<(RunResult, Option<swscope::Scope>)> {
+    scope_cfg: Option<swprof::slo::ScopeConfig>,
+) -> io::Result<(RunResult, Option<swprof::slo::Scope>)> {
     let fault_plan = plan
         .chaos
         .clone()
@@ -448,8 +448,8 @@ fn tenant_breakdown(svc: &Service) -> Vec<TenantSlo> {
 fn run_inner(
     plan: &LoadPlan,
     store_root: &Path,
-    scope_cfg: Option<swscope::ScopeConfig>,
-) -> io::Result<(RunResult, Option<swscope::Scope>)> {
+    scope_cfg: Option<swprof::slo::ScopeConfig>,
+) -> io::Result<(RunResult, Option<swprof::slo::Scope>)> {
     let mut cfg = ServiceConfig::new(plan.n_workers, store_root);
     // The harness measures chaos-proofness, not queue-tuning: generous
     // quotas/capacity so admitted == submitted and a kill can never
@@ -458,7 +458,7 @@ fn run_inner(
     cfg.admission.default_quota = plan.n_jobs.max(16);
     let mut svc = Service::new(cfg)?;
     if let Some(c) = scope_cfg {
-        svc.attach_scope(swscope::Scope::new(c));
+        svc.attach_scope(swprof::slo::Scope::new(c));
     }
 
     let mut t = 0u64;
@@ -541,6 +541,22 @@ mod tests {
         assert_eq!(percentile(&sorted, 99), 99);
         assert_eq!(percentile(&sorted, 100), 100);
         assert_eq!(percentile(&[], 50), 0);
+    }
+
+    #[test]
+    fn attaching_the_telemetry_plane_changes_nothing() {
+        let plan = LoadPlan::standard(21, 24, 2);
+        for plan in [plan.clone(), plan.with_chaos()] {
+            let (dir_a, dir_b) = (tmp("plain"), tmp("scoped"));
+            let plain = run(&plan, &dir_a).unwrap();
+            let (scoped, scope) =
+                run_scoped(&plan, &dir_b, swprof::slo::ScopeConfig::default()).unwrap();
+            assert_eq!(plain.slo.to_json(), scoped.slo.to_json());
+            assert_eq!(plain.checksums, scoped.checksums);
+            assert_eq!(scope.fleet().closed().map(|w| w.completed).sum::<u64>(), 24);
+            let _ = std::fs::remove_dir_all(&dir_a);
+            let _ = std::fs::remove_dir_all(&dir_b);
+        }
     }
 
     #[test]

@@ -1,28 +1,37 @@
-//! `swserve` CLI — the SLO load harness.
+//! `swserve` CLI — the SLO load harness and its telemetry dashboard.
 //!
 //! ```text
 //! swserve loadgen [--jobs N] [--workers N] [--seed S] [--chaos]
 //!                 [--check] [--store DIR] [--slo-out FILE]
-//!                 [--trace FILE]
+//!                 [--trace FILE] [--dash FILE] [--at NS]
 //! ```
 //!
-//! Drives a deterministic client population against the service,
-//! prints the SLO table, and writes the `BENCH_swserve.json` sidecar
-//! (into `$BENCH_OUT_DIR` or `results/`), which CI regenerates and
-//! compares byte for byte with the committed baseline.
+//! Drives a deterministic client population against the service with
+//! the live telemetry plane (`swprof::slo`) attached, prints the SLO
+//! table and the ASCII dashboard, and writes the `BENCH_swserve.json`
+//! and `BENCH_swscope.json` sidecars (into `$BENCH_OUT_DIR` or
+//! `results/`), which CI regenerates and compares byte for byte with
+//! the committed baselines.
 //!
 //! `--chaos` installs the standard chaos mix (worker kills, queue
 //! drops, store faults). `--check` first runs a fault-free reference
 //! and then verifies the main run completed **every** admitted job
 //! with a bit-identical trajectory — exit 3 on any divergence, which
-//! is what the CI `swserve-chaos` job asserts. `--trace` wraps the
-//! run in a `swtel` session and writes the merged Chrome timeline.
+//! is what the CI `recovery` job asserts. `--trace` wraps the run in a
+//! `swprof::tel` session and writes the merged Chrome timeline; alert
+//! spans (`swscope.alert.*`) land on the scheduler rank, and exemplar
+//! trace ids resolve to the `args.id` of their `job.deliver` flow pair.
+//! `--dash` writes the dashboard as JSON at the virtual timestamp
+//! `--at` (default: end of run; the ASCII view honours it too). Every
+//! field is a pure function of the seed, so two runs write
+//! byte-identical dashboards and sidecars.
 //!
 //! Exit codes: 0 ok, 1 run error, 2 usage, 3 check failure.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use swprof::slo::{dash, ScopeConfig};
 use swserve::loadgen::{self, LoadPlan};
 
 struct Args {
@@ -34,12 +43,14 @@ struct Args {
     store: PathBuf,
     slo_out: Option<PathBuf>,
     trace: Option<PathBuf>,
+    dash: Option<PathBuf>,
+    at: u64,
 }
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: swserve loadgen [--jobs N] [--workers N] [--seed S] [--chaos] [--check] \
-         [--store DIR] [--slo-out FILE] [--trace FILE]"
+         [--store DIR] [--slo-out FILE] [--trace FILE] [--dash FILE] [--at NS]"
     );
     ExitCode::from(2)
 }
@@ -59,6 +70,8 @@ fn parse(mut argv: std::env::Args) -> Result<Args, ExitCode> {
         store: PathBuf::from("target/swserve"),
         slo_out: None,
         trace: None,
+        dash: None,
+        at: u64::MAX,
     };
     while let Some(flag) = argv.next() {
         let mut val = |name: &str| {
@@ -76,6 +89,8 @@ fn parse(mut argv: std::env::Args) -> Result<Args, ExitCode> {
             "--store" => args.store = PathBuf::from(val("--store")?),
             "--slo-out" => args.slo_out = Some(PathBuf::from(val("--slo-out")?)),
             "--trace" => args.trace = Some(PathBuf::from(val("--trace")?)),
+            "--dash" => args.dash = Some(PathBuf::from(val("--dash")?)),
+            "--at" => args.at = val("--at")?.parse().map_err(|_| usage())?,
             other => {
                 eprintln!("unknown flag: {other}");
                 return Err(usage());
@@ -89,24 +104,12 @@ fn parse(mut argv: std::env::Args) -> Result<Args, ExitCode> {
     Ok(args)
 }
 
-/// Chaos-injected lane panics are expected events the runner recovers
-/// from; their default-hook backtraces would swamp the SLO output.
-/// Filter exactly those and forward everything else untouched.
-fn quiet_injected_panics() {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let msg = info
-            .payload()
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| info.payload().downcast_ref::<String>().map(|s| s.as_str()));
-        if msg.is_some_and(|m| {
-            m.contains("injected pool worker panic") || m.contains("kernel lane panicked")
-        }) {
-            return;
-        }
-        prev(info);
-    }));
+/// Write `contents` to `path`, creating its directory first.
+fn write_file(path: &Path, contents: String) -> std::io::Result<()> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::write(path, contents)
 }
 
 fn main() -> ExitCode {
@@ -114,7 +117,7 @@ fn main() -> ExitCode {
         Ok(a) => a,
         Err(code) => return code,
     };
-    quiet_injected_panics();
+    swserve::quiet_injected_panics();
 
     let mut plan = LoadPlan::standard(args.seed, args.jobs, args.workers);
     if args.chaos {
@@ -145,10 +148,10 @@ fn main() -> ExitCode {
     let session = args
         .trace
         .as_ref()
-        .map(|_| swtel::Session::begin(args.seed));
-    let result = loadgen::run(&plan, &run_dir);
+        .map(|_| swprof::tel::Session::begin(args.seed));
+    let result = loadgen::run_scoped(&plan, &run_dir, ScopeConfig::default());
     let telemetry = session.map(|s| s.finish());
-    let result = match result {
+    let (result, scope) = match result {
         Ok(r) => r,
         Err(e) => {
             eprintln!("load run failed: {e}");
@@ -164,15 +167,13 @@ fn main() -> ExitCode {
         if args.chaos { "on" } else { "off" }
     );
     println!("{}", result.slo.table());
+    println!("{}", dash::ascii(&scope, args.at));
 
     if let (Some(path), Some(tel)) = (&args.trace, &telemetry) {
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
         if let Err(e) = tel
             .check_causal()
             .map_err(std::io::Error::other)
-            .and_then(|()| std::fs::write(path, tel.to_chrome_trace()))
+            .and_then(|()| write_file(path, tel.to_chrome_trace()))
         {
             eprintln!("trace write failed: {e}");
             return ExitCode::from(1);
@@ -180,18 +181,23 @@ fn main() -> ExitCode {
         println!("[trace] wrote {}", path.display());
     }
     if let Some(path) = &args.slo_out {
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        if let Err(e) = std::fs::write(path, result.slo.to_json()) {
+        if let Err(e) = write_file(path, result.slo.to_json()) {
             eprintln!("SLO report write failed: {e}");
             return ExitCode::from(1);
         }
         println!("[slo] wrote {}", path.display());
     }
+    if let Some(path) = &args.dash {
+        if let Err(e) = write_file(path, dash::snapshot_json(&scope, args.at)) {
+            eprintln!("dashboard write failed: {e}");
+            return ExitCode::from(1);
+        }
+        println!("[dash] wrote {}", path.display());
+    }
     let mut sidecar = bench::BenchJson::new("swserve");
     result.slo.fill_bench(&mut sidecar, args.chaos);
-    if let Err(e) = sidecar.write() {
+    let scope_sidecar = loadgen::scope_bench(&scope, &result.slo, args.chaos);
+    if let Err(e) = sidecar.write().and_then(|()| scope_sidecar.write()) {
         eprintln!("sidecar write failed: {e}");
         return ExitCode::from(1);
     }

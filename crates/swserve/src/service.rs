@@ -36,10 +36,35 @@ use std::path::PathBuf;
 use swfault::Site;
 use swgmx::engine::{Engine, EngineConfig};
 use swgmx::recovery::FaultTolerantRunner;
-use swtel::service as labels;
+use swprof::{slo, tel};
 
 use crate::admission::{AdmissionConfig, AdmissionController};
 use crate::{mix64, trajectory_checksum, JobSpec};
+
+/// Canonical span/flow labels of the serving plane, so one merged
+/// timeline reads the same in every tool: a request is `submit → admit
+/// → schedule → run → deliver`, with the `job.*` flows stitching
+/// client, scheduler, and worker ranks.
+mod labels {
+    /// Client-side span around one submit attempt.
+    pub const SPAN_SUBMIT: &str = "swserve.submit";
+    /// Scheduler-side span around one admission decision.
+    pub const SPAN_ADMIT: &str = "swserve.admit";
+    /// Scheduler-side span around one dispatch decision.
+    pub const SPAN_SCHEDULE: &str = "swserve.schedule";
+    /// Worker-side span around one execution quantum.
+    pub const SPAN_RUN: &str = "swserve.run";
+    /// Scheduler-side span around trajectory delivery.
+    pub const SPAN_DELIVER: &str = "swserve.deliver";
+    /// Flow: client submit reaching the scheduler.
+    pub const FLOW_SUBMIT: &str = "job.submit";
+    /// Flow: scheduler dispatching a job to a worker.
+    pub const FLOW_DISPATCH: &str = "job.dispatch";
+    /// Flow: worker reporting completion to the scheduler.
+    pub const FLOW_RESULT: &str = "job.result";
+    /// Flow: scheduler delivering the trajectory to the client.
+    pub const FLOW_DELIVER: &str = "job.deliver";
+}
 
 /// Scheduler rank on the merged timeline (workers are `1 + index`,
 /// the client population is one rank past the last worker).
@@ -278,8 +303,8 @@ pub struct Service {
     stats: ServiceStats,
     sweep_scheduled: bool,
     /// Optional live telemetry plane; every lifecycle transition is
-    /// mirrored into it as a [`swscope::Event`].
-    scope: Option<swscope::Scope>,
+    /// mirrored into it as a [`slo::Event`].
+    scope: Option<slo::Scope>,
 }
 
 impl Service {
@@ -316,7 +341,7 @@ impl Service {
     /// Attach a live telemetry plane. Alert spans land on the
     /// scheduler rank; every admit/dispatch/complete/kill/retry event
     /// from here on feeds the plane at the scheduler's virtual clock.
-    pub fn attach_scope(&mut self, mut scope: swscope::Scope) {
+    pub fn attach_scope(&mut self, mut scope: slo::Scope) {
         scope.bind_rank(SCHEDULER_RANK);
         self.scope = Some(scope);
     }
@@ -324,14 +349,14 @@ impl Service {
     /// Seal and detach the telemetry plane (closes the final partial
     /// window just past the current virtual time, running one last
     /// alert evaluation).
-    pub fn detach_scope(&mut self) -> Option<swscope::Scope> {
+    pub fn detach_scope(&mut self) -> Option<slo::Scope> {
         let mut scope = self.scope.take()?;
         scope.seal(self.now + 1);
         Some(scope)
     }
 
     /// The attached telemetry plane, if any.
-    pub fn scope(&self) -> Option<&swscope::Scope> {
+    pub fn scope(&self) -> Option<&slo::Scope> {
         self.scope.as_ref()
     }
 
@@ -343,10 +368,10 @@ impl Service {
         worker: Option<usize>,
         job: u64,
         trace: u64,
-        kind: swscope::Kind,
+        kind: slo::Kind,
     ) {
         if let Some(scope) = self.scope.as_mut() {
-            scope.on_event(swscope::Event {
+            scope.on_event(slo::Event {
                 at_ns: self.now,
                 tenant,
                 worker,
@@ -454,17 +479,17 @@ impl Service {
 
     fn on_submit(&mut self, spec: JobSpec, attempt: u32, submitted_ns: u64) -> io::Result<()> {
         let client = self.client_rank();
-        swtel::align(client, self.now);
+        tel::align(client, self.now);
         let ctx = {
-            let _submit = swtel::span_on(client, labels::SPAN_SUBMIT);
-            swtel::send_from(labels::FLOW_SUBMIT, client, SCHEDULER_RANK)
+            let _submit = tel::span_on(client, labels::SPAN_SUBMIT);
+            tel::send_from(labels::FLOW_SUBMIT, client, SCHEDULER_RANK)
         };
         if let Some(ctx) = &ctx {
-            swtel::deliver(ctx, self.cfg.wire_ns);
+            tel::deliver(ctx, self.cfg.wire_ns);
         }
         let submit_trace = ctx.as_ref().map_or(0, |c| c.flow_id);
-        let _admit = swtel::span_on(SCHEDULER_RANK, labels::SPAN_ADMIT);
-        swtel::tick_on(SCHEDULER_RANK, ADMIT_NS);
+        let _admit = tel::span_on(SCHEDULER_RANK, labels::SPAN_ADMIT);
+        tel::tick_on(SCHEDULER_RANK, ADMIT_NS);
 
         if !self.admission.has_headroom(spec.tenant) {
             self.stats.over_quota += 1;
@@ -488,8 +513,8 @@ impl Service {
                     };
                     self.admission.release(tenant);
                     self.stats.shed += 1;
-                    swtel::flight::record("serve", "job_shed", victim_id, 0);
-                    self.scope_event(Some(tenant), None, victim_id, 0, swscope::Kind::Shed);
+                    tel::flight::record("serve", "job_shed", victim_id, 0);
+                    self.scope_event(Some(tenant), None, victim_id, 0, slo::Kind::Shed);
                 }
                 _ => {
                     self.stats.queue_full += 1;
@@ -518,13 +543,7 @@ impl Service {
                 last_heartbeat_ns: self.now,
             },
         );
-        self.scope_event(
-            Some(spec.tenant),
-            None,
-            id,
-            submit_trace,
-            swscope::Kind::Admit,
-        );
+        self.scope_event(Some(spec.tenant), None, id, submit_trace, slo::Kind::Admit);
         self.enqueue(id)
     }
 
@@ -536,11 +555,11 @@ impl Service {
         let next = attempt + 1;
         if next >= swfault::retry::MAX_ATTEMPTS {
             self.stats.rejected += 1;
-            swtel::flight::record("serve", "job_rejected", spec.seed, attempt as u64);
-            self.scope_event(Some(spec.tenant), None, 0, 0, swscope::Kind::Reject);
+            tel::flight::record("serve", "job_rejected", spec.seed, attempt as u64);
+            self.scope_event(Some(spec.tenant), None, 0, 0, slo::Kind::Reject);
             return Ok(());
         }
-        self.scope_event(Some(spec.tenant), None, 0, 0, swscope::Kind::Retry);
+        self.scope_event(Some(spec.tenant), None, 0, 0, slo::Kind::Retry);
         let payload = mix64(spec.seed ^ ((next as u64) << 32));
         let delay = swfault::retry::backoff_ns(next, self.cfg.retry_base_ns as f64, payload) as u64;
         self.schedule(
@@ -562,9 +581,9 @@ impl Service {
         // — recovery from a drop is guaranteed, not probabilistic.
         if swfault::should(Site::SchedJobDrop) {
             self.stats.job_drops += 1;
-            swtel::flight::record("serve", "job_drop", id, 0);
+            tel::flight::record("serve", "job_drop", id, 0);
             let tenant = self.jobs[&id].spec.tenant;
-            self.scope_event(Some(tenant), None, id, 0, swscope::Kind::Drop);
+            self.scope_event(Some(tenant), None, id, 0, slo::Kind::Drop);
         } else {
             self.queue.insert(key);
         }
@@ -594,13 +613,13 @@ impl Service {
             let j = &self.jobs[&id];
             (j.spec, j.dispatches)
         };
-        swtel::align(SCHEDULER_RANK, self.now);
+        tel::align(SCHEDULER_RANK, self.now);
         let ctx = {
-            let _sched = swtel::span_on(SCHEDULER_RANK, labels::SPAN_SCHEDULE);
-            swtel::send_from(labels::FLOW_DISPATCH, SCHEDULER_RANK, self.worker_rank(w))
+            let _sched = tel::span_on(SCHEDULER_RANK, labels::SPAN_SCHEDULE);
+            tel::send_from(labels::FLOW_DISPATCH, SCHEDULER_RANK, self.worker_rank(w))
         };
         if let Some(ctx) = &ctx {
-            swtel::deliver(ctx, DISPATCH_NS);
+            tel::deliver(ctx, DISPATCH_NS);
         }
         // The job's whole durable life lives under one directory; a
         // re-dispatch after a kill finds the chain and resumes from the
@@ -633,7 +652,7 @@ impl Service {
             Some(w),
             id,
             ctx.as_ref().map_or(0, |c| c.flow_id),
-            swscope::Kind::Dispatch,
+            slo::Kind::Dispatch,
         );
         self.schedule(
             self.now + cost,
@@ -676,11 +695,11 @@ impl Service {
         let qcost = quantum_cost_ns(spec.n_particles(), executed);
         // The quantum event fires at its *end*; backdate the span so
         // the merged timeline shows the work interval.
-        swtel::align(wrank, self.now.saturating_sub(qcost));
+        tel::align(wrank, self.now.saturating_sub(qcost));
         {
-            let _run = swtel::span_on(wrank, labels::SPAN_RUN);
+            let _run = tel::span_on(wrank, labels::SPAN_RUN);
             runner.run_until(target as usize)?;
-            swtel::tick_on(wrank, qcost);
+            tel::tick_on(wrank, qcost);
         }
         {
             let report = runner.report();
@@ -700,7 +719,7 @@ impl Service {
             Some(w),
             id,
             0,
-            swscope::Kind::Quantum { dur_ns: qcost },
+            slo::Kind::Quantum { dur_ns: qcost },
         );
 
         if now_step < spec.steps {
@@ -723,16 +742,16 @@ impl Service {
         drop(runner);
         self.workers[w].state = WorkerState::Idle;
         self.workers[w].runner = None;
-        let result_ctx = swtel::send_from(labels::FLOW_RESULT, wrank, SCHEDULER_RANK);
+        let result_ctx = tel::send_from(labels::FLOW_RESULT, wrank, SCHEDULER_RANK);
         if let Some(ctx) = &result_ctx {
-            swtel::deliver(ctx, self.cfg.wire_ns);
+            tel::deliver(ctx, self.cfg.wire_ns);
         }
         let deliver_ctx = {
-            let _deliver = swtel::span_on(SCHEDULER_RANK, labels::SPAN_DELIVER);
-            swtel::send_from(labels::FLOW_DELIVER, SCHEDULER_RANK, self.client_rank())
+            let _deliver = tel::span_on(SCHEDULER_RANK, labels::SPAN_DELIVER);
+            tel::send_from(labels::FLOW_DELIVER, SCHEDULER_RANK, self.client_rank())
         };
         if let Some(ctx) = &deliver_ctx {
-            swtel::deliver(ctx, self.cfg.wire_ns);
+            tel::deliver(ctx, self.cfg.wire_ns);
         }
         let finished_ns = self.now + 2 * self.cfg.wire_ns;
         let (tenant, md_steps, deadline_missed) = {
@@ -762,7 +781,7 @@ impl Service {
             Some(w),
             id,
             deliver_ctx.as_ref().map_or(0, |c| c.flow_id),
-            swscope::Kind::Complete { latency_ns },
+            slo::Kind::Complete { latency_ns },
         );
         self.try_dispatch()
     }
@@ -788,12 +807,12 @@ impl Service {
         // Payload: (worker, victim job) — the job id is how a kill
         // alert's exemplar finds this entry in the black-box dump
         // (u64::MAX when the worker died idle).
-        swtel::flight::record("serve", "worker_kill", w as u64, victim.unwrap_or(u64::MAX));
+        tel::flight::record("serve", "worker_kill", w as u64, victim.unwrap_or(u64::MAX));
         if swprof::enabled() {
             swprof::metrics::counter_add("serve.worker_kills", 1);
         }
         let tenant = victim.map(|id| self.jobs[&id].spec.tenant);
-        self.scope_event(tenant, Some(w), victim.unwrap_or(0), 0, swscope::Kind::Kill);
+        self.scope_event(tenant, Some(w), victim.unwrap_or(0), 0, slo::Kind::Kill);
         self.ensure_sweep();
     }
 
@@ -833,8 +852,8 @@ impl Service {
                 j.spec.tenant
             };
             self.stats.readmissions += 1;
-            swtel::flight::record("serve", "job_readmit", id, 0);
-            self.scope_event(Some(tenant), None, id, 0, swscope::Kind::Readmit);
+            tel::flight::record("serve", "job_readmit", id, 0);
+            self.scope_event(Some(tenant), None, id, 0, slo::Kind::Readmit);
             self.enqueue(id)?;
         }
         // Reconcile: Queued jobs missing from the run queue (a

@@ -493,7 +493,7 @@ impl Store {
         }
         // Black box: commits anchor a post-mortem — the flight dump's
         // last "store" event names the generation the chain ends at.
-        swtel::flight::record("store", "commit", epoch, frames.len() as u64);
+        swprof::tel::flight::record("store", "commit", epoch, frames.len() as u64);
         if swprof::enabled() {
             swprof::metrics::counter_add("store.generations_written", 1);
             swprof::metrics::counter_add("store.bytes_written", bytes.len() as u64);
@@ -576,7 +576,7 @@ impl Drop for Store {
 /// retry recorded. Returns the retries burned.
 fn retrying(epoch: u64, attempt: impl FnMut() -> io::Result<()>) -> io::Result<u32> {
     let recorded = |retries: u32| {
-        swtel::flight::record("store", "fsync_retry", epoch, retries as u64);
+        swprof::tel::flight::record("store", "fsync_retry", epoch, retries as u64);
         if swprof::enabled() {
             swprof::metrics::counter_add("store.fsync_retries", 1);
         }

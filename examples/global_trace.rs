@@ -1,5 +1,5 @@
 //! One global timeline from a multi-rank run: cross-rank causal
-//! tracing with swtel.
+//! tracing with `swprof::tel`.
 //!
 //! ```sh
 //! cargo run --release --example global_trace
@@ -9,26 +9,27 @@
 //! session. Every halo message carries a `(trace_id, parent_span_id,
 //! seqno)` context, so the per-rank span tracks stitch into a single
 //! Chrome timeline with flow arrows from each send to its receive —
-//! load `target/swtel-demo/global.json` in `chrome://tracing` or
-//! Perfetto to see the lanes. The same telemetry feeds the straggler
-//! detector (EWMA + MAD over virtual per-rank clocks; no wall time
-//! anywhere).
+//! load `target/global-trace/global.json` in `chrome://tracing` or
+//! Perfetto to see the lanes. The per-rank files are also merged back
+//! into `merged.json`, one process per input file. The same telemetry
+//! feeds the straggler detector (EWMA + MAD over virtual per-rank
+//! clocks; no wall time anywhere).
 
 use sw_gromacs::mdsim::constraints::ConstraintSet;
 use sw_gromacs::mdsim::ddrun::run_dd_md;
 use sw_gromacs::mdsim::nonbonded::{Coulomb, NbParams};
 use sw_gromacs::mdsim::water::{theta_hoh, water_box, D_OH};
-use sw_gromacs::swtel;
+use sw_gromacs::swprof::tel;
 
 const N_RANKS: usize = 4;
 const N_STEPS: u64 = 8;
 
 fn main() {
-    let out = std::path::Path::new("target/swtel-demo");
+    let out = std::path::Path::new("target/global-trace");
     std::fs::create_dir_all(out).expect("create output dir");
 
     // Trace a 4-rank run end to end.
-    let session = swtel::Session::begin(0x90ac5);
+    let session = tel::Session::begin(0x90ac5);
     let mut sys = water_box(60, 300.0, 41);
     let cs = ConstraintSet::rigid_water(&sys, D_OH, theta_hoh());
     let p = NbParams {
@@ -47,18 +48,25 @@ fn main() {
     );
     assert_eq!(tel.undelivered_flows(), 0);
 
-    // The global merged timeline plus one file per rank (what a real
-    // job would write from separate processes; `swtel merge` stitches
-    // those the same way).
+    // The global timeline, one file per rank (what a real job would
+    // write from separate processes), and those files merged back into
+    // one timeline the way a post-mortem would stitch them.
     std::fs::write(out.join("global.json"), tel.to_chrome_trace()).expect("write global");
+    let mut docs = Vec::new();
     for rank in 0..N_RANKS {
-        std::fs::write(out.join(format!("rank{rank}.json")), tel.rank_trace(rank))
-            .expect("write rank trace");
+        let path = out.join(format!("rank{rank}.json"));
+        std::fs::write(&path, tel.rank_trace(rank)).expect("write rank trace");
+        docs.push(std::fs::read_to_string(&path).expect("read rank trace"));
     }
-    println!("wrote {}/global.json and per-rank traces", out.display());
+    let merged = tel::merge::merge_documents(&docs).expect("merge rank traces");
+    std::fs::write(out.join("merged.json"), merged).expect("write merged");
+    println!(
+        "wrote {}/global.json, per-rank traces and merged.json",
+        out.display()
+    );
 
     // Straggler scan over the same telemetry. A healthy fleet is quiet.
-    let flags = swtel::straggler::detect_spans(&tel, "step", Default::default());
+    let flags = tel::straggler::detect_spans(&tel, "step", Default::default());
     if flags.is_empty() {
         println!("straggler scan: fleet is even");
     } else {

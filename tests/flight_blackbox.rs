@@ -11,13 +11,13 @@ use sw_gromacs::mdsim::constraints::ConstraintSet;
 use sw_gromacs::mdsim::durable::{run_dd_md_durable, DurableConfig};
 use sw_gromacs::mdsim::nonbonded::{Coulomb, NbParams};
 use sw_gromacs::mdsim::water::{theta_hoh, water_box, D_OH};
-use sw_gromacs::swtel;
 use swfault::{FaultPlan, Site};
 use swprof::json::{parse, Value};
+use swprof::tel;
 
 #[test]
 fn rank_kill_leaves_a_blackbox_dump_matching_the_abort_site() {
-    let dir = std::env::temp_dir().join(format!("swtel-blackbox-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("flight-blackbox-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
     let p = NbParams {
@@ -27,7 +27,7 @@ fn rank_kill_leaves_a_blackbox_dump_matching_the_abort_site() {
     let cfg = DurableConfig::new(4, 14, 4);
     // Kill original rank 2 at its 10th liveness poll (step 10) — the
     // same script the durable bit-identity test uses.
-    let session = swtel::Session::begin(0xb1ac);
+    let session = tel::Session::begin(0xb1ac);
     let scope = swfault::install(FaultPlan::with_seed(5).one_shot(Site::RankKill, Some(2), 10));
     let mut sys = water_box(60, 300.0, 33);
     let cs = ConstraintSet::rigid_water(&sys, D_OH, theta_hoh());
@@ -74,6 +74,6 @@ fn rank_kill_leaves_a_blackbox_dump_matching_the_abort_site() {
 
     // The recorder kept running *through* the recovery: the in-memory
     // ring has seen at least everything the dump froze.
-    assert!(swtel::flight::recorded() >= events.len() as u64);
+    assert!(tel::flight::recorded() >= events.len() as u64);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,17 +1,18 @@
-//! Acceptance tests for the swtel tentpole: a 4-rank `run_dd_md` traced
-//! end to end must merge into one *valid* global Chrome timeline —
-//! per-track spans well nested, every flow pairing exactly one send
-//! with one receive, and the receive never before the send.
+//! Acceptance tests for cross-rank causal tracing (`swprof::tel`): a
+//! 4-rank `run_dd_md` traced end to end must merge into one *valid*
+//! global Chrome timeline — per-track spans well nested, every flow
+//! pairing exactly one send with one receive, and the receive never
+//! before the send.
 //!
-//! A swtel session belongs to the thread that opened it, so the tests
+//! A tracing session belongs to the thread that opened it, so the tests
 //! here trace side by side.
 
 use sw_gromacs::mdsim::constraints::ConstraintSet;
 use sw_gromacs::mdsim::ddrun::run_dd_md;
 use sw_gromacs::mdsim::nonbonded::{Coulomb, NbParams};
 use sw_gromacs::mdsim::water::{theta_hoh, water_box, D_OH};
-use sw_gromacs::swtel;
 use swprof::json::{parse, Value};
+use swprof::tel;
 
 fn params() -> NbParams {
     NbParams {
@@ -21,8 +22,8 @@ fn params() -> NbParams {
 }
 
 /// Run a traced 4-rank DD-MD and return the telemetry.
-fn traced_dd_run(trace_id: u64) -> swtel::Telemetry {
-    let session = swtel::Session::begin(trace_id);
+fn traced_dd_run(trace_id: u64) -> tel::Telemetry {
+    let session = tel::Session::begin(trace_id);
     let mut sys = water_box(60, 300.0, 41);
     let cs = ConstraintSet::rigid_water(&sys, D_OH, theta_hoh());
     run_dd_md(&mut sys, 4, &params(), &cs, 0.002, 6, 3).unwrap();
@@ -120,27 +121,27 @@ fn merged_global_chrome_trace_validates() {
 fn per_rank_traces_merge_into_the_same_global_timeline() {
     let tel = traced_dd_run(44);
     // Export each rank separately (what a real job would write from
-    // four processes), then merge as the `swtel merge` CLI does.
+    // four processes), then merge them as `examples/global_trace.rs` does.
     let docs: Vec<String> = (0..4).map(|r| tel.rank_trace(r)).collect();
-    let merged = swtel::merge::merge_documents(&docs).expect("merge");
+    let merged = tel::merge::merge_documents(&docs).expect("merge");
     let doc = parse(&merged).expect("merged doc is valid JSON");
     validate_chrome_doc(&doc, 4);
 }
 
 #[test]
 fn straggler_detector_flags_an_injected_slow_rank() {
-    let session = swtel::Session::begin(45);
+    let session = tel::Session::begin(45);
     for _step in 0..8 {
         for rank in 0..4 {
-            swtel::set_rank(Some(rank));
-            let span = swtel::span("step");
-            swtel::tick(if rank == 2 { 5_000 } else { 1_000 });
+            tel::set_rank(Some(rank));
+            let span = tel::span("step");
+            tel::tick(if rank == 2 { 5_000 } else { 1_000 });
             drop(span);
         }
     }
-    swtel::set_rank(None);
+    tel::set_rank(None);
     let tel = session.finish();
-    let flags = swtel::straggler::detect_spans(&tel, "step", Default::default());
+    let flags = tel::straggler::detect_spans(&tel, "step", Default::default());
     assert_eq!(flags.len(), 1, "exactly the slow rank flags: {flags:?}");
     assert_eq!(flags[0].rank, 2);
 }

@@ -1,6 +1,6 @@
-//! swscope acceptance: the telemetry plane's end-to-end contract on
-//! the fixed chaos fixture (seed 11, 240 jobs, 4 workers — the same
-//! fixture `swscope replay --chaos` and EXPERIMENTS.md record).
+//! Telemetry-plane acceptance (`swprof::slo`): its end-to-end contract
+//! on the fixed chaos fixture (seed 11, 240 jobs, 4 workers — the same
+//! fixture `swserve loadgen --chaos` and EXPERIMENTS.md record).
 //!
 //! One sequential test (the flight recorder it reads back is
 //! process-wide) asserting the ISSUE's acceptance criteria:
@@ -24,7 +24,9 @@ use swfault::{FaultPlan, Site};
 use swgmx::engine::Version;
 use swgmx::BackendSel;
 use swprof::json::{parse, Value};
-use swscope::slo::AlertKind;
+use swprof::slo::burn::AlertKind;
+use swprof::slo::{dash, sketch, window, ScopeConfig};
+use swprof::tel;
 use swserve::loadgen::{self, LoadPlan};
 use swserve::service::{Service, ServiceConfig};
 use swserve::{JobSpec, Priority};
@@ -39,38 +41,19 @@ fn store(tag: &str) -> PathBuf {
     dir
 }
 
-/// Same filter as the CLIs: chaos-injected lane panics are expected,
-/// recovered events; keep their backtraces out of the test output.
-fn quiet_injected_panics() {
-    let prev = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let msg = info
-            .payload()
-            .downcast_ref::<&str>()
-            .copied()
-            .or_else(|| info.payload().downcast_ref::<String>().map(|s| s.as_str()));
-        if msg.is_some_and(|m| {
-            m.contains("injected pool worker panic") || m.contains("kernel lane panicked")
-        }) {
-            return;
-        }
-        prev(info);
-    }));
-}
-
 struct Replay {
     result: loadgen::RunResult,
     dash: String,
     bench: String,
     chrome: Value,
     n_alerts: usize,
-    fast_burns: Vec<(u64, Option<swscope::window::Exemplar>)>,
+    fast_burns: Vec<(u64, Option<window::Exemplar>)>,
 }
 
 fn replay(tag: &str) -> Replay {
     let plan = LoadPlan::standard(SEED, N_JOBS, N_WORKERS).with_chaos();
-    let session = swtel::Session::begin(SEED);
-    let run = loadgen::run_scoped(&plan, &store(tag), swscope::ScopeConfig::default());
+    let session = tel::Session::begin(SEED);
+    let run = loadgen::run_scoped(&plan, &store(tag), ScopeConfig::default());
     let tel = session.finish();
     let (result, scope) = run.expect("chaos replay");
 
@@ -84,7 +67,7 @@ fn replay(tag: &str) -> Replay {
         .map(|a| (a.at_ns, a.exemplar))
         .collect();
     Replay {
-        dash: swscope::dash::snapshot_json(&scope, u64::MAX),
+        dash: dash::snapshot_json(&scope, u64::MAX),
         bench: loadgen::scope_bench(&scope, &result.slo, true).to_json(),
         chrome,
         n_alerts: scope.alerts().len(),
@@ -98,7 +81,7 @@ fn replay(tag: &str) -> Replay {
 /// victim job. Small enough (one short job) that the 256-event black
 /// box cannot have evicted the record by the time we look.
 fn kill_record_names_victim_job() {
-    swtel::flight::reset();
+    tel::flight::reset();
     let plan = FaultPlan::with_seed(3).one_shot(Site::RankKill, Some(0), 0);
     let scope = swfault::install(plan);
     let dir = store("kill");
@@ -121,7 +104,7 @@ fn kill_record_names_victim_job() {
     assert_eq!(svc.stats().worker_kills, 1);
     assert_eq!(svc.stats().completed, 1, "killed job recovered");
 
-    let kills: Vec<(u64, u64)> = swtel::flight::snapshot()
+    let kills: Vec<(u64, u64)> = tel::flight::snapshot()
         .into_iter()
         .filter(|ev| ev.kind == "serve" && ev.label == "worker_kill")
         .map(|ev| (ev.a, ev.b))
@@ -136,7 +119,7 @@ fn kill_record_names_victim_job() {
 
 #[test]
 fn chaos_fixture_alerts_exemplars_and_replay_determinism() {
-    quiet_injected_panics();
+    swserve::quiet_injected_panics();
     let first = replay("a");
     let second = replay("b");
 
@@ -190,7 +173,7 @@ fn chaos_fixture_alerts_exemplars_and_replay_determinism() {
     assert!(
         events
             .iter()
-            .any(|e| e.get("name").and_then(Value::as_str) == Some(swtel::scope::ALERT_FAST_BURN)),
+            .any(|e| e.get("name").and_then(Value::as_str) == Some(AlertKind::FastBurn.label())),
         "fast-burn alert span on the merged timeline"
     );
 
@@ -216,10 +199,10 @@ fn chaos_fixture_alerts_exemplars_and_replay_determinism() {
     let exact_p99 = first.result.slo.p99_ns as f64;
     assert!(exact_p99 > 0.0);
     assert!(
-        metric("sketch.p99.delta_ns") <= swscope::sketch::RELATIVE_ERROR * exact_p99,
+        metric("sketch.p99.delta_ns") <= sketch::RELATIVE_ERROR * exact_p99,
         "sketch p99 outside declared bound: delta {} vs {} * {}",
         metric("sketch.p99.delta_ns"),
-        swscope::sketch::RELATIVE_ERROR,
+        sketch::RELATIVE_ERROR,
         exact_p99
     );
     assert_eq!(metric("sketch.samples"), N_JOBS as f64);
