@@ -26,7 +26,8 @@ use mdsim::water::{theta_hoh, D_OH};
 use sw26010::perf::{Breakdown, PerfCounters};
 use sw26010::pool::{LanePool, N_LANES};
 use sw26010::trace;
-use swnet::{NetParams, Topology, Transport};
+use swnet::params::{MPI_SW_OVERHEAD_NS, RDMA_SW_OVERHEAD_NS};
+use swnet::{Topology, Transport};
 
 use crate::backend::{AnyBackend, BackendSel, KernelBackend, KernelInput};
 use crate::check::{Variant, REGION_SYS_POS, REGION_SYS_VEL};
@@ -641,8 +642,6 @@ pub struct MultiCgModel {
     pub n_ranks: usize,
     /// Version under test.
     pub version: Version,
-    /// Network parameters.
-    pub net: NetParams,
     /// PME mesh size per axis (None = short-range only, the default).
     pub pme_grid: Option<usize>,
 }
@@ -663,7 +662,6 @@ impl MultiCgModel {
             n_particles,
             n_ranks,
             version,
-            net: NetParams::taihulight(),
             pme_grid: None,
         }
     }
@@ -708,12 +706,10 @@ impl MultiCgModel {
             let halo_particles = self.halo_estimate(per_rank);
             let halo_bytes = halo_particles * 12;
             let halo_full = 2.0
-                * swnet::traced_halo_exchange_ns(
-                    &self.net, &topo, transport, 6, halo_bytes, &ranks, "halo.x",
-                );
+                * swnet::traced_halo_exchange_ns(&topo, transport, 6, halo_bytes, &ranks, "halo.x");
             let sw_per_msg = match transport {
-                Transport::Mpi => self.net.mpi_sw_overhead_ns,
-                Transport::Rdma => self.net.rdma_sw_overhead_ns,
+                Transport::Mpi => MPI_SW_OVERHEAD_NS,
+                Transport::Rdma => RDMA_SW_OVERHEAD_NS,
             };
             let halo_sw = 12.0 * sw_per_msg;
             let halo_wait = halo_sw + (halo_full - halo_sw - 0.8 * force_ns_per_step).max(0.0);
@@ -723,18 +719,12 @@ impl MultiCgModel {
             // "Comm. energies" row; imbalance grows slowly with rank
             // count.
             let imbalance = 0.025 * (self.n_ranks as f64).log2();
-            let allreduce = swnet::traced_allreduce_ns(
-                &self.net,
-                &topo,
-                transport,
-                64,
-                &ranks,
-                "energies.allreduce",
-            ) + imbalance * force_ns_per_step;
+            let allreduce =
+                swnet::traced_allreduce_ns(&topo, transport, 64, &ranks, "energies.allreduce")
+                    + imbalance * force_ns_per_step;
             // Domain decomposition every nstlist steps: repartition by
             // neighbor exchange of about two halo volumes.
-            let dd_per_rebuild =
-                4.0 * swnet::halo_exchange_ns(&self.net, &topo, transport, 6, halo_bytes);
+            let dd_per_rebuild = 4.0 * swnet::halo_exchange_ns(&topo, transport, 6, halo_bytes);
             let n_rebuilds = n_steps.div_ceil(engine.config().nstlist) as f64;
             charge(
                 &mut breakdown,
@@ -752,7 +742,7 @@ impl MultiCgModel {
                 ns_counters(dd_per_rebuild * n_rebuilds),
             );
             if let Some(grid) = self.pme_grid {
-                let pme = swnet::traced_pme_fft_comm_ns(&self.net, &topo, transport, grid, &ranks);
+                let pme = swnet::traced_pme_fft_comm_ns(&topo, transport, grid, &ranks);
                 charge(
                     &mut breakdown,
                     "PME comm.",

@@ -496,7 +496,7 @@ fn rma_lane<L: Lanes8>(
         ..
     } = input;
     let range = block_range(psys.n_packages(), N_LANES, lane);
-    let cache_id = trace::next_cache_id();
+    let cache_id = trace::next_id();
     let mut copy = Vec::new();
     let mut marks = BitMap::new(shape.n_lines);
     let (e_lj, e_coul, n_pairs) = if shape.strategy == WriteStrategy::Atomics {

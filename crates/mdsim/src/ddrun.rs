@@ -157,13 +157,11 @@ pub fn compute_forces_dd(
             let rank_pairs = en.pairs_within_cutoff - pairs_before;
             swprof::tel::tick(rank_pairs * 6 + local.len() as u64);
             if n_ranks > 1 {
-                let np = swnet::NetParams::taihulight();
                 let topo = swnet::Topology::new(n_ranks);
                 let bytes = (halo_forces * 12).max(8);
                 let right = (rank + 1) % n_ranks;
                 let left = (rank + n_ranks - 1) % n_ranks;
                 let _ = swnet::traced_message_ns(
-                    &np,
                     swnet::Transport::Rdma,
                     &topo,
                     rank,
@@ -173,7 +171,6 @@ pub fn compute_forces_dd(
                 );
                 if left != right {
                     let _ = swnet::traced_message_ns(
-                        &np,
                         swnet::Transport::Rdma,
                         &topo,
                         rank,

@@ -33,8 +33,7 @@ use std::io;
 use std::path::Path;
 
 use swnet::{
-    epoch_barrier, epoch_barrier_traced, halo_exchange_ns, halo_timeout_ns, NetParams, SeqChannel,
-    Transport,
+    epoch_barrier, epoch_barrier_traced, halo_exchange_ns, halo_timeout_ns, SeqChannel, Transport,
 };
 use swstore::{Store, StoreOptions};
 
@@ -46,7 +45,15 @@ use crate::integrate::leapfrog_step_constrained;
 use crate::nonbonded::{NbEnergies, NbParams};
 use crate::system::System;
 
-/// Configuration of a durable run.
+/// Leapfrog time step of a durable run: the paper's 2 fs.
+pub const DT: f32 = 0.002;
+
+/// Transport of the durable run's communication plane: the paper's RDMA
+/// (§3.6).
+const TRANSPORT: Transport = Transport::Rdma;
+
+/// Configuration of a durable run. Generations on disk follow
+/// [`StoreOptions::default`].
 #[derive(Debug, Clone)]
 pub struct DurableConfig {
     /// Ranks the run starts with (the decomposition shrinks on death).
@@ -57,27 +64,16 @@ pub struct DurableConfig {
     /// generation is a multiple of this (nstlist-aligned in the paper's
     /// terms). Epoch 0 is always committed so recovery has a floor.
     pub epoch_interval: u64,
-    /// Leapfrog time step.
-    pub dt: f32,
-    /// Generations to retain on disk (see [`StoreOptions`]).
-    pub retain: usize,
-    /// Interconnect model for barrier / halo / timeout costs.
-    pub net: NetParams,
-    /// Transport the communication plane uses.
-    pub transport: Transport,
 }
 
 impl DurableConfig {
-    /// TaihuLight-flavored defaults around a given decomposition size.
+    /// A run of `n_steps` over `n_ranks` ranks, snapshotting every
+    /// `epoch_interval` steps.
     pub fn new(n_ranks: usize, n_steps: u64, epoch_interval: u64) -> Self {
         Self {
             n_ranks,
             n_steps,
             epoch_interval,
-            dt: 0.002,
-            retain: 4,
-            net: NetParams::taihulight(),
-            transport: Transport::Rdma,
         }
     }
 }
@@ -135,7 +131,7 @@ pub fn run_dd_md_durable(
         epoch_interval: cfg.epoch_interval,
         ..Default::default()
     };
-    let (mut store, _open) = Store::open(dir, StoreOptions { retain: cfg.retain })?;
+    let (mut store, _open) = Store::open(dir, StoreOptions::default())?;
 
     // Resume: the newest fully-valid generation wins; every rank of the
     // new invocation starts from the reassembled global state, whatever
@@ -166,12 +162,7 @@ pub fn run_dd_md_durable(
         if step.is_multiple_of(cfg.epoch_interval) && last_committed != Some(step) {
             let _cp_span = swprof::span("durable.commit");
             let topo = swnet::Topology::new(members.len());
-            let barrier = epoch_barrier_traced(
-                &cfg.net,
-                cfg.transport,
-                &vec![true; members.len()],
-                &members,
-            );
+            let barrier = epoch_barrier_traced(TRANSPORT, &vec![true; members.len()], &members);
             report.comm_ns += barrier.ns;
             let decomposition = Decomposition::new(sys.pbc, members.len());
             let parts = decomposition.partition(&sys.pos);
@@ -190,7 +181,7 @@ pub fn run_dd_md_durable(
             last_committed = Some(step);
             // The commit itself is an all-to-disk gather; charge one
             // more barrier-sized round for the completion handshake.
-            report.comm_ns += epoch_barrier(&cfg.net, cfg.transport, &vec![true; topo.n_ranks]).ns;
+            report.comm_ns += epoch_barrier(TRANSPORT, &vec![true; topo.n_ranks]).ns;
         }
 
         // Poll the fault plane: does any live rank die this step?
@@ -220,12 +211,12 @@ pub fn run_dd_md_durable(
             // parallel), then confirm at a barrier over the old
             // communicator with the dead seats empty.
             report.halo_timeouts += 1;
-            report.comm_ns += halo_timeout_ns(&cfg.net);
+            report.comm_ns += halo_timeout_ns();
             let mut seats = vec![true; members.len()];
             for &p in &dead_positions {
                 seats[p] = false;
             }
-            let barrier = epoch_barrier(&cfg.net, cfg.transport, &seats);
+            let barrier = epoch_barrier(TRANSPORT, &seats);
             report.comm_ns += barrier.ns;
             report.rank_kills += dead_positions.len() as u64;
             // Flight-recorder black box: who died, at which step, dumped
@@ -266,7 +257,7 @@ pub fn run_dd_md_durable(
         sys.clear_forces();
         let (en, stats) = compute_forces_dd(sys, members.len(), params);
         report.energies = en;
-        leapfrog_step_constrained(sys, cfg.dt, constraints);
+        leapfrog_step_constrained(sys, DT, constraints);
         step += 1;
         report.step_executions += 1;
 
@@ -287,7 +278,7 @@ pub fn run_dd_md_durable(
             };
             report.duplicates_discarded += tx.duplicates_discarded as u64;
             let halo_bytes = stats.halo.get(pos).copied().unwrap_or(0) * 12;
-            let halo_ns = halo_exchange_ns(&cfg.net, &topo, cfg.transport, 6, halo_bytes);
+            let halo_ns = halo_exchange_ns(&topo, TRANSPORT, 6, halo_bytes);
             report.comm_ns += halo_ns;
             if let Some(ctx) = ctx {
                 swprof::tel::deliver(&ctx, halo_ns.max(0.0) as u64);
@@ -362,7 +353,7 @@ mod tests {
 
         let mut b = water_box(60, 300.0, 31);
         let cs_b = ConstraintSet::rigid_water(&b, D_OH, theta_hoh());
-        crate::ddrun::run_dd_md(&mut b, 4, &p, &cs_b, cfg.dt, 12, 4).unwrap();
+        crate::ddrun::run_dd_md(&mut b, 4, &p, &cs_b, DT, 12, 4).unwrap();
         assert_bits_equal(&a, &b);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -435,7 +426,7 @@ mod tests {
         for _ in 8..14 {
             b.clear_forces();
             compute_forces_dd(&mut b, 3, &p);
-            leapfrog_step_constrained(&mut b, cfg.dt, &cs_b);
+            leapfrog_step_constrained(&mut b, DT, &cs_b);
         }
         assert_bits_equal(&a, &b);
         let _ = std::fs::remove_dir_all(&dir);

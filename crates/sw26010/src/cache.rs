@@ -248,7 +248,7 @@ impl ReadCache {
             fill_price: [None; 2],
             latest: (usize::MAX, 0),
             stats: CacheStats::default(),
-            trace_id: crate::trace::next_cache_id(),
+            trace_id: crate::trace::next_id(),
             binding: None,
         }
     }
@@ -436,7 +436,7 @@ impl WriteCache {
             data: Vec::new(),
             marks: None,
             stats: CacheStats::default(),
-            trace_id: crate::trace::next_cache_id(),
+            trace_id: crate::trace::next_id(),
             binding: None,
         })
     }

@@ -69,7 +69,7 @@ impl Ldm {
             in_use: 0,
             reservations: Vec::new(),
             stall_cycles: 0,
-            trace_id: crate::trace::next_ldm_id(),
+            trace_id: crate::trace::next_id(),
         }
     }
 

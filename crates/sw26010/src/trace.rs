@@ -235,7 +235,7 @@ pub enum Event {
         cpe: Option<usize>,
         /// Spawn epoch current at arrival time.
         epoch: u64,
-        /// Barrier round id (fresh per round, from [`next_barrier_id`]).
+        /// Barrier round id (fresh per round, from [`next_id`]).
         id: u64,
     },
     /// A sequence-numbered channel send (`swnet::seqno::SeqChannel`).
@@ -247,7 +247,7 @@ pub enum Event {
         cpe: Option<usize>,
         /// Spawn epoch current at send time.
         epoch: u64,
-        /// Channel trace id (fresh per channel, from [`next_chan_id`]).
+        /// Channel trace id (fresh per channel, from [`next_id`]).
         chan: u64,
         /// Sequence number stamped on the message.
         seq: u64,
@@ -277,12 +277,8 @@ pub struct Binding {
 
 // swrace: allow(SWC010) region-epoch allocator: fetch_add only, never reset or read back as state
 static EPOCH: AtomicU64 = AtomicU64::new(0);
-// swrace: allow(SWC010) the five id allocators: fetch_add only, never reset or read back as state
-static NEXT_CACHE_ID: AtomicU64 = AtomicU64::new(1);
-static NEXT_LDM_ID: AtomicU64 = AtomicU64::new(1);
-static NEXT_CHAN_ID: AtomicU64 = AtomicU64::new(1);
-static NEXT_DMA_ID: AtomicU64 = AtomicU64::new(1);
-static NEXT_BARRIER_ID: AtomicU64 = AtomicU64::new(1);
+// swrace: allow(SWC010) the trace id allocator: fetch_add only, never reset or read back as state
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// The event sink of one capture session. Opaque: owned by its
 /// [`Session`], reached by the threads working for it through [`scope`].
@@ -345,24 +341,12 @@ pub(crate) fn set_current_epoch(epoch: u64) {
     REGION_EPOCH.with(|e| e.set(epoch));
 }
 
-/// Allocate a process-unique trace id for a software cache instance.
-pub fn next_cache_id() -> u64 {
-    NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Allocate a process-unique trace id for an LDM ledger instance.
-pub fn next_ldm_id() -> u64 {
-    NEXT_LDM_ID.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Allocate a process-unique trace id for a sequence-numbered channel.
-pub fn next_chan_id() -> u64 {
-    NEXT_CHAN_ID.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Allocate a process-unique id for one barrier/allreduce round.
-pub fn next_barrier_id() -> u64 {
-    NEXT_BARRIER_ID.fetch_add(1, Ordering::Relaxed)
+/// Allocate a process-unique, nonzero trace id: for a software cache,
+/// an LDM ledger, a sequence-numbered channel, a barrier round or a DMA
+/// transfer. Ids only need to be unique within their kind; one counter
+/// makes them unique overall.
+pub fn next_id() -> u64 {
+    NEXT_ID.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Open a new spawn epoch, returning its number. A profiling session of
@@ -394,7 +378,7 @@ pub fn emit_dma(
 ) -> u64 {
     let mut id = 0;
     emit(|| {
-        id = NEXT_DMA_ID.fetch_add(1, Ordering::Relaxed);
+        id = next_id();
         Event::Dma {
             cpe: current_cpe(),
             epoch: current_epoch(),
@@ -704,13 +688,10 @@ mod tests {
     }
 
     #[test]
-    fn cache_ids_are_unique() {
-        let a = next_cache_id();
-        let b = next_cache_id();
+    fn trace_ids_are_unique_and_nonzero() {
+        let (a, b) = (next_id(), next_id());
         assert_ne!(a, b);
-        assert_ne!(next_ldm_id(), next_ldm_id());
-        assert_ne!(next_chan_id(), next_chan_id());
-        assert_ne!(next_barrier_id(), next_barrier_id());
+        assert!(a > 0 && b > 0);
     }
 
     #[test]

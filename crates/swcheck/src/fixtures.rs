@@ -203,7 +203,7 @@ fn unsynchronized_reduce() -> Fixture {
 fn open_dma_window() -> Fixture {
     let session = trace::Session::begin();
     let mut perf = PerfCounters::new();
-    let chan = trace::next_chan_id();
+    let chan = trace::next_id();
     let epoch = trace::begin_region(2);
     trace::set_current_cpe(Some(0));
     let handle = DmaEngine::issue_shared_at(&mut perf, Dir::Get, 8, 0, 64);

@@ -51,6 +51,7 @@
 pub mod retry;
 
 use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -174,11 +175,13 @@ impl Site {
 }
 
 /// The simulated core asking for a fault decision: `None` is the MPE /
-/// host, `Some(i)` is CPE `i` (mirrors `sw26010::trace` tagging).
+/// host, `Some(i)` is CPE `i` (mirrors `sw26010::trace` tagging), or
+/// rank / worker `i` at the durable driver's and the service's sites.
 pub type Lane = Option<usize>;
 
-/// Lanes tracked per site: MPE plus 64 CPEs.
-pub const N_LANES: usize = 65;
+/// Lanes with a fixed counter per site: MPE plus 64 CPEs. Higher lanes
+/// count in [`Injector`]'s overflow map.
+const N_LANES: usize = 65;
 
 /// A scripted one-shot event: force an injection at exactly the
 /// `seq`-th decision of `(site, lane)`, regardless of the site's rate.
@@ -366,8 +369,10 @@ impl FaultLog {
 pub struct Injector {
     plan: FaultPlan,
     log: Mutex<Vec<FaultEvent>>,
-    /// Next decision index of each `(site, lane)`.
+    /// Next decision index of each `(site, lane)` below [`N_LANES`].
     counters: [AtomicU64; N_SITES * N_LANES],
+    /// Next decision index of each `(site, lane index)` past them.
+    overflow: Mutex<BTreeMap<(Site, usize), u64>>,
 }
 
 thread_local! {
@@ -391,9 +396,11 @@ pub fn enabled() -> bool {
     INJECTOR.active()
 }
 
-/// Tag the calling thread as deciding on behalf of `lane`.
-/// `CoreGroup::spawn` sets this around each CPE kernel instance,
-/// mirroring `trace::set_current_cpe`; host/MPE threads stay `None`.
+/// Tag the calling thread as deciding on behalf of `lane`. The lane
+/// prologue of `sw26010::pool` sets this around each lane, mirroring
+/// `trace::set_current_cpe`; the durable driver and the service set the
+/// rank or worker index around their `RankKill` polls. Host/MPE threads
+/// stay `None`.
 pub fn set_lane(lane: Lane) {
     CURRENT_LANE.with(|l| l.set(lane));
 }
@@ -406,7 +413,7 @@ pub fn current_lane() -> Lane {
 fn lane_index(lane: Lane) -> usize {
     match lane {
         None => 0,
-        Some(cpe) => 1 + cpe.min(N_LANES - 2),
+        Some(cpe) => 1 + cpe,
     }
 }
 
@@ -439,7 +446,14 @@ pub fn decide(site: Site) -> Option<u64> {
 fn decide_slow(injector: &Injector, site: Site) -> Option<u64> {
     let lane = current_lane();
     let li = lane_index(lane);
-    let seq = injector.counters[site as usize * N_LANES + li].fetch_add(1, Ordering::Relaxed);
+    let seq = if li < N_LANES {
+        injector.counters[site as usize * N_LANES + li].fetch_add(1, Ordering::Relaxed)
+    } else {
+        let mut overflow = scope::lock(&injector.overflow);
+        let next = overflow.entry((site, li)).or_insert(0);
+        *next += 1;
+        *next - 1
+    };
     let plan = &injector.plan;
     let h = mix(plan
         .seed
@@ -497,6 +511,7 @@ pub fn install(plan: FaultPlan) -> FaultScope {
             plan,
             log: Mutex::default(),
             counters: [const { AtomicU64::new(0) }; N_SITES * N_LANES],
+            overflow: Mutex::default(),
         }),
     }
 }
@@ -589,6 +604,45 @@ mod tests {
         drop(scope);
         assert_eq!(a, a2);
         assert_eq!(b, b2);
+    }
+
+    #[test]
+    fn lanes_past_the_cpes_have_their_own_streams() {
+        // Service workers and DD ranks are lanes too, and nothing caps
+        // their count at the 64 CPEs.
+        let plan = || FaultPlan {
+            rank_kill: 0.5,
+            ..FaultPlan::with_seed(11)
+        };
+        let draws_on = |lane: usize| {
+            set_lane(Some(lane));
+            let v: Vec<bool> = (0..64).map(|_| should(Site::RankKill)).collect();
+            set_lane(None);
+            v
+        };
+        let scope = install(plan());
+        let lane64 = draws_on(64);
+        drop(scope);
+        let scope = install(plan());
+        let lane100 = draws_on(100);
+        drop(scope);
+        assert_ne!(lane64, lane100, "lanes 64 and 100 share a stream");
+        let scope = install(plan());
+        draws_on(63);
+        let after63 = draws_on(64);
+        drop(scope);
+        assert_eq!(lane64, after63, "lane 63's draws moved lane 64's");
+
+        let scope = install(FaultPlan::with_seed(11).one_shot(Site::RankKill, Some(70), 3));
+        set_lane(Some(64));
+        let on64: Vec<bool> = (0..5).map(|_| should(Site::RankKill)).collect();
+        set_lane(Some(70));
+        let on70: Vec<bool> = (0..5).map(|_| should(Site::RankKill)).collect();
+        set_lane(None);
+        let log = scope.finish();
+        assert_eq!(on64, [false; 5]);
+        assert_eq!(on70, [false, false, false, true, false]);
+        assert_eq!((log.events[0].lane, log.events[0].seq), (Some(70), 3));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! modeled with standard log-tree / linear algorithms on top of
 //! `message_ns` in the transport module.
 
-use crate::params::{NetParams, RankDistance};
+use crate::params::RankDistance;
 use crate::transport::{message_ns, Transport};
 use crate::Topology;
 
@@ -25,12 +25,7 @@ fn worst_distance(topo: &Topology) -> RankDistance {
 
 /// Recursive-doubling all-reduce of `bytes` per rank: `2 log2(P)` rounds
 /// (reduce-scatter + all-gather), message size halving per round.
-pub fn allreduce_ns(
-    params: &NetParams,
-    topo: &Topology,
-    transport: Transport,
-    bytes: usize,
-) -> f64 {
+pub fn allreduce_ns(topo: &Topology, transport: Transport, bytes: usize) -> f64 {
     let p = topo.n_ranks;
     if p <= 1 {
         return 0.0;
@@ -40,7 +35,7 @@ pub fn allreduce_ns(
     let mut total = 0.0;
     let mut chunk = bytes;
     for _ in 0..rounds {
-        total += message_ns(params, transport, dist, chunk.max(8));
+        total += message_ns(transport, dist, chunk.max(8));
         chunk = (chunk / 2).max(8);
     }
     2.0 * total
@@ -48,22 +43,17 @@ pub fn allreduce_ns(
 
 /// Pairwise-exchange all-to-all with `bytes_per_pair` to each of the
 /// other `P-1` ranks (the PME FFT transpose pattern).
-pub fn alltoall_ns(
-    params: &NetParams,
-    topo: &Topology,
-    transport: Transport,
-    bytes_per_pair: usize,
-) -> f64 {
+pub fn alltoall_ns(topo: &Topology, transport: Transport, bytes_per_pair: usize) -> f64 {
     let p = topo.n_ranks;
     if p <= 1 {
         return 0.0;
     }
     let dist = worst_distance(topo);
-    (p - 1) as f64 * message_ns(params, transport, dist, bytes_per_pair.max(8))
+    (p - 1) as f64 * message_ns(transport, dist, bytes_per_pair.max(8))
 }
 
 /// Binomial-tree gather of `bytes` per rank to rank 0.
-pub fn gather_ns(params: &NetParams, topo: &Topology, transport: Transport, bytes: usize) -> f64 {
+pub fn gather_ns(topo: &Topology, transport: Transport, bytes: usize) -> f64 {
     let p = topo.n_ranks;
     if p <= 1 {
         return 0.0;
@@ -73,7 +63,7 @@ pub fn gather_ns(params: &NetParams, topo: &Topology, transport: Transport, byte
     let mut total = 0.0;
     let mut chunk = bytes;
     for _ in 0..rounds {
-        total += message_ns(params, transport, dist, chunk.max(8));
+        total += message_ns(transport, dist, chunk.max(8));
         chunk *= 2; // later rounds carry aggregated data
     }
     total
@@ -83,7 +73,6 @@ pub fn gather_ns(params: &NetParams, topo: &Topology, transport: Transport, byte
 /// (both directions overlap; the per-step cost is the serialized sends
 /// plus one wire time).
 pub fn halo_exchange_ns(
-    params: &NetParams,
     topo: &Topology,
     transport: Transport,
     n_neighbors: usize,
@@ -93,7 +82,7 @@ pub fn halo_exchange_ns(
         return 0.0;
     }
     let dist = worst_distance(topo);
-    n_neighbors as f64 * message_ns(params, transport, dist, halo_bytes.max(8))
+    n_neighbors as f64 * message_ns(transport, dist, halo_bytes.max(8))
 }
 
 /// Emit one traced flow `src -> dst` delivered after `wire_ns`.
@@ -109,14 +98,13 @@ pub(crate) fn flow(label: &'static str, src: usize, dst: usize, wire_ns: u64) {
 /// taking half the modeled collective time. Cost is identical to the
 /// untraced call.
 pub fn traced_allreduce_ns(
-    params: &NetParams,
     topo: &Topology,
     transport: Transport,
     bytes: usize,
     ranks: &[usize],
     label: &'static str,
 ) -> f64 {
-    let ns = allreduce_ns(params, topo, transport, bytes);
+    let ns = allreduce_ns(topo, transport, bytes);
     if swprof::tel::enabled() && ranks.len() > 1 {
         let wire = (ns / 2.0).max(0.0) as u64;
         let root = ranks[0];
@@ -135,7 +123,6 @@ pub fn traced_allreduce_ns(
 /// the ring has more than two members). Cost is identical to the
 /// untraced call.
 pub fn traced_halo_exchange_ns(
-    params: &NetParams,
     topo: &Topology,
     transport: Transport,
     n_neighbors: usize,
@@ -143,7 +130,7 @@ pub fn traced_halo_exchange_ns(
     ranks: &[usize],
     label: &'static str,
 ) -> f64 {
-    let ns = halo_exchange_ns(params, topo, transport, n_neighbors, halo_bytes);
+    let ns = halo_exchange_ns(topo, transport, n_neighbors, halo_bytes);
     if swprof::tel::enabled() && ranks.len() > 1 {
         let wire = (ns / n_neighbors.max(1) as f64).max(0.0) as u64;
         let n = ranks.len();
@@ -163,18 +150,16 @@ mod tests {
 
     #[test]
     fn single_rank_collectives_are_free() {
-        let p = NetParams::taihulight();
         let t = Topology::new(1);
-        assert_eq!(allreduce_ns(&p, &t, Transport::Mpi, 1024), 0.0);
-        assert_eq!(alltoall_ns(&p, &t, Transport::Mpi, 1024), 0.0);
-        assert_eq!(gather_ns(&p, &t, Transport::Mpi, 1024), 0.0);
+        assert_eq!(allreduce_ns(&t, Transport::Mpi, 1024), 0.0);
+        assert_eq!(alltoall_ns(&t, Transport::Mpi, 1024), 0.0);
+        assert_eq!(gather_ns(&t, Transport::Mpi, 1024), 0.0);
     }
 
     #[test]
     fn allreduce_scales_logarithmically() {
-        let p = NetParams::taihulight();
-        let t64 = allreduce_ns(&p, &Topology::new(64), Transport::Rdma, 64);
-        let t512 = allreduce_ns(&p, &Topology::new(512), Transport::Rdma, 64);
+        let t64 = allreduce_ns(&Topology::new(64), Transport::Rdma, 64);
+        let t512 = allreduce_ns(&Topology::new(512), Transport::Rdma, 64);
         // 512 ranks = 9 rounds vs 6 rounds: ~1.5x, far from 8x.
         let ratio = t512 / t64;
         assert!(ratio > 1.2 && ratio < 2.5, "ratio {ratio}");
@@ -182,31 +167,26 @@ mod tests {
 
     #[test]
     fn alltoall_scales_linearly() {
-        let p = NetParams::taihulight();
-        let t64 = alltoall_ns(&p, &Topology::new(64), Transport::Rdma, 64);
-        let t512 = alltoall_ns(&p, &Topology::new(512), Transport::Rdma, 64);
+        let t64 = alltoall_ns(&Topology::new(64), Transport::Rdma, 64);
+        let t512 = alltoall_ns(&Topology::new(512), Transport::Rdma, 64);
         let ratio = t512 / t64;
         assert!(ratio > 6.0 && ratio < 10.0, "ratio {ratio}");
     }
 
     #[test]
     fn rdma_collectives_beat_mpi() {
-        let p = NetParams::taihulight();
         let t = Topology::new(512);
+        assert!(allreduce_ns(&t, Transport::Rdma, 256) < allreduce_ns(&t, Transport::Mpi, 256));
         assert!(
-            allreduce_ns(&p, &t, Transport::Rdma, 256) < allreduce_ns(&p, &t, Transport::Mpi, 256)
-        );
-        assert!(
-            halo_exchange_ns(&p, &t, Transport::Rdma, 6, 4096)
-                < halo_exchange_ns(&p, &t, Transport::Mpi, 6, 4096)
+            halo_exchange_ns(&t, Transport::Rdma, 6, 4096)
+                < halo_exchange_ns(&t, Transport::Mpi, 6, 4096)
         );
     }
 
     #[test]
     fn small_jobs_stay_on_chip() {
-        let p = NetParams::taihulight();
-        let on_chip = allreduce_ns(&p, &Topology::new(4), Transport::Rdma, 64);
-        let off_chip = allreduce_ns(&p, &Topology::new(8), Transport::Rdma, 64);
+        let on_chip = allreduce_ns(&Topology::new(4), Transport::Rdma, 64);
+        let off_chip = allreduce_ns(&Topology::new(8), Transport::Rdma, 64);
         assert!(on_chip < off_chip);
     }
 }

@@ -14,11 +14,10 @@
 //! simulated nanoseconds.
 
 //! ```
-//! use swnet::{message_ns, NetParams, RankDistance, Topology, Transport};
+//! use swnet::{message_ns, RankDistance, Topology, Transport};
 //!
-//! let params = NetParams::taihulight();
-//! let mpi = message_ns(&params, Transport::Mpi, RankDistance::SameSupernode, 64);
-//! let rdma = message_ns(&params, Transport::Rdma, RankDistance::SameSupernode, 64);
+//! let mpi = message_ns(Transport::Mpi, RankDistance::SameSupernode, 64);
+//! let rdma = message_ns(Transport::Rdma, RankDistance::SameSupernode, 64);
 //! assert!(rdma < mpi); // §3.6: zero-copy beats the 4-copy path
 //! let topo = Topology::new(512);
 //! assert_eq!(topo.distance(0, 3), RankDistance::SameChip);
@@ -36,7 +35,7 @@ pub use collectives::{
     traced_halo_exchange_ns,
 };
 pub use liveness::{epoch_barrier, epoch_barrier_traced, halo_timeout_ns, BarrierOutcome};
-pub use params::{NetParams, RankDistance};
+pub use params::RankDistance;
 pub use pme_comm::{pme_fft_comm_ns, traced_pme_fft_comm_ns};
 pub use seqno::{Delivery, SeqChannel, TransmitReport};
 pub use transport::{message_ns, traced_message_ns, Transport};

@@ -6,7 +6,7 @@
 //!
 //! - [`halo_timeout_ns`] — the time a rank burns discovering that a
 //!   halo-exchange peer is dead: the full
-//!   [`liveness timeout`](crate::NetParams::liveness_timeout_ns), by
+//!   [`LIVENESS_TIMEOUT_NS`], by
 //!   definition longer than any retransmit backoff, so silence is
 //!   proof of death rather than congestion.
 //! - [`epoch_barrier`] — an allreduce among the live ranks agreeing on
@@ -17,7 +17,7 @@
 //!   frames agree.
 
 use crate::collectives::allreduce_ns;
-use crate::params::NetParams;
+use crate::params::LIVENESS_TIMEOUT_NS;
 use crate::transport::Transport;
 use crate::Topology;
 
@@ -25,8 +25,8 @@ use crate::Topology;
 /// peer's silence outlasts the liveness timeout. Detections by several
 /// survivors overlap in wall-clock, so chargers should count this once
 /// per detection *round*, not once per survivor.
-pub fn halo_timeout_ns(params: &NetParams) -> f64 {
-    params.liveness_timeout_ns
+pub fn halo_timeout_ns() -> f64 {
+    LIVENESS_TIMEOUT_NS
 }
 
 /// Outcome of one epoch barrier.
@@ -43,7 +43,7 @@ pub struct BarrierOutcome {
 /// dead, every survivor first waits out the liveness timeout (in
 /// parallel — one timeout of wall-clock, not one per survivor) before
 /// the reduced bitmap confirms the death to everyone.
-pub fn epoch_barrier(params: &NetParams, transport: Transport, live: &[bool]) -> BarrierOutcome {
+pub fn epoch_barrier(transport: Transport, live: &[bool]) -> BarrierOutcome {
     let n_live = live.iter().filter(|&&l| l).count();
     let confirmed_dead: Vec<usize> = live
         .iter()
@@ -59,15 +59,15 @@ pub fn epoch_barrier(params: &NetParams, transport: Transport, live: &[bool]) ->
     }
     let mut ns = 0.0;
     if n_live > 1 {
-        ns += allreduce_ns(params, &Topology::new(n_live), transport, 16);
+        ns += allreduce_ns(&Topology::new(n_live), transport, 16);
     }
     if !confirmed_dead.is_empty() {
-        ns += params.liveness_timeout_ns;
+        ns += LIVENESS_TIMEOUT_NS;
     }
     // One barrier arrival per round in the substrate trace: everything
     // the calling lane did before the barrier happens-before everything
     // any lane does after a later arrival of the same round family.
-    sw26010::trace::emit_barrier(sw26010::trace::next_barrier_id());
+    sw26010::trace::emit_barrier(sw26010::trace::next_id());
     BarrierOutcome { ns, confirmed_dead }
 }
 
@@ -76,12 +76,11 @@ pub fn epoch_barrier(params: &NetParams, transport: Transport, live: &[bool]) ->
 /// first live seat and back out (seat `i` maps to rank `ranks[i]`).
 /// Cost and outcome are identical to the untraced call.
 pub fn epoch_barrier_traced(
-    params: &NetParams,
     transport: Transport,
     live: &[bool],
     ranks: &[usize],
 ) -> BarrierOutcome {
-    let outcome = epoch_barrier(params, transport, live);
+    let outcome = epoch_barrier(transport, live);
     if swprof::tel::enabled() {
         let seats: Vec<usize> = live
             .iter()
@@ -106,15 +105,15 @@ pub fn epoch_barrier_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::LAT_CROSS_NS;
 
     #[test]
     fn all_live_barrier_is_a_cheap_allreduce() {
-        let p = NetParams::taihulight();
-        let out = epoch_barrier(&p, Transport::Rdma, &[true; 8]);
+        let out = epoch_barrier(Transport::Rdma, &[true; 8]);
         assert!(out.confirmed_dead.is_empty());
         assert!(out.ns > 0.0);
         assert!(
-            out.ns < p.liveness_timeout_ns,
+            out.ns < LIVENESS_TIMEOUT_NS,
             "no timeout on an all-live barrier: {} ns",
             out.ns
         );
@@ -122,15 +121,14 @@ mod tests {
 
     #[test]
     fn dead_ranks_cost_one_timeout_and_are_agreed_on() {
-        let p = NetParams::taihulight();
         let mut live = [true; 8];
         live[2] = false;
         live[5] = false;
-        let out = epoch_barrier(&p, Transport::Rdma, &live);
+        let out = epoch_barrier(Transport::Rdma, &live);
         assert_eq!(out.confirmed_dead, vec![2, 5]);
-        assert!(out.ns >= p.liveness_timeout_ns);
+        assert!(out.ns >= LIVENESS_TIMEOUT_NS);
         // Parallel detection: two dead ranks still cost one timeout.
-        assert!(out.ns < 2.0 * p.liveness_timeout_ns);
+        assert!(out.ns < 2.0 * LIVENESS_TIMEOUT_NS);
     }
 
     #[test]
@@ -138,19 +136,17 @@ mod tests {
         // The detector's soundness: MAX_ATTEMPTS exponential backoffs
         // on the worst path stay under the liveness timeout, so a slow
         // rank is never declared dead.
-        let p = NetParams::taihulight();
         let worst_backoff: f64 = (0..swfault::retry::MAX_ATTEMPTS)
-            .map(|a| swfault::retry::backoff_ns(a, 4.0 * p.lat_cross_ns, u64::MAX))
+            .map(|a| swfault::retry::backoff_ns(a, 4.0 * LAT_CROSS_NS, u64::MAX))
             .take(3) // drops give up re-arming long before the cap
             .sum();
-        assert!(worst_backoff < p.liveness_timeout_ns);
+        assert!(worst_backoff < LIVENESS_TIMEOUT_NS);
     }
 
     #[test]
     fn single_survivor_pays_no_allreduce() {
-        let p = NetParams::taihulight();
-        let out = epoch_barrier(&p, Transport::Rdma, &[true, false]);
+        let out = epoch_barrier(Transport::Rdma, &[true, false]);
         assert_eq!(out.confirmed_dead, vec![1]);
-        assert_eq!(out.ns, p.liveness_timeout_ns);
+        assert_eq!(out.ns, LIVENESS_TIMEOUT_NS);
     }
 }

@@ -7,7 +7,6 @@
 //! PME, the Fast Fourier Transformation is supposed to be used in many
 //! processes, causing heavy-duty communication."
 
-use crate::params::NetParams;
 use crate::transport::Transport;
 use crate::{alltoall_ns, Topology};
 
@@ -19,19 +18,14 @@ fn grid_bytes_per_rank(grid: usize, n_ranks: usize) -> usize {
 
 /// Communication time (ns) of one full PME evaluation (forward + inverse
 /// FFT, two transposes each) for a `grid^3` mesh over the topology.
-pub fn pme_fft_comm_ns(
-    params: &NetParams,
-    topo: &Topology,
-    transport: Transport,
-    grid: usize,
-) -> f64 {
+pub fn pme_fft_comm_ns(topo: &Topology, transport: Transport, grid: usize) -> f64 {
     if topo.n_ranks <= 1 {
         return 0.0;
     }
     // Each transpose is an all-to-all whose per-pair payload is the
     // rank's grid share split across all peers.
     let per_pair = grid_bytes_per_rank(grid, topo.n_ranks) / topo.n_ranks.max(1);
-    4.0 * alltoall_ns(params, topo, transport, per_pair.max(16))
+    4.0 * alltoall_ns(topo, transport, per_pair.max(16))
 }
 
 /// [`pme_fft_comm_ns`] plus causal-trace propagation over the
@@ -40,13 +34,12 @@ pub fn pme_fft_comm_ns(
 /// flow arrow; larger fleets fall back to a ring so the trace doesn't
 /// explode quadratically. Cost is identical to the untraced call.
 pub fn traced_pme_fft_comm_ns(
-    params: &NetParams,
     topo: &Topology,
     transport: Transport,
     grid: usize,
     ranks: &[usize],
 ) -> f64 {
-    let ns = pme_fft_comm_ns(params, topo, transport, grid);
+    let ns = pme_fft_comm_ns(topo, transport, grid);
     let n = ranks.len();
     if swprof::tel::enabled() && n > 1 {
         let label = "pme.crossover";
@@ -75,11 +68,7 @@ mod tests {
 
     #[test]
     fn single_rank_is_free() {
-        let p = NetParams::taihulight();
-        assert_eq!(
-            pme_fft_comm_ns(&p, &Topology::new(1), Transport::Rdma, 64),
-            0.0
-        );
+        assert_eq!(pme_fft_comm_ns(&Topology::new(1), Transport::Rdma, 64), 0.0);
     }
 
     #[test]
@@ -87,27 +76,24 @@ mod tests {
         // Per-pair messages shrink but message count grows quadratically:
         // at GROMACS scales the all-to-all becomes latency-bound and the
         // total grows with R.
-        let p = NetParams::taihulight();
-        let t = |r: usize| pme_fft_comm_ns(&p, &Topology::new(r), Transport::Rdma, 64);
+        let t = |r: usize| pme_fft_comm_ns(&Topology::new(r), Transport::Rdma, 64);
         assert!(t(64) < t(256));
         assert!(t(256) < t(1024));
     }
 
     #[test]
     fn bigger_grids_cost_more() {
-        let p = NetParams::taihulight();
         let topo = Topology::new(64);
-        let small = pme_fft_comm_ns(&p, &topo, Transport::Rdma, 32);
-        let large = pme_fft_comm_ns(&p, &topo, Transport::Rdma, 128);
+        let small = pme_fft_comm_ns(&topo, Transport::Rdma, 32);
+        let large = pme_fft_comm_ns(&topo, Transport::Rdma, 128);
         assert!(large > small);
     }
 
     #[test]
     fn rdma_helps_the_latency_bound_regime() {
-        let p = NetParams::taihulight();
         let topo = Topology::new(512);
-        let mpi = pme_fft_comm_ns(&p, &topo, Transport::Mpi, 64);
-        let rdma = pme_fft_comm_ns(&p, &topo, Transport::Rdma, 64);
+        let mpi = pme_fft_comm_ns(&topo, Transport::Mpi, 64);
+        let rdma = pme_fft_comm_ns(&topo, Transport::Rdma, 64);
         assert!(rdma * 2.0 < mpi, "mpi {mpi} vs rdma {rdma}");
     }
 }

@@ -64,7 +64,7 @@ impl SeqChannel {
             next_send: 0,
             next_expect: 0,
             duplicates_discarded: 0,
-            chan_id: sw26010::trace::next_chan_id(),
+            chan_id: sw26010::trace::next_id(),
         }
     }
 

@@ -6,7 +6,10 @@
 //! kernel time. RDMA path: the NIC reads user memory directly and the
 //! receiver's NIC writes user memory directly — no copies, no kernel.
 
-use crate::params::{NetParams, RankDistance};
+use crate::params::{
+    RankDistance, BANDWIDTH_GBS, MEM_BANDWIDTH_GBS, MPI_COPIES, MPI_SW_OVERHEAD_NS,
+    RDMA_SW_OVERHEAD_NS,
+};
 
 /// Which transport the communication layer uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,12 +22,7 @@ pub enum Transport {
 
 /// End-to-end time in ns for one message of `bytes` over `transport`
 /// between ranks at distance `dist`.
-pub fn message_ns(
-    params: &NetParams,
-    transport: Transport,
-    dist: RankDistance,
-    bytes: usize,
-) -> f64 {
+pub fn message_ns(transport: Transport, dist: RankDistance, bytes: usize) -> f64 {
     if dist == RankDistance::SameRank {
         return 0.0;
     }
@@ -40,8 +38,8 @@ pub fn message_ns(
         swprof::metrics::counter_add("net.bytes", bytes as u64);
         swprof::metrics::histogram_record("net.msg_bytes", bytes as u64);
     }
-    let lat = params.latency_ns(dist);
-    let stream = bytes as f64 / params.bandwidth_gbs;
+    let lat = dist.latency_ns();
+    let stream = bytes as f64 / BANDWIDTH_GBS;
     let fault_ns = if swfault::enabled() {
         inject_faults(lat, stream)
     } else {
@@ -50,19 +48,17 @@ pub fn message_ns(
     fault_ns
         + match transport {
             Transport::Mpi => {
-                // Eager protocol copies every byte `mpi_copies` times (§3.6:
+                // Eager protocol copies every byte `MPI_COPIES` times (§3.6:
                 // "the data has to be copied four times"); the rendezvous
                 // protocol adds a request/ack handshake (two extra wire
                 // latencies) but pipelines a single bounce-buffer copy with
                 // the wire. Real stacks use whichever is cheaper, which also
                 // keeps the cost monotone in message size.
-                let eager = lat
-                    + params.mpi_copies as f64 * bytes as f64 / params.mem_bandwidth_gbs
-                    + stream;
-                let rendezvous = 3.0 * lat + (bytes as f64 / params.mem_bandwidth_gbs).max(stream);
-                params.mpi_sw_overhead_ns + eager.min(rendezvous)
+                let eager = lat + MPI_COPIES as f64 * bytes as f64 / MEM_BANDWIDTH_GBS + stream;
+                let rendezvous = 3.0 * lat + (bytes as f64 / MEM_BANDWIDTH_GBS).max(stream);
+                MPI_SW_OVERHEAD_NS + eager.min(rendezvous)
             }
-            Transport::Rdma => params.rdma_sw_overhead_ns + lat + stream,
+            Transport::Rdma => RDMA_SW_OVERHEAD_NS + lat + stream,
         }
 }
 
@@ -108,7 +104,6 @@ fn inject_faults(lat: f64, stream: f64) -> f64 {
 /// global trace shows this message as a flow arrow. Cost is identical
 /// to the untraced call (same fault decisions, same ns).
 pub fn traced_message_ns(
-    params: &NetParams,
     transport: Transport,
     topo: &crate::Topology,
     from: usize,
@@ -116,7 +111,7 @@ pub fn traced_message_ns(
     bytes: usize,
     label: &'static str,
 ) -> f64 {
-    let ns = message_ns(params, transport, topo.distance(from, to), bytes);
+    let ns = message_ns(transport, topo.distance(from, to), bytes);
     if swprof::tel::enabled() && from != to {
         if let Some(ctx) = swprof::tel::send_from(label, from, to) {
             swprof::tel::deliver(&ctx, ns.max(0.0) as u64);
@@ -131,7 +126,6 @@ mod tests {
 
     #[test]
     fn rdma_is_never_slower() {
-        let p = NetParams::taihulight();
         for bytes in [8usize, 1024, 1 << 20] {
             for d in [
                 RankDistance::SameChip,
@@ -139,8 +133,7 @@ mod tests {
                 RankDistance::CrossTree,
             ] {
                 assert!(
-                    message_ns(&p, Transport::Rdma, d, bytes)
-                        < message_ns(&p, Transport::Mpi, d, bytes)
+                    message_ns(Transport::Rdma, d, bytes) < message_ns(Transport::Mpi, d, bytes)
                 );
             }
         }
@@ -150,9 +143,8 @@ mod tests {
     fn rdma_advantage_is_largest_for_small_messages() {
         // §3.6 motivation: high-frequency small messages suffer most from
         // per-message software overhead.
-        let p = NetParams::taihulight();
         let speedup = |bytes| {
-            let ns = |transport| message_ns(&p, transport, RankDistance::SameSupernode, bytes);
+            let ns = |transport| message_ns(transport, RankDistance::SameSupernode, bytes);
             ns(Transport::Mpi) / ns(Transport::Rdma)
         };
         let (small, large) = (speedup(64), speedup(16 << 20));
@@ -162,19 +154,17 @@ mod tests {
 
     #[test]
     fn same_rank_is_free() {
-        let p = NetParams::taihulight();
         assert_eq!(
-            message_ns(&p, Transport::Mpi, RankDistance::SameRank, 1024),
+            message_ns(Transport::Mpi, RankDistance::SameRank, 1024),
             0.0
         );
     }
 
     #[test]
     fn bandwidth_bound_for_huge_messages() {
-        let p = NetParams::taihulight();
         let bytes = 1usize << 30;
-        let t = message_ns(&p, Transport::Rdma, RankDistance::CrossTree, bytes);
-        let ideal = bytes as f64 / p.bandwidth_gbs;
+        let t = message_ns(Transport::Rdma, RankDistance::CrossTree, bytes);
+        let ideal = bytes as f64 / BANDWIDTH_GBS;
         assert!((t - ideal) / ideal < 0.01);
     }
 }

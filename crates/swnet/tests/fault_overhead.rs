@@ -6,13 +6,12 @@
 //! run beside tests that assert exact fault-free timings.
 
 use swfault::{FaultPlan, Site};
-use swnet::params::{NetParams, RankDistance};
+use swnet::params::RankDistance;
 use swnet::transport::{message_ns, Transport};
 
 #[test]
 fn faults_add_time_and_replay_deterministically() {
-    let p = NetParams::taihulight();
-    let clean = message_ns(&p, Transport::Rdma, RankDistance::SameSupernode, 4096);
+    let clean = message_ns(Transport::Rdma, RankDistance::SameSupernode, 4096);
 
     let run = || {
         let scope = swfault::install(FaultPlan {
@@ -22,7 +21,7 @@ fn faults_add_time_and_replay_deterministically() {
             ..FaultPlan::with_seed(21)
         });
         let ns: Vec<f64> = (0..32)
-            .map(|_| message_ns(&p, Transport::Rdma, RankDistance::SameSupernode, 4096))
+            .map(|_| message_ns(Transport::Rdma, RankDistance::SameSupernode, 4096))
             .collect();
         let log = scope.finish();
         (ns, log)
@@ -38,13 +37,12 @@ fn faults_add_time_and_replay_deterministically() {
 
 #[test]
 fn same_rank_messages_never_draw_fault_decisions() {
-    let p = NetParams::taihulight();
     let scope = swfault::install(FaultPlan {
         net_drop: 1.0,
         ..FaultPlan::with_seed(2)
     });
     assert_eq!(
-        message_ns(&p, Transport::Mpi, RankDistance::SameRank, 4096),
+        message_ns(Transport::Mpi, RankDistance::SameRank, 4096),
         0.0
     );
     assert_eq!(scope.finish().total(), 0);

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use swnet::{allreduce_ns, alltoall_ns, gather_ns, halo_exchange_ns};
-use swnet::{message_ns, NetParams, RankDistance, Topology, Transport};
+use swnet::{message_ns, RankDistance, Topology, Transport};
 
 fn distances() -> impl Strategy<Value = RankDistance> {
     prop_oneof![
@@ -21,10 +21,9 @@ proptest! {
         size in 1usize..1_000_000,
         extra in 1usize..100_000,
     ) {
-        let p = NetParams::taihulight();
         for t in [Transport::Mpi, Transport::Rdma] {
-            let a = message_ns(&p, t, d, size);
-            let b = message_ns(&p, t, d, size + extra);
+            let a = message_ns(t, d, size);
+            let b = message_ns(t, d, size + extra);
             prop_assert!(b >= a, "{:?}: {} B {} ns vs {} B {} ns", t, size, a, size + extra, b);
         }
     }
@@ -32,20 +31,18 @@ proptest! {
     /// RDMA never loses to MPI at any size or distance.
     #[test]
     fn rdma_dominates_mpi(d in distances(), size in 1usize..16_000_000) {
-        let p = NetParams::taihulight();
         prop_assert!(
-            message_ns(&p, Transport::Rdma, d, size) < message_ns(&p, Transport::Mpi, d, size)
+            message_ns(Transport::Rdma, d, size) < message_ns(Transport::Mpi, d, size)
         );
     }
 
     /// Farther distance classes never cost less.
     #[test]
     fn cost_monotone_in_distance(size in 1usize..1_000_000) {
-        let p = NetParams::taihulight();
         for t in [Transport::Mpi, Transport::Rdma] {
-            let chip = message_ns(&p, t, RankDistance::SameChip, size);
-            let supernode = message_ns(&p, t, RankDistance::SameSupernode, size);
-            let cross = message_ns(&p, t, RankDistance::CrossTree, size);
+            let chip = message_ns(t, RankDistance::SameChip, size);
+            let supernode = message_ns(t, RankDistance::SameSupernode, size);
+            let cross = message_ns(t, RankDistance::CrossTree, size);
             prop_assert!(chip <= supernode && supernode <= cross);
         }
     }
@@ -53,23 +50,22 @@ proptest! {
     /// Collectives are monotone in rank count and payload.
     #[test]
     fn collectives_monotone(ranks in 2usize..2048, bytes in 8usize..65_536) {
-        let p = NetParams::taihulight();
         let t1 = Topology::new(ranks);
         let t2 = Topology::new(ranks * 2);
         for transport in [Transport::Mpi, Transport::Rdma] {
             prop_assert!(
-                allreduce_ns(&p, &t1, transport, bytes)
-                    <= allreduce_ns(&p, &t2, transport, bytes)
+                allreduce_ns(&t1, transport, bytes)
+                    <= allreduce_ns(&t2, transport, bytes)
             );
             prop_assert!(
-                alltoall_ns(&p, &t1, transport, bytes) <= alltoall_ns(&p, &t2, transport, bytes)
+                alltoall_ns(&t1, transport, bytes) <= alltoall_ns(&t2, transport, bytes)
             );
             prop_assert!(
-                gather_ns(&p, &t1, transport, bytes) <= gather_ns(&p, &t2, transport, bytes)
+                gather_ns(&t1, transport, bytes) <= gather_ns(&t2, transport, bytes)
             );
             prop_assert!(
-                allreduce_ns(&p, &t1, transport, bytes)
-                    <= allreduce_ns(&p, &t1, transport, bytes * 2)
+                allreduce_ns(&t1, transport, bytes)
+                    <= allreduce_ns(&t1, transport, bytes * 2)
             );
         }
     }
@@ -93,10 +89,9 @@ proptest! {
     /// Halo exchange scales linearly with neighbor count.
     #[test]
     fn halo_linear_in_neighbors(n in 1usize..12, bytes in 64usize..32_768) {
-        let p = NetParams::taihulight();
         let t = Topology::new(64);
-        let one = halo_exchange_ns(&p, &t, Transport::Rdma, 1, bytes);
-        let many = halo_exchange_ns(&p, &t, Transport::Rdma, n, bytes);
+        let one = halo_exchange_ns(&t, Transport::Rdma, 1, bytes);
+        let many = halo_exchange_ns(&t, Transport::Rdma, n, bytes);
         prop_assert!((many - n as f64 * one).abs() < 1e-6 * many.max(1.0));
     }
 }

@@ -6,7 +6,7 @@
 //!   the fraction of terminal outcomes a client saw that were
 //!   deliveries;
 //! - **latency** — `good_latency / completed`: the fraction of
-//!   deliveries at or under the configured threshold.
+//!   deliveries at or under [`LATENCY_THRESHOLD_NS`].
 //!
 //! The burn rate of an SLI over a set of windows is
 //! `(1 - sli) / (1 - target)` — 1.0 means the error budget is being
@@ -14,18 +14,18 @@
 //! alert policy is the standard multi-window pair (Google SRE
 //! workbook, ch. 5):
 //!
-//! - **fast burn**: trailing [`SloConfig::fast_windows`] burn ≥
-//!   [`SloConfig::fast_burn`] *and* the last single window also burns
+//! - **fast burn**: trailing [`FAST_WINDOWS`] burn ≥ [`FAST_BURN`]
+//!   *and* the last single window also burns
 //!   ≥ that threshold (the short window stops a stale spike from
 //!   re-firing after recovery);
-//! - **slow burn**: trailing [`SloConfig::slow_windows`] burn ≥
-//!   [`SloConfig::slow_burn`] *and* the trailing fast-window burn
+//! - **slow burn**: trailing [`SLOW_WINDOWS`] burn ≥ [`SLOW_BURN`]
+//!   *and* the trailing fast-window burn
 //!   also ≥ that threshold.
 //!
 //! Alerts are edge-triggered with an active set for hysteresis: a
 //! condition fires once when it becomes true and emits a matching
 //! [`AlertKind::Clear`] when it falls back. Windows with fewer than
-//! [`SloConfig::min_events`] relevant events are skipped entirely —
+//! [`MIN_EVENTS`] relevant events are skipped entirely —
 //! they neither fire nor clear — so a quiet tail cannot flap.
 //!
 //! Worker anomalies reuse [`crate::tel::straggler`] (EWMA + MAD over
@@ -36,45 +36,25 @@ use std::collections::{BTreeMap, BTreeSet};
 use super::window::{Exemplar, Series, WinStats};
 use crate::tel::straggler::StragglerFlag;
 
-/// SLO targets and burn-rate thresholds.
-#[derive(Debug, Clone, Copy)]
-pub struct SloConfig {
-    /// A delivery at or under this latency is "good".
-    pub latency_threshold_ns: u64,
-    /// Latency SLO target (fraction of good deliveries).
-    pub latency_target: f64,
-    /// Availability SLO target.
-    pub avail_target: f64,
-    /// Short trailing window count for the fast-burn alert.
-    pub fast_windows: usize,
-    /// Fast-burn threshold (budget consumed this many × too fast).
-    pub fast_burn: f64,
-    /// Long trailing window count for the slow-burn alert.
-    pub slow_windows: usize,
-    /// Slow-burn threshold.
-    pub slow_burn: f64,
-    /// Minimum relevant events in the trailing set to evaluate at all.
-    pub min_events: u64,
-}
-
-impl Default for SloConfig {
-    fn default() -> Self {
-        SloConfig {
-            // Calibrated against the committed chaos loadgen baseline
-            // (seed 11, 240 jobs, 4 workers): p50 ≈ 1.3 ms, p90 ≈
-            // 10.1 ms — a 4 ms threshold puts kill-retry convoys over
-            // the line while the healthy half of the run stays under.
-            latency_threshold_ns: 4_000_000,
-            latency_target: 0.90,
-            avail_target: 0.99,
-            fast_windows: 5,
-            fast_burn: 6.0,
-            slow_windows: 60,
-            slow_burn: 2.0,
-            min_events: 4,
-        }
-    }
-}
+/// A delivery at or under this latency is "good". Calibrated against
+/// the committed chaos loadgen baseline (seed 11, 240 jobs, 4 workers):
+/// p50 ≈ 1.3 ms, p90 ≈ 10.1 ms — a 4 ms threshold puts kill-retry
+/// convoys over the line while the healthy half of the run stays under.
+pub const LATENCY_THRESHOLD_NS: u64 = 4_000_000;
+/// Latency SLO target (fraction of good deliveries).
+pub const LATENCY_TARGET: f64 = 0.90;
+/// Availability SLO target.
+pub const AVAIL_TARGET: f64 = 0.99;
+/// Short trailing window count for the fast-burn alert.
+pub const FAST_WINDOWS: usize = 5;
+/// Fast-burn threshold (budget consumed this many × too fast).
+pub const FAST_BURN: f64 = 6.0;
+/// Long trailing window count for the slow-burn alert.
+pub const SLOW_WINDOWS: usize = 60;
+/// Slow-burn threshold.
+pub const SLOW_BURN: f64 = 2.0;
+/// Minimum relevant events in the trailing set to evaluate at all.
+pub const MIN_EVENTS: u64 = 4;
 
 /// Alert class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -275,7 +255,6 @@ impl Engine {
         scope: AlertScope,
         series: &Series,
         end_ns: u64,
-        cfg: &SloConfig,
         out: &mut Vec<Alert>,
     ) {
         let last = series.closed().last();
@@ -302,33 +281,31 @@ impl Engine {
         for (sli, target, counts) in [
             (
                 SliKind::Availability,
-                cfg.avail_target,
+                AVAIL_TARGET,
                 avail_counts as fn(&WinStats) -> (u64, u64),
             ),
-            (SliKind::Latency, cfg.latency_target, latency_counts),
+            (SliKind::Latency, LATENCY_TARGET, latency_counts),
         ] {
-            let (fast_good, fast_total) =
-                sum_over(series.trailing(end_ns, cfg.fast_windows), counts);
-            if fast_total < cfg.min_events {
+            let (fast_good, fast_total) = sum_over(series.trailing(end_ns, FAST_WINDOWS), counts);
+            if fast_total < MIN_EVENTS {
                 continue; // not enough signal: neither fire nor clear
             }
             let fast = burn_rate(fast_good, fast_total, target);
             let (g1, t1) = sum_over(series.trailing(end_ns, 1), counts);
             let one = burn_rate(g1, t1, target);
-            let (slow_good, slow_total) =
-                sum_over(series.trailing(end_ns, cfg.slow_windows), counts);
+            let (slow_good, slow_total) = sum_over(series.trailing(end_ns, SLOW_WINDOWS), counts);
             let slow = burn_rate(slow_good, slow_total, target);
 
-            let budget = self.budget(scope, sli, cfg).map_or(1.0, |b| b.remaining);
+            let budget = self.budget(scope, sli).map_or(1.0, |b| b.remaining);
             for (kind, cond, burn) in [
                 (
                     AlertKind::FastBurn,
-                    fast >= cfg.fast_burn && one >= cfg.fast_burn,
+                    fast >= FAST_BURN && one >= FAST_BURN,
                     fast,
                 ),
                 (
                     AlertKind::SlowBurn,
-                    slow >= cfg.slow_burn && fast >= cfg.slow_burn,
+                    slow >= SLOW_BURN && fast >= SLOW_BURN,
                     slow,
                 ),
             ] {
@@ -390,11 +367,11 @@ impl Engine {
 
     /// Cumulative budget for a scope/SLI pair, if it ever saw a
     /// closed window.
-    pub fn budget(&self, scope: AlertScope, sli: SliKind, cfg: &SloConfig) -> Option<Budget> {
+    pub fn budget(&self, scope: AlertScope, sli: SliKind) -> Option<Budget> {
         let &(bad, total) = self.cum.get(&(sli_code(sli), scope.key()))?;
         let target = match sli {
-            SliKind::Availability => cfg.avail_target,
-            SliKind::Latency => cfg.latency_target,
+            SliKind::Availability => AVAIL_TARGET,
+            SliKind::Latency => LATENCY_TARGET,
             SliKind::WorkerDrift => return None,
         };
         let remaining = if total == 0 {
@@ -476,7 +453,6 @@ mod tests {
 
     #[test]
     fn outage_fires_fast_burn_once_then_clears() {
-        let cfg = SloConfig::default();
         let mut eng = Engine::default();
         let mut out = Vec::new();
         // Build the series incrementally, evaluating at each close the
@@ -497,7 +473,7 @@ mod tests {
             };
             *s.current_mut(start, end) = w;
             s.close(start, end, 1024);
-            eng.evaluate(AlertScope::Fleet, &s, end, &cfg, &mut out);
+            eng.evaluate(AlertScope::Fleet, &s, end, &mut out);
         }
         let fires: Vec<_> = out
             .iter()
@@ -515,7 +491,6 @@ mod tests {
 
     #[test]
     fn quiet_windows_do_not_flap() {
-        let cfg = SloConfig::default();
         let mut eng = Engine::default();
         let mut out = Vec::new();
         let mut s = Series::default();
@@ -525,7 +500,7 @@ mod tests {
             let (start, end) = (i * 100, (i + 1) * 100);
             *s.current_mut(start, end) = outage_window(start, end, 4);
             s.close(start, end, 1024);
-            eng.evaluate(AlertScope::Fleet, &s, end, &cfg, &mut out);
+            eng.evaluate(AlertScope::Fleet, &s, end, &mut out);
         }
         assert!(!out.is_empty());
         // The empty short window clears the page as soon as the
@@ -534,13 +509,13 @@ mod tests {
         for i in 3..10u64 {
             let (start, end) = (i * 100, (i + 1) * 100);
             s.close(start, end, 1024);
-            eng.evaluate(AlertScope::Fleet, &s, end, &cfg, &mut out);
+            eng.evaluate(AlertScope::Fleet, &s, end, &mut out);
         }
         let settled = out.len();
         for i in 10..40u64 {
             let (start, end) = (i * 100, (i + 1) * 100);
             s.close(start, end, 1024);
-            eng.evaluate(AlertScope::Fleet, &s, end, &cfg, &mut out);
+            eng.evaluate(AlertScope::Fleet, &s, end, &mut out);
         }
         assert_eq!(
             out.len(),
@@ -556,7 +531,6 @@ mod tests {
 
     #[test]
     fn budget_accounting_accumulates() {
-        let cfg = SloConfig::default();
         let mut eng = Engine::default();
         let mut out = Vec::new();
         let s = series_of(vec![WinStats {
@@ -567,9 +541,9 @@ mod tests {
             shed: 2,
             ..WinStats::default()
         }]);
-        eng.evaluate(AlertScope::Fleet, &s, 100, &cfg, &mut out);
+        eng.evaluate(AlertScope::Fleet, &s, 100, &mut out);
         let b = eng
-            .budget(AlertScope::Fleet, SliKind::Availability, &cfg)
+            .budget(AlertScope::Fleet, SliKind::Availability)
             .unwrap();
         assert_eq!((b.bad, b.total), (2, 100));
         // 2% bad against a 1% budget: overspent 2×, remaining = -1.

@@ -15,10 +15,10 @@
 //! can simply stop feeding events at T; the series and alert panels
 //! honor `at_ns` either way.
 
-use super::burn::SliKind;
+use super::burn::{self, SliKind};
 use super::sketch::QSketch;
 use super::window::{Exemplar, Series, WinStats};
-use super::Scope;
+use super::{Scope, WINDOW_NS};
 use crate::json::{escaped, number};
 
 /// Quantize to six decimals so float rendering is stable and short.
@@ -110,8 +110,7 @@ fn exemplar_json(ex: Option<Exemplar>) -> String {
     }
 }
 
-fn series_json(scope: &Scope, series: &Series, at_ns: u64) -> String {
-    let cfg = &scope.cfg().slo;
+fn series_json(series: &Series, at_ns: u64) -> String {
     let r = Rollup::over(series, at_ns);
     let mut o = String::new();
     o.push('{');
@@ -137,13 +136,13 @@ fn series_json(scope: &Scope, series: &Series, at_ns: u64) -> String {
     push_opt_num(
         &mut o,
         "availability",
-        r.budget(SliKind::Availability, cfg.avail_target),
+        r.budget(SliKind::Availability, burn::AVAIL_TARGET),
     );
     o.push(',');
     push_opt_num(
         &mut o,
         "latency",
-        r.budget(SliKind::Latency, cfg.latency_target),
+        r.budget(SliKind::Latency, burn::LATENCY_TARGET),
     );
     o.push_str("},\"latency_ns\":{");
     o.push_str(&format!(
@@ -184,25 +183,24 @@ fn alerts_json(scope: &Scope, at_ns: u64) -> String {
 
 /// The dashboard as one deterministic JSON document.
 pub fn snapshot_json(scope: &Scope, at_ns: u64) -> String {
-    let cfg = scope.cfg();
     let mut o = String::new();
     o.push('{');
     o.push_str("\"schema\":\"swscope.dashboard.v1\"");
     o.push_str(&format!(",\"at_ns\":{at_ns}"));
     o.push_str(&format!(
         ",\"config\":{{\"avail_target\":{},\"fast_burn\":{},\"fast_windows\":{},\"latency_target\":{},\"latency_threshold_ns\":{},\"min_events\":{},\"slow_burn\":{},\"slow_windows\":{},\"window_ns\":{}}}",
-        number(q6(cfg.slo.avail_target)),
-        number(q6(cfg.slo.fast_burn)),
-        cfg.slo.fast_windows,
-        number(q6(cfg.slo.latency_target)),
-        cfg.slo.latency_threshold_ns,
-        cfg.slo.min_events,
-        number(q6(cfg.slo.slow_burn)),
-        cfg.slo.slow_windows,
-        cfg.window_ns
+        number(q6(burn::AVAIL_TARGET)),
+        number(q6(burn::FAST_BURN)),
+        burn::FAST_WINDOWS,
+        number(q6(burn::LATENCY_TARGET)),
+        burn::LATENCY_THRESHOLD_NS,
+        burn::MIN_EVENTS,
+        number(q6(burn::SLOW_BURN)),
+        burn::SLOW_WINDOWS,
+        WINDOW_NS
     ));
     o.push_str(",\"fleet\":");
-    o.push_str(&series_json(scope, scope.fleet(), at_ns));
+    o.push_str(&series_json(scope.fleet(), at_ns));
     o.push_str(",\"tenants\":[");
     for (i, (&t, series)) in scope.tenants().iter().enumerate() {
         if i > 0 {
@@ -210,7 +208,7 @@ pub fn snapshot_json(scope: &Scope, at_ns: u64) -> String {
         }
         o.push_str(&format!(
             "{{\"series\":{},\"tenant\":{t}}}",
-            series_json(scope, series, at_ns)
+            series_json(series, at_ns)
         ));
     }
     o.push_str("],\"workers\":[");
@@ -264,13 +262,11 @@ fn fmt_opt(v: Option<f64>) -> String {
 
 /// The dashboard as a fixed-width ASCII panel (same data as the JSON).
 pub fn ascii(scope: &Scope, at_ns: u64) -> String {
-    let cfg = scope.cfg();
     let mut o = String::new();
     let fleet: Vec<&WinStats> = scope.fleet().trailing(at_ns, usize::MAX).collect();
     let r = Rollup::over(scope.fleet(), at_ns);
     o.push_str(&format!(
-        "swscope dashboard @ {at_ns} ns  (window {} ns, {} closed)\n",
-        cfg.window_ns,
+        "swscope dashboard @ {at_ns} ns  (window {WINDOW_NS} ns, {} closed)\n",
         fleet.len()
     ));
     o.push_str(&format!(
@@ -283,11 +279,11 @@ pub fn ascii(scope: &Scope, at_ns: u64) -> String {
     ));
     o.push_str(&format!(
         "budget avail {}  latency {}   (targets {:.2}/{:.2}, threshold {})\n",
-        fmt_opt(r.budget(SliKind::Availability, cfg.slo.avail_target)),
-        fmt_opt(r.budget(SliKind::Latency, cfg.slo.latency_target)),
-        cfg.slo.avail_target,
-        cfg.slo.latency_target,
-        fmt_ms(cfg.slo.latency_threshold_ns),
+        fmt_opt(r.budget(SliKind::Availability, burn::AVAIL_TARGET)),
+        fmt_opt(r.budget(SliKind::Latency, burn::LATENCY_TARGET)),
+        burn::AVAIL_TARGET,
+        burn::LATENCY_TARGET,
+        fmt_ms(burn::LATENCY_THRESHOLD_NS),
     ));
     o.push_str(&format!("completions/window |{}|\n", sparkline(&fleet)));
 
@@ -343,14 +339,13 @@ pub fn ascii(scope: &Scope, at_ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slo::{Event, Kind, ScopeConfig};
+    use crate::slo::{Event, Kind, WINDOW_NS};
+
+    /// One hundredth of a window: the tests' time unit.
+    const T: u64 = WINDOW_NS / 100;
 
     fn seeded_scope() -> Scope {
-        let mut s = Scope::new(ScopeConfig {
-            window_ns: 100,
-            ring_windows: 64,
-            ..ScopeConfig::default()
-        });
+        let mut s = Scope::new();
         for i in 0..60u64 {
             let kind = if i % 13 == 5 {
                 Kind::Shed
@@ -360,7 +355,7 @@ mod tests {
                 }
             };
             s.on_event(Event {
-                at_ns: i * 29,
+                at_ns: i * 29 * T,
                 tenant: Some((i % 3) as u32),
                 worker: Some((i % 2) as usize),
                 job: i,
@@ -368,7 +363,7 @@ mod tests {
                 kind,
             });
         }
-        s.seal(60 * 29);
+        s.seal(60 * 29 * T);
         s
     }
 
@@ -389,7 +384,7 @@ mod tests {
     #[test]
     fn snapshot_respects_at_ns() {
         let s = seeded_scope();
-        let early = snapshot_json(&s, 200);
+        let early = snapshot_json(&s, 200 * T);
         let late = snapshot_json(&s, u64::MAX);
         assert_ne!(early, late);
         let v = crate::json::parse(&early).unwrap();
@@ -398,7 +393,16 @@ mod tests {
             .and_then(|f| f.get("windows"))
             .and_then(|w| w.as_num())
             .unwrap();
-        assert_eq!(wins, 2.0, "only windows ending at or before 200");
+        assert_eq!(wins, 2.0, "only windows ending at or before 200 T");
+    }
+
+    #[test]
+    fn config_object_is_the_recorded_slo_policy() {
+        // Recorded at 2a9b9f3. No committed baseline holds these
+        // values, so a mistyped policy constant shows here first.
+        let config = r#","config":{"avail_target":0.99,"fast_burn":6,"fast_windows":5,"latency_target":0.9,"latency_threshold_ns":4000000,"min_events":4,"slow_burn":2,"slow_windows":60,"window_ns":200000},"#;
+        let j = snapshot_json(&Scope::new(), 0);
+        assert!(j.contains(config), "{j}");
     }
 
     #[test]

@@ -37,44 +37,27 @@ pub mod window;
 use std::collections::BTreeMap;
 
 use crate::tel::{self, straggler};
-use burn::{Alert, AlertScope, Engine, SliKind, SloConfig};
+use burn::{Alert, AlertScope, Engine, SliKind};
 use window::{Exemplar, Series, WinStats};
 
-/// Telemetry-plane tuning: window geometry plus the SLO policy.
-#[derive(Debug, Clone, Copy)]
-pub struct ScopeConfig {
-    /// Window width in virtual ns. All series share boundaries at
-    /// multiples of this.
-    pub window_ns: u64,
-    /// Closed windows retained per series ring.
-    pub ring_windows: usize,
-    /// SLO targets and burn-rate thresholds.
-    pub slo: SloConfig,
-    /// Straggler tuning for worker anomaly flags.
-    pub straggler: straggler::StragglerConfig,
-}
+/// Window width in virtual ns. All series share boundaries at multiples
+/// of this: ~88 windows across the chaos loadgen's ~17.6 ms makespan,
+/// enough resolution for a 5-window fast burn to catch a kill burst,
+/// small enough that the 60-window slow burn still fits the run.
+pub const WINDOW_NS: u64 = 200_000;
 
-impl Default for ScopeConfig {
-    fn default() -> Self {
-        ScopeConfig {
-            // ~88 windows across the chaos loadgen's ~17.6 ms
-            // makespan: enough resolution for a 5-window fast burn to
-            // catch a kill burst, small enough that the 60-window slow
-            // burn still fits the run.
-            window_ns: 200_000,
-            ring_windows: 256,
-            slo: SloConfig::default(),
-            // Less touchy than the MD-step default: quantum durations
-            // vary ~3× with job size alone, so a worker needs to sit
-            // well clear of the fleet before it reads as anomalous.
-            straggler: straggler::StragglerConfig {
-                min_ratio: 1.5,
-                k: 6.0,
-                ..straggler::StragglerConfig::default()
-            },
-        }
-    }
-}
+/// Closed windows retained per series ring.
+pub const RING_WINDOWS: usize = 256;
+
+/// Straggler tuning for worker anomaly flags: less touchy than the
+/// MD-step default, because quantum durations vary ~3× with job size
+/// alone, so a worker needs to sit well clear of the fleet before it
+/// reads as anomalous.
+const STRAGGLER: straggler::StragglerConfig = straggler::StragglerConfig {
+    alpha: 0.3,
+    k: 6.0,
+    min_ratio: 1.5,
+};
 
 /// What happened, attributed to one virtual-ns instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,7 +112,6 @@ pub struct Event {
 /// it maintains windows, SLIs, budgets, alerts, and exemplars.
 #[derive(Debug)]
 pub struct Scope {
-    cfg: ScopeConfig,
     /// Fleet-wide series.
     fleet: Series,
     /// Per-tenant series (every tenant ever seen).
@@ -149,18 +131,21 @@ pub struct Scope {
     sealed: bool,
 }
 
+impl Default for Scope {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Scope {
     /// A fresh plane; windows start at virtual t = 0.
-    pub fn new(cfg: ScopeConfig) -> Self {
-        assert!(cfg.window_ns > 0, "window width must be positive");
-        assert!(cfg.ring_windows > 0, "ring must hold at least 1 window");
+    pub fn new() -> Self {
         Scope {
-            cfg,
             fleet: Series::default(),
             tenants: BTreeMap::new(),
             worker_quanta: Vec::new(),
             worker_kills: Vec::new(),
-            next_close_ns: cfg.window_ns,
+            next_close_ns: WINDOW_NS,
             alerts: Vec::new(),
             engine: Engine::default(),
             alert_rank: None,
@@ -174,19 +159,14 @@ impl Scope {
         self.alert_rank = Some(rank);
     }
 
-    /// The configuration in force.
-    pub fn cfg(&self) -> &ScopeConfig {
-        &self.cfg
-    }
-
     /// Close every window that ends at or before `now_ns`, evaluating
     /// alerts at each boundary. Idempotent; called implicitly by
     /// [`Scope::on_event`].
     pub fn advance(&mut self, now_ns: u64) {
         while self.next_close_ns <= now_ns {
             let end = self.next_close_ns;
-            self.close_window(end - self.cfg.window_ns, end);
-            self.next_close_ns = end + self.cfg.window_ns;
+            self.close_window(end - WINDOW_NS, end);
+            self.next_close_ns = end + WINDOW_NS;
         }
     }
 
@@ -196,7 +176,7 @@ impl Scope {
         assert!(!self.sealed, "scope already sealed");
         self.advance(ev.at_ns);
         let (start, end) = self.window_of(ev.at_ns);
-        let threshold = self.cfg.slo.latency_threshold_ns;
+        let threshold = burn::LATENCY_THRESHOLD_NS;
         let ex = Exemplar {
             job: ev.job,
             trace: ev.trace,
@@ -231,13 +211,13 @@ impl Scope {
             return;
         }
         self.advance(end_ns);
-        let start = self.next_close_ns - self.cfg.window_ns;
+        let start = self.next_close_ns - WINDOW_NS;
         if end_ns > start {
             // The run ended inside this window; close it short so the
             // tail of the stream is still visible to the dashboard.
             let end = self.next_close_ns;
             self.close_window(start, end);
-            self.next_close_ns = end + self.cfg.window_ns;
+            self.next_close_ns = end + WINDOW_NS;
         }
         self.sealed = true;
     }
@@ -280,16 +260,16 @@ impl Scope {
     /// Cumulative error-budget state for a scope/SLI pair, if any
     /// window has closed for it.
     pub fn budget(&self, scope: AlertScope, sli: SliKind) -> Option<burn::Budget> {
-        self.engine.budget(scope, sli, &self.cfg.slo)
+        self.engine.budget(scope, sli)
     }
 
     fn window_of(&self, at_ns: u64) -> (u64, u64) {
-        let start = at_ns / self.cfg.window_ns * self.cfg.window_ns;
-        (start, start + self.cfg.window_ns)
+        let start = at_ns / WINDOW_NS * WINDOW_NS;
+        (start, start + WINDOW_NS)
     }
 
     fn close_window(&mut self, start: u64, end: u64) {
-        let cap = self.cfg.ring_windows;
+        let cap = RING_WINDOWS;
         self.fleet.close(start, end, cap);
         for series in self.tenants.values_mut() {
             series.close(start, end, cap);
@@ -298,24 +278,14 @@ impl Scope {
         // tenants in id order — a fixed order so the alert stream is
         // deterministic.
         let mut fired = Vec::new();
-        self.engine.evaluate(
-            AlertScope::Fleet,
-            &self.fleet,
-            end,
-            &self.cfg.slo,
-            &mut fired,
-        );
+        self.engine
+            .evaluate(AlertScope::Fleet, &self.fleet, end, &mut fired);
         for (&t, series) in &self.tenants {
-            self.engine.evaluate(
-                AlertScope::Tenant(t),
-                series,
-                end,
-                &self.cfg.slo,
-                &mut fired,
-            );
+            self.engine
+                .evaluate(AlertScope::Tenant(t), series, end, &mut fired);
         }
         // Worker anomaly flags off the quantum-duration EWMAs.
-        let flags = straggler::detect(&self.worker_quanta, self.cfg.straggler);
+        let flags = straggler::detect(&self.worker_quanta, STRAGGLER);
         self.engine.evaluate_anomalies(&flags, end, &mut fired);
         for alert in fired {
             self.emit(alert);
@@ -383,20 +353,21 @@ mod tests {
         }
     }
 
-    fn small_cfg() -> ScopeConfig {
-        ScopeConfig {
-            window_ns: 100,
-            ring_windows: 64,
-            ..ScopeConfig::default()
-        }
-    }
+    /// One hundredth of a window: the tests' time unit.
+    const T: u64 = WINDOW_NS / 100;
 
     #[test]
     fn windows_roll_and_attribute() {
-        let mut s = Scope::new(small_cfg());
-        s.on_event(ev(10, 0, Kind::Admit));
-        s.on_event(ev(150, 0, Kind::Complete { latency_ns: 140 }));
-        s.seal(160);
+        let mut s = Scope::new();
+        s.on_event(ev(10 * T, 0, Kind::Admit));
+        s.on_event(ev(
+            150 * T,
+            0,
+            Kind::Complete {
+                latency_ns: 140 * T,
+            },
+        ));
+        s.seal(160 * T);
         let fleet: Vec<_> = s.fleet().closed().collect();
         assert_eq!(fleet.len(), 2);
         assert_eq!(fleet[0].admitted, 1);
@@ -406,22 +377,21 @@ mod tests {
 
     #[test]
     fn fast_burn_fires_on_total_outage_and_clears() {
-        let cfg = small_cfg();
-        let mut s = Scope::new(cfg);
+        let mut s = Scope::new();
         // Five windows of pure sheds: availability 0, burn >> fast
         // threshold.
         for w in 0..5u64 {
             for i in 0..4u64 {
-                s.on_event(ev(w * 100 + i, 7, Kind::Shed));
+                s.on_event(ev((w * 100 + i) * T, 7, Kind::Shed));
             }
         }
         // Then five healthy windows to clear.
         for w in 5..10u64 {
             for i in 0..4u64 {
-                s.on_event(ev(w * 100 + i, 7, Kind::Complete { latency_ns: 1 }));
+                s.on_event(ev((w * 100 + i) * T, 7, Kind::Complete { latency_ns: 1 }));
             }
         }
-        s.seal(1_000);
+        s.seal(1_000 * T);
         let fired: Vec<_> = s
             .alerts()
             .iter()
@@ -452,10 +422,10 @@ mod tests {
 
     #[test]
     fn seal_is_idempotent_and_closes_partial_window() {
-        let mut s = Scope::new(small_cfg());
-        s.on_event(ev(250, 1, Kind::Admit));
-        s.seal(260);
-        s.seal(260);
+        let mut s = Scope::new();
+        s.on_event(ev(250 * T, 1, Kind::Admit));
+        s.seal(260 * T);
+        s.seal(260 * T);
         assert_eq!(s.fleet().closed().count(), 3);
         let last = s.fleet().closed().last().unwrap();
         assert_eq!(last.admitted, 1);
@@ -464,7 +434,7 @@ mod tests {
     #[test]
     fn replay_determinism_same_stream_same_alerts() {
         let run = |seed: u64| {
-            let mut s = Scope::new(small_cfg());
+            let mut s = Scope::new();
             for i in 0..400u64 {
                 let t = (i * 7919 + seed) % 5;
                 let kind = if i % 11 == 3 {
@@ -474,9 +444,9 @@ mod tests {
                         latency_ns: (i * 131) % 9_000,
                     }
                 };
-                s.on_event(ev(i * 17, t as u32, kind));
+                s.on_event(ev(i * 17 * T, t as u32, kind));
             }
-            s.seal(400 * 17);
+            s.seal(400 * 17 * T);
             (s.alerts().to_vec(), dash::snapshot_json(&s, u64::MAX))
         };
         let (a1, j1) = run(3);

@@ -2,9 +2,9 @@
 //! windows per series (fleet-wide and per-tenant), each holding event
 //! counters, a latency [`QSketch`], and trace exemplars.
 //!
-//! Windows are aligned to multiples of the configured width, shared
+//! Windows are aligned to multiples of [`super::WINDOW_NS`], shared
 //! across every series so burn-rate math can compare like with like.
-//! The ring holds the most recent [`super::ScopeConfig::ring_windows`]
+//! The ring holds the most recent [`super::RING_WINDOWS`]
 //! closed windows; a snapshot "at virtual timestamp T" is derived from
 //! the retained closed windows with `end_ns <= T`, so any two replays
 //! of the same event stream produce byte-identical snapshots.

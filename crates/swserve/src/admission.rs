@@ -14,10 +14,8 @@ use crate::TenantId;
 /// (queued + running) at once.
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {
-    /// In-flight cap for tenants without an override.
+    /// In-flight cap of every tenant.
     pub default_quota: usize,
-    /// Per-tenant overrides (e.g. a paying tenant with a bigger slice).
-    pub quota_overrides: Vec<(TenantId, usize)>,
     /// Total queued-job capacity across all tenants. A submission to a
     /// full queue may shed a strictly-lower-priority queued job; else
     /// it gets backpressure.
@@ -28,13 +26,12 @@ impl Default for AdmissionConfig {
     fn default() -> Self {
         Self {
             default_quota: 64,
-            quota_overrides: Vec::new(),
             queue_capacity: 4096,
         }
     }
 }
 
-/// Tracks per-tenant in-flight counts against the configured quotas.
+/// Tracks per-tenant in-flight counts against the configured quota.
 #[derive(Debug)]
 pub struct AdmissionController {
     cfg: AdmissionConfig,
@@ -50,16 +47,6 @@ impl AdmissionController {
         }
     }
 
-    /// The in-flight cap for `tenant`.
-    pub fn quota(&self, tenant: TenantId) -> usize {
-        self.cfg
-            .quota_overrides
-            .iter()
-            .find(|(t, _)| *t == tenant)
-            .map(|(_, q)| *q)
-            .unwrap_or(self.cfg.default_quota)
-    }
-
     /// Current in-flight count for `tenant`.
     pub fn in_flight(&self, tenant: TenantId) -> usize {
         self.in_flight.get(&tenant).copied().unwrap_or(0)
@@ -67,7 +54,7 @@ impl AdmissionController {
 
     /// Whether `tenant` has headroom for one more job.
     pub fn has_headroom(&self, tenant: TenantId) -> bool {
-        self.in_flight(tenant) < self.quota(tenant)
+        self.in_flight(tenant) < self.cfg.default_quota
     }
 
     /// Account one admitted job against `tenant`.
@@ -98,24 +85,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quotas_apply_per_tenant_with_overrides() {
+    fn quotas_apply_per_tenant() {
         let mut ctl = AdmissionController::new(AdmissionConfig {
             default_quota: 2,
-            quota_overrides: vec![(7, 4)],
             queue_capacity: 16,
         });
-        assert_eq!(ctl.quota(0), 2);
-        assert_eq!(ctl.quota(7), 4);
-
         ctl.charge(0);
         ctl.charge(0);
         assert!(!ctl.has_headroom(0), "tenant 0 at quota");
         assert!(ctl.has_headroom(1), "tenant 1 unaffected");
-        for _ in 0..4 {
-            assert!(ctl.has_headroom(7));
-            ctl.charge(7);
-        }
-        assert!(!ctl.has_headroom(7));
 
         ctl.release(0);
         assert!(ctl.has_headroom(0), "release restores headroom");

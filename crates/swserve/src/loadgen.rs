@@ -17,6 +17,12 @@ use swgmx::BackendSel;
 use crate::service::{JobPhase, Service, ServiceConfig, ServiceStats};
 use crate::{mix64, JobSpec, Priority, TenantId};
 
+/// Distinct tenants submitting.
+const N_TENANTS: u64 = 8;
+
+/// Mean virtual gap between submissions (uniform in `[1, 2*mean]`).
+const MEAN_INTERARRIVAL_NS: u64 = 40_000;
+
 /// A deterministic client population.
 #[derive(Debug, Clone)]
 pub struct LoadPlan {
@@ -27,11 +33,6 @@ pub struct LoadPlan {
     pub n_jobs: usize,
     /// Worker pool size.
     pub n_workers: usize,
-    /// Distinct tenants submitting.
-    pub n_tenants: u32,
-    /// Mean virtual gap between submissions (uniform in
-    /// `[1, 2*mean]`).
-    pub mean_interarrival_ns: u64,
     /// Every k-th job runs on the native thread-pool backend
     /// (0 = never). Kept sparse: native jobs burn host CPU.
     pub native_every: usize,
@@ -46,8 +47,6 @@ impl LoadPlan {
             seed,
             n_jobs,
             n_workers,
-            n_tenants: 8,
-            mean_interarrival_ns: 40_000,
             native_every: 16,
             chaos: None,
         }
@@ -94,7 +93,7 @@ pub fn spec_for(plan: &LoadPlan, i: usize) -> JobSpec {
         1..=3 => Priority::Low,
         _ => Priority::Normal,
     };
-    let tenant = ((h >> 24) % plan.n_tenants.max(1) as u64) as TenantId;
+    let tenant = ((h >> 24) % N_TENANTS) as TenantId;
     let native = plan.native_every > 0 && i.is_multiple_of(plan.native_every);
     JobSpec {
         tenant,
@@ -323,7 +322,7 @@ pub fn scope_bench(scope: &swprof::slo::Scope, slo: &SloReport, chaos: bool) -> 
     b.config_num("jobs", slo.n_jobs as f64)
         .config_num("workers", slo.n_workers as f64)
         .config_str("chaos", if chaos { "standard" } else { "off" })
-        .config_num("window_ns", scope.cfg().window_ns as f64)
+        .config_num("window_ns", swprof::slo::WINDOW_NS as f64)
         .metric("alerts.fast_burn", count(AlertKind::FastBurn))
         .metric("alerts.slow_burn", count(AlertKind::SlowBurn))
         .metric("alerts.anomaly", count(AlertKind::Anomaly))
@@ -383,23 +382,22 @@ pub fn run(plan: &LoadPlan, store_root: &Path) -> io::Result<RunResult> {
 pub fn run_scoped(
     plan: &LoadPlan,
     store_root: &Path,
-    scope_cfg: swprof::slo::ScopeConfig,
 ) -> io::Result<(RunResult, swprof::slo::Scope)> {
-    let (result, scope) = run_with_scope(plan, store_root, Some(scope_cfg))?;
+    let (result, scope) = run_with_scope(plan, store_root, Some(swprof::slo::Scope::new()))?;
     Ok((result, scope.expect("scope attached for the whole run")))
 }
 
 fn run_with_scope(
     plan: &LoadPlan,
     store_root: &Path,
-    scope_cfg: Option<swprof::slo::ScopeConfig>,
+    tel_scope: Option<swprof::slo::Scope>,
 ) -> io::Result<(RunResult, Option<swprof::slo::Scope>)> {
     let fault_plan = plan
         .chaos
         .clone()
         .unwrap_or_else(|| FaultPlan::with_seed(plan.seed));
     let scope = swfault::install(fault_plan);
-    let result = run_inner(plan, store_root, scope_cfg);
+    let result = run_inner(plan, store_root, tel_scope);
     let log = scope.finish();
     let (mut result, tel_scope) = result?;
     result.slo.injected_faults = log.total();
@@ -448,7 +446,7 @@ fn tenant_breakdown(svc: &Service) -> Vec<TenantSlo> {
 fn run_inner(
     plan: &LoadPlan,
     store_root: &Path,
-    scope_cfg: Option<swprof::slo::ScopeConfig>,
+    tel_scope: Option<swprof::slo::Scope>,
 ) -> io::Result<(RunResult, Option<swprof::slo::Scope>)> {
     let mut cfg = ServiceConfig::new(plan.n_workers, store_root);
     // The harness measures chaos-proofness, not queue-tuning: generous
@@ -457,15 +455,14 @@ fn run_inner(
     cfg.admission.queue_capacity = plan.n_jobs.max(16);
     cfg.admission.default_quota = plan.n_jobs.max(16);
     let mut svc = Service::new(cfg)?;
-    if let Some(c) = scope_cfg {
-        svc.attach_scope(swprof::slo::Scope::new(c));
+    if let Some(scope) = tel_scope {
+        svc.attach_scope(scope);
     }
 
     let mut t = 0u64;
     for i in 0..plan.n_jobs {
-        let gap = mix64(plan.seed ^ 0xA5A5_0000 ^ ((i as u64) << 16))
-            % (2 * plan.mean_interarrival_ns.max(1))
-            + 1;
+        let gap =
+            mix64(plan.seed ^ 0xA5A5_0000 ^ ((i as u64) << 16)) % (2 * MEAN_INTERARRIVAL_NS) + 1;
         t += gap;
         svc.submit_at(t, spec_for(plan, i));
     }
@@ -549,8 +546,7 @@ mod tests {
         for plan in [plan.clone(), plan.with_chaos()] {
             let (dir_a, dir_b) = (tmp("plain"), tmp("scoped"));
             let plain = run(&plan, &dir_a).unwrap();
-            let (scoped, scope) =
-                run_scoped(&plan, &dir_b, swprof::slo::ScopeConfig::default()).unwrap();
+            let (scoped, scope) = run_scoped(&plan, &dir_b).unwrap();
             assert_eq!(plain.slo.to_json(), scoped.slo.to_json());
             assert_eq!(plain.checksums, scoped.checksums);
             assert_eq!(scope.fleet().closed().map(|w| w.completed).sum::<u64>(), 24);

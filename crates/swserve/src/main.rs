@@ -31,7 +31,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use swprof::slo::{dash, ScopeConfig};
+use swprof::slo::dash;
 use swserve::loadgen::{self, LoadPlan};
 
 struct Args {
@@ -149,7 +149,7 @@ fn main() -> ExitCode {
         .trace
         .as_ref()
         .map(|_| swprof::tel::Session::begin(args.seed));
-    let result = loadgen::run_scoped(&plan, &run_dir, ScopeConfig::default());
+    let result = loadgen::run_scoped(&plan, &run_dir);
     let telemetry = session.map(|s| s.finish());
     let (result, scope) = match result {
         Ok(r) => r,

@@ -78,6 +78,24 @@ const DISPATCH_NS: u64 = 50_000;
 const QUANTUM_OVERHEAD_NS: u64 = 20_000;
 /// Virtual cost of one MD step per particle.
 const STEP_NS_PER_PARTICLE: u64 = 40;
+/// MD steps per execution quantum (kill/preemption granularity).
+const QUANTUM_STEPS: u64 = 10;
+/// How stale a running job's heartbeat must be before the liveness
+/// sweep declares its worker dead and readmits it: generous against
+/// quantum costs.
+const LIVENESS_TIMEOUT_NS: u64 = 2_000_000;
+/// Virtual delay before a killed worker's replacement comes up.
+const RESPAWN_DELAY_NS: u64 = 1_500_000;
+/// Cadence of the liveness/reconcile sweep.
+const SWEEP_INTERVAL_NS: u64 = 500_000;
+/// Virtual network latency for submit/dispatch/result messages.
+const WIRE_NS: u64 = 10_000;
+/// Base backoff for client-side submit retries
+/// (`swfault::retry::backoff_ns` schedule).
+const RETRY_BASE_NS: u64 = 100_000;
+/// Hard event budget: exceeded means a scheduler bug, reported as an
+/// error rather than a silent hang.
+const MAX_EVENTS: u64 = 2_000_000;
 
 /// Virtual duration of a quantum executing `steps` steps of an
 /// `n_particles` system.
@@ -95,43 +113,19 @@ pub struct ServiceConfig {
     /// Checkpoint cadence handed to the runner; must be a positive
     /// multiple of the engine `nstlist` (10).
     pub cp_every: usize,
-    /// MD steps per execution quantum (kill/preemption granularity).
-    pub quantum_steps: u64,
     /// Quota and queue-capacity policy.
     pub admission: AdmissionConfig,
-    /// How stale a running job's heartbeat must be before the liveness
-    /// sweep declares its worker dead and readmits it.
-    pub liveness_timeout_ns: u64,
-    /// Virtual delay before a killed worker's replacement comes up.
-    pub respawn_delay_ns: u64,
-    /// Cadence of the liveness/reconcile sweep.
-    pub sweep_interval_ns: u64,
-    /// Virtual network latency for submit/dispatch/result messages.
-    pub wire_ns: u64,
-    /// Base backoff for client-side submit retries
-    /// (`swfault::retry::backoff_ns` schedule).
-    pub retry_base_ns: u64,
-    /// Hard event budget: exceeded means a scheduler bug, reported as
-    /// an error rather than a silent hang.
-    pub max_events: u64,
 }
 
 impl ServiceConfig {
-    /// Defaults sized for the load harness: generous sweep/liveness
-    /// cadence relative to quantum costs, 10-step checkpoint epochs.
+    /// `n_workers` workers over `store_root`, 10-step checkpoint epochs
+    /// and the default admission policy.
     pub fn new(n_workers: usize, store_root: impl Into<PathBuf>) -> Self {
         Self {
             n_workers,
             store_root: store_root.into(),
             cp_every: 10,
-            quantum_steps: 10,
             admission: AdmissionConfig::default(),
-            liveness_timeout_ns: 2_000_000,
-            respawn_delay_ns: 1_500_000,
-            sweep_interval_ns: 500_000,
-            wire_ns: 10_000,
-            retry_base_ns: 100_000,
-            max_events: 2_000_000,
         }
     }
 }
@@ -403,10 +397,9 @@ impl Service {
         let mut events = 0u64;
         while let Some(s) = self.heap.pop() {
             events += 1;
-            if events > self.cfg.max_events {
+            if events > MAX_EVENTS {
                 return Err(io::Error::other(format!(
-                    "event budget ({}) exhausted with {} jobs non-terminal: scheduler bug",
-                    self.cfg.max_events,
+                    "event budget ({MAX_EVENTS}) exhausted with {} jobs non-terminal: scheduler bug",
                     self.jobs
                         .values()
                         .filter(|j| !matches!(j.phase, JobPhase::Done(_) | JobPhase::Shed))
@@ -468,7 +461,7 @@ impl Service {
     fn ensure_sweep(&mut self) {
         if !self.sweep_scheduled {
             self.sweep_scheduled = true;
-            self.schedule(self.now + self.cfg.sweep_interval_ns, Ev::Sweep);
+            self.schedule(self.now + SWEEP_INTERVAL_NS, Ev::Sweep);
         }
     }
 
@@ -485,7 +478,7 @@ impl Service {
             tel::send_from(labels::FLOW_SUBMIT, client, SCHEDULER_RANK)
         };
         if let Some(ctx) = &ctx {
-            tel::deliver(ctx, self.cfg.wire_ns);
+            tel::deliver(ctx, WIRE_NS);
         }
         let submit_trace = ctx.as_ref().map_or(0, |c| c.flow_id);
         let _admit = tel::span_on(SCHEDULER_RANK, labels::SPAN_ADMIT);
@@ -561,7 +554,7 @@ impl Service {
         }
         self.scope_event(Some(spec.tenant), None, 0, 0, slo::Kind::Retry);
         let payload = mix64(spec.seed ^ ((next as u64) << 32));
-        let delay = swfault::retry::backoff_ns(next, self.cfg.retry_base_ns as f64, payload) as u64;
+        let delay = swfault::retry::backoff_ns(next, RETRY_BASE_NS as f64, payload) as u64;
         self.schedule(
             self.now + delay.max(1),
             Ev::Submit {
@@ -639,7 +632,7 @@ impl Service {
             j.last_heartbeat_ns = self.now;
         }
         let start = runner.engine().step_index() as u64;
-        let chunk = spec.steps.saturating_sub(start).min(self.cfg.quantum_steps);
+        let chunk = spec.steps.saturating_sub(start).min(QUANTUM_STEPS);
         let cost = DISPATCH_NS + quantum_cost_ns(spec.n_particles(), chunk);
         let wk = &mut self.workers[w];
         wk.state = WorkerState::Busy { job: id };
@@ -689,7 +682,7 @@ impl Service {
             .take()
             .expect("busy worker holds a runner");
         let start = runner.engine().step_index() as u64;
-        let target = spec.steps.min(start + self.cfg.quantum_steps);
+        let target = spec.steps.min(start + QUANTUM_STEPS);
         let executed = target.saturating_sub(start);
         let wrank = self.worker_rank(w);
         let qcost = quantum_cost_ns(spec.n_particles(), executed);
@@ -723,7 +716,7 @@ impl Service {
         );
 
         if now_step < spec.steps {
-            let chunk = (spec.steps - now_step).min(self.cfg.quantum_steps);
+            let chunk = (spec.steps - now_step).min(QUANTUM_STEPS);
             let cost = quantum_cost_ns(spec.n_particles(), chunk);
             self.workers[w].runner = Some(runner);
             self.schedule(
@@ -744,16 +737,16 @@ impl Service {
         self.workers[w].runner = None;
         let result_ctx = tel::send_from(labels::FLOW_RESULT, wrank, SCHEDULER_RANK);
         if let Some(ctx) = &result_ctx {
-            tel::deliver(ctx, self.cfg.wire_ns);
+            tel::deliver(ctx, WIRE_NS);
         }
         let deliver_ctx = {
             let _deliver = tel::span_on(SCHEDULER_RANK, labels::SPAN_DELIVER);
             tel::send_from(labels::FLOW_DELIVER, SCHEDULER_RANK, self.client_rank())
         };
         if let Some(ctx) = &deliver_ctx {
-            tel::deliver(ctx, self.cfg.wire_ns);
+            tel::deliver(ctx, WIRE_NS);
         }
-        let finished_ns = self.now + 2 * self.cfg.wire_ns;
+        let finished_ns = self.now + 2 * WIRE_NS;
         let (tenant, md_steps, deadline_missed) = {
             let j = self.jobs.get_mut(&id).expect("completed job");
             let latency_ns = finished_ns - j.submitted_ns;
@@ -798,7 +791,7 @@ impl Service {
         };
         wk.runner = None;
         wk.state = WorkerState::Dead {
-            until_ns: self.now + self.cfg.respawn_delay_ns,
+            until_ns: self.now + RESPAWN_DELAY_NS,
         };
         wk.incarnation += 1;
         wk.rollbacks_seen = 0;
@@ -836,10 +829,7 @@ impl Service {
                 let wk = &self.workers[w];
                 let held = wk.runner.is_some()
                     && matches!(wk.state, WorkerState::Busy { job } if job == id);
-                if !held
-                    && self.now.saturating_sub(job.last_heartbeat_ns)
-                        >= self.cfg.liveness_timeout_ns
-                {
+                if !held && self.now.saturating_sub(job.last_heartbeat_ns) >= LIVENESS_TIMEOUT_NS {
                     to_readmit.push(id);
                 }
             }

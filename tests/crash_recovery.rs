@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use sw_gromacs::mdsim::constraints::ConstraintSet;
-use sw_gromacs::mdsim::durable::{run_dd_md_durable, DurableConfig, DurableRunReport};
+use sw_gromacs::mdsim::durable::{run_dd_md_durable, DurableConfig, DurableRunReport, DT};
 use sw_gromacs::mdsim::nonbonded::{Coulomb, NbParams};
 use sw_gromacs::mdsim::water::{theta_hoh, water_box, D_OH};
 use sw_gromacs::mdsim::System;
@@ -337,7 +337,7 @@ fn rank_death_survivors_finish_with_clean_audit() {
     for _ in 8..14 {
         reference.clear_forces();
         sw_gromacs::mdsim::ddrun::compute_forces_dd(&mut reference, N_RANKS - 1, &params());
-        sw_gromacs::mdsim::integrate::leapfrog_step_constrained(&mut reference, cfg.dt, &cs_ref);
+        sw_gromacs::mdsim::integrate::leapfrog_step_constrained(&mut reference, DT, &cs_ref);
     }
     assert_bits_equal(&sys, &reference, "elastic shrink replay");
     let _ = std::fs::remove_dir_all(&dir);

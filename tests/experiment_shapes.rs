@@ -154,12 +154,11 @@ fn pairlist_cache_study() {
 /// small ones.
 #[test]
 fn rdma_beats_mpi() {
-    use sw_gromacs::swnet::{message_ns, NetParams, RankDistance, Transport};
-    let p = NetParams::taihulight();
-    let small = message_ns(&p, Transport::Mpi, RankDistance::SameSupernode, 64)
-        / message_ns(&p, Transport::Rdma, RankDistance::SameSupernode, 64);
-    let large = message_ns(&p, Transport::Mpi, RankDistance::SameSupernode, 1 << 22)
-        / message_ns(&p, Transport::Rdma, RankDistance::SameSupernode, 1 << 22);
+    use sw_gromacs::swnet::{message_ns, RankDistance, Transport};
+    let small = message_ns(Transport::Mpi, RankDistance::SameSupernode, 64)
+        / message_ns(Transport::Rdma, RankDistance::SameSupernode, 64);
+    let large = message_ns(Transport::Mpi, RankDistance::SameSupernode, 1 << 22)
+        / message_ns(Transport::Rdma, RankDistance::SameSupernode, 1 << 22);
     assert!(small > large, "small {small:.1} vs large {large:.1}");
     assert!(small > 3.0);
 }

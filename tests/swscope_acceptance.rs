@@ -25,7 +25,7 @@ use swgmx::engine::Version;
 use swgmx::BackendSel;
 use swprof::json::{parse, Value};
 use swprof::slo::burn::AlertKind;
-use swprof::slo::{dash, sketch, window, ScopeConfig};
+use swprof::slo::{dash, sketch, window};
 use swprof::tel;
 use swserve::loadgen::{self, LoadPlan};
 use swserve::service::{Service, ServiceConfig};
@@ -53,7 +53,7 @@ struct Replay {
 fn replay(tag: &str) -> Replay {
     let plan = LoadPlan::standard(SEED, N_JOBS, N_WORKERS).with_chaos();
     let session = tel::Session::begin(SEED);
-    let run = loadgen::run_scoped(&plan, &store(tag), ScopeConfig::default());
+    let run = loadgen::run_scoped(&plan, &store(tag));
     let tel = session.finish();
     let (result, scope) = run.expect("chaos replay");
 
