@@ -169,9 +169,9 @@ impl NativeBackend {
     }
 
     /// The SIMD lane implementation the cluster kernels run on on this
-    /// host: `"avx2"`, `"sse2"` or `"portable"` (for diagnostics — a
-    /// wall-clock number should name the path that produced it; the
-    /// physics is bit-identical on all three).
+    /// host: `"avx2"` or `"portable"` (for diagnostics — a wall-clock
+    /// number should name the path that produced it; the physics is
+    /// bit-identical on both).
     pub fn lanes() -> &'static str {
         LaneImpl::detect().name()
     }
@@ -334,6 +334,6 @@ mod tests {
     #[test]
     fn native_backend_names_itself_and_its_lanes() {
         assert_eq!(NativeBackend::with_threads(2).name(), "native-threads");
-        assert!(["avx2", "sse2", "portable"].contains(&NativeBackend::lanes()));
+        assert!(["avx2", "portable"].contains(&NativeBackend::lanes()));
     }
 }

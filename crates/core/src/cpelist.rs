@@ -19,9 +19,7 @@ use sw26010::trace;
 
 use crate::check::{REGION_CENTERS, REGION_SHIFTS};
 
-#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-use crate::kernels::native_simd::f32x8_sse2;
-use crate::kernels::native_simd::{f32x8, on_lanes, LaneImpl, Lanes8};
+use crate::kernels::native_simd::{on_lanes, LaneImpl, Lanes8};
 
 /// Bytes of list data streamed per neighbor entry (index + mask + shift).
 pub const LIST_ENTRY_BYTES: usize = 4 + 2 + 12;

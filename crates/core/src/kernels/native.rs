@@ -59,9 +59,7 @@ use sw26010::{trace, BitMap};
 use crate::check::{REGION_COPIES, REGION_FORCES, REGION_POS};
 use crate::cpelist::CpePairList;
 use crate::kernels::common::{add_energy, add_package, cluster_pair_simd, EntryJ, KernelResult};
-#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-use crate::kernels::native_simd::f32x8_sse2;
-use crate::kernels::native_simd::{cluster_pair_wide8, f32x8, on_lanes, LaneImpl, Lanes8, WideFi};
+use crate::kernels::native_simd::{cluster_pair_wide8, on_lanes, LaneImpl, Lanes8, WideFi};
 use crate::package::{PackageLayout, PackedSystem, FORCE_WORDS};
 
 /// Destination for inner-cluster reaction packages: the kernels

@@ -3,11 +3,11 @@
 //! emulation.
 //!
 //! The loop is written once, generic over [`Lanes8`], and instantiated
-//! per instruction set — portable array lanes, two SSE2 registers, one
-//! AVX2 register (see the `wide` crate docs). Every function down to
-//! the lane operations is `#[inline(always)]`, so each instantiation is
-//! one straight-line body that keeps its vectors in registers;
-//! `kernels::native` picks the instantiation ([`LaneImpl::detect`]).
+//! per instruction set — portable array lanes or one AVX2 register (see
+//! the `wide` crate docs). Every function down to the lane operations
+//! is `#[inline(always)]`, so each instantiation is one straight-line
+//! body that keeps its vectors in registers; `kernels::native` picks
+//! the instantiation ([`LaneImpl::detect`]).
 //! Every lane operation is the same IEEE 754 operation on every
 //! implementation, so the results do not depend on the choice.
 //!
@@ -32,87 +32,13 @@ use mdsim::cluster::CLUSTER_SIZE;
 use mdsim::nonbonded::{Coulomb, NbParams};
 use mdsim::topology::KE;
 
-pub use wide::{f32x8, for_each_lanes8, Lanes8};
+pub(crate) use wide::on_lanes;
+pub use wide::{f32x8, for_each_lanes8, LaneImpl, Lanes8};
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-pub use wide::{f32x8_avx2, f32x8_sse2, Avx2};
+pub use wide::{f32x8_avx2, Avx2};
 
 use crate::kernels::common::EntryJ;
 use crate::package::{FORCE_WORDS, PKG_WORDS};
-
-/// Which [`Lanes8`] implementation the native kernels run on. A value
-/// is proof that this host can run it: the AVX2 variant carries the
-/// detection token.
-#[derive(Debug, Clone, Copy)]
-pub enum LaneImpl {
-    /// [`f32x8`]: array lanes, any target.
-    Portable,
-    /// [`f32x8_sse2`]: the `x86_64` baseline.
-    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-    Sse2,
-    /// [`f32x8_avx2`]: the CPU reported AVX2.
-    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-    Avx2(Avx2),
-}
-
-impl LaneImpl {
-    /// Every implementation this host can run, the preferred one last.
-    pub fn available() -> Vec<Self> {
-        let mut all = vec![LaneImpl::Portable];
-        #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-        {
-            all.push(LaneImpl::Sse2);
-            all.extend(Avx2::detect().map(LaneImpl::Avx2));
-        }
-        all
-    }
-
-    /// The widest implementation this host can run: AVX2 when the CPU
-    /// reports it, else SSE2 on `x86_64`, else portable. No allocation
-    /// and no lock (feature detection is a cached atomic load).
-    pub fn detect() -> Self {
-        #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-        {
-            Avx2::detect().map_or(LaneImpl::Sse2, LaneImpl::Avx2)
-        }
-        #[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
-        {
-            LaneImpl::Portable
-        }
-    }
-
-    /// `"portable"`, `"sse2"` or `"avx2"`.
-    pub fn name(self) -> &'static str {
-        match self {
-            LaneImpl::Portable => f32x8::NAME,
-            #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-            LaneImpl::Sse2 => f32x8_sse2::NAME,
-            #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-            LaneImpl::Avx2(_) => f32x8_avx2::NAME,
-        }
-    }
-}
-
-/// Run the lane body `$body::<L>(isa, $args...)` on the implementation
-/// `$lanes` names — the AVX2 one through `$avx2`, the body's
-/// `#[target_feature]` twin.
-macro_rules! on_lanes {
-    ($lanes:expr, $body:ident, $avx2:path, $($arg:expr),*) => {
-        match $lanes {
-            LaneImpl::Portable => $body::<f32x8>((), $($arg),*),
-            #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-            LaneImpl::Sse2 => $body::<f32x8_sse2>((), $($arg),*),
-            #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-            LaneImpl::Avx2(isa) => {
-                // SAFETY: the callee needs AVX2, and `isa` exists only
-                // because `is_x86_feature_detected!("avx2")` returned
-                // true (`Avx2::detect` is its sole constructor).
-                unsafe { $avx2(isa, $($arg),*) }
-            }
-        }
-    };
-}
-
-pub(crate) use on_lanes;
 
 /// Per-nibble lane masks: entry `m` holds, for each of 4 lanes, the
 /// all-ones bit pattern when bit `b` of `m` is set. Turning two mask
@@ -580,12 +506,5 @@ mod tests {
         for_each_lanes8!(exp8_clamps_its_domain);
         for_each_lanes8!(erfc8_matches_scalar_reference);
         for_each_lanes8!(pair_interaction8_lane_matches_scalar_within_bounds);
-    }
-
-    #[test]
-    fn detected_lanes_are_the_last_available() {
-        let all = LaneImpl::available();
-        assert_eq!(all[0].name(), "portable");
-        assert_eq!(all.last().unwrap().name(), LaneImpl::detect().name());
     }
 }

@@ -23,7 +23,7 @@
 //! recomputed with the scalar one. Filler slots hold NaN coordinates, so
 //! their lanes compare false without a mask.
 
-use wide::Lanes8;
+use wide::{LaneImpl, Lanes8};
 
 use crate::cluster::{Clustering, CLUSTER_SIZE, FILLER};
 use crate::grid::CellGrid;
@@ -135,18 +135,9 @@ impl PairSearch {
 
     /// Fill `out` with every candidate of outer cluster `ci`, in
     /// [`CellGrid::for_range`] order (a half list skips clusters below
-    /// `ci`), on the widest lanes this host runs.
+    /// `ci`), on the lanes [`LaneImpl::detect`] picks.
     pub fn scan(&self, ci: usize, out: &mut Vec<Candidate>) {
-        #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-        match wide::Avx2::detect() {
-            // SAFETY: the callee needs AVX2, and `isa` exists only
-            // because `is_x86_feature_detected!("avx2")` returned true
-            // (`Avx2::detect` is its sole constructor).
-            Some(isa) => unsafe { scan_avx2(self, isa, ci, out) },
-            None => self.scan_on::<wide::f32x8_sse2>((), ci, out),
-        }
-        #[cfg(not(all(target_arch = "x86_64", target_feature = "sse2")))]
-        self.scan_on::<wide::f32x8>((), ci, out)
+        wide::on_lanes!(LaneImpl::detect(), scan_lanes, scan_avx2, self, ci, out)
     }
 
     /// [`PairSearch::scan`] on the lane implementation `L`; every
@@ -307,10 +298,43 @@ fn norm2<L: Lanes8>(d: [L; 3]) -> L {
     d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
 }
 
-/// [`PairSearch::scan_on`] compiled with AVX2 enabled, so the whole
+/// [`PairSearch::scan_on`] with the lane token first, as
+/// [`wide::on_lanes!`] calls a lane body.
+#[inline(always)]
+fn scan_lanes<L: Lanes8>(isa: L::Isa, search: &PairSearch, ci: usize, out: &mut Vec<Candidate>) {
+    search.scan_on::<L>(isa, ci, out)
+}
+
+/// [`scan_lanes`] compiled with AVX2 enabled, so the whole
 /// `#[inline(always)]` chain becomes `ymm` code.
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 #[target_feature(enable = "avx2")]
-fn scan_avx2(search: &PairSearch, isa: wide::Avx2, ci: usize, out: &mut Vec<Candidate>) {
-    search.scan_on::<wide::f32x8_avx2>(isa, ci, out)
+fn scan_avx2(isa: wide::Avx2, search: &PairSearch, ci: usize, out: &mut Vec<Candidate>) {
+    scan_lanes::<wide::f32x8_avx2>(isa, search, ci, out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::water::water_box;
+
+    #[test]
+    fn scan_fills_what_the_portable_lanes_fill() {
+        let sys = water_box(120, 300.0, 5);
+        let rlist = 0.7;
+        let clustering = Clustering::build(&sys.pbc, &sys.pos, rlist);
+        let bits = |v: &[Candidate]| v.iter().map(|c| c.0).collect::<Vec<_>>();
+        for kind in [ListKind::Half, ListKind::Full] {
+            let search = PairSearch::new(&sys.pbc, &sys.pos, &clustering, rlist, kind);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let mut pairs = 0;
+            for ci in 0..clustering.n_clusters {
+                search.scan(ci, &mut got);
+                search.scan_on::<wide::f32x8>((), ci, &mut want);
+                assert_eq!(bits(&got), bits(&want), "{kind:?} cluster {ci}");
+                pairs += got.iter().filter(|c| c.in_range()).count();
+            }
+            assert!(pairs > clustering.n_clusters, "{kind:?}: a real list");
+        }
+    }
 }

@@ -46,64 +46,6 @@ impl CacheStats {
     }
 }
 
-/// Why a cache geometry (or a cache built from one) was rejected.
-///
-/// The bit-twiddling index decomposition (Fig. 3 / Alg. 3) only works for
-/// power-of-two set counts and line sizes, and the paper's caches are 1-
-/// or 2-way; anything else is a configuration error, reported as a typed
-/// value so callers (e.g. config loaders, the `swcheck` lint pass) can
-/// match on the cause instead of parsing a panic string.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheConfigError {
-    /// `n_sets` must be a power of two for the set-index bit mask.
-    SetsNotPowerOfTwo {
-        /// The rejected set count.
-        n_sets: usize,
-    },
-    /// `line_elems` must be a power of two for the offset bit mask.
-    LineElemsNotPowerOfTwo {
-        /// The rejected line size in elements.
-        line_elems: usize,
-    },
-    /// Only direct-mapped (1) and 2-way (§3.5) associativity exist.
-    UnsupportedWays {
-        /// The rejected associativity.
-        ways: usize,
-    },
-    /// Elements must hold at least one f32 word.
-    ZeroElemWords,
-    /// The paper's deferred-update write cache (Fig. 4) is direct-mapped.
-    WriteCacheNotDirectMapped {
-        /// The rejected associativity.
-        ways: usize,
-    },
-}
-
-impl std::fmt::Display for CacheConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::SetsNotPowerOfTwo { n_sets } => {
-                write!(f, "n_sets must be a power of two, got {n_sets}")
-            }
-            Self::LineElemsNotPowerOfTwo { line_elems } => {
-                write!(f, "line_elems must be a power of two, got {line_elems}")
-            }
-            Self::UnsupportedWays { ways } => {
-                write!(f, "only 1- and 2-way associativity supported, got {ways}")
-            }
-            Self::ZeroElemWords => write!(f, "elem_words must be at least 1"),
-            Self::WriteCacheNotDirectMapped { ways } => {
-                write!(
-                    f,
-                    "the paper's write cache is direct-mapped, got {ways}-way geometry"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for CacheConfigError {}
-
 /// Geometry shared by both cache kinds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
@@ -118,39 +60,32 @@ pub struct CacheGeometry {
 }
 
 impl CacheGeometry {
-    /// Validated constructor returning the rejection cause on bad input.
-    pub fn try_new(
-        n_sets: usize,
-        ways: usize,
-        line_elems: usize,
-        elem_words: usize,
-    ) -> Result<Self, CacheConfigError> {
-        if !n_sets.is_power_of_two() {
-            return Err(CacheConfigError::SetsNotPowerOfTwo { n_sets });
-        }
-        if !line_elems.is_power_of_two() {
-            return Err(CacheConfigError::LineElemsNotPowerOfTwo { line_elems });
-        }
-        if ways != 1 && ways != 2 {
-            return Err(CacheConfigError::UnsupportedWays { ways });
-        }
-        if elem_words == 0 {
-            return Err(CacheConfigError::ZeroElemWords);
-        }
-        Ok(Self {
+    /// Validated constructor; panics on bad input. The bit-twiddling
+    /// index decomposition (Fig. 3 / Alg. 3) needs power-of-two set
+    /// counts and line sizes, and the paper's caches are 1- or 2-way.
+    /// Every geometry is a constant of the code, never outside input.
+    pub fn new(n_sets: usize, ways: usize, line_elems: usize, elem_words: usize) -> Self {
+        assert!(
+            n_sets.is_power_of_two(),
+            "invalid cache geometry: n_sets must be a power of two, got {n_sets}"
+        );
+        assert!(
+            line_elems.is_power_of_two(),
+            "invalid cache geometry: line_elems must be a power of two, got {line_elems}"
+        );
+        assert!(
+            ways == 1 || ways == 2,
+            "invalid cache geometry: only 1- and 2-way associativity supported, got {ways}"
+        );
+        assert!(
+            elem_words > 0,
+            "invalid cache geometry: elem_words must be at least 1"
+        );
+        Self {
             n_sets,
             ways,
             line_elems,
             elem_words,
-        })
-    }
-
-    /// Validated constructor; panics on bad input. Prefer [`Self::try_new`]
-    /// when the geometry comes from configuration rather than constants.
-    pub fn new(n_sets: usize, ways: usize, line_elems: usize, elem_words: usize) -> Self {
-        match Self::try_new(n_sets, ways, line_elems, elem_words) {
-            Ok(geo) => geo,
-            Err(e) => panic!("invalid cache geometry: {e}"),
         }
     }
 
@@ -423,14 +358,16 @@ pub struct WriteCache {
 }
 
 impl WriteCache {
-    /// Plain deferred-update cache (the paper's "Cache" version),
-    /// rejecting non-direct-mapped geometries; the backing copy must be
+    /// Plain deferred-update cache (the paper's "Cache" version); panics
+    /// on a non-direct-mapped geometry. The backing copy must be
     /// zero-initialized by the caller.
-    pub fn try_new(geo: CacheGeometry) -> Result<Self, CacheConfigError> {
-        if geo.ways != 1 {
-            return Err(CacheConfigError::WriteCacheNotDirectMapped { ways: geo.ways });
-        }
-        Ok(Self {
+    pub fn new(geo: CacheGeometry) -> Self {
+        assert!(
+            geo.ways == 1,
+            "invalid write cache: the paper's write cache is direct-mapped, got {}-way geometry",
+            geo.ways
+        );
+        Self {
             geo,
             tags: Vec::new(),
             data: Vec::new(),
@@ -438,37 +375,16 @@ impl WriteCache {
             stats: CacheStats::default(),
             trace_id: crate::trace::next_id(),
             binding: None,
-        })
-    }
-
-    /// Plain deferred-update cache; panics on a non-direct-mapped
-    /// geometry. Prefer [`Self::try_new`] for configured geometries.
-    pub fn new(geo: CacheGeometry) -> Self {
-        match Self::try_new(geo) {
-            Ok(c) => c,
-            Err(e) => panic!("invalid write cache: {e}"),
         }
     }
 
     /// Deferred-update cache with Bit-Map marks over a backing copy of
-    /// `backing_elems` elements (the paper's "Mark" version).
-    pub fn try_with_marks(
-        geo: CacheGeometry,
-        backing_elems: usize,
-    ) -> Result<Self, CacheConfigError> {
-        let mut c = Self::try_new(geo)?;
-        let lines = backing_elems.div_ceil(geo.line_elems);
-        c.marks = Some(BitMap::new(lines));
-        Ok(c)
-    }
-
-    /// Deferred-update cache with marks; panics on a non-direct-mapped
-    /// geometry. Prefer [`Self::try_with_marks`] for configured geometries.
+    /// `backing_elems` elements (the paper's "Mark" version); panics on
+    /// a non-direct-mapped geometry.
     pub fn with_marks(geo: CacheGeometry, backing_elems: usize) -> Self {
-        match Self::try_with_marks(geo, backing_elems) {
-            Ok(c) => c,
-            Err(e) => panic!("invalid write cache: {e}"),
-        }
+        let mut c = Self::new(geo);
+        c.marks = Some(BitMap::new(backing_elems.div_ceil(geo.line_elems)));
+        c
     }
 
     /// Cache geometry.
@@ -827,36 +743,37 @@ mod tests {
     }
 
     #[test]
-    fn try_new_reports_each_rejection_cause() {
+    fn each_bad_geometry_panics_with_its_cause() {
+        fn cause<T>(build: impl FnOnce() -> T + std::panic::UnwindSafe) -> String {
+            let err = std::panic::catch_unwind(build)
+                .err()
+                .expect("bad geometry accepted");
+            match err.downcast::<String>() {
+                Ok(msg) => *msg,
+                Err(err) => err.downcast_ref::<&str>().unwrap().to_string(),
+            }
+        }
         assert_eq!(
-            CacheGeometry::try_new(3, 1, 4, 2),
-            Err(CacheConfigError::SetsNotPowerOfTwo { n_sets: 3 })
+            cause(|| CacheGeometry::new(3, 1, 4, 2)),
+            "invalid cache geometry: n_sets must be a power of two, got 3"
         );
         assert_eq!(
-            CacheGeometry::try_new(4, 1, 5, 2),
-            Err(CacheConfigError::LineElemsNotPowerOfTwo { line_elems: 5 })
+            cause(|| CacheGeometry::new(4, 1, 5, 2)),
+            "invalid cache geometry: line_elems must be a power of two, got 5"
         );
         assert_eq!(
-            CacheGeometry::try_new(4, 3, 4, 2),
-            Err(CacheConfigError::UnsupportedWays { ways: 3 })
+            cause(|| CacheGeometry::new(4, 3, 4, 2)),
+            "invalid cache geometry: only 1- and 2-way associativity supported, got 3"
         );
         assert_eq!(
-            CacheGeometry::try_new(4, 1, 4, 0),
-            Err(CacheConfigError::ZeroElemWords)
+            cause(|| CacheGeometry::new(4, 1, 4, 0)),
+            "invalid cache geometry: elem_words must be at least 1"
         );
-        assert!(CacheGeometry::try_new(4, 2, 4, 2).is_ok());
-        let two_way = CacheGeometry::try_new(4, 2, 4, 2).unwrap();
-        assert_eq!(
-            WriteCache::try_new(two_way).err(),
-            Some(CacheConfigError::WriteCacheNotDirectMapped { ways: 2 })
-        );
-        assert_eq!(
-            WriteCache::try_with_marks(two_way, 64).err(),
-            Some(CacheConfigError::WriteCacheNotDirectMapped { ways: 2 })
-        );
-        // Display strings carry the offending value for diagnostics.
-        let msg = CacheConfigError::SetsNotPowerOfTwo { n_sets: 3 }.to_string();
-        assert!(msg.contains('3'), "{msg}");
+        let two_way = CacheGeometry::new(4, 2, 4, 2);
+        let direct_mapped =
+            "invalid write cache: the paper's write cache is direct-mapped, got 2-way geometry";
+        assert_eq!(cause(|| WriteCache::new(two_way)), direct_mapped);
+        assert_eq!(cause(|| WriteCache::with_marks(two_way, 64)), direct_mapped);
     }
 
     #[test]

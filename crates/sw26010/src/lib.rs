@@ -61,7 +61,7 @@ pub mod simd;
 pub mod trace;
 
 pub use bitmap::BitMap;
-pub use cache::{CacheConfigError, CacheGeometry, CacheStats, ReadCache, WriteCache};
+pub use cache::{CacheGeometry, CacheStats, ReadCache, WriteCache};
 pub use cg::{CoreGroup, CpeCtx, MpeCtx, SpawnResult};
 pub use dma::{Dir, DmaEngine, DmaHandle};
 pub use ldm::{Ldm, LdmOverflow};

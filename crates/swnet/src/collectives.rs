@@ -52,23 +52,6 @@ pub fn alltoall_ns(topo: &Topology, transport: Transport, bytes_per_pair: usize)
     (p - 1) as f64 * message_ns(transport, dist, bytes_per_pair.max(8))
 }
 
-/// Binomial-tree gather of `bytes` per rank to rank 0.
-pub fn gather_ns(topo: &Topology, transport: Transport, bytes: usize) -> f64 {
-    let p = topo.n_ranks;
-    if p <= 1 {
-        return 0.0;
-    }
-    let rounds = (p as f64).log2().ceil() as u32;
-    let dist = worst_distance(topo);
-    let mut total = 0.0;
-    let mut chunk = bytes;
-    for _ in 0..rounds {
-        total += message_ns(transport, dist, chunk.max(8));
-        chunk *= 2; // later rounds carry aggregated data
-    }
-    total
-}
-
 /// Halo exchange with `n_neighbors` face neighbors, `halo_bytes` each
 /// (both directions overlap; the per-step cost is the serialized sends
 /// plus one wire time).
@@ -153,7 +136,6 @@ mod tests {
         let t = Topology::new(1);
         assert_eq!(allreduce_ns(&t, Transport::Mpi, 1024), 0.0);
         assert_eq!(alltoall_ns(&t, Transport::Mpi, 1024), 0.0);
-        assert_eq!(gather_ns(&t, Transport::Mpi, 1024), 0.0);
     }
 
     #[test]

@@ -31,8 +31,7 @@ pub mod seqno;
 pub mod transport;
 
 pub use collectives::{
-    allreduce_ns, alltoall_ns, gather_ns, halo_exchange_ns, traced_allreduce_ns,
-    traced_halo_exchange_ns,
+    allreduce_ns, alltoall_ns, halo_exchange_ns, traced_allreduce_ns, traced_halo_exchange_ns,
 };
 pub use liveness::{epoch_barrier, epoch_barrier_traced, halo_timeout_ns, BarrierOutcome};
 pub use params::RankDistance;

@@ -2,7 +2,7 @@
 //! transport dominance, and topology consistency.
 
 use proptest::prelude::*;
-use swnet::{allreduce_ns, alltoall_ns, gather_ns, halo_exchange_ns};
+use swnet::{allreduce_ns, alltoall_ns, halo_exchange_ns};
 use swnet::{message_ns, RankDistance, Topology, Transport};
 
 fn distances() -> impl Strategy<Value = RankDistance> {
@@ -59,9 +59,6 @@ proptest! {
             );
             prop_assert!(
                 alltoall_ns(&t1, transport, bytes) <= alltoall_ns(&t2, transport, bytes)
-            );
-            prop_assert!(
-                gather_ns(&t1, transport, bytes) <= gather_ns(&t2, transport, bytes)
             );
             prop_assert!(
                 allreduce_ns(&t1, transport, bytes)

@@ -5,25 +5,27 @@
 //! blends.
 //!
 //! Eight-lane code is written once against the [`Lanes8`] trait and
-//! instantiated per instruction set. There are three implementations:
+//! instantiated per instruction set. There are two implementations:
 //!
 //! - [`f32x8`] — portable: a plain `[f32; 8]` behind a 32-byte
 //!   alignment, every operation a per-lane scalar loop. It runs on
-//!   every target, and it is the reference the other two are tested
+//!   every target, and it is the reference the register type is tested
 //!   against. LLVM vectorizes such a loop only *inside* one function:
 //!   across a call the lanes travel through memory, which is why the
 //!   hot kernels do not rely on it where registers are available.
-//! - [`f32x8_sse2`] (`x86_64`) — two `__m128` registers. SSE2 is the
-//!   target's guaranteed baseline, so it needs no detection.
 //! - [`f32x8_avx2`] (`x86_64`) — one `__m256` register. Values exist
 //!   only behind an [`Avx2`] token, which [`Avx2::detect`] hands out
 //!   when the CPU reports AVX2.
 //!
-//! All three perform the same strict IEEE 754 operation per lane (no
+//! [`LaneImpl::detect`] is the one place that picks between them: AVX2
+//! where the CPU reports it, the portable arrays everywhere else, and
+//! [`on_lanes!`] runs a lane body on the pick.
+//!
+//! Both perform the same strict IEEE 754 operation per lane (no
 //! fast-math, no FMA, no `rsqrt`/`rcp` approximations, one fixed
-//! `reduce_add` tree), so a lane of any implementation is bit-identical
-//! to the same scalar computation — results do not depend on which
-//! implementation the host selected.
+//! `reduce_add` tree), so a lane of either implementation is
+//! bit-identical to the same scalar computation — results do not depend
+//! on which implementation the host selected.
 
 #![allow(non_camel_case_types)]
 
@@ -285,7 +287,7 @@ pub trait Lanes8:
     /// lane type can therefore exist only where its methods may run.
     type Isa: Copy + Send + Sync;
 
-    /// `"portable"`, `"sse2"` or `"avx2"`.
+    /// `"portable"` or `"avx2"`.
     const NAME: &'static str;
 
     /// Broadcast one scalar to every lane.
@@ -435,7 +437,68 @@ impl Lanes8 for f32x8 {
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 mod x86;
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-pub use x86::{f32x8_avx2, f32x8_sse2, Avx2};
+pub use x86::{f32x8_avx2, Avx2};
+
+/// Which [`Lanes8`] implementation a lane body runs on. A value is
+/// proof that this host can run it: the AVX2 variant carries the
+/// detection token.
+#[derive(Debug, Clone, Copy)]
+pub enum LaneImpl {
+    /// [`f32x8`]: array lanes, any target.
+    Portable,
+    /// [`f32x8_avx2`]: the CPU reported AVX2.
+    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+    Avx2(Avx2),
+}
+
+impl LaneImpl {
+    /// Every implementation this host can run, the preferred one last.
+    pub fn available() -> Vec<Self> {
+        let mut all = vec![LaneImpl::Portable];
+        #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+        all.extend(Avx2::detect().map(LaneImpl::Avx2));
+        all
+    }
+
+    /// AVX2 when the CPU reports it, else portable. No allocation and
+    /// no lock (feature detection is a cached atomic load).
+    #[inline]
+    pub fn detect() -> Self {
+        #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+        if let Some(isa) = Avx2::detect() {
+            return LaneImpl::Avx2(isa);
+        }
+        LaneImpl::Portable
+    }
+
+    /// `"portable"` or `"avx2"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            LaneImpl::Portable => f32x8::NAME,
+            #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+            LaneImpl::Avx2(_) => f32x8_avx2::NAME,
+        }
+    }
+}
+
+/// Run the lane body `$body::<L>(isa, $args...)` on the implementation
+/// the [`LaneImpl`] `$lanes` names — the AVX2 one through `$avx2`, the
+/// body's `#[target_feature(enable = "avx2")]` twin.
+#[macro_export]
+macro_rules! on_lanes {
+    ($lanes:expr, $body:ident, $avx2:path, $($arg:expr),* $(,)?) => {
+        match $lanes {
+            $crate::LaneImpl::Portable => $body::<$crate::f32x8>((), $($arg),*),
+            #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+            $crate::LaneImpl::Avx2(isa) => {
+                // SAFETY: the callee needs AVX2, and `isa` exists only
+                // because `is_x86_feature_detected!("avx2")` returned
+                // true (`Avx2::detect` is its sole constructor).
+                unsafe { $avx2(isa, $($arg),*) }
+            }
+        }
+    };
+}
 
 /// Call the generic function `$f::<L>(isa, $args...)` once for every
 /// [`Lanes8`] implementation this host can run, portable first.
@@ -444,11 +507,8 @@ macro_rules! for_each_lanes8 {
     ($f:ident $(, $arg:expr)* $(,)?) => {{
         $f::<$crate::f32x8>(() $(, $arg)*);
         #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-        {
-            $f::<$crate::f32x8_sse2>(() $(, $arg)*);
-            if let Some(isa) = $crate::Avx2::detect() {
-                $f::<$crate::f32x8_avx2>(isa $(, $arg)*);
-            }
+        if let Some(isa) = $crate::Avx2::detect() {
+            $f::<$crate::f32x8_avx2>(isa $(, $arg)*);
         }
     }};
 }
@@ -644,6 +704,25 @@ mod tests {
     #[test]
     fn reduce_add_tree_is_the_same_on_every_implementation() {
         for_each_lanes8!(reduce_tree_is_pairwise_halving);
+    }
+
+    #[test]
+    fn detected_lanes_are_the_last_available() {
+        let names: Vec<_> = LaneImpl::available()
+            .into_iter()
+            .map(LaneImpl::name)
+            .collect();
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        let want: &[&str] = if avx2 {
+            &["portable", "avx2"]
+        } else {
+            &["portable"]
+        };
+        assert_eq!(names, want);
+        assert_eq!(LaneImpl::detect().name(), *names.last().unwrap());
     }
 
     #[test]

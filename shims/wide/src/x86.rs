@@ -1,8 +1,8 @@
-//! The register-backed [`Lanes8`] implementations for `x86_64`:
-//! [`f32x8_sse2`] (two `__m128`) and [`f32x8_avx2`] (one `__m256`).
+//! The register-backed [`Lanes8`] implementation for `x86_64`:
+//! [`f32x8_avx2`] (one `__m256`).
 //!
-//! Neither uses FMA, `rsqrtps`/`rcpps`, or `blendvps` (which selects
-//! on the sign bit alone): every method is the packed form of the
+//! It uses no FMA, `rsqrtps`/`rcpps`, or `blendvps` (which selects on
+//! the sign bit alone): every method is the packed form of the
 //! portable per-lane expression, so lanes stay bit-identical to it.
 
 use core::arch::x86_64::*;
@@ -30,156 +30,6 @@ fn reduce4(v: __m128) -> f32 {
         let s2 = _mm_add_ps(v, _mm_movehl_ps(v, v));
         _mm_cvtss_f32(_mm_add_ss(s2, _mm_shuffle_ps::<1>(s2, s2)))
     })
-}
-
-/// Eight lanes in two SSE2 registers (`.0` holds lanes 0..4). SSE2 is
-/// part of the `x86_64` baseline — this module is compiled only when
-/// the target has it — so the type needs no detection.
-#[derive(Clone, Copy)]
-pub struct f32x8_sse2(__m128, __m128);
-
-/// `$f` applied to the low halves and to the high halves of its
-/// operands.
-macro_rules! both {
-    ($f:ident($($a:expr),+)) => {
-        f32x8_sse2($f($($a.0),+), $f($($a.1),+))
-    };
-}
-
-#[inline(always)]
-fn select4(m: __m128, t: __m128, f: __m128) -> __m128 {
-    sse2!(_mm_or_ps(_mm_and_ps(m, t), _mm_andnot_ps(m, f)))
-}
-
-#[inline(always)]
-fn add_bits4(a: __m128, b: __m128) -> __m128 {
-    sse2!(_mm_castsi128_ps(_mm_add_epi32(
-        _mm_castps_si128(a),
-        _mm_castps_si128(b)
-    )))
-}
-
-#[inline(always)]
-fn shl_bits4<const N: i32>(a: __m128) -> __m128 {
-    sse2!(_mm_castsi128_ps(_mm_slli_epi32::<N>(_mm_castps_si128(a))))
-}
-
-#[inline(always)]
-fn neg4(a: __m128) -> __m128 {
-    sse2!(_mm_xor_ps(a, _mm_set1_ps(-0.0)))
-}
-
-impl Lanes8 for f32x8_sse2 {
-    type Isa = ();
-    const NAME: &'static str = "sse2";
-
-    #[inline(always)]
-    fn splat((): (), v: f32) -> Self {
-        sse2!(Self(_mm_set1_ps(v), _mm_set1_ps(v)))
-    }
-
-    #[inline(always)]
-    fn from_array((): (), a: [f32; 8]) -> Self {
-        // SAFETY: both reads are 4 `f32` inside the 8-element array;
-        // `loadu` has no alignment requirement.
-        unsafe { Self(_mm_loadu_ps(a.as_ptr()), _mm_loadu_ps(a.as_ptr().add(4))) }
-    }
-
-    #[inline(always)]
-    fn from_halves((): (), lo: &[f32; 4], hi: &[f32; 4]) -> Self {
-        // SAFETY: each read is the 4 `f32` of one array reference;
-        // `loadu` has no alignment requirement.
-        unsafe { Self(_mm_loadu_ps(lo.as_ptr()), _mm_loadu_ps(hi.as_ptr())) }
-    }
-
-    #[inline(always)]
-    fn to_array(self) -> [f32; 8] {
-        let mut out = [0.0f32; 8];
-        // SAFETY: both writes are 4 `f32` inside the 8-element array;
-        // `storeu` has no alignment requirement.
-        unsafe {
-            _mm_storeu_ps(out.as_mut_ptr(), self.0);
-            _mm_storeu_ps(out.as_mut_ptr().add(4), self.1);
-        }
-        out
-    }
-
-    #[inline(always)]
-    fn sqrt(self) -> Self {
-        sse2!(both!(_mm_sqrt_ps(self)))
-    }
-
-    #[inline(always)]
-    fn min(self, rhs: Self) -> Self {
-        sse2!(both!(_mm_min_ps(self, rhs)))
-    }
-
-    #[inline(always)]
-    fn max(self, rhs: Self) -> Self {
-        sse2!(both!(_mm_max_ps(self, rhs)))
-    }
-
-    #[inline(always)]
-    fn cmp_lt(self, rhs: Self) -> Self {
-        sse2!(both!(_mm_cmplt_ps(self, rhs)))
-    }
-
-    #[inline(always)]
-    fn cmp_eq(self, rhs: Self) -> Self {
-        sse2!(both!(_mm_cmpeq_ps(self, rhs)))
-    }
-
-    #[inline(always)]
-    fn blend(self, t: Self, f: Self) -> Self {
-        both!(select4(self, t, f))
-    }
-
-    #[inline(always)]
-    fn reduce_add(self) -> f32 {
-        reduce4(sse2!(_mm_add_ps(self.0, self.1)))
-    }
-
-    #[inline(always)]
-    fn movemask(self) -> u32 {
-        sse2!(_mm_movemask_ps(self.0) | (_mm_movemask_ps(self.1) << 4)) as u32
-    }
-
-    #[inline(always)]
-    fn add_bits(self, rhs: Self) -> Self {
-        both!(add_bits4(self, rhs))
-    }
-
-    #[inline(always)]
-    fn shl_bits<const N: i32>(self) -> Self {
-        Self(shl_bits4::<N>(self.0), shl_bits4::<N>(self.1))
-    }
-}
-
-macro_rules! sse2_binop {
-    ($op:ident, $method:ident, $intrinsic:ident) => {
-        impl $op for f32x8_sse2 {
-            type Output = Self;
-            #[inline(always)]
-            fn $method(self, rhs: Self) -> Self {
-                sse2!(both!($intrinsic(self, rhs)))
-            }
-        }
-    };
-}
-
-sse2_binop!(Add, add, _mm_add_ps);
-sse2_binop!(Sub, sub, _mm_sub_ps);
-sse2_binop!(Mul, mul, _mm_mul_ps);
-sse2_binop!(Div, div, _mm_div_ps);
-sse2_binop!(BitAnd, bitand, _mm_and_ps);
-sse2_binop!(BitOr, bitor, _mm_or_ps);
-
-impl Neg for f32x8_sse2 {
-    type Output = Self;
-    #[inline(always)]
-    fn neg(self) -> Self {
-        both!(neg4(self))
-    }
 }
 
 /// Proof that the CPU reports AVX2: [`Avx2::detect`] is the only way

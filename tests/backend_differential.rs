@@ -20,7 +20,7 @@
 //!   cannot reach the FP order.
 //!
 //! - The native inner loop exists once, generic over the lane type, and
-//!   is instantiated per instruction set (portable / SSE2 / AVX2). The
+//!   is instantiated per instruction set (portable / AVX2). The
 //!   instantiations must agree with **each other** bit for bit, so a
 //!   result never depends on which one the host selected.
 //!
@@ -38,7 +38,7 @@ use sw_gromacs::swgmx::check::{physics_checksum, run_variant_with, Variant};
 use sw_gromacs::swgmx::cpelist::CpePairList;
 use sw_gromacs::swgmx::kernels::common::EntryJ;
 use sw_gromacs::swgmx::kernels::native_simd::{
-    cluster_pair_wide8, for_each_lanes8, Lanes8, WideFi,
+    cluster_pair_wide8, for_each_lanes8, LaneImpl, Lanes8, WideFi,
 };
 use sw_gromacs::swgmx::package::{PackageLayout, PackedSystem, FORCE_WORDS};
 
@@ -159,8 +159,7 @@ fn lane_implementations_are_bitwise_identical_to_each_other() {
             let psys = PackedSystem::build(&sys, list.clustering, PackageLayout::Transposed);
             let mut walks = Vec::new();
             for_each_lanes8!(wide8_walk, &mut walks, &psys, &cpe, &params);
-            #[cfg(target_arch = "x86_64")]
-            assert!(walks.len() >= 2, "x86_64 always offers portable and sse2");
+            assert_eq!(walks.len(), LaneImpl::available().len());
             let (reference, want) = &walks[0];
             assert!(want.len() > 1000, "the walk covered a real list");
             for (name, got) in &walks[1..] {

@@ -4,7 +4,7 @@
 //! types underneath it against per-lane scalar expressions.
 //!
 //! Every property runs on **every lane implementation the host offers**
-//! (portable arrays, SSE2 registers, AVX2 registers when detected) and
+//! (the portable arrays, and the AVX2 register when detected) and
 //! requires the implementations to agree with each other bit for bit.
 //!
 //! Random packages (positions, charges, types, interaction masks) are
