@@ -135,8 +135,8 @@ fn process_cluster<L: Lanes8>(
                 pkg_i,
                 entry_of(pair[0]),
                 entry_of(pair[1]),
+                [psys.lj_rows(cj0), psys.lj_rows(cj1)],
                 params,
-                &lj,
                 &mut wfi,
                 fj0,
                 fj1,
@@ -567,7 +567,7 @@ pub fn run_rma_native(
 }
 
 /// [`run_rma_native`] on a chosen lane implementation.
-pub(crate) fn run_rma_native_on(
+pub fn run_rma_native_on(
     lanes: LaneImpl,
     psys: &PackedSystem,
     list: &CpePairList,
@@ -726,7 +726,7 @@ pub fn run_rca_native(
 }
 
 /// [`run_rca_native`] on a chosen lane implementation.
-pub(crate) fn run_rca_native_on(
+pub fn run_rca_native_on(
     lanes: LaneImpl,
     psys: &PackedSystem,
     list: &CpePairList,
@@ -784,7 +784,7 @@ pub fn run_ustc_native(
 }
 
 /// [`run_ustc_native`] on a chosen lane implementation.
-pub(crate) fn run_ustc_native_on(
+pub fn run_ustc_native_on(
     lanes: LaneImpl,
     psys: &PackedSystem,
     list: &CpePairList,

@@ -21,6 +21,12 @@
 //! body the metered SIMD rungs run (per-lane scalar `pair_interaction`)
 //! — so tail entries are bit-identical to the metered path.
 //!
+//! The LJ parameters are loaded, not gathered: `PackedSystem::build`
+//! keeps one [`LjRow`] per package type signature and outer type, so an
+//! outer row's 8-lane `c6`/`c12` vectors are four 16-byte loads. A row
+//! holds the values per-lane `lj(ti, tj)` lookups return, so no bit
+//! depends on it.
+//!
 //! All transcendental math (`exp`, `erfc` for the short-range Ewald
 //! term) is vectorized in f32. The cutoff decision is computed with the
 //! same operation association as the scalar kernel, so *which* pairs
@@ -38,7 +44,7 @@ pub use wide::{f32x8, for_each_lanes8, LaneImpl, Lanes8};
 pub use wide::{f32x8_avx2, Avx2};
 
 use crate::kernels::common::EntryJ;
-use crate::package::{FORCE_WORDS, PKG_WORDS};
+use crate::package::{LjRow, FORCE_WORDS, PKG_WORDS};
 
 /// Per-nibble lane masks: entry `m` holds, for each of 4 lanes, the
 /// all-ones bit pattern when bit `b` of `m` is set. Turning two mask
@@ -139,11 +145,12 @@ fn erfc8_poly_t<L: Lanes8>(isa: L::Isa, t: L, exp_neg_x2: L) -> L {
 /// e_coul)` per lane. Lanes with garbage inputs (`r2 = 0` filler)
 /// produce garbage outputs — callers mask them away afterwards.
 ///
-/// `lj_active` is a caller hint that some `c6`/`c12` lane is nonzero.
-/// Passing `false` skips the Lennard-Jones chain (the result is the
-/// exact zero those parameters would produce anyway) — on water
-/// workloads two thirds of the outer rows are hydrogens with no LJ
-/// site, so the skip is worth real time.
+/// `lj_active` is a caller hint that some `c6`/`c12` lane is nonzero;
+/// [`cluster_pair_wide8`] passes the `on` flags of its two [`LjRow`]s,
+/// computed when the packages were built. Passing `false` skips the
+/// Lennard-Jones chain (the result is the exact zero those parameters
+/// would produce anyway) — on water workloads two thirds of the outer
+/// rows are hydrogens with no LJ site, so the skip is worth real time.
 #[inline(always)]
 pub fn pair_interaction8<L: Lanes8>(
     isa: L::Isa,
@@ -249,30 +256,9 @@ impl<L: Lanes8> WideFi<L> {
     }
 }
 
-/// The `(c6, c12)` lanes of outer type `ti` against the eight j-types
-/// `tj`, and whether any of them is nonzero (a NaN parameter counts as
-/// nonzero). Filler slots carry type 0, so every lookup is in range.
-#[inline(always)]
-fn gather_lj<L: Lanes8>(
-    isa: L::Isa,
-    ti: usize,
-    tj: &[usize; 8],
-    lj: &impl Fn(usize, usize) -> (f32, f32),
-) -> (bool, L, L) {
-    let mut c6 = [0.0f32; 8];
-    let mut c12 = [0.0f32; 8];
-    for k in 0..8 {
-        (c6[k], c12[k]) = lj(ti, tj[k]);
-    }
-    let c6 = L::from_array(isa, c6);
-    let c12 = L::from_array(isa, c12);
-    let zero = L::splat(isa, 0.0);
-    let both_zero = c6.cmp_eq(zero) & c12.cmp_eq(zero);
-    (both_zero.movemask() != 0xFF, c6, c12)
-}
-
 /// Interactions of one outer cluster against **two** inner-cluster
-/// entries, 8 j-lanes wide. `lj` maps a type pair to `(c6, c12)`.
+/// entries, 8 j-lanes wide. `lj` holds each entry's LJ rows, indexed by
+/// outer type ([`PackedSystem::lj_rows`](crate::package::PackedSystem::lj_rows)).
 /// Accumulates the outer forces into the `fi` lane slots (fold them
 /// with [`WideFi::fold_into`] after the last entry pair) and the
 /// reactions into `fj0`/`fj1` — which may point straight into a
@@ -284,8 +270,8 @@ pub fn cluster_pair_wide8<L: Lanes8>(
     pkg_i: &[f32],
     e0: EntryJ<'_>,
     e1: EntryJ<'_>,
+    lj: [&[LjRow]; 2],
     params: &NbParams,
-    lj: &impl Fn(usize, usize) -> (f32, f32),
     fi: &mut WideFi<L>,
     fj0: &mut [f32; FORCE_WORDS],
     fj1: &mut [f32; FORCE_WORDS],
@@ -305,11 +291,6 @@ pub fn cluster_pair_wide8<L: Lanes8>(
     let yj8 = shifted(1);
     let zj8 = shifted(2);
     let qj8 = L::from_halves(isa, pkg_row(p0, 4), pkg_row(p1, 4));
-    let mut tj = [0usize; 8];
-    for k in 0..CLUSTER_SIZE {
-        tj[k] = p0[3 * CLUSTER_SIZE + k] as usize;
-        tj[4 + k] = p1[3 * CLUSTER_SIZE + k] as usize;
-    }
 
     let zero = L::splat(isa, 0.0);
     let mut rjx = zero; // j-side reactions, accumulated per lane
@@ -319,13 +300,6 @@ pub fn cluster_pair_wide8<L: Lanes8>(
     let mut ecoul8 = zero;
     let mut n = 0u32;
     let rc2v = L::splat(isa, rc2);
-    // LJ parameters depend only on (ti, tj) and the j-types are fixed
-    // for the whole call, so each outer type gathers its 8 slots once:
-    // `lj_memo[..n_memo]` holds the types seen so far, keyed by the
-    // type word's bits (the float-to-index cast happens per gather,
-    // not per row).
-    let mut lj_memo = [(0u32, false, zero, zero); CLUSTER_SIZE];
-    let mut n_memo = 0;
 
     for ai in 0..CLUSTER_SIZE {
         let row0 = ((e0.mask >> (ai * CLUSTER_SIZE)) & 0xF) as usize;
@@ -352,22 +326,14 @@ pub fn cluster_pair_wide8<L: Lanes8>(
         }
         n += cnt;
 
-        let ti = pi[3 * CLUSTER_SIZE + ai];
-        let slot = match lj_memo[..n_memo]
-            .iter()
-            .position(|row| row.0 == ti.to_bits())
-        {
-            Some(slot) => slot,
-            None => {
-                let (on, c6, c12) = gather_lj(isa, ti as usize, &tj, lj);
-                lj_memo[n_memo] = (ti.to_bits(), on, c6, c12);
-                n_memo += 1;
-                n_memo - 1
-            }
-        };
-        let (_, lj_on, c6v, c12v) = lj_memo[slot];
+        // The rows were built with the packages: two 16-byte loads per
+        // parameter, the lanes `lj(ti, tj)` would give.
+        let ti = pi[3 * CLUSTER_SIZE + ai] as usize;
+        let (r0, r1) = (&lj[0][ti], &lj[1][ti]);
+        let c6v = L::from_halves(isa, &r0.c6, &r1.c6);
+        let c12v = L::from_halves(isa, &r0.c12, &r1.c12);
         let qq8 = L::splat(isa, pi[4 * CLUSTER_SIZE + ai]) * qj8;
-        let (f, elj, ecoul) = pair_interaction8(isa, r2, c6v, c12v, qq8, lj_on, params);
+        let (f, elj, ecoul) = pair_interaction8(isa, r2, c6v, c12v, qq8, r0.on | r1.on, params);
         // Mask *after* the computation: filler lanes (r2 = 0) produced
         // infinities/NaNs, and `& m` replaces them bitwise with zero.
         let f = f & m;

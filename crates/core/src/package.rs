@@ -15,6 +15,8 @@
 //!   directly into one `floatv4` register, which is what makes the
 //!   vectorized kernel's pre-treatment free.
 
+use std::collections::BTreeMap;
+
 use mdsim::cluster::{Clustering, CLUSTER_SIZE, FILLER};
 use mdsim::system::System;
 
@@ -62,6 +64,35 @@ pub struct PackedSystem {
     pub c6: Vec<f32>,
     /// Flat `n_types^2` C12 table.
     pub c12: Vec<f32>,
+    /// LJ rows, `n_types` per distinct package type signature (the
+    /// four type words); see [`PackedSystem::lj_rows`].
+    pub lj_rows: Vec<LjRow>,
+    /// Type signature index of each package.
+    pub pkg_sig: Vec<u32>,
+}
+
+/// One outer type against the four slots of a package: the `(c6, c12)`
+/// lanes the native inner loop loads as half of its j-vector, and
+/// whether any lane is nonzero (a NaN parameter counts as nonzero).
+#[derive(Debug, Clone, Copy)]
+pub struct LjRow {
+    pub c6: [f32; CLUSTER_SIZE],
+    pub c12: [f32; CLUSTER_SIZE],
+    pub on: bool,
+}
+
+impl LjRow {
+    /// Outer type `t` against slot types `tj`, each pair through `lj`.
+    pub fn new(
+        t: usize,
+        tj: [usize; CLUSTER_SIZE],
+        lj: impl Fn(usize, usize) -> (f32, f32),
+    ) -> Self {
+        let p = tj.map(|tb| lj(t, tb));
+        let on = p.iter().any(|&(c6, c12)| !(c6 == 0.0 && c12 == 0.0));
+        let (c6, c12) = (p.map(|p| p.0), p.map(|p| p.1));
+        Self { c6, c12, on }
+    }
 }
 
 /// `(x, y, z, type, charge)` of `lane` in a transposed package.
@@ -83,7 +114,8 @@ impl PackedSystem {
     /// per cluster pair realizes the minimum-image convention even for
     /// clusters straddling the box boundary. Filler slots get the cluster
     /// center (finite distances) with type 0 and charge 0; their mask
-    /// bits are off in the pair list, so they never contribute.
+    /// bits are off in the pair list, so they never contribute. The LJ
+    /// rows of every package type signature are built here.
     pub fn build(sys: &System, clustering: Clustering, layout: PackageLayout) -> Self {
         let mut packed = Self {
             n_particles: sys.n(),
@@ -93,8 +125,24 @@ impl PackedSystem {
             n_types: sys.topology.n_types(),
             c6: sys.topology.c6_table().to_vec(),
             c12: sys.topology.c12_table().to_vec(),
+            lj_rows: Vec::new(),
+            pkg_sig: Vec::new(),
         };
         packed.repack(sys);
+        // A slot's type never changes, so the rows are built once, from
+        // the packages' own type words (fillers read as type 0).
+        let (mut sigs, mut rows) = (BTreeMap::new(), Vec::new());
+        for c in 0..packed.n_packages() {
+            let tj = std::array::from_fn(|lane| packed.read_particle(packed.package(c), lane).3);
+            let next = sigs.len() as u32;
+            let sig = *sigs.entry(tj).or_insert_with(|| {
+                let lj = |a, b| packed.lj(a, b);
+                rows.extend((0..packed.n_types).map(|t| LjRow::new(t, tj, lj)));
+                next
+            });
+            packed.pkg_sig.push(sig);
+        }
+        packed.lj_rows = rows;
         packed
     }
 
@@ -166,6 +214,13 @@ impl PackedSystem {
             self.c6[ta * self.n_types + tb],
             self.c12[ta * self.n_types + tb],
         )
+    }
+
+    /// The LJ rows of package `c`'s type signature, by outer type.
+    #[inline]
+    pub fn lj_rows(&self, c: usize) -> &[LjRow] {
+        let base = self.pkg_sig[c] as usize * self.n_types;
+        &self.lj_rows[base..base + self.n_types]
     }
 
     /// Map forces stored in slot order (interleaved xyz per slot) back to
@@ -274,6 +329,95 @@ mod tests {
                 assert_eq!(q, 0.0);
             }
         }
+    }
+
+    /// "Some lane nonzero" as the native kernel decided it while it
+    /// gathered its parameters per call: lane compares over all eight.
+    fn gathered_lj_on(c6: [f32; 8], c12: [f32; 8]) -> bool {
+        use crate::kernels::native_simd::{f32x8, Lanes8};
+        let lanes = |v| <f32x8 as Lanes8>::from_array((), v);
+        let zero = lanes([0.0; 8]);
+        (lanes(c6).cmp_eq(zero) & lanes(c12).cmp_eq(zero)).movemask() != 0xFF
+    }
+
+    #[test]
+    fn every_row_holds_the_lookups_of_its_package_lanes() {
+        let saline = mdsim::water::saline_box(300, 12, 300.0, 6);
+        for sys in [water_box(30, 300.0, 41), saline] {
+            let clustering = Clustering::build(&sys.pbc, &sys.pos, 1.0);
+            let p = PackedSystem::build(&sys, clustering, PackageLayout::Transposed);
+            assert_eq!(p.lj_rows.len() % p.n_types, 0);
+            let mut fillers = 0;
+            for c in 0..p.n_packages() {
+                let rows = p.lj_rows(c);
+                assert_eq!(rows.len(), p.n_types);
+                for (lane, &m) in p.clustering.members(c).iter().enumerate() {
+                    let tj = p.read_particle(p.package(c), lane).3;
+                    if m == FILLER {
+                        assert_eq!(tj, 0, "a filler reads as type 0");
+                        fillers += 1;
+                    }
+                    for (t, row) in rows.iter().enumerate() {
+                        let (c6, c12) = p.lj(t, tj);
+                        assert_eq!(
+                            row.c6[lane].to_bits(),
+                            c6.to_bits(),
+                            "c6 ({c}, {t}, {lane})"
+                        );
+                        assert_eq!(
+                            row.c12[lane].to_bits(),
+                            c12.to_bits(),
+                            "c12 ({c}, {t}, {lane})"
+                        );
+                    }
+                }
+            }
+            assert!(fillers > 0, "the boxes pad some clusters");
+            assert!(p.lj_rows.iter().any(|r| !r.on), "hydrogen rows skip LJ");
+        }
+    }
+
+    #[test]
+    fn lj_on_matches_the_gathered_predicate() {
+        // Type 1 has no LJ at all, type 2's C6 against type 0 is NaN and
+        // type 3 carries -0.0, which compares equal to zero.
+        let lj = |a: usize, b: usize| match (a.min(b), a.max(b)) {
+            (1, _) | (_, 1) => (0.0, 0.0),
+            (0, 2) => (f32::NAN, 0.0),
+            (_, 3) => (-0.0, -0.0),
+            _ => (2.6e-3, 2.6e-6),
+        };
+        let sigs: Vec<[usize; 4]> = (0..256)
+            .map(|s| std::array::from_fn(|k| (s >> (2 * k)) & 3))
+            .collect();
+        for t in 0..4 {
+            let rows: Vec<LjRow> = sigs.iter().map(|&tj| LjRow::new(t, tj, lj)).collect();
+            for (a, ra) in sigs.iter().zip(&rows) {
+                for (b, rb) in sigs.iter().zip(&rows) {
+                    let (c6, c12): (Vec<f32>, Vec<f32>) =
+                        a.iter().chain(b).map(|&tj| lj(t, tj)).unzip();
+                    let want = gathered_lj_on(c6.try_into().unwrap(), c12.try_into().unwrap());
+                    assert_eq!(ra.on | rb.on, want, "t {t}: {a:?} {b:?}");
+                }
+            }
+        }
+        assert!(LjRow::new(0, [2, 1, 1, 1], lj).on, "a NaN lane counts");
+        assert!(!LjRow::new(1, [0, 1, 2, 3], lj).on, "an all-zero type");
+        assert!(!LjRow::new(3, [3, 3, 1, 3], lj).on, "-0.0 is zero");
+    }
+
+    #[test]
+    fn the_row_table_does_not_grow_with_the_particle_count() {
+        let count = |n_mol| {
+            let sys = water_box(n_mol, 300.0, 7);
+            let clustering = Clustering::build(&sys.pbc, &sys.pos, 1.0);
+            let p = PackedSystem::build(&sys, clustering, PackageLayout::Transposed);
+            assert_eq!(p.pkg_sig.len(), p.n_packages());
+            p.lj_rows.len() / p.n_types
+        };
+        let (small, large) = (count(1334), count(16_000));
+        assert_eq!(small, large, "4 002 vs 48 000 particles");
+        assert!(small <= 16, "two types fill at most 2^4 signatures");
     }
 
     #[test]

@@ -111,7 +111,7 @@ fn wide8_walk<L: Lanes8>(
     list: &CpePairList,
     params: &NbParams,
 ) {
-    let lj = |ta: usize, tb: usize| psys.lj(ta, tb);
+    let rows = |e: usize| psys.lj_rows(list.neighbors[e] as usize);
     let entry = |e: usize| EntryJ {
         pkg: psys.package(list.neighbors[e] as usize),
         shift: list.shifts[e],
@@ -129,8 +129,8 @@ fn wide8_walk<L: Lanes8>(
                 psys.package(ci),
                 entry(pair[0]),
                 entry(pair[1]),
+                [rows(pair[0]), rows(pair[1])],
                 params,
-                &lj,
                 &mut wfi,
                 &mut fj0,
                 &mut fj1,

@@ -138,3 +138,85 @@ fn masks_equal_the_per_pair_reference_across_cluster_boundaries() {
         assert!(fillers > 100, "{fillers} filler slots");
     }
 }
+
+/// `(physics_checksum, lj bits, coulomb bits, pairs_within_cutoff)`.
+type Pinned = (u64, u64, u64, u64);
+
+/// The native RMA, RCA and USTC kernels on `saline_box(700, 24, 300.0,
+/// 5)` at `r_cut` 0.7, recorded while the inner loop still gathered its
+/// LJ parameters per call. Four types, so ion rows, ion-water cross
+/// terms and the hydrogens' LJ skip all reach the pinned bits.
+const SALINE_RMA: Pinned = (
+    0x1b7ec33b700872a1,
+    0x40da1906e39b5600,
+    0x40c0b2e75029a000,
+    180_887,
+);
+const SALINE_RCA: Pinned = (
+    0x6da934e315aac86d,
+    0x40da1906ea365480,
+    0x40c0b2e76d9e0000,
+    361_774,
+);
+const SALINE_USTC: Pinned = (
+    0x22d12ca0098d32d2,
+    0x40da1906e39b5600,
+    0x40c0b2e75029a000,
+    180_887,
+);
+
+#[test]
+fn native_kernels_reproduce_the_saline_bits_on_every_lane_implementation() {
+    use sw_gromacs::sw26010::LanePool;
+    use sw_gromacs::swgmx::check::physics_checksum;
+    use sw_gromacs::swgmx::kernels::native::{
+        run_rca_native_on, run_rma_native_on, run_ustc_native_on, WriteStrategy,
+    };
+    use sw_gromacs::swgmx::kernels::native_simd::LaneImpl;
+    use sw_gromacs::swgmx::KernelResult;
+
+    type RunOn = fn(LaneImpl, &PackedSystem, &CpePairList, &NbParams, &LanePool) -> KernelResult;
+    let sys = saline_box(700, 24, 300.0, 5);
+    let params = NbParams {
+        r_cut: 0.7,
+        ..NbParams::paper_default()
+    };
+    let kernels: [(&str, ListKind, RunOn, Pinned); 3] = [
+        (
+            "rma",
+            ListKind::Half,
+            |l, p, c, q, pool| run_rma_native_on(l, p, c, q, pool, WriteStrategy::CopiesWithMarks),
+            SALINE_RMA,
+        ),
+        ("rca", ListKind::Full, run_rca_native_on, SALINE_RCA),
+        ("ustc", ListKind::Half, run_ustc_native_on, SALINE_USTC),
+    ];
+    for (name, kind, run_on, want) in kernels {
+        let list = PairList::build(&sys, params.r_cut, kind);
+        let cpe = CpePairList::build(&sys, &list);
+        let psys = PackedSystem::build(&sys, list.clustering, PackageLayout::Transposed);
+        for lanes in LaneImpl::available() {
+            for threads in [1, 2, 4] {
+                let out = run_on(
+                    lanes,
+                    &psys,
+                    &cpe,
+                    &params,
+                    &LanePool::with_threads(threads),
+                );
+                let got = (
+                    physics_checksum(&out.forces, &out.energies),
+                    out.energies.lj.to_bits(),
+                    out.energies.coulomb.to_bits(),
+                    out.energies.pairs_within_cutoff,
+                );
+                assert_eq!(
+                    got,
+                    want,
+                    "{name} on {} lanes, {threads} threads",
+                    lanes.name()
+                );
+            }
+        }
+    }
+}

@@ -29,6 +29,7 @@ use sw_gromacs::swgmx::kernels::common::{cluster_pair_simd, EntryJ};
 use sw_gromacs::swgmx::kernels::native_simd::{
     cluster_pair_wide8, for_each_lanes8, Lanes8, WideFi,
 };
+use sw_gromacs::swgmx::package::LjRow;
 
 const PKG_WORDS: usize = 5 * CLUSTER_SIZE;
 const FORCE_WORDS: usize = 3 * CLUSTER_SIZE;
@@ -156,7 +157,40 @@ fn scalar_reference(
     (out, (f_terms.into_iter().fold(1.0f32, f32::max), e_terms))
 }
 
-/// `cluster_pair_wide8` on lane implementation `L`, appended to `outs`.
+/// Every type the packages here carry is below this.
+const N_TYPES: usize = 3;
+
+/// The per-call gather `cluster_pair_wide8` ran before its LJ rows were
+/// built with the packages: outer type `ti` against the eight j-types,
+/// one lookup per lane, and whether any lane is nonzero (NaN counting
+/// as nonzero).
+fn gather_lj<L: Lanes8>(
+    isa: L::Isa,
+    ti: usize,
+    tj: &[usize; 8],
+    lj: &impl Fn(usize, usize) -> (f32, f32),
+) -> (bool, L, L) {
+    let mut c6 = [0.0f32; 8];
+    let mut c12 = [0.0f32; 8];
+    for k in 0..8 {
+        (c6[k], c12[k]) = lj(ti, tj[k]);
+    }
+    let c6 = L::from_array(isa, c6);
+    let c12 = L::from_array(isa, c12);
+    let zero = L::splat(isa, 0.0);
+    let both_zero = c6.cmp_eq(zero) & c12.cmp_eq(zero);
+    (both_zero.movemask() != 0xFF, c6, c12)
+}
+
+/// The four type words of a transposed package.
+fn types_of(pkg: &[f32]) -> [usize; CLUSTER_SIZE] {
+    std::array::from_fn(|k| pkg[3 * CLUSTER_SIZE + k] as usize)
+}
+
+/// `cluster_pair_wide8` on lane implementation `L`, appended to `outs`,
+/// with each entry's LJ rows built from its type words as
+/// `PackedSystem::build` builds them. The rows must load, for every
+/// outer type, exactly the lanes the old per-lane gather produced.
 fn wide8<L: Lanes8>(
     isa: L::Isa,
     outs: &mut Vec<Out>,
@@ -166,11 +200,37 @@ fn wide8<L: Lanes8>(
     params: &NbParams,
     lj: &impl Fn(usize, usize) -> (f32, f32),
 ) {
+    let rows = |pkg: &[f32]| -> Vec<LjRow> {
+        let tj = types_of(pkg);
+        (0..N_TYPES).map(|t| LjRow::new(t, tj, lj)).collect()
+    };
+    let (rows0, rows1) = (rows(e0.pkg), rows(e1.pkg));
+    let (t0, t1) = (types_of(e0.pkg), types_of(e1.pkg));
+    let tj: [usize; 8] = std::array::from_fn(|k| if k < 4 { t0[k] } else { t1[k - 4] });
+    let bits = |v: L| v.to_array().map(f32::to_bits);
+    for ti in types_of(pkg_i) {
+        let (on, c6, c12) = gather_lj::<L>(isa, ti, &tj, lj);
+        let (r0, r1) = (&rows0[ti], &rows1[ti]);
+        assert_eq!(r0.on | r1.on, on, "lj_on of outer type {ti}");
+        assert_eq!(
+            bits(L::from_halves(isa, &r0.c6, &r1.c6)),
+            bits(c6),
+            "c6 of {ti}"
+        );
+        assert_eq!(
+            bits(L::from_halves(isa, &r0.c12, &r1.c12)),
+            bits(c12),
+            "c12 of {ti}"
+        );
+    }
+
     let mut wfi = WideFi::<L>::zero(isa);
     let mut fj0 = [0.0f32; FORCE_WORDS];
     let mut fj1 = [0.0f32; FORCE_WORDS];
-    let (e_lj, e_coul, n) =
-        cluster_pair_wide8(isa, pkg_i, e0, e1, params, lj, &mut wfi, &mut fj0, &mut fj1);
+    let lj_rows = [rows0.as_slice(), rows1.as_slice()];
+    let (e_lj, e_coul, n) = cluster_pair_wide8(
+        isa, pkg_i, e0, e1, lj_rows, params, &mut wfi, &mut fj0, &mut fj1,
+    );
     let mut fi = [0.0f32; FORCE_WORDS];
     wfi.fold_into(&mut fi);
     outs.push(Out {
@@ -381,25 +441,30 @@ proptest! {
     }
 
     /// The 8-wide kernel selects exactly the scalar pair set and agrees
-    /// on forces/energies within the resummation bound.
+    /// on forces/energies within the resummation bound, with types drawn
+    /// from all three of `lj_mixed`'s (so rows without LJ mix with rows
+    /// that have it, on either side).
     #[test]
     fn wide8_matches_scalar_reference(
         ri in prop::collection::vec(0.05f32..1.1, 12),
         r0 in prop::collection::vec(0.05f32..1.1, 12),
         r1 in prop::collection::vec(0.05f32..1.1, 12),
+        types in prop::collection::vec(0usize..N_TYPES, 12),
         mask0 in 0u16..=u16::MAX,
         mask1 in 0u16..=u16::MAX,
         shift in -1.0f32..1.0,
     ) {
         let params = NbParams { r_cut: 0.9, ..NbParams::paper_default() };
-        let pkg_i = mk_pkg(&ri, 0.4);
-        let p0 = mk_pkg(&r0, -0.3);
-        let p1 = mk_pkg(&r1, 0.5);
+        let mut pkgs = [mk_pkg(&ri, 0.4), mk_pkg(&r0, -0.3), mk_pkg(&r1, 0.5)];
+        for (k, &t) in types.iter().enumerate() {
+            pkgs[k / CLUSTER_SIZE][3 * CLUSTER_SIZE + k % CLUSTER_SIZE] = t as f32;
+        }
+        let [pkg_i, p0, p1] = pkgs;
         let e0 = EntryJ { pkg: &p0, shift: [shift, 0.0, -shift], mask: mask0 };
         let e1 = EntryJ { pkg: &p1, shift: [0.0, shift, 0.0], mask: mask1 };
 
-        let (want, _) = scalar_reference(&pkg_i, &[e0, e1], &params, &lj_table);
-        let got = wide8_on_every_lanes(&pkg_i, e0, e1, &params, &lj_table)?;
+        let (want, _) = scalar_reference(&pkg_i, &[e0, e1], &params, &lj_mixed);
+        let got = wide8_on_every_lanes(&pkg_i, e0, e1, &params, &lj_mixed)?;
 
         // Cutoff decisions are bit-identical: exactly the same pairs.
         prop_assert_eq!(got.n, want.n);
@@ -489,7 +554,7 @@ proptest! {
     fn hostile_geometries_stay_finite_and_masked(
         ri in prop::collection::vec(0.0f32..3.0, 12),
         aim in prop::collection::vec((0usize..4, 0usize..6, 0.05f32..0.9, -1.0f32..1.0, -1.0f32..1.0), 8),
-        types in prop::collection::vec(0usize..3, 12),
+        types in prop::collection::vec(0usize..N_TYPES, 12),
         charges in prop::collection::vec(-1.0f32..1.0, 12),
         shifts in prop::collection::vec(-3.0f32..3.0, 6),
         masks in (0u16..=u16::MAX, 0u16..=u16::MAX),
