@@ -17,6 +17,8 @@
 
 use std::io;
 
+use swprof::scope::Who;
+
 use crate::checkpoint::Checkpoint;
 use crate::constraints::ConstraintSet;
 use crate::domain::Decomposition;
@@ -72,11 +74,13 @@ pub fn compute_forces_dd(
         // virtual timeline and wrap the whole force pass in a per-rank
         // "step" span. Everything is gated on one thread-local read, so
         // the untraced path (all existing chaos/differential tests) is
-        // a handful of no-ops.
+        // a handful of no-ops and a binding nobody reads.
         let tracing = swprof::tel::enabled();
-        if tracing {
-            swprof::tel::set_rank(Some(rank));
+        let _rank = Who {
+            rank: Some(rank),
+            ..Who::current()
         }
+        .enter();
         let _tel_span = if tracing {
             swprof::tel::span("step")
         } else {
@@ -182,7 +186,6 @@ pub fn compute_forces_dd(
             }
         }
     }
-    swprof::tel::set_rank(None);
     (en, stats)
 }
 

@@ -35,6 +35,7 @@ use std::path::Path;
 use swnet::{
     epoch_barrier, epoch_barrier_traced, halo_exchange_ns, halo_timeout_ns, SeqChannel, Transport,
 };
+use swprof::scope::Who;
 use swstore::{Store, StoreOptions};
 
 use crate::checkpoint::{assemble_shards, RankShard};
@@ -187,12 +188,11 @@ pub fn run_dd_md_durable(
         // Poll the fault plane: does any live rank die this step?
         let mut dead_positions: Vec<usize> = Vec::new();
         for (pos, &m) in members.iter().enumerate() {
-            swfault::set_lane(Some(m));
+            let _rank = Who::enter_lane(Some(m));
             if swfault::should(swfault::Site::RankKill) {
                 dead_positions.push(pos);
             }
         }
-        swfault::set_lane(None);
 
         if !dead_positions.is_empty() {
             let _rec_span = swprof::span("durable.recover");
@@ -265,7 +265,7 @@ pub fn run_dd_md_durable(
         // delayed-then-retransmitted copy is discarded, not re-applied.
         let topo = swnet::Topology::new(members.len());
         for (pos, &m) in members.iter().enumerate() {
-            swfault::set_lane(Some(m));
+            let _rank = Who::enter_lane(Some(m));
             // The traced transmit stamps the causal context *before*
             // consuming any fault decision, so seeded chaos schedules
             // replay identically with tracing on or off; delivery is
@@ -284,7 +284,6 @@ pub fn run_dd_md_durable(
                 swprof::tel::deliver(&ctx, halo_ns.max(0.0) as u64);
             }
         }
-        swfault::set_lane(None);
     }
 
     report.live_ranks = members.len();

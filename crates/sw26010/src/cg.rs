@@ -159,7 +159,6 @@ impl CoreGroup {
             // this CPE's timeline.
             ctx.perf.cycles += respawn_cycles;
             let r = if profiling {
-                swprof::set_track(Some(id));
                 swprof::align_track(Some(id), prof_base);
                 let t0 = swprof::track_cursor(Some(id));
                 let _span = swprof::span(region_label);

@@ -332,7 +332,7 @@ mod tests {
 
     #[test]
     fn addressed_transfer_matches_shared_cost_and_traces() {
-        use crate::trace::{self, Event};
+        use crate::trace::{self, EventKind};
         // Same cost as the size-only call when the address is aligned...
         let mut a = PerfCounters::new();
         let mut b = PerfCounters::new();
@@ -349,8 +349,8 @@ mod tests {
         DmaEngine::transfer_shared_at(&mut p, Dir::Put, 3, 32, 48);
         let ev = s.finish();
         assert!(ev.iter().any(|e| matches!(
-            e,
-            Event::Dma {
+            e.kind,
+            EventKind::Dma {
                 region: Some(3),
                 byte_off: 32,
                 bytes: 48,
@@ -359,8 +359,8 @@ mod tests {
             }
         )));
         assert!(ev.iter().any(|e| matches!(
-            e,
-            Event::SharedWrite {
+            e.kind,
+            EventKind::SharedWrite {
                 region: 3,
                 word_lo: 8,
                 word_hi: 20,
@@ -371,7 +371,7 @@ mod tests {
 
     #[test]
     fn async_issue_costs_like_sync_and_traces_the_window() {
-        use crate::trace::{self, Event};
+        use crate::trace::{self, EventKind};
         let mut sync = PerfCounters::new();
         let mut asy = PerfCounters::new();
         DmaEngine::transfer_shared_at(&mut sync, Dir::Get, 1, 0, 640);
@@ -387,19 +387,19 @@ mod tests {
         h.wait();
         let ev = s.finish();
         assert!(ev.iter().any(|e| matches!(
-            e,
-            Event::Dma {
+            e.kind,
+            EventKind::Dma {
                 completed: false,
                 ..
             }
         )));
         assert!(ev
             .iter()
-            .any(|e| matches!(e, Event::DmaDone { id: done, .. } if *done == id)));
+            .any(|e| matches!(e.kind, EventKind::DmaDone { id: done } if done == id)));
         // The put's write lands in the stream at issue time.
         assert!(ev
             .iter()
-            .any(|e| matches!(e, Event::SharedWrite { region: 3, .. })));
+            .any(|e| matches!(e.kind, EventKind::SharedWrite { region: 3, .. })));
     }
 
     #[test]

@@ -237,15 +237,15 @@ mod tests {
 
     #[test]
     fn reserve_and_release_share_the_instance_trace_id() {
-        use crate::trace::{self, Event};
+        use crate::trace::{self, EventKind};
         let s = trace::Session::begin();
         let mut ldm = Ldm::new();
         let id = ldm.trace_id();
         ldm.reserve("buf", 64).unwrap();
         ldm.release("buf").unwrap();
         let ev = s.finish();
-        assert!(matches!(ev[0], Event::LdmReserve { ldm, .. } if ldm == id));
-        assert!(matches!(ev[1], Event::LdmRelease { ldm, .. } if ldm == id));
+        assert!(matches!(ev[0].kind, EventKind::LdmReserve { ldm, .. } if ldm == id));
+        assert!(matches!(ev[1].kind, EventKind::LdmRelease { ldm, .. } if ldm == id));
         // Distinct instances get distinct ids.
         assert_ne!(Ldm::new().trace_id(), id);
     }

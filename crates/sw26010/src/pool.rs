@@ -28,18 +28,18 @@
 //! lane-index order.
 //!
 //! **One lane prologue.** Around each lane body the executor makes the
-//! calling thread *be* that lane of *that submitter* for the three
-//! planes lanes touch. It enters the submitter's trace, fault and
-//! profile sessions (`swprof::scope` handles — the only way a session
-//! crosses threads; three flag reads when the submitter has none), so a
-//! lane records into and is injected by what the thread that submitted
-//! its region opened, and a worker is nobody's between lanes. And it
-//! sets the lane ids: the lane's CPE id and the region's epoch for the
-//! trace layer, the lane fault injection addresses, the profiler's
-//! track. All of it is put back when the lane ends or unwinds — on the
-//! submitter too, which goes on as the MPE. An injected CPE hang walks
-//! the bounded respawn loop *before* the body runs, so a hang never
-//! perturbs the physics.
+//! calling thread *be* that lane of *that submitter*, with one guard. It
+//! enters the submitter's trace, fault, profile and `tel` sessions
+//! (`swprof::scope` handles — the only way a session crosses threads;
+//! four flag reads when the submitter has none), so a lane records into
+//! and is injected by what the thread that submitted its region opened,
+//! and a worker is nobody's between lanes. And it makes the thread the
+//! lane: the submitter's [`Who`] (its rank, the region's epoch) with the
+//! lane's index — the trace's CPE, the profiler's track and the fault
+//! lane at once. All of it is put back when the lane ends or unwinds —
+//! on the submitter too, which goes on as the MPE. An injected CPE hang
+//! walks the bounded respawn loop *before* the body runs, so a hang
+//! never perturbs the physics.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,7 +48,7 @@ use std::thread::JoinHandle;
 
 use crate::params::{SPAWN_JOIN_CYCLES, STRAGGLER_TIMEOUT_CYCLES};
 use crate::trace;
-use swprof::scope::{Entered, Handle};
+use swprof::scope::{Handle, Who};
 
 /// Number of logical lanes a native kernel region is divided into (one
 /// per CPE of a core group), independent of how many OS threads execute
@@ -240,21 +240,22 @@ impl LanePool {
         if n_lanes == 0 {
             return Vec::new();
         }
-        let epoch = trace::begin_region(n_lanes);
+        let region = trace::begin_region(n_lanes);
         let submitter = Submitter {
             trace: trace::handle(),
             faults: swfault::handle(),
             profile: swprof::handle(),
-            epoch,
+            tel: swprof::tel::handle(),
+            who: Who::current(),
         };
         let slots: Vec<Mutex<Option<T>>> = (0..n_lanes).map(|_| Mutex::new(None)).collect();
         let poisoned = self.execute(n_lanes, &|lane| {
-            let _scope = LaneScope::enter(&submitter, lane);
+            let _lane = submitter.enter(lane);
             let out = f(lane, respawn_hung_lane());
             *slots[lane].lock().expect("a lane's slot is locked once") = Some(out);
         });
         assert!(!poisoned, "{POISONED}");
-        trace::end_region(epoch);
+        trace::end_region(region);
         slots
             .into_iter()
             .map(|slot| {
@@ -385,53 +386,34 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// What the lanes of a region take from the thread that submitted it:
-/// the sessions it works for and the epoch it opened.
+/// What the lanes of a region take from the thread that submitted it,
+/// once per region: the sessions it works for and who it is, in the
+/// region it opened.
 struct Submitter {
     trace: Handle<trace::Sink>,
     faults: Handle<swfault::Injector>,
     profile: Handle<swprof::Recording>,
-    epoch: u64,
+    tel: Handle<Mutex<swprof::tel::TelState>>,
+    who: Who,
 }
 
-/// Makes the calling thread lane `lane` of a submitter's region for the
-/// trace, fault and profile planes, and puts back what it was when
-/// dropped — also when the lane body unwinds, so a submitter that
-/// catches a poisoned region carries on as the MPE thread it was.
-struct LaneScope {
-    _trace: Entered<trace::Sink>,
-    _faults: Entered<swfault::Injector>,
-    _profile: Entered<swprof::Recording>,
-    cpe: Option<usize>,
-    epoch: u64,
-    fault_lane: swfault::Lane,
-    track: swprof::Track,
-}
-
-impl LaneScope {
-    fn enter(submitter: &Submitter, lane: usize) -> Self {
-        let found = Self {
-            _trace: submitter.trace.enter(),
-            _faults: submitter.faults.enter(),
-            _profile: submitter.profile.enter(),
-            cpe: trace::current_cpe(),
-            epoch: trace::current_epoch(),
-            fault_lane: swfault::current_lane(),
-            track: swprof::current_track(),
-        };
-        trace::set_current_cpe(Some(lane));
-        trace::set_current_epoch(submitter.epoch);
-        swfault::set_lane(Some(lane));
-        found
-    }
-}
-
-impl Drop for LaneScope {
-    fn drop(&mut self) {
-        trace::set_current_cpe(self.cpe);
-        trace::set_current_epoch(self.epoch);
-        swfault::set_lane(self.fault_lane);
-        swprof::set_track(self.track);
+impl Submitter {
+    /// Make the calling thread lane `lane` of the region until the one
+    /// guard returned drops — also when the lane body unwinds, so a
+    /// submitter that catches a poisoned region carries on as the MPE
+    /// thread it was.
+    fn enter(&self, lane: usize) -> impl Sized {
+        (
+            self.trace.enter(),
+            self.faults.enter(),
+            self.profile.enter(),
+            self.tel.enter(),
+            Who {
+                lane: Some(lane),
+                ..self.who
+            }
+            .enter(),
+        )
     }
 }
 
@@ -558,36 +540,51 @@ mod tests {
         assert_eq!(shared.strong_count(), 0);
     }
 
-    /// The thread-locals the lane prologue touches (the epoch apart: a
-    /// submitter keeps that of the last region it opened).
-    fn lane_identity() -> (Option<usize>, bool, swfault::Lane, swprof::Track) {
-        (
-            trace::current_cpe(),
-            trace::enabled(),
-            swfault::current_lane(),
-            swprof::current_track(),
-        )
+    /// What the lane prologue touches.
+    fn lane_identity() -> (Who, bool) {
+        (Who::current(), trace::enabled())
     }
 
     #[test]
     fn zero_worker_pool_runs_on_the_caller_and_restores_its_identity() {
         let pool = LanePool::with_threads(1);
         let caller = std::thread::current().id();
+        let _ranked = Who {
+            rank: Some(4),
+            ..Who::current()
+        }
+        .enter();
+        let capture = trace::Session::begin();
         let before = lane_identity();
         let ran_on = pool.run(N_LANES, |lane| {
+            let (who, capturing) = lane_identity();
             assert_eq!(
-                lane_identity(),
-                (Some(lane), before.1, Some(lane), before.3),
-                "a lane is its CPE and keeps the submitter's capture flag"
+                (who.lane, who.rank, capturing),
+                (Some(lane), Some(4), true),
+                "a lane is its CPE, of the submitter's rank and session"
             );
-            (std::thread::current().id(), trace::current_epoch())
+            (std::thread::current().id(), who.region)
         });
         assert!(ran_on.iter().all(|&(thread, _)| thread == caller));
         assert_eq!(lane_identity(), before);
-        // The submitter goes on in the region it ran, like any MPE.
-        assert!(ran_on
-            .iter()
-            .all(|&(_, epoch)| epoch == trace::current_epoch()));
+        assert!(ran_on.iter().all(|&(_, epoch)| epoch == 1));
+        let spawn = capture.finish();
+        assert_eq!((spawn[0].cpe, spawn[0].epoch), (None, 1));
+    }
+
+    #[test]
+    fn every_lane_records_into_the_submitters_tel_session() {
+        for n_threads in [1, 2, 4] {
+            let pool = LanePool::with_threads(n_threads);
+            let session = swprof::tel::Session::begin(7);
+            pool.run(N_LANES, |_| {
+                let _s = swprof::tel::span_on(0, "lane");
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            });
+            let spans = session.finish().spans;
+            let begins = spans.iter().filter(|e| e.phase == swprof::Phase::Begin);
+            assert_eq!(begins.count(), N_LANES, "{n_threads} threads");
+        }
     }
 
     #[test]
@@ -643,7 +640,7 @@ mod tests {
                 let expect = if lane == 5 { 0 } else { 1 };
                 assert_eq!(h.load(Ordering::Relaxed), expect, "lane {lane}");
             }
-            assert_eq!(swfault::current_lane(), None);
+            assert_eq!(Who::current(), Who::default());
             let log = scope.finish();
             assert_eq!(log.count(swfault::Site::LanePanic), 1);
             // The one-shot is consumed by its decision index: the
@@ -711,7 +708,7 @@ mod tests {
                 let glds = capture.finish();
                 let glds = glds
                     .iter()
-                    .filter(|e| matches!(e, trace::Event::Gld { .. }));
+                    .filter(|e| matches!(e.kind, trace::EventKind::Gld { .. }));
                 assert_eq!(glds.count(), 23);
             });
             s.spawn(move || {

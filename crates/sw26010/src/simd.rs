@@ -40,7 +40,7 @@ impl FloatV4 {
             "FloatV4::load needs 4 lanes, got a {}-element slice \
              (cpe {:?}): unpadded tail cluster?",
             s.len(),
-            crate::trace::current_cpe(),
+            swprof::scope::Who::current().lane,
         );
         FloatV4([s[0], s[1], s[2], s[3]])
     }

@@ -15,15 +15,16 @@
 //! own thread and the regions that thread runs, and nothing another
 //! thread of the process is doing.
 //!
-//! Spawn regions are numbered by a monotonically increasing **epoch**
-//! (the lane executor opens one per parallel region). Events carry the
-//! epoch of the region the emitting thread is in — a lane's own region,
-//! or the last one the emitting host thread opened — plus the issuing
-//! CPE id (`None` for MPE/host code), which is what lets the dynamic
-//! race detector scope "concurrent" to "same spawn region".
-//! The epoch and the cache/LDM/channel/DMA/barrier ids are the one
-//! process-wide part: bare `fetch_add` allocators of unique numbers,
-//! never reset and never read back as state, so they couple no sessions.
+//! A session numbers the parallel regions recorded into it by a
+//! monotonically increasing **epoch**, from 1 (the lane executor opens
+//! one per region). Every [`Event`] is stamped once, when it is
+//! recorded, with who recorded it — the issuing CPE (`None` for
+//! MPE/host code) and the epoch of the region the thread is in, both
+//! read from the thread's [`Who`](scope::Who) — which is what lets the
+//! dynamic race detector scope "concurrent" to "same spawn region".
+//! The cache/LDM/channel/DMA/barrier ids are the one process-wide part:
+//! a bare `fetch_add` allocator of unique numbers, never reset and never
+//! read back as state, so it couples no sessions.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,29 +39,34 @@ use crate::dma::Dir;
 /// layer; the substrate only threads the ids through to events.
 pub type RegionId = u32;
 
-/// One traced architectural interaction.
+/// One traced architectural interaction: what happened, and the lane
+/// and region of the thread it happened on — stamped once, when the
+/// event is recorded, from that thread's [`Who`](scope::Who).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Event {
+pub struct Event {
+    /// Issuing CPE, or `None` for MPE/host code.
+    pub cpe: Option<usize>,
+    /// Epoch of the region the issuing thread was in (a region's own for
+    /// its `SpawnBegin` and `SpawnEnd`), 0 outside every region.
+    pub epoch: u64,
+    /// What happened.
+    pub kind: EventKind,
+}
+
+/// What one traced interaction was.
+#[derive(Debug, Clone, PartialEq)]
+pub enum EventKind {
     /// A CPE parallel region opened.
     SpawnBegin {
-        /// Epoch number of the region.
-        epoch: u64,
         /// CPEs participating.
         n_cpes: usize,
     },
     /// A CPE parallel region joined.
-    SpawnEnd {
-        /// Epoch number of the region.
-        epoch: u64,
-    },
+    SpawnEnd,
     /// A DMA transfer was issued.
     Dma {
-        /// Issuing CPE, or `None` for MPE/host code.
-        cpe: Option<usize>,
-        /// Spawn epoch current at issue time.
-        epoch: u64,
         /// Session-unique transfer id, pairing the issue with its
-        /// [`Event::DmaDone`] completion (0 when captured outside a
+        /// [`EventKind::DmaDone`] completion (0 when captured outside a
         /// session).
         id: u64,
         /// Transfer direction.
@@ -79,7 +85,7 @@ pub enum Event {
         /// blocking `transfer*` entry points). Asynchronous issues
         /// ([`DmaEngine::issue_shared_at`](crate::dma::DmaEngine::issue_shared_at))
         /// record `false` here and stay in flight until their
-        /// [`Event::DmaDone`] appears — the happens-before checker
+        /// [`EventKind::DmaDone`] appears — the happens-before checker
         /// treats the open window as unordered against every other lane.
         completed: bool,
     },
@@ -88,10 +94,6 @@ pub enum Event {
     /// compute touching the transfer's bytes must be ordered after this
     /// event (or before the issue), never inside the window.
     DmaDone {
-        /// Awaiting CPE, or `None` for MPE/host code.
-        cpe: Option<usize>,
-        /// Spawn epoch current at completion time.
-        epoch: u64,
         /// Id of the issue event being completed.
         id: u64,
     },
@@ -100,10 +102,6 @@ pub enum Event {
     /// check (a read racing a write is SWC110) but not in the
     /// write-overlap pass.
     SharedRead {
-        /// Reading CPE, or `None` for MPE/host code.
-        cpe: Option<usize>,
-        /// Spawn epoch current at issue time.
-        epoch: u64,
         /// Read region.
         region: RegionId,
         /// First read word (f32 granularity).
@@ -113,19 +111,11 @@ pub enum Event {
     },
     /// A burst of gld/gst operations was issued.
     Gld {
-        /// Issuing CPE, or `None` for MPE/host code.
-        cpe: Option<usize>,
-        /// Spawn epoch current at issue time.
-        epoch: u64,
         /// Number of gld/gst operations.
         ops: u64,
     },
     /// An LDM reservation was attempted.
     LdmReserve {
-        /// Reserving CPE, or `None` for MPE/host code.
-        cpe: Option<usize>,
-        /// Spawn epoch current at issue time.
-        epoch: u64,
         /// Trace id of the owning [`Ldm`](crate::ldm::Ldm) ledger
         /// instance. LDM is core-private on the chip, so every event of
         /// one ledger must come from one lane (or be handed over with a
@@ -147,10 +137,6 @@ pub enum Event {
     /// ledger is an acquire/release synchronization edge in the
     /// happens-before model.
     LdmRelease {
-        /// Releasing CPE, or `None` for MPE/host code.
-        cpe: Option<usize>,
-        /// Spawn epoch current at release time.
-        epoch: u64,
         /// Trace id of the owning ledger instance.
         ldm: u64,
         /// Label of the released reservation.
@@ -161,10 +147,6 @@ pub enum Event {
     /// A direct (non-DMA) write to a shared region, e.g. the Pkg rung's
     /// per-pair read-modify-write.
     SharedWrite {
-        /// Writing CPE, or `None` for MPE/host code.
-        cpe: Option<usize>,
-        /// Spawn epoch current at issue time.
-        epoch: u64,
         /// Written region.
         region: RegionId,
         /// First written word (f32 granularity).
@@ -174,10 +156,6 @@ pub enum Event {
     },
     /// A Bit-Map mark transitioned clear -> set.
     MarkSet {
-        /// Marking CPE, or `None` for MPE/host code.
-        cpe: Option<usize>,
-        /// Spawn epoch current at issue time.
-        epoch: u64,
         /// Owning write-cache trace id.
         cache: u64,
         /// Marked line number.
@@ -185,10 +163,6 @@ pub enum Event {
     },
     /// The reduction consumed one line of one CPE copy.
     ReduceLine {
-        /// Reducing CPE, or `None` for MPE/host code.
-        cpe: Option<usize>,
-        /// Spawn epoch current at issue time.
-        epoch: u64,
         /// Trace id of the write cache that produced the copy.
         cache: u64,
         /// Reduced line number.
@@ -196,10 +170,6 @@ pub enum Event {
     },
     /// A write cache was dropped while still holding dirty lines.
     WcDropDirty {
-        /// Dropping CPE, or `None` for MPE/host code.
-        cpe: Option<usize>,
-        /// Spawn epoch current at drop time.
-        epoch: u64,
         /// Trace id of the dropped cache.
         cache: u64,
         /// Backing line numbers still dirty.
@@ -219,10 +189,6 @@ pub enum Event {
     /// no dirty write-cache lines and no marked-but-unreduced Bit-Map
     /// lines from the same `(epoch, cpe)` earlier in the stream.
     Abort {
-        /// Aborted CPE, or `None` for an MPE-level abort.
-        cpe: Option<usize>,
-        /// Spawn epoch current at abort time.
-        epoch: u64,
         /// Diagnostic reason (`"cpe-hang"`, `"kernel-fault"`, ...).
         reason: &'static str,
     },
@@ -231,22 +197,14 @@ pub enum Event {
     /// id are chained in stream order by the happens-before engine: each
     /// arrival is ordered after every earlier arrival of the same id.
     Barrier {
-        /// Arriving CPE, or `None` for MPE/host code.
-        cpe: Option<usize>,
-        /// Spawn epoch current at arrival time.
-        epoch: u64,
         /// Barrier round id (fresh per round, from [`next_id`]).
         id: u64,
     },
     /// A sequence-numbered channel send (`swnet::seqno::SeqChannel`).
-    /// Paired with the [`Event::ChanRecv`] of the same `(chan, seq)`,
+    /// Paired with the [`EventKind::ChanRecv`] of the same `(chan, seq)`,
     /// this is the send→recv synchronization edge; retransmitted
     /// duplicates re-use the original's number and emit no extra event.
     ChanSend {
-        /// Sending CPE, or `None` for MPE/host code.
-        cpe: Option<usize>,
-        /// Spawn epoch current at send time.
-        epoch: u64,
         /// Channel trace id (fresh per channel, from [`next_id`]).
         chan: u64,
         /// Sequence number stamped on the message.
@@ -254,10 +212,6 @@ pub enum Event {
     },
     /// First (and only applied) delivery of a sequence-numbered message.
     ChanRecv {
-        /// Receiving CPE, or `None` for MPE/host code.
-        cpe: Option<usize>,
-        /// Spawn epoch current at delivery time.
-        epoch: u64,
         /// Channel trace id.
         chan: u64,
         /// Sequence number applied.
@@ -275,22 +229,21 @@ pub struct Binding {
     pub base_words: usize,
 }
 
-// swrace: allow(SWC010) region-epoch allocator: fetch_add only, never reset or read back as state
-static EPOCH: AtomicU64 = AtomicU64::new(0);
 // swrace: allow(SWC010) the trace id allocator: fetch_add only, never reset or read back as state
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
 /// The event sink of one capture session. Opaque: owned by its
 /// [`Session`], reached by the threads working for it through [`scope`].
-pub struct Sink(Mutex<Vec<Event>>);
+#[derive(Default)]
+pub struct Sink {
+    events: Mutex<Vec<Event>>,
+    /// Regions opened so far: the epoch of the latest.
+    regions: AtomicU64,
+}
 
 thread_local! {
     static SINK_ACTIVE: Cell<bool> = const { Cell::new(false) };
     static SINK_SLOT: scope::Slot<Sink> = const { RefCell::new(None) };
-    static CURRENT_CPE: Cell<Option<usize>> = const { Cell::new(None) };
-    /// Epoch of the region this thread is a lane of, else of the last
-    /// region it opened.
-    static REGION_EPOCH: Cell<u64> = const { Cell::new(0) };
 }
 
 const SINK: scope::Plane<Sink> = scope::Plane::new(&SINK_ACTIVE, &SINK_SLOT);
@@ -308,37 +261,19 @@ pub fn enabled() -> bool {
     SINK.active()
 }
 
-/// Record `event()` if the calling thread captures; it is not evaluated
-/// otherwise.
+/// Record `kind()`, stamped with the calling thread's lane and region,
+/// if the thread captures; it is not evaluated otherwise.
 #[inline]
-fn emit(event: impl FnOnce() -> Event) {
+fn emit(kind: impl FnOnce() -> EventKind) {
     SINK.with(|sink| {
-        let event = event();
-        scope::lock(&sink.0).push(event)
+        let who = scope::Who::current();
+        let event = Event {
+            cpe: who.lane,
+            epoch: who.region,
+            kind: kind(),
+        };
+        scope::lock(&sink.events).push(event)
     });
-}
-
-/// CPE id of the calling thread (`None` on MPE/host threads).
-pub fn current_cpe() -> Option<usize> {
-    CURRENT_CPE.with(|c| c.get())
-}
-
-/// Tag the calling thread as executing CPE `id` (or untag with `None`).
-/// The lane executor does this around each lane.
-pub fn set_current_cpe(id: Option<usize>) {
-    CURRENT_CPE.with(|c| c.set(id));
-}
-
-/// The epoch the calling thread's events carry: the region it is a
-/// lane of, else the last region it opened.
-pub fn current_epoch() -> u64 {
-    REGION_EPOCH.with(|e| e.get())
-}
-
-/// Put the calling thread in region `epoch` (the lane executor, around
-/// each lane).
-pub(crate) fn set_current_epoch(epoch: u64) {
-    REGION_EPOCH.with(|e| e.set(epoch));
 }
 
 /// Allocate a process-unique, nonzero trace id: for a software cache,
@@ -349,20 +284,28 @@ pub fn next_id() -> u64 {
     NEXT_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Open a new spawn epoch, returning its number. A profiling session of
-/// the calling thread counts the region too, so span timelines number
-/// regions in the order the race detector sees them.
-pub fn begin_region(n_cpes: usize) -> u64 {
-    let epoch = EPOCH.fetch_add(1, Ordering::Relaxed) + 1;
-    set_current_epoch(epoch);
+/// Open a parallel region of `n_cpes` lanes, the next epoch of the
+/// calling thread's capture session (0 with none): the thread is in it
+/// until [`end_region`] closes it or the returned guard drops. A
+/// profiling session of the thread counts the region too, so span
+/// timelines number regions in the order the race detector sees them.
+pub fn begin_region(n_cpes: usize) -> scope::Being {
+    let epoch = SINK.with(|sink| sink.regions.fetch_add(1, Ordering::Relaxed) + 1);
+    let region = scope::Who {
+        region: epoch.unwrap_or(0),
+        ..scope::Who::current()
+    }
+    .enter();
     swprof::next_epoch();
-    emit(|| Event::SpawnBegin { epoch, n_cpes });
-    epoch
+    emit(|| EventKind::SpawnBegin { n_cpes });
+    region
 }
 
-/// Close the spawn epoch opened by [`begin_region`].
-pub fn end_region(epoch: u64) {
-    emit(|| Event::SpawnEnd { epoch });
+/// Close a region opened by [`begin_region`]: record its join and put
+/// the thread back in the region it was in.
+pub fn end_region(region: scope::Being) {
+    emit(|| EventKind::SpawnEnd);
+    drop(region);
 }
 
 /// Record a DMA transfer (called by the DMA engine). Returns the
@@ -379,9 +322,7 @@ pub fn emit_dma(
     let mut id = 0;
     emit(|| {
         id = next_id();
-        Event::Dma {
-            cpe: current_cpe(),
-            epoch: current_epoch(),
+        EventKind::Dma {
             id,
             dir,
             region,
@@ -398,11 +339,7 @@ pub fn emit_dma(
 /// when its handle is awaited).
 pub fn emit_dma_done(id: u64) {
     if id != 0 {
-        emit(|| Event::DmaDone {
-            cpe: current_cpe(),
-            epoch: current_epoch(),
-            id,
-        });
+        emit(|| EventKind::DmaDone { id });
     }
 }
 
@@ -410,9 +347,7 @@ pub fn emit_dma_done(id: u64) {
 /// calling core. Kernels annotate non-DMA shared-memory reads with this
 /// so the happens-before race check sees read/write conflicts too.
 pub fn shared_read(region: RegionId, word_lo: usize, word_hi: usize) {
-    emit(|| Event::SharedRead {
-        cpe: current_cpe(),
-        epoch: current_epoch(),
+    emit(|| EventKind::SharedRead {
         region,
         word_lo,
         word_hi,
@@ -421,11 +356,7 @@ pub fn shared_read(region: RegionId, word_lo: usize, word_hi: usize) {
 
 /// Record a gld/gst burst (called by the gld cost model).
 pub fn emit_gld(ops: u64) {
-    emit(|| Event::Gld {
-        cpe: current_cpe(),
-        epoch: current_epoch(),
-        ops,
-    });
+    emit(|| EventKind::Gld { ops });
 }
 
 /// Record an LDM reservation attempt (called by the LDM ledger).
@@ -437,9 +368,7 @@ pub fn emit_ldm(
     capacity: usize,
     ok: bool,
 ) {
-    emit(|| Event::LdmReserve {
-        cpe: current_cpe(),
-        epoch: current_epoch(),
+    emit(|| EventKind::LdmReserve {
         ldm,
         label,
         bytes,
@@ -451,53 +380,31 @@ pub fn emit_ldm(
 
 /// Record an LDM reservation release (called by the LDM ledger).
 pub fn emit_ldm_release(ldm: u64, label: &'static str, bytes: usize) {
-    emit(|| Event::LdmRelease {
-        cpe: current_cpe(),
-        epoch: current_epoch(),
-        ldm,
-        label,
-        bytes,
-    });
+    emit(|| EventKind::LdmRelease { ldm, label, bytes });
 }
 
 /// Record the calling lane's arrival at barrier round `id` (called by
 /// the `swnet` collectives).
 pub fn emit_barrier(id: u64) {
-    emit(|| Event::Barrier {
-        cpe: current_cpe(),
-        epoch: current_epoch(),
-        id,
-    });
+    emit(|| EventKind::Barrier { id });
 }
 
 /// Record a sequence-numbered channel send (called by
 /// `swnet::seqno::SeqChannel::transmit`).
 pub fn emit_chan_send(chan: u64, seq: u64) {
-    emit(|| Event::ChanSend {
-        cpe: current_cpe(),
-        epoch: current_epoch(),
-        chan,
-        seq,
-    });
+    emit(|| EventKind::ChanSend { chan, seq });
 }
 
 /// Record the first (applied) delivery of a sequence-numbered message.
 pub fn emit_chan_recv(chan: u64, seq: u64) {
-    emit(|| Event::ChanRecv {
-        cpe: current_cpe(),
-        epoch: current_epoch(),
-        chan,
-        seq,
-    });
+    emit(|| EventKind::ChanRecv { chan, seq });
 }
 
 /// Record a direct write of `[word_lo, word_hi)` into `region` by the
 /// calling core. Kernels annotate non-DMA shared-memory writes with this
 /// so the race detector sees them.
 pub fn shared_write(region: RegionId, word_lo: usize, word_hi: usize) {
-    emit(|| Event::SharedWrite {
-        cpe: current_cpe(),
-        epoch: current_epoch(),
+    emit(|| EventKind::SharedWrite {
         region,
         word_lo,
         word_hi,
@@ -506,48 +413,29 @@ pub fn shared_write(region: RegionId, word_lo: usize, word_hi: usize) {
 
 /// Record a Bit-Map mark transition (called by `BitMap::set_owned`).
 pub fn emit_mark_set(cache: u64, line: usize) {
-    emit(|| Event::MarkSet {
-        cpe: current_cpe(),
-        epoch: current_epoch(),
-        cache,
-        line,
-    });
+    emit(|| EventKind::MarkSet { cache, line });
 }
 
 /// Record that the reduction consumed `line` of the copy produced by
 /// write cache `cache`. Kernels annotate their reduce phase with this.
 pub fn reduce_line(cache: u64, line: usize) {
-    emit(|| Event::ReduceLine {
-        cpe: current_cpe(),
-        epoch: current_epoch(),
-        cache,
-        line,
-    });
+    emit(|| EventKind::ReduceLine { cache, line });
 }
 
 /// Record a write cache dropped with dirty lines (called from its `Drop`).
 pub fn emit_wc_drop_dirty(cache: u64, lines: Vec<usize>) {
-    emit(|| Event::WcDropDirty {
-        cpe: current_cpe(),
-        epoch: current_epoch(),
-        cache,
-        lines,
-    });
+    emit(|| EventKind::WcDropDirty { cache, lines });
 }
 
 /// Record an aborted execution attempt on the calling core (called by
 /// the fault-recovery paths before a retry/respawn).
 pub fn emit_abort(reason: &'static str) {
-    emit(|| Event::Abort {
-        cpe: current_cpe(),
-        epoch: current_epoch(),
-        reason,
-    });
+    emit(|| EventKind::Abort { reason });
 }
 
 /// Record a completed kernel phase (called by `Breakdown::add`).
 pub fn emit_phase(label: &str, cycles: u64) {
-    emit(|| Event::Phase {
+    emit(|| EventKind::Phase {
         label: label.to_string(),
         cycles,
     });
@@ -564,20 +452,31 @@ impl Session {
     /// blocks: sessions on other threads are independent.
     pub fn begin() -> Self {
         Self {
-            scope: SINK.open(Sink(Mutex::default())),
+            scope: SINK.open(Sink::default()),
         }
     }
 
+    /// Every event recorded since `begin` or the last `take`; capture
+    /// goes on, and so does the session's region numbering.
+    pub fn take(&self) -> Vec<Event> {
+        std::mem::take(&mut *scope::lock(&self.scope.state().events))
+    }
+
     /// Stop capturing (the drop does) and return every event recorded
-    /// since `begin`.
+    /// since `begin` or the last `take`.
     pub fn finish(self) -> Vec<Event> {
-        std::mem::take(&mut *scope::lock(&self.scope.state().0))
+        self.take()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scope::Who;
+
+    fn kinds(events: &[Event]) -> Vec<&EventKind> {
+        events.iter().map(|e| &e.kind).collect()
+    }
 
     #[test]
     fn disabled_sink_records_nothing() {
@@ -596,10 +495,10 @@ mod tests {
         assert_ne!(id, 0, "in-session transfers get real ids");
         let ev = s.finish();
         assert_eq!(ev.len(), 2);
-        assert!(matches!(ev[0], Event::Gld { ops: 3, .. }));
+        assert!(matches!(ev[0].kind, EventKind::Gld { ops: 3 }));
         assert!(matches!(
-            ev[1],
-            Event::Dma {
+            ev[1].kind,
+            EventKind::Dma {
                 region: Some(7),
                 byte_off: 16,
                 bytes: 128,
@@ -616,74 +515,94 @@ mod tests {
     }
 
     #[test]
-    fn spawn_epochs_are_monotone_and_bracketed() {
+    fn a_session_numbers_its_own_regions_and_brackets_them() {
         let s = Session::begin();
-        let e1 = begin_region(4);
-        end_region(e1);
-        let e2 = begin_region(8);
-        end_region(e2);
-        assert!(e2 > e1);
-        let ev = s.finish();
+        for n_cpes in [4, 8] {
+            let region = begin_region(n_cpes);
+            emit_gld(1);
+            end_region(region);
+        }
+        emit_gld(2);
+        let taken = s.take();
+        // A second session on the thread numbers its regions from 1.
+        let inner = Session::begin();
+        end_region(begin_region(2));
+        let inner_epochs: Vec<u64> = inner.finish().iter().map(|e| e.epoch).collect();
+        assert_eq!(inner_epochs, [1, 1]);
+        end_region(begin_region(1));
+        let stamps = |ev: &[Event]| ev.iter().map(|e| (e.cpe, e.epoch)).collect::<Vec<_>>();
         assert_eq!(
-            ev,
-            vec![
-                Event::SpawnBegin {
-                    epoch: e1,
-                    n_cpes: 4
-                },
-                Event::SpawnEnd { epoch: e1 },
-                Event::SpawnBegin {
-                    epoch: e2,
-                    n_cpes: 8
-                },
-                Event::SpawnEnd { epoch: e2 },
-            ]
+            stamps(&taken),
+            [
+                (None, 1),
+                (None, 1),
+                (None, 1),
+                (None, 2),
+                (None, 2),
+                (None, 2),
+                (None, 0)
+            ],
+            "a region's events carry its epoch; the thread leaves it at the end"
         );
+        assert!(matches!(
+            kinds(&taken)[..3],
+            [
+                EventKind::SpawnBegin { n_cpes: 4 },
+                EventKind::Gld { ops: 1 },
+                EventKind::SpawnEnd
+            ]
+        ));
+        assert_eq!(stamps(&s.finish()), [(None, 3), (None, 3)]);
     }
 
     #[test]
     fn cpe_tagging_and_capture_are_thread_local() {
         let s = Session::begin();
-        let e = begin_region(1);
-        let submitter = handle();
-        set_current_cpe(Some(5));
-        emit_gld(1);
-        set_current_cpe(None);
+        let region = begin_region(1);
+        let submitter = (handle(), Who::current());
+        {
+            let _cpe = Who::enter_lane(Some(5));
+            emit_gld(1);
+        }
         std::thread::spawn(move || {
             // A thread that is none of this session's business: untagged
             // and not capturing.
-            assert_eq!(current_cpe(), None);
+            assert_eq!(Who::current(), Who::default());
             assert!(!enabled());
             emit_gld(2);
             // As a lane of the session thread's region it records, under
             // that region's epoch, and stops when the lane ends.
             {
-                let _lane = submitter.enter();
-                set_current_cpe(Some(3));
-                set_current_epoch(e);
+                let _lane = submitter.0.enter();
+                let _cpe = Who {
+                    lane: Some(3),
+                    ..submitter.1
+                }
+                .enter();
                 emit_gld(3);
             }
             emit_gld(4);
         })
         .join()
         .unwrap();
+        end_region(region);
         let ev = s.finish();
-        assert_eq!(ev.len(), 3, "{ev:?}");
-        assert!(matches!(
-            ev[1],
-            Event::Gld {
-                cpe: Some(5),
-                ops: 1,
-                ..
-            }
-        ));
+        assert_eq!(ev.len(), 4, "{ev:?}");
+        let e = ev[0].epoch;
         assert_eq!(
-            ev[2],
-            Event::Gld {
-                cpe: Some(3),
-                epoch: e,
-                ops: 3
-            }
+            ev[1..3],
+            [
+                Event {
+                    cpe: Some(5),
+                    epoch: e,
+                    kind: EventKind::Gld { ops: 1 }
+                },
+                Event {
+                    cpe: Some(3),
+                    epoch: e,
+                    kind: EventKind::Gld { ops: 3 }
+                }
+            ]
         );
     }
 
@@ -701,20 +620,13 @@ mod tests {
         emit_dma_done(id);
         let ev = s.finish();
         assert!(matches!(
-            ev[0],
-            Event::Dma {
+            ev[0].kind,
+            EventKind::Dma {
                 completed: false,
                 ..
             }
         ));
-        assert_eq!(
-            ev[1],
-            Event::DmaDone {
-                cpe: None,
-                epoch: current_epoch(),
-                id,
-            }
-        );
+        assert_eq!(ev[1].kind, EventKind::DmaDone { id });
     }
 
     #[test]
@@ -728,49 +640,33 @@ mod tests {
     #[test]
     fn sync_and_channel_events_capture_context() {
         let s = Session::begin();
-        set_current_cpe(Some(9));
-        shared_read(4, 10, 20);
-        emit_barrier(77);
-        emit_chan_send(5, 0);
-        emit_chan_recv(5, 0);
-        emit_ldm_release(3, "buf", 256);
-        set_current_cpe(None);
+        {
+            let _cpe = Who::enter_lane(Some(9));
+            shared_read(4, 10, 20);
+            emit_barrier(77);
+            emit_chan_send(5, 0);
+            emit_chan_recv(5, 0);
+            emit_ldm_release(3, "buf", 256);
+        }
         let ev = s.finish();
-        assert!(matches!(
-            ev[0],
-            Event::SharedRead {
-                cpe: Some(9),
-                region: 4,
-                word_lo: 10,
-                word_hi: 20,
-                ..
-            }
-        ));
-        assert!(matches!(ev[1], Event::Barrier { id: 77, .. }));
-        assert!(matches!(
-            ev[2],
-            Event::ChanSend {
-                chan: 5,
-                seq: 0,
-                ..
-            }
-        ));
-        assert!(matches!(
-            ev[3],
-            Event::ChanRecv {
-                chan: 5,
-                seq: 0,
-                ..
-            }
-        ));
-        assert!(matches!(
-            ev[4],
-            Event::LdmRelease {
-                ldm: 3,
-                label: "buf",
-                bytes: 256,
-                ..
-            }
-        ));
+        assert!(ev.iter().all(|e| e.cpe == Some(9)));
+        assert_eq!(
+            kinds(&ev),
+            [
+                &EventKind::SharedRead {
+                    region: 4,
+                    word_lo: 10,
+                    word_hi: 20
+                },
+                &EventKind::Barrier { id: 77 },
+                &EventKind::ChanSend { chan: 5, seq: 0 },
+                &EventKind::ChanRecv { chan: 5, seq: 0 },
+                &EventKind::LdmRelease {
+                    ldm: 3,
+                    label: "buf",
+                    bytes: 256
+                },
+            ]
+        );
     }
 }

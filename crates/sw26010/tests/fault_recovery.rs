@@ -89,17 +89,14 @@ fn cpe_hang_respawns_emit_abort_and_charge_straggler_timeout() {
     // hung CPE, with no earlier side effects from that attempt.
     let aborts: Vec<_> = events
         .iter()
-        .filter(|e| matches!(e, trace::Event::Abort { .. }))
+        .filter(|e| matches!(e.kind, trace::EventKind::Abort { .. }))
         .collect();
     assert_eq!(aborts.len(), 1);
-    assert!(matches!(
-        aborts[0],
-        trace::Event::Abort {
-            cpe: Some(7),
-            reason: "cpe-hang",
-            ..
-        }
-    ));
+    assert_eq!(aborts[0].cpe, Some(7));
+    assert_eq!(
+        aborts[0].kind,
+        trace::EventKind::Abort { reason: "cpe-hang" }
+    );
 }
 
 #[test]

@@ -11,7 +11,7 @@ use std::sync::Barrier;
 use sw26010::cg::CoreGroup;
 use sw26010::dma::{Dir, DmaEngine};
 use sw26010::simd::meter;
-use sw26010::trace::{self, Event};
+use sw26010::trace::{self, Event, EventKind};
 use swfault::FaultPlan;
 
 /// Ten metered regions with uneven lanes, touching every substrate
@@ -65,30 +65,15 @@ fn concurrent_fault_plans_each_inject_what_they_inject_alone() {
     });
 }
 
-/// `events` with each region's process-wide epoch replaced by its rank
-/// among the capture's own regions, and ids the process hands out
-/// (transfers, ledgers) zeroed.
+/// `events` with the ids the process hands out (transfers, ledgers)
+/// zeroed; their epochs are the capture's own.
 fn renumbered(mut events: Vec<Event>) -> Vec<Event> {
-    let mut regions_seen = Vec::new();
     for event in &mut events {
-        let epoch = match event {
-            Event::SpawnBegin { epoch, .. }
-            | Event::SpawnEnd { epoch }
-            | Event::SharedWrite { epoch, .. } => epoch,
-            Event::Dma { epoch, id, .. } => {
-                *id = 0;
-                epoch
-            }
-            Event::LdmReserve { epoch, ldm, .. } => {
-                *ldm = 0;
-                epoch
-            }
-            other => panic!("the kernel emits no {other:?}"),
-        };
-        if regions_seen.last() != Some(epoch) {
-            regions_seen.push(*epoch);
+        match &mut event.kind {
+            EventKind::Dma { id, .. } => *id = 0,
+            EventKind::LdmReserve { ldm, .. } => *ldm = 0,
+            _ => {}
         }
-        *epoch = regions_seen.len() as u64;
     }
     events
 }

@@ -17,7 +17,7 @@
 //! set to equal the marked-line set exactly (SWC103/SWC104).
 //!
 //! Fault recovery adds a fourth invariant: an aborted execution attempt
-//! ([`Event::Abort`], emitted by the `swfault` respawn/retry paths) is
+//! ([`EventKind::Abort`], emitted by the `swfault` respawn/retry paths) is
 //! replayed from scratch, so the dead attempt must not have left any
 //! visible state behind — no dirty write-cache lines and no
 //! marked-but-unreduced Bit-Map lines from the same `(epoch, cpe)`
@@ -25,7 +25,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use sw26010::trace::Event;
+use sw26010::trace::{Event, EventKind};
 use swgmx::check::KernelContract;
 
 use crate::{Severity, Violation};
@@ -48,18 +48,19 @@ fn races(contract: &KernelContract, events: &[Event], out: &mut Vec<Violation>) 
     // (epoch, region) -> writes in that concurrency scope
     let mut writes: BTreeMap<(u64, u32), Vec<WriteInterval>> = BTreeMap::new();
     for e in events {
-        if let Event::SharedWrite {
-            cpe: Some(cpe),
-            epoch,
-            region,
-            word_lo,
-            word_hi,
-        } = e
+        if let (
+            Some(cpe),
+            EventKind::SharedWrite {
+                region,
+                word_lo,
+                word_hi,
+            },
+        ) = (e.cpe, &e.kind)
         {
             writes
-                .entry((*epoch, *region))
+                .entry((e.epoch, *region))
                 .or_default()
-                .push((*cpe, *word_lo, *word_hi));
+                .push((cpe, *word_lo, *word_hi));
         }
     }
 
@@ -99,7 +100,7 @@ fn races(contract: &KernelContract, events: &[Event], out: &mut Vec<Violation>) 
 /// SWC102: write caches dropped while still holding dirty lines.
 fn dropped_dirty(contract: &KernelContract, events: &[Event], out: &mut Vec<Violation>) {
     for e in events {
-        if let Event::WcDropDirty { cache, lines, .. } = e {
+        if let EventKind::WcDropDirty { cache, lines } = &e.kind {
             out.push(Violation::new(
                 "SWC102",
                 contract.name,
@@ -127,11 +128,11 @@ fn mark_coherence(contract: &KernelContract, events: &[Event], out: &mut Vec<Vio
     let mut marked: BTreeMap<u64, BTreeSet<usize>> = BTreeMap::new();
     let mut reduced: BTreeMap<u64, BTreeSet<usize>> = BTreeMap::new();
     for e in events {
-        match e {
-            Event::MarkSet { cache, line, .. } => {
+        match &e.kind {
+            EventKind::MarkSet { cache, line } => {
                 marked.entry(*cache).or_default().insert(*line);
             }
-            Event::ReduceLine { cache, line, .. } => {
+            EventKind::ReduceLine { cache, line } => {
                 reduced.entry(*cache).or_default().insert(*line);
             }
             _ => {}
@@ -187,45 +188,39 @@ fn mark_coherence(contract: &KernelContract, events: &[Event], out: &mut Vec<Vio
 /// The `swfault` recovery paths (CPE respawn after a hang, kernel-fault
 /// fallback) replay the aborted work from scratch, so anything the dead
 /// attempt already made visible would be double-counted or corrupted on
-/// replay. For each [`Event::Abort`] this audits the events *earlier in
+/// replay. For each [`EventKind::Abort`] this audits the events *earlier in
 /// the stream* from the same `(epoch, cpe)`: a write cache dropped with
 /// dirty lines, or a Bit-Map mark whose `(cache, line)` the reduction
 /// never consumes anywhere in the run, means the abort was not clean.
 fn aborted_regions(contract: &KernelContract, events: &[Event], out: &mut Vec<Violation>) {
     let reduced: BTreeSet<(u64, usize)> = events
         .iter()
-        .filter_map(|e| match e {
-            Event::ReduceLine { cache, line, .. } => Some((*cache, *line)),
+        .filter_map(|e| match e.kind {
+            EventKind::ReduceLine { cache, line } => Some((cache, line)),
             _ => None,
         })
         .collect();
 
     for (i, e) in events.iter().enumerate() {
-        let Event::Abort { cpe, epoch, reason } = e else {
+        let EventKind::Abort { reason } = e.kind else {
             continue;
         };
+        let (cpe, epoch) = (e.cpe, e.epoch);
         let mut dirty = 0usize;
         let mut unreduced = 0usize;
         let mut first: Option<String> = None;
-        for prior in &events[..i] {
-            match prior {
-                Event::WcDropDirty {
-                    cpe: c,
-                    epoch: ep,
-                    cache,
-                    lines,
-                } if c == cpe && ep == epoch => {
+        let same_attempt = events[..i]
+            .iter()
+            .filter(|p| (p.cpe, p.epoch) == (cpe, epoch));
+        for prior in same_attempt {
+            match &prior.kind {
+                EventKind::WcDropDirty { cache, lines } => {
                     dirty += lines.len();
                     first.get_or_insert_with(|| {
                         format!("cache #{cache} dropped {} dirty line(s)", lines.len())
                     });
                 }
-                Event::MarkSet {
-                    cpe: c,
-                    epoch: ep,
-                    cache,
-                    line,
-                } if c == cpe && ep == epoch && !reduced.contains(&(*cache, *line)) => {
+                EventKind::MarkSet { cache, line } if !reduced.contains(&(*cache, *line)) => {
                     unreduced += 1;
                     first.get_or_insert_with(|| {
                         format!("cache #{cache} line {line} marked, never reduced")
@@ -264,12 +259,14 @@ mod tests {
     }
 
     fn write(cpe: usize, epoch: u64, region: u32, lo: usize, hi: usize) -> Event {
-        Event::SharedWrite {
+        Event {
             cpe: Some(cpe),
             epoch,
-            region,
-            word_lo: lo,
-            word_hi: hi,
+            kind: EventKind::SharedWrite {
+                region,
+                word_lo: lo,
+                word_hi: hi,
+            },
         }
     }
 
@@ -295,11 +292,13 @@ mod tests {
 
     #[test]
     fn dropped_dirty_cache_is_swc102() {
-        let ev = [Event::WcDropDirty {
+        let ev = [Event {
             cpe: Some(0),
             epoch: 1,
-            cache: 42,
-            lines: vec![3, 7],
+            kind: EventKind::WcDropDirty {
+                cache: 42,
+                lines: vec![3, 7],
+            },
         }];
         let v = detect(&strict(), &ev);
         assert_eq!(v.len(), 1);
@@ -308,20 +307,18 @@ mod tests {
     }
 
     fn mark(cache: u64, line: usize) -> Event {
-        Event::MarkSet {
+        Event {
             cpe: Some(0),
             epoch: 1,
-            cache,
-            line,
+            kind: EventKind::MarkSet { cache, line },
         }
     }
 
     fn reduce(cache: u64, line: usize) -> Event {
-        Event::ReduceLine {
+        Event {
             cpe: Some(0),
             epoch: 2,
-            cache,
-            line,
+            kind: EventKind::ReduceLine { cache, line },
         }
     }
 
@@ -364,10 +361,10 @@ mod tests {
     }
 
     fn abort(cpe: usize, epoch: u64) -> Event {
-        Event::Abort {
+        Event {
             cpe: Some(cpe),
             epoch,
-            reason: "cpe-hang",
+            kind: EventKind::Abort { reason: "cpe-hang" },
         }
     }
 
@@ -389,11 +386,13 @@ mod tests {
     #[test]
     fn abort_after_dropped_dirty_cache_is_swc105() {
         let ev = [
-            Event::WcDropDirty {
+            Event {
                 cpe: Some(3),
                 epoch: 2,
-                cache: 9,
-                lines: vec![4],
+                kind: EventKind::WcDropDirty {
+                    cache: 9,
+                    lines: vec![4],
+                },
             },
             abort(3, 2),
         ];

@@ -1,19 +1,22 @@
-//! Seeded-violation fixtures: eight event streams, each produced by
+//! Seeded-violation fixtures: nine event streams, each produced by
 //! driving the *real* substrate primitives into a known invariant
 //! violation, so `swcheck --fixtures` verifies the whole detection
 //! chain — instrumentation hooks, event plumbing, and all three passes
 //! — not just the pass logic over hand-written events.
 //!
-//! Each fixture captures its stream under a live [`trace::Session`],
-//! exactly like a traced kernel run, and names the one invariant id the
-//! checker must report for it.
+//! The fixtures capture their streams in turn under one live
+//! [`trace::Session`], exactly like a traced kernel run (so the session
+//! numbers their regions 1, 2, … across the set), and each names the
+//! one invariant id the checker must report for it.
 
 use sw26010::cache::{CacheGeometry, WriteCache};
 use sw26010::dma::{Dir, DmaEngine};
 use sw26010::ldm::Ldm;
 use sw26010::perf::PerfCounters;
+use sw26010::pool::LanePool;
 use sw26010::trace::{self, Event};
 use swgmx::check::KernelContract;
+use swprof::scope::Who;
 
 /// One seeded violation: a captured event stream plus the invariant id
 /// the checker is expected to report for it.
@@ -28,49 +31,54 @@ pub struct Fixture {
     pub events: Vec<Event>,
 }
 
-/// Build all eight fixtures. Each capture takes the global session
-/// lock, so this must not be called while another session is live on
-/// the same thread (it would self-deadlock by design — sessions don't
-/// nest).
+/// Build all nine fixtures.
 pub fn all() -> Vec<Fixture> {
-    vec![
-        cross_cpe_write_race(),
-        unflushed_dirty_line(),
-        bitmap_reduction_mismatch(),
-        misaligned_dma(),
-        ldm_over_budget(),
-        unclean_abort(),
-        unsynchronized_reduce(),
-        open_dma_window(),
-    ]
+    let session = trace::Session::begin();
+    let build: [fn(&trace::Session) -> Fixture; 9] = [
+        cross_cpe_write_race,
+        unflushed_dirty_line,
+        bitmap_reduction_mismatch,
+        misaligned_dma,
+        ldm_over_budget,
+        unclean_abort,
+        unsynchronized_reduce,
+        open_dma_window,
+        region_wider_than_a_core_group,
+    ];
+    build.iter().map(|fixture| fixture(&session)).collect()
+}
+
+/// Run `f` as CPE `cpe` of the region the thread is in.
+fn on_cpe<R>(cpe: usize, f: impl FnOnce() -> R) -> R {
+    let _lane = Who::enter_lane(Some(cpe));
+    f()
 }
 
 /// Two CPEs in the same spawn epoch DMA-put overlapping byte ranges of
 /// one region — the write conflict the redundant-copy scheme exists to
 /// prevent.
-fn cross_cpe_write_race() -> Fixture {
-    let session = trace::Session::begin();
+fn cross_cpe_write_race(session: &trace::Session) -> Fixture {
     let mut perf = PerfCounters::new();
-    let epoch = trace::begin_region(2);
-    trace::set_current_cpe(Some(0));
-    DmaEngine::transfer_shared_at(&mut perf, Dir::Put, 9, 0, 64);
-    trace::set_current_cpe(Some(1));
+    let region = trace::begin_region(2);
+    on_cpe(0, || {
+        DmaEngine::transfer_shared_at(&mut perf, Dir::Put, 9, 0, 64)
+    });
     // Bytes [32, 96) overlap CPE 0's [0, 64) with no barrier between.
-    DmaEngine::transfer_shared_at(&mut perf, Dir::Put, 9, 32, 64);
-    trace::set_current_cpe(None);
-    trace::end_region(epoch);
+    on_cpe(1, || {
+        DmaEngine::transfer_shared_at(&mut perf, Dir::Put, 9, 32, 64)
+    });
+    trace::end_region(region);
     Fixture {
         name: "cross-CPE write race",
         expected: "SWC101",
         contract: KernelContract::strict("fixture:race"),
-        events: session.finish(),
+        events: session.take(),
     }
 }
 
 /// A deferred-update write cache is dropped with an accumulated line
 /// that was never flushed — the force contribution silently vanishes.
-fn unflushed_dirty_line() -> Fixture {
-    let session = trace::Session::begin();
+fn unflushed_dirty_line(session: &trace::Session) -> Fixture {
     let geo = CacheGeometry::paper_default(12);
     let mut copy = vec![0.0f32; 64 * 12];
     let mut perf = PerfCounters::new();
@@ -83,14 +91,13 @@ fn unflushed_dirty_line() -> Fixture {
         name: "unflushed dirty write-cache line",
         expected: "SWC102",
         contract: KernelContract::strict("fixture:unflushed"),
-        events: session.finish(),
+        events: session.take(),
     }
 }
 
 /// Bit-Map marks two lines but the reduction only consumes one — the
 /// Alg. 3/4 contract is broken and the skipped line's forces are lost.
-fn bitmap_reduction_mismatch() -> Fixture {
-    let session = trace::Session::begin();
+fn bitmap_reduction_mismatch(session: &trace::Session) -> Fixture {
     let geo = CacheGeometry::paper_default(12);
     let mut copy = vec![0.0f32; 64 * 12];
     let mut perf = PerfCounters::new();
@@ -104,14 +111,13 @@ fn bitmap_reduction_mismatch() -> Fixture {
         name: "Bit-Map / reduction mismatch",
         expected: "SWC103",
         contract: KernelContract::strict("fixture:marks"),
-        events: session.finish(),
+        events: session.take(),
     }
 }
 
 /// A region-tagged DMA transfer from a main-memory address that breaks
 /// the §3.7 128-bit alignment rule.
-fn misaligned_dma() -> Fixture {
-    let session = trace::Session::begin();
+fn misaligned_dma(session: &trace::Session) -> Fixture {
     let mut perf = PerfCounters::new();
     // Byte offset 4 is not 16-byte aligned.
     DmaEngine::transfer_shared_at(&mut perf, Dir::Get, 7, 4, 80);
@@ -119,13 +125,12 @@ fn misaligned_dma() -> Fixture {
         name: "misaligned region-tagged DMA",
         expected: "SWC001",
         contract: KernelContract::strict("fixture:align"),
-        events: session.finish(),
+        events: session.take(),
     }
 }
 
 /// An LDM reservation plan that exceeds the 64 KB budget.
-fn ldm_over_budget() -> Fixture {
-    let session = trace::Session::begin();
+fn ldm_over_budget(session: &trace::Session) -> Fixture {
     let mut ldm = Ldm::new();
     ldm.reserve("caches", 60 * 1024).expect("fits");
     // 60 KB + 8 KB > 64 KB: the ledger rejects it and the event records it.
@@ -134,7 +139,7 @@ fn ldm_over_budget() -> Fixture {
         name: "LDM over budget",
         expected: "SWC003",
         contract: KernelContract::strict("fixture:ldm"),
-        events: session.finish(),
+        events: session.take(),
     }
 }
 
@@ -142,27 +147,25 @@ fn ldm_over_budget() -> Fixture {
 /// recovery path respawns it) without the line ever being reduced — the
 /// replay would re-accumulate into a line the reduction no longer knows
 /// about.
-fn unclean_abort() -> Fixture {
-    let session = trace::Session::begin();
+fn unclean_abort(session: &trace::Session) -> Fixture {
     let geo = CacheGeometry::paper_default(12);
     let mut copy = vec![0.0f32; 64 * 12];
     let mut perf = PerfCounters::new();
-    let epoch = trace::begin_region(1);
-    trace::set_current_cpe(Some(3));
-    {
+    let region = trace::begin_region(1);
+    on_cpe(3, || {
         let mut wc = WriteCache::with_marks(geo, 64);
         // Marks a line; the attempt dies right after, so the cache is
         // dropped dirty and the mark is never reduced.
         wc.update(&mut perf, &mut copy, 5, &[1.0; 12]);
-    }
-    trace::emit_abort("cpe-hang");
-    trace::set_current_cpe(None);
-    trace::end_region(epoch);
+        drop(wc);
+        trace::emit_abort("cpe-hang");
+    });
+    trace::end_region(region);
     Fixture {
         name: "unclean abort",
         expected: "SWC105",
         contract: KernelContract::strict("fixture:abort"),
-        events: session.finish(),
+        events: session.take(),
     }
 }
 
@@ -171,26 +174,25 @@ fn unclean_abort() -> Fixture {
 /// but no synchronization edge orders them, so a native backend could
 /// reduce a line whose marks are still being written (SWC111). The
 /// happens-before evidence carries both sites.
-fn unsynchronized_reduce() -> Fixture {
-    let session = trace::Session::begin();
+fn unsynchronized_reduce(session: &trace::Session) -> Fixture {
     let geo = CacheGeometry::paper_default(12);
     let mut copy = vec![0.0f32; 64 * 12];
     let mut perf = PerfCounters::new();
-    let epoch = trace::begin_region(2);
-    trace::set_current_cpe(Some(0));
-    let mut wc = WriteCache::with_marks(geo, 64);
-    wc.update(&mut perf, &mut copy, 0, &[1.0; 12]); // marks line 0
-    wc.flush(&mut perf, &mut copy);
+    let region = trace::begin_region(2);
+    let wc = on_cpe(0, || {
+        let mut wc = WriteCache::with_marks(geo, 64);
+        wc.update(&mut perf, &mut copy, 0, &[1.0; 12]); // marks line 0
+        wc.flush(&mut perf, &mut copy);
+        wc
+    });
     // CPE 1 consumes the line without waiting for the epoch to join.
-    trace::set_current_cpe(Some(1));
-    trace::reduce_line(wc.trace_id(), 0);
-    trace::set_current_cpe(None);
-    trace::end_region(epoch);
+    on_cpe(1, || trace::reduce_line(wc.trace_id(), 0));
+    trace::end_region(region);
     Fixture {
         name: "unsynchronized Bit-Map reduce",
         expected: "SWC111",
         contract: KernelContract::strict("fixture:unsynced-reduce"),
-        events: session.finish(),
+        events: session.take(),
     }
 }
 
@@ -200,27 +202,46 @@ fn unsynchronized_reduce() -> Fixture {
 /// after the issue — so this is not an SWC110 race — but it lands
 /// inside the open transfer window, exactly the overlap a completion
 /// edge exists to forbid (SWC112).
-fn open_dma_window() -> Fixture {
-    let session = trace::Session::begin();
+fn open_dma_window(session: &trace::Session) -> Fixture {
     let mut perf = PerfCounters::new();
     let chan = trace::next_id();
-    let epoch = trace::begin_region(2);
-    trace::set_current_cpe(Some(0));
-    let handle = DmaEngine::issue_shared_at(&mut perf, Dir::Get, 8, 0, 64);
-    trace::emit_chan_send(chan, 0);
-    trace::set_current_cpe(Some(1));
-    trace::emit_chan_recv(chan, 0);
-    // Words [4, 8) sit inside the in-flight Get of words [0, 16).
-    trace::shared_write(8, 4, 8);
-    trace::set_current_cpe(Some(0));
-    handle.wait(); // too late: the overlap already happened
-    trace::set_current_cpe(None);
-    trace::end_region(epoch);
+    let region = trace::begin_region(2);
+    let handle = on_cpe(0, || {
+        let handle = DmaEngine::issue_shared_at(&mut perf, Dir::Get, 8, 0, 64);
+        trace::emit_chan_send(chan, 0);
+        handle
+    });
+    on_cpe(1, || {
+        trace::emit_chan_recv(chan, 0);
+        // Words [4, 8) sit inside the in-flight Get of words [0, 16).
+        trace::shared_write(8, 4, 8);
+    });
+    on_cpe(0, || handle.wait()); // too late: the overlap already happened
+    trace::end_region(region);
     Fixture {
         name: "access inside an open async-DMA window",
         expected: "SWC112",
         contract: KernelContract::strict("fixture:dma-window"),
-        events: session.finish(),
+        events: session.take(),
+    }
+}
+
+/// A region wider than a core group — the lane executor runs any
+/// number of lanes, as the fault plane counts service workers and DD
+/// ranks past the 64 CPEs — in which lanes 64 and 70 write one word
+/// with nothing between them: the race passes must see lanes past the
+/// core group like any other (SWC110, and SWC101 beside it).
+fn region_wider_than_a_core_group(session: &trace::Session) -> Fixture {
+    LanePool::with_threads(1).run(71, |lane| {
+        if lane == 64 || lane == 70 {
+            trace::shared_write(6, 0, 1);
+        }
+    });
+    Fixture {
+        name: "region wider than a core group",
+        expected: "SWC110",
+        contract: KernelContract::strict("fixture:wide-region"),
+        events: session.take(),
     }
 }
 
@@ -251,10 +272,11 @@ mod tests {
     #[test]
     fn fixture_streams_are_nonempty_and_distinctly_seeded() {
         let fixtures = all();
-        assert_eq!(fixtures.len(), 8);
+        assert_eq!(fixtures.len(), 9);
         let mut expected: Vec<_> = fixtures.iter().map(|f| f.expected).collect();
+        expected.sort();
         expected.dedup();
-        assert_eq!(expected.len(), 8, "each fixture seeds a distinct invariant");
+        assert_eq!(expected.len(), 9, "each fixture seeds a distinct invariant");
         for f in &fixtures {
             assert!(
                 !f.events.is_empty(),

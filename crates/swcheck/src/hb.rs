@@ -31,15 +31,13 @@
 use std::collections::BTreeMap;
 
 use sw26010::dma::Dir;
-use sw26010::trace::Event;
+use sw26010::trace::{Event, EventKind};
 use swgmx::check::KernelContract;
 
 use crate::{Severity, Violation};
 
-/// Lane count: the MPE plus the 64 CPEs of one core group.
-pub const MAX_LANES: usize = 65;
-
-fn lane_of(cpe: Option<usize>) -> usize {
+/// Lane of an event's issuer (0 = MPE, `n` = CPE `n - 1`).
+pub(crate) fn lane_index(cpe: Option<usize>) -> usize {
     match cpe {
         Some(c) => c + 1,
         None => 0,
@@ -151,11 +149,13 @@ fn words(byte_off: usize, bytes: usize) -> (usize, usize) {
 
 /// The full happens-before pass: SWC110–SWC113 over one event stream.
 pub fn detect(contract: &KernelContract, events: &[Event]) -> Vec<Violation> {
-    let mut vcs: Vec<Vec<u32>> = vec![vec![0; MAX_LANES]; MAX_LANES];
+    // One clock component per lane the stream has, however wide.
+    let n_lanes = 1 + events.iter().map(|e| lane_index(e.cpe)).max().unwrap_or(0);
+    let mut vcs: Vec<Vec<u32>> = vec![vec![0; n_lanes]; n_lanes];
     // Per-epoch MPE snapshot at SpawnBegin, forked into CPE lanes.
     let mut fork_vc: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
     // Latest epoch each CPE lane has forked from.
-    let mut joined_epoch: Vec<Option<u64>> = vec![None; MAX_LANES];
+    let mut joined_epoch: Vec<Option<u64>> = vec![None; n_lanes];
     // CPE lanes seen in each still-open epoch (joined at SpawnEnd).
     let mut participants: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
     // Pending release snapshot per (ledger, label): the acquire edge.
@@ -178,34 +178,31 @@ pub fn detect(contract: &KernelContract, events: &[Event]) -> Vec<Violation> {
     let mut ldm_findings: Vec<DualAccess> = Vec::new();
 
     for (index, ev) in events.iter().enumerate() {
-        let lane = lane_of(event_cpe(ev));
+        let (lane, epoch) = (lane_index(ev.cpe), ev.epoch);
         // Fork edge: a CPE lane's first event in an epoch inherits the
         // MPE clock captured at that epoch's SpawnBegin.
-        if lane != 0 {
-            let epoch = event_epoch(ev);
-            if joined_epoch[lane] != Some(epoch) {
-                joined_epoch[lane] = Some(epoch);
-                if let Some(fork) = fork_vc.get(&epoch) {
-                    join(&mut vcs, lane, fork);
-                }
-                participants.entry(epoch).or_default().push(lane);
+        if lane != 0 && joined_epoch[lane] != Some(epoch) {
+            joined_epoch[lane] = Some(epoch);
+            if let Some(fork) = fork_vc.get(&epoch) {
+                join(&mut vcs, lane, fork);
             }
+            participants.entry(epoch).or_default().push(lane);
         }
         // Incoming synchronization edges, applied before the step.
-        match ev {
-            Event::SpawnEnd { epoch } => {
-                for l in participants.remove(epoch).unwrap_or_default() {
+        match &ev.kind {
+            EventKind::SpawnEnd => {
+                for l in participants.remove(&epoch).unwrap_or_default() {
                     let from = vcs[l].clone();
                     join(&mut vcs, 0, &from);
                 }
             }
-            Event::DmaDone { id, .. } => {
+            EventKind::DmaDone { id, .. } => {
                 if let Some(w) = windows.get(id) {
                     let from = w.issue_snap.vc.clone();
                     join(&mut vcs, lane, &from);
                 }
             }
-            Event::LdmReserve { ldm, label, .. } => {
+            EventKind::LdmReserve { ldm, label, .. } => {
                 // The acquire edge keys on (instance, label) so
                 // unrelated labels don't fabricate ordering.
                 if let Some(rel) = last_release.get(&(*ldm, label)) {
@@ -213,13 +210,13 @@ pub fn detect(contract: &KernelContract, events: &[Event]) -> Vec<Violation> {
                     join(&mut vcs, lane, &from);
                 }
             }
-            Event::ChanRecv { chan, seq, .. } => {
+            EventKind::ChanRecv { chan, seq, .. } => {
                 if let Some(send) = chan_sends.get(&(*chan, *seq)) {
                     let from = send.vc.clone();
                     join(&mut vcs, lane, &from);
                 }
             }
-            Event::Barrier { id, .. } => {
+            EventKind::Barrier { id, .. } => {
                 if let Some(prev) = barrier_last.get(id) {
                     let from = prev.vc.clone();
                     join(&mut vcs, lane, &from);
@@ -236,16 +233,16 @@ pub fn detect(contract: &KernelContract, events: &[Event]) -> Vec<Violation> {
         };
         let site = |what: String| AccessSite {
             lane,
-            epoch: event_epoch(ev),
+            epoch,
             index,
             what,
         };
         // Outgoing state: snapshots other events will join or check.
-        match ev {
-            Event::SpawnBegin { epoch, .. } => {
-                fork_vc.insert(*epoch, snap.vc.clone());
+        match &ev.kind {
+            EventKind::SpawnBegin { .. } => {
+                fork_vc.insert(epoch, snap.vc.clone());
             }
-            Event::Dma {
+            EventKind::Dma {
                 id,
                 dir,
                 region: Some(region),
@@ -284,12 +281,12 @@ pub fn detect(contract: &KernelContract, events: &[Event]) -> Vec<Violation> {
                     );
                 }
             }
-            Event::DmaDone { id, .. } => {
+            EventKind::DmaDone { id, .. } => {
                 if let Some(w) = windows.get_mut(id) {
                     w.done = Some(snap.clone());
                 }
             }
-            Event::SharedWrite {
+            EventKind::SharedWrite {
                 region,
                 word_lo,
                 word_hi,
@@ -305,7 +302,7 @@ pub fn detect(contract: &KernelContract, events: &[Event]) -> Vec<Violation> {
                     write: true,
                 });
             }
-            Event::SharedRead {
+            EventKind::SharedRead {
                 region,
                 word_lo,
                 word_hi,
@@ -321,30 +318,30 @@ pub fn detect(contract: &KernelContract, events: &[Event]) -> Vec<Violation> {
                     write: false,
                 });
             }
-            Event::LdmReserve {
+            EventKind::LdmReserve {
                 ldm, label, bytes, ..
             } => {
                 let s = site(format!("LDM reserve `{label}` ({bytes} B, ledger {ldm})"));
                 check_ldm_lane(&mut ldm_findings, &mut ldm_last, *ldm, &snap, s);
             }
-            Event::LdmRelease {
+            EventKind::LdmRelease {
                 ldm, label, bytes, ..
             } => {
                 let s = site(format!("LDM release `{label}` ({bytes} B, ledger {ldm})"));
                 check_ldm_lane(&mut ldm_findings, &mut ldm_last, *ldm, &snap, s);
                 last_release.insert((*ldm, label), snap.clone());
             }
-            Event::ChanSend { chan, seq, .. } => {
+            EventKind::ChanSend { chan, seq, .. } => {
                 chan_sends.insert((*chan, *seq), snap.clone());
             }
-            Event::Barrier { id, .. } => {
+            EventKind::Barrier { id, .. } => {
                 barrier_last.insert(*id, snap.clone());
             }
-            Event::MarkSet { cache, line, .. } => {
+            EventKind::MarkSet { cache, line, .. } => {
                 let s = site(format!("Bit-Map mark line {line} (cache {cache})"));
                 marks.entry((*cache, *line)).or_default().push((snap, s));
             }
-            Event::ReduceLine { cache, line, .. } => {
+            EventKind::ReduceLine { cache, line, .. } => {
                 // Check-then-join: the snapshot recorded for the SWC111
                 // check predates the join, so an unsynchronized reduce
                 // is still caught — but the join happens regardless, so
@@ -498,58 +495,6 @@ fn join(vcs: &mut [Vec<u32>], lane: usize, from: &[u32]) {
     }
 }
 
-/// Lane of an event (0 = MPE, `n` = CPE `n - 1`).
-pub fn event_lane(ev: &Event) -> usize {
-    lane_of(event_cpe(ev))
-}
-
-/// Spawn epoch an event carries (0 for `Phase` events).
-pub fn event_epoch_of(ev: &Event) -> u64 {
-    event_epoch(ev)
-}
-
-fn event_cpe(ev: &Event) -> Option<usize> {
-    match ev {
-        Event::SpawnBegin { .. } | Event::SpawnEnd { .. } | Event::Phase { .. } => None,
-        Event::Dma { cpe, .. }
-        | Event::DmaDone { cpe, .. }
-        | Event::SharedRead { cpe, .. }
-        | Event::Gld { cpe, .. }
-        | Event::LdmReserve { cpe, .. }
-        | Event::LdmRelease { cpe, .. }
-        | Event::SharedWrite { cpe, .. }
-        | Event::MarkSet { cpe, .. }
-        | Event::ReduceLine { cpe, .. }
-        | Event::WcDropDirty { cpe, .. }
-        | Event::Abort { cpe, .. }
-        | Event::Barrier { cpe, .. }
-        | Event::ChanSend { cpe, .. }
-        | Event::ChanRecv { cpe, .. } => *cpe,
-    }
-}
-
-fn event_epoch(ev: &Event) -> u64 {
-    match ev {
-        Event::Phase { .. } => 0,
-        Event::SpawnBegin { epoch, .. }
-        | Event::SpawnEnd { epoch }
-        | Event::Dma { epoch, .. }
-        | Event::DmaDone { epoch, .. }
-        | Event::SharedRead { epoch, .. }
-        | Event::Gld { epoch, .. }
-        | Event::LdmReserve { epoch, .. }
-        | Event::LdmRelease { epoch, .. }
-        | Event::SharedWrite { epoch, .. }
-        | Event::MarkSet { epoch, .. }
-        | Event::ReduceLine { epoch, .. }
-        | Event::WcDropDirty { epoch, .. }
-        | Event::Abort { epoch, .. }
-        | Event::Barrier { epoch, .. }
-        | Event::ChanSend { epoch, .. }
-        | Event::ChanRecv { epoch, .. } => *epoch,
-    }
-}
-
 /// SWC113 check for one ledger event: flag it when the previous event
 /// of the same ledger came from a different lane with no ordering (the
 /// acquire join, applied before the step, makes legal handoffs HB).
@@ -615,7 +560,13 @@ fn racy(out: &mut Vec<DualAccess>, a: &Access, b: &Access) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sw26010::trace::{self, Event};
+    use sw26010::pool::LanePool;
+    use sw26010::trace;
+
+    fn on_lane(lane: Option<usize>, f: impl FnOnce()) {
+        let _lane = swprof::scope::Who::enter_lane(lane);
+        f()
+    }
 
     fn strict() -> KernelContract {
         KernelContract::strict("hbtest")
@@ -626,21 +577,31 @@ mod tests {
     }
 
     fn w(cpe: usize, epoch: u64, region: u32, lo: usize, hi: usize) -> Event {
-        Event::SharedWrite {
+        Event {
             cpe: Some(cpe),
             epoch,
-            region,
-            word_lo: lo,
-            word_hi: hi,
+            kind: EventKind::SharedWrite {
+                region,
+                word_lo: lo,
+                word_hi: hi,
+            },
         }
     }
 
     fn begin(epoch: u64) -> Event {
-        Event::SpawnBegin { epoch, n_cpes: 64 }
+        Event {
+            cpe: None,
+            epoch,
+            kind: EventKind::SpawnBegin { n_cpes: 64 },
+        }
     }
 
     fn end(epoch: u64) -> Event {
-        Event::SpawnEnd { epoch }
+        Event {
+            cpe: None,
+            epoch,
+            kind: EventKind::SpawnEnd,
+        }
     }
 
     #[test]
@@ -674,12 +635,14 @@ mod tests {
 
     #[test]
     fn read_racing_a_write_is_caught_but_reads_never_conflict() {
-        let r = |cpe: usize, lo: usize, hi: usize| Event::SharedRead {
+        let r = |cpe: usize, lo: usize, hi: usize| Event {
             cpe: Some(cpe),
             epoch: 1,
-            region: 5,
-            word_lo: lo,
-            word_hi: hi,
+            kind: EventKind::SharedRead {
+                region: 5,
+                word_lo: lo,
+                word_hi: hi,
+            },
         };
         let ev = [begin(1), w(0, 1, 5, 0, 16), r(1, 8, 24), end(1)];
         assert_eq!(ids(&detect(&strict(), &ev)), ["SWC110"]);
@@ -692,17 +655,15 @@ mod tests {
         let ev = [
             begin(1),
             w(0, 1, 5, 0, 16),
-            Event::ChanSend {
+            Event {
                 cpe: Some(0),
                 epoch: 1,
-                chan: 9,
-                seq: 0,
+                kind: EventKind::ChanSend { chan: 9, seq: 0 },
             },
-            Event::ChanRecv {
+            Event {
                 cpe: Some(1),
                 epoch: 1,
-                chan: 9,
-                seq: 0,
+                kind: EventKind::ChanRecv { chan: 9, seq: 0 },
             },
             w(1, 1, 5, 8, 24),
             end(1),
@@ -712,10 +673,10 @@ mod tests {
 
     #[test]
     fn barrier_arrivals_chain_join() {
-        let b = |cpe: usize| Event::Barrier {
+        let b = |cpe: usize| Event {
             cpe: Some(cpe),
             epoch: 1,
-            id: 3,
+            kind: EventKind::Barrier { id: 3 },
         };
         let ev = [
             begin(1),
@@ -732,17 +693,15 @@ mod tests {
     fn cross_lane_reduce_without_order_is_swc111() {
         let ev = [
             begin(1),
-            Event::MarkSet {
+            Event {
                 cpe: Some(0),
                 epoch: 1,
-                cache: 7,
-                line: 4,
+                kind: EventKind::MarkSet { cache: 7, line: 4 },
             },
-            Event::ReduceLine {
+            Event {
                 cpe: Some(1),
                 epoch: 1,
-                cache: 7,
-                line: 4,
+                kind: EventKind::ReduceLine { cache: 7, line: 4 },
             },
             end(1),
         ];
@@ -751,19 +710,17 @@ mod tests {
         // Same pair across an epoch boundary: ordered, clean.
         let ev = [
             begin(1),
-            Event::MarkSet {
+            Event {
                 cpe: Some(0),
                 epoch: 1,
-                cache: 7,
-                line: 4,
+                kind: EventKind::MarkSet { cache: 7, line: 4 },
             },
             end(1),
             begin(2),
-            Event::ReduceLine {
+            Event {
                 cpe: Some(1),
                 epoch: 2,
-                cache: 7,
-                line: 4,
+                kind: EventKind::ReduceLine { cache: 7, line: 4 },
             },
             end(2),
         ];
@@ -777,19 +734,17 @@ mod tests {
         let ev = [
             begin(1),
             w(0, 1, 5, 0, 16),
-            Event::MarkSet {
+            Event {
                 cpe: Some(0),
                 epoch: 1,
-                cache: 7,
-                line: 4,
+                kind: EventKind::MarkSet { cache: 7, line: 4 },
             },
             end(1),
             begin(2),
-            Event::ReduceLine {
+            Event {
                 cpe: Some(1),
                 epoch: 2,
-                cache: 7,
-                line: 4,
+                kind: EventKind::ReduceLine { cache: 7, line: 4 },
             },
             w(1, 2, 5, 8, 24),
             end(2),
@@ -799,33 +754,33 @@ mod tests {
 
     #[test]
     fn access_inside_async_window_is_swc112() {
-        let issue = Event::Dma {
+        let issue = Event {
             cpe: Some(0),
             epoch: 1,
-            id: 42,
-            dir: Dir::Get,
-            region: Some(5),
-            byte_off: 0,
-            bytes: 64, // words [0, 16)
-            aligned: true,
-            completed: false,
+            kind: EventKind::Dma {
+                id: 42,
+                dir: Dir::Get,
+                region: Some(5),
+                byte_off: 0,
+                bytes: 64, // words [0, 16)
+                aligned: true,
+                completed: false,
+            },
         };
-        let done = Event::DmaDone {
+        let done = Event {
             cpe: Some(0),
             epoch: 1,
-            id: 42,
+            kind: EventKind::DmaDone { id: 42 },
         };
-        let send = Event::ChanSend {
+        let send = Event {
             cpe: Some(0),
             epoch: 1,
-            chan: 9,
-            seq: 0,
+            kind: EventKind::ChanSend { chan: 9, seq: 0 },
         };
-        let recv = Event::ChanRecv {
+        let recv = Event {
             cpe: Some(1),
             epoch: 1,
-            chan: 9,
-            seq: 0,
+            kind: EventKind::ChanRecv { chan: 9, seq: 0 },
         };
         // The channel edge orders CPE 1's write after the issue — no
         // SWC110 race — but it lands inside the open window: SWC112.
@@ -849,23 +804,27 @@ mod tests {
 
     #[test]
     fn never_awaited_window_flags_any_unordered_overlap() {
-        let issue = Event::Dma {
+        let issue = Event {
             cpe: Some(0),
             epoch: 1,
-            id: 43,
-            dir: Dir::Put,
-            region: Some(5),
-            byte_off: 0,
-            bytes: 64,
-            aligned: true,
-            completed: false,
+            kind: EventKind::Dma {
+                id: 43,
+                dir: Dir::Put,
+                region: Some(5),
+                byte_off: 0,
+                bytes: 64,
+                aligned: true,
+                completed: false,
+            },
         };
-        let read = Event::SharedRead {
+        let read = Event {
             cpe: Some(1),
             epoch: 1,
-            region: 5,
-            word_lo: 0,
-            word_hi: 4,
+            kind: EventKind::SharedRead {
+                region: 5,
+                word_lo: 0,
+                word_hi: 4,
+            },
         };
         let ev = [begin(1), issue, read, end(1)];
         let v = detect(&strict(), &ev);
@@ -874,22 +833,26 @@ mod tests {
 
     #[test]
     fn ldm_ledger_on_two_lanes_is_swc113_unless_handed_over() {
-        let reserve = |cpe: usize| Event::LdmReserve {
+        let reserve = |cpe: usize| Event {
             cpe: Some(cpe),
             epoch: 1,
-            ldm: 11,
-            label: "stage",
-            bytes: 256,
-            in_use_after: 256,
-            capacity: 65536,
-            ok: true,
+            kind: EventKind::LdmReserve {
+                ldm: 11,
+                label: "stage",
+                bytes: 256,
+                in_use_after: 256,
+                capacity: 65536,
+                ok: true,
+            },
         };
-        let release = |cpe: usize| Event::LdmRelease {
+        let release = |cpe: usize| Event {
             cpe: Some(cpe),
             epoch: 1,
-            ldm: 11,
-            label: "stage",
-            bytes: 256,
+            kind: EventKind::LdmRelease {
+                ldm: 11,
+                label: "stage",
+                bytes: 256,
+            },
         };
         // Aliased: two lanes reserve on one ledger concurrently.
         let ev = [begin(1), reserve(0), reserve(1), end(1)];
@@ -905,16 +868,41 @@ mod tests {
         // and assert the engine accepts the genuine event shapes.
         let session = trace::Session::begin();
         let e1 = trace::begin_region(2);
-        trace::set_current_cpe(Some(0));
-        trace::shared_write(5, 0, 16);
-        trace::set_current_cpe(None);
+        on_lane(Some(0), || trace::shared_write(5, 0, 16));
         trace::end_region(e1);
         let e2 = trace::begin_region(2);
-        trace::set_current_cpe(Some(1));
-        trace::shared_read(5, 0, 16);
-        trace::set_current_cpe(None);
+        on_lane(Some(1), || trace::shared_read(5, 0, 16));
         trace::end_region(e2);
         let ev = session.finish();
         assert!(detect(&strict(), &ev).is_empty());
+    }
+
+    #[test]
+    fn lanes_past_the_core_group_are_lanes_too() {
+        // A 100-lane region on two threads: every pass and the schedule
+        // explorer take it, each lane writing its own words is clean,
+        // and lanes 64 and 99 writing one word race.
+        let capture = |f: &(dyn Fn(usize) + Sync)| {
+            let session = trace::Session::begin();
+            LanePool::with_threads(2).run(100, f);
+            session.finish()
+        };
+        let own_words = capture(&|l| trace::shared_write(1, 4 * l, 4 * l + 4));
+        assert!(crate::check_events(&strict(), &own_words).is_empty());
+        assert!(crate::schedule::explore(&strict(), &own_words, 20, 1).stable());
+        let racing = capture(&|l| {
+            if l == 64 || l == 99 {
+                trace::shared_write(1, 0, 4);
+            }
+        });
+        let v = detect(&strict(), &racing);
+        assert_eq!(ids(&v), ["SWC110"]);
+        let d = v[0].evidence.as_ref().expect("dual evidence");
+        let mut lanes = [d.first.lane_name(), d.second.lane_name()];
+        lanes.sort();
+        assert_eq!(lanes, ["CPE 64", "CPE 99"]);
+        let all = crate::check_events(&strict(), &racing);
+        assert!(all.iter().any(|v| v.id == "SWC101"), "{all:?}");
+        assert!(crate::schedule::explore(&strict(), &racing, 20, 1).stable());
     }
 }

@@ -8,7 +8,7 @@
 //! the first offending instance, so a kernel that issues the same bad
 //! transfer a million times reports once, not a million times.
 
-use sw26010::trace::Event;
+use sw26010::trace::{Event, EventKind};
 use swgmx::check::KernelContract;
 
 use crate::{Severity, Violation};
@@ -51,12 +51,12 @@ impl LdmReport {
 pub fn ldm_report(events: &[Event]) -> Option<LdmReport> {
     let mut report: Option<LdmReport> = None;
     for e in events {
-        if let Event::LdmReserve {
+        if let EventKind::LdmReserve {
             in_use_after,
             capacity,
             ok: true,
             ..
-        } = e
+        } = &e.kind
         {
             let r = report.get_or_insert(LdmReport {
                 peak_bytes: 0,
@@ -76,8 +76,8 @@ pub fn lint(contract: &KernelContract, events: &[Event]) -> Vec<Violation> {
     // SWC001: region-tagged DMA must satisfy the 128-bit rule (§3.7).
     let misaligned: Vec<_> = events
         .iter()
-        .filter_map(|e| match e {
-            Event::Dma {
+        .filter_map(|e| match &e.kind {
+            EventKind::Dma {
                 region: Some(r),
                 byte_off,
                 bytes,
@@ -104,8 +104,8 @@ pub fn lint(contract: &KernelContract, events: &[Event]) -> Vec<Violation> {
     if !contract.allow_subpackage_dma {
         let tiny: Vec<_> = events
             .iter()
-            .filter_map(|e| match e {
-                Event::Dma {
+            .filter_map(|e| match &e.kind {
+                EventKind::Dma {
                     region: Some(r),
                     bytes,
                     ..
@@ -130,14 +130,14 @@ pub fn lint(contract: &KernelContract, events: &[Event]) -> Vec<Violation> {
 
     // SWC003: LDM reservations that blew the 64 KB budget.
     for e in events {
-        if let Event::LdmReserve {
+        if let EventKind::LdmReserve {
             label,
             bytes,
             in_use_after,
             capacity,
             ok: false,
             ..
-        } = e
+        } = &e.kind
         {
             out.push(Violation::new(
                 "SWC003",
@@ -174,10 +174,8 @@ pub fn lint(contract: &KernelContract, events: &[Event]) -> Vec<Violation> {
     if !contract.allow_gld {
         let ops: u64 = events
             .iter()
-            .filter_map(|e| match e {
-                Event::Gld {
-                    cpe: Some(_), ops, ..
-                } => Some(*ops),
+            .filter_map(|e| match e.kind {
+                EventKind::Gld { ops } if e.cpe.is_some() => Some(ops),
                 _ => None,
             })
             .sum();
@@ -207,16 +205,18 @@ mod tests {
     }
 
     fn dma(region: Option<u32>, byte_off: usize, bytes: usize, aligned: bool) -> Event {
-        Event::Dma {
+        Event {
             cpe: Some(0),
             epoch: 1,
-            id: 1,
-            dir: Dir::Get,
-            region,
-            byte_off,
-            bytes,
-            aligned,
-            completed: true,
+            kind: EventKind::Dma {
+                id: 1,
+                dir: Dir::Get,
+                region,
+                byte_off,
+                bytes,
+                aligned,
+                completed: true,
+            },
         }
     }
 
@@ -247,10 +247,10 @@ mod tests {
 
     #[test]
     fn cpe_gld_is_swc005_unless_allowed() {
-        let ev = [Event::Gld {
+        let ev = [Event {
             cpe: Some(3),
             epoch: 1,
-            ops: 7,
+            kind: EventKind::Gld { ops: 7 },
         }];
         let v = lint(&strict(), &ev);
         assert_eq!(v.len(), 1);
@@ -260,24 +260,26 @@ mod tests {
         lax.allow_gld = true;
         assert!(lint(&lax, &ev).is_empty());
         // MPE-side gld is the host's business, not the checker's.
-        let mpe = [Event::Gld {
+        let mpe = [Event {
             cpe: None,
             epoch: 0,
-            ops: 7,
+            kind: EventKind::Gld { ops: 7 },
         }];
         assert!(lint(&strict(), &mpe).is_empty());
     }
 
     fn reserve(in_use_after: usize, capacity: usize, ok: bool) -> Event {
-        Event::LdmReserve {
+        Event {
             cpe: Some(0),
             epoch: 1,
-            ldm: 1,
-            label: "buf",
-            bytes: 1024,
-            in_use_after,
-            capacity,
-            ok,
+            kind: EventKind::LdmReserve {
+                ldm: 1,
+                label: "buf",
+                bytes: 1024,
+                in_use_after,
+                capacity,
+                ok,
+            },
         }
     }
 

@@ -23,7 +23,7 @@
 
 use std::collections::BTreeMap;
 
-use sw26010::trace::Event;
+use sw26010::trace::{Event, EventKind};
 use swgmx::backend::{AnyBackend, BackendSel, Certificate, VariantCertificate, MIN_SCHEDULES};
 use swgmx::check::{run_traced_with, Variant};
 
@@ -46,13 +46,6 @@ impl Rng {
         self.0 ^= self.0 << 25;
         self.0 ^= self.0 >> 27;
         (self.0.wrapping_mul(0x2545F4914F6CDD1D) % bound.max(1) as u64) as usize
-    }
-}
-
-fn lane_of(ev: &Event) -> usize {
-    match ev {
-        Event::SpawnBegin { .. } | Event::SpawnEnd { .. } | Event::Phase { .. } => 0,
-        _ => crate::hb::event_lane(ev),
     }
 }
 
@@ -92,60 +85,60 @@ impl HbDag {
         let mut n_reduces: BTreeMap<(u64, usize), usize> = BTreeMap::new();
 
         for (i, ev) in events.iter().enumerate() {
-            let lane = lane_of(ev);
+            let lane = crate::hb::lane_index(ev.cpe);
             if let Some(&prev) = last_on_lane.get(&lane) {
                 edge(prev, i);
             }
             last_on_lane.insert(lane, i);
-            match ev {
-                Event::SpawnBegin { epoch, .. } => {
-                    begin_of.insert(*epoch, i);
+            match &ev.kind {
+                EventKind::SpawnBegin { .. } => {
+                    begin_of.insert(ev.epoch, i);
                 }
-                Event::SpawnEnd { epoch } => {
+                EventKind::SpawnEnd => {
                     for (&(e, _), &(_, last)) in lane_span.iter() {
-                        if e == *epoch {
+                        if e == ev.epoch {
                             edge(last, i);
                         }
                     }
                 }
-                Event::Dma {
+                EventKind::Dma {
                     id,
                     completed: false,
                     ..
                 } => {
                     dma_issue.insert(*id, i);
                 }
-                Event::DmaDone { id, .. } => {
+                EventKind::DmaDone { id, .. } => {
                     if let Some(&issue) = dma_issue.get(id) {
                         edge(issue, i);
                     }
                 }
-                Event::ChanSend { chan, seq, .. } => {
+                EventKind::ChanSend { chan, seq, .. } => {
                     chan_send.insert((*chan, *seq), i);
                 }
-                Event::ChanRecv { chan, seq, .. } => {
+                EventKind::ChanRecv { chan, seq, .. } => {
                     if let Some(&send) = chan_send.get(&(*chan, *seq)) {
                         edge(send, i);
                     }
                 }
-                Event::Barrier { id, .. } => {
+                EventKind::Barrier { id, .. } => {
                     if let Some(&prev) = barrier_prev.get(id) {
                         edge(prev, i);
                     }
                     barrier_prev.insert(*id, i);
                 }
-                Event::LdmReserve { ldm, label, .. } => {
+                EventKind::LdmReserve { ldm, label, .. } => {
                     if let Some(&rel) = ldm_release.get(&(*ldm, label)) {
                         edge(rel, i);
                     }
                 }
-                Event::LdmRelease { ldm, label, .. } => {
+                EventKind::LdmRelease { ldm, label, .. } => {
                     ldm_release.insert((*ldm, label), i);
                 }
-                Event::MarkSet { cache, line, .. } => {
+                EventKind::MarkSet { cache, line, .. } => {
                     marks.entry((*cache, *line)).or_default().push(i);
                 }
-                Event::ReduceLine { cache, line, .. } => {
+                EventKind::ReduceLine { cache, line, .. } => {
                     let k = n_reduces.entry((*cache, *line)).or_insert(0);
                     if let Some(&m) = marks.get(&(*cache, *line)).and_then(|v| v.get(*k)) {
                         edge(m, i);
@@ -156,10 +149,9 @@ impl HbDag {
             }
             // Epoch bracketing for CPE lanes: begin → first, last → end.
             if lane != 0 {
-                let epoch = crate::hb::event_epoch_of(ev);
-                let span = lane_span.entry((epoch, lane)).or_insert((i, i));
+                let span = lane_span.entry((ev.epoch, lane)).or_insert((i, i));
                 if span.0 == i {
-                    if let Some(&b) = begin_of.get(&epoch) {
+                    if let Some(&b) = begin_of.get(&ev.epoch) {
                         edge(b, i);
                     }
                 }
@@ -408,25 +400,34 @@ mod tests {
 
     fn racy_events() -> Vec<Event> {
         vec![
-            Event::SpawnBegin {
+            Event {
+                cpe: None,
                 epoch: 1,
-                n_cpes: 2,
+                kind: EventKind::SpawnBegin { n_cpes: 2 },
             },
-            Event::SharedWrite {
+            Event {
                 cpe: Some(0),
                 epoch: 1,
-                region: 5,
-                word_lo: 0,
-                word_hi: 16,
+                kind: EventKind::SharedWrite {
+                    region: 5,
+                    word_lo: 0,
+                    word_hi: 16,
+                },
             },
-            Event::SharedWrite {
+            Event {
                 cpe: Some(1),
                 epoch: 1,
-                region: 5,
-                word_lo: 8,
-                word_hi: 24,
+                kind: EventKind::SharedWrite {
+                    region: 5,
+                    word_lo: 8,
+                    word_hi: 24,
+                },
             },
-            Event::SpawnEnd { epoch: 1 },
+            Event {
+                cpe: None,
+                epoch: 1,
+                kind: EventKind::SpawnEnd,
+            },
         ]
     }
 
@@ -463,30 +464,44 @@ mod tests {
     #[test]
     fn clean_sequenced_trace_is_stable_and_clean() {
         let ev = vec![
-            Event::SpawnBegin {
+            Event {
+                cpe: None,
                 epoch: 1,
-                n_cpes: 2,
+                kind: EventKind::SpawnBegin { n_cpes: 2 },
             },
-            Event::SharedWrite {
+            Event {
                 cpe: Some(0),
                 epoch: 1,
-                region: 5,
-                word_lo: 0,
-                word_hi: 16,
+                kind: EventKind::SharedWrite {
+                    region: 5,
+                    word_lo: 0,
+                    word_hi: 16,
+                },
             },
-            Event::SpawnEnd { epoch: 1 },
-            Event::SpawnBegin {
+            Event {
+                cpe: None,
+                epoch: 1,
+                kind: EventKind::SpawnEnd,
+            },
+            Event {
+                cpe: None,
                 epoch: 2,
-                n_cpes: 2,
+                kind: EventKind::SpawnBegin { n_cpes: 2 },
             },
-            Event::SharedRead {
+            Event {
                 cpe: Some(1),
                 epoch: 2,
-                region: 5,
-                word_lo: 0,
-                word_hi: 16,
+                kind: EventKind::SharedRead {
+                    region: 5,
+                    word_lo: 0,
+                    word_hi: 16,
+                },
             },
-            Event::SpawnEnd { epoch: 2 },
+            Event {
+                cpe: None,
+                epoch: 2,
+                kind: EventKind::SpawnEnd,
+            },
         ];
         let report = explore(&strict(), &ev, 16, 3);
         assert!(report.stable());

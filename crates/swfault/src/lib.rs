@@ -20,8 +20,8 @@
 //! - Injection decisions are **seed-reproducible and interleaving
 //!   independent**: each decision is a pure function of
 //!   `(seed, site, lane, seq)` where the *lane* is the simulated core
-//!   making the request (MPE or CPE id, mirroring
-//!   `sw26010::trace::set_current_cpe`) and *seq* is that
+//!   making the request (the thread's `swprof::scope::Who` lane: MPE or
+//!   CPE id, the same the trace and the profiler see) and *seq* is that
 //!   `(site, lane)` pair's private decision counter. Work is assigned
 //!   to lanes deterministically by the substrate, so the injected-event
 //!   log (sorted by lane/site/seq) is identical across runs no matter
@@ -174,9 +174,10 @@ impl Site {
     }
 }
 
-/// The simulated core asking for a fault decision: `None` is the MPE /
-/// host, `Some(i)` is CPE `i` (mirrors `sw26010::trace` tagging), or
-/// rank / worker `i` at the durable driver's and the service's sites.
+/// The simulated core asking for a fault decision, the calling thread's
+/// `swprof::scope::Who` lane: `None` is the MPE / host, `Some(i)` is CPE
+/// `i`, or rank / worker `i` at the durable driver's and the service's
+/// sites.
 pub type Lane = Option<usize>;
 
 /// Lanes with a fixed counter per site: MPE plus 64 CPEs. Higher lanes
@@ -378,7 +379,6 @@ pub struct Injector {
 thread_local! {
     static INJECTOR_ACTIVE: Cell<bool> = const { Cell::new(false) };
     static INJECTOR_SLOT: scope::Slot<Injector> = const { RefCell::new(None) };
-    static CURRENT_LANE: Cell<Lane> = const { Cell::new(None) };
 }
 const INJECTOR: scope::Plane<Injector> = scope::Plane::new(&INJECTOR_ACTIVE, &INJECTOR_SLOT);
 
@@ -394,20 +394,6 @@ pub fn handle() -> scope::Handle<Injector> {
 #[inline]
 pub fn enabled() -> bool {
     INJECTOR.active()
-}
-
-/// Tag the calling thread as deciding on behalf of `lane`. The lane
-/// prologue of `sw26010::pool` sets this around each lane, mirroring
-/// `trace::set_current_cpe`; the durable driver and the service set the
-/// rank or worker index around their `RankKill` polls. Host/MPE threads
-/// stay `None`.
-pub fn set_lane(lane: Lane) {
-    CURRENT_LANE.with(|l| l.set(lane));
-}
-
-/// The calling thread's current lane.
-pub fn current_lane() -> Lane {
-    CURRENT_LANE.with(|l| l.get())
 }
 
 fn lane_index(lane: Lane) -> usize {
@@ -444,7 +430,7 @@ pub fn decide(site: Site) -> Option<u64> {
 
 #[cold]
 fn decide_slow(injector: &Injector, site: Site) -> Option<u64> {
-    let lane = current_lane();
+    let lane = scope::Who::current().lane;
     let li = lane_index(lane);
     let seq = if li < N_LANES {
         injector.counters[site as usize * N_LANES + li].fetch_add(1, Ordering::Relaxed)
@@ -528,6 +514,7 @@ impl FaultScope {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swprof::scope::Who;
 
     #[test]
     fn disabled_never_fires_and_costs_one_branch() {
@@ -580,10 +567,10 @@ mod tests {
     #[test]
     fn lanes_have_independent_deterministic_streams() {
         let draws_on = |lane: Lane| {
-            set_lane(lane);
-            let v: Vec<bool> = (0..64).map(|_| should(Site::CpeHang)).collect();
-            set_lane(None);
-            v
+            let _lane = Who::enter_lane(lane);
+            (0..64)
+                .map(|_| should(Site::CpeHang))
+                .collect::<Vec<bool>>()
         };
         let scope = install(FaultPlan {
             cpe_hang: 0.5,
@@ -615,10 +602,10 @@ mod tests {
             ..FaultPlan::with_seed(11)
         };
         let draws_on = |lane: usize| {
-            set_lane(Some(lane));
-            let v: Vec<bool> = (0..64).map(|_| should(Site::RankKill)).collect();
-            set_lane(None);
-            v
+            let _lane = Who::enter_lane(Some(lane));
+            (0..64)
+                .map(|_| should(Site::RankKill))
+                .collect::<Vec<bool>>()
         };
         let scope = install(plan());
         let lane64 = draws_on(64);
@@ -634,11 +621,8 @@ mod tests {
         assert_eq!(lane64, after63, "lane 63's draws moved lane 64's");
 
         let scope = install(FaultPlan::with_seed(11).one_shot(Site::RankKill, Some(70), 3));
-        set_lane(Some(64));
-        let on64: Vec<bool> = (0..5).map(|_| should(Site::RankKill)).collect();
-        set_lane(Some(70));
-        let on70: Vec<bool> = (0..5).map(|_| should(Site::RankKill)).collect();
-        set_lane(None);
+        let on64 = draws_on(64)[..5].to_vec();
+        let on70 = draws_on(70)[..5].to_vec();
         let log = scope.finish();
         assert_eq!(on64, [false; 5]);
         assert_eq!(on70, [false, false, false, true, false]);
@@ -699,13 +683,13 @@ mod tests {
             dma_fail: 1.0,
             ..FaultPlan::with_seed(2)
         });
-        set_lane(Some(7));
-        should(Site::LdmFail);
-        set_lane(None);
-        should(Site::DmaFail);
-        set_lane(Some(2));
-        should(Site::DmaFail);
-        set_lane(None);
+        let on = |lane: Lane, site| {
+            let _lane = Who::enter_lane(lane);
+            should(site)
+        };
+        on(Some(7), Site::LdmFail);
+        on(None, Site::DmaFail);
+        on(Some(2), Site::DmaFail);
         let log = scope.finish();
         let keys: Vec<(usize, Site, u64)> = log
             .events

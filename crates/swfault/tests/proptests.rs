@@ -52,7 +52,7 @@ fn drive(plan: FaultPlan, draws: usize, shuffle: u64) -> FaultLog {
             let plane = &plane;
             s.spawn(move || {
                 let _plan = plane.enter();
-                swfault::set_lane(Some(lane));
+                let _lane = swprof::scope::Who::enter_lane(Some(lane));
                 for site in Site::ALL {
                     for _ in 0..draws {
                         swfault::decide(site);

@@ -238,7 +238,7 @@ mod tests {
 
     #[test]
     fn duplicates_never_fabricate_a_happens_before_edge() {
-        use sw26010::trace::{self, Event};
+        use sw26010::trace::{self, EventKind};
         // Every transmit is delayed => two copies per message, but the
         // substrate trace must pair each ChanSend with exactly one
         // ChanRecv of the same (chan, seq): the discarded duplicate
@@ -257,15 +257,15 @@ mod tests {
         let ev = session.finish();
         let sends: Vec<_> = ev
             .iter()
-            .filter_map(|e| match e {
-                Event::ChanSend { chan, seq, .. } => Some((*chan, *seq)),
+            .filter_map(|e| match e.kind {
+                EventKind::ChanSend { chan, seq } => Some((chan, seq)),
                 _ => None,
             })
             .collect();
         let recvs: Vec<_> = ev
             .iter()
-            .filter_map(|e| match e {
-                Event::ChanRecv { chan, seq, .. } => Some((*chan, *seq)),
+            .filter_map(|e| match e.kind {
+                EventKind::ChanRecv { chan, seq } => Some((chan, seq)),
                 _ => None,
             })
             .collect();

@@ -37,10 +37,11 @@
 //! graph (it depends on nothing; `sw26010`, `swnet`, `mdsim`, and
 //! `swgmx` all emit into it). Core identity therefore uses plain
 //! numbers: a **track** is `None` for the MPE or `Some(cpe_id)` for a
-//! CPE, and the **epoch** counts the parallel regions the session has
-//! opened (`sw26010::trace::begin_region` calls [`next_epoch`]), so two
-//! identical runs number their regions identically whatever else the
-//! process is doing.
+//! CPE — a span or tick without one lands on the calling thread's
+//! lane ([`scope::Who`]) — and the **epoch** counts the parallel regions
+//! the session has opened (`sw26010::trace::begin_region` calls
+//! [`next_epoch`]), so two identical runs number their regions
+//! identically whatever else the process is doing.
 //!
 //! ```
 //! let session = swprof::Session::begin();
@@ -74,10 +75,11 @@ use std::sync::{Arc, Mutex};
 
 use scope::lock;
 
-/// A timeline: `None` is the MPE, `Some(i)` is CPE `i` (0..64).
+/// A timeline: `None` is the MPE, `Some(i)` is CPE `i`.
 pub type Track = Option<usize>;
 
-/// Maximum number of tracks: one MPE + 64 CPEs.
+/// Tracks with a lock-free clock: one MPE + the 64 CPEs of a core group.
+/// A lane past them keeps its clock under a lock.
 pub const MAX_TRACKS: usize = 65;
 
 /// B/E phase of a raw span event.
@@ -135,6 +137,8 @@ pub struct Recording {
     events: Mutex<Vec<SpanEvent>>,
     metrics: Mutex<BTreeMap<&'static str, metrics::Metric>>,
     cursors: [AtomicU64; MAX_TRACKS],
+    /// The clocks of lanes past the 64 CPEs.
+    far_cursors: Mutex<BTreeMap<usize, AtomicU64>>,
     /// Parallel regions opened so far (see [`next_epoch`]).
     epoch: AtomicU64,
     region_label: Mutex<Option<&'static str>>,
@@ -142,20 +146,29 @@ pub struct Recording {
 
 impl Recording {
     fn push(&self, track: Track, label: Cow<'static, str>, phase: Phase) {
+        let ts = self.cursor(track, |c| c.load(Ordering::Relaxed));
         lock(&self.events).push(SpanEvent {
             track,
             label,
             phase,
-            ts: self.cursors[track_index(track)].load(Ordering::Relaxed),
+            ts,
             epoch: self.epoch.load(Ordering::Relaxed),
         });
+    }
+
+    /// Run `f` on `track`'s clock.
+    fn cursor<R>(&self, track: Track, f: impl FnOnce(&AtomicU64) -> R) -> R {
+        match track {
+            None => f(&self.cursors[0]),
+            Some(cpe) if cpe < MAX_TRACKS - 1 => f(&self.cursors[1 + cpe]),
+            Some(cpe) => f(lock(&self.far_cursors).entry(cpe).or_default()),
+        }
     }
 }
 
 thread_local! {
     static RECORDING_ACTIVE: Cell<bool> = const { Cell::new(false) };
     static RECORDING_SLOT: scope::Slot<Recording> = const { RefCell::new(None) };
-    static CURRENT_TRACK: Cell<Track> = const { Cell::new(None) };
 }
 const RECORDING: scope::Plane<Recording> = scope::Plane::new(&RECORDING_ACTIVE, &RECORDING_SLOT);
 
@@ -174,25 +187,6 @@ pub fn enabled() -> bool {
     RECORDING.active()
 }
 
-fn track_index(track: Track) -> usize {
-    match track {
-        None => 0,
-        Some(cpe) => 1 + cpe.min(MAX_TRACKS - 2),
-    }
-}
-
-/// The calling thread's current track (`None` = MPE timeline).
-pub fn current_track() -> Track {
-    CURRENT_TRACK.with(|t| t.get())
-}
-
-/// Tag the calling thread as executing on `track`. `CoreGroup::spawn`
-/// calls this around each CPE kernel instance, mirroring
-/// `trace::set_current_cpe`.
-pub fn set_track(track: Track) {
-    CURRENT_TRACK.with(|t| t.set(track));
-}
-
 /// Open the session's next parallel-region epoch, so span events carry
 /// a region numbering that starts at 1 with the session's first region.
 /// Called by `sw26010::trace::begin_region`.
@@ -203,22 +197,24 @@ pub fn next_epoch() {
 /// Current virtual time of `track`, in cycles.
 pub fn track_cursor(track: Track) -> u64 {
     RECORDING
-        .with(|r| r.cursors[track_index(track)].load(Ordering::Relaxed))
+        .with(|r| r.cursor(track, |c| c.load(Ordering::Relaxed)))
         .unwrap_or(0)
 }
 
 /// Advance `track`'s virtual clock to at least `ts` (used to align CPE
 /// timelines with the MPE stage that spawned them).
 pub fn align_track(track: Track, ts: u64) {
-    RECORDING.with(|r| r.cursors[track_index(track)].fetch_max(ts, Ordering::Relaxed));
+    RECORDING.with(|r| r.cursor(track, |c| c.fetch_max(ts, Ordering::Relaxed)));
 }
 
 /// Advance the calling thread's track by `cycles` of simulated time,
 /// attributing them to every span currently open on that track.
 #[inline]
 pub fn tick(cycles: u64) {
-    RECORDING
-        .with(|r| r.cursors[track_index(current_track())].fetch_add(cycles, Ordering::Relaxed));
+    RECORDING.with(|r| {
+        let track = scope::Who::current().lane;
+        r.cursor(track, |c| c.fetch_add(cycles, Ordering::Relaxed))
+    });
 }
 
 /// Label the next `CoreGroup::spawn` region of this session so its
@@ -253,9 +249,10 @@ impl Drop for Span {
     }
 }
 
-/// Open a span on the calling thread's current track.
+/// Open a span on the calling thread's track: the lane it runs
+/// ([`scope::Who`]), the MPE's on no lane.
 pub fn span(label: impl Into<Cow<'static, str>>) -> Span {
-    span_on(current_track(), label)
+    span_on(scope::Who::current().lane, label)
 }
 
 /// Open a span on an explicit track (used when the issuing thread is not
@@ -304,14 +301,8 @@ pub struct Profile {
 impl Profile {
     /// Tracks that emitted at least one event, MPE first.
     pub fn tracks(&self) -> Vec<Track> {
-        let mut seen = [false; MAX_TRACKS];
-        for ev in &self.spans {
-            seen[track_index(ev.track)] = true;
-        }
-        (0..MAX_TRACKS)
-            .filter(|&i| seen[i])
-            .map(|i| if i == 0 { None } else { Some(i - 1) })
-            .collect()
+        let seen: std::collections::BTreeSet<Track> = self.spans.iter().map(|e| e.track).collect();
+        seen.into_iter().collect()
     }
 
     /// Events of one track in emit order.
@@ -405,6 +396,7 @@ impl Session {
                 events: Mutex::default(),
                 metrics: Mutex::default(),
                 cursors: [const { AtomicU64::new(0) }; MAX_TRACKS],
+                far_cursors: Mutex::default(),
                 epoch: AtomicU64::new(0),
                 region_label: Mutex::default(),
             }),
@@ -510,6 +502,22 @@ mod tests {
     }
 
     #[test]
+    fn a_lane_past_the_core_group_has_its_own_track_and_clock() {
+        let session = Session::begin();
+        for (lane, label, cycles) in [(3, "near", 7), (70, "far", 5)] {
+            let _lane = scope::Who::enter_lane(Some(lane));
+            let _s = span(label);
+            tick(cycles);
+        }
+        assert_eq!((track_cursor(Some(63)), track_cursor(Some(70))), (0, 5));
+        let p = session.finish();
+        assert_eq!(p.tracks(), [Some(3), Some(70)]);
+        let totals = p.span_totals();
+        assert_eq!((totals["near"], totals["far"]), (7, 5));
+        assert_eq!(p.span_totals_on(Some(70))["far"], 5);
+    }
+
+    #[test]
     fn align_track_only_moves_forward() {
         let session = Session::begin();
         align_track(Some(3), 500);
@@ -530,7 +538,6 @@ mod tests {
     #[test]
     fn threads_have_independent_tracks() {
         let session = Session::begin();
-        set_track(None);
         let lane = handle();
         let h = std::thread::spawn(move || {
             // A thread started by hand works for no session until it is
@@ -538,7 +545,7 @@ mod tests {
             stage("nobodys", 1);
             {
                 let _lane = lane.enter();
-                set_track(Some(2));
+                let _cpe = scope::Who::enter_lane(Some(2));
                 let _s = span!("cpe_work");
                 tick(64);
             }

@@ -16,6 +16,12 @@
 //! regions, another test — records and injects nothing. Guards nest: a
 //! second session of a plane on one thread shadows the first until it
 //! drops, and guards drop in the reverse order they were made.
+//!
+//! The thread's identity is kept here too, once for every plane: [`Who`]
+//! — the lane it runs (the trace's CPE, the profiler's track, the fault
+//! plane's lane), the rank it is bound to and the region it is in. It
+//! changes the same way, through a guard ([`Who::enter`]) that puts back
+//! what it found.
 
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
@@ -150,6 +156,69 @@ impl<S> Scope<S> {
     }
 }
 
+/// Who the calling thread is, for every plane at once.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Who {
+    /// The CPE lane it runs, `None` on the MPE or a host thread: the
+    /// trace's CPE, the profiler's track and the fault plane's lane.
+    pub lane: Option<usize>,
+    /// The rank its [`crate::tel`] spans, ticks and sends land on.
+    pub rank: Option<usize>,
+    /// The parallel region it is in, as its trace session numbers them
+    /// (0: none).
+    pub region: u64,
+}
+
+thread_local! {
+    static WHO: Cell<Who> = const {
+        Cell::new(Who {
+            lane: None,
+            rank: None,
+            region: 0,
+        })
+    };
+}
+
+impl Who {
+    /// The calling thread's identity.
+    #[inline]
+    pub fn current() -> Self {
+        WHO.with(Cell::get)
+    }
+
+    /// Make the calling thread `self` until the guard drops.
+    pub fn enter(self) -> Being {
+        Being {
+            found: WHO.with(|who| who.replace(self)),
+            _not_send: PhantomData,
+        }
+    }
+
+    /// Make the calling thread lane `lane`, in the rank and region it
+    /// is in, until the guard drops.
+    pub fn enter_lane(lane: Option<usize>) -> Being {
+        Who {
+            lane,
+            ..Who::current()
+        }
+        .enter()
+    }
+}
+
+/// Guard of [`Who::enter`]: puts back the identity the thread had.
+#[must_use = "the thread takes back its identity when this drops"]
+pub struct Being {
+    found: Who,
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Drop for Being {
+    fn drop(&mut self) {
+        // A guard dropped during thread teardown finds the slot gone.
+        let _ = WHO.try_with(|who| who.set(self.found));
+    }
+}
+
 /// Lock a piece of session state. Every update made under these locks is
 /// a push, a take or an integer merge, valid at every step, so a lock
 /// poisoned by a panicking lane is recovered.
@@ -212,5 +281,28 @@ mod tests {
         }
         assert!(bump());
         assert_eq!(outer.state().load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn an_identity_is_put_back_through_a_panic() {
+        assert_eq!(Who::current(), Who::default());
+        let lane = Who {
+            lane: Some(70),
+            region: 3,
+            ..Who::current()
+        };
+        let _ranked = Who {
+            rank: Some(2),
+            ..Who::current()
+        }
+        .enter();
+        let unwound = std::panic::catch_unwind(|| {
+            let _lane = lane.enter();
+            assert_eq!(Who::current().lane, Some(70));
+            panic!("lane died");
+        });
+        assert!(unwound.is_err());
+        let now = Who::current();
+        assert_eq!((now.lane, now.rank, now.region), (None, Some(2), 0));
     }
 }

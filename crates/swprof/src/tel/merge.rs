@@ -172,11 +172,10 @@ pub fn merge_documents(docs: &[String]) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tel::{deliver, send_from, set_rank, span_on, tick_on, Session};
+    use crate::tel::{deliver, send_from, span_on, tick_on, Session};
 
     fn sample() -> Telemetry {
         let session = Session::begin(0xabc);
-        set_rank(Some(0));
         {
             let _s = span_on(0, "step");
             tick_on(0, 500);
@@ -187,7 +186,6 @@ mod tests {
                 deliver(&ctx, 250);
             }
         }
-        set_rank(None);
         session.finish()
     }
 

@@ -23,8 +23,9 @@
 //!   flow events (`ph: "s"` / `"f"`) linking each send to its receive.
 //!
 //! A tracing session owns its telemetry state and is scoped to the
-//! thread that opened it ([`crate::scope`], the mechanism every plane
-//! shares); everything is gated on one thread-local read ([`enabled`]).
+//! thread that opened it and the lanes of the regions it runs
+//! ([`crate::scope`], the mechanism every plane shares); everything is
+//! gated on one thread-local read ([`enabled`]).
 //! On a thread with no session the instrumentation in
 //! `swnet`/`mdsim`/`swgmx` is a handful of no-op calls, held to the
 //! same microsecond budget as the profiler's (`tests/overhead.rs`). The
@@ -34,7 +35,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use crate::scope::{lock, Plane, Scope, Slot};
+use crate::scope::{lock, Handle, Plane, Scope, Slot, Who};
 use crate::Phase;
 
 pub mod flight;
@@ -51,24 +52,24 @@ pub fn enabled() -> bool {
 thread_local! {
     static STATE_ACTIVE: Cell<bool> = const { Cell::new(false) };
     static STATE_SLOT: Slot<Mutex<TelState>> = const { RefCell::new(None) };
-    static CURRENT_RANK: Cell<Option<usize>> = const { Cell::new(None) };
 }
 const STATE: Plane<Mutex<TelState>> = Plane::new(&STATE_ACTIVE, &STATE_SLOT);
+
+/// The calling thread's handle on the tracing session it works for:
+/// what the lane executor's lanes enter to record there too.
+pub fn handle() -> Handle<Mutex<TelState>> {
+    STATE.handle()
+}
 
 /// Run `f` on the state of the session the calling thread works for.
 fn with_state<R>(f: impl FnOnce(&mut TelState) -> R) -> Option<R> {
     STATE.with(|state| f(&mut lock(state)))
 }
 
-/// Bind the calling thread to `rank` (or unbind with `None`). Spans,
-/// ticks and sends without an explicit rank use this binding.
-pub fn set_rank(rank: Option<usize>) {
-    CURRENT_RANK.with(|r| r.set(rank));
-}
-
-/// The calling thread's rank binding, if any.
+/// The calling thread's rank binding ([`Who::rank`]), if any: spans,
+/// ticks and sends without an explicit rank use it.
 fn current_rank() -> Option<usize> {
-    CURRENT_RANK.with(|r| r.get())
+    Who::current().rank
 }
 
 /// One half of a span on a rank's virtual-ns timeline.
@@ -145,7 +146,10 @@ pub struct TraceContext {
     pub label: &'static str,
 }
 
-struct TelState {
+/// Everything one tracing session records. Opaque: owned by its
+/// [`Session`], reached by the threads working for it through
+/// [`crate::scope`].
+pub struct TelState {
     trace_id: u64,
     next_span_id: u64,
     next_flow_id: u64,
@@ -574,7 +578,11 @@ mod tests {
     #[test]
     fn session_captures_causal_spans_and_flows() {
         let session = Session::begin(0xfeed);
-        set_rank(Some(0));
+        let _rank0 = Who {
+            rank: Some(0),
+            ..Who::current()
+        }
+        .enter();
         {
             let _outer = span("step");
             tick(100);
@@ -584,7 +592,6 @@ mod tests {
             tick(20);
             deliver(&ctx, 50);
         }
-        set_rank(None);
         let tel = session.finish();
         assert_eq!(tel.n_ranks, 2);
         tel.check_causal().expect("causal");
@@ -603,11 +610,14 @@ mod tests {
     #[test]
     fn deliver_never_rewinds_a_busy_destination_clock() {
         let session = Session::begin(7);
-        set_rank(Some(0));
+        let _rank0 = Who {
+            rank: Some(0),
+            ..Who::current()
+        }
+        .enter();
         let ctx = send("m", 1).unwrap();
         tick_on(1, 10_000); // rank 1 is already far ahead
         deliver(&ctx, 10);
-        set_rank(None);
         let tel = session.finish();
         let recv = tel
             .flows
@@ -655,7 +665,11 @@ mod tests {
     /// What one thread's session captures of a fixed little exchange.
     fn capture(trace_id: u64) -> Telemetry {
         let session = Session::begin(trace_id);
-        set_rank(Some(0));
+        let _rank0 = Who {
+            rank: Some(0),
+            ..Who::current()
+        }
+        .enter();
         for i in 0..200 {
             let _step = span("step");
             tick(trace_id + i);
@@ -663,7 +677,6 @@ mod tests {
             deliver(&ctx, 50);
             align(2, cursor(1));
         }
-        set_rank(None);
         session.finish()
     }
 

@@ -62,10 +62,8 @@ proptest! {
                     drop(stacks[t].pop());
                 }
                 Op::Tick { t, cycles } => {
-                    let prev = swprof::current_track();
-                    swprof::set_track(TRACKS[t]);
+                    let _on = swprof::scope::Who::enter_lane(TRACKS[t]);
                     swprof::tick(cycles);
-                    swprof::set_track(prev);
                 }
             }
         }
@@ -140,10 +138,7 @@ proptest! {
             match *op {
                 Op::Open { l, .. } => stack.push(swprof::span_on(None, LABELS[l])),
                 Op::Close { .. } => drop(stack.pop()),
-                Op::Tick { cycles, .. } => {
-                    swprof::set_track(None);
-                    swprof::tick(cycles);
-                }
+                Op::Tick { cycles, .. } => swprof::tick(cycles),
             }
         }
         while let Some(span) = stack.pop() {

@@ -668,9 +668,10 @@ impl Service {
         // Chaos: the worker process can die at any quantum boundary —
         // the same site ddrun uses for rank death, lane = worker index
         // so scripted plans can target one worker.
-        swfault::set_lane(Some(w));
-        let killed = swfault::should(Site::RankKill);
-        swfault::set_lane(None);
+        let killed = {
+            let _worker = swprof::scope::Who::enter_lane(Some(w));
+            swfault::should(Site::RankKill)
+        };
         if killed {
             self.kill_worker(w);
             return Ok(());

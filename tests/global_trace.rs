@@ -12,6 +12,7 @@ use sw_gromacs::mdsim::ddrun::run_dd_md;
 use sw_gromacs::mdsim::nonbonded::{Coulomb, NbParams};
 use sw_gromacs::mdsim::water::{theta_hoh, water_box, D_OH};
 use swprof::json::{parse, Value};
+use swprof::scope::Who;
 use swprof::tel;
 
 fn params() -> NbParams {
@@ -133,13 +134,16 @@ fn straggler_detector_flags_an_injected_slow_rank() {
     let session = tel::Session::begin(45);
     for _step in 0..8 {
         for rank in 0..4 {
-            tel::set_rank(Some(rank));
+            let _rank = Who {
+                rank: Some(rank),
+                ..Who::current()
+            }
+            .enter();
             let span = tel::span("step");
             tel::tick(if rank == 2 { 5_000 } else { 1_000 });
             drop(span);
         }
     }
-    tel::set_rank(None);
     let tel = session.finish();
     let flags = tel::straggler::detect_spans(&tel, "step", Default::default());
     assert_eq!(flags.len(), 1, "exactly the slow rank flags: {flags:?}");

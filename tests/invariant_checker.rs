@@ -4,7 +4,7 @@
 //! Bit-Map/reduction contract (Alg. 3/4); this suite keeps those
 //! properties machine-checked on every test run.
 
-use sw26010::trace::Event;
+use sw26010::trace::EventKind;
 use swcheck::{check_events, error_count, fixtures};
 use swgmx::check::{run_traced, run_traced_step, Variant};
 use swgmx::check::{REGION_SHIFTS, REGION_SYS_POS, STEP_MIN_MOL};
@@ -26,9 +26,10 @@ fn engine_step_regions_pass_the_checker() {
     // kernels': each lane writes the word range of its own block.
     let run = run_traced_step(STEP_MIN_MOL, 11);
     for region in [REGION_SYS_POS, REGION_SHIFTS] {
-        let lanes = run.events.iter().filter(
-            |e| matches!(e, Event::SharedWrite { cpe: Some(_), region: r, .. } if *r == region),
-        );
+        let lanes = run.events.iter().filter(|e| {
+            e.cpe.is_some()
+                && matches!(e.kind, EventKind::SharedWrite { region: r, .. } if r == region)
+        });
         assert!(lanes.count() >= 2, "region {region} never went to lanes");
     }
     let violations = check_events(&run.contract, &run.events);
