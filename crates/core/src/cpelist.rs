@@ -114,7 +114,7 @@ impl CpePairList {
             }
         });
         let lanes = LaneImpl::detect();
-        pool.run_blocks("cpelist.shifts", blocks.collect(), |_, block| {
+        pool.run_blocks(blocks.collect(), |_, block| {
             if tracing {
                 let first = 3 * offsets[block.rows.start] as usize;
                 trace::shared_read(REGION_CENTERS, 0, 3 * nc);

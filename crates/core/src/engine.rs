@@ -182,7 +182,7 @@ fn update_constrained(
         _ => 3 * cs.n_mol().div_ceil(n_blocks),
     };
     let tracing = n_blocks >= 2 && trace::enabled();
-    let sweeps = pool.run_blocks("update.lanes", sys.atom_runs(per), |_, atoms| {
+    let sweeps = pool.run_blocks(sys.atom_runs(per), |_, atoms| {
         if tracing {
             let words = 3 * atoms.first..3 * (atoms.first + atoms.pos.len());
             trace::shared_write(REGION_SYS_POS, words.start, words.end);
@@ -433,9 +433,7 @@ impl Engine {
                         ..Default::default()
                     },
                 );
-                if swprof::enabled() {
-                    swprof::metrics::counter_add("fault.kernel_faults", 1);
-                }
+                swprof::metrics::counter_add("fault.kernel_faults", 1);
                 swprof::tel::flight::record(
                     "abort",
                     "kernel_fault",
@@ -450,9 +448,7 @@ impl Engine {
                         self.kernel_faults,
                         self.consecutive_kernel_faults as u64,
                     );
-                    if swprof::enabled() {
-                        swprof::metrics::counter_add("fault.degradations", 1);
-                    }
+                    swprof::metrics::counter_add("fault.degradations", 1);
                 }
                 effective = Version::Ori;
             } else {
@@ -477,11 +473,9 @@ impl Engine {
         );
         swprof::tick(result.total.cycles);
         swprof::tel::flight::record("stage", "Force", result.total.cycles, 0);
-        if swprof::enabled() {
-            swprof::metrics::counter_add("kernel.flops", result.total.flops());
-            swprof::metrics::counter_add("kernel.dma.bytes", result.total.dma_bytes);
-            swprof::metrics::counter_add("kernel.gld.bytes", result.total.gld_bytes);
-        }
+        swprof::metrics::counter_add("kernel.flops", result.total.flops());
+        swprof::metrics::counter_add("kernel.dma.bytes", result.total.dma_bytes);
+        swprof::metrics::counter_add("kernel.gld.bytes", result.total.gld_bytes);
         self.breakdown.add("Force", result.total);
         self.energies = result.energies;
         self.sys.force.copy_from_slice(&result.forces);
@@ -576,9 +570,7 @@ impl Engine {
         if !converged {
             self.constraint_failures += 1;
             swprof::tel::flight::record("abort", "shake_unconverged", self.step_idx as u64, 0);
-            if swprof::enabled() {
-                swprof::metrics::counter_add("constraints.unconverged", 1);
-            }
+            swprof::metrics::counter_add("constraints.unconverged", 1);
         }
         if let Some(t_ref) = self.config.t_ref {
             let dof = if self.config.constraints {

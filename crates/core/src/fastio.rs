@@ -73,9 +73,7 @@ impl<W: Write> BufferedWriter<W> {
             let mut attempt = 0u32;
             while swfault::should(swfault::Site::IoError) {
                 self.io_retries += 1;
-                if swprof::enabled() {
-                    swprof::metrics::counter_add("fault.retries.io", 1);
-                }
+                swprof::metrics::counter_add("fault.retries.io", 1);
                 attempt += 1;
                 if attempt >= swfault::retry::MAX_ATTEMPTS {
                     return Err(io::Error::new(

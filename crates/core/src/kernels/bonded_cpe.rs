@@ -50,8 +50,7 @@ pub fn run_bonded_cpe(sys: &System, cg: &CoreGroup) -> BondedCpeResult {
         }
     }
 
-    swprof::next_region_label("bonded.calc");
-    let run = cg.spawn(|ctx| {
+    let run = cg.spawn("bonded.calc", |ctx| {
         ctx.ldm
             .reserve("molecule batch", 2 * MOLS_PER_BATCH * 4 * 12)
             .expect("batch fits LDM");

@@ -35,8 +35,7 @@ pub fn run_gld_naive(
     assert_eq!(list.kind, ListKind::Half);
     let n_pkg = psys.n_packages();
 
-    swprof::next_region_label("gldnaive.calc");
-    let calc = cg.spawn(|ctx| {
+    let calc = cg.spawn("gldnaive.calc", |ctx| {
         let mut updates: Vec<(u32, [f32; FORCE_WORDS])> = Vec::new();
         let mut e_lj = 0.0f64;
         let mut e_coul = 0.0f64;

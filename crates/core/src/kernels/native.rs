@@ -593,7 +593,6 @@ pub fn run_rma_native_on(
     };
 
     // ---- calculation phase ----
-    swprof::next_region_label("rma_native.calc");
     let outs: Vec<RmaLaneOut> = pool.run(N_LANES, |lane| {
         on_lanes!(lanes, rma_lane, avx2::rma_lane_avx2, input, shape, lane)
     });
@@ -627,7 +626,6 @@ fn reduce_marked_copies(
         ..
     } = shape;
     let tracing = input.tracing;
-    swprof::next_region_label("rma_native.reduce");
     let partials: Vec<(Range<usize>, Vec<f32>)> = input.pool.run(N_LANES, |lane| {
         let line_range = block_range(n_lines, N_LANES, lane);
         let mut partial = vec![0.0f32; line_range.len() * line_words];
@@ -734,8 +732,6 @@ pub fn run_rca_native_on(
     pool: &LanePool,
 ) -> KernelResult {
     let input = LaneInput::new(psys, list, params, pool, ListKind::Full);
-
-    swprof::next_region_label("rca_native.calc");
     let outs: Vec<RcaLaneOut> = pool.run(N_LANES, |lane| {
         on_lanes!(lanes, rca_lane, avx2::rca_lane_avx2, input, lane)
     });
@@ -792,8 +788,6 @@ pub fn run_ustc_native_on(
     pool: &LanePool,
 ) -> KernelResult {
     let input = LaneInput::new(psys, list, params, pool, ListKind::Half);
-
-    swprof::next_region_label("ustc_native.calc");
     let outs: Vec<UstcLaneOut> = pool.run(N_LANES, |lane| {
         on_lanes!(lanes, ustc_lane, avx2::ustc_lane_avx2, input, lane)
     });

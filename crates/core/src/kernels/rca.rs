@@ -37,8 +37,7 @@ pub fn run_rca(
     let n_pkg = psys.n_packages();
     let pkg_geo = CacheGeometry::paper_default(PKG_WORDS);
 
-    swprof::next_region_label("rca.calc");
-    let calc = cg.spawn(|ctx| {
+    let calc = cg.spawn("rca.calc", |ctx| {
         ctx.ldm
             .reserve("read cache", pkg_geo.ldm_bytes())
             .expect("read cache fits LDM");

@@ -129,8 +129,7 @@ pub fn run_rma(
 
     // ---- init phase: zero the per-CPE copies (skipped with marks) ----
     if !cfg.marks {
-        swprof::next_region_label("rma.init");
-        let init = cg.spawn(|ctx| {
+        let init = cg.spawn("rma.init", |ctx| {
             // Each CPE streams zeros over its whole copy at contended
             // bandwidth, in cache-line-sized puts.
             let line_bytes = force_geo.line_bytes();
@@ -153,8 +152,7 @@ pub fn run_rma(
     }
 
     // ---- calculation phase ----
-    swprof::next_region_label("rma.calc");
-    let calc = cg.spawn(|ctx| {
+    let calc = cg.spawn("rma.calc", |ctx| {
         // LDM budget: caches + accumulators + list stream buffer.
         let copy_base_words = ctx.id * copy_stride;
         let mut read_cache = cfg.read_cache.then(|| {
@@ -417,8 +415,7 @@ pub fn reduce_copies(
     // Copies are padded to a whole number of lines (see `run_rma`).
     let copy_stride = n_lines * line_words;
 
-    swprof::next_region_label("rma.reduce");
-    let out = cg.spawn(|ctx| {
+    let out = cg.spawn("rma.reduce", |ctx| {
         ctx.ldm
             .reserve("reduce buffers", 2 * geo.line_bytes())
             .expect("reduce buffers fit LDM");

@@ -41,8 +41,7 @@ pub fn run_ustc(
     let n_pkg = psys.n_packages();
     let pkg_geo = CacheGeometry::paper_default(PKG_WORDS);
 
-    swprof::next_region_label("ustc.calc");
-    let calc = cg.spawn(|ctx| {
+    let calc = cg.spawn("ustc.calc", |ctx| {
         ctx.ldm
             .reserve("read cache", pkg_geo.ldm_bytes())
             .expect("read cache fits LDM");

@@ -71,8 +71,7 @@ pub fn generate_pairlist(
     let geo = CacheGeometry::new(16, ways, 8, CENTER_WORDS);
     let member_geo = CacheGeometry::new(16, ways, 8, MEMBER_WORDS);
 
-    swprof::next_region_label("pairgen.search");
-    let run = cg.spawn(|ctx| {
+    let run = cg.spawn("pairgen.search", |ctx| {
         ctx.ldm
             .reserve("center cache", geo.ldm_bytes())
             .expect("center cache fits LDM");

@@ -119,9 +119,7 @@ impl FaultTolerantRunner {
             engine.resume_at(cp.step as usize);
             report.resumed_from = Some(cp.step);
             last_persisted = Some(cp.step);
-            if swprof::enabled() {
-                swprof::metrics::counter_add("rank.resumes", 1);
-            }
+            swprof::metrics::counter_add("rank.resumes", 1);
         }
         let mut runner = Self::new(engine, cp_every)?;
         runner.report.checkpoint_io_retries += report.checkpoint_io_retries;

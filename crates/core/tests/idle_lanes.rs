@@ -103,12 +103,12 @@ fn caches_that_are_never_touched_allocate_nothing() {
     let force_geo = CacheGeometry::paper_default(FORCE_WORDS);
     let cg = CoreGroup::with_threads(1);
     let built = allocations(|| {
-        cg.spawn(|ctx| {
+        cg.spawn("test", |ctx| {
             let _read = ReadCache::new(pkg_geo);
             let mut write = WriteCache::with_marks(force_geo, 64);
             write.flush(&mut ctx.perf, &mut []);
         })
     });
-    let bare = allocations(|| cg.spawn(|_| ()));
+    let bare = allocations(|| cg.spawn("test", |_| ()));
     assert_eq!(built, bare);
 }

@@ -81,19 +81,13 @@ pub fn compute_forces_dd(
             ..Who::current()
         }
         .enter();
-        let _tel_span = if tracing {
-            swprof::tel::span("step")
-        } else {
-            swprof::tel::Span::disarmed()
-        };
+        let _tel_span = swprof::tel::span("step");
         let pairs_before = en.pairs_within_cutoff;
         let halo = decomposition.halo_of(rank, &all_pos, params.r_cut);
         stats.local.push(local.len());
         stats.halo.push(halo.len());
-        if swprof::enabled() {
-            swprof::metrics::counter_add("dd.local_particles", local.len() as u64);
-            swprof::metrics::counter_add("dd.halo_particles", halo.len() as u64);
-        }
+        swprof::metrics::counter_add("dd.local_particles", local.len() as u64);
+        swprof::metrics::counter_add("dd.halo_particles", halo.len() as u64);
 
         // The rank's visible particle set: locals then halos.
         let mut visible: Vec<u32> = Vec::with_capacity(local.len() + halo.len());
@@ -149,9 +143,7 @@ pub fn compute_forces_dd(
             });
         }
         stats.forces_returned.push(halo_forces);
-        if swprof::enabled() {
-            swprof::metrics::counter_add("dd.forces_returned", halo_forces as u64);
-        }
+        swprof::metrics::counter_add("dd.forces_returned", halo_forces as u64);
         if tracing {
             // Advance the rank's clock by a work proxy (pair
             // interactions dominate; ~6 flops-equivalents each), then
@@ -259,9 +251,7 @@ pub fn run_dd_md(
             high_water = step;
             if swfault::should(swfault::Site::StepAbort) {
                 report.rollbacks += 1;
-                if swprof::enabled() {
-                    swprof::metrics::counter_add("fault.rollbacks", 1);
-                }
+                swprof::metrics::counter_add("fault.rollbacks", 1);
                 let (cp, retries) = Checkpoint::decode_with_retry(&cp_bytes)?;
                 report.checkpoint_io_retries += retries;
                 swprof::tel::flight::record("abort", "step_rollback", step, cp.step);

@@ -146,9 +146,7 @@ pub fn run_dd_md_durable(
         step = cp.step;
         last_committed = Some(cp.step);
         report.resumed_from = Some(cp.step);
-        if swprof::enabled() {
-            swprof::metrics::counter_add("rank.resumes", 1);
-        }
+        swprof::metrics::counter_add("rank.resumes", 1);
     }
 
     // Live members by their original rank id; the RankKill lane is the
@@ -244,11 +242,9 @@ pub fn run_dd_md_durable(
             step = cp.step;
             last_committed = Some(cp.step);
             report.redecompositions += 1;
-            if swprof::enabled() {
-                swprof::metrics::counter_add("rank.kills", dead_positions.len() as u64);
-                swprof::metrics::counter_add("rank.redecompositions", 1);
-                swprof::metrics::counter_add("rank.halo_timeouts", 1);
-            }
+            swprof::metrics::counter_add("rank.kills", dead_positions.len() as u64);
+            swprof::metrics::counter_add("rank.redecompositions", 1);
+            swprof::metrics::counter_add("rank.halo_timeouts", 1);
             continue;
         }
 

@@ -68,9 +68,7 @@ impl BitMap {
     pub fn set_owned(&mut self, i: usize, owner: u64) -> bool {
         let prev = self.set(i);
         if !prev {
-            if swprof::enabled() {
-                swprof::metrics::counter_add("bitmap.marks_set", 1);
-            }
+            swprof::metrics::counter_add("bitmap.marks_set", 1);
             crate::trace::emit_mark_set(owner, i);
         }
         prev

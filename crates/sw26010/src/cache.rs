@@ -323,11 +323,9 @@ impl Drop for ReadCache {
     /// Fold this instance's lifetime statistics into the swprof registry
     /// (aggregation at drop keeps the per-access fast path lock-free).
     fn drop(&mut self) {
-        if swprof::enabled() {
-            swprof::metrics::counter_add("cache.read.hits", self.stats.hits);
-            swprof::metrics::counter_add("cache.read.misses", self.stats.misses);
-            swprof::metrics::counter_add("cache.read.evictions", self.stats.evictions);
-        }
+        swprof::metrics::counter_add("cache.read.hits", self.stats.hits);
+        swprof::metrics::counter_add("cache.read.misses", self.stats.misses);
+        swprof::metrics::counter_add("cache.read.evictions", self.stats.evictions);
     }
 }
 
@@ -563,13 +561,11 @@ impl Drop for WriteCache {
                 crate::trace::emit_wc_drop_dirty(self.trace_id, lines);
             }
         }
-        if swprof::enabled() {
-            swprof::metrics::counter_add("cache.write.hits", self.stats.hits);
-            swprof::metrics::counter_add("cache.write.misses", self.stats.misses);
-            swprof::metrics::counter_add("cache.write.evictions", self.stats.evictions);
-            swprof::metrics::counter_add("cache.write.writebacks", self.stats.writebacks);
-            swprof::metrics::counter_add("cache.write.init_skips", self.stats.init_skips);
-        }
+        swprof::metrics::counter_add("cache.write.hits", self.stats.hits);
+        swprof::metrics::counter_add("cache.write.misses", self.stats.misses);
+        swprof::metrics::counter_add("cache.write.evictions", self.stats.evictions);
+        swprof::metrics::counter_add("cache.write.writebacks", self.stats.writebacks);
+        swprof::metrics::counter_add("cache.write.init_skips", self.stats.init_skips);
     }
 }
 

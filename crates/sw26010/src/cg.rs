@@ -139,19 +139,19 @@ impl CoreGroup {
         &self.pool
     }
 
-    /// Run `kernel` once per CPE in parallel. The closure receives the
-    /// CPE's context and must meter its own work through it.
-    pub fn spawn<R, F>(&self, kernel: F) -> SpawnResult<R>
+    /// Run `kernel` once per CPE in parallel, as a region named `label`
+    /// (e.g. `"rma.calc"`: what its per-CPE profile spans are called).
+    /// The closure receives the CPE's context and must meter its own
+    /// work through it.
+    pub fn spawn<R, F>(&self, label: &'static str, kernel: F) -> SpawnResult<R>
     where
         R: Send,
         F: Fn(&mut CpeCtx) -> R + Sync,
     {
-        // Profiling: per-CPE spans labeled by the kernel layer (via
-        // `swprof::next_region_label`), aligned to the MPE clock at spawn
-        // time so kernel spans sit under the engine stage that issued
-        // them. One relaxed load when no session is active.
+        // Profiling: per-CPE spans named `label`, aligned to the MPE
+        // clock at spawn time so kernel spans sit under the engine stage
+        // that issued them. One relaxed load when no session is active.
         let profiling = swprof::enabled();
-        let region_label = swprof::take_region_label().unwrap_or("spawn");
         let prof_base = swprof::track_cursor(None);
         let lanes = self.pool.region(self.n_cpes, |id, respawn_cycles| {
             let mut ctx = CpeCtx::new(id);
@@ -161,7 +161,7 @@ impl CoreGroup {
             let r = if profiling {
                 swprof::align_track(Some(id), prof_base);
                 let t0 = swprof::track_cursor(Some(id));
-                let _span = swprof::span(region_label);
+                let _span = swprof::span(label);
                 let r = kernel(&mut ctx);
                 // Charge this instance's metered cycles to its timeline,
                 // net of anything the kernel already ticked itself.
@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn spawn_runs_all_cpes_with_correct_ids() {
         let cg = CoreGroup::new();
-        let out = cg.spawn(|ctx| ctx.id * 2);
+        let out = cg.spawn("test", |ctx| ctx.id * 2);
         assert_eq!(out.results.len(), 64);
         for (i, r) in out.results.iter().enumerate() {
             assert_eq!(*r, i * 2);
@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn region_time_is_max_plus_overhead() {
         let cg = CoreGroup::new();
-        let out = cg.spawn(|ctx| {
+        let out = cg.spawn("test", |ctx| {
             // CPE 63 does the most simulated work.
             crate::simd::meter::scalar_flops(&mut ctx.perf, (ctx.id as u64 + 1) * 100);
         });
@@ -231,12 +231,12 @@ mod tests {
     #[test]
     fn imbalance_metric() {
         let cg = CoreGroup::with_cpes(4);
-        let balanced = cg.spawn(|ctx| {
+        let balanced = cg.spawn("test", |ctx| {
             crate::simd::meter::scalar_flops(&mut ctx.perf, 100);
             ctx.id
         });
         assert!((balanced.imbalance() - 1.0).abs() < 1e-9);
-        let skewed = cg.spawn(|ctx| {
+        let skewed = cg.spawn("test", |ctx| {
             let work = if ctx.id == 0 { 400 } else { 100 };
             crate::simd::meter::scalar_flops(&mut ctx.perf, work);
         });
@@ -246,7 +246,7 @@ mod tests {
     #[test]
     fn mesh_coordinates() {
         let cg = CoreGroup::new();
-        let out = cg.spawn(|ctx| (ctx.row(), ctx.col()));
+        let out = cg.spawn("test", |ctx| (ctx.row(), ctx.col()));
         assert_eq!(out.results[0], (0, 0));
         assert_eq!(out.results[9], (1, 1));
         assert_eq!(out.results[63], (7, 7));
@@ -278,15 +278,15 @@ mod tests {
             pool: LanePool::with_threads(threads),
         };
         for n in [1, 3, 64] {
-            let one = on(n, 1).spawn(kernel);
+            let one = on(n, 1).spawn("test", kernel);
             assert_eq!(one.results.len(), n);
             for threads in [2, 3, 5, 64] {
-                let many = on(n, threads).spawn(kernel);
+                let many = on(n, threads).spawn("test", kernel);
                 assert_eq!(many.results, one.results, "n {n} threads {threads}");
                 assert_eq!(many.per_cpe, one.per_cpe, "n {n} threads {threads}");
                 assert_eq!(many.region, one.region, "n {n} threads {threads}");
             }
-            let host = CoreGroup::with_cpes(n).spawn(kernel);
+            let host = CoreGroup::with_cpes(n).spawn("test", kernel);
             assert_eq!(host.results, one.results);
             assert_eq!(host.per_cpe, one.per_cpe);
             assert_eq!(host.region, one.region);
@@ -297,7 +297,7 @@ mod tests {
     fn spawn_is_deterministic_in_simulated_time() {
         let cg = CoreGroup::new();
         let run = || {
-            cg.spawn(|ctx| {
+            cg.spawn("test", |ctx| {
                 crate::simd::meter::scalar_flops(&mut ctx.perf, (ctx.id as u64) % 7 * 13);
             })
             .region

@@ -103,9 +103,6 @@ impl DmaEngine {
 
     /// Feed the swprof metrics registry (no-op without a session).
     fn meter(dir: Dir, size: usize, aligned: bool) {
-        if !swprof::enabled() {
-            return;
-        }
         swprof::metrics::counter_add("dma.transactions", 1);
         swprof::metrics::counter_add("dma.bytes", size as u64);
         swprof::metrics::counter_add(
@@ -238,14 +235,10 @@ impl DmaEngine {
             };
             perf.cycles += waste;
             perf.dma_cycles += waste;
-            if swprof::enabled() {
-                swprof::metrics::counter_add("fault.retries.dma", 1);
-            }
+            swprof::metrics::counter_add("fault.retries.dma", 1);
             attempt += 1;
         }
-        if swprof::enabled() {
-            swprof::metrics::counter_add("fault.retries.exhausted", 1);
-        }
+        swprof::metrics::counter_add("fault.retries.exhausted", 1);
     }
 
     /// Roofline composition of one shared transfer: a function of its

@@ -37,10 +37,8 @@ fn gld_at(perf: &mut PerfCounters, n: u64, cycles: u64) {
     perf.gld_cycles += cycles;
     perf.gld_ops += n;
     perf.gld_bytes += bytes;
-    if swprof::enabled() {
-        swprof::metrics::counter_add("gld.ops", n);
-        swprof::metrics::counter_add("gld.bytes", bytes);
-    }
+    swprof::metrics::counter_add("gld.ops", n);
+    swprof::metrics::counter_add("gld.bytes", bytes);
     crate::trace::emit_gld(n);
 }
 

@@ -90,16 +90,12 @@ impl Ldm {
                     crate::params::LDM_RETRY_BASE_CYCLES,
                     payload,
                 );
-                if swprof::enabled() {
-                    swprof::metrics::counter_add("fault.retries.ldm", 1);
-                }
+                swprof::metrics::counter_add("fault.retries.ldm", 1);
                 attempt += 1;
             }
         }
         if self.in_use + bytes > self.capacity {
-            if swprof::enabled() {
-                swprof::metrics::counter_add("ldm.overflows", 1);
-            }
+            swprof::metrics::counter_add("ldm.overflows", 1);
             crate::trace::emit_ldm(
                 self.trace_id,
                 label,
@@ -117,9 +113,7 @@ impl Ldm {
         }
         self.in_use += bytes;
         self.reservations.push((label, bytes));
-        if swprof::enabled() {
-            swprof::metrics::gauge_max("ldm.high_water_bytes", self.in_use as u64);
-        }
+        swprof::metrics::gauge_max("ldm.high_water_bytes", self.in_use as u64);
         crate::trace::emit_ldm(
             self.trace_id,
             label,

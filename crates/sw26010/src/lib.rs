@@ -5,7 +5,7 @@
 //!
 //! // Spawn a kernel on the 64 CPEs; each meters its own work.
 //! let cg = CoreGroup::new();
-//! let out = cg.spawn(|ctx| {
+//! let out = cg.spawn("test", |ctx| {
 //!     ctx.ldm.reserve("buffer", 1024).unwrap(); // 64 KB budget enforced
 //!     DmaEngine::transfer_shared(&mut ctx.perf, Dir::Get, 640, true);
 //!     sw26010::simd::meter::simd_ops(&mut ctx.perf, 100);

@@ -205,13 +205,12 @@ impl LanePool {
     }
 
     /// Run `body` once per block, each call with exclusive access to
-    /// its own: as a region named `label` with one lane per block when
-    /// there are at least two, on the calling thread otherwise — which
-    /// then opens no region, wakes nobody and draws no fault. The
-    /// results come back in block order either way.
+    /// its own: as a region with one lane per block when there are at
+    /// least two, on the calling thread otherwise — which then opens no
+    /// region, wakes nobody and draws no fault. The results come back
+    /// in block order either way.
     pub fn run_blocks<B: Send, T: Send>(
         &self,
-        label: &'static str,
         blocks: Vec<B>,
         body: impl Fn(usize, &mut B) -> T + Sync,
     ) -> Vec<T> {
@@ -220,7 +219,6 @@ impl LanePool {
             return inline.map(|(i, mut block)| body(i, &mut block)).collect();
         }
         let blocks: Vec<Mutex<B>> = blocks.into_iter().map(Mutex::new).collect();
-        swprof::next_region_label(label);
         self.run(blocks.len(), |lane| {
             let mut own = blocks[lane].lock().expect("only its lane locks a block");
             body(lane, &mut own)
@@ -393,7 +391,7 @@ struct Submitter {
     trace: Handle<trace::Sink>,
     faults: Handle<swfault::Injector>,
     profile: Handle<swprof::Recording>,
-    tel: Handle<Mutex<swprof::tel::TelState>>,
+    tel: Handle<swprof::Recording>,
     who: Who,
 }
 
@@ -432,9 +430,7 @@ fn respawn_hung_lane() -> u64 {
         cycles += STRAGGLER_TIMEOUT_CYCLES
             + swfault::retry::backoff_cycles(attempt, SPAWN_JOIN_CYCLES, payload);
         trace::emit_abort("cpe-hang");
-        if swprof::enabled() {
-            swprof::metrics::counter_add("fault.respawns", 1);
-        }
+        swprof::metrics::counter_add("fault.respawns", 1);
         attempt += 1;
     }
     cycles
@@ -588,6 +584,25 @@ mod tests {
     }
 
     #[test]
+    fn a_lane_keeps_the_profile_and_the_trace_apart() {
+        let pool = LanePool::with_threads(2);
+        let profile = swprof::Session::begin();
+        let session = swprof::tel::Session::begin(9);
+        pool.run(8, |lane| {
+            let _profiled = swprof::span("profiled");
+            let _traced = swprof::tel::span_on(lane, "traced");
+            let ctx = swprof::tel::send_from("m", lane, 8).expect("the submitter's trace");
+            swprof::tel::deliver(&ctx, 1);
+        });
+        let tel = session.finish();
+        let profile = profile.finish();
+        assert!(profile.spans.iter().all(|e| e.label == "profiled"));
+        assert_eq!(profile.tracks(), (0..8).map(Some).collect::<Vec<_>>());
+        assert!(tel.spans.iter().all(|e| e.label == "traced"));
+        assert_eq!((tel.spans.len(), tel.flows.len(), tel.n_ranks), (16, 16, 9));
+    }
+
+    #[test]
     fn pool_lane_panic_is_reported_after_drain() {
         // With a worker, and with the submitter alone: a panic in a lane
         // the submitter ran is drained and reported exactly like a
@@ -722,30 +737,21 @@ mod tests {
     }
 
     #[test]
-    fn a_region_label_belongs_to_the_session_that_set_it() {
+    fn a_spawn_names_the_region_spans_of_its_own_session() {
         use crate::cg::CoreGroup;
-        // A labels its next region; B, with a session of its own, spawns
-        // first. The label waits for A.
-        let (to_b, labelled) = std::sync::mpsc::channel::<()>();
-        let (to_a, spawned) = std::sync::mpsc::channel::<()>();
         let region_spans =
             |profile: swprof::Profile| profile.span_totals().into_keys().collect::<Vec<_>>();
+        let start = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
-            s.spawn(move || {
-                let profile = swprof::Session::begin();
-                swprof::next_region_label("a.kernel");
-                to_b.send(()).expect("B is there");
-                spawned.recv().expect("B spawned");
-                CoreGroup::with_threads(1).spawn(|_| ());
-                assert_eq!(region_spans(profile.finish()), ["a.kernel"]);
-            });
-            s.spawn(move || {
-                let profile = swprof::Session::begin();
-                labelled.recv().expect("A labelled its region");
-                CoreGroup::with_threads(1).spawn(|_| ());
-                to_a.send(()).expect("A is there");
-                assert_eq!(region_spans(profile.finish()), ["spawn"]);
-            });
+            for label in ["a.kernel", "b.kernel"] {
+                let start = &start;
+                s.spawn(move || {
+                    let profile = swprof::Session::begin();
+                    start.wait();
+                    CoreGroup::with_threads(1).spawn(label, |_| ());
+                    assert_eq!(region_spans(profile.finish()), [label]);
+                });
+            }
         });
     }
 

@@ -61,7 +61,7 @@ fn dma_partial_costs_less_than_full_failure() {
 #[test]
 fn cpe_hang_respawns_emit_abort_and_charge_straggler_timeout() {
     let cg = CoreGroup::new();
-    let clean = cg.spawn(|ctx| {
+    let clean = cg.spawn("test", |ctx| {
         sw26010::simd::meter::scalar_flops(&mut ctx.perf, 100);
         ctx.id
     });
@@ -71,7 +71,7 @@ fn cpe_hang_respawns_emit_abort_and_charge_straggler_timeout() {
         // CPE 7 hangs once on its first spawn; everyone else is clean.
         FaultPlan::with_seed(3).one_shot(Site::CpeHang, Some(7), 0),
     );
-    let faulty = cg.spawn(|ctx| {
+    let faulty = cg.spawn("test", |ctx| {
         sw26010::simd::meter::scalar_flops(&mut ctx.perf, 100);
         ctx.id
     });
@@ -125,7 +125,7 @@ fn faulted_spawn_is_deterministic_in_simulated_time() {
             ldm_fail: 0.10,
             ..FaultPlan::with_seed(77)
         });
-        let out = cg.spawn(|ctx| {
+        let out = cg.spawn("test", |ctx| {
             ctx.ldm.reserve("buf", 1024).unwrap();
             DmaEngine::transfer_shared(&mut ctx.perf, Dir::Get, 512, true);
             sw26010::simd::meter::scalar_flops(&mut ctx.perf, (ctx.id as u64) * 10);

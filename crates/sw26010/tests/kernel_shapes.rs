@@ -106,7 +106,7 @@ fn marks_scale_with_touched_lines_not_copy_size() {
 #[test]
 fn region_time_switches_between_compute_and_bandwidth() {
     let cg = CoreGroup::new();
-    let compute_bound = cg.spawn(|ctx| {
+    let compute_bound = cg.spawn("test", |ctx| {
         sw26010::simd::meter::simd_ops(&mut ctx.perf, 1_000_000);
         DmaEngine::transfer_shared(&mut ctx.perf, Dir::Get, 640, true);
     });
@@ -114,7 +114,7 @@ fn region_time_switches_between_compute_and_bandwidth() {
         compute_bound.region.cycles >= 1_000_000,
         "compute-bound region gated by the instruction stream"
     );
-    let memory_bound = cg.spawn(|ctx| {
+    let memory_bound = cg.spawn("test", |ctx| {
         for _ in 0..1000 {
             DmaEngine::transfer_shared(&mut ctx.perf, Dir::Get, 640, true);
         }
@@ -137,7 +137,7 @@ fn region_time_switches_between_compute_and_bandwidth() {
 #[test]
 fn ldm_overflow_surfaces_in_kernels() {
     let cg = CoreGroup::with_cpes(1);
-    let out = cg.spawn(|ctx| {
+    let out = cg.spawn("test", |ctx| {
         let a = ctx.ldm.reserve("half", 40 * 1024).is_ok();
         let b = ctx.ldm.reserve("too much", 40 * 1024).is_err();
         (a, b)

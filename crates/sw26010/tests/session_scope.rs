@@ -20,8 +20,7 @@ use swfault::FaultPlan;
 fn regions(cg: &CoreGroup, salt: u64) -> Vec<u64> {
     (0..10)
         .map(|_| {
-            swprof::next_region_label("kernel");
-            let out = cg.spawn(|ctx| {
+            let out = cg.spawn("kernel", |ctx| {
                 ctx.ldm.reserve("buf", 1024).unwrap();
                 DmaEngine::transfer_shared(&mut ctx.perf, Dir::Get, 512, true);
                 trace::shared_write(1, ctx.id * 4, ctx.id * 4 + 4);

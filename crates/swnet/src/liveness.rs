@@ -51,11 +51,9 @@ pub fn epoch_barrier(transport: Transport, live: &[bool]) -> BarrierOutcome {
         .filter(|(_, &l)| !l)
         .map(|(i, _)| i)
         .collect();
-    if swprof::enabled() {
-        swprof::metrics::counter_add("net.epoch_barriers", 1);
-        if !confirmed_dead.is_empty() {
-            swprof::metrics::counter_add("net.barrier_timeouts", 1);
-        }
+    swprof::metrics::counter_add("net.epoch_barriers", 1);
+    if !confirmed_dead.is_empty() {
+        swprof::metrics::counter_add("net.barrier_timeouts", 1);
     }
     let mut ns = 0.0;
     if n_live > 1 {

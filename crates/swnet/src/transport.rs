@@ -26,18 +26,16 @@ pub fn message_ns(transport: Transport, dist: RankDistance, bytes: usize) -> f64
     if dist == RankDistance::SameRank {
         return 0.0;
     }
-    if swprof::enabled() {
-        swprof::metrics::counter_add("net.messages", 1);
-        swprof::metrics::counter_add(
-            match transport {
-                Transport::Mpi => "net.mpi.messages",
-                Transport::Rdma => "net.rdma.messages",
-            },
-            1,
-        );
-        swprof::metrics::counter_add("net.bytes", bytes as u64);
-        swprof::metrics::histogram_record("net.msg_bytes", bytes as u64);
-    }
+    swprof::metrics::counter_add("net.messages", 1);
+    swprof::metrics::counter_add(
+        match transport {
+            Transport::Mpi => "net.mpi.messages",
+            Transport::Rdma => "net.rdma.messages",
+        },
+        1,
+    );
+    swprof::metrics::counter_add("net.bytes", bytes as u64);
+    swprof::metrics::histogram_record("net.msg_bytes", bytes as u64);
     let lat = dist.latency_ns();
     let stream = bytes as f64 / BANDWIDTH_GBS;
     let fault_ns = if swfault::enabled() {
@@ -83,12 +81,10 @@ fn inject_faults(lat: f64, stream: f64) -> f64 {
         } else {
             break;
         }
-        if swprof::enabled() {
-            swprof::metrics::counter_add("fault.retries.net", 1);
-        }
+        swprof::metrics::counter_add("fault.retries.net", 1);
         attempt += 1;
     }
-    if attempt >= retry::MAX_ATTEMPTS && swprof::enabled() {
+    if attempt >= retry::MAX_ATTEMPTS {
         swprof::metrics::counter_add("fault.retries.exhausted", 1);
     }
     if let Some(payload) = swfault::decide(Site::NetDelay) {

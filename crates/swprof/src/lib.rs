@@ -17,15 +17,15 @@
 //!    per-CPE tracks, loadable in `chrome://tracing` / Perfetto), a flat
 //!    JSON-lines metrics dump, and a human report table reproducing the
 //!    paper's Table 1 breakdown from live spans.
-//! 4. **Cross-rank causal tracing** ([`tel`]) — per-rank virtual-ns
-//!    clocks, message flows from each send to its receive, trace merge,
-//!    straggler detection and the always-on flight recorder.
+//! 4. **Cross-rank causal tracing** ([`tel`]) — the same record on a
+//!    plane of its own, tracks being ranks on virtual-ns clocks, plus
+//!    message flows, trace merge, stragglers and the flight recorder.
 //! 5. **Serving telemetry plane** ([`slo`]) — windowed quantile
 //!    sketches, SLIs, error budgets, burn-rate alerts with trace
 //!    exemplars, and the `swscope.dashboard.v1` dashboard.
 //!
-//! Everything a session records — spans, metrics, track clocks, the
-//! region epoch and label — is one [`Recording`] owned by its
+//! Everything a session records — spans (and a trace's flows), metrics,
+//! track clocks, the region epoch — is one [`Recording`] owned by its
 //! [`Session`] and reached through the session scope ([`scope`], which
 //! `swfault`, [`tel`] and `sw26010::trace` are built on too): the thread
 //! that opened the session and the lanes of the regions it runs record
@@ -70,7 +70,7 @@ pub mod tel;
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use scope::lock;
@@ -130,30 +130,97 @@ impl ClosedSpan {
     }
 }
 
-/// Everything one profiling session records. Opaque: owned by its
-/// [`Session`], reached by the threads working for it through
+/// One entry of a record: a span half or, on [`tel`]'s plane, a flow end.
+#[derive(Debug)]
+enum Entry {
+    Span(SpanEvent),
+    Flow(tel::FlowEvent),
+}
+
+/// The ordered part of a [`Recording`], behind one lock.
+#[derive(Default)]
+struct Log {
+    /// Spans and flows in the order they were recorded.
+    entries: Vec<Entry>,
+    /// Per track, the ids of its open spans, innermost last: what a
+    /// send reads for its `parent_span_id`.
+    open: BTreeMap<Track, Vec<u64>>,
+    /// Spans begun so far: span ids count Begins from 1.
+    begun: u64,
+    /// Sends so far: flow ids count sends from 1.
+    sent: u64,
+    /// The next seqno of each `(src, dst, label)` channel of
+    /// [`tel::send_from`].
+    seqnos: BTreeMap<(usize, usize, &'static str), u64>,
+}
+
+/// Everything one session records, on either plane: the profiler's
+/// (tracks are the MPE and the CPEs, clocks count cycles) or [`tel`]'s
+/// (track `Some(r)` is rank `r`, clocks count virtual ns). Opaque:
+/// owned by its session, reached by the threads working for it through
 /// [`scope`].
 pub struct Recording {
-    events: Mutex<Vec<SpanEvent>>,
+    log: Mutex<Log>,
     metrics: Mutex<BTreeMap<&'static str, metrics::Metric>>,
     cursors: [AtomicU64; MAX_TRACKS],
     /// The clocks of lanes past the 64 CPEs.
     far_cursors: Mutex<BTreeMap<usize, AtomicU64>>,
     /// Parallel regions opened so far (see [`next_epoch`]).
     epoch: AtomicU64,
-    region_label: Mutex<Option<&'static str>>,
+    /// Tracks `Some(0..touched)` are the ones a span or [`tel`] call
+    /// touched: a trace's ranks.
+    touched: AtomicUsize,
+    /// The [`tel`] session's trace id (0 for a profile).
+    trace_id: u64,
 }
 
 impl Recording {
+    fn new(trace_id: u64) -> Self {
+        Self {
+            log: Mutex::default(),
+            metrics: Mutex::default(),
+            cursors: [const { AtomicU64::new(0) }; MAX_TRACKS],
+            far_cursors: Mutex::default(),
+            epoch: AtomicU64::new(0),
+            touched: AtomicUsize::new(0),
+            trace_id,
+        }
+    }
+
+    /// Record one half of a span at `track`'s current time. The clock is
+    /// read under the log's lock, so each track's timestamps never go
+    /// back in record order.
     fn push(&self, track: Track, label: Cow<'static, str>, phase: Phase) {
-        let ts = self.cursor(track, |c| c.load(Ordering::Relaxed));
-        lock(&self.events).push(SpanEvent {
+        self.touch(track);
+        let mut guard = lock(&self.log);
+        let log = &mut *guard;
+        let ts = self.now(track);
+        let open = log.open.entry(track).or_default();
+        if phase == Phase::Begin {
+            log.begun += 1;
+            open.push(log.begun);
+        } else {
+            open.pop();
+        }
+        log.entries.push(Entry::Span(SpanEvent {
             track,
             label,
             phase,
             ts,
             epoch: self.epoch.load(Ordering::Relaxed),
-        });
+        }));
+    }
+
+    /// Count `track`'s rank as touched.
+    fn touch(&self, track: Track) {
+        if let Some(rank) = track {
+            self.touched.fetch_max(rank + 1, Ordering::Relaxed);
+        }
+    }
+
+    /// Current time of `track`'s clock.
+    fn now(&self, track: Track) -> u64 {
+        self.cursor(track, |c| c.load(Ordering::Relaxed))
     }
 
     /// Run `f` on `track`'s clock.
@@ -196,9 +263,7 @@ pub fn next_epoch() {
 
 /// Current virtual time of `track`, in cycles.
 pub fn track_cursor(track: Track) -> u64 {
-    RECORDING
-        .with(|r| r.cursor(track, |c| c.load(Ordering::Relaxed)))
-        .unwrap_or(0)
+    RECORDING.with(|r| r.now(track)).unwrap_or(0)
 }
 
 /// Advance `track`'s virtual clock to at least `ts` (used to align CPE
@@ -217,18 +282,6 @@ pub fn tick(cycles: u64) {
     });
 }
 
-/// Label the next `CoreGroup::spawn` region of this session so its
-/// per-CPE spans carry a meaningful name (e.g. `"rma.calc"`). Consumed
-/// by [`take_region_label`].
-pub fn next_region_label(label: &'static str) {
-    RECORDING.with(|r| *lock(&r.region_label) = Some(label));
-}
-
-/// Consume the label set by [`next_region_label`] (spawn-side).
-pub fn take_region_label() -> Option<&'static str> {
-    RECORDING.with(|r| lock(&r.region_label).take()).flatten()
-}
-
 /// RAII span guard: emits a Begin event on creation and the matching End
 /// on drop — including during panic unwinding, so span streams stay
 /// strictly nested even when a kernel dies mid-flight. Both land in the
@@ -239,6 +292,18 @@ pub struct Span {
     track: Track,
     /// `Some` while a Begin awaits its End: where it went, and its label.
     open: Option<(Arc<Recording>, Cow<'static, str>)>,
+}
+
+impl Span {
+    /// Open a span on `track` of `recording`, or one that records
+    /// nothing.
+    fn open(recording: Option<Arc<Recording>>, track: Track, label: Cow<'static, str>) -> Self {
+        let open = recording.map(|recording| {
+            recording.push(track, label.clone(), Phase::Begin);
+            (recording, label)
+        });
+        Span { track, open }
+    }
 }
 
 impl Drop for Span {
@@ -258,12 +323,7 @@ pub fn span(label: impl Into<Cow<'static, str>>) -> Span {
 /// Open a span on an explicit track (used when the issuing thread is not
 /// tagged, e.g. emitting a CPE-attributed span from the MPE).
 pub fn span_on(track: Track, label: impl Into<Cow<'static, str>>) -> Span {
-    let open = handle().into_state().map(|recording| {
-        let label = label.into();
-        recording.push(track, label.clone(), Phase::Begin);
-        (recording, label)
-    });
-    Span { track, open }
+    Span::open(handle().into_state(), track, label.into())
 }
 
 /// Record a completed stage of known simulated cost: a span of exactly
@@ -310,73 +370,82 @@ impl Profile {
         self.spans.iter().filter(move |e| e.track == track)
     }
 
-    /// Match Begin/End pairs per track into closed spans.
-    ///
-    /// Returns an error naming the offending track if any stream is not
-    /// strictly nested (an End without a Begin, a label mismatch, or an
-    /// unclosed Begin).
+    /// Match Begin/End pairs per track into closed spans
+    /// ([`closed_spans`]).
     pub fn closed_spans(&self) -> Result<Vec<ClosedSpan>, String> {
-        let mut out = Vec::new();
-        for track in self.tracks() {
-            let mut stack: Vec<&SpanEvent> = Vec::new();
-            for ev in self.track_events(track) {
-                match ev.phase {
-                    Phase::Begin => stack.push(ev),
-                    Phase::End => {
-                        let open = stack.pop().ok_or_else(|| {
-                            format!("track {track:?}: End `{}` without Begin", ev.label)
-                        })?;
-                        if open.label != ev.label {
-                            return Err(format!(
-                                "track {track:?}: End `{}` closes Begin `{}`",
-                                ev.label, open.label
-                            ));
-                        }
-                        out.push(ClosedSpan {
-                            track,
-                            label: open.label.clone().into_owned(),
-                            start: open.ts,
-                            end: ev.ts,
-                            depth: stack.len(),
-                            epoch: open.epoch,
-                        });
-                    }
-                }
-            }
-            if let Some(open) = stack.last() {
-                return Err(format!(
-                    "track {track:?}: Begin `{}` never closed",
-                    open.label
-                ));
-            }
-        }
-        Ok(out)
+        closed_spans(&self.spans)
     }
 
     /// Total cycles per span label, summed over all tracks and
     /// occurrences. Nested spans each contribute their own duration
     /// (so a label used at one depth reads exactly like a `Breakdown`
-    /// row). Unbalanced streams contribute their matched pairs only.
-    pub fn span_totals(&self) -> std::collections::BTreeMap<String, u64> {
-        let mut totals = std::collections::BTreeMap::new();
-        if let Ok(spans) = self.closed_spans() {
-            for s in &spans {
-                *totals.entry(s.label.clone()).or_insert(0) += s.cycles();
-            }
-        }
-        totals
+    /// row). An unbalanced stream contributes nothing.
+    pub fn span_totals(&self) -> BTreeMap<String, u64> {
+        self.totals(|_| true)
     }
 
     /// Like [`Self::span_totals`] but restricted to one track.
-    pub fn span_totals_on(&self, track: Track) -> std::collections::BTreeMap<String, u64> {
-        let mut totals = std::collections::BTreeMap::new();
-        if let Ok(spans) = self.closed_spans() {
-            for s in spans.iter().filter(|s| s.track == track) {
-                *totals.entry(s.label.clone()).or_insert(0) += s.cycles();
-            }
+    pub fn span_totals_on(&self, track: Track) -> BTreeMap<String, u64> {
+        self.totals(|s| s.track == track)
+    }
+
+    fn totals(&self, keep: impl Fn(&ClosedSpan) -> bool) -> BTreeMap<String, u64> {
+        let mut totals = BTreeMap::new();
+        for s in self
+            .closed_spans()
+            .unwrap_or_default()
+            .iter()
+            .filter(|s| keep(s))
+        {
+            *totals.entry(s.label.clone()).or_insert(0) += s.cycles();
         }
         totals
     }
+}
+
+/// Match Begin/End pairs per track into closed spans, per track in the
+/// order they close.
+///
+/// Returns an error naming the offending track if any stream is not
+/// strictly nested (an End without a Begin, a label mismatch, or an
+/// unclosed Begin).
+pub fn closed_spans(events: &[SpanEvent]) -> Result<Vec<ClosedSpan>, String> {
+    let tracks: std::collections::BTreeSet<Track> = events.iter().map(|e| e.track).collect();
+    let mut out = Vec::new();
+    for track in tracks {
+        let mut stack: Vec<&SpanEvent> = Vec::new();
+        for ev in events.iter().filter(|e| e.track == track) {
+            match ev.phase {
+                Phase::Begin => stack.push(ev),
+                Phase::End => {
+                    let open = stack.pop().ok_or_else(|| {
+                        format!("track {track:?}: End `{}` without Begin", ev.label)
+                    })?;
+                    if open.label != ev.label {
+                        return Err(format!(
+                            "track {track:?}: End `{}` closes Begin `{}`",
+                            ev.label, open.label
+                        ));
+                    }
+                    out.push(ClosedSpan {
+                        track,
+                        label: open.label.clone().into_owned(),
+                        start: open.ts,
+                        end: ev.ts,
+                        depth: stack.len(),
+                        epoch: open.epoch,
+                    });
+                }
+            }
+        }
+        if let Some(open) = stack.last() {
+            return Err(format!(
+                "track {track:?}: Begin `{}` never closed",
+                open.label
+            ));
+        }
+    }
+    Ok(out)
 }
 
 /// An active profiling session, owning its [`Recording`]. Capture is
@@ -392,22 +461,22 @@ impl Session {
     /// metrics registry, every track clock at zero.
     pub fn begin() -> Self {
         Self {
-            scope: RECORDING.open(Recording {
-                events: Mutex::default(),
-                metrics: Mutex::default(),
-                cursors: [const { AtomicU64::new(0) }; MAX_TRACKS],
-                far_cursors: Mutex::default(),
-                epoch: AtomicU64::new(0),
-                region_label: Mutex::default(),
-            }),
+            scope: RECORDING.open(Recording::new(0)),
         }
     }
 
     /// Stop profiling and return everything captured since `begin`.
     pub fn finish(self) -> Profile {
         let recording = self.scope.state();
+        let entries = std::mem::take(&mut lock(&recording.log).entries);
         Profile {
-            spans: std::mem::take(&mut *lock(&recording.events)),
+            spans: entries
+                .into_iter()
+                .filter_map(|e| match e {
+                    Entry::Span(span) => Some(span),
+                    Entry::Flow(_) => None,
+                })
+                .collect(),
             metrics: metrics::snapshot_of(&lock(&recording.metrics)),
         }
     }
@@ -527,15 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn region_label_is_consumed_once() {
-        let session = Session::begin();
-        next_region_label("rma.calc");
-        assert_eq!(take_region_label(), Some("rma.calc"));
-        assert_eq!(take_region_label(), None);
-        drop(session.finish());
-    }
-
-    #[test]
     fn threads_have_independent_tracks() {
         let session = Session::begin();
         let lane = handle();
@@ -583,9 +643,8 @@ mod tests {
     fn capture(salt: u64) -> Profile {
         let session = Session::begin();
         for i in 0..200 {
-            next_region_label("kernel");
             next_epoch();
-            let _s = span(take_region_label().expect("this session's label"));
+            let _s = span("kernel");
             tick(salt + i);
             metrics::counter_add("work", salt);
             metrics::histogram_record("sizes", i);
@@ -605,10 +664,8 @@ mod tests {
             start.wait();
             for _ in 0..200 {
                 assert!(!enabled());
-                next_region_label("bystander");
                 stage("bystander", 7);
                 metrics::counter_add("work", 7);
-                assert_eq!(take_region_label(), None);
             }
             [a.join().unwrap(), b.join().unwrap()]
         });

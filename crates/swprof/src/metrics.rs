@@ -5,10 +5,11 @@
 //! substrate — DMA bytes/transactions/alignment, cache hits/misses/
 //! evictions, LDM high-water occupancy, Bit-Map touched-line ratios,
 //! RDMA message sizes — into uniformly named series. It is part of the
-//! session's [`Recording`](crate::Recording): a mutator on a thread that
-//! works for no session is one thread-local read, and all updates are
-//! plain integer merges under one mutex, so a snapshot taken after two
-//! identical runs is bit-identical regardless of thread interleaving.
+//! session's [`Recording`](crate::Recording): a mutator checks for a
+//! session itself (one thread-local read without one, so a site needs no
+//! guard), and all updates are plain integer merges under one mutex, so a
+//! snapshot after two identical runs is bit-identical whatever the
+//! interleaving.
 //!
 //! Naming convention: dotted lowercase paths, most-significant system
 //! first (`dma.bytes`, `cache.read.misses`, `net.msg_bytes`).

@@ -73,7 +73,10 @@ impl<S> Plane<S> {
     pub fn handle(&'static self) -> Handle<S> {
         Handle {
             plane: self,
-            state: self.slot.with(|slot| slot.borrow().clone()),
+            state: self
+                .active()
+                .then(|| self.slot.with(|slot| slot.borrow().clone()))
+                .flatten(),
         }
     }
 

@@ -106,13 +106,6 @@ fn snapshot_with_count() -> (Vec<FlightEvent>, u64) {
     (out, ring.recorded)
 }
 
-/// Clear the ring (tests only — a real black box never forgets).
-pub fn reset() {
-    let mut ring = RING.lock().unwrap_or_else(|e| e.into_inner());
-    ring.events = [EMPTY; CAPACITY];
-    ring.recorded = 0;
-}
-
 /// Serialize the current ring as a self-contained JSON document.
 fn dump_json() -> String {
     let (events, recorded) = snapshot_with_count();
@@ -158,40 +151,55 @@ mod tests {
     use std::sync::Mutex as StdMutex;
 
     // Unit tests share the process-global ring with every other test
-    // in this binary; serialize the ones that reset it.
+    // in this binary: each judges only its own records, the ones past
+    // `recorded()` as it was before they were made. This lock keeps the
+    // flood of the tearing test from evicting another's records.
     static TEST_LOCK: StdMutex<()> = StdMutex::new(());
 
     #[test]
     fn ring_keeps_the_last_capacity_events() {
         let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
+        let from = recorded();
         for i in 0..(CAPACITY as u64 + 10) {
-            record("stage", "force", i, 0);
+            record("stage", "ring_test", i, 0);
         }
         let snap = snapshot();
         assert_eq!(snap.len(), CAPACITY);
-        assert_eq!(snap.first().unwrap().seq, 10);
-        assert_eq!(snap.last().unwrap().seq, CAPACITY as u64 + 9);
         assert!(snap.windows(2).all(|w| w[1].seq == w[0].seq + 1));
+        // The ten oldest of this test's records are evicted; what is left
+        // of them is an unbroken run ending at the newest.
+        let kept: Vec<FlightEvent> = snap
+            .into_iter()
+            .filter(|e| e.seq >= from && e.label == "ring_test")
+            .collect();
+        assert!(kept.first().unwrap().a >= 10);
+        assert_eq!(kept.last().unwrap().a, CAPACITY as u64 + 9);
+        assert!(kept.windows(2).all(|w| w[1].a == w[0].a + 1));
     }
 
     #[test]
     fn dump_is_valid_json_and_ordered() {
         let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        record("abort", "rank_kill", 2, 17);
-        record("store", "commit", 20, 1);
+        let from = recorded();
+        record("abort", "dump_test_kill", 2, 17);
+        record("store", "dump_test_commit", 20, 1);
         let doc = dump_json();
         let parsed = json::parse(&doc).expect("dump parses");
         let events = parsed.get("events").and_then(|v| v.as_arr()).unwrap();
-        assert_eq!(events.len(), 2);
+        let field = |e: &json::Value, k: &str| e.get(k).and_then(|v| v.as_str()).map(String::from);
+        let mine: Vec<(String, String)> = events
+            .iter()
+            .filter(|e| e.get("seq").and_then(|v| v.as_num()).unwrap() >= from as f64)
+            .filter_map(|e| Some((field(e, "kind")?, field(e, "label")?)))
+            .filter(|(_, label)| label.starts_with("dump_test_"))
+            .collect();
+        let pair = |k: &str, l: &str| (k.to_string(), l.to_string());
         assert_eq!(
-            events[0].get("label").and_then(|v| v.as_str()),
-            Some("rank_kill")
-        );
-        assert_eq!(
-            events[1].get("kind").and_then(|v| v.as_str()),
-            Some("store")
+            mine,
+            [
+                pair("abort", "dump_test_kill"),
+                pair("store", "dump_test_commit")
+            ]
         );
     }
 

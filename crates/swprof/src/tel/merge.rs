@@ -15,30 +15,11 @@
 //! flow events keep their ids, so arrows survive the merge as long as
 //! the inputs came from the same session.
 
-use super::{FlowEvent, FlowPhase, SpanEvent, Telemetry};
+use std::collections::BTreeMap;
+
+use super::{rank_of, FlowPhase, Telemetry};
 use crate::json::{self, Value};
 use crate::Phase;
-
-enum Ev<'a> {
-    Span(&'a SpanEvent),
-    Flow(&'a FlowEvent),
-}
-
-impl Ev<'_> {
-    fn ord(&self) -> u64 {
-        match self {
-            Ev::Span(s) => s.ord,
-            Ev::Flow(f) => f.ord,
-        }
-    }
-
-    fn rank(&self) -> usize {
-        match self {
-            Ev::Span(s) => s.rank,
-            Ev::Flow(f) => f.rank,
-        }
-    }
-}
 
 fn push_common(out: &mut String, name: &str, ph: &str, pid: usize, ns: u64) {
     out.push_str("{\"name\":");
@@ -52,17 +33,12 @@ fn push_common(out: &mut String, name: &str, ph: &str, pid: usize, ns: u64) {
 }
 
 impl Telemetry {
+    /// The record in its order, one rank's events or all. Span ids are
+    /// numbered the way the record numbered them: Begins from 1, an End
+    /// closing the innermost open Begin of its rank, as
+    /// [`crate::closed_spans`] pairs them.
     fn emit(&self, only_rank: Option<usize>) -> String {
-        let mut events: Vec<Ev<'_>> = self
-            .spans
-            .iter()
-            .map(Ev::Span)
-            .chain(self.flows.iter().map(Ev::Flow))
-            .filter(|e| only_rank.is_none_or(|r| e.rank() == r))
-            .collect();
-        events.sort_by_key(|e| e.ord());
-
-        let mut out = String::with_capacity(256 + events.len() * 96);
+        let mut out = String::with_capacity(256 + self.order.len() * 96);
         out.push_str("{\"traceEvents\":[");
         let mut first = true;
         let mut sep = |out: &mut String| {
@@ -85,41 +61,55 @@ impl Telemetry {
                  \"args\":{{\"sort_index\":{rank}}}}}"
             ));
         }
-        for ev in &events {
-            sep(&mut out);
-            match ev {
-                Ev::Span(s) => {
-                    let ph = match s.phase {
-                        Phase::Begin => "B",
-                        Phase::End => "E",
-                    };
-                    push_common(&mut out, s.label, ph, s.rank, s.ns);
-                    out.push_str(",\"args\":{\"span_id\":");
-                    out.push_str(&s.span_id.to_string());
-                    out.push_str("}}");
-                }
-                Ev::Flow(f) => {
-                    let ph = match f.phase {
-                        FlowPhase::Send => "s",
-                        FlowPhase::Recv => "f",
-                    };
-                    push_common(&mut out, f.label, ph, f.rank, f.ns);
-                    out.push_str(",\"cat\":\"net\",\"id\":");
-                    out.push_str(&f.flow_id.to_string());
-                    if matches!(f.phase, FlowPhase::Recv) {
-                        out.push_str(",\"bp\":\"e\"");
+        let (mut spans, mut flows) = (self.spans.iter(), self.flows.iter());
+        let mut open: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
+        let mut begun = 0;
+        for &is_flow in &self.order {
+            if !is_flow {
+                let Some(s) = spans.next() else { break };
+                let rank = rank_of(s);
+                let stack = open.entry(rank).or_default();
+                let (ph, span_id) = match s.phase {
+                    Phase::Begin => {
+                        begun += 1;
+                        stack.push(begun);
+                        ("B", begun)
                     }
-                    out.push_str(",\"args\":{\"trace_id\":");
-                    out.push_str(&f.trace_id.to_string());
-                    out.push_str(",\"parent_span_id\":");
-                    out.push_str(&f.parent_span_id.to_string());
-                    out.push_str(",\"seqno\":");
-                    out.push_str(&f.seqno.to_string());
-                    out.push_str(",\"peer\":");
-                    out.push_str(&f.peer.to_string());
+                    Phase::End => ("E", stack.pop().unwrap_or(0)),
+                };
+                if only_rank.is_none_or(|r| r == rank) {
+                    sep(&mut out);
+                    push_common(&mut out, &s.label, ph, rank, s.ts);
+                    out.push_str(",\"args\":{\"span_id\":");
+                    out.push_str(&span_id.to_string());
                     out.push_str("}}");
                 }
+                continue;
             }
+            let Some(f) = flows.next() else { break };
+            if only_rank.is_some_and(|r| r != f.rank) {
+                continue;
+            }
+            sep(&mut out);
+            let ph = match f.phase {
+                FlowPhase::Send => "s",
+                FlowPhase::Recv => "f",
+            };
+            push_common(&mut out, f.label, ph, f.rank, f.ns);
+            out.push_str(",\"cat\":\"net\",\"id\":");
+            out.push_str(&f.flow_id.to_string());
+            if matches!(f.phase, FlowPhase::Recv) {
+                out.push_str(",\"bp\":\"e\"");
+            }
+            out.push_str(",\"args\":{\"trace_id\":");
+            out.push_str(&f.trace_id.to_string());
+            out.push_str(",\"parent_span_id\":");
+            out.push_str(&f.parent_span_id.to_string());
+            out.push_str(",\"seqno\":");
+            out.push_str(&f.seqno.to_string());
+            out.push_str(",\"peer\":");
+            out.push_str(&f.peer.to_string());
+            out.push_str("}}");
         }
         out.push_str("],\"displayTimeUnit\":\"ns\",\"otherData\":{\"trace_id\":");
         out.push_str(&self.trace_id.to_string());
@@ -221,6 +211,71 @@ mod tests {
         }
         assert_eq!((sends, finishes), (1, 1));
         assert!(depth.values().all(|&d| d == 0));
+    }
+
+    #[test]
+    fn the_export_lists_spans_and_flows_in_record_order() {
+        let session = Session::begin(0xd0);
+        let a = span_on(0, "a");
+        tick_on(0, 10);
+        let b = span_on(1, "b");
+        let m1 = send_from("m1", 1, 2).unwrap();
+        let c = span_on(0, "c");
+        let m2 = send_from("m2", 0, 1).unwrap();
+        deliver(&m1, 5);
+        drop(c);
+        let m3 = send_from("m3", 0, 2).unwrap();
+        let d = span_on(2, "d");
+        deliver(&m2, 5);
+        drop(b);
+        deliver(&m3, 5);
+        drop((d, a));
+        let tel = session.finish();
+        tel.check_causal().unwrap();
+        // (ph, pid, name, span id of a span half / parent span of a flow
+        // endpoint), metadata left out.
+        let listed = |doc: String| -> Vec<(String, usize, String, u64)> {
+            let doc = json::parse(&doc).unwrap();
+            let events = doc.get("traceEvents").and_then(|x| x.as_arr()).unwrap();
+            let text = |e: &Value, k: &str| e.get(k).and_then(|v| v.as_str()).unwrap().to_string();
+            let num = |e: &Value, k: &str| e.get(k).and_then(|v| v.as_num()).unwrap();
+            events
+                .iter()
+                .filter(|e| text(e, "ph") != "M")
+                .map(|e| {
+                    let args = e.get("args").unwrap();
+                    let id = ["span_id", "parent_span_id"]
+                        .iter()
+                        .find_map(|k| args.get(k));
+                    let id = id.and_then(|v| v.as_num()).unwrap() as u64;
+                    (text(e, "ph"), num(e, "pid") as usize, text(e, "name"), id)
+                })
+                .collect()
+        };
+        let recorded: Vec<(String, usize, String, u64)> = [
+            ("B", 0, "a", 1),
+            ("B", 1, "b", 2),
+            ("s", 1, "m1", 2),
+            ("B", 0, "c", 3),
+            ("s", 0, "m2", 3),
+            ("f", 2, "m1", 2),
+            ("E", 0, "c", 3),
+            ("s", 0, "m3", 1),
+            ("B", 2, "d", 4),
+            ("f", 1, "m2", 3),
+            ("E", 1, "b", 2),
+            ("f", 2, "m3", 1),
+            ("E", 2, "d", 4),
+            ("E", 0, "a", 1),
+        ]
+        .iter()
+        .map(|&(ph, pid, name, id)| (ph.to_string(), pid, name.to_string(), id))
+        .collect();
+        assert_eq!(listed(tel.to_chrome_trace()), recorded);
+        for rank in 0..3 {
+            let own: Vec<_> = recorded.iter().filter(|e| e.1 == rank).cloned().collect();
+            assert_eq!(listed(tel.rank_trace(rank)), own, "rank {rank}");
+        }
     }
 
     #[test]

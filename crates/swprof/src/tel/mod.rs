@@ -7,7 +7,7 @@
 //! send". This module adds the cross-rank layer:
 //!
 //! - **Causal tracing** ([`Session`], [`span`], [`send`], [`deliver`]):
-//!   a session owns one `trace_id` and a virtual-nanosecond clock per
+//!   a session has one `trace_id` and a virtual-nanosecond clock per
 //!   rank. Messages carry a [`TraceContext`] `(trace_id,
 //!   parent_span_id, seqno)` injected at the send site; delivery
 //!   advances the destination clock to
@@ -22,10 +22,13 @@
 //!   per-rank Chrome traces combined into one global timeline with
 //!   flow events (`ph: "s"` / `"f"`) linking each send to its receive.
 //!
-//! A tracing session owns its telemetry state and is scoped to the
-//! thread that opened it and the lanes of the regions it runs
-//! ([`crate::scope`], the mechanism every plane shares); everything is
-//! gated on one thread-local read ([`enabled`]).
+//! A tracing session is a profiler [`Recording`] opened on this plane:
+//! rank spans are [`SpanEvent`]s opened through [`Span`], and flows sit
+//! in the same ordered record, whose order is the export's. The planes
+//! stay apart so a traced serving run does not also record every CPE
+//! span of the jobs it runs. A session is scoped to the thread that
+//! opened it and the lanes of the regions it runs ([`crate::scope`]);
+//! everything is gated on one thread-local read ([`enabled`]).
 //! On a thread with no session the instrumentation in
 //! `swnet`/`mdsim`/`swgmx` is a handful of no-op calls, held to the
 //! same microsecond budget as the profiler's (`tests/overhead.rs`). The
@@ -33,10 +36,10 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering;
 
 use crate::scope::{lock, Handle, Plane, Scope, Slot, Who};
-use crate::Phase;
+use crate::{Entry, Recording, Span, SpanEvent};
 
 pub mod flight;
 pub mod merge;
@@ -46,47 +49,19 @@ pub mod straggler;
 /// thread-local read.
 #[inline(always)]
 pub fn enabled() -> bool {
-    STATE.active()
+    TEL.active()
 }
 
 thread_local! {
-    static STATE_ACTIVE: Cell<bool> = const { Cell::new(false) };
-    static STATE_SLOT: Slot<Mutex<TelState>> = const { RefCell::new(None) };
+    static TEL_ACTIVE: Cell<bool> = const { Cell::new(false) };
+    static TEL_SLOT: Slot<Recording> = const { RefCell::new(None) };
 }
-const STATE: Plane<Mutex<TelState>> = Plane::new(&STATE_ACTIVE, &STATE_SLOT);
+const TEL: Plane<Recording> = Plane::new(&TEL_ACTIVE, &TEL_SLOT);
 
 /// The calling thread's handle on the tracing session it works for:
 /// what the lane executor's lanes enter to record there too.
-pub fn handle() -> Handle<Mutex<TelState>> {
-    STATE.handle()
-}
-
-/// Run `f` on the state of the session the calling thread works for.
-fn with_state<R>(f: impl FnOnce(&mut TelState) -> R) -> Option<R> {
-    STATE.with(|state| f(&mut lock(state)))
-}
-
-/// The calling thread's rank binding ([`Who::rank`]), if any: spans,
-/// ticks and sends without an explicit rank use it.
-fn current_rank() -> Option<usize> {
-    Who::current().rank
-}
-
-/// One half of a span on a rank's virtual-ns timeline.
-#[derive(Debug, Clone, Copy)]
-pub struct SpanEvent {
-    /// Rank whose timeline this event belongs to.
-    pub rank: usize,
-    /// Static span label.
-    pub label: &'static str,
-    /// Begin or End.
-    pub phase: Phase,
-    /// Virtual nanoseconds on `rank`'s clock.
-    pub ns: u64,
-    /// Session-unique span id; Begin/End of one span share it.
-    pub span_id: u64,
-    /// Global ordinal: total order in which events were recorded.
-    pub ord: u64,
+pub fn handle() -> Handle<Recording> {
+    TEL.handle()
 }
 
 /// Which side of a message a [`FlowEvent`] records.
@@ -120,8 +95,6 @@ pub struct FlowEvent {
     pub ns: u64,
     /// Static message label (e.g. `"halo.f"`, `"pme.crossover"`).
     pub label: &'static str,
-    /// Global ordinal.
-    pub ord: u64,
 }
 
 /// The causal context injected into a message at its send site and
@@ -146,58 +119,14 @@ pub struct TraceContext {
     pub label: &'static str,
 }
 
-/// Everything one tracing session records. Opaque: owned by its
-/// [`Session`], reached by the threads working for it through
-/// [`crate::scope`].
-pub struct TelState {
-    trace_id: u64,
-    next_span_id: u64,
-    next_flow_id: u64,
-    next_ord: u64,
-    clocks: Vec<u64>,
-    stacks: Vec<Vec<(u64, &'static str)>>,
-    spans: Vec<SpanEvent>,
-    flows: Vec<FlowEvent>,
-    auto_seq: BTreeMap<(usize, usize, &'static str), u64>,
-}
-
-impl TelState {
-    fn new(trace_id: u64) -> Self {
-        Self {
-            trace_id,
-            next_span_id: 1,
-            next_flow_id: 1,
-            next_ord: 0,
-            clocks: Vec::new(),
-            stacks: Vec::new(),
-            spans: Vec::new(),
-            flows: Vec::new(),
-            auto_seq: BTreeMap::new(),
-        }
-    }
-
-    fn ensure_rank(&mut self, rank: usize) {
-        if rank >= self.clocks.len() {
-            self.clocks.resize(rank + 1, 0);
-            self.stacks.resize(rank + 1, Vec::new());
-        }
-    }
-
-    fn ord(&mut self) -> u64 {
-        let o = self.next_ord;
-        self.next_ord += 1;
-        o
-    }
-
-    /// Record one endpoint of `ctx`'s flow, at the current time of the
-    /// rank it sits on.
-    fn flow_event(&mut self, phase: FlowPhase, ctx: &TraceContext) {
+impl FlowEvent {
+    /// `ctx`'s endpoint on the `phase` side, at `ns` on its rank.
+    fn of(phase: FlowPhase, ctx: &TraceContext, ns: u64) -> Self {
         let (rank, peer) = match phase {
             FlowPhase::Send => (ctx.src, ctx.dst),
             FlowPhase::Recv => (ctx.dst, ctx.src),
         };
-        let (ns, ord) = (self.clocks[rank], self.ord());
-        self.flows.push(FlowEvent {
+        Self {
             phase,
             flow_id: ctx.flow_id,
             trace_id: ctx.trace_id,
@@ -207,29 +136,15 @@ impl TelState {
             peer,
             ns,
             label: ctx.label,
-            ord,
-        });
-    }
-
-    /// Record one half of span `span_id` at `rank`'s current time.
-    fn span_event(&mut self, rank: usize, label: &'static str, phase: Phase, span_id: u64) {
-        let (ns, ord) = (self.clocks[rank], self.ord());
-        self.spans.push(SpanEvent {
-            rank,
-            label,
-            phase,
-            ns,
-            span_id,
-            ord,
-        });
+        }
     }
 }
 
-/// A telemetry session, owning its state and scoped to the thread that
-/// opened it. Begin one, run the traced workload, then
+/// A telemetry session: a [`Recording`] on the tracing plane, scoped to
+/// the thread that opened it. Begin one, run the traced workload, then
 /// [`finish`](Session::finish) it into a [`Telemetry`].
 pub struct Session {
-    scope: Scope<Mutex<TelState>>,
+    scope: Scope<Recording>,
 }
 
 impl Session {
@@ -238,137 +153,87 @@ impl Session {
     /// on other threads are independent.
     pub fn begin(trace_id: u64) -> Self {
         Session {
-            scope: STATE.open(Mutex::new(TelState::new(trace_id))),
+            scope: TEL.open(Recording::new(trace_id)),
         }
     }
 
     /// Stop the session and return the captured telemetry.
     pub fn finish(self) -> Telemetry {
-        let mut state = lock(self.scope.state());
-        Telemetry {
-            trace_id: state.trace_id,
-            n_ranks: state.clocks.len(),
-            spans: std::mem::take(&mut state.spans),
-            flows: std::mem::take(&mut state.flows),
-        }
-    }
-}
-
-/// RAII span on a rank's virtual timeline. Created by [`span`] /
-/// [`span_on`]; records its End event, into the session it was opened
-/// in, on drop.
-pub struct Span {
-    /// `None`: a span that records nothing.
-    session: Option<Arc<Mutex<TelState>>>,
-    rank: usize,
-    span_id: u64,
-    label: &'static str,
-}
-
-impl Span {
-    /// A span that records nothing (no session / no rank bound).
-    pub fn disarmed() -> Self {
-        Span {
-            session: None,
-            rank: 0,
-            span_id: 0,
-            label: "",
-        }
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        let Some(session) = self.session.take() else {
-            return;
+        let recording = self.scope.state();
+        let entries = std::mem::take(&mut lock(&recording.log).entries);
+        let mut tel = Telemetry {
+            trace_id: recording.trace_id,
+            n_ranks: recording.touched.load(Ordering::Relaxed),
+            spans: Vec::new(),
+            flows: Vec::new(),
+            order: Vec::with_capacity(entries.len()),
         };
-        let mut st = lock(&session);
-        st.ensure_rank(self.rank);
-        // Pop the matching stack entry; tolerate (but record) an
-        // out-of-order close so check_causal can report it.
-        if let Some(pos) = st.stacks[self.rank]
-            .iter()
-            .rposition(|&(id, _)| id == self.span_id)
-        {
-            st.stacks[self.rank].truncate(pos);
+        for entry in entries {
+            tel.order.push(matches!(entry, Entry::Flow(_)));
+            match entry {
+                Entry::Span(span) => tel.spans.push(span),
+                Entry::Flow(flow) => tel.flows.push(flow),
+            }
         }
-        st.span_event(self.rank, self.label, Phase::End, self.span_id);
+        tel
     }
 }
 
-/// Open a span on the calling thread's bound rank. Disarmed when the
-/// thread has no session or no rank is bound.
+/// Open a span on the calling thread's bound rank. Records nothing when
+/// the thread has no session or no rank is bound.
 pub fn span(label: &'static str) -> Span {
-    match current_rank() {
+    match Who::current().rank {
         Some(rank) => span_on(rank, label),
-        None => Span::disarmed(),
+        None => Span::open(None, None, label.into()),
     }
 }
 
 /// Open a span on an explicit rank's timeline.
 pub fn span_on(rank: usize, label: &'static str) -> Span {
-    let Some(session) = STATE.handle().into_state() else {
-        return Span::disarmed();
-    };
-    let mut st = lock(&session);
-    st.ensure_rank(rank);
-    let span_id = st.next_span_id;
-    st.next_span_id += 1;
-    st.stacks[rank].push((span_id, label));
-    st.span_event(rank, label, Phase::Begin, span_id);
-    drop(st);
-    Span {
-        session: Some(session),
-        rank,
-        span_id,
-        label,
-    }
+    Span::open(TEL.handle().into_state(), Some(rank), label.into())
 }
 
 /// Advance the bound rank's virtual clock by `ns` nanoseconds.
 pub fn tick(ns: u64) {
-    if let Some(rank) = current_rank() {
+    if let Some(rank) = Who::current().rank {
         tick_on(rank, ns);
     }
 }
 
 /// Advance `rank`'s virtual clock by `ns` nanoseconds.
 pub fn tick_on(rank: usize, ns: u64) {
-    with_state(|st| {
-        st.ensure_rank(rank);
-        st.clocks[rank] += ns;
+    TEL.with(|r| {
+        r.touch(Some(rank));
+        r.cursor(Some(rank), |c| c.fetch_add(ns, Ordering::Relaxed));
     });
 }
 
 /// Current virtual-ns position of `rank`'s clock.
 pub fn cursor(rank: usize) -> u64 {
-    with_state(|st| {
-        st.ensure_rank(rank);
-        st.clocks[rank]
-    })
-    .unwrap_or(0)
+    TEL.with(|r| r.now(Some(rank))).unwrap_or(0)
 }
 
 /// Advance `rank`'s clock to at least `ns` (clocks never move back).
 pub fn align(rank: usize, ns: u64) {
-    with_state(|st| {
-        st.ensure_rank(rank);
-        st.clocks[rank] = st.clocks[rank].max(ns);
+    TEL.with(|r| {
+        r.touch(Some(rank));
+        r.cursor(Some(rank), |c| c.fetch_max(ns, Ordering::Relaxed));
     });
 }
 
 /// Inject a send context from the calling thread's bound rank to
 /// `dst`, with an auto-assigned per-`(src, dst, label)` seqno.
 pub fn send(label: &'static str, dst: usize) -> Option<TraceContext> {
-    let src = current_rank()?;
+    let src = Who::current().rank?;
     send_from(label, src, dst)
 }
 
 /// Inject a send context from an explicit `src` rank, with an
 /// auto-assigned per-`(src, dst, label)` seqno.
 pub fn send_from(label: &'static str, src: usize, dst: usize) -> Option<TraceContext> {
-    let seqno = with_state(|st| {
-        let seq = st.auto_seq.entry((src, dst, label)).or_insert(0);
+    let seqno = TEL.with(|r| {
+        let mut log = lock(&r.log);
+        let seq = log.seqnos.entry((src, dst, label)).or_insert(0);
         *seq += 1;
         *seq - 1
     })?;
@@ -378,22 +243,24 @@ pub fn send_from(label: &'static str, src: usize, dst: usize) -> Option<TraceCon
 /// Inject a send context carrying an explicit channel seqno (used by
 /// `swnet::SeqChannel`, whose high-water marks own the numbering).
 pub fn send_seq(label: &'static str, src: usize, dst: usize, seqno: u64) -> Option<TraceContext> {
-    with_state(|st| {
-        st.ensure_rank(src);
-        st.ensure_rank(dst);
-        let flow_id = st.next_flow_id;
-        st.next_flow_id += 1;
+    TEL.with(|r| {
+        r.touch(Some(src));
+        r.touch(Some(dst));
+        let mut log = lock(&r.log);
+        log.sent += 1;
+        let parent = log.open.get(&Some(src)).and_then(|open| open.last());
         let ctx = TraceContext {
-            trace_id: st.trace_id,
-            parent_span_id: st.stacks[src].last().map(|&(id, _)| id).unwrap_or(0),
+            trace_id: r.trace_id,
+            parent_span_id: parent.copied().unwrap_or(0),
             seqno,
-            flow_id,
+            flow_id: log.sent,
             src,
             dst,
-            send_ns: st.clocks[src],
+            send_ns: r.now(Some(src)),
             label,
         };
-        st.flow_event(FlowPhase::Send, &ctx);
+        let send = FlowEvent::of(FlowPhase::Send, &ctx, ctx.send_ns);
+        log.entries.push(Entry::Flow(send));
         ctx
     })
 }
@@ -403,79 +270,63 @@ pub fn send_seq(label: &'static str, src: usize, dst: usize, seqno: u64) -> Opti
 /// receive endpoint. This is what makes the merged timeline causal —
 /// a receive can never be stamped before its send.
 pub fn deliver(ctx: &TraceContext, wire_ns: u64) {
-    with_state(|st| {
-        if st.trace_id != ctx.trace_id {
+    TEL.with(|r| {
+        if r.trace_id != ctx.trace_id {
             return; // context escaped from another session
         }
-        st.ensure_rank(ctx.dst);
+        r.touch(Some(ctx.dst));
+        let mut log = lock(&r.log);
         let arrive = ctx.send_ns.saturating_add(wire_ns);
-        st.clocks[ctx.dst] = st.clocks[ctx.dst].max(arrive);
-        st.flow_event(FlowPhase::Recv, ctx);
+        let ns = r.cursor(Some(ctx.dst), |c| {
+            c.fetch_max(arrive, Ordering::Relaxed).max(arrive)
+        });
+        let recv = FlowEvent::of(FlowPhase::Recv, ctx, ns);
+        log.entries.push(Entry::Flow(recv));
     });
 }
 
 /// Everything one session captured: per-rank span streams plus the
-/// cross-rank flow endpoints, on one shared virtual-ns timebase.
+/// cross-rank flow endpoints, on one shared virtual-ns timebase. A
+/// rank span is a [`SpanEvent`] on track `Some(rank)` with its clock in
+/// `ts`; its span id numbers its Begin among all Begins, from 1.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     /// The session's trace id (stamped into every flow event).
     pub trace_id: u64,
     /// Number of rank timelines touched.
     pub n_ranks: usize,
-    /// Span Begin/End events, in global record order.
+    /// Span Begin/End events, in record order.
     pub spans: Vec<SpanEvent>,
-    /// Flow send/recv endpoints, in global record order.
+    /// Flow send/recv endpoints, in record order.
     pub flows: Vec<FlowEvent>,
+    /// The record's interleaving of the two: per event, whether it is
+    /// the next flow (else the next span).
+    order: Vec<bool>,
 }
 
 impl Telemetry {
     /// Validate causal structure:
     ///
-    /// - per rank, span events are balanced and well nested (every End
-    ///   matches the innermost open Begin) with non-decreasing
-    ///   timestamps in record order;
+    /// - per rank, span events are balanced and well nested
+    ///   ([`crate::closed_spans`]) with non-decreasing timestamps in
+    ///   record order;
     /// - every flow id has exactly one Send and at most one Recv, a
     ///   Recv is never earlier than its Send, and the endpoint
     ///   rank/peer/label/seqno fields agree.
     pub fn check_causal(&self) -> Result<(), String> {
-        let mut stacks: BTreeMap<usize, Vec<(u64, &'static str)>> = BTreeMap::new();
         let mut last_ns: BTreeMap<usize, u64> = BTreeMap::new();
         for ev in &self.spans {
-            let prev = last_ns.entry(ev.rank).or_insert(0);
-            if ev.ns < *prev {
+            let rank = rank_of(ev);
+            let prev = last_ns.entry(rank).or_insert(0);
+            if ev.ts < *prev {
                 return Err(format!(
-                    "rank {} clock moved backwards: {} after {} (span `{}`)",
-                    ev.rank, ev.ns, prev, ev.label
+                    "rank {rank} clock moved backwards: {} after {prev} (span `{}`)",
+                    ev.ts, ev.label
                 ));
             }
-            *prev = ev.ns;
-            let stack = stacks.entry(ev.rank).or_default();
-            match ev.phase {
-                Phase::Begin => stack.push((ev.span_id, ev.label)),
-                Phase::End => match stack.pop() {
-                    Some((id, label)) if id == ev.span_id && label == ev.label => {}
-                    Some((id, label)) => {
-                        return Err(format!(
-                            "rank {}: span `{}` (id {}) closed while `{}` (id {}) was innermost",
-                            ev.rank, ev.label, ev.span_id, label, id
-                        ));
-                    }
-                    None => {
-                        return Err(format!(
-                            "rank {}: End for span `{}` (id {}) with no open span",
-                            ev.rank, ev.label, ev.span_id
-                        ));
-                    }
-                },
-            }
+            *prev = ev.ts;
         }
-        for (rank, stack) in &stacks {
-            if let Some((id, label)) = stack.last() {
-                return Err(format!(
-                    "rank {rank}: span `{label}` (id {id}) never closed"
-                ));
-            }
-        }
+        crate::closed_spans(&self.spans)?;
 
         let mut by_flow: BTreeMap<u64, (Option<&FlowEvent>, Option<&FlowEvent>)> = BTreeMap::new();
         for ev in &self.flows {
@@ -485,20 +336,13 @@ impl Telemetry {
                     ev.flow_id, ev.trace_id, self.trace_id
                 ));
             }
-            let slot = by_flow.entry(ev.flow_id).or_insert((None, None));
-            match ev.phase {
-                FlowPhase::Send => {
-                    if slot.0.is_some() {
-                        return Err(format!("flow {}: duplicate send", ev.flow_id));
-                    }
-                    slot.0 = Some(ev);
-                }
-                FlowPhase::Recv => {
-                    if slot.1.is_some() {
-                        return Err(format!("flow {}: duplicate receive", ev.flow_id));
-                    }
-                    slot.1 = Some(ev);
-                }
+            let (send, recv) = by_flow.entry(ev.flow_id).or_insert((None, None));
+            let end = match ev.phase {
+                FlowPhase::Send => send,
+                FlowPhase::Recv => recv,
+            };
+            if end.replace(ev).is_some() {
+                return Err(format!("flow {}: duplicate {:?}", ev.flow_id, ev.phase));
             }
         }
         for (id, (send, recv)) in &by_flow {
@@ -529,25 +373,13 @@ impl Telemetry {
     }
 
     /// Per-rank durations (ns) of every closed span named `label`,
-    /// indexed by rank. Feed `detect` in [`straggler`] with these.
+    /// indexed by rank, in the order they closed; none from an
+    /// unbalanced stream. Feed `detect` in [`straggler`] with these.
     pub fn span_durations(&self, label: &str) -> Vec<Vec<u64>> {
         let mut out: Vec<Vec<u64>> = vec![Vec::new(); self.n_ranks];
-        let mut open: BTreeMap<u64, u64> = BTreeMap::new();
-        for ev in &self.spans {
-            if ev.label != label {
-                continue;
-            }
-            match ev.phase {
-                Phase::Begin => {
-                    open.insert(ev.span_id, ev.ns);
-                }
-                Phase::End => {
-                    if let Some(begin) = open.remove(&ev.span_id) {
-                        if ev.rank < out.len() {
-                            out[ev.rank].push(ev.ns.saturating_sub(begin));
-                        }
-                    }
-                }
+        for span in crate::closed_spans(&self.spans).unwrap_or_default() {
+            if span.label == label {
+                out[span.track.unwrap_or_default()].push(span.cycles());
             }
         }
         out
@@ -569,6 +401,11 @@ impl Telemetry {
         }
         sends.values().filter(|&&delivered| !delivered).count()
     }
+}
+
+/// The rank whose timeline a span event is on.
+fn rank_of(ev: &SpanEvent) -> usize {
+    ev.track.unwrap_or_default()
 }
 
 #[cfg(test)]
@@ -633,7 +470,7 @@ mod tests {
         assert!(!enabled());
         assert!(send_from("m", 0, 1).is_none());
         let s = span_on(0, "x");
-        assert!(s.session.is_none());
+        assert!(s.open.is_none());
         tick_on(0, 5);
         assert_eq!(cursor(0), 0);
     }
@@ -642,7 +479,7 @@ mod tests {
     fn unclosed_span_is_reported() {
         let session = Session::begin(1);
         let s = span_on(0, "leak");
-        assert!(s.session.is_some());
+        assert!(s.open.is_some());
         std::mem::forget(s);
         let tel = session.finish();
         let err = tel.check_causal().unwrap_err();
@@ -682,7 +519,7 @@ mod tests {
 
     #[test]
     fn concurrent_sessions_equal_their_solo_captures() {
-        let key = |t: &Telemetry| (t.n_ranks, format!("{:?}{:?}", t.spans, t.flows));
+        let key = |t: &Telemetry| format!("{t:?}");
         let solo = [capture(1), capture(1000)];
         let start = std::sync::Barrier::new(3);
         let together = std::thread::scope(|s| {
@@ -694,7 +531,7 @@ mod tests {
                 assert!(!enabled());
                 tick_on(0, 5);
                 assert!(send_from("halo.f", 0, 1).is_none());
-                assert!(span_on(0, "step").session.is_none());
+                assert!(span_on(0, "step").open.is_none());
             }
             [a.join().unwrap(), b.join().unwrap()]
         });
@@ -713,5 +550,41 @@ mod tests {
         drop(outlives_a);
         let tel = b.finish();
         assert!(tel.spans.is_empty(), "{:?}", tel.spans);
+    }
+
+    #[test]
+    fn reading_a_clock_touches_no_rank() {
+        let session = Session::begin(3);
+        assert_eq!(cursor(5), 0);
+        assert_eq!(session.finish().n_ranks, 0);
+        let session = Session::begin(3);
+        align(2, 0);
+        assert_eq!(session.finish().n_ranks, 3);
+    }
+
+    #[test]
+    fn a_profile_and_a_trace_on_one_thread_stay_apart() {
+        let profile = crate::Session::begin();
+        let session = Session::begin(9);
+        {
+            let _profiled = crate::span("profiled");
+            crate::tick(5);
+            let _traced = span_on(0, "traced");
+            tick_on(0, 7);
+            deliver(&send_from("m", 0, 1).unwrap(), 1);
+        }
+        let tel = session.finish();
+        let profile = profile.finish();
+        let labels = |spans: &[SpanEvent]| {
+            spans
+                .iter()
+                .map(|e| e.label.to_string())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(labels(&profile.spans), ["profiled", "profiled"]);
+        assert_eq!(profile.span_totals()["profiled"], 5);
+        assert_eq!(labels(&tel.spans), ["traced", "traced"]);
+        assert_eq!(tel.span_durations("traced"), [vec![7], vec![]]);
+        assert_eq!(tel.flows.len(), 2);
     }
 }

@@ -71,7 +71,7 @@ fn decode(word: u64, n_ranks: usize) -> Op {
 /// Run one decoded schedule under a session and return the telemetry.
 fn run_schedule(words: &[u64], n_ranks: usize, trace_id: u64) -> tel::Telemetry {
     let session = tel::Session::begin(trace_id);
-    let mut stacks: Vec<Vec<tel::Span>> = (0..n_ranks).map(|_| Vec::new()).collect();
+    let mut stacks: Vec<Vec<swprof::Span>> = (0..n_ranks).map(|_| Vec::new()).collect();
     let mut deferred: Vec<(tel::TraceContext, u64)> = Vec::new();
     for &w in words {
         match decode(w, n_ranks) {

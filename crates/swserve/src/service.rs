@@ -802,9 +802,7 @@ impl Service {
         // alert's exemplar finds this entry in the black-box dump
         // (u64::MAX when the worker died idle).
         tel::flight::record("serve", "worker_kill", w as u64, victim.unwrap_or(u64::MAX));
-        if swprof::enabled() {
-            swprof::metrics::counter_add("serve.worker_kills", 1);
-        }
+        swprof::metrics::counter_add("serve.worker_kills", 1);
         let tenant = victim.map(|id| self.jobs[&id].spec.tenant);
         self.scope_event(tenant, Some(w), victim.unwrap_or(0), 0, slo::Kind::Kill);
         self.ensure_sweep();

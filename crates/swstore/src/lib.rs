@@ -371,13 +371,8 @@ impl Store {
                 }),
             }
         }
-        if swprof::enabled() {
-            swprof::metrics::counter_add("store.opens", 1);
-            swprof::metrics::counter_add(
-                "store.generations_rejected",
-                report.rejected.len() as u64,
-            );
-        }
+        swprof::metrics::counter_add("store.opens", 1);
+        swprof::metrics::counter_add("store.generations_rejected", report.rejected.len() as u64);
         let store = Self {
             dir,
             retain: opts.retain,
@@ -494,10 +489,8 @@ impl Store {
         // Black box: commits anchor a post-mortem — the flight dump's
         // last "store" event names the generation the chain ends at.
         swprof::tel::flight::record("store", "commit", epoch, frames.len() as u64);
-        if swprof::enabled() {
-            swprof::metrics::counter_add("store.generations_written", 1);
-            swprof::metrics::counter_add("store.bytes_written", bytes.len() as u64);
-        }
+        swprof::metrics::counter_add("store.generations_written", 1);
+        swprof::metrics::counter_add("store.bytes_written", bytes.len() as u64);
         let undo = self.chain.clone();
         if !self.chain.contains(&epoch) {
             self.chain.push(epoch);
@@ -506,9 +499,7 @@ impl Store {
         let mut pruned = Vec::new();
         while self.chain.len() > self.retain {
             pruned.push(self.dir.join(gen_name(self.chain.remove(0))));
-            if swprof::enabled() {
-                swprof::metrics::counter_add("store.generations_pruned", 1);
-            }
+            swprof::metrics::counter_add("store.generations_pruned", 1);
         }
         let barrier = Barrier {
             tmp,
@@ -554,9 +545,7 @@ impl Store {
                     return Ok(Some(g));
                 }
                 Err(_) => {
-                    if swprof::enabled() {
-                        swprof::metrics::counter_add("store.fallbacks", 1);
-                    }
+                    swprof::metrics::counter_add("store.fallbacks", 1);
                 }
             }
         }
@@ -577,9 +566,7 @@ impl Drop for Store {
 fn retrying(epoch: u64, attempt: impl FnMut() -> io::Result<()>) -> io::Result<u32> {
     let recorded = |retries: u32| {
         swprof::tel::flight::record("store", "fsync_retry", epoch, retries as u64);
-        if swprof::enabled() {
-            swprof::metrics::counter_add("store.fsync_retries", 1);
-        }
+        swprof::metrics::counter_add("store.fsync_retries", 1);
     };
     swfault::retry::interrupted(attempt, recorded).map(|((), retries)| retries)
 }

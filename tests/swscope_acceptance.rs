@@ -79,9 +79,10 @@ fn replay(tag: &str) -> Replay {
 /// Scripted single-job kill: worker 0 dies at its first quantum
 /// boundary, and the flight-recorder entry for the kill must name the
 /// victim job. Small enough (one short job) that the 256-event black
-/// box cannot have evicted the record by the time we look.
+/// box cannot have evicted the record by the time we look. The ring is
+/// the process's: only records made after this run began are judged.
 fn kill_record_names_victim_job() {
-    tel::flight::reset();
+    let from = tel::flight::recorded();
     let plan = FaultPlan::with_seed(3).one_shot(Site::RankKill, Some(0), 0);
     let scope = swfault::install(plan);
     let dir = store("kill");
@@ -106,7 +107,7 @@ fn kill_record_names_victim_job() {
 
     let kills: Vec<(u64, u64)> = tel::flight::snapshot()
         .into_iter()
-        .filter(|ev| ev.kind == "serve" && ev.label == "worker_kill")
+        .filter(|ev| ev.seq >= from && ev.kind == "serve" && ev.label == "worker_kill")
         .map(|ev| (ev.a, ev.b))
         .collect();
     assert_eq!(
