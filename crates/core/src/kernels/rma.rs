@@ -164,14 +164,15 @@ pub fn run_rma(
             rc
         });
         let mut write_cache = cfg.write_cache.then(|| {
-            ctx.ldm
-                .reserve("write cache", force_geo.ldm_bytes())
-                .expect("write cache fits LDM");
             let mut wc = if cfg.marks {
                 WriteCache::with_marks(force_geo, n_pkg)
             } else {
                 WriteCache::new(force_geo)
             };
+            // Geometry plus, with marks, the Bit-Map.
+            ctx.ldm
+                .reserve("write cache", wc.ldm_bytes())
+                .expect("write cache fits LDM");
             wc.bind_region(REGION_COPIES, copy_base_words);
             wc
         });

@@ -3,9 +3,9 @@
 //! Fitting the caches into 64 KB is the central constraint the paper
 //! designs around ("the LDM is too small, only 64 KB, to keep the data
 //! of all the particles", §3). This module states each kernel's budget
-//! explicitly, verifies it against the architectural capacity, and is
-//! what the kernels' own `ldm.reserve` calls are checked against in
-//! their tests.
+//! explicitly and verifies it against the architectural capacity; the
+//! tests below check that each CPE of a kernel's region reserves
+//! exactly its budget through its `ldm.reserve` calls.
 
 use sw26010::cache::CacheGeometry;
 use sw26010::params::LDM_BYTES;
@@ -78,12 +78,6 @@ pub fn rma_budget(cfg: RmaConfig, n_pkg: usize) -> LdmBudget {
         label: "force accumulators (fi, fj)",
         bytes: 2 * FORCE_WORDS * 4,
     });
-    if cfg.simd {
-        items.push(BudgetItem {
-            label: "floatv4 staging (transposed package)",
-            bytes: PKG_WORDS * 4,
-        });
-    }
     LdmBudget {
         kernel: cfg.name(),
         items,
@@ -132,7 +126,19 @@ pub fn format_budget(b: &LdmBudget) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use mdsim::nonbonded::NbParams;
+    use mdsim::pairlist::{ListKind, PairList};
+    use mdsim::water::water_box;
+    use sw26010::cg::CoreGroup;
+    use sw26010::trace::{self, EventKind};
+
     use super::*;
+    use crate::cpelist::CpePairList;
+    use crate::kernels::rma::run_rma;
+    use crate::package::{PackageLayout, PackedSystem};
+    use crate::pairgen::generate_pairlist;
 
     #[test]
     fn every_published_configuration_fits_the_ldm() {
@@ -187,6 +193,73 @@ mod tests {
             caches,
             b.total()
         );
+    }
+
+    /// Bytes each CPE reserved in the regions that make a `marker`
+    /// reservation, one entry per (region, CPE).
+    fn reserved_per_cpe(events: &[trace::Event], marker: &str) -> Vec<usize> {
+        let reserve = |e: &trace::Event| match e.kind {
+            EventKind::LdmReserve {
+                label,
+                bytes,
+                ok: true,
+                ..
+            } => Some((label, bytes)),
+            _ => None,
+        };
+        let epochs: BTreeSet<u64> = events
+            .iter()
+            .filter(|e| reserve(e).is_some_and(|(label, _)| label == marker))
+            .map(|e| e.epoch)
+            .collect();
+        let mut per_cpe: BTreeMap<(u64, Option<usize>), usize> = BTreeMap::new();
+        for e in events.iter().filter(|e| epochs.contains(&e.epoch)) {
+            if let Some((_, bytes)) = reserve(e) {
+                *per_cpe.entry((e.epoch, e.cpe)).or_default() += bytes;
+            }
+        }
+        per_cpe.into_values().collect()
+    }
+
+    #[test]
+    fn every_cpe_reserves_exactly_its_kernel_budget() {
+        let sys = water_box(200, 300.0, 5);
+        let list = PairList::build(&sys, 0.7, ListKind::Half);
+        let cpe = CpePairList::build(&sys, &list);
+        let psys = PackedSystem::build(&sys, list.clustering.clone(), PackageLayout::Transposed);
+        let params = NbParams {
+            r_cut: 0.7,
+            ..NbParams::paper_default()
+        };
+        let cg = CoreGroup::new();
+        for cfg in [
+            RmaConfig::PKG,
+            RmaConfig::CACHE,
+            RmaConfig::VEC,
+            RmaConfig::MARK,
+        ] {
+            let session = trace::Session::begin();
+            run_rma(&psys, &cpe, &params, &cg, cfg);
+            let reserved = reserved_per_cpe(&session.finish(), "list buffer");
+            let budget = rma_budget(cfg, psys.n_packages()).total();
+            assert!(!reserved.is_empty(), "{}: no calc region", cfg.name());
+            assert!(
+                reserved.iter().all(|&b| b == budget),
+                "{}: budget {budget} B, CPEs reserved {reserved:?}",
+                cfg.name()
+            );
+        }
+        for ways in [1usize, 2] {
+            let session = trace::Session::begin();
+            generate_pairlist(&sys, 0.7, ListKind::Half, &cg, ways);
+            let reserved = reserved_per_cpe(&session.finish(), "center cache");
+            let budget = pairgen_budget(ways).total();
+            assert!(!reserved.is_empty(), "{ways}-way: no search region");
+            assert!(
+                reserved.iter().all(|&b| b == budget),
+                "{ways}-way: budget {budget} B, CPEs reserved {reserved:?}"
+            );
+        }
     }
 
     #[test]

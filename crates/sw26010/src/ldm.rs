@@ -38,7 +38,6 @@ impl std::error::Error for LdmOverflow {}
 /// A labelled LDM reservation ledger for one CPE kernel instance.
 #[derive(Debug, Clone)]
 pub struct Ldm {
-    capacity: usize,
     in_use: usize,
     reservations: Vec<(&'static str, usize)>,
     stall_cycles: u64,
@@ -58,14 +57,7 @@ impl Default for Ldm {
 impl Ldm {
     /// A fresh ledger with the architectural 64 KB capacity.
     pub fn new() -> Self {
-        Self::with_capacity(LDM_BYTES)
-    }
-
-    /// A ledger with a custom capacity (used by ablation benches that ask
-    /// "what if the LDM were smaller/larger?").
-    pub fn with_capacity(capacity: usize) -> Self {
         Self {
-            capacity,
             in_use: 0,
             reservations: Vec::new(),
             stall_cycles: 0,
@@ -94,34 +86,20 @@ impl Ldm {
                 attempt += 1;
             }
         }
-        if self.in_use + bytes > self.capacity {
+        if self.in_use + bytes > LDM_BYTES {
             swprof::metrics::counter_add("ldm.overflows", 1);
-            crate::trace::emit_ldm(
-                self.trace_id,
-                label,
-                bytes,
-                self.in_use,
-                self.capacity,
-                false,
-            );
+            crate::trace::emit_ldm(self.trace_id, label, bytes, self.in_use, LDM_BYTES, false);
             return Err(LdmOverflow {
                 requested: bytes,
                 in_use: self.in_use,
-                capacity: self.capacity,
+                capacity: LDM_BYTES,
                 label,
             });
         }
         self.in_use += bytes;
         self.reservations.push((label, bytes));
         swprof::metrics::gauge_max("ldm.high_water_bytes", self.in_use as u64);
-        crate::trace::emit_ldm(
-            self.trace_id,
-            label,
-            bytes,
-            self.in_use,
-            self.capacity,
-            true,
-        );
+        crate::trace::emit_ldm(self.trace_id, label, bytes, self.in_use, LDM_BYTES, true);
         Ok(())
     }
 
@@ -155,12 +133,7 @@ impl Ldm {
 
     /// Bytes still free.
     pub fn free(&self) -> usize {
-        self.capacity - self.in_use
-    }
-
-    /// Total capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+        LDM_BYTES - self.in_use
     }
 
     /// The labelled reservations made so far, in order.
@@ -211,8 +184,8 @@ mod tests {
 
     #[test]
     fn display_mentions_label() {
-        let mut ldm = Ldm::with_capacity(10);
-        let err = ldm.reserve("big", 11).unwrap_err();
+        let mut ldm = Ldm::new();
+        let err = ldm.reserve("big", LDM_BYTES + 1).unwrap_err();
         assert!(err.to_string().contains("big"));
     }
 

@@ -6,7 +6,7 @@
 //! formatting for emitters, a writer for a parsed [`Value`]
 //! ([`write_value`], which trace merge re-emits documents through), and
 //! a small recursive-descent parser ([`parse`], its inverse) used by
-//! tests, trace merge and the `swprof` binary. The parser reads files
+//! tests, trace merge and `swgmx_mdrun --profile`. The parser reads files
 //! from disk, so its recursion is bounded: nesting deeper than
 //! [`MAX_DEPTH`] is a [`ParseError`], not a stack overflow.
 

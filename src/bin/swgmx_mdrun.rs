@@ -1,16 +1,25 @@
 //! `swgmx_mdrun` — a tiny `gmx mdrun`-flavoured CLI over the simulated
 //! machine: generate a water box, run MD, report per-kernel timing and
-//! throughput, optionally write a trajectory.
+//! throughput, optionally write a trajectory and a profile.
 //!
 //! ```text
 //! swgmx_mdrun [--particles N] [--steps N] [--version ori|cal|list|other]
 //!             [--backend metered|native] [--ranks N] [--temp K] [--pme GRID]
-//!             [--traj PATH] [--seed S] [--mdp FILE | --mdp paper]
+//!             [--traj PATH] [--seed S] [--mdp FILE | --mdp paper] [--profile DIR]
 //! ```
+//!
+//! `--profile DIR` runs under a [`swprof::Session`] and writes its
+//! `trace.json` (Chrome trace, one track for the MPE and one per CPE),
+//! `metrics.jsonl` and `report.txt` (the Table-1-style stage table). It
+//! first checks that the spans nest, the trace parses with a
+//! `traceEvents` array and, on one rank, the MPE span totals are the
+//! `Breakdown` rows within 1%; a failure is a profiler bug and exits 2.
 
 use std::fs::File;
+use std::path::Path;
 
 use sw_gromacs::mdsim::water::water_box_equilibrated;
+use sw_gromacs::sw26010::Breakdown;
 use sw_gromacs::swgmx::engine::{Engine, EngineConfig, MultiCgModel, Version};
 use sw_gromacs::swgmx::fastio::{write_frame, BufferedWriter};
 use sw_gromacs::swgmx::{BackendSel, NativeBackend};
@@ -26,6 +35,7 @@ struct Args {
     traj: Option<String>,
     seed: u64,
     mdp: Option<String>,
+    profile: Option<String>,
 }
 
 fn parse_args() -> Args {
@@ -40,6 +50,7 @@ fn parse_args() -> Args {
         traj: None,
         seed: 2026,
         mdp: None,
+        profile: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -55,15 +66,14 @@ fn parse_args() -> Args {
             "--pme" => args.pme = Some(value().parse().unwrap_or_else(|_| die("bad grid"))),
             "--traj" => args.traj = Some(value()),
             "--mdp" => args.mdp = Some(value()),
+            "--profile" => args.profile = Some(value()),
             "--seed" => args.seed = value().parse().unwrap_or_else(|_| die("bad seed")),
             "--version" => {
-                args.version = match value().as_str() {
-                    "ori" => Version::Ori,
-                    "cal" => Version::Cal,
-                    "list" => Version::List,
-                    "other" => Version::Other,
-                    v => die(&format!("unknown version {v}")),
-                }
+                let v = value();
+                args.version = Version::ALL
+                    .into_iter()
+                    .find(|ver| ver.name().to_ascii_lowercase() == v)
+                    .unwrap_or_else(|| die(&format!("unknown version {v}")));
             }
             "--backend" => {
                 let v = value();
@@ -72,10 +82,9 @@ fn parse_args() -> Args {
             }
             "--help" | "-h" => {
                 println!(
-                    "swgmx_mdrun [--particles N] [--steps N] \
-                     [--version ori|cal|list|other] [--backend metered|native] \
-                     [--ranks N] [--temp K] \
-                     [--pme GRID] [--traj PATH] [--seed S] [--mdp FILE|paper]"
+                    "swgmx_mdrun [--particles N] [--steps N] [--version ori|cal|list|other] \
+                     [--backend metered|native] [--ranks N] [--temp K] [--pme GRID] \
+                     [--traj PATH] [--seed S] [--mdp FILE|paper] [--profile DIR]"
                 );
                 std::process::exit(0);
             }
@@ -92,7 +101,10 @@ fn die(msg: &str) -> ! {
 
 fn main() {
     let args = parse_args();
-    if args.ranks > 1 {
+    // The engine (or the multi-CG model) is dropped inside the session,
+    // so whatever its drop records lands in the profile too.
+    let session = args.profile.is_some().then(swprof::Session::begin);
+    let breakdown = if args.ranks > 1 {
         // Multi-CG: the representative-CG + network model.
         println!(
             "modeling {} particles over {} CGs, {} steps, version {}",
@@ -104,9 +116,19 @@ fn main() {
         let out =
             MultiCgModel::new(args.particles, args.ranks, args.version).run(args.steps, args.seed);
         print_breakdown(&out.breakdown, out.total_ms, args.steps);
-        return;
+        // The model rescales its engine rows after the fact, so the raw
+        // spans are not expected to match them.
+        None
+    } else {
+        Some(run_engine(&args))
+    };
+    if let (Some(dir), Some(session)) = (&args.profile, session) {
+        write_profile(Path::new(dir), session.finish(), breakdown.as_ref());
     }
+}
 
+/// The single-CG run: equilibrate, step, report; returns the breakdown.
+fn run_engine(args: &Args) -> Breakdown {
     let n_mol = (args.particles / 3).max(1);
     println!(
         "equilibrating {n_mol} water molecules (seed {})...",
@@ -114,7 +136,7 @@ fn main() {
     );
     let sys = water_box_equilibrated(n_mol, args.temp, args.seed);
     let dof = sys.dof_rigid_water();
-    let (mut config, steps_override) = match &args.mdp {
+    let (mut config, steps) = match &args.mdp {
         Some(path) => {
             let text = if path == "paper" {
                 sw_gromacs::swgmx::mdp::PAPER_MDP.to_string()
@@ -128,21 +150,16 @@ fn main() {
             }
             let mut c = opts.config;
             c.version = args.version;
-            (c, Some(opts.nsteps))
+            (c, opts.nsteps)
         }
         None => {
             let mut c = EngineConfig::paper(args.version);
             c.t_ref = Some(args.temp);
             c.pme_grid = args.pme;
-            (c, None)
+            (c, args.steps)
         }
     };
-    config.nstxout = 0;
     config.backend = args.backend;
-    let args = Args {
-        steps: steps_override.unwrap_or(args.steps),
-        ..args
-    };
     let mut engine = Engine::new(sys, config);
     // A wall-clock number names the path that produced it.
     let lanes = match args.backend {
@@ -150,8 +167,7 @@ fn main() {
         BackendSel::Native => format!(", {} lanes", NativeBackend::lanes()),
     };
     println!(
-        "running {} steps of {} ps (cutoff {:.2} nm, version {}, backend {}{lanes})",
-        args.steps,
+        "running {steps} steps of {} ps (cutoff {:.2} nm, version {}, backend {}{lanes})",
         engine.config().dt,
         engine.config().params.r_cut,
         args.version.name(),
@@ -161,11 +177,11 @@ fn main() {
     let mut traj = args.traj.as_ref().map(|path| {
         BufferedWriter::new(File::create(path).unwrap_or_else(|e| die(&format!("{path}: {e}"))))
     });
-    let report_every = (args.steps / 10).max(1);
+    let report_every = (steps / 10).max(1);
     // Host time of the steps that rebuild the pair list, and of the rest.
-    let nstlist = engine.config().nstlist;
+    let (nstlist, nstxout) = (engine.config().nstlist, engine.config().nstxout);
     let (mut rebuild_steps, mut rebuild_ms, mut other_ms) = (0usize, 0.0f64, 0.0f64);
-    for step in 0..args.steps {
+    for step in 0..steps {
         // swrace: allow(SWC006) host wall clock for the closing report;
         // never reaches physics or the simulated breakdown.
         let t0 = std::time::Instant::now();
@@ -185,7 +201,8 @@ fn main() {
             );
         }
         if let Some(w) = traj.as_mut() {
-            if step % 100 == 0 {
+            // The engine's own frame cadence; `nstxout = 0` writes none.
+            if step.checked_rem(nstxout) == Some(0) {
                 write_frame(w, &engine.sys.pos).unwrap_or_else(|e| die(&format!("traj: {e}")));
             }
         }
@@ -194,14 +211,14 @@ fn main() {
         w.flush().unwrap_or_else(|e| die(&format!("traj: {e}")));
         println!("trajectory written to {}", args.traj.as_deref().unwrap());
     }
-    print_breakdown(&engine.breakdown, engine.total_ms(), args.steps);
+    print_breakdown(&engine.breakdown, engine.total_ms(), steps);
+    let host_ms = rebuild_ms + other_ms;
     if args.backend == BackendSel::Native {
         // What a rebuild costs is what its step takes beyond a step
         // that keeps the list.
-        let other_steps = args.steps - rebuild_steps;
+        let other_steps = steps - rebuild_steps;
         let per_other = other_ms / other_steps.max(1) as f64;
         let in_rebuilds = (rebuild_ms - rebuild_steps as f64 * per_other).max(0.0);
-        let host_ms = rebuild_ms + other_ms;
         println!(
             "\nnative host time: {host_ms:.1} ms, of which {in_rebuilds:.1} ms ({:.1}%) in {rebuild_steps} \
              list rebuilds ({:.2} ms each) and {:.1} ms in the rest ({per_other:.2} ms a step)",
@@ -211,16 +228,74 @@ fn main() {
         );
     }
 
-    // gmx-style closing line: simulated ns/day.
-    let ps_simulated = args.steps as f64 * engine.config().dt as f64;
-    let days = engine.total_ms() / 1e3 / 86_400.0;
+    // gmx-style closing lines: simulated ns/day, then what this run's
+    // steps took on the host.
+    let ns_simulated = steps as f64 * engine.config().dt as f64 / 1e3;
+    let ns_per_day = |ms: f64| ns_simulated / (ms / 1e3 / 86_400.0);
     println!(
-        "\nsimulated machine throughput: {:.2} ns/day",
-        ps_simulated / 1e3 / days
+        "\nsimulated machine throughput: {:.2} ns/day\n\
+         measured throughput (this run's host wall clock, {host_ms:.1} ms): {:.2} ns/day",
+        ns_per_day(engine.total_ms()),
+        ns_per_day(host_ms)
     );
+    engine.breakdown.clone()
 }
 
-fn print_breakdown(b: &sw_gromacs::sw26010::Breakdown, total_ms: f64, steps: usize) {
+/// Self-validate a profile, then export it into `dir`; a failed check
+/// exits nonzero before anything is written.
+fn write_profile(dir: &Path, profile: swprof::Profile, breakdown: Option<&Breakdown>) {
+    let ns_per_cycle = sw_gromacs::sw26010::params::cycles_to_ns(1);
+    let spans = profile
+        .closed_spans()
+        .unwrap_or_else(|e| die(&format!("unbalanced span stream: {e}")));
+    let (n_tracks, n_metrics) = (profile.tracks().len(), profile.metrics.len());
+    println!(
+        "\ncaptured {} spans over {n_tracks} tracks, {n_metrics} metrics",
+        spans.len()
+    );
+    let trace = swprof::export::chrome_trace(&profile, ns_per_cycle);
+    let n_events = swprof::json::parse(&trace)
+        .unwrap_or_else(|e| die(&format!("exported trace is not valid JSON: {e}")))
+        .get("traceEvents")
+        .and_then(|v| v.as_arr())
+        .map(|a| a.len())
+        .unwrap_or_else(|| die("trace has no traceEvents array"));
+    if let Some(breakdown) = breakdown {
+        let totals = profile.span_totals_on(None);
+        let mut worst = 0.0f64;
+        for (label, perf) in breakdown.iter().filter(|(_, p)| p.cycles > 0) {
+            let (booked, spanned) = (perf.cycles, totals.get(label).copied().unwrap_or(0));
+            let rel = (booked as f64 - spanned as f64).abs() / booked as f64;
+            worst = worst.max(rel);
+            if rel > 0.01 {
+                die(&format!(
+                    "stage `{label}`: breakdown books {booked} cycles but \
+                     spans total {spanned} ({:.2}% off)",
+                    100.0 * rel
+                ));
+            }
+        }
+        let worst = 100.0 * worst;
+        println!("span totals agree with the Table 1 breakdown (worst stage off by {worst:.4}%)");
+    }
+
+    std::fs::create_dir_all(dir).unwrap_or_else(|e| die(&format!("{}: {e}", dir.display())));
+    let metrics = swprof::export::metrics_jsonl(&profile.metrics);
+    let report = swprof::export::report(&profile, ns_per_cycle);
+    for (name, body) in [
+        ("trace.json", &trace),
+        ("metrics.jsonl", &metrics),
+        ("report.txt", &report),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, body).unwrap_or_else(|e| die(&format!("{}: {e}", path.display())));
+        println!("wrote {} ({} bytes)", path.display(), body.len());
+    }
+    println!("\n{report}");
+    println!("{n_events} trace events exported; open trace.json in ui.perfetto.dev");
+}
+
+fn print_breakdown(b: &Breakdown, total_ms: f64, steps: usize) {
     println!("\nper-kernel simulated time ({steps} steps):");
     for (label, c) in b.iter() {
         println!(
