@@ -528,6 +528,7 @@ impl Engine {
                 let out = crate::kernels::run_bonded_cpe(&self.sys, self.backend.core_group());
                 swprof::tick(out.total.cycles);
                 drop(span);
+                swprof::tel::flight::record("stage", "Bonded", out.total.cycles, 0);
                 for (i, f) in out.forces.iter().enumerate() {
                     self.sys.force[i] += *f;
                 }
@@ -1055,6 +1056,31 @@ mod tests {
             "{}",
             cs.max_violation(&e.sys)
         );
+    }
+
+    #[test]
+    fn a_cpe_bonded_row_is_flight_recorded_with_its_cycles() {
+        let sys = water_box(16, 300.0, 106);
+        let mut e = Engine::new(
+            sys,
+            EngineConfig {
+                constraints: false,
+                dt: 0.0002,
+                nstxout: 0,
+                ..EngineConfig::paper(Version::Other)
+            },
+        );
+        let ring = swprof::tel::flight::Ring::new();
+        let _armed = ring.enter();
+        e.step();
+        let bonded: Vec<u64> = ring
+            .snapshot()
+            .iter()
+            .filter(|ev| (ev.kind, ev.label) == ("stage", "Bonded"))
+            .map(|ev| ev.a)
+            .collect();
+        assert_eq!(bonded, [e.breakdown.cycles("Bonded")]);
+        assert!(bonded[0] > 0);
     }
 
     #[test]

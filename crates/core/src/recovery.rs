@@ -17,8 +17,10 @@
 
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 use mdsim::checkpoint::Checkpoint;
+use swprof::tel::flight::Ring;
 use swstore::{Store, StoreOptions};
 
 use crate::engine::Engine;
@@ -56,8 +58,11 @@ pub struct RecoveryReport {
 }
 
 /// Drives an [`Engine`] under a fault plan with checkpoint/rollback.
+/// A runner owns the flight ring its rollbacks dump: everything recorded
+/// while it builds and runs lands there, and in no ring further out.
 pub struct FaultTolerantRunner {
     engine: Engine,
+    ring: Arc<Ring>,
     cp_every: usize,
     cp_bytes: Vec<u8>,
     high_water: usize,
@@ -72,6 +77,13 @@ impl FaultTolerantRunner {
     /// restored run rebuilds its pair list at the same step index the
     /// original did (the [`Engine::resume_at`] contract).
     pub fn new(engine: Engine, cp_every: usize) -> io::Result<Self> {
+        let ring = Ring::new();
+        let _armed = ring.enter();
+        Self::recording_into(ring, engine, cp_every)
+    }
+
+    /// [`FaultTolerantRunner::new`] with the caller's ring, entered.
+    fn recording_into(ring: Arc<Ring>, engine: Engine, cp_every: usize) -> io::Result<Self> {
         let nstlist = engine.config().nstlist;
         assert!(
             cp_every > 0 && cp_every.is_multiple_of(nstlist),
@@ -82,6 +94,7 @@ impl FaultTolerantRunner {
         let high_water = engine.step_index();
         Ok(Self {
             engine,
+            ring,
             cp_every,
             cp_bytes,
             high_water,
@@ -106,6 +119,8 @@ impl FaultTolerantRunner {
     /// before that restarts from the engine the caller passed in, as a
     /// crash just before this call would.
     pub fn new_durable(mut engine: Engine, cp_every: usize, dir: &Path) -> io::Result<Self> {
+        let ring = Ring::new();
+        let _armed = ring.enter();
         let (mut store, _open) = Store::open(dir, StoreOptions::default())?;
         let mut report = RecoveryReport::default();
         let mut last_persisted = None;
@@ -121,7 +136,7 @@ impl FaultTolerantRunner {
             last_persisted = Some(cp.step);
             swprof::metrics::counter_add("rank.resumes", 1);
         }
-        let mut runner = Self::new(engine, cp_every)?;
+        let mut runner = Self::recording_into(ring, engine, cp_every)?;
         runner.report.checkpoint_io_retries += report.checkpoint_io_retries;
         runner.report.resumed_from = report.resumed_from;
         runner.store = Some(store);
@@ -190,7 +205,8 @@ impl FaultTolerantRunner {
         let cp = Self::deserialize(&self.cp_bytes, &mut self.report)?;
         swprof::tel::flight::record("abort", cause, at_step as u64, cp.step);
         if let Some(store) = &self.store {
-            let _ = swprof::tel::flight::dump_to(&store.dir().join("blackbox-rollback.json"));
+            let dump = store.dir().join("blackbox-rollback.json");
+            let _ = self.ring.dump_to(&dump);
         }
         cp.restore(&mut self.engine.sys)?;
         self.engine.resume_at(cp.step as usize);
@@ -203,6 +219,7 @@ impl FaultTolerantRunner {
     /// progress and deterministic termination. In durable mode every
     /// generation counted in the report is durable when this returns.
     pub fn run_until(&mut self, until_step: usize) -> io::Result<&RecoveryReport> {
+        let _armed = self.ring.enter();
         let mut consecutive_panics = 0u32;
         while self.engine.step_index() < until_step {
             let step = self.engine.step_index();

@@ -36,6 +36,7 @@ use swnet::{
     epoch_barrier, epoch_barrier_traced, halo_exchange_ns, halo_timeout_ns, SeqChannel, Transport,
 };
 use swprof::scope::Who;
+use swprof::tel::flight::Ring;
 use swstore::{Store, StoreOptions};
 
 use crate::checkpoint::{assemble_shards, RankShard};
@@ -117,7 +118,8 @@ pub struct DurableRunReport {
 
 /// Run durable DD-MD against the store at `dir` (created if absent).
 /// See the module docs for the protocol. Errors are unrecoverable
-/// storage failures or the death of the last rank.
+/// storage failures or the death of the last rank. The run records into
+/// a flight ring of its own, the one its black-box dumps hold.
 pub fn run_dd_md_durable(
     sys: &mut System,
     dir: &Path,
@@ -128,6 +130,8 @@ pub fn run_dd_md_durable(
     assert!(cfg.epoch_interval > 0, "epoch_interval must be positive");
     assert!(cfg.n_ranks >= 1);
     let _run_span = swprof::span("durable.run");
+    let ring = Ring::new();
+    let _armed = ring.enter();
     let mut report = DurableRunReport {
         epoch_interval: cfg.epoch_interval,
         ..Default::default()
@@ -200,7 +204,7 @@ pub fn run_dd_md_durable(
                 for &p in &dead_positions {
                     swprof::tel::flight::record("abort", "rank_kill", members[p] as u64, step);
                 }
-                let _ = swprof::tel::flight::dump_to(&dir.join("blackbox-alldead.json"));
+                let _ = ring.dump_to(&dir.join("blackbox-alldead.json"));
                 return Err(io::Error::other(
                     "all ranks died; nothing left to recover onto",
                 ));
@@ -222,9 +226,7 @@ pub fn run_dd_md_durable(
             for &p in &dead_positions {
                 swprof::tel::flight::record("abort", "rank_kill", members[p] as u64, step);
             }
-            let _ = swprof::tel::flight::dump_to(
-                &dir.join(format!("blackbox-rankkill-step{step}.json")),
-            );
+            let _ = ring.dump_to(&dir.join(format!("blackbox-rankkill-step{step}.json")));
             for &p in dead_positions.iter().rev() {
                 members.remove(p);
             }

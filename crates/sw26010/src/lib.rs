@@ -44,7 +44,6 @@
 //!   write-back (Fig. 4), Bit-Map marks (Alg. 3), 1/2-way associativity
 //! - [`bitmap`] — the §3.3 update-mark bit vector
 //! - [`cg`] — core group: MPE + 64-CPE spawn/join with per-CPE metering
-//! - [`noc`] — intra-chip CG-to-CG transfers
 //! - [`trace`] — event sink feeding the `swcheck` invariant checker
 
 pub mod bitmap;
@@ -53,7 +52,6 @@ pub mod cg;
 pub mod dma;
 pub mod gld;
 pub mod ldm;
-pub mod noc;
 pub mod params;
 pub mod perf;
 pub mod pool;

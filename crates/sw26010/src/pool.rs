@@ -29,11 +29,11 @@
 //!
 //! **One lane prologue.** Around each lane body the executor makes the
 //! calling thread *be* that lane of *that submitter*, with one guard. It
-//! enters the submitter's trace, fault, profile and `tel` sessions
-//! (`swprof::scope` handles — the only way a session crosses threads;
-//! four flag reads when the submitter has none), so a lane records into
-//! and is injected by what the thread that submitted its region opened,
-//! and a worker is nobody's between lanes. And it makes the thread the
+//! enters the submitter's trace, fault, profile and `tel` sessions and
+//! its flight ring (`swprof::scope` handles — the only way a session
+//! crosses threads; five flag reads when the submitter has none), so a
+//! lane records into and is injected by what the thread that submitted
+//! its region opened, and a worker is nobody's between lanes. And it makes the thread the
 //! lane: the submitter's [`Who`] (its rank, the region's epoch) with the
 //! lane's index — the trace's CPE, the profiler's track and the fault
 //! lane at once. All of it is put back when the lane ends or unwinds —
@@ -244,6 +244,7 @@ impl LanePool {
             faults: swfault::handle(),
             profile: swprof::handle(),
             tel: swprof::tel::handle(),
+            flight: swprof::tel::flight::handle(),
             who: Who::current(),
         };
         let slots: Vec<Mutex<Option<T>>> = (0..n_lanes).map(|_| Mutex::new(None)).collect();
@@ -392,6 +393,7 @@ struct Submitter {
     faults: Handle<swfault::Injector>,
     profile: Handle<swprof::Recording>,
     tel: Handle<swprof::Recording>,
+    flight: Handle<swprof::tel::flight::Ring>,
     who: Who,
 }
 
@@ -406,6 +408,7 @@ impl Submitter {
             self.faults.enter(),
             self.profile.enter(),
             self.tel.enter(),
+            self.flight.enter(),
             Who {
                 lane: Some(lane),
                 ..self.who
@@ -688,6 +691,7 @@ mod tests {
                 swprof::stage("lane", 1);
                 swprof::metrics::counter_add("lanes", 1);
                 trace::emit_gld(1);
+                swprof::tel::flight::record("stage", "lane", 0, 0);
                 (trace::enabled(), swfault::enabled(), swprof::enabled())
             })
         };
@@ -700,6 +704,8 @@ mod tests {
             s.spawn(move || {
                 let capture = trace::Session::begin();
                 let profile = swprof::Session::begin();
+                let ring = swprof::tel::flight::Ring::new();
+                let _armed = ring.enter();
                 let faults = swfault::install(swfault::FaultPlan::with_seed(1).one_shot(
                     swfault::Site::LanePanic,
                     Some(2),
@@ -725,6 +731,8 @@ mod tests {
                     .iter()
                     .filter(|e| matches!(e.kind, trace::EventKind::Gld { .. }));
                 assert_eq!(glds.count(), 23);
+                let flown = ring.snapshot();
+                assert_eq!(flown.iter().filter(|e| e.label == "lane").count(), 23);
             });
             s.spawn(move || {
                 for _ in 0..3 {

@@ -462,9 +462,10 @@ fn decide_slow(injector: &Injector, site: Site) -> Option<u64> {
     });
     swprof::metrics::counter_add("fault.injected", 1);
     swprof::metrics::counter_add(site.metric(), 1);
-    // Black box: every fired decision lands in the flight recorder
-    // (always on), so a post-mortem sees the faults leading up to an
-    // abort. Lane is offset by one: 0 = MPE/none, n = CPE n-1.
+    // Black box: every fired decision lands in the calling thread's
+    // flight ring (a lane's is its submitter's), so a post-mortem sees
+    // the faults leading up to an abort. Lane is offset by one: 0 =
+    // MPE/none, n = CPE n-1.
     swprof::tel::flight::record(
         "fault",
         site.name(),

@@ -1,13 +1,15 @@
 //! The one session scope every instrumentation plane is built on.
 //!
-//! The profiler, `swfault`, [`crate::tel`] and `sw26010::trace` each
-//! keep their whole state in one struct owned by the guard `Session::begin` /
-//! `swfault::install` returns ([`Scope`]); nothing about a session is
-//! process-wide. A thread reaches the state of the session it works for
-//! through the plane's thread-local slot ([`Plane`]; `enabled()` is "my
-//! slot is occupied", one thread-local flag read), and a slot changes in
-//! one way only: [`Handle::enter`] puts a handle in and returns a guard
-//! that puts back what it found when dropped, unwinding included.
+//! The profiler, `swfault`, [`crate::tel`], `sw26010::trace` and the
+//! flight recorder each keep their whole state in one struct, owned by
+//! the guard `Session::begin` / `swfault::install` returns ([`Scope`])
+//! or by the run that dumps it ([`crate::tel::flight::Ring`]); nothing
+//! about a session is process-wide. A thread reaches the state of the
+//! session it works for through the plane's thread-local slot
+//! ([`Plane`]; `enabled()` is "my slot is occupied", one thread-local
+//! flag read), and a slot changes in one way only: [`Handle::enter`]
+//! or [`Plane::enter`] puts state in and returns a guard that puts back
+//! what it found when dropped, unwinding included.
 //! Opening a session does that on the opening thread; the lane prologue
 //! of `sw26010::pool::LanePool` does it on a lane, with the handles of
 //! the thread that submitted the region. So a session sees its own
@@ -83,12 +85,18 @@ impl<S> Plane<S> {
     /// Open a session over `state` on the calling thread. Never blocks.
     pub fn open(&'static self, state: S) -> Scope<S> {
         let state = Arc::new(state);
-        let _entered = Handle {
-            plane: self,
-            state: Some(Arc::clone(&state)),
-        }
-        .enter();
+        let _entered = self.enter(&state);
         Scope { state, _entered }
+    }
+
+    /// Make the calling thread work for `state` until the guard drops:
+    /// what an owner that outlives one call does on each call.
+    pub fn enter(&'static self, state: &Arc<S>) -> Entered<S> {
+        Entered {
+            plane: Some(self),
+            found: self.replace(Some(Arc::clone(state))),
+            _not_send: PhantomData,
+        }
     }
 
     /// Make `state` the content of the calling thread's slot and return
@@ -120,11 +128,15 @@ impl<S> Handle<S> {
     }
 
     /// Make the calling thread work for this handle's session (for none
-    /// if it is empty, touching no reference count) until the guard drops.
+    /// if it is empty) until the guard drops. A thread already working for
+    /// it (a submitter's own lanes) leaves the slot and its count alone.
     pub fn enter(&self) -> Entered<S> {
+        let held = (self.state.as_deref())
+            .is_some_and(|state| self.plane.with(|s| std::ptr::eq(s, state)) == Some(true));
+        let plane = (!held).then_some(self.plane);
         Entered {
-            plane: self.plane,
-            found: self.plane.replace(self.state.clone()),
+            found: plane.and_then(|plane| plane.replace(self.state.clone())),
+            plane,
             _not_send: PhantomData,
         }
     }
@@ -133,7 +145,8 @@ impl<S> Handle<S> {
 /// Guard of [`Handle::enter`]: puts back what the thread's slot held.
 #[must_use = "the thread leaves the session when this drops"]
 pub struct Entered<S: 'static> {
-    plane: &'static Plane<S>,
+    /// `None` when the slot already held the state entered.
+    plane: Option<&'static Plane<S>>,
     found: Option<Arc<S>>,
     /// A slot belongs to a thread; so does the guard that restores it.
     _not_send: PhantomData<*const ()>,
@@ -141,7 +154,9 @@ pub struct Entered<S: 'static> {
 
 impl<S> Drop for Entered<S> {
     fn drop(&mut self) {
-        self.plane.replace(self.found.take());
+        if let Some(plane) = self.plane {
+            plane.replace(self.found.take());
+        }
     }
 }
 
@@ -250,6 +265,11 @@ mod tests {
         let scope = PLANE.open(AtomicU64::new(0));
         assert!(PLANE.active() && bump());
         let handle = PLANE.handle();
+        {
+            let _again = handle.enter();
+            assert!(bump(), "its own handle, entered again");
+        }
+        assert!(bump(), "still its session when that guard drops");
         std::thread::scope(|s| {
             s.spawn(|| {
                 assert!(!bump(), "a thread nobody handed a handle");
@@ -260,7 +280,7 @@ mod tests {
                 assert!(!bump(), "restored when the guard drops");
             });
         });
-        assert_eq!(scope.state().load(Ordering::Relaxed), 2);
+        assert_eq!(scope.state().load(Ordering::Relaxed), 4);
         drop(scope);
         assert!(!PLANE.active());
     }

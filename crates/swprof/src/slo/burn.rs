@@ -80,8 +80,10 @@ impl AlertKind {
         }
     }
 
-    /// Span and flight-record label. Every alert lands in the flight
-    /// recorder with `kind: "scope"` and this label; when a tracing
+    /// Span and flight-record label. Every alert is flight-recorded
+    /// with `kind: "scope"` and this label (into the ring of the thread
+    /// running the service loop: `swserve loadgen`'s
+    /// `blackbox-serve.json`); when a tracing
     /// session is active the same label also appears as a zero-length
     /// span on the scheduler rank, so burn-rate alerts line up against
     /// the causal timeline they indict.

@@ -16,13 +16,14 @@
 //! - **exemplars** ([`window::Exemplar`]): each window retains the
 //!   [`crate::tel`] flow ids of its worst-latency and failed jobs, so a
 //!   p99 point or an alert resolves to a concrete span chain in the
-//!   merged Chrome trace and, for kills, the flight-recorder dump;
+//!   merged Chrome trace and, for kills, the flight record (in the
+//!   service loop's ring: `swserve loadgen`'s `blackbox-serve.json`);
 //! - **worker anomaly flags**: the [`crate::tel::straggler`] EWMA+MAD
 //!   math re-applied to per-worker quantum durations.
 //!
 //! Every alert is emitted into the causal-tracing timeline — a
-//! flight-recorder entry (`kind: "scope"`, label
-//! [`burn::AlertKind::label`]) always, plus a zero-length span on a
+//! flight record (`kind: "scope"`, label [`burn::AlertKind::label`])
+//! into the calling thread's ring, plus a zero-length span on a
 //! bound rank when a tracing session is active — so the alert stream
 //! lines up against the causal trace it indicts. All state is integer or
 //! IEEE-754 basic arithmetic over a deterministic event stream, so two
@@ -294,7 +295,7 @@ impl Scope {
 
     fn emit(&mut self, alert: Alert) {
         let label = alert.kind.label();
-        // Always into the black box: (scope key, window end) payload.
+        // Into the caller's black box: (scope key, window end) payload.
         tel::flight::record("scope", label, alert.scope.key(), alert.at_ns);
         // And onto the causal timeline when a session is active: a
         // zero-length span on the bound rank at its current clock.

@@ -13,9 +13,9 @@
 //!   advances the destination clock to
 //!   `max(dst_clock, send_ns + wire_ns)`, so the merged timeline is
 //!   causal *by construction* — no wall clock is ever read.
-//! - **Flight recorder** ([`flight`]): an always-on, fixed-capacity,
-//!   allocation-free ring of recent events, dumped as a black-box file
-//!   when `swfault` kills a rank or a step rolls back.
+//! - **Flight recorder** ([`flight`]): a fixed-capacity, allocation-free
+//!   ring of recent events, owned by the run that dumps it as a
+//!   black-box file when `swfault` kills a rank or a step rolls back.
 //! - **Straggler detection** ([`straggler`]): EWMA-smoothed per-rank
 //!   step latency vs. the fleet median, flagged at a MAD threshold.
 //! - **Trace merge** ([`merge`], [`Telemetry::to_chrome_trace`]):
@@ -31,8 +31,9 @@
 //! everything is gated on one thread-local read ([`enabled`]).
 //! On a thread with no session the instrumentation in
 //! `swnet`/`mdsim`/`swgmx` is a handful of no-op calls, held to the
-//! same microsecond budget as the profiler's (`tests/overhead.rs`). The
-//! flight recorder is the one part with no session — see [`flight`].
+//! same microsecond budget as the profiler's (`tests/overhead.rs`). A
+//! flight ring is a plane of its own, scoped the same way: its owner is
+//! the run that dumps it, not a tracing session — see [`flight`].
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;

@@ -5,11 +5,11 @@
 //!   in the stack guards on one thread-local flag read, so with no
 //!   session active an instrumented kernel must run at the speed it had
 //!   before the instrumentation existed.
-//! - **Always-on flight recorder**: `tel::flight::record` has no off
-//!   switch — it runs inside production paths (fault decisions, store
-//!   commits, stage charges) unconditionally. Its mutex + array-store
-//!   cost is bounded here so it can never quietly grow an allocation
-//!   or O(n) walk.
+//! - **Flight recorder**: `tel::flight::record` runs inside production
+//!   paths (fault decisions, store commits, stage charges). With no
+//!   ring entered it is a flag read like the disabled paths; inside a
+//!   ring its mutex + array-store cost is bounded here so it can never
+//!   quietly grow an allocation or O(n) walk.
 //!
 //! A mutex or an allocation on a disabled path costs 20–100 ns a call
 //! in a release build and more in a debug one; the budget is a hard
@@ -52,8 +52,22 @@ fn a_disabled_tracing_call_stays_under_a_microsecond() {
 }
 
 #[test]
+fn a_flight_record_with_no_ring_stays_under_a_microsecond() {
+    assert!(
+        tel::flight::handle().into_state().is_none(),
+        "no ring on this thread"
+    );
+    hold_under_a_microsecond("flight record, no ring", 1, |i| {
+        tel::flight::record("stage", "force", black_box(i), 0);
+    });
+}
+
+#[test]
 fn a_flight_record_stays_under_a_microsecond() {
+    let ring = tel::flight::Ring::new();
+    let _armed = ring.enter();
     hold_under_a_microsecond("flight recorder", 1, |i| {
         tel::flight::record("stage", "force", black_box(i), 0);
     });
+    assert_eq!(ring.recorded(), 1_000_000);
 }

@@ -21,6 +21,10 @@
 //! `swprof::tel` session and writes the merged Chrome timeline; alert
 //! spans (`swscope.alert.*`) land on the scheduler rank, and exemplar
 //! trace ids resolve to the `args.id` of their `job.deliver` flow pair.
+//! `--slo-out` writes the SLO report and, beside it, the service
+//! loop's black box (`blackbox-serve.json`: the flight ring the main
+//! run records its kills, drops, readmits and alerts into; each job's
+//! runner records into a ring of its own).
 //! `--dash` writes the dashboard as JSON at the virtual timestamp
 //! `--at` (default: end of run; the ASCII view honours it too). Every
 //! field is a pure function of the seed, so two runs write
@@ -149,7 +153,10 @@ fn main() -> ExitCode {
         .trace
         .as_ref()
         .map(|_| swprof::tel::Session::begin(args.seed));
+    let ring = swprof::tel::flight::Ring::new();
+    let armed = ring.enter();
     let result = loadgen::run_scoped(&plan, &run_dir);
+    drop(armed);
     let telemetry = session.map(|s| s.finish());
     let (result, scope) = match result {
         Ok(r) => r,
@@ -181,7 +188,10 @@ fn main() -> ExitCode {
         println!("[trace] wrote {}", path.display());
     }
     if let Some(path) = &args.slo_out {
-        if let Err(e) = write_file(path, result.slo.to_json()) {
+        let blackbox = path.with_file_name("blackbox-serve.json");
+        if let Err(e) =
+            write_file(path, result.slo.to_json()).and_then(|()| ring.dump_to(&blackbox))
+        {
             eprintln!("SLO report write failed: {e}");
             return ExitCode::from(1);
         }

@@ -799,8 +799,8 @@ impl Service {
         wk.lane_panics_seen = 0;
         self.stats.worker_kills += 1;
         // Payload: (worker, victim job) — the job id is how a kill
-        // alert's exemplar finds this entry in the black-box dump
-        // (u64::MAX when the worker died idle).
+        // alert's exemplar finds this entry in the ring the loop's
+        // caller armed (u64::MAX when the worker died idle).
         tel::flight::record("serve", "worker_kill", w as u64, victim.unwrap_or(u64::MAX));
         swprof::metrics::counter_add("serve.worker_kills", 1);
         let tenant = victim.map(|id| self.jobs[&id].spec.tenant);

@@ -9,7 +9,7 @@
 //!   caches, deferred update, Bit-Map marks, vectorized kernels, CPE
 //!   pair-list generation, fast I/O, platform TTF model
 //! - [`swprof`] — one observability crate: the span profiler, cross-rank
-//!   causal tracing and the always-on flight recorder (`swprof::tel`),
+//!   causal tracing and per-run flight rings (`swprof::tel`),
 //!   and the serving telemetry plane (`swprof::slo`)
 //!
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the

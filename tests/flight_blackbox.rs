@@ -1,16 +1,15 @@
-//! Acceptance test for the always-on flight recorder: a scripted rank
-//! kill during a durable run must leave a black-box dump next to the
-//! swstore generation chain, and the dump's abort events must match the
-//! kill site (which rank, which step).
-//!
-//! The flight ring is process-global, so this test lives in its own
-//! integration binary (its own process) rather than sharing one with
-//! the other telemetry tests.
+//! Acceptance tests for the flight recorder: a scripted rank kill during
+//! a durable run must leave a black-box dump next to the swstore
+//! generation chain, and the dump's abort events must match the kill
+//! site (which rank, which step); a runner's dump must hold its own run
+//! and nothing another thread of the process records.
 
 use sw_gromacs::mdsim::constraints::ConstraintSet;
 use sw_gromacs::mdsim::durable::{run_dd_md_durable, DurableConfig};
 use sw_gromacs::mdsim::nonbonded::{Coulomb, NbParams};
 use sw_gromacs::mdsim::water::{theta_hoh, water_box, D_OH};
+use sw_gromacs::swgmx::engine::{Engine, EngineConfig, Version};
+use sw_gromacs::swgmx::recovery::FaultTolerantRunner;
 use swfault::{FaultPlan, Site};
 use swprof::json::{parse, Value};
 use swprof::tel;
@@ -72,8 +71,79 @@ fn rank_kill_leaves_a_blackbox_dump_matching_the_abort_site() {
         "dump records (rank, step) of the kill"
     );
 
-    // The recorder kept running *through* the recovery: the in-memory
-    // ring has seen at least everything the dump froze.
-    assert!(tel::flight::recorded() >= events.len() as u64);
+    // The dump counts every record its ring took, evicted or not.
+    let recorded = doc.get("recorded").and_then(Value::as_num).unwrap();
+    assert!(recorded >= events.len() as f64);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A runner's rollback dump holds its own run and nothing else: not
+/// what its thread recorded before the runner existed, and not what
+/// another thread records meanwhile — while the records the runner
+/// makes stay out of the ring its thread had entered.
+#[test]
+fn a_blackbox_holds_only_its_own_run() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
+    let dir = std::env::temp_dir().join(format!("flight-own-run-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let stop = AtomicBool::new(false);
+    let started = Barrier::new(2);
+    let (outer, report) = std::thread::scope(|s| {
+        s.spawn(|| {
+            let ring = tel::flight::Ring::new();
+            let _armed = ring.enter();
+            tel::flight::record("test", "thread_b", 0, 0);
+            started.wait();
+            while !stop.load(Ordering::Relaxed) {
+                tel::flight::record("test", "thread_b", 0, 0);
+            }
+        });
+        let ran = s.spawn(|| {
+            let outer = tel::flight::Ring::new();
+            let _armed = outer.enter();
+            tel::flight::record("test", "before_run", 0, 0);
+            started.wait();
+            // Steps 1-14 draw step-abort decisions 0-13: decision 14
+            // aborts step 15, which rolls back to the step-10 checkpoint.
+            let faults =
+                swfault::install(FaultPlan::with_seed(1).one_shot(Site::StepAbort, None, 14));
+            let config = EngineConfig {
+                nstxout: 0,
+                ..EngineConfig::paper(Version::Other)
+            };
+            let engine = Engine::new(water_box(16, 300.0, 35), config);
+            let mut runner = FaultTolerantRunner::new_durable(engine, 10, &dir).unwrap();
+            let report = runner.run_until(20).unwrap().clone();
+            drop(faults.finish());
+            (outer.snapshot(), report)
+        });
+        let ran = ran.join();
+        stop.store(true, Ordering::Relaxed);
+        ran.expect("thread A")
+    });
+    assert_eq!(report.rollbacks, 1);
+    let outer: Vec<_> = outer.iter().map(|e| e.label).collect();
+    assert_eq!(
+        outer,
+        ["before_run"],
+        "the runner's records stay in its ring"
+    );
+
+    let doc = parse(&std::fs::read_to_string(dir.join("blackbox-rollback.json")).unwrap()).unwrap();
+    let events = doc.get("events").and_then(Value::as_arr).unwrap();
+    let field = |e: &Value, k: &str| e.get(k).and_then(Value::as_str).unwrap().to_string();
+    let labels: Vec<String> = events.iter().map(|e| field(e, "label")).collect();
+    assert!(
+        !labels.iter().any(|l| l == "before_run" || l == "thread_b"),
+        "foreign records in the dump: {labels:?}"
+    );
+    assert_eq!(events[0].get("seq").and_then(Value::as_num), Some(0.0));
+    let last = events.last().unwrap();
+    assert_eq!(
+        (field(last, "kind"), field(last, "label")),
+        ("abort".into(), "step_rollback".into())
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

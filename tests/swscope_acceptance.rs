@@ -2,8 +2,7 @@
 //! on the fixed chaos fixture (seed 11, 240 jobs, 4 workers — the same
 //! fixture `swserve loadgen --chaos` and EXPERIMENTS.md record).
 //!
-//! One sequential test (the flight recorder it reads back is
-//! process-wide) asserting the ISSUE's acceptance criteria:
+//! One sequential test asserting the plane's acceptance criteria:
 //!
 //! 1. a fast-burn alert fires deterministically **mid-run** — after
 //!    the first window closes, before the makespan;
@@ -78,11 +77,11 @@ fn replay(tag: &str) -> Replay {
 
 /// Scripted single-job kill: worker 0 dies at its first quantum
 /// boundary, and the flight-recorder entry for the kill must name the
-/// victim job. Small enough (one short job) that the 256-event black
-/// box cannot have evicted the record by the time we look. The ring is
-/// the process's: only records made after this run began are judged.
+/// victim job. The service loop records into the ring its caller
+/// arms; the job's own records go to its runner's.
 fn kill_record_names_victim_job() {
-    let from = tel::flight::recorded();
+    let ring = tel::flight::Ring::new();
+    let _armed = ring.enter();
     let plan = FaultPlan::with_seed(3).one_shot(Site::RankKill, Some(0), 0);
     let scope = swfault::install(plan);
     let dir = store("kill");
@@ -105,9 +104,10 @@ fn kill_record_names_victim_job() {
     assert_eq!(svc.stats().worker_kills, 1);
     assert_eq!(svc.stats().completed, 1, "killed job recovered");
 
-    let kills: Vec<(u64, u64)> = tel::flight::snapshot()
+    let kills: Vec<(u64, u64)> = ring
+        .snapshot()
         .into_iter()
-        .filter(|ev| ev.seq >= from && ev.kind == "serve" && ev.label == "worker_kill")
+        .filter(|ev| ev.kind == "serve" && ev.label == "worker_kill")
         .map(|ev| (ev.a, ev.b))
         .collect();
     assert_eq!(
@@ -209,8 +209,6 @@ fn chaos_fixture_alerts_exemplars_and_replay_determinism() {
     assert_eq!(metric("sketch.samples"), N_JOBS as f64);
 
     // (5) Worker-kill flight records carry the victim job id so the
-    // dashboard's kill counters resolve into the black box. (Scripted
-    // small so the 256-event ring provably still holds the record —
-    // the 240-job replay floods it with per-stage engine events.)
+    // dashboard's kill counters resolve into the black box.
     kill_record_names_victim_job();
 }
