@@ -156,7 +156,7 @@ pub fn physics_checksum(forces: &[mdsim::Vec3], energies: &mdsim::nonbonded::NbE
 }
 
 /// Run `variant` on `backend` over a seeded water box of `n_mol`
-/// molecules and return its full [`KernelResult`] (forces, energies,
+/// molecules and return its full [`KernelResult`](crate::kernels::KernelResult) (forces, energies,
 /// counters, per-phase breakdown). The shared workload constructor for
 /// the checker, the certification harness, and the roofline collector —
 /// both backends see byte-identical inputs for a given `(n_mol, seed)`.

@@ -78,7 +78,9 @@ pub struct EngineConfig {
     pub nstlist: usize,
     /// Integration step, ps.
     pub dt: f32,
-    /// Steps between trajectory frames (0 = never).
+    /// Steps between trajectory frames (0 = never). The engine charges
+    /// each frame's modelled "Write traj" cost; writing the frames is the
+    /// caller's (`swgmx_mdrun --traj`).
     pub nstxout: usize,
     /// Apply SHAKE rigid-water constraints.
     pub constraints: bool,
@@ -244,7 +246,6 @@ pub struct Engine {
     pub breakdown: Breakdown,
     /// Last short-range energies.
     pub energies: NbEnergies,
-    traj_sink: fastio::BufferedWriter<std::io::Sink>,
     kernel_faults: u64,
     consecutive_kernel_faults: u32,
     degraded: bool,
@@ -296,7 +297,6 @@ impl Engine {
             pme,
             breakdown: Breakdown::new(),
             energies: NbEnergies::default(),
-            traj_sink: fastio::BufferedWriter::with_capacity(std::io::sink(), 1 << 20),
             kernel_faults: 0,
             consecutive_kernel_faults: 0,
             degraded: false,
@@ -583,12 +583,9 @@ impl Engine {
             integrate::berendsen_scale(&mut self.sys, self.config.dt, 0.1, t_ref, t_now);
         }
 
-        // --- trajectory output.
+        // --- trajectory output: modelled cost only.
         if self.config.nstxout > 0 && self.step_idx.is_multiple_of(self.config.nstxout) {
             let fast = self.config.version == Version::Other;
-            if fast {
-                fastio::write_frame(&mut self.traj_sink, &self.sys.pos).ok();
-            }
             charge(
                 &mut self.breakdown,
                 "Write traj",
@@ -609,11 +606,7 @@ impl Engine {
         for _ in 0..n {
             self.step();
         }
-        let mut total = PerfCounters::new();
-        for (_, c) in self.breakdown.iter() {
-            total.merge_seq(c);
-        }
-        total.ms()
+        self.total_ms()
     }
 
     /// Total simulated milliseconds so far.

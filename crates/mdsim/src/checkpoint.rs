@@ -9,8 +9,8 @@
 //! [`UnsupportedVersion`] error, so a future layout change is a clean
 //! rejection instead of a silent misparse):
 //!
-//! - [`Checkpoint`] — the whole system, the unit of single-process
-//!   rollback (`swgmx::recovery`, [`crate::ddrun::run_dd_md`]).
+//! - [`Checkpoint`] — the whole system, the unit of the engine
+//!   runner's rollback and restart (`swgmx::recovery`).
 //! - [`RankShard`] — one rank's owned slice of a *coordinated* global
 //!   snapshot: `(global id, position, velocity)` triples plus the epoch
 //!   tag every rank agreed on at the snapshot barrier. A full
@@ -262,7 +262,7 @@ impl Checkpoint {
 
     /// [`Checkpoint::write_to`] a fresh buffer per attempt, so a retried
     /// write is byte-identical to a first-try one: the bytes and how many
-    /// attempts were retried (see [`retrying`]).
+    /// attempts were retried, each counted in `fault.retries.checkpoint`.
     pub fn encode_with_retry(&self) -> io::Result<(Vec<u8>, u64)> {
         retrying(|| {
             let mut buf = Vec::new();

@@ -15,15 +15,10 @@
 //! particles accumulate locally and are reduced onto their home ranks
 //! afterwards ("Wait + comm. F").
 
-use std::io;
-
 use swprof::scope::Who;
 
-use crate::checkpoint::Checkpoint;
-use crate::constraints::ConstraintSet;
 use crate::domain::Decomposition;
 use crate::grid::CellGrid;
-use crate::integrate::leapfrog_step_constrained;
 use crate::nonbonded::{pair_interaction, NbEnergies, NbParams};
 use crate::system::System;
 use crate::vec3::Vec3;
@@ -75,7 +70,6 @@ pub fn compute_forces_dd(
         // "step" span. Everything is gated on one thread-local read, so
         // the untraced path (all existing chaos/differential tests) is
         // a handful of no-ops and a binding nobody reads.
-        let tracing = swprof::tel::enabled();
         let _rank = Who {
             rank: Some(rank),
             ..Who::current()
@@ -144,123 +138,13 @@ pub fn compute_forces_dd(
         }
         stats.forces_returned.push(halo_forces);
         swprof::metrics::counter_add("dd.forces_returned", halo_forces as u64);
-        if tracing {
-            // Advance the rank's clock by a work proxy (pair
-            // interactions dominate; ~6 flops-equivalents each), then
-            // send the halo forces home as traced messages so the
-            // merged trace draws the "comm. F" arrows of the paper's
-            // Wait+comm.F stage.
-            let rank_pairs = en.pairs_within_cutoff - pairs_before;
-            swprof::tel::tick(rank_pairs * 6 + local.len() as u64);
-            if n_ranks > 1 {
-                let topo = swnet::Topology::new(n_ranks);
-                let bytes = (halo_forces * 12).max(8);
-                let right = (rank + 1) % n_ranks;
-                let left = (rank + n_ranks - 1) % n_ranks;
-                let _ = swnet::traced_message_ns(
-                    swnet::Transport::Rdma,
-                    &topo,
-                    rank,
-                    right,
-                    bytes,
-                    "halo.f",
-                );
-                if left != right {
-                    let _ = swnet::traced_message_ns(
-                        swnet::Transport::Rdma,
-                        &topo,
-                        rank,
-                        left,
-                        bytes,
-                        "halo.f",
-                    );
-                }
-            }
-        }
+        // Advance the rank's clock by a work proxy: pair interactions
+        // dominate, ~6 flops-equivalents each. The halo forces go home
+        // on the driver's channel.
+        let rank_pairs = en.pairs_within_cutoff - pairs_before;
+        swprof::tel::tick(rank_pairs * 6 + local.len() as u64);
     }
     (en, stats)
-}
-
-/// Outcome of a fault-tolerant domain-decomposed MD run.
-#[derive(Debug, Clone, Default)]
-pub struct DdRunReport {
-    /// MD step executions performed, *including* replayed steps after a
-    /// rollback (equals the requested step count on a fault-free run).
-    pub step_executions: u64,
-    /// Rollbacks to the last checkpoint (injected step aborts).
-    pub rollbacks: u64,
-    /// Checkpoint write/read attempts that failed and were retried.
-    pub checkpoint_io_retries: u64,
-    /// Checkpoints successfully serialized.
-    pub checkpoints_written: u64,
-    /// Non-bonded energies of the final step.
-    pub energies: NbEnergies,
-}
-
-impl DdRunReport {
-    /// Checkpoint `sys` at `step`, retrying injected I/O faults.
-    fn checkpoint(&mut self, sys: &System, step: u64) -> io::Result<Vec<u8>> {
-        let (bytes, retries) = Checkpoint::capture(sys, step).encode_with_retry()?;
-        self.checkpoint_io_retries += retries;
-        self.checkpoints_written += 1;
-        Ok(bytes)
-    }
-}
-
-/// Run `n_steps` of domain-decomposed MD with step-level
-/// checkpoint/rollback recovery — the driver that finally wires
-/// [`Checkpoint::restore`] into a real recovery loop.
-///
-/// Every `cp_interval` steps the dynamic state is serialized (with
-/// bounded retry against injected I/O faults). After each *new* step, an
-/// injected [`Site::StepAbort`](swfault::Site::StepAbort) rolls the
-/// system back to the last checkpoint and replays from there. Replayed
-/// steps (at or below the previous high-water mark) are shielded from
-/// further abort decisions, which guarantees forward progress and makes
-/// termination deterministic. Because each step is a pure function of
-/// `(positions, velocities)` and rollback restores both exactly, a
-/// faulted run converges to *bit-identical* final state vs. a fault-free
-/// one — recovery is exact, not approximate.
-pub fn run_dd_md(
-    sys: &mut System,
-    n_ranks: usize,
-    params: &NbParams,
-    constraints: &ConstraintSet,
-    dt: f32,
-    n_steps: u64,
-    cp_interval: u64,
-) -> io::Result<DdRunReport> {
-    assert!(cp_interval > 0, "cp_interval must be positive");
-    let mut report = DdRunReport::default();
-    let mut step = 0u64;
-    let mut high_water = 0u64;
-    // Checkpoint of step 0: a rollback before the first interval lands
-    // here.
-    let mut cp_bytes = report.checkpoint(sys, 0)?;
-    while step < n_steps {
-        if step > 0 && step.is_multiple_of(cp_interval) {
-            cp_bytes = report.checkpoint(sys, step)?;
-        }
-        sys.clear_forces();
-        let (en, _stats) = compute_forces_dd(sys, n_ranks, params);
-        report.energies = en;
-        leapfrog_step_constrained(sys, dt, constraints);
-        step += 1;
-        report.step_executions += 1;
-        if step > high_water {
-            high_water = step;
-            if swfault::should(swfault::Site::StepAbort) {
-                report.rollbacks += 1;
-                swprof::metrics::counter_add("fault.rollbacks", 1);
-                let (cp, retries) = Checkpoint::decode_with_retry(&cp_bytes)?;
-                report.checkpoint_io_retries += retries;
-                swprof::tel::flight::record("abort", "step_rollback", step, cp.step);
-                cp.restore(sys)?;
-                step = cp.step;
-            }
-        }
-    }
-    Ok(report)
 }
 
 #[cfg(test)]

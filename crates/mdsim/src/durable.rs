@@ -1,16 +1,17 @@
-//! Durable domain-decomposed MD: coordinated snapshots to an on-disk
-//! `swstore` chain, restart after a process crash, and elastic recovery
-//! from permanent rank death.
-//!
-//! [`run_dd_md`](crate::ddrun::run_dd_md) already recovers from step
-//! aborts, but its checkpoint lives in memory — a process crash or a
-//! dead rank loses everything. This supervisor closes both holes:
+//! The domain-decomposed MD driver: coordinated snapshots to an
+//! on-disk `swstore` chain, and recovery from all three faults a DD run
+//! meets — an aborted step, a process crash, a rank that dies for good.
 //!
 //! - **Coordinated snapshots.** Every `epoch_interval` steps the live
 //!   ranks pass an epoch barrier ([`swnet::epoch_barrier`]), partition
 //!   the system under the current decomposition, and each contributes a
 //!   [`RankShard`] tagged with the agreed epoch. The shards are one
 //!   generation, committed atomically by [`swstore::Store`].
+//! - **Step aborts.** After each *new* step an injected
+//!   [`Site::StepAbort`](swfault::Site::StepAbort) rolls the system back
+//!   to the newest valid generation, under the decomposition it already
+//!   has, and replays from there. Replayed steps (at or below the
+//!   high-water mark) draw no abort, so every run terminates.
 //! - **Crash restart.** A fresh invocation on a non-empty store resumes
 //!   from the newest fully-valid generation: shards reassemble
 //!   ([`assemble_shards`]) into the exact global state, torn or
@@ -19,15 +20,16 @@
 //!   hit is permanent. Survivors detect the silence by halo-exchange
 //!   timeout, confirm it at a barrier, re-decompose the box over the
 //!   shrunken rank set, reload the last coordinated generation, and
-//!   replay. Because a generation reassembles to *global* state and
-//!   [`compute_forces_dd`] is a pure function of `(state, n_ranks)`,
-//!   the recovered trajectory is bit-identical to an unfailed run of
-//!   the shrunken decomposition started from the same generation.
+//!   replay.
 //!
-//! Physics per step is exactly the [`run_dd_md`](crate::ddrun::run_dd_md)
-//! sequence — `clear_forces`, [`compute_forces_dd`],
-//! [`leapfrog_step_constrained`] — so durability changes *when* steps
-//! execute, never what a step computes.
+//! All three recoveries are one reload of the newest generation. Because
+//! a generation reassembles to *global* state and [`compute_forces_dd`]
+//! is a pure function of `(state, n_ranks)`, a recovered trajectory is
+//! bit-identical to an unfailed run of the same decomposition started
+//! from that generation. Each step is `clear_forces`,
+//! [`compute_forces_dd`], [`leapfrog_step_constrained`] and one
+//! sequence-numbered halo force return per rank, so recovery changes
+//! *when* steps execute, never what a step computes.
 
 use std::io;
 use std::path::Path;
@@ -85,6 +87,8 @@ impl DurableConfig {
 pub struct DurableRunReport {
     /// MD step executions, including steps replayed after a recovery.
     pub step_executions: u64,
+    /// Rollbacks to the newest generation (injected step aborts).
+    pub rollbacks: u64,
     /// Coordinated generations committed this invocation.
     pub epochs_committed: u64,
     /// Epoch the run resumed from, if the store held a valid generation.
@@ -143,15 +147,14 @@ pub fn run_dd_md_durable(
     // rank count produced the generation (that's the elasticity).
     let mut step = 0u64;
     let mut last_committed: Option<u64> = None;
-    if let Some(generation) = store.load_newest_valid()? {
-        let shards = decode_shards(&generation.frames)?;
-        let cp = assemble_shards(&shards, sys.n())?;
-        cp.restore(sys)?;
-        step = cp.step;
-        last_committed = Some(cp.step);
-        report.resumed_from = Some(cp.step);
+    if let Some(epoch) = restore_newest(&mut store, sys)? {
+        step = epoch;
+        last_committed = Some(epoch);
+        report.resumed_from = Some(epoch);
         swprof::metrics::counter_add("rank.resumes", 1);
     }
+    // Steps above this mark are new; only a new step may abort.
+    let mut high_water = step;
 
     // Live members by their original rank id; the RankKill lane is the
     // original id, so a scripted kill targets the same physical rank no
@@ -232,17 +235,14 @@ pub fn run_dd_md_durable(
             }
             // Elastic shrink: reload the last coordinated generation and
             // replay it under the survivor decomposition.
-            let generation = store.load_newest_valid()?.ok_or_else(|| {
+            let epoch = restore_newest(&mut store, sys)?.ok_or_else(|| {
                 io::Error::new(
                     io::ErrorKind::NotFound,
                     "rank died before any generation survived on disk",
                 )
             })?;
-            let shards = decode_shards(&generation.frames)?;
-            let cp = assemble_shards(&shards, sys.n())?;
-            cp.restore(sys)?;
-            step = cp.step;
-            last_committed = Some(cp.step);
+            step = epoch;
+            last_committed = Some(epoch);
             report.redecompositions += 1;
             swprof::metrics::counter_add("rank.kills", dead_positions.len() as u64);
             swprof::metrics::counter_add("rank.redecompositions", 1);
@@ -250,7 +250,7 @@ pub fn run_dd_md_durable(
             continue;
         }
 
-        // The physics step: identical to run_dd_md, by construction.
+        // The physics step.
         let _step_span = swprof::span("durable.step");
         sys.clear_forces();
         let (en, stats) = compute_forces_dd(sys, members.len(), params);
@@ -282,6 +282,25 @@ pub fn run_dd_md_durable(
                 swprof::tel::deliver(&ctx, halo_ns.max(0.0) as u64);
             }
         }
+
+        if step > high_water {
+            high_water = step;
+            if swfault::should(swfault::Site::StepAbort) {
+                // Roll back under the decomposition the run already has:
+                // the newest generation holds the state a replay needs.
+                let epoch = restore_newest(&mut store, sys)?.ok_or_else(|| {
+                    io::Error::new(
+                        io::ErrorKind::NotFound,
+                        "step aborted with no generation on disk",
+                    )
+                })?;
+                report.rollbacks += 1;
+                swprof::metrics::counter_add("fault.rollbacks", 1);
+                swprof::tel::flight::record("abort", "step_rollback", step, epoch);
+                step = epoch;
+                last_committed = Some(epoch);
+            }
+        }
     }
 
     report.live_ranks = members.len();
@@ -296,6 +315,18 @@ pub fn run_dd_md_durable(
     report.final_coverage = coverage;
     report.chain = store.chain().to_vec();
     Ok(report)
+}
+
+/// Restore `sys` from the newest fully-valid generation in `store` and
+/// return its epoch, or `None` (and `sys` untouched) if the store holds
+/// none. Resume, rank-death reload and step-abort rollback all land here.
+fn restore_newest(store: &mut Store, sys: &mut System) -> io::Result<Option<u64>> {
+    let Some(generation) = store.load_newest_valid()? else {
+        return Ok(None);
+    };
+    let cp = assemble_shards(&decode_shards(&generation.frames)?, sys.n())?;
+    cp.restore(sys)?;
+    Ok(Some(cp.step))
 }
 
 /// Decode every frame of a generation back into a [`RankShard`].
@@ -334,8 +365,19 @@ mod tests {
         }
     }
 
+    /// `steps` plain DD steps of `sys` over `n_ranks`: the physics a
+    /// recovered run must reproduce bit for bit.
+    fn replay(sys: &mut System, n_ranks: usize, steps: std::ops::Range<u64>) {
+        let cs = ConstraintSet::rigid_water(sys, D_OH, theta_hoh());
+        for _ in steps {
+            sys.clear_forces();
+            compute_forces_dd(sys, n_ranks, &params());
+            leapfrog_step_constrained(sys, DT, &cs);
+        }
+    }
+
     #[test]
-    fn fault_free_durable_run_matches_run_dd_md() {
+    fn fault_free_durable_run_matches_plain_dd_steps() {
         let dir = tmpdir("clean");
         let p = params();
         let mut a = water_box(60, 300.0, 31);
@@ -343,14 +385,14 @@ mod tests {
         let cfg = DurableConfig::new(4, 12, 4);
         let rep = run_dd_md_durable(&mut a, &dir, &cfg, &p, &cs).unwrap();
         assert_eq!(rep.step_executions, 12);
+        assert_eq!(rep.rollbacks, 0);
         assert_eq!(rep.epochs_committed, 3); // epochs 0, 4, 8
         assert_eq!(rep.chain, vec![0, 4, 8]);
         assert_eq!(rep.live_ranks, 4);
         assert!(rep.final_coverage.iter().all(|&c| c == 1));
 
         let mut b = water_box(60, 300.0, 31);
-        let cs_b = ConstraintSet::rigid_water(&b, D_OH, theta_hoh());
-        crate::ddrun::run_dd_md(&mut b, 4, &p, &cs_b, DT, 12, 4).unwrap();
+        replay(&mut b, 4, 0..12);
         assert_bits_equal(&a, &b);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -419,12 +461,7 @@ mod tests {
             .unwrap()
             .restore(&mut b)
             .unwrap();
-        let cs_b = ConstraintSet::rigid_water(&b, D_OH, theta_hoh());
-        for _ in 8..14 {
-            b.clear_forces();
-            compute_forces_dd(&mut b, 3, &p);
-            leapfrog_step_constrained(&mut b, DT, &cs_b);
-        }
+        replay(&mut b, 3, 8..14);
         assert_bits_equal(&a, &b);
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&dir_ref);
@@ -471,5 +508,90 @@ mod tests {
         assert_bits_equal(&a, &b);
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&dir_ref);
+    }
+
+    #[test]
+    fn one_run_survives_a_step_abort_and_a_rank_death() {
+        let dir = tmpdir("abort-kill");
+        let p = params();
+        let cfg = DurableConfig::new(4, 14, 4);
+        // StepAbort decision 5 is drawn after step 6: roll back to epoch
+        // 4 and replay steps 5..=6 under all four ranks. Original rank 2
+        // then dies at its 10th liveness poll (step 8): reload epoch 8
+        // and finish under three.
+        let plan = FaultPlan::with_seed(5)
+            .one_shot(Site::StepAbort, None, 5)
+            .one_shot(Site::RankKill, Some(2), 10);
+        let scope = swfault::install(plan);
+        let mut a = water_box(60, 300.0, 36);
+        let cs = ConstraintSet::rigid_water(&a, D_OH, theta_hoh());
+        let rep = run_dd_md_durable(&mut a, &dir, &cfg, &p, &cs).unwrap();
+        let log = scope.finish();
+        assert_eq!(log.count(Site::StepAbort), 1);
+        assert_eq!(log.count(Site::RankKill), 1);
+        assert_eq!(rep.rollbacks, 1);
+        assert_eq!(rep.rank_kills, 1);
+        assert_eq!(rep.redecompositions, 1);
+        assert_eq!(rep.live_ranks, 3);
+        // 14 steps, plus 5..=6 after the abort, plus none after the
+        // kill (it hit at the epoch-8 boundary).
+        assert_eq!(rep.step_executions, 16);
+        let findings = swcheck::recovery::audit(&swcheck::recovery::RecoveryAudit {
+            run: "abort-then-kill",
+            coverage: &rep.final_coverage,
+            chain: &rep.chain,
+            epoch_interval: rep.epoch_interval,
+        });
+        assert!(findings.is_empty(), "recovery audit: {findings:?}");
+
+        // Reference: the generation the kill reloaded, replayed under
+        // the survivors.
+        let (mut store, _) = Store::open(&dir, StoreOptions::default()).unwrap();
+        let gen8 = store.load(8).unwrap();
+        let mut b = water_box(60, 300.0, 36);
+        assemble_shards(&decode_shards(&gen8.frames).unwrap(), b.n())
+            .unwrap()
+            .restore(&mut b)
+            .unwrap();
+        replay(&mut b, 3, 8..14);
+        assert_bits_equal(&a, &b);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn tracing_leaves_the_fault_stream_alone() {
+        let p = params();
+        let cfg = DurableConfig::new(4, 6, 3);
+        let run = |traced: bool| {
+            let dir = tmpdir(if traced { "traced" } else { "untraced" });
+            let scope = swfault::install(FaultPlan {
+                net_delay: 0.3,
+                ..FaultPlan::with_seed(8)
+            });
+            let session = traced.then(|| swprof::tel::Session::begin(7));
+            let mut sys = water_box(60, 300.0, 37);
+            let cs = ConstraintSet::rigid_water(&sys, D_OH, theta_hoh());
+            let rep = run_dd_md_durable(&mut sys, &dir, &cfg, &p, &cs).unwrap();
+            let tel = session.map(|s| s.finish());
+            let log = scope.finish();
+            let _ = std::fs::remove_dir_all(&dir);
+            (rep, log, tel)
+        };
+        let (plain, plain_log, _) = run(false);
+        let (traced, traced_log, tel) = run(true);
+        assert!(plain_log.total() > 0, "the plan must delay some halos");
+        assert_eq!(traced_log.total(), plain_log.total());
+        assert_eq!(traced.duplicates_discarded, plain.duplicates_discarded);
+        let halo_sends = tel
+            .unwrap()
+            .flows
+            .iter()
+            .filter(|f| f.label == "halo.f" && f.phase == swprof::tel::FlowPhase::Send)
+            .count();
+        assert_eq!(
+            halo_sends as u64,
+            4 * 6,
+            "one halo return per live rank per step"
+        );
     }
 }

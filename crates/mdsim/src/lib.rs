@@ -34,6 +34,8 @@
 //! - [`constraints`], [`integrate`] — SHAKE rigid water, leapfrog
 //! - [`fft`], [`ewald`], [`pme`] — lattice-sum electrostatics
 //! - [`domain`] — domain decomposition for multi-rank scaling
+//! - [`ddrun`], [`durable`] — the DD force pass and the one DD driver
+//!   (snapshots, step-abort rollback, crash restart, rank death)
 
 pub mod analysis;
 pub mod bonded;

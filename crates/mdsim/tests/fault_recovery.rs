@@ -1,5 +1,5 @@
-//! Checkpoint/rollback recovery tests for the domain-decomposed MD
-//! driver: injected step aborts and I/O faults must be survived with
+//! Rollback recovery tests for the domain-decomposed MD driver:
+//! injected step aborts and store fsync faults must be survived with
 //! *bit-identical* final state vs. a fault-free run.
 //!
 //! A fault scope belongs to the thread that installed it: the clean
@@ -7,8 +7,10 @@
 //! so scripted decision indices mean what they say at any test
 //! parallelism.
 
+use std::path::PathBuf;
+
 use mdsim::constraints::ConstraintSet;
-use mdsim::ddrun::run_dd_md;
+use mdsim::durable::{run_dd_md_durable, DurableConfig};
 use mdsim::nonbonded::{Coulomb, NbParams};
 use mdsim::water::{theta_hoh, water_box, D_OH};
 use swfault::{FaultPlan, Site};
@@ -20,15 +22,25 @@ fn params() -> NbParams {
     }
 }
 
+/// A fresh store directory: a leftover store would make the run resume.
+fn store_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("mdsim-rollback-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 #[test]
 fn rollback_recovery_is_bit_exact() {
     let p = params();
     let run = |plan: Option<FaultPlan>| {
+        let dir = store_dir(if plan.is_some() { "faulty" } else { "clean" });
         let scope = plan.map(swfault::install);
         let mut sys = water_box(60, 300.0, 91);
         let cs = ConstraintSet::rigid_water(&sys, D_OH, theta_hoh());
-        let report = run_dd_md(&mut sys, 4, &p, &cs, 0.002, 40, 10).unwrap();
+        let cfg = DurableConfig::new(4, 40, 10);
+        let report = run_dd_md_durable(&mut sys, &dir, &cfg, &p, &cs).unwrap();
         let log = scope.map(|s| s.finish());
+        let _ = std::fs::remove_dir_all(&dir);
         (sys, report, log)
     };
 
@@ -38,7 +50,7 @@ fn rollback_recovery_is_bit_exact() {
 
     let (faulty_sys, faulty_report, log) = run(Some(FaultPlan {
         step_abort: 0.15,
-        io_error: 0.20,
+        store_fsync_fail: 0.20,
         ..FaultPlan::with_seed(13)
     }));
     let log = log.unwrap();
@@ -48,7 +60,7 @@ fn rollback_recovery_is_bit_exact() {
         faulty_report.step_executions > 40,
         "rollbacks force replayed steps"
     );
-    assert!(faulty_report.checkpoint_io_retries > 0);
+    assert!(faulty_report.fsync_retries > 0);
 
     // The recovery contract: bit-identical final dynamic state.
     for (a, b) in clean_sys.pos.iter().zip(&faulty_sys.pos) {
@@ -71,13 +83,16 @@ fn rollback_recovery_is_bit_exact() {
 fn scripted_abort_rolls_back_to_checkpoint_boundary() {
     let p = params();
     // StepAbort decision `seq` is drawn after step `seq + 1` completes,
-    // so seq 13 aborts step 14: rollback lands on the step-10
-    // checkpoint and steps 11..=14 replay (shielded from re-aborting).
+    // so seq 13 aborts step 14: rollback lands on the epoch-10
+    // generation and steps 11..=14 replay (shielded from re-aborting).
+    let dir = store_dir("scripted");
     let scope = swfault::install(FaultPlan::with_seed(5).one_shot(Site::StepAbort, None, 13));
     let mut sys = water_box(30, 300.0, 92);
     let cs = ConstraintSet::rigid_water(&sys, D_OH, theta_hoh());
-    let report = run_dd_md(&mut sys, 2, &p, &cs, 0.002, 20, 10).unwrap();
+    let cfg = DurableConfig::new(2, 20, 10);
+    let report = run_dd_md_durable(&mut sys, &dir, &cfg, &p, &cs).unwrap();
     drop(scope);
+    let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(report.rollbacks, 1);
     assert_eq!(report.step_executions, 20 + 4, "steps 11..=14 replay");
 }

@@ -37,7 +37,7 @@ pub use liveness::{epoch_barrier, epoch_barrier_traced, halo_timeout_ns, Barrier
 pub use params::RankDistance;
 pub use pme_comm::{pme_fft_comm_ns, traced_pme_fft_comm_ns};
 pub use seqno::{Delivery, SeqChannel, TransmitReport};
-pub use transport::{message_ns, traced_message_ns, Transport};
+pub use transport::{message_ns, Transport};
 
 /// Rank topology: maps MPI ranks (one per CG) onto chips and supernodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

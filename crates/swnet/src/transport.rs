@@ -94,28 +94,6 @@ fn inject_faults(lat: f64, stream: f64) -> f64 {
     ns
 }
 
-/// [`message_ns`] plus causal-trace propagation: when a tracing
-/// session is active, injects a [`swprof::tel::TraceContext`] at `from` and
-/// delivers it at `to` with the modeled wire time, so the merged
-/// global trace shows this message as a flow arrow. Cost is identical
-/// to the untraced call (same fault decisions, same ns).
-pub fn traced_message_ns(
-    transport: Transport,
-    topo: &crate::Topology,
-    from: usize,
-    to: usize,
-    bytes: usize,
-    label: &'static str,
-) -> f64 {
-    let ns = message_ns(transport, topo.distance(from, to), bytes);
-    if swprof::tel::enabled() && from != to {
-        if let Some(ctx) = swprof::tel::send_from(label, from, to) {
-            swprof::tel::deliver(&ctx, ns.max(0.0) as u64);
-        }
-    }
-    ns
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,9 +17,8 @@
 //! - `swfault::decide` — every fired fault decision (`kind: "fault"`)
 //! - `swgmx::engine` — stage charges and kernel-fault absorption
 //! - `swstore` — generation commits and fsync retries (`kind: "store"`)
-//! - `mdsim::ddrun`/`durable` + `swgmx::recovery` — rollbacks and rank
-//!   deaths (`kind: "abort"`); the last two own rings and [`Ring::dump_to`]
-//!   them.
+//! - `mdsim::durable` + `swgmx::recovery` — rollbacks and rank deaths
+//!   (`kind: "abort"`); both own rings and [`Ring::dump_to`] them.
 //!
 //! The dump is a self-contained JSON file written next to the swstore
 //! generation chain so a post-mortem can line the last ~[`CAPACITY`]

@@ -666,7 +666,7 @@ impl Service {
         };
 
         // Chaos: the worker process can die at any quantum boundary —
-        // the same site ddrun uses for rank death, lane = worker index
+        // the same site the DD driver uses for rank death, lane = worker index
         // so scripted plans can target one worker.
         let killed = {
             let _worker = swprof::scope::Who::enter_lane(Some(w));

@@ -5,10 +5,12 @@
 //! cargo run --release --example global_trace
 //! ```
 //!
-//! A 4-rank domain-decomposed water run executes under a tracing
-//! session. Every halo message carries a `(trace_id, parent_span_id,
-//! seqno)` context, so the per-rank span tracks stitch into a single
-//! Chrome timeline with flow arrows from each send to its receive —
+//! A 4-rank domain-decomposed water run (`run_dd_md_durable`, its
+//! generations in `target/global-trace/store`) executes under a tracing
+//! session. Every halo force return and epoch barrier message carries a
+//! `(trace_id, parent_span_id, seqno)` context, so the per-rank span
+//! tracks stitch into a single Chrome timeline with flow arrows from
+//! each send to its receive —
 //! load `target/global-trace/global.json` in `chrome://tracing` or
 //! Perfetto to see the lanes. The per-rank files are also merged back
 //! into `merged.json`, one process per input file. The same telemetry
@@ -16,7 +18,7 @@
 //! clocks; no wall time anywhere).
 
 use sw_gromacs::mdsim::constraints::ConstraintSet;
-use sw_gromacs::mdsim::ddrun::run_dd_md;
+use sw_gromacs::mdsim::durable::{run_dd_md_durable, DurableConfig};
 use sw_gromacs::mdsim::nonbonded::{Coulomb, NbParams};
 use sw_gromacs::mdsim::water::{theta_hoh, water_box, D_OH};
 use sw_gromacs::swprof::tel;
@@ -28,7 +30,10 @@ fn main() {
     let out = std::path::Path::new("target/global-trace");
     std::fs::create_dir_all(out).expect("create output dir");
 
-    // Trace a 4-rank run end to end.
+    // Trace a 4-rank run end to end, from step 0: a leftover store
+    // would make the run resume.
+    let store = out.join("store");
+    let _ = std::fs::remove_dir_all(&store);
     let session = tel::Session::begin(0x90ac5);
     let mut sys = water_box(60, 300.0, 41);
     let cs = ConstraintSet::rigid_water(&sys, D_OH, theta_hoh());
@@ -36,7 +41,8 @@ fn main() {
         r_cut: 0.7,
         coulomb: Coulomb::ReactionField { eps_rf: 78.0 },
     };
-    run_dd_md(&mut sys, N_RANKS, &p, &cs, 0.002, N_STEPS, 4).expect("run");
+    let cfg = DurableConfig::new(N_RANKS, N_STEPS, 4);
+    run_dd_md_durable(&mut sys, &store, &cfg, &p, &cs).expect("run");
     let tel = session.finish();
 
     tel.check_causal().expect("timeline is causal");

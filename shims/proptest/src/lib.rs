@@ -268,7 +268,7 @@ pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
 
-    /// Sizes accepted by [`vec`]: a fixed length or a (half-open or
+    /// Sizes accepted by [`vec()`]: a fixed length or a (half-open or
     /// inclusive) range of lengths.
     pub trait IntoSizeRange {
         /// Convert to inclusive `(lo, hi)` bounds.

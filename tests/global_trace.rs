@@ -1,5 +1,5 @@
 //! Acceptance tests for cross-rank causal tracing (`swprof::tel`): a
-//! 4-rank `run_dd_md` traced end to end must merge into one *valid*
+//! 4-rank `run_dd_md_durable` traced end to end must merge into one *valid*
 //! global Chrome timeline — per-track spans well nested, every flow
 //! pairing exactly one send with one receive, and the receive never
 //! before the send.
@@ -8,7 +8,7 @@
 //! here trace side by side.
 
 use sw_gromacs::mdsim::constraints::ConstraintSet;
-use sw_gromacs::mdsim::ddrun::run_dd_md;
+use sw_gromacs::mdsim::durable::{run_dd_md_durable, DurableConfig};
 use sw_gromacs::mdsim::nonbonded::{Coulomb, NbParams};
 use sw_gromacs::mdsim::water::{theta_hoh, water_box, D_OH};
 use swprof::json::{parse, Value};
@@ -24,10 +24,15 @@ fn params() -> NbParams {
 
 /// Run a traced 4-rank DD-MD and return the telemetry.
 fn traced_dd_run(trace_id: u64) -> tel::Telemetry {
+    // A fresh store: a leftover one would make the run resume.
+    let dir = std::env::temp_dir().join(format!("global-trace-{trace_id}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let session = tel::Session::begin(trace_id);
     let mut sys = water_box(60, 300.0, 41);
     let cs = ConstraintSet::rigid_water(&sys, D_OH, theta_hoh());
-    run_dd_md(&mut sys, 4, &params(), &cs, 0.002, 6, 3).unwrap();
+    let cfg = DurableConfig::new(4, 6, 3);
+    run_dd_md_durable(&mut sys, &dir, &cfg, &params(), &cs).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
     session.finish()
 }
 

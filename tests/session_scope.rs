@@ -1,34 +1,34 @@
 //! The session scope end to end: a fault plan belongs to the thread
 //! that installed it and the lanes of the regions that thread runs. A
 //! thread that installed nothing is never injected into and never uses
-//! up another thread's decisions, whatever layer — the DD driver's step
-//! aborts, the DMA engine under a metered kernel, the store's fsync —
-//! the plan's sites sit in.
+//! up another thread's decisions, whatever layer — the rollback
+//! runner's step aborts, the DMA engine under a metered kernel, the
+//! store's fsync — the plan's sites sit in.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 
-use sw_gromacs::mdsim::constraints::ConstraintSet;
-use sw_gromacs::mdsim::ddrun::run_dd_md;
 use sw_gromacs::mdsim::nonbonded::{Coulomb, NbParams};
 use sw_gromacs::mdsim::pairlist::{ListKind, PairList};
-use sw_gromacs::mdsim::water::{theta_hoh, water_box, D_OH};
+use sw_gromacs::mdsim::water::water_box;
 use sw_gromacs::sw26010::CoreGroup;
+use sw_gromacs::swgmx::engine::{Engine, EngineConfig, Version};
+use sw_gromacs::swgmx::recovery::FaultTolerantRunner;
 use sw_gromacs::swgmx::{run_rma, CpePairList, PackageLayout, PackedSystem, RmaConfig};
 use swfault::{FaultPlan, Site};
 use swstore::{Store, StoreOptions};
 
 /// Everything observable about one pass over the three layers: final
-/// trajectory bits and recovery counters of a 4-rank DD run, force bits
-/// and simulated cycles of a metered Rma call, fsync retries of a store
-/// commit (`None`: the commit gave up).
+/// trajectory bits and recovery counters of a 60-water MD run under the
+/// rollback runner, force bits and simulated cycles of a metered Rma
+/// call, fsync retries of a store commit (`None`: the commit gave up).
 #[derive(Debug, PartialEq)]
 struct Outcome {
-    dd_bits: Vec<u32>,
-    dd_rollbacks: u64,
-    dd_io_retries: u64,
-    dd_step_executions: u64,
+    md_bits: Vec<u32>,
+    md_rollbacks: u64,
+    md_io_retries: u64,
+    md_step_executions: u64,
     rma_bits: Vec<u32>,
     rma_cycles: u64,
     fsync_retries: Option<u32>,
@@ -43,9 +43,14 @@ fn work(tag: &str) -> Outcome {
         r_cut: 0.7,
         coulomb: Coulomb::ReactionField { eps_rf: 78.0 },
     };
-    let mut sys = water_box(60, 300.0, 91);
-    let cs = ConstraintSet::rigid_water(&sys, D_OH, theta_hoh());
-    let dd = run_dd_md(&mut sys, 4, &params, &cs, 0.002, 20, 10).expect("bounded recovery");
+    let engine = Engine::new(
+        water_box(60, 300.0, 91),
+        EngineConfig::paper(Version::Other),
+    );
+    let mut runner = FaultTolerantRunner::new(engine, 10).expect("initial checkpoint");
+    runner.run_until(20).expect("bounded recovery");
+    let (engine, md) = runner.into_parts();
+    let sys = engine.sys;
 
     let kernel_sys = water_box(300, 300.0, 2024);
     let list = PairList::build(&kernel_sys, 0.7, ListKind::Half);
@@ -65,15 +70,15 @@ fn work(tag: &str) -> Outcome {
     let _ = std::fs::remove_dir_all(&dir);
 
     Outcome {
-        dd_bits: sys
+        md_bits: sys
             .pos
             .iter()
             .chain(&sys.vel)
             .flat_map(|v| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()])
             .collect(),
-        dd_rollbacks: dd.rollbacks,
-        dd_io_retries: dd.checkpoint_io_retries,
-        dd_step_executions: dd.step_executions,
+        md_rollbacks: md.rollbacks,
+        md_io_retries: md.checkpoint_io_retries,
+        md_step_executions: md.step_executions,
         rma_bits: rma
             .forces
             .iter()
@@ -97,7 +102,7 @@ impl Drop for Done<'_> {
 fn an_unscoped_thread_is_untouched_by_a_neighbours_plan() {
     let solo = work("solo");
     assert_eq!(
-        (solo.dd_rollbacks, solo.dd_io_retries, solo.fsync_retries),
+        (solo.md_rollbacks, solo.md_io_retries, solo.fsync_retries),
         (0, 0, Some(0))
     );
 
@@ -134,9 +139,9 @@ fn an_unscoped_thread_is_untouched_by_a_neighbours_plan() {
         // landed on the same bits), every DMA retried, every fsync
         // failed until the commit gave up.
         let (faulted, log) = x.join().unwrap();
-        assert_eq!(faulted.dd_bits, solo.dd_bits);
-        assert_eq!(faulted.dd_rollbacks, 20);
-        assert!(faulted.dd_step_executions > solo.dd_step_executions);
+        assert_eq!(faulted.md_bits, solo.md_bits);
+        assert_eq!(faulted.md_rollbacks, 20);
+        assert!(faulted.md_step_executions > solo.md_step_executions);
         assert_eq!(faulted.rma_bits, solo.rma_bits);
         assert!(faulted.rma_cycles > solo.rma_cycles);
         assert_eq!(faulted.fsync_retries, None);
