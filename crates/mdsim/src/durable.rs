@@ -160,7 +160,7 @@ pub fn run_dd_md_durable(
     // original id, so a scripted kill targets the same physical rank no
     // matter how the decomposition has shrunk around it.
     let mut members: Vec<usize> = (0..cfg.n_ranks).collect();
-    let mut halo_channels: Vec<SeqChannel> = vec![SeqChannel::new(); cfg.n_ranks];
+    let mut halo_channels: Vec<SeqChannel> = (0..cfg.n_ranks).map(|_| SeqChannel::new()).collect();
 
     while step < cfg.n_steps {
         // Coordinated snapshot at every epoch boundary not yet on disk
@@ -593,5 +593,24 @@ mod tests {
             4 * 6,
             "one halo return per live rank per step"
         );
+    }
+
+    #[test]
+    fn every_rank_has_its_own_halo_channel() {
+        let dir = tmpdir("chan-ids");
+        let mut sys = water_box(60, 300.0, 38);
+        let cs = ConstraintSet::rigid_water(&sys, D_OH, theta_hoh());
+        let session = sw26010::trace::Session::begin();
+        run_dd_md_durable(&mut sys, &dir, &DurableConfig::new(4, 4, 4), &params(), &cs).unwrap();
+        let chans: std::collections::BTreeSet<u64> = session
+            .finish()
+            .iter()
+            .filter_map(|e| match e.kind {
+                sw26010::trace::EventKind::ChanSend { chan, .. } => Some(chan),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(chans.len(), 4, "one halo channel per rank");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

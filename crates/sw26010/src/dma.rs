@@ -35,31 +35,6 @@ pub struct SharedPrice {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DmaEngine;
 
-/// An in-flight asynchronous transfer from
-/// [`DmaEngine::issue_shared_at`]. Dropping the handle without calling
-/// [`wait`](DmaHandle::wait) leaves the transfer permanently open in the
-/// trace, which the SWC112 rule reports whenever any lane's compute
-/// overlaps the transfer's bytes.
-#[derive(Debug)]
-#[must_use = "an unawaited DMA handle means the completion edge is never recorded"]
-pub struct DmaHandle {
-    id: u64,
-}
-
-impl DmaHandle {
-    /// Block until the transfer completes, recording the completion
-    /// edge every later access to the transferred bytes synchronizes
-    /// through.
-    pub fn wait(self) {
-        crate::trace::emit_dma_done(self.id);
-    }
-
-    /// Trace id of the issue event (0 outside a capture session).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-}
-
 impl DmaEngine {
     /// Cycles for a single transfer of `size` bytes whose main-memory
     /// address is `ALIGN_BYTES`-aligned.
@@ -98,7 +73,7 @@ impl DmaEngine {
         perf.dma_transactions += 1;
         perf.dma_bytes += size as u64;
         Self::meter(dir, size, aligned);
-        crate::trace::emit_dma(dir, None, 0, size, aligned, true);
+        crate::trace::emit_dma(dir, None, 0, size, aligned);
     }
 
     /// Feed the swprof metrics registry (no-op without a session).
@@ -169,41 +144,10 @@ impl DmaEngine {
         Self::meter(dir, size, aligned);
         let (region, byte_off) = at.unzip();
         let byte_off = byte_off.unwrap_or(0);
-        crate::trace::emit_dma(dir, region, byte_off, size, aligned, true);
+        crate::trace::emit_dma(dir, region, byte_off, size, aligned);
         if let (Dir::Put, Some(region)) = (dir, region) {
             crate::trace::shared_write(region, byte_off / 4, (byte_off + size).div_ceil(4));
         }
-    }
-
-    /// Issue an *asynchronous* address-aware transfer: the DMA engine
-    /// starts moving `[byte_off, byte_off + size)` of `region` and
-    /// returns a [`DmaHandle`] immediately, letting the CPE overlap
-    /// compute with the transfer (the athread `dma_wait` pattern the
-    /// `Native` backend will lean on). The transfer's bytes are
-    /// *undefined* until [`DmaHandle::wait`] — the happens-before
-    /// checker (SWC112) certifies that no lane touches them inside the
-    /// open window. Streaming cost is charged at issue; `wait` charges
-    /// nothing extra (the model keeps async cost identical to the
-    /// blocking call so kernel ladders stay comparable).
-    #[must_use = "an unawaited DMA handle means the completion edge is never recorded"]
-    pub fn issue_shared_at(
-        perf: &mut PerfCounters,
-        dir: Dir,
-        region: crate::trace::RegionId,
-        byte_off: usize,
-        size: usize,
-    ) -> DmaHandle {
-        if size == 0 {
-            return DmaHandle { id: 0 };
-        }
-        let aligned = Self::is_aligned(byte_off);
-        Self::charge_shared(perf, Self::price_shared(size, aligned));
-        Self::meter(dir, size, aligned);
-        let id = crate::trace::emit_dma(dir, Some(region), byte_off, size, aligned, false);
-        if dir == Dir::Put {
-            crate::trace::shared_write(region, byte_off / 4, (byte_off + size).div_ceil(4));
-        }
-        DmaHandle { id }
     }
 
     /// Bounded-retry fault recovery for one transfer of `full_cycles`
@@ -360,50 +304,6 @@ mod tests {
                 ..
             }
         )));
-    }
-
-    #[test]
-    fn async_issue_costs_like_sync_and_traces_the_window() {
-        use crate::trace::{self, EventKind};
-        let mut sync = PerfCounters::new();
-        let mut asy = PerfCounters::new();
-        DmaEngine::transfer_shared_at(&mut sync, Dir::Get, 1, 0, 640);
-        let h = DmaEngine::issue_shared_at(&mut asy, Dir::Get, 1, 0, 640);
-        h.wait();
-        assert_eq!(sync, asy, "async keeps the blocking cost model");
-
-        let s = trace::Session::begin();
-        let mut p = PerfCounters::new();
-        let h = DmaEngine::issue_shared_at(&mut p, Dir::Put, 3, 0, 64);
-        let id = h.id();
-        assert_ne!(id, 0);
-        h.wait();
-        let ev = s.finish();
-        assert!(ev.iter().any(|e| matches!(
-            e.kind,
-            EventKind::Dma {
-                completed: false,
-                ..
-            }
-        )));
-        assert!(ev
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::DmaDone { id: done } if done == id)));
-        // The put's write lands in the stream at issue time.
-        assert!(ev
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::SharedWrite { region: 3, .. })));
-    }
-
-    #[test]
-    fn zero_size_async_issue_is_inert() {
-        let s = crate::trace::Session::begin();
-        let mut p = PerfCounters::new();
-        let h = DmaEngine::issue_shared_at(&mut p, Dir::Get, 1, 0, 0);
-        assert_eq!(h.id(), 0);
-        h.wait();
-        assert!(s.finish().is_empty());
-        assert_eq!(p, PerfCounters::new());
     }
 
     #[test]

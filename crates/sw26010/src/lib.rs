@@ -61,7 +61,7 @@ pub mod trace;
 pub use bitmap::BitMap;
 pub use cache::{CacheGeometry, CacheStats, ReadCache, WriteCache};
 pub use cg::{CoreGroup, CpeCtx, MpeCtx, SpawnResult};
-pub use dma::{Dir, DmaEngine, DmaHandle};
+pub use dma::{Dir, DmaEngine};
 pub use ldm::{Ldm, LdmOverflow};
 pub use perf::{Breakdown, PerfCounters};
 pub use pool::LanePool;

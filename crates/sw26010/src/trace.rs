@@ -22,7 +22,7 @@
 //! MPE/host code) and the epoch of the region the thread is in, both
 //! read from the thread's [`Who`](scope::Who) — which is what lets the
 //! dynamic race detector scope "concurrent" to "same spawn region".
-//! The cache/LDM/channel/DMA/barrier ids are the one process-wide part:
+//! The cache/LDM/channel/barrier ids are the one process-wide part:
 //! a bare `fetch_add` allocator of unique numbers, never reset and never
 //! read back as state, so it couples no sessions.
 
@@ -63,12 +63,9 @@ pub enum EventKind {
     },
     /// A CPE parallel region joined.
     SpawnEnd,
-    /// A DMA transfer was issued.
+    /// A DMA transfer was issued; it completes at issue (the engine's
+    /// transfers block).
     Dma {
-        /// Session-unique transfer id, pairing the issue with its
-        /// [`EventKind::DmaDone`] completion (0 when captured outside a
-        /// session).
-        id: u64,
         /// Transfer direction.
         dir: Dir,
         /// Target region for address-aware transfers
@@ -81,21 +78,6 @@ pub enum EventKind {
         bytes: usize,
         /// Whether the main-memory address satisfied the §3.7 128-bit rule.
         aligned: bool,
-        /// Whether the transfer completed synchronously at issue (the
-        /// blocking `transfer*` entry points). Asynchronous issues
-        /// ([`DmaEngine::issue_shared_at`](crate::dma::DmaEngine::issue_shared_at))
-        /// record `false` here and stay in flight until their
-        /// [`EventKind::DmaDone`] appears — the happens-before checker
-        /// treats the open window as unordered against every other lane.
-        completed: bool,
-    },
-    /// An asynchronous DMA transfer completed (its handle was awaited).
-    /// This is the *synchronization edge* the SWC112 rule certifies:
-    /// compute touching the transfer's bytes must be ordered after this
-    /// event (or before the issue), never inside the window.
-    DmaDone {
-        /// Id of the issue event being completed.
-        id: u64,
     },
     /// A direct (non-DMA) read of a shared region, e.g. a gld sweep over
     /// a main-memory array. Reads participate in the happens-before race
@@ -277,8 +259,7 @@ fn emit(kind: impl FnOnce() -> EventKind) {
 }
 
 /// Allocate a process-unique, nonzero trace id: for a software cache,
-/// an LDM ledger, a sequence-numbered channel, a barrier round or a DMA
-/// transfer. Ids only need to be unique within their kind; one counter
+/// an LDM ledger, a sequence-numbered channel or a barrier round. Ids only need to be unique within their kind; one counter
 /// makes them unique overall.
 pub fn next_id() -> u64 {
     NEXT_ID.fetch_add(1, Ordering::Relaxed)
@@ -308,39 +289,15 @@ pub fn end_region(region: scope::Being) {
     drop(region);
 }
 
-/// Record a DMA transfer (called by the DMA engine). Returns the
-/// transfer id for pairing with [`emit_dma_done`] (0 with no session —
-/// the happens-before engine ignores unknown ids).
-pub fn emit_dma(
-    dir: Dir,
-    region: Option<RegionId>,
-    byte_off: usize,
-    bytes: usize,
-    aligned: bool,
-    completed: bool,
-) -> u64 {
-    let mut id = 0;
-    emit(|| {
-        id = next_id();
-        EventKind::Dma {
-            id,
-            dir,
-            region,
-            byte_off,
-            bytes,
-            aligned,
-            completed,
-        }
+/// Record a DMA transfer (called by the DMA engine).
+pub fn emit_dma(dir: Dir, region: Option<RegionId>, byte_off: usize, bytes: usize, aligned: bool) {
+    emit(|| EventKind::Dma {
+        dir,
+        region,
+        byte_off,
+        bytes,
+        aligned,
     });
-    id
-}
-
-/// Record the completion of the asynchronous DMA transfer `id` (called
-/// when its handle is awaited).
-pub fn emit_dma_done(id: u64) {
-    if id != 0 {
-        emit(|| EventKind::DmaDone { id });
-    }
 }
 
 /// Record a direct read of `[word_lo, word_hi)` from `region` by the
@@ -491,8 +448,7 @@ mod tests {
     fn session_captures_and_drains() {
         let s = Session::begin();
         emit_gld(3);
-        let id = emit_dma(Dir::Get, Some(7), 16, 128, true, true);
-        assert_ne!(id, 0, "in-session transfers get real ids");
+        emit_dma(Dir::Get, Some(7), 16, 128, true);
         let ev = s.finish();
         assert_eq!(ev.len(), 2);
         assert!(matches!(ev[0].kind, EventKind::Gld { ops: 3 }));
@@ -503,7 +459,6 @@ mod tests {
                 byte_off: 16,
                 bytes: 128,
                 aligned: true,
-                completed: true,
                 ..
             }
         ));
@@ -611,30 +566,6 @@ mod tests {
         let (a, b) = (next_id(), next_id());
         assert_ne!(a, b);
         assert!(a > 0 && b > 0);
-    }
-
-    #[test]
-    fn async_dma_pairs_issue_with_done() {
-        let s = Session::begin();
-        let id = emit_dma(Dir::Put, Some(2), 0, 64, true, false);
-        emit_dma_done(id);
-        let ev = s.finish();
-        assert!(matches!(
-            ev[0].kind,
-            EventKind::Dma {
-                completed: false,
-                ..
-            }
-        ));
-        assert_eq!(ev[1].kind, EventKind::DmaDone { id });
-    }
-
-    #[test]
-    fn dma_done_with_unknown_id_is_dropped() {
-        let s = Session::begin();
-        // Id 0 means "issued outside a session": no pairing possible.
-        emit_dma_done(0);
-        assert!(s.finish().is_empty());
     }
 
     #[test]

@@ -64,14 +64,12 @@ fn concurrent_fault_plans_each_inject_what_they_inject_alone() {
     });
 }
 
-/// `events` with the ids the process hands out (transfers, ledgers)
-/// zeroed; their epochs are the capture's own.
+/// `events` with the ids the process hands out (ledgers) zeroed; their
+/// epochs are the capture's own.
 fn renumbered(mut events: Vec<Event>) -> Vec<Event> {
     for event in &mut events {
-        match &mut event.kind {
-            EventKind::Dma { id, .. } => *id = 0,
-            EventKind::LdmReserve { ldm, .. } => *ldm = 0,
-            _ => {}
+        if let EventKind::LdmReserve { ldm, .. } = &mut event.kind {
+            *ldm = 0;
         }
     }
     events

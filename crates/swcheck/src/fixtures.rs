@@ -1,4 +1,4 @@
-//! Seeded-violation fixtures: nine event streams, each produced by
+//! Seeded-violation fixtures: eight event streams, each produced by
 //! driving the *real* substrate primitives into a known invariant
 //! violation, so `swcheck --fixtures` verifies the whole detection
 //! chain — instrumentation hooks, event plumbing, and all three passes
@@ -31,10 +31,10 @@ pub struct Fixture {
     pub events: Vec<Event>,
 }
 
-/// Build all nine fixtures.
+/// Build all eight fixtures.
 pub fn all() -> Vec<Fixture> {
     let session = trace::Session::begin();
-    let build: [fn(&trace::Session) -> Fixture; 9] = [
+    let build: [fn(&trace::Session) -> Fixture; 8] = [
         cross_cpe_write_race,
         unflushed_dirty_line,
         bitmap_reduction_mismatch,
@@ -42,7 +42,6 @@ pub fn all() -> Vec<Fixture> {
         ldm_over_budget,
         unclean_abort,
         unsynchronized_reduce,
-        open_dma_window,
         region_wider_than_a_core_group,
     ];
     build.iter().map(|fixture| fixture(&session)).collect()
@@ -196,36 +195,6 @@ fn unsynchronized_reduce(session: &trace::Session) -> Fixture {
     }
 }
 
-/// A CPE issues an asynchronous DMA Get, hands off to a peer over a
-/// sequence-numbered channel, and the peer writes the transferred bytes
-/// *before* the handle is awaited. The channel edge orders the write
-/// after the issue — so this is not an SWC110 race — but it lands
-/// inside the open transfer window, exactly the overlap a completion
-/// edge exists to forbid (SWC112).
-fn open_dma_window(session: &trace::Session) -> Fixture {
-    let mut perf = PerfCounters::new();
-    let chan = trace::next_id();
-    let region = trace::begin_region(2);
-    let handle = on_cpe(0, || {
-        let handle = DmaEngine::issue_shared_at(&mut perf, Dir::Get, 8, 0, 64);
-        trace::emit_chan_send(chan, 0);
-        handle
-    });
-    on_cpe(1, || {
-        trace::emit_chan_recv(chan, 0);
-        // Words [4, 8) sit inside the in-flight Get of words [0, 16).
-        trace::shared_write(8, 4, 8);
-    });
-    on_cpe(0, || handle.wait()); // too late: the overlap already happened
-    trace::end_region(region);
-    Fixture {
-        name: "access inside an open async-DMA window",
-        expected: "SWC112",
-        contract: KernelContract::strict("fixture:dma-window"),
-        events: session.take(),
-    }
-}
-
 /// A region wider than a core group — the lane executor runs any
 /// number of lanes, as the fault plane counts service workers and DD
 /// ranks past the 64 CPEs — in which lanes 64 and 70 write one word
@@ -272,11 +241,11 @@ mod tests {
     #[test]
     fn fixture_streams_are_nonempty_and_distinctly_seeded() {
         let fixtures = all();
-        assert_eq!(fixtures.len(), 9);
+        assert_eq!(fixtures.len(), 8);
         let mut expected: Vec<_> = fixtures.iter().map(|f| f.expected).collect();
         expected.sort();
         expected.dedup();
-        assert_eq!(expected.len(), 9, "each fixture seeds a distinct invariant");
+        assert_eq!(expected.len(), 8, "each fixture seeds a distinct invariant");
         for f in &fixtures {
             assert!(
                 !f.events.is_empty(),

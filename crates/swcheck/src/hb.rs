@@ -1,30 +1,30 @@
 //! Happens-before certification: a vector-clock race engine over the
-//! substrate event stream (SWC110–SWC113).
+//! substrate event stream (SWC110, SWC111, SWC113).
 //!
 //! The [`dynamic`](crate::dynamic) pass scopes "concurrent" to "same
 //! spawn epoch" — sound for the simulator's fork/join structure, but
 //! blind to the *synchronization edges* a native backend would need:
-//! DMA completion, LDM release→acquire handoff, Bit-Map mark→reduce
-//! pairing, channel send→recv, barrier arrivals. This pass replays the
-//! stream under the full happens-before model:
+//! LDM release→acquire handoff, Bit-Map mark→reduce pairing, channel
+//! send→recv, barrier arrivals. This pass replays the stream under the
+//! full happens-before model:
 //!
 //! - **Lanes.** MPE/host code is lane 0; CPE `c` is lane `c + 1`. Every
 //!   event advances its lane's component of a vector clock.
 //! - **Fork/join.** `SpawnBegin` forks the MPE clock into each CPE lane
 //!   at its first event of the epoch; `SpawnEnd` joins every
 //!   participating lane back into the MPE.
-//! - **Edges.** `DmaDone` joins its issue; `LdmReserve` joins the last
-//!   `LdmRelease` of the same `(ledger, label)`; `ReduceLine` joins its
-//!   matched `MarkSet`; `ChanRecv` joins its `ChanSend`; `Barrier`
-//!   arrivals of one round chain-join in stream order.
+//! - **Edges.** `LdmReserve` joins the last `LdmRelease` of the same
+//!   `(ledger, label)`; `ReduceLine` joins its matched `MarkSet`;
+//!   `ChanRecv` joins its `ChanSend`; `Barrier` arrivals of one round
+//!   chain-join in stream order.
 //!
 //! Two accesses to overlapping words of one region race (**SWC110**)
 //! when they come from different lanes, at least one writes, and
-//! neither happens-before the other. Three further rules certify the
-//! synchronization protocols themselves: a `ReduceLine` whose `MarkSet`
-//! is not ordered before it (**SWC111**), an access landing inside an
-//! open asynchronous-DMA window from another lane (**SWC112**), and one
-//! LDM ledger touched from two lanes without a release→acquire handoff
+//! neither happens-before the other; a DMA Get reads its words, a Put
+//! writes them (through the `SharedWrite` it emits). Two further rules
+//! certify the synchronization protocols themselves: a `ReduceLine`
+//! whose `MarkSet` is not ordered before it (**SWC111**), and one LDM
+//! ledger touched from two lanes without a release→acquire handoff
 //! (**SWC113**). Every finding carries dual-access evidence: both
 //! sites, both lanes, both stream positions.
 
@@ -130,24 +130,12 @@ struct Access {
     write: bool,
 }
 
-/// One asynchronous DMA window: open from issue until its `DmaDone`
-/// (or forever, if the handle was never awaited).
-#[derive(Debug, Clone)]
-struct Window {
-    dir: Dir,
-    region: u32,
-    lo: usize,
-    hi: usize,
-    issue_snap: Snap,
-    issue_site: AccessSite,
-    done: Option<Snap>,
-}
-
 fn words(byte_off: usize, bytes: usize) -> (usize, usize) {
     (byte_off / 4, (byte_off + bytes).div_ceil(4))
 }
 
-/// The full happens-before pass: SWC110–SWC113 over one event stream.
+/// The full happens-before pass: SWC110, SWC111 and SWC113 over one
+/// event stream.
 pub fn detect(contract: &KernelContract, events: &[Event]) -> Vec<Violation> {
     // One clock component per lane the stream has, however wide.
     let n_lanes = 1 + events.iter().map(|e| lane_index(e.cpe)).max().unwrap_or(0);
@@ -166,8 +154,6 @@ pub fn detect(contract: &KernelContract, events: &[Event]) -> Vec<Violation> {
     let mut barrier_last: BTreeMap<u64, Snap> = BTreeMap::new();
     // Send snapshot per (channel, seq): the recv edge.
     let mut chan_sends: BTreeMap<(u64, u64), Snap> = BTreeMap::new();
-    // Async DMA windows by transfer id.
-    let mut windows: BTreeMap<u64, Window> = BTreeMap::new();
     // Mark / reduce sites per (cache, line), matched k-th to k-th.
     let mut marks: BTreeMap<(u64, usize), Vec<(Snap, AccessSite)>> = BTreeMap::new();
     let mut reduces: BTreeMap<(u64, usize), Vec<(Snap, AccessSite)>> = BTreeMap::new();
@@ -194,12 +180,6 @@ pub fn detect(contract: &KernelContract, events: &[Event]) -> Vec<Violation> {
                 for l in participants.remove(&epoch).unwrap_or_default() {
                     let from = vcs[l].clone();
                     join(&mut vcs, 0, &from);
-                }
-            }
-            EventKind::DmaDone { id, .. } => {
-                if let Some(w) = windows.get(id) {
-                    let from = w.issue_snap.vc.clone();
-                    join(&mut vcs, lane, &from);
                 }
             }
             EventKind::LdmReserve { ldm, label, .. } => {
@@ -242,49 +222,23 @@ pub fn detect(contract: &KernelContract, events: &[Event]) -> Vec<Violation> {
             EventKind::SpawnBegin { .. } => {
                 fork_vc.insert(epoch, snap.vc.clone());
             }
+            // A synchronous Put already emits its own SharedWrite; only
+            // the Get's read participates here.
             EventKind::Dma {
-                id,
-                dir,
+                dir: Dir::Get,
                 region: Some(region),
                 byte_off,
                 bytes,
-                completed,
                 ..
             } => {
                 let (lo, hi) = words(*byte_off, *bytes);
-                if *completed {
-                    // Synchronous Put already emits its own SharedWrite;
-                    // only the Get's read participates here.
-                    if *dir == Dir::Get {
-                        reads.entry(*region).or_default().push(Access {
-                            snap: snap.clone(),
-                            site: site(format!("DMA Get region {region} words [{lo},{hi})")),
-                            lo,
-                            hi,
-                            write: false,
-                        });
-                    }
-                } else {
-                    windows.insert(
-                        *id,
-                        Window {
-                            dir: *dir,
-                            region: *region,
-                            lo,
-                            hi,
-                            issue_snap: snap.clone(),
-                            issue_site: site(format!(
-                                "async DMA {dir:?} issue region {region} words [{lo},{hi})"
-                            )),
-                            done: None,
-                        },
-                    );
-                }
-            }
-            EventKind::DmaDone { id, .. } => {
-                if let Some(w) = windows.get_mut(id) {
-                    w.done = Some(snap.clone());
-                }
+                reads.entry(*region).or_default().push(Access {
+                    snap: snap.clone(),
+                    site: site(format!("DMA Get region {region} words [{lo},{hi})")),
+                    lo,
+                    hi,
+                    write: false,
+                });
             }
             EventKind::SharedWrite {
                 region,
@@ -405,43 +359,6 @@ pub fn detect(contract: &KernelContract, events: &[Event]) -> Vec<Violation> {
                 format!(
                     "{} Bit-Map reduce(s) not ordered after their mark ({first})",
                     unsynced_reduces.len()
-                ),
-            )
-            .with_evidence(first.clone()),
-        );
-    }
-
-    // SWC112: accesses landing inside an open async-DMA window.
-    let mut in_window: Vec<DualAccess> = Vec::new();
-    for w in windows.values() {
-        let ws = writes.get(&w.region).map(Vec::as_slice).unwrap_or(&[]);
-        let rs = reads.get(&w.region).map(Vec::as_slice).unwrap_or(&[]);
-        // A Get window conflicts with writes; a Put window with both.
-        let conflicting: Vec<&Access> = match w.dir {
-            Dir::Get => ws.iter().collect(),
-            Dir::Put => ws.iter().chain(rs.iter()).collect(),
-        };
-        for a in conflicting {
-            if a.lane() == w.issue_snap.lane || a.hi <= w.lo || w.hi <= a.lo {
-                continue;
-            }
-            let before = hb(&a.snap, &w.issue_snap);
-            let after = w.done.as_ref().is_some_and(|d| hb(d, &a.snap));
-            if !before && !after {
-                in_window.push(ordered_pair(w.issue_site.clone(), a.site.clone()));
-            }
-        }
-    }
-    if let Some(first) = in_window.first() {
-        out.push(
-            Violation::new(
-                "SWC112",
-                contract.name,
-                Severity::Error,
-                format!(
-                    "{} access(es) inside an async DMA window without a \
-                     completion edge ({first})",
-                    in_window.len()
                 ),
             )
             .with_evidence(first.clone()),
@@ -753,85 +670,6 @@ mod tests {
     }
 
     #[test]
-    fn access_inside_async_window_is_swc112() {
-        let issue = Event {
-            cpe: Some(0),
-            epoch: 1,
-            kind: EventKind::Dma {
-                id: 42,
-                dir: Dir::Get,
-                region: Some(5),
-                byte_off: 0,
-                bytes: 64, // words [0, 16)
-                aligned: true,
-                completed: false,
-            },
-        };
-        let done = Event {
-            cpe: Some(0),
-            epoch: 1,
-            kind: EventKind::DmaDone { id: 42 },
-        };
-        let send = Event {
-            cpe: Some(0),
-            epoch: 1,
-            kind: EventKind::ChanSend { chan: 9, seq: 0 },
-        };
-        let recv = Event {
-            cpe: Some(1),
-            epoch: 1,
-            kind: EventKind::ChanRecv { chan: 9, seq: 0 },
-        };
-        // The channel edge orders CPE 1's write after the issue — no
-        // SWC110 race — but it lands inside the open window: SWC112.
-        let ev = [
-            begin(1),
-            issue.clone(),
-            send.clone(),
-            recv.clone(),
-            w(1, 1, 5, 8, 24),
-            done.clone(),
-            end(1),
-        ];
-        let v = detect(&strict(), &ev);
-        assert_eq!(ids(&v), ["SWC112"]);
-        assert!(v[0].evidence.is_some());
-        // Writing after the wait + a return edge is clean. CPE 0 waits,
-        // then sends; CPE 1 writes only after the recv.
-        let ev = [begin(1), issue, done, send, recv, w(1, 1, 5, 8, 24), end(1)];
-        assert!(detect(&strict(), &ev).is_empty());
-    }
-
-    #[test]
-    fn never_awaited_window_flags_any_unordered_overlap() {
-        let issue = Event {
-            cpe: Some(0),
-            epoch: 1,
-            kind: EventKind::Dma {
-                id: 43,
-                dir: Dir::Put,
-                region: Some(5),
-                byte_off: 0,
-                bytes: 64,
-                aligned: true,
-                completed: false,
-            },
-        };
-        let read = Event {
-            cpe: Some(1),
-            epoch: 1,
-            kind: EventKind::SharedRead {
-                region: 5,
-                word_lo: 0,
-                word_hi: 4,
-            },
-        };
-        let ev = [begin(1), issue, read, end(1)];
-        let v = detect(&strict(), &ev);
-        assert!(ids(&v).contains(&"SWC112"));
-    }
-
-    #[test]
     fn ldm_ledger_on_two_lanes_is_swc113_unless_handed_over() {
         let reserve = |cpe: usize| Event {
             cpe: Some(cpe),
@@ -875,6 +713,36 @@ mod tests {
         trace::end_region(e2);
         let ev = session.finish();
         assert!(detect(&strict(), &ev).is_empty());
+    }
+
+    #[test]
+    fn a_dma_get_is_a_read_of_its_words() {
+        use sw26010::dma::DmaEngine;
+        use sw26010::perf::PerfCounters;
+        // CPE 0 DMA-gets words [0, 16) of region 5 while CPE 1 writes
+        // words [8, 12): a read racing a write in one region.
+        let get = || {
+            on_lane(Some(0), || {
+                DmaEngine::transfer_shared_at(&mut PerfCounters::new(), Dir::Get, 5, 0, 64)
+            })
+        };
+        let write = || on_lane(Some(1), || trace::shared_write(5, 8, 12));
+        let session = trace::Session::begin();
+        let region = trace::begin_region(2);
+        get();
+        write();
+        trace::end_region(region);
+        let v = detect(&strict(), &session.take());
+        assert_eq!(ids(&v), ["SWC110"]);
+        assert!(v[0].message.contains("DMA Get region 5 words [0,16)"));
+        // The same pair split across two regions: the join orders them.
+        let region = trace::begin_region(2);
+        get();
+        trace::end_region(region);
+        let region = trace::begin_region(2);
+        write();
+        trace::end_region(region);
+        assert!(detect(&strict(), &session.finish()).is_empty());
     }
 
     #[test]

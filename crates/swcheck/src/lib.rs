@@ -25,10 +25,10 @@
 //!   must leave no dirty or marked-but-unreduced state behind.
 //! - **[`hb`]** — a vector-clock happens-before engine over all 65
 //!   lanes (MPE + 64 CPEs), deriving synchronization edges from spawn
-//!   epochs, DMA completions, LDM reservation handoffs, Bit-Map
-//!   mark/reduce pairs, barriers, and swnet seqno channels, then
-//!   reporting every pair of conflicting accesses no edge orders —
-//!   with dual-access evidence naming both sites.
+//!   epochs, LDM reservation handoffs, Bit-Map mark/reduce pairs,
+//!   barriers, and swnet seqno channels, then reporting every pair of
+//!   conflicting accesses no edge orders — with dual-access evidence
+//!   naming both sites.
 //! - **[`srclint`]** — determinism lints over the workspace source:
 //!   wall clocks, unseeded RNG, hash-iteration order, and undocumented
 //!   CAS float reductions anywhere physics or trace output could see.
@@ -62,7 +62,6 @@
 //! | SWC011 | srclint | thread started outside the lane executor       |
 //! | SWC110 | hb      | conflicting accesses with no happens-before edge |
 //! | SWC111 | hb      | Bit-Map reduce not ordered after its mark      |
-//! | SWC112 | hb      | access inside an async DMA window, no completion edge |
 //! | SWC113 | hb      | cross-lane LDM aliasing without a release/acquire handoff |
 //!
 //! The `swcheck` binary runs every kernel variant of the ladder under
@@ -114,7 +113,8 @@ pub struct Violation {
     pub severity: Severity,
     /// Human-readable description with aggregate counts.
     pub message: String,
-    /// Dual-access evidence for happens-before findings (SWC110–113):
+    /// Dual-access evidence for happens-before findings (SWC110, SWC111,
+    /// SWC113):
     /// both sites, both lanes, both stream positions.
     pub evidence: Option<DualAccess>,
 }

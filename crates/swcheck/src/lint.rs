@@ -209,13 +209,11 @@ mod tests {
             cpe: Some(0),
             epoch: 1,
             kind: EventKind::Dma {
-                id: 1,
                 dir: Dir::Get,
                 region,
                 byte_off,
                 bytes,
                 aligned,
-                completed: true,
             },
         }
     }

@@ -22,8 +22,8 @@
 //! | 2    | usage error                                        |
 //! | 3    | static findings (SWC001–005 lint / SWC006–011 src) |
 //! | 4    | dynamic findings (SWC101–107)                      |
-//! | 5    | happens-before findings (SWC110–113) or a failed   |
-//! |      | certification                                      |
+//! | 5    | happens-before findings (SWC110, SWC111, SWC113)   |
+//! |      | or a failed certification                          |
 //!
 //! When several classes fire at once the most severe wins: HB beats
 //! dynamic beats lint.

@@ -60,8 +60,8 @@ pub struct HbDag {
 
 impl HbDag {
     /// Build the DAG: program order per lane, fork/join epoch brackets,
-    /// DMA issue→done, channel send→recv, barrier arrival chains, LDM
-    /// release→acquire handoffs, and mark→reduce pairings.
+    /// channel send→recv, barrier arrival chains, LDM release→acquire
+    /// handoffs, and mark→reduce pairings.
     pub fn build(events: &[Event]) -> Self {
         let n = events.len();
         let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -77,7 +77,6 @@ impl HbDag {
         let mut begin_of: BTreeMap<u64, usize> = BTreeMap::new();
         let mut lane_span: BTreeMap<(u64, usize), (usize, usize)> = BTreeMap::new();
         // Pairings.
-        let mut dma_issue: BTreeMap<u64, usize> = BTreeMap::new();
         let mut chan_send: BTreeMap<(u64, u64), usize> = BTreeMap::new();
         let mut barrier_prev: BTreeMap<u64, usize> = BTreeMap::new();
         let mut ldm_release: BTreeMap<(u64, &'static str), usize> = BTreeMap::new();
@@ -99,18 +98,6 @@ impl HbDag {
                         if e == ev.epoch {
                             edge(last, i);
                         }
-                    }
-                }
-                EventKind::Dma {
-                    id,
-                    completed: false,
-                    ..
-                } => {
-                    dma_issue.insert(*id, i);
-                }
-                EventKind::DmaDone { id, .. } => {
-                    if let Some(&issue) = dma_issue.get(id) {
-                        edge(issue, i);
                     }
                 }
                 EventKind::ChanSend { chan, seq, .. } => {

@@ -39,7 +39,9 @@ pub struct TransmitReport {
 
 /// One ordered, sequence-numbered channel between a sender/receiver
 /// pair. Covers a single direction; use one per peer per direction.
-#[derive(Debug, Clone)]
+/// Not `Clone`: a copy would share the original's trace id, fusing two
+/// channels' send→recv edges into one.
+#[derive(Debug)]
 pub struct SeqChannel {
     next_send: u64,
     next_expect: u64,
