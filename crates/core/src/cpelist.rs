@@ -9,7 +9,7 @@
 //! the minimum-image convention into the list so the inner kernel is
 //! branch-free: `d = pos_a - (pos_b + shift)`.
 
-use mdsim::cluster::{Clustering, CLUSTER_SIZE, FILLER};
+use mdsim::cluster::Clustering;
 use mdsim::pairlist::{ListKind, PairList};
 use mdsim::pbc::PbcBox;
 use mdsim::system::System;
@@ -57,7 +57,7 @@ impl CpePairList {
         let mut lowered = Self {
             offsets: list.offsets.clone(),
             neighbors: list.neighbors.clone(),
-            masks: interaction_masks(sys, list),
+            masks: list.interaction_masks(sys),
             shifts: vec![[0.0; 3]; list.n_pairs()],
             kind: list.kind,
             rlist: list.rlist,
@@ -236,74 +236,10 @@ fn shift_rows_avx2(isa: crate::kernels::native_simd::Avx2, block: &mut RowBlock<
     shift_rows::<crate::kernels::native_simd::f32x8_avx2>(isa, block)
 }
 
-/// One interaction mask per list entry, in entry order ([`pair_mask`]).
-///
-/// Almost no cluster pair shares a molecule, and a mask without
-/// exclusions is an outer product of the two clusters' occupied slots;
-/// only self pairs and pairs that do hold exclusion partners take the
-/// per-member test.
-fn interaction_masks(sys: &System, list: &PairList) -> Vec<u16> {
-    let clustering = &list.clustering;
-    // Bit `k` set: slot `k` of the cluster holds a particle.
-    let occupied: Vec<u16> = (0..list.n_clusters())
-        .map(|c| {
-            let slots = clustering.members(c).iter().enumerate();
-            slots.map(|(k, &p)| ((p != FILLER) as u16) << k).sum()
-        })
-        .collect();
-    let mut masks = Vec::with_capacity(list.n_pairs());
-    // Clusters holding an exclusion partner of a member of `ci`.
-    let mut partners: Vec<u32> = Vec::new();
-    for ci in 0..list.n_clusters() {
-        partners.clear();
-        for &a in clustering.members(ci).iter().filter(|&&a| a != FILLER) {
-            let excluded = sys.exclusions[a as usize].iter();
-            partners.extend(excluded.map(|&b| clustering.cluster_of[b as usize]));
-        }
-        // Bit `4 * ai` set for every occupied outer slot `ai`.
-        let rows = (0..CLUSTER_SIZE)
-            .map(|ai| (occupied[ci] >> ai & 1) << (ai * CLUSTER_SIZE))
-            .sum::<u16>();
-        for &cj in list.neighbors_of(ci) {
-            masks.push(if cj as usize == ci || partners.contains(&cj) {
-                pair_mask(sys, list, ci, cj as usize)
-            } else {
-                rows * occupied[cj as usize]
-            });
-        }
-    }
-    masks
-}
-
-/// The interaction mask of cluster pair `(ci, cj)`: bit `ai*4 + bj` is
-/// set unless either slot is a filler, the two are one particle, the
-/// pair is excluded, or a half list already counts it as `(bj, ai)`.
-fn pair_mask(sys: &System, list: &PairList, ci: usize, cj: usize) -> u16 {
-    let same = cj == ci;
-    let mut mask = 0u16;
-    for (ai, &a) in list.clustering.members(ci).iter().enumerate() {
-        if a == FILLER {
-            continue;
-        }
-        for (bj, &b) in list.clustering.members(cj).iter().enumerate() {
-            if b == FILLER || a == b {
-                continue;
-            }
-            if list.kind == ListKind::Half && same && bj <= ai {
-                continue;
-            }
-            if sys.is_excluded(a as usize, b as usize) {
-                continue;
-            }
-            mask |= 1 << (ai * CLUSTER_SIZE + bj);
-        }
-    }
-    mask
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mdsim::cluster::FILLER;
     use mdsim::water::water_box;
 
     fn setup() -> (System, PairList, CpePairList) {

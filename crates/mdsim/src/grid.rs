@@ -153,6 +153,8 @@ impl CellGrid {
         let ring_y = ring(w.y, c[1], self.dims[1], l.y, ry);
         let ring_z = ring(w.z, c[2], self.dims[2], l.z, rz);
         let mut cells = Vec::with_capacity(ring_x.len() * ring_y.len() * ring_z.len());
+        // Wrapped rings can name a cell twice: keep its first visit.
+        let mut seen = vec![0u64; self.n_cells().div_ceil(64)];
         for &(gx, cx) in &ring_x {
             if gx > range {
                 continue;
@@ -166,7 +168,9 @@ impl CellGrid {
                         continue;
                     }
                     let idx = (cx * self.dims[1] + cy) * self.dims[2] + cz;
-                    if !cells.contains(&idx) {
+                    let (word, bit) = (idx / 64, 1u64 << (idx % 64));
+                    if seen[word] & bit == 0 {
+                        seen[word] |= bit;
                         cells.push(idx);
                     }
                 }

@@ -23,7 +23,9 @@ pub struct MinimizeReport {
 
 /// Constrained steepest descent: move along forces with a displacement
 /// cap of `max_disp` nm per step, re-satisfying `constraints` after each
-/// move, until `f_max < f_tol` or `max_steps` is reached.
+/// move, until `f_max < f_tol` or `max_steps` is reached. A force that is
+/// not finite stops it before any atom moves; the report's `f_max` is
+/// then that force's (non-finite) norm.
 pub fn steepest_descent(
     sys: &mut System,
     params: &NbParams,
@@ -44,13 +46,19 @@ pub fn steepest_descent(
         }
         sys.clear_forces();
         let en = compute_forces_half(sys, list.as_ref().unwrap(), params);
-        let f_max = sys.force.iter().map(|f| f.norm()).fold(0.0f32, f32::max);
+        // `f32::max` drops a NaN: the first non-finite force ends the
+        // descent before any atom moves, and is the reported `f_max`.
+        let norms = sys.force.iter().map(|f| f.norm());
+        let f_max = match norms.clone().find(|n| !n.is_finite()) {
+            Some(bad) => bad,
+            None => norms.fold(0.0f32, f32::max),
+        };
         report = MinimizeReport {
             steps: step + 1,
             f_max,
             energy: en.total(),
         };
-        if f_max < f_tol {
+        if f_max < f_tol || !f_max.is_finite() {
             break;
         }
         let alpha = max_disp / f_max;
@@ -122,6 +130,20 @@ mod tests {
         // heat); a genuine 2 fs integration blow-up reads >10^4 K.
         let t = sys.temperature(dof);
         assert!(t < 2500.0, "temperature exploded: {t} K");
+    }
+
+    #[test]
+    fn a_non_finite_force_stops_the_descent_before_anything_moves() {
+        let mut sys = water_box(8, 300.0, 204);
+        // Two molecules' oxygens 1e-21 nm apart at the origin (where f32
+        // resolves it): r^-2 overflows and the pair's force is inf - inf.
+        sys.pos[0] = crate::vec3::Vec3::ZERO;
+        sys.pos[3] = crate::vec3::vec3(1e-21, 0.0, 0.0);
+        let before = sys.pos.clone();
+        let report = steepest_descent(&mut sys, &params(), None, 10, 1e3, 0.01);
+        assert!(!report.f_max.is_finite(), "f_max {}", report.f_max);
+        assert_eq!(report.steps, 1);
+        assert_eq!(sys.pos, before);
     }
 
     #[test]

@@ -1,17 +1,23 @@
-//! Reference (scalar, host-side) non-bonded kernels.
+//! Reference (host-side) non-bonded kernels.
 //!
 //! These implement the paper's Eq. 1/2 Lennard-Jones interaction plus a
 //! Coulomb term, walked over the cluster pair list exactly as Algorithm 1
 //! (half list, both particles updated) or Algorithm 2 (full list, outer
 //! particle only — the RCA baseline). Every optimized kernel in `swgmx`
-//! is validated against these functions.
+//! is validated against these functions. The half-list walk computes on
+//! eight lanes and accumulates in the scalar walk's order, so its bits
+//! are those of the scalar expressions.
 
-use crate::cluster::FILLER;
+use wide::{LaneImpl, Lanes8};
+
+use crate::cluster::{CLUSTER_SIZE, FILLER};
 use crate::math::erfc_f32;
 use crate::pairlist::{ListKind, PairList};
+use crate::pairsearch::{norm2, pair8, LANES};
+use crate::pbc::{le8, PbcBox};
 use crate::system::System;
 use crate::topology::KE;
-use crate::vec3::Vec3;
+use crate::vec3::{vec3, Vec3};
 
 /// Coulomb treatment for the short-range kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,62 +126,366 @@ pub fn pair_interaction(r2: f32, c6: f32, c12: f32, qq: f32, params: &NbParams) 
 
 /// Algorithm 1: walk a **half** list, updating both particles of each
 /// pair. Forces are accumulated into `sys.force`; energies returned.
+///
+/// The member-pair arithmetic runs on eight lanes ([`LaneImpl::detect`]
+/// picks them): each cluster pair is two rows of two outer members
+/// broadcast against the four inner ones, the layout of the pair
+/// search's exact test. Minimum image, `r²`, the cutoff mask and the
+/// interaction terms are the scalar expressions lane by lane; lanes
+/// [`PbcBox::min_image8`](crate::pbc::PbcBox::min_image8) reports
+/// inexact take the scalar image, and short-range Ewald (libm `exp`, an
+/// f64 `erfc`) calls [`pair_interaction`] on each interacting lane. The
+/// results are then accumulated in the order of the scalar walk — per
+/// outer member, its pairs in inner-slot order into the outer sum and
+/// the inner particle, then the sum into the outer particle, and the
+/// energy and virial chains in pair order — so every force, energy and
+/// virial bit is the scalar walk's on every lane implementation.
 pub fn compute_forces_half(sys: &mut System, list: &PairList, params: &NbParams) -> NbEnergies {
-    assert_eq!(list.kind, ListKind::Half);
-    let rc2 = params.r_cut * params.r_cut;
-    let mut en = NbEnergies::default();
-    let n_types = sys.topology.n_types();
-    let c6t = sys.topology.c6_table().to_vec();
-    let c12t = sys.topology.c12_table().to_vec();
-    for ci in 0..list.n_clusters() {
-        for &cj in list.neighbors_of(ci) {
-            let cj = cj as usize;
-            let same = cj == ci;
-            let mi: [u32; 4] = list.clustering.members(ci).try_into().unwrap();
-            let mj: [u32; 4] = list.clustering.members(cj).try_into().unwrap();
-            for (ai, &a) in mi.iter().enumerate() {
-                if a == FILLER {
+    wide::on_lanes!(LaneImpl::detect(), half_lanes, half_avx2, sys, list, params)
+}
+
+/// The per-call structure-of-arrays copy of the clusters the lanes load.
+struct Pack {
+    /// Per cluster, the members' x, y, z and charge rows; NaN
+    /// coordinates and zero charge in filler slots.
+    rows: Vec<[[f32; CLUSTER_SIZE]; 4]>,
+    /// Per cluster, the members' type ids (0 in filler slots).
+    types: Vec<[usize; CLUSTER_SIZE]>,
+    /// At `c * n_types + t`, the `c6` and `c12` rows of an outer member
+    /// of type `t` against cluster `c`'s members: the table entries the
+    /// scalar walk looks up, so no bit depends on them.
+    lj: Vec<[[f32; CLUSTER_SIZE]; 2]>,
+}
+
+impl Pack {
+    fn new(sys: &System, list: &PairList) -> Self {
+        let nc = list.n_clusters();
+        let top = &sys.topology;
+        let n_types = top.n_types();
+        let mut pack = Self {
+            rows: Vec::with_capacity(nc),
+            types: Vec::with_capacity(nc),
+            lj: Vec::with_capacity(nc * n_types),
+        };
+        for c in 0..nc {
+            let (mut row, mut ty) = ([[f32::NAN; CLUSTER_SIZE]; 4], [0; CLUSTER_SIZE]);
+            for (k, &p) in list.clustering.members(c).iter().enumerate() {
+                if p == FILLER {
+                    row[3][k] = 0.0;
                     continue;
                 }
-                let a = a as usize;
-                let pa = sys.pos[a];
-                let mut fa = Vec3::ZERO;
-                for (bj, &b) in mj.iter().enumerate() {
-                    if b == FILLER {
-                        continue;
-                    }
-                    // In the self pair, take each unordered pair once.
-                    if same && bj <= ai {
-                        continue;
-                    }
-                    let b = b as usize;
-                    if sys.is_excluded(a, b) {
-                        continue;
-                    }
-                    let d = sys.pbc.min_image(pa, sys.pos[b]);
-                    let r2 = d.norm2();
-                    if r2 >= rc2 || r2 == 0.0 {
-                        continue;
-                    }
-                    let (c6, c12) = (
-                        c6t[sys.type_id[a] * n_types + sys.type_id[b]],
-                        c12t[sys.type_id[a] * n_types + sys.type_id[b]],
-                    );
-                    let qq = sys.charge[a] * sys.charge[b];
-                    let (f_over_r, e_lj, e_coul) = pair_interaction(r2, c6, c12, qq, params);
-                    let f = d * f_over_r;
-                    fa += f;
-                    sys.force[b] -= f;
-                    en.lj += e_lj as f64;
-                    en.coulomb += e_coul as f64;
-                    en.virial += (f_over_r * r2) as f64;
-                    en.pairs_within_cutoff += 1;
-                }
-                sys.force[a] += fa;
+                let p = p as usize;
+                [row[0][k], row[1][k], row[2][k]] = [sys.pos[p].x, sys.pos[p].y, sys.pos[p].z];
+                row[3][k] = sys.charge[p];
+                ty[k] = sys.type_id[p];
             }
+            for t in 0..n_types {
+                let lj = |table: &[f32]| ty.map(|tj| table[t * n_types + tj]);
+                pack.lj.push([lj(top.c6_table()), lj(top.c12_table())]);
+            }
+            pack.rows.push(row);
+            pack.types.push(ty);
+        }
+        pack
+    }
+}
+
+/// One call's parameters and the scalar constants of its interaction
+/// terms.
+struct Terms {
+    params: NbParams,
+    rc2: f32,
+    ke: f32,
+    /// Reaction field: `V = ke qq (1/r + k_rf r² - c_rf)` (zero otherwise).
+    k_rf: f32,
+    c_rf: f32,
+}
+
+impl Terms {
+    /// The constants [`pair_interaction`] derives from `params`, with
+    /// the same expressions.
+    fn new(params: &NbParams) -> Self {
+        let (k_rf, c_rf) = match params.coulomb {
+            Coulomb::ReactionField { eps_rf } => {
+                let rc = params.r_cut;
+                let k_rf = (eps_rf - 1.0) / (2.0 * eps_rf + 1.0) / (rc * rc * rc);
+                (k_rf, 1.0 / rc + k_rf * rc * rc)
+            }
+            _ => (0.0, 0.0),
+        };
+        Self {
+            params: *params,
+            rc2: params.r_cut * params.r_cut,
+            ke: KE as f32,
+            k_rf,
+            c_rf,
+        }
+    }
+}
+
+/// Cluster pairs per batch of [`half_lanes`]' lane stage.
+const BATCH: usize = 16;
+
+/// [`compute_forces_half`] on the lane implementation `L`; every
+/// implementation accumulates the same bits.
+#[inline(always)]
+fn half_lanes<L: Lanes8>(
+    isa: L::Isa,
+    sys: &mut System,
+    list: &PairList,
+    params: &NbParams,
+) -> NbEnergies {
+    assert_eq!(list.kind, ListKind::Half);
+    let pack = Pack::new(sys, list);
+    // Bit `4 * ai + bj` of an entry's mask: the scalar walk gets to the
+    // cutoff test of pair (ai, bj).
+    let masks = list.interaction_masks(sys);
+    let terms = Terms::new(params);
+    let n_types = sys.topology.n_types();
+    let (pbc, force) = (&sys.pbc, &mut sys.force);
+    let mut en = NbEnergies::default();
+    // Per cluster pair of a batch, its interacting lanes (bit `4 * ai +
+    // bj`) and, per lane, the force components, `e_lj`, `e_coul` and
+    // the virial term.
+    let mut actives = [0u32; BATCH];
+    let mut outs = [[[0.0f32; 2 * LANES]; 6]; BATCH];
+    for ci in 0..list.n_clusters() {
+        let mi: &[u32; CLUSTER_SIZE] = list.clustering.members(ci).try_into().expect("4 slots");
+        let (mrow, ti) = (&pack.rows[ci], &pack.types[ci]);
+        // Outer members (0, 1) and (2, 3), each broadcast over four lanes.
+        let outer = [
+            [
+                pair8::<L>(isa, &mrow[0], 0),
+                pair8::<L>(isa, &mrow[1], 0),
+                pair8::<L>(isa, &mrow[2], 0),
+                pair8::<L>(isa, &mrow[3], 0),
+            ],
+            [
+                pair8::<L>(isa, &mrow[0], 2),
+                pair8::<L>(isa, &mrow[1], 2),
+                pair8::<L>(isa, &mrow[2], 2),
+                pair8::<L>(isa, &mrow[3], 2),
+            ],
+        ];
+        // The lane stage runs a batch of cluster pairs ahead of the
+        // accumulation, so its work does not wait on the accumulation's
+        // branches.
+        let entries = list.offsets[ci] as usize..list.offsets[ci + 1] as usize;
+        let (neighbors, masks) = (&list.neighbors[entries.clone()], &masks[entries]);
+        for (batch, masks) in neighbors.chunks(BATCH).zip(masks.chunks(BATCH)) {
+            let lanes = outs.iter_mut().zip(&mut actives);
+            for ((&cj, &mask), (out, active)) in batch.iter().zip(masks).zip(lanes) {
+                let cj = cj as usize;
+                let nrow = &pack.rows[cj];
+                let inner = [
+                    L::from_halves(isa, &nrow[0], &nrow[0]),
+                    L::from_halves(isa, &nrow[1], &nrow[1]),
+                    L::from_halves(isa, &nrow[2], &nrow[2]),
+                    L::from_halves(isa, &nrow[3], &nrow[3]),
+                ];
+                *active = 0;
+                for (row, o) in outer.iter().enumerate() {
+                    let pairs = (mask >> (LANES * row)) as u32 & 0xff;
+                    if pairs != 0 {
+                        let lj = [
+                            &pack.lj[cj * n_types + ti[2 * row]],
+                            &pack.lj[cj * n_types + ti[2 * row + 1]],
+                        ];
+                        let c6 = L::from_halves(isa, &lj[0][0], &lj[1][0]);
+                        let c12 = L::from_halves(isa, &lj[0][1], &lj[1][1]);
+                        let lanes = row_lanes::<L>(
+                            isa,
+                            pbc,
+                            &terms,
+                            o,
+                            &inner,
+                            [c6, c12],
+                            [mrow, nrow],
+                            row,
+                            pairs,
+                            out,
+                        );
+                        *active |= lanes << (LANES * row);
+                    }
+                }
+            }
+            let pairs = batch.iter().zip(outs.iter().zip(&actives));
+            accumulate(
+                force,
+                &mut en,
+                mi,
+                pairs.map(|(&cj, (out, &active))| {
+                    let mj = list.clustering.members(cj as usize);
+                    (mj.try_into().expect("4 slots"), out, active)
+                }),
+            );
         }
     }
     en
+}
+
+/// Accumulate a batch of cluster pairs of outer members `mi` — each its
+/// inner members, lane outputs and interacting lanes — in the scalar
+/// walk's order. Its `force[a] += fa` after each outer member's pairs
+/// waits for the cluster pair's last: no later pair of it touches
+/// `force[a]`.
+fn accumulate<'a>(
+    force: &mut [Vec3],
+    en: &mut NbEnergies,
+    mi: &[u32; CLUSTER_SIZE],
+    pairs: impl Iterator<Item = (&'a [u32; CLUSTER_SIZE], &'a [[f32; 2 * LANES]; 6], u32)>,
+) {
+    let (mut lj, mut coulomb, mut virial) = (en.lj, en.coulomb, en.virial);
+    for (mj, out, active) in pairs {
+        let mut fa = [Vec3::ZERO; CLUSTER_SIZE];
+        let mut lanes = active;
+        while lanes != 0 {
+            let k = lanes.trailing_zeros() as usize;
+            lanes &= lanes - 1;
+            let f = vec3(out[0][k], out[1][k], out[2][k]);
+            fa[k / CLUSTER_SIZE] += f;
+            force[mj[k % CLUSTER_SIZE] as usize] -= f;
+            lj += out[3][k] as f64;
+            coulomb += out[4][k] as f64;
+            virial += out[5][k] as f64;
+        }
+        en.pairs_within_cutoff += active.count_ones() as u64;
+        for (&a, fa) in mi.iter().zip(fa) {
+            if a != FILLER {
+                force[a as usize] += fa;
+            }
+        }
+    }
+    (en.lj, en.coulomb, en.virial) = (lj, coulomb, virial);
+}
+
+/// One row of a cluster pair: outer members `2 * row` and `2 * row + 1`
+/// (`outer`, from `rows[0]`) against the four inner ones (`inner`, from
+/// `rows[1]`), over the lanes `pairs` admits. Returns the lanes that
+/// interact, and writes their force components, `e_lj`, `e_coul` and
+/// virial term — the values of the scalar walk's expressions — to
+/// `out`'s lanes of the row.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn row_lanes<L: Lanes8>(
+    isa: L::Isa,
+    pbc: &PbcBox,
+    terms: &Terms,
+    outer: &[L; 4],
+    inner: &[L; 4],
+    [c6, c12]: [L; 2],
+    rows: [&[[f32; CLUSTER_SIZE]; 4]; 2],
+    row: usize,
+    pairs: u32,
+    out: &mut [[f32; 2 * LANES]; 6],
+) -> u32 {
+    let zero = L::splat(isa, 0.0);
+    let d = [
+        outer[0] - inner[0],
+        outer[1] - inner[1],
+        outer[2] - inner[2],
+    ];
+    let (d, inexact) = pbc.min_image8(isa, d);
+    let mut redo = inexact.movemask() & pairs;
+    let d = if redo == 0 {
+        d
+    } else {
+        let mut dd = [d[0].to_array(), d[1].to_array(), d[2].to_array()];
+        while redo != 0 {
+            let lane = redo.trailing_zeros() as usize;
+            redo &= redo - 1;
+            let (a, b) = (2 * row + lane / CLUSTER_SIZE, lane % CLUSTER_SIZE);
+            let [mi, mj] = rows;
+            let (pa, pb) = (
+                vec3(mi[0][a], mi[1][a], mi[2][a]),
+                vec3(mj[0][b], mj[1][b], mj[2][b]),
+            );
+            let v = pbc.min_image(pa, pb);
+            [dd[0][lane], dd[1][lane], dd[2][lane]] = [v.x, v.y, v.z];
+        }
+        [
+            L::from_array(isa, dd[0]),
+            L::from_array(isa, dd[1]),
+            L::from_array(isa, dd[2]),
+        ]
+    };
+    let r2 = norm2(d);
+    // The scalar walk skips `r2 >= rc2 || r2 == 0`: a NaN `r2` interacts.
+    let skip = le8(L::splat(isa, terms.rc2), r2) | r2.cmp_eq(zero);
+    let active = pairs & !skip.movemask();
+    if active == 0 {
+        return 0;
+    }
+    let qq = outer[3] * inner[3];
+    let [f_over_r, e_lj, e_coul] = match terms.params.coulomb {
+        Coulomb::EwaldShort { .. } => {
+            let (r2, c6, c12, qq) = (r2.to_array(), c6.to_array(), c12.to_array(), qq.to_array());
+            let mut each = [[0.0f32; LANES]; 3];
+            let mut lanes = active;
+            while lanes != 0 {
+                let k = lanes.trailing_zeros() as usize;
+                lanes &= lanes - 1;
+                let (f, e_lj, e_coul) =
+                    pair_interaction(r2[k], c6[k], c12[k], qq[k], &terms.params);
+                [each[0][k], each[1][k], each[2][k]] = [f, e_lj, e_coul];
+            }
+            [
+                L::from_array(isa, each[0]),
+                L::from_array(isa, each[1]),
+                L::from_array(isa, each[2]),
+            ]
+        }
+        coulomb => {
+            let c = |v: f32| L::splat(isa, v);
+            let rinv2 = c(1.0) / r2;
+            let rinv6 = rinv2 * rinv2 * rinv2;
+            let e_lj = c12 * rinv6 * rinv6 - c6 * rinv6;
+            let f_lj = (c(12.0) * c12 * rinv6 * rinv6 - c(6.0) * c6 * rinv6) * rinv2;
+            let kqq = c(terms.ke) * qq;
+            let rinv = rinv2.sqrt();
+            // `qq == 0` skips the Coulomb term: a blend, not an add of
+            // the zero term, which would turn `-0.0` into `+0.0` and
+            // `0 x inf` (a subnormal `r2`) into NaN.
+            let no_q = qq.cmp_eq(zero);
+            match coulomb {
+                Coulomb::Cutoff => {
+                    let e = kqq * rinv;
+                    [
+                        no_q.blend(f_lj, f_lj + e * rinv2),
+                        e_lj,
+                        no_q.blend(zero, e),
+                    ]
+                }
+                Coulomb::ReactionField { .. } => {
+                    let e = kqq * (rinv + c(terms.k_rf) * r2 - c(terms.c_rf));
+                    let f = kqq * (rinv * rinv2 - c(2.0 * terms.k_rf));
+                    [no_q.blend(f_lj, f_lj + f), e_lj, no_q.blend(zero, e)]
+                }
+                _ => [f_lj, e_lj, zero],
+            }
+        }
+    };
+    let at = LANES * row;
+    let vals = [
+        d[0] * f_over_r,
+        d[1] * f_over_r,
+        d[2] * f_over_r,
+        e_lj,
+        e_coul,
+        f_over_r * r2,
+    ];
+    for (out, v) in out.iter_mut().zip(vals) {
+        out[at..at + LANES].copy_from_slice(&v.to_array());
+    }
+    active
+}
+
+/// [`half_lanes`] compiled with AVX2 enabled, so the whole
+/// `#[inline(always)]` chain becomes `ymm` code.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+#[target_feature(enable = "avx2")]
+fn half_avx2(isa: wide::Avx2, sys: &mut System, list: &PairList, params: &NbParams) -> NbEnergies {
+    half_lanes::<wide::f32x8_avx2>(isa, sys, list, params)
 }
 
 /// Algorithm 2 (RCA): walk a **full** list, updating only the outer
@@ -281,7 +591,9 @@ pub fn max_force_diff(a: &[Vec3], b: &[Vec3]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::water::water_box;
+    use crate::math::{fnv1a, FNV1A_OFFSET};
+    use crate::water::{saline_box, water_box};
+    use wide::for_each_lanes8;
 
     fn params_rf() -> NbParams {
         NbParams {
@@ -302,6 +614,120 @@ mod tests {
         assert!((ea.total() - eb.total()).abs() < 1e-6 * eb.total().abs().max(1.0));
         let fmax = b.force.iter().map(|f| f.norm()).fold(0.0f32, f32::max);
         assert!(max_force_diff(&a.force, &b.force) / fmax < 1e-4);
+    }
+
+    /// FNV-1a over every force bit, then over the energies' bits and
+    /// the pair count.
+    fn half_list_bits(sys: &System, en: &NbEnergies) -> [u64; 2] {
+        let word = |h, bits: u64| fnv1a(h, &bits.to_le_bytes());
+        let forces = sys.force.iter().flat_map(|f| [f.x, f.y, f.z]);
+        let energies = [en.lj, en.coulomb, en.virial].map(f64::to_bits);
+        [
+            forces.fold(FNV1A_OFFSET, |h, c| word(h, c.to_bits() as u64)),
+            word(
+                energies.into_iter().fold(FNV1A_OFFSET, word),
+                en.pairs_within_cutoff,
+            ),
+        ]
+    }
+
+    /// The pinned inputs with their cutoffs: water, four-type saline,
+    /// and water with every third molecule two periods out along x (its
+    /// pairs with the rest are lanes `min_image8` reports inexact).
+    fn pin_systems() -> [(&'static str, System, f32); 3] {
+        let mut shifted = water_box(80, 300.0, 9);
+        let period = 2.0 * shifted.pbc.lengths().x;
+        for m in (0..80).step_by(3) {
+            for p in &mut shifted.pos[3 * m..3 * m + 3] {
+                p.x += period;
+            }
+        }
+        [
+            ("water", water_box(200, 300.0, 11), 0.8),
+            ("saline", saline_box(150, 10, 300.0, 7), 0.8),
+            ("shifted", shifted, 0.6),
+        ]
+    }
+
+    /// Every Coulomb treatment.
+    fn pin_coulombs() -> [Coulomb; 4] {
+        [
+            Coulomb::None,
+            Coulomb::Cutoff,
+            Coulomb::ReactionField { eps_rf: 78.0 },
+            Coulomb::EwaldShort { beta: 3.12 },
+        ]
+    }
+
+    /// `half_list_bits` of every `pin_systems` x `pin_coulombs` case,
+    /// recorded from the scalar walk the lanes replaced.
+    const HALF_LIST_PINS: [[[u64; 2]; 4]; 3] = [
+        [
+            [0x4cbf222e77ebf641, 0xaac2942718355c56],
+            [0xf1c521af773078d9, 0x656f5067d3328eea],
+            [0xc56d592a15161e82, 0x33f7bcfcb122e00d],
+            [0x7d44b7804a731c6d, 0xdb20818fde064a4d],
+        ],
+        [
+            [0x181a5f6baf9a1b92, 0xe2381a5aabe8050c],
+            [0x80443e8fdb1f67a1, 0xd93098cad4910f54],
+            [0x57ea597cdf38cdd7, 0xb7841947ea722827],
+            [0x23278f53dd843f1b, 0xc39e4be21861ad52],
+        ],
+        [
+            [0x3ca744e61cc30b46, 0x081228b3dc867eff],
+            [0x4e8d3065d2baf122, 0x778203281c488b6f],
+            [0x58278d70ee14e1ce, 0xb50f06d1095fd432],
+            [0x28734f1aaf8e65a3, 0x22c5184f6d099e18],
+        ],
+    ];
+
+    fn half_list_keeps_its_bits<L: Lanes8>(isa: L::Isa) {
+        for ((name, sys, r_cut), pins) in pin_systems().into_iter().zip(HALF_LIST_PINS) {
+            let list = PairList::build(&sys, r_cut * 1.1, ListKind::Half);
+            let slots = &list.clustering.slots;
+            assert!(slots.contains(&FILLER), "{name}: no filler slot");
+            for (coulomb, pin) in pin_coulombs().into_iter().zip(pins) {
+                let params = NbParams { r_cut, coulomb };
+                let mut lanes = sys.clone();
+                let en = half_lanes::<L>(isa, &mut lanes, &list, &params);
+                let what = format!("{} {name} {coulomb:?}", L::NAME);
+                assert_eq!(half_list_bits(&lanes, &en), pin, "{what}");
+                let mut detected = sys.clone();
+                let en = compute_forces_half(&mut detected, &list, &params);
+                assert_eq!(
+                    half_list_bits(&detected, &en),
+                    pin,
+                    "detected lanes, {what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn half_list_forces_and_energies_keep_their_bits_on_every_lane_implementation() {
+        for_each_lanes8!(half_list_keeps_its_bits);
+    }
+
+    #[test]
+    fn the_shifted_pin_has_pairs_whole_periods_apart() {
+        // Lanes `min_image8` reports inexact: |dx| >= 1.5 box edges.
+        let [_, _, (_, sys, r_cut)] = pin_systems();
+        let list = PairList::build(&sys, r_cut * 1.1, ListKind::Half);
+        let lx = sys.pbc.lengths().x;
+        let far = (0..list.n_clusters()).any(|ci| {
+            list.neighbors_of(ci).iter().any(|&cj| {
+                let mj = list.clustering.members(cj as usize);
+                list.clustering.members(ci).iter().any(|&a| {
+                    mj.iter().any(|&b| {
+                        a != FILLER
+                            && b != FILLER
+                            && (sys.pos[a as usize].x - sys.pos[b as usize].x).abs() >= 1.5 * lx
+                    })
+                })
+            })
+        });
+        assert!(far);
     }
 
     #[test]

@@ -104,6 +104,73 @@ impl PairList {
         &self.neighbors[lo..hi]
     }
 
+    /// One interaction mask per list entry, in entry order
+    /// ([`PairList::pair_mask`]).
+    ///
+    /// Almost no cluster pair shares a molecule, and a mask without
+    /// exclusions is an outer product of the two clusters' occupied
+    /// slots; only self pairs and pairs that do hold exclusion partners
+    /// take the per-member test.
+    pub fn interaction_masks(&self, sys: &System) -> Vec<u16> {
+        let clustering = &self.clustering;
+        // Bit `k` set: slot `k` of the cluster holds a particle.
+        let occupied: Vec<u16> = (0..self.n_clusters())
+            .map(|c| {
+                let slots = clustering.members(c).iter().enumerate();
+                slots.map(|(k, &p)| ((p != FILLER) as u16) << k).sum()
+            })
+            .collect();
+        let mut masks = Vec::with_capacity(self.n_pairs());
+        // Clusters holding an exclusion partner of a member of `ci`.
+        let mut partners: Vec<u32> = Vec::new();
+        for ci in 0..self.n_clusters() {
+            partners.clear();
+            for &a in clustering.members(ci).iter().filter(|&&a| a != FILLER) {
+                let excluded = sys.exclusions[a as usize].iter();
+                partners.extend(excluded.map(|&b| clustering.cluster_of[b as usize]));
+            }
+            // Bit `4 * ai` set for every occupied outer slot `ai`.
+            let rows = (0..CLUSTER_SIZE)
+                .map(|ai| (occupied[ci] >> ai & 1) << (ai * CLUSTER_SIZE))
+                .sum::<u16>();
+            for &cj in self.neighbors_of(ci) {
+                masks.push(if cj as usize == ci || partners.contains(&cj) {
+                    self.pair_mask(sys, ci, cj as usize)
+                } else {
+                    rows * occupied[cj as usize]
+                });
+            }
+        }
+        masks
+    }
+
+    /// The interaction mask of cluster pair `(ci, cj)`: bit `ai*4 + bj`
+    /// is set unless either slot is a filler, the two are one particle,
+    /// the pair is excluded, or a half list already counts it as
+    /// `(bj, ai)`.
+    pub fn pair_mask(&self, sys: &System, ci: usize, cj: usize) -> u16 {
+        let same = cj == ci;
+        let mut mask = 0u16;
+        for (ai, &a) in self.clustering.members(ci).iter().enumerate() {
+            if a == FILLER {
+                continue;
+            }
+            for (bj, &b) in self.clustering.members(cj).iter().enumerate() {
+                if b == FILLER || a == b {
+                    continue;
+                }
+                if self.kind == ListKind::Half && same && bj <= ai {
+                    continue;
+                }
+                if sys.is_excluded(a as usize, b as usize) {
+                    continue;
+                }
+                mask |= 1 << (ai * CLUSTER_SIZE + bj);
+            }
+        }
+        mask
+    }
+
     /// Total number of cluster pairs stored.
     pub fn n_pairs(&self) -> usize {
         self.neighbors.len()

@@ -31,7 +31,7 @@ use crate::pairlist::ListKind;
 use crate::pbc::{le8, PbcBox};
 use crate::vec3::{vec3, Vec3};
 
-const LANES: usize = 8;
+pub(crate) const LANES: usize = 8;
 const COARSE: u32 = 1 << 30;
 const IN_RANGE: u32 = 1 << 31;
 
@@ -288,13 +288,13 @@ fn load8<L: Lanes8>(isa: L::Isa, column: &[f32], k: usize) -> L {
 
 /// Members `a` and `a + 1` of a member row, each over four lanes.
 #[inline(always)]
-fn pair8<L: Lanes8>(isa: L::Isa, row: &[f32; CLUSTER_SIZE], a: usize) -> L {
+pub(crate) fn pair8<L: Lanes8>(isa: L::Isa, row: &[f32; CLUSTER_SIZE], a: usize) -> L {
     L::from_halves(isa, &[row[a]; CLUSTER_SIZE], &[row[a + 1]; CLUSTER_SIZE])
 }
 
 /// `x² + y² + z²`, associated as [`Vec3::norm2`].
 #[inline(always)]
-fn norm2<L: Lanes8>(d: [L; 3]) -> L {
+pub(crate) fn norm2<L: Lanes8>(d: [L; 3]) -> L {
     d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
 }
 

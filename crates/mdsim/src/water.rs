@@ -176,6 +176,7 @@ fn random_unit(rng: &mut impl Rng) -> Vec3 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::math::{fnv1a, FNV1A_OFFSET};
 
     #[test]
     fn density_is_liquid_water() {
@@ -225,6 +226,21 @@ mod tests {
     #[should_panic]
     fn non_multiple_of_three_rejected() {
         let _ = water_box_particles(1000, 300.0, 0);
+    }
+
+    /// FNV-1a over every position and velocity bit.
+    fn state_bits(sys: &System) -> u64 {
+        let comps = sys.pos.iter().chain(&sys.vel).flat_map(|v| [v.x, v.y, v.z]);
+        comps.fold(FNV1A_OFFSET, |h, c| fnv1a(h, &c.to_bits().to_le_bytes()))
+    }
+
+    #[test]
+    fn equilibrated_boxes_keep_their_bits() {
+        // Recorded from the scalar force walk the lanes replaced.
+        for (n_mol, pin) in [(64, 0x36083e490ac2798c), (216, 0xacb65b04b539ff6e)] {
+            let sys = water_box_equilibrated(n_mol, 300.0, 5);
+            assert_eq!(state_bits(&sys), pin, "{n_mol} molecules");
+        }
     }
 
     #[test]
