@@ -299,10 +299,6 @@ mod tests {
                 ..
             }
         )));
-        assert!(run
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::Phase { .. })));
         // The optimized kernel never touches the gld port.
         assert!(!run
             .events

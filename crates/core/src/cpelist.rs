@@ -13,7 +13,6 @@ use mdsim::cluster::Clustering;
 use mdsim::pairlist::{ListKind, PairList};
 use mdsim::pbc::PbcBox;
 use mdsim::system::System;
-use mdsim::Vec3;
 use sw26010::pool::{block_range, LanePool};
 use sw26010::trace;
 
@@ -146,14 +145,6 @@ impl CpePairList {
     }
 }
 
-/// The shift of inner center `cj` seen from outer center `ci`.
-fn shift_of(pbc: &PbcBox, ci: Vec3, cj: Vec3) -> [f32; 3] {
-    let d = pbc.min_image(ci, cj);
-    let imaged = ci - d; // cj center seen from ci
-    let s = imaged - cj;
-    [s.x, s.y, s.z]
-}
-
 /// A run of the list's rows with their shifts — `shifts[0]` is the
 /// first entry of row `rows.start` — which is what one lane of a refresh
 /// owns, and what it reads.
@@ -166,9 +157,9 @@ struct RowBlock<'a> {
     pbc: &'a PbcBox,
 }
 
-/// Every entry's [`shift_of`] in `block`'s rows from the cluster
-/// centers, eight entries of a row per operation; a lane the lane form
-/// of the minimum image does not cover is redone with the scalar one.
+/// Every entry's shift in `block`'s rows from the cluster centers — the
+/// inner center seen from the outer one through the minimum image,
+/// minus the inner center — eight entries of a row per operation.
 #[inline(always)]
 fn shift_rows<L: Lanes8>(isa: L::Isa, block: &mut RowBlock<'_>) {
     let RowBlock {
@@ -194,7 +185,7 @@ fn shift_rows<L: Lanes8>(isa: L::Isa, block: &mut RowBlock<'_>) {
                 gather8::<L>(isa, cy, ids),
                 gather8::<L>(isa, cz, ids),
             ];
-            let (d, inexact) = pbc.min_image8(
+            let d = pbc.min_image8(
                 isa,
                 [own[0] - other[0], own[1] - other[1], own[2] - other[2]],
             );
@@ -206,14 +197,6 @@ fn shift_rows<L: Lanes8>(isa: L::Isa, block: &mut RowBlock<'_>) {
             let shifts = &mut block.shifts[start - first..start - first + ids.len()];
             for (lane, shift) in shifts.iter_mut().enumerate() {
                 *shift = [sx[lane], sy[lane], sz[lane]];
-            }
-            let mut redo = inexact.movemask() & ((1 << ids.len()) - 1);
-            while redo != 0 {
-                let lane = redo.trailing_zeros() as usize;
-                redo &= redo - 1;
-                let cj = ids[lane] as usize;
-                let own = mdsim::vec3(cx[ci], cy[ci], cz[ci]);
-                shifts[lane] = shift_of(pbc, own, mdsim::vec3(cx[cj], cy[cj], cz[cj]));
             }
         }
     }
@@ -241,6 +224,7 @@ mod tests {
     use super::*;
     use mdsim::cluster::FILLER;
     use mdsim::water::water_box;
+    use mdsim::Vec3;
 
     fn setup() -> (System, PairList, CpePairList) {
         // rlist + 2 x cluster radius must stay under half the box edge
@@ -344,8 +328,17 @@ mod tests {
         assert!(checked > 1000, "only {checked} pairs checked");
     }
 
-    /// The per-entry expression `update_shifts` evaluated one entry at a
+    /// The shift of inner center `cj` seen from outer center `ci`: the
+    /// per-entry expression `update_shifts` evaluated one entry at a
     /// time before it moved onto lanes.
+    fn shift_of(pbc: &PbcBox, ci: Vec3, cj: Vec3) -> [f32; 3] {
+        let d = pbc.min_image(ci, cj);
+        let imaged = ci - d; // cj center seen from ci
+        let s = imaged - cj;
+        [s.x, s.y, s.z]
+    }
+
+    /// Every entry's [`shift_of`], from the cluster centers.
     fn scalar_shifts(sys: &System, clustering: &Clustering, cpe: &CpePairList) -> Vec<[u32; 3]> {
         let centers: Vec<Vec3> = (0..cpe.n_clusters())
             .map(|c| clustering.center(&sys.pbc, &sys.pos, c))
@@ -354,10 +347,8 @@ mod tests {
         for ci in 0..cpe.n_clusters() {
             for e in cpe.entries_of(ci) {
                 let cj = cpe.neighbors[e] as usize;
-                let d = sys.pbc.min_image(centers[ci], centers[cj]);
-                let imaged = centers[ci] - d;
-                let s = imaged - centers[cj];
-                shifts.push([s.x.to_bits(), s.y.to_bits(), s.z.to_bits()]);
+                let s = shift_of(&sys.pbc, centers[ci], centers[cj]);
+                shifts.push(s.map(f32::to_bits));
             }
         }
         shifts

@@ -11,7 +11,9 @@ use mdsim::nonbonded::{NbEnergies, NbParams};
 use mdsim::pairlist::ListKind;
 use sw26010::cg::CoreGroup;
 use sw26010::perf::{Breakdown, PerfCounters};
+use sw26010::trace;
 
+use crate::check::{REGION_FORCES, REGION_POS};
 use crate::cpelist::CpePairList;
 use crate::kernels::common::{add_package, cluster_pair_metered, Arith, EntryJ, KernelResult};
 use crate::package::{PackedSystem, FORCE_WORDS};
@@ -88,6 +90,10 @@ pub fn run_ori(
             mpe.perf.cycles += 4 * 2 * MPE_LOAD_CYCLES;
             add_package(&mut slot_forces, ci, &fi);
         }
+        // What the MPE touched in main memory: every package's
+        // position, and the whole slot-ordered force array.
+        trace::shared_read(REGION_POS, 0, psys.pos.len());
+        trace::shared_write(REGION_FORCES, 0, slot_forces.len());
     });
 
     let mut phases = Breakdown::new();

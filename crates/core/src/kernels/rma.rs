@@ -122,7 +122,7 @@ pub fn run_rma(
     let force_geo = CacheGeometry::paper_default(FORCE_WORDS);
     // Each per-CPE copy is padded to a whole number of write-cache lines:
     // the tail line's writeback is a full-line DMA, and without padding it
-    // would stomp the next CPE's copy (swcheck SWC101 catches exactly this).
+    // would stomp the next CPE's copy (swcheck SWC110 catches exactly this).
     let copy_stride = n_pkg.div_ceil(force_geo.line_elems) * force_geo.line_words();
     let pkg_geo = CacheGeometry::paper_default(PKG_WORDS);
     let mut phases = Breakdown::new();

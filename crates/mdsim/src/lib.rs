@@ -57,7 +57,6 @@ pub mod pairsearch;
 pub mod pbc;
 pub mod pme;
 pub mod system;
-pub mod thermo;
 pub mod topology;
 pub mod vec3;
 pub mod water;

@@ -131,9 +131,9 @@ pub fn pair_interaction(r2: f32, c6: f32, c12: f32, qq: f32, params: &NbParams) 
 /// picks them): each cluster pair is two rows of two outer members
 /// broadcast against the four inner ones, the layout of the pair
 /// search's exact test. Minimum image, `r²`, the cutoff mask and the
-/// interaction terms are the scalar expressions lane by lane; lanes
-/// [`PbcBox::min_image8`](crate::pbc::PbcBox::min_image8) reports
-/// inexact take the scalar image, and short-range Ewald (libm `exp`, an
+/// interaction terms are the scalar expressions lane by lane
+/// ([`PbcBox::min_image8`](crate::pbc::PbcBox::min_image8) is the
+/// scalar image on every lane), and short-range Ewald (libm `exp`, an
 /// f64 `erfc`) calls [`pair_interaction`] on each interacting lane. The
 /// results are then accumulated in the order of the scalar walk — per
 /// outer member, its pairs in inner-slot order into the outer sum and
@@ -293,18 +293,8 @@ fn half_lanes<L: Lanes8>(
                         ];
                         let c6 = L::from_halves(isa, &lj[0][0], &lj[1][0]);
                         let c12 = L::from_halves(isa, &lj[0][1], &lj[1][1]);
-                        let lanes = row_lanes::<L>(
-                            isa,
-                            pbc,
-                            &terms,
-                            o,
-                            &inner,
-                            [c6, c12],
-                            [mrow, nrow],
-                            row,
-                            pairs,
-                            out,
-                        );
+                        let lanes =
+                            row_lanes::<L>(isa, pbc, &terms, o, &inner, [c6, c12], row, pairs, out);
                         *active |= lanes << (LANES * row);
                     }
                 }
@@ -360,11 +350,10 @@ fn accumulate<'a>(
 }
 
 /// One row of a cluster pair: outer members `2 * row` and `2 * row + 1`
-/// (`outer`, from `rows[0]`) against the four inner ones (`inner`, from
-/// `rows[1]`), over the lanes `pairs` admits. Returns the lanes that
-/// interact, and writes their force components, `e_lj`, `e_coul` and
-/// virial term — the values of the scalar walk's expressions — to
-/// `out`'s lanes of the row.
+/// (`outer`) against the four inner ones (`inner`), over the lanes
+/// `pairs` admits. Returns the lanes that interact, and writes their
+/// force components, `e_lj`, `e_coul` and virial term — the values of
+/// the scalar walk's expressions — to `out`'s lanes of the row.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn row_lanes<L: Lanes8>(
@@ -374,7 +363,6 @@ fn row_lanes<L: Lanes8>(
     outer: &[L; 4],
     inner: &[L; 4],
     [c6, c12]: [L; 2],
-    rows: [&[[f32; CLUSTER_SIZE]; 4]; 2],
     row: usize,
     pairs: u32,
     out: &mut [[f32; 2 * LANES]; 6],
@@ -385,30 +373,7 @@ fn row_lanes<L: Lanes8>(
         outer[1] - inner[1],
         outer[2] - inner[2],
     ];
-    let (d, inexact) = pbc.min_image8(isa, d);
-    let mut redo = inexact.movemask() & pairs;
-    let d = if redo == 0 {
-        d
-    } else {
-        let mut dd = [d[0].to_array(), d[1].to_array(), d[2].to_array()];
-        while redo != 0 {
-            let lane = redo.trailing_zeros() as usize;
-            redo &= redo - 1;
-            let (a, b) = (2 * row + lane / CLUSTER_SIZE, lane % CLUSTER_SIZE);
-            let [mi, mj] = rows;
-            let (pa, pb) = (
-                vec3(mi[0][a], mi[1][a], mi[2][a]),
-                vec3(mj[0][b], mj[1][b], mj[2][b]),
-            );
-            let v = pbc.min_image(pa, pb);
-            [dd[0][lane], dd[1][lane], dd[2][lane]] = [v.x, v.y, v.z];
-        }
-        [
-            L::from_array(isa, dd[0]),
-            L::from_array(isa, dd[1]),
-            L::from_array(isa, dd[2]),
-        ]
-    };
+    let d = pbc.min_image8(isa, d);
     let r2 = norm2(d);
     // The scalar walk skips `r2 >= rc2 || r2 == 0`: a NaN `r2` interacts.
     let skip = le8(L::splat(isa, terms.rc2), r2) | r2.cmp_eq(zero);
@@ -633,7 +598,8 @@ mod tests {
 
     /// The pinned inputs with their cutoffs: water, four-type saline,
     /// and water with every third molecule two periods out along x (its
-    /// pairs with the rest are lanes `min_image8` reports inexact).
+    /// pairs with the rest are lanes `min_image8` redoes with the scalar
+    /// form).
     fn pin_systems() -> [(&'static str, System, f32); 3] {
         let mut shifted = water_box(80, 300.0, 9);
         let period = 2.0 * shifted.pbc.lengths().x;
@@ -711,7 +677,7 @@ mod tests {
 
     #[test]
     fn the_shifted_pin_has_pairs_whole_periods_apart() {
-        // Lanes `min_image8` reports inexact: |dx| >= 1.5 box edges.
+        // Lanes `min_image8` redoes with the scalar form: |dx| >= 1.5 box edges.
         let [_, _, (_, sys, r_cut)] = pin_systems();
         let list = PairList::build(&sys, r_cut * 1.1, ListKind::Half);
         let lx = sys.pbc.lengths().x;

@@ -19,9 +19,9 @@
 //! (`pbc.dist2(cᵢ, cⱼ) <= reach²` and
 //! [`clusters_in_range`](crate::pairlist::clusters_in_range)) on every
 //! pair: lanes evaluate the same IEEE operations in the same order
-//! ([`PbcBox::min_image8`]), and any lane that form does not cover is
-//! recomputed with the scalar one. Filler slots hold NaN coordinates, so
-//! their lanes compare false without a mask.
+//! ([`PbcBox::min_image8`] is the scalar minimum image on every lane).
+//! Filler slots hold NaN coordinates, so their lanes compare false
+//! without a mask.
 
 use wide::{LaneImpl, Lanes8};
 
@@ -191,19 +191,11 @@ impl PairSearch {
                     own_y - load8::<L>(isa, col_y, k),
                     own_z - load8::<L>(isa, col_z, k),
                 ];
-                let (d, inexact) = self.pbc.min_image8(isa, d);
+                let d = self.pbc.min_image8(isa, d);
                 let reach = reach_own + load8::<L>(isa, col_r, k);
                 // Lanes past the cell's end hold its successor's centers.
                 let live = (1 << n) - 1;
-                let mut redo = inexact.movemask() & live;
-                let mut pass = le8(norm2(d), reach * reach).movemask() & live & !redo;
-                while redo != 0 {
-                    let lane = redo.trailing_zeros() as usize;
-                    redo &= redo - 1;
-                    let other = vec3(col_x[k + lane], col_y[k + lane], col_z[k + lane]);
-                    let reach = self.rlist + radius + col_r[k + lane];
-                    pass |= ((self.pbc.dist2(own, other) <= reach * reach) as u32) << lane;
-                }
+                let pass = le8(norm2(d), reach * reach).movemask() & live;
                 let chunk = out.len();
                 let ids = order[k..k + n].iter().enumerate();
                 out.extend(ids.map(|(lane, &cj)| Candidate(cj | ((pass >> lane & 1) * COARSE))));
@@ -213,13 +205,13 @@ impl PairSearch {
                     queued += (pass >> lane & 1) as usize;
                 }
                 if queued >= QUEUE {
-                    self.refine::<L>(isa, &rows, mi, &queue[..queued], out);
+                    self.refine::<L>(isa, &rows, &queue[..queued], out);
                     queued = 0;
                 }
                 k += n;
             }
         }
-        self.refine::<L>(isa, &rows, mi, &queue[..queued], out);
+        self.refine::<L>(isa, &rows, &queue[..queued], out);
     }
 
     /// Flag the candidates at `queue`'s positions in `out` that pass the
@@ -229,26 +221,19 @@ impl PairSearch {
         &self,
         isa: L::Isa,
         rows: &[[L; 3]; 2],
-        mi: &[[f32; CLUSTER_SIZE]; 3],
         queue: &[u32],
         out: &mut [Candidate],
     ) {
         for &at in queue {
             let cand = &mut out[at as usize];
-            cand.0 |= self.members_in_range::<L>(isa, rows, mi, cand.cluster()) as u32 * IN_RANGE;
+            cand.0 |= self.members_in_range::<L>(isa, rows, cand.cluster()) as u32 * IN_RANGE;
         }
     }
 
-    /// The exact test: whether a member of the outer cluster (`rows`,
-    /// from `mi`) is within `rlist` of a member of cluster `cj`.
+    /// The exact test: whether a member of the outer cluster (`rows`)
+    /// is within `rlist` of a member of cluster `cj`.
     #[inline(always)]
-    fn members_in_range<L: Lanes8>(
-        &self,
-        isa: L::Isa,
-        rows: &[[L; 3]; 2],
-        mi: &[[f32; CLUSTER_SIZE]; 3],
-        cj: usize,
-    ) -> bool {
+    fn members_in_range<L: Lanes8>(&self, isa: L::Isa, rows: &[[L; 3]; 2], cj: usize) -> bool {
         let r2 = self.rlist * self.rlist;
         let mj = &self.members[cj];
         let inner = [
@@ -257,23 +242,14 @@ impl PairSearch {
             L::from_halves(isa, &mj[2], &mj[2]),
         ];
         let mut any = 0;
-        for (row, outer) in rows.iter().enumerate() {
+        for outer in rows {
             let d = [
                 outer[0] - inner[0],
                 outer[1] - inner[1],
                 outer[2] - inner[2],
             ];
-            let (d, inexact) = self.pbc.min_image8(isa, d);
-            let mut redo = inexact.movemask();
-            any |= le8(norm2(d), L::splat(isa, r2)).movemask() & !redo;
-            while redo != 0 {
-                let lane = redo.trailing_zeros() as usize;
-                redo &= redo - 1;
-                let (a, b) = (2 * row + lane / CLUSTER_SIZE, lane % CLUSTER_SIZE);
-                let pa = vec3(mi[0][a], mi[1][a], mi[2][a]);
-                let pb = vec3(mj[0][b], mj[1][b], mj[2][b]);
-                any |= ((self.pbc.dist2(pa, pb) <= r2) as u32) << lane;
-            }
+            let d = self.pbc.min_image8(isa, d);
+            any |= le8(norm2(d), L::splat(isa, r2)).movemask();
         }
         any != 0
     }

@@ -151,7 +151,6 @@ impl Breakdown {
 
     /// Add `counters` under `label`, merging sequentially if the label exists.
     pub fn add(&mut self, label: &str, counters: PerfCounters) {
-        crate::trace::emit_phase(label, counters.cycles);
         if let Some((_, c)) = self.entries.iter_mut().find(|(l, _)| l == label) {
             c.merge_seq(&counters);
         } else {

@@ -21,7 +21,7 @@
 //! recorded, with who recorded it — the issuing CPE (`None` for
 //! MPE/host code) and the epoch of the region the thread is in, both
 //! read from the thread's [`Who`](scope::Who) — which is what lets the
-//! dynamic race detector scope "concurrent" to "same spawn region".
+//! happens-before checker fork and join each region's lanes.
 //! The cache/LDM/channel/barrier ids are the one process-wide part:
 //! a bare `fetch_add` allocator of unique numbers, never reset and never
 //! read back as state, so it couples no sessions.
@@ -81,8 +81,8 @@ pub enum EventKind {
     },
     /// A direct (non-DMA) read of a shared region, e.g. a gld sweep over
     /// a main-memory array. Reads participate in the happens-before race
-    /// check (a read racing a write is SWC110) but not in the
-    /// write-overlap pass.
+    /// check: a read racing a write is SWC110; reads never conflict with
+    /// each other.
     SharedRead {
         /// Read region.
         region: RegionId,
@@ -156,14 +156,6 @@ pub enum EventKind {
         cache: u64,
         /// Backing line numbers still dirty.
         lines: Vec<usize>,
-    },
-    /// A named phase of a kernel completed (from
-    /// [`Breakdown::add`](crate::perf::Breakdown::add)).
-    Phase {
-        /// Phase label.
-        label: String,
-        /// Wall cycles of the phase.
-        cycles: u64,
     },
     /// An execution attempt on the issuing core was aborted and will be
     /// retried/respawned (fault recovery: CPE hang, kernel fault). The
@@ -388,14 +380,6 @@ pub fn emit_wc_drop_dirty(cache: u64, lines: Vec<usize>) {
 /// the fault-recovery paths before a retry/respawn).
 pub fn emit_abort(reason: &'static str) {
     emit(|| EventKind::Abort { reason });
-}
-
-/// Record a completed kernel phase (called by `Breakdown::add`).
-pub fn emit_phase(label: &str, cycles: u64) {
-    emit(|| EventKind::Phase {
-        label: label.to_string(),
-        cycles,
-    });
 }
 
 /// An active capture session of the thread that opened it, owning its

@@ -1,8 +1,8 @@
 //! Seeded-violation fixtures: eight event streams, each produced by
 //! driving the *real* substrate primitives into a known invariant
 //! violation, so `swcheck --fixtures` verifies the whole detection
-//! chain — instrumentation hooks, event plumbing, and all three passes
-//! — not just the pass logic over hand-written events.
+//! chain — instrumentation hooks, event plumbing, and both passes —
+//! not just the pass logic over hand-written events.
 //!
 //! The fixtures capture their streams in turn under one live
 //! [`trace::Session`], exactly like a traced kernel run (so the session
@@ -42,7 +42,7 @@ pub fn all() -> Vec<Fixture> {
         ldm_over_budget,
         unclean_abort,
         unsynchronized_reduce,
-        region_wider_than_a_core_group,
+        reduce_of_an_unmarked_line,
     ];
     build.iter().map(|fixture| fixture(&session)).collect()
 }
@@ -53,23 +53,26 @@ fn on_cpe<R>(cpe: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Two CPEs in the same spawn epoch DMA-put overlapping byte ranges of
-/// one region — the write conflict the redundant-copy scheme exists to
-/// prevent.
+/// Two lanes of one region DMA-put overlapping bytes of one region with
+/// nothing ordering them — the write conflict the redundant-copy scheme
+/// exists to prevent. The region is wider than a core group (the lane
+/// executor runs any number of lanes, as the fault plane counts service
+/// workers and DD ranks past the 64 CPEs), and the racing lanes are 64
+/// and 70: the race rule must see lanes past the core group like any
+/// other.
 fn cross_cpe_write_race(session: &trace::Session) -> Fixture {
-    let mut perf = PerfCounters::new();
-    let region = trace::begin_region(2);
-    on_cpe(0, || {
-        DmaEngine::transfer_shared_at(&mut perf, Dir::Put, 9, 0, 64)
+    LanePool::with_threads(1).run(71, |lane| {
+        // Bytes [32, 96) overlap lane 64's [0, 64).
+        let byte_off = match lane {
+            64 => 0,
+            70 => 32,
+            _ => return,
+        };
+        DmaEngine::transfer_shared_at(&mut PerfCounters::new(), Dir::Put, 9, byte_off, 64)
     });
-    // Bytes [32, 96) overlap CPE 0's [0, 64) with no barrier between.
-    on_cpe(1, || {
-        DmaEngine::transfer_shared_at(&mut perf, Dir::Put, 9, 32, 64)
-    });
-    trace::end_region(region);
     Fixture {
         name: "cross-CPE write race",
-        expected: "SWC101",
+        expected: "SWC110",
         contract: KernelContract::strict("fixture:race"),
         events: session.take(),
     }
@@ -195,21 +198,23 @@ fn unsynchronized_reduce(session: &trace::Session) -> Fixture {
     }
 }
 
-/// A region wider than a core group — the lane executor runs any
-/// number of lanes, as the fault plane counts service workers and DD
-/// ranks past the 64 CPEs — in which lanes 64 and 70 write one word
-/// with nothing between them: the race passes must see lanes past the
-/// core group like any other (SWC110, and SWC101 beside it).
-fn region_wider_than_a_core_group(session: &trace::Session) -> Fixture {
-    LanePool::with_threads(1).run(71, |lane| {
-        if lane == 64 || lane == 70 {
-            trace::shared_write(6, 0, 1);
-        }
-    });
+/// A marking cache whose reduction consumes one line it marked and one
+/// it never marked: with marks skipping initialization, the unmarked
+/// line holds garbage that the reduction adds into the forces.
+fn reduce_of_an_unmarked_line(session: &trace::Session) -> Fixture {
+    let geo = CacheGeometry::paper_default(12);
+    let mut copy = vec![0.0f32; 64 * 12];
+    let mut perf = PerfCounters::new();
+    let mut wc = WriteCache::with_marks(geo, 64);
+    wc.update(&mut perf, &mut copy, 0, &[1.0; 12]); // marks line 0
+    wc.flush(&mut perf, &mut copy);
+    // A buggy reduction that consumes line 0 and line 3, never marked.
+    trace::reduce_line(wc.trace_id(), 0);
+    trace::reduce_line(wc.trace_id(), 3);
     Fixture {
-        name: "region wider than a core group",
-        expected: "SWC110",
-        contract: KernelContract::strict("fixture:wide-region"),
+        name: "reduction of an unmarked line",
+        expected: "SWC104",
+        contract: KernelContract::strict("fixture:unmarked"),
         events: session.take(),
     }
 }

@@ -1,12 +1,12 @@
-//! Happens-before certification: a vector-clock race engine over the
-//! substrate event stream (SWC110, SWC111, SWC113).
+//! The one pass over a traced run's event stream: a vector-clock
+//! happens-before engine that also carries the write-cache, Bit-Map and
+//! abort rules (SWC102–105, SWC110, SWC111, SWC113).
 //!
-//! The [`dynamic`](crate::dynamic) pass scopes "concurrent" to "same
-//! spawn epoch" — sound for the simulator's fork/join structure, but
-//! blind to the *synchronization edges* a native backend would need:
+//! "Concurrent" means what a native backend would make of it: two
+//! events are ordered only by a synchronization edge — spawn fork/join,
 //! LDM release→acquire handoff, Bit-Map mark→reduce pairing, channel
-//! send→recv, barrier arrivals. This pass replays the stream under the
-//! full happens-before model:
+//! send→recv, barrier arrivals. The pass replays the stream under that
+//! model:
 //!
 //! - **Lanes.** MPE/host code is lane 0; CPE `c` is lane `c + 1`. Every
 //!   event advances its lane's component of a vector clock.
@@ -21,12 +21,26 @@
 //! Two accesses to overlapping words of one region race (**SWC110**)
 //! when they come from different lanes, at least one writes, and
 //! neither happens-before the other; a DMA Get reads its words, a Put
-//! writes them (through the `SharedWrite` it emits). Two further rules
-//! certify the synchronization protocols themselves: a `ReduceLine`
-//! whose `MarkSet` is not ordered before it (**SWC111**), and one LDM
-//! ledger touched from two lanes without a release→acquire handoff
-//! (**SWC113**). Every finding carries dual-access evidence: both
-//! sites, both lanes, both stream positions.
+//! writes them (through the `SharedWrite` it emits). Two CPEs of one
+//! spawn epoch writing one word is therefore SWC110 unless an edge
+//! orders them. Two further rules certify the synchronization protocols
+//! themselves: a `ReduceLine` whose `MarkSet` is not ordered before it
+//! (**SWC111**), and one LDM ledger touched from two lanes without a
+//! release→acquire handoff (**SWC113**). Every such finding carries
+//! dual-access evidence: both sites, both lanes, both stream positions.
+//!
+//! The coherence rules of the deferred-update machinery read the same
+//! walk's bookkeeping. A [`sw26010::cache::WriteCache`] dropped while
+//! still holding dirty lines has silently lost forces (**SWC102**). The
+//! Bit-Map contract (Alg. 3/4) requires the reduced lines of a marking
+//! cache to equal its marked lines: a marked line never reduced is
+//! **SWC103**, a reduced line never marked **SWC104** — only caches that
+//! marked are audited, since the Cache/Vec rungs reduce a whole unmarked
+//! copy by design, and a contract that expects marks but recorded none
+//! is SWC103 itself. An aborted attempt ([`EventKind::Abort`], from the
+//! `swfault` respawn/retry paths) is replayed from scratch, so it must
+//! leave nothing behind: no dirty drop and no never-reduced mark earlier
+//! in the stream from its own lane and epoch (**SWC105**).
 
 use std::collections::BTreeMap;
 
@@ -120,6 +134,9 @@ fn unordered(a: &Snap, b: &Snap) -> bool {
     !hb(a, b) && !hb(b, a)
 }
 
+/// Mark or reduce sites per `(cache, line)`, in stream order.
+type LineSites = BTreeMap<(u64, usize), Vec<(Snap, AccessSite)>>;
+
 /// One shared-memory access (direct or via DMA), with its timestamp.
 #[derive(Debug, Clone)]
 struct Access {
@@ -134,8 +151,8 @@ fn words(byte_off: usize, bytes: usize) -> (usize, usize) {
     (byte_off / 4, (byte_off + bytes).div_ceil(4))
 }
 
-/// The full happens-before pass: SWC110, SWC111 and SWC113 over one
-/// event stream.
+/// The pass over one event stream: SWC102–105, SWC110, SWC111 and
+/// SWC113.
 pub fn detect(contract: &KernelContract, events: &[Event]) -> Vec<Violation> {
     // One clock component per lane the stream has, however wide.
     let n_lanes = 1 + events.iter().map(|e| lane_index(e.cpe)).max().unwrap_or(0);
@@ -155,13 +172,17 @@ pub fn detect(contract: &KernelContract, events: &[Event]) -> Vec<Violation> {
     // Send snapshot per (channel, seq): the recv edge.
     let mut chan_sends: BTreeMap<(u64, u64), Snap> = BTreeMap::new();
     // Mark / reduce sites per (cache, line), matched k-th to k-th.
-    let mut marks: BTreeMap<(u64, usize), Vec<(Snap, AccessSite)>> = BTreeMap::new();
-    let mut reduces: BTreeMap<(u64, usize), Vec<(Snap, AccessSite)>> = BTreeMap::new();
+    let mut marks: LineSites = BTreeMap::new();
+    let mut reduces: LineSites = BTreeMap::new();
     // Shared-memory accesses per region, split by kind.
     let mut writes: BTreeMap<u32, Vec<Access>> = BTreeMap::new();
     let mut reads: BTreeMap<u32, Vec<Access>> = BTreeMap::new();
+    // Write caches dropped dirty, and aborted attempts, in stream order.
+    let mut dropped: Vec<(AccessSite, usize)> = Vec::new();
+    let mut aborts: Vec<(AccessSite, &'static str)> = Vec::new();
 
     let mut ldm_findings: Vec<DualAccess> = Vec::new();
+    let mut out = Vec::new();
 
     for (index, ev) in events.iter().enumerate() {
         let (lane, epoch) = (lane_index(ev.cpe), ev.epoch);
@@ -291,6 +312,26 @@ pub fn detect(contract: &KernelContract, events: &[Event]) -> Vec<Violation> {
             EventKind::Barrier { id, .. } => {
                 barrier_last.insert(*id, snap.clone());
             }
+            EventKind::WcDropDirty { cache, lines } => {
+                let s = site(format!(
+                    "cache #{cache} dropped {} dirty line(s)",
+                    lines.len()
+                ));
+                out.push(Violation::new(
+                    "SWC102",
+                    contract.name,
+                    Severity::Error,
+                    format!(
+                        "write cache #{cache} dropped with {} unflushed dirty \
+                         line(s) (first line {}): accumulated forces never \
+                         reached the backing copy",
+                        lines.len(),
+                        lines.first().copied().unwrap_or(0)
+                    ),
+                ));
+                dropped.push((s, lines.len()));
+            }
+            EventKind::Abort { reason } => aborts.push((site(String::new()), *reason)),
             EventKind::MarkSet { cache, line, .. } => {
                 let s = site(format!("Bit-Map mark line {line} (cache {cache})"));
                 marks.entry((*cache, *line)).or_default().push((snap, s));
@@ -313,7 +354,8 @@ pub fn detect(contract: &KernelContract, events: &[Event]) -> Vec<Violation> {
         }
     }
 
-    let mut out = Vec::new();
+    mark_coherence(contract, &marks, &reduces, &mut out);
+    unclean_aborts(contract, &aborts, &dropped, &marks, &reduces, &mut out);
 
     // SWC110: overlapping unordered conflicting accesses, per region.
     for (&region, ws) in &writes {
@@ -383,6 +425,116 @@ pub fn detect(contract: &KernelContract, events: &[Event]) -> Vec<Violation> {
     }
 
     out
+}
+
+/// SWC103/SWC104: per cache that marked, its marked lines against its
+/// reduced ones. A contract that expects marks but recorded none is
+/// SWC103 itself: the Bit-Map was configured away.
+fn mark_coherence(
+    contract: &KernelContract,
+    marks: &LineSites,
+    reduces: &LineSites,
+    out: &mut Vec<Violation>,
+) {
+    if contract.expects_marks && marks.is_empty() {
+        out.push(Violation::new(
+            "SWC103",
+            contract.name,
+            Severity::Error,
+            "contract expects Bit-Map marks but the run recorded none".to_string(),
+        ));
+        return;
+    }
+    let mut caches: Vec<u64> = marks.keys().map(|&(cache, _)| cache).collect();
+    caches.dedup();
+    for cache in caches {
+        // Lines of `cache` in `of` that `other` lacks: their count and first.
+        let lacking = |of: &LineSites, other: &LineSites| {
+            let lines: Vec<usize> = of
+                .range((cache, 0)..=(cache, usize::MAX))
+                .filter(|(key, _)| !other.contains_key(key))
+                .map(|(&(_, line), _)| line)
+                .collect();
+            Some((lines.len(), *lines.first()?))
+        };
+        if let Some((n, line)) = lacking(marks, reduces) {
+            out.push(Violation::new(
+                "SWC103",
+                contract.name,
+                Severity::Error,
+                format!(
+                    "cache #{cache}: {n} marked line(s) never consumed by the \
+                     reduction (first line {line}); those force contributions \
+                     are lost"
+                ),
+            ));
+        }
+        if let Some((n, line)) = lacking(reduces, marks) {
+            out.push(Violation::new(
+                "SWC104",
+                contract.name,
+                Severity::Error,
+                format!(
+                    "cache #{cache}: reduction consumed {n} unmarked line(s) \
+                     (first line {line}); with marks skipping initialization \
+                     those lines hold garbage"
+                ),
+            ));
+        }
+    }
+}
+
+/// SWC105: each abort against the dirty drops and never-reduced marks
+/// its own lane recorded earlier in its epoch — what the dead attempt
+/// made visible, which its replay would double-count or lose.
+fn unclean_aborts(
+    contract: &KernelContract,
+    aborts: &[(AccessSite, &'static str)],
+    dropped: &[(AccessSite, usize)],
+    marks: &LineSites,
+    reduces: &LineSites,
+    out: &mut Vec<Violation>,
+) {
+    for (abort, reason) in aborts {
+        let same_attempt = |s: &AccessSite| {
+            (s.lane, s.epoch) == (abort.lane, abort.epoch) && s.index < abort.index
+        };
+        // What the attempt left behind: stream position, dirty lines
+        // (`None` for a mark), and what it was.
+        let drops = dropped
+            .iter()
+            .filter(|(s, _)| same_attempt(s))
+            .map(|(s, n)| (s.index, Some(*n), s.what.clone()));
+        let unreduced_marks = marks
+            .iter()
+            .filter(|(key, _)| !reduces.contains_key(key))
+            .flat_map(|(&(cache, line), sites)| {
+                let sites = sites.iter().filter(|(_, s)| same_attempt(s));
+                sites.map(move |(_, s)| {
+                    let what = format!("cache #{cache} line {line} marked, never reduced");
+                    (s.index, None, what)
+                })
+            });
+        let left: Vec<_> = drops.chain(unreduced_marks).collect();
+        let Some((_, _, detail)) = left.iter().min_by_key(|(at, ..)| *at) else {
+            continue;
+        };
+        let dirty: usize = left.iter().filter_map(|(_, n, _)| *n).sum();
+        let unreduced = left.iter().filter(|(_, n, _)| n.is_none()).count();
+        out.push(Violation::new(
+            "SWC105",
+            contract.name,
+            Severity::Error,
+            format!(
+                "aborted attempt (reason `{reason}`, epoch {}, {}) left visible \
+                 state behind: {dirty} dirty write-cache line(s), {unreduced} \
+                 marked-but-unreduced Bit-Map line(s) (first: {detail}); the \
+                 replay will double-count or lose those contributions",
+                abort.epoch,
+                abort.lane_name()
+            ),
+        ));
+    }
 }
 
 impl Access {
@@ -747,7 +899,7 @@ mod tests {
 
     #[test]
     fn lanes_past_the_core_group_are_lanes_too() {
-        // A 100-lane region on two threads: every pass and the schedule
+        // A 100-lane region on two threads: both passes and the schedule
         // explorer take it, each lane writing its own words is clean,
         // and lanes 64 and 99 writing one word race.
         let capture = |f: &(dyn Fn(usize) + Sync)| {
@@ -769,8 +921,174 @@ mod tests {
         let mut lanes = [d.first.lane_name(), d.second.lane_name()];
         lanes.sort();
         assert_eq!(lanes, ["CPE 64", "CPE 99"]);
-        let all = crate::check_events(&strict(), &racing);
-        assert!(all.iter().any(|v| v.id == "SWC101"), "{all:?}");
         assert!(crate::schedule::explore(&strict(), &racing, 20, 1).stable());
+    }
+
+    #[test]
+    fn overlapping_writes_an_edge_orders_are_clean_in_one_epoch() {
+        // Two CPEs of one epoch write overlapping words of region 5; an
+        // edge between the writes orders them, so no schedule can run
+        // them at once.
+        let chan = |cpe: usize, kind: EventKind| Event {
+            cpe: Some(cpe),
+            epoch: 1,
+            kind,
+        };
+        let ev = [
+            begin(1),
+            w(0, 1, 5, 0, 16),
+            chan(0, EventKind::ChanSend { chan: 9, seq: 0 }),
+            chan(1, EventKind::ChanRecv { chan: 9, seq: 0 }),
+            w(1, 1, 5, 8, 24),
+            end(1),
+        ];
+        assert!(crate::check_events(&strict(), &ev).is_empty());
+        // The same through the real substrate: an LDM staging buffer
+        // released by CPE 0 and acquired by CPE 1 under one label.
+        let session = trace::Session::begin();
+        let region = trace::begin_region(2);
+        let mut ldm = sw26010::ldm::Ldm::new();
+        on_lane(Some(0), || {
+            ldm.reserve("stage", 256).expect("fits");
+            trace::shared_write(5, 0, 16);
+            ldm.release("stage");
+        });
+        on_lane(Some(1), || {
+            ldm.reserve("stage", 256).expect("fits");
+            trace::shared_write(5, 8, 24);
+        });
+        trace::end_region(region);
+        let ev = session.finish();
+        assert!(crate::check_events(&strict(), &ev).is_empty(), "{ev:?}");
+        // Without the handoff the same writes race.
+        let ev = [begin(1), w(0, 1, 5, 0, 16), w(1, 1, 5, 8, 24), end(1)];
+        assert_eq!(ids(&crate::check_events(&strict(), &ev)), ["SWC110"]);
+    }
+
+    #[test]
+    fn dropped_dirty_cache_is_swc102() {
+        let ev = [Event {
+            cpe: Some(0),
+            epoch: 1,
+            kind: EventKind::WcDropDirty {
+                cache: 42,
+                lines: vec![3, 7],
+            },
+        }];
+        let v = detect(&strict(), &ev);
+        assert_eq!(ids(&v), ["SWC102"]);
+        assert!(v[0].message.contains("#42"));
+    }
+
+    fn mark(cache: u64, line: usize) -> Event {
+        Event {
+            cpe: Some(0),
+            epoch: 1,
+            kind: EventKind::MarkSet { cache, line },
+        }
+    }
+
+    fn reduce(cache: u64, line: usize) -> Event {
+        Event {
+            cpe: Some(0),
+            epoch: 2,
+            kind: EventKind::ReduceLine { cache, line },
+        }
+    }
+
+    #[test]
+    fn mark_reduce_exact_match_is_clean() {
+        let ev = [mark(1, 0), mark(1, 5), reduce(1, 0), reduce(1, 5)];
+        assert!(detect(&strict(), &ev).is_empty());
+    }
+
+    #[test]
+    fn marked_but_unreduced_is_swc103() {
+        let ev = [mark(1, 0), mark(1, 5), reduce(1, 0)];
+        assert_eq!(ids(&detect(&strict(), &ev)), ["SWC103"]);
+    }
+
+    #[test]
+    fn reduced_but_unmarked_is_swc104() {
+        let ev = [mark(1, 0), reduce(1, 0), reduce(1, 9)];
+        assert_eq!(ids(&detect(&strict(), &ev)), ["SWC104"]);
+    }
+
+    #[test]
+    fn unmarked_cache_reduction_is_by_design() {
+        // Cache/Vec rungs: no marks, every line reduced. Clean.
+        let ev = [reduce(1, 0), reduce(1, 1), reduce(1, 2)];
+        assert!(detect(&strict(), &ev).is_empty());
+    }
+
+    #[test]
+    fn expected_marks_missing_entirely_is_swc103() {
+        let mut c = strict();
+        c.expects_marks = true;
+        assert_eq!(ids(&detect(&c, &[reduce(1, 0)])), ["SWC103"]);
+    }
+
+    fn abort(cpe: usize, epoch: u64) -> Event {
+        Event {
+            cpe: Some(cpe),
+            epoch,
+            kind: EventKind::Abort { reason: "cpe-hang" },
+        }
+    }
+
+    #[test]
+    fn abort_with_no_prior_state_is_clean() {
+        // The common case: a CPE hang is decided before the kernel body
+        // runs, so the abort has nothing before it in its (epoch, cpe).
+        assert!(detect(&strict(), &[abort(7, 1)]).is_empty());
+    }
+
+    #[test]
+    fn abort_after_unreduced_mark_is_swc105() {
+        // mark() uses cpe 0, epoch 1 — the abort shares both.
+        let ev = [mark(1, 0), abort(0, 1)];
+        let v = detect(&strict(), &ev);
+        assert!(v.iter().any(|v| v.id == "SWC105"), "got {v:?}");
+    }
+
+    #[test]
+    fn abort_after_dropped_dirty_cache_is_swc105() {
+        let ev = [
+            Event {
+                cpe: Some(3),
+                epoch: 2,
+                kind: EventKind::WcDropDirty {
+                    cache: 9,
+                    lines: vec![4],
+                },
+            },
+            abort(3, 2),
+        ];
+        let v = detect(&strict(), &ev);
+        assert!(v.iter().any(|v| v.id == "SWC105"), "got {v:?}");
+    }
+
+    #[test]
+    fn abort_after_reduced_marks_is_clean() {
+        // The reduction consuming the mark (even later in the stream)
+        // means the aborted attempt's state was properly drained.
+        let ev = [mark(1, 0), reduce(1, 0), abort(0, 1)];
+        assert!(detect(&strict(), &ev).is_empty());
+    }
+
+    #[test]
+    fn abort_scopes_to_its_own_epoch_and_cpe() {
+        // The unreduced mark is (cpe 0, epoch 1); neither abort matches
+        // it, so SWC103 fires but SWC105 does not.
+        let ev = [mark(1, 0), abort(5, 1), abort(0, 2)];
+        assert_eq!(ids(&detect(&strict(), &ev)), ["SWC103"]);
+    }
+
+    #[test]
+    fn state_created_after_the_abort_is_not_the_aborts_fault() {
+        // The respawned attempt marks and reduces after the abort event;
+        // only events *earlier* in the stream are audited.
+        let ev = [abort(0, 1), mark(1, 0), reduce(1, 0)];
+        assert!(detect(&strict(), &ev).is_empty());
     }
 }

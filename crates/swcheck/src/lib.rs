@@ -8,27 +8,26 @@
 //! simulation; they would silently produce a kernel that could never run
 //! on the real chip (or would corrupt forces if it did).
 //!
-//! `swcheck` closes that gap with four cooperating passes — three over
-//! the event stream a traced kernel run emits ([`sw26010::trace`]), one
-//! over the workspace source itself:
+//! `swcheck` closes that gap with three passes — two over the event
+//! stream a traced kernel run emits ([`sw26010::trace`]), one over the
+//! workspace source itself:
 //!
 //! - **[`lint`]** — a static replay of the metered DMA/LDM/gld events
 //!   enforcing the paper's transfer discipline: 128-bit DMA alignment
 //!   (§3.7), package-granularity transfers (§3.1: no sub-32 B region
 //!   traffic), the 64 KB LDM budget with headroom reporting, and no
 //!   gld/gst on CPE hot paths that have cache equivalents.
-//! - **[`dynamic`]** — an epoch-scoped shadow of shared memory detecting
-//!   conflicting unsynchronized cross-CPE writes, write caches dropped
-//!   with unflushed dirty lines, and Bit-Map marks that disagree with
-//!   the reduction's consumed-line set (Alg. 3/4 coherence), plus the
-//!   fault-recovery contract: an aborted attempt (`swfault` respawn)
-//!   must leave no dirty or marked-but-unreduced state behind.
-//! - **[`hb`]** — a vector-clock happens-before engine over all 65
-//!   lanes (MPE + 64 CPEs), deriving synchronization edges from spawn
-//!   epochs, LDM reservation handoffs, Bit-Map mark/reduce pairs,
+//! - **[`hb`]** — a vector-clock happens-before engine over every lane
+//!   of the stream (MPE + CPEs), deriving synchronization edges from
+//!   spawn epochs, LDM reservation handoffs, Bit-Map mark/reduce pairs,
 //!   barriers, and swnet seqno channels, then reporting every pair of
 //!   conflicting accesses no edge orders — with dual-access evidence
-//!   naming both sites.
+//!   naming both sites. The same walk checks the coherence of the
+//!   deferred-update machinery: write caches dropped with unflushed
+//!   dirty lines, Bit-Map marks that disagree with the reduction's
+//!   consumed-line set (Alg. 3/4), and the fault-recovery contract — an
+//!   aborted attempt (`swfault` respawn) must leave no dirty or
+//!   marked-but-unreduced state behind.
 //! - **[`srclint`]** — determinism lints over the workspace source:
 //!   wall clocks, unseeded RNG, hash-iteration order, and undocumented
 //!   CAS float reductions anywhere physics or trace output could see.
@@ -47,13 +46,12 @@
 //! | SWC003 | lint    | LDM reservation over the 64 KB budget          |
 //! | SWC004 | lint    | LDM peak above 95% capacity (warning)          |
 //! | SWC005 | lint    | gld/gst on a CPE hot path with a cache path    |
-//! | SWC101 | dynamic | conflicting cross-CPE writes, same spawn epoch |
-//! | SWC102 | dynamic | write cache dropped with dirty lines           |
-//! | SWC103 | dynamic | marked line never consumed by the reduction    |
-//! | SWC104 | dynamic | reduction consumed an unmarked line            |
-//! | SWC105 | dynamic | aborted attempt left dirty/marked state behind |
-//! | SWC106 | dynamic | orphaned / double-owned domain cells after recovery |
-//! | SWC107 | dynamic | gap or off-cadence epoch in the durable generation chain |
+//! | SWC102 | hb      | write cache dropped with dirty lines           |
+//! | SWC103 | hb      | marked line never consumed by the reduction    |
+//! | SWC104 | hb      | reduction consumed an unmarked line            |
+//! | SWC105 | hb      | aborted attempt left dirty/marked state behind |
+//! | SWC106 | recovery | orphaned / double-owned domain cells after recovery |
+//! | SWC107 | recovery | gap or off-cadence epoch in the durable generation chain |
 //! | SWC006 | srclint | wall-clock read reachable from physics/trace   |
 //! | SWC007 | srclint | unseeded RNG                                   |
 //! | SWC008 | srclint | HashMap/HashSet where iteration order can leak |
@@ -65,13 +63,12 @@
 //! | SWC113 | hb      | cross-lane LDM aliasing without a release/acquire handoff |
 //!
 //! The `swcheck` binary runs every kernel variant of the ladder under
-//! the trace passes and exits nonzero on violations (exit 3 static, 4
-//! dynamic, 5 happens-before); `swcheck --fixtures` replays eight
-//! seeded-violation [`fixtures`] and verifies each one is caught — the
-//! checker checking itself; `swcheck certify` mints the backend
+//! the trace passes and exits nonzero on violations (exit 3 static,
+//! 4 coherence/recovery SWC102–107, 5 happens-before SWC110+);
+//! `swcheck --fixtures` replays eight seeded-violation [`fixtures`] and
+//! verifies each one is caught — the checker checking itself; `swcheck certify` mints the backend
 //! certificate; `swcheck srclint` runs the determinism lints.
 
-pub mod dynamic;
 pub mod fixtures;
 pub mod hb;
 pub mod lint;
@@ -105,7 +102,8 @@ impl std::fmt::Display for Severity {
 /// One invariant violation found in a traced kernel run.
 #[derive(Debug, Clone)]
 pub struct Violation {
-    /// Stable invariant id (`SWC0xx` lint, `SWC1xx` dynamic/HB).
+    /// Stable invariant id (`SWC0xx` lint/srclint, `SWC1xx` HB walk and
+    /// recovery audit).
     pub id: &'static str,
     /// Name of the kernel (from its [`KernelContract`]).
     pub kernel: String,
@@ -146,10 +144,9 @@ impl std::fmt::Display for Violation {
     }
 }
 
-/// Run all three passes over one traced run's events, errors first.
+/// Run both trace passes over one traced run's events, errors first.
 pub fn check_events(contract: &KernelContract, events: &[Event]) -> Vec<Violation> {
     let mut v = lint::lint(contract, events);
-    v.extend(dynamic::detect(contract, events));
     v.extend(hb::detect(contract, events));
     v.sort_by(|a, b| b.severity.cmp(&a.severity).then(a.id.cmp(b.id)));
     v

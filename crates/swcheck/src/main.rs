@@ -12,8 +12,8 @@
 //! With no variant arguments all five ladder variants (`ori`,
 //! `gldnaive`, `rma`, `rca`, `ustc`) and `step` — two steps of a native
 //! engine, whose update and shift refresh run on lanes of their own —
-//! are traced and checked under all three passes (static lint, dynamic,
-//! happens-before). Exit codes
+//! are traced and checked under both trace passes (static lint and the
+//! happens-before walk). Exit codes
 //! separate the failure classes so CI can triage without parsing:
 //!
 //! | code | meaning                                            |
@@ -21,12 +21,12 @@
 //! | 0    | clean (warnings allowed)                           |
 //! | 2    | usage error                                        |
 //! | 3    | static findings (SWC001–005 lint / SWC006–011 src) |
-//! | 4    | dynamic findings (SWC101–107)                      |
+//! | 4    | coherence / recovery findings (SWC102–107)         |
 //! | 5    | happens-before findings (SWC110, SWC111, SWC113)   |
 //! |      | or a failed certification                          |
 //!
 //! When several classes fire at once the most severe wins: HB beats
-//! dynamic beats lint.
+//! coherence/recovery beats lint.
 
 use std::process::ExitCode;
 
@@ -75,7 +75,8 @@ fn usage(err: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Exit code for a finding set: HB (5) > dynamic (4) > static (3) > ok.
+/// Exit code for a finding set: HB (5) > coherence/recovery (4) >
+/// static (3) > ok.
 fn exit_for(violations: &[Violation]) -> u8 {
     let errors = || {
         violations

@@ -130,9 +130,9 @@ fn every_version_survives_200_chaotic_steps() {
 
     // Recovery coherence: a traced window under the same background
     // plan (no kernel faults, so the Mark kernel stays engaged) must be
-    // clean under the swcheck dynamic pass — no races, no dirty drops,
-    // no Bit-Map drift, and every abort leaves no visible state behind
-    // (SWC105).
+    // clean under the swcheck trace pass — no access pair an edge
+    // leaves unordered, no dirty drops, no Bit-Map drift, and every
+    // abort leaves no visible state behind (SWC105).
     let trace_session = trace::Session::begin();
     let scope = swfault::install(FaultPlan::moderate(seed));
     let sys = water_box_equilibrated(96, 300.0, 42);
@@ -143,7 +143,7 @@ fn every_version_survives_200_chaotic_steps() {
     let events = trace_session.finish();
     assert!(!events.is_empty(), "traced window captured nothing");
     let contract = sw_gromacs::swgmx::check::Variant::Rma.contract();
-    let violations = swcheck::dynamic::detect(&contract, &events);
+    let violations = swcheck::hb::detect(&contract, &events);
     assert!(
         violations.is_empty(),
         "chaos run violates recovery coherence: {violations:?}"
