@@ -7,13 +7,16 @@
 //! simulator, not the authors' machine — the claim being reproduced is
 //! the *shape* (who wins, by what factor, where crossovers fall).
 //! [`roofline`] places the same kernels on the SW26010 roofline (the
-//! `swlens` bin).
+//! `swlens` bin), and [`ldm_by_region`] reads what a traced kernel run's
+//! CPEs reserved of their LDM (the `ldm_report` bin).
 
+use std::collections::BTreeMap;
 use std::io;
 
 use mdsim::nonbonded::NbParams;
 use mdsim::pairlist::{ListKind, PairList};
 use mdsim::system::System;
+use sw26010::trace::{Event, EventKind};
 use swgmx::cpelist::CpePairList;
 use swgmx::package::{PackageLayout, PackedSystem};
 
@@ -165,6 +168,61 @@ impl BenchJson {
         println!("[bench-json] wrote {}", path.display());
         Ok(())
     }
+}
+
+/// What one parallel region's fullest CPE reserved of its LDM, read
+/// from the `LdmReserve` events of a traced run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RegionLdm {
+    /// The region's epoch in its trace session.
+    pub epoch: u64,
+    /// The CPE whose reservations sum highest (the lowest id on a tie).
+    pub cpe: usize,
+    /// Its reservations that fit, in order: label and bytes.
+    pub items: Vec<(&'static str, usize)>,
+}
+
+impl RegionLdm {
+    /// Bytes reserved in all.
+    pub fn total(&self) -> usize {
+        self.items.iter().map(|&(_, bytes)| bytes).sum()
+    }
+}
+
+/// The fullest CPE of each region of `events` that reserves LDM, in
+/// epoch order.
+pub fn ldm_by_region(events: &[Event]) -> Vec<RegionLdm> {
+    let mut per_cpe: BTreeMap<(u64, usize), Vec<(&'static str, usize)>> = BTreeMap::new();
+    for e in events {
+        if let (
+            Some(cpe),
+            EventKind::LdmReserve {
+                label,
+                bytes,
+                ok: true,
+                ..
+            },
+        ) = (e.cpe, &e.kind)
+        {
+            per_cpe
+                .entry((e.epoch, cpe))
+                .or_default()
+                .push((label, *bytes));
+        }
+    }
+    let mut regions: Vec<RegionLdm> = Vec::new();
+    for ((epoch, cpe), items) in per_cpe {
+        let this = RegionLdm { epoch, cpe, items };
+        match regions.last_mut() {
+            Some(last) if last.epoch == epoch => {
+                if this.total() > last.total() {
+                    *last = this;
+                }
+            }
+            _ => regions.push(this),
+        }
+    }
+    regions
 }
 
 /// Print a standard report header.

@@ -10,6 +10,7 @@ fn a_sidecar_that_cannot_be_written_fails_the_run() {
     let not_a_dir = dir.join("sidecar-write-not-a-dir");
     std::fs::write(&not_a_dir, b"a regular file").unwrap();
     let output = Command::new(env!("CARGO_BIN_EXE_ldm_report"))
+        .arg("1200")
         .env("BENCH_OUT_DIR", &not_a_dir)
         .output()
         .unwrap();

@@ -678,7 +678,6 @@ impl MultiCgModel {
 
         if self.n_ranks > 1 {
             let topo = Topology::new(self.n_ranks);
-            let ranks: Vec<usize> = (0..self.n_ranks).collect();
             let transport = if self.version == Version::Other {
                 Transport::Rdma
             } else {
@@ -691,8 +690,7 @@ impl MultiCgModel {
             // MPE and cannot overlap).
             let halo_particles = self.halo_estimate(per_rank);
             let halo_bytes = halo_particles * 12;
-            let halo_full = 2.0
-                * swnet::traced_halo_exchange_ns(&topo, transport, 6, halo_bytes, &ranks, "halo.x");
+            let halo_full = 2.0 * swnet::halo_exchange_ns(&topo, transport, 6, halo_bytes);
             let sw_per_msg = match transport {
                 Transport::Mpi => MPI_SW_OVERHEAD_NS,
                 Transport::Rdma => RDMA_SW_OVERHEAD_NS,
@@ -706,8 +704,7 @@ impl MultiCgModel {
             // count.
             let imbalance = 0.025 * (self.n_ranks as f64).log2();
             let allreduce =
-                swnet::traced_allreduce_ns(&topo, transport, 64, &ranks, "energies.allreduce")
-                    + imbalance * force_ns_per_step;
+                swnet::allreduce_ns(&topo, transport, 64) + imbalance * force_ns_per_step;
             // Domain decomposition every nstlist steps: repartition by
             // neighbor exchange of about two halo volumes.
             let dd_per_rebuild = 4.0 * swnet::halo_exchange_ns(&topo, transport, 6, halo_bytes);
@@ -728,7 +725,7 @@ impl MultiCgModel {
                 ns_counters(dd_per_rebuild * n_rebuilds),
             );
             if let Some(grid) = self.pme_grid {
-                let pme = swnet::traced_pme_fft_comm_ns(&topo, transport, grid, &ranks);
+                let pme = swnet::pme_fft_comm_ns(&topo, transport, grid);
                 charge(
                     &mut breakdown,
                     "PME comm.",

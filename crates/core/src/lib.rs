@@ -51,7 +51,6 @@ pub mod cpelist;
 pub mod engine;
 pub mod fastio;
 pub mod kernels;
-pub mod ldm_budget;
 pub mod mdp;
 pub mod package;
 pub mod pairgen;

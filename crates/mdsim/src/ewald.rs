@@ -20,17 +20,6 @@ pub struct EwaldParams {
     pub kmax: i32,
 }
 
-impl EwaldParams {
-    /// A conservative parameter choice for a box of edge `l` nm.
-    pub fn for_box(l: f64) -> Self {
-        let r_cut = (l / 2.0).min(1.2) as f32;
-        // beta chosen so erfc(beta * r_cut) ~ 1e-6.
-        let beta = 3.35 / r_cut as f64;
-        let kmax = ((beta * l / std::f64::consts::PI) * 3.2).ceil() as i32;
-        Self { beta, r_cut, kmax }
-    }
-}
-
 /// Energy components of a full Ewald evaluation.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EwaldEnergies {

@@ -34,18 +34,6 @@ pub struct PmeParams {
     pub grid: [usize; 3],
 }
 
-impl PmeParams {
-    /// Pick a grid of roughly one point per 0.1 nm, rounded up to a power
-    /// of two, for a box of the given edge lengths.
-    pub fn for_box(lengths: Vec3, beta: f64) -> Self {
-        let pick = |l: f32| ((l / 0.1) as usize).next_power_of_two().clamp(8, 256);
-        Self {
-            beta,
-            grid: [pick(lengths.x), pick(lengths.y), pick(lengths.z)],
-        }
-    }
-}
-
 /// Reusable PME workspace (grid allocation + spline moduli).
 #[derive(Debug, Clone)]
 pub struct Pme {

@@ -846,7 +846,7 @@ mod tests {
     }
 
     #[test]
-    fn ldm_budget_of_paper_cache_fits() {
+    fn paper_read_cache_takes_under_24_kib_of_ldm() {
         // Read cache of 32 lines x 8 packages x 20 words < 64 KB? 20 words
         // = 80 B/package -> 32*8*80 = 20 KB data + tags. Fits comfortably.
         let g = CacheGeometry::paper_default(20);

@@ -68,65 +68,6 @@ pub fn halo_exchange_ns(
     n_neighbors as f64 * message_ns(transport, dist, halo_bytes.max(8))
 }
 
-/// Emit one traced flow `src -> dst` delivered after `wire_ns`.
-pub(crate) fn flow(label: &'static str, src: usize, dst: usize, wire_ns: u64) {
-    if let Some(ctx) = swprof::tel::send_from(label, src, dst) {
-        swprof::tel::deliver(&ctx, wire_ns);
-    }
-}
-
-/// [`allreduce_ns`] plus causal-trace propagation over the
-/// participating `ranks`: the reduce phase appears as flows from every
-/// rank into `ranks[0]`, the broadcast phase as flows back out, each
-/// taking half the modeled collective time. Cost is identical to the
-/// untraced call.
-pub fn traced_allreduce_ns(
-    topo: &Topology,
-    transport: Transport,
-    bytes: usize,
-    ranks: &[usize],
-    label: &'static str,
-) -> f64 {
-    let ns = allreduce_ns(topo, transport, bytes);
-    if swprof::tel::enabled() && ranks.len() > 1 {
-        let wire = (ns / 2.0).max(0.0) as u64;
-        let root = ranks[0];
-        for &r in &ranks[1..] {
-            flow(label, r, root, wire);
-        }
-        for &r in &ranks[1..] {
-            flow(label, root, r, wire);
-        }
-    }
-    ns
-}
-
-/// [`halo_exchange_ns`] plus causal-trace propagation: neighbor
-/// exchanges appear as ring flows among `ranks` (both directions when
-/// the ring has more than two members). Cost is identical to the
-/// untraced call.
-pub fn traced_halo_exchange_ns(
-    topo: &Topology,
-    transport: Transport,
-    n_neighbors: usize,
-    halo_bytes: usize,
-    ranks: &[usize],
-    label: &'static str,
-) -> f64 {
-    let ns = halo_exchange_ns(topo, transport, n_neighbors, halo_bytes);
-    if swprof::tel::enabled() && ranks.len() > 1 {
-        let wire = (ns / n_neighbors.max(1) as f64).max(0.0) as u64;
-        let n = ranks.len();
-        for i in 0..n {
-            flow(label, ranks[i], ranks[(i + 1) % n], wire);
-            if n > 2 {
-                flow(label, ranks[i], ranks[(i + n - 1) % n], wire);
-            }
-        }
-    }
-    ns
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

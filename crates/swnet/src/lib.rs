@@ -30,12 +30,10 @@ pub mod pme_comm;
 pub mod seqno;
 pub mod transport;
 
-pub use collectives::{
-    allreduce_ns, alltoall_ns, halo_exchange_ns, traced_allreduce_ns, traced_halo_exchange_ns,
-};
+pub use collectives::{allreduce_ns, alltoall_ns, halo_exchange_ns};
 pub use liveness::{epoch_barrier, epoch_barrier_traced, halo_timeout_ns, BarrierOutcome};
 pub use params::RankDistance;
-pub use pme_comm::{pme_fft_comm_ns, traced_pme_fft_comm_ns};
+pub use pme_comm::pme_fft_comm_ns;
 pub use seqno::{Delivery, SeqChannel, TransmitReport};
 pub use transport::{message_ns, Transport};
 

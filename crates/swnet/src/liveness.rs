@@ -90,14 +90,21 @@ pub fn epoch_barrier_traced(
             let wire = (outcome.ns / 2.0).max(0.0) as u64;
             let root = seats[0];
             for &r in &seats[1..] {
-                crate::collectives::flow("barrier", r, root, wire);
+                flow("barrier", r, root, wire);
             }
             for &r in &seats[1..] {
-                crate::collectives::flow("barrier", root, r, wire);
+                flow("barrier", root, r, wire);
             }
         }
     }
     outcome
+}
+
+/// Emit one traced flow `src -> dst` delivered after `wire_ns`.
+fn flow(label: &'static str, src: usize, dst: usize, wire_ns: u64) {
+    if let Some(ctx) = swprof::tel::send_from(label, src, dst) {
+        swprof::tel::deliver(&ctx, wire_ns);
+    }
 }
 
 #[cfg(test)]

@@ -28,40 +28,6 @@ pub fn pme_fft_comm_ns(topo: &Topology, transport: Transport, grid: usize) -> f6
     4.0 * alltoall_ns(topo, transport, per_pair.max(16))
 }
 
-/// [`pme_fft_comm_ns`] plus causal-trace propagation over the
-/// participating `ranks`, labeled `"pme.crossover"`. Small fleets
-/// (≤ 64 ranks) trace the full all-to-all — every ordered pair gets a
-/// flow arrow; larger fleets fall back to a ring so the trace doesn't
-/// explode quadratically. Cost is identical to the untraced call.
-pub fn traced_pme_fft_comm_ns(
-    topo: &Topology,
-    transport: Transport,
-    grid: usize,
-    ranks: &[usize],
-) -> f64 {
-    let ns = pme_fft_comm_ns(topo, transport, grid);
-    let n = ranks.len();
-    if swprof::tel::enabled() && n > 1 {
-        let label = "pme.crossover";
-        if n <= 64 {
-            let wire = (ns / (n * (n - 1)) as f64).max(0.0) as u64;
-            for &src in ranks {
-                for &dst in ranks {
-                    if src != dst {
-                        crate::collectives::flow(label, src, dst, wire);
-                    }
-                }
-            }
-        } else {
-            let wire = (ns / n as f64).max(0.0) as u64;
-            for i in 0..n {
-                crate::collectives::flow(label, ranks[i], ranks[(i + 1) % n], wire);
-            }
-        }
-    }
-    ns
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,7 +6,7 @@
 //! to express "rank 2's halo receive *happened because of* rank 1's
 //! send". This module adds the cross-rank layer:
 //!
-//! - **Causal tracing** ([`Session`], [`span`], [`send`], [`deliver`]):
+//! - **Causal tracing** ([`Session`], [`span`], [`send_from`], [`deliver`]):
 //!   a session has one `trace_id` and a virtual-nanosecond clock per
 //!   rank. Messages carry a [`TraceContext`] `(trace_id,
 //!   parent_span_id, seqno)` injected at the send site; delivery
@@ -94,7 +94,7 @@ pub struct FlowEvent {
     pub peer: usize,
     /// Virtual nanoseconds on `rank`'s clock.
     pub ns: u64,
-    /// Static message label (e.g. `"halo.f"`, `"pme.crossover"`).
+    /// Static message label (e.g. `"halo.f"`, `"barrier"`).
     pub label: &'static str,
 }
 
@@ -220,13 +220,6 @@ pub fn align(rank: usize, ns: u64) {
         r.touch(Some(rank));
         r.cursor(Some(rank), |c| c.fetch_max(ns, Ordering::Relaxed));
     });
-}
-
-/// Inject a send context from the calling thread's bound rank to
-/// `dst`, with an auto-assigned per-`(src, dst, label)` seqno.
-pub fn send(label: &'static str, dst: usize) -> Option<TraceContext> {
-    let src = Who::current().rank?;
-    send_from(label, src, dst)
 }
 
 /// Inject a send context from an explicit `src` rank, with an
@@ -424,7 +417,7 @@ mod tests {
         {
             let _outer = span("step");
             tick(100);
-            let ctx = send("halo.f", 1).expect("enabled");
+            let ctx = send_from("halo.f", 0, 1).expect("enabled");
             assert_eq!(ctx.trace_id, 0xfeed);
             assert_eq!(ctx.send_ns, 100);
             tick(20);
@@ -453,7 +446,7 @@ mod tests {
             ..Who::current()
         }
         .enter();
-        let ctx = send("m", 1).unwrap();
+        let ctx = send_from("m", 0, 1).unwrap();
         tick_on(1, 10_000); // rank 1 is already far ahead
         deliver(&ctx, 10);
         let tel = session.finish();
@@ -511,7 +504,7 @@ mod tests {
         for i in 0..200 {
             let _step = span("step");
             tick(trace_id + i);
-            let ctx = send("halo.f", 1).expect("this thread's session");
+            let ctx = send_from("halo.f", 0, 1).expect("this thread's session");
             deliver(&ctx, 50);
             align(2, cursor(1));
         }
