@@ -3,9 +3,11 @@
 //! metered and the native kernels), the instruction charge the metered
 //! kernels book after each body, and the common result type.
 //!
-//! Both forms share [`mdsim::nonbonded::pair_interaction`] as the single
-//! definition of the physics, so every variant is comparable bit-for-bit
-//! against the `mdsim` reference kernels.
+//! Both forms call [`mdsim::nonbonded::pair_interaction`] per pair, so
+//! every variant is comparable bit-for-bit against the `mdsim` reference
+//! kernels. The native wide8 body (`native_simd`) calls its lane form,
+//! [`mdsim::nonbonded::pair_interaction8`], whose short-range Ewald is
+//! f32 and so agrees only within the differential bounds.
 
 use mdsim::cluster::CLUSTER_SIZE;
 use mdsim::nonbonded::{pair_interaction, NbEnergies, NbParams};

@@ -842,7 +842,7 @@ mod avx2 {
 mod tests {
     use super::*;
     use crate::package::PackageLayout;
-    use mdsim::nonbonded::{compute_forces_half, max_force_diff};
+    use mdsim::nonbonded::{compute_forces_half, max_force_diff, Coulomb};
     use mdsim::pairlist::PairList;
     use mdsim::water::water_box;
 
@@ -988,6 +988,66 @@ mod tests {
         192_369,
     );
 
+    /// The same three kernels and inputs under the other Coulomb forms
+    /// (rma, rca, ustc), recorded from the commit before the lane body
+    /// moved to `mdsim::nonbonded`.
+    const PARENT_NON_EWALD: [(Coulomb, [Pinned; 3]); 3] = [
+        (
+            Coulomb::None,
+            [
+                (0x19e294c5548fb026, 0x40caeaf74e61f800, 0, 192_369),
+                (0x87572489f40e16cd, 0x40caeaf749e2dc00, 0, 384_738),
+                (0x5624a68efe1a780d, 0x40caeaf74e61f800, 0, 192_369),
+            ],
+        ),
+        (
+            Coulomb::Cutoff,
+            [
+                (
+                    0x7099e859c627bbdf,
+                    0x40caeaf74e61f800,
+                    0x41036d271e360000,
+                    192_369,
+                ),
+                (
+                    0xe39c2ac1d9af525a,
+                    0x40caeaf749e2dc00,
+                    0x41036d271cf30000,
+                    384_738,
+                ),
+                (
+                    0xb69f824d3126c596,
+                    0x40caeaf74e61f800,
+                    0x41036d271e360000,
+                    192_369,
+                ),
+            ],
+        ),
+        (
+            Coulomb::ReactionField { eps_rf: 78.0 },
+            [
+                (
+                    0x20751d77e9424db6,
+                    0x40caeaf74e61f800,
+                    0xc0a0dfc2006a1cfc,
+                    192_369,
+                ),
+                (
+                    0xc41fd09c2835da4e,
+                    0x40caeaf749e2dc00,
+                    0xc0a0dfc22d46bee6,
+                    384_738,
+                ),
+                (
+                    0x0694cd5c4f0ca9b4,
+                    0x40caeaf74e61f800,
+                    0xc0a0dfc2006a1cfc,
+                    192_369,
+                ),
+            ],
+        ),
+    ];
+
     type RunOn = fn(LaneImpl, &PackedSystem, &CpePairList, &NbParams, &LanePool) -> KernelResult;
 
     #[test]
@@ -1004,24 +1064,34 @@ mod tests {
             ("rca", ListKind::Full, run_rca_native_on, PARENT_RCA),
             ("ustc", ListKind::Half, run_ustc_native_on, PARENT_USTC),
         ];
-        for (name, kind, run_on, want) in kernels {
-            let (_sys, psys, cpe, params) = setup(800, 71, kind);
-            for lanes in LaneImpl::available() {
-                for threads in [1, 2, 4] {
-                    let pool = LanePool::with_threads(threads);
-                    let out = run_on(lanes, &psys, &cpe, &params, &pool);
-                    let got = (
-                        crate::check::physics_checksum(&out.forces, &out.energies),
-                        out.energies.lj.to_bits(),
-                        out.energies.coulomb.to_bits(),
-                        out.energies.pairs_within_cutoff,
-                    );
-                    assert_eq!(
-                        got,
-                        want,
-                        "{name} on {} lanes, {threads} threads",
-                        lanes.name()
-                    );
+        for (k, (name, kind, run_on, ewald)) in kernels.into_iter().enumerate() {
+            let (_sys, psys, cpe, ewald_params) = setup(800, 71, kind);
+            let others = PARENT_NON_EWALD.map(|(coulomb, pins)| {
+                let params = NbParams {
+                    coulomb,
+                    ..ewald_params
+                };
+                (params, pins[k])
+            });
+            for (params, want) in [(ewald_params, ewald)].into_iter().chain(others) {
+                for lanes in LaneImpl::available() {
+                    for threads in [1, 2, 4] {
+                        let pool = LanePool::with_threads(threads);
+                        let out = run_on(lanes, &psys, &cpe, &params, &pool);
+                        let got = (
+                            crate::check::physics_checksum(&out.forces, &out.energies),
+                            out.energies.lj.to_bits(),
+                            out.energies.coulomb.to_bits(),
+                            out.energies.pairs_within_cutoff,
+                        );
+                        assert_eq!(
+                            got,
+                            want,
+                            "{name} {:?} on {} lanes, {threads} threads",
+                            params.coulomb,
+                            lanes.name()
+                        );
+                    }
                 }
             }
         }

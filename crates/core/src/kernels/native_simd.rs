@@ -27,16 +27,19 @@
 //! holds the values per-lane `lj(ti, tj)` lookups return, so no bit
 //! depends on it.
 //!
-//! All transcendental math (`exp`, `erfc` for the short-range Ewald
-//! term) is vectorized in f32. The cutoff decision is computed with the
-//! same operation association as the scalar kernel, so *which* pairs
-//! interact is bit-identical across every backend; interaction values
-//! agree within the documented differential bounds (see
-//! `tests/backend_differential.rs`).
+//! The pair interaction itself is `mdsim`'s [`pair_interaction8`], the
+//! lane body the reference walk calls too: its LJ, cut-off and
+//! reaction-field arms are the scalar expressions lane by lane, and
+//! this kernel names Ewald's [`EwaldForm::Fast`] form, whose
+//! transcendentals (`exp`, `erfc`) are vectorized in f32
+//! ([`mdsim::math::exp8`], [`mdsim::math::erfc8_poly_t`]). The cutoff
+//! decision is computed with the same operation association as the
+//! scalar kernel, so *which* pairs interact is bit-identical across
+//! every backend; short-range Ewald values agree within the documented
+//! differential bounds (see `tests/backend_differential.rs`).
 
 use mdsim::cluster::CLUSTER_SIZE;
-use mdsim::nonbonded::{Coulomb, NbParams};
-use mdsim::topology::KE;
+use mdsim::nonbonded::{pair_interaction8, EwaldForm, NbParams};
 
 pub(crate) use wide::on_lanes;
 pub use wide::{f32x8, for_each_lanes8, LaneImpl, Lanes8};
@@ -80,143 +83,6 @@ fn pkg_row(pkg: &[f32; PKG_WORDS], row: usize) -> &[f32; CLUSTER_SIZE] {
     pkg[row * CLUSTER_SIZE..(row + 1) * CLUSTER_SIZE]
         .try_into()
         .expect("package row")
-}
-
-/// Vectorized `exp(x)` for `x <= 0` (the Ewald `exp(-(βr)²)` range);
-/// `x` is clamped to `[-87, 0]` first, which also maps a NaN lane to
-/// `-87` ([`Lanes8::max`] returns its right operand on NaN).
-///
-/// Standard range reduction `x = n·ln2 + r`, degree-6 polynomial on
-/// `r ∈ [-ln2/2, ln2/2]`, scale by `2^n` through exponent bits.
-/// Relative error ≤ ~2e-7 over the kernel's domain.
-///
-/// Rounding uses the `1.5·2²³` magic-constant trick: adding it forces
-/// the integer part of `x·log₂e` into the low mantissa bits, so both
-/// the rounded float `n` and its integer value fall out of plain
-/// adds/subtracts — no `roundps` (SSE4.1) and no libm call.
-#[inline(always)]
-pub fn exp8<L: Lanes8>(isa: L::Isa, x: L) -> L {
-    const LN2_HI: f32 = 0.693_359_4; // ln2 split: hi has few mantissa bits
-    const LN2_LO: f32 = -2.121_944_4e-4;
-    const MAGIC: f32 = 12_582_912.0; // 1.5 * 2^23
-    let c = |v: f32| L::splat(isa, v);
-    let x = x.max(c(-87.0)).min(c(0.0));
-    // n ∈ [-126, 0] for in-domain x, so MAGIC + n keeps exponent 23
-    // and the mantissa ulp is exactly 1: the bit pattern differs
-    // from MAGIC's by the two's-complement integer n.
-    let nf = x * c(std::f32::consts::LOG2_E) + c(MAGIC);
-    let n = nf - c(MAGIC);
-    // 2^n: (n + 127) << 23, with n = bits(nf) - bits(MAGIC).
-    let bias = f32::from_bits(127u32.wrapping_sub(MAGIC.to_bits()));
-    let two_n = nf.add_bits(c(bias)).shl_bits::<23>();
-    let r = x - n * c(LN2_HI);
-    let r = r - n * c(LN2_LO);
-    // exp(r) ≈ 1 + r + r²/2! + … + r⁶/6! (Horner).
-    let p = c(1.0)
-        + r * (c(1.0)
-            + r * (c(0.5)
-                + r * (c(1.0 / 6.0)
-                    + r * (c(1.0 / 24.0) + r * (c(1.0 / 120.0) + r * c(1.0 / 720.0))))));
-    p * two_n
-}
-
-/// The A&S rational variable's `P` constant, shared with callers that
-/// precompute `t = 1/(1 + Px)` themselves (see [`pair_interaction8`]).
-const ERFC_P: f32 = 0.327_591_1;
-
-/// The polynomial part of Abramowitz & Stegun 7.1.26 (the same
-/// polynomial as the scalar `mdsim::math::erfc_f32` reference,
-/// evaluated in f32) with the rational variable `t = 1/(1 + Px)` and
-/// `exp(-x²)` supplied by the caller.
-#[inline(always)]
-fn erfc8_poly_t<L: Lanes8>(isa: L::Isa, t: L, exp_neg_x2: L) -> L {
-    const A1: f32 = 0.254_829_6;
-    const A2: f32 = -0.284_496_72;
-    const A3: f32 = 1.421_413_8;
-    const A4: f32 = -1.453_152_1;
-    const A5: f32 = 1.061_405_4;
-    let c = |v: f32| L::splat(isa, v);
-    let poly = ((((c(A5) * t + c(A4)) * t + c(A3)) * t + c(A2)) * t + c(A1)) * t;
-    poly * exp_neg_x2
-}
-
-/// Eight pair interactions at once: the vector form of
-/// [`mdsim::nonbonded::pair_interaction`]. Returns `(f_over_r, e_lj,
-/// e_coul)` per lane. Lanes with garbage inputs (`r2 = 0` filler)
-/// produce garbage outputs — callers mask them away afterwards.
-///
-/// `lj_active` is a caller hint that some `c6`/`c12` lane is nonzero;
-/// [`cluster_pair_wide8`] passes the `on` flags of its two [`LjRow`]s,
-/// computed when the packages were built. Passing `false` skips the
-/// Lennard-Jones chain (the result is the exact zero those parameters
-/// would produce anyway) — on water workloads two thirds of the outer
-/// rows are hydrogens with no LJ site, so the skip is worth real time.
-#[inline(always)]
-pub fn pair_interaction8<L: Lanes8>(
-    isa: L::Isa,
-    r2: L,
-    c6: L,
-    c12: L,
-    qq: L,
-    lj_active: bool,
-    params: &NbParams,
-) -> (L, L, L) {
-    let c = |v: f32| L::splat(isa, v);
-    let one = c(1.0);
-    let ke = c(KE as f32);
-    if let Coulomb::EwaldShort { beta } = params.coulomb {
-        // The hot path. Divider-unit pressure dominates this branch, so
-        // one division serves both `1/r` and the erfc rational variable:
-        // with `b = 1 + P·βr` and `inv = 1/(r·b)`, `rinv = b·inv` and
-        // `t = r·inv`. `rinv² = rinv·rinv` then lands within ~2 ulp of
-        // `1/r²` — far inside the kernel's differential bounds.
-        // `exp(-(βr)²)` evaluated as `exp(-β²·r²)` so the transcendental
-        // starts straight from r² — in parallel with the square root
-        // instead of serialized behind it.
-        let ex = exp8(isa, -(c(beta * beta) * r2));
-        let r = r2.sqrt();
-        let b = one + c(ERFC_P * beta) * r;
-        let inv = one / (r * b);
-        let rinv = b * inv;
-        let t = r * inv;
-        let rinv2 = rinv * rinv;
-        let erfc_br = erfc8_poly_t(isa, t, ex);
-        let kqq = ke * qq;
-        let e_coul = kqq * erfc_br * rinv;
-        let tbsp = 2.0 * beta / std::f32::consts::PI.sqrt();
-        let mut fsum = e_coul + kqq * (c(tbsp) * ex);
-        let mut e_lj = c(0.0);
-        if lj_active {
-            let rinv6 = rinv2 * rinv2 * rinv2;
-            let a = c12 * rinv6 * rinv6;
-            let bb = c6 * rinv6;
-            e_lj = a - bb;
-            fsum = fsum + c(12.0) * a - c(6.0) * bb;
-        }
-        return (fsum * rinv2, e_lj, e_coul);
-    }
-    let rinv2 = one / r2;
-    let rinv6 = rinv2 * rinv2 * rinv2;
-    let e_lj = c12 * rinv6 * rinv6 - c6 * rinv6;
-    let mut f_over_r = (c(12.0) * c12 * rinv6 * rinv6 - c(6.0) * c6 * rinv6) * rinv2;
-    let mut e_coul = c(0.0);
-    match params.coulomb {
-        Coulomb::None | Coulomb::EwaldShort { .. } => {}
-        Coulomb::Cutoff => {
-            let rinv = rinv2.sqrt();
-            e_coul = ke * qq * rinv;
-            f_over_r = f_over_r + ke * qq * rinv * rinv2;
-        }
-        Coulomb::ReactionField { eps_rf } => {
-            let rc = params.r_cut;
-            let k_rf = (eps_rf - 1.0) / (2.0 * eps_rf + 1.0) / (rc * rc * rc);
-            let c_rf = 1.0 / rc + k_rf * rc * rc;
-            let rinv = rinv2.sqrt();
-            e_coul = ke * qq * (rinv + c(k_rf) * r2 - c(c_rf));
-            f_over_r = f_over_r + ke * qq * (rinv * rinv2 - c(2.0 * k_rf));
-        }
-    }
-    (f_over_r, e_lj, e_coul)
 }
 
 /// Outer-cluster force accumulators in lane-slot (vector) form: one
@@ -333,7 +199,10 @@ pub fn cluster_pair_wide8<L: Lanes8>(
         let c6v = L::from_halves(isa, &r0.c6, &r1.c6);
         let c12v = L::from_halves(isa, &r0.c12, &r1.c12);
         let qq8 = L::splat(isa, pi[4 * CLUSTER_SIZE + ai]) * qj8;
-        let (f, elj, ecoul) = pair_interaction8(isa, r2, c6v, c12v, qq8, r0.on | r1.on, params);
+        let ewald = EwaldForm::Fast {
+            lj_active: r0.on | r1.on,
+        };
+        let (f, elj, ecoul) = pair_interaction8(isa, r2, c6v, c12v, qq8, params, ewald);
         // Mask *after* the computation: filler lanes (r2 = 0) produced
         // infinities/NaNs, and `& m` replaces them bitwise with zero.
         let f = f & m;
@@ -372,105 +241,4 @@ pub fn cluster_pair_wide8<L: Lanes8>(
         fj1[3 * k + 2] -= rz[4 + k];
     }
     (e_lj_acc, e_coul_acc, n)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mdsim::nonbonded::pair_interaction;
-
-    fn exp8_matches_f64_reference<L: Lanes8>(isa: L::Isa) {
-        let mut x = -9.8f32;
-        while x <= 0.0 {
-            let got = exp8(isa, L::splat(isa, x)).to_array()[0];
-            let want = (x as f64).exp();
-            let rel = ((got as f64 - want) / want).abs();
-            assert!(rel < 1e-6, "exp({x}) = {got}, want {want}, rel {rel}");
-            x += 0.037;
-        }
-    }
-
-    fn exp8_clamps_its_domain<L: Lanes8>(isa: L::Isa) {
-        let x = [
-            f32::NAN,
-            f32::NEG_INFINITY,
-            -1e30,
-            -87.0,
-            0.0,
-            1.0,
-            1e30,
-            f32::INFINITY,
-        ];
-        let got = exp8(isa, L::from_array(isa, x)).to_array();
-        let floor = exp8(isa, L::splat(isa, -87.0)).to_array()[0];
-        assert!(floor > 0.0 && floor < 1e-37);
-        for (k, got) in got.iter().enumerate() {
-            let want = if k < 4 { floor } else { 1.0 };
-            assert_eq!(got.to_bits(), want.to_bits(), "lane {k}");
-        }
-    }
-
-    fn erfc8_matches_scalar_reference<L: Lanes8>(isa: L::Isa) {
-        let mut x = 0.0f32;
-        while x <= 4.0 {
-            // erfc as `pair_interaction8` composes it.
-            let (one, xs) = (L::splat(isa, 1.0), L::splat(isa, x));
-            let t = one / (one + L::splat(isa, ERFC_P) * xs);
-            let got = erfc8_poly_t(isa, t, exp8(isa, -(xs * xs))).to_array()[0];
-            let want = mdsim::math::erfc(x as f64);
-            // A&S 7.1.26 carries |ε| ≤ 1.5e-7 absolute; f32 evaluation
-            // adds a few ulps.
-            assert!(
-                (got as f64 - want).abs() < 2e-6,
-                "erfc({x}) = {got}, want {want}"
-            );
-            x += 0.029;
-        }
-    }
-
-    fn pair_interaction8_lane_matches_scalar_within_bounds<L: Lanes8>(isa: L::Isa) {
-        let params = NbParams::paper_default();
-        for i in 1..60 {
-            let r2 = 0.02 + 0.016 * i as f32;
-            let (c6, c12, qq) = (2.6e-3, 2.6e-6, -0.2);
-            let (f8, e8, c8) = pair_interaction8(
-                isa,
-                L::splat(isa, r2),
-                L::splat(isa, c6),
-                L::splat(isa, c12),
-                L::splat(isa, qq),
-                true,
-                &params,
-            );
-            let (f, e, c) = pair_interaction(r2, c6, c12, qq, &params);
-            let rel = |a: f32, b: f32| ((a - b) / b.abs().max(1e-20)).abs();
-            // Both f and e_lj pass through zero on this r2 sweep (the
-            // LJ sign change sits at r2 = (c12/c6)^(1/3) = 0.1, the
-            // total force at the LJ/Coulomb crossover), where they are
-            // small residues of much larger cancelling components. The
-            // honest f32 bound is relative to those component
-            // magnitudes, not to the residue.
-            let rinv6 = 1.0 / (r2 * r2 * r2);
-            let (a12, b6) = (c12 * rinv6 * rinv6, c6 * rinv6);
-            let f_scale = f.abs().max((c.abs() + 12.0 * a12 + 6.0 * b6) / r2);
-            let e_scale = e.abs().max(a12).max(b6);
-            assert!(
-                (f8.to_array()[0] - f).abs() < 1e-4 * f_scale,
-                "f at r2={r2}"
-            );
-            assert!(
-                (e8.to_array()[0] - e).abs() < 1e-4 * e_scale,
-                "e_lj at r2={r2}"
-            );
-            assert!(rel(c8.to_array()[0], c) < 1e-4, "e_coul at r2={r2}");
-        }
-    }
-
-    #[test]
-    fn transcendentals_and_pair_math_hold_on_every_lane_implementation() {
-        for_each_lanes8!(exp8_matches_f64_reference);
-        for_each_lanes8!(exp8_clamps_its_domain);
-        for_each_lanes8!(erfc8_matches_scalar_reference);
-        for_each_lanes8!(pair_interaction8_lane_matches_scalar_within_bounds);
-    }
 }

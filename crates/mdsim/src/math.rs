@@ -1,5 +1,8 @@
 //! Small numerical helpers: complementary error function and friends,
-//! and the byte-wise FNV-1a behind the bit-exact checksums.
+//! their f32 lane forms, and the byte-wise FNV-1a behind the bit-exact
+//! checksums.
+
+use wide::Lanes8;
 
 /// Complementary error function, Abramowitz & Stegun 7.1.26
 /// (max absolute error ~1.5e-7, ample for mixed-precision MD).
@@ -29,6 +32,64 @@ pub fn erfc_f32(x: f32) -> f32 {
     erfc(x as f64) as f32
 }
 
+/// Vectorized `exp(x)` for `x <= 0` (the Ewald `exp(-(βr)²)` range);
+/// `x` is clamped to `[-87, 0]` first, which also maps a NaN lane to
+/// `-87` ([`Lanes8::max`] returns its right operand on NaN).
+///
+/// Standard range reduction `x = n·ln2 + r`, degree-6 polynomial on
+/// `r ∈ [-ln2/2, ln2/2]`, scale by `2^n` through exponent bits.
+/// Relative error ≤ ~2e-7 over the kernel's domain.
+///
+/// Rounding uses the `1.5·2²³` magic-constant trick: adding it forces
+/// the integer part of `x·log₂e` into the low mantissa bits, so both
+/// the rounded float `n` and its integer value fall out of plain
+/// adds/subtracts — no `roundps` (SSE4.1) and no libm call.
+#[inline(always)]
+pub fn exp8<L: Lanes8>(isa: L::Isa, x: L) -> L {
+    const LN2_HI: f32 = 0.693_359_4; // ln2 split: hi has few mantissa bits
+    const LN2_LO: f32 = -2.121_944_4e-4;
+    const MAGIC: f32 = 12_582_912.0; // 1.5 * 2^23
+    let c = |v: f32| L::splat(isa, v);
+    let x = x.max(c(-87.0)).min(c(0.0));
+    // n ∈ [-126, 0] for in-domain x, so MAGIC + n keeps exponent 23
+    // and the mantissa ulp is exactly 1: the bit pattern differs
+    // from MAGIC's by the two's-complement integer n.
+    let nf = x * c(std::f32::consts::LOG2_E) + c(MAGIC);
+    let n = nf - c(MAGIC);
+    // 2^n: (n + 127) << 23, with n = bits(nf) - bits(MAGIC).
+    let bias = f32::from_bits(127u32.wrapping_sub(MAGIC.to_bits()));
+    let two_n = nf.add_bits(c(bias)).shl_bits::<23>();
+    let r = x - n * c(LN2_HI);
+    let r = r - n * c(LN2_LO);
+    // exp(r) ≈ 1 + r + r²/2! + … + r⁶/6! (Horner).
+    let p = c(1.0)
+        + r * (c(1.0)
+            + r * (c(0.5)
+                + r * (c(1.0 / 6.0)
+                    + r * (c(1.0 / 24.0) + r * (c(1.0 / 120.0) + r * c(1.0 / 720.0))))));
+    p * two_n
+}
+
+/// The A&S rational variable's `P` constant, shared with callers that
+/// precompute `t = 1/(1 + Px)` themselves (the fast short-range Ewald
+/// form of [`pair_interaction8`](crate::nonbonded::pair_interaction8)).
+pub const ERFC_P: f32 = 0.327_591_1;
+
+/// The polynomial part of Abramowitz & Stegun 7.1.26 (the polynomial of
+/// [`erfc`], evaluated in f32) with the rational variable
+/// `t = 1/(1 + Px)` and `exp(-x²)` supplied by the caller.
+#[inline(always)]
+pub fn erfc8_poly_t<L: Lanes8>(isa: L::Isa, t: L, exp_neg_x2: L) -> L {
+    const A1: f32 = 0.254_829_6;
+    const A2: f32 = -0.284_496_72;
+    const A3: f32 = 1.421_413_8;
+    const A4: f32 = -1.453_152_1;
+    const A5: f32 = 1.061_405_4;
+    let c = |v: f32| L::splat(isa, v);
+    let poly = ((((c(A5) * t + c(A4)) * t + c(A3)) * t + c(A2)) * t + c(A1)) * t;
+    poly * exp_neg_x2
+}
+
 /// FNV-1a offset basis: the hash of no bytes.
 pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -43,6 +104,7 @@ pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wide::for_each_lanes8;
 
     #[test]
     fn fnv1a_matches_the_published_vectors() {
@@ -83,5 +145,61 @@ mod tests {
     fn erfc_limits() {
         assert!(erfc(6.0) < 1e-15);
         assert!((erfc(-6.0) - 2.0).abs() < 1e-15);
+    }
+
+    fn exp8_matches_f64_reference<L: Lanes8>(isa: L::Isa) {
+        let mut x = -9.8f32;
+        while x <= 0.0 {
+            let got = exp8(isa, L::splat(isa, x)).to_array()[0];
+            let want = (x as f64).exp();
+            let rel = ((got as f64 - want) / want).abs();
+            assert!(rel < 1e-6, "exp({x}) = {got}, want {want}, rel {rel}");
+            x += 0.037;
+        }
+    }
+
+    fn exp8_clamps_its_domain<L: Lanes8>(isa: L::Isa) {
+        let x = [
+            f32::NAN,
+            f32::NEG_INFINITY,
+            -1e30,
+            -87.0,
+            0.0,
+            1.0,
+            1e30,
+            f32::INFINITY,
+        ];
+        let got = exp8(isa, L::from_array(isa, x)).to_array();
+        let floor = exp8(isa, L::splat(isa, -87.0)).to_array()[0];
+        assert!(floor > 0.0 && floor < 1e-37);
+        for (k, got) in got.iter().enumerate() {
+            let want = if k < 4 { floor } else { 1.0 };
+            assert_eq!(got.to_bits(), want.to_bits(), "lane {k}");
+        }
+    }
+
+    fn erfc8_matches_scalar_reference<L: Lanes8>(isa: L::Isa) {
+        let mut x = 0.0f32;
+        while x <= 4.0 {
+            // erfc as the fast Ewald form of `pair_interaction8` composes it.
+            let (one, xs) = (L::splat(isa, 1.0), L::splat(isa, x));
+            let t = one / (one + L::splat(isa, ERFC_P) * xs);
+            let got = erfc8_poly_t(isa, t, exp8(isa, -(xs * xs))).to_array()[0];
+            let want = erfc(x as f64);
+            // A&S 7.1.26 carries |ε| ≤ 1.5e-7 absolute; f32 evaluation
+            // adds a few ulps.
+            assert!(
+                (got as f64 - want).abs() < 2e-6,
+                "erfc({x}) = {got}, want {want}"
+            );
+            x += 0.029;
+        }
+    }
+
+    #[test]
+    fn lane_transcendentals_hold_on_every_lane_implementation() {
+        for_each_lanes8!(exp8_matches_f64_reference);
+        for_each_lanes8!(exp8_clamps_its_domain);
+        for_each_lanes8!(erfc8_matches_scalar_reference);
     }
 }

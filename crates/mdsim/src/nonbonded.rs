@@ -1,17 +1,19 @@
-//! Reference (host-side) non-bonded kernels.
+//! Reference (host-side) non-bonded kernels and the pair interaction.
 //!
 //! These implement the paper's Eq. 1/2 Lennard-Jones interaction plus a
-//! Coulomb term, walked over the cluster pair list exactly as Algorithm 1
-//! (half list, both particles updated) or Algorithm 2 (full list, outer
-//! particle only — the RCA baseline). Every optimized kernel in `swgmx`
-//! is validated against these functions. The half-list walk computes on
-//! eight lanes and accumulates in the scalar walk's order, so its bits
-//! are those of the scalar expressions.
+//! Coulomb term, once per pair ([`pair_interaction`]) and on eight lanes
+//! ([`pair_interaction8`], which the native kernels of `swgmx` call
+//! too). The reference walks the cluster pair list as Algorithm 1 (half
+//! list, both particles updated): every optimized kernel in `swgmx`,
+//! the full-list RCA included, is validated against
+//! [`compute_forces_half`] or [`compute_forces_brute`]. The half-list
+//! walk computes on eight lanes and accumulates in the scalar walk's
+//! order, so its bits are those of the scalar expressions.
 
 use wide::{LaneImpl, Lanes8};
 
 use crate::cluster::{CLUSTER_SIZE, FILLER};
-use crate::math::erfc_f32;
+use crate::math::{erfc8_poly_t, erfc_f32, exp8, ERFC_P};
 use crate::pairlist::{ListKind, PairList};
 use crate::pairsearch::{norm2, pair8, LANES};
 use crate::pbc::{le8, PbcBox};
@@ -80,6 +82,14 @@ impl NbEnergies {
     }
 }
 
+/// Reaction field's constants `(k_rf, c_rf)` at dielectric `eps_rf` and
+/// cutoff `rc`: `V = ke qq (1/r + k_rf r² - c_rf)`, zero at `rc`.
+#[inline(always)]
+fn reaction_field(eps_rf: f32, rc: f32) -> (f32, f32) {
+    let k_rf = (eps_rf - 1.0) / (2.0 * eps_rf + 1.0) / (rc * rc * rc);
+    (k_rf, 1.0 / rc + k_rf * rc * rc)
+}
+
 /// Pairwise force magnitude over r (`F/r`) and energy for one pair.
 ///
 /// Returns `(f_over_r, e_lj, e_coul)`. Exposed so optimized kernels and
@@ -102,9 +112,7 @@ pub fn pair_interaction(r2: f32, c6: f32, c12: f32, qq: f32, params: &NbParams) 
                 f_over_r += ke * qq * rinv * rinv2;
             }
             Coulomb::ReactionField { eps_rf } => {
-                let rc = params.r_cut;
-                let k_rf = (eps_rf - 1.0) / (2.0 * eps_rf + 1.0) / (rc * rc * rc);
-                let c_rf = 1.0 / rc + k_rf * rc * rc;
+                let (k_rf, c_rf) = reaction_field(eps_rf, params.r_cut);
                 e_coul = ke * qq * (rinv + k_rf * r2 - c_rf);
                 f_over_r += ke * qq * (rinv * rinv2 - 2.0 * k_rf);
             }
@@ -124,18 +132,126 @@ pub fn pair_interaction(r2: f32, c6: f32, c12: f32, qq: f32, params: &NbParams) 
     (f_over_r, e_lj, e_coul)
 }
 
+/// How [`pair_interaction8`] evaluates short-range Ewald: each caller
+/// names its form where it calls.
+#[derive(Debug, Clone, Copy)]
+pub enum EwaldForm {
+    /// The reference's: [`pair_interaction`] on each lane of `active`
+    /// (libm `exp`, the f64 `erfc`), zero on the others.
+    Exact { active: u32 },
+    /// The native kernels': f32 [`exp8`] and the A&S polynomial, within
+    /// the bounds of `tests/backend_differential.rs`. `lj_active: false`
+    /// promises every `c6`/`c12` lane is zero and skips the LJ chain.
+    Fast { lj_active: bool },
+}
+
+/// Eight pair interactions at once: the vector form of
+/// [`pair_interaction`]. Returns `(f_over_r, e_lj, e_coul)` per lane.
+///
+/// Without Ewald each lane is the scalar expressions' bits: the same
+/// operations in the same order, and `qq == 0` blends the Coulomb term
+/// away where the scalar form skips it (adding the zero term would turn
+/// `-0.0` into `+0.0` and `0 × inf`, a subnormal `r2`, into NaN).
+/// Lanes with garbage inputs (`r2 = 0` filler) produce garbage outputs
+/// — callers mask them away afterwards.
+#[inline(always)]
+pub fn pair_interaction8<L: Lanes8>(
+    isa: L::Isa,
+    r2: L,
+    c6: L,
+    c12: L,
+    qq: L,
+    params: &NbParams,
+    ewald: EwaldForm,
+) -> (L, L, L) {
+    let c = |v: f32| L::splat(isa, v);
+    let (zero, one, ke) = (c(0.0), c(1.0), c(KE as f32));
+    match (params.coulomb, ewald) {
+        (Coulomb::EwaldShort { .. }, EwaldForm::Exact { active }) => {
+            let (r2, c6, c12, qq) = (r2.to_array(), c6.to_array(), c12.to_array(), qq.to_array());
+            let mut each = [[0.0f32; LANES]; 3];
+            let mut lanes = active;
+            while lanes != 0 {
+                let k = lanes.trailing_zeros() as usize;
+                lanes &= lanes - 1;
+                let (f, e_lj, e_coul) = pair_interaction(r2[k], c6[k], c12[k], qq[k], params);
+                [each[0][k], each[1][k], each[2][k]] = [f, e_lj, e_coul];
+            }
+            let [f, e_lj, e_coul] = each.map(|v| L::from_array(isa, v));
+            return (f, e_lj, e_coul);
+        }
+        (Coulomb::EwaldShort { beta }, EwaldForm::Fast { lj_active }) => {
+            // Divider-unit pressure dominates this form, so one division
+            // serves both `1/r` and the erfc rational variable: with
+            // `b = 1 + P·βr` and `inv = 1/(r·b)`, `rinv = b·inv` and
+            // `t = r·inv`. `rinv² = rinv·rinv` then lands within ~2 ulp
+            // of `1/r²` — far inside the kernel's differential bounds.
+            // `exp(-(βr)²)` evaluated as `exp(-β²·r²)` so the
+            // transcendental starts straight from r² — in parallel with
+            // the square root instead of serialized behind it.
+            let ex = exp8(isa, -(c(beta * beta) * r2));
+            let r = r2.sqrt();
+            let b = one + c(ERFC_P * beta) * r;
+            let inv = one / (r * b);
+            let rinv = b * inv;
+            let t = r * inv;
+            let rinv2 = rinv * rinv;
+            let erfc_br = erfc8_poly_t(isa, t, ex);
+            let kqq = ke * qq;
+            let e_coul = kqq * erfc_br * rinv;
+            let tbsp = 2.0 * beta / std::f32::consts::PI.sqrt();
+            let mut fsum = e_coul + kqq * (c(tbsp) * ex);
+            let mut e_lj = c(0.0);
+            if lj_active {
+                let rinv6 = rinv2 * rinv2 * rinv2;
+                let a = c12 * rinv6 * rinv6;
+                let bb = c6 * rinv6;
+                e_lj = a - bb;
+                fsum = fsum + c(12.0) * a - c(6.0) * bb;
+            }
+            return (fsum * rinv2, e_lj, e_coul);
+        }
+        _ => {}
+    }
+    let rinv2 = one / r2;
+    let rinv6 = rinv2 * rinv2 * rinv2;
+    let e_lj = c12 * rinv6 * rinv6 - c6 * rinv6;
+    let f_lj = (c(12.0) * c12 * rinv6 * rinv6 - c(6.0) * c6 * rinv6) * rinv2;
+    let kqq = ke * qq;
+    let rinv = rinv2.sqrt();
+    let (f_coul, e_coul) = match params.coulomb {
+        Coulomb::Cutoff => {
+            let e = kqq * rinv;
+            (e * rinv2, e)
+        }
+        Coulomb::ReactionField { eps_rf } => {
+            let (k_rf, c_rf) = reaction_field(eps_rf, params.r_cut);
+            let e = kqq * (rinv + c(k_rf) * r2 - c(c_rf));
+            (kqq * (rinv * rinv2 - c(2.0 * k_rf)), e)
+        }
+        _ => return (f_lj, e_lj, zero),
+    };
+    let no_q = qq.cmp_eq(zero);
+    (
+        no_q.blend(f_lj, f_lj + f_coul),
+        e_lj,
+        no_q.blend(zero, e_coul),
+    )
+}
+
 /// Algorithm 1: walk a **half** list, updating both particles of each
 /// pair. Forces are accumulated into `sys.force`; energies returned.
 ///
 /// The member-pair arithmetic runs on eight lanes ([`LaneImpl::detect`]
 /// picks them): each cluster pair is two rows of two outer members
 /// broadcast against the four inner ones, the layout of the pair
-/// search's exact test. Minimum image, `r²`, the cutoff mask and the
-/// interaction terms are the scalar expressions lane by lane
+/// search's exact test. Minimum image, `r²` and the cutoff mask are the
+/// scalar expressions lane by lane
 /// ([`PbcBox::min_image8`](crate::pbc::PbcBox::min_image8) is the
-/// scalar image on every lane), and short-range Ewald (libm `exp`, an
-/// f64 `erfc`) calls [`pair_interaction`] on each interacting lane. The
-/// results are then accumulated in the order of the scalar walk — per
+/// scalar image on every lane), and the interaction is
+/// [`pair_interaction8`] in Ewald's [`EwaldForm::Exact`] form: the
+/// scalar bits on every interacting lane. The results are then
+/// accumulated in the order of the scalar walk — per
 /// outer member, its pairs in inner-slot order into the outer sum and
 /// the inner particle, then the sum into the outer particle, and the
 /// energy and virial chains in pair order — so every force, energy and
@@ -190,39 +306,6 @@ impl Pack {
     }
 }
 
-/// One call's parameters and the scalar constants of its interaction
-/// terms.
-struct Terms {
-    params: NbParams,
-    rc2: f32,
-    ke: f32,
-    /// Reaction field: `V = ke qq (1/r + k_rf r² - c_rf)` (zero otherwise).
-    k_rf: f32,
-    c_rf: f32,
-}
-
-impl Terms {
-    /// The constants [`pair_interaction`] derives from `params`, with
-    /// the same expressions.
-    fn new(params: &NbParams) -> Self {
-        let (k_rf, c_rf) = match params.coulomb {
-            Coulomb::ReactionField { eps_rf } => {
-                let rc = params.r_cut;
-                let k_rf = (eps_rf - 1.0) / (2.0 * eps_rf + 1.0) / (rc * rc * rc);
-                (k_rf, 1.0 / rc + k_rf * rc * rc)
-            }
-            _ => (0.0, 0.0),
-        };
-        Self {
-            params: *params,
-            rc2: params.r_cut * params.r_cut,
-            ke: KE as f32,
-            k_rf,
-            c_rf,
-        }
-    }
-}
-
 /// Cluster pairs per batch of [`half_lanes`]' lane stage.
 const BATCH: usize = 16;
 
@@ -240,7 +323,6 @@ fn half_lanes<L: Lanes8>(
     // Bit `4 * ai + bj` of an entry's mask: the scalar walk gets to the
     // cutoff test of pair (ai, bj).
     let masks = list.interaction_masks(sys);
-    let terms = Terms::new(params);
     let n_types = sys.topology.n_types();
     let (pbc, force) = (&sys.pbc, &mut sys.force);
     let mut en = NbEnergies::default();
@@ -294,7 +376,7 @@ fn half_lanes<L: Lanes8>(
                         let c6 = L::from_halves(isa, &lj[0][0], &lj[1][0]);
                         let c12 = L::from_halves(isa, &lj[0][1], &lj[1][1]);
                         let lanes =
-                            row_lanes::<L>(isa, pbc, &terms, o, &inner, [c6, c12], row, pairs, out);
+                            row_lanes::<L>(isa, pbc, params, o, &inner, [c6, c12], row, pairs, out);
                         *active |= lanes << (LANES * row);
                     }
                 }
@@ -359,7 +441,7 @@ fn accumulate<'a>(
 fn row_lanes<L: Lanes8>(
     isa: L::Isa,
     pbc: &PbcBox,
-    terms: &Terms,
+    params: &NbParams,
     outer: &[L; 4],
     inner: &[L; 4],
     [c6, c12]: [L; 2],
@@ -376,60 +458,14 @@ fn row_lanes<L: Lanes8>(
     let d = pbc.min_image8(isa, d);
     let r2 = norm2(d);
     // The scalar walk skips `r2 >= rc2 || r2 == 0`: a NaN `r2` interacts.
-    let skip = le8(L::splat(isa, terms.rc2), r2) | r2.cmp_eq(zero);
+    let skip = le8(L::splat(isa, params.r_cut * params.r_cut), r2) | r2.cmp_eq(zero);
     let active = pairs & !skip.movemask();
     if active == 0 {
         return 0;
     }
     let qq = outer[3] * inner[3];
-    let [f_over_r, e_lj, e_coul] = match terms.params.coulomb {
-        Coulomb::EwaldShort { .. } => {
-            let (r2, c6, c12, qq) = (r2.to_array(), c6.to_array(), c12.to_array(), qq.to_array());
-            let mut each = [[0.0f32; LANES]; 3];
-            let mut lanes = active;
-            while lanes != 0 {
-                let k = lanes.trailing_zeros() as usize;
-                lanes &= lanes - 1;
-                let (f, e_lj, e_coul) =
-                    pair_interaction(r2[k], c6[k], c12[k], qq[k], &terms.params);
-                [each[0][k], each[1][k], each[2][k]] = [f, e_lj, e_coul];
-            }
-            [
-                L::from_array(isa, each[0]),
-                L::from_array(isa, each[1]),
-                L::from_array(isa, each[2]),
-            ]
-        }
-        coulomb => {
-            let c = |v: f32| L::splat(isa, v);
-            let rinv2 = c(1.0) / r2;
-            let rinv6 = rinv2 * rinv2 * rinv2;
-            let e_lj = c12 * rinv6 * rinv6 - c6 * rinv6;
-            let f_lj = (c(12.0) * c12 * rinv6 * rinv6 - c(6.0) * c6 * rinv6) * rinv2;
-            let kqq = c(terms.ke) * qq;
-            let rinv = rinv2.sqrt();
-            // `qq == 0` skips the Coulomb term: a blend, not an add of
-            // the zero term, which would turn `-0.0` into `+0.0` and
-            // `0 x inf` (a subnormal `r2`) into NaN.
-            let no_q = qq.cmp_eq(zero);
-            match coulomb {
-                Coulomb::Cutoff => {
-                    let e = kqq * rinv;
-                    [
-                        no_q.blend(f_lj, f_lj + e * rinv2),
-                        e_lj,
-                        no_q.blend(zero, e),
-                    ]
-                }
-                Coulomb::ReactionField { .. } => {
-                    let e = kqq * (rinv + c(terms.k_rf) * r2 - c(terms.c_rf));
-                    let f = kqq * (rinv * rinv2 - c(2.0 * terms.k_rf));
-                    [no_q.blend(f_lj, f_lj + f), e_lj, no_q.blend(zero, e)]
-                }
-                _ => [f_lj, e_lj, zero],
-            }
-        }
-    };
+    let ewald = EwaldForm::Exact { active };
+    let (f_over_r, e_lj, e_coul) = pair_interaction8(isa, r2, c6, c12, qq, params, ewald);
     let at = LANES * row;
     let vals = [
         d[0] * f_over_r,
@@ -451,60 +487,6 @@ fn row_lanes<L: Lanes8>(
 #[target_feature(enable = "avx2")]
 fn half_avx2(isa: wide::Avx2, sys: &mut System, list: &PairList, params: &NbParams) -> NbEnergies {
     half_lanes::<wide::f32x8_avx2>(isa, sys, list, params)
-}
-
-/// Algorithm 2 (RCA): walk a **full** list, updating only the outer
-/// particle. Every interaction is computed twice; energies are halved so
-/// totals match the half-list kernel.
-pub fn compute_forces_full(sys: &mut System, list: &PairList, params: &NbParams) -> NbEnergies {
-    assert_eq!(list.kind, ListKind::Full);
-    let rc2 = params.r_cut * params.r_cut;
-    let mut en = NbEnergies::default();
-    let n_types = sys.topology.n_types();
-    let c6t = sys.topology.c6_table().to_vec();
-    let c12t = sys.topology.c12_table().to_vec();
-    for ci in 0..list.n_clusters() {
-        for &cj in list.neighbors_of(ci) {
-            let cj = cj as usize;
-            let mi: [u32; 4] = list.clustering.members(ci).try_into().unwrap();
-            let mj: [u32; 4] = list.clustering.members(cj).try_into().unwrap();
-            for &a in &mi {
-                if a == FILLER {
-                    continue;
-                }
-                let a = a as usize;
-                let pa = sys.pos[a];
-                let mut fa = Vec3::ZERO;
-                for &b in &mj {
-                    if b == FILLER || b as usize == a {
-                        continue;
-                    }
-                    let b = b as usize;
-                    if sys.is_excluded(a, b) {
-                        continue;
-                    }
-                    let d = sys.pbc.min_image(pa, sys.pos[b]);
-                    let r2 = d.norm2();
-                    if r2 >= rc2 || r2 == 0.0 {
-                        continue;
-                    }
-                    let (c6, c12) = (
-                        c6t[sys.type_id[a] * n_types + sys.type_id[b]],
-                        c12t[sys.type_id[a] * n_types + sys.type_id[b]],
-                    );
-                    let qq = sys.charge[a] * sys.charge[b];
-                    let (f_over_r, e_lj, e_coul) = pair_interaction(r2, c6, c12, qq, params);
-                    fa += d * f_over_r;
-                    en.lj += 0.5 * e_lj as f64;
-                    en.coulomb += 0.5 * e_coul as f64;
-                    en.virial += 0.5 * (f_over_r * r2) as f64;
-                    en.pairs_within_cutoff += 1;
-                }
-                sys.force[a] += fa;
-            }
-        }
-    }
-    en
 }
 
 /// Brute-force O(N^2) reference over all particle pairs; ground truth for
@@ -697,22 +679,6 @@ mod tests {
     }
 
     #[test]
-    fn full_list_matches_half_list() {
-        let mut a = water_box(40, 300.0, 33);
-        let mut b = a.clone();
-        let params = params_rf();
-        let half = PairList::build(&a, 1.0, ListKind::Half);
-        let full = PairList::build(&b, 1.0, ListKind::Full);
-        let ea = compute_forces_half(&mut a, &half, &params);
-        let eb = compute_forces_full(&mut b, &full, &params);
-        // RCA computes each interaction twice.
-        assert_eq!(eb.pairs_within_cutoff, 2 * ea.pairs_within_cutoff);
-        assert!((ea.total() - eb.total()).abs() < 1e-6 * ea.total().abs().max(1.0));
-        let fmax = a.force.iter().map(|f| f.norm()).fold(0.0f32, f32::max);
-        assert!(max_force_diff(&a.force, &b.force) / fmax < 1e-4);
-    }
-
-    #[test]
     fn newtons_third_law_zero_net_force() {
         let mut s = water_box(30, 300.0, 4);
         let list = PairList::build(&s, 1.0, ListKind::Half);
@@ -796,5 +762,102 @@ mod tests {
             f_analytic.x,
             f_numeric
         );
+    }
+
+    /// Every lane of `pair_interaction8` is the scalar `pair_interaction`'s
+    /// bits without Ewald, and on the lanes it computes in Ewald's exact
+    /// form: charges `±0` beside nonzero ones, hydrogen rows (`c6 = c12
+    /// = 0`) and `r2` one ulp below `rc²` included.
+    fn pair_interaction8_is_the_scalar_form_bit_for_bit<L: Lanes8>(isa: L::Isa) {
+        let r_cut = 1.0f32;
+        let below_rc2 = f32::from_bits((r_cut * r_cut).to_bits() - 1);
+        let r2 = [0.05, 0.1, 0.27, 0.5, 0.73, 0.9, 0.99, below_rc2];
+        let qq = [0.0, -0.0, -0.3362, 0.1681, 0.6724, -0.0, 1e-30, 0.0];
+        let active = 0b1011_0111;
+        let coulombs = [
+            Coulomb::None,
+            Coulomb::Cutoff,
+            Coulomb::ReactionField { eps_rf: 78.0 },
+            Coulomb::EwaldShort { beta: 3.12 },
+        ];
+        for coulomb in coulombs {
+            let params = NbParams { r_cut, coulomb };
+            for (c6, c12) in [(2.6e-3, 2.6e-6), (0.0, 0.0)] {
+                for turn in 0..LANES {
+                    let qq: [f32; LANES] = std::array::from_fn(|k| qq[(k + turn) % LANES]);
+                    let (f8, e8, c8) = pair_interaction8(
+                        isa,
+                        L::from_array(isa, r2),
+                        L::splat(isa, c6),
+                        L::splat(isa, c12),
+                        L::from_array(isa, qq),
+                        &params,
+                        EwaldForm::Exact { active },
+                    );
+                    let got = [f8, e8, c8].map(|v| v.to_array().map(f32::to_bits));
+                    for k in 0..LANES {
+                        let (f, e_lj, e_coul) = pair_interaction(r2[k], c6, c12, qq[k], &params);
+                        let ewald_idle =
+                            matches!(coulomb, Coulomb::EwaldShort { .. }) && active & (1 << k) == 0;
+                        let want = if ewald_idle {
+                            [0.0; 3]
+                        } else {
+                            [f, e_lj, e_coul]
+                        };
+                        let what =
+                            format!("{} {coulomb:?} c6 {c6} qq {} r2 {}", L::NAME, qq[k], r2[k]);
+                        assert_eq!(
+                            [got[0][k], got[1][k], got[2][k]],
+                            want.map(f32::to_bits),
+                            "{what}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    fn pair_interaction8_lane_matches_scalar_within_bounds<L: Lanes8>(isa: L::Isa) {
+        let params = NbParams::paper_default();
+        for i in 1..60 {
+            let r2 = 0.02 + 0.016 * i as f32;
+            let (c6, c12, qq) = (2.6e-3, 2.6e-6, -0.2);
+            let (f8, e8, c8) = pair_interaction8(
+                isa,
+                L::splat(isa, r2),
+                L::splat(isa, c6),
+                L::splat(isa, c12),
+                L::splat(isa, qq),
+                &params,
+                EwaldForm::Fast { lj_active: true },
+            );
+            let (f, e, c) = pair_interaction(r2, c6, c12, qq, &params);
+            let rel = |a: f32, b: f32| ((a - b) / b.abs().max(1e-20)).abs();
+            // Both f and e_lj pass through zero on this r2 sweep (the
+            // LJ sign change sits at r2 = (c12/c6)^(1/3) = 0.1, the
+            // total force at the LJ/Coulomb crossover), where they are
+            // small residues of much larger cancelling components. The
+            // honest f32 bound is relative to those component
+            // magnitudes, not to the residue.
+            let rinv6 = 1.0 / (r2 * r2 * r2);
+            let (a12, b6) = (c12 * rinv6 * rinv6, c6 * rinv6);
+            let f_scale = f.abs().max((c.abs() + 12.0 * a12 + 6.0 * b6) / r2);
+            let e_scale = e.abs().max(a12).max(b6);
+            assert!(
+                (f8.to_array()[0] - f).abs() < 1e-4 * f_scale,
+                "f at r2={r2}"
+            );
+            assert!(
+                (e8.to_array()[0] - e).abs() < 1e-4 * e_scale,
+                "e_lj at r2={r2}"
+            );
+            assert!(rel(c8.to_array()[0], c) < 1e-4, "e_coul at r2={r2}");
+        }
+    }
+
+    #[test]
+    fn pair_interaction8_holds_on_every_lane_implementation() {
+        for_each_lanes8!(pair_interaction8_is_the_scalar_form_bit_for_bit);
+        for_each_lanes8!(pair_interaction8_lane_matches_scalar_within_bounds);
     }
 }
