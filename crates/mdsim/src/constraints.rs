@@ -10,8 +10,14 @@
 //! DESIGN.md; the paper's "Constraints" row (Table 1) only needs *a*
 //! constraint solver with the right cost shape.
 
+use std::sync::Mutex;
+
+use crate::host::{self, Host, BLOCKS};
 use crate::system::{Atoms, System};
 use crate::vec3::Vec3;
+
+/// Molecules a SHAKE thread must have to pay for starting it.
+const SHAKE_GRAIN: usize = 128;
 
 /// One distance constraint between global atoms `i` and `j`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -90,16 +96,38 @@ impl ConstraintSet {
     ///
     /// Returns the number of iterations used, or `None` if the solver did
     /// not converge within `max_iter`.
+    ///
+    /// Molecules are solved in contiguous blocks on every thread the host
+    /// has (one thread below two grains of molecules); each moves only
+    /// its own atoms, so the result is the same at every thread count.
     pub fn apply(&self, sys: &mut System, old_pos: &[Vec3], dt: f32) -> Option<usize> {
-        let mut all = sys.atom_runs(usize::MAX);
-        let Some(atoms) = all.first_mut() else {
-            return Some(1);
+        self.apply_on(Host::detect(), sys, old_pos, dt)
+    }
+
+    /// [`ConstraintSet::apply`] on `host`'s threads.
+    pub(crate) fn apply_on(
+        &self,
+        host: Host,
+        sys: &mut System,
+        old_pos: &[Vec3],
+        dt: f32,
+    ) -> Option<usize> {
+        let n_mol = self.n_mol();
+        let per = n_mol.div_ceil(BLOCKS).max(1);
+        let runs: Vec<Mutex<Atoms>> = sys.atom_runs(3 * per).into_iter().map(Mutex::new).collect();
+        let solve = |b: usize, sweeps: &mut Option<usize>| {
+            let mut atoms = runs[b].lock().expect("no thread panics holding a run");
+            *sweeps = Some(1);
+            for m in b * per..n_mol.min((b + 1) * per) {
+                let old = [old_pos[3 * m], old_pos[3 * m + 1], old_pos[3 * m + 2]];
+                *sweeps = most_sweeps(*sweeps, self.solve_molecule(m, &mut atoms, &old, dt));
+            }
         };
         let mut sweeps = Some(1);
-        for m in 0..self.n_mol() {
-            let old = [old_pos[3 * m], old_pos[3 * m + 1], old_pos[3 * m + 2]];
-            sweeps = most_sweeps(sweeps, self.solve_molecule(m, atoms, &old, dt));
-        }
+        let threads = host.threads_for(n_mol, SHAKE_GRAIN);
+        host::ahead(threads, runs.len(), solve, |_, &run| {
+            sweeps = most_sweeps(sweeps, run);
+        });
         sweeps
     }
 
@@ -121,9 +149,17 @@ impl ConstraintSet {
         let Atoms { pos, vel, pbc, .. } = atoms;
         // Atom `3m` within `atoms`; constraint atoms are relative to it.
         let base = 3 * m - atoms.first;
+        let constraints = &self.constraints[3 * m..3 * m + 3];
+        // What no sweep changes: each constraint's reference direction
+        // and mass factor.
+        let fixed: [(Vec3, f32); 3] = std::array::from_fn(|k| {
+            let c = &constraints[k];
+            let reference = pbc.min_image(old[c.i - 3 * m], old[c.j - 3 * m]);
+            (reference, 2.0 * (self.inv_mass[c.i] + self.inv_mass[c.j]))
+        });
         for iter in 0..self.max_iter {
             let mut done = true;
-            for c in &self.constraints[3 * m..3 * m + 3] {
+            for (c, &(reference, mass_factor)) in constraints.iter().zip(&fixed) {
                 let (i, j) = (c.i - 3 * m, c.j - 3 * m);
                 let d2 = c.d * c.d;
                 let now = pbc.min_image(pos[base + i], pos[base + j]);
@@ -131,9 +167,7 @@ impl ConstraintSet {
                 let diff = r2 - d2;
                 if diff.abs() > self.tol * d2 {
                     done = false;
-                    let reference = pbc.min_image(old[i], old[j]);
-                    let denom =
-                        2.0 * (self.inv_mass[c.i] + self.inv_mass[c.j]) * reference.dot(now);
+                    let denom = mass_factor * reference.dot(now);
                     if denom.abs() < 1e-12 {
                         continue;
                     }

@@ -48,6 +48,7 @@ pub mod durable;
 pub mod ewald;
 pub mod fft;
 pub mod grid;
+mod host;
 pub mod integrate;
 pub mod math;
 pub mod minimize;

@@ -6,7 +6,8 @@
 //! contacts so dynamics at the benchmark time step (2 fs) is stable.
 
 use crate::constraints::ConstraintSet;
-use crate::nonbonded::{compute_forces_half, NbParams};
+use crate::host::Host;
+use crate::nonbonded::{forces_half, NbParams};
 use crate::pairlist::{ListKind, PairList};
 use crate::system::System;
 
@@ -26,7 +27,34 @@ pub struct MinimizeReport {
 /// move, until `f_max < f_tol` or `max_steps` is reached. A force that is
 /// not finite stops it before any atom moves; the report's `f_max` is
 /// then that force's (non-finite) norm.
+///
+/// The pair list is rebuilt every fifth step, its interaction masks
+/// with it (exclusions never move). The search, the force walk's lane
+/// stage (see [`compute_forces_half`](crate::nonbonded::compute_forces_half))
+/// and SHAKE run on every thread the host has; the result is the same
+/// at every thread count.
 pub fn steepest_descent(
+    sys: &mut System,
+    params: &NbParams,
+    constraints: Option<&ConstraintSet>,
+    max_steps: usize,
+    f_tol: f32,
+    max_disp: f32,
+) -> MinimizeReport {
+    descend(
+        Host::detect(),
+        sys,
+        params,
+        constraints,
+        max_steps,
+        f_tol,
+        max_disp,
+    )
+}
+
+/// [`steepest_descent`] on `host`'s lanes and threads.
+fn descend(
+    host: Host,
     sys: &mut System,
     params: &NbParams,
     constraints: Option<&ConstraintSet>,
@@ -39,13 +67,16 @@ pub fn steepest_descent(
         f_max: f32::INFINITY,
         energy: 0.0,
     };
-    let mut list: Option<PairList> = None;
+    let mut list: Option<(PairList, Vec<u16>)> = None;
     for step in 0..max_steps {
         if step % 5 == 0 || list.is_none() {
-            list = Some(PairList::build(sys, params.r_cut * 1.1, ListKind::Half));
+            let built = PairList::build_on(host, sys, params.r_cut * 1.1, ListKind::Half);
+            let masks = built.interaction_masks(sys);
+            list = Some((built, masks));
         }
+        let (list, masks) = list.as_ref().expect("built above");
         sys.clear_forces();
-        let en = compute_forces_half(sys, list.as_ref().unwrap(), params);
+        let en = forces_half(host, sys, list, masks, params);
         // `f32::max` drops a NaN: the first non-finite force ends the
         // descent before any atom moves, and is the reported `f_max`.
         let norms = sys.force.iter().map(|f| f.norm());
@@ -67,7 +98,7 @@ pub fn steepest_descent(
             sys.pos[i] += sys.force[i] * alpha;
         }
         if let Some(cs) = constraints {
-            cs.apply(sys, &old, 0.0);
+            cs.apply_on(host, sys, &old, 0.0);
         }
     }
     sys.clear_forces();
@@ -78,7 +109,7 @@ pub fn steepest_descent(
 mod tests {
     use super::*;
     use crate::constraints::ConstraintSet;
-    use crate::nonbonded::Coulomb;
+    use crate::nonbonded::{compute_forces_half, Coulomb};
     use crate::water::{theta_hoh, water_box, D_OH};
 
     fn params() -> NbParams {
@@ -130,6 +161,33 @@ mod tests {
         // heat); a genuine 2 fs integration blow-up reads >10^4 K.
         let t = sys.temperature(dof);
         assert!(t < 2500.0, "temperature exploded: {t} K");
+    }
+
+    #[test]
+    fn the_descent_keeps_its_bits_at_every_thread_count() {
+        use crate::math::{fnv1a, FNV1A_OFFSET};
+        // swbench's set-up descent (1334 waters, RF at 0.9 nm, 30
+        // iterations), recorded from the one-thread descent the threaded
+        // one replaced: the report's bits and FNV-1a over the positions.
+        let start = water_box(1334, 300.0, 1);
+        let cs = ConstraintSet::rigid_water(&start, D_OH, theta_hoh());
+        let params = NbParams {
+            r_cut: 0.9,
+            coulomb: Coulomb::ReactionField { eps_rf: 78.0 },
+        };
+        for host in Host::every() {
+            let mut sys = start.clone();
+            let report = descend(host, &mut sys, &params, Some(&cs), 30, 1_000.0, 0.01);
+            let bits = (
+                report.steps,
+                report.f_max.to_bits(),
+                report.energy.to_bits(),
+            );
+            assert_eq!(bits, (30, 0x44dc887b, 0xc0e094309932a312), "{host:?}");
+            let coords = sys.pos.iter().flat_map(|p| [p.x, p.y, p.z]);
+            let pos = coords.fold(FNV1A_OFFSET, |h, c| fnv1a(h, &c.to_bits().to_le_bytes()));
+            assert_eq!(pos, 0x623a45b09f35d704, "{host:?}");
+        }
     }
 
     #[test]

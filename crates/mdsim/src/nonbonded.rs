@@ -10,9 +10,12 @@
 //! walk computes on eight lanes and accumulates in the scalar walk's
 //! order, so its bits are those of the scalar expressions.
 
-use wide::{LaneImpl, Lanes8};
+use std::ops::Range;
+
+use wide::Lanes8;
 
 use crate::cluster::{CLUSTER_SIZE, FILLER};
+use crate::host::{self, Host};
 use crate::math::{erfc8_poly_t, erfc_f32, exp8, ERFC_P};
 use crate::pairlist::{ListKind, PairList};
 use crate::pairsearch::{norm2, pair8, LANES};
@@ -242,22 +245,39 @@ pub fn pair_interaction8<L: Lanes8>(
 /// Algorithm 1: walk a **half** list, updating both particles of each
 /// pair. Forces are accumulated into `sys.force`; energies returned.
 ///
-/// The member-pair arithmetic runs on eight lanes ([`LaneImpl::detect`]
-/// picks them): each cluster pair is two rows of two outer members
-/// broadcast against the four inner ones, the layout of the pair
-/// search's exact test. Minimum image, `r²` and the cutoff mask are the
+/// The member-pair arithmetic runs on eight lanes
+/// ([`wide::LaneImpl::detect`] picks them): each cluster pair is two
+/// rows of two outer members broadcast against the four inner ones, the
+/// layout of the pair search's exact test. Minimum image, `r²` and the cutoff mask are the
 /// scalar expressions lane by lane
 /// ([`PbcBox::min_image8`](crate::pbc::PbcBox::min_image8) is the
 /// scalar image on every lane), and the interaction is
 /// [`pair_interaction8`] in Ewald's [`EwaldForm::Exact`] form: the
-/// scalar bits on every interacting lane. The results are then
-/// accumulated in the order of the scalar walk — per
-/// outer member, its pairs in inner-slot order into the outer sum and
-/// the inner particle, then the sum into the outer particle, and the
-/// energy and virial chains in pair order — so every force, energy and
-/// virial bit is the scalar walk's on every lane implementation.
+/// scalar bits on every interacting lane. This lane stage runs on every
+/// thread the host has, a few chunks of the list ahead of the calling
+/// thread, which accumulates the results in the order of the scalar
+/// walk — per outer member, its pairs in inner-slot order into the
+/// outer sum and the inner particle, then the sum into the outer
+/// particle, and the energy and virial chains in pair order — so every
+/// force, energy and virial bit is the scalar walk's on every lane
+/// implementation and at every thread count.
 pub fn compute_forces_half(sys: &mut System, list: &PairList, params: &NbParams) -> NbEnergies {
-    wide::on_lanes!(LaneImpl::detect(), half_lanes, half_avx2, sys, list, params)
+    let masks = list.interaction_masks(sys);
+    forces_half(Host::detect(), sys, list, &masks, params)
+}
+
+/// [`compute_forces_half`] on `host`'s lanes and threads, with the
+/// list's [`PairList::interaction_masks`] computed by the caller.
+pub(crate) fn forces_half(
+    host: Host,
+    sys: &mut System,
+    list: &PairList,
+    masks: &[u16],
+    params: &NbParams,
+) -> NbEnergies {
+    walk(host, sys, list, masks, params, |stage, clusters, out| {
+        wide::on_lanes!(host.lanes, stage_lanes, stage_avx2, stage, clusters, out)
+    })
 }
 
 /// The per-call structure-of-arrays copy of the clusters the lanes load.
@@ -306,33 +326,117 @@ impl Pack {
     }
 }
 
-/// Cluster pairs per batch of [`half_lanes`]' lane stage.
-const BATCH: usize = 16;
+/// What the lane stage reads.
+struct Stage<'a> {
+    pack: Pack,
+    n_types: usize,
+    list: &'a PairList,
+    /// Bit `4 * ai + bj` of an entry's mask: the scalar walk gets to the
+    /// cutoff test of pair (ai, bj).
+    masks: &'a [u16],
+    pbc: &'a PbcBox,
+    params: &'a NbParams,
+}
 
-/// [`compute_forces_half`] on the lane implementation `L`; every
-/// implementation accumulates the same bits.
-#[inline(always)]
-fn half_lanes<L: Lanes8>(
-    isa: L::Isa,
+/// What the lane stage of a chunk leaves for its accumulation: per list
+/// entry, its interacting lanes (bit `4 * ai + bj`); per row with any,
+/// in entry and row order, its lanes' force components, `e_lj`,
+/// `e_coul` and virial terms.
+#[derive(Default)]
+struct ChunkLanes {
+    active: Vec<u32>,
+    values: Vec<[[f32; LANES]; 6]>,
+}
+
+/// Cluster pairs a chunk of the walk holds at least: the unit its lane
+/// stage runs ahead of the accumulation in.
+const CHUNK: usize = 512;
+
+/// Chunks a lane-stage thread must have to pay for starting it.
+const WALK_GRAIN: usize = 4;
+
+/// The half-list walk: chunks of whole outer clusters, each one's lane
+/// stage (`lanes`) on one of the threads `host` allows, accumulated on
+/// the calling thread in chunk order. At most two chunks per thread
+/// are buffered, never the whole list.
+fn walk(
+    host: Host,
     sys: &mut System,
     list: &PairList,
+    masks: &[u16],
     params: &NbParams,
+    lanes: impl Fn(&Stage, Range<usize>, &mut ChunkLanes) + Sync,
 ) -> NbEnergies {
     assert_eq!(list.kind, ListKind::Half);
+    assert_eq!(masks.len(), list.n_pairs());
     let pack = Pack::new(sys, list);
-    // Bit `4 * ai + bj` of an entry's mask: the scalar walk gets to the
-    // cutoff test of pair (ai, bj).
-    let masks = list.interaction_masks(sys);
-    let n_types = sys.topology.n_types();
     let (pbc, force) = (&sys.pbc, &mut sys.force);
-    let mut en = NbEnergies::default();
-    // Per cluster pair of a batch, its interacting lanes (bit `4 * ai +
-    // bj`) and, per lane, the force components, `e_lj`, `e_coul` and
-    // the virial term.
-    let mut actives = [0u32; BATCH];
-    let mut outs = [[[0.0f32; 2 * LANES]; 6]; BATCH];
+    let stage = Stage {
+        pack,
+        n_types: sys.topology.n_types(),
+        list,
+        masks,
+        pbc,
+        params,
+    };
+    // Chunk `k` is the outer clusters `bounds[k]..bounds[k + 1]`.
+    let mut bounds = vec![0];
     for ci in 0..list.n_clusters() {
-        let mi: &[u32; CLUSTER_SIZE] = list.clustering.members(ci).try_into().expect("4 slots");
+        let from = list.offsets[bounds[bounds.len() - 1]];
+        if (list.offsets[ci + 1] - from) as usize >= CHUNK || ci + 1 == list.n_clusters() {
+            bounds.push(ci + 1);
+        }
+    }
+    let n_chunks = bounds.len() - 1;
+    let mut en = NbEnergies::default();
+    let threads = host.threads_for(n_chunks, WALK_GRAIN);
+    let chunk = |k: usize, out: &mut ChunkLanes| lanes(&stage, bounds[k]..bounds[k + 1], out);
+    host::ahead(threads, n_chunks, chunk, |k, out: &ChunkLanes| {
+        let first = list.offsets[bounds[k]] as usize;
+        let mut values = out.values.as_slice();
+        for ci in bounds[k]..bounds[k + 1] {
+            let mi = list.clustering.members(ci).try_into().expect("4 slots");
+            let entries = list.offsets[ci] as usize..list.offsets[ci + 1] as usize;
+            let active = &out.active[entries.start - first..entries.end - first];
+            let pairs = list.neighbors[entries].iter().zip(active);
+            accumulate(
+                force,
+                &mut en,
+                mi,
+                pairs.map(|(&cj, &active)| {
+                    let mj = list.clustering.members(cj as usize);
+                    let rows = (active & 0xff != 0) as usize + (active >> LANES != 0) as usize;
+                    let these;
+                    (these, values) = values.split_at(rows);
+                    (mj.try_into().expect("4 slots"), active, these)
+                }),
+            );
+        }
+    });
+    en
+}
+
+/// The lane stage of outer clusters `clusters` on the lane
+/// implementation `L`, into `out`; every implementation writes the same
+/// bits.
+#[inline(always)]
+fn stage_lanes<L: Lanes8>(
+    isa: L::Isa,
+    stage: &Stage,
+    clusters: Range<usize>,
+    out: &mut ChunkLanes,
+) {
+    let Stage {
+        pack,
+        n_types,
+        list,
+        masks,
+        pbc,
+        params,
+    } = stage;
+    out.active.clear();
+    out.values.clear();
+    for ci in clusters {
         let (mrow, ti) = (&pack.rows[ci], &pack.types[ci]);
         // Outer members (0, 1) and (2, 3), each broadcast over four lanes.
         let outer = [
@@ -349,77 +453,63 @@ fn half_lanes<L: Lanes8>(
                 pair8::<L>(isa, &mrow[3], 2),
             ],
         ];
-        // The lane stage runs a batch of cluster pairs ahead of the
-        // accumulation, so its work does not wait on the accumulation's
-        // branches.
-        let entries = list.offsets[ci] as usize..list.offsets[ci + 1] as usize;
-        let (neighbors, masks) = (&list.neighbors[entries.clone()], &masks[entries]);
-        for (batch, masks) in neighbors.chunks(BATCH).zip(masks.chunks(BATCH)) {
-            let lanes = outs.iter_mut().zip(&mut actives);
-            for ((&cj, &mask), (out, active)) in batch.iter().zip(masks).zip(lanes) {
-                let cj = cj as usize;
-                let nrow = &pack.rows[cj];
-                let inner = [
-                    L::from_halves(isa, &nrow[0], &nrow[0]),
-                    L::from_halves(isa, &nrow[1], &nrow[1]),
-                    L::from_halves(isa, &nrow[2], &nrow[2]),
-                    L::from_halves(isa, &nrow[3], &nrow[3]),
-                ];
-                *active = 0;
-                for (row, o) in outer.iter().enumerate() {
-                    let pairs = (mask >> (LANES * row)) as u32 & 0xff;
-                    if pairs != 0 {
-                        let lj = [
-                            &pack.lj[cj * n_types + ti[2 * row]],
-                            &pack.lj[cj * n_types + ti[2 * row + 1]],
-                        ];
-                        let c6 = L::from_halves(isa, &lj[0][0], &lj[1][0]);
-                        let c12 = L::from_halves(isa, &lj[0][1], &lj[1][1]);
-                        let lanes =
-                            row_lanes::<L>(isa, pbc, params, o, &inner, [c6, c12], row, pairs, out);
-                        *active |= lanes << (LANES * row);
-                    }
+        for e in list.offsets[ci] as usize..list.offsets[ci + 1] as usize {
+            let (cj, mask) = (list.neighbors[e] as usize, masks[e]);
+            let nrow = &pack.rows[cj];
+            let inner = [
+                L::from_halves(isa, &nrow[0], &nrow[0]),
+                L::from_halves(isa, &nrow[1], &nrow[1]),
+                L::from_halves(isa, &nrow[2], &nrow[2]),
+                L::from_halves(isa, &nrow[3], &nrow[3]),
+            ];
+            let mut active = 0;
+            for (row, o) in outer.iter().enumerate() {
+                let pairs = (mask >> (LANES * row)) as u32 & 0xff;
+                if pairs != 0 {
+                    let lj = [
+                        &pack.lj[cj * n_types + ti[2 * row]],
+                        &pack.lj[cj * n_types + ti[2 * row + 1]],
+                    ];
+                    let c6 = L::from_halves(isa, &lj[0][0], &lj[1][0]);
+                    let c12 = L::from_halves(isa, &lj[0][1], &lj[1][1]);
+                    let values = &mut out.values;
+                    let lanes =
+                        row_lanes::<L>(isa, pbc, params, o, &inner, [c6, c12], pairs, values);
+                    active |= lanes << (LANES * row);
                 }
             }
-            let pairs = batch.iter().zip(outs.iter().zip(&actives));
-            accumulate(
-                force,
-                &mut en,
-                mi,
-                pairs.map(|(&cj, (out, &active))| {
-                    let mj = list.clustering.members(cj as usize);
-                    (mj.try_into().expect("4 slots"), out, active)
-                }),
-            );
+            out.active.push(active);
         }
     }
-    en
 }
 
-/// Accumulate a batch of cluster pairs of outer members `mi` — each its
-/// inner members, lane outputs and interacting lanes — in the scalar
-/// walk's order. Its `force[a] += fa` after each outer member's pairs
+/// Accumulate the cluster pairs of outer members `mi` — each its inner
+/// members, interacting lanes and the values of its rows that have any
+/// — in the scalar walk's order. Its `force[a] += fa` after each outer member's pairs
 /// waits for the cluster pair's last: no later pair of it touches
 /// `force[a]`.
 fn accumulate<'a>(
     force: &mut [Vec3],
     en: &mut NbEnergies,
     mi: &[u32; CLUSTER_SIZE],
-    pairs: impl Iterator<Item = (&'a [u32; CLUSTER_SIZE], &'a [[f32; 2 * LANES]; 6], u32)>,
+    pairs: impl Iterator<Item = (&'a [u32; CLUSTER_SIZE], u32, &'a [[[f32; LANES]; 6]])>,
 ) {
     let (mut lj, mut coulomb, mut virial) = (en.lj, en.coulomb, en.virial);
-    for (mj, out, active) in pairs {
+    for (mj, active, rows) in pairs {
         let mut fa = [Vec3::ZERO; CLUSTER_SIZE];
+        // Row 1's values follow row 0's when row 0 has any.
+        let second = (active & 0xff != 0) as usize;
         let mut lanes = active;
         while lanes != 0 {
             let k = lanes.trailing_zeros() as usize;
             lanes &= lanes - 1;
-            let f = vec3(out[0][k], out[1][k], out[2][k]);
+            let (v, l) = (&rows[k / LANES * second], k % LANES);
+            let f = vec3(v[0][l], v[1][l], v[2][l]);
             fa[k / CLUSTER_SIZE] += f;
             force[mj[k % CLUSTER_SIZE] as usize] -= f;
-            lj += out[3][k] as f64;
-            coulomb += out[4][k] as f64;
-            virial += out[5][k] as f64;
+            lj += v[3][l] as f64;
+            coulomb += v[4][l] as f64;
+            virial += v[5][l] as f64;
         }
         en.pairs_within_cutoff += active.count_ones() as u64;
         for (&a, fa) in mi.iter().zip(fa) {
@@ -433,9 +523,9 @@ fn accumulate<'a>(
 
 /// One row of a cluster pair: outer members `2 * row` and `2 * row + 1`
 /// (`outer`) against the four inner ones (`inner`), over the lanes
-/// `pairs` admits. Returns the lanes that interact, and writes their
+/// `pairs` admits. Returns the lanes that interact, and appends their
 /// force components, `e_lj`, `e_coul` and virial term — the values of
-/// the scalar walk's expressions — to `out`'s lanes of the row.
+/// the scalar walk's expressions — to `values`, in lane order.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 fn row_lanes<L: Lanes8>(
@@ -445,9 +535,8 @@ fn row_lanes<L: Lanes8>(
     outer: &[L; 4],
     inner: &[L; 4],
     [c6, c12]: [L; 2],
-    row: usize,
     pairs: u32,
-    out: &mut [[f32; 2 * LANES]; 6],
+    values: &mut Vec<[[f32; LANES]; 6]>,
 ) -> u32 {
     let zero = L::splat(isa, 0.0);
     let d = [
@@ -466,27 +555,44 @@ fn row_lanes<L: Lanes8>(
     let qq = outer[3] * inner[3];
     let ewald = EwaldForm::Exact { active };
     let (f_over_r, e_lj, e_coul) = pair_interaction8(isa, r2, c6, c12, qq, params, ewald);
-    let at = LANES * row;
     let vals = [
-        d[0] * f_over_r,
-        d[1] * f_over_r,
-        d[2] * f_over_r,
-        e_lj,
-        e_coul,
-        f_over_r * r2,
+        (d[0] * f_over_r).to_array(),
+        (d[1] * f_over_r).to_array(),
+        (d[2] * f_over_r).to_array(),
+        e_lj.to_array(),
+        e_coul.to_array(),
+        (f_over_r * r2).to_array(),
     ];
-    for (out, v) in out.iter_mut().zip(vals) {
-        out[at..at + LANES].copy_from_slice(&v.to_array());
-    }
+    values.push(vals);
     active
 }
 
-/// [`half_lanes`] compiled with AVX2 enabled, so the whole
+/// [`stage_lanes`] compiled with AVX2 enabled, so the whole
 /// `#[inline(always)]` chain becomes `ymm` code.
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 #[target_feature(enable = "avx2")]
-fn half_avx2(isa: wide::Avx2, sys: &mut System, list: &PairList, params: &NbParams) -> NbEnergies {
-    half_lanes::<wide::f32x8_avx2>(isa, sys, list, params)
+fn stage_avx2(isa: wide::Avx2, stage: &Stage, clusters: Range<usize>, out: &mut ChunkLanes) {
+    stage_lanes::<wide::f32x8_avx2>(isa, stage, clusters, out)
+}
+
+/// [`compute_forces_half`] with its lane stage on the lane
+/// implementation `L`.
+#[cfg(test)]
+fn half_lanes<L: Lanes8>(
+    isa: L::Isa,
+    sys: &mut System,
+    list: &PairList,
+    params: &NbParams,
+) -> NbEnergies {
+    let masks = list.interaction_masks(sys);
+    walk(
+        Host::detect(),
+        sys,
+        list,
+        &masks,
+        params,
+        |stage, clusters, out| stage_lanes::<L>(isa, stage, clusters, out),
+    )
 }
 
 /// Brute-force O(N^2) reference over all particle pairs; ground truth for
@@ -655,6 +761,37 @@ mod tests {
     #[test]
     fn half_list_forces_and_energies_keep_their_bits_on_every_lane_implementation() {
         for_each_lanes8!(half_list_keeps_its_bits);
+    }
+
+    #[test]
+    fn the_walk_keeps_its_bits_at_every_thread_count() {
+        // `half_list_bits` recorded from the one-thread walk the threaded
+        // one replaced: the 1334-water box of the md benchmarks and the
+        // steepest descent's list (`rlist = 1.1 r_cut`, 270 chunks).
+        let pins = [
+            (
+                Coulomb::ReactionField { eps_rf: 78.0 },
+                [0x5a1e42b82f94a3da, 0x72863b62c21e701a],
+            ),
+            (
+                Coulomb::EwaldShort { beta: 3.12 },
+                [0xf462d90c3bb17aa4, 0xca063618a31633b6],
+            ),
+        ];
+        let sys = water_box(1334, 300.0, 1);
+        let list = PairList::build(&sys, 0.99, ListKind::Half);
+        for host in Host::every() {
+            let masks = list.interaction_masks(&sys);
+            for (coulomb, pin) in pins {
+                let params = NbParams {
+                    r_cut: 0.9,
+                    coulomb,
+                };
+                let mut walked = sys.clone();
+                let en = forces_half(host, &mut walked, &list, &masks, &params);
+                assert_eq!(half_list_bits(&walked, &en), pin, "{host:?} {coulomb:?}");
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!   compute but avoiding conflicts.
 
 use crate::cluster::{Clustering, CLUSTER_SIZE, FILLER};
-use crate::pairsearch::PairSearch;
+use crate::host::{self, Host, BLOCKS};
+use crate::pairsearch::{Candidate, PairSearch};
 use crate::pbc::PbcBox;
 use crate::system::System;
 use crate::vec3::Vec3;
@@ -47,17 +48,46 @@ pub struct PairList {
     pub kind: ListKind,
 }
 
+/// Outer clusters a search thread must have to pay for starting it.
+const SEARCH_GRAIN: usize = 128;
+
+/// One block's rows: each row's end within the block, the rows, and the
+/// search's scratch.
+type BlockRows = (Vec<u32>, Vec<u32>, Vec<Candidate>);
+
 impl PairList {
     /// Build a cluster pair list with radius `rlist` over `sys`.
     pub fn build(sys: &System, rlist: f32, kind: ListKind) -> Self {
+        Self::build_on(Host::detect(), sys, rlist, kind)
+    }
+
+    /// [`PairList::build`] on `host`'s lanes and threads.
+    pub(crate) fn build_on(host: Host, sys: &System, rlist: f32, kind: ListKind) -> Self {
         let clustering = Clustering::build(&sys.pbc, &sys.pos, rlist.max(0.3));
-        Self::build_with_clustering(&sys.pbc, &sys.pos, clustering, rlist, kind)
+        Self::search(host, &sys.pbc, &sys.pos, clustering, rlist, kind)
     }
 
     /// Build over an existing clustering (used when the caller controls
     /// particle ordering): the clusters [`PairSearch`] finds in range of
     /// each outer cluster, in ascending order.
+    ///
+    /// Contiguous blocks of outer clusters are scanned on every thread
+    /// the host has (one thread below two grains of clusters) and their
+    /// rows joined in cluster order: each row is the search's alone, so
+    /// the list is the same at every thread count.
     pub fn build_with_clustering(
+        pbc: &PbcBox,
+        pos: &[Vec3],
+        clustering: Clustering,
+        rlist: f32,
+        kind: ListKind,
+    ) -> Self {
+        Self::search(Host::detect(), pbc, pos, clustering, rlist, kind)
+    }
+
+    /// [`PairList::build_with_clustering`] on `host`'s lanes and threads.
+    fn search(
+        host: Host,
         pbc: &PbcBox,
         pos: &[Vec3],
         clustering: Clustering,
@@ -66,22 +96,28 @@ impl PairList {
     ) -> Self {
         let search = PairSearch::new(pbc, pos, &clustering, rlist, kind);
         let nc = clustering.n_clusters;
+        let per = nc.div_ceil(BLOCKS).max(1);
         let mut offsets = Vec::with_capacity(nc + 1);
         let mut neighbors = Vec::new();
         offsets.push(0u32);
-        let mut candidates = Vec::new();
-        for ci in 0..nc {
-            search.scan(ci, &mut candidates);
-            let row = neighbors.len();
-            neighbors.extend(
-                candidates
-                    .iter()
-                    .filter(|c| c.in_range())
-                    .map(|c| c.cluster() as u32),
-            );
-            neighbors[row..].sort_unstable();
-            offsets.push(neighbors.len() as u32);
-        }
+        let scan = |b: usize, (ends, rows, candidates): &mut BlockRows| {
+            ends.clear();
+            rows.clear();
+            for ci in b * per..(nc.min((b + 1) * per)) {
+                search.scan_with(host.lanes, ci, candidates);
+                let row = rows.len();
+                let found = candidates.iter().filter(|c| c.in_range());
+                rows.extend(found.map(|c| c.cluster() as u32));
+                rows[row..].sort_unstable();
+                ends.push(rows.len() as u32);
+            }
+        };
+        let threads = host.threads_for(nc, SEARCH_GRAIN);
+        host::ahead(threads, nc.div_ceil(per), scan, |_, (ends, rows, _)| {
+            let base = neighbors.len() as u32;
+            offsets.extend(ends.iter().map(|&end| base + end));
+            neighbors.extend_from_slice(rows);
+        });
         Self {
             clustering,
             offsets,
@@ -262,7 +298,33 @@ pub const _ASSERT_CLUSTER4: () = assert!(CLUSTER_SIZE == 4);
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::math::{fnv1a, FNV1A_OFFSET};
     use crate::water::water_box;
+
+    /// FNV-1a over the row offsets, then the neighbors.
+    fn list_bits(list: &PairList) -> u64 {
+        let words = list.offsets.iter().chain(&list.neighbors);
+        words.fold(FNV1A_OFFSET, |h, w| fnv1a(h, &w.to_le_bytes()))
+    }
+
+    #[test]
+    fn the_host_search_keeps_its_lists_at_every_thread_count() {
+        // Recorded from the one-thread builder the threaded one replaced,
+        // on the 1334-water box of the md benchmarks (1300 clusters).
+        let pins = [
+            (0.99, ListKind::Half, 0x8666b8b54cb4d8f7),
+            (0.99, ListKind::Full, 0xa43a1e10640ce830),
+            (1.0, ListKind::Half, 0x777ab01ca158c938),
+            (1.0, ListKind::Full, 0x7846148ec33a1cda),
+        ];
+        let sys = water_box(1334, 300.0, 1);
+        for host in Host::every() {
+            for (rlist, kind, pin) in pins {
+                let list = PairList::build_on(host, &sys, rlist, kind);
+                assert_eq!(list_bits(&list), pin, "{host:?} {rlist} {kind:?}");
+            }
+        }
+    }
 
     #[test]
     fn half_list_covers_all_pairs_within_cutoff() {

@@ -137,7 +137,12 @@ impl PairSearch {
     /// [`CellGrid::for_range`] order (a half list skips clusters below
     /// `ci`), on the lanes [`LaneImpl::detect`] picks.
     pub fn scan(&self, ci: usize, out: &mut Vec<Candidate>) {
-        wide::on_lanes!(LaneImpl::detect(), scan_lanes, scan_avx2, self, ci, out)
+        self.scan_with(LaneImpl::detect(), ci, out)
+    }
+
+    /// [`PairSearch::scan`] on `lanes`.
+    pub(crate) fn scan_with(&self, lanes: LaneImpl, ci: usize, out: &mut Vec<Candidate>) {
+        wide::on_lanes!(lanes, scan_lanes, scan_avx2, self, ci, out)
     }
 
     /// [`PairSearch::scan`] on the lane implementation `L`; every

@@ -19,10 +19,11 @@
 //! SWC010 keeps state owned (a session guard, reached through
 //! `swprof::scope`), so two runs in one process cannot see each other;
 //! `thread_local!` statics are per-thread and exempt. SWC011 keeps the
-//! places that start threads at the two excused ones (`LanePool`'s
-//! workers, the `swstore` barrier): a thread started anywhere else runs
-//! without the lane prologue, so no session, fault plan or capture
-//! reaches it.
+//! places that start threads at the three excused ones (`LanePool`'s
+//! workers, the `swstore` barrier, the helpers of `mdsim`'s reference
+//! search, walk and SHAKE, which record nothing): a thread started anywhere
+//! else runs without the lane prologue, so no session, fault plan or
+//! capture reaches it.
 //!
 //! Intentional uses are suppressed in place with a justification:
 //! `// swrace: allow(SWC006) <reason>` on the flagged line or within
