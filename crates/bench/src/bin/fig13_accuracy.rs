@@ -11,7 +11,7 @@
 use bench::{header, BenchJson};
 use mdsim::constraints::ConstraintSet;
 use mdsim::integrate::{berendsen_scale, leapfrog_step_constrained};
-use mdsim::nonbonded::compute_forces_half;
+use mdsim::nonbonded::compute_forces_half_masked;
 use mdsim::pairlist::{ListKind, PairList};
 use mdsim::water::{theta_hoh, D_OH};
 use swgmx::engine::{Engine, EngineConfig, Version};
@@ -72,13 +72,17 @@ fn main() -> std::io::Result<()> {
         energy: vec![],
         temperature: vec![],
     };
-    let mut list = PairList::build(&sys, cfg.rlist, ListKind::Half);
+    // The masks follow the list, so they are computed once per list.
+    let mut list = None;
     for step in 0..n_steps {
         if step % cfg.nstlist == 0 {
-            list = PairList::build(&sys, cfg.rlist, ListKind::Half);
+            let built = PairList::build(&sys, cfg.rlist, ListKind::Half);
+            let masks = built.interaction_masks(&sys);
+            list = Some((built, masks));
         }
+        let (list, masks) = list.as_ref().expect("built on step 0");
         sys.clear_forces();
-        let en = compute_forces_half(&mut sys, &list, &cfg.params);
+        let en = compute_forces_half_masked(&mut sys, list, masks, &cfg.params);
         if step % sample == 0 {
             ref_trace.steps.push(step);
             ref_trace.energy.push(en.total() + sys.kinetic_energy());

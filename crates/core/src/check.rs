@@ -31,12 +31,6 @@ pub const REGION_FORCES: RegionId = 3;
 pub const REGION_SYS_POS: RegionId = 4;
 /// Region: the system's velocities, laid out like [`REGION_SYS_POS`].
 pub const REGION_SYS_VEL: RegionId = 5;
-/// Region: the cluster centers a shift refresh reads, one column of
-/// `n_clusters` words per axis.
-pub const REGION_CENTERS: RegionId = 6;
-/// Region: the list's shifts (`CpePairList::shifts`), three words an
-/// entry.
-pub const REGION_SHIFTS: RegionId = 7;
 
 /// What a kernel variant is allowed to do, consumed by the `swcheck`
 /// lint pass. Everything not explicitly allowed is a violation.
@@ -224,14 +218,14 @@ pub fn run_traced_with(
 }
 
 /// Smallest box [`run_traced_step`] is worth capturing on: the update
-/// and the shift refresh both split into lane blocks from here up.
+/// splits into lane blocks from here up.
 pub const STEP_MIN_MOL: usize = 400;
 
 /// Two steps of a native [`Engine`](crate::engine::Engine) over a seeded
 /// water box under a capture session: one that builds the list and one
 /// that keeps it, so the stream holds the force kernel's regions and —
-/// from [`STEP_MIN_MOL`] molecules up — the engine's own two,
-/// `update.lanes` and `cpelist.shifts`.
+/// from [`STEP_MIN_MOL`] molecules up — the engine's own,
+/// `update.lanes`.
 pub fn run_traced_step(n_mol: usize, seed: u64) -> TracedRun {
     use crate::engine::{Engine, EngineConfig, Version};
     let config = EngineConfig {

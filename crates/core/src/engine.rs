@@ -96,8 +96,8 @@ pub struct EngineConfig {
     /// the arithmetic and the modelled costs are backend-independent —
     /// update and constraints are charged as the MPE's rows in every
     /// version — but a native engine also deals its update + SHAKE pass
-    /// and its shift refresh to the pool's lanes once they split into
-    /// blocks worth a region (`lane_blocks`), to the same bits.
+    /// to the pool's lanes once it splits into blocks worth a region
+    /// (`lane_blocks`), to the same bits.
     pub backend: BackendSel,
 }
 
@@ -148,13 +148,9 @@ const MPE_SETTLE_CYCLES_PER_MOL: u64 = 220;
 /// each, against the ≈12 µs of an empty region.
 const UPDATE_GRAIN_MOLS: usize = 128;
 
-/// List entries per lane block of the shift refresh: eight of them are
-/// ≈35 ns of gather and scatter.
-const SHIFT_GRAIN_ENTRIES: usize = 4096;
-
-/// How many lane blocks `n_items` of the engine's own work — the update,
-/// the shift refresh — go to the pool as: one per `grain` items, at most
-/// one a lane. Under two, no region is opened (`LanePool::run_blocks`):
+/// How many lane blocks `n_items` of the engine's own work — the
+/// update — go to the pool as: one per `grain` items, at most one a
+/// lane. Under two, no region is opened (`LanePool::run_blocks`):
 /// an empty one costs ≈12 µs, so a box under two grains (every swserve
 /// job) is done where it stands. So is every metered run, whose model
 /// has both on the MPE and whose traces and fault draws stay the serial
@@ -196,11 +192,12 @@ fn update_constrained(
 }
 
 /// What the engine derives from one pair list and keeps for as long as
-/// the list holds: the lowered list (CSR + masks) and the packed system
-/// (slot order, types, charges, LJ tables). Their position-dependent
-/// parts (shifts, packed coordinates) are brought up to date in place
-/// every step. [`Engine::rebuild_list`] creates it;
-/// [`Engine::resume_at`] drops it with the list.
+/// the list holds: the lowered list (CSR + masks, topology only) and
+/// the packed system (slot order, types, charges, LJ tables, and the
+/// geometry: packed coordinates, box and cluster centers, which
+/// `PackedSystem::repack` brings up to date in place every step).
+/// [`Engine::rebuild_list`] creates it; [`Engine::resume_at`] drops it
+/// with the list.
 struct ListState {
     cpelist: CpePairList,
     psys: PackedSystem,
@@ -215,16 +212,6 @@ impl ListState {
             cpelist: CpePairList::build(sys, &list),
             psys: PackedSystem::build(sys, list.clustering, layout),
         }
-    }
-
-    /// Follow `sys`'s positions on a step that keeps the list, the
-    /// shifts on `backend`'s lanes where it and their number say so.
-    fn refresh(&mut self, sys: &System, backend: &AnyBackend) {
-        self.psys.repack(sys);
-        let n_blocks = lane_blocks(backend.sel(), self.cpelist.n_entries(), SHIFT_GRAIN_ENTRIES);
-        let pool = backend.core_group().pool();
-        self.cpelist
-            .update_shifts(sys, &self.psys.clustering, pool, n_blocks);
     }
 }
 
@@ -389,7 +376,7 @@ impl Engine {
         // positions; any other step only follows the positions.
         match &mut self.lists {
             Some(lists) if !self.step_idx.is_multiple_of(self.config.nstlist) => {
-                lists.refresh(&self.sys, &self.backend)
+                lists.psys.repack(&self.sys)
             }
             _ => self.rebuild_list(),
         }
@@ -820,7 +807,8 @@ mod tests {
         for backend in [BackendSel::Metered, BackendSel::Native] {
             let mut e = Engine::new(straddling_box(), short_list_config(backend));
             if backend == BackendSel::Native {
-                // More threads than the refresh has row blocks to give.
+                // More threads than the box has, so each kernel lane
+                // derives its rows' shifts beside the others.
                 e.backend = AnyBackend::Native(NativeBackend::with_threads(4));
             }
             let (nstlist, rlist) = (e.config().nstlist, e.config().rlist);
@@ -847,17 +835,16 @@ mod tests {
                 assert_eq!(held.cpelist.offsets, cpelist.offsets, "{at}");
                 assert_eq!(held.cpelist.neighbors, cpelist.neighbors, "{at}");
                 assert_eq!(held.cpelist.masks, cpelist.masks, "{at}");
-                assert_eq!(
-                    f32_bits(held.cpelist.shifts.as_flattened()),
-                    f32_bits(cpelist.shifts.as_flattened()),
-                    "{at}"
-                );
                 assert_eq!(held.psys.clustering, psys.clustering, "{at}");
                 assert_eq!(f32_bits(&held.psys.pos), f32_bits(&psys.pos), "{at}");
+                assert_eq!(held.psys.pbc, psys.pbc, "{at}");
+                assert_eq!(
+                    f32_bits(held.psys.centers.as_flattened()),
+                    f32_bits(psys.centers.as_flattened()),
+                    "{at}"
+                );
 
                 if step == 0 {
-                    // Long enough for the refresh to go to lanes.
-                    assert!(held.cpelist.n_entries() >= 2 * SHIFT_GRAIN_ENTRIES, "{at}");
                     let edge = before.pbc.lengths().x;
                     let straddling = (0..psys.n_packages()).any(|c| {
                         let members = psys.clustering.members(c).iter();

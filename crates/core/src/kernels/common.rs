@@ -16,6 +16,7 @@ use sw26010::perf::{Breakdown, PerfCounters};
 use sw26010::simd::{meter, FloatV4, TRANSPOSE3_SHUFFLES};
 
 use crate::cpelist::CpePairList;
+use crate::kernels::native_simd::{on_lanes, LaneImpl, Lanes8};
 use crate::package::{read_transposed, PackedSystem, FORCE_WORDS};
 
 /// Result of one force-kernel invocation.
@@ -64,15 +65,96 @@ pub struct EntryJ<'a> {
 }
 
 impl<'a> EntryJ<'a> {
-    /// List entry `e` against the inner package `pkg`.
+    /// List entry `e` of the row `shifts` holds, against the inner
+    /// package `pkg`.
     #[inline(always)]
-    pub fn of(list: &CpePairList, e: usize, pkg: &'a [f32]) -> Self {
+    pub fn of(list: &CpePairList, shifts: &RowShifts, e: usize, pkg: &'a [f32]) -> Self {
         Self {
             pkg,
-            shift: list.shifts[e],
+            shift: shifts.of(e),
             mask: list.masks[e],
         }
     }
+}
+
+/// The periodic shifts of one outer cluster's list row, derived from
+/// the packed cluster centers when a kernel starts the row
+/// ([`PackedSystem::row_shifts`]), one column per axis. Each lane keeps
+/// one and refills it per outer cluster, so the host holds one row of
+/// shifts a lane, not one per list entry.
+#[derive(Debug, Clone, Default)]
+pub struct RowShifts {
+    /// List index of the row's first entry.
+    first: usize,
+    columns: [Vec<f32>; 3],
+}
+
+impl RowShifts {
+    /// Derive the shifts of `list`'s row `ci` on lanes `L`.
+    #[inline(always)]
+    pub fn derive<L: Lanes8>(
+        &mut self,
+        isa: L::Isa,
+        psys: &PackedSystem,
+        list: &CpePairList,
+        ci: usize,
+    ) {
+        let row = list.entries_of(ci);
+        self.first = row.start;
+        // Whole lane groups: `row_shifts` stores eight words at a time.
+        // The columns only grow, to the longest row seen: filling them
+        // again for every row would be a memset as long as the list.
+        let words = row.len().next_multiple_of(8);
+        if self.columns[0].len() < words {
+            for column in &mut self.columns {
+                column.resize(words, 0.0);
+            }
+        }
+        let [x, y, z] = self.columns.each_mut().map(|column| &mut column[..words]);
+        psys.row_shifts::<L>(isa, ci, &list.neighbors[row], [x, y, z]);
+    }
+
+    /// [`RowShifts::derive`] on the lane implementation `lanes`.
+    pub fn derive_on(
+        &mut self,
+        lanes: LaneImpl,
+        psys: &PackedSystem,
+        list: &CpePairList,
+        ci: usize,
+    ) {
+        on_lanes!(lanes, derive_row, derive_row_avx2, self, psys, list, ci)
+    }
+
+    /// The shift of list entry `e`, which must lie in the derived row.
+    #[inline(always)]
+    pub fn of(&self, e: usize) -> [f32; 3] {
+        let k = e - self.first;
+        self.columns.each_ref().map(|column| column[k])
+    }
+}
+
+#[inline(always)]
+fn derive_row<L: Lanes8>(
+    isa: L::Isa,
+    row: &mut RowShifts,
+    psys: &PackedSystem,
+    list: &CpePairList,
+    ci: usize,
+) {
+    row.derive::<L>(isa, psys, list, ci)
+}
+
+/// [`derive_row`] compiled with AVX2 enabled.
+#[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
+#[target_feature(enable = "avx2")]
+fn derive_row_avx2(
+    isa: crate::kernels::native_simd::Avx2,
+    row: &mut RowShifts,
+    psys: &PackedSystem,
+    list: &CpePairList,
+    ci: usize,
+) {
+    derive_row::<crate::kernels::native_simd::f32x8_avx2>(isa, row, psys, list, ci)
 }
 
 /// Compute all interactions of one cluster pair, one particle pair at a
@@ -290,9 +372,11 @@ mod tests {
         let mut perf_s = PerfCounters::new();
         let mut perf_v = PerfCounters::new();
         let mut checked = 0;
+        let mut shifts = RowShifts::default();
         for ci in 0..cpe.n_clusters() {
+            shifts.derive_on(LaneImpl::detect(), &psys, &cpe, ci);
             for e in cpe.entries_of(ci) {
-                let entry = EntryJ::of(&cpe, e, psys.package(cpe.neighbors[e] as usize));
+                let entry = EntryJ::of(&cpe, &shifts, e, psys.package(cpe.neighbors[e] as usize));
                 let mut fi_s = [0.0f32; FORCE_WORDS];
                 let mut fj_s = [0.0f32; FORCE_WORDS];
                 let mut fi_v = [0.0f32; FORCE_WORDS];
@@ -344,11 +428,13 @@ mod tests {
         let psys = PackedSystem::build(&sys, list.clustering.clone(), PackageLayout::Transposed);
         let params = NbParams::paper_default();
         let e = cpe.entries_of(0).start;
+        let mut shifts = RowShifts::default();
+        shifts.derive_on(LaneImpl::detect(), &psys, &cpe, 0);
         // Rows 0 and 2 against columns 0 and 3: four tested pairs in two
         // non-empty columns.
         let entry = EntryJ {
             mask: 0b0000_1001_0000_1001,
-            ..EntryJ::of(&cpe, e, psys.package(cpe.neighbors[e] as usize))
+            ..EntryJ::of(&cpe, &shifts, e, psys.package(cpe.neighbors[e] as usize))
         };
         let charge = |arith| {
             let mut perf = PerfCounters::new();

@@ -17,7 +17,10 @@ use sw26010::perf::{Breakdown, PerfCounters};
 use sw26010::pool::block_range;
 
 use crate::cpelist::CpePairList;
-use crate::kernels::common::{add_package, cluster_pair_metered, Arith, EntryJ, KernelResult};
+use crate::kernels::common::{
+    add_package, cluster_pair_metered, Arith, EntryJ, KernelResult, RowShifts,
+};
+use crate::kernels::native_simd::LaneImpl;
 use crate::package::{PackedSystem, FORCE_WORDS, PKG_WORDS};
 
 /// Run Algorithm 1 on all CPEs with per-element gld/gst accesses.
@@ -34,16 +37,19 @@ pub fn run_gld_naive(
 ) -> KernelResult {
     assert_eq!(list.kind, ListKind::Half);
     let n_pkg = psys.n_packages();
+    let lanes = LaneImpl::detect();
 
     let calc = cg.spawn("gldnaive.calc", |ctx| {
         let mut updates: Vec<(u32, [f32; FORCE_WORDS])> = Vec::new();
         let mut e_lj = 0.0f64;
         let mut e_coul = 0.0f64;
         let mut n_pairs = 0u64;
+        let mut shifts = RowShifts::default();
         for ci in block_range(n_pkg, cg.n_cpes, ctx.id) {
             // Own package: 20 words, pipelined gld (independent loads).
             gld::gld_pipelined(&mut ctx.perf, PKG_WORDS as u64);
             let pkg_i = psys.package(ci);
+            shifts.derive_on(lanes, psys, list, ci);
             // Neighbor-list entries arrive by gld too (index + mask).
             gld::gld_dependent(&mut ctx.perf, list.entries_of(ci).len() as u64);
             let mut fi = [0.0f32; FORCE_WORDS];
@@ -56,7 +62,7 @@ pub fn run_gld_naive(
                     Arith::Scalar,
                     psys,
                     pkg_i,
-                    EntryJ::of(list, e, pkg_j),
+                    EntryJ::of(list, &shifts, e, pkg_j),
                     params,
                     &mut fi,
                     &mut fj,

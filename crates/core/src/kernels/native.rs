@@ -31,11 +31,14 @@
 //! **Write strategies (§3.8).** The contract above is a property of how
 //! the RMA lanes' conflicting writes are resolved, and that is a
 //! parameter: [`WriteStrategy`] picks the `ReactionSink` the one RMA
-//! lane body writes through. `CopiesWithMarks` is the backend's path;
-//! `Copies` is the same copies with every Bit-Map line pre-set and
-//! zero-filled (bit-identical results, the init and full reduce paid);
-//! `Atomics` CAS-adds into one shared array and is the one strategy
-//! outside the contract. `examples/portability.rs` times the three.
+//! lane body writes through. `CopiesWithMarks` is the backend's path: a
+//! lane's copy holds only the lines its Bit-Map marks, in first-touch
+//! order, so the lines §3.3 spares are neither zeroed, reduced nor
+//! allocated; `Copies` is the same copies with every Bit-Map line
+//! pre-set and zero-filled (bit-identical results, the init and full
+//! reduce paid); `Atomics` CAS-adds into one shared array and is the one
+//! strategy outside the contract. `examples/portability.rs` times the
+//! three.
 //!
 //! **Trace shape.** When a capture session is active each runner emits
 //! the same region/annotation vocabulary as its metered twin: a spawn
@@ -58,7 +61,9 @@ use sw26010::{trace, BitMap};
 
 use crate::check::{REGION_COPIES, REGION_FORCES, REGION_POS};
 use crate::cpelist::CpePairList;
-use crate::kernels::common::{add_energy, add_package, cluster_pair_simd, EntryJ, KernelResult};
+use crate::kernels::common::{
+    add_energy, add_package, cluster_pair_simd, EntryJ, KernelResult, RowShifts,
+};
 use crate::kernels::native_simd::{cluster_pair_wide8, on_lanes, LaneImpl, Lanes8, WideFi};
 use crate::package::{PackageLayout, PackedSystem, FORCE_WORDS};
 
@@ -78,11 +83,20 @@ trait ReactionSink {
     ) -> (&mut [f32; FORCE_WORDS], &mut [f32; FORCE_WORDS]);
 }
 
+/// What a lane reuses from one outer cluster to the next: the row's
+/// shifts and the entries it walks two at a time.
+#[derive(Default)]
+struct RowScratch {
+    shifts: RowShifts,
+    entries: Vec<usize>,
+}
+
 /// Walk every list entry of outer cluster `ci` with the wide inner
-/// loop: entries two at a time through the 8-lane kernel, an odd tail
-/// through the FloatV4 path. `fi` accumulates the outer forces; the
-/// `sink` provides each inner cluster's reaction accumulation slot (in
-/// a fixed order — pairs first, tail last). With `fold_self`, self
+/// loop: the row's shifts derived first, then entries two at a time
+/// through the 8-lane kernel, an odd tail through the FloatV4 path.
+/// `fi` accumulates the outer forces; the `sink` provides each inner
+/// cluster's reaction accumulation slot (in a fixed order — pairs
+/// first, tail last). With `fold_self`, self
 /// entries (`cj == ci`) are processed first and their reaction folded
 /// into `fi`, mirroring the metered half-list kernels; without it they
 /// flow through `sink` like any other entry (the RCA convention).
@@ -95,19 +109,22 @@ fn process_cluster<L: Lanes8>(
     fold_self: bool,
     fi: &mut [f32; FORCE_WORDS],
     sink: &mut impl ReactionSink,
-    scratch: &mut Vec<usize>,
+    scratch: &mut RowScratch,
 ) -> (f64, f64, u64) {
     let LaneInput {
         psys, list, params, ..
     } = input;
+    scratch.shifts.derive::<L>(isa, psys, list, ci);
+    let RowScratch { shifts, entries } = scratch;
+    let shifts = &*shifts;
     let lj = |ta: usize, tb: usize| psys.lj(ta, tb);
-    let entry_of = |e: usize| EntryJ::of(list, e, psys.package(list.neighbors[e] as usize));
+    let entry_of = |e: usize| EntryJ::of(list, shifts, e, psys.package(list.neighbors[e] as usize));
     let pkg_i = psys.package(ci);
     let mut e_lj = 0.0f64;
     let mut e_coul = 0.0f64;
     let mut n = 0u64;
 
-    scratch.clear();
+    entries.clear();
     for e in list.entries_of(ci) {
         if fold_self && list.neighbors[e] as usize == ci {
             let mut fj = [0.0f32; FORCE_WORDS];
@@ -119,13 +136,13 @@ fn process_cluster<L: Lanes8>(
                 fi[k] += fj[k];
             }
         } else {
-            scratch.push(e);
+            entries.push(e);
         }
     }
     let mut wfi = WideFi::<L>::zero(isa);
-    let n_wide = scratch.len() / 2;
+    let n_wide = entries.len() / 2;
     for i in 0..n_wide {
-        let pair = [scratch[2 * i], scratch[2 * i + 1]];
+        let pair = [entries[2 * i], entries[2 * i + 1]];
         let cj0 = list.neighbors[pair[0]] as usize;
         let cj1 = list.neighbors[pair[1]] as usize;
         if cj0 != cj1 {
@@ -160,7 +177,7 @@ fn process_cluster<L: Lanes8>(
     // One horizontal reduction for the whole pairs walk (the lane-slot
     // accumulation order is fixed, so this stays deterministic).
     wfi.fold_into(fi);
-    for &e in &scratch[2 * n_wide..] {
+    for &e in &entries[2 * n_wide..] {
         let cj = list.neighbors[e] as usize;
         let (el, ec, m) = cluster_pair_simd(pkg_i, entry_of(e), params, &lj, fi, sink.slot(cj));
         e_lj += el;
@@ -184,36 +201,41 @@ fn native_result(psys: &PackedSystem, slot_forces: &[f32], energies: NbEnergies)
     }
 }
 
-/// RMA sink: slots point into the lane's redundant force copy. First
-/// touch of a cache line marks it in the Bit-Map and zeroes its words
-/// (the copy buffer is recycled and holds stale data, see
-/// [`LanePool::take_buffer`]; the reduce phase consults the same Bit-Map,
-/// so an unmarked line is never read).
+/// RMA sink: slots point into the lane's redundant force copy, which
+/// holds only the lines the lane marked, in first-touch order. First
+/// touch of a cache line marks it in the Bit-Map, appends it zeroed to
+/// the copy and records where in `slots` (line → slot); the reduce
+/// phase consults the same Bit-Map and table, so a line no lane marked
+/// is never allocated, zeroed or read.
 struct CopySink<'a> {
-    copy: &'a mut [f32],
+    copy: &'a mut Vec<f32>,
     marks: &'a mut BitMap,
-    line_elems: usize,
+    slots: &'a mut [u32],
+    /// log2 of the packages per line.
+    line_shift: u32,
     line_words: usize,
 }
 
 impl CopySink<'_> {
+    /// The word in the copy where cluster `cj`'s force package starts,
+    /// its line appended first if this is the line's first touch.
     #[inline]
-    fn touch(&mut self, cj: usize) {
-        let line = cj / self.line_elems;
+    fn touch(&mut self, cj: usize) -> usize {
+        let line = cj >> self.line_shift;
         if !self.marks.get(line) {
             self.marks.set(line);
-            let lo = line * self.line_words;
-            let hi = (lo + self.line_words).min(self.copy.len());
-            self.copy[lo..hi].fill(0.0);
+            self.slots[line] = (self.copy.len() / self.line_words) as u32;
+            self.copy.resize(self.copy.len() + self.line_words, 0.0);
         }
+        let within = cj & ((1 << self.line_shift) - 1);
+        self.slots[line] as usize * self.line_words + within * FORCE_WORDS
     }
 }
 
 impl ReactionSink for CopySink<'_> {
     #[inline]
     fn slot(&mut self, cj: usize) -> &mut [f32; FORCE_WORDS] {
-        self.touch(cj);
-        let base = cj * FORCE_WORDS;
+        let base = self.touch(cj);
         (&mut self.copy[base..base + FORCE_WORDS])
             .try_into()
             .unwrap()
@@ -225,10 +247,8 @@ impl ReactionSink for CopySink<'_> {
         cj0: usize,
         cj1: usize,
     ) -> (&mut [f32; FORCE_WORDS], &mut [f32; FORCE_WORDS]) {
-        self.touch(cj0);
-        self.touch(cj1);
-        let b0 = cj0 * FORCE_WORDS;
-        let b1 = cj1 * FORCE_WORDS;
+        let b0 = self.touch(cj0);
+        let b1 = self.touch(cj1);
         if b0 < b1 {
             let (lo, hi) = self.copy.split_at_mut(b1);
             (
@@ -428,10 +448,12 @@ impl<'a> LaneInput<'a> {
     }
 }
 
-/// Per-lane calc output of the native RMA kernel.
+/// Per-lane calc output of the native RMA kernel: the lane's compact
+/// copy, its Bit-Map, and where in the copy each marked line sits.
 struct RmaLaneOut {
     copy: Vec<f32>,
     marks: BitMap,
+    slots: Vec<u32>,
     cache_id: u64,
     e_lj: f64,
     e_coul: f64,
@@ -439,17 +461,35 @@ struct RmaLaneOut {
 }
 
 /// Where the RMA lanes' force writes land: the strategy, the redundant
-/// copies' shape (words per copy and the cache-line grid the Bit-Map
-/// marks), and the one shared array of [`WriteStrategy::Atomics`]
-/// (empty otherwise).
+/// copies' shape (words of the force array each copy stands for and the
+/// cache-line grid the Bit-Map marks), and the one shared array of
+/// [`WriteStrategy::Atomics`] (empty otherwise).
 #[derive(Clone, Copy)]
 struct CopyShape<'a> {
     strategy: WriteStrategy,
     copy_words: usize,
     n_lines: usize,
-    line_elems: usize,
+    /// log2 of the packages per line (a power of two, which
+    /// [`CacheGeometry`] asserts).
+    line_shift: u32,
     line_words: usize,
     shared: &'a [AtomicU32],
+}
+
+impl<'a> CopyShape<'a> {
+    /// The copies of `n_pkg` packages on the paper's write-cache line
+    /// grid, under `strategy` (`shared` is the Atomics array).
+    fn new(strategy: WriteStrategy, n_pkg: usize, shared: &'a [AtomicU32]) -> Self {
+        let geo = CacheGeometry::paper_default(FORCE_WORDS);
+        Self {
+            strategy,
+            copy_words: n_pkg * FORCE_WORDS,
+            n_lines: n_pkg.div_ceil(geo.line_elems),
+            line_shift: geo.line_elems.trailing_zeros(),
+            line_words: geo.line_words(),
+            shared,
+        }
+    }
 }
 
 /// The half-list walk of one lane's clusters: self entries folded, every
@@ -463,7 +503,7 @@ fn walk_half_list<L: Lanes8>(
     sink: &mut impl ReactionSink,
 ) -> (f64, f64, u64) {
     let mut sums = (0.0f64, 0.0f64, 0u64);
-    let mut scratch = Vec::new();
+    let mut scratch = RowScratch::default();
     for ci in range {
         let mut fi = [0.0f32; FORCE_WORDS];
         let (el, ec, n) = process_cluster::<L>(isa, input, ci, true, &mut fi, sink, &mut scratch);
@@ -497,6 +537,7 @@ fn rma_lane<L: Lanes8>(
     let cache_id = trace::next_id();
     let mut copy = Vec::new();
     let mut marks = BitMap::new(shape.n_lines);
+    let mut slots = Vec::new();
     let (e_lj, e_coul, n_pairs) = if shape.strategy == WriteStrategy::Atomics {
         let mut sink = AtomicSink {
             shared: shape.shared,
@@ -509,19 +550,25 @@ fn rma_lane<L: Lanes8>(
     } else {
         if shape.strategy == WriteStrategy::Copies {
             // What the marks spare: every lane zeroes a whole copy and
-            // every line of it is reduced.
-            copy = pool.take_buffer(shape.copy_words);
+            // every line of it is reduced — each line marked up front,
+            // in line order.
+            copy = pool.take_buffer(shape.n_lines * shape.line_words);
             copy.fill(0.0);
             for line in 0..shape.n_lines {
                 marks.set(line);
             }
+            slots = (0..shape.n_lines as u32).collect();
         } else if !range.is_empty() {
-            copy = pool.take_buffer(shape.copy_words);
+            // Recycled capacity, no stale words: lines are appended as
+            // they are first touched.
+            copy = pool.take_buffer(0);
+            slots = vec![0; shape.n_lines];
         }
         let mut sink = CopySink {
             copy: &mut copy,
             marks: &mut marks,
-            line_elems: shape.line_elems,
+            slots: &mut slots,
+            line_shift: shape.line_shift,
             line_words: shape.line_words,
         };
         walk_half_list::<L>(isa, input, range.clone(), &mut sink)
@@ -544,6 +591,7 @@ fn rma_lane<L: Lanes8>(
     RmaLaneOut {
         copy,
         marks,
+        slots,
         cache_id,
         e_lj,
         e_coul,
@@ -577,20 +625,13 @@ pub fn run_rma_native_on(
 ) -> KernelResult {
     let input = LaneInput::new(psys, list, params, pool, ListKind::Half);
     let n_pkg = psys.n_packages();
-    let geo = CacheGeometry::paper_default(FORCE_WORDS);
-    let copy_words = n_pkg * FORCE_WORDS;
     let shared: Vec<AtomicU32> = match strategy {
-        WriteStrategy::Atomics => (0..copy_words).map(|_| AtomicU32::new(0)).collect(),
+        WriteStrategy::Atomics => (0..n_pkg * FORCE_WORDS)
+            .map(|_| AtomicU32::new(0))
+            .collect(),
         _ => Vec::new(),
     };
-    let shape = CopyShape {
-        strategy,
-        copy_words,
-        n_lines: n_pkg.div_ceil(geo.line_elems),
-        line_elems: geo.line_elems,
-        line_words: geo.line_words(),
-        shared: &shared,
-    };
+    let shape = CopyShape::new(strategy, n_pkg, &shared);
 
     // ---- calculation phase ----
     let outs: Vec<RmaLaneOut> = pool.run(N_LANES, |lane| {
@@ -613,7 +654,8 @@ pub fn run_rma_native_on(
 }
 
 /// Reduction phase of the copy strategies: lanes own line ranges and sum
-/// the marked copies in lane order (the Bit-Map reduce, Alg. 4).
+/// the marked lines of the copies in lane order (the Bit-Map reduce,
+/// Alg. 4), each line one slice add from its slot in the compact copy.
 fn reduce_marked_copies(
     input: LaneInput<'_>,
     shape: CopyShape<'_>,
@@ -631,9 +673,9 @@ fn reduce_marked_copies(
         let mut partial = vec![0.0f32; line_range.len() * line_words];
         let mut consumed = false;
         for (li, line) in line_range.clone().enumerate() {
-            let word_lo = line * line_words;
-            let word_hi = (word_lo + line_words).min(copy_words);
-            let acc_base = li * line_words;
+            // The last line of the force array may be short.
+            let n = line_words.min(copy_words - line * line_words);
+            let acc = &mut partial[li * line_words..li * line_words + n];
             for o in outs {
                 if !o.marks.get(line) {
                     continue; // unmarked -> skip, exactly like Alg. 4
@@ -642,8 +684,9 @@ fn reduce_marked_copies(
                     trace::reduce_line(o.cache_id, line);
                 }
                 consumed = true;
-                for (k, w) in (word_lo..word_hi).enumerate() {
-                    partial[acc_base + k] += o.copy[w];
+                let slot = o.slots[line] as usize * line_words;
+                for (d, s) in acc.iter_mut().zip(&o.copy[slot..slot + n]) {
+                    *d += s;
                 }
             }
         }
@@ -685,7 +728,7 @@ fn rca_lane<L: Lanes8>(isa: L::Isa, input: LaneInput<'_>, lane: usize) -> RcaLan
     let mut e_lj = 0.0f64;
     let mut e_coul = 0.0f64;
     let mut n_pairs = 0u64;
-    let mut scratch = Vec::new();
+    let mut scratch = RowScratch::default();
     let mut sink = DiscardSink {
         a: [0.0f32; FORCE_WORDS],
         b: [0.0f32; FORCE_WORDS],
@@ -940,6 +983,49 @@ mod tests {
             assert_eq!(
                 copies.energies.pairs_within_cutoff,
                 marks.energies.pairs_within_cutoff
+            );
+        }
+    }
+
+    #[test]
+    fn each_lane_copy_holds_exactly_its_marked_lines() {
+        // A 4 002-particle box at the paper's 1.0 nm list radius.
+        let sys = water_box(1334, 300.0, 7);
+        let list = PairList::build(&sys, 1.0, ListKind::Half);
+        let cpe = CpePairList::build(&sys, &list);
+        let psys = PackedSystem::build(&sys, list.clustering.clone(), PackageLayout::Transposed);
+        let params = NbParams::paper_default();
+        let pool = LanePool::with_threads(1);
+        let input = LaneInput::new(&psys, &cpe, &params, &pool, ListKind::Half);
+        let shape = CopyShape::new(WriteStrategy::CopiesWithMarks, psys.n_packages(), &[]);
+        let mut marked = 0;
+        for lane in 0..N_LANES {
+            let out = rma_lane::<crate::kernels::native_simd::f32x8>((), input, shape, lane);
+            let lines = out.marks.count_ones();
+            assert_eq!(out.copy.len(), lines * shape.line_words, "lane {lane}");
+            // Every marked line has its own slot, in first-touch order.
+            let mut slots: Vec<u32> = out.marks.iter_ones().map(|l| out.slots[l]).collect();
+            slots.sort_unstable();
+            assert!(slots.iter().copied().eq(0..lines as u32), "lane {lane}");
+            marked += lines;
+        }
+        let total = N_LANES * shape.n_lines;
+        assert!(
+            marked > 0 && 2 * marked < total,
+            "{marked} of {total} lines marked"
+        );
+        // And the compact copies reduce to the full copies' bits.
+        for threads in [1, 2] {
+            let pool = LanePool::with_threads(threads);
+            let run = |strategy| run_rma_native(&psys, &cpe, &params, &pool, strategy);
+            let (marks, copies) = (
+                run(WriteStrategy::CopiesWithMarks),
+                run(WriteStrategy::Copies),
+            );
+            assert_eq!(force_bits(&copies), force_bits(&marks), "{threads} threads");
+            assert_eq!(
+                crate::check::physics_checksum(&copies.forces, &copies.energies),
+                crate::check::physics_checksum(&marks.forces, &marks.energies)
             );
         }
     }

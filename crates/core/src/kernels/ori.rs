@@ -15,7 +15,10 @@ use sw26010::trace;
 
 use crate::check::{REGION_FORCES, REGION_POS};
 use crate::cpelist::CpePairList;
-use crate::kernels::common::{add_package, cluster_pair_metered, Arith, EntryJ, KernelResult};
+use crate::kernels::common::{
+    add_package, cluster_pair_metered, Arith, EntryJ, KernelResult, RowShifts,
+};
+use crate::kernels::native_simd::LaneImpl;
 use crate::package::{PackedSystem, FORCE_WORDS};
 
 /// Average cycles per scattered-array access on the MPE. The original
@@ -45,12 +48,15 @@ pub fn run_ori(
 ) -> KernelResult {
     assert_eq!(list.kind, ListKind::Half);
     let n_pkg = psys.n_packages();
+    let lanes = LaneImpl::detect();
     let mut slot_forces = vec![0.0f32; n_pkg * FORCE_WORDS];
     let mut energies = NbEnergies::default();
 
     let (_, mut perf) = cg.mpe_section(|mpe| {
+        let mut shifts = RowShifts::default();
         for ci in 0..n_pkg {
             let pkg_i = psys.package(ci);
+            shifts.derive_on(lanes, psys, list, ci);
             mpe.perf.cycles += 4 * LOADS_PER_PARTICLE * MPE_LOAD_CYCLES;
             let mut fi = [0.0f32; FORCE_WORDS];
             for e in list.entries_of(ci) {
@@ -64,7 +70,7 @@ pub fn run_ori(
                     Arith::Scalar,
                     psys,
                     pkg_i,
-                    EntryJ::of(list, e, pkg_j),
+                    EntryJ::of(list, &shifts, e, pkg_j),
                     params,
                     &mut fi,
                     &mut fj,

@@ -20,8 +20,9 @@ use sw26010::pool::block_range;
 use crate::check::{REGION_FORCES, REGION_POS};
 use crate::cpelist::CpePairList;
 use crate::kernels::common::{
-    add_package, cluster_pair_metered, miss_ratio, Arith, EntryJ, KernelResult,
+    add_package, cluster_pair_metered, miss_ratio, Arith, EntryJ, KernelResult, RowShifts,
 };
+use crate::kernels::native_simd::LaneImpl;
 use crate::package::{PackedSystem, FORCE_BYTES, FORCE_WORDS, PKG_WORDS};
 
 /// Run the RCA kernel over a full list. Uses the read cache (SW_LAMMPS
@@ -35,6 +36,7 @@ pub fn run_rca(
 ) -> KernelResult {
     assert_eq!(list.kind, ListKind::Full, "RCA walks a full list");
     let n_pkg = psys.n_packages();
+    let lanes = LaneImpl::detect();
     let pkg_geo = CacheGeometry::paper_default(PKG_WORDS);
 
     let calc = cg.spawn("rca.calc", |ctx| {
@@ -48,6 +50,7 @@ pub fn run_rca(
         let mut e_lj = 0.0f64;
         let mut e_coul = 0.0f64;
         let mut n_pairs = 0u64;
+        let mut shifts = RowShifts::default();
         for ci in block_range(n_pkg, cg.n_cpes, ctx.id) {
             // A copy: the cache is read again for every inner package.
             let pkg_i: [f32; PKG_WORDS] = read_cache
@@ -55,6 +58,7 @@ pub fn run_rca(
                 .try_into()
                 .expect("a package is PKG_WORDS long");
             DmaEngine::transfer_shared(&mut ctx.perf, Dir::Get, list.stream_bytes(ci), true);
+            shifts.derive_on(lanes, psys, list, ci);
             let mut fi = [0.0f32; FORCE_WORDS];
             for e in list.entries_of(ci) {
                 let cj = list.neighbors[e] as usize;
@@ -66,7 +70,7 @@ pub fn run_rca(
                     Arith::Scalar,
                     psys,
                     &pkg_i,
-                    EntryJ::of(list, e, pkg_j),
+                    EntryJ::of(list, &shifts, e, pkg_j),
                     params,
                     &mut fi,
                     &mut fj_discard,

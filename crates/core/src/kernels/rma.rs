@@ -27,7 +27,9 @@ use crate::check::{REGION_COPIES, REGION_FORCES, REGION_POS};
 use crate::cpelist::CpePairList;
 use crate::kernels::common::{
     add_energy, add_package, cluster_pair_metered, miss_ratio, Arith, EntryJ, KernelResult,
+    RowShifts,
 };
+use crate::kernels::native_simd::LaneImpl;
 use crate::package::{PackageLayout, PackedSystem, FORCE_WORDS, PKG_BYTES, PKG_WORDS};
 
 /// Configuration selecting a ladder rung (or any ablation combination).
@@ -119,6 +121,7 @@ pub fn run_rma(
         Arith::Scalar
     };
     let n_pkg = psys.n_packages();
+    let lanes = LaneImpl::detect();
     let force_geo = CacheGeometry::paper_default(FORCE_WORDS);
     // Each per-CPE copy is padded to a whole number of write-cache lines:
     // the tail line's writeback is a full-line DMA, and without padding it
@@ -206,10 +209,12 @@ pub fn run_rma(
             };
             words.try_into().expect("a package is PKG_WORDS long")
         };
+        let mut shifts = RowShifts::default();
         for ci in range {
             let pkg_i = fetch(&mut ctx.perf, ci);
             // Stream this cluster's slice of the pair list.
             DmaEngine::transfer_shared(&mut ctx.perf, Dir::Get, list.stream_bytes(ci), true);
+            shifts.derive_on(lanes, psys, list, ci);
 
             let mut fi = [0.0f32; FORCE_WORDS];
             for e in list.entries_of(ci) {
@@ -220,7 +225,7 @@ pub fn run_rma(
                     arith,
                     psys,
                     &pkg_i,
-                    EntryJ::of(list, e, &pkg_j),
+                    EntryJ::of(list, &shifts, e, &pkg_j),
                     params,
                     &mut fi,
                     &mut fj,

@@ -19,8 +19,9 @@ use sw26010::pool::block_range;
 use crate::check::REGION_POS;
 use crate::cpelist::CpePairList;
 use crate::kernels::common::{
-    add_package, cluster_pair_metered, miss_ratio, Arith, EntryJ, KernelResult,
+    add_package, cluster_pair_metered, miss_ratio, Arith, EntryJ, KernelResult, RowShifts,
 };
+use crate::kernels::native_simd::LaneImpl;
 use crate::package::{PackedSystem, FORCE_WORDS, PKG_WORDS};
 
 /// MPE cycles to pop one update record and apply 12 floats to the force
@@ -39,6 +40,7 @@ pub fn run_ustc(
 ) -> KernelResult {
     assert_eq!(list.kind, ListKind::Half);
     let n_pkg = psys.n_packages();
+    let lanes = LaneImpl::detect();
     let pkg_geo = CacheGeometry::paper_default(PKG_WORDS);
 
     let calc = cg.spawn("ustc.calc", |ctx| {
@@ -54,6 +56,7 @@ pub fn run_ustc(
         let mut e_lj = 0.0f64;
         let mut e_coul = 0.0f64;
         let mut n_pairs = 0u64;
+        let mut shifts = RowShifts::default();
         for ci in block_range(n_pkg, cg.n_cpes, ctx.id) {
             // A copy: the cache is read again for every inner package.
             let pkg_i: [f32; PKG_WORDS] = read_cache
@@ -61,6 +64,7 @@ pub fn run_ustc(
                 .try_into()
                 .expect("a package is PKG_WORDS long");
             DmaEngine::transfer_shared(&mut ctx.perf, Dir::Get, list.stream_bytes(ci), true);
+            shifts.derive_on(lanes, psys, list, ci);
             let mut fi = [0.0f32; FORCE_WORDS];
             for e in list.entries_of(ci) {
                 let cj = list.neighbors[e] as usize;
@@ -70,7 +74,7 @@ pub fn run_ustc(
                     Arith::Scalar,
                     psys,
                     &pkg_i,
-                    EntryJ::of(list, e, pkg_j),
+                    EntryJ::of(list, &shifts, e, pkg_j),
                     params,
                     &mut fi,
                     &mut fj,

@@ -24,8 +24,9 @@
 //! SW26010 (`sw26010` crate) over the MD substrate (`mdsim` crate):
 //!
 //! - [`package`] — particle packages, both layouts (§3.1 Fig. 2, §3.4
-//!   Fig. 6)
-//! - [`cpelist`] — the kernel-ready pair list: masks + shift vectors
+//!   Fig. 6), and the step's geometry: box and cluster centers
+//! - [`cpelist`] — the kernel-ready pair list, topology only: CSR +
+//!   masks (each kernel derives a row's shifts from the packed centers)
 //! - [`kernels`] — the force-kernel ladder (Ori/Pkg/Cache/Vec/Mark) and
 //!   the RCA and USTC baselines (§3.1–3.4, Fig. 8/9)
 //! - [`pairgen`] — CPE-parallel pair-list generation with the two-way

@@ -18,7 +18,10 @@
 use std::collections::BTreeMap;
 
 use mdsim::cluster::{Clustering, CLUSTER_SIZE, FILLER};
+use mdsim::pbc::PbcBox;
 use mdsim::system::System;
+
+use crate::kernels::native_simd::Lanes8;
 
 /// f32 words per particle in a package (x, y, z, type, charge).
 pub const WORDS_PER_PARTICLE: usize = 5;
@@ -48,6 +51,12 @@ pub enum PackageLayout {
 ///
 /// `pos` is the flat "main memory" array the simulated CPEs DMA from;
 /// slot order follows the clustering (slot = cluster * 4 + lane).
+///
+/// The packed system is the geometry of one step: the packages, the box
+/// and the cluster centers the packages are cut around. The pair list
+/// ([`CpePairList`](crate::cpelist::CpePairList)) is topology only, so
+/// each entry's periodic shift is derived from these centers when a
+/// kernel starts the entry's row ([`PackedSystem::row_shifts`]).
 #[derive(Debug, Clone)]
 pub struct PackedSystem {
     /// Number of real particles.
@@ -58,6 +67,12 @@ pub struct PackedSystem {
     pub layout: PackageLayout,
     /// Packaged particle data, `n_packages * PKG_WORDS` f32 words.
     pub pos: Vec<f32>,
+    /// The periodic box of the packed positions.
+    pub pbc: PbcBox,
+    /// Cluster centers the packages are unwrapped around
+    /// ([`Clustering::center`]), `[x, y, z]` per package: a kernel
+    /// gathers all three of a neighbor at once.
+    pub centers: Vec<[f32; 3]>,
     /// Number of atom types.
     pub n_types: usize,
     /// Flat `n_types^2` C6 table.
@@ -111,8 +126,9 @@ impl PackedSystem {
     /// Package `sys` according to `clustering`. Positions are stored
     /// *unwrapped to the cluster center's periodic image*: every member
     /// sits within the cluster radius of the center, so one shift vector
-    /// per cluster pair realizes the minimum-image convention even for
-    /// clusters straddling the box boundary. Filler slots get the cluster
+    /// per cluster pair (derived from the two centers) realizes the
+    /// minimum-image convention even for clusters straddling the box
+    /// boundary. Filler slots get the cluster
     /// center (finite distances) with type 0 and charge 0; their mask
     /// bits are off in the pair list, so they never contribute. The LJ
     /// rows of every package type signature are built here.
@@ -120,6 +136,8 @@ impl PackedSystem {
         let mut packed = Self {
             n_particles: sys.n(),
             pos: vec![0.0f32; clustering.n_clusters * PKG_WORDS],
+            pbc: sys.pbc,
+            centers: vec![[0.0; 3]; clustering.n_clusters],
             clustering,
             layout,
             n_types: sys.topology.n_types(),
@@ -146,14 +164,16 @@ impl PackedSystem {
         packed
     }
 
-    /// Rewrite `pos` in place from `sys`'s current positions, as
-    /// [`PackedSystem::build`] fills it. The clustering, the layout and
-    /// the LJ tables live as long as the pair list; only the positions
-    /// go stale between rebuilds.
+    /// Rewrite `pos`, the box and the centers in place from `sys`'s
+    /// current positions, as [`PackedSystem::build`] fills them. The
+    /// clustering, the layout and the LJ tables live as long as the pair
+    /// list; only the geometry goes stale between rebuilds.
     pub fn repack(&mut self, sys: &System) {
+        self.pbc = sys.pbc;
         for c in 0..self.clustering.n_clusters {
             let members = self.clustering.members(c);
             let center = self.clustering.center(&sys.pbc, &sys.pos, c);
+            self.centers[c] = [center.x, center.y, center.z];
             for (lane, &m) in members.iter().enumerate() {
                 let (p, t, q) = if m == FILLER {
                     (center, 0usize, 0.0f32)
@@ -223,6 +243,41 @@ impl PackedSystem {
         &self.lj_rows[base..base + self.n_types]
     }
 
+    /// The periodic shift of each inner cluster in `neighbors` as seen
+    /// from outer cluster `ci`, one column per axis: the inner center's
+    /// minimum image about the outer one, minus the inner center —
+    /// `d = min_image(own − other)`, `shift = (own − d) − other` — eight
+    /// neighbors per operation on lanes `L`, each column written eight
+    /// words at a time (so it must hold `neighbors.len()` rounded up to
+    /// eight; the words past the neighbors are the shifts of zero
+    /// centers). Adding the shift to the inner package's positions puts
+    /// its members in the outer cluster's image. The bits are the same
+    /// on every lane type.
+    #[inline(always)]
+    pub fn row_shifts<L: Lanes8>(
+        &self,
+        isa: L::Isa,
+        ci: usize,
+        neighbors: &[u32],
+        out: [&mut [f32]; 3],
+    ) {
+        const LANES: usize = 8;
+        let own = self.centers[ci].map(|c| L::splat(isa, c));
+        let [ox, oy, oz] = out;
+        let columns = ox.chunks_exact_mut(LANES).zip(oy.chunks_exact_mut(LANES));
+        let columns = columns.zip(oz.chunks_exact_mut(LANES));
+        for (ids, ((sx, sy), sz)) in neighbors.chunks(LANES).zip(columns) {
+            let other = gather8::<L>(isa, &self.centers, ids);
+            let d = self.pbc.min_image8(
+                isa,
+                [own[0] - other[0], own[1] - other[1], own[2] - other[2]],
+            );
+            sx.copy_from_slice(&((own[0] - d[0]) - other[0]).to_array());
+            sy.copy_from_slice(&((own[1] - d[1]) - other[1]).to_array());
+            sz.copy_from_slice(&((own[2] - d[2]) - other[2]).to_array());
+        }
+    }
+
     /// Map forces stored in slot order (interleaved xyz per slot) back to
     /// original particle order.
     pub fn forces_to_particle_order(&self, slot_forces: &[f32]) -> Vec<mdsim::Vec3> {
@@ -241,10 +296,30 @@ impl PackedSystem {
     }
 }
 
+/// The x, y and z lanes of `centers[id]` for up to eight ids; zero in
+/// the lanes past them.
+#[inline(always)]
+fn gather8<L: Lanes8>(isa: L::Isa, centers: &[[f32; 3]], ids: &[u32]) -> [L; 3] {
+    let mut lanes = [[0.0f32; 8]; 3];
+    for (lane, &id) in ids.iter().enumerate() {
+        let c = centers[id as usize];
+        for axis in 0..3 {
+            lanes[axis][lane] = c[axis];
+        }
+    }
+    lanes.map(|v| L::from_array(isa, v))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cpelist::CpePairList;
+    use crate::kernels::common::RowShifts;
+    use crate::kernels::native_simd::{f32x8, for_each_lanes8};
+    use mdsim::math::{fnv1a, FNV1A_OFFSET};
+    use mdsim::pairlist::{ListKind, PairList};
     use mdsim::water::water_box;
+    use mdsim::Vec3;
 
     fn packed(layout: PackageLayout) -> (mdsim::System, PackedSystem) {
         let sys = water_box(30, 300.0, 41);
@@ -418,6 +493,231 @@ mod tests {
         let (small, large) = (count(1334), count(16_000));
         assert_eq!(small, large, "4 002 vs 48 000 particles");
         assert!(small <= 16, "two types fill at most 2^4 signatures");
+    }
+
+    /// A lattice box pushed 0.1 nm along the diagonal without wrapping,
+    /// so clusters straddle the boundary from the first list on.
+    fn straddling_box() -> mdsim::System {
+        let mut sys = water_box(300, 300.0, 107);
+        for p in &mut sys.pos {
+            *p += mdsim::vec3(0.1, 0.1, 0.1);
+        }
+        sys
+    }
+
+    /// Every entry's shift bits, row by row, derived on lanes `L`,
+    /// appended to `out` under the lanes' name.
+    fn derive_every_row<L: Lanes8>(
+        isa: L::Isa,
+        out: &mut Vec<(&'static str, Vec<[u32; 3]>)>,
+        psys: &PackedSystem,
+        list: &CpePairList,
+    ) {
+        let mut row = RowShifts::default();
+        let mut bits = Vec::with_capacity(list.n_entries());
+        for ci in 0..list.n_clusters() {
+            row.derive::<L>(isa, psys, list, ci);
+            bits.extend(list.entries_of(ci).map(|e| row.of(e).map(f32::to_bits)));
+        }
+        out.push((L::NAME, bits));
+    }
+
+    /// [`derive_every_row`] on every lane type the host has.
+    fn derived_on_every_lane_type(
+        psys: &PackedSystem,
+        list: &CpePairList,
+    ) -> Vec<(&'static str, Vec<[u32; 3]>)> {
+        let mut out = Vec::new();
+        for_each_lanes8!(derive_every_row, &mut out, psys, list);
+        out
+    }
+
+    /// The shift of inner center `cj` seen from outer center `ci`, one
+    /// entry at a time: the expression the list stored per entry before
+    /// the kernels derived it on lanes.
+    fn shift_of(pbc: &PbcBox, ci: Vec3, cj: Vec3) -> [f32; 3] {
+        let d = pbc.min_image(ci, cj);
+        let imaged = ci - d; // cj center seen from ci
+        let s = imaged - cj;
+        [s.x, s.y, s.z]
+    }
+
+    /// Every entry's [`shift_of`], from the clustering's centers.
+    fn scalar_shifts(
+        sys: &mdsim::System,
+        clustering: &Clustering,
+        list: &CpePairList,
+    ) -> Vec<[u32; 3]> {
+        let centers: Vec<Vec3> = (0..list.n_clusters())
+            .map(|c| clustering.center(&sys.pbc, &sys.pos, c))
+            .collect();
+        let mut shifts = Vec::with_capacity(list.n_entries());
+        for ci in 0..list.n_clusters() {
+            for e in list.entries_of(ci) {
+                let cj = list.neighbors[e] as usize;
+                shifts.push(shift_of(&sys.pbc, centers[ci], centers[cj]).map(f32::to_bits));
+            }
+        }
+        shifts
+    }
+
+    #[test]
+    fn derived_shifts_reproduce_the_shifts_the_list_stored() {
+        // FNV-1a of every entry's shift bits in list order, and the
+        // entry count, from `CpePairList::shifts` at the commit before
+        // the list stopped storing them (rlist 0.6).
+        let pinned = [
+            ("plain", ListKind::Half, 0xa151cfcd31c4ac33, 16286),
+            ("plain", ListKind::Full, 0x29d582f6b42db5da, 32007),
+            ("straddling", ListKind::Half, 0xcd43c063180264f8, 8100),
+            ("straddling", ListKind::Full, 0xea25f7209781c073, 15900),
+        ];
+        let plain = water_box(600, 300.0, 51);
+        let straddling = straddling_box();
+        for (name, kind, digest, n_entries) in pinned {
+            let sys = if name == "plain" { &plain } else { &straddling };
+            let list = PairList::build(sys, 0.6, kind);
+            let cpe = CpePairList::build(sys, &list);
+            let psys = PackedSystem::build(sys, list.clustering, PackageLayout::Transposed);
+            for (lanes, bits) in derived_on_every_lane_type(&psys, &cpe) {
+                let words = bits.iter().flatten();
+                let got = words.fold(FNV1A_OFFSET, |h, w| fnv1a(h, &w.to_le_bytes()));
+                assert_eq!(
+                    (got, bits.len()),
+                    (digest, n_entries),
+                    "{name} {kind:?} on {lanes}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn derived_shifts_realize_minimum_image() {
+        // rlist + 2 x cluster radius must stay under half the box edge
+        // for the per-cluster shifts to be exact minimum images.
+        let sys = water_box(600, 300.0, 51);
+        let list = PairList::build(&sys, 0.6, ListKind::Half);
+        let cpe = CpePairList::build(&sys, &list);
+        let psys = PackedSystem::build(&sys, list.clustering.clone(), PackageLayout::Interleaved);
+        let mut row = RowShifts::default();
+        let mut checked = 0u32;
+        for ci in 0..cpe.n_clusters() {
+            row.derive::<f32x8>((), &psys, &cpe, ci);
+            for e in cpe.entries_of(ci) {
+                let cj = cpe.neighbors[e] as usize;
+                let s = row.of(e);
+                for ai in 0..4 {
+                    for bj in 0..4 {
+                        if cpe.masks[e] >> (ai * 4 + bj) & 1 == 0 {
+                            continue;
+                        }
+                        let (xa, ya, za, ..) = psys.read_particle(psys.package(ci), ai);
+                        let (xb, yb, zb, ..) = psys.read_particle(psys.package(cj), bj);
+                        let d_kernel =
+                            mdsim::vec3(xa - (xb + s[0]), ya - (yb + s[1]), za - (zb + s[2]))
+                                .norm();
+                        let a = list.clustering.members(ci)[ai] as usize;
+                        let b = list.clustering.members(cj)[bj] as usize;
+                        let d_ref = sys.pbc.min_image(sys.pos[a], sys.pos[b]).norm();
+                        // Exact minimum image within the list radius.
+                        if d_ref < 0.6 {
+                            assert!(
+                                (d_kernel - d_ref).abs() < 1e-4,
+                                "entry {e} ({ai},{bj}): {d_kernel} vs {d_ref}"
+                            );
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 1000, "only {checked} pairs checked");
+    }
+
+    #[test]
+    fn centers_are_the_clustering_centers_after_build_and_repack() {
+        let mut sys = straddling_box();
+        let clustering = Clustering::build(&sys.pbc, &sys.pos, 1.0);
+        let mut p = PackedSystem::build(&sys, clustering, PackageLayout::Transposed);
+        let edge = sys.pbc.lengths().x;
+        for step in 0..3 {
+            let at = if step == 0 { "build" } else { "repack" };
+            for c in 0..p.n_packages() {
+                let want = p.clustering.center(&sys.pbc, &sys.pos, c);
+                let got = p.centers[c].map(f32::to_bits);
+                assert_eq!(
+                    got,
+                    [want.x, want.y, want.z].map(f32::to_bits),
+                    "{at} {step}, cluster {c}"
+                );
+            }
+            assert_eq!(p.pbc, sys.pbc);
+            for (x, v) in sys.pos.iter_mut().zip(&sys.vel) {
+                *x += *v * 0.05;
+            }
+            sys.pos[3 * step].y -= edge;
+            p.repack(&sys);
+        }
+    }
+
+    #[test]
+    fn derived_shifts_equal_the_scalar_expression_through_ten_steps_of_drift() {
+        // A box three list radii wide, where most cluster pairs sit
+        // across a face from each other, left to drift unwrapped.
+        let mut sys = water_box(200, 300.0, 52);
+        let list = PairList::build(&sys, 0.5, ListKind::Full);
+        let cpe = CpePairList::build(&sys, &list);
+        let mut psys =
+            PackedSystem::build(&sys, list.clustering.clone(), PackageLayout::Transposed);
+        let edge = sys.pbc.lengths().x;
+        for step in 0..10 {
+            for (p, v) in sys.pos.iter_mut().zip(&sys.vel) {
+                *p += *v * 0.05;
+            }
+            // Whole molecules carried boxes away: centers the lane form
+            // of the minimum image hands back to the scalar one.
+            for atom in 3 * step..3 * step + 3 {
+                sys.pos[atom].x += 2.0 * edge;
+                sys.pos[atom + 30].z -= 3.0 * edge;
+            }
+            psys.repack(&sys);
+            let fresh =
+                PackedSystem::build(&sys, list.clustering.clone(), PackageLayout::Transposed);
+            let want = scalar_shifts(&sys, &list.clustering, &cpe);
+            for p in [&psys, &fresh] {
+                for (lanes, got) in derived_on_every_lane_type(p, &cpe) {
+                    assert_eq!(got, want, "step {step} on {lanes}");
+                }
+            }
+        }
+        let outside = sys.pos.iter().filter(|p| p.x < 0.0 || p.x >= edge).count();
+        assert!(outside > 20, "only {outside} particles left the box");
+    }
+
+    #[test]
+    fn a_shift_at_half_the_box_keeps_the_sign_of_the_scalar_rounding() {
+        // Two clusters of coincident members exactly half an edge apart:
+        // `d / L` is ±0.5, which `round` takes away from zero.
+        let mut sys = water_box(3, 300.0, 53);
+        sys.pbc = PbcBox::cubic(2.0);
+        for (i, p) in sys.pos.iter_mut().enumerate() {
+            *p = mdsim::vec3(if i < 4 { 0.25 } else { 1.25 }, 0.5, 0.5);
+        }
+        let clustering = Clustering::identity(8);
+        let psys = PackedSystem::build(&sys, clustering.clone(), PackageLayout::Transposed);
+        let cpe = CpePairList {
+            offsets: vec![0, 2, 4],
+            neighbors: vec![0, 1, 0, 1],
+            masks: vec![0; 4],
+            kind: ListKind::Full,
+            rlist: 0.9,
+        };
+        let want = scalar_shifts(&sys, &clustering, &cpe);
+        for (lanes, got) in derived_on_every_lane_type(&psys, &cpe) {
+            assert_eq!(got, want, "{lanes}");
+        }
+        assert_eq!(want[1], [-2.0f32, 0.0, 0.0].map(f32::to_bits));
+        assert_eq!(want[2], [2.0f32, 0.0, 0.0].map(f32::to_bits));
     }
 
     #[test]

@@ -263,7 +263,20 @@ pub fn pair_interaction8<L: Lanes8>(
 /// implementation and at every thread count.
 pub fn compute_forces_half(sys: &mut System, list: &PairList, params: &NbParams) -> NbEnergies {
     let masks = list.interaction_masks(sys);
-    forces_half(Host::detect(), sys, list, &masks, params)
+    compute_forces_half_masked(sys, list, &masks, params)
+}
+
+/// [`compute_forces_half`] with the list's
+/// [`PairList::interaction_masks`] computed by the caller: the masks
+/// change only with the list, so a run that keeps a list for several
+/// steps computes them once per list.
+pub fn compute_forces_half_masked(
+    sys: &mut System,
+    list: &PairList,
+    masks: &[u16],
+    params: &NbParams,
+) -> NbEnergies {
+    forces_half(Host::detect(), sys, list, masks, params)
 }
 
 /// [`compute_forces_half`] on `host`'s lanes and threads, with the

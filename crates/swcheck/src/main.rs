@@ -11,7 +11,7 @@
 //!
 //! With no variant arguments all five ladder variants (`ori`,
 //! `gldnaive`, `rma`, `rca`, `ustc`) and `step` — two steps of a native
-//! engine, whose update and shift refresh run on lanes of their own —
+//! engine, whose update runs on lanes of its own —
 //! are traced and checked under both trace passes (static lint and the
 //! happens-before walk). Exit codes
 //! separate the failure classes so CI can triage without parsing:

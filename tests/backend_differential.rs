@@ -36,7 +36,7 @@ use sw_gromacs::mdsim::water::water_box;
 use sw_gromacs::swgmx::backend::{AnyBackend, BackendSel, NativeBackend, MIN_SCHEDULES};
 use sw_gromacs::swgmx::check::{physics_checksum, run_variant_with, Variant};
 use sw_gromacs::swgmx::cpelist::CpePairList;
-use sw_gromacs::swgmx::kernels::common::EntryJ;
+use sw_gromacs::swgmx::kernels::common::{EntryJ, RowShifts};
 use sw_gromacs::swgmx::kernels::native_simd::{
     cluster_pair_wide8, for_each_lanes8, LaneImpl, Lanes8, WideFi,
 };
@@ -102,8 +102,9 @@ fn cluster_kernels_match_metered_within_resummation_bounds() {
 
 /// Every output bit of the 8-wide kernel over a whole pair list: each
 /// cluster's entries two at a time (self entries included, so `r² = 0`
-/// lanes occur), reactions, energies, pair counts and the folded outer
-/// forces, on lane implementation `L`.
+/// lanes occur) with the row's shifts derived on the same lanes,
+/// reactions, energies, pair counts and the folded outer forces, on
+/// lane implementation `L`.
 fn wide8_walk<L: Lanes8>(
     isa: L::Isa,
     walks: &mut Vec<(&'static str, Vec<u64>)>,
@@ -112,13 +113,12 @@ fn wide8_walk<L: Lanes8>(
     params: &NbParams,
 ) {
     let rows = |e: usize| psys.lj_rows(list.neighbors[e] as usize);
-    let entry = |e: usize| EntryJ {
-        pkg: psys.package(list.neighbors[e] as usize),
-        shift: list.shifts[e],
-        mask: list.masks[e],
-    };
+    let mut shifts = RowShifts::default();
     let mut bits = Vec::new();
     for ci in 0..psys.n_packages() {
+        shifts.derive::<L>(isa, psys, list, ci);
+        let entry =
+            |e: usize| EntryJ::of(list, &shifts, e, psys.package(list.neighbors[e] as usize));
         let entries: Vec<usize> = list.entries_of(ci).collect();
         let mut wfi = WideFi::<L>::zero(isa);
         for pair in entries.chunks_exact(2) {

@@ -111,9 +111,9 @@ fn thirty_steps_of_the_4k_box_end_on_the_recorded_trajectory_bits() {
     // constrained steepest-descent steps, re-thermalised. The literals
     // are FNV-1a over every position and velocity bit after 30 steps, as
     // the commit before the update and the shift refresh went to lanes
-    // (8fa7d53) produced them; the box is above both grains, so the
-    // native engine updates on lanes every step and refreshes its shifts
-    // on lanes on the 27 that keep the list.
+    // (8fa7d53) produced them; the box is above the update's grain, so
+    // the native engine updates on lanes every step, and its kernels
+    // derive every row's shifts on their own lanes.
     use rand::SeedableRng;
     use sw_gromacs::mdsim::math::{fnv1a, FNV1A_OFFSET};
     use sw_gromacs::mdsim::nonbonded::{Coulomb, NbParams};
