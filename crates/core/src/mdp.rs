@@ -23,8 +23,45 @@ pub struct MdpOptions {
     pub unknown: Vec<String>,
 }
 
+/// Why `.mdp` text was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MdpError {
+    /// Line `.0` (from 1) is not `key = value`.
+    Syntax(usize, String),
+    /// `key = value` does not parse as the key's type.
+    BadValue(String, String),
+    /// `key = value` parses, but the engine cannot run it.
+    Unsupported(String, String),
+    /// `rvdw` and `rcoulomb` differ; the engine has one cut-off.
+    CutoffMismatch(String, String),
+}
+
+impl std::fmt::Display for MdpError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Syntax(line, text) => {
+                write!(f, "line {line}: expected `key = value`, got `{text}`")
+            }
+            Self::BadValue(k, v) => write!(f, "{k}: bad value `{v}`"),
+            Self::Unsupported(k, v) => write!(f, "{k}: unsupported `{v}`"),
+            Self::CutoffMismatch(vdw, coul) => {
+                write!(f, "rvdw = {vdw} differs from rcoulomb = {coul}")
+            }
+        }
+    }
+}
+
+/// `value` of `key` as a `T`.
+fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, MdpError> {
+    value
+        .parse()
+        .map_err(|_| MdpError::BadValue(key.into(), value.into()))
+}
+
 /// Parse `.mdp` text into run options, starting from the paper defaults.
-pub fn parse_mdp(text: &str) -> Result<MdpOptions, String> {
+/// A value the engine would ignore or misread (another integrator or
+/// thermostat, a non-positive or split cut-off) is refused.
+pub fn parse_mdp(text: &str) -> Result<MdpOptions, MdpError> {
     let mut map = BTreeMap::new();
     for (ln, raw) in text.lines().enumerate() {
         let line = raw.split(';').next().unwrap_or("").trim();
@@ -33,7 +70,7 @@ pub fn parse_mdp(text: &str) -> Result<MdpOptions, String> {
         }
         let (key, value) = line
             .split_once('=')
-            .ok_or_else(|| format!("line {}: expected `key = value`, got `{line}`", ln + 1))?;
+            .ok_or_else(|| MdpError::Syntax(ln + 1, line.into()))?;
         // GROMACS treats `-` and `_` in keys interchangeably.
         let key = key.trim().to_ascii_lowercase().replace('-', "_");
         map.insert(key, value.trim().to_string());
@@ -42,65 +79,43 @@ pub fn parse_mdp(text: &str) -> Result<MdpOptions, String> {
     let mut config = EngineConfig::paper(Version::Other);
     let mut nsteps = 1000usize;
     let mut unknown = Vec::new();
-    let parse_f32 = |k: &str, v: &str| -> Result<f32, String> {
-        v.parse().map_err(|_| format!("{k}: bad number `{v}`"))
-    };
+    let unsupported = |key: &str, value: &str| MdpError::Unsupported(key.into(), value.into());
     for (key, value) in &map {
         match key.as_str() {
-            "nsteps" => {
-                nsteps = value
-                    .parse()
-                    .map_err(|_| format!("nsteps: bad integer `{value}`"))?
-            }
-            "dt" => config.dt = parse_f32("dt", value)?,
-            "nstlist" => {
-                config.nstlist = value
-                    .parse()
-                    .map_err(|_| format!("nstlist: bad integer `{value}`"))?
-            }
-            "nstxout" => {
-                config.nstxout = value
-                    .parse()
-                    .map_err(|_| format!("nstxout: bad integer `{value}`"))?
-            }
-            "rlist" => config.rlist = parse_f32("rlist", value)?,
+            "nsteps" => nsteps = num(key, value)?,
+            "dt" => config.dt = num(key, value)?,
+            "nstlist" => config.nstlist = num(key, value)?,
+            "nstxout" => config.nstxout = num(key, value)?,
+            "rlist" => config.rlist = num(key, value)?,
             "rcoulomb" | "rvdw" => {
-                config.params.r_cut = parse_f32(key, value)?;
+                let r: f32 = num(key, value)?;
+                if r <= 0.0 {
+                    return Err(unsupported(key, value));
+                }
+                config.params.r_cut = r;
             }
             "coulombtype" => {
                 config.params.coulomb = match value.to_ascii_lowercase().as_str() {
                     "pme" => Coulomb::EwaldShort { beta: 3.12 },
                     "cut-off" | "cutoff" => Coulomb::Cutoff,
                     "reaction-field" | "reaction_field" => Coulomb::ReactionField { eps_rf: 78.0 },
-                    other => return Err(format!("coulombtype: unsupported `{other}`")),
+                    _ => return Err(unsupported(key, value)),
                 }
             }
             "fourier_spacing" => {
-                // Translate a spacing into a grid hint later; store as
-                // the nearest power-of-two grid for a typical box.
-                let spacing = parse_f32("fourier_spacing", value)?;
-                if spacing <= 0.0 {
-                    return Err("fourier_spacing must be positive".into());
+                if num::<f32>(key, value)? <= 0.0 {
+                    return Err(unsupported(key, value));
                 }
             }
-            "fourier_nx" | "fourier_ny" | "fourier_nz" => {
-                config.pme_grid = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("{key}: bad integer `{value}`"))?,
-                );
-            }
-            "ref_t" => {
-                config.t_ref = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("ref_t: bad number `{value}`"))?,
-                )
-            }
-            "tcoupl" => {
-                if value.eq_ignore_ascii_case("no") {
-                    config.t_ref = None;
-                }
+            "fourier_nx" | "fourier_ny" | "fourier_nz" => config.pme_grid = Some(num(key, value)?),
+            "ref_t" => config.t_ref = Some(num(key, value)?),
+            "tcoupl" => match value.to_ascii_lowercase().as_str() {
+                "berendsen" => {}
+                "no" => config.t_ref = None,
+                _ => return Err(unsupported(key, value)),
+            },
+            "integrator" if !value.eq_ignore_ascii_case("md") => {
+                return Err(unsupported(key, value))
             }
             "constraints" => {
                 config.constraints = !value.eq_ignore_ascii_case("none");
@@ -109,6 +124,11 @@ pub fn parse_mdp(text: &str) -> Result<MdpOptions, String> {
                 // Accepted for compatibility; our engine has one scheme.
             }
             _ => unknown.push(key.clone()),
+        }
+    }
+    if let (Some(vdw), Some(coul)) = (map.get("rvdw"), map.get("rcoulomb")) {
+        if num::<f32>("rvdw", vdw)? != num::<f32>("rcoulomb", coul)? {
+            return Err(MdpError::CutoffMismatch(vdw.clone(), coul.clone()));
         }
     }
     if config.params.r_cut > config.rlist {
@@ -190,6 +210,37 @@ mod tests {
         assert!(parse_mdp("this is not a key value line\n").is_err());
         assert!(parse_mdp("dt = banana\n").is_err());
         assert!(parse_mdp("coulombtype = magic\n").is_err());
+    }
+
+    #[test]
+    fn values_the_engine_cannot_run_are_typed_errors() {
+        let unsupported = |k: &str, v: &str| Err(MdpError::Unsupported(k.into(), v.into()));
+        let split = MdpError::CutoffMismatch("1.0".into(), "1.2".into());
+        for (text, want) in [
+            ("rcoulomb = -1\n", unsupported("rcoulomb", "-1")),
+            ("rvdw = 0\n", unsupported("rvdw", "0")),
+            ("rvdw = 1.0\nrcoulomb = 1.2\n", Err(split)),
+            ("integrator = sd\n", unsupported("integrator", "sd")),
+            (
+                "tcoupl = nose-hoover\n",
+                unsupported("tcoupl", "nose-hoover"),
+            ),
+            ("coulombtype = magic\n", unsupported("coulombtype", "magic")),
+            ("fourier-spacing = 0\n", unsupported("fourier_spacing", "0")),
+            (
+                "dt = banana\n",
+                Err(MdpError::BadValue("dt".into(), "banana".into())),
+            ),
+            (
+                "no pair here\n",
+                Err(MdpError::Syntax(1, "no pair here".into())),
+            ),
+            ("integrator = MD\ntcoupl = Berendsen\nnsteps = 7\n", Ok(7)),
+            ("tcoupl = no\nrvdw = 1.0\nrcoulomb = 1\nnsteps = 8\n", Ok(8)),
+            ("emtol = 10\nnsteps = 9\n", Ok(9)),
+        ] {
+            assert_eq!(parse_mdp(text).map(|o| o.nsteps), want, "{text}");
+        }
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! Fault-tolerant engine driver: step-level checkpoint/rollback for the
 //! full simulated MD step.
 //!
-//! [`FaultTolerantRunner`] wraps an [`Engine`] and drives it the way a
-//! production campaign would run on real hardware: periodic checkpoints
-//! serialized through the (fault-injectable) checkpoint codec, with
+//! [`FaultTolerantRunner`] steps an [`Engine`] through the checkpoint,
+//! rollback and resume loop of [`mdsim::durable`] the way a production
+//! campaign would run on real hardware: periodic checkpoints serialized
+//! through the (fault-injectable) checkpoint codec, with
 //! rollback-and-replay when a step is detected as corrupt
-//! ([`Site::StepAbort`](swfault::Site::StepAbort)).
+//! ([`Site::StepAbort`](swfault::Site::StepAbort)) or a kernel lane
+//! panics.
 //!
 //! Recovery here is **bit-exact** for every site except kernel faults:
 //! checkpoints land on `nstlist` boundaries so the pair-list rebuild
@@ -16,22 +18,23 @@
 //! therefore the one site a differential test must leave disabled.
 
 use std::io;
+use std::ops::Deref;
 use std::path::Path;
-use std::sync::Arc;
 
 use mdsim::checkpoint::Checkpoint;
+use mdsim::durable::{Durable, Report, Step, Stepper};
 use swprof::tel::flight::Ring;
-use swstore::{Store, StoreOptions};
 
 use crate::engine::Engine;
 
-/// Outcome of a fault-tolerant engine run.
+/// Outcome of a fault-tolerant engine run: the loop's counters (read
+/// through this report too) and the engine's own.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
-    /// Step executions performed, including replays after rollback.
-    pub step_executions: u64,
-    /// Rollbacks to the last checkpoint.
-    pub rollbacks: u64,
+    /// The loop's counters: step executions (replays included),
+    /// rollbacks, generations persisted (0 without a store), fsync
+    /// retries and the step resumed from.
+    pub run: Report,
     /// Checkpoint serialize/deserialize attempts retried after an
     /// injected I/O fault.
     pub checkpoint_io_retries: u64,
@@ -47,231 +50,139 @@ pub struct RecoveryReport {
     /// Step executions whose SHAKE ran out of iterations
     /// ([`Engine::constraint_failures`]); replays count again.
     pub constraint_failures: u64,
-    /// Checkpoint generations persisted to the durable store (durable
-    /// mode only; 0 for the in-memory runner).
-    pub generations_persisted: u64,
-    /// fsync retries burned committing to the store.
-    pub store_fsync_retries: u64,
-    /// Step the runner resumed from when the store held a valid
-    /// generation at construction.
-    pub resumed_from: Option<u64>,
+}
+
+impl Deref for RecoveryReport {
+    type Target = Report;
+
+    fn deref(&self) -> &Report {
+        &self.run
+    }
 }
 
 /// Drives an [`Engine`] under a fault plan with checkpoint/rollback.
 /// A runner owns the flight ring its rollbacks dump: everything recorded
 /// while it builds and runs lands there, and in no ring further out.
 pub struct FaultTolerantRunner {
+    run: Durable,
+    on: Driven,
+}
+
+/// The engine as the loop steps it.
+struct Driven {
     engine: Engine,
-    ring: Arc<Ring>,
-    cp_every: usize,
-    cp_bytes: Vec<u8>,
-    high_water: usize,
     report: RecoveryReport,
-    store: Option<Store>,
-    last_persisted: Option<u64>,
 }
 
 impl FaultTolerantRunner {
-    /// Wrap `engine`, checkpointing every `cp_every` steps. `cp_every`
-    /// must be a positive multiple of the engine's `nstlist` so a
-    /// restored run rebuilds its pair list at the same step index the
-    /// original did (the [`Engine::resume_at`] contract).
+    /// Wrap `engine`, checkpointing every `cp_every` steps in memory.
+    /// `cp_every` must be a positive multiple of the engine's `nstlist`
+    /// so a restored run rebuilds its pair list at the same step index
+    /// the original did (the [`Engine::resume_at`] contract).
     pub fn new(engine: Engine, cp_every: usize) -> io::Result<Self> {
-        let ring = Ring::new();
-        let _armed = ring.enter();
-        Self::recording_into(ring, engine, cp_every)
-    }
-
-    /// [`FaultTolerantRunner::new`] with the caller's ring, entered.
-    fn recording_into(ring: Arc<Ring>, engine: Engine, cp_every: usize) -> io::Result<Self> {
-        let nstlist = engine.config().nstlist;
-        assert!(
-            cp_every > 0 && cp_every.is_multiple_of(nstlist),
-            "cp_every ({cp_every}) must be a positive multiple of nstlist ({nstlist})"
-        );
-        let mut report = RecoveryReport::default();
-        let cp_bytes = Self::serialize(&engine, &mut report)?;
-        let high_water = engine.step_index();
-        Ok(Self {
-            engine,
-            ring,
-            cp_every,
-            cp_bytes,
-            high_water,
-            report,
-            store: None,
-            last_persisted: None,
-        })
+        Self::open(engine, cp_every, None)
     }
 
     /// Like [`FaultTolerantRunner::new`], but every checkpoint is also
-    /// committed to a crash-consistent [`Store`] at `dir` as a
-    /// single-frame generation (epoch = step index). If the store
-    /// already holds a valid generation — this process was restarted —
-    /// the engine resumes from the newest one instead of its current
-    /// state, so a campaign survives process death, not just step
-    /// aborts. Torn or corrupted generations on disk are skipped by the
-    /// store's fallback walk.
+    /// committed to a crash-consistent store at `dir` as a single-frame
+    /// generation (epoch = step index). If the store already holds a
+    /// valid generation — this process was restarted — the engine
+    /// resumes from the newest one instead of its current state, so a
+    /// campaign survives process death, not just step aborts. Torn or
+    /// corrupted generations on disk are skipped by the store's
+    /// fallback walk.
     ///
     /// The starting generation this writes into an empty store is
     /// durable once the first [`FaultTolerantRunner::run_until`] has
     /// returned or the runner is dropped, whichever is first: a crash
     /// before that restarts from the engine the caller passed in, as a
     /// crash just before this call would.
-    pub fn new_durable(mut engine: Engine, cp_every: usize, dir: &Path) -> io::Result<Self> {
-        let ring = Ring::new();
-        let _armed = ring.enter();
-        let (mut store, _open) = Store::open(dir, StoreOptions::default())?;
-        let mut report = RecoveryReport::default();
-        let mut last_persisted = None;
-        if let Some(generation) = store.load_newest_valid()? {
-            let frame = generation
-                .frames
-                .first()
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty generation"))?;
-            let cp = Self::deserialize(frame, &mut report)?;
-            cp.restore(&mut engine.sys)?;
-            engine.resume_at(cp.step as usize);
-            report.resumed_from = Some(cp.step);
-            last_persisted = Some(cp.step);
-            swprof::metrics::counter_add("rank.resumes", 1);
-        }
-        let mut runner = Self::recording_into(ring, engine, cp_every)?;
-        runner.report.checkpoint_io_retries += report.checkpoint_io_retries;
-        runner.report.resumed_from = report.resumed_from;
-        runner.store = Some(store);
-        runner.last_persisted = last_persisted;
-        // Persist the starting state: a crash before the first boundary
-        // must still find a generation to restart from.
-        if runner.last_persisted.is_none() {
-            runner.persist(runner.engine.step_index() as u64)?;
-        }
-        Ok(runner)
+    pub fn new_durable(engine: Engine, cp_every: usize, dir: &Path) -> io::Result<Self> {
+        Self::open(engine, cp_every, Some(dir))
     }
 
-    /// Commit the current in-memory checkpoint bytes as generation
-    /// `epoch` (no-op without a store or if `epoch` is already on disk).
-    /// The commit's barrier is left in flight ([`Store::begin`]), so the
-    /// steps that follow run while the disk flushes;
-    /// [`FaultTolerantRunner::run_until`] waits for it.
-    fn persist(&mut self, epoch: u64) -> io::Result<()> {
-        let Some(store) = self.store.as_mut() else {
-            return Ok(());
+    fn open(engine: Engine, cp_every: usize, dir: Option<&Path>) -> io::Result<Self> {
+        let nstlist = engine.config().nstlist;
+        assert!(
+            cp_every > 0 && cp_every.is_multiple_of(nstlist),
+            "cp_every ({cp_every}) must be a positive multiple of nstlist ({nstlist})"
+        );
+        let step = engine.step_index() as u64;
+        let mut on = Driven {
+            engine,
+            report: RecoveryReport::default(),
         };
-        if self.last_persisted == Some(epoch) {
-            return Ok(());
-        }
-        let frames = [self.cp_bytes.clone()];
-        self.report.store_fsync_retries += store.begin(epoch, &frames)? as u64;
-        self.report.generations_persisted += 1;
-        self.last_persisted = Some(epoch);
-        Ok(())
+        let run = Durable::open(Ring::new(), dir, cp_every as u64, step, &mut on)?;
+        Ok(Self { run, on })
     }
 
     /// The wrapped engine (read access for energies/breakdown).
     pub fn engine(&self) -> &Engine {
-        &self.engine
+        &self.on.engine
     }
 
     /// The report accumulated so far (e.g. to read `resumed_from`
     /// right after [`FaultTolerantRunner::new_durable`], before any
     /// steps have run).
     pub fn report(&self) -> &RecoveryReport {
-        &self.report
+        &self.on.report
     }
 
-    /// Checkpoint the engine's current state, retrying injected I/O faults.
-    fn serialize(engine: &Engine, report: &mut RecoveryReport) -> io::Result<Vec<u8>> {
-        let cp = Checkpoint::capture(&engine.sys, engine.step_index() as u64);
-        let (bytes, retries) = cp.encode_with_retry()?;
-        report.checkpoint_io_retries += retries;
-        report.checkpoints_written += 1;
-        Ok(bytes)
-    }
-
-    fn deserialize(bytes: &[u8], report: &mut RecoveryReport) -> io::Result<Checkpoint> {
-        let (cp, retries) = Checkpoint::decode_with_retry(bytes)?;
-        report.checkpoint_io_retries += retries;
-        Ok(cp)
-    }
-
-    /// Discard everything since the last checkpoint: black-box the abort
-    /// before state is rewound — the last N flight events explain *why*
-    /// this rollback happened, and the dump lives next to the generation
-    /// chain a restart would read — then restore and resume there.
-    fn roll_back(&mut self, cause: &'static str, at_step: usize) -> io::Result<()> {
-        self.report.rollbacks += 1;
-        swprof::metrics::counter_add("fault.rollbacks", 1);
-        let cp = Self::deserialize(&self.cp_bytes, &mut self.report)?;
-        swprof::tel::flight::record("abort", cause, at_step as u64, cp.step);
-        if let Some(store) = &self.store {
-            let dump = store.dir().join("blackbox-rollback.json");
-            let _ = self.ring.dump_to(&dump);
-        }
-        cp.restore(&mut self.engine.sys)?;
-        self.engine.resume_at(cp.step as usize);
-        Ok(())
-    }
-
-    /// Run until the engine's step index reaches `until_step`. Steps at
-    /// or below the previous high-water mark (replays after rollback)
-    /// are shielded from further abort decisions, guaranteeing forward
-    /// progress and deterministic termination. In durable mode every
-    /// generation counted in the report is durable when this returns.
+    /// Run until the engine's step index reaches `until_step` (see
+    /// [`Durable::run_until`]). With a store, every generation counted
+    /// in the report is durable when this returns.
     pub fn run_until(&mut self, until_step: usize) -> io::Result<&RecoveryReport> {
-        let _armed = self.ring.enter();
-        let mut consecutive_panics = 0u32;
-        while self.engine.step_index() < until_step {
-            let step = self.engine.step_index();
-            // Checkpoint at each boundary the first time it is reached;
-            // during a replay (step < high_water) the stored checkpoint
-            // already holds this exact state.
-            if step > 0 && step.is_multiple_of(self.cp_every) && step >= self.high_water {
-                self.cp_bytes = Self::serialize(&self.engine, &mut self.report)?;
-                self.persist(step as u64)?;
-            }
-            // A worker-thread panic mid-step (a poisoned native-pool
-            // region) leaves the engine with partial forces; recovery
-            // is the same as a step abort — discard everything since
-            // the checkpoint and replay. Bounded: a step that panics on
-            // every retry is a real bug, not chaos, and must surface.
-            let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.engine.step();
-            }));
-            self.report.step_executions += 1;
-            if stepped.is_err() {
-                self.report.lane_panics += 1;
-                consecutive_panics += 1;
-                if consecutive_panics > swfault::retry::MAX_ATTEMPTS {
-                    return Err(io::Error::other(
-                        "kernel lane panicked on every replay of one step; giving up",
-                    ));
-                }
-                swprof::metrics::counter_add("fault.lane_panics", 1);
-                self.roll_back("lane_panic", step)?;
-                continue;
-            }
-            consecutive_panics = 0;
-            let now = self.engine.step_index();
-            if now > self.high_water {
-                self.high_water = now;
-                if swfault::should(swfault::Site::StepAbort) {
-                    self.roll_back("step_rollback", now)?;
-                }
-            }
-        }
-        if let Some(store) = self.store.as_mut() {
-            store.settle()?;
-        }
-        self.report.degraded = self.engine.degraded();
-        self.report.kernel_faults = self.engine.kernel_faults();
-        self.report.constraint_failures = self.engine.constraint_failures();
-        Ok(&self.report)
+        self.run.run_until(&mut self.on, until_step as u64)?;
+        let Driven { engine, report } = &mut self.on;
+        report.degraded = engine.degraded();
+        report.kernel_faults = engine.kernel_faults();
+        report.constraint_failures = engine.constraint_failures();
+        Ok(report)
     }
 
     /// Consume the runner, returning the engine and the final report.
     pub fn into_parts(self) -> (Engine, RecoveryReport) {
-        (self.engine, self.report)
+        (self.on.engine, self.on.report)
+    }
+}
+
+impl Stepper for Driven {
+    /// Checkpoint the engine's state, retrying injected I/O faults.
+    fn capture(&mut self, step: u64) -> io::Result<Vec<Vec<u8>>> {
+        let (bytes, retries) = Checkpoint::capture(&self.engine.sys, step).encode_with_retry()?;
+        self.report.checkpoint_io_retries += retries;
+        self.report.checkpoints_written += 1;
+        Ok(vec![bytes])
+    }
+
+    fn restore(&mut self, frames: &[Vec<u8>]) -> io::Result<u64> {
+        let frame = frames
+            .first()
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty generation"))?;
+        let (cp, retries) = Checkpoint::decode_with_retry(frame)?;
+        self.report.checkpoint_io_retries += retries;
+        cp.restore(&mut self.engine.sys)?;
+        self.engine.resume_at(cp.step as usize);
+        Ok(cp.step)
+    }
+
+    /// A worker-thread panic mid-step (a poisoned native-pool region)
+    /// leaves the engine with partial forces: the step failed, and the
+    /// loop rolls back as for a step abort.
+    fn step(&mut self, _step: u64) -> io::Result<Step> {
+        let stepped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.engine.step();
+        }));
+        if stepped.is_ok() {
+            return Ok(Step::Ran);
+        }
+        self.report.lane_panics += 1;
+        swprof::metrics::counter_add("fault.lane_panics", 1);
+        Ok(Step::Failed("lane_panic"))
+    }
+
+    fn report(&mut self) -> &mut Report {
+        &mut self.report.run
     }
 }
 
@@ -281,6 +192,7 @@ mod tests {
     use crate::backend::BackendSel;
     use crate::engine::{Engine, EngineConfig, Version};
     use mdsim::water::water_box_equilibrated;
+    use swstore::{Store, StoreOptions};
 
     fn engine() -> Engine {
         Engine::new(
@@ -327,6 +239,51 @@ mod tests {
             assert_eq!(x.y.to_bits(), y.y.to_bits());
             assert_eq!(x.z.to_bits(), y.z.to_bits());
         }
+    }
+
+    #[test]
+    fn a_step_abort_and_a_lane_panic_in_one_run_keep_their_draw_order() {
+        let native = || {
+            Engine::new(
+                water_box_equilibrated(48, 300.0, 11),
+                EngineConfig {
+                    backend: BackendSel::Native,
+                    ..EngineConfig::paper(Version::Other)
+                },
+            )
+        };
+        let mut reference = FaultTolerantRunner::new(native(), 10).unwrap();
+        reference.run_until(30).unwrap();
+        // Abort decision 14 rolls step 15 back to 10; lane 7's 21st region
+        // panics on the step after a boundary, which is captured again.
+        // Literals recorded before the loop moved into `mdsim::durable`.
+        let scope = swfault::install(
+            swfault::FaultPlan::with_seed(5)
+                .one_shot(swfault::Site::StepAbort, None, 14)
+                .one_shot(swfault::Site::LanePanic, Some(7), 20),
+        );
+        let mut faulted = FaultTolerantRunner::new(native(), 10).unwrap();
+        let report = faulted.run_until(30).unwrap().clone();
+        assert_eq!(scope.finish().total(), 2);
+        assert_eq!(
+            (
+                report.step_executions,
+                report.rollbacks,
+                report.lane_panics,
+                report.checkpoints_written
+            ),
+            (36, 2, 1, 4)
+        );
+        let bits = |r: FaultTolerantRunner| {
+            r.into_parts()
+                .0
+                .sys
+                .pos
+                .iter()
+                .map(|p| p.x.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(reference), bits(faulted), "recovery diverged");
     }
 
     #[test]

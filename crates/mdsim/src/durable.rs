@@ -1,38 +1,27 @@
-//! The domain-decomposed MD driver: coordinated snapshots to an
-//! on-disk `swstore` chain, and recovery from all three faults a DD run
-//! meets — an aborted step, a process crash, a rank that dies for good.
+//! Durable runs: one checkpoint, rollback and resume loop
+//! ([`Durable`]) and the domain-decomposed run that steps through it
+//! ([`run_dd_md_durable`]); `swgmx::recovery::FaultTolerantRunner` is
+//! the loop's other user.
 //!
-//! - **Coordinated snapshots.** Every `epoch_interval` steps the live
-//!   ranks pass an epoch barrier ([`swnet::epoch_barrier`]), partition
-//!   the system under the current decomposition, and each contributes a
-//!   [`RankShard`] tagged with the agreed epoch. The shards are one
-//!   generation, committed atomically by [`swstore::Store`].
-//! - **Step aborts.** After each *new* step an injected
-//!   [`Site::StepAbort`](swfault::Site::StepAbort) rolls the system back
-//!   to the newest valid generation, under the decomposition it already
-//!   has, and replays from there. Replayed steps (at or below the
-//!   high-water mark) draw no abort, so every run terminates.
-//! - **Crash restart.** A fresh invocation on a non-empty store resumes
-//!   from the newest fully-valid generation: shards reassemble
-//!   ([`assemble_shards`]) into the exact global state, torn or
-//!   corrupted generations are skipped by the store's fallback walk.
-//! - **Elastic rank death.** A [`Site::RankKill`](swfault::Site::RankKill)
-//!   hit is permanent. Survivors detect the silence by halo-exchange
-//!   timeout, confirm it at a barrier, re-decompose the box over the
-//!   shrunken rank set, reload the last coordinated generation, and
-//!   replay.
+//! A [`Stepper`] says what a step is; the loop owns the rest:
+//! resume from the store's newest valid generation, a generation at every
+//! `every`-th step at or above the high-water mark (committed with
+//! [`Store::begin`], settled before [`Durable::run_until`] returns), the
+//! one [`Site::StepAbort`](swfault::Site::StepAbort) draw after each new
+//! step, and rollback to the newest captured generation, kept in memory.
 //!
-//! All three recoveries are one reload of the newest generation. Because
-//! a generation reassembles to *global* state and [`compute_forces_dd`]
-//! is a pure function of `(state, n_ranks)`, a recovered trajectory is
-//! bit-identical to an unfailed run of the same decomposition started
-//! from that generation. Each step is `clear_forces`,
-//! [`compute_forces_dd`], [`leapfrog_step_constrained`] and one
-//! sequence-numbered halo force return per rank, so recovery changes
-//! *when* steps execute, never what a step computes.
+//! A DD generation is one [`RankShard`] per live rank, committed behind
+//! an epoch barrier; it reassembles ([`assemble_shards`]) into global
+//! state whatever rank count wrote it. A rank killed for good
+//! ([`Site::RankKill`](swfault::Site::RankKill)) is detected by halo
+//! timeout; the survivors re-decompose and reload the newest generation.
+//! Since [`compute_forces_dd`] is a pure function of `(state, n_ranks)`,
+//! every recovery changes *when* steps execute, never what one computes.
 
 use std::io;
+use std::ops::Deref;
 use std::path::Path;
+use std::sync::Arc;
 
 use swnet::{
     epoch_barrier, epoch_barrier_traced, halo_exchange_ns, halo_timeout_ns, SeqChannel, Transport,
@@ -56,6 +45,182 @@ pub const DT: f32 = 0.002;
 /// (§3.6).
 const TRANSPORT: Transport = Transport::Rdma;
 
+/// What one [`Stepper::step`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// The step ran; a new one draws the abort.
+    Ran,
+    /// The step ran and failed for `cause`: roll back and replay.
+    Failed(&'static str),
+    /// No step ran and the stepped state changed shape (a rank died):
+    /// reload the newest generation, counting nothing.
+    Reload,
+}
+
+/// What a [`Durable`] loop steps.
+pub trait Stepper {
+    /// The frames of a generation of the current state, at `step`.
+    fn capture(&mut self, step: u64) -> io::Result<Vec<Vec<u8>>>;
+    /// Restore a generation's frames; the step they hold.
+    fn restore(&mut self, frames: &[Vec<u8>]) -> io::Result<u64>;
+    /// Run step `step`.
+    fn step(&mut self, step: u64) -> io::Result<Step>;
+    /// The loop's counters, kept in the stepper's own report.
+    fn report(&mut self) -> &mut Report;
+    /// Run `commit`, the store's half of a commit, wrapped in what a
+    /// commit costs the stepper beyond the store; the fsync retries.
+    fn committing(&mut self, commit: impl FnOnce() -> io::Result<u32>) -> io::Result<u32> {
+        commit()
+    }
+}
+
+/// The counters a [`Durable`] loop keeps, whatever it steps.
+#[derive(Debug, Clone, Default)]
+pub struct Report {
+    /// Step executions, including replays after a rollback.
+    pub step_executions: u64,
+    /// Rollbacks to the newest generation (step aborts, failed steps).
+    pub rollbacks: u64,
+    /// Generations committed to the store.
+    pub generations_persisted: u64,
+    /// fsync retries the store burned committing.
+    pub fsync_retries: u64,
+    /// Step the run resumed from, if the store held a valid generation.
+    pub resumed_from: Option<u64>,
+}
+
+/// The checkpoint, rollback and resume loop. It owns the flight ring
+/// its rollbacks dump: everything recorded while it opens and runs lands
+/// there, and in no ring further out.
+pub struct Durable {
+    ring: Arc<Ring>,
+    store: Option<Store>,
+    every: u64,
+    /// Frames of the newest captured generation.
+    newest: Vec<Vec<u8>>,
+    /// Newest epoch committed or resumed from this run.
+    committed: Option<u64>,
+    step: u64,
+    /// Steps above this mark are new; only a new step may abort.
+    high_water: u64,
+}
+
+impl Durable {
+    /// Open the loop over `s`, which is at `step`, capturing a generation
+    /// every `every` steps. With a store at `dir`, `s` first resumes from
+    /// its newest valid generation, if any. The floor generation is the
+    /// state the run starts from, committed unless the store holds it.
+    pub fn open(
+        ring: Arc<Ring>,
+        dir: Option<&Path>,
+        every: u64,
+        step: u64,
+        s: &mut impl Stepper,
+    ) -> io::Result<Self> {
+        assert!(every > 0, "the checkpoint cadence must be positive");
+        let _armed = ring.enter();
+        let open = |dir| Store::open(dir, StoreOptions::default()).map(|(store, _)| store);
+        let mut store = dir.map(open).transpose()?;
+        let (mut step, mut committed) = (step, None);
+        let resumed = store.as_mut().map(Store::load_newest_valid).transpose()?;
+        if let Some(generation) = resumed.flatten() {
+            step = s.restore(&generation.frames)?;
+            committed = Some(step);
+            s.report().resumed_from = Some(step);
+            swprof::metrics::counter_add("rank.resumes", 1);
+        }
+        let mut run = Self {
+            ring: ring.clone(),
+            store,
+            every,
+            newest: Vec::new(),
+            committed,
+            step,
+            high_water: step,
+        };
+        run.capture(s)?;
+        Ok(run)
+    }
+
+    /// Epochs the store holds, oldest first (none without a store).
+    pub fn chain(&self) -> &[u64] {
+        self.store.as_ref().map_or(&[], Store::chain)
+    }
+
+    /// Step `s` until step `until`. A step at a cadence boundary at or
+    /// above the high-water mark is captured first (a replayed one below
+    /// it holds the captured state; one just restored onto the mark is
+    /// captured again, an encode the runner's pinned fault draws count;
+    /// step 0 is `open`'s); a step that fails
+    /// [`swfault::retry::MAX_ATTEMPTS`] times running ends the run. Every
+    /// generation counted is durable when this returns.
+    pub fn run_until(&mut self, s: &mut impl Stepper, until: u64) -> io::Result<()> {
+        let _armed = self.ring.enter();
+        let mut failures = 0;
+        while self.step < until {
+            let step = self.step;
+            if step > 0 && step.is_multiple_of(self.every) && step >= self.high_water {
+                self.capture(s)?;
+            }
+            match s.step(step)? {
+                Step::Ran => {
+                    failures = 0;
+                    s.report().step_executions += 1;
+                    self.step += 1;
+                    if self.step > self.high_water {
+                        self.high_water = self.step;
+                        if swfault::should(swfault::Site::StepAbort) {
+                            self.roll_back(s, "step_rollback", self.step)?;
+                        }
+                    }
+                }
+                Step::Failed(cause) => {
+                    s.report().step_executions += 1;
+                    failures += 1;
+                    if failures > swfault::retry::MAX_ATTEMPTS {
+                        return Err(io::Error::other(format!(
+                            "{cause} on every replay of step {step}; giving up"
+                        )));
+                    }
+                    self.roll_back(s, cause, step)?;
+                }
+                Step::Reload => self.step = s.restore(&self.newest)?,
+            }
+        }
+        self.store.as_mut().map_or(Ok(()), Store::settle)
+    }
+
+    /// Capture the current step and commit it unless the store holds it.
+    /// The commit's barrier is left in flight, so the steps that follow
+    /// run while the disk flushes.
+    fn capture(&mut self, s: &mut impl Stepper) -> io::Result<()> {
+        self.newest = s.capture(self.step)?;
+        let pending = self.committed != Some(self.step);
+        if let Some(store) = self.store.as_mut().filter(|_| pending) {
+            let (step, frames) = (self.step, &self.newest);
+            s.report().fsync_retries += s.committing(|| store.begin(step, frames))? as u64;
+            s.report().generations_persisted += 1;
+            self.committed = Some(self.step);
+        }
+        Ok(())
+    }
+
+    /// Roll back to the newest captured generation for `cause`, seen at
+    /// step `at`, and black-box it: the last flight events explain *why*,
+    /// and the dump lives next to the chain a restart would read.
+    fn roll_back(&mut self, s: &mut impl Stepper, cause: &'static str, at: u64) -> io::Result<()> {
+        self.step = s.restore(&self.newest)?;
+        s.report().rollbacks += 1;
+        swprof::metrics::counter_add("fault.rollbacks", 1);
+        swprof::tel::flight::record("abort", cause, at, self.step);
+        if let Some(store) = &self.store {
+            let dump = store.dir().join("blackbox-rollback.json");
+            let _ = self.ring.dump_to(&dump);
+        }
+        Ok(())
+    }
+}
+
 /// Configuration of a durable run. Generations on disk follow
 /// [`StoreOptions::default`].
 #[derive(Debug, Clone)]
@@ -64,9 +229,8 @@ pub struct DurableConfig {
     pub n_ranks: usize,
     /// Steps to run (absolute: a resumed run continues to this count).
     pub n_steps: u64,
-    /// Steps between coordinated snapshots; the epoch tag of every
-    /// generation is a multiple of this (nstlist-aligned in the paper's
-    /// terms). Epoch 0 is always committed so recovery has a floor.
+    /// Steps between coordinated snapshots (nstlist-aligned in the
+    /// paper's terms); epoch 0 is always committed as the floor.
     pub epoch_interval: u64,
 }
 
@@ -82,17 +246,12 @@ impl DurableConfig {
     }
 }
 
-/// Outcome of a durable run.
+/// Outcome of a durable run: the loop's counters (read through this
+/// report too) and the decomposition's own.
 #[derive(Debug, Clone, Default)]
 pub struct DurableRunReport {
-    /// MD step executions, including steps replayed after a recovery.
-    pub step_executions: u64,
-    /// Rollbacks to the newest generation (injected step aborts).
-    pub rollbacks: u64,
-    /// Coordinated generations committed this invocation.
-    pub epochs_committed: u64,
-    /// Epoch the run resumed from, if the store held a valid generation.
-    pub resumed_from: Option<u64>,
+    /// The loop's counters.
+    pub run: Report,
     /// Ranks that died permanently.
     pub rank_kills: u64,
     /// Elastic re-decompositions performed (one per death event).
@@ -101,8 +260,6 @@ pub struct DurableRunReport {
     pub halo_timeouts: u64,
     /// Duplicate halo messages discarded by sequence-number checks.
     pub duplicates_discarded: u64,
-    /// fsync retries the store needed while committing.
-    pub fsync_retries: u64,
     /// Simulated communication time: halo traffic, epoch barriers,
     /// liveness timeouts.
     pub comm_ns: f64,
@@ -110,20 +267,41 @@ pub struct DurableRunReport {
     pub energies: NbEnergies,
     /// Ranks still alive at the end.
     pub live_ranks: usize,
-    /// Per-particle owner counts under the final decomposition — the
-    /// input of the `swcheck` SWC106 "no orphaned cells" rule.
+    /// Per-particle owners under the final decomposition (SWC106).
     pub final_coverage: Vec<u32>,
-    /// Epochs retained on disk at the end, oldest first — the input of
-    /// the `swcheck` SWC107 "no epoch gaps" rule.
+    /// Epochs retained on disk at the end, oldest first (SWC107).
     pub chain: Vec<u64>,
     /// Snapshot cadence, for auditing the chain.
     pub epoch_interval: u64,
 }
 
+impl Deref for DurableRunReport {
+    type Target = Report;
+
+    fn deref(&self) -> &Report {
+        &self.run
+    }
+}
+
+/// The state a durable DD run steps.
+struct Ranks<'a> {
+    sys: &'a mut System,
+    params: &'a NbParams,
+    constraints: &'a ConstraintSet,
+    dir: &'a Path,
+    ring: Arc<Ring>,
+    /// Live members by their original rank id; the RankKill lane is the
+    /// original id, so a scripted kill targets the same physical rank no
+    /// matter how the decomposition has shrunk around it.
+    members: Vec<usize>,
+    halo_channels: Vec<SeqChannel>,
+    report: DurableRunReport,
+}
+
 /// Run durable DD-MD against the store at `dir` (created if absent).
-/// See the module docs for the protocol. Errors are unrecoverable
-/// storage failures or the death of the last rank. The run records into
-/// a flight ring of its own, the one its black-box dumps hold.
+/// Errors are unrecoverable storage failures or the death of the last
+/// rank. The run records into a flight ring of its own, the one its
+/// black-box dumps hold.
 pub fn run_dd_md_durable(
     sys: &mut System,
     dir: &Path,
@@ -131,210 +309,163 @@ pub fn run_dd_md_durable(
     params: &NbParams,
     constraints: &ConstraintSet,
 ) -> io::Result<DurableRunReport> {
-    assert!(cfg.epoch_interval > 0, "epoch_interval must be positive");
     assert!(cfg.n_ranks >= 1);
     let _run_span = swprof::span("durable.run");
     let ring = Ring::new();
-    let _armed = ring.enter();
-    let mut report = DurableRunReport {
-        epoch_interval: cfg.epoch_interval,
-        ..Default::default()
+    let mut ranks = Ranks {
+        sys,
+        params,
+        constraints,
+        dir,
+        ring: ring.clone(),
+        members: (0..cfg.n_ranks).collect(),
+        halo_channels: (0..cfg.n_ranks).map(|_| SeqChannel::new()).collect(),
+        report: DurableRunReport {
+            epoch_interval: cfg.epoch_interval,
+            ..Default::default()
+        },
     };
-    let (mut store, _open) = Store::open(dir, StoreOptions::default())?;
+    let mut run = Durable::open(ring, Some(dir), cfg.epoch_interval, 0, &mut ranks)?;
+    run.run_until(&mut ranks, cfg.n_steps)?;
 
-    // Resume: the newest fully-valid generation wins; every rank of the
-    // new invocation starts from the reassembled global state, whatever
-    // rank count produced the generation (that's the elasticity).
-    let mut step = 0u64;
-    let mut last_committed: Option<u64> = None;
-    if let Some(epoch) = restore_newest(&mut store, sys)? {
-        step = epoch;
-        last_committed = Some(epoch);
-        report.resumed_from = Some(epoch);
-        swprof::metrics::counter_add("rank.resumes", 1);
+    let mut report = ranks.report;
+    report.live_ranks = ranks.members.len();
+    report.final_coverage = vec![0; ranks.sys.n()];
+    let decomposition = Decomposition::new(ranks.sys.pbc, ranks.members.len());
+    for &i in decomposition.partition(&ranks.sys.pos).iter().flatten() {
+        report.final_coverage[i as usize] += 1;
     }
-    // Steps above this mark are new; only a new step may abort.
-    let mut high_water = step;
+    report.chain = run.chain().to_vec();
+    Ok(report)
+}
 
-    // Live members by their original rank id; the RankKill lane is the
-    // original id, so a scripted kill targets the same physical rank no
-    // matter how the decomposition has shrunk around it.
-    let mut members: Vec<usize> = (0..cfg.n_ranks).collect();
-    let mut halo_channels: Vec<SeqChannel> = (0..cfg.n_ranks).map(|_| SeqChannel::new()).collect();
+impl Stepper for Ranks<'_> {
+    fn capture(&mut self, step: u64) -> io::Result<Vec<Vec<u8>>> {
+        let n = self.members.len();
+        let parts = Decomposition::new(self.sys.pbc, n).partition(&self.sys.pos);
+        let shard = |(r, owned): (usize, &Vec<u32>)| {
+            let mut buf = Vec::new();
+            RankShard::capture(self.sys, step, r as u32, n as u32, owned)
+                .write_to(&mut buf)
+                .map(|()| buf)
+        };
+        parts.iter().enumerate().map(shard).collect()
+    }
 
-    while step < cfg.n_steps {
-        // Coordinated snapshot at every epoch boundary not yet on disk
-        // (step 0 included: recovery always has a floor generation).
-        if step.is_multiple_of(cfg.epoch_interval) && last_committed != Some(step) {
-            let _cp_span = swprof::span("durable.commit");
-            let topo = swnet::Topology::new(members.len());
-            let barrier = epoch_barrier_traced(TRANSPORT, &vec![true; members.len()], &members);
-            report.comm_ns += barrier.ns;
-            let decomposition = Decomposition::new(sys.pbc, members.len());
-            let parts = decomposition.partition(&sys.pos);
-            let frames: Vec<Vec<u8>> = parts
-                .iter()
-                .enumerate()
-                .map(|(r, owned)| {
-                    let shard =
-                        RankShard::capture(sys, step, r as u32, members.len() as u32, owned);
-                    let mut buf = Vec::new();
-                    shard.write_to(&mut buf).map(|()| buf)
-                })
-                .collect::<io::Result<_>>()?;
-            report.fsync_retries += store.commit_with_retry(step, &frames)? as u64;
-            report.epochs_committed += 1;
-            last_committed = Some(step);
-            // The commit itself is an all-to-disk gather; charge one
-            // more barrier-sized round for the completion handshake.
-            report.comm_ns += epoch_barrier(TRANSPORT, &vec![true; topo.n_ranks]).ns;
-        }
+    fn restore(&mut self, frames: &[Vec<u8>]) -> io::Result<u64> {
+        let shards = frames
+            .iter()
+            .map(|f| RankShard::read_from(&mut f.as_slice()));
+        let cp = assemble_shards(&shards.collect::<io::Result<Vec<_>>>()?, self.sys.n())?;
+        cp.restore(self.sys)?;
+        Ok(cp.step)
+    }
 
+    /// The live ranks agree on the epoch at a barrier; the commit itself
+    /// is an all-to-disk gather, charged one more barrier-sized round.
+    fn committing(&mut self, commit: impl FnOnce() -> io::Result<u32>) -> io::Result<u32> {
+        let live = vec![true; self.members.len()];
+        self.report.comm_ns += epoch_barrier_traced(TRANSPORT, &live, &self.members).ns;
+        let retries = commit()?;
+        self.report.comm_ns += epoch_barrier(TRANSPORT, &live).ns;
+        Ok(retries)
+    }
+
+    fn step(&mut self, step: u64) -> io::Result<Step> {
         // Poll the fault plane: does any live rank die this step?
-        let mut dead_positions: Vec<usize> = Vec::new();
-        for (pos, &m) in members.iter().enumerate() {
-            let _rank = Who::enter_lane(Some(m));
-            if swfault::should(swfault::Site::RankKill) {
-                dead_positions.push(pos);
-            }
+        let dead: Vec<usize> = (0..self.members.len())
+            .filter(|&pos| {
+                let _rank = Who::enter_lane(Some(self.members[pos]));
+                swfault::should(swfault::Site::RankKill)
+            })
+            .collect();
+        if !dead.is_empty() {
+            self.bury(&dead, step)?;
+            return Ok(Step::Reload);
         }
 
-        if !dead_positions.is_empty() {
-            let _rec_span = swprof::span("durable.recover");
-            if dead_positions.len() == members.len() {
-                // Black box first: the post-mortem needs the tail of
-                // events even (especially) when nobody survives.
-                for &p in &dead_positions {
-                    swprof::tel::flight::record("abort", "rank_kill", members[p] as u64, step);
-                }
-                let _ = ring.dump_to(&dir.join("blackbox-alldead.json"));
-                return Err(io::Error::other(
-                    "all ranks died; nothing left to recover onto",
-                ));
-            }
-            // Survivors notice the silence (one timeout round, paid in
-            // parallel), then confirm at a barrier over the old
-            // communicator with the dead seats empty.
-            report.halo_timeouts += 1;
-            report.comm_ns += halo_timeout_ns();
-            let mut seats = vec![true; members.len()];
-            for &p in &dead_positions {
-                seats[p] = false;
-            }
-            let barrier = epoch_barrier(TRANSPORT, &seats);
-            report.comm_ns += barrier.ns;
-            report.rank_kills += dead_positions.len() as u64;
-            // Flight-recorder black box: who died, at which step, dumped
-            // next to the generation chain the survivors recover from.
-            for &p in &dead_positions {
-                swprof::tel::flight::record("abort", "rank_kill", members[p] as u64, step);
-            }
-            let _ = ring.dump_to(&dir.join(format!("blackbox-rankkill-step{step}.json")));
-            for &p in dead_positions.iter().rev() {
-                members.remove(p);
-            }
-            // Elastic shrink: reload the last coordinated generation and
-            // replay it under the survivor decomposition.
-            let epoch = restore_newest(&mut store, sys)?.ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::NotFound,
-                    "rank died before any generation survived on disk",
-                )
-            })?;
-            step = epoch;
-            last_committed = Some(epoch);
-            report.redecompositions += 1;
-            swprof::metrics::counter_add("rank.kills", dead_positions.len() as u64);
-            swprof::metrics::counter_add("rank.redecompositions", 1);
-            swprof::metrics::counter_add("rank.halo_timeouts", 1);
-            continue;
-        }
-
-        // The physics step.
         let _step_span = swprof::span("durable.step");
-        sys.clear_forces();
-        let (en, stats) = compute_forces_dd(sys, members.len(), params);
-        report.energies = en;
-        leapfrog_step_constrained(sys, DT, constraints);
-        step += 1;
-        report.step_executions += 1;
+        self.sys.clear_forces();
+        let (en, stats) = compute_forces_dd(self.sys, self.members.len(), self.params);
+        self.report.energies = en;
+        leapfrog_step_constrained(self.sys, DT, self.constraints);
 
         // Halo force return on the wire: sequence-numbered, so a
         // delayed-then-retransmitted copy is discarded, not re-applied.
-        let topo = swnet::Topology::new(members.len());
-        for (pos, &m) in members.iter().enumerate() {
+        let topo = swnet::Topology::new(self.members.len());
+        for (pos, &m) in self.members.iter().enumerate() {
             let _rank = Who::enter_lane(Some(m));
             // The traced transmit stamps the causal context *before*
             // consuming any fault decision, so seeded chaos schedules
             // replay identically with tracing on or off; delivery is
             // deferred until the halo round-trip cost is known.
-            let peer = members[(pos + 1) % members.len()];
+            let peer = self.members[(pos + 1) % self.members.len()];
             let (tx, ctx) = if peer != m {
-                halo_channels[m].transmit_traced("halo.f", m, peer)
+                self.halo_channels[m].transmit_traced("halo.f", m, peer)
             } else {
-                (halo_channels[m].transmit(), None)
+                (self.halo_channels[m].transmit(), None)
             };
-            report.duplicates_discarded += tx.duplicates_discarded as u64;
+            self.report.duplicates_discarded += tx.duplicates_discarded as u64;
             let halo_bytes = stats.halo.get(pos).copied().unwrap_or(0) * 12;
             let halo_ns = halo_exchange_ns(&topo, TRANSPORT, 6, halo_bytes);
-            report.comm_ns += halo_ns;
+            self.report.comm_ns += halo_ns;
             if let Some(ctx) = ctx {
                 swprof::tel::deliver(&ctx, halo_ns.max(0.0) as u64);
             }
         }
-
-        if step > high_water {
-            high_water = step;
-            if swfault::should(swfault::Site::StepAbort) {
-                // Roll back under the decomposition the run already has:
-                // the newest generation holds the state a replay needs.
-                let epoch = restore_newest(&mut store, sys)?.ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::NotFound,
-                        "step aborted with no generation on disk",
-                    )
-                })?;
-                report.rollbacks += 1;
-                swprof::metrics::counter_add("fault.rollbacks", 1);
-                swprof::tel::flight::record("abort", "step_rollback", step, epoch);
-                step = epoch;
-                last_committed = Some(epoch);
-            }
-        }
+        Ok(Step::Ran)
     }
 
-    report.live_ranks = members.len();
-    let decomposition = Decomposition::new(sys.pbc, members.len());
-    let parts = decomposition.partition(&sys.pos);
-    let mut coverage = vec![0u32; sys.n()];
-    for part in &parts {
-        for &i in part {
-            coverage[i as usize] += 1;
-        }
+    fn report(&mut self) -> &mut Report {
+        &mut self.report.run
     }
-    report.final_coverage = coverage;
-    report.chain = store.chain().to_vec();
-    Ok(report)
 }
 
-/// Restore `sys` from the newest fully-valid generation in `store` and
-/// return its epoch, or `None` (and `sys` untouched) if the store holds
-/// none. Resume, rank-death reload and step-abort rollback all land here.
-fn restore_newest(store: &mut Store, sys: &mut System) -> io::Result<Option<u64>> {
-    let Some(generation) = store.load_newest_valid()? else {
-        return Ok(None);
-    };
-    let cp = assemble_shards(&decode_shards(&generation.frames)?, sys.n())?;
-    cp.restore(sys)?;
-    Ok(Some(cp.step))
-}
-
-/// Decode every frame of a generation back into a [`RankShard`].
-fn decode_shards(frames: &[Vec<u8>]) -> io::Result<Vec<RankShard>> {
-    frames
-        .iter()
-        .map(|f| RankShard::read_from(&mut f.as_slice()))
-        .collect()
+impl Ranks<'_> {
+    /// The ranks at `dead` (positions in `members`) died at `step`:
+    /// black-box it next to the chain, then shrink the decomposition to
+    /// the survivors, or fail when there are none.
+    fn bury(&mut self, dead: &[usize], step: u64) -> io::Result<()> {
+        let _rec_span = swprof::span("durable.recover");
+        let everyone = dead.len() == self.members.len();
+        if !everyone {
+            // Survivors notice the silence (one timeout round, paid in
+            // parallel), then confirm at a barrier over the old
+            // communicator with the dead seats empty.
+            self.report.halo_timeouts += 1;
+            self.report.comm_ns += halo_timeout_ns();
+            let seats: Vec<bool> = (0..self.members.len())
+                .map(|p| !dead.contains(&p))
+                .collect();
+            self.report.comm_ns += epoch_barrier(TRANSPORT, &seats).ns;
+            self.report.rank_kills += dead.len() as u64;
+        }
+        for &p in dead {
+            let rank = self.members[p] as u64;
+            swprof::tel::flight::record("abort", "rank_kill", rank, step);
+        }
+        // The post-mortem needs the tail of events even (especially)
+        // when nobody survives.
+        let name = if everyone {
+            "blackbox-alldead.json".into()
+        } else {
+            format!("blackbox-rankkill-step{step}.json")
+        };
+        let _ = self.ring.dump_to(&self.dir.join(name));
+        if everyone {
+            return Err(io::Error::other(
+                "all ranks died; nothing left to recover onto",
+            ));
+        }
+        for &p in dead.iter().rev() {
+            self.members.remove(p);
+        }
+        self.report.redecompositions += 1;
+        swprof::metrics::counter_add("rank.kills", dead.len() as u64);
+        swprof::metrics::counter_add("rank.redecompositions", 1);
+        swprof::metrics::counter_add("rank.halo_timeouts", 1);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -343,6 +474,13 @@ mod tests {
     use crate::nonbonded::Coulomb;
     use crate::water::{theta_hoh, water_box, D_OH};
     use swfault::{FaultPlan, Site};
+
+    fn decode_shards(frames: &[Vec<u8>]) -> io::Result<Vec<RankShard>> {
+        frames
+            .iter()
+            .map(|f| RankShard::read_from(&mut f.as_slice()))
+            .collect()
+    }
 
     fn params() -> NbParams {
         NbParams {
@@ -386,7 +524,7 @@ mod tests {
         let rep = run_dd_md_durable(&mut a, &dir, &cfg, &p, &cs).unwrap();
         assert_eq!(rep.step_executions, 12);
         assert_eq!(rep.rollbacks, 0);
-        assert_eq!(rep.epochs_committed, 3); // epochs 0, 4, 8
+        assert_eq!(rep.generations_persisted, 3); // epochs 0, 4, 8
         assert_eq!(rep.chain, vec![0, 4, 8]);
         assert_eq!(rep.live_ranks, 4);
         assert!(rep.final_coverage.iter().all(|&c| c == 1));

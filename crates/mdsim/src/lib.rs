@@ -34,8 +34,8 @@
 //! - [`constraints`], [`integrate`] — SHAKE rigid water, leapfrog
 //! - [`fft`], [`ewald`], [`pme`] — lattice-sum electrostatics
 //! - [`domain`] — domain decomposition for multi-rank scaling
-//! - [`ddrun`], [`durable`] — the DD force pass and the one DD driver
-//!   (snapshots, step-abort rollback, crash restart, rank death)
+//! - [`ddrun`], [`durable`] — the DD force pass, the one checkpoint,
+//!   rollback and resume loop, and the DD run on it (rank death)
 
 pub mod analysis;
 pub mod bonded;

@@ -411,15 +411,11 @@ impl Store {
     }
 
     /// [`Store::commit`] with bounded deterministic retry against
-    /// injected fsync failures. Returns the number of retries burned.
-    pub fn commit_with_retry(&mut self, epoch: u64, frames: &[Vec<u8>]) -> io::Result<u32> {
-        retrying(epoch, || self.commit(epoch, frames))
-    }
-
-    /// [`Store::commit_with_retry`] that returns at the barrier instead
-    /// of behind it: the generation is durable once the next call on
-    /// this store — [`Store::settle`] to ask for exactly that — or its
-    /// drop has returned, and an error of the barrier is reported there.
+    /// injected fsync failures (the retries burned are returned), which
+    /// returns at the barrier instead of behind it: the generation is
+    /// durable once the next call on this store — [`Store::settle`] to
+    /// ask for exactly that — or its drop has returned, and an error of
+    /// the barrier is reported there.
     pub fn begin(&mut self, epoch: u64, frames: &[Vec<u8>]) -> io::Result<u32> {
         retrying(epoch, || {
             let _span = swprof::span("store.commit");
@@ -695,7 +691,8 @@ mod tests {
         let (mut store, _) = Store::open(&dir, StoreOptions::default()).unwrap();
         let scope =
             swfault::install(FaultPlan::with_seed(1).one_shot(Site::StoreFsyncFail, None, 0));
-        let retries = store.commit_with_retry(10, &frames(10, 2)).unwrap();
+        let retries = store.begin(10, &frames(10, 2)).unwrap();
+        store.settle().unwrap();
         drop(scope);
         assert_eq!(retries, 1);
         assert_eq!(store.chain(), &[10]);

@@ -36,6 +36,9 @@ struct Args {
     seed: u64,
     mdp: Option<String>,
     profile: Option<String>,
+    /// `--steps`, `--temp`, `--pme` and `--seed` as given: beside
+    /// `--mdp` they override the file.
+    overrides: Vec<(String, String)>,
 }
 
 fn parse_args() -> Args {
@@ -51,12 +54,18 @@ fn parse_args() -> Args {
         seed: 2026,
         mdp: None,
         profile: None,
+        overrides: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = || {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{flag} needs a value")))
+            let v = it
+                .next()
+                .unwrap_or_else(|| die(&format!("{flag} needs a value")));
+            if ["--steps", "--temp", "--pme", "--seed"].contains(&flag.as_str()) {
+                args.overrides.push((flag.clone(), v.clone()));
+            }
+            v
         };
         match flag.as_str() {
             "--particles" => args.particles = value().parse().unwrap_or_else(|_| die("bad N")),
@@ -148,9 +157,18 @@ fn run_engine(args: &Args) -> Breakdown {
             for key in &opts.unknown {
                 eprintln!("note: ignoring unknown mdp key `{key}`");
             }
-            let mut c = opts.config;
+            let (mut c, mut steps) = (opts.config, opts.nsteps);
             c.version = args.version;
-            (c, opts.nsteps)
+            for (flag, value) in &args.overrides {
+                match flag.as_str() {
+                    "--steps" => steps = args.steps,
+                    "--temp" => c.t_ref = Some(args.temp),
+                    "--pme" => c.pme_grid = args.pme,
+                    _ => {} // --seed: the file does not draw the box
+                }
+                println!("note: {flag} {value} overrides the mdp file");
+            }
+            (c, steps)
         }
         None => {
             let mut c = EngineConfig::paper(args.version);
@@ -187,6 +205,11 @@ fn run_engine(args: &Args) -> Breakdown {
         let t0 = std::time::Instant::now();
         let en = engine.step();
         let ms = t0.elapsed().as_secs_f64() * 1e3;
+        let (t, e_pot) = (engine.sys.temperature(dof), en.total());
+        if !(t.is_finite() && e_pot.is_finite()) {
+            eprintln!("swgmx_mdrun: step {step}: T = {t} K, E_pot = {e_pot} kJ/mol is not finite");
+            std::process::exit(2);
+        }
         if step.is_multiple_of(nstlist) {
             rebuild_steps += 1;
             rebuild_ms += ms;
@@ -194,11 +217,7 @@ fn run_engine(args: &Args) -> Breakdown {
             other_ms += ms;
         }
         if step % report_every == 0 {
-            println!(
-                "  step {step:>7}: T = {:>6.1} K, E_pot = {:>12.1} kJ/mol",
-                engine.sys.temperature(dof),
-                en.total()
-            );
+            println!("  step {step:>7}: T = {t:>6.1} K, E_pot = {e_pot:>12.1} kJ/mol");
         }
         if let Some(w) = traj.as_mut() {
             // The engine's own frame cadence; `nstxout = 0` writes none.

@@ -342,3 +342,39 @@ fn rank_death_survivors_finish_with_clean_audit() {
     assert_bits_equal(&sys, &reference, "elastic shrink replay");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_chaotic_durable_runner_leaves_an_auditable_chain() {
+    let dir = store_dir("runner-chaos");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(store_root()).unwrap();
+    // Aborts, codec and fsync faults: recovery sites that leave no hole
+    // on disk (a torn write or a flipped bit is a hole the restart skips).
+    let scope = swfault::install(FaultPlan {
+        step_abort: 0.1,
+        io_error: 0.1,
+        store_fsync_fail: 0.2,
+        ..FaultPlan::with_seed(seed())
+    });
+    let mut runner =
+        FaultTolerantRunner::new_durable(runner_engine(), RUNNER_CP_EVERY, &dir).unwrap();
+    let report = runner.run_until(RUNNER_STEPS * 2).unwrap().clone();
+    drop(runner);
+    let log = scope.finish();
+    assert!(
+        log.count(Site::StepAbort) > 0 && report.fsync_retries > 0,
+        "{report:?}"
+    );
+
+    let (store, found) = swstore::Store::open(&dir, swstore::StoreOptions::default()).unwrap();
+    assert!(found.rejected.is_empty(), "{found:?}");
+    let findings = audit(&RecoveryAudit {
+        run: "chaotic-runner",
+        coverage: &[], // one core group owns every particle
+        chain: store.chain(),
+        epoch_interval: RUNNER_CP_EVERY as u64,
+    });
+    assert!(findings.is_empty(), "swcheck recovery audit: {findings:?}");
+    assert_eq!(store.chain().last(), Some(&50));
+    let _ = std::fs::remove_dir_all(&dir);
+}

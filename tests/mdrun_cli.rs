@@ -69,3 +69,44 @@ fn traj_follows_the_mdp_nstxout() {
     // Steps 0 and 2 of 4.
     assert_eq!(frames.len(), 2);
 }
+
+#[test]
+fn a_non_finite_step_exits_2_naming_the_step() {
+    let out = Command::new(env!("CARGO_BIN_EXE_swgmx_mdrun"))
+        .args(["--particles", "150", "--steps", "3", "--temp", "-5"])
+        .output()
+        .expect("swgmx_mdrun runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("step 0:") && stderr.contains("not finite"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn flags_beside_mdp_override_the_file() {
+    let stdout = mdrun(&[
+        "--particles",
+        "150",
+        "--mdp",
+        "paper",
+        "--steps",
+        "2",
+        "--seed",
+        "7",
+    ]);
+    assert!(stdout.contains("running 2 steps"), "{stdout}");
+    assert!(
+        stdout.contains("note: --steps 2 overrides the mdp file"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("note: --seed 7 overrides the mdp file"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("per-kernel simulated time (2 steps)"),
+        "{stdout}"
+    );
+}

@@ -66,7 +66,8 @@ fn work(tag: &str) -> Outcome {
     let dir = store_dir(tag);
     let _ = std::fs::remove_dir_all(&dir);
     let (mut store, _) = Store::open(&dir, StoreOptions::default()).expect("open store");
-    let fsync_retries = store.commit_with_retry(8, &[vec![7u8; 64]]).ok();
+    let committed = store.begin(8, &[vec![7u8; 64]]);
+    let fsync_retries = committed.and_then(|r| store.settle().map(|()| r)).ok();
     let _ = std::fs::remove_dir_all(&dir);
 
     Outcome {
